@@ -48,7 +48,13 @@ fn main() {
         "\nScaling check: referee semi-commitment traffic should grow ~4x when m doubles (O(m²)),"
     );
     println!(
-        "while a common member's intra-committee traffic should stay flat when m grows at fixed c."
+        "while a common member's intra- and inter-committee traffic should stay flat when m grows at"
+    );
+    println!(
+        "fixed c (one Algorithm 3 instance per committee per side, whatever the number of pairs),"
+    );
+    println!(
+        "and a key member's inter-committee sends grow with m (its leader's forwards and replies)."
     );
     let mut sim2 = Simulation::new(bench_config(2 * m, c, 1)).expect("valid configuration");
     sim2.run_round();
@@ -71,6 +77,27 @@ fn main() {
             Phase::IntraCommitteeConsensus,
         )
         .comm_bytes() as f64;
+    let inter_sends = |report: &cycledger_protocol::RoundReport, role: RoleClass| {
+        let nodes = match role {
+            RoleClass::KeyMember => &report.roles.key_members,
+            _ => &report.roles.common_members,
+        };
+        let (total, _) = report
+            .metrics
+            .group_phase(nodes, Phase::InterCommitteeConsensus);
+        total.msgs_sent as f64 / nodes.len().max(1) as f64
+    };
+    for (label, role) in [
+        ("common-member", RoleClass::CommonMember),
+        ("key-member   ", RoleClass::KeyMember),
+    ] {
+        let (small, large) = (inter_sends(report, role), inter_sends(report2, role));
+        println!(
+            "  {label} inter msgs sent:   m={m}: {small:.1}, m={}: {large:.1} (ratio {:.2})",
+            2 * m,
+            large / small.max(1.0)
+        );
+    }
     println!(
         "  referee semi-commitment bytes: m={m}: {referee_small:.0}, m={}: {referee_large:.0} (ratio {:.2})",
         2 * m,

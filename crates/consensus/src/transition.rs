@@ -2,9 +2,10 @@
 //!
 //! Every quantitative rule the protocol applies — quorum thresholds
 //! (Algorithm 3), the strict-majority `TXdecSET` tally (Algorithm 5), the
-//! quorum-timeout fallback's missing-vote arithmetic (§IV-C step 4), and the
+//! quorum-timeout fallback's missing-vote arithmetic (§IV-C step 4), the
 //! impeachment admissibility/approval rules of the recovery procedure
-//! (Algorithm 6, Claims 3 & 4) — is a pure function in this module.
+//! (Algorithm 6, Claims 3 & 4), and the admit rule for a certified
+//! cross-shard list (§IV-D) — is a pure function in this module.
 //!
 //! The production drivers ([`crate::alg3`], [`crate::votes`],
 //! [`crate::quorum`], and the `cycledger-protocol` phase drivers) call these
@@ -106,6 +107,22 @@ pub const fn impeachment_passes(approvals: usize, committee_size: usize) -> bool
     approvals >= majority_threshold(committee_size)
 }
 
+/// Whether a committee admits one leaf of another committee's certified
+/// vector — a forwarded `TXList_{i,j}` at the destination, or the returned
+/// vote result at the source (§IV-D). All four facts must hold:
+/// the certificate names the expected `(round, committee, side)` instance,
+/// its digest commits to the carried Merkle root, the proof links the leaf
+/// the receiver recomputed from the list it was handed to that root, and the
+/// certificate itself verifies at the sender committee's majority threshold.
+pub const fn certified_leaf_admissible(
+    instance_matches: bool,
+    root_certified: bool,
+    leaf_proven: bool,
+    certificate_valid: bool,
+) -> bool {
+    instance_matches && root_certified && leaf_proven && certificate_valid
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +189,20 @@ mod tests {
         assert!(timeout_accusation_admissible(true, true));
         assert!(!timeout_accusation_admissible(true, false));
         assert!(!timeout_accusation_admissible(false, true));
+    }
+
+    #[test]
+    fn certified_leaf_needs_every_fact() {
+        assert!(certified_leaf_admissible(true, true, true, true));
+        for missing in 0..4 {
+            let fact = |i| i != missing;
+            assert!(!certified_leaf_admissible(
+                fact(0),
+                fact(1),
+                fact(2),
+                fact(3)
+            ));
+        }
     }
 
     #[test]

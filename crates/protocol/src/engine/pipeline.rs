@@ -18,13 +18,14 @@ use crate::engine::context::RoundContext;
 use crate::engine::RoundPhase;
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::configuration::run_committee_configuration;
-use crate::phases::driven::run_intra_consensus_driven;
+use crate::phases::driven::{run_inter_consensus_driven, run_intra_consensus_driven};
 use crate::phases::inter::run_inter_consensus;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
 use crate::phases::selection::run_selection;
 use crate::phases::semi_commitment::run_semi_commitment_exchange;
+use crate::phases::xshard::InterEnv;
 use crate::sortition::AssignmentParams;
 
 /// The standard pipeline in protocol order (§IV).
@@ -368,33 +369,21 @@ impl RoundPhase for InterConsensusPhase {
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
         ctx.join_pending_apply();
+        let env = InterEnv {
+            plan: ctx.faults,
+            registry: ctx.registry,
+            committees: &ctx.committees,
+            utxo_sets: ctx.utxo_sets,
+            round: ctx.round,
+            latency: ctx.config.latency,
+            verify_signatures: ctx.config.verify_signatures,
+            seed: ctx.config.seed ^ (ctx.round << 16),
+        };
+        let (cross_shard, executor, metrics) = (&ctx.cross_shard, ctx.executor, &mut ctx.metrics);
         let inter = if ctx.config.message_driven {
-            crate::phases::driven::run_inter_consensus_driven(
-                ctx.registry,
-                &ctx.committees,
-                ctx.utxo_sets,
-                &ctx.cross_shard,
-                ctx.round,
-                ctx.config.latency,
-                ctx.config.verify_signatures,
-                ctx.config.seed ^ (ctx.round << 16),
-                ctx.executor,
-                &mut ctx.metrics,
-                ctx.faults,
-            )
+            run_inter_consensus_driven(&env, cross_shard, executor, metrics)
         } else {
-            run_inter_consensus(
-                ctx.registry,
-                &ctx.committees,
-                ctx.utxo_sets,
-                &ctx.cross_shard,
-                ctx.round,
-                ctx.config.latency,
-                ctx.config.verify_signatures,
-                ctx.config.seed ^ (ctx.round << 16),
-                ctx.executor,
-                &mut ctx.metrics,
-            )
+            run_inter_consensus(&env, cross_shard, executor, metrics)
         };
         ctx.quorum_timeouts += inter.quorum_timeouts;
         ctx.list_timeouts += inter.list_timeouts;
@@ -411,7 +400,8 @@ impl RoundPhase for InterConsensusPhase {
         ctx.inter = Some(inter);
         for report in &reports {
             // The committee observed the timeout; impeach the censoring
-            // leader — unless an earlier phase already replaced it.
+            // leader — once, however many destinations it withheld from —
+            // unless an earlier phase already replaced it.
             let k = report.committee;
             if ctx.evicted.iter().any(|(ek, _)| *ek == k) {
                 continue;

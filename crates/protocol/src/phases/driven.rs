@@ -22,14 +22,15 @@
 //!   through recovery exactly like a silent leader;
 //! * cross-shard list forwards and replies travel the key-member mesh with a
 //!   [`list_deadline`] (`4Γ`, sized so the Lemma 6 censorship takeover at
-//!   `2Γ` still makes it); a forward that misses the deadline defers the
-//!   pair's transactions to a later round;
+//!   `2Γ` still makes it); a destination's partial set relays a list its
+//!   leader is still missing at `2Γ`, and a forward that misses the deadline
+//!   anyway defers that pair's transactions to a later round;
 //! * recovery accusations and impeachment votes are envelopes too
 //!   ([`run_recovery_driven`]): members severed from the prosecutor cannot
 //!   approve, so an impeachment under partition can fail for lack of a
 //!   majority.
 //!
-//! Determinism: each committee/pair/recovery network derives its seed from
+//! Determinism: each committee/recovery network derives its seed from
 //! `(config seed, round, instance)`, and every delivery time is a pure
 //! function of that seed — so the engine's 1/2/8-worker digest contract
 //! holds in message-driven mode too (delivery order is seeded virtual time,
@@ -37,7 +38,7 @@
 
 use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
-use cycledger_consensus::votes::{VoteList, VoteVector};
+use cycledger_consensus::votes::{Vote, VoteList, VoteVector};
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
@@ -54,14 +55,13 @@ use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::arena::ShardScratch;
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
-use crate::phases::inter::{CensorshipReport, InterOutcome};
+use crate::phases::inter::InterOutcome;
 use crate::phases::intra::{precompute_validity, votes_from_validity, IntraOutcome};
 use crate::phases::recovery::{Accusation, RecoveryOutcome};
+use crate::phases::xshard::{self, close_books, Accepted, InterEnv, PairList, Side, SideResult};
 
 /// Timer key: the leader's vote-collection deadline.
 const VOTE_TIMER: u64 = 1;
-/// Timer key: the destination committee's list-forward deadline.
-const LIST_TIMER: u64 = 2;
 /// Timer key: the prosecutor's impeachment-vote deadline.
 const IMPEACH_TIMER: u64 = 3;
 
@@ -73,10 +73,11 @@ pub fn vote_deadline(latency: &LatencyConfig) -> SimDuration {
     latency.delta.times(4)
 }
 
-/// The destination committee's deadline for a forwarded cross-shard list:
+/// The destination leader's deadline for a forwarded cross-shard list:
 /// `4Γ`. Honest forwards arrive within `Γ`; the Lemma 6 takeover (an honest
-/// partial-set member forwarding after the `2Γ` censorship timeout) arrives
-/// within `3Γ`, so only genuine network faults miss this deadline.
+/// partial-set member forwarding after the `2Γ` censorship timeout) within
+/// `3Γ`; a relay by the destination's own partial set at `2Γ` within
+/// `2Γ + Δ` — so only genuine network faults miss this deadline.
 pub fn list_deadline(latency: &LatencyConfig) -> SimDuration {
     latency.gamma.times(4)
 }
@@ -97,7 +98,8 @@ pub(crate) struct VoteCollection {
 
 /// Announces a `TXList` to `committee` and collects vote replies under the
 /// `4Δ` [`Deadline`] — the shared vote-collection loop of the intra driver
-/// and the inter driver's destination side. The leader's own votes are
+/// and the inter driver's destination side, over the transactions
+/// `vote_list` was created for. The leader's own votes (`votes_of`) are
 /// recorded locally; members vote when the announcement reaches them —
 /// except `Syncing` joiners, which abstain; members whose replies miss the
 /// deadline are backfilled as all-`Unknown` rows (§IV-C step 4 — the
@@ -111,17 +113,18 @@ fn collect_votes_under_deadline(
     net: &mut SimNetwork<CommitteeMessage>,
     registry: &NodeRegistry,
     committee: &Committee,
-    validity: &[bool],
+    votes_of: &dyn Fn(NodeId) -> Vec<Vote>,
     announce_bytes: u64,
     latency: &LatencyConfig,
     record_storage: bool,
     vote_list: &mut VoteList,
 ) -> VoteCollection {
     let leader = committee.leader;
+    let count = vote_list.tx_ids.len();
     let mut collection = VoteCollection::default();
     let announce = CommitteeMessage::TxList {
         committee: committee.index as u32,
-        count: validity.len() as u32,
+        count: count as u32,
     };
     for &member in &committee.members {
         if member != leader {
@@ -134,10 +137,9 @@ fn collect_votes_under_deadline(
             );
         }
     }
-    let leader_votes = votes_from_validity(registry, leader, validity);
-    vote_list.record(VoteVector::new(leader, leader_votes));
+    vote_list.record(VoteVector::new(leader, votes_of(leader)));
     if record_storage {
-        net.record_storage(leader, validity.len() as u64);
+        net.record_storage(leader, count as u64);
     }
 
     let deadline = Deadline::at(net.schedule_timer(vote_deadline(latency), VOTE_TIMER));
@@ -151,11 +153,10 @@ fn collect_votes_under_deadline(
                         collection.syncing_abstentions += 1;
                         continue;
                     }
-                    let votes = votes_from_validity(registry, env.to, validity);
-                    let vector = VoteVector::new(env.to, votes);
+                    let vector = VoteVector::new(env.to, votes_of(env.to));
                     if record_storage {
                         // Common members only keep their own opinion.
-                        net.record_storage(env.to, validity.len() as u64);
+                        net.record_storage(env.to, count as u64);
                     }
                     let bytes = vector.wire_size() + 96;
                     net.send(
@@ -193,7 +194,7 @@ fn collect_votes_under_deadline(
     );
     for &member in &committee.members {
         if !vote_list.votes.iter().any(|v| v.voter == member) {
-            vote_list.record(VoteVector::all_unknown(member, validity.len()));
+            vote_list.record(VoteVector::all_unknown(member, count));
         }
     }
     collection
@@ -263,7 +264,7 @@ pub fn run_intra_consensus_driven(
         &mut net,
         registry,
         committee,
-        &scratch.validity,
+        &|member| votes_from_validity(registry, member, &scratch.validity),
         txlist_bytes,
         &latency,
         true,
@@ -354,339 +355,49 @@ pub fn run_intra_consensus_driven(
     )
 }
 
-/// What one message-driven `(i, j)` pair produced.
-struct DrivenPairResult {
-    input_shard: usize,
-    accepted: Vec<Transaction>,
-    vote_list: Option<VoteList>,
-    censorship: Option<CensorshipReport>,
-    equivocation: Vec<cycledger_consensus::witness::EquivocationEvidence>,
-    timeout_delays: u64,
-    quorum_timeout: bool,
-    list_timeout: bool,
-    votes_missing: usize,
-    syncing_abstentions: usize,
-    syncing_votes: usize,
-    net_dropped: u64,
-    metrics: MetricsSink,
-}
-
-/// Runs inter-committee consensus with the whole pair flow — source
-/// agreement, list forward, destination votes and agreement, result reply —
-/// on one faulted network per `(i, j)` pair, so a partition or delay on any
-/// leg perturbs the outcome. Mirrors
-/// [`crate::phases::inter::run_inter_consensus`]'s contract.
-#[allow(clippy::too_many_arguments)]
-pub fn run_inter_consensus_driven(
-    registry: &NodeRegistry,
-    committees: &[Committee],
-    utxo_sets: &[UtxoSet],
+/// Runs inter-committee consensus with every leg on a network faulted by
+/// `env.plan`, so a partition or delay perturbs the outcome: one network per
+/// source committee (its Algorithm 3 instance, then the forwards and any
+/// relays), one per destination committee (the one vote, its instance, the
+/// replies). Same contract as the synchronous `run_inter_consensus`.
+pub(crate) fn run_inter_consensus_driven(
+    env: &InterEnv<'_>,
     cross_shard: &[GeneratedTx],
-    round: u64,
-    latency: LatencyConfig,
-    verify_signatures: bool,
-    seed: u64,
     executor: &ShardExecutor,
     metrics: &mut MetricsSink,
-    plan: &FaultPlan,
 ) -> InterOutcome {
-    let m = committees.len();
-    let mut outcome = InterOutcome {
-        accepted: vec![Vec::new(); m],
-        vote_lists: Vec::new(),
-        ..Default::default()
-    };
-
-    // Group cross-shard transactions by (input shard, output shard) — same
-    // deterministic grouping as the synchronous driver.
-    let mut by_pair: std::collections::BTreeMap<(usize, usize), Vec<&GeneratedTx>> =
-        std::collections::BTreeMap::new();
-    for gen in cross_shard {
-        let inputs = gen.tx.input_shards(m);
-        let outputs = gen.tx.output_shards(m);
-        let i = inputs.first().copied().unwrap_or(0);
-        let j = outputs
-            .iter()
-            .copied()
-            .find(|&s| s != i)
-            .unwrap_or_else(|| outputs.first().copied().unwrap_or(0));
-        by_pair.entry((i, j)).or_default().push(gen);
-    }
-
-    let tasks: Vec<_> = by_pair
-        .into_iter()
-        .map(|((i, j), txs)| {
-            move || {
-                run_inter_pair_driven(
-                    registry,
-                    committees,
-                    utxo_sets,
-                    i,
-                    j,
-                    &txs,
-                    round,
-                    latency,
-                    verify_signatures,
-                    seed,
-                    plan,
-                )
-            }
-        })
-        .collect();
-    for pair in executor.execute(tasks) {
-        metrics.merge(&pair.metrics);
-        outcome.accepted[pair.input_shard].extend(pair.accepted);
-        outcome.vote_lists.extend(pair.vote_list);
-        outcome.censorship_reports.extend(pair.censorship);
-        outcome.equivocation.extend(pair.equivocation);
-        outcome.timeout_delays += pair.timeout_delays;
-        outcome.quorum_timeouts += usize::from(pair.quorum_timeout);
-        outcome.list_timeouts += usize::from(pair.list_timeout);
-        outcome.votes_missing += pair.votes_missing;
-        outcome.syncing_abstentions += pair.syncing_abstentions;
-        outcome.syncing_votes += pair.syncing_votes;
-        outcome.net_dropped += pair.net_dropped;
-    }
-
-    outcome
+    let dest = |j, inbound: &[&PairList<'_>]| run_dest_driven(env, j, inbound);
+    xshard::run_phase(env, cross_shard, executor, metrics, dest)
 }
 
-/// One message-driven `(i, j)` pair on its own faulted network.
-#[allow(clippy::too_many_arguments)]
-fn run_inter_pair_driven(
-    registry: &NodeRegistry,
-    committees: &[Committee],
-    utxo_sets: &[UtxoSet],
-    i: usize,
+/// Destination committee `j`: the leader announces every admitted list at
+/// once and members vote once under the single `4Δ` deadline (missing votes
+/// become all-`Unknown` rows — the same collection loop as the intra driver,
+/// minus its storage accounting); tally, agreement and replies are the
+/// shared core's.
+pub(crate) fn run_dest_driven(
+    env: &InterEnv<'_>,
     j: usize,
-    txs: &[&GeneratedTx],
-    round: u64,
-    latency: LatencyConfig,
-    verify_signatures: bool,
-    seed: u64,
-    plan: &FaultPlan,
-) -> DrivenPairResult {
-    let phase = Phase::InterCommitteeConsensus;
-    let mut result = DrivenPairResult {
-        input_shard: i,
-        accepted: Vec::new(),
-        vote_list: None,
-        censorship: None,
-        equivocation: Vec::new(),
-        timeout_delays: 0,
-        quorum_timeout: false,
-        list_timeout: false,
-        votes_missing: 0,
-        syncing_abstentions: 0,
-        syncing_votes: 0,
-        net_dropped: 0,
-        metrics: MetricsSink::new(),
-    };
-    let source = &committees[i];
-    let dest = &committees[j];
-    let source_leader_behavior = registry.node(source.leader).behavior;
-    let mut net: SimNetwork<CommitteeMessage> =
-        SimNetwork::with_faults(latency, seed ^ ((i as u64) << 32 | j as u64), plan.clone());
-    net.set_phase(phase);
-
-    // Close the pair's books: drain to quiescence, collect drops, fold the
-    // network's metrics into the pair sink.
-    macro_rules! finish {
-        ($net:ident, $result:ident) => {{
-            while $net.next_event().is_some() {}
-            $result.net_dropped = $net.dropped_messages();
-            $result.metrics.merge($net.metrics());
-            return $result;
-        }};
-    }
-
-    // 1. The input committee agrees on TXList_{i,j} (Algorithm 3 over the
-    //    faulted network).
-    let mut payload = Vec::with_capacity(txs.len() * 32);
-    for gen in txs {
-        payload.extend_from_slice(gen.tx.id().as_bytes());
-    }
-    let mut source_consensus = run_inside_consensus(
+    inbound: &[&PairList<'_>],
+) -> SideResult<Accepted> {
+    let mut net = Side::Destination.net(env, j);
+    let validity = xshard::inbound_validity(env, inbound);
+    let votes_of = |member| xshard::inbound_votes(env, member, &validity);
+    let mut vote_list = VoteList::new(inbound.iter().flat_map(|list| list.ids()).collect());
+    let announce_bytes = inbound.iter().map(|list| list.wire_bytes()).sum::<u64>() + 96;
+    let votes = collect_votes_under_deadline(
         &mut net,
-        source,
-        registry,
-        ConsensusId {
-            round,
-            seq: 2_000 + (i as u64) * 64 + j as u64,
-        },
-        payload,
-        LeaderFault::from_behavior(source_leader_behavior, b"cross"),
-        verify_signatures,
-    );
-    result
-        .equivocation
-        .append(&mut source_consensus.equivocation);
-    if source_consensus.certificate.is_none() {
-        // The input committee could not certify the list; these transactions
-        // wait for recovery and a later round.
-        finish!(net, result);
-    }
-
-    // 2. The certified list travels the key-member mesh to the destination
-    //    leader and partial set. A censoring source leader withholds it; an
-    //    honest partial-set member notices after 2Γ, forwards it itself
-    //    (Lemma 6) and reports the leader.
-    let list_bytes: u64 = txs.iter().map(|g| g.tx.wire_size()).sum::<u64>()
-        + source_consensus
-            .certificate
-            .as_ref()
-            .map(|c| c.wire_size())
-            .unwrap_or(0);
-    let censoring = source_leader_behavior == Behavior::CensoringLeader;
-    let forwarder: NodeId = if censoring {
-        let honest_pm = source
-            .partial_set
-            .iter()
-            .copied()
-            .find(|&pm| registry.node(pm).is_honest());
-        let Some(reporter) = honest_pm else {
-            // Every key member colludes in the concealment (the w.h.p.
-            // honest-partial-member argument failed at this scale): nobody
-            // forwards, nobody reports, and the destination's deadline
-            // defers the transactions to a later round.
-            result.list_timeout = true;
-            finish!(net, result);
-        };
-        result.censorship = Some(CensorshipReport {
-            committee: i,
-            leader: source.leader,
-            reporter,
-            withheld: txs.len(),
-        });
-        result.timeout_delays += 2 * latency.gamma.as_micros();
-        reporter
-    } else {
-        source.leader
-    };
-    let takeover_delay = if censoring {
-        latency.gamma.times(2)
-    } else {
-        SimDuration::ZERO
-    };
-    let forward = CommitteeMessage::ListForward {
-        input: i as u32,
-        output: j as u32,
-        count: txs.len() as u32,
-    };
-    net.send_after(
-        forwarder,
-        dest.leader,
-        LinkClass::KeyMemberMesh,
-        forward.clone(),
-        list_bytes,
-        takeover_delay,
-    );
-    for &pm in &dest.partial_set {
-        net.send_after(
-            forwarder,
-            pm,
-            LinkClass::KeyMemberMesh,
-            forward.clone(),
-            list_bytes,
-            takeover_delay,
-        );
-    }
-
-    // 3. The destination leader waits for the list under the 4Γ deadline.
-    net.schedule_timer(list_deadline(&latency), LIST_TIMER);
-    let mut list_arrived = false;
-    while let Some(event) = net.next_event() {
-        match event {
-            NetEvent::Message(env) => {
-                if matches!(env.payload, CommitteeMessage::ListForward { .. })
-                    && env.to == dest.leader
-                {
-                    list_arrived = true;
-                    break;
-                }
-            }
-            NetEvent::Timer {
-                key: LIST_TIMER, ..
-            } => break,
-            NetEvent::Timer { .. } => {}
-        }
-    }
-    if !list_arrived {
-        // The forward leg was severed or delayed past the deadline: the
-        // pair's transactions defer to a later round.
-        result.list_timeout = true;
-        finish!(net, result);
-    }
-
-    // 4. The destination committee votes on the list — the leader announces
-    //    it to the members, replies ride back under the 4Δ deadline, and
-    //    missing votes become all-Unknown rows (the same shared collection
-    //    loop as the intra driver, minus the intra storage accounting).
-    let tx_ids: Vec<_> = txs.iter().map(|g| g.tx.id()).collect();
-    let validity: Vec<bool> = txs
-        .iter()
-        .map(|g| utxo_sets[i].validate(&g.tx).is_ok())
-        .collect();
-    let mut vote_list = VoteList::new(tx_ids);
-    let collection = collect_votes_under_deadline(
-        &mut net,
-        registry,
-        dest,
-        &validity,
-        list_bytes,
-        &latency,
+        env.registry,
+        &env.committees[j],
+        &votes_of,
+        announce_bytes,
+        &env.latency,
         false,
         &mut vote_list,
     );
-    result.votes_missing = collection.missing;
-    result.syncing_abstentions = collection.syncing_abstentions;
-    result.syncing_votes = collection.syncing_votes;
-    result.quorum_timeout = cycledger_consensus::transition::quorum_timed_out(result.votes_missing);
-
-    // 5. The destination committee agrees on the vote result and returns it.
-    let tally = vote_list.tally(dest.size());
-    let mut dest_payload = Vec::with_capacity(tally.accepted_indices.len() * 32);
-    for &k in &tally.accepted_indices {
-        dest_payload.extend_from_slice(txs[k].tx.id().as_bytes());
-    }
-    let mut dest_consensus = run_inside_consensus(
-        &mut net,
-        dest,
-        registry,
-        ConsensusId {
-            round,
-            seq: 3_000 + (j as u64) * 64 + i as u64,
-        },
-        dest_payload,
-        LeaderFault::from_behavior(registry.node(dest.leader).behavior, b"cross-reply"),
-        verify_signatures,
-    );
-    result.equivocation.append(&mut dest_consensus.equivocation);
-
-    if dest_consensus.certificate.is_some() {
-        let reply_bytes = dest_consensus
-            .certificate
-            .as_ref()
-            .map(|c| c.wire_size())
-            .unwrap_or(0)
-            + tally.accepted_indices.len() as u64 * 32;
-        net.send(
-            dest.leader,
-            source.leader,
-            LinkClass::KeyMemberMesh,
-            CommitteeMessage::ListReply {
-                input: i as u32,
-                output: j as u32,
-                accepted: tally.accepted_indices.len() as u32,
-            },
-            reply_bytes,
-        );
-        for &k in &tally.accepted_indices {
-            result.accepted.push(txs[k].tx.clone());
-        }
-    }
-    result.vote_list = Some(vote_list);
-    finish!(net, result);
+    let mut result = xshard::certify_and_reply(&mut net, env, j, inbound, &vote_list);
+    result.ledger.votes = votes;
+    close_books(net, result)
 }
 
 /// Runs the recovery procedure with the accusation broadcast, impeachment

@@ -1,34 +1,30 @@
-//! Phase 4 — inter-committee consensus (§IV-D, Lemmas 6 & 7).
+//! Phase 4 — inter-committee consensus (§IV-D, Lemmas 6 & 7), synchronous
+//! plane.
 //!
-//! Cross-shard transactions are grouped by their input shard. The input
-//! committee first agrees on the list `TXList_{i,j}` with Algorithm 3, then its
-//! leader forwards the certified list to the destination committee's leader and
-//! partial set. The destination committee votes, agrees, and returns the result.
+//! Each input committee agrees **once** on the vector of its outbound lists
+//! with Algorithm 3 and forwards every list, with a Merkle proof and the one
+//! certificate, to the destination's leader and partial set; each destination
+//! votes once over everything it admitted, agrees once on the per-source
+//! results, and returns them. The core is `phases/xshard.rs`; on this plane
+//! every forward arrives and votes are computed directly, traffic accounted.
 //!
-//! Two leader attacks are modelled:
-//! * a **censoring** input-committee leader withholds the certified list; after
-//!   the `2Γ` timeout an honest partial-set member of the input committee
-//!   forwards it instead (Lemma 6) and raises an impeachment,
-//! * framing is impossible because the destination's partial set also waits `2Γ`
-//!   before accusing its own leader (Lemma 7) — modelled by only ever reporting
-//!   the input leader, and only when it really withheld.
+//! Two leader attacks are modelled: a **censoring** input-committee leader
+//! withholds the certified lists, and after the `2Γ` timeout an honest member
+//! of its partial set forwards them instead (Lemma 6) and raises an
+//! impeachment; framing is impossible because the destination's partial set
+//! also watches its own leader for `2Γ` (Lemma 7) — only the input leader is
+//! ever reported, and only when it really withheld.
 
-use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::votes::{VoteList, VoteVector};
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::Transaction;
-use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
-use cycledger_net::latency::LatencyConfig;
-use cycledger_net::metrics::{MetricsSink, Phase};
-use cycledger_net::network::SimNetwork;
+use cycledger_net::faults::FaultPlan;
+use cycledger_net::metrics::MetricsSink;
 use cycledger_net::topology::NodeId;
 
-use crate::adversary::Behavior;
-use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::ShardExecutor;
-use crate::node::NodeRegistry;
-use crate::phases::intra::votes_from_validity;
+use crate::phases::xshard::{self, close_books, Accepted, InterEnv, PairList, Side, SideResult};
 
 /// A leader liveness complaint raised by a partial-set member after the `2Γ`
 /// timeout (censored cross-shard traffic). Unlike signed witnesses, this is an
@@ -41,7 +37,7 @@ pub struct CensorshipReport {
     pub leader: NodeId,
     /// The honest partial-set member that took over forwarding.
     pub reporter: NodeId,
-    /// Number of transactions that were withheld.
+    /// Number of transactions that were withheld, across all destinations.
     pub withheld: usize,
 }
 
@@ -50,431 +46,59 @@ pub struct CensorshipReport {
 pub struct InterOutcome {
     /// Cross-shard transactions accepted by both sides, per input committee.
     pub accepted: Vec<Vec<Transaction>>,
-    /// Members' votes on cross-shard lists, per destination committee (merged
-    /// into reputation scoring together with the intra-phase votes).
-    pub vote_lists: Vec<VoteList>,
-    /// Censorship reports raised by partial-set members.
+    /// Censorship reports, one per censoring leader.
     pub censorship_reports: Vec<CensorshipReport>,
-    /// Equivocation evidence surfaced while agreeing on cross-shard lists.
+    /// Equivocation evidence surfaced while agreeing on cross-shard vectors.
     pub equivocation: Vec<EquivocationEvidence>,
     /// Extra latency incurred by `2Γ` timeouts (microseconds of simulated time).
     pub timeout_delays: u64,
-    /// Message-driven mode: destination committees whose vote-collection
-    /// deadline fired with votes missing. Always 0 on the synchronous path.
-    pub quorum_timeouts: usize,
-    /// Message-driven mode: `(i, j)` pairs abandoned because the certified
-    /// list never reached the destination by its deadline (partitioned or
-    /// delayed forward leg). Always 0 on the synchronous path.
+    /// Algorithm 3 instances started: at most one per committee per side.
+    pub alg3_instances: usize,
+    /// Certified `(i, j)` lists that never reached the destination leader: a
+    /// forward leg severed or delayed past `4Γ` (message-driven mode), or a
+    /// censoring leader whose whole partial set colludes.
     pub list_timeouts: usize,
-    /// Message-driven mode: destination-committee votes missing at their
-    /// collection deadlines (recorded as all-`Unknown`).
+    /// Message-driven mode: destination vote deadlines that fired short.
+    pub quorum_timeouts: usize,
+    /// Message-driven mode: destination votes missing (counted `Unknown`).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes dropped across all pair networks.
+    /// Message-driven mode: envelopes dropped across all phase networks.
     pub net_dropped: u64,
-    /// Message-driven mode: `Syncing` members that abstained at destination
-    /// committees (their rows count `Unknown`).
+    /// Message-driven mode: `Syncing` destination members that abstained.
     pub syncing_abstentions: usize,
-    /// Message-driven mode: votes received from `Syncing` members — must
-    /// stay zero.
+    /// Message-driven mode: votes from `Syncing` members — must stay zero.
     pub syncing_votes: usize,
 }
 
-/// What one `(input shard, output shard)` pair produced, folded into the
-/// phase outcome in pair order.
-struct PairResult {
-    input_shard: usize,
-    accepted: Vec<Transaction>,
-    vote_list: Option<VoteList>,
-    censorship: Option<CensorshipReport>,
-    equivocation: Vec<EquivocationEvidence>,
-    timeout_delays: u64,
-    metrics: MetricsSink,
-}
-
-/// Runs inter-committee consensus over the cross-shard portion of the workload.
-///
-/// The `(i, j)` pairs are independent — each runs its own seeded simulated
-/// networks and touches only read-shared state — so they execute as one
-/// batch on the persistent [`ShardExecutor`]. Results fold back in pair
-/// (submission) order with per-pair metric sinks, keeping the output
-/// byte-identical for any worker count.
-#[allow(clippy::too_many_arguments)]
-pub fn run_inter_consensus(
-    registry: &NodeRegistry,
-    committees: &[Committee],
-    utxo_sets: &[UtxoSet],
+/// Runs inter-committee consensus over the cross-shard portion of the
+/// workload, ignoring `env.plan`: two executor batches (sources,
+/// destinations) folded in committee order, identical for any worker count.
+pub(crate) fn run_inter_consensus(
+    env: &InterEnv<'_>,
     cross_shard: &[GeneratedTx],
-    round: u64,
-    latency: LatencyConfig,
-    verify_signatures: bool,
-    seed: u64,
     executor: &ShardExecutor,
     metrics: &mut MetricsSink,
 ) -> InterOutcome {
-    let m = committees.len();
-    let mut outcome = InterOutcome {
-        accepted: vec![Vec::new(); m],
-        vote_lists: Vec::new(),
-        ..Default::default()
-    };
-
-    // Group cross-shard transactions by (input shard, output shard).
-    let mut by_pair: std::collections::BTreeMap<(usize, usize), Vec<&GeneratedTx>> =
-        std::collections::BTreeMap::new();
-    for gen in cross_shard {
-        let inputs = gen.tx.input_shards(m);
-        let outputs = gen.tx.output_shards(m);
-        let i = inputs.first().copied().unwrap_or(0);
-        let j = outputs
-            .iter()
-            .copied()
-            .find(|&s| s != i)
-            .unwrap_or_else(|| outputs.first().copied().unwrap_or(0));
-        by_pair.entry((i, j)).or_default().push(gen);
-    }
-
-    let tasks: Vec<_> = by_pair
-        .into_iter()
-        .map(|((i, j), txs)| {
-            move || {
-                run_inter_pair(
-                    registry,
-                    committees,
-                    utxo_sets,
-                    i,
-                    j,
-                    &txs,
-                    round,
-                    latency,
-                    verify_signatures,
-                    seed,
-                )
-            }
-        })
-        .collect();
-    for pair in executor.execute(tasks) {
-        metrics.merge(&pair.metrics);
-        outcome.accepted[pair.input_shard].extend(pair.accepted);
-        outcome.vote_lists.extend(pair.vote_list);
-        outcome.censorship_reports.extend(pair.censorship);
-        outcome.equivocation.extend(pair.equivocation);
-        outcome.timeout_delays += pair.timeout_delays;
-    }
-
-    outcome
+    let plan = &FaultPlan::default();
+    let env = &InterEnv { plan, ..*env };
+    let dest = |j, inbound: &[&PairList<'_>]| run_dest(env, j, inbound);
+    xshard::run_phase(env, cross_shard, executor, metrics, dest)
 }
 
-/// One `(i, j)` pair: source-committee agreement, forwarding, destination
-/// vote + agreement. Pure function of its inputs plus the derived seeds.
-#[allow(clippy::too_many_arguments)]
-fn run_inter_pair(
-    registry: &NodeRegistry,
-    committees: &[Committee],
-    utxo_sets: &[UtxoSet],
-    i: usize,
-    j: usize,
-    txs: &[&GeneratedTx],
-    round: u64,
-    latency: LatencyConfig,
-    verify_signatures: bool,
-    seed: u64,
-) -> PairResult {
-    let phase = Phase::InterCommitteeConsensus;
-    let mut result = PairResult {
-        input_shard: i,
-        accepted: Vec::new(),
-        vote_list: None,
-        censorship: None,
-        equivocation: Vec::new(),
-        timeout_delays: 0,
-        metrics: MetricsSink::new(),
-    };
-    let source = &committees[i];
-    let dest = &committees[j];
-    let source_leader_behavior = registry.node(source.leader).behavior;
-
-    // 1. The input committee agrees on TXList_{i,j}.
-    let mut source_net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ ((i as u64) << 32 | j as u64));
-    source_net.set_phase(phase);
-    let mut payload = Vec::with_capacity(txs.len() * 32);
-    for gen in txs {
-        payload.extend_from_slice(gen.tx.id().as_bytes());
-    }
-    let mut source_consensus = run_inside_consensus(
-        &mut source_net,
-        source,
-        registry,
-        ConsensusId {
-            round,
-            seq: 2_000 + (i as u64) * 64 + j as u64,
-        },
-        payload,
-        LeaderFault::from_behavior(source_leader_behavior, b"cross"),
-        verify_signatures,
-    );
-    result.metrics.merge(source_net.metrics());
-    result
-        .equivocation
-        .append(&mut source_consensus.equivocation);
-    if source_consensus.certificate.is_none() {
-        // The input committee could not certify the list (e.g. silent or
-        // equivocating leader); these transactions wait for recovery and a
-        // later round.
-        return result;
-    }
-
-    // 2. The (certified) list travels to the destination leader + partials.
-    let list_bytes: u64 = txs.iter().map(|g| g.tx.wire_size()).sum::<u64>()
-        + source_consensus
-            .certificate
-            .as_ref()
-            .map(|c| c.wire_size())
-            .unwrap_or(0);
-    let forwarder: NodeId = if source_leader_behavior == Behavior::CensoringLeader {
-        // Lemma 6: an honest partial-set member notices after 2Γ and
-        // forwards the certified list itself, then reports the leader.
-        let honest_pm = source
-            .partial_set
-            .iter()
-            .copied()
-            .find(|&pm| registry.node(pm).is_honest());
-        let Some(reporter) = honest_pm else {
-            // Every key member colludes in the concealment (the w.h.p.
-            // honest-partial-member argument failed at this scale): the list
-            // is never forwarded and the pair's transactions wait for a
-            // later round. The seed panicked here.
-            return result;
-        };
-        result.censorship = Some(CensorshipReport {
-            committee: i,
-            leader: source.leader,
-            reporter,
-            withheld: txs.len(),
-        });
-        result.timeout_delays += 2 * latency.gamma.as_micros();
-        reporter
-    } else {
-        source.leader
-    };
-    result
-        .metrics
-        .record_message(phase, forwarder, dest.leader, list_bytes);
-    for &pm in &dest.partial_set {
-        result
-            .metrics
-            .record_message(phase, forwarder, pm, list_bytes);
-    }
-
-    // 3. The destination committee votes on the list and agrees. The
-    //    authentication function runs once per transaction (ground truth
-    //    shared by every member), not once per member per transaction.
-    let tx_ids: Vec<_> = txs.iter().map(|g| g.tx.id()).collect();
-    let validity: Vec<bool> = txs
-        .iter()
-        .map(|g| utxo_sets[i].validate(&g.tx).is_ok())
-        .collect();
-    let mut vote_list = VoteList::new(tx_ids);
+/// Destination committee `j`: every member votes once over all admitted
+/// lists; tally, agreement and replies are the shared core's.
+fn run_dest(env: &InterEnv<'_>, j: usize, inbound: &[&PairList<'_>]) -> SideResult<Accepted> {
+    let dest = &env.committees[j];
+    let mut net = Side::Destination.net(env, j);
+    let validity = xshard::inbound_validity(env, inbound);
+    let mut vote_list = VoteList::new(inbound.iter().flat_map(|list| list.ids()).collect());
     for &member in &dest.members {
-        let votes = votes_from_validity(registry, member, &validity);
-        let vector = VoteVector::new(member, votes);
+        let vector = VoteVector::new(member, xshard::inbound_votes(env, member, &validity));
         if member != dest.leader {
-            result
-                .metrics
-                .record_message(phase, member, dest.leader, vector.wire_size() + 96);
+            net.account_message(member, dest.leader, vector.wire_size() + 96);
         }
         vote_list.record(vector);
     }
-    let tally = vote_list.tally(dest.size());
-    let mut dest_net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ 0xdead ^ ((j as u64) << 16 | i as u64));
-    dest_net.set_phase(phase);
-    let mut dest_payload = Vec::with_capacity(tally.accepted_indices.len() * 32);
-    for &k in &tally.accepted_indices {
-        dest_payload.extend_from_slice(txs[k].tx.id().as_bytes());
-    }
-    let mut dest_consensus = run_inside_consensus(
-        &mut dest_net,
-        dest,
-        registry,
-        ConsensusId {
-            round,
-            seq: 3_000 + (j as u64) * 64 + i as u64,
-        },
-        dest_payload,
-        LeaderFault::from_behavior(registry.node(dest.leader).behavior, b"cross-reply"),
-        verify_signatures,
-    );
-    result.metrics.merge(dest_net.metrics());
-    result.equivocation.append(&mut dest_consensus.equivocation);
-
-    // 4. The destination leader returns the certified result to the source.
-    if dest_consensus.certificate.is_some() {
-        let reply_bytes = dest_consensus
-            .certificate
-            .as_ref()
-            .map(|c| c.wire_size())
-            .unwrap_or(0)
-            + tally.accepted_indices.len() as u64 * 32;
-        result
-            .metrics
-            .record_message(phase, dest.leader, source.leader, reply_bytes);
-        for &k in &tally.accepted_indices {
-            result.accepted.push(txs[k].tx.clone());
-        }
-    }
-    result.vote_list = Some(vote_list);
-    result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::adversary::AdversaryConfig;
-    use crate::sortition::{assign_round, AssignmentParams};
-    use cycledger_crypto::sha256::sha256;
-    use cycledger_ledger::workload::{TxKind, Workload, WorkloadConfig};
-    use cycledger_reputation::ReputationTable;
-
-    struct Fixture {
-        registry: NodeRegistry,
-        committees: Vec<Committee>,
-        utxo_sets: Vec<UtxoSet>,
-        cross: Vec<GeneratedTx>,
-    }
-
-    fn fixture(seed: u64) -> Fixture {
-        let registry = NodeRegistry::generate(70, &AdversaryConfig::default(), 200, 0, seed);
-        let reputation = ReputationTable::with_members(registry.ids());
-        let assignment = assign_round(
-            &registry,
-            &registry.ids(),
-            AssignmentParams {
-                committees: 3,
-                partial_set_size: 3,
-                referee_size: 7,
-            },
-            1,
-            sha256(b"inter-phase"),
-            &reputation,
-        );
-        let committees: Vec<Committee> = assignment
-            .committees
-            .iter()
-            .map(|c| Committee::from_assignment(c, &registry))
-            .collect();
-        let mut workload = Workload::new(WorkloadConfig {
-            num_shards: 3,
-            accounts_per_shard: 16,
-            genesis_amount: 1_000,
-            cross_shard_ratio: 1.0,
-            invalid_ratio: 0.0,
-            seed,
-        });
-        let utxo_sets = workload.build_genesis_utxo_sets();
-        let cross: Vec<GeneratedTx> = workload
-            .generate_batch(60)
-            .into_iter()
-            .filter(|g| g.kind == TxKind::CrossShard)
-            .collect();
-        Fixture {
-            registry,
-            committees,
-            utxo_sets,
-            cross,
-        }
-    }
-
-    #[test]
-    fn honest_cross_shard_transactions_are_accepted() {
-        let fx = fixture(61);
-        assert!(!fx.cross.is_empty());
-        let mut metrics = MetricsSink::new();
-        let outcome = run_inter_consensus(
-            &fx.registry,
-            &fx.committees,
-            &fx.utxo_sets,
-            &fx.cross,
-            1,
-            LatencyConfig::default(),
-            true,
-            1,
-            &ShardExecutor::new(1),
-            &mut metrics,
-        );
-        let accepted: usize = outcome.accepted.iter().map(|v| v.len()).sum();
-        assert_eq!(
-            accepted,
-            fx.cross.len(),
-            "every valid cross-shard tx accepted"
-        );
-        assert!(outcome.censorship_reports.is_empty());
-        assert!(outcome.equivocation.is_empty());
-        assert_eq!(outcome.timeout_delays, 0);
-        assert!(
-            metrics
-                .phase_total(Phase::InterCommitteeConsensus)
-                .msgs_sent
-                > 0
-        );
-    }
-
-    #[test]
-    fn censoring_leader_is_reported_and_transactions_still_flow() {
-        let mut fx = fixture(62);
-        // Make every committee leader a censoring leader for its outgoing lists.
-        let leaders: Vec<NodeId> = fx.committees.iter().map(|c| c.leader).collect();
-        for l in &leaders {
-            fx.registry.set_behavior(*l, Behavior::CensoringLeader);
-        }
-        let mut metrics = MetricsSink::new();
-        let outcome = run_inter_consensus(
-            &fx.registry,
-            &fx.committees,
-            &fx.utxo_sets,
-            &fx.cross,
-            1,
-            LatencyConfig::default(),
-            true,
-            2,
-            &ShardExecutor::new(1),
-            &mut metrics,
-        );
-        assert!(!outcome.censorship_reports.is_empty());
-        for report in &outcome.censorship_reports {
-            assert!(leaders.contains(&report.leader));
-            assert!(fx.registry.node(report.reporter).is_honest());
-            assert!(report.withheld > 0);
-        }
-        // Lemma 6: the partial set forwards the lists, so transactions still land.
-        let accepted: usize = outcome.accepted.iter().map(|v| v.len()).sum();
-        assert_eq!(accepted, fx.cross.len());
-        // The 2Γ timeout shows up as extra latency.
-        assert!(outcome.timeout_delays > 0);
-    }
-
-    #[test]
-    fn silent_source_leader_stalls_only_its_own_lists() {
-        let mut fx = fixture(63);
-        let silent = fx.committees[0].leader;
-        fx.registry.set_behavior(silent, Behavior::SilentLeader);
-        let mut metrics = MetricsSink::new();
-        let outcome = run_inter_consensus(
-            &fx.registry,
-            &fx.committees,
-            &fx.utxo_sets,
-            &fx.cross,
-            1,
-            LatencyConfig::default(),
-            true,
-            3,
-            &ShardExecutor::new(1),
-            &mut metrics,
-        );
-        // Lists whose input shard is committee 0 cannot be certified this round.
-        assert!(outcome.accepted[0].is_empty());
-        // Other committees' cross-shard lists still go through.
-        let others: usize = outcome.accepted[1..].iter().map(|v| v.len()).sum();
-        assert!(others > 0);
-    }
+    let result = xshard::certify_and_reply(&mut net, env, j, inbound, &vote_list);
+    close_books(net, result)
 }

@@ -10,3 +10,4 @@ pub mod recovery;
 pub mod reputation_update;
 pub mod selection;
 pub mod semi_commitment;
+pub(crate) mod xshard;

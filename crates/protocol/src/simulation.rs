@@ -1101,6 +1101,39 @@ mod tests {
     }
 
     #[test]
+    fn a_censoring_leader_is_reported_charged_and_impeached_once_per_round() {
+        // Four committees, mostly cross-shard traffic: the censoring leader
+        // withholds lists for three destinations, which is still one
+        // takeover — one report, one 2Γ stall, one impeachment attempt.
+        let config = ProtocolConfig {
+            committees: 4,
+            cross_shard_ratio: 0.8,
+            txs_per_round: 120,
+            verify_signatures: false,
+            ..small_config()
+        };
+        for message_driven in [false, true] {
+            let mut sim = Simulation::new(ProtocolConfig {
+                message_driven,
+                ..config
+            })
+            .unwrap();
+            let leader = sim.assignment().committees[0].leader;
+            sim.registry_mut()
+                .set_behavior(leader, Behavior::CensoringLeader);
+            let report = sim.run_round().clone();
+            assert_eq!(report.censorship_reports, 1);
+            assert_eq!(
+                report.timeout_delays_us,
+                2 * config.latency.gamma.as_micros()
+            );
+            assert_eq!(report.recovery_log.len(), 1);
+            assert_eq!(report.evicted_leaders, vec![(0, leader)]);
+            assert_eq!(report.list_timeouts, 0);
+        }
+    }
+
+    #[test]
     fn censorship_recovery_stall_stretches_the_traffic_window() {
         // A censoring leader forces the 2Γ concealment-recovery timers
         // (`timeout_delays_us`); the open-loop driver must stretch that

@@ -27,6 +27,10 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("vrf_evaluate", |b| {
         b.iter(|| vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed"))
     });
+    // What sortition calls: the prover already holds its public key.
+    group.bench_function("vrf_evaluate_with_public", |b| {
+        b.iter(|| vrf::evaluate_with_public(&kp.secret, &kp.public, b"COMMON_MEMBER|7|seed"))
+    });
     let out = vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed");
     group.bench_function("vrf_verify", |b| {
         b.iter(|| vrf::verify(&kp.public, b"COMMON_MEMBER|7|seed", &out))

@@ -1,18 +1,20 @@
 //! Per-phase wall-clock profile of the round engine at the standard 8x16
 //! bench configuration: runs a few rounds with a timing [`RoundObserver`]
-//! attached and prints where the round's time goes, once for the sequential
-//! engine and once for the pipelined one. This is the tool that located the
-//! data-plane hot spots (inter-consensus message churn, latency DRBG
-//! instantiation, signature generation) — keep it handy before chasing the
-//! next bottleneck.
+//! attached and prints where the round's time goes — every phase at one
+//! worker and at `--workers N` side by side, with the ratio between them,
+//! plus the pipelined engine at N workers. A phase that runs on the driver
+//! thread reads 1.00x at a glance; an executor batch approaches the
+//! machine's parallelism. This is the tool that located
+//! the data-plane hot spots (inter-consensus message churn, latency DRBG
+//! instantiation, signature generation, and the three phases that were still
+//! serial loops over committees) — keep it handy before chasing the next
+//! bottleneck.
 //!
-//! In pipelined mode the per-shard block application is submitted to the
-//! executor at the end of block generation and joined at the next round's
-//! first UTXO-touching phase, so its cost migrates out of
-//! `block-generation` and (on a multi-core box) overlaps the next round's
-//! configuration and semi-commitment phases. Expect `block-generation` to
-//! shrink and `intra-consensus` to absorb the join; the totals only drop
-//! when real cores are available to drain the tail concurrently.
+//! The last column and the last line compare the pipelined engine with the
+//! sequential one at N workers. In pipelined mode the per-shard block application is submitted
+//! to the executor at the end of block generation and joined at the next
+//! round's first UTXO-touching phase, so it only wins when real cores are
+//! available to drain the tail concurrently.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin phase_profile`;
 //! flags: `--workers N` (default 4), `--rounds N` (default 5),
@@ -40,9 +42,12 @@ impl RoundObserver for Prof {
     }
 }
 
+/// Total wall seconds and per-phase seconds of one profiled run.
+type Profile = (f64, Prof);
+
 /// Profiles `rounds` rounds and returns (total wall seconds, per-phase
 /// seconds). The warm-up round is excluded from both.
-fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> (f64, Prof) {
+fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> Profile {
     let mut config = bench_config(8, 16, 4242);
     config.worker_threads = workers;
     config.verify_signatures = verify;
@@ -59,18 +64,46 @@ fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> (f64, 
     (t.elapsed().as_secs_f64(), prof)
 }
 
-fn report(label: &str, total: f64, prof: &Prof, rounds: u64) {
-    println!("== {label}: {total:.3}s for {rounds} rounds ==");
-    let mut in_phases = 0.0;
-    for (k, v) in &prof.totals {
-        println!("{k:28} {v:7.3}s  {:5.1}%", v / total * 100.0);
-        in_phases += v;
-    }
+/// Prints the profiles side by side in milliseconds per round: one worker,
+/// N workers, the ratio between the two, and N workers pipelined (where the
+/// block-apply tail shows up in the next round's early phases instead of in
+/// `block-generation`).
+fn report(one: &Profile, many: &Profile, piped: &Profile, workers: usize, rounds: u64) {
+    let per_round = |secs: f64| secs * 1e3 / rounds as f64;
+    let row = |label: &str, a: f64, b: f64, p: f64| {
+        // A phase absent (or unmeasurably short) at N workers has no ratio.
+        let ratio = if b > 0.0 {
+            format!("{:.2}x", a / b)
+        } else {
+            "-".to_string()
+        };
+        println!(
+            "{label:28} {:9.2} {:9.2} {ratio:>8} {:10.2}",
+            per_round(a),
+            per_round(b),
+            per_round(p)
+        );
+    };
     println!(
-        "outside phases               {:7.3}s  {:5.1}%",
-        total - in_phases,
-        (total - in_phases) / total * 100.0
+        "{:28} {:>9} {:>9} {:>8} {:>10}",
+        "ms per round",
+        "1 worker",
+        format!("{workers} workers"),
+        "ratio",
+        "pipelined"
     );
+    let of = |p: &Profile, phase: &str| p.1.totals.get(phase).copied().unwrap_or(0.0);
+    for (phase, &a) in &one.1.totals {
+        row(phase, a, of(many, phase), of(piped, phase));
+    }
+    let outside = |p: &Profile| p.0 - p.1.totals.values().sum::<f64>();
+    row(
+        "outside phases",
+        outside(one),
+        outside(many),
+        outside(piped),
+    );
+    row("round", one.0, many.0, piped.0);
 }
 
 fn main() {
@@ -101,15 +134,14 @@ fn main() {
         }
     }
 
-    let (seq_total, seq) = profile(false, workers, verify, rounds);
-    report("sequential", seq_total, &seq, rounds);
-    println!();
-    let (pipe_total, pipe) = profile(true, workers, verify, rounds);
-    report("pipelined", pipe_total, &pipe, rounds);
+    let one = profile(false, 1, verify, rounds);
+    let many = profile(false, workers, verify, rounds);
+    let piped = profile(true, workers, verify, rounds);
+    report(&one, &many, &piped, workers, rounds);
     println!();
     println!(
         "pipelined / sequential wall clock: {:.3} ({} workers, verify {})",
-        pipe_total / seq_total,
+        piped.0 / many.0,
         workers,
         if verify { "on" } else { "off" }
     );

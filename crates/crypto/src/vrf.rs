@@ -66,20 +66,34 @@ fn output_from_gamma(gamma: &AffinePoint) -> Digest {
 
 /// Evaluates the VRF on `input` with secret key `sk`.
 pub fn evaluate(sk: &SecretKey, input: &[u8]) -> VrfOutput {
-    let pk = sk.public_key();
+    evaluate_with_public(sk, &sk.public_key(), input)
+}
+
+/// [`evaluate`] with the prover's public key supplied by the caller.
+///
+/// Deriving `PK` from the secret scalar is a full fixed-base multiplication
+/// plus a field inversion, and every prover in the simulator already holds
+/// its [`Keypair`](crate::schnorr::Keypair) — the same saving as
+/// [`sign_with_public`](crate::schnorr::sign_with_public). `pk` **must** be
+/// `sk`'s public key; a mismatched key only yields a proof that fails
+/// verification (the DLEQ challenge binds `PK`).
+pub fn evaluate_with_public(sk: &SecretKey, pk: &PublicKey, input: &[u8]) -> VrfOutput {
     let h = hash_to_curve(H2C_DOMAIN, input);
-    let gamma = h
-        .to_point()
-        .mul(sk.scalar())
-        .to_affine()
-        .expect("sk is nonzero and H is not the identity");
+    let h_point = h.to_point();
     // Deterministic DLEQ nonce bound to the key and input.
     let mut drbg =
         HmacDrbg::from_parts("cycledger/vrf-nonce", &[&sk.scalar().to_be_bytes(), input]);
     let k = Scalar::nonzero_from_drbg(&mut drbg);
-    let u = Point::mul_generator(&k).to_affine().expect("k nonzero");
-    let v = h.to_point().mul(&k).to_affine().expect("k nonzero");
-    let c = dleq_challenge(&pk, &h, &gamma, &u, &v);
+    // Γ, U and V share one field inversion (Montgomery's trick).
+    let affine = Point::batch_to_affine(&[
+        h_point.mul(sk.scalar()),
+        Point::mul_generator(&k),
+        h_point.mul(&k),
+    ]);
+    let [Some(gamma), Some(u), Some(v)] = affine[..] else {
+        unreachable!("sk and k are nonzero and H is not the identity")
+    };
+    let c = dleq_challenge(pk, &h, &gamma, &u, &v);
     let s = k.sub(&c.mul(sk.scalar()));
     VrfOutput {
         hash: output_from_gamma(&gamma),
@@ -130,6 +144,45 @@ mod tests {
         let kp = Keypair::from_seed(b"vrf-node-1");
         let out = evaluate(&kp.secret, b"COMMON_MEMBER|5|seed");
         assert!(verify(&kp.public, b"COMMON_MEMBER|5|seed", &out));
+    }
+
+    /// The pre-batching evaluation, kept as the differential oracle: derives
+    /// `PK` from the secret and normalises Γ, U, V one inversion at a time.
+    fn evaluate_reference(sk: &SecretKey, input: &[u8]) -> VrfOutput {
+        let pk = sk.public_key();
+        let h = hash_to_curve(H2C_DOMAIN, input);
+        let gamma = h.to_point().mul(sk.scalar()).to_affine().unwrap();
+        let mut drbg =
+            HmacDrbg::from_parts("cycledger/vrf-nonce", &[&sk.scalar().to_be_bytes(), input]);
+        let k = Scalar::nonzero_from_drbg(&mut drbg);
+        let u = Point::mul_generator(&k).to_affine().unwrap();
+        let v = h.to_point().mul(&k).to_affine().unwrap();
+        let c = dleq_challenge(&pk, &h, &gamma, &u, &v);
+        let s = k.sub(&c.mul(sk.scalar()));
+        VrfOutput {
+            hash: output_from_gamma(&gamma),
+            proof: VrfProof { gamma, c, s },
+        }
+    }
+
+    #[test]
+    fn batched_evaluation_matches_the_reference_bit_for_bit() {
+        // 16 keys x 6 inputs = 96 (key, input) pairs.
+        for key in 0..16u32 {
+            let kp = Keypair::from_seed(&[b"vrf-diff".as_slice(), &key.to_be_bytes()].concat());
+            for round in 0..6u64 {
+                let input = [b"COMMON_MEMBER".as_slice(), &round.to_be_bytes()].concat();
+                let reference = evaluate_reference(&kp.secret, &input);
+                assert_eq!(evaluate(&kp.secret, &input), reference);
+                let with_public = evaluate_with_public(&kp.secret, &kp.public, &input);
+                assert_eq!(with_public, reference);
+                assert_eq!(
+                    with_public.proof.gamma.to_bytes(),
+                    reference.proof.gamma.to_bytes()
+                );
+                assert!(verify(&kp.public, &input, &with_public));
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::engine::arena::RoundArena;
 use crate::engine::executor::{BatchHandle, ShardExecutor};
 use crate::node::NodeRegistry;
 use crate::phases::block_generation::BlockOutcome;
+use crate::phases::configuration::ConfigurationOutcome;
 use crate::phases::inter::InterOutcome;
 use crate::phases::intra::IntraOutcome;
 use crate::phases::recovery::{run_recovery, Accusation};
@@ -128,6 +129,8 @@ pub struct RoundContext<'a> {
     /// Of those, how many were cross-shard (ground truth).
     pub offered_cross: usize,
 
+    /// Output of the committee-configuration phase.
+    pub configuration: Option<ConfigurationOutcome>,
     /// Output of the intra-consensus phase, one entry per committee.
     pub intra_outcomes: Vec<IntraOutcome>,
     /// Output of the inter-consensus phase.
@@ -234,6 +237,7 @@ impl<'a> RoundContext<'a> {
             offered_total,
             offered_valid,
             offered_cross,
+            configuration: None,
             intra_outcomes: Vec::new(),
             inter: None,
             censorship_count: 0,
@@ -247,6 +251,19 @@ impl<'a> RoundContext<'a> {
     /// Number of ordinary committees `m`.
     pub fn committee_count(&self) -> usize {
         self.committees.len()
+    }
+
+    /// Records the configuration phase's outcome and removes every member
+    /// whose sortition claim was rejected from its instantiated committee
+    /// (member list and key directory), so it neither votes nor counts
+    /// towards the committee's quorum in any later phase.
+    pub fn apply_configuration(&mut self, outcome: ConfigurationOutcome) {
+        for &(k, member) in &outcome.rejected {
+            let committee = &mut self.committees[k];
+            committee.members.retain(|&m| m != member);
+            committee.keys = self.registry.committee_keys(&committee.members);
+        }
+        self.configuration = Some(outcome);
     }
 
     /// Joins the previous round's still-draining block application, putting

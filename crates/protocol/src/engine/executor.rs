@@ -3,9 +3,11 @@
 //! The seed implementation re-spawned OS threads with `std::thread::scope`
 //! every round, for exactly one phase. [`ShardExecutor`] is created once per
 //! [`crate::simulation::Simulation`] and reused for every parallel stage of
-//! every round: intra-committee consensus, recovery retries and per-shard
-//! block application all submit batches of borrowed closures and receive the
-//! results in task-index order.
+//! every round: per-committee stages (intra- and inter-committee consensus,
+//! recovery retries, score-list certification, block application) submit one
+//! borrowed closure per committee, per-node stages (VRF sortition and its
+//! verification) go through [`ShardExecutor::map_chunked`], and both receive
+//! the results in index order.
 //!
 //! # Determinism
 //!
@@ -310,7 +312,48 @@ impl ShardExecutor {
         }
         results
     }
+
+    /// Maps a pure function over `items` as one [`execute`](Self::execute)
+    /// batch of contiguous, index-ordered chunks and concatenates the chunk
+    /// results, so `out[i] == f(&items[i])` whatever ran where.
+    ///
+    /// This is the batch shape for many small independent items (one VRF
+    /// evaluation or verification per node) where a task per item would
+    /// drown in queue traffic. The chunk count derives from
+    /// [`worker_count`](Self::worker_count): [`CHUNKS_PER_WORKER`] chunks per
+    /// worker to even out stragglers, never more than one per item. In
+    /// inline mode that is a single chunk, which `execute` runs on the
+    /// caller thread — the serial loop, not a second code path.
+    pub fn map_chunked<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
+    where
+        I: Sync,
+        T: Send,
+        F: Fn(&I) -> T + Sync,
+    {
+        let chunks = if self.worker_count == 1 {
+            1
+        } else {
+            self.worker_count * CHUNKS_PER_WORKER
+        };
+        // At least one item per chunk, so short inputs make fewer chunks.
+        let chunk_len = items.len().div_ceil(chunks).max(1);
+        let f = &f;
+        let tasks: Vec<_> = items
+            .chunks(chunk_len)
+            .map(|chunk| move || chunk.iter().map(f).collect::<Vec<T>>())
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        for part in self.execute(tasks) {
+            out.extend(part);
+        }
+        out
+    }
 }
+
+/// Chunks per worker in [`ShardExecutor::map_chunked`]: enough that one slow
+/// chunk cannot leave the other workers idle for long, few enough that the
+/// per-job queue cost stays invisible next to ~200 µs items.
+const CHUNKS_PER_WORKER: usize = 4;
 
 impl Drop for ShardExecutor {
     fn drop(&mut self) {
@@ -496,6 +539,58 @@ mod tests {
         assert!(catch_unwind(AssertUnwindSafe(|| handle.join())).is_err());
         // The pool survives.
         assert_eq!(executor.execute(vec![|| 1, || 2]), vec![1, 2]);
+    }
+
+    #[test]
+    fn map_chunked_keeps_index_order_at_any_width() {
+        // 37 is prime: no chunk count divides it, so the last chunk is short.
+        let items: Vec<u64> = (0..37).collect();
+        let expected: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
+        for workers in [1, 2, 3, 8, 64] {
+            let executor = ShardExecutor::new(workers);
+            let mapped = executor.map_chunked(&items, |&i| {
+                if i % 5 == 0 {
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                }
+                i * i + 1
+            });
+            assert_eq!(mapped, expected, "{workers} workers");
+            assert_eq!(executor.batches_executed(), 1, "one batch per map");
+        }
+    }
+
+    #[test]
+    fn map_chunked_handles_empty_and_tiny_inputs() {
+        for workers in [1, 2, 8] {
+            let executor = ShardExecutor::new(workers);
+            let none: Vec<u8> = executor.map_chunked(&[] as &[u8], |&b| b);
+            assert!(none.is_empty());
+            // Fewer items than workers: one chunk per item, none empty.
+            assert_eq!(executor.map_chunked(&[7u8], |&b| b + 1), vec![8]);
+            assert_eq!(
+                executor.map_chunked(&[1u8, 2, 3], |&b| b * 2),
+                vec![2, 4, 6]
+            );
+        }
+    }
+
+    #[test]
+    fn map_chunked_propagates_a_panicking_item() {
+        for workers in [1, 4] {
+            let executor = ShardExecutor::new(workers);
+            let items: Vec<usize> = (0..20).collect();
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                executor.map_chunked(&items, |&i| {
+                    if i == 13 {
+                        panic!("item 13 exploded");
+                    }
+                    i
+                })
+            }));
+            assert!(outcome.is_err(), "{workers} workers");
+            // The pool survives.
+            assert_eq!(executor.map_chunked(&items, |&i| i), items);
+        }
     }
 
     #[test]

@@ -14,10 +14,17 @@
 //!   ([`pipeline::standard_pipeline`]) instead of being threaded through a
 //!   single function body.
 //! * [`ShardExecutor`] (`executor`) — a persistent worker pool created once
-//!   per [`crate::simulation::Simulation`] and reused across rounds. The
-//!   intra-consensus fan-out, the post-recovery consensus retries and the
-//!   per-shard block application all run as executor batches instead of only
-//!   the intra phase on throwaway threads.
+//!   per [`crate::simulation::Simulation`] and reused across rounds. Every
+//!   per-committee or per-node cryptographic loop of a round is an executor
+//!   batch: sortition-proof verification (configuration), the intra-consensus
+//!   fan-out, the post-recovery consensus retries, both sides of
+//!   inter-committee consensus, score-list certification (reputation
+//!   update), the next round's VRF sortition (selection, and the genesis and
+//!   epoch-boundary assignments) and the per-shard block application. What
+//!   stays on the driver thread is either one instance of something (the
+//!   PVSS beacon, the referee's block-generation consensus), cheap (the
+//!   semi-commitment exchange), or a fold over shared state (impeachments,
+//!   reputation sums) whose order is part of the determinism contract.
 //!
 //! ## Determinism contract
 //!
@@ -46,6 +53,8 @@
 //! it at its first UTXO-touching phase. So the apply tail drains on worker
 //! threads while `r+1` runs committee configuration and the semi-commitment
 //! exchange — the only phases that provably never read shard UTXO state.
+//! (The configuration phase's proof-verification batch shares the workers
+//! with that tail; the queue is FIFO, so it simply runs behind it.)
 //!
 //! The hazard rules that bound the overlap:
 //!

@@ -42,10 +42,12 @@ pub fn standard_pipeline() -> Vec<Box<dyn RoundPhase>> {
     ]
 }
 
-/// Phase 1 — committee configuration (Alg. 1 & 2).
+/// Phase 1 — committee configuration (Alg. 1 & 2). The sortition proofs
+/// are verified as one chunked executor batch.
 ///
 /// Inputs: the round assignment. Outputs: configuration traffic in
-/// `ctx.metrics`.
+/// `ctx.metrics`, `ctx.configuration`, and `ctx.committees` without the
+/// members whose claim the key members rejected.
 pub struct ConfigurationPhase;
 
 impl RoundPhase for ConfigurationPhase {
@@ -54,13 +56,21 @@ impl RoundPhase for ConfigurationPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        run_committee_configuration(
+        let outcome = run_committee_configuration(
+            ctx.executor,
             ctx.registry,
             ctx.assignment,
             ctx.config.latency.delta,
             ctx.config.verify_signatures,
             &mut ctx.metrics,
         );
+        // The engine's assignment always comes from `assign_round_on` over
+        // this very registry — one reused after a beacon failure still
+        // carries the round its proofs were drawn for — so every proof
+        // verifies; a rejection here means sortition and configuration
+        // disagree.
+        debug_assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
+        ctx.apply_configuration(outcome);
     }
 }
 
@@ -438,6 +448,7 @@ impl RoundPhase for ReputationUpdatePhase {
             })
             .collect();
         run_reputation_update(
+            ctx.executor,
             ctx.registry,
             &ctx.committees,
             &ctx.assignment.referee,
@@ -465,6 +476,7 @@ impl RoundPhase for SelectionPhase {
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
         ctx.selection = Some(run_selection(
+            ctx.executor,
             ctx.registry,
             &ctx.assignment.referee,
             AssignmentParams {

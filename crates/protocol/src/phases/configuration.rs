@@ -9,7 +9,9 @@
 use cycledger_crypto::vrf;
 use cycledger_net::metrics::{MetricsSink, Phase};
 use cycledger_net::time::SimDuration;
+use cycledger_net::topology::NodeId;
 
+use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::sortition::RoundAssignment;
 
@@ -22,9 +24,11 @@ const MEMBER_ENTRY_BYTES: u64 = 68;
 pub struct ConfigurationOutcome {
     /// Number of sortition proofs key members verified successfully.
     pub verified_members: usize,
-    /// Number of membership claims rejected (invalid VRF proof or wrong
-    /// committee) — should be zero unless the registry was tampered with.
-    pub rejected_members: usize,
+    /// Membership claims the key members rejected, as `(committee, member)`
+    /// in committee order: no proof, an invalid VRF proof, or a proof that
+    /// maps to another committee. Empty unless the registry or the assignment
+    /// was tampered with.
+    pub rejected: Vec<(usize, NodeId)>,
     /// Simulated wall-clock budget consumed by this phase: the paper recommends
     /// starting the next phase `8Δ` after this one begins.
     pub elapsed: SimDuration,
@@ -32,7 +36,12 @@ pub struct ConfigurationOutcome {
 
 /// Runs committee configuration for every committee, charging traffic to
 /// `metrics`.
+///
+/// The sortition proofs are independent of one another, so they are all
+/// verified up front as one chunked `executor` batch; the accounting loop
+/// below is serial and only consumes the verdicts.
 pub fn run_committee_configuration(
+    executor: &ShardExecutor,
     registry: &NodeRegistry,
     assignment: &RoundAssignment,
     delta: SimDuration,
@@ -41,15 +50,24 @@ pub fn run_committee_configuration(
 ) -> ConfigurationOutcome {
     let phase = Phase::CommitteeConfiguration;
     let m = assignment.committees.len();
-    let proof_of: std::collections::HashMap<_, _> = assignment
-        .sortition_proofs
+    let input =
+        RoundAssignment::sortition_input(assignment.sortition_round, &assignment.randomness);
+    let proofs = &assignment.sortition_proofs;
+    let valid: Vec<bool> = if verify_proofs {
+        executor.map_chunked(proofs, |(node, output)| {
+            vrf::verify(&registry.node(*node).keypair.public, &input, output)
+        })
+    } else {
+        vec![true; proofs.len()]
+    };
+    let proof_of: std::collections::HashMap<_, _> = proofs
         .iter()
-        .map(|(node, output)| (*node, output))
+        .zip(valid)
+        .map(|((node, output), valid)| (*node, (output, valid)))
         .collect();
-    let input = RoundAssignment::sortition_input(assignment.round, &assignment.randomness);
 
     let mut verified = 0usize;
-    let mut rejected = 0usize;
+    let mut rejected = Vec::new();
     for committee in &assignment.committees {
         let key_members: Vec<_> = std::iter::once(committee.leader)
             .chain(committee.partial_set.iter().copied())
@@ -60,12 +78,12 @@ pub fn run_committee_configuration(
             for &km in &key_members {
                 metrics.record_message(phase, member, km, CONFIG_MSG_BYTES);
             }
-            // 2. The first key member verifies the proof and replies with the
-            //    current member list; the others just record the registration.
+            // 2. The first key member checks the proof (verified above) and
+            //    replies with the current member list; the others just record
+            //    the registration.
             let ok = match proof_of.get(&member) {
-                Some(output) if verify_proofs => {
-                    vrf::verify(&registry.node(member).keypair.public, &input, output)
-                        && vrf::output_to_committee(&output.hash, m) == committee.index
+                Some(&(output, valid)) if verify_proofs => {
+                    valid && vrf::output_to_committee(&output.hash, m) == committee.index
                 }
                 Some(_) => true,
                 None => false,
@@ -73,7 +91,7 @@ pub fn run_committee_configuration(
             if ok {
                 verified += 1;
             } else {
-                rejected += 1;
+                rejected.push((committee.index, member));
                 continue;
             }
             for &km in &key_members {
@@ -100,7 +118,7 @@ pub fn run_committee_configuration(
     }
     ConfigurationOutcome {
         verified_members: verified,
-        rejected_members: rejected,
+        rejected,
         elapsed: delta.times(8),
     }
 }
@@ -136,6 +154,7 @@ mod tests {
         let (registry, assignment) = setup();
         let mut metrics = MetricsSink::new();
         let outcome = run_committee_configuration(
+            &ShardExecutor::new(1),
             &registry,
             &assignment,
             SimDuration::from_millis(50),
@@ -148,7 +167,7 @@ mod tests {
             .map(|c| c.common_members().len())
             .sum();
         assert_eq!(outcome.verified_members, expected);
-        assert_eq!(outcome.rejected_members, 0);
+        assert!(outcome.rejected.is_empty());
         assert_eq!(outcome.elapsed, SimDuration::from_millis(400));
         // Common members exchanged traffic; key members stored the full list.
         let leader = assignment.committees[0].leader;
@@ -165,6 +184,7 @@ mod tests {
         let (registry, assignment) = setup();
         let mut metrics = MetricsSink::new();
         run_committee_configuration(
+            &ShardExecutor::new(1),
             &registry,
             &assignment,
             SimDuration::from_millis(50),
@@ -183,5 +203,51 @@ mod tests {
             leader_bytes > common_bytes,
             "leaders serve every joining member and must see more traffic"
         );
+    }
+    #[test]
+    fn a_forged_proof_is_rejected_at_its_position_at_any_width() {
+        let (registry, honest) = setup();
+        let total = honest.sortition_proofs.len();
+        let run = |assignment: &RoundAssignment, workers: usize| {
+            let mut metrics = MetricsSink::new();
+            let outcome = run_committee_configuration(
+                &ShardExecutor::new(workers),
+                &registry,
+                assignment,
+                SimDuration::from_millis(50),
+                true,
+                &mut metrics,
+            );
+            let mut bytes = Vec::new();
+            metrics.write_canonical_bytes(&mut bytes);
+            (outcome, bytes)
+        };
+        // First, last and a middle position: every chunk boundary layout.
+        for k in [0, total / 2, total - 1] {
+            let mut forged = honest.clone();
+            // Another node's (valid) proof does not verify under k's key.
+            forged.sortition_proofs[k].1 = honest.sortition_proofs[(k + 1) % total].1;
+            let victim = forged.sortition_proofs[k].0;
+            let home = forged
+                .committees
+                .iter()
+                .position(|c| c.members.contains(&victim))
+                .unwrap();
+            let (baseline, baseline_bytes) = run(&forged, 1);
+            assert_eq!(baseline.rejected, vec![(home, victim)], "position {k}");
+            assert_eq!(baseline.verified_members, total - 1);
+            for workers in [2, 8] {
+                let (outcome, bytes) = run(&forged, workers);
+                assert_eq!(outcome.rejected, baseline.rejected);
+                assert_eq!(outcome.verified_members, baseline.verified_members);
+                assert_eq!(bytes, baseline_bytes, "{workers} workers");
+            }
+        }
+        // A valid proof presented in the wrong committee is rejected too.
+        let mut misplaced = honest.clone();
+        let mover = misplaced.committees[0].members.pop().unwrap();
+        misplaced.committees[1].members.push(mover);
+        let (outcome, _) = run(&misplaced, 2);
+        assert_eq!(outcome.rejected, vec![(1, mover)]);
     }
 }

@@ -15,6 +15,7 @@ use cycledger_net::topology::NodeId;
 use cycledger_reputation::{cosine_score, ReputationTable};
 
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
+use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
 
 /// Scores produced for one committee.
@@ -30,20 +31,100 @@ pub struct CommitteeScores {
 
 /// Computes every member's cosine score from a vote list and decision vector.
 pub fn score_committee(vote_list: &VoteList, decision: &[i8]) -> Vec<(NodeId, f64)> {
+    // One {+1, −1, 0} buffer refilled per voter.
+    let mut votes: Vec<i8> = Vec::with_capacity(decision.len());
     vote_list
         .votes
         .iter()
         .map(|vector| {
-            let votes: Vec<i8> = vector.votes.iter().map(|v| v.as_i8()).collect();
+            votes.clear();
+            votes.extend(vector.votes.iter().map(|v| v.as_i8()));
             (vector.voter, cosine_score(&votes, decision))
         })
         .collect()
 }
 
+/// What one committee's task hands to the serial fold.
+struct Certified {
+    scores: CommitteeScores,
+    /// Bytes of the score list and of its certificate, which the leader
+    /// forwards to every referee member.
+    payload_len: u64,
+    cert_bytes: u64,
+    /// Traffic of the committee's own Algorithm 3 instance.
+    sink: MetricsSink,
+}
+
+/// One committee's share of the phase: score the members, have the committee
+/// certify the `ScoreList`. Pure — own network, own sink, nothing shared.
+#[allow(clippy::too_many_arguments)]
+fn certify_scores(
+    registry: &NodeRegistry,
+    committee: &Committee,
+    vote_list: &VoteList,
+    decision: &[i8],
+    leader_ok: bool,
+    round: u64,
+    latency: LatencyConfig,
+    verify_signatures: bool,
+    seed: u64,
+) -> Certified {
+    let mut certified = Certified {
+        scores: CommitteeScores {
+            committee: committee.index,
+            ..CommitteeScores::default()
+        },
+        payload_len: 0,
+        cert_bytes: 0,
+        sink: MetricsSink::new(),
+    };
+    if !leader_ok || vote_list.tx_ids.is_empty() {
+        // A silent/evicted leader produced no decision this round; the
+        // committee's members keep their reputation unchanged.
+        return certified;
+    }
+    let scores = score_committee(vote_list, decision);
+
+    // The leader broadcasts ScoreList + V List and the committee certifies it.
+    let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
+        SimNetwork::new(latency, seed ^ (0xabc0 + committee.index as u64));
+    net.set_phase(Phase::ReputationUpdate);
+    let mut payload = Vec::with_capacity(scores.len() * 12);
+    for (node, score) in &scores {
+        payload.extend_from_slice(&node.0.to_be_bytes());
+        payload.extend_from_slice(&ReputationTable::to_fixed_point(*score).to_be_bytes());
+    }
+    certified.payload_len = payload.len() as u64;
+    let consensus = run_inside_consensus(
+        &mut net,
+        committee,
+        registry,
+        ConsensusId {
+            round,
+            seq: 4_000 + committee.index as u64,
+        },
+        payload,
+        LeaderFault::None,
+        verify_signatures,
+    );
+    certified.sink = net.into_metrics();
+    certified.scores.scores = scores;
+    certified.scores.certified = consensus.certificate.is_some();
+    certified.cert_bytes = consensus.certificate.map_or(0, |c| c.wire_size());
+    certified
+}
+
 /// Runs the reputation-update phase for all committees and applies certified
 /// scores (plus leader bonuses) to the reputation table.
+///
+/// Scoring a committee and certifying its `ScoreList` reads nothing another
+/// committee writes, so each committee is one `executor` task. Everything
+/// that touches shared state — the round's metrics, the referee forward, the
+/// reputation table — is folded serially in `inputs` order afterwards, so
+/// every `f64` sum is taken in the same order at any worker count.
 #[allow(clippy::too_many_arguments)]
 pub fn run_reputation_update(
+    executor: &ShardExecutor,
     registry: &NodeRegistry,
     committees: &[Committee],
     referee_members: &[NodeId],
@@ -57,68 +138,44 @@ pub fn run_reputation_update(
     metrics: &mut MetricsSink,
 ) -> Vec<CommitteeScores> {
     let phase = Phase::ReputationUpdate;
-    let mut all_scores = Vec::new();
-    for &(committee_index, vote_list, decision, leader_ok) in inputs {
-        let committee = &committees[committee_index];
-        if !leader_ok || vote_list.tx_ids.is_empty() {
-            // A silent/evicted leader produced no decision this round; the
-            // committee's members keep their reputation unchanged.
-            all_scores.push(CommitteeScores {
-                committee: committee_index,
-                scores: Vec::new(),
-                certified: false,
-            });
-            continue;
-        }
-        let scores = score_committee(vote_list, decision);
+    let tasks: Vec<_> = inputs
+        .iter()
+        .map(|&(k, vote_list, decision, leader_ok)| {
+            move || {
+                certify_scores(
+                    registry,
+                    &committees[k],
+                    vote_list,
+                    decision,
+                    leader_ok,
+                    round,
+                    latency,
+                    verify_signatures,
+                    seed,
+                )
+            }
+        })
+        .collect();
 
-        // The leader broadcasts ScoreList + V List and the committee certifies it.
-        let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-            SimNetwork::new(latency, seed ^ (0xabc0 + committee_index as u64));
-        net.set_phase(phase);
-        let mut payload = Vec::with_capacity(scores.len() * 12);
-        for (node, score) in &scores {
-            payload.extend_from_slice(&node.0.to_be_bytes());
-            payload.extend_from_slice(&ReputationTable::to_fixed_point(*score).to_be_bytes());
-        }
-        let payload_len = payload.len() as u64;
-        let consensus = run_inside_consensus(
-            &mut net,
-            committee,
-            registry,
-            ConsensusId {
-                round,
-                seq: 4_000 + committee_index as u64,
-            },
-            payload,
-            LeaderFault::None,
-            verify_signatures,
-        );
-        metrics.merge(net.metrics());
-
-        let certified = consensus.certificate.is_some();
-        if certified {
+    let mut all_scores = Vec::with_capacity(inputs.len());
+    for certified in executor.execute(tasks) {
+        metrics.merge(&certified.sink);
+        let scores = certified.scores;
+        if scores.certified {
+            let leader = committees[scores.committee].leader;
             // Leader forwards the certified score list to the referee committee.
-            let cert_bytes = consensus
-                .certificate
-                .as_ref()
-                .map(|c| c.wire_size())
-                .unwrap_or(0);
+            let forwarded = certified.payload_len + certified.cert_bytes;
             for &rm in referee_members {
-                metrics.record_message(phase, committee.leader, rm, payload_len + cert_bytes);
-                metrics.record_storage(phase, rm, payload_len);
+                metrics.record_message(phase, leader, rm, forwarded);
+                metrics.record_storage(phase, rm, certified.payload_len);
             }
             // The referee committee applies the scores and the leader bonus.
-            for (node, score) in &scores {
+            for (node, score) in &scores.scores {
                 reputation.add_score(*node, *score);
             }
-            reputation.grant_leader_bonus(committee.leader, leader_bonus);
+            reputation.grant_leader_bonus(leader, leader_bonus);
         }
-        all_scores.push(CommitteeScores {
-            committee: committee_index,
-            scores,
-            certified,
-        });
+        all_scores.push(scores);
     }
     all_scores
 }
@@ -132,13 +189,21 @@ mod tests {
     use cycledger_crypto::sha256::sha256;
 
     fn fixture(seed: u64) -> (NodeRegistry, Vec<Committee>, Vec<NodeId>) {
-        let registry = NodeRegistry::generate(60, &AdversaryConfig::default(), 100, 0, seed);
+        fixture_of(seed, 60, 2)
+    }
+
+    fn fixture_of(
+        seed: u64,
+        nodes: usize,
+        committees: usize,
+    ) -> (NodeRegistry, Vec<Committee>, Vec<NodeId>) {
+        let registry = NodeRegistry::generate(nodes, &AdversaryConfig::default(), 100, 0, seed);
         let reputation = ReputationTable::with_members(registry.ids());
         let assignment = assign_round(
             &registry,
             &registry.ids(),
             AssignmentParams {
-                committees: 2,
+                committees,
                 partial_set_size: 3,
                 referee_size: 5,
             },
@@ -184,6 +249,7 @@ mod tests {
         let mut reputation = ReputationTable::with_members(registry.ids());
         let mut metrics = MetricsSink::new();
         let outcome = run_reputation_update(
+            &ShardExecutor::new(1),
             &registry,
             &committees,
             &referee,
@@ -223,6 +289,7 @@ mod tests {
         let (vote_list, decision) = vote_list_for(committee, &committee.members, &[]);
         let mut reputation = ReputationTable::with_members(registry.ids());
         let outcome = run_reputation_update(
+            &ShardExecutor::new(1),
             &registry,
             &committees,
             &referee,
@@ -248,5 +315,72 @@ mod tests {
         assert_eq!(scores.len(), committee.size());
         assert!(scores.iter().all(|(_, s)| (*s - 1.0).abs() < 1e-9));
         let _ = Behavior::Honest;
+    }
+    #[test]
+    fn results_are_bit_identical_at_every_executor_width() {
+        let (mut registry, committees, referee) = fixture_of(74, 110, 5);
+        // Committee 2 cannot certify: all but two of its members withhold.
+        for &member in committees[2].members.iter().skip(2) {
+            registry.set_behavior(member, Behavior::WrongVoter);
+        }
+        let lists: Vec<(VoteList, Vec<i8>)> = committees
+            .iter()
+            .map(|c| {
+                let half = c.members.len() / 2;
+                vote_list_for(c, &c.members[..half], &c.members[half + 1..])
+            })
+            .collect();
+        // Committee 1's leader produced no certificate in the intra phase.
+        let inputs: Vec<(usize, &VoteList, &[i8], bool)> = lists
+            .iter()
+            .enumerate()
+            .map(|(k, (list, decision))| (k, list, decision.as_slice(), k != 1))
+            .collect();
+        let run = |workers: usize| {
+            let mut reputation = ReputationTable::with_members(registry.ids());
+            let mut metrics = MetricsSink::new();
+            let outcome = run_reputation_update(
+                &ShardExecutor::new(workers),
+                &registry,
+                &committees,
+                &referee,
+                &inputs,
+                &mut reputation,
+                0.1,
+                3,
+                LatencyConfig::default(),
+                true,
+                9,
+                &mut metrics,
+            );
+            // (committee, certified, score bits) per committee.
+            let scores: Vec<(usize, bool, Vec<u64>)> = outcome
+                .iter()
+                .map(|c| {
+                    let bits = c.scores.iter().map(|(_, s)| s.to_bits()).collect();
+                    (c.committee, c.certified, bits)
+                })
+                .collect();
+            let graded: Vec<Vec<NodeId>> = outcome
+                .iter()
+                .map(|c| c.scores.iter().map(|(n, _)| *n).collect())
+                .collect();
+            let table: Vec<u64> = registry
+                .ids()
+                .iter()
+                .map(|&n| reputation.get(n).to_bits())
+                .collect();
+            let mut sink = Vec::new();
+            metrics.write_canonical_bytes(&mut sink);
+            (scores, graded, table, sink)
+        };
+        let baseline = run(1);
+        let certified: Vec<bool> = baseline.0.iter().map(|c| c.1).collect();
+        assert_eq!(certified, [true, false, false, true, true]);
+        assert!(baseline.0[1].2.is_empty(), "no decision, nobody graded");
+        assert!(!baseline.0[2].2.is_empty(), "scored but never applied");
+        for workers in [2, 8] {
+            assert_eq!(run(workers), baseline, "{workers} workers");
+        }
     }
 }

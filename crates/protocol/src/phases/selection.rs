@@ -13,8 +13,9 @@ use cycledger_net::metrics::{point_set_wire_bytes, MetricsSink, Phase};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
+use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
-use crate::sortition::{assign_round, AssignmentParams, RoundAssignment};
+use crate::sortition::{assign_round_on, AssignmentParams, RoundAssignment};
 
 /// Outcome of the selection phase.
 #[derive(Clone, Debug)]
@@ -30,9 +31,12 @@ pub struct SelectionOutcome {
     pub next_assignment: Option<RoundAssignment>,
 }
 
-/// Runs the selection phase.
+/// Runs the selection phase. The beacon and the PoW admissions run on the
+/// caller thread; the next round's VRF sortition — the bulk of the phase —
+/// is mapped over `executor` (see [`assign_round_on`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_selection(
+    executor: &ShardExecutor,
     registry: &NodeRegistry,
     referee: &[NodeId],
     params: AssignmentParams,
@@ -104,7 +108,8 @@ pub fn run_selection(
 
     // 3. Derive the next round's configuration.
     let next_assignment = next_randomness.map(|randomness| {
-        assign_round(
+        assign_round_on(
+            executor,
             registry,
             &participants,
             params,
@@ -143,6 +148,7 @@ mod tests {
         let referee: Vec<NodeId> = registry.ids()[..7].to_vec();
         let mut metrics = MetricsSink::new();
         let outcome = run_selection(
+            &ShardExecutor::new(1),
             &registry,
             &referee,
             params(),
@@ -173,6 +179,7 @@ mod tests {
         registry.set_behavior(referee[3], Behavior::SilentLeader);
         let reputation = ReputationTable::with_members(registry.ids());
         let outcome = run_selection(
+            &ShardExecutor::new(1),
             &registry,
             &referee,
             params(),
@@ -192,6 +199,7 @@ mod tests {
         let reputation = ReputationTable::with_members(registry.ids());
         let referee: Vec<NodeId> = registry.ids()[..7].to_vec();
         let a = run_selection(
+            &ShardExecutor::new(1),
             &registry,
             &referee,
             params(),
@@ -202,6 +210,7 @@ mod tests {
             &mut MetricsSink::new(),
         );
         let b = run_selection(
+            &ShardExecutor::new(1),
             &registry,
             &referee,
             params(),

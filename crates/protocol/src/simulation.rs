@@ -25,7 +25,7 @@ use crate::epoch::{self, EpochSchedule};
 use crate::node::{MembershipState, NodeRegistry};
 use crate::report::{EpochTransitionReport, RoundReport, SimulationSummary};
 use crate::round::{run_round_observed, RoundInput};
-use crate::sortition::{assign_round, AssignmentParams, RoundAssignment};
+use crate::sortition::{assign_round_on, AssignmentParams, RoundAssignment};
 use crate::sync::{run_state_sync, SyncConfig};
 use crate::traffic::{OpenLoopDriver, TrafficSnapshot};
 
@@ -90,7 +90,12 @@ impl Simulation {
         );
         let reputation = ReputationTable::with_members(registry.ids());
         let genesis_randomness = hash_parts(&[b"cycledger/genesis", &config.seed.to_be_bytes()]);
-        let assignment = assign_round(
+        // Created once and reused by every round (see the engine's
+        // determinism contract: worker count never changes results) — and
+        // first, so the genesis sortition already runs on it.
+        let executor = ShardExecutor::new(config.worker_threads);
+        let assignment = assign_round_on(
+            &executor,
             &registry,
             &registry.ids(),
             AssignmentParams {
@@ -111,9 +116,6 @@ impl Simulation {
             seed: config.seed,
         });
         let utxo_sets = workload.build_genesis_utxo_sets_with(config.state_backend);
-        // Created once and reused by every round (see the engine's
-        // determinism contract: worker count never changes results).
-        let executor = ShardExecutor::new(config.worker_threads);
         Ok(Simulation {
             config,
             registry,
@@ -300,7 +302,8 @@ impl Simulation {
         } else {
             // Beacon failure (every referee dealer malicious): reuse the current
             // assignment so the simulation can continue and the failure shows up
-            // in the report instead of aborting the run.
+            // in the report instead of aborting the run. The sortition proofs
+            // stay valid for `sortition_round`, the round they were drawn for.
             self.assignment.round += 1;
         }
         self.reports.push(output.report);
@@ -392,7 +395,8 @@ impl Simulation {
         // Reshuffle the committees over the surviving population under the
         // epoch randomness. Reputation carry-over means long-standing honest
         // nodes keep their leader eligibility across the boundary.
-        let reshuffled = assign_round(
+        let reshuffled = assign_round_on(
+            &self.executor,
             &self.registry,
             &self.registry.participating_ids(),
             params,
@@ -838,6 +842,117 @@ mod tests {
         let baseline = summary_digest(config, 1, 5);
         assert_eq!(baseline, summary_digest(config, 2, 5));
         assert_eq!(baseline, summary_digest(config, 8, 5));
+    }
+
+    #[test]
+    fn verified_epoch_runs_are_deterministic_on_both_planes() {
+        // Signature verification on: the sortition, proof-verification and
+        // score-certification batches all do real work, on either plane and
+        // through the boundary reshuffle after round 2 (with `Syncing`
+        // joiners in the mapped sortition list).
+        for message_driven in [false, true] {
+            let config = ProtocolConfig {
+                verify_signatures: true,
+                message_driven,
+                ..epoch_config()
+            };
+            let baseline = summary_digest(config, 1, 3);
+            for workers in [2, 8] {
+                assert_eq!(
+                    baseline,
+                    summary_digest(config, workers, 3),
+                    "message_driven={message_driven}, {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_assignment_keeps_its_sortition_proofs_verifiable() {
+        // Every referee dealer corrupt: the beacon fails each round, so the
+        // genesis assignment is reused with only `round` bumped. Its proofs
+        // were drawn for round 0 and must keep verifying against that round
+        // (the configuration phase debug-asserts no rejection), so every
+        // common member keeps its seat.
+        let mut sim = Simulation::new(small_config()).unwrap();
+        assert!(sim.config.verify_signatures);
+        let genesis = sim.assignment.clone();
+        for &member in &genesis.referee {
+            sim.registry.set_behavior(member, Behavior::LazyVoter);
+        }
+        let summary = sim.run(3);
+        // A fully lazy referee committee certifies no block either.
+        assert_eq!(summary.blocks_produced(), 0);
+        assert_eq!(sim.assignment.round, genesis.round + 3);
+        assert_eq!(sim.assignment.sortition_round, genesis.round);
+        assert_eq!(sim.assignment.sortition_proofs, genesis.sortition_proofs);
+        let mut metrics = cycledger_net::metrics::MetricsSink::new();
+        let outcome = crate::phases::configuration::run_committee_configuration(
+            &sim.executor,
+            &sim.registry,
+            &sim.assignment,
+            sim.config.latency.delta,
+            true,
+            &mut metrics,
+        );
+        assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
+        assert_eq!(outcome.verified_members, genesis.sortition_proofs.len());
+    }
+
+    #[test]
+    fn a_rejected_sortition_claim_loses_its_seat_before_the_vote() {
+        use crate::engine::pipeline::IntraConsensusPhase;
+        use crate::engine::{RoundContext, RoundPhase};
+        use crate::phases::configuration::run_committee_configuration;
+
+        let mut sim = Simulation::new(small_config()).unwrap();
+        // Another node's proof under the victim's name: fails verification.
+        let victim = sim.assignment.sortition_proofs[0].0;
+        sim.assignment.sortition_proofs[0].1 = sim.assignment.sortition_proofs[1].1;
+        let home = sim
+            .assignment
+            .committees
+            .iter()
+            .position(|c| c.members.contains(&victim))
+            .unwrap();
+        let seats = sim.assignment.committees[home].size();
+        let offered = sim.workload.generate_batch(sim.config.txs_per_round);
+        let mut ctx = RoundContext::new(
+            RoundInput {
+                config: &sim.config,
+                registry: &sim.registry,
+                assignment: &sim.assignment,
+                utxo_sets: &mut sim.utxo_sets,
+                pending_apply: None,
+                reputation: &mut sim.reputation,
+                offered,
+                prev_hash: sim.chain.tip_hash(),
+                block_height: 0,
+                arena: &mut sim.arena,
+                faults: &sim.fault_plan,
+            },
+            &sim.executor,
+        );
+        let outcome = run_committee_configuration(
+            ctx.executor,
+            ctx.registry,
+            ctx.assignment,
+            ctx.config.latency.delta,
+            true,
+            &mut ctx.metrics,
+        );
+        assert_eq!(outcome.rejected, vec![(home, victim)]);
+        ctx.apply_configuration(outcome);
+        assert_eq!(ctx.configuration.as_ref().unwrap().rejected.len(), 1);
+        assert!(!ctx.committees[home].contains(victim));
+        assert_eq!(ctx.committees[home].size(), seats - 1);
+        assert_eq!(ctx.committees[home].keys.len(), seats - 1);
+
+        IntraConsensusPhase.execute(&mut ctx);
+        let outcome = &ctx.intra_outcomes[home];
+        assert!(outcome.certificate.is_some(), "the rest still certify");
+        assert_eq!(outcome.vote_list.votes.len(), seats - 1);
+        assert!(outcome.vote_list.votes.iter().all(|v| v.voter != victim));
     }
 
     #[test]

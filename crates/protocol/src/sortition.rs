@@ -21,6 +21,7 @@ use cycledger_crypto::vrf::{self, VrfOutput};
 use cycledger_net::topology::{NodeId, RoundTopology};
 use cycledger_reputation::ReputationTable;
 
+use crate::engine::ShardExecutor;
 use crate::node::{MembershipState, NodeRegistry};
 
 /// Assignment of one committee for a round.
@@ -54,6 +55,11 @@ impl CommitteeAssignment {
 pub struct RoundAssignment {
     /// Round number.
     pub round: u64,
+    /// The round the committees were drawn for, which is what
+    /// `sortition_proofs` verify against. Equal to `round` except while an
+    /// assignment is being reused after a beacon failure: the reuse bumps
+    /// `round` only.
+    pub sortition_round: u64,
     /// Round randomness `R^r` the assignment was derived from.
     pub randomness: Digest,
     /// The referee committee `C_R`.
@@ -120,8 +126,37 @@ pub struct AssignmentParams {
 }
 
 /// Builds the assignment for `round` from the participant set, the round
-/// randomness and the current reputation table.
+/// randomness and the current reputation table, on the caller thread.
+///
+/// [`assign_round_on`] with an inline executor. Kept only because
+/// `benchmark/src/probes.rs` calls this six-argument form and `benchmark/`
+/// is frozen against the parent commit; fold it into `assign_round_on` (and
+/// move the fixtures over) the next time that package may change.
 pub fn assign_round(
+    registry: &NodeRegistry,
+    participants: &[NodeId],
+    params: AssignmentParams,
+    round: u64,
+    randomness: Digest,
+    reputation: &ReputationTable,
+) -> RoundAssignment {
+    assign_round_on(
+        &ShardExecutor::new(1),
+        registry,
+        participants,
+        params,
+        round,
+        randomness,
+        reputation,
+    )
+}
+
+/// [`assign_round`] with the common members' VRF sortition (step 4, one
+/// evaluation per node, all independent) mapped over `executor`. The result
+/// is identical at any worker count: evaluations come back in node order and
+/// the committees are filled serially from them.
+pub fn assign_round_on(
+    executor: &ShardExecutor,
     registry: &NodeRegistry,
     participants: &[NodeId],
     params: AssignmentParams,
@@ -211,18 +246,21 @@ pub fn assign_round(
 
     // 4. Common members: VRF-based sortition (Algorithm 1) for everyone left.
     let input = RoundAssignment::sortition_input(round, &randomness);
-    let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
-    let mut proofs = Vec::new();
-    for &id in remaining
+    let sortitioned: Vec<NodeId> = remaining
         .iter()
         .filter(|id| !used.contains(id))
         .chain(&syncing)
-    {
-        let output = vrf::evaluate(&registry.node(id).keypair.secret, &input);
-        let committee = vrf::output_to_committee(&output.hash, params.committees);
-        commons[committee].push(id);
-        proofs.push((id, output));
+        .copied()
+        .collect();
+    let outputs = executor.map_chunked(&sortitioned, |&id| {
+        let keypair = &registry.node(id).keypair;
+        vrf::evaluate_with_public(&keypair.secret, &keypair.public, &input)
+    });
+    let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
+    for (&id, output) in sortitioned.iter().zip(&outputs) {
+        commons[vrf::output_to_committee(&output.hash, params.committees)].push(id);
     }
+    let proofs: Vec<(NodeId, VrfOutput)> = sortitioned.into_iter().zip(outputs).collect();
 
     let committees = (0..params.committees)
         .map(|k| {
@@ -240,6 +278,7 @@ pub fn assign_round(
 
     RoundAssignment {
         round,
+        sortition_round: round,
         randomness,
         referee,
         committees,
@@ -456,6 +495,44 @@ mod tests {
                     .any(|c| c.common_members().contains(&id)),
                 "syncing node {id:?} must sit somewhere as a common member"
             );
+        }
+    }
+
+    #[test]
+    fn sortition_is_identical_at_every_executor_width() {
+        let (mut registry, reputation) = setup(82);
+        // A `Syncing` tail rides behind the active commons in the mapped
+        // list; 82 nodes leave 59 to sortition, which no chunk count divides.
+        for id in [70u32, 71, 72] {
+            registry.set_membership(NodeId(id), MembershipState::Syncing);
+        }
+        let assign = |workers: usize| {
+            assign_round_on(
+                &ShardExecutor::new(workers),
+                &registry,
+                &registry.participating_ids(),
+                params(),
+                4,
+                sha256(b"width"),
+                &reputation,
+            )
+        };
+        let baseline = assign(1);
+        let proven = baseline.sortition_proofs.len();
+        assert_eq!(proven, 59);
+        let tail: Vec<NodeId> = baseline.sortition_proofs[proven - 3..]
+            .iter()
+            .map(|(id, _)| *id)
+            .collect();
+        assert_eq!(tail, [70u32, 71, 72].map(NodeId), "syncing nodes come last");
+        for workers in [2, 3, 8] {
+            let wide = assign(workers);
+            assert_eq!(wide.sortition_proofs, baseline.sortition_proofs);
+            assert_eq!(wide.referee, baseline.referee);
+            for (a, b) in wide.committees.iter().zip(&baseline.committees) {
+                assert_eq!(a.members, b.members, "{workers} workers");
+                assert_eq!(a.partial_set, b.partial_set);
+            }
         }
     }
 

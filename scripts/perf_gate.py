@@ -14,6 +14,14 @@ series against their committed entries in ``BENCH_round.json``:
   round pays the full boundary: beacon, churn, state sync, reshuffle),
   gating the epoch-boundary cost.
 
+The same run also gates machine parallelism: ``smoke_N_workers`` (the plain
+config at the runner's ``parallel_workers``, fastest of three short runs)
+must reach at least ``PARALLEL_FLOOR`` (1.25) times ``smoke_1_worker``'s
+``rounds_per_sec``. Both sides are measured back to back on one machine, so
+the ratio does not depend on runner speed; it drops towards 1.0 when a phase that should be an
+executor batch runs on the driver thread again. A one-core runner emits no
+parallel series and the check is skipped with a notice.
+
 ``--latency`` mode gates the open-loop traffic harness instead: runs
 ``gen_bench_latency --smoke`` and compares the tracked p99 confirm latency
 (at 0.9x capacity) and the saturated throughput against
@@ -67,6 +75,9 @@ import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOLERANCE = float(os.environ.get("PERF_GATE_TOLERANCE", "0.20"))
+# Least speed-up of the round engine at the runner's parallelism over one
+# worker, both measured in the same smoke run.
+PARALLEL_FLOOR = 1.25
 
 
 def run_bench(binary: str) -> dict | None:
@@ -161,7 +172,26 @@ def round_gate() -> int:
             higher_is_better=False,
             failures=failures,
         )
+    parallel_check(report, failures)
     return verdict(failures, "BENCH_round.json")
+
+
+def parallel_check(report: dict, failures: list) -> None:
+    """Gates smoke_N_workers / smoke_1_worker, a ratio within one run."""
+    workers = int(report["parallel_workers"])
+    if workers < 2:
+        print("parallel.speedup: one-core runner, no parallel series ... skipped")
+        return
+    one = float(report["smoke_1_worker"]["rounds_per_sec"])
+    many = float(report[f"smoke_{workers}_workers"]["rounds_per_sec"])
+    ok = many / one >= PARALLEL_FLOOR
+    print(
+        f"parallel.speedup: {many:.3f} rounds/s at {workers} workers / {one:.3f} at one "
+        f"= {many / one:.2f}x (gate >= {PARALLEL_FLOOR:.2f}x) ... "
+        f"{'ok' if ok else 'SERIAL PHASE?'}"
+    )
+    if not ok:
+        failures.append("parallel.speedup")
 
 
 def latency_checks(baseline: dict, measured_p99: float, measured_tps: float) -> list:

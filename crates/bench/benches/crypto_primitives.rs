@@ -2,10 +2,13 @@
 //! on (hashing, signing, verification, VRF evaluation, PVSS dealing). These set
 //! the constant factors behind the Table II communication/computation columns.
 
+use std::hint::black_box;
+
 use criterion::{criterion_group, criterion_main, Criterion};
+use cycledger_crypto::point::Point;
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
-use cycledger_crypto::schnorr::{sign, verify, Keypair};
+use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
 use cycledger_crypto::sha256::sha256;
 use cycledger_crypto::vrf;
 
@@ -18,11 +21,57 @@ fn bench_crypto(c: &mut Criterion) {
 
     let kp = Keypair::from_seed(b"bench-key");
     let msg = b"a consensus message of typical size padded to sixty-four bytes!";
-    group.bench_function("schnorr_sign", |b| b.iter(|| sign(&kp.secret, msg)));
+
+    // The kernel under every signature and proof, one layer at a time.
+    let x = kp.public.point().x;
+    let y = kp.public.point().y;
+    group.bench_function("fe_mul", |b| b.iter(|| black_box(&x).mul(black_box(&y))));
+    group.bench_function("fe_square", |b| b.iter(|| black_box(&x).square()));
+    group.bench_function("fe_invert", |b| b.iter(|| black_box(&x).invert()));
+    // Jacobian operands with Z != 1, as inside a multiplication.
+    let p = kp.public.point().to_point().double();
+    let q = Point::generator().double().add(&Point::generator());
+    let q_affine = q.to_affine().expect("3G is not infinity");
+    group.bench_function("point_double", |b| b.iter(|| black_box(&p).double()));
+    group.bench_function("point_add", |b| b.iter(|| black_box(&p).add(black_box(&q))));
+    group.bench_function("point_add_affine", |b| {
+        b.iter(|| black_box(&p).add_affine(black_box(&q_affine)))
+    });
+    let k1 = Scalar::from_hash("bench-scalar", &[b"1"]);
+    let k2 = Scalar::from_hash("bench-scalar", &[b"2"]);
+    group.bench_function("mul_generator", |b| {
+        b.iter(|| Point::mul_generator(black_box(&k1)))
+    });
+    group.bench_function("mul_double", |b| {
+        b.iter(|| Point::mul_double(black_box(&k1), &Point::generator(), black_box(&k2), &p))
+    });
+
+    // `sign(sk, ..)` also derives the public key (a second fixed-base
+    // multiplication and inversion); `Keypair::sign` is what signers call.
+    group.bench_function("schnorr_sign_deriving_pk", |b| {
+        b.iter(|| sign(&kp.secret, msg))
+    });
+    group.bench_function("keypair_sign", |b| b.iter(|| kp.sign(msg)));
     let sig = sign(&kp.secret, msg);
     group.bench_function("schnorr_verify", |b| {
         b.iter(|| verify(&kp.public, msg, &sig))
     });
+
+    let keys: Vec<Keypair> = (0..16u8).map(|i| Keypair::from_seed(&[b'k', i])).collect();
+    let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(msg)).collect();
+    let entries: Vec<BatchEntry<'_>> = keys
+        .iter()
+        .zip(&sigs)
+        .map(|(k, s)| BatchEntry {
+            public_key: &k.public,
+            message: msg,
+            signature: s,
+        })
+        .collect();
+    group.bench_function("batch_verify_16", |b| b.iter(|| batch_verify(&entries)));
+    // The size of a cross-committee certificate batch at 8x16 (8 x up to 16).
+    let many: Vec<BatchEntry<'_>> = (0..8).flat_map(|_| entries.iter().copied()).collect();
+    group.bench_function("batch_verify_128", |b| b.iter(|| batch_verify(&many)));
 
     group.bench_function("vrf_evaluate", |b| {
         b.iter(|| vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed"))

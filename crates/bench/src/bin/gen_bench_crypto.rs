@@ -1,15 +1,21 @@
-//! Emits `BENCH_crypto.json`-shaped numbers for the crypto hot path: Schnorr
-//! signs/sec and verifies/sec, VRF evaluate+verify/sec, and round-engine
-//! rounds/sec at 1 worker and at the machine's parallelism.
+//! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
+//! secp256k1 kernel layer by layer (field, point, scalar multiplication) and
+//! for the primitives built on it (Schnorr, VRF), plus round-engine rounds/sec
+//! at 1 worker and at the machine's parallelism. The set matches the
+//! `crypto_primitives` criterion bench.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_crypto`;
-//! the JSON is printed to stdout so it can be redirected into
-//! `BENCH_crypto.json` at the repository root.
+//! the JSON is printed to stdout so it can be pasted into `BENCH_crypto.json`
+//! at the repository root. To compare two commits, build this binary from
+//! each and alternate the runs on one machine.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use cycledger_bench::bench_config;
-use cycledger_crypto::schnorr::{sign, verify, Keypair};
+use cycledger_crypto::point::Point;
+use cycledger_crypto::scalar::Scalar;
+use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
 use cycledger_crypto::vrf;
 use cycledger_protocol::Simulation;
 
@@ -30,6 +36,17 @@ fn ops_per_sec(min_secs: f64, mut f: impl FnMut()) -> f64 {
     }
 }
 
+/// Nanoseconds per call of `f`, timed in blocks of 1000 calls so the clock
+/// read does not drown a 20 ns field operation.
+fn ns_per_op<R>(mut f: impl FnMut() -> R) -> f64 {
+    let per_block = ops_per_sec(0.5, || {
+        for _ in 0..1000 {
+            black_box(f());
+        }
+    });
+    1e6 / per_block
+}
+
 fn rounds_per_sec(workers: usize) -> f64 {
     let mut config = bench_config(8, 16, 4242);
     config.worker_threads = workers;
@@ -42,21 +59,79 @@ fn rounds_per_sec(workers: usize) -> f64 {
 fn main() {
     let kp = Keypair::from_seed(b"bench-crypto-json");
     let msg = b"a consensus message of typical size padded to sixty-four bytes!";
+    let mut rows: Vec<(&str, f64)> = Vec::new();
 
-    let signs = ops_per_sec(1.0, || {
-        sign(&kp.secret, msg);
-    });
-    let sig = sign(&kp.secret, msg);
-    let verifies = ops_per_sec(1.0, || {
-        assert!(verify(&kp.public, msg, &sig));
-    });
-    let vrf_evals = ops_per_sec(1.0, || {
-        vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed");
-    });
-    let out = vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed");
-    let vrf_verifies = ops_per_sec(1.0, || {
-        assert!(vrf::verify(&kp.public, b"COMMON_MEMBER|7|seed", &out));
-    });
+    let x = kp.public.point().x;
+    let y = kp.public.point().y;
+    rows.push(("fe_mul", ns_per_op(|| black_box(&x).mul(black_box(&y)))));
+    rows.push(("fe_square", ns_per_op(|| black_box(&x).square())));
+    rows.push(("fe_invert", ns_per_op(|| black_box(&x).invert())));
+
+    // Jacobian operands with Z != 1, as inside a multiplication.
+    let p = kp.public.point().to_point().double();
+    let q = Point::generator().double().add(&Point::generator());
+    let q_affine = q.to_affine().expect("3G is not infinity");
+    rows.push(("point_double", ns_per_op(|| black_box(&p).double())));
+    rows.push(("point_add", ns_per_op(|| black_box(&p).add(black_box(&q)))));
+    rows.push((
+        "point_add_affine",
+        ns_per_op(|| black_box(&p).add_affine(black_box(&q_affine))),
+    ));
+
+    let k1 = Scalar::from_hash("bench-scalar", &[b"1"]);
+    let k2 = Scalar::from_hash("bench-scalar", &[b"2"]);
+    let g = Point::generator();
+    rows.push((
+        "mul_generator",
+        ns_per_op(|| Point::mul_generator(black_box(&k1))),
+    ));
+    rows.push((
+        "mul_double",
+        ns_per_op(|| Point::mul_double(black_box(&k1), &g, black_box(&k2), &p)),
+    ));
+
+    rows.push(("keypair_sign", ns_per_op(|| kp.sign(msg))));
+    // `sign(sk, ..)` also derives the public key from the secret.
+    rows.push((
+        "schnorr_sign_deriving_pk",
+        ns_per_op(|| sign(&kp.secret, msg)),
+    ));
+    let sig = kp.sign(msg);
+    rows.push((
+        "schnorr_verify",
+        ns_per_op(|| verify(&kp.public, msg, &sig)),
+    ));
+
+    let keys: Vec<Keypair> = (0..16u8).map(|i| Keypair::from_seed(&[b'k', i])).collect();
+    let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(msg)).collect();
+    let entries: Vec<BatchEntry<'_>> = keys
+        .iter()
+        .zip(&sigs)
+        .map(|(k, s)| BatchEntry {
+            public_key: &k.public,
+            message: msg,
+            signature: s,
+        })
+        .collect();
+    rows.push(("batch_verify_16", ns_per_op(|| batch_verify(&entries))));
+    // The size of a cross-committee certificate batch at 8x16 (8 x up to 16).
+    let many: Vec<BatchEntry<'_>> = (0..8).flat_map(|_| entries.iter().copied()).collect();
+    rows.push(("batch_verify_128", ns_per_op(|| batch_verify(&many))));
+
+    let input = b"COMMON_MEMBER|7|seed";
+    rows.push((
+        "vrf_evaluate",
+        ns_per_op(|| vrf::evaluate(&kp.secret, input)),
+    ));
+    rows.push((
+        "vrf_evaluate_with_public",
+        ns_per_op(|| vrf::evaluate_with_public(&kp.secret, &kp.public, input)),
+    ));
+    let out = vrf::evaluate(&kp.secret, input);
+    rows.push((
+        "vrf_verify",
+        ns_per_op(|| vrf::verify(&kp.public, input, &out)),
+    ));
 
     let parallel_workers = std::thread::available_parallelism()
         .map(|n| n.get().max(4))
@@ -65,10 +140,12 @@ fn main() {
     let rps_n = rounds_per_sec(parallel_workers);
 
     println!("{{");
-    println!("  \"signs_per_sec\": {signs:.1},");
-    println!("  \"verifies_per_sec\": {verifies:.1},");
-    println!("  \"vrf_evaluates_per_sec\": {vrf_evals:.1},");
-    println!("  \"vrf_verifies_per_sec\": {vrf_verifies:.1},");
+    println!("  \"ns_per_op\": {{");
+    for (i, (name, ns)) in rows.iter().enumerate() {
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        println!("    \"{name}\": {ns:.1}{comma}");
+    }
+    println!("  }},");
     println!("  \"rounds_per_sec_1_worker\": {rps_1:.3},");
     println!("  \"rounds_per_sec_{parallel_workers}_workers\": {rps_n:.3}");
     println!("}}");

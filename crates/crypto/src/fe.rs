@@ -6,6 +6,7 @@
 //! model in the paper has no side-channel component, and DESIGN.md documents this
 //! substitution.
 
+use crate::opcount::{count, Op};
 use crate::u256::U256;
 
 /// The secp256k1 base-field prime `p = 2^256 - 2^32 - 977` as a compile-time
@@ -20,6 +21,16 @@ pub const FIELD_PRIME: U256 = U256::from_limbs([
 /// The single-limb complement `2^256 - p = 2^32 + 977`, used to fold the high
 /// half of products during reduction.
 const P_COMPLEMENT: u64 = (1 << 32) + 977;
+
+/// A primitive cube root of unity in GF(p): `(x, y) ↦ (β·x, y)` maps the
+/// curve `y² = x³ + 7` to itself, and as a group endomorphism it is
+/// multiplication by [`crate::scalar::LAMBDA`].
+pub const BETA: Fe = Fe(U256::from_limbs([
+    0xc139_6c28_7195_01ee,
+    0x9cf0_4975_12f5_8995,
+    0x6e64_479e_ac34_34e9,
+    0x7ae9_6a2b_657c_0710,
+]));
 
 /// The secp256k1 base-field prime `p`.
 pub const fn field_prime() -> U256 {
@@ -61,9 +72,18 @@ impl Fe {
         }
     }
 
-    /// Constructs from 32 big-endian bytes, reducing modulo `p`.
+    /// Constructs from 32 big-endian bytes, reducing modulo `p` — for
+    /// hash-to-field uses. Decoders of untrusted encodings use
+    /// [`from_be_bytes_canonical`](Self::from_be_bytes_canonical).
     pub fn from_be_bytes(bytes: &[u8; 32]) -> Fe {
         Fe::from_u256(U256::from_be_bytes(bytes))
+    }
+
+    /// Decodes 32 big-endian bytes, `None` unless the value is below `p`:
+    /// every field element has exactly one accepted encoding.
+    pub fn from_be_bytes_canonical(bytes: &[u8; 32]) -> Option<Fe> {
+        let v = U256::from_be_bytes(bytes);
+        (v < FIELD_PRIME).then_some(Fe(v))
     }
 
     /// Serializes to 32 big-endian bytes.
@@ -102,14 +122,44 @@ impl Fe {
     }
 
     /// Field multiplication, reduced via the two-round `c = 2^32 + 977` fold.
+    ///
+    /// One out-of-line copy on purpose (as is [`square`](Self::square)): the
+    /// body is ~650 bytes, and inlined into the eleven call sites of every
+    /// point addition it doubles the curve code. That is 8 % faster on an
+    /// idle core and slower whenever the core's other hardware thread is
+    /// busy and the instruction caches are split between the two, so on a
+    /// shared host it only widens the gap between a good run and a bad one
+    /// (DESIGN-notes.md, "Code footprint").
+    #[inline(never)]
     pub fn mul(&self, rhs: &Fe) -> Fe {
+        count(Op::FeMul);
         let wide = self.0.mul_wide(&rhs.0);
         Fe(U256::reduce_wide_c64(&wide, &FIELD_PRIME, P_COMPLEMENT))
     }
 
-    /// Field squaring.
+    /// Field squaring (ten limb products instead of sixteen).
+    #[inline(never)]
     pub fn square(&self) -> Fe {
-        self.mul(self)
+        self.square_body()
+    }
+
+    #[inline(always)]
+    fn square_body(&self) -> Fe {
+        count(Op::FeSquare);
+        let wide = self.0.square_wide();
+        Fe(U256::reduce_wide_c64(&wide, &FIELD_PRIME, P_COMPLEMENT))
+    }
+
+    /// `self^(2^n)`: `n` squarings. The second (and last) copy of the
+    /// squaring body: the inversion and square-root chains spend 250 of their
+    /// 270 steps in this loop, where a call per step costs 20 %.
+    #[inline(never)]
+    fn square_n(&self, n: usize) -> Fe {
+        let mut acc = *self;
+        for _ in 0..n {
+            acc = acc.square_body();
+        }
+        acc
     }
 
     /// Multiplication by a small constant via a single limb-by-limb shift/add
@@ -151,13 +201,44 @@ impl Fe {
         }
     }
 
-    /// Multiplicative inverse via Fermat's little theorem (`a^(p-2)`).
+    /// The shared prefix of the `p − 2` and `(p + 1)/4` addition chains.
+    /// `p = 2^256 − 2^32 − 977` is, in binary, 223 ones, a zero, 22 ones and
+    /// a ten-bit tail, so both exponents are built from runs of ones: returns
+    /// `(x2, x22, x223)` with `x_k = self^(2^k − 1)`. 221 squarings and 10
+    /// multiplications.
+    fn ones_runs(&self) -> (Fe, Fe, Fe) {
+        let x2 = self.square().mul(self);
+        let x3 = x2.square().mul(self);
+        let x6 = x3.square_n(3).mul(&x3);
+        let x9 = x6.square_n(3).mul(&x3);
+        let x11 = x9.square_n(2).mul(&x2);
+        let x22 = x11.square_n(11).mul(&x11);
+        let x44 = x22.square_n(22).mul(&x22);
+        let x88 = x44.square_n(44).mul(&x44);
+        let x176 = x88.square_n(88).mul(&x88);
+        let x220 = x176.square_n(44).mul(&x44);
+        let x223 = x220.square_n(3).mul(&x3);
+        (x2, x22, x223)
+    }
+
+    /// Multiplicative inverse `a^(p−2)` (Fermat) on a fixed addition chain:
+    /// 255 squarings and 15 multiplications, against 255 + 248 for generic
+    /// square-and-multiply over an exponent that is almost all ones.
     ///
     /// Panics if `self` is zero.
     pub fn invert(&self) -> Fe {
         assert!(!self.is_zero(), "cannot invert zero");
-        let exp = FIELD_PRIME.wrapping_sub(&U256::from_u64(2));
-        self.pow(&exp)
+        count(Op::FeInvert);
+        let (x2, x22, x223) = self.ones_runs();
+        // p − 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1.
+        x223.square_n(23)
+            .mul(&x22)
+            .square_n(5)
+            .mul(self)
+            .square_n(3)
+            .mul(&x2)
+            .square_n(2)
+            .mul(self)
     }
 
     /// Montgomery batch inversion: inverts every nonzero element in place with
@@ -186,20 +267,15 @@ impl Fe {
         }
     }
 
-    /// Square root via the `p ≡ 3 (mod 4)` shortcut: `sqrt(a) = a^((p+1)/4)`.
+    /// Square root via the `p ≡ 3 (mod 4)` shortcut `sqrt(a) = a^((p+1)/4)`,
+    /// on the same addition chain as [`invert`](Self::invert) (253 squarings,
+    /// 13 multiplications).
     ///
     /// Returns `None` if `self` is a quadratic non-residue.
     pub fn sqrt(&self) -> Option<Fe> {
-        if self.is_zero() {
-            return Some(Fe::zero());
-        }
-        let p = field_prime();
-        // (p + 1) / 4; p + 1 overflows 256 bits, so compute (p - 3)/4 + 1 instead.
-        let exp = p
-            .wrapping_sub(&U256::from_u64(3))
-            .shr(2)
-            .wrapping_add(&U256::ONE);
-        let candidate = self.pow(&exp);
+        let (x2, x22, x223) = self.ones_runs();
+        // (p + 1)/4 = [223 ones] 0 [22 ones] 0000 11 00.
+        let candidate = x223.square_n(23).mul(&x22).square_n(6).mul(&x2).square_n(2);
         if candidate.square() == *self {
             Some(candidate)
         } else {
@@ -289,6 +365,58 @@ mod tests {
         prop::array::uniform4(any::<u64>()).prop_map(|l| Fe::from_u256(U256::from_limbs(l)))
     }
 
+    /// `a^(p−2)` through the generic square-and-multiply loop: what `invert`
+    /// was before the addition chain.
+    fn invert_by_pow(a: &Fe) -> Fe {
+        a.pow(&FIELD_PRIME.wrapping_sub(&U256::from_u64(2)))
+    }
+
+    /// `a^((p+1)/4)` through the generic loop, checked like `sqrt` checks it.
+    fn sqrt_by_pow(a: &Fe) -> Option<Fe> {
+        let exp = FIELD_PRIME
+            .wrapping_sub(&U256::from_u64(3))
+            .shr(2)
+            .wrapping_add(&U256::ONE);
+        let candidate = a.pow(&exp);
+        (candidate.mul(&candidate) == *a).then_some(candidate)
+    }
+
+    #[test]
+    fn beta_is_a_primitive_cube_root_of_unity() {
+        assert_ne!(BETA, Fe::one());
+        assert_eq!(BETA.square().mul(&BETA), Fe::one());
+    }
+
+    #[test]
+    fn square_and_chains_match_the_generic_paths_on_edge_inputs() {
+        let p_minus_1 = Fe::from_u256(FIELD_PRIME.wrapping_sub(&U256::ONE));
+        for a in [Fe::zero(), Fe::one(), Fe::from_u64(2), p_minus_1, BETA] {
+            assert_eq!(a.square(), a.mul(&a), "{a:?}");
+            assert_eq!(a.sqrt(), sqrt_by_pow(&a), "{a:?}");
+            if !a.is_zero() {
+                assert_eq!(a.invert(), invert_by_pow(&a), "{a:?}");
+            }
+        }
+        // All-ones limbs stress every carry of the squaring.
+        let a = Fe::from_u256(U256::MAX);
+        assert_eq!(a.square(), a.mul(&a));
+    }
+
+    #[test]
+    fn canonical_decoding_rejects_values_at_or_above_the_prime() {
+        let p = FIELD_PRIME;
+        let below = p.wrapping_sub(&U256::ONE);
+        assert_eq!(
+            Fe::from_be_bytes_canonical(&below.to_be_bytes()),
+            Some(Fe::from_u256(below))
+        );
+        for v in [p, p.wrapping_add(&U256::ONE), U256::MAX] {
+            assert_eq!(Fe::from_be_bytes_canonical(&v.to_be_bytes()), None);
+            // The reducing constructor still maps it into the field.
+            assert!(Fe::from_be_bytes(&v.to_be_bytes()).as_u256() < &p);
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_mul_commutes(a in arb_fe(), b in arb_fe()) {
@@ -309,6 +437,23 @@ mod tests {
         fn prop_inverse(a in arb_fe()) {
             prop_assume!(!a.is_zero());
             prop_assert_eq!(a.mul(&a.invert()), Fe::one());
+            prop_assert_eq!(a.invert(), invert_by_pow(&a));
+        }
+
+        #[test]
+        fn prop_square_matches_mul(a in arb_fe()) {
+            prop_assert_eq!(a.square(), a.mul(&a));
+        }
+
+        #[test]
+        fn prop_chain_sqrt_matches_pow(a in arb_fe()) {
+            prop_assert_eq!(a.sqrt(), sqrt_by_pow(&a));
+            prop_assert_eq!(a.square().sqrt(), sqrt_by_pow(&a.square()));
+        }
+
+        #[test]
+        fn prop_canonical_decoding_round_trips(a in arb_fe()) {
+            prop_assert_eq!(Fe::from_be_bytes_canonical(&a.to_be_bytes()), Some(a));
         }
 
         #[test]

@@ -27,6 +27,7 @@ pub mod fe;
 pub mod fxhash;
 pub mod hmac;
 pub mod merkle;
+pub mod opcount;
 pub mod point;
 pub mod pow;
 pub mod pvss;

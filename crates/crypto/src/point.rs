@@ -6,11 +6,16 @@
 //! Scalar multiplication uses the standard variable-time fast paths (see
 //! `DESIGN-notes.md` in this crate):
 //!
-//! * width-5 wNAF over a per-point odd-multiples table for [`Point::mul`];
-//! * a lazily built fixed-base window table (4-bit windows, no doublings at
-//!   evaluation time) for [`Point::mul_generator`];
-//! * interleaved Strauss–Shamir double multiplication ([`Point::mul_double`])
-//!   for the `a·P + b·Q` shapes every verifier reduces to;
+//! * one kernel (`strauss`), behind [`Point::mul`], [`Point::mul_double`]
+//!   (the `a·P + b·Q` shape every verifier reduces to) and
+//!   [`Point::multi_mul`]: every scalar is split with the curve endomorphism
+//!   into two 128-bit halves, all halves are recoded to wNAF (width 5 for a
+//!   per-call table, width 12 for the static `G` table) and walk one
+//!   shared chain of 128 doublings, and every table is affine — the per-call
+//!   ones through a shared `Z`, without an inversion — so each step is a
+//!   mixed addition ([`Point::add_affine`]);
+//! * a lazily built fixed-base table of signed four-bit windows (at most 65
+//!   mixed additions, no doublings) for [`Point::mul_generator`];
 //! * Montgomery batch inversion ([`Point::batch_to_affine`]) when many points
 //!   are normalized at once.
 //!
@@ -21,8 +26,9 @@
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::fe::Fe;
-use crate::scalar::Scalar;
+use crate::fe::{Fe, BETA};
+use crate::opcount::{count, Op};
+use crate::scalar::{Scalar, SignedHalf};
 use crate::u256::U256;
 
 /// A point on secp256k1 in Jacobian coordinates.
@@ -102,6 +108,7 @@ impl Point {
         if self.is_infinity() || self.y.is_zero() {
             return Point::infinity();
         }
+        count(Op::Double);
         // Textbook Jacobian doubling for a = 0:
         //   S  = 4·X·Y²
         //   M  = 3·X²
@@ -129,6 +136,7 @@ impl Point {
         if other.is_infinity() {
             return *self;
         }
+        count(Op::Add);
         // Textbook Jacobian addition:
         //   U1 = X1·Z2², U2 = X2·Z1², S1 = Y1·Z2³, S2 = Y2·Z1³
         let z1_sq = self.z.square();
@@ -158,6 +166,65 @@ impl Point {
         }
     }
 
+    /// Mixed addition `self + q` for an affine `q`: 8M + 3S against the
+    /// general formula's 12M + 4S, because `q`'s `Z` is one.
+    pub fn add_affine(&self, q: &AffinePoint) -> Point {
+        if self.is_infinity() {
+            return q.to_point();
+        }
+        self.add_affine_core(q, &self.z).0
+    }
+
+    /// `self + ψ(q)`, where `self` lives on the isomorphic curve
+    /// `y² = x³ + 7·s⁶` and `ψ(x, y) = (x·s², y·s³)` carries the affine `q`
+    /// there: folding `s` into the `Z` that scales `q` costs one
+    /// multiplication more than [`add_affine`](Self::add_affine).
+    fn add_affine_scaled(&self, q: &AffinePoint, s: &Fe) -> Point {
+        if self.is_infinity() {
+            let s2 = s.square();
+            return Point {
+                x: q.x.mul(&s2),
+                y: q.y.mul(&s2).mul(s),
+                z: Fe::one(),
+            };
+        }
+        self.add_affine_core(q, &self.z.mul(s)).0
+    }
+
+    /// The mixed addition behind [`add_affine`](Self::add_affine) (`az` is
+    /// `self.z`) and [`add_affine_scaled`](Self::add_affine_scaled) (`az` is
+    /// `self.z·s`). `self` is not infinity. Also returns `h = Z3 / Z1`, the
+    /// ratio the shared-`Z` table construction chains (zero in the doubling
+    /// and cancelling cases, where it has no meaning).
+    #[inline]
+    fn add_affine_core(&self, q: &AffinePoint, az: &Fe) -> (Point, Fe) {
+        let az_sq = az.square();
+        let u2 = q.x.mul(&az_sq);
+        let s2 = q.y.mul(&az_sq).mul(az);
+        if self.x == u2 {
+            let sum = if self.y == s2 {
+                self.double()
+            } else {
+                Point::infinity()
+            };
+            return (sum, Fe::zero());
+        }
+        count(Op::AddAffine);
+        let h = u2.sub(&self.x);
+        let r = s2.sub(&self.y);
+        let h2 = h.square();
+        let h3 = h2.mul(&h);
+        let u1h2 = self.x.mul(&h2);
+        let x3 = r.square().sub(&h3).sub(&u1h2.mul_u64(2));
+        let y3 = r.mul(&u1h2.sub(&x3)).sub(&self.y.mul(&h3));
+        let sum = Point {
+            x: x3,
+            y: y3,
+            z: self.z.mul(&h),
+        };
+        (sum, h)
+    }
+
     /// Point negation.
     pub fn neg(&self) -> Point {
         if self.is_infinity() {
@@ -170,21 +237,16 @@ impl Point {
         }
     }
 
-    /// Scalar multiplication `k·P` via width-5 wNAF over a table of odd
-    /// multiples `{P, 3P, …, 15P}` — roughly one addition per five doublings
-    /// instead of one per two for plain double-and-add.
+    /// Scalar multiplication `k·P`: `k` is split for the endomorphism and the
+    /// two 128-bit halves walk one chain of 128 doublings (`strauss` below).
+    /// Short scalars (PVSS share indices, reputation weights) walk only as
+    /// many doublings as they have bits.
     pub fn mul(&self, k: &Scalar) -> Point {
-        if self.is_infinity() || k.is_zero() {
-            return Point::infinity();
-        }
-        let table = odd_multiples(self);
-        let naf = wnaf5(k.as_u256());
-        let mut acc = Point::infinity();
-        for &digit in naf.iter().rev() {
-            acc = acc.double();
-            acc = add_wnaf_digit(&acc, &table, digit);
-        }
-        acc
+        strauss(
+            &[(*k, *self)],
+            &mut [Term::EMPTY; 1],
+            &mut [[Wnaf::EMPTY; 2]; 1],
+        )
     }
 
     /// Naive double-and-add ladder (MSB first). Kept only as the differential
@@ -202,58 +264,55 @@ impl Point {
         acc
     }
 
-    /// `k·G` for the standard generator, via a lazily built fixed-base window
-    /// table: 64 four-bit windows, 15 precomputed odd-and-even multiples per
-    /// window (`d·16^i·G`). Evaluation is at most 64 additions and zero
+    /// `k·G` for the standard generator over a lazily built fixed-base table
+    /// of `d·2^(4i)·G`: `k` is recoded into 65 signed four-bit digits
+    /// `d ∈ [−8, 8]`, so evaluation is at most 65 mixed additions and zero
     /// doublings.
     pub fn mul_generator(k: &Scalar) -> Point {
-        if k.is_zero() {
-            return Point::infinity();
-        }
         let table = fixed_base_table();
-        let limbs = k.as_u256().limbs;
+        let limbs = &k.as_u256().limbs;
         let mut acc = Point::infinity();
+        let mut carry = 0;
         for window in 0..FB_WINDOWS {
-            let digit = ((limbs[window / 16] >> ((window % 16) * 4)) & 0xf) as usize;
-            if digit != 0 {
-                acc = acc.add(&table[window * FB_DIGITS + digit - 1].to_point());
+            let pos = window * FB_WIDTH;
+            // Bits past 256 are zero; the last window only takes the carry.
+            let raw = if pos < 256 {
+                ((limbs[pos / 64] >> (pos % 64)) as usize) & (FB_FULL - 1)
+            } else {
+                0
+            };
+            // A digit above half the window becomes negative and borrows
+            // from the next window.
+            let bits = raw + carry;
+            let negative = bits > FB_HALF;
+            carry = usize::from(negative);
+            let magnitude = if negative { FB_FULL - bits } else { bits };
+            if magnitude == 0 {
+                continue;
             }
+            let entry = table[window * FB_HALF + magnitude - 1];
+            acc = acc.add_affine(&if negative { entry.neg() } else { entry });
         }
         acc
     }
 
-    /// Strauss–Shamir double multiplication `k1·P1 + k2·P2`: both scalars are
-    /// recoded to width-5 wNAF and evaluated over one shared doubling chain,
-    /// so the combination costs one ladder instead of two. This is the shape
-    /// every verifier in the stack reduces to (`s·G − e·PK` for Schnorr,
-    /// `s·G + c·PK` / `s·H + c·Γ` for the VRF DLEQ, `z·R + (z·e)·PK` per batch
-    /// entry).
+    /// Strauss–Shamir double multiplication `k1·P1 + k2·P2` over one shared
+    /// doubling chain. This is the shape every verifier in the stack reduces
+    /// to (`s·G − e·PK` for Schnorr, `s·G + c·PK` / `s·H + c·Γ` for the VRF
+    /// DLEQ); a `G` operand is served from the static tables.
     pub fn mul_double(k1: &Scalar, p1: &Point, k2: &Scalar, p2: &Point) -> Point {
-        if k1.is_zero() || p1.is_infinity() {
-            return p2.mul(k2);
-        }
-        if k2.is_zero() || p2.is_infinity() {
-            return p1.mul(k1);
-        }
-        let table1 = odd_multiples_cached(p1);
-        let table2 = odd_multiples_cached(p2);
-        let naf1 = wnaf5(k1.as_u256());
-        let naf2 = wnaf5(k2.as_u256());
-        let mut acc = Point::infinity();
-        for i in (0..naf1.len().max(naf2.len())).rev() {
-            acc = acc.double();
-            acc = add_wnaf_digit(&acc, &table1, naf1.get(i).copied().unwrap_or(0));
-            acc = add_wnaf_digit(&acc, &table2, naf2.get(i).copied().unwrap_or(0));
-        }
-        acc
+        strauss(
+            &[(*k1, *p1), (*k2, *p2)],
+            &mut [Term::EMPTY; 2],
+            &mut [[Wnaf::EMPTY; 2]; 2],
+        )
     }
 
     /// Simultaneous multi-scalar multiplication `Σ kᵢ·Pᵢ` over one shared
-    /// doubling chain (generalized Strauss): every scalar is recoded to
-    /// width-5 wNAF and all terms walk the same 256 doublings, so the cost is
-    /// `~256 doublings + n·(table + ~51 additions)` instead of `n` full
-    /// ladders. The generator's odd-multiples table is served from the
-    /// process-wide cache, so `G`-terms pay no table setup.
+    /// doubling chain (generalized Strauss, `strauss` below): the cost is
+    /// `128 doublings + n·(table + ~43 mixed additions)` instead of `n` full
+    /// multiplications. Terms on the generator are summed into one scalar and
+    /// served from the static tables.
     ///
     /// This is what makes random-linear-combination batch verification
     /// actually cheaper than repeated [`Point::mul_double`]: an `n`-signature
@@ -262,30 +321,11 @@ impl Point {
     /// chain beats Pippenger bucketing, whose per-window bucket-collapse
     /// overhead dominates until `n` reaches several hundred per window.
     pub fn multi_mul(terms: &[(Scalar, Point)]) -> Point {
-        // Zero scalars and infinity points contribute nothing.
-        let live: Vec<&(Scalar, Point)> = terms
-            .iter()
-            .filter(|(k, p)| !k.is_zero() && !p.is_infinity())
-            .collect();
-        match live.len() {
-            0 => return Point::infinity(),
-            1 => return live[0].1.mul(&live[0].0),
-            2 => {
-                return Point::mul_double(&live[0].0, &live[0].1, &live[1].0, &live[1].1);
-            }
-            _ => {}
-        }
-        let tables: Vec<[Point; 8]> = live.iter().map(|(_, p)| odd_multiples_cached(p)).collect();
-        let nafs: Vec<Vec<i8>> = live.iter().map(|(k, _)| wnaf5(k.as_u256())).collect();
-        let longest = nafs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut acc = Point::infinity();
-        for i in (0..longest).rev() {
-            acc = acc.double();
-            for (table, naf) in tables.iter().zip(&nafs) {
-                acc = add_wnaf_digit(&acc, table, naf.get(i).copied().unwrap_or(0));
-            }
-        }
-        acc
+        strauss(
+            terms,
+            &mut vec![Term::EMPTY; terms.len()],
+            &mut vec![[Wnaf::EMPTY; 2]; terms.len()],
+        )
     }
 
     /// Normalizes a whole slice of points to affine form with a single field
@@ -339,93 +379,307 @@ impl Point {
     }
 }
 
-/// Number of 4-bit windows covering a 256-bit scalar.
-const FB_WINDOWS: usize = 64;
-/// Nonzero digits per 4-bit window.
-const FB_DIGITS: usize = 15;
+/// Window width of [`Point::mul_generator`]'s fixed-base table (a divisor of
+/// 64, so no window straddles two limbs).
+const FB_WIDTH: usize = 4;
+/// Values of one window.
+const FB_FULL: usize = 1 << FB_WIDTH;
+/// Table entries per window: the digit magnitudes `1..=FB_HALF`.
+const FB_HALF: usize = FB_FULL / 2;
+/// Windows covering a 256-bit scalar, plus one for the last carry.
+const FB_WINDOWS: usize = 256 / FB_WIDTH + 1;
 
-/// The fixed-base table for [`Point::mul_generator`]: `table[15·i + d − 1] =
-/// d·16^i·G` for `i ∈ [0, 64)`, `d ∈ [1, 16)`. Built once per process
-/// (≈ 960 Jacobian additions plus one batched affine conversion, ~90 KiB).
+/// The fixed-base table for [`Point::mul_generator`]: `table[8·i + d − 1]
+/// = d·2^(4i)·G` for `i ∈ [0, 65)`, `d ∈ [1, 8]`. Built once per process
+/// (520 Jacobian additions plus one batched affine conversion, 33 KiB).
+/// Wider windows trade table size for additions (DESIGN-notes.md has the
+/// measurements); the width only has to divide 64.
 fn fixed_base_table() -> &'static [AffinePoint] {
     static TABLE: OnceLock<Vec<AffinePoint>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut jacobian = Vec::with_capacity(FB_WINDOWS * FB_DIGITS);
+        let mut jacobian = Vec::with_capacity(FB_WINDOWS * FB_HALF);
         let mut base = Point::generator();
         for _ in 0..FB_WINDOWS {
             let mut multiple = base;
-            for _ in 0..FB_DIGITS {
+            for _ in 1..FB_HALF {
                 jacobian.push(multiple);
                 multiple = multiple.add(&base);
             }
-            // After 15 additions `multiple` is 16·base: the next window's base.
-            base = multiple;
+            jacobian.push(multiple);
+            // `multiple` is FB_HALF·base; twice that is the next window's base.
+            base = multiple.double();
         }
         Point::batch_to_affine(&jacobian)
             .into_iter()
-            .map(|p| p.expect("d·16^i·G is below the group order, never infinity"))
+            .map(|p| p.expect("d·2^(4i)·G with d ≤ 8 is never infinity"))
             .collect()
     })
 }
 
-/// Odd multiples `{P, 3P, 5P, …, 15P}` for width-5 wNAF evaluation.
-fn odd_multiples(p: &Point) -> [Point; 8] {
-    let twice = p.double();
-    let mut table = [*p; 8];
-    for i in 1..8 {
-        table[i] = table[i - 1].add(&twice);
-    }
-    table
-}
+/// wNAF window width of per-call tables: odd multiples up to `15·P`.
+const VAR_WIDTH: u32 = 5;
+/// Entries of a per-call table.
+const VAR_TABLE: usize = 1 << (VAR_WIDTH - 2);
+/// wNAF window width of the static `G` table, which costs nothing per call
+/// and so can be wider.
+const GEN_WIDTH: u32 = 12;
+/// Entries of the static table.
+const GEN_TABLE: usize = 1 << (GEN_WIDTH - 2);
+/// Digits of a recoded half: a magnitude below `2^128` has at most 129.
+const WNAF_LEN: usize = 129;
 
-/// [`odd_multiples`], but served from a process-wide cache when `p` is the
-/// standard generator — every Schnorr / DLEQ verification passes `G` as one
-/// operand of [`Point::mul_double`], so its table is built exactly once.
-fn odd_multiples_cached(p: &Point) -> [Point; 8] {
-    static GENERATOR_ODD: OnceLock<[Point; 8]> = OnceLock::new();
-    let g = Point::generator();
-    if p.x == g.x && p.y == g.y && p.z == g.z {
-        *GENERATOR_ODD.get_or_init(|| odd_multiples(&g))
-    } else {
-        odd_multiples(p)
-    }
-}
-
-/// Adds `digit·P` (for an odd wNAF digit, `|digit| ≤ 15`) from the
-/// odd-multiples table; zero digits are a no-op.
-fn add_wnaf_digit(acc: &Point, table: &[Point; 8], digit: i8) -> Point {
-    match digit.cmp(&0) {
-        core::cmp::Ordering::Greater => acc.add(&table[(digit as usize - 1) / 2]),
-        core::cmp::Ordering::Less => acc.add(&table[((-digit) as usize - 1) / 2].neg()),
-        core::cmp::Ordering::Equal => *acc,
-    }
-}
-
-/// Width-5 non-adjacent form: digits in `{0, ±1, ±3, …, ±15}` with at most one
-/// nonzero digit per five positions. The recoding never overflows because the
-/// scalar is reduced below the group order, which sits well under `2^256 − 15`.
-fn wnaf5(k: &U256) -> Vec<i8> {
-    let mut k = *k;
-    let mut naf = Vec::with_capacity(257);
-    while !k.is_zero() {
-        if k.is_odd() {
-            let low = (k.limbs[0] & 31) as i16;
-            let digit = if low > 16 { low - 32 } else { low };
-            if digit >= 0 {
-                k = k.wrapping_sub(&U256::from_u64(digit as u64));
-            } else {
-                k = k.wrapping_add(&U256::from_u64((-digit) as u64));
-            }
-            naf.push(digit as i8);
-        } else {
-            naf.push(0);
+/// The static odd-multiples table behind every `G` term: `table[i] =
+/// (2i+1)·G`, affine. Built once per process, 64 KiB.
+fn generator_table() -> &'static [AffinePoint] {
+    static TABLE: OnceLock<Vec<AffinePoint>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let twice = Point::generator().double();
+        let mut jacobian = Vec::with_capacity(GEN_TABLE);
+        let mut multiple = Point::generator();
+        for _ in 0..GEN_TABLE {
+            jacobian.push(multiple);
+            multiple = multiple.add(&twice);
         }
-        k = k.shr(1);
+        Point::batch_to_affine(&jacobian)
+            .into_iter()
+            .map(|p| p.expect("an odd multiple of G below the order is never infinity"))
+            .collect()
+    })
+}
+
+/// Signed wNAF digits of one scalar half, least significant first, in a
+/// fixed stack array (zero beyond `len`).
+#[derive(Clone, Copy)]
+struct Wnaf {
+    digits: [i16; WNAF_LEN],
+    len: usize,
+}
+
+impl Wnaf {
+    const EMPTY: Wnaf = Wnaf {
+        digits: [0; WNAF_LEN],
+        len: 0,
+    };
+
+    /// Width-`width` non-adjacent form of `half`: odd digits below
+    /// `2^(width−1)` in magnitude, at most one nonzero per `width` positions,
+    /// carrying the half's sign.
+    fn recode(half: SignedHalf, width: u32) -> Wnaf {
+        let mut wnaf = Wnaf::EMPTY;
+        let mut k = half.magnitude;
+        let full = 1i16 << width;
+        while k != 0 {
+            // Rounding a magnitude just under 2^128 up carries into bit 128,
+            // which the shift below brings back into range.
+            let mut carry = false;
+            if k & 1 == 1 {
+                let low = (k & (full as u128 - 1)) as i16;
+                let digit = if low > full / 2 { low - full } else { low };
+                if digit > 0 {
+                    k -= digit as u128;
+                } else {
+                    (k, carry) = k.overflowing_add(digit.unsigned_abs() as u128);
+                }
+                wnaf.digits[wnaf.len] = if half.negative { -digit } else { digit };
+            }
+            k = (k >> 1) | (u128::from(carry) << 127);
+            wnaf.len += 1;
+        }
+        wnaf
     }
-    naf
+}
+
+/// The table of one variable-point term of [`strauss`].
+#[derive(Clone, Copy)]
+struct Term {
+    /// Odd multiples `(2i+1)·P`.
+    table: [AffinePoint; VAR_TABLE],
+    /// `Z(table[i]) / Z(previous entry)` while the tables still have their
+    /// own `Z`s.
+    ratios: [Fe; VAR_TABLE],
+}
+
+impl Term {
+    const EMPTY: Term = Term {
+        table: [AffinePoint::ZERO; VAR_TABLE],
+        ratios: [Fe::zero(); VAR_TABLE],
+    };
+}
+
+/// `acc ± table[|digit|/2]` for a nonzero (odd) wNAF digit, `acc` otherwise.
+/// `lambda` takes `φ` of the entry first (the stream of a scalar's second
+/// half: one multiplication by `β`, cheaper than keeping a second table in
+/// cache). With `scale`, the table lives on the plain curve and `acc` on the
+/// one scaled by it.
+#[inline]
+fn add_digit(
+    acc: &Point,
+    table: &[AffinePoint],
+    digit: i16,
+    lambda: bool,
+    scale: Option<&Fe>,
+) -> Point {
+    if digit == 0 {
+        return *acc;
+    }
+    let mut entry = table[(digit.unsigned_abs() as usize) / 2];
+    if lambda {
+        entry = entry.endomorphism();
+    }
+    if digit < 0 {
+        entry = entry.neg();
+    }
+    match scale {
+        None => acc.add_affine(&entry),
+        Some(s) => acc.add_affine_scaled(&entry, s),
+    }
+}
+
+/// `Σ kᵢ·Pᵢ` — the one scalar-multiplication kernel behind [`Point::mul`],
+/// [`Point::mul_double`] and [`Point::multi_mul`]. `slots` and `digits` are
+/// scratch, one each per term (the digits apart from the tables, so the walk
+/// scans them compactly).
+///
+/// * **Endomorphism.** Every scalar is split as `k = k1 + k2·λ` with 128-bit
+///   halves, and `k·P = k1·P + k2·φ(P)`: twice the streams over half the
+///   doublings, both reading one table (`φ` of an entry is one multiplication
+///   by `β`).
+/// * **Interleaved wNAF.** All `2n` streams share one chain of at most 128
+///   doublings; each adds an odd multiple about every `w + 1` positions.
+/// * **One shared `Z`.** A table entry `(X, Y, Z)` is the affine point
+///   `(X, Y)` of the isomorphic curve `y² = x³ + 7·Z⁶`, whose group law has
+///   the same formulas (they do not involve the constant). The tables are
+///   built so that all entries of all terms end up with the *same* `Z = ζ`
+///   — each is rescaled by the product of the `Z` ratios that follow it, no
+///   inversion — the whole walk runs on that curve with mixed additions, and
+///   the result's `Z` is multiplied by `ζ` at the end to come back.
+/// * **Generator terms** are summed into one scalar and walk the static
+///   [`generator_table`], scaled onto the walk's curve as they are added.
+fn strauss(terms: &[(Scalar, Point)], slots: &mut [Term], digits: &mut [[Wnaf; 2]]) -> Point {
+    let generator = Point::generator();
+    let mut g_scalar = Scalar::zero();
+    let mut live = 0;
+    // True `Z` of the last table entry built so far.
+    let mut zeta = Fe::one();
+    for (k, p) in terms {
+        // Zero scalars and infinity points contribute nothing.
+        if k.is_zero() || p.is_infinity() {
+            continue;
+        }
+        if p.z == generator.z && p.x == generator.x && p.y == generator.y {
+            g_scalar = g_scalar.add(k);
+            continue;
+        }
+        let slot = &mut slots[live];
+        let (k1, k2) = k.split_lambda();
+        digits[live] = [Wnaf::recode(k1, VAR_WIDTH), Wnaf::recode(k2, VAR_WIDTH)];
+        // The same point with its Z a multiple of the previous table's.
+        let a = if live == 0 {
+            *p
+        } else {
+            let zeta_sq = zeta.square();
+            Point {
+                x: p.x.mul(&zeta_sq),
+                y: p.y.mul(&zeta_sq).mul(&zeta),
+                z: p.z.mul(&zeta),
+            }
+        };
+        // On the curve scaled by C = Z(2a), 2a is affine and the odd
+        // multiples a, 3a, 5a, … are seven mixed additions.
+        let twice = a.double();
+        let c_sq = twice.z.square();
+        let step = AffinePoint {
+            x: twice.x,
+            y: twice.y,
+        };
+        let mut multiple = Point {
+            x: a.x.mul(&c_sq),
+            y: a.y.mul(&c_sq).mul(&twice.z),
+            z: a.z,
+        };
+        slot.ratios[0] = p.z.mul(&twice.z);
+        for i in 0..VAR_TABLE {
+            if i > 0 {
+                (multiple, slot.ratios[i]) = multiple.add_affine_core(&step, &multiple.z);
+            }
+            slot.table[i] = AffinePoint {
+                x: multiple.x,
+                y: multiple.y,
+            };
+        }
+        zeta = multiple.z.mul(&twice.z);
+        live += 1;
+    }
+    let slots = &mut slots[..live];
+    let digits = &digits[..live];
+
+    // Bring every entry to the last one's Z: walking backwards, an entry is
+    // rescaled by the product of the ratios after it.
+    let mut scale = Fe::one();
+    for (t, slot) in slots.iter_mut().enumerate().rev() {
+        for i in (0..VAR_TABLE).rev() {
+            if t + 1 < live || i + 1 < VAR_TABLE {
+                let scale_sq = scale.square();
+                let entry = &mut slot.table[i];
+                entry.x = entry.x.mul(&scale_sq);
+                entry.y = entry.y.mul(&scale_sq).mul(&scale);
+            }
+            scale = scale.mul(&slot.ratios[i]);
+        }
+    }
+
+    let (g1, g2) = g_scalar.split_lambda();
+    let g_digits = [Wnaf::recode(g1, GEN_WIDTH), Wnaf::recode(g2, GEN_WIDTH)];
+    let g_table = generator_table();
+
+    let longest = digits
+        .iter()
+        .flatten()
+        .chain(&g_digits)
+        .map(|wnaf| wnaf.len)
+        .max()
+        .unwrap_or(0);
+    let mut acc = Point::infinity();
+    for i in (0..longest).rev() {
+        acc = acc.double();
+        for (slot, [d1, d2]) in slots.iter().zip(digits) {
+            acc = add_digit(&acc, &slot.table, d1.digits[i], false, None);
+            acc = add_digit(&acc, &slot.table, d2.digits[i], true, None);
+        }
+        for (digits, lambda) in g_digits.iter().zip([false, true]) {
+            acc = add_digit(&acc, g_table, digits.digits[i], lambda, Some(&zeta));
+        }
+    }
+    // Back from the curve scaled by ζ: (X, Y, Z) there is (X, Y, Z·ζ) here.
+    acc.z = acc.z.mul(&zeta);
+    acc
 }
 
 impl AffinePoint {
+    /// Placeholder for unfilled table slots (not a curve point).
+    const ZERO: AffinePoint = AffinePoint {
+        x: Fe::zero(),
+        y: Fe::zero(),
+    };
+
+    /// The negation `(x, −y)`.
+    pub fn neg(&self) -> AffinePoint {
+        AffinePoint {
+            x: self.x,
+            y: self.y.neg(),
+        }
+    }
+
+    /// The curve endomorphism `φ(x, y) = (β·x, y)`, which as a group map is
+    /// multiplication by [`LAMBDA`](crate::scalar::LAMBDA) — at the cost of
+    /// one field multiplication.
+    pub fn endomorphism(&self) -> AffinePoint {
+        AffinePoint {
+            x: self.x.mul(&BETA),
+            y: self.y,
+        }
+    }
+
     /// True if the point satisfies `y² = x³ + 7`.
     pub fn is_on_curve(&self) -> bool {
         let lhs = self.y.square();
@@ -442,9 +696,11 @@ impl AffinePoint {
     }
 
     /// Parses a 64-byte `x || y` encoding, checking the curve equation.
+    /// Coordinates at or above `p` are rejected, not reduced, so a point has
+    /// exactly one accepted encoding.
     pub fn from_bytes(bytes: &[u8; 64]) -> Option<AffinePoint> {
-        let x = Fe::from_be_bytes(bytes[..32].try_into().expect("32 bytes"));
-        let y = Fe::from_be_bytes(bytes[32..].try_into().expect("32 bytes"));
+        let x = Fe::from_be_bytes_canonical(bytes[..32].try_into().expect("32 bytes"))?;
+        let y = Fe::from_be_bytes_canonical(bytes[32..].try_into().expect("32 bytes"))?;
         let p = AffinePoint { x, y };
         if p.is_on_curve() {
             Some(p)
@@ -515,7 +771,7 @@ fn hash_to_curve_uncached(domain: &str, data: &[u8]) -> AffinePoint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scalar::group_order;
+    use crate::scalar::{group_order, LAMBDA};
     use proptest::prelude::*;
 
     #[test]
@@ -597,22 +853,143 @@ mod tests {
         prop::array::uniform4(any::<u64>()).prop_map(|l| Scalar::from_u256(U256::from_limbs(l)))
     }
 
-    /// The edge scalars every multiplication path must agree on: 0, 1, n−1,
-    /// and every power of two that fits a scalar.
+    /// The edge scalars every multiplication path must agree on: the ends of
+    /// the range, the endomorphism's eigenvalue and its neighbours, the
+    /// 128-bit boundary where the split starts, scalars whose halves take
+    /// each sign pattern, and every power of two that fits a scalar.
     fn edge_scalars() -> Vec<Scalar> {
+        let n_minus = |d: u64| Scalar::from_u256(group_order().wrapping_sub(&U256::from_u64(d)));
+        let two_128 = U256::ONE.shl(128);
         let mut edges = vec![
             Scalar::zero(),
             Scalar::one(),
-            Scalar::from_u256(group_order().wrapping_sub(&U256::ONE)),
+            Scalar::from_u64(2),
+            n_minus(1),
+            n_minus(2),
+            LAMBDA,
+            LAMBDA.add(&Scalar::one()),
+            LAMBDA.sub(&Scalar::one()),
+            LAMBDA.neg(),
+            Scalar::from_u256(two_128.wrapping_sub(&U256::ONE)),
+            Scalar::from_u256(two_128.wrapping_add(&U256::ONE)),
         ];
+        let mut sign_patterns = std::collections::BTreeSet::new();
+        for i in 0u64.. {
+            let k = Scalar::from_hash("edge-split-signs", &[&i.to_be_bytes()]);
+            let (k1, k2) = k.split_lambda();
+            if sign_patterns.insert((k1.negative, k2.negative)) {
+                edges.push(k);
+            }
+            if sign_patterns.len() == 4 {
+                break;
+            }
+        }
         for k in 0..256 {
             edges.push(Scalar::from_u256(U256::ONE.shl(k)));
         }
         edges
     }
 
+    fn ladder_sum(terms: &[(Scalar, Point)]) -> Point {
+        terms
+            .iter()
+            .fold(Point::infinity(), |acc, (k, p)| acc.add(&p.mul_ladder(k)))
+    }
+
     #[test]
-    fn wnaf_mul_matches_ladder_on_edge_scalars() {
+    fn endomorphism_is_multiplication_by_lambda() {
+        let g = Point::generator();
+        for k in [1u64, 2, 0xdead_beef] {
+            let p = g.mul_ladder(&Scalar::from_u64(k));
+            let phi = p.to_affine().unwrap().endomorphism();
+            assert!(phi.is_on_curve());
+            assert!(phi.to_point().equals(&p.mul_ladder(&LAMBDA)), "k = {k}");
+        }
+    }
+
+    #[test]
+    fn add_affine_matches_add() {
+        let g = Point::generator();
+        let p = g.mul_ladder(&Scalar::from_u64(0x1234)).double(); // Z != 1
+        let q = g.mul_ladder(&Scalar::from_u64(0x5678));
+        let q_affine = q.to_affine().unwrap();
+        let p_affine = p.to_affine().unwrap();
+        // Generic, doubling (P + P), cancelling (P + (−P)) and ∞ + P.
+        assert!(p.add_affine(&q_affine).equals(&p.add(&q)));
+        assert!(p.add_affine(&p_affine).equals(&p.double()));
+        assert!(p.add_affine(&p_affine.neg()).is_infinity());
+        assert!(Point::infinity().add_affine(&q_affine).equals(&q));
+        assert!(p.add_affine(&q_affine).is_on_curve());
+        // `add` with ∞ on the right (an affine operand cannot be ∞).
+        assert!(p.add(&Point::infinity()).equals(&p));
+    }
+
+    #[test]
+    fn add_affine_scaled_adds_on_the_isomorphic_curve() {
+        // (X, Y, Z) on the curve scaled by s is (X, Y, Z·s) on the plain one.
+        let back = |p: &Point, s: &Fe| Point {
+            x: p.x,
+            y: p.y,
+            z: p.z.mul(s),
+        };
+        let g = Point::generator();
+        let s = Fe::from_u64(0xabcdef);
+        let q = g.mul_ladder(&Scalar::from_u64(77)).to_affine().unwrap();
+        // P given with Z = s, so on the scaled curve it is the affine (X, Y).
+        let p_plain = g.mul_ladder(&Scalar::from_u64(1000));
+        let p_affine = p_plain.to_affine().unwrap();
+        let s2 = s.square();
+        let p_scaled = Point {
+            x: p_affine.x.mul(&s2),
+            y: p_affine.y.mul(&s2).mul(&s),
+            z: Fe::one(),
+        };
+        let sum = p_scaled.double().add_affine_scaled(&q, &s);
+        assert!(back(&sum, &s).equals(&p_plain.double().add(&q.to_point())));
+        let from_infinity = Point::infinity().add_affine_scaled(&q, &s);
+        assert!(back(&from_infinity, &s).equals(&q.to_point()));
+        // Doubling and cancelling through the scaled path.
+        let twice = back(&p_scaled.add_affine_scaled(&p_affine, &s), &s);
+        assert!(twice.equals(&p_plain.double()));
+        assert!(p_scaled
+            .add_affine_scaled(&p_affine.neg(), &s)
+            .is_infinity());
+    }
+
+    #[test]
+    fn wnaf_recoding_reconstructs_the_scalar() {
+        for width in [2, VAR_WIDTH, GEN_WIDTH] {
+            for magnitude in [0u128, 1, 2, 15, 16, 17, 1 << 127, u128::MAX - 1, u128::MAX] {
+                for negative in [false, true] {
+                    let wnaf = Wnaf::recode(
+                        SignedHalf {
+                            magnitude,
+                            negative,
+                        },
+                        width,
+                    );
+                    // Σ dᵢ·2^i as a scalar, against ±magnitude.
+                    let mut sum = Scalar::zero();
+                    for &d in wnaf.digits[..wnaf.len].iter().rev() {
+                        sum = sum.add(&sum);
+                        let term = Scalar::from_u64(d.unsigned_abs() as u64);
+                        sum = if d < 0 {
+                            sum.sub(&term)
+                        } else {
+                            sum.add(&term)
+                        };
+                        assert!(d == 0 || (d % 2 != 0 && d.unsigned_abs() < 1 << (width - 1)));
+                    }
+                    let expected = Scalar::from_u256(U256::from_u128(magnitude));
+                    assert_eq!(sum, if negative { expected.neg() } else { expected });
+                    assert!(wnaf.digits[wnaf.len..].iter().all(|&d| d == 0));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_matches_ladder_on_edge_scalars() {
         let p = Point::generator().mul_ladder(&Scalar::from_u64(0xdead_beef));
         for k in edge_scalars() {
             assert!(p.mul(&k).equals(&p.mul_ladder(&k)), "k = {k:?}");
@@ -634,26 +1011,24 @@ mod tests {
     fn mul_double_matches_ladder_on_edge_scalars() {
         let g = Point::generator();
         let q = g.mul_ladder(&Scalar::from_u64(0x1234_5678));
-        let pairs = [
-            (Scalar::zero(), Scalar::zero()),
-            (Scalar::zero(), Scalar::from_u64(7)),
-            (Scalar::from_u64(7), Scalar::zero()),
-            (
-                Scalar::from_u256(group_order().wrapping_sub(&U256::ONE)),
-                Scalar::one(),
-            ),
-            (
-                Scalar::from_u256(U256::ONE.shl(255)),
-                Scalar::from_u256(U256::ONE.shl(128)),
-            ),
-        ];
-        for (a, b) in pairs {
-            let expected = g.mul_ladder(&a).add(&q.mul_ladder(&b));
-            assert!(
-                Point::mul_double(&a, &g, &b, &q).equals(&expected),
-                "a = {a:?}, b = {b:?}"
-            );
+        let other = Scalar::from_hash("mul-double-edge", &[b"other"]);
+        for k in edge_scalars() {
+            // The edge scalar on G, on the variable point, and on both.
+            for (a, b) in [(k, other), (other, k), (k, k)] {
+                let expected = g.mul_ladder(&a).add(&q.mul_ladder(&b));
+                assert!(
+                    Point::mul_double(&a, &g, &b, &q).equals(&expected),
+                    "a = {a:?}, b = {b:?}"
+                );
+            }
+            // Two variable points, one of them the other's negation.
+            let expected = q.mul_ladder(&k).add(&q.neg().mul_ladder(&other));
+            assert!(Point::mul_double(&k, &q, &other, &q.neg()).equals(&expected));
         }
+        // The same point twice: k·Q + (n − k)·Q cancels.
+        let k = Scalar::from_u64(0xfeed_f00d);
+        assert!(Point::mul_double(&k, &q, &k.neg(), &q).is_infinity());
+        assert!(Point::mul_double(&k, &g, &k.neg(), &g).is_infinity());
     }
 
     #[test]
@@ -681,30 +1056,40 @@ mod tests {
             (Scalar::from_u64(5), Point::infinity())
         ])
         .is_infinity());
-        // Sizes that hit the 1-term, 2-term and shared-chain paths.
-        for n in [1usize, 2, 3, 7, 20] {
-            let terms: Vec<(Scalar, Point)> = (0..n)
+        // 1, 2, 3 and 17 terms; every third point repeats the first, G is
+        // among them (twice from 7 terms on), some points carry Z != 1, and
+        // a zero scalar and an ∞ sit in the middle of the long ones.
+        for n in [1usize, 2, 3, 7, 17] {
+            let mut terms: Vec<(Scalar, Point)> = (0..n)
                 .map(|i| {
                     let k = Scalar::from_hash("multi-mul-scalar", &[&(i as u64).to_be_bytes()]);
-                    let p = g.mul_ladder(&Scalar::from_u64(i as u64 * 37 + 1));
+                    let p = match i % 6 {
+                        3 => g,
+                        0 => g.mul_ladder(&Scalar::from_u64(38)),
+                        1 => g.mul_ladder(&Scalar::from_u64(i as u64 * 37 + 1)).double(),
+                        _ => g.mul_ladder(&Scalar::from_u64(i as u64 * 37 + 1)),
+                    };
                     (k, p)
                 })
                 .collect();
-            let expected = terms
-                .iter()
-                .fold(Point::infinity(), |acc, (k, p)| acc.add(&p.mul_ladder(k)));
-            assert!(Point::multi_mul(&terms).equals(&expected), "n = {n}");
+            if n > 3 {
+                terms[2].0 = Scalar::zero();
+                terms[4].1 = Point::infinity();
+            }
+            assert!(
+                Point::multi_mul(&terms).equals(&ladder_sum(&terms)),
+                "n = {n}"
+            );
         }
         // Edge scalars mixed into a batch with ordinary ones.
         for k in edge_scalars() {
             let other = Scalar::from_u64(0xfeed);
             let q = g.mul_ladder(&Scalar::from_u64(99));
-            let terms = [(k, g), (other, q), (k, q)];
-            let expected = g
-                .mul_ladder(&k)
-                .add(&q.mul_ladder(&other))
-                .add(&q.mul_ladder(&k));
-            assert!(Point::multi_mul(&terms).equals(&expected), "k = {k:?}");
+            let terms = [(k, g), (other, q), (k, q), (k, q.neg().double())];
+            assert!(
+                Point::multi_mul(&terms).equals(&ladder_sum(&terms)),
+                "k = {k:?}"
+            );
         }
     }
 
@@ -733,7 +1118,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(12))]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
         fn prop_scalar_mul_distributes(a in arb_scalar(), b in arb_scalar()) {
@@ -753,9 +1138,22 @@ mod tests {
         }
 
         #[test]
-        fn prop_wnaf_mul_matches_ladder(a in arb_scalar(), b in arb_scalar()) {
+        fn prop_add_affine_matches_add(a in arb_scalar(), b in arb_scalar()) {
+            let p = Point::mul_generator(&a);
+            let q = Point::mul_generator(&b);
+            if let Some(q_affine) = q.to_affine() {
+                prop_assert!(p.add_affine(&q_affine).equals(&p.add(&q)));
+                prop_assert!(p.double().add_affine(&q_affine).equals(&p.double().add(&q)));
+            }
+        }
+
+        #[test]
+        fn prop_mul_matches_ladder(a in arb_scalar(), b in arb_scalar()) {
             let p = Point::generator().mul_ladder(&b);
             prop_assert!(p.mul(&a).equals(&p.mul_ladder(&a)));
+            // With Z != 1, and on the generator itself.
+            prop_assert!(p.double().mul(&a).equals(&p.double().mul_ladder(&a)));
+            prop_assert!(Point::generator().mul(&a).equals(&Point::generator().mul_ladder(&a)));
         }
 
         #[test]
@@ -769,6 +1167,10 @@ mod tests {
             let q = g.mul_ladder(&Scalar::from_u64(k));
             let expected = g.mul_ladder(&a).add(&q.mul_ladder(&b));
             prop_assert!(Point::mul_double(&a, &g, &b, &q).equals(&expected));
+            // Two variable points (the VRF's s·H + c·Γ shape).
+            let r = q.mul_ladder(&Scalar::from_u64(k | 1)).double();
+            let expected = r.mul_ladder(&a).add(&q.mul_ladder(&b));
+            prop_assert!(Point::mul_double(&a, &r, &b, &q).equals(&expected));
         }
 
         #[test]
@@ -776,18 +1178,21 @@ mod tests {
             prop::array::uniform4(any::<u64>()), 0..8,
         )) {
             let g = Point::generator();
+            // Point 1 is G, point 4 repeats point 0, the rest are distinct.
             let terms: Vec<(Scalar, Point)> = scalars
                 .iter()
                 .enumerate()
                 .map(|(i, l)| {
                     let k = Scalar::from_u256(U256::from_limbs(*l));
-                    (k, g.mul_ladder(&Scalar::from_u64(i as u64 + 2)))
+                    let p = match i {
+                        1 => g,
+                        4 => g.mul_ladder(&Scalar::from_u64(2)),
+                        _ => g.mul_ladder(&Scalar::from_u64(i as u64 + 2)),
+                    };
+                    (k, p)
                 })
                 .collect();
-            let expected = terms
-                .iter()
-                .fold(Point::infinity(), |acc, (k, p)| acc.add(&p.mul_ladder(k)));
-            prop_assert!(Point::multi_mul(&terms).equals(&expected));
+            prop_assert!(Point::multi_mul(&terms).equals(&ladder_sum(&terms)));
         }
     }
 }

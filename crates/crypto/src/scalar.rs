@@ -24,6 +24,65 @@ pub const fn group_order() -> U256 {
     GROUP_ORDER
 }
 
+/// The eigenvalue `λ` of the curve endomorphism `φ(x, y) = (β·x, y)`:
+/// `φ(P) = λ·P` for every point, and `λ² + λ + 1 ≡ 0 (mod n)`.
+pub const LAMBDA: Scalar = Scalar(U256::from_limbs([
+    0xdf02_967c_1b23_bd72,
+    0x122e_22ea_2081_6678,
+    0xa526_1c02_8812_645a,
+    0x5363_ad4c_c05c_30e0,
+]));
+
+// The lattice `{(a, b) : a + b·λ ≡ 0 (mod n)}` has the short basis
+// `(a1, b1)`, `(a2, b2)` with `a1 = b2`; `split_lambda` rounds `k` to the
+// nearest lattice vector. `G1 = round(2^384·b2 / n)` and
+// `G2 = round(2^384·(−b1) / n)` turn the two divisions into multiplications.
+const MINUS_B1: u128 = 0xe443_7ed6_010e_8828_6f54_7fa9_0abf_e4c3;
+const B2: u128 = 0x3086_d221_a7d4_6bcd_e86c_90e4_9284_eb15;
+const G1: U256 = U256::from_limbs([
+    0xe893_209a_45db_b031,
+    0x3daa_8a14_71e8_ca7f,
+    0xe86c_90e4_9284_eb15,
+    0x3086_d221_a7d4_6bcd,
+]);
+const G2: U256 = U256::from_limbs([
+    0x1571_b4ae_8ac4_7f71,
+    0x2212_08ac_9df5_06c6,
+    0x6f54_7fa9_0abf_e4c4,
+    0xe443_7ed6_010e_8828,
+]);
+
+/// One half of a λ-split scalar (see [`Scalar::split_lambda`]): a magnitude
+/// below `2^128` and a sign.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SignedHalf {
+    /// Absolute value, below `2^128`.
+    pub magnitude: u128,
+    /// True if the half stands for `−magnitude`.
+    pub negative: bool,
+}
+
+impl SignedHalf {
+    /// The zero half.
+    pub const ZERO: SignedHalf = SignedHalf {
+        magnitude: 0,
+        negative: false,
+    };
+}
+
+/// `round(k·g / 2^384)`: the top 128 bits of the 512-bit product, rounded.
+fn mul_shift_384(k: &U256, g: &U256) -> u128 {
+    let wide = k.mul_wide(g);
+    let top = (wide[6] as u128) | ((wide[7] as u128) << 64);
+    top + (wide[5] >> 63) as u128
+}
+
+/// `a·b` for two 128-bit factors.
+fn mul_u128(a: u128, b: u128) -> U256 {
+    let wide = U256::from_u128(a).mul_wide(&U256::from_u128(b));
+    U256::from_limbs([wide[0], wide[1], wide[2], wide[3]])
+}
+
 /// An element of GF(n), the scalar field of secp256k1.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Scalar(U256);
@@ -54,9 +113,18 @@ impl Scalar {
         }
     }
 
-    /// Constructs from 32 big-endian bytes, reducing modulo `n`.
+    /// Constructs from 32 big-endian bytes, reducing modulo `n` — for
+    /// hash-to-scalar uses. Decoders of untrusted encodings use
+    /// [`from_be_bytes_canonical`](Self::from_be_bytes_canonical).
     pub fn from_be_bytes(bytes: &[u8; 32]) -> Scalar {
         Scalar::from_u256(U256::from_be_bytes(bytes))
+    }
+
+    /// Decodes 32 big-endian bytes, `None` unless the value is below `n`:
+    /// every scalar has exactly one accepted encoding.
+    pub fn from_be_bytes_canonical(bytes: &[u8; 32]) -> Option<Scalar> {
+        let v = U256::from_be_bytes(bytes);
+        (v < GROUP_ORDER).then_some(Scalar(v))
     }
 
     /// Derives a scalar from a domain-separated hash of the given parts.
@@ -66,18 +134,19 @@ impl Scalar {
     }
 
     /// Derives the `index`-th coefficient of a random-linear-combination
-    /// batch check from a transcript-bound seed. A zero coefficient would
-    /// drop an equation from the weighted sum; the hash output is uniform
-    /// over the group order so zero is unreachable in practice, but it is
-    /// mapped to one to keep the check honest. Shared by the Schnorr batch
-    /// verifier and the PVSS dealing verifier.
+    /// batch check from a transcript-bound seed: 128 bits, which keeps a
+    /// forged equation's chance of cancelling at `2^-128` while `z·R` needs
+    /// only one 128-bit stream of the multiplication kernel (the λ-half of
+    /// [`split_lambda`](Self::split_lambda) of a 128-bit scalar is zero). A
+    /// zero coefficient would drop an equation from the weighted sum; it is
+    /// unreachable in practice, but is mapped to one to keep the check
+    /// honest. Shared by the Schnorr batch verifier and the PVSS dealing
+    /// verifier.
     pub fn rlc_coefficient(domain: &str, seed: &[u8], index: u64) -> Scalar {
-        let z = Scalar::from_hash(domain, &[seed, &index.to_be_bytes()]);
-        if z.is_zero() {
-            Scalar::one()
-        } else {
-            z
-        }
+        let mut drbg = HmacDrbg::from_parts(domain, &[seed, &index.to_be_bytes()]);
+        let bytes = drbg.next_bytes32();
+        let z = u128::from_be_bytes(bytes[16..].try_into().expect("16 bytes"));
+        Scalar(U256::from_u128(z.max(1)))
     }
 
     /// Derives a *nonzero* scalar from a DRBG stream (rejection sampling).
@@ -129,6 +198,42 @@ impl Scalar {
             &GROUP_ORDER,
             &N_COMPLEMENT,
         ))
+    }
+
+    /// Splits `k` for the endomorphism: returns `(k1, k2)` with
+    /// `k ≡ k1 + k2·λ (mod n)` and `|k1|, |k2| < 2^128`, so `k·P` becomes
+    /// `k1·P + k2·φ(P)` over half as many doublings.
+    ///
+    /// Above `2^128`, `(k1, k2) = (k, 0) − c1·(a1, b1) − c2·(a2, b2)` with
+    /// `c1 = round(k·b2/n)`, `c2 = round(−k·b1/n)`; the remainder lies in the
+    /// basis' fundamental cell, which bounds `|k1| ≤ (a1 + a2 + 1)/2 <
+    /// 2^127.4` and `|k2| ≤ (b2 − b1)/2 + 1 < 2^127.2` (DESIGN-notes.md).
+    pub fn split_lambda(&self) -> (SignedHalf, SignedHalf) {
+        // A scalar that already fits one half is left whole: short scalars
+        // and 128-bit batch coefficients then walk a single stream.
+        if self.0.limbs[2] == 0 && self.0.limbs[3] == 0 {
+            return (self.to_signed_half(), SignedHalf::ZERO);
+        }
+        let c1 = mul_shift_384(&self.0, &G1);
+        let c2 = mul_shift_384(&self.0, &G2);
+        // k2 = −c1·b1 − c2·b2; both products are below 2^254 < n.
+        let k2 = Scalar(mul_u128(c1, MINUS_B1)).sub(&Scalar(mul_u128(c2, B2)));
+        let k1 = self.sub(&k2.mul(&LAMBDA));
+        (k1.to_signed_half(), k2.to_signed_half())
+    }
+
+    /// Reads a scalar known to be within `2^128` of zero modulo `n`.
+    fn to_signed_half(self) -> SignedHalf {
+        let (value, negative) = if self.0.limbs[2] == 0 && self.0.limbs[3] == 0 {
+            (self.0, false)
+        } else {
+            (GROUP_ORDER.wrapping_sub(&self.0), true)
+        };
+        debug_assert!(value.limbs[2] == 0 && value.limbs[3] == 0);
+        SignedHalf {
+            magnitude: (value.limbs[0] as u128) | ((value.limbs[1] as u128) << 64),
+            negative,
+        }
     }
 
     /// Exponentiation by an arbitrary 256-bit exponent (square-and-multiply),
@@ -269,6 +374,107 @@ mod tests {
         prop::array::uniform4(any::<u64>()).prop_map(|l| Scalar::from_u256(U256::from_limbs(l)))
     }
 
+    fn half_as_scalar(half: SignedHalf) -> Scalar {
+        let magnitude = Scalar::from_u256(U256::from_u128(half.magnitude));
+        if half.negative {
+            magnitude.neg()
+        } else {
+            magnitude
+        }
+    }
+
+    /// `k ≡ k1 + k2·λ`; the magnitudes are `u128`, so below `2^128` by type.
+    fn assert_split_recombines(k: &Scalar) {
+        let (k1, k2) = k.split_lambda();
+        let recombined = half_as_scalar(k1).add(&half_as_scalar(k2).mul(&LAMBDA));
+        assert_eq!(recombined, *k, "k1 = {k1:?}, k2 = {k2:?}");
+    }
+
+    #[test]
+    fn lambda_is_a_primitive_cube_root_of_unity() {
+        assert_ne!(LAMBDA, Scalar::one());
+        assert_eq!(LAMBDA.mul(&LAMBDA).mul(&LAMBDA), Scalar::one());
+        assert_eq!(
+            LAMBDA.mul(&LAMBDA).add(&LAMBDA).add(&Scalar::one()),
+            Scalar::zero()
+        );
+    }
+
+    #[test]
+    fn split_lambda_on_edge_scalars() {
+        let n = |d: u64| Scalar::from_u256(GROUP_ORDER.wrapping_sub(&U256::from_u64(d)));
+        let mut edges = vec![
+            Scalar::zero(),
+            Scalar::one(),
+            Scalar::from_u64(2),
+            n(1),
+            n(2),
+            LAMBDA,
+            LAMBDA.add(&Scalar::one()),
+            LAMBDA.sub(&Scalar::one()),
+            LAMBDA.neg(),
+            LAMBDA.mul(&LAMBDA),
+        ];
+        edges.extend((0..256).map(|b| Scalar::from_u256(U256::ONE.shl(b))));
+        edges.push(Scalar::from_u256(U256::from_u128(u128::MAX)));
+        edges.push(Scalar::from_u256(
+            U256::ONE.shl(128).wrapping_add(&U256::ONE),
+        ));
+        for k in &edges {
+            assert_split_recombines(k);
+        }
+        // Short scalars stay whole; λ itself is the unit of the second half.
+        let positive = |magnitude| SignedHalf {
+            magnitude,
+            negative: false,
+        };
+        assert_eq!(
+            Scalar::from_u64(77).split_lambda(),
+            (positive(77), SignedHalf::ZERO)
+        );
+        assert_eq!(LAMBDA.split_lambda(), (SignedHalf::ZERO, positive(1)));
+        // All four sign patterns occur.
+        let mut signs = std::collections::BTreeSet::new();
+        for i in 0u64..64 {
+            let (k1, k2) = Scalar::from_hash("split-signs", &[&i.to_be_bytes()]).split_lambda();
+            signs.insert((k1.negative, k2.negative));
+        }
+        assert_eq!(signs.len(), 4);
+    }
+
+    #[test]
+    fn canonical_decoding_rejects_values_at_or_above_the_order() {
+        let n = GROUP_ORDER;
+        let below = n.wrapping_sub(&U256::ONE);
+        assert_eq!(
+            Scalar::from_be_bytes_canonical(&below.to_be_bytes()),
+            Some(Scalar::from_u256(below))
+        );
+        for v in [n, n.wrapping_add(&U256::ONE), U256::MAX] {
+            assert_eq!(Scalar::from_be_bytes_canonical(&v.to_be_bytes()), None);
+        }
+        assert_eq!(
+            Scalar::from_be_bytes(&n.wrapping_add(&U256::ONE).to_be_bytes()),
+            Scalar::one()
+        );
+    }
+
+    #[test]
+    fn rlc_coefficients_are_nonzero_and_128_bit() {
+        for i in 0..32 {
+            let z = Scalar::rlc_coefficient("rlc-test", b"seed", i);
+            assert!(!z.is_zero());
+            assert!(z.as_u256().bits() <= 128);
+            let (z1, z2) = z.split_lambda();
+            assert_eq!(half_as_scalar(z1), z);
+            assert_eq!(z2.magnitude, 0);
+        }
+        assert_ne!(
+            Scalar::rlc_coefficient("rlc-test", b"seed", 0),
+            Scalar::rlc_coefficient("rlc-test", b"seed", 1)
+        );
+    }
+
     proptest! {
         #[test]
         fn prop_field_laws(a in arb_scalar(), b in arb_scalar(), c in arb_scalar()) {
@@ -276,6 +482,17 @@ mod tests {
             prop_assert_eq!(a.mul(&b), b.mul(&a));
             prop_assert_eq!(a.mul(&b.add(&c)), a.mul(&b).add(&a.mul(&c)));
             prop_assert_eq!(a.add(&b).add(&c), a.add(&b.add(&c)));
+        }
+
+        #[test]
+        fn prop_split_lambda_recombines(a in arb_scalar()) {
+            assert_split_recombines(&a);
+            assert_split_recombines(&a.mul(&LAMBDA));
+        }
+
+        #[test]
+        fn prop_canonical_decoding_round_trips(a in arb_scalar()) {
+            prop_assert_eq!(Scalar::from_be_bytes_canonical(&a.to_be_bytes()), Some(a));
         }
 
         #[test]

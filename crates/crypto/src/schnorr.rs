@@ -87,7 +87,8 @@ impl PublicKey {
         self.0.to_bytes()
     }
 
-    /// Parses 64 bytes, validating the curve equation.
+    /// Parses 64 bytes, validating the curve equation and that both
+    /// coordinates are canonical (below `p`).
     pub fn from_bytes(bytes: &[u8; 64]) -> Option<PublicKey> {
         AffinePoint::from_bytes(bytes).map(PublicKey)
     }
@@ -244,10 +245,12 @@ impl Signature {
         out
     }
 
-    /// Parses a 96-byte encoding (curve membership of `R` is checked).
+    /// Parses a 96-byte encoding: `R` must be a canonically encoded curve
+    /// point and `s` below the group order (a reduced `s + n` would be a
+    /// second encoding of the same signature).
     pub fn from_bytes(bytes: &[u8; 96]) -> Option<Signature> {
         let r = AffinePoint::from_bytes(bytes[..64].try_into().expect("64 bytes"))?;
-        let s = Scalar::from_be_bytes(bytes[64..].try_into().expect("32 bytes"));
+        let s = Scalar::from_be_bytes_canonical(bytes[64..].try_into().expect("32 bytes"))?;
         Some(Signature { r, s })
     }
 }
@@ -322,6 +325,53 @@ mod tests {
         let mut bad = kp.public.to_bytes();
         bad[0] ^= 0xff;
         assert!(PublicKey::from_bytes(&bad).is_none());
+    }
+
+    #[test]
+    fn decoders_reject_non_canonical_encodings() {
+        use crate::fe::{field_prime, Fe};
+        use crate::scalar::group_order;
+        use crate::u256::U256;
+        // x = 1 is on the curve (y² = 8 has a root), so x = p + 1 with the
+        // same y used to decode to the very same key.
+        let y = Fe::from_u64(8).sqrt().expect("8 is a quadratic residue");
+        let mut honest = [0u8; 64];
+        honest[31] = 1;
+        honest[32..].copy_from_slice(&y.to_be_bytes());
+        assert!(PublicKey::from_bytes(&honest).is_some());
+        for x in [field_prime(), field_prime().wrapping_add(&U256::ONE)] {
+            let mut bytes = honest;
+            bytes[..32].copy_from_slice(&x.to_be_bytes());
+            assert_eq!(PublicKey::from_bytes(&bytes), None);
+            assert_eq!(AffinePoint::from_bytes(&bytes), None);
+        }
+
+        // s = n and s = n + 1 used to decode as s = 0 and s = 1.
+        let kp = Keypair::from_seed(b"node-canonical");
+        let sig = kp.sign(b"canonical");
+        for s in [group_order(), group_order().wrapping_add(&U256::ONE)] {
+            let mut bytes = sig.to_bytes();
+            bytes[64..].copy_from_slice(&s.to_be_bytes());
+            assert_eq!(Signature::from_bytes(&bytes), None);
+        }
+        let mut bytes = sig.to_bytes();
+        bytes[..32].copy_from_slice(&field_prime().wrapping_add(&U256::ONE).to_be_bytes());
+        assert_eq!(Signature::from_bytes(&bytes), None);
+        // Honest encodings still round-trip, up to the largest scalar.
+        let largest = Signature {
+            r: sig.r,
+            s: Scalar::from_u256(group_order().wrapping_sub(&U256::ONE)),
+        };
+        assert_eq!(Signature::from_bytes(&largest.to_bytes()), Some(largest));
+        for i in 0..16u8 {
+            let kp = Keypair::from_seed(&[b'c', i]);
+            let sig = kp.sign(&[i]);
+            assert_eq!(
+                PublicKey::from_bytes(&kp.public.to_bytes()),
+                Some(kp.public)
+            );
+            assert_eq!(Signature::from_bytes(&sig.to_bytes()), Some(sig));
+        }
     }
 
     #[test]
@@ -455,9 +505,10 @@ mod tests {
         }
         let seed = hash_parts(&[b"cycledger/schnorr-batch-seed", &transcript]);
         let z = |i: u64| {
-            Scalar::from_hash(
+            Scalar::rlc_coefficient(
                 "cycledger/schnorr-batch-coefficient",
-                &[&seed.as_bytes()[..], &i.to_be_bytes()],
+                &seed.as_bytes()[..],
+                i,
             )
         };
         let d = Scalar::from_u64(12345);

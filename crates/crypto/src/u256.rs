@@ -166,6 +166,7 @@ impl U256 {
     }
 
     /// Full 256×256 → 512-bit multiplication (schoolbook).
+    #[inline]
     pub fn mul_wide(&self, rhs: &U256) -> Wide {
         let mut out = [0u64; 8];
         for i in 0..4 {
@@ -179,6 +180,48 @@ impl U256 {
             out[i + 4] = carry as u64;
         }
         out
+    }
+
+    /// `self²` as a 512-bit value: the six off-diagonal products once,
+    /// doubled by a one-bit shift, plus the four diagonal squares — ten limb
+    /// multiplications against [`mul_wide`](Self::mul_wide)'s sixteen.
+    #[inline]
+    pub fn square_wide(&self) -> Wide {
+        let a = &self.limbs;
+        let m = |x: u64, y: u64| (x as u128) * (y as u128);
+        let mut o = [0u64; 8];
+        // Off-diagonal half: Σ_{i<j} a_i·a_j·2^{64(i+j)}.
+        let t = m(a[0], a[1]);
+        o[1] = t as u64;
+        let t = m(a[0], a[2]) + (t >> 64);
+        o[2] = t as u64;
+        let t = m(a[0], a[3]) + (t >> 64);
+        o[3] = t as u64;
+        o[4] = (t >> 64) as u64;
+        let t = m(a[1], a[2]) + o[3] as u128;
+        o[3] = t as u64;
+        let t = m(a[1], a[3]) + o[4] as u128 + (t >> 64);
+        o[4] = t as u64;
+        o[5] = (t >> 64) as u64;
+        let t = m(a[2], a[3]) + o[5] as u128;
+        o[5] = t as u64;
+        o[6] = (t >> 64) as u64;
+        // Double it (the half is below 2^447, so nothing is shifted out).
+        for i in (2..8).rev() {
+            o[i] = (o[i] << 1) | (o[i - 1] >> 63);
+        }
+        o[1] <<= 1;
+        // Add the diagonal a_i²·2^{128 i}.
+        let mut carry = 0u128;
+        for i in 0..4 {
+            let sq = m(a[i], a[i]);
+            let lo = o[2 * i] as u128 + (sq as u64) as u128 + carry;
+            let hi = o[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+            o[2 * i] = lo as u64;
+            o[2 * i + 1] = hi as u64;
+            carry = hi >> 64;
+        }
+        o
     }
 
     /// Multiplication by a `u64`, returning a 5-limb result `(low 256 bits, top limb)`.
@@ -236,6 +279,7 @@ impl U256 {
     /// `c = 2^32 + 977`. Exactly two folds of the high half by `c` plus one
     /// conditional subtraction, instead of the generic multi-round
     /// [`reduce_wide`](Self::reduce_wide) loop.
+    #[inline]
     pub fn reduce_wide_c64(wide: &Wide, modulus: &U256, c: u64) -> U256 {
         debug_assert_eq!(U256::ZERO.wrapping_sub(modulus), U256::from_u64(c));
         let hi = U256::from_limbs([wide[4], wide[5], wide[6], wide[7]]);
@@ -445,6 +489,14 @@ mod tests {
     }
 
     #[test]
+    fn square_wide_extremes() {
+        for a in [U256::ZERO, U256::ONE, U256::MAX, U256::from_u128(u128::MAX)] {
+            assert_eq!(a.square_wide(), a.mul_wide(&a));
+        }
+        assert_eq!(U256::MAX.mul_wide(&U256::MAX)[7], u64::MAX);
+    }
+
+    #[test]
     fn shifts() {
         let v = U256::from_u64(1);
         assert_eq!(v.shl(64), U256::from_limbs([0, 1, 0, 0]));
@@ -531,6 +583,11 @@ mod tests {
         #[test]
         fn prop_mul_wide_commutes(a in arb_u256(), b in arb_u256()) {
             prop_assert_eq!(a.mul_wide(&b), b.mul_wide(&a));
+        }
+
+        #[test]
+        fn prop_square_wide_matches_mul_wide(a in arb_u256()) {
+            prop_assert_eq!(a.square_wide(), a.mul_wide(&a));
         }
 
         #[test]

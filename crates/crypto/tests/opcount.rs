@@ -1,0 +1,151 @@
+//! Exact operation counts of the secp256k1 kernel, gated at zero tolerance.
+//! Run with `cargo test -p cycledger-crypto --features opcount`.
+//!
+//! The counts depend only on the key, the message and the code, never on the
+//! machine, so this is where a kernel regression (a table that went back to
+//! Jacobian, a lost mixed addition, an inversion that crept in) fails a test
+//! instead of hiding inside wall-clock noise.
+//!
+//! Field multiplications + squarings per operation, for the fixed inputs
+//! below — `parent` is the 256-doubling wNAF kernel at commit a223ce3
+//! (counted with the same hooks before it was replaced; its `square` was
+//! `mul(self)`), `now` is the endomorphism + mixed-addition kernel:
+//!
+//! | operation          | parent | now    | now / parent |
+//! |--------------------|--------|--------|--------------|
+//! | `Keypair::sign`    |   1451 |    934 | 0.64         |
+//! | `schnorr::verify`  |   3255 |   1798 | 0.55         |
+//! | `batch_verify` ×16 |  28328 |  17268 | 0.61         |
+//! | `vrf::evaluate`    |   8121 |   4846 | 0.60         |
+//! | `vrf::verify`      |   7202 |   4116 | 0.57         |
+//!
+//! Point operations, parent → now: sign 59 additions → 60 mixed (signed
+//! four-bit fixed-base windows; eight-bit ones make it 31); verify 255
+//! doublings + 91 additions → 128 doublings + 72 mixed (7 of them build the
+//! public key's table); batch ×16 288 + 1639 → 160 + 1277 mixed.
+#![cfg(feature = "opcount")]
+
+use cycledger_crypto::opcount::{scope, Tally};
+use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, Keypair, Signature};
+use cycledger_crypto::vrf;
+
+const MESSAGE: &[u8] = b"a consensus message of typical size padded to sixty-four bytes!";
+const VRF_INPUT: &[u8] = b"COMMON_MEMBER|7|seed";
+
+/// `fe_mul + fe_square` of the same operation at the parent commit.
+const PARENT_SIGN: u64 = 1451;
+const PARENT_VERIFY: u64 = 3255;
+
+fn field_muls(t: &Tally) -> u64 {
+    t.fe_mul + t.fe_square
+}
+
+#[test]
+fn kernel_operation_counts_are_pinned() {
+    let kp = Keypair::from_seed(b"opcount-key");
+    // Warm the lazily built tables and the hash-to-curve memo outside the scopes.
+    let sig = kp.sign(MESSAGE);
+    let out = vrf::evaluate(&kp.secret, VRF_INPUT);
+    assert!(verify(&kp.public, MESSAGE, &sig));
+    assert!(vrf::verify(&kp.public, VRF_INPUT, &out));
+
+    let keys: Vec<Keypair> = (0..16u8).map(|i| Keypair::from_seed(&[b'b', i])).collect();
+    let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(MESSAGE)).collect();
+    let entries: Vec<BatchEntry<'_>> = keys
+        .iter()
+        .zip(&sigs)
+        .map(|(k, s)| BatchEntry {
+            public_key: &k.public,
+            message: MESSAGE,
+            signature: s,
+        })
+        .collect();
+
+    let sign = scope(|| kp.sign(MESSAGE));
+    let verified = scope(|| assert!(verify(&kp.public, MESSAGE, &sig)));
+    let batch = scope(|| assert!(batch_verify(&entries)));
+    let evaluated = scope(|| vrf::evaluate(&kp.secret, VRF_INPUT));
+    let vrf_verified = scope(|| assert!(vrf::verify(&kp.public, VRF_INPUT, &out)));
+    // Shown when an assertion below fails: all five, for re-pinning at once.
+    println!("sign {sign:?}\nverify {verified:?}\nbatch x16 {batch:?}");
+    println!("vrf evaluate {evaluated:?}\nvrf verify {vrf_verified:?}");
+
+    assert_eq!(
+        sign,
+        Tally {
+            fe_mul: 498,
+            fe_square: 436,
+            fe_invert: 1,
+            point_double: 0,
+            point_add: 0,
+            point_add_affine: 60,
+        }
+    );
+    assert_eq!(
+        verified,
+        Tally {
+            fe_mul: 1056,
+            fe_square: 742,
+            fe_invert: 0,
+            point_double: 128,
+            point_add: 0,
+            point_add_affine: 72,
+        }
+    );
+    assert_eq!(
+        batch,
+        Tally {
+            fe_mul: 12414,
+            fe_square: 4854,
+            fe_invert: 0,
+            point_double: 160,
+            point_add: 0,
+            point_add_affine: 1277,
+        }
+    );
+    assert_eq!(
+        evaluated,
+        Tally {
+            fe_mul: 2652,
+            fe_square: 2194,
+            fe_invert: 2,
+            point_double: 254,
+            point_add: 0,
+            point_add_affine: 216,
+        }
+    );
+    assert_eq!(
+        vrf_verified,
+        Tally {
+            fe_mul: 2311,
+            fe_square: 1805,
+            fe_invert: 1,
+            point_double: 257,
+            point_add: 0,
+            point_add_affine: 163,
+        }
+    );
+
+    // The reductions the kernel replacement was accepted on.
+    assert!(field_muls(&verified) * 100 <= PARENT_VERIFY * 65);
+    assert!(field_muls(&sign) * 100 <= PARENT_SIGN * 70);
+}
+
+#[test]
+fn scopes_nest_and_count_per_thread() {
+    let kp = Keypair::from_seed(b"opcount-nesting");
+    kp.sign(MESSAGE); // builds the fixed-base table outside the scopes
+    let mut inner = Tally::default();
+    let outer = scope(|| {
+        inner = scope(|| kp.sign(MESSAGE));
+        kp.sign(MESSAGE)
+    });
+    assert_eq!(field_muls(&outer), 2 * field_muls(&inner));
+    // Work on another thread is not charged to this one.
+    let elsewhere = scope(|| {
+        std::thread::spawn(move || kp.sign(MESSAGE))
+            .join()
+            .expect("signing thread")
+    });
+    assert_eq!(elsewhere, Tally::default());
+}

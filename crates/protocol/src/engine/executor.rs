@@ -320,7 +320,7 @@ impl ShardExecutor {
     /// This is the batch shape for many small independent items (one VRF
     /// evaluation or verification per node) where a task per item would
     /// drown in queue traffic. The chunk count derives from
-    /// [`worker_count`](Self::worker_count): [`CHUNKS_PER_WORKER`] chunks per
+    /// [`worker_count`](Self::worker_count): `CHUNKS_PER_WORKER` chunks per
     /// worker to even out stragglers, never more than one per item. In
     /// inline mode that is a single chunk, which `execute` runs on the
     /// caller thread — the serial loop, not a second code path.

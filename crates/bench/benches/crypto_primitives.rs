@@ -1,10 +1,12 @@
 //! Supporting bench: the cryptographic primitives every protocol message rests
-//! on (hashing, signing, verification, VRF evaluation, PVSS dealing). These set
-//! the constant factors behind the Table II communication/computation columns.
+//! on (hashing, signing, verification, VRF evaluation, PVSS dealing) and the
+//! Algorithm 3 instance they add up to. These set the constant factors behind
+//! the Table II communication/computation columns.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use cycledger_bench::alg3_instance;
 use cycledger_crypto::point::Point;
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
@@ -84,6 +86,11 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("vrf_verify", |b| {
         b.iter(|| vrf::verify(&kp.public, b"COMMON_MEMBER|7|seed", &out))
     });
+
+    // One verified Algorithm 3 instance at c = 16: the unit of work a round
+    // repeats 33 times at 8x16.
+    let mut instance = alg3_instance(16);
+    group.bench_function("alg3_instance_c16", |b| b.iter(&mut instance));
 
     group.bench_function("pvss_deal_7_of_13", |b| {
         b.iter(|| pvss::deal(&Scalar::from_u64(424242), 13, 7, b"bench").unwrap())

@@ -1,7 +1,8 @@
 //! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
 //! secp256k1 kernel layer by layer (field, point, scalar multiplication) and
-//! for the primitives built on it (Schnorr, VRF), plus round-engine rounds/sec
-//! at 1 worker and at the machine's parallelism. The set matches the
+//! for the primitives built on it (Schnorr, VRF), one whole Algorithm 3
+//! instance at c = 16, plus round-engine rounds/sec at 1 worker and at the
+//! machine's parallelism. The set matches the
 //! `crypto_primitives` criterion bench.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_crypto`;
@@ -12,7 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cycledger_bench::bench_config;
+use cycledger_bench::{alg3_instance, bench_config};
 use cycledger_crypto::point::Point;
 use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
@@ -132,6 +133,13 @@ fn main() {
         "vrf_verify",
         ns_per_op(|| vrf::verify(&kp.public, input, &out)),
     ));
+
+    // What the primitives add up to: one verified instance (239 messages).
+    let mut instance = alg3_instance(16);
+    let per_sec = ops_per_sec(1.0, || {
+        black_box(instance());
+    });
+    rows.push(("alg3_instance_c16", 1e9 / per_sec));
 
     let parallel_workers = std::thread::available_parallelism()
         .map(|n| n.get().max(4))

@@ -19,7 +19,14 @@
 
 #![warn(missing_docs)]
 
-use cycledger_protocol::{AdversaryConfig, Behavior, ProtocolConfig, Simulation};
+use cycledger_consensus::{Alg3Message, ConsensusId};
+use cycledger_net::latency::LatencyConfig;
+use cycledger_net::network::SimNetwork;
+use cycledger_protocol::committee::run_inside_consensus;
+use cycledger_protocol::{
+    AdversaryConfig, Behavior, Committee, InsideConsensusOutcome, LeaderFault, NodeRegistry,
+    ProtocolConfig, Simulation,
+};
 
 /// Builds a simulation configuration sized for benchmarking (fast-path
 /// signature verification, small PoW difficulty).
@@ -37,6 +44,41 @@ pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> Prot
         verify_signatures: false,
         seed,
         ..ProtocolConfig::default()
+    }
+}
+
+/// One Algorithm 3 instance to time — the unit of work every phase of a
+/// round repeats: an all-honest committee of `committee_size` certifies a
+/// list of 100 transaction ids over the simulated network, every signature
+/// made and verified. Each call of the returned closure is a fresh instance
+/// (its own network, sequence number and verification memo).
+pub fn alg3_instance(committee_size: usize) -> impl FnMut() -> InsideConsensusOutcome {
+    let registry =
+        NodeRegistry::generate(committee_size, &AdversaryConfig::default(), 100, 0, 4242);
+    let members = registry.ids();
+    let committee = Committee {
+        index: 0,
+        leader: members[0],
+        partial_set: members[1..=(committee_size / 4).max(2)].to_vec(),
+        keys: registry.committee_keys(&members),
+        members,
+    };
+    let payload = vec![0xA5u8; 32 * 100];
+    let mut seq = 0;
+    move || {
+        seq += 1;
+        let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), 4242);
+        let outcome = run_inside_consensus(
+            &mut net,
+            &committee,
+            &registry,
+            ConsensusId { round: 0, seq },
+            payload.clone(),
+            LeaderFault::None,
+            true,
+        );
+        assert!(outcome.certificate.is_some(), "honest instance certifies");
+        outcome
     }
 }
 
@@ -73,6 +115,15 @@ mod tests {
         for (m, c) in [(2usize, 8usize), (4, 12), (8, 16)] {
             assert_eq!(bench_config(m, c, 1).validate(), Ok(()), "m={m} c={c}");
         }
+    }
+
+    #[test]
+    fn alg3_instance_certifies_every_time() {
+        let mut instance = alg3_instance(8);
+        let first = instance();
+        let second = instance();
+        assert_eq!(first.messages, second.messages);
+        assert_ne!(first.certificate, second.certificate, "a new (r, sn)");
     }
 
     #[test]

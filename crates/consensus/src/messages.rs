@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use cycledger_crypto::schnorr::{sign, verify, Keypair, PublicKey, SecretKey, Signature};
+use cycledger_crypto::schnorr::{sign, Keypair, PublicKey, SecretKey, Signature};
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::topology::NodeId;
 
@@ -111,33 +111,57 @@ impl Alg3Message {
     }
 }
 
-/// Signing payload for a PROPOSE.
-pub fn propose_signing_bytes(id: &ConsensusId, digest: &Digest) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(b"cycledger/alg3-propose");
-    out.extend_from_slice(&id.encode());
-    out.extend_from_slice(digest.as_bytes());
+/// Length of [`propose_signing_bytes`]: domain tag, `(r, sn)`, digest.
+pub const PROPOSE_SIGNING_LEN: usize = 22 + 16 + 32;
+/// Length of [`echo_signing_bytes`]: domain tag, `(r, sn)`, digest, member.
+pub const ECHO_SIGNING_LEN: usize = 19 + 16 + 32 + 4;
+/// Length of [`confirm_signing_bytes`]: domain tag, `(r, sn)`, digest, member.
+pub const CONFIRM_SIGNING_LEN: usize = 22 + 16 + 32 + 4;
+
+/// Concatenates the parts of a signing payload into a stack array; the parts
+/// must fill it exactly.
+fn signing_bytes<const N: usize>(parts: &[&[u8]]) -> [u8; N] {
+    let mut out = [0u8; N];
+    let mut at = 0;
+    for part in parts {
+        out[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    assert_eq!(at, N, "signing payload parts must fill the array");
     out
+}
+
+/// Signing payload for a PROPOSE.
+pub fn propose_signing_bytes(id: &ConsensusId, digest: &Digest) -> [u8; PROPOSE_SIGNING_LEN] {
+    signing_bytes(&[b"cycledger/alg3-propose", &id.encode(), digest.as_bytes()])
 }
 
 /// Signing payload for an ECHO.
-pub fn echo_signing_bytes(id: &ConsensusId, digest: &Digest, member: NodeId) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(b"cycledger/alg3-echo");
-    out.extend_from_slice(&id.encode());
-    out.extend_from_slice(digest.as_bytes());
-    out.extend_from_slice(&member.0.to_be_bytes());
-    out
+pub fn echo_signing_bytes(
+    id: &ConsensusId,
+    digest: &Digest,
+    member: NodeId,
+) -> [u8; ECHO_SIGNING_LEN] {
+    signing_bytes(&[
+        b"cycledger/alg3-echo",
+        &id.encode(),
+        digest.as_bytes(),
+        &member.0.to_be_bytes(),
+    ])
 }
 
 /// Signing payload for a CONFIRM.
-pub fn confirm_signing_bytes(id: &ConsensusId, digest: &Digest, member: NodeId) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(b"cycledger/alg3-confirm");
-    out.extend_from_slice(&id.encode());
-    out.extend_from_slice(digest.as_bytes());
-    out.extend_from_slice(&member.0.to_be_bytes());
-    out
+pub fn confirm_signing_bytes(
+    id: &ConsensusId,
+    digest: &Digest,
+    member: NodeId,
+) -> [u8; CONFIRM_SIGNING_LEN] {
+    signing_bytes(&[
+        b"cycledger/alg3-confirm",
+        &id.encode(),
+        digest.as_bytes(),
+        &member.0.to_be_bytes(),
+    ])
 }
 
 /// A fixed, precomputed signature used when the simulation fast path skips
@@ -194,17 +218,8 @@ pub fn payload_digest(payload: &[u8]) -> Digest {
     cycledger_crypto::sha256::hash_parts(&[b"cycledger/alg3-payload", payload])
 }
 
-/// Verifies a PROPOSE's signature and digest against the leader's public key.
-pub fn verify_propose(propose: &Propose, leader_pk: &PublicKey) -> bool {
-    propose.digest == payload_digest(&propose.payload)
-        && verify(
-            leader_pk,
-            &propose_signing_bytes(&propose.id, &propose.digest),
-            &propose.signature,
-        )
-}
-
-/// [`verify_propose`] with the Schnorr check memoized in `cache`.
+/// Verifies a PROPOSE's digest and, memoized in `cache`, its signature
+/// against the leader's public key.
 ///
 /// The leader multicasts one proposal to the whole committee, so every member
 /// checks the *same* `(leader key, header, signature)` triple; the shared memo
@@ -246,25 +261,13 @@ pub fn make_echo_unsigned(propose: &Propose, member: NodeId) -> Echo {
     }
 }
 
-/// Verifies an ECHO: the member's own signature and the relayed leader signature.
-pub fn verify_echo(echo: &Echo, member_pk: &PublicKey, leader_pk: &PublicKey) -> bool {
-    verify(
-        member_pk,
-        &echo_signing_bytes(&echo.id, &echo.digest, echo.member),
-        &echo.signature,
-    ) && verify(
-        leader_pk,
-        &propose_signing_bytes(&echo.id, &echo.digest),
-        &echo.propose_signature,
-    )
-}
-
-/// [`verify_echo`] with both Schnorr checks memoized in `cache`.
+/// Verifies an ECHO on the spot — the member's own signature and the relayed
+/// leader signature, both memoized in `cache`.
 ///
-/// An echo is broadcast to all other members, and its relayed leader
-/// signature is the same triple every propose check already memoized — with a
-/// shared cache a committee of `C` members performs `C` member-signature
-/// checks and one leader check instead of `O(C²)`.
+/// This is the path for an echo that changes more than a tally (it makes the
+/// receiver adopt a digest, or contradicts the one it accepted); echoes that
+/// merely add to the tally wait for the quorum batch
+/// ([`SigCache::verify_batch`]).
 pub fn verify_echo_cached(
     echo: &Echo,
     member_pk: &PublicKey,
@@ -317,29 +320,10 @@ pub fn make_confirm_unsigned(
     }
 }
 
-/// Verifies a CONFIRM's own signature (echo signatures are verified by the
-/// quorum-certificate logic, which knows everyone's keys).
-pub fn verify_confirm(confirm: &Confirm, member_pk: &PublicKey) -> bool {
-    verify(
-        member_pk,
-        &confirm_signing_bytes(&confirm.id, &confirm.digest, confirm.member),
-        &confirm.signature,
-    )
-}
-
-/// [`verify_confirm`] with the Schnorr check memoized in `cache`.
-pub fn verify_confirm_cached(confirm: &Confirm, member_pk: &PublicKey, cache: &SigCache) -> bool {
-    cache.verify(
-        member_pk,
-        &confirm_signing_bytes(&confirm.id, &confirm.digest, confirm.member),
-        &confirm.signature,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cycledger_crypto::schnorr::Keypair;
+    use cycledger_crypto::schnorr::verify;
 
     fn id() -> ConsensusId {
         ConsensusId { round: 3, seq: 11 }
@@ -349,7 +333,7 @@ mod tests {
     fn propose_round_trip() {
         let leader = Keypair::from_seed(b"leader");
         let p = make_propose(id(), b"payload".to_vec(), NodeId(0), &leader);
-        assert!(verify_propose(&p, &leader.public));
+        assert!(verify_propose_cached(&p, &leader.public, &SigCache::new()));
         assert_eq!(p.digest, payload_digest(b"payload"));
     }
 
@@ -358,42 +342,28 @@ mod tests {
         let leader = Keypair::from_seed(b"leader");
         let mut p = make_propose(id(), b"payload".to_vec(), NodeId(0), &leader);
         p.payload = Arc::new(b"swapped".to_vec());
-        assert!(!verify_propose(&p, &leader.public));
+        assert!(!verify_propose_cached(&p, &leader.public, &SigCache::new()));
     }
 
     #[test]
-    fn propose_from_wrong_key_rejected() {
-        let leader = Keypair::from_seed(b"leader");
-        let impostor = Keypair::from_seed(b"impostor");
-        let p = make_propose(id(), b"payload".to_vec(), NodeId(0), &impostor);
-        assert!(!verify_propose(&p, &leader.public));
-    }
-
-    #[test]
-    fn echo_round_trip_and_relay_check() {
+    fn echo_relay_check() {
         let leader = Keypair::from_seed(b"leader");
         let member = Keypair::from_seed(b"member");
-        let p = make_propose(id(), b"payload".to_vec(), NodeId(0), &leader);
-        let e = make_echo(&p, NodeId(5), &member);
-        assert!(verify_echo(&e, &member.public, &leader.public));
+        let cache = SigCache::new();
         // An echo whose relayed leader signature is forged fails.
         let impostor = Keypair::from_seed(b"impostor");
         let forged_propose = make_propose(id(), b"payload".to_vec(), NodeId(0), &impostor);
         let bad = make_echo(&forged_propose, NodeId(5), &member);
-        assert!(!verify_echo(&bad, &member.public, &leader.public));
+        assert!(!verify_echo_cached(
+            &bad,
+            &member.public,
+            &leader.public,
+            &cache
+        ));
     }
 
     #[test]
-    fn confirm_round_trip() {
-        let member = Keypair::from_seed(b"member");
-        let c = make_confirm(id(), payload_digest(b"x"), NodeId(7), &member, vec![]);
-        assert!(verify_confirm(&c, &member.public));
-        let other = Keypair::from_seed(b"other");
-        assert!(!verify_confirm(&c, &other.public));
-    }
-
-    #[test]
-    fn cached_verifiers_agree_with_direct_ones() {
+    fn cached_verifiers_agree_with_direct_verification() {
         let leader = Keypair::from_seed(b"leader");
         let member = Keypair::from_seed(b"member");
         let impostor = Keypair::from_seed(b"impostor");
@@ -401,6 +371,9 @@ mod tests {
         let p = make_propose(id(), b"payload".to_vec(), NodeId(0), &leader);
         let e = make_echo(&p, NodeId(5), &member);
         let c = make_confirm(id(), p.digest, NodeId(5), &member, vec![]);
+        let confirm_bytes = confirm_signing_bytes(&c.id, &c.digest, c.member);
+        assert!(verify(&member.public, &confirm_bytes, &c.signature));
+        assert!(!verify(&impostor.public, &confirm_bytes, &c.signature));
         for _ in 0..2 {
             assert!(verify_propose_cached(&p, &leader.public, &cache));
             assert!(!verify_propose_cached(&p, &impostor.public, &cache));
@@ -416,13 +389,11 @@ mod tests {
                 &leader.public,
                 &cache
             ));
-            assert!(verify_confirm_cached(&c, &member.public, &cache));
-            assert!(!verify_confirm_cached(&c, &impostor.public, &cache));
         }
         // The echo's relayed leader signature shares the propose memo entry:
         // 1 good propose + 1 bad propose + 1 good echo member sig + 1 bad echo
-        // member sig + 1 good confirm + 1 bad confirm = 6 distinct triples.
-        assert_eq!(cache.len(), 6);
+        // member sig = 4 distinct triples.
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
@@ -432,9 +403,15 @@ mod tests {
         let a = propose_signing_bytes(&i, &d);
         let b = echo_signing_bytes(&i, &d, NodeId(1));
         let c = confirm_signing_bytes(&i, &d, NodeId(1));
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_ne!(a, c);
+        assert_ne!(a[..], b[..]);
+        assert_ne!(b[..], c[..]);
+        assert_ne!(a[..], c[..]);
+        // Every byte of each array is written: the layout ends with the
+        // fields the domain tag is followed by.
+        assert_eq!(a[22..38], i.encode());
+        assert_eq!(a[38..], d.as_bytes()[..]);
+        assert_eq!(b[19 + 48..], 1u32.to_be_bytes());
+        assert_eq!(c[22 + 48..], 1u32.to_be_bytes());
     }
 
     #[test]

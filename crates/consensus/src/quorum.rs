@@ -14,7 +14,7 @@ use cycledger_crypto::schnorr::{PublicKey, Signature};
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::topology::NodeId;
 
-use crate::messages::{confirm_signing_bytes, ConsensusId};
+use crate::messages::{confirm_signing_bytes, ConsensusId, CONFIRM_SIGNING_LEN};
 
 /// The public keys of a committee, indexed by node id.
 ///
@@ -144,7 +144,7 @@ impl QuorumCertificate {
     /// caller still learns *which* rule broke.
     pub fn verify_batch(&self, keys: &CommitteeKeys, threshold: usize) -> Result<(), QuorumError> {
         self.structural_check(keys, threshold)?;
-        let message_bytes: Vec<Vec<u8>> = self
+        let message_bytes: Vec<[u8; CONFIRM_SIGNING_LEN]> = self
             .signatures
             .iter()
             .map(|(node, _)| confirm_signing_bytes(&self.id, &self.digest, *node))
@@ -221,7 +221,7 @@ pub fn verify_certs_batch(
 ) -> Vec<Result<(), QuorumError>> {
     // Structural pass; assemble signing bytes for the survivors.
     let mut results: Vec<Result<(), QuorumError>> = Vec::with_capacity(certs.len());
-    let mut message_bytes: Vec<Vec<u8>> = Vec::new();
+    let mut message_bytes: Vec<[u8; CONFIRM_SIGNING_LEN]> = Vec::new();
     let mut spans: Vec<Option<usize>> = Vec::with_capacity(certs.len());
     for (cert, keys, threshold) in certs {
         match cert.structural_check(keys, *threshold) {

@@ -15,13 +15,25 @@
 //! therefore different memo keys), and a forged signature caches `false` for
 //! every receiver alike. With the memo, a `C`-member instance performs
 //! `O(C)` distinct verifications instead of `O(C²)`.
+//!
+//! The memo is keyed by the triple itself — the key and signature hashed with
+//! the in-process [`fxhash`](cycledger_crypto::fxhash), the message compared
+//! byte for byte — so a hit costs neither a SHA-256 nor an allocation. Fx is
+//! not collision-resistant, and does not have to be: a collision costs one
+//! more comparison, never a wrong verdict, and the keys are this instance's
+//! own messages.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
-use cycledger_crypto::schnorr::{verify, PublicKey, Signature};
-use cycledger_crypto::sha256::{hash_parts, Digest};
+use cycledger_crypto::fxhash::FxHashMap;
+use cycledger_crypto::opcount::{count, Op};
+use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, PublicKey, Signature};
+
+/// Verdicts by `(key, signature)`, then by message: a signature is as good as
+/// always checked against one message, so the list is one entry long unless
+/// somebody replays it under another header.
+type Verdicts = FxHashMap<(PublicKey, Signature), Vec<(Box<[u8]>, bool)>>;
 
 /// A cloneable handle to one instance's verification memo.
 ///
@@ -32,7 +44,7 @@ use cycledger_crypto::sha256::{hash_parts, Digest};
 /// before.
 #[derive(Clone, Debug, Default)]
 pub struct SigCache {
-    results: Rc<RefCell<HashMap<Digest, bool>>>,
+    results: Rc<RefCell<Verdicts>>,
 }
 
 impl SigCache {
@@ -41,26 +53,86 @@ impl SigCache {
         SigCache::default()
     }
 
+    fn lookup(&self, entry: &BatchEntry<'_>) -> Option<bool> {
+        count(Op::MemoLookup);
+        self.results
+            .borrow()
+            .get(&(*entry.public_key, *entry.signature))?
+            .iter()
+            .find(|(message, _)| **message == *entry.message)
+            .map(|(_, ok)| *ok)
+    }
+
+    /// Checks a triple the memo lacks and records the verdict.
+    fn verify_unknown(&self, entry: &BatchEntry<'_>) -> bool {
+        let ok = verify(entry.public_key, entry.message, entry.signature);
+        self.memoize(entry, ok);
+        ok
+    }
+
+    fn memoize(&self, entry: &BatchEntry<'_>, ok: bool) {
+        let mut results = self.results.borrow_mut();
+        let verdicts = results
+            .entry((*entry.public_key, *entry.signature))
+            .or_default();
+        // One batch may hold the same unknown triple twice.
+        if !verdicts
+            .iter()
+            .any(|(message, _)| **message == *entry.message)
+        {
+            verdicts.push((entry.message.into(), ok));
+        }
+    }
+
     /// Verifies `signature` by `public_key` over `message`, serving repeated
     /// queries for the same triple from the memo.
     pub fn verify(&self, public_key: &PublicKey, message: &[u8], signature: &Signature) -> bool {
-        let key = hash_parts(&[
-            b"cycledger/sig-memo",
-            &public_key.to_bytes(),
+        let entry = BatchEntry {
+            public_key,
             message,
-            &signature.to_bytes(),
-        ]);
-        if let Some(&ok) = self.results.borrow().get(&key) {
-            return ok;
-        }
-        let ok = verify(public_key, message, signature);
-        self.results.borrow_mut().insert(key, ok);
-        ok
+            signature,
+        };
+        self.lookup(&entry)
+            .unwrap_or_else(|| self.verify_unknown(&entry))
+    }
+
+    /// Verdicts for `entries`, in order — each what [`Self::verify`] would
+    /// return — for the price of one batch: triples already in the memo are
+    /// answered from it, the rest go through a single [`batch_verify`] (a
+    /// lone one through [`verify`]), and only if that batch fails is each of
+    /// them checked on its own, to tell the forged from the valid. Every
+    /// verdict is memoized.
+    pub fn verify_batch(&self, entries: &[BatchEntry<'_>]) -> Vec<bool> {
+        let known: Vec<Option<bool>> = entries.iter().map(|entry| self.lookup(entry)).collect();
+        let unknown: Vec<BatchEntry<'_>> = entries
+            .iter()
+            .zip(&known)
+            .filter(|(_, verdict)| verdict.is_none())
+            .map(|(entry, _)| *entry)
+            .collect();
+        let all_valid = unknown.len() > 1 && batch_verify(&unknown);
+        let mut unknown = unknown.iter();
+        known
+            .into_iter()
+            .map(|verdict| {
+                verdict.unwrap_or_else(|| {
+                    let entry = unknown
+                        .next()
+                        .expect("one unknown entry per missing verdict");
+                    if all_valid {
+                        self.memoize(entry, true);
+                        true
+                    } else {
+                        self.verify_unknown(entry)
+                    }
+                })
+            })
+            .collect()
     }
 
     /// Number of distinct verifications performed so far.
     pub fn len(&self) -> usize {
-        self.results.borrow().len()
+        self.results.borrow().values().map(Vec::len).sum()
     }
 
     /// True if no verification has been memoized yet.
@@ -87,7 +159,8 @@ mod tests {
         // Distinct triples are distinct entries, with the right verdicts.
         assert!(!cache.verify(&other.public, b"message", &sig));
         assert!(!cache.verify(&kp.public, b"other message", &sig));
-        assert_eq!(cache.len(), 3);
+        assert!(!cache.verify(&kp.public, b"message", &other.sign(b"message")));
+        assert_eq!(cache.len(), 4);
     }
 
     #[test]
@@ -97,7 +170,134 @@ mod tests {
         let cache = SigCache::new();
         let handle = cache.clone();
         assert!(cache.is_empty());
-        assert!(handle.verify(&kp.public, b"shared", &sig));
+        assert_eq!(
+            handle.verify_batch(&[BatchEntry {
+                public_key: &kp.public,
+                message: b"shared",
+                signature: &sig,
+            }]),
+            [true]
+        );
         assert_eq!(cache.len(), 1, "clone writes into the shared table");
+        assert!(cache.verify(&kp.public, b"shared", &sig));
+        assert_eq!(handle.len(), 1);
+    }
+
+    /// `n` signers over distinct messages, with the signatures at `forged`
+    /// made over a different message.
+    fn signed(n: usize, forged: &[usize]) -> (Vec<Keypair>, Vec<Vec<u8>>, Vec<Signature>) {
+        let keys: Vec<Keypair> = (0..n)
+            .map(|i| Keypair::from_seed(format!("sigcache-batch-{i}").as_bytes()))
+            .collect();
+        let messages: Vec<Vec<u8>> = (0..n).map(|i| format!("echo {i}").into_bytes()).collect();
+        let signatures = (0..n)
+            .map(|i| {
+                if forged.contains(&i) {
+                    keys[i].sign(b"something else")
+                } else {
+                    keys[i].sign(&messages[i])
+                }
+            })
+            .collect();
+        (keys, messages, signatures)
+    }
+
+    fn entries<'a>(
+        keys: &'a [Keypair],
+        messages: &'a [Vec<u8>],
+        signatures: &'a [Signature],
+    ) -> Vec<BatchEntry<'a>> {
+        (0..keys.len())
+            .map(|i| BatchEntry {
+                public_key: &keys[i].public,
+                message: &messages[i],
+                signature: &signatures[i],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_verdicts_match_single_verification() {
+        for forged in [&[][..], &[2], &[0, 5], &[0, 1, 2, 3, 4, 5]] {
+            let (keys, messages, signatures) = signed(6, forged);
+            let batch = entries(&keys, &messages, &signatures);
+            let expected: Vec<bool> = (0..6).map(|i| !forged.contains(&i)).collect();
+            let cache = SigCache::new();
+            assert_eq!(cache.verify_batch(&batch), expected, "forged {forged:?}");
+            assert_eq!(cache.len(), 6, "every verdict is memoized");
+            // Each verdict is what `verify` says, from the memo or afresh.
+            let fresh = SigCache::new();
+            for (entry, ok) in batch.iter().zip(&expected) {
+                let single =
+                    |c: &SigCache| c.verify(entry.public_key, entry.message, entry.signature);
+                assert_eq!(single(&cache), *ok);
+                assert_eq!(single(&fresh), *ok);
+            }
+            assert_eq!(cache.len(), 6);
+        }
+        assert!(SigCache::new().verify_batch(&[]).is_empty());
+    }
+
+    #[test]
+    fn batch_skips_what_the_memo_already_holds() {
+        let (keys, messages, signatures) = signed(5, &[3]);
+        let batch = entries(&keys, &messages, &signatures);
+        let cache = SigCache::new();
+        // Two verdicts, one of them `false`, are known before the batch.
+        assert!(cache.verify(&keys[1].public, &messages[1], &signatures[1]));
+        assert!(!cache.verify(&keys[3].public, &messages[3], &signatures[3]));
+        assert_eq!(
+            cache.verify_batch(&batch),
+            [true, true, true, false, true],
+            "the known forgery does not fail the batch of the rest"
+        );
+        assert_eq!(cache.len(), 5);
+        // The same triple twice in one batch is two verdicts, one memo entry.
+        let twice = [batch[0], batch[4], batch[0]];
+        let fresh = SigCache::new();
+        assert_eq!(fresh.verify_batch(&twice), [true, true, true]);
+        assert_eq!(fresh.len(), 2);
+    }
+
+    /// What the memo saves, in exact counts: a hit is one lookup and nothing
+    /// else — no SHA-256 key (five compressions per lookup before), no curve
+    /// work — and a batch of hits is as many lookups.
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn memo_hits_cost_one_lookup_each() {
+        use cycledger_crypto::opcount::{scope, Tally};
+        let (keys, messages, signatures) = signed(4, &[1]);
+        let batch = entries(&keys, &messages, &signatures);
+        let cache = SigCache::new();
+        let first = scope(|| cache.verify_batch(&batch));
+        // One batch of four fails, so each is then checked singly.
+        assert_eq!(
+            (
+                first.memo_lookups,
+                first.sig_batches,
+                first.sigs_batched,
+                first.sigs_single
+            ),
+            (4, 1, 4, 4)
+        );
+        let hits = Tally {
+            memo_lookups: 4,
+            ..Tally::default()
+        };
+        assert_eq!(scope(|| cache.verify_batch(&batch)), hits);
+        let one = scope(|| cache.verify(&keys[1].public, &messages[1], &signatures[1]));
+        assert_eq!(
+            one,
+            Tally {
+                memo_lookups: 1,
+                ..Tally::default()
+            }
+        );
+        // A batch of one unknown triple is a plain `verify`.
+        let lone = scope(|| SigCache::new().verify_batch(&batch[..1]));
+        assert_eq!(
+            (lone.memo_lookups, lone.sig_batches, lone.sigs_single),
+            (1, 0, 1)
+        );
     }
 }

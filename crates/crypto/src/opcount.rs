@@ -1,27 +1,45 @@
-//! Dev-only operation tally for the secp256k1 kernel.
+//! Dev-only operation tally for the secp256k1 kernel and the signature
+//! checks built on it.
 //!
 //! With the `opcount` cargo feature on, every field multiplication, squaring
-//! and inversion and every point doubling, addition and mixed addition bumps
-//! one thread-local `Tally`; `scope(|| …)` returns what a closure spent. The
-//! counts are exact and machine-independent, so a test can gate the kernel at
-//! zero tolerance where wall clock cannot. With the feature off (the default)
-//! the hooks are empty inline functions and nothing else in this module
-//! exists — the same shape as `alloccount`'s `count` feature.
+//! and inversion, every point doubling, addition and mixed addition, every
+//! SHA-256 compression, every signature verified (alone or in a batch) and
+//! every verification-memo lookup bumps one thread-local `Tally`;
+//! `scope(|| …)` returns what a closure spent. The counts are exact and
+//! machine-independent, so a test can gate the kernel — and how many
+//! signatures a consensus instance verifies — at zero tolerance where wall
+//! clock cannot. With the feature off (the default) the hook is an empty
+//! inline function and nothing else in this module exists — the same shape
+//! as `alloccount`'s `count` feature.
 
 /// One kind of counted operation.
-#[derive(Clone, Copy)]
-pub(crate) enum Op {
+#[derive(Clone, Copy, Debug)]
+pub enum Op {
+    /// `Fe::mul`.
     FeMul,
+    /// `Fe::square`.
     FeSquare,
+    /// `Fe::invert`.
     FeInvert,
+    /// `Point::double`.
     Double,
+    /// Jacobian + Jacobian addition.
     Add,
+    /// Jacobian + affine addition.
     AddAffine,
+    /// One SHA-256 compression (one 64-byte block of one message).
+    Sha256Block,
+    /// One `schnorr::verify` call.
+    SigVerify,
+    /// One `schnorr::batch_verify` call over this many signatures.
+    SigBatch(usize),
+    /// One lookup in a verification memo (the consensus crate's `SigCache`).
+    MemoLookup,
 }
 
 /// Records one operation on the calling thread's tally.
 #[inline(always)]
-pub(crate) fn count(op: Op) {
+pub fn count(op: Op) {
     #[cfg(feature = "opcount")]
     TALLY.with(|tally| {
         let mut t = tally.get();
@@ -32,6 +50,13 @@ pub(crate) fn count(op: Op) {
             Op::Double => t.point_double += 1,
             Op::Add => t.point_add += 1,
             Op::AddAffine => t.point_add_affine += 1,
+            Op::Sha256Block => t.sha256_blocks += 1,
+            Op::SigVerify => t.sigs_single += 1,
+            Op::SigBatch(n) => {
+                t.sig_batches += 1;
+                t.sigs_batched += n as u64;
+            }
+            Op::MemoLookup => t.memo_lookups += 1,
         }
         tally.set(t);
     });
@@ -57,6 +82,16 @@ pub struct Tally {
     pub point_add: u64,
     /// Jacobian + affine (mixed) additions that did the arithmetic.
     pub point_add_affine: u64,
+    /// SHA-256 compressions, whichever implementation ran them.
+    pub sha256_blocks: u64,
+    /// Signatures checked one at a time (`schnorr::verify` calls).
+    pub sigs_single: u64,
+    /// Signatures checked inside a `schnorr::batch_verify` call.
+    pub sigs_batched: u64,
+    /// `schnorr::batch_verify` calls on a non-empty batch.
+    pub sig_batches: u64,
+    /// Verification-memo lookups.
+    pub memo_lookups: u64,
 }
 
 #[cfg(feature = "opcount")]
@@ -78,5 +113,10 @@ pub fn scope<R>(f: impl FnOnce() -> R) -> Tally {
         point_double: after.point_double - before.point_double,
         point_add: after.point_add - before.point_add,
         point_add_affine: after.point_add_affine - before.point_add_affine,
+        sha256_blocks: after.sha256_blocks - before.sha256_blocks,
+        sigs_single: after.sigs_single - before.sigs_single,
+        sigs_batched: after.sigs_batched - before.sigs_batched,
+        sig_batches: after.sig_batches - before.sig_batches,
+        memo_lookups: after.memo_lookups - before.memo_lookups,
     }
 }

@@ -14,7 +14,7 @@
 //!   shared chain of 128 doublings, and every table is affine — the per-call
 //!   ones through a shared `Z`, without an inversion — so each step is a
 //!   mixed addition ([`Point::add_affine`]);
-//! * a lazily built fixed-base table of signed four-bit windows (at most 65
+//! * a lazily built fixed-base table of signed eight-bit windows (at most 33
 //!   mixed additions, no doublings) for [`Point::mul_generator`];
 //! * Montgomery batch inversion ([`Point::batch_to_affine`]) when many points
 //!   are normalized at once.
@@ -265,9 +265,9 @@ impl Point {
     }
 
     /// `k·G` for the standard generator over a lazily built fixed-base table
-    /// of `d·2^(4i)·G`: `k` is recoded into 65 signed four-bit digits
-    /// `d ∈ [−8, 8]`, so evaluation is at most 65 mixed additions and zero
-    /// doublings.
+    /// of `d·2^(8i)·G`: `k` is recoded into 33 signed eight-bit digits
+    /// `d ∈ [−128, 128]`, so evaluation is at most 33 mixed additions and
+    /// zero doublings.
     pub fn mul_generator(k: &Scalar) -> Point {
         let table = fixed_base_table();
         let limbs = &k.as_u256().limbs;
@@ -320,11 +320,23 @@ impl Point {
     /// committee-scale batch sizes (tens to a few thousand terms) the shared
     /// chain beats Pippenger bucketing, whose per-window bucket-collapse
     /// overhead dominates until `n` reaches several hundred per window.
+    ///
+    /// The scratch of up to `STACK_TERMS` (19) terms lives on the stack, so the
+    /// quorum batches of a committee allocate nothing here; certificate
+    /// batches across committees take one pair of `Vec`s.
     pub fn multi_mul(terms: &[(Scalar, Point)]) -> Point {
+        let n = terms.len();
+        if n <= STACK_TERMS {
+            return strauss(
+                terms,
+                &mut [Term::EMPTY; STACK_TERMS][..n],
+                &mut [[Wnaf::EMPTY; 2]; STACK_TERMS][..n],
+            );
+        }
         strauss(
             terms,
-            &mut vec![Term::EMPTY; terms.len()],
-            &mut vec![[Wnaf::EMPTY; 2]; terms.len()],
+            &mut vec![Term::EMPTY; n],
+            &mut vec![[Wnaf::EMPTY; 2]; n],
         )
     }
 
@@ -381,7 +393,7 @@ impl Point {
 
 /// Window width of [`Point::mul_generator`]'s fixed-base table (a divisor of
 /// 64, so no window straddles two limbs).
-const FB_WIDTH: usize = 4;
+const FB_WIDTH: usize = 8;
 /// Values of one window.
 const FB_FULL: usize = 1 << FB_WIDTH;
 /// Table entries per window: the digit magnitudes `1..=FB_HALF`.
@@ -389,17 +401,21 @@ const FB_HALF: usize = FB_FULL / 2;
 /// Windows covering a 256-bit scalar, plus one for the last carry.
 const FB_WINDOWS: usize = 256 / FB_WIDTH + 1;
 
-/// The fixed-base table for [`Point::mul_generator`]: `table[8·i + d − 1]
-/// = d·2^(4i)·G` for `i ∈ [0, 65)`, `d ∈ [1, 8]`. Built once per process
-/// (520 Jacobian additions plus one batched affine conversion, 33 KiB).
-/// Wider windows trade table size for additions (DESIGN-notes.md has the
-/// measurements); the width only has to divide 64.
+/// The fixed-base table for [`Point::mul_generator`]: `table[128·i + d − 1]
+/// = d·2^(8i)·G` for `i ∈ [0, 33)`, `d ∈ [1, 128]`. Built once per process
+/// (4 224 Jacobian additions plus one batched affine conversion per window,
+/// 264 KiB, about 2 ms). Wider windows trade table size for additions
+/// (DESIGN-notes.md has the measurements); the width only has to divide 64.
 fn fixed_base_table() -> &'static [AffinePoint] {
     static TABLE: OnceLock<Vec<AffinePoint>> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut jacobian = Vec::with_capacity(FB_WINDOWS * FB_HALF);
+        let mut table = Vec::with_capacity(FB_WINDOWS * FB_HALF);
+        // One window at a time, so the Jacobian scratch stays at 12 KiB
+        // instead of half as much again as the table.
+        let mut jacobian = Vec::with_capacity(FB_HALF);
         let mut base = Point::generator();
         for _ in 0..FB_WINDOWS {
+            jacobian.clear();
             let mut multiple = base;
             for _ in 1..FB_HALF {
                 jacobian.push(multiple);
@@ -408,11 +424,13 @@ fn fixed_base_table() -> &'static [AffinePoint] {
             jacobian.push(multiple);
             // `multiple` is FB_HALF·base; twice that is the next window's base.
             base = multiple.double();
+            table.extend(
+                Point::batch_to_affine(&jacobian)
+                    .into_iter()
+                    .map(|p| p.expect("d·2^(8i)·G with d ≤ 128 is never infinity")),
+            );
         }
-        Point::batch_to_affine(&jacobian)
-            .into_iter()
-            .map(|p| p.expect("d·2^(4i)·G with d ≤ 8 is never infinity"))
-            .collect()
+        table
     })
 }
 
@@ -446,6 +464,10 @@ fn generator_table() -> &'static [AffinePoint] {
             .collect()
     })
 }
+
+/// Terms whose scratch [`Point::multi_mul`] keeps on the stack (25 KiB): a
+/// batch of nine signatures, the quorum of a committee of sixteen.
+const STACK_TERMS: usize = 19;
 
 /// Signed wNAF digits of one scalar half, least significant first, in a
 /// fixed stack array (zero beyond `len`).
@@ -1056,10 +1078,11 @@ mod tests {
             (Scalar::from_u64(5), Point::infinity())
         ])
         .is_infinity());
-        // 1, 2, 3 and 17 terms; every third point repeats the first, G is
-        // among them (twice from 7 terms on), some points carry Z != 1, and
-        // a zero scalar and an ∞ sit in the middle of the long ones.
-        for n in [1usize, 2, 3, 7, 17] {
+        // 1 to 23 terms, on either side of the stack-scratch limit; every
+        // third point repeats the first, G is among them (twice from 7 terms
+        // on), some points carry Z != 1, and a zero scalar and an ∞ sit in
+        // the middle of the long ones.
+        for n in [1usize, 2, 3, 7, 17, STACK_TERMS, STACK_TERMS + 1, 23] {
             let mut terms: Vec<(Scalar, Point)> = (0..n)
                 .map(|i| {
                     let k = Scalar::from_hash("multi-mul-scalar", &[&(i as u64).to_be_bytes()]);

@@ -7,6 +7,7 @@
 //! deterministic (RFC 6979-style) nonces derived from an HMAC-DRBG.
 
 use crate::hmac::HmacDrbg;
+use crate::opcount::{count, Op};
 use crate::point::{AffinePoint, Point};
 use crate::scalar::Scalar;
 use crate::sha256::hash_parts;
@@ -20,7 +21,7 @@ pub struct SecretKey(Scalar);
 pub struct PublicKey(AffinePoint);
 
 /// A Schnorr signature `(R, s)` with `R = k·G` and `s = k + e·sk`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Signature {
     /// Commitment point `R = k·G`.
     pub r: AffinePoint,
@@ -155,6 +156,7 @@ pub fn sign_with_public(sk: &SecretKey, pk: &PublicKey, message: &[u8]) -> Signa
 /// Verifies a Schnorr signature: checks `s·G == R + e·PK`, evaluated as the
 /// single Strauss–Shamir combination `s·G − e·PK` compared against `R`.
 pub fn verify(pk: &PublicKey, message: &[u8], sig: &Signature) -> bool {
+    count(Op::SigVerify);
     if !sig.r.is_on_curve() || !pk.point().is_on_curve() {
         return false;
     }
@@ -200,6 +202,7 @@ pub fn batch_verify(entries: &[BatchEntry<'_>]) -> bool {
     if entries.is_empty() {
         return true;
     }
+    count(Op::SigBatch(entries.len()));
     // Bind the coefficients to the entire batch content — crucially
     // *including* every response scalar `s_i`. If the coefficients were
     // computable before the `s` values are fixed, two entries could be

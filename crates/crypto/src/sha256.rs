@@ -6,6 +6,8 @@
 //! straightforward, allocation-free compression-function loop with an incremental
 //! [`Sha256`] hasher plus convenience one-shot helpers.
 
+use crate::opcount::{count, Op};
+
 /// Size of a SHA-256 digest in bytes.
 pub const DIGEST_LEN: usize = 32;
 /// Size of a SHA-256 message block in bytes.
@@ -219,6 +221,7 @@ impl Sha256 {
 /// SHA-256 is fully specified — so every digest, golden file and determinism
 /// check is independent of which path ran.
 fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    count(Op::Sha256Block);
     #[cfg(target_arch = "x86_64")]
     {
         if shani::available() {
@@ -245,6 +248,9 @@ fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// [`compress`] on it alone — the single-lane path is the differential oracle
 /// for this one.
 fn compress_multi<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; BLOCK_LEN]; L]) {
+    for _ in 0..L {
+        count(Op::Sha256Block);
+    }
     #[cfg(target_arch = "x86_64")]
     {
         if shani::available() {

@@ -165,19 +165,24 @@ impl U256 {
         self.overflowing_sub(rhs).0
     }
 
-    /// Full 256×256 → 512-bit multiplication (schoolbook).
+    /// Full 256×256 → 512-bit multiplication (schoolbook). Each row's four
+    /// products run as one `u128` carry chain: a partial sum is at most
+    /// `(2^64−1)² + 2·(2^64−1) = 2^128 − 1`, so none overflows.
     #[inline]
     pub fn mul_wide(&self, rhs: &U256) -> Wide {
+        let b = &rhs.limbs;
+        let m = |x: u64, y: u64| (x as u128) * (y as u128);
         let mut out = [0u64; 8];
-        for i in 0..4 {
-            let mut carry = 0u128;
-            for j in 0..4 {
-                let cur =
-                    out[i + j] as u128 + (self.limbs[i] as u128) * (rhs.limbs[j] as u128) + carry;
-                out[i + j] = cur as u64;
-                carry = cur >> 64;
-            }
-            out[i + 4] = carry as u64;
+        for (i, &a) in self.limbs.iter().enumerate() {
+            let t0 = m(a, b[0]) + out[i] as u128;
+            let t1 = m(a, b[1]) + out[i + 1] as u128 + (t0 >> 64);
+            let t2 = m(a, b[2]) + out[i + 2] as u128 + (t1 >> 64);
+            let t3 = m(a, b[3]) + out[i + 3] as u128 + (t2 >> 64);
+            out[i] = t0 as u64;
+            out[i + 1] = t1 as u64;
+            out[i + 2] = t2 as u64;
+            out[i + 3] = t3 as u64;
+            out[i + 4] = (t3 >> 64) as u64;
         }
         out
     }
@@ -276,30 +281,31 @@ impl U256 {
 
     /// Reduces a 512-bit value modulo `modulus = 2^256 - c` where the
     /// complement `c` fits a single limb — the secp256k1 field prime has
-    /// `c = 2^32 + 977`. Exactly two folds of the high half by `c` plus one
-    /// conditional subtraction, instead of the generic multi-round
-    /// [`reduce_wide`](Self::reduce_wide) loop.
+    /// `c = 2^32 + 977`. Exactly two folds of the high half by `c`, each one
+    /// `u128` carry chain, plus one conditional correction, instead of the
+    /// generic multi-round [`reduce_wide`](Self::reduce_wide) loop.
     #[inline]
     pub fn reduce_wide_c64(wide: &Wide, modulus: &U256, c: u64) -> U256 {
         debug_assert_eq!(U256::ZERO.wrapping_sub(modulus), U256::from_u64(c));
-        let hi = U256::from_limbs([wide[4], wide[5], wide[6], wide[7]]);
-        let lo = U256::from_limbs([wide[0], wide[1], wide[2], wide[3]]);
-        // First fold: hi·2^256 + lo ≡ hi·c + lo (mod m); hi·c spills at most
-        // one limb (`top < c`).
-        let (m, top) = hi.mul_u64(c);
-        let (acc, carry) = lo.overflowing_add(&m);
-        // Second fold: (top + carry)·2^256 ≡ (top + carry)·c, which fits u128.
-        let hi2 = top + carry as u64;
-        let (acc, carry) = acc.overflowing_add(&U256::from_u128((hi2 as u128) * (c as u128)));
-        // A final carry means the true value gained another 2^256 ≡ c; the
-        // wrapped value is tiny, so adding c cannot carry again.
-        let acc = if carry {
+        let m = |x: u64| (x as u128) * (c as u128);
+        // First fold: hi·2^256 + lo ≡ hi·c + lo (mod m), limb by limb; what
+        // spills past limb 3 is at most `c`.
+        let t0 = wide[0] as u128 + m(wide[4]);
+        let t1 = wide[1] as u128 + m(wide[5]) + (t0 >> 64);
+        let t2 = wide[2] as u128 + m(wide[6]) + (t1 >> 64);
+        let t3 = wide[3] as u128 + m(wide[7]) + (t2 >> 64);
+        // Second fold: spill·2^256 ≡ spill·c, added at limb 0 and rippled up.
+        let u0 = (t0 as u64) as u128 + m((t3 >> 64) as u64);
+        let u1 = (t1 as u64) as u128 + (u0 >> 64);
+        let u2 = (t2 as u64) as u128 + (u1 >> 64);
+        let u3 = (t3 as u64) as u128 + (u2 >> 64);
+        let acc = U256::from_limbs([u0 as u64, u1 as u64, u2 as u64, u3 as u64]);
+        // A carry out of limb 3 means the true value gained another
+        // 2^256 ≡ c (the wrapped value is tiny, so adding c cannot carry
+        // again); without one, a value ≥ m loses m — which, mod 2^256, is
+        // again adding c.
+        if (u3 >> 64) != 0 || acc >= *modulus {
             acc.wrapping_add(&U256::from_u64(c))
-        } else {
-            acc
-        };
-        if acc >= *modulus {
-            acc.wrapping_sub(modulus)
         } else {
             acc
         }

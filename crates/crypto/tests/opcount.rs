@@ -7,22 +7,29 @@
 //! instead of hiding inside wall-clock noise.
 //!
 //! Field multiplications + squarings per operation, for the fixed inputs
-//! below — `parent` is the 256-doubling wNAF kernel at commit a223ce3
+//! below — `wNAF` is the 256-doubling wNAF kernel at commit a223ce3
 //! (counted with the same hooks before it was replaced; its `square` was
-//! `mul(self)`), `now` is the endomorphism + mixed-addition kernel:
+//! `mul(self)`), `4-bit` the endomorphism + mixed-addition kernel with
+//! four-bit fixed-base windows (commit da63273), `now` the same kernel with
+//! eight-bit ones:
 //!
-//! | operation          | parent | now    | now / parent |
-//! |--------------------|--------|--------|--------------|
-//! | `Keypair::sign`    |   1451 |    934 | 0.64         |
-//! | `schnorr::verify`  |   3255 |   1798 | 0.55         |
-//! | `batch_verify` ×16 |  28328 |  17268 | 0.61         |
-//! | `vrf::evaluate`    |   8121 |   4846 | 0.60         |
-//! | `vrf::verify`      |   7202 |   4116 | 0.57         |
+//! | operation          | wNAF   | 4-bit  | now    | now / wNAF |
+//! |--------------------|--------|--------|--------|------------|
+//! | `Keypair::sign`    |   1451 |    934 |    615 | 0.42       |
+//! | `schnorr::verify`  |   3255 |   1798 |   1798 | 0.55       |
+//! | `batch_verify` ×16 |  28328 |  17268 |  17268 | 0.61       |
+//! | `vrf::evaluate`    |   8121 |   4846 |   4230 | 0.52       |
+//! | `vrf::verify`      |   7202 |   4116 |   4116 | 0.57       |
 //!
-//! Point operations, parent → now: sign 59 additions → 60 mixed (signed
-//! four-bit fixed-base windows; eight-bit ones make it 31); verify 255
+//! Point operations, wNAF → now: sign 59 additions → 31 mixed (signed
+//! eight-bit fixed-base windows; four-bit ones made it 60); verify 255
 //! doublings + 91 additions → 128 doublings + 72 mixed (7 of them build the
 //! public key's table); batch ×16 288 + 1639 → 160 + 1277 mixed.
+//!
+//! The tally also counts SHA-256 compressions, signatures verified (one at a
+//! time, in batches) and verification-memo lookups; the consensus crate pins
+//! those for one Algorithm 3 instance
+//! (`cargo test -p cycledger-consensus --features opcount`).
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
@@ -32,9 +39,9 @@ use cycledger_crypto::vrf;
 const MESSAGE: &[u8] = b"a consensus message of typical size padded to sixty-four bytes!";
 const VRF_INPUT: &[u8] = b"COMMON_MEMBER|7|seed";
 
-/// `fe_mul + fe_square` of the same operation at the parent commit.
-const PARENT_SIGN: u64 = 1451;
-const PARENT_VERIFY: u64 = 3255;
+/// `fe_mul + fe_square` of the same operation with the wNAF kernel.
+const WNAF_SIGN: u64 = 1451;
+const WNAF_VERIFY: u64 = 3255;
 
 fn field_muls(t: &Tally) -> u64 {
     t.fe_mul + t.fe_square
@@ -73,12 +80,14 @@ fn kernel_operation_counts_are_pinned() {
     assert_eq!(
         sign,
         Tally {
-            fe_mul: 498,
-            fe_square: 436,
+            fe_mul: 266,
+            fe_square: 349,
             fe_invert: 1,
             point_double: 0,
             point_add: 0,
-            point_add_affine: 60,
+            point_add_affine: 31,
+            sha256_blocks: 68,
+            ..Tally::default()
         }
     );
     assert_eq!(
@@ -90,6 +99,9 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 128,
             point_add: 0,
             point_add_affine: 72,
+            sha256_blocks: 35,
+            sigs_single: 1,
+            ..Tally::default()
         }
     );
     assert_eq!(
@@ -101,17 +113,23 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 160,
             point_add: 0,
             point_add_affine: 1277,
+            sha256_blocks: 1153,
+            sigs_batched: 16,
+            sig_batches: 1,
+            ..Tally::default()
         }
     );
     assert_eq!(
         evaluated,
         Tally {
-            fe_mul: 2652,
-            fe_square: 2194,
+            fe_mul: 2204,
+            fe_square: 2026,
             fe_invert: 2,
             point_double: 254,
             point_add: 0,
-            point_add_affine: 216,
+            point_add_affine: 160,
+            sha256_blocks: 73,
+            ..Tally::default()
         }
     );
     assert_eq!(
@@ -123,12 +141,14 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 257,
             point_add: 0,
             point_add_affine: 163,
+            sha256_blocks: 41,
+            ..Tally::default()
         }
     );
 
     // The reductions the kernel replacement was accepted on.
-    assert!(field_muls(&verified) * 100 <= PARENT_VERIFY * 65);
-    assert!(field_muls(&sign) * 100 <= PARENT_SIGN * 70);
+    assert!(field_muls(&verified) * 100 <= WNAF_VERIFY * 65);
+    assert!(field_muls(&sign) * 100 <= WNAF_SIGN * 70);
 }
 
 #[test]

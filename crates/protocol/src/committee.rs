@@ -129,8 +129,6 @@ pub struct InsideConsensusOutcome {
     /// Equivocation evidence produced by honest members (empty when the leader
     /// behaved).
     pub equivocation: Vec<EquivocationEvidence>,
-    /// Number of CONFIRMs the leader received.
-    pub confirms: usize,
     /// Total messages exchanged in this instance.
     pub messages: u64,
 }
@@ -170,7 +168,6 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
             certificate: None,
             accepted_payload: None,
             equivocation: Vec::new(),
-            confirms: 0,
             messages: 0,
         };
     }
@@ -368,7 +365,6 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
         .map(|(p, _)| p);
 
     InsideConsensusOutcome {
-        confirms: leader_state.confirm_count(),
         certificate,
         accepted_payload,
         equivocation,
@@ -432,7 +428,7 @@ mod tests {
             Some(&b"the TXdecSET"[..])
         );
         assert!(outcome.equivocation.is_empty());
-        assert!(outcome.confirms >= committee.majority());
+        assert!(cert.signer_count() >= committee.majority());
         assert!(outcome.messages > committee.size() as u64);
         // Traffic was charged to the metrics sink.
         let leader_counters = net
@@ -510,8 +506,8 @@ mod tests {
             LeaderFault::None,
             true,
         );
-        assert!(outcome.certificate.is_some(), "honest majority suffices");
-        assert!(outcome.confirms >= committee.majority());
+        let cert = outcome.certificate.expect("honest majority suffices");
+        assert!(cert.signer_count() >= committee.majority());
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Supporting bench: the cryptographic primitives every protocol message rests
-//! on (hashing, signing, verification, VRF evaluation, PVSS dealing) and the
-//! Algorithm 3 instance they add up to. These set the constant factors behind
-//! the Table II communication/computation columns.
+//! on (hashing, deterministic draws, signing, verification, VRF evaluation,
+//! PVSS dealing) and the Algorithm 3 instance they add up to. These set the
+//! constant factors behind the Table II communication/computation columns.
 
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use cycledger_bench::alg3_instance;
+use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::point::Point;
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
 use cycledger_crypto::sha256::sha256;
 use cycledger_crypto::vrf;
+use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
+use cycledger_net::topology::NodeId;
 
 fn bench_crypto(c: &mut Criterion) {
     let mut group = c.benchmark_group("crypto_primitives");
@@ -20,6 +23,21 @@ fn bench_crypto(c: &mut Criterion) {
 
     let data = vec![0xabu8; 1024];
     group.bench_function("sha256_1k", |b| b.iter(|| sha256(&data)));
+
+    // A generator made, drawn from once and dropped: what every nonce,
+    // challenge and batch coefficient is — and, keyed per envelope, what the
+    // simulated network pays for each message's latency.
+    group.bench_function("hmac_drbg_one_shot", |b| {
+        b.iter(|| HmacDrbg::from_parts("bench/one-shot", &[black_box(&data[..32])]).next_u64())
+    });
+    let sampler = LatencySampler::new(LatencyConfig::default(), 4242);
+    let mut seq = 0u64;
+    group.bench_function("latency_sample", |b| {
+        b.iter(|| {
+            seq += 1;
+            sampler.sample(LinkClass::IntraCommittee, NodeId(3), NodeId(11), seq)
+        })
+    });
 
     let kp = Keypair::from_seed(b"bench-key");
     let msg = b"a consensus message of typical size padded to sixty-four bytes!";

@@ -1,6 +1,7 @@
 //! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
-//! secp256k1 kernel layer by layer (field, point, scalar multiplication) and
-//! for the primitives built on it (Schnorr, VRF), one whole Algorithm 3
+//! secp256k1 kernel layer by layer (field, point, scalar multiplication), for
+//! the primitives built on it (Schnorr, VRF) and for a one-shot HMAC-DRBG
+//! draw (alone, and as the network's latency sample), one whole Algorithm 3
 //! instance at c = 16, plus round-engine rounds/sec at 1 worker and at the
 //! machine's parallelism. The set matches the
 //! `crypto_primitives` criterion bench.
@@ -14,10 +15,13 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cycledger_bench::{alg3_instance, bench_config};
+use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::point::Point;
 use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
 use cycledger_crypto::vrf;
+use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
+use cycledger_net::topology::NodeId;
 use cycledger_protocol::Simulation;
 
 /// Times `f` repeatedly until at least `min_secs` have elapsed and returns
@@ -132,6 +136,23 @@ fn main() {
     rows.push((
         "vrf_verify",
         ns_per_op(|| vrf::verify(&kp.public, input, &out)),
+    ));
+
+    // A generator made, drawn from once and dropped, and the same as the
+    // network pays it per envelope.
+    let seed = [0xabu8; 32];
+    rows.push((
+        "hmac_drbg_one_shot",
+        ns_per_op(|| HmacDrbg::from_parts("bench/one-shot", &[black_box(&seed)]).next_u64()),
+    ));
+    let sampler = LatencySampler::new(LatencyConfig::default(), 4242);
+    let mut seq = 0u64;
+    rows.push((
+        "latency_sample",
+        ns_per_op(|| {
+            seq += 1;
+            sampler.sample(LinkClass::IntraCommittee, NodeId(3), NodeId(11), seq)
+        }),
     ));
 
     // What the primitives add up to: one verified instance (239 messages).

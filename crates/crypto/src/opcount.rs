@@ -1,10 +1,12 @@
-//! Dev-only operation tally for the secp256k1 kernel and the signature
-//! checks built on it.
+//! Dev-only operation tally for the secp256k1 kernel, the signature checks
+//! built on it and the simulated network's draws.
 //!
 //! With the `opcount` cargo feature on, every field multiplication, squaring
 //! and inversion, every point doubling, addition and mixed addition, every
-//! SHA-256 compression, every signature verified (alone or in a batch) and
-//! every verification-memo lookup bumps one thread-local `Tally`;
+//! SHA-256 compression, every HMAC-DRBG instantiated, every signature
+//! verified (alone or in a batch), every verification-memo lookup and every
+//! envelope, latency draw and fault draw of `cycledger-net` bumps one
+//! thread-local `Tally`;
 //! `scope(|| …)` returns what a closure spent. The counts are exact and
 //! machine-independent, so a test can gate the kernel — and how many
 //! signatures a consensus instance verifies — at zero tolerance where wall
@@ -29,12 +31,20 @@ pub enum Op {
     AddAffine,
     /// One SHA-256 compression (one 64-byte block of one message).
     Sha256Block,
+    /// One `HmacDrbg` instantiated (`new` / `from_parts`).
+    DrbgInstantiate,
     /// One `schnorr::verify` call.
     SigVerify,
     /// One `schnorr::batch_verify` call over this many signatures.
     SigBatch(usize),
     /// One lookup in a verification memo (the consensus crate's `SigCache`).
     MemoLookup,
+    /// One envelope enqueued by the net crate's `SimNetwork`.
+    EnvelopeSent,
+    /// One latency drawn by the net crate's `LatencySampler::sample`.
+    LatencyDraw,
+    /// One loss or jitter decision drawn by the net crate's `FaultPlan`.
+    FaultDraw,
 }
 
 /// Records one operation on the calling thread's tally.
@@ -51,12 +61,16 @@ pub fn count(op: Op) {
             Op::Add => t.point_add += 1,
             Op::AddAffine => t.point_add_affine += 1,
             Op::Sha256Block => t.sha256_blocks += 1,
+            Op::DrbgInstantiate => t.drbg_instantiations += 1,
             Op::SigVerify => t.sigs_single += 1,
             Op::SigBatch(n) => {
                 t.sig_batches += 1;
                 t.sigs_batched += n as u64;
             }
             Op::MemoLookup => t.memo_lookups += 1,
+            Op::EnvelopeSent => t.envelopes_sent += 1,
+            Op::LatencyDraw => t.latency_draws += 1,
+            Op::FaultDraw => t.fault_draws += 1,
         }
         tally.set(t);
     });
@@ -84,6 +98,8 @@ pub struct Tally {
     pub point_add_affine: u64,
     /// SHA-256 compressions, whichever implementation ran them.
     pub sha256_blocks: u64,
+    /// `HmacDrbg` generators instantiated.
+    pub drbg_instantiations: u64,
     /// Signatures checked one at a time (`schnorr::verify` calls).
     pub sigs_single: u64,
     /// Signatures checked inside a `schnorr::batch_verify` call.
@@ -92,6 +108,12 @@ pub struct Tally {
     pub sig_batches: u64,
     /// Verification-memo lookups.
     pub memo_lookups: u64,
+    /// Envelopes the simulated network enqueued.
+    pub envelopes_sent: u64,
+    /// Link latencies drawn (one per envelope admitted).
+    pub latency_draws: u64,
+    /// Loss and jitter decisions drawn under a fault plan.
+    pub fault_draws: u64,
 }
 
 #[cfg(feature = "opcount")]
@@ -114,9 +136,13 @@ pub fn scope<R>(f: impl FnOnce() -> R) -> Tally {
         point_add: after.point_add - before.point_add,
         point_add_affine: after.point_add_affine - before.point_add_affine,
         sha256_blocks: after.sha256_blocks - before.sha256_blocks,
+        drbg_instantiations: after.drbg_instantiations - before.drbg_instantiations,
         sigs_single: after.sigs_single - before.sigs_single,
         sigs_batched: after.sigs_batched - before.sigs_batched,
         sig_batches: after.sig_batches - before.sig_batches,
         memo_lookups: after.memo_lookups - before.memo_lookups,
+        envelopes_sent: after.envelopes_sent - before.envelopes_sent,
+        latency_draws: after.latency_draws - before.latency_draws,
+        fault_draws: after.fault_draws - before.fault_draws,
     }
 }

@@ -122,7 +122,7 @@ const K: [u32; 64] = [
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
 
-const H0: [u32; 8] = [
+pub(crate) const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
@@ -149,6 +149,17 @@ impl Sha256 {
             buf: [0u8; BLOCK_LEN],
             buf_len: 0,
             total_len: 0,
+        }
+    }
+
+    /// A hasher that has already absorbed `blocks` whole blocks and stands at
+    /// `state` — how an HMAC resumes from its key schedule.
+    pub(crate) fn resume(state: [u32; 8], blocks: u64) -> Self {
+        Sha256 {
+            state,
+            buf: [0u8; BLOCK_LEN],
+            buf_len: 0,
+            total_len: blocks * BLOCK_LEN as u64,
         }
     }
 
@@ -199,11 +210,7 @@ impl Sha256 {
         };
         pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
         self.update_no_count(&pad[..pad_len + 8]);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest(out)
+        Digest(state_bytes(&self.state))
     }
 
     fn update_no_count(&mut self, data: &[u8]) {
@@ -213,6 +220,16 @@ impl Sha256 {
     }
 }
 
+/// The big-endian serialization of a hash state: the digest, once the padded
+/// final block is in.
+pub(crate) fn state_bytes(state: &[u32; 8]) -> [u8; DIGEST_LEN] {
+    let mut out = [0u8; DIGEST_LEN];
+    for (i, word) in state.iter().enumerate() {
+        out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
 /// Compresses one 64-byte block into the state.
 ///
 /// Dispatches to the SHA-NI hardware implementation when the CPU supports it
@@ -220,7 +237,7 @@ impl Sha256 {
 /// fallback and the differential oracle. Both produce bit-identical states —
 /// SHA-256 is fully specified — so every digest, golden file and determinism
 /// check is independent of which path ran.
-fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     count(Op::Sha256Block);
     #[cfg(target_arch = "x86_64")]
     {
@@ -247,7 +264,10 @@ fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
 /// Lane order is preserved and every lane is bit-identical to running
 /// [`compress`] on it alone — the single-lane path is the differential oracle
 /// for this one.
-fn compress_multi<const L: usize>(states: &mut [[u32; 8]; L], blocks: &[[u8; BLOCK_LEN]; L]) {
+pub(crate) fn compress_multi<const L: usize>(
+    states: &mut [[u32; 8]; L],
+    blocks: &[[u8; BLOCK_LEN]; L],
+) {
     for _ in 0..L {
         count(Op::Sha256Block);
     }

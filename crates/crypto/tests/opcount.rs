@@ -26,10 +26,24 @@
 //! doublings + 91 additions → 128 doublings + 72 mixed (7 of them build the
 //! public key's table); batch ×16 288 + 1639 → 160 + 1277 mixed.
 //!
-//! The tally also counts SHA-256 compressions, signatures verified (one at a
-//! time, in batches) and verification-memo lookups; the consensus crate pins
-//! those for one Algorithm 3 instance
-//! (`cargo test -p cycledger-consensus --features opcount`).
+//! SHA-256 compressions per operation — `naive` is the HMAC-DRBG of commit
+//! b85479e (both pad blocks hashed on every HMAC, the closing state update
+//! made even when the generator is dropped), `now` the one that keeps its
+//! key schedule and owes that update; every nonce, Fiat–Shamir challenge and
+//! batch coefficient is one draw from a generator of its own:
+//!
+//! | operation          | naive | now | generators |
+//! |--------------------|-------|-----|------------|
+//! | `Keypair::sign`    |    68 |  40 | 2          |
+//! | `schnorr::verify`  |    35 |  21 | 1          |
+//! | `batch_verify` ×16 |  1153 | 705 | 32         |
+//! | `vrf::evaluate`    |    73 |  45 | 2          |
+//! | `vrf::verify`      |    41 |  27 | 1          |
+//!
+//! The tally also counts signatures verified (one at a time, in batches),
+//! verification-memo lookups and the simulated network's envelopes and
+//! draws; the consensus, net and protocol crates pin those
+//! (`cargo test -p cycledger-consensus -p cycledger-net --features opcount`).
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
@@ -86,7 +100,8 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 0,
             point_add: 0,
             point_add_affine: 31,
-            sha256_blocks: 68,
+            sha256_blocks: 40,
+            drbg_instantiations: 2,
             ..Tally::default()
         }
     );
@@ -99,7 +114,8 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 128,
             point_add: 0,
             point_add_affine: 72,
-            sha256_blocks: 35,
+            sha256_blocks: 21,
+            drbg_instantiations: 1,
             sigs_single: 1,
             ..Tally::default()
         }
@@ -113,7 +129,8 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 160,
             point_add: 0,
             point_add_affine: 1277,
-            sha256_blocks: 1153,
+            sha256_blocks: 705,
+            drbg_instantiations: 32,
             sigs_batched: 16,
             sig_batches: 1,
             ..Tally::default()
@@ -128,7 +145,8 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 254,
             point_add: 0,
             point_add_affine: 160,
-            sha256_blocks: 73,
+            sha256_blocks: 45,
+            drbg_instantiations: 2,
             ..Tally::default()
         }
     );
@@ -141,7 +159,8 @@ fn kernel_operation_counts_are_pinned() {
             point_double: 257,
             point_add: 0,
             point_add_affine: 163,
-            sha256_blocks: 41,
+            sha256_blocks: 27,
+            drbg_instantiations: 1,
             ..Tally::default()
         }
     );

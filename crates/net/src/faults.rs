@@ -23,8 +23,9 @@
 //! counts each category separately so tests can reconcile books exactly
 //! (see `dropped_by_partition` & friends on the network).
 
-use cycledger_crypto::hmac::HmacDrbg;
+use cycledger_crypto::opcount::{count, Op};
 
+use crate::latency::link_draw;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 
@@ -237,15 +238,8 @@ impl FaultPlan {
         if ppm >= PPM {
             return true;
         }
-        let mut drbg = HmacDrbg::from_parts(
-            "cycledger/net-loss",
-            &[
-                &seed.to_be_bytes(),
-                &from.0.to_be_bytes(),
-                &to.0.to_be_bytes(),
-                &attempt.to_be_bytes(),
-            ],
-        );
+        count(Op::FaultDraw);
+        let mut drbg = link_draw("cycledger/net-loss", seed, from, to, attempt);
         drbg.next_below(PPM as u64) < ppm as u64
     }
 
@@ -255,15 +249,8 @@ impl FaultPlan {
         if self.jitter == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
-        let mut drbg = HmacDrbg::from_parts(
-            "cycledger/net-jitter",
-            &[
-                &seed.to_be_bytes(),
-                &from.0.to_be_bytes(),
-                &to.0.to_be_bytes(),
-                &attempt.to_be_bytes(),
-            ],
-        );
+        count(Op::FaultDraw);
+        let mut drbg = link_draw("cycledger/net-jitter", seed, from, to, attempt);
         SimDuration::from_micros(drbg.next_below(self.jitter.as_micros() + 1))
     }
 }

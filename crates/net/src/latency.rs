@@ -13,6 +13,8 @@
 //! bound of its class (worst-case reordering of classical BFT models).
 
 use cycledger_crypto::hmac::HmacDrbg;
+use cycledger_crypto::opcount::{count, Op};
+use cycledger_crypto::sha256::sha256;
 
 use crate::time::SimDuration;
 use crate::topology::NodeId;
@@ -117,15 +119,8 @@ impl LatencySampler {
     pub fn sample(&self, class: LinkClass, from: NodeId, to: NodeId, seq: u64) -> SimDuration {
         let bound = self.config.bound(class).as_micros().max(1);
         let floor = (bound / 4).max(1);
-        let mut drbg = HmacDrbg::from_parts(
-            "cycledger/latency",
-            &[
-                &self.seed.to_be_bytes(),
-                &from.0.to_be_bytes(),
-                &to.0.to_be_bytes(),
-                &seq.to_be_bytes(),
-            ],
-        );
+        count(Op::LatencyDraw);
+        let mut drbg = link_draw("cycledger/latency", self.seed, from, to, seq);
         let span = bound - floor + 1;
         SimDuration::from_micros(floor + drbg.next_below(span))
     }
@@ -136,9 +131,58 @@ impl LatencySampler {
     }
 }
 
+/// The generator behind one decision about the `n`-th message of a link:
+/// `HmacDrbg::from_parts(domain, &[seed, from, to, n])` (all big-endian), its
+/// length-prefixed preimage assembled on the stack and hashed in one call —
+/// every envelope pays for one of these, a lossy or jittered one for more.
+pub(crate) fn link_draw(domain: &str, seed: u64, from: NodeId, to: NodeId, n: u64) -> HmacDrbg {
+    // Five 8-byte length prefixes, 24 bytes of integers, a domain of up to 32.
+    let mut preimage = [0u8; 96];
+    let mut at = 0;
+    for part in [
+        domain.as_bytes(),
+        &seed.to_be_bytes(),
+        &from.0.to_be_bytes(),
+        &to.0.to_be_bytes(),
+        &n.to_be_bytes(),
+    ] {
+        preimage[at..at + 8].copy_from_slice(&(part.len() as u64).to_le_bytes());
+        preimage[at + 8..at + 8 + part.len()].copy_from_slice(part);
+        at += 8 + part.len();
+    }
+    HmacDrbg::new(sha256(&preimage[..at]).as_bytes())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn link_draw_is_from_parts_of_the_four_integers() {
+        for domain in [
+            "cycledger/latency",
+            "cycledger/net-loss",
+            "cycledger/net-jitter",
+        ] {
+            for (seed, from, to, n) in [
+                (0u64, 0u32, 0u32, 0u64),
+                (4242, 3, 11, 7),
+                (u64::MAX, 9, 1, 1 << 40),
+            ] {
+                let mut expected = HmacDrbg::from_parts(
+                    domain,
+                    &[
+                        &seed.to_be_bytes(),
+                        &from.to_be_bytes(),
+                        &to.to_be_bytes(),
+                        &n.to_be_bytes(),
+                    ],
+                );
+                let mut drawn = link_draw(domain, seed, NodeId(from), NodeId(to), n);
+                assert_eq!(drawn.next_bytes32(), expected.next_bytes32(), "{domain}");
+            }
+        }
+    }
 
     #[test]
     fn default_ordering_of_bounds() {

@@ -43,6 +43,8 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 
+use cycledger_crypto::opcount::{count, Op};
+
 use crate::faults::FaultPlan;
 use crate::latency::{LatencyConfig, LatencySampler, LinkClass};
 use crate::metrics::{MetricsSink, Phase};
@@ -314,6 +316,7 @@ impl<M> SimNetwork<M> {
         delay: SimDuration,
     ) -> SimTime {
         let deliver_at = self.now.after(delay);
+        count(Op::EnvelopeSent);
         self.metrics.record_message(self.phase, from, to, bytes);
         let envelope = Envelope {
             from,

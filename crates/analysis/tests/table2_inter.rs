@@ -5,10 +5,14 @@
 //! `O(c + m)` with room to spare, not the `O(m·c)` of one instance per pair —
 //! and grows linearly in `m` for a key member (the leader's `m−1` forwards
 //! and `m−1` replies).
+//!
+//! The intra-committee and recovery rows by the same method, exactly: every
+//! leg of those phases is an envelope on the network, so the counted sends of
+//! one fault-free committee *are* the closed form, not an account of it.
 
 use cycledger_analysis::{table2_prediction, RoleClass, SystemSize};
 use cycledger_net::metrics::Phase;
-use cycledger_protocol::{ProtocolConfig, Simulation};
+use cycledger_protocol::{Behavior, ProtocolConfig, Simulation};
 
 const C: usize = 8;
 const PHASE: Phase = Phase::InterCommitteeConsensus;
@@ -100,4 +104,73 @@ fn inter_phase_sends_have_the_shape_table2_states() {
         common_16 / common_8
             <= predicted(RoleClass::CommonMember, 16) / predicted(RoleClass::CommonMember, 8)
     );
+}
+
+/// Envelopes sent in the intra-committee and recovery phases of one round of
+/// a single committee of `c` seats, and what the closed forms say — with the
+/// leader fail-silent (one successful impeachment, then the retry) or honest.
+fn intra_and_recovery_envelopes(c: usize, silent_leader: bool) -> [(u64, u64); 2] {
+    let config = ProtocolConfig {
+        committees: 1,
+        committee_size: c,
+        partial_set_size: 2,
+        referee_size: 5,
+        txs_per_round: 24,
+        accounts_per_shard: 32,
+        cross_shard_ratio: 0.0,
+        invalid_ratio: 0.0,
+        pow_difficulty: 2,
+        verify_signatures: false,
+        seed: 2020,
+        ..ProtocolConfig::default()
+    };
+    let mut sim = Simulation::new(config).expect("valid configuration");
+    let assignment = sim.assignment();
+    let (c, referee) = (
+        assignment.committees[0].size() as u64,
+        assignment.referee.len() as u64,
+    );
+    let leader = assignment.committees[0].leader;
+    if silent_leader {
+        sim.registry_mut()
+            .set_behavior(leader, Behavior::SilentLeader);
+    }
+    let report = sim.run_round().clone();
+    assert!(report.block_produced && report.txs_packed > 0);
+    assert_eq!(report.evicted_leaders.len(), usize::from(silent_leader));
+    assert_eq!(report.net_dropped_messages, 0);
+
+    // One Algorithm 3 instance: c−1 PROPOSEs, then c−1 ECHOes and one
+    // CONFIRM from every member taking part — all of them, or all but the
+    // evicted leader, which withholds for the rest of the round.
+    let taking_part = c - u64::from(silent_leader);
+    let alg3 = (c - 1) + taking_part * (c - 1) + taking_part;
+    // TXList out and votes back, the instance, the certificate to C_R. A
+    // silent leader's own attempt sends nothing; the retry is the whole row.
+    let intra = 2 * (c - 1) + alg3 + referee;
+    // Accusation to the other c−1, votes from all of those but the accused,
+    // accusation + approvals to C_R, C_R's verdict to every member.
+    let recovery = (c - 1) + (c - 2) + referee + referee * c;
+    let sent = |phase| report.metrics.phase_total(phase).msgs_sent;
+    [
+        (sent(Phase::IntraCommitteeConsensus), intra),
+        (
+            sent(Phase::Recovery),
+            if silent_leader { recovery } else { 0 },
+        ),
+    ]
+}
+
+#[test]
+fn intra_and_recovery_rows_count_exactly_the_closed_form() {
+    for c in [8, 16, 32] {
+        for silent_leader in [false, true] {
+            for (counted, closed_form) in intra_and_recovery_envelopes(c, silent_leader) {
+                assert_eq!(
+                    counted, closed_form,
+                    "c = {c}, silent leader: {silent_leader}"
+                );
+            }
+        }
+    }
 }

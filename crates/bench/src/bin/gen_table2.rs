@@ -45,6 +45,15 @@ fn main() {
     }
 
     println!(
+        "\nCounting: the intra-committee, inter-committee and recovery rows count envelopes that were"
+    );
+    println!(
+        "sent, not a closed form — including the destination leader's announcement of the admitted"
+    );
+    println!(
+        "cross-shard lists to its c-1 members (one envelope each), which earlier tables left out."
+    );
+    println!(
         "\nScaling check: referee semi-commitment traffic should grow ~4x when m doubles (O(m²)),"
     );
     println!(

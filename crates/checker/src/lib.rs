@@ -6,7 +6,7 @@
 //! Two halves, one transition function:
 //!
 //! * [`model`] — an exhaustive BFS over every message delivery, drop, and
-//!   timer interleaving of the driven intra-committee pipeline (vote
+//!   timer interleaving of the intra-committee pipeline (vote
 //!   collection under the 4Δ deadline, Algorithm 3, recovery with retry) at
 //!   the smallest non-trivial configuration (n = 4, t = 1, 2 rounds), with
 //!   hash-consed, symmetry-reduced states and machine-checked safety
@@ -19,8 +19,8 @@
 //!   concrete step has no abstract counterpart.
 //!
 //! Both halves decide *everything* via [`cycledger_consensus::transition`] —
-//! the same side-effect-free functions `phases/driven.rs` and the sync
-//! drivers call — so a bug in a threshold or tally is caught twice: the model
+//! the same side-effect-free functions the protocol's phase drivers
+//! (`phases/{intra,recovery,xshard}.rs`) call — so a bug in a threshold or tally is caught twice: the model
 //! run refutes it at the exhaustive bound, and the refinement run refutes it
 //! at fuzz scale. The checker's own assertions are validated by self-test:
 //! exploring with a deliberately [broken rule](model::BrokenRule) must

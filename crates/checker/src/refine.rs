@@ -7,10 +7,11 @@
 //! per-committee outcome, recovery attempt, and phase-counter delta must be
 //! reproducible by the shared decision core
 //! ([`cycledger_consensus::transition`]) from the raw facts the recorder
-//! captured. A step the shared functions cannot reproduce means
-//! `phases/driven.rs` (or the sync drivers) computed a decision some way
-//! other than the one the model checker exhaustively verified — exactly the
-//! drift this layer exists to catch.
+//! captured. A step the shared functions cannot reproduce means a phase
+//! driver (`phases/{intra,recovery,xshard}.rs` — one implementation, whatever
+//! `message_driven` says) computed a decision some way other than the one the
+//! model checker exhaustively verified — exactly the drift this layer exists
+//! to catch.
 
 use cycledger_consensus::transition::{
     expected_votes_missing, impeachment_passes, majority_threshold, quorum_timed_out, tx_accepted,

@@ -142,7 +142,7 @@ fn broken_rules_are_flagged_with_counterexamples() {
     );
 }
 
-fn sim_config(adversary: AdversaryConfig, seed: u64) -> ProtocolConfig {
+fn sim_config(adversary: AdversaryConfig, seed: u64, message_driven: bool) -> ProtocolConfig {
     ProtocolConfig {
         committees: 2,
         committee_size: 8,
@@ -152,7 +152,7 @@ fn sim_config(adversary: AdversaryConfig, seed: u64) -> ProtocolConfig {
         accounts_per_shard: 16,
         pow_difficulty: 2,
         verify_signatures: false,
-        message_driven: true,
+        message_driven,
         adversary,
         worker_threads: 1,
         seed,
@@ -160,24 +160,28 @@ fn sim_config(adversary: AdversaryConfig, seed: u64) -> ProtocolConfig {
     }
 }
 
-/// Refinement over a clean driven execution: every concrete step has an
-/// abstract counterpart.
+/// Refinement over a clean execution, with and without the fault-plan opt-in
+/// (one implementation runs either way): every concrete step has an abstract
+/// counterpart.
 #[test]
 fn refinement_holds_over_honest_driven_execution() {
-    let mut sim = Simulation::new(sim_config(AdversaryConfig::default(), 7)).expect("valid config");
-    let mut recorder = TraceRecorder::new();
-    sim.run_observed(3, &mut recorder);
-    let trace = recorder.into_trace();
-    assert!(!trace.steps.is_empty(), "recorder saw no committee steps");
-    let stats = check_trace(&trace).expect("refinement gap in an honest run");
-    assert!(stats.committee_steps >= 6, "3 rounds x 2 committees");
-    assert!(stats.decisions > 0);
-    assert!(stats.phase_deltas > 0);
+    for message_driven in [false, true] {
+        let config = sim_config(AdversaryConfig::default(), 7, message_driven);
+        let mut sim = Simulation::new(config).expect("valid config");
+        let mut recorder = TraceRecorder::new();
+        sim.run_observed(3, &mut recorder);
+        let trace = recorder.into_trace();
+        assert!(!trace.steps.is_empty(), "recorder saw no committee steps");
+        let stats = check_trace(&trace).expect("refinement gap in an honest run");
+        assert!(stats.committee_steps >= 6, "3 rounds x 2 committees");
+        assert!(stats.decisions > 0);
+        assert!(stats.phase_deltas > 0);
+    }
 }
 
-/// Refinement over adversarial driven executions: silent, equivocating and
+/// Refinement over adversarial executions: silent, equivocating and
 /// false-accusing leaders all stay within the abstract transition relation
-/// (the recoveries they trigger included).
+/// (the recoveries they trigger included), on either setting of the flag.
 #[test]
 fn refinement_holds_over_adversarial_driven_executions() {
     for behavior in [
@@ -185,14 +189,18 @@ fn refinement_holds_over_adversarial_driven_executions() {
         Behavior::EquivocatingLeader,
         Behavior::FalseAccuser,
     ] {
-        let adversary = AdversaryConfig::with_behavior(0.3, behavior);
-        let mut sim = Simulation::new(sim_config(adversary, 11)).expect("valid config");
-        let mut recorder = TraceRecorder::new();
-        sim.run_observed(3, &mut recorder);
-        let trace = recorder.into_trace();
-        let stats = check_trace(&trace)
-            .unwrap_or_else(|gap| panic!("refinement gap under {behavior:?}: {gap}"));
-        assert!(stats.committee_steps >= 6, "{behavior:?}: too few steps");
+        for message_driven in [false, true] {
+            let adversary = AdversaryConfig::with_behavior(0.3, behavior);
+            let config = sim_config(adversary, 11, message_driven);
+            let mut sim = Simulation::new(config).expect("valid config");
+            let mut recorder = TraceRecorder::new();
+            sim.run_observed(3, &mut recorder);
+            let trace = recorder.into_trace();
+            let stats = check_trace(&trace).unwrap_or_else(|gap| {
+                panic!("refinement gap under {behavior:?}, message_driven={message_driven}: {gap}")
+            });
+            assert!(stats.committee_steps >= 6, "{behavior:?}: too few steps");
+        }
     }
 }
 
@@ -201,7 +209,8 @@ fn refinement_holds_over_adversarial_driven_executions() {
 /// rejected.
 #[test]
 fn refinement_flags_a_decision_with_no_abstract_counterpart() {
-    let mut sim = Simulation::new(sim_config(AdversaryConfig::default(), 7)).expect("valid config");
+    let config = sim_config(AdversaryConfig::default(), 7, true);
+    let mut sim = Simulation::new(config).expect("valid config");
     let mut recorder = TraceRecorder::new();
     sim.run_round_observed(&mut recorder);
     let mut trace = recorder.into_trace();

@@ -433,10 +433,15 @@ impl<M> SimNetwork<M> {
 
     /// Accounts a message in the metrics sink *without* scheduling a delivery.
     ///
-    /// Used by phase drivers for one-shot fan-out traffic whose content never
-    /// influences later control flow (vote uploads, result forwarding to `C_R`,
-    /// block propagation): the bytes and message counts matter for Table II, but
-    /// pumping them through the event queue would add nothing.
+    /// Only for legs no control flow depends on — the certificate content a
+    /// leader announces beside a certified root (the inter-committee phase's
+    /// one use; block propagation and score forwards charge their sink the
+    /// same way): the bytes and message counts matter for Table II, but
+    /// nobody waits on the delivery, so pumping them through the event queue
+    /// would add nothing. Any leg a timeout, a tally or a quorum waits on
+    /// (TXList and votes, accusations and impeachment votes, cross-shard
+    /// forwards and replies) is a real envelope (`send`), so a fault plan can
+    /// hit it and Table II's rows count what was sent.
     pub fn account_message(&mut self, from: NodeId, to: NodeId, bytes: u64) {
         self.metrics.record_message(self.phase, from, to, bytes);
     }

@@ -139,11 +139,12 @@ pub struct InsideConsensusOutcome {
 /// not the leader) stay silent during the instance — the worst they can do to an
 /// instance led by an honest leader, since forged messages are rejected anyway.
 ///
-/// Generic over the envelope type: the classic phase drivers run it over a
-/// plain [`Alg3Message`] network, the message-driven drivers over a
-/// [`cycledger_consensus::envelope::CommitteeMessage`] network (whose
-/// non-Alg3 envelopes still in flight — e.g. late vote replies — are drained
-/// and ignored). The event loop ends at quiescence, so a network whose fault
+/// Generic over the envelope type: the phases whose whole exchange is the
+/// instance (semi-commitment, reputation, block generation) and the benches
+/// run it over a plain [`Alg3Message`] network, the intra- and inter-committee
+/// phases over a [`cycledger_consensus::envelope::CommitteeMessage`] network
+/// (whose non-Alg3 envelopes still in flight — e.g. late vote replies — are
+/// drained and ignored). The event loop ends at quiescence, so a network whose fault
 /// plan severs part of the committee simply yields fewer CONFIRMs and
 /// possibly no certificate — the caller's recovery path takes it from there.
 #[allow(clippy::too_many_arguments)]

@@ -46,12 +46,15 @@ pub struct ProtocolConfig {
     /// benches (see `MemberState::set_verify_signatures` for why this does not
     /// change outcomes).
     pub verify_signatures: bool,
-    /// Route committee traffic (TXList announcements, votes, Algorithm 3,
-    /// cross-shard list forwards, recovery accusations) through the
-    /// discrete-event network as typed envelopes with virtual-time quorum
-    /// timeouts, so network faults (partitions, targeted delay, loss) can
-    /// perturb consensus. `false` keeps the fully synchronous fast path,
-    /// whose output is byte-identical to the pre-message-driven engine.
+    /// Whether the run opts in to network faults. Every committee
+    /// interaction (TXList announcements, votes, Algorithm 3, cross-shard
+    /// list forwards, recovery accusations) always travels the
+    /// discrete-event network as typed envelopes under virtual-time quorum
+    /// timeouts; this flag selects no code. It decides two things only:
+    /// whether a plan handed to `Simulation::set_fault_plan` (partitions,
+    /// targeted delay, loss) is installed or discarded — with `false` every
+    /// round runs under the empty plan — and whether round reports carry the
+    /// timeout / drop counter block in their canonical bytes.
     pub message_driven: bool,
     /// Worker threads of the persistent shard executor: `0` sizes the pool
     /// from the machine's available parallelism, `1` runs everything inline

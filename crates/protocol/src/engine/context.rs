@@ -59,7 +59,8 @@ pub struct RoundContext<'a> {
     pub assignment: &'a RoundAssignment,
     /// The persistent worker pool shared by all parallel phases.
     pub executor: &'a ShardExecutor,
-    /// Network faults in force this round (message-driven mode only).
+    /// Network faults every phase network of this round runs under (empty
+    /// unless the simulation installed a plan).
     pub faults: &'a cycledger_net::faults::FaultPlan,
     /// Reusable scratch buffers recycled across rounds (reset on context
     /// construction; drained and refilled by the phases).
@@ -100,22 +101,21 @@ pub struct RoundContext<'a> {
     /// report's skipped-recovery count is derived from it, so the log is the
     /// single source of truth).
     pub recovery_log: Vec<RecoveryRecord>,
-    /// Message-driven mode: vote-collection deadlines that fired with votes
-    /// missing, across the intra and inter phases.
+    /// Vote-collection deadlines that fired with votes missing, across the
+    /// intra and inter phases.
     pub quorum_timeouts: usize,
-    /// Message-driven mode: cross-shard list forwards that missed their
-    /// destination deadline (the pair deferred to a later round).
+    /// Cross-shard list forwards that missed their destination deadline (the
+    /// pair deferred to a later round).
     pub list_timeouts: usize,
-    /// Message-driven mode: individual votes missing at collection
-    /// deadlines (each recorded as an all-`Unknown` row).
+    /// Individual votes missing at collection deadlines (each recorded as an
+    /// all-`Unknown` row).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes dropped by the fault plan across every
-    /// phase network this round.
+    /// Envelopes dropped by the fault plan across every phase network this
+    /// round.
     pub net_dropped: u64,
-    /// Message-driven mode: deliberate abstentions by `Syncing` members.
+    /// Deliberate abstentions by `Syncing` members.
     pub syncing_abstentions: usize,
-    /// Message-driven mode: votes received from `Syncing` members (must stay
-    /// zero).
+    /// Votes received from `Syncing` members (must stay zero).
     pub syncing_votes: usize,
 
     /// Per-shard intra-committee transaction lists (workload split).
@@ -324,44 +324,27 @@ impl<'a> RoundContext<'a> {
     ) -> RecoveryAttempt {
         let accused = self.committees[k].leader;
         let accused_was_honest = self.registry.node(accused).is_honest();
-        let outcome = if self.config.message_driven {
-            // Message-driven mode: the accusation broadcast and impeachment
-            // votes ride the faulted network. Recoveries run sequentially on
-            // the driver thread, so the attempt index makes the seed unique
-            // and deterministic.
-            let seed = self.config.seed
-                ^ (self.round << 40)
-                ^ ((self.recovery_log.len() as u64) << 8)
-                ^ k as u64;
-            let (outcome, dropped) = crate::phases::driven::run_recovery_driven(
-                self.registry,
-                &mut self.committees[k],
-                &self.referee,
-                accusation,
-                prosecutor,
-                self.reputation,
-                self.round,
-                self.config.verify_signatures,
-                self.config.latency,
-                self.faults,
-                seed,
-                &mut self.metrics,
-            );
-            self.net_dropped += dropped;
-            outcome
-        } else {
-            run_recovery(
-                self.registry,
-                &mut self.committees[k],
-                &self.referee,
-                accusation,
-                prosecutor,
-                self.reputation,
-                self.round,
-                self.config.verify_signatures,
-                &mut self.metrics,
-            )
-        };
+        // Recoveries run sequentially on the driver thread, so the attempt
+        // index makes the network seed unique and deterministic.
+        let seed = self.config.seed
+            ^ (self.round << 40)
+            ^ ((self.recovery_log.len() as u64) << 8)
+            ^ k as u64;
+        let (outcome, dropped) = run_recovery(
+            self.registry,
+            &mut self.committees[k],
+            &self.referee,
+            accusation,
+            prosecutor,
+            self.reputation,
+            self.round,
+            self.config.verify_signatures,
+            self.config.latency,
+            self.faults,
+            seed,
+            &mut self.metrics,
+        );
+        self.net_dropped += dropped;
         let (attempt, logged) = match outcome.evicted {
             Some(old) => {
                 self.evicted.push((k, old));

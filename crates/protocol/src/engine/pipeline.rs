@@ -18,14 +18,12 @@ use crate::engine::context::RoundContext;
 use crate::engine::RoundPhase;
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::configuration::run_committee_configuration;
-use crate::phases::driven::{run_inter_consensus_driven, run_intra_consensus_driven};
-use crate::phases::inter::run_inter_consensus;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
 use crate::phases::selection::run_selection;
 use crate::phases::semi_commitment::run_semi_commitment_exchange;
-use crate::phases::xshard::InterEnv;
+use crate::phases::xshard::{self, InterEnv};
 use crate::sortition::AssignmentParams;
 
 /// The standard pipeline in protocol order (§IV).
@@ -135,65 +133,7 @@ impl RoundPhase for IntraConsensusPhase {
         // First phase that reads the shard UTXO sets: the previous round's
         // block application must have fully drained (pipelined mode).
         ctx.join_pending_apply();
-        let m = ctx.committee_count();
-        let committees = &ctx.committees;
-        let utxo_sets: &[_] = ctx.utxo_sets;
-        let intra_per_shard = &ctx.intra_per_shard;
-        let registry = ctx.registry;
-        let referee_members = &ctx.assignment.referee;
-        let round = ctx.round;
-        let config = ctx.config;
-        let faults = ctx.faults;
-
-        // Each task owns one pool slot and one arena scratch slot exclusively
-        // for the batch's lifetime — per-worker sinks and reusable validity
-        // tables without locks, merged/recycled in committee order below.
-        let scratch_slots = ctx.arena.shard_slots(m);
-        let mut pool = WorkerSinkPool::new(m);
-        let tasks: Vec<_> = pool
-            .slots_mut()
-            .iter_mut()
-            .zip(scratch_slots.iter_mut())
-            .enumerate()
-            .map(|(k, (slot, scratch))| {
-                move || {
-                    let seed = config.seed ^ (round << 8) ^ k as u64;
-                    let (outcome, sink) = if config.message_driven {
-                        run_intra_consensus_driven(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                            faults,
-                        )
-                    } else {
-                        run_intra_consensus(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                        )
-                    };
-                    *slot = sink;
-                    outcome
-                }
-            })
-            .collect();
-        let mut outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
-        pool.merge_into(&mut ctx.metrics);
-        debug_assert!(outcomes.iter().enumerate().all(|(k, o)| o.committee == k));
+        let mut outcomes = run_intra_batch(ctx, None);
         if ctx.config.verify_signatures {
             // Referee-side certificate verification, aggregated across every
             // committee: one random-linear-combination batch covers all the
@@ -225,14 +165,6 @@ impl RoundPhase for IntraConsensusPhase {
                 }
             }
         }
-        ctx.quorum_timeouts += outcomes.iter().filter(|o| o.quorum_timeout).count();
-        ctx.votes_missing += outcomes.iter().map(|o| o.votes_missing).sum::<usize>();
-        ctx.net_dropped += outcomes.iter().map(|o| o.net_dropped).sum::<u64>();
-        ctx.syncing_abstentions += outcomes
-            .iter()
-            .map(|o| o.syncing_abstentions)
-            .sum::<usize>();
-        ctx.syncing_votes += outcomes.iter().map(|o| o.syncing_votes).sum::<usize>();
         ctx.intra_outcomes = outcomes;
     }
 }
@@ -286,83 +218,81 @@ impl RoundPhase for IntraRecoveryPhase {
             return;
         }
 
-        // Retry the intra phase under the new leaders, in parallel. As in the
-        // main intra batch, each task owns one per-worker sink slot; merge
-        // order is retry-list (= committee) order.
-        let committees = &ctx.committees;
-        let utxo_sets: &[_] = ctx.utxo_sets;
-        let intra_per_shard = &ctx.intra_per_shard;
-        let registry = ctx.registry;
-        let referee_members = &ctx.assignment.referee;
-        let round = ctx.round;
-        let config = ctx.config;
-        let faults = ctx.faults;
-        // Arena scratch slots for the retried committees only (the validity
-        // tables computed by the main batch are simply recomputed — the
-        // offered list is unchanged, but the slot may have been resized).
-        let retry_scratch: Vec<&mut crate::engine::arena::ShardScratch> = ctx
-            .arena
-            .shard_slots(m)
-            .iter_mut()
-            .enumerate()
-            .filter(|(k, _)| retries.contains(k))
-            .map(|(_, scratch)| scratch)
-            .collect();
-        let mut pool = WorkerSinkPool::new(retries.len());
-        let tasks: Vec<_> = pool
-            .slots_mut()
-            .iter_mut()
-            .zip(retry_scratch)
-            .zip(&retries)
-            .map(|((slot, scratch), &k)| {
-                move || {
-                    let seed = config.seed ^ (round << 8) ^ (0x1_0000 + k as u64);
-                    let (outcome, sink) = if config.message_driven {
-                        run_intra_consensus_driven(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                            faults,
-                        )
-                    } else {
-                        run_intra_consensus(
-                            registry,
-                            &committees[k],
-                            &utxo_sets[k],
-                            &intra_per_shard[k],
-                            referee_members,
-                            round,
-                            config.latency,
-                            config.verify_signatures,
-                            seed,
-                            scratch,
-                        )
-                    };
-                    *slot = sink;
-                    outcome
-                }
-            })
-            .collect();
-        let results = ctx.executor.execute(tasks);
+        // Retry the intra phase under the new leaders, in parallel. Both
+        // attempts really happened this round: the retry's counters fold in
+        // on top of the main batch's.
+        let results = run_intra_batch(ctx, Some(&retries));
         for (outcome, &k) in results.into_iter().zip(&retries) {
-            // Both attempts really happened this round: fold the retry's
-            // driven-mode counters in on top of the main batch's.
-            ctx.quorum_timeouts += usize::from(outcome.quorum_timeout);
-            ctx.votes_missing += outcome.votes_missing;
-            ctx.net_dropped += outcome.net_dropped;
-            ctx.syncing_abstentions += outcome.syncing_abstentions;
-            ctx.syncing_votes += outcome.syncing_votes;
             ctx.intra_outcomes[k] = outcome;
         }
-        pool.merge_into(&mut ctx.metrics);
     }
+}
+
+/// Runs intra-committee consensus as one executor batch: for every committee,
+/// or — `retry` — for the ascending list of committees whose leader a
+/// recovery just replaced, under network seeds apart from the first
+/// attempt's. Returns the outcomes in committee order, with their metrics
+/// merged into `ctx.metrics` and their timeout / drop / abstention counters
+/// folded into the round's in that same order.
+fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<IntraOutcome> {
+    let m = ctx.committee_count();
+    let (batch_size, seed_salt) = retry.map_or((m, 0), |ks| (ks.len(), 0x1_0000));
+    let selected = |k: usize| retry.is_none_or(|ks| ks.contains(&k));
+    let committees = &ctx.committees;
+    let utxo_sets: &[_] = ctx.utxo_sets;
+    let intra_per_shard = &ctx.intra_per_shard;
+    let registry = ctx.registry;
+    let referee_members = &ctx.assignment.referee;
+    let round = ctx.round;
+    let config = ctx.config;
+    let faults = ctx.faults;
+
+    // Each task owns one pool slot and its committee's arena scratch slot
+    // exclusively for the batch's lifetime — per-worker sinks and reusable
+    // validity tables without locks, merged/recycled in committee order below.
+    // (A retry simply recomputes the validity table: the offered list is
+    // unchanged, but the slot may have been resized.)
+    let scratch_slots = ctx.arena.shard_slots(m).iter_mut().enumerate();
+    let scratch_slots = scratch_slots.filter(|(k, _)| selected(*k));
+    let mut pool = WorkerSinkPool::new(batch_size);
+    let tasks: Vec<_> = pool
+        .slots_mut()
+        .iter_mut()
+        .zip(scratch_slots)
+        .map(|(slot, (k, scratch))| {
+            move || {
+                let (outcome, sink) = run_intra_consensus(
+                    registry,
+                    &committees[k],
+                    &utxo_sets[k],
+                    &intra_per_shard[k],
+                    referee_members,
+                    round,
+                    config.latency,
+                    config.verify_signatures,
+                    config.seed ^ (round << 8) ^ (seed_salt + k as u64),
+                    scratch,
+                    faults,
+                );
+                *slot = sink;
+                outcome
+            }
+        })
+        .collect();
+    let outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
+    pool.merge_into(&mut ctx.metrics);
+    debug_assert!(outcomes
+        .iter()
+        .map(|o| o.committee)
+        .eq((0..m).filter(|&k| selected(k))));
+    for outcome in &outcomes {
+        ctx.quorum_timeouts += usize::from(outcome.quorum_timeout);
+        ctx.votes_missing += outcome.votes_missing;
+        ctx.net_dropped += outcome.net_dropped;
+        ctx.syncing_abstentions += outcome.syncing_abstentions;
+        ctx.syncing_votes += outcome.syncing_votes;
+    }
+    outcomes
 }
 
 /// Phase 4 — inter-committee consensus over cross-shard transactions
@@ -389,12 +319,7 @@ impl RoundPhase for InterConsensusPhase {
             verify_signatures: ctx.config.verify_signatures,
             seed: ctx.config.seed ^ (ctx.round << 16),
         };
-        let (cross_shard, executor, metrics) = (&ctx.cross_shard, ctx.executor, &mut ctx.metrics);
-        let inter = if ctx.config.message_driven {
-            run_inter_consensus_driven(&env, cross_shard, executor, metrics)
-        } else {
-            run_inter_consensus(&env, cross_shard, executor, metrics)
-        };
+        let inter = xshard::run_phase(&env, &ctx.cross_shard, ctx.executor, &mut ctx.metrics);
         ctx.quorum_timeouts += inter.quorum_timeouts;
         ctx.list_timeouts += inter.list_timeouts;
         ctx.votes_missing += inter.votes_missing;

@@ -3,7 +3,6 @@
 
 pub mod block_generation;
 pub mod configuration;
-pub mod driven;
 pub mod inter;
 pub mod intra;
 pub mod recovery;

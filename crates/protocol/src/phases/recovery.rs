@@ -8,15 +8,21 @@
 //! new leader drawn from the partial set, and punishes the old one (reputation
 //! cut to its cube root, §VII-B).
 
+use cycledger_consensus::envelope::CommitteeMessage;
+use cycledger_consensus::transition;
 use cycledger_consensus::witness::Witness;
 use cycledger_crypto::sha256::hash_parts;
+use cycledger_net::faults::FaultPlan;
+use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_net::network::{NetEvent, SimNetwork};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
 use crate::committee::Committee;
 use crate::node::NodeRegistry;
 use crate::phases::inter::CensorshipReport;
+use crate::phases::intra::vote_deadline;
 
 /// An accusation against a leader, either backed by a signed witness or by a
 /// committee-observable omission (timeout).
@@ -76,10 +82,18 @@ pub struct RecoveryOutcome {
     pub rejection_reason: Option<&'static str>,
 }
 
-/// Runs the recovery procedure for one committee given an accusation.
+/// Timer key: the prosecutor's impeachment-vote deadline.
+const IMPEACH_TIMER: u64 = 3;
+
+/// Runs the recovery procedure for one committee given an accusation, with
+/// the accusation broadcast, impeachment votes and referee notifications
+/// travelling as envelopes under a `4Δ` approval deadline. Members `plan`
+/// severs from the prosecutor cannot approve, so an impeachment under
+/// partition can fail for lack of a majority.
 ///
-/// Returns the outcome and, on success, mutates `committee` (new leader
-/// installed) and `reputation` (cube-root punishment for the old leader).
+/// Returns the outcome and the envelopes the network dropped; on success,
+/// mutates `committee` (new leader installed) and `reputation` (cube-root
+/// punishment for the old leader).
 #[allow(clippy::too_many_arguments)]
 pub fn run_recovery(
     registry: &NodeRegistry,
@@ -90,91 +104,169 @@ pub fn run_recovery(
     reputation: &mut ReputationTable,
     round: u64,
     verify_signatures: bool,
+    latency: LatencyConfig,
+    plan: &FaultPlan,
+    seed: u64,
     metrics: &mut MetricsSink,
-) -> RecoveryOutcome {
+) -> (RecoveryOutcome, u64) {
     let phase = Phase::Recovery;
     let accused = accusation.accused();
+    let mut net: SimNetwork<CommitteeMessage> =
+        SimNetwork::with_faults(latency, seed, plan.clone());
+    net.set_phase(phase);
 
-    // 1. The prosecutor broadcasts the accusation to the whole committee.
-    let witness_bytes = match &accusation {
-        Accusation::Signed(w) => w.wire_size(),
-        Accusation::Timeout { .. } => 64,
-    };
-    for &member in &committee.members {
-        if member != prosecutor {
-            metrics.record_message(phase, prosecutor, member, witness_bytes);
-        }
-    }
-
-    // 2. Members vote on the impeachment. Honest members verify the evidence;
-    //    malicious members approve anything (worst case for a framed leader) —
-    //    but they are a minority, so their approvals never carry a vote alone.
     let evidence_valid = match &accusation {
-        Accusation::Signed(w) => {
-            // Simulation fast path: with signature generation disabled,
-            // witnesses distilled from Algorithm 3 traffic carry placeholder
-            // signatures, and honest members skip the cryptographic check —
-            // in the simulator a witness only ever originates from a leader
-            // that really misbehaved, so outcomes are unchanged (the same
-            // contract as `MemberState::set_verify_signatures`).
-            cycledger_consensus::transition::signed_accusation_admissible(
-                accused == committee.leader,
-                !verify_signatures || w.verify(&registry.node(accused).keypair.public),
-            )
-        }
+        // Simulation fast path: with signature generation disabled,
+        // witnesses distilled from Algorithm 3 traffic carry placeholder
+        // signatures, and honest members skip the cryptographic check —
+        // in the simulator a witness only ever originates from a leader
+        // that really misbehaved, so outcomes are unchanged (the same
+        // contract as `MemberState::set_verify_signatures`).
+        Accusation::Signed(w) => transition::signed_accusation_admissible(
+            accused == committee.leader,
+            !verify_signatures || w.verify(&registry.node(accused).keypair.public),
+        ),
         Accusation::Timeout {
             observed_by_committee,
             ..
-        } => cycledger_consensus::transition::timeout_accusation_admissible(
+        } => transition::timeout_accusation_admissible(
             accused == committee.leader,
             *observed_by_committee,
         ),
     };
-    let mut approvals = 0usize;
+    let witness_bytes = match &accusation {
+        Accusation::Signed(w) => w.wire_size(),
+        Accusation::Timeout { .. } => 64,
+    };
+
+    // 1. The prosecutor broadcasts the accusation.
+    let envelope = CommitteeMessage::Accusation {
+        committee: committee.index as u32,
+        accused,
+    };
     for &member in &committee.members {
-        if member == accused {
-            continue;
+        if member != prosecutor {
+            net.send(
+                prosecutor,
+                member,
+                LinkClass::IntraCommittee,
+                envelope.clone(),
+                witness_bytes,
+            );
         }
-        if cycledger_consensus::transition::member_approves_impeachment(
-            registry.node(member).is_honest(),
-            evidence_valid,
-        ) {
-            approvals += 1;
-        }
-        metrics.record_message(phase, member, prosecutor, 8);
-    }
-    if !cycledger_consensus::transition::impeachment_passes(approvals, committee.size()) {
-        return RecoveryOutcome {
-            committee: committee.index,
-            evicted: None,
-            new_leader: None,
-            approvals,
-            rejection_reason: Some("impeachment did not reach a committee majority"),
-        };
     }
 
-    // 3. The prosecutor forwards the accusation + vote certificate to C_R, which
+    // 2. Members vote on the impeachment; approvals must reach the
+    //    prosecutor by the 4Δ deadline.
+    let member_approves = |member: NodeId| {
+        // Malicious members approve anything (worst case for a framed
+        // leader) — but they are a minority, so their approvals never
+        // carry a vote alone.
+        transition::member_approves_impeachment(registry.node(member).is_honest(), evidence_valid)
+    };
+    let mut approvals = 0usize;
+    if prosecutor != accused && member_approves(prosecutor) {
+        approvals += 1;
+    }
+    net.schedule_timer(vote_deadline(&latency), IMPEACH_TIMER);
+    while let Some(event) = net.next_event() {
+        match event {
+            NetEvent::Message(env) => match env.payload {
+                CommitteeMessage::Accusation { .. } => {
+                    if env.to == accused || !registry.node(env.to).membership.may_vote() {
+                        // The accused never votes on its own impeachment, and
+                        // syncing joiners abstain (counted against approval,
+                        // same quorum math as their all-Unknown tx votes).
+                        continue;
+                    }
+                    let approve = member_approves(env.to);
+                    net.send(
+                        env.to,
+                        prosecutor,
+                        LinkClass::IntraCommittee,
+                        CommitteeMessage::ImpeachVote {
+                            committee: committee.index as u32,
+                            approve,
+                        },
+                        8,
+                    );
+                }
+                CommitteeMessage::ImpeachVote { approve, .. }
+                    if env.to == prosecutor && approve =>
+                {
+                    approvals += 1;
+                }
+                _ => {}
+            },
+            NetEvent::Timer {
+                key: IMPEACH_TIMER, ..
+            } => break,
+            NetEvent::Timer { .. } => {}
+        }
+    }
+
+    // Close the books and return.
+    let mut finish = |net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
+        let mut net = net;
+        while net.next_event().is_some() {}
+        let dropped = net.dropped_messages();
+        metrics.merge(net.metrics());
+        (outcome, dropped)
+    };
+
+    if !transition::impeachment_passes(approvals, committee.size()) {
+        return finish(
+            net,
+            RecoveryOutcome {
+                committee: committee.index,
+                evicted: None,
+                new_leader: None,
+                approvals,
+                rejection_reason: Some("impeachment did not reach a committee majority"),
+            },
+        );
+    }
+
+    // 3. The prosecutor forwards accusation + vote certificate to C_R, which
     //    re-verifies the evidence itself before acting (Claim 4: malicious
     //    committee votes alone can never evict an honest leader).
     for &rm in &referee.members {
-        metrics.record_message(phase, prosecutor, rm, witness_bytes + 8 * approvals as u64);
+        net.send(
+            prosecutor,
+            rm,
+            LinkClass::KeyMemberMesh,
+            envelope.clone(),
+            witness_bytes + 8 * approvals as u64,
+        );
     }
     if !evidence_valid {
-        return RecoveryOutcome {
-            committee: committee.index,
-            evicted: None,
-            new_leader: None,
-            approvals,
-            rejection_reason: Some("referee committee rejected the evidence"),
-        };
+        return finish(
+            net,
+            RecoveryOutcome {
+                committee: committee.index,
+                evicted: None,
+                new_leader: None,
+                approvals,
+                rejection_reason: Some("referee committee rejected the evidence"),
+            },
+        );
     }
 
-    // 4. C_R agrees (Algorithm 3 among referees; accounted as one broadcast
-    //    round here) and notifies the committee of the new leader, chosen from
-    //    the partial set by a hash lottery over the round randomness.
+    // 4. C_R agrees (Algorithm 3 among referees; one broadcast round here)
+    //    and notifies the committee of the new leader, chosen from the
+    //    partial set by a hash lottery over the round randomness.
     for &rm in &referee.members {
         for &member in &committee.members {
-            metrics.record_message(phase, rm, member, 16);
+            net.send(
+                rm,
+                member,
+                LinkClass::KeyMemberMesh,
+                CommitteeMessage::Accusation {
+                    committee: committee.index as u32,
+                    accused,
+                },
+                16,
+            );
         }
     }
     let candidates: Vec<NodeId> = committee
@@ -184,13 +276,16 @@ pub fn run_recovery(
         .filter(|&n| n != accused)
         .collect();
     if candidates.is_empty() {
-        return RecoveryOutcome {
-            committee: committee.index,
-            evicted: None,
-            new_leader: None,
-            approvals,
-            rejection_reason: Some("no partial-set member available to take over"),
-        };
+        return finish(
+            net,
+            RecoveryOutcome {
+                committee: committee.index,
+                evicted: None,
+                new_leader: None,
+                approvals,
+                rejection_reason: Some("no partial-set member available to take over"),
+            },
+        );
     }
     let pick = hash_parts(&[
         b"cycledger/new-leader",
@@ -204,13 +299,16 @@ pub fn run_recovery(
     committee.install_leader(new_leader);
     reputation.punish_leader(accused);
 
-    RecoveryOutcome {
-        committee: committee.index,
-        evicted: Some(accused),
-        new_leader: Some(new_leader),
-        approvals,
-        rejection_reason: None,
-    }
+    finish(
+        net,
+        RecoveryOutcome {
+            committee: committee.index,
+            evicted: Some(accused),
+            new_leader: Some(new_leader),
+            approvals,
+            rejection_reason: None,
+        },
+    )
 }
 
 #[cfg(test)]
@@ -222,7 +320,14 @@ mod tests {
     use cycledger_crypto::schnorr::sign;
     use cycledger_crypto::sha256::sha256;
 
-    fn fixture(seed: u64) -> (NodeRegistry, Committee, Committee) {
+    struct Fixture {
+        registry: NodeRegistry,
+        committee: Committee,
+        referee: Committee,
+        reputation: ReputationTable,
+    }
+
+    fn fixture(seed: u64) -> Fixture {
         let registry = NodeRegistry::generate(60, &AdversaryConfig::default(), 100, 0, seed);
         let reputation = ReputationTable::with_members(registry.ids());
         let assignment = assign_round(
@@ -245,146 +350,142 @@ mod tests {
             members: assignment.referee.clone(),
             keys: registry.committee_keys(&assignment.referee),
         };
-        (registry, committee, referee)
+        Fixture {
+            registry,
+            committee,
+            referee,
+            reputation,
+        }
     }
 
-    fn real_witness(registry: &NodeRegistry, committee: &Committee) -> Witness {
-        let list = committee.member_list_bytes(registry);
-        let signature = sign(
-            &registry.node(committee.leader).keypair.secret,
-            &member_list_signing_bytes(1, committee.index, &list),
-        );
-        Witness::CommitmentMismatch(CommitmentMismatchEvidence {
-            round: 1,
-            committee: committee.index,
-            leader: committee.leader,
-            member_list: list,
-            list_signature: signature,
-            recorded_commitment: sha256(b"a different commitment"),
-        })
+    impl Fixture {
+        /// One recovery under the default latency profile and an empty fault
+        /// plan, signatures verified.
+        fn recover(
+            &mut self,
+            accusation: Accusation,
+            prosecutor: NodeId,
+            round: u64,
+        ) -> (RecoveryOutcome, MetricsSink) {
+            let mut metrics = MetricsSink::new();
+            let (outcome, dropped) = run_recovery(
+                &self.registry,
+                &mut self.committee,
+                &self.referee,
+                accusation,
+                prosecutor,
+                &mut self.reputation,
+                round,
+                true,
+                LatencyConfig::default(),
+                &FaultPlan::default(),
+                7,
+                &mut metrics,
+            );
+            assert_eq!(dropped, 0, "nothing drops under an empty plan");
+            (outcome, metrics)
+        }
+
+        /// A commitment-mismatch witness over the real member list, signed
+        /// by `signer` in the leader's name.
+        fn witness(&self, signer: NodeId, recorded: &[u8]) -> Witness {
+            let (committee, list) = (
+                &self.committee,
+                self.committee.member_list_bytes(&self.registry),
+            );
+            let signature = sign(
+                &self.registry.node(signer).keypair.secret,
+                &member_list_signing_bytes(1, committee.index, &list),
+            );
+            Witness::CommitmentMismatch(CommitmentMismatchEvidence {
+                round: 1,
+                committee: committee.index,
+                leader: committee.leader,
+                member_list: list,
+                list_signature: signature,
+                recorded_commitment: sha256(recorded),
+            })
+        }
     }
 
     #[test]
     fn valid_witness_evicts_and_punishes_leader() {
-        let (registry, mut committee, referee) = fixture(101);
-        let old_leader = committee.leader;
-        let prosecutor = committee.partial_set[0];
-        let mut reputation = ReputationTable::with_members(registry.ids());
-        reputation.add_score(old_leader, 27.0);
-        let mut metrics = MetricsSink::new();
-        let accusation = Accusation::Signed(real_witness(&registry, &committee));
-        let outcome = run_recovery(
-            &registry,
-            &mut committee,
-            &referee,
-            accusation,
-            prosecutor,
-            &mut reputation,
-            1,
-            true,
-            &mut metrics,
-        );
+        let mut fx = fixture(101);
+        let (old_leader, size) = (fx.committee.leader, fx.committee.size());
+        let prosecutor = fx.committee.partial_set[0];
+        fx.reputation.add_score(old_leader, 27.0);
+        let accusation = Accusation::Signed(fx.witness(old_leader, b"a different commitment"));
+        let (outcome, metrics) = fx.recover(accusation, prosecutor, 1);
         assert_eq!(outcome.evicted, Some(old_leader));
+        // Everyone but the accused approves; the prosecutor's own approval
+        // is counted, never sent.
+        assert_eq!(outcome.approvals, size - 1);
         let new_leader = outcome.new_leader.expect("new leader installed");
         assert_ne!(new_leader, old_leader);
-        assert_eq!(committee.leader, new_leader);
-        assert!(!committee.partial_set.contains(&new_leader));
+        assert_eq!(fx.committee.leader, new_leader);
+        assert!(!fx.committee.partial_set.contains(&new_leader));
         // Cube-root punishment: 27 → 3.
-        assert!((reputation.get(old_leader) - 3.0).abs() < 1e-9);
-        assert!(metrics.phase_total(Phase::Recovery).msgs_sent > 0);
+        assert!((fx.reputation.get(old_leader) - 3.0).abs() < 1e-9);
+        let recovery = Phase::Recovery;
+        assert!(metrics.phase_total(recovery).msgs_sent > 0);
+        // The prosecutor hears one vote from every member but the accused and
+        // itself, then the verdict from each referee.
+        assert_eq!(
+            metrics.node_phase(prosecutor, recovery).msgs_received as usize,
+            (size - 2) + fx.referee.size()
+        );
     }
 
     #[test]
     fn forged_witness_cannot_frame_an_honest_leader() {
-        let (registry, mut committee, referee) = fixture(102);
-        let honest_leader = committee.leader;
+        let mut fx = fixture(102);
+        let honest_leader = fx.committee.leader;
         // The false accuser forges "evidence" signed with its own key.
-        let accuser = committee.partial_set[0];
-        let forged_list = committee.member_list_bytes(&registry);
-        let forged = Witness::CommitmentMismatch(CommitmentMismatchEvidence {
-            round: 1,
-            committee: committee.index,
-            leader: honest_leader,
-            member_list: forged_list.clone(),
-            list_signature: sign(
-                &registry.node(accuser).keypair.secret,
-                &member_list_signing_bytes(1, committee.index, &forged_list),
-            ),
-            recorded_commitment: sha256(b"fake"),
-        });
-        let mut reputation = ReputationTable::with_members(registry.ids());
-        let outcome = run_recovery(
-            &registry,
-            &mut committee,
-            &referee,
-            Accusation::Signed(forged),
-            accuser,
-            &mut reputation,
-            1,
-            true,
-            &mut MetricsSink::new(),
-        );
+        let accuser = fx.committee.partial_set[0];
+        let forged = fx.witness(accuser, b"fake");
+        let (outcome, _) = fx.recover(Accusation::Signed(forged), accuser, 1);
         assert_eq!(outcome.evicted, None);
         assert!(outcome.rejection_reason.is_some());
-        assert_eq!(committee.leader, honest_leader, "leader must keep its seat");
-        assert_eq!(reputation.get(honest_leader), 0.0, "no punishment applied");
+        assert_eq!(
+            fx.committee.leader, honest_leader,
+            "leader must keep its seat"
+        );
+        assert_eq!(
+            fx.reputation.get(honest_leader),
+            0.0,
+            "no punishment applied"
+        );
     }
 
     #[test]
     fn observed_timeout_evicts_silent_leader() {
-        let (mut registry, mut committee, referee) = fixture(103);
-        registry.set_behavior(committee.leader, Behavior::SilentLeader);
-        let old_leader = committee.leader;
-        let prosecutor = committee
-            .partial_set
-            .iter()
-            .copied()
-            .find(|&pm| registry.node(pm).is_honest())
-            .unwrap();
-        let mut reputation = ReputationTable::with_members(registry.ids());
+        let mut fx = fixture(103);
+        let old_leader = fx.committee.leader;
+        fx.registry.set_behavior(old_leader, Behavior::SilentLeader);
+        let honest = |pm: &NodeId| fx.registry.node(*pm).is_honest();
+        let prosecutor = fx.committee.partial_set.iter().copied().find(honest);
         let accusation = Accusation::Timeout {
             leader: old_leader,
-            committee: committee.index,
+            committee: fx.committee.index,
             observed_by_committee: true,
         };
-        let outcome = run_recovery(
-            &registry,
-            &mut committee,
-            &referee,
-            accusation,
-            prosecutor,
-            &mut reputation,
-            2,
-            true,
-            &mut MetricsSink::new(),
-        );
+        let (outcome, _) = fx.recover(accusation, prosecutor.unwrap(), 2);
         assert_eq!(outcome.evicted, Some(old_leader));
         assert!(outcome.new_leader.is_some());
     }
 
     #[test]
     fn unobserved_timeout_accusation_is_rejected() {
-        let (registry, mut committee, referee) = fixture(104);
-        let leader = committee.leader;
-        let accuser = committee.partial_set[0];
-        let mut reputation = ReputationTable::with_members(registry.ids());
+        let mut fx = fixture(104);
+        let leader = fx.committee.leader;
+        let accuser = fx.committee.partial_set[0];
         let accusation = Accusation::Timeout {
             leader,
-            committee: committee.index,
+            committee: fx.committee.index,
             observed_by_committee: false,
         };
-        let outcome = run_recovery(
-            &registry,
-            &mut committee,
-            &referee,
-            accusation,
-            accuser,
-            &mut reputation,
-            2,
-            true,
-            &mut MetricsSink::new(),
-        );
+        let (outcome, _) = fx.recover(accusation, accuser, 2);
         assert_eq!(outcome.evicted, None);
-        assert_eq!(committee.leader, leader);
+        assert_eq!(fx.committee.leader, leader);
     }
 }

@@ -5,8 +5,11 @@
 //! lists — leaves `(dest, count, H(tx ids))` under a Merkle root the quorum
 //! certificate commits to — and, in one more, the vector of its per-source
 //! results after voting once over every list it admitted. A leg carries its
-//! list, an `O(log m)` proof and the committee's one certificate. The planes
-//! (`phases/inter.rs`, `phases/driven.rs`) differ only in how votes are cast.
+//! list, an `O(log m)` proof and the committee's one certificate. Every leg
+//! and every vote is an envelope on a network under the round's fault plan:
+//! one network per source committee (its instance, then the forwards and any
+//! relays), one per destination committee (the one vote, its instance, the
+//! replies).
 
 use std::collections::BTreeMap;
 
@@ -32,9 +35,8 @@ use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
-use crate::phases::driven::{list_deadline, VoteCollection};
-use crate::phases::inter::{CensorshipReport, InterOutcome};
-use crate::phases::intra::votes_from_validity;
+use crate::phases::inter::{list_deadline, CensorshipReport, InterOutcome};
+use crate::phases::intra::{collect_votes_under_deadline, votes_from_validity, VoteCollection};
 
 /// The network one committee's task runs on.
 pub type Net = SimNetwork<CommitteeMessage>;
@@ -45,8 +47,7 @@ const LIST_TIMER: u64 = 2;
 const RELAY_TIMER: u64 = 4;
 
 /// The read-shared inputs of one inter-committee phase; every task network
-/// derives its seed from `seed` and runs under `plan` (empty on the
-/// synchronous plane).
+/// derives its seed from `seed` and runs under `plan`.
 #[derive(Clone, Copy)]
 pub struct InterEnv<'a> {
     pub plan: &'a FaultPlan,
@@ -196,7 +197,7 @@ pub struct Ledger {
     pub timeout_delays: u64,
     /// Destinations whose leader never got this source's certified list.
     pub missed: Vec<usize>,
-    /// Message-driven plane: what the destination's vote collection saw.
+    /// What the destination's vote collection saw.
     pub votes: VoteCollection,
     pub net_dropped: u64,
     pub metrics: MetricsSink,
@@ -250,7 +251,7 @@ fn certify_vector<L>(
     }
 }
 
-/// Source committee, either plane: certify the outbound vector and forward
+/// Source committee: certify the outbound vector and forward
 /// every list, with its proof and the certificate, to the destination's
 /// leader and partial set.
 ///
@@ -346,7 +347,7 @@ pub fn run_source<'a>(
 /// Ground-truth validity of every inbound transaction, list by list, each
 /// against its *source* shard's state (the authentication function runs
 /// once per transaction, not once per member).
-pub fn inbound_validity(env: &InterEnv<'_>, inbound: &[&PairList<'_>]) -> Vec<Vec<bool>> {
+fn inbound_validity(env: &InterEnv<'_>, inbound: &[&PairList<'_>]) -> Vec<Vec<bool>> {
     let valid = |list: &PairList<'_>, g: &GeneratedTx| env.utxo_sets[list.source].validate(&g.tx);
     let table = |list: &&PairList<'_>| list.txs.iter().map(|g| valid(list, g).is_ok()).collect();
     inbound.iter().map(table).collect()
@@ -354,14 +355,39 @@ pub fn inbound_validity(env: &InterEnv<'_>, inbound: &[&PairList<'_>]) -> Vec<Ve
 
 /// One member's single vote over all inbound lists (its compute budget
 /// applies per list, as it did when every list was voted on separately).
-pub fn inbound_votes(env: &InterEnv<'_>, member: NodeId, validity: &[Vec<bool>]) -> Vec<Vote> {
+fn inbound_votes(env: &InterEnv<'_>, member: NodeId, validity: &[Vec<bool>]) -> Vec<Vote> {
     let votes = |list: &Vec<bool>| votes_from_validity(env.registry, member, list);
     validity.iter().flat_map(votes).collect()
 }
 
-/// Destination side: tally the one vote, certify the vector of per-source
-/// accepted sub-lists (in vote order), and return each source its own.
-pub fn certify_and_reply(
+/// Destination committee `j`: the leader announces every admitted list at
+/// once and members vote once under the single `4Δ` deadline (missing votes
+/// become all-`Unknown` rows — the same collection loop as the intra phase,
+/// minus its storage accounting); then tally, agreement and replies.
+pub fn run_dest(env: &InterEnv<'_>, j: usize, inbound: &[&PairList<'_>]) -> SideResult<Accepted> {
+    let mut net = Side::Destination.net(env, j);
+    let validity = inbound_validity(env, inbound);
+    let votes_of = |member| inbound_votes(env, member, &validity);
+    let mut vote_list = VoteList::new(inbound.iter().flat_map(|list| list.ids()).collect());
+    let announce_bytes = inbound.iter().map(|list| list.wire_bytes()).sum::<u64>() + 96;
+    let votes = collect_votes_under_deadline(
+        &mut net,
+        env.registry,
+        &env.committees[j],
+        &votes_of,
+        announce_bytes,
+        &env.latency,
+        false,
+        &mut vote_list,
+    );
+    let mut result = certify_and_reply(&mut net, env, j, inbound, &vote_list);
+    result.ledger.votes = votes;
+    close_books(net, result)
+}
+
+/// Tallies the destination's one vote, certifies the vector of per-source
+/// accepted sub-lists (in vote order), and returns each source its own.
+fn certify_and_reply(
     net: &mut Net,
     env: &InterEnv<'_>,
     committee: usize,
@@ -458,30 +484,26 @@ impl InterOutcome {
     }
 }
 
-/// The phase, for either plane: sources as one executor batch; a barrier
-/// where each list that arrived is admitted against its source's certificate;
-/// destinations as a second batch; each source admits its returned sub-list
-/// the same way; a fold in committee order, identical for any worker count.
-pub fn run_phase<'a, D>(
+/// The phase over the cross-shard portion of the workload: sources as one
+/// executor batch; a barrier where each list that arrived is admitted against
+/// its source's certificate; destinations as a second batch; each source
+/// admits its returned sub-list the same way; a fold in committee order,
+/// identical for any worker count.
+pub fn run_phase(
     env: &InterEnv<'_>,
-    cross_shard: &'a [GeneratedTx],
+    cross_shard: &[GeneratedTx],
     executor: &ShardExecutor,
     metrics: &mut MetricsSink,
-    dest_task: D,
-) -> InterOutcome
-where
-    D: Fn(usize, &[&PairList<'a>]) -> SideResult<Accepted> + Sync,
-{
+) -> InterOutcome {
     let m = env.committees.len();
     let mut outcome = InterOutcome::default();
     outcome.accepted.resize(m, Vec::new());
-    let dest_task = &dest_task;
 
     let outbound = group_outbound(cross_shard, m).into_iter();
     let tasks = outbound.map(|(i, lists)| move || run_source(env, i, lists));
     let sources = executor.execute(tasks.collect());
 
-    let mut inbound: BTreeMap<usize, Vec<&PairList<'a>>> = BTreeMap::new();
+    let mut inbound: BTreeMap<usize, Vec<&PairList<'_>>> = BTreeMap::new();
     let flags = admitted(env, Side::Source, &sources, list_leaf);
     for (source, flags) in sources.iter().zip(flags) {
         for (list, ok) in source.legs.iter().zip(flags) {
@@ -490,7 +512,7 @@ where
             }
         }
     }
-    let tasks = inbound.iter().map(|(&j, l)| move || dest_task(j, l));
+    let tasks = inbound.iter().map(|(&j, l)| move || run_dest(env, j, l));
     let dests = executor.execute(tasks.collect());
 
     for source in sources {
@@ -510,8 +532,6 @@ where
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
-    use crate::phases::driven::{run_dest_driven, run_inter_consensus_driven};
-    use crate::phases::inter::run_inter_consensus;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::{sha256, Digest};
     use cycledger_ledger::workload::{Workload, WorkloadConfig};
@@ -588,17 +608,11 @@ mod tests {
             }
         }
 
-        /// The synchronous plane, or the message-driven one under `plan`.
-        fn run(&self, plan: Option<&FaultPlan>, workers: usize) -> (InterOutcome, MetricsSink) {
+        /// The whole phase under `plan`.
+        fn run(&self, plan: &FaultPlan, workers: usize) -> (InterOutcome, MetricsSink) {
             let (base, executor) = (self.env(true, 7), ShardExecutor::new(workers));
-            let mut metrics = MetricsSink::new();
-            let outcome = match plan {
-                None => run_inter_consensus(&base, &self.cross, &executor, &mut metrics),
-                Some(plan) => {
-                    let env = InterEnv { plan, ..base };
-                    run_inter_consensus_driven(&env, &self.cross, &executor, &mut metrics)
-                }
-            };
+            let (env, mut metrics) = (InterEnv { plan, ..base }, MetricsSink::new());
+            let outcome = run_phase(&env, &self.cross, &executor, &mut metrics);
             (outcome, metrics)
         }
 
@@ -657,7 +671,7 @@ mod tests {
         for (m, c, txs) in [(2, 8, 24), (3, 12, 60), (8, 16, 160)] {
             for seed in 0..16 {
                 let fx = fixture(m, c, txs, 1_000 * m as u64 + seed);
-                let (outcome, metrics) = fx.run(None, 1);
+                let (outcome, metrics) = fx.run(&fx.no_faults, 1);
                 assert_eq!(
                     accepted_ids(&outcome),
                     fx.expected(|_, _| true),
@@ -730,7 +744,7 @@ mod tests {
             let mut fx = fixture(3, 8, 60, 22);
             let leader = fx.committees[0].leader;
             fx.registry.set_behavior(leader, behavior);
-            let (outcome, _) = fx.run(None, 1);
+            let (outcome, _) = fx.run(&fx.no_faults, 1);
             // Committee 0 also fails as a destination: its leader runs that
             // instance too.
             assert_eq!(accepted_ids(&outcome), fx.expected(|s, d| s != 0 && d != 0));
@@ -750,7 +764,7 @@ mod tests {
             .retain(|g| g.tx.input_shards(3).first() != Some(&2));
         let leader = fx.committees[2].leader;
         fx.registry.set_behavior(leader, Behavior::SilentLeader);
-        let (outcome, _) = fx.run(None, 1);
+        let (outcome, _) = fx.run(&fx.no_faults, 1);
         assert_eq!(accepted_ids(&outcome), fx.expected(|_, d| d != 2));
         assert!(fx.offered_valid().keys().any(|&(_, d)| d == 2));
     }
@@ -764,32 +778,30 @@ mod tests {
             .iter()
             .map(|l| l.txs.len())
             .sum();
-        for plan in [None, Some(FaultPlan::default())] {
-            let (outcome, _) = fx.run(plan.as_ref(), 1);
-            let [report] = &outcome.censorship_reports[..] else {
-                panic!(
-                    "one report per censoring leader, got {:?}",
-                    outcome.censorship_reports
-                );
-            };
-            assert_eq!(
-                (report.committee, report.leader, report.withheld),
-                (0, leader, withheld)
+        let (outcome, _) = fx.run(&fx.no_faults, 1);
+        let [report] = &outcome.censorship_reports[..] else {
+            panic!(
+                "one report per censoring leader, got {:?}",
+                outcome.censorship_reports
             );
-            assert!(fx.registry.node(report.reporter).is_honest());
-            assert_eq!(
-                outcome.timeout_delays,
-                2 * LatencyConfig::default().gamma.as_micros()
-            );
-            // Lemma 6: the partial set forwards the lists, so transactions still land.
-            assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
-            assert_eq!(outcome.list_timeouts, 0);
-        }
+        };
+        assert_eq!(
+            (report.committee, report.leader, report.withheld),
+            (0, leader, withheld)
+        );
+        assert!(fx.registry.node(report.reporter).is_honest());
+        assert_eq!(
+            outcome.timeout_delays,
+            2 * LatencyConfig::default().gamma.as_micros()
+        );
+        // Lemma 6: the partial set forwards the lists, so transactions still land.
+        assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
+        assert_eq!(outcome.list_timeouts, 0);
         // With the whole partial set colluding nobody forwards or reports.
         for pm in fx.committees[0].partial_set.clone() {
             fx.registry.set_behavior(pm, Behavior::WrongVoter);
         }
-        let (outcome, _) = fx.run(None, 1);
+        let (outcome, _) = fx.run(&fx.no_faults, 1);
         assert!(outcome.censorship_reports.is_empty());
         assert_eq!(outcome.list_timeouts, 2);
         assert!(outcome.accepted[0].is_empty() && !outcome.accepted[1].is_empty());
@@ -803,7 +815,7 @@ mod tests {
         let fx = fixture(3, 8, 60, 25);
         let slow = fx.committees[0].leader;
         let plan = FaultPlan::default().with_delay(slow, LatencyConfig::default().gamma.times(5));
-        let (outcome, _) = fx.run(Some(&plan), 1);
+        let (outcome, _) = fx.run(&plan, 1);
         assert_eq!(outcome.list_timeouts, 4);
         assert_eq!(accepted_ids(&outcome), fx.expected(|s, d| s != 0 && d != 0));
         assert!(!outcome.accepted[1].is_empty() && !outcome.accepted[2].is_empty());
@@ -829,44 +841,60 @@ mod tests {
             Some(SimTime::ZERO.after(gamma.times(2))),
         );
         let forward_leg = InterEnv { plan: &cut, ..env };
-        let (executor, mut metrics) = (ShardExecutor::new(1), MetricsSink::new());
-        let dest = |j, inbound: &[&PairList<'_>]| run_dest_driven(&env, j, inbound);
-        let outcome = run_phase(&forward_leg, &fx.cross, &executor, &mut metrics, dest);
-        assert_eq!(outcome.list_timeouts, 0);
-        assert!(outcome.net_dropped > 0, "the leader's copies were lost");
-        // Committee 1's own outbound vector is what its cut-off leader costs.
-        assert_eq!(accepted_ids(&outcome), fx.expected(|s, _| s != 1));
-        assert!(fx.offered_valid().keys().any(|&(s, d)| s != 1 && d == 1));
-        let relayed: u64 = fx.committees[1]
-            .partial_set
-            .iter()
-            .map(|&pm| metrics.node_phase(pm, PHASE).msgs_sent)
-            .sum();
+        let outbound = group_outbound(&fx.cross, 3).into_iter();
+        let sources: Vec<_> = outbound
+            .filter(|(source, _)| *source != 1)
+            .map(|(source, lists)| run_source(&forward_leg, source, lists))
+            .collect();
+        let lost: u64 = sources.iter().map(|s| s.ledger.net_dropped).sum();
+        assert!(lost > 0, "the leader's copies were lost");
+        assert!(sources.iter().all(|s| s.ledger.missed.is_empty()));
+        let relayed = |pm: &NodeId| -> u64 {
+            let sent = |s: &SideResult<_>| s.ledger.metrics.node_phase(*pm, PHASE).msgs_sent;
+            sources.iter().map(sent).sum()
+        };
         assert!(
-            relayed > 0,
+            fx.committees[1]
+                .partial_set
+                .iter()
+                .map(relayed)
+                .sum::<u64>()
+                > 0,
             "partial-set members relayed over IntraCommittee"
         );
+        // A relayed list is admitted and voted on like any other.
+        let flags = admitted(&env, Side::Source, &sources, list_leaf);
+        assert!(flags.iter().flatten().all(|&ok| ok));
+        let legs = sources.iter().flat_map(|s| &s.legs);
+        let inbound: Vec<&PairList<'_>> = legs.filter(|list| list.dest == 1).collect();
+        assert_eq!(inbound.len(), 2);
+        let dest = run_dest(&env, 1, &inbound);
+        assert!(dest.vector.is_some());
+        let offered = fx.offered_valid();
+        for (source, txs) in &dest.legs {
+            let ids: BTreeSet<TxId> = txs.iter().map(|t| t.id()).collect();
+            assert_eq!(ids, offered[&(*source, 1)]);
+            assert!(!ids.is_empty());
+        }
     }
 
     #[test]
-    fn both_planes_are_digest_identical_at_any_worker_count_with_all_pairs_populated() {
+    fn the_phase_is_digest_identical_at_any_worker_count_with_all_pairs_populated() {
         let fx = fixture(4, 8, 160, 27);
         assert_eq!(
             fx.offered_valid().len(),
             4 * 3,
             "all m(m-1) pairs populated"
         );
-        for plan in [None, Some(FaultPlan::default())] {
-            let digests: Vec<Digest> = [1, 2, 8]
-                .iter()
-                .map(|&workers| {
-                    let (outcome, metrics) = fx.run(plan.as_ref(), workers);
-                    assert_eq!(outcome.alg3_instances, 2 * 4);
-                    assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
-                    digest(&outcome, &metrics)
-                })
-                .collect();
-            assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
-        }
+        let digests: Vec<Digest> = [1, 2, 8]
+            .iter()
+            .map(|&workers| {
+                let (outcome, metrics) = fx.run(&fx.no_faults, workers);
+                assert_eq!(outcome.alg3_instances, 2 * 4);
+                assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
+                digest(&outcome, &metrics)
+            })
+            .collect();
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
     }
 }

@@ -48,9 +48,8 @@ pub struct RoundInput<'a> {
     /// keeps the arena alive across rounds so its capacity is recycled.
     pub arena: &'a mut RoundArena,
     /// Network faults in force this round (partitions, targeted delay,
-    /// loss). Only consulted when the configuration enables the
-    /// message-driven data plane; the synchronous fast path never builds a
-    /// faulted network.
+    /// loss): every phase network is built with this plan. Empty unless the
+    /// simulation installed one (`Simulation::set_fault_plan`).
     pub faults: &'a cycledger_net::faults::FaultPlan,
 }
 

@@ -49,8 +49,8 @@ pub struct Simulation {
     pending_apply: Option<BatchHandle<UtxoSet>>,
     /// Per-round scratch buffers recycled across rounds (see [`RoundArena`]).
     arena: RoundArena,
-    /// Network faults in force for subsequent rounds (message-driven mode;
-    /// see [`Simulation::set_fault_plan`]).
+    /// Network faults in force for subsequent rounds (see
+    /// [`Simulation::set_fault_plan`]).
     fault_plan: cycledger_net::faults::FaultPlan,
     /// State-sync results from mid-epoch retries, folded into the next
     /// boundary's [`EpochTransitionReport`].
@@ -136,16 +136,24 @@ impl Simulation {
         })
     }
 
-    /// Installs the network-fault plan applied to every subsequent round's
-    /// phase networks (message-driven mode only; the synchronous path never
-    /// consults it). Scenario drivers call this between rounds to activate
-    /// and heal partitions, targeted delays and loss windows — passing the
-    /// default (empty) plan heals everything.
+    /// Installs the network-fault plan every subsequent round's phase
+    /// networks and state-sync sessions run under. Scenario drivers call this
+    /// between rounds to activate and heal partitions, targeted delays and
+    /// loss windows — passing the default (empty) plan heals everything.
+    ///
+    /// This is the one place `config.message_driven` is consulted: with the
+    /// flag off the plan is discarded and every round keeps running under
+    /// the empty plan, so a fault schedule can never perturb a run that did
+    /// not opt in. The flag selects no code — both settings run the same
+    /// envelope implementation of every committee interaction.
     pub fn set_fault_plan(&mut self, plan: cycledger_net::faults::FaultPlan) {
-        self.fault_plan = plan;
+        if self.config.message_driven {
+            self.fault_plan = plan;
+        }
     }
 
-    /// The network-fault plan currently in force.
+    /// The network-fault plan currently in force (always empty when
+    /// `config.message_driven` is off, see [`Simulation::set_fault_plan`]).
     pub fn fault_plan(&self) -> &cycledger_net::faults::FaultPlan {
         &self.fault_plan
     }

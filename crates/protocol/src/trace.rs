@@ -5,7 +5,7 @@
 //! to replay a concrete execution through the shared decision core
 //! ([`cycledger_consensus::transition`]): per-committee vote tallies and
 //! decisions, certificate signer counts, quorum-timeout bookkeeping, the
-//! recovery log, and the per-phase deltas of the round's driven-mode
+//! recovery log, and the per-phase deltas of the round's timeout / drop
 //! counters. The recorder only reads the [`RoundContext`] — attaching it
 //! never changes protocol output (the [`RoundObserver`] contract).
 //!
@@ -13,7 +13,7 @@
 //! abstract counterpart in the model checker's transition relation. The
 //! checker's `refine` module consumes an [`ExecutionTrace`] and fails loudly
 //! on any step the shared transition functions cannot reproduce — catching
-//! drift between `phases/driven.rs` and the model at fuzz scale instead of
+//! drift between the phase drivers and the model at fuzz scale instead of
 //! only at the n=4 exhaustive bound.
 
 use cycledger_consensus::votes::{Vote, VoteList};
@@ -76,7 +76,7 @@ pub struct RecoveryStep {
     pub record: RecoveryRecord,
 }
 
-/// Per-phase deltas of the round's driven-mode counters, for reconciling
+/// Per-phase deltas of the round's timeout / abstention counters, for reconciling
 /// `RoundReport` totals against the per-committee steps.
 #[derive(Clone, Debug)]
 pub struct PhaseDelta {

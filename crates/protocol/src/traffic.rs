@@ -101,11 +101,11 @@ impl TrafficConfig {
 
 /// Nominal virtual-time span of one round under a latency profile: `8Δ + 4Γ`.
 ///
-/// Anchored on the driven plane's deadlines: the vote-collection window is
-/// `4Δ` ([`crate::phases::driven::vote_deadline`]) with one `Δ` for the
+/// Anchored on the committee deadlines: the vote-collection window is
+/// `4Δ` ([`crate::phases::intra::vote_deadline`]) with one `Δ` for the
 /// TXList announcement and ~3Δ for the certify/commit legs around it, and
 /// the cross-shard list forward runs under the `4Γ` destination deadline
-/// ([`crate::phases::driven::list_deadline`]). Defaults (Δ=50ms, Γ=200ms)
+/// ([`crate::phases::inter::list_deadline`]). Defaults (Δ=50ms, Γ=200ms)
 /// give 1.2s — i.e. a round capacity of `txs_per_round / 1.2` tps.
 pub fn nominal_round_duration(latency: &LatencyConfig) -> SimDuration {
     latency.delta.times(8).plus(latency.gamma.times(4))

@@ -1,7 +1,12 @@
-//! Integration gates over the message-driven data plane:
+//! Integration gates over the envelope data plane, on both settings of
+//! `message_driven` (the flag only decides whether a fault plan is installed
+//! and whether reports carry the counter block — it selects no code):
 //!
 //! * a clean message-driven run is live (blocks every round, no quorum
 //!   timeouts) and deterministic across 1/2/8 executor workers;
+//! * with no faults the two settings produce the same reports, byte for
+//!   byte once the stamp is normalised, and a plan handed to a run that did
+//!   not opt in changes nothing;
 //! * a partition severing a committee minority takes the quorum-timeout
 //!   fallback and measurably changes round outcomes, liveness resumes after
 //!   the heal, and worker-count determinism still holds;
@@ -12,7 +17,7 @@
 
 use cycledger_net::faults::FaultPlan;
 use cycledger_net::topology::NodeId;
-use cycledger_protocol::adversary::Behavior;
+use cycledger_protocol::adversary::{AdversaryConfig, Behavior};
 use cycledger_protocol::config::ProtocolConfig;
 use cycledger_protocol::report::SimulationSummary;
 use cycledger_protocol::simulation::Simulation;
@@ -79,22 +84,72 @@ fn clean_message_driven_run_is_live_and_deterministic_across_workers() {
     assert_eq!(baseline, digest_at(8));
 }
 
+/// Canonical bytes of every round report, with the `message_driven` stamp
+/// forced on so both settings encode the timeout / drop counter block.
+fn normalised_bytes(sim: &Simulation) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for report in sim.reports() {
+        let mut report = report.clone();
+        report.message_driven = true;
+        report.write_canonical_bytes(&mut bytes);
+    }
+    bytes
+}
+
 #[test]
 fn synchronous_and_driven_modes_agree_on_honest_decisions() {
-    // Same seed, no faults: the two data planes must accept exactly the same
-    // transactions (delivery order differs, decisions must not).
-    let run = |message_driven: bool| {
-        let mut config = driven_config(902);
-        config.message_driven = message_driven;
-        let mut sim = Simulation::new(config).unwrap();
-        let summary = sim.run(3);
-        summary
-            .rounds
-            .iter()
-            .map(|r| (r.block_produced, r.txs_packed, r.txs_packed_cross_shard))
-            .collect::<Vec<_>>()
+    // Same seed, no faults: the flag selects no code, so the whole report —
+    // decisions, certificates' effects, every traffic counter — is equal
+    // once the stamp is normalised, with real and placeholder signatures,
+    // honest and under the uniform adversary mix (recoveries included).
+    for verify_signatures in [false, true] {
+        for adversary in [AdversaryConfig::default(), AdversaryConfig::uniform(0.2)] {
+            let run = |message_driven: bool| {
+                let mut sim = Simulation::new(ProtocolConfig {
+                    message_driven,
+                    verify_signatures,
+                    adversary,
+                    ..driven_config(902)
+                })
+                .unwrap();
+                sim.run(3);
+                assert!(sim.reports().iter().any(|r| r.txs_packed > 0));
+                normalised_bytes(&sim)
+            };
+            assert!(
+                run(false) == run(true),
+                "reports differ (verify_signatures={verify_signatures}, {adversary:?})"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_fault_plan_changes_nothing_without_the_opt_in() {
+    // `Simulation::set_fault_plan` is the one gating site: a run with
+    // `message_driven` off discards the plan — rounds and state-sync
+    // sessions alike keep running under the empty one — while the same plan
+    // on an opted-in run bites.
+    let run = |message_driven: bool, faulted: bool| {
+        let mut sim = Simulation::new(ProtocolConfig {
+            message_driven,
+            epoch_length: 2,
+            joins_per_epoch: 2,
+            ..driven_config(906)
+        })
+        .unwrap();
+        if faulted {
+            let committee = &sim.assignment().committees[0];
+            let mut cut = committee.common_members().to_vec();
+            let nodes = sim.registry().len() as u32;
+            cut.extend((nodes..nodes + 2).map(NodeId));
+            sim.set_fault_plan(FaultPlan::partition(cut));
+        }
+        sim.run(3);
+        normalised_bytes(&sim)
     };
-    assert_eq!(run(false), run(true));
+    assert!(run(false, true) == run(false, false));
+    assert!(run(true, true) != run(true, false));
 }
 
 #[test]

@@ -167,10 +167,10 @@ impl Workload {
     /// beginning-of-round UTXO state.
     ///
     /// This is the *optimistic* form: every pending transaction is assumed to
-    /// have landed in the block. The fully synchronous simulation packs every
-    /// valid offered transaction, so the assumption holds there; runs where
-    /// network faults can genuinely lose transactions use
-    /// [`Workload::confirm_packed`] instead.
+    /// have landed in a block, which holds only for a driver that applies
+    /// everything it generates (the ledger probes and unit tests). A driver
+    /// whose rounds can leave transactions out — the protocol simulation,
+    /// always — uses [`Workload::confirm_packed`] instead.
     pub fn confirm_pending(&mut self) {
         let m = self.config.num_shards;
         for tx in self.pending.drain(..) {

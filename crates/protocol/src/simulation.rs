@@ -272,38 +272,26 @@ impl Simulation {
         let mut packed: cycledger_crypto::fxhash::FxHashSet<cycledger_ledger::transaction::TxId> =
             cycledger_crypto::fxhash::FxHashSet::default();
         if let Some(block) = output.block {
-            if self.config.message_driven || self.traffic.is_some() {
-                packed.extend(block.transactions.iter().map(|t| t.id()));
-            }
+            packed.extend(block.transactions.iter().map(|t| t.id()));
             self.chain
                 .append(block)
                 .expect("round driver produced a block that does not extend the chain");
         }
-        // The block is applied: previously generated outputs are now spendable
-        // by the external users feeding the workload. The synchronous path
-        // packs every valid offered transaction, so it keeps the historical
-        // optimistic confirmation (byte-identical to pre-message-driven
-        // runs); under the message-driven plane network faults can genuinely
-        // keep transactions out of the block, so only packed transactions
-        // confirm — the rest expire and their inputs return to the users.
-        if self.config.message_driven {
-            self.workload.confirm_packed(|id| packed.contains(id));
-        } else {
-            self.workload.confirm_pending();
-        }
+        // The block is applied: the outputs of the transactions *in it* are
+        // now spendable by the external users feeding the workload. Only
+        // packed transactions confirm — a failed committee, a network fault
+        // or a round without a block keeps transactions out, and confirming
+        // those anyway would have the generator spend outputs that never
+        // existed. The rest expire and their inputs return to the users.
+        self.workload.confirm_packed(|id| packed.contains(id));
         // Open-loop accounting: close the driver's round window (stretched by
-        // any consensus stall) and resolve every in-flight transaction. Under
-        // the synchronous plane every injected valid transaction is packed
-        // (the historical optimistic confirmation above), so nothing censors;
-        // under the driven plane faults can keep transactions out of the
-        // block, and those resolve as *censored* — their inputs were respent
-        // by `confirm_packed`, so they can never confirm later.
+        // any consensus stall) and resolve every in-flight transaction as
+        // confirmed (packed) or *censored* (not packed: its inputs were just
+        // respent by `confirm_packed`, so it can never confirm later).
         if let Some(driver) = &mut self.traffic {
-            output.report.traffic = Some(driver.complete_round(
-                output.report.timeout_delays_us,
-                |id| packed.contains(id),
-                self.config.message_driven,
-            ));
+            output.report.traffic = Some(
+                driver.complete_round(output.report.timeout_delays_us, |id| packed.contains(id)),
+            );
         }
         if let Some(next) = output.next_assignment {
             self.assignment = next;
@@ -1096,7 +1084,10 @@ mod tests {
         let mut sim = Simulation::new(traffic_config(20.0)).unwrap();
         sim.run(6);
         let snapshot = sim.traffic().expect("open-loop run has a snapshot");
-        assert_eq!(snapshot.censored, 0, "the synchronous plane never censors");
+        assert_eq!(
+            snapshot.censored, 0,
+            "an honest fault-free run packs everything"
+        );
         assert!(snapshot.rejected_invalid > 0, "invalid_ratio 0.1 must show");
         assert_eq!(
             snapshot.injected,
@@ -1221,6 +1212,33 @@ mod tests {
             "censoring must be attributed to the partitioned rounds"
         );
         assert!(sim.reports()[0].quorum_timeouts > 0, "partition really bit");
+    }
+
+    #[test]
+    fn a_round_without_a_block_confirms_nothing() {
+        // A fully lazy referee committee certifies no block (and no beacon,
+        // so the assignment is reused): nothing was packed, so nothing may
+        // be reported confirmed and the generator may not spend outputs that
+        // never existed — on either setting of the flag.
+        for message_driven in [false, true] {
+            let mut sim = Simulation::new(ProtocolConfig {
+                message_driven,
+                ..traffic_config(20.0)
+            })
+            .unwrap();
+            for member in sim.assignment.referee.clone() {
+                sim.registry.set_behavior(member, Behavior::LazyVoter);
+            }
+            let summary = sim.run(2);
+            assert_eq!(summary.blocks_produced(), 0);
+            let snapshot = sim.traffic().unwrap();
+            assert_eq!(snapshot.confirmed, 0, "message_driven={message_driven}");
+            assert!(snapshot.censored > 0);
+            assert_eq!(
+                snapshot.injected,
+                snapshot.censored + snapshot.rejected_invalid
+            );
+        }
     }
 
     #[test]

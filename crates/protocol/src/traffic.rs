@@ -238,11 +238,12 @@ pub struct TrafficRoundReport {
     pub rejected_invalid: usize,
     /// Tracked transactions confirmed by this round's quorum-certified block.
     pub confirmed: usize,
-    /// Tracked transactions injected but *not* packed this round — under the
-    /// message-driven plane their inputs are respent by the workload (they
-    /// expired), so they are recorded as **censored**, not dropped: the
-    /// count is part of the canonical bytes and the scenario reports even
-    /// though no latency sample exists for them.
+    /// Tracked transactions injected but *not* packed this round (network
+    /// faults, a committee without a certificate, a round without a block).
+    /// Their inputs are respent by the workload (they expired), so they are
+    /// recorded as **censored**, not dropped: the count is part of the
+    /// canonical bytes and the scenario reports even though no latency
+    /// sample exists for them.
     pub censored: usize,
     /// Arrivals still queued (not yet injected) after this round.
     pub backlog: usize,
@@ -283,8 +284,8 @@ pub struct TrafficSnapshot {
     pub rejected_invalid: u64,
     /// Tracked transactions confirmed into quorum-certified blocks.
     pub confirmed: u64,
-    /// Tracked transactions expired/respent without confirmation (driven
-    /// mode under faults); see [`TrafficRoundReport::censored`].
+    /// Tracked transactions expired/respent without confirmation; see
+    /// [`TrafficRoundReport::censored`].
     pub censored: u64,
     /// Arrivals still waiting in the backlog.
     pub backlog: u64,
@@ -450,16 +451,12 @@ impl OpenLoopDriver {
 
     /// Completes a round: advances the virtual clock by the nominal window
     /// plus the round's simulated stall, confirms every in-flight
-    /// transaction `packed` admits (latency = round end − arrival), and —
-    /// when `censor_unpacked` (the message-driven plane, where the workload
-    /// respends unpacked inputs) — records the rest as censored. On the
-    /// synchronous path unpacked transactions stay confirmed optimistically,
-    /// mirroring `Workload::confirm_pending`.
+    /// transaction `packed` admits (latency = round end − arrival), and
+    /// records the rest — whose inputs the workload respends — as censored.
     pub fn complete_round(
         &mut self,
         stall_us: u64,
         packed: impl Fn(&TxId) -> bool,
-        censor_unpacked: bool,
     ) -> TrafficRoundReport {
         let round_duration = self.nominal.plus(SimDuration::from_micros(stall_us));
         let end = self.now.after(round_duration);
@@ -482,7 +479,7 @@ impl OpenLoopDriver {
         let mut resolved: Vec<(TxId, SimTime)> = self.in_flight.drain().collect();
         resolved.sort_unstable_by_key(|(id, arrival)| (*arrival, *id));
         for (id, arrival) in resolved {
-            if packed(&id) || !censor_unpacked {
+            if packed(&id) {
                 let latency = end.0.saturating_sub(arrival.0);
                 report.confirmed += 1;
                 report.latency_sum_us += latency;
@@ -599,7 +596,7 @@ mod tests {
         // capacity 0 so nothing injects, complete_round advances the clock.
         for _ in 0..25 {
             driver.begin_round(0);
-            driver.complete_round(0, |_| true, false);
+            driver.complete_round(0, |_| true);
         }
         // 25 windows * 1.2s * 3 tps = 90 arrivals, exact to rounding.
         assert_eq!(driver.arrivals, 90);
@@ -618,7 +615,7 @@ mod tests {
         );
         for _ in 0..200 {
             driver.begin_round(0);
-            driver.complete_round(0, |_| true, false);
+            driver.complete_round(0, |_| true);
         }
         // 200 windows * 1.2s * 50 tps = 12000 expected arrivals; a Poisson
         // count's standard deviation is ~110, so ±5% is a >5σ-safe band.
@@ -643,8 +640,8 @@ mod tests {
             stalled.begin_round(0); // capacity 0: nothing injected
             clean.begin_round(0);
             let stall = if round == 0 { 5_000_000 } else { 0 };
-            stalled.complete_round(stall, |_| true, false);
-            clean.complete_round(0, |_| true, false);
+            stalled.complete_round(stall, |_| true);
+            clean.complete_round(0, |_| true);
         }
         assert!(
             stalled.backlog.len() > clean.backlog.len(),

@@ -113,6 +113,11 @@ pub enum Invariant {
     /// transactions per second of virtual time, is at least this (the
     /// sustained-rate SLO). Requires `config.traffic`.
     MinSustainedTps(f64),
+    /// Open-loop traffic: over the whole run, the transactions reported
+    /// confirmed are exactly the transactions packed into blocks — a round
+    /// that leaves a transaction out censors it, never confirms it on trust.
+    /// Requires `config.traffic`.
+    ConfirmedEqualsPacked,
     /// Authenticated state: every round's report carries exactly one sparse
     /// Merkle state root per shard. Requires `state_backend = "smt"` — the
     /// map backend publishes no roots, so the check would be vacuous.
@@ -177,6 +182,7 @@ impl Invariant {
             Invariant::MinSyncTimeouts(n) => format!("min-sync-timeouts:{n}"),
             Invariant::MaxP99Latency(d) => format!("max-p99-latency:{d:?}"),
             Invariant::MinSustainedTps(t) => format!("min-sustained-tps:{t:?}"),
+            Invariant::ConfirmedEqualsPacked => "confirmed-equals-packed".into(),
             Invariant::StateRootsEveryRound => "state-root".into(),
             Invariant::LightClientProofsVerify(n) => format!("light-client-proof:{n}"),
         }
@@ -255,6 +261,7 @@ impl Invariant {
             "min-sync-timeouts" => Invariant::MinSyncTimeouts(need_usize(param)?),
             "max-p99-latency" => Invariant::MaxP99Latency(need_f64(param)?),
             "min-sustained-tps" => Invariant::MinSustainedTps(need_f64(param)?),
+            "confirmed-equals-packed" => Invariant::ConfirmedEqualsPacked,
             "state-root" => Invariant::StateRootsEveryRound,
             "light-client-proof" => Invariant::LightClientProofsVerify(need_usize(param)?),
             other => return Err(format!("unknown invariant {other:?}")),
@@ -556,6 +563,19 @@ impl Invariant {
                     )
                 }
             },
+            Invariant::ConfirmedEqualsPacked => match &outcome.traffic {
+                None => (false, "scenario has no open-loop traffic".into()),
+                Some(traffic) => {
+                    let packed = summary.total_packed() as u64;
+                    (
+                        traffic.confirmed == packed,
+                        format!(
+                            "{} confirmed, {packed} packed, {} censored",
+                            traffic.confirmed, traffic.censored
+                        ),
+                    )
+                }
+            },
             Invariant::StateRootsEveryRound => {
                 let shards = outcome.scenario.config.committees;
                 let missing: Vec<u64> = summary
@@ -659,6 +679,7 @@ mod tests {
             Invariant::MinSyncTimeouts(1),
             Invariant::MaxP99Latency(24.0),
             Invariant::MinSustainedTps(18.5),
+            Invariant::ConfirmedEqualsPacked,
             Invariant::StateRootsEveryRound,
             Invariant::LightClientProofsVerify(8),
         ];

@@ -802,6 +802,10 @@ fn traffic_scenarios() -> Vec<Scenario> {
         Invariant::AdversaryBoundRespected,
         Invariant::MaxP99Latency(40.0),
         Invariant::MinSustainedTps(15.0),
+        // The one traffic scenario whose rounds leave valid transactions
+        // out (failed committees, block-less rounds): they must resolve as
+        // censored, not as confirmations of transactions in no block.
+        Invariant::ConfirmedEqualsPacked,
     ]);
     scenarios.push(soak);
 

@@ -423,12 +423,14 @@ impl Scenario {
             for inv in &self.invariants {
                 if matches!(
                     inv,
-                    Invariant::MaxP99Latency(_) | Invariant::MinSustainedTps(_)
+                    Invariant::MaxP99Latency(_)
+                        | Invariant::MinSustainedTps(_)
+                        | Invariant::ConfirmedEqualsPacked
                 ) {
                     return Err(format!(
-                        "scenario {:?} asserts the traffic SLO invariant {} but has no \
-                         [scenario.traffic] block (a closed-loop run has no latency \
-                         distribution to gate)",
+                        "scenario {:?} asserts the traffic invariant {} but has no \
+                         [scenario.traffic] block (a closed-loop run tracks no \
+                         confirmations to gate)",
                         self.name,
                         inv.to_spec()
                     ));
@@ -571,16 +573,16 @@ mod tests {
         });
         assert!(bad_committee.validate().is_err());
 
-        // Traffic SLO invariants on a closed-loop scenario gate nothing.
-        let mut slo_without_traffic = good.clone();
-        slo_without_traffic.config.traffic = None;
-        slo_without_traffic
-            .invariants
-            .push(Invariant::MaxP99Latency(24.0));
-        assert!(slo_without_traffic
-            .validate()
-            .unwrap_err()
-            .contains("traffic"));
+        // Traffic invariants on a closed-loop scenario gate nothing.
+        for inv in [
+            Invariant::MaxP99Latency(24.0),
+            Invariant::ConfirmedEqualsPacked,
+        ] {
+            let mut without_traffic = good.clone();
+            without_traffic.config.traffic = None;
+            without_traffic.invariants.push(inv);
+            assert!(without_traffic.validate().unwrap_err().contains("traffic"));
+        }
 
         // Authenticated-state invariants on the map backend check nothing.
         for inv in [

@@ -206,24 +206,25 @@ pub fn run_recovery(
     }
 
     // Close the books and return.
-    let mut finish = |net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
-        let mut net = net;
+    let mut finish = |mut net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
         while net.next_event().is_some() {}
         let dropped = net.dropped_messages();
         metrics.merge(net.metrics());
         (outcome, dropped)
     };
+    let index = committee.index;
+    let rejected = |reason| RecoveryOutcome {
+        committee: index,
+        evicted: None,
+        new_leader: None,
+        approvals,
+        rejection_reason: Some(reason),
+    };
 
     if !transition::impeachment_passes(approvals, committee.size()) {
         return finish(
             net,
-            RecoveryOutcome {
-                committee: committee.index,
-                evicted: None,
-                new_leader: None,
-                approvals,
-                rejection_reason: Some("impeachment did not reach a committee majority"),
-            },
+            rejected("impeachment did not reach a committee majority"),
         );
     }
 
@@ -240,16 +241,7 @@ pub fn run_recovery(
         );
     }
     if !evidence_valid {
-        return finish(
-            net,
-            RecoveryOutcome {
-                committee: committee.index,
-                evicted: None,
-                new_leader: None,
-                approvals,
-                rejection_reason: Some("referee committee rejected the evidence"),
-            },
-        );
+        return finish(net, rejected("referee committee rejected the evidence"));
     }
 
     // 4. C_R agrees (Algorithm 3 among referees; one broadcast round here)
@@ -257,16 +249,7 @@ pub fn run_recovery(
     //    partial set by a hash lottery over the round randomness.
     for &rm in &referee.members {
         for &member in &committee.members {
-            net.send(
-                rm,
-                member,
-                LinkClass::KeyMemberMesh,
-                CommitteeMessage::Accusation {
-                    committee: committee.index as u32,
-                    accused,
-                },
-                16,
-            );
+            net.send(rm, member, LinkClass::KeyMemberMesh, envelope.clone(), 16);
         }
     }
     let candidates: Vec<NodeId> = committee
@@ -278,13 +261,7 @@ pub fn run_recovery(
     if candidates.is_empty() {
         return finish(
             net,
-            RecoveryOutcome {
-                committee: committee.index,
-                evicted: None,
-                new_leader: None,
-                approvals,
-                rejection_reason: Some("no partial-set member available to take over"),
-            },
+            rejected("no partial-set member available to take over"),
         );
     }
     let pick = hash_parts(&[

@@ -52,17 +52,14 @@ impl BenchSpec {
     }
 
     fn config(&self) -> ProtocolConfig {
-        let mut config = bench_config(self.committees, self.committee_size, 4242);
-        // The tracked engine, as in gen_bench_round.
-        config.pipelined = true;
-        config
+        bench_config(self.committees, self.committee_size, 4242)
     }
 
     fn describe(&self, capacity: f64) -> String {
         let config = self.config();
         format!(
             "{} committees x {} members, {} txs/round, seed 4242, constant arrivals, \
-             warmup 2 rounds, capacity {:.1} tps, pipelined round engine",
+             warmup 2 rounds, capacity {:.1} tps",
             self.committees, self.committee_size, config.txs_per_round, capacity
         )
     }

@@ -2,10 +2,10 @@
 //! rounds/sec and heap allocations/round, at 1 worker and at the machine's
 //! parallelism.
 //!
-//! The tracked configuration is the **verified** one: `verify_signatures=on`
-//! with the pipelined round engine, because that is what the protocol
-//! actually ships — benchmarking with verification off measures a config
-//! nobody runs. The unverified path stays reachable for comparison.
+//! The tracked configuration is the **verified** one: `verify_signatures=on`,
+//! because that is what the protocol actually ships — benchmarking with
+//! verification off measures a config nobody runs. The unverified path stays
+//! reachable for comparison.
 //!
 //! Flags:
 //!
@@ -26,7 +26,9 @@
 //! The binary installs [`alloccount::CountingAllocator`] as the global
 //! allocator (built with counting enabled), so the reported allocation counts
 //! cover every heap allocation the round engine performs — worker threads
-//! included.
+//! included. They are taken over the first [`ALLOC_ROUNDS`] measured rounds
+//! of every series, whatever the wall-clock window went on to hold, so a
+//! one-worker count repeats exactly from run to run and machine to machine.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_round`;
 //! the JSON is printed to stdout so it can be redirected into the relevant
@@ -48,6 +50,11 @@ struct RoundSeries {
     reallocations_per_round: f64,
     rounds_measured: u64,
 }
+
+/// Rounds every series counts allocations over (and the fewest it measures).
+/// Rounds differ — buffers still grow, every second epoch-variant round
+/// closes an epoch — so a per-round mean only repeats over a fixed span.
+const ALLOC_ROUNDS: u64 = 16;
 
 /// The benchmarked geometry: committees x committee size, plus the offered
 /// transaction load per round.
@@ -79,9 +86,6 @@ impl BenchSpec {
         let mut config = bench_config(self.committees, self.committee_size, 4242);
         config.txs_per_round = self.txs_per_round;
         config.verify_signatures = verify;
-        // The tracked engine is the pipelined one — a pure scheduling change
-        // whose output is byte-identical to sequential (determinism tests).
-        config.pipelined = true;
         config
     }
 
@@ -99,7 +103,7 @@ impl BenchSpec {
     fn describe(&self, verify: bool) -> String {
         format!(
             "{} committees x {} members, {} txs/round, seed 4242, pow_difficulty 2, \
-             verify_signatures {}, pipelined round engine",
+             verify_signatures {}",
             self.committees,
             self.committee_size,
             self.txs_per_round,
@@ -108,14 +112,10 @@ impl BenchSpec {
     }
 }
 
-/// Runs rounds for at least `min_secs` (at least `min_rounds`) and reports
-/// throughput plus per-round allocation activity.
-fn measure(
-    mut config: ProtocolConfig,
-    workers: usize,
-    min_secs: f64,
-    min_rounds: u64,
-) -> RoundSeries {
+/// Runs rounds for at least `min_secs` (at least [`ALLOC_ROUNDS`]) and
+/// reports throughput over all of them plus per-round allocation activity
+/// over the first [`ALLOC_ROUNDS`].
+fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> RoundSeries {
     config.worker_threads = workers;
     let mut sim = Simulation::new(config).expect("valid bench config");
     // Warm-up round: lazy crypto tables, executor spin-up, genesis state.
@@ -123,24 +123,22 @@ fn measure(
 
     let start_alloc = alloccount::snapshot();
     let start = Instant::now();
-    let mut rounds = 0u64;
-    loop {
+    for _ in 0..ALLOC_ROUNDS {
+        sim.run_round();
+    }
+    let d = alloccount::snapshot().since(&start_alloc);
+    let mut rounds = ALLOC_ROUNDS;
+    while start.elapsed().as_secs_f64() < min_secs {
         sim.run_round();
         rounds += 1;
-        if start.elapsed().as_secs_f64() >= min_secs && rounds >= min_rounds {
-            break;
-        }
     }
-    // Join the pipelined apply tail so its allocations land inside the
-    // measured window, not in the Simulation drop.
-    let _ = sim.utxo_sets();
     let elapsed = start.elapsed().as_secs_f64();
-    let d = alloccount::snapshot().since(&start_alloc);
+    let per_round = |count: u64| count as f64 / ALLOC_ROUNDS as f64;
     RoundSeries {
         rounds_per_sec: rounds as f64 / elapsed,
-        allocations_per_round: d.allocations as f64 / rounds as f64,
-        alloc_mib_per_round: d.allocated_bytes as f64 / rounds as f64 / (1024.0 * 1024.0),
-        reallocations_per_round: d.reallocations as f64 / rounds as f64,
+        allocations_per_round: per_round(d.allocations),
+        alloc_mib_per_round: per_round(d.allocated_bytes) / (1024.0 * 1024.0),
+        reallocations_per_round: per_round(d.reallocations),
         rounds_measured: rounds,
     }
 }
@@ -206,8 +204,8 @@ fn main() {
         // BENCH_round.json and fails the job on >20% regression. The plain
         // config is measured once more at the machine's parallelism; the
         // gate wants that series >= 1.25x the one-worker one.
-        let s = measure(spec.config(verify), 1, 0.0, 3);
-        let e = measure(spec.epoch_config(verify), 1, 0.0, 4);
+        let s = measure(spec.config(verify), 1, 0.0);
+        let e = measure(spec.epoch_config(verify), 1, 0.0);
         assert!(
             s.allocations_per_round > 0.0,
             "counting allocator saw no allocations"
@@ -223,7 +221,7 @@ fn main() {
             // that leaves a fresh pool on the driver's CPU for a second, only
             // ever adds time, while a phase gone serial is slow in all three.
             let p = (0..3)
-                .map(|_| measure(spec.config(verify), cores, 0.0, 3))
+                .map(|_| measure(spec.config(verify), cores, 0.0))
                 .max_by(|a, b| a.rounds_per_sec.total_cmp(&b.rounds_per_sec))
                 .expect("three runs");
             print_series(&format!("smoke_{cores}_workers"), &p, true);
@@ -236,9 +234,9 @@ fn main() {
     let parallel_workers = std::thread::available_parallelism()
         .map(|n| n.get().max(4))
         .unwrap_or(4);
-    let one = measure(spec.config(verify), 1, 3.0, 3);
-    let many = measure(spec.config(verify), parallel_workers, 3.0, 3);
-    let one_epoch = measure(spec.epoch_config(verify), 1, 3.0, 4);
+    let one = measure(spec.config(verify), 1, 3.0);
+    let many = measure(spec.config(verify), parallel_workers, 3.0);
+    let one_epoch = measure(spec.epoch_config(verify), 1, 3.0);
 
     println!("{{");
     println!("  \"bench_config\": \"{}\",", spec.describe(verify));

@@ -1,20 +1,13 @@
 //! Per-phase wall-clock profile of the round engine at the standard 8x16
 //! bench configuration: runs a few rounds with a timing [`RoundObserver`]
 //! attached and prints where the round's time goes — every phase at one
-//! worker and at `--workers N` side by side, with the ratio between them,
-//! plus the pipelined engine at N workers. A phase that runs on the driver
-//! thread reads 1.00x at a glance; an executor batch approaches the
-//! machine's parallelism. This is the tool that located
-//! the data-plane hot spots (inter-consensus message churn, latency DRBG
-//! instantiation, signature generation, and the three phases that were still
-//! serial loops over committees) — keep it handy before chasing the next
-//! bottleneck.
-//!
-//! The last column and the last line compare the pipelined engine with the
-//! sequential one at N workers. In pipelined mode the per-shard block application is submitted
-//! to the executor at the end of block generation and joined at the next
-//! round's first UTXO-touching phase, so it only wins when real cores are
-//! available to drain the tail concurrently.
+//! worker and at `--workers N` side by side, with the ratio between them.
+//! A phase that runs on the driver thread reads 1.00x at a glance; an
+//! executor batch approaches the machine's parallelism. This is the tool
+//! that located the data-plane hot spots (inter-consensus message churn,
+//! latency DRBG instantiation, signature generation, and the three phases
+//! that were still serial loops over committees) — keep it handy before
+//! chasing the next bottleneck.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin phase_profile`;
 //! flags: `--workers N` (default 4), `--rounds N` (default 5),
@@ -47,11 +40,10 @@ type Profile = (f64, Prof);
 
 /// Profiles `rounds` rounds and returns (total wall seconds, per-phase
 /// seconds). The warm-up round is excluded from both.
-fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> Profile {
+fn profile(workers: usize, verify: bool, rounds: u64) -> Profile {
     let mut config = bench_config(8, 16, 4242);
     config.worker_threads = workers;
     config.verify_signatures = verify;
-    config.pipelined = pipelined;
     let mut sim = Simulation::new(config).unwrap();
     sim.run(1);
     let mut prof = Prof::default();
@@ -59,18 +51,14 @@ fn profile(pipelined: bool, workers: usize, verify: bool, rounds: u64) -> Profil
     for _ in 0..rounds {
         sim.run_round_observed(&mut prof);
     }
-    // Join the deferred apply tail inside the measured window.
-    let _ = sim.utxo_sets();
     (t.elapsed().as_secs_f64(), prof)
 }
 
-/// Prints the profiles side by side in milliseconds per round: one worker,
-/// N workers, the ratio between the two, and N workers pipelined (where the
-/// block-apply tail shows up in the next round's early phases instead of in
-/// `block-generation`).
-fn report(one: &Profile, many: &Profile, piped: &Profile, workers: usize, rounds: u64) {
+/// Prints the two profiles side by side in milliseconds per round, with the
+/// one-worker / N-worker ratio of every row.
+fn report(one: &Profile, many: &Profile, workers: usize, rounds: u64) {
     let per_round = |secs: f64| secs * 1e3 / rounds as f64;
-    let row = |label: &str, a: f64, b: f64, p: f64| {
+    let row = |label: &str, a: f64, b: f64| {
         // A phase absent (or unmeasurably short) at N workers has no ratio.
         let ratio = if b > 0.0 {
             format!("{:.2}x", a / b)
@@ -78,32 +66,25 @@ fn report(one: &Profile, many: &Profile, piped: &Profile, workers: usize, rounds
             "-".to_string()
         };
         println!(
-            "{label:28} {:9.2} {:9.2} {ratio:>8} {:10.2}",
+            "{label:28} {:9.2} {:9.2} {ratio:>8}",
             per_round(a),
-            per_round(b),
-            per_round(p)
+            per_round(b)
         );
     };
     println!(
-        "{:28} {:>9} {:>9} {:>8} {:>10}",
+        "{:28} {:>9} {:>9} {:>8}",
         "ms per round",
         "1 worker",
         format!("{workers} workers"),
-        "ratio",
-        "pipelined"
+        "ratio"
     );
     let of = |p: &Profile, phase: &str| p.1.totals.get(phase).copied().unwrap_or(0.0);
     for (phase, &a) in &one.1.totals {
-        row(phase, a, of(many, phase), of(piped, phase));
+        row(phase, a, of(many, phase));
     }
     let outside = |p: &Profile| p.0 - p.1.totals.values().sum::<f64>();
-    row(
-        "outside phases",
-        outside(one),
-        outside(many),
-        outside(piped),
-    );
-    row("round", one.0, many.0, piped.0);
+    row("outside phases", outside(one), outside(many));
+    row("round", one.0, many.0);
 }
 
 fn main() {
@@ -134,15 +115,7 @@ fn main() {
         }
     }
 
-    let one = profile(false, 1, verify, rounds);
-    let many = profile(false, workers, verify, rounds);
-    let piped = profile(true, workers, verify, rounds);
-    report(&one, &many, &piped, workers, rounds);
-    println!();
-    println!(
-        "pipelined / sequential wall clock: {:.3} ({} workers, verify {})",
-        piped.0 / many.0,
-        workers,
-        if verify { "on" } else { "off" }
-    );
+    let one = profile(1, verify, rounds);
+    let many = profile(workers, verify, rounds);
+    report(&one, &many, workers, rounds);
 }

@@ -2,7 +2,8 @@
 //!
 //! The benchmark and experiment harness: one generator binary per table/figure
 //! of the paper plus Criterion benches. The binaries print the same rows/series
-//! the paper reports; EXPERIMENTS.md records paper-vs-measured.
+//! the paper reports; `docs/benchmarks.md` indexes the committed baselines
+//! and what regenerates each.
 //!
 //! Binaries (run with `cargo run --release -p cycledger-bench --bin <name>`):
 //!
@@ -28,8 +29,11 @@ use cycledger_protocol::{
     ProtocolConfig, Simulation,
 };
 
-/// Builds a simulation configuration sized for benchmarking (fast-path
-/// signature verification, small PoW difficulty).
+/// Builds a simulation configuration sized for benchmarking: small PoW
+/// difficulty and `verify_signatures` **off** (placeholder signatures). The
+/// figure and table generators and the virtual-time latency sweep use it as
+/// is; the tracked wall-clock series do not — `gen_bench_round` and
+/// `phase_profile` turn verification back on (`--verify` defaults to `on`).
 pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> ProtocolConfig {
     ProtocolConfig {
         committees,

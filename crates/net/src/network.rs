@@ -182,11 +182,6 @@ impl<M> SimNetwork<M> {
         }
     }
 
-    /// The fault plan in force.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now

@@ -61,13 +61,11 @@ pub struct ProtocolConfig {
     /// on the driver thread. Simulation output is byte-identical for any
     /// value (see [`crate::engine`]'s determinism contract).
     pub worker_threads: usize,
-    /// Pipeline consecutive rounds: round `r`'s per-shard block application
-    /// drains on the executor's workers while round `r+1` runs its
-    /// configuration and semi-commitment phases, and is joined before `r+1`
-    /// touches the shard UTXO sets. A pure scheduling change — summaries and
-    /// scenario reports are byte-identical to the sequential engine for any
-    /// worker count (asserted by the determinism tests), which is why this
-    /// flag is never emitted into reports or goldens.
+    /// Selects no code: there is one round schedule, in which a round applies
+    /// its block before it returns. Deferring that into the next round saved
+    /// under 3 % of a round where it is largest (`docs/benchmarks.md`, "The
+    /// `pipelined` verdict") and was deleted; the field remains only because
+    /// `benchmark/src/workloads.rs` names it. Never emitted into reports.
     pub pipelined: bool,
     /// Epoch length `E` in rounds: every `E` rounds the simulation finalizes
     /// the epoch, feeds the beacon output back into sortition over the

@@ -12,7 +12,7 @@ use cycledger_reputation::ReputationTable;
 use crate::committee::Committee;
 use crate::config::ProtocolConfig;
 use crate::engine::arena::RoundArena;
-use crate::engine::executor::{BatchHandle, ShardExecutor};
+use crate::engine::executor::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::phases::block_generation::BlockOutcome;
 use crate::phases::configuration::ConfigurationOutcome;
@@ -72,16 +72,8 @@ pub struct RoundContext<'a> {
     /// Height the produced block will sit at.
     pub block_height: u64,
 
-    /// Mutable shard UTXO sets (simulation state). Empty until
-    /// [`join_pending_apply`](Self::join_pending_apply) runs when the
-    /// previous round's block application is still draining (pipelined mode).
-    pub utxo_sets: &'a mut Vec<UtxoSet>,
-    /// The previous round's still-draining block application (pipelined
-    /// mode); joined before the first phase that reads the UTXO sets.
-    pending_apply: Option<BatchHandle<UtxoSet>>,
-    /// This round's deferred block application, if the block-generation phase
-    /// pipelined it; handed back to the caller through the round output.
-    pub deferred_apply: Option<BatchHandle<UtxoSet>>,
+    /// Mutable shard UTXO sets (simulation state).
+    pub utxo_sets: &'a mut [UtxoSet],
     /// Mutable global reputation table (simulation state).
     pub reputation: &'a mut ReputationTable,
 
@@ -159,7 +151,6 @@ impl<'a> RoundContext<'a> {
             registry,
             assignment,
             utxo_sets,
-            pending_apply,
             reputation,
             offered,
             prev_hash,
@@ -217,8 +208,6 @@ impl<'a> RoundContext<'a> {
             prev_hash,
             block_height,
             utxo_sets,
-            pending_apply,
-            deferred_apply: None,
             reputation,
             committees,
             referee,
@@ -264,18 +253,6 @@ impl<'a> RoundContext<'a> {
             committee.keys = self.registry.committee_keys(&committee.members);
         }
         self.configuration = Some(outcome);
-    }
-
-    /// Joins the previous round's still-draining block application, putting
-    /// the shard UTXO sets back into place. Idempotent; called by every phase
-    /// that reads or writes `utxo_sets`, so the configuration and
-    /// semi-commitment phases — which never touch them — genuinely overlap
-    /// with the apply tail in pipelined mode.
-    pub fn join_pending_apply(&mut self) {
-        if let Some(handle) = self.pending_apply.take() {
-            debug_assert!(self.utxo_sets.is_empty(), "sets are inside the batch");
-            *self.utxo_sets = handle.join();
-        }
     }
 
     /// Picks the prosecutor for committee `k`: the first honest partial-set
@@ -380,11 +357,7 @@ impl<'a> RoundContext<'a> {
 
     /// Consumes the context into the round's public output, assembling the
     /// [`RoundReport`] from the phase artifacts.
-    pub fn into_output(mut self) -> RoundOutput {
-        // Safety net: if no phase needed the UTXO sets this round, put them
-        // back before the context (and its borrow of the caller's vector)
-        // goes away.
-        self.join_pending_apply();
+    pub fn into_output(self) -> RoundOutput {
         let roles = self.role_groups();
         let inter = self.inter.unwrap_or_default();
         let block_outcome = self.block_outcome.expect("block generation phase ran");
@@ -457,7 +430,6 @@ impl<'a> RoundContext<'a> {
             block: block_outcome.block,
             next_assignment: self.selection.and_then(|s| s.next_assignment),
             report,
-            pending_apply: self.deferred_apply,
         }
     }
 }

@@ -70,60 +70,6 @@ pub struct ShardExecutor {
     batches_executed: AtomicUsize,
 }
 
-/// Shared state of one in-flight [`ShardExecutor::submit`] batch.
-struct AsyncBatch<T> {
-    slots: Vec<Mutex<Option<std::thread::Result<T>>>>,
-    latch: BatchLatch,
-}
-
-/// A handle to a batch submitted with [`ShardExecutor::submit`], running in
-/// the background while the caller does other work.
-///
-/// [`join`](BatchHandle::join) blocks until every task has finished and
-/// returns the results in submission order (panicking tasks resume their
-/// panic on the joining thread). Dropping the handle without joining is
-/// allowed — the tasks still run to completion on the workers; only their
-/// results are discarded.
-pub struct BatchHandle<T> {
-    /// Results computed inline at submission time (no worker pool).
-    inline: Option<Vec<T>>,
-    shared: Option<std::sync::Arc<AsyncBatch<T>>>,
-}
-
-impl<T: Send + 'static> BatchHandle<T> {
-    /// Waits for the batch and returns the results in submission order.
-    pub fn join(self) -> Vec<T> {
-        if let Some(results) = self.inline {
-            return results;
-        }
-        let shared = self
-            .shared
-            .expect("handle has either inline or shared results");
-        shared.latch.wait();
-        let mut results = Vec::with_capacity(shared.slots.len());
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for slot in &shared.slots {
-            match slot.lock().expect("result slot poisoned").take() {
-                Some(Ok(value)) => results.push(value),
-                Some(Err(payload)) => panic = Some(payload),
-                None => panic!("shard executor lost a submitted task result"),
-            }
-        }
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
-        results
-    }
-}
-
-impl<T> std::fmt::Debug for BatchHandle<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BatchHandle")
-            .field("inline", &self.inline.is_some())
-            .finish()
-    }
-}
-
 impl ShardExecutor {
     /// Creates the pool. `worker_threads == 0` sizes the pool from the
     /// machine's available parallelism; `worker_threads == 1` runs every batch
@@ -181,54 +127,6 @@ impl ShardExecutor {
     /// Number of `execute` batches run so far (observability for tests).
     pub fn batches_executed(&self) -> usize {
         self.batches_executed.load(Ordering::Relaxed)
-    }
-
-    /// Submits a batch of **owned** (`'static`) tasks and returns immediately
-    /// with a [`BatchHandle`]; the tasks run on the workers while the caller
-    /// thread continues. This is the round pipeline's overlap primitive: the
-    /// block-apply tail of round `r` is submitted here and joined by round
-    /// `r+1` just before the first phase that reads the shard UTXO sets.
-    ///
-    /// Without a worker pool (inline mode) the tasks run to completion on the
-    /// caller thread *at submission time* — the pipelined engine then
-    /// degenerates to exactly the sequential schedule, which is what makes
-    /// the two modes trivially digest-identical at one worker.
-    pub fn submit<T, F>(&self, tasks: Vec<F>) -> BatchHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        let sender = match &self.sender {
-            Some(sender) if !tasks.is_empty() => sender,
-            _ => {
-                return BatchHandle {
-                    inline: Some(tasks.into_iter().map(|task| task()).collect()),
-                    shared: None,
-                };
-            }
-        };
-        let shared = std::sync::Arc::new(AsyncBatch {
-            slots: (0..tasks.len()).map(|_| Mutex::new(None)).collect(),
-            latch: BatchLatch::new(tasks.len()),
-        });
-        for (index, task) in tasks.into_iter().enumerate() {
-            let batch = std::sync::Arc::clone(&shared);
-            let job: Job = Box::new(move || {
-                let result = catch_unwind(AssertUnwindSafe(task));
-                *batch.slots[index].lock().expect("result slot poisoned") = Some(result);
-                batch.latch.count_down();
-            });
-            if sender.send(job).is_err() {
-                // Unreachable in normal operation (see `execute`); keep the
-                // latch balanced so `join` cannot deadlock.
-                shared.latch.count_down();
-            }
-        }
-        BatchHandle {
-            inline: None,
-            shared: Some(shared),
-        }
     }
 
     /// Runs a batch of tasks, returning their results in submission order.
@@ -447,98 +345,6 @@ mod tests {
     fn auto_sizing_uses_available_parallelism() {
         let executor = ShardExecutor::new(0);
         assert!(executor.worker_count() >= 1);
-    }
-
-    #[test]
-    fn submitted_batches_overlap_with_caller_work_and_join_in_order() {
-        for workers in [1, 2, 8] {
-            let executor = ShardExecutor::new(workers);
-            let handle = executor.submit(
-                (0..16usize)
-                    .map(|i| {
-                        move || {
-                            if i % 4 == 0 {
-                                std::thread::sleep(std::time::Duration::from_micros(200));
-                            }
-                            i * 7
-                        }
-                    })
-                    .collect(),
-            );
-            // The caller thread is free while the batch drains.
-            let foreground: usize = (0..100).sum();
-            assert_eq!(foreground, 4950);
-            assert_eq!(handle.join(), (0..16).map(|i| i * 7).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn submit_can_move_state_out_and_back() {
-        // The round pipeline's usage shape: sets move into the tasks, are
-        // mutated on the workers, and come back through the join.
-        let executor = ShardExecutor::new(4);
-        let sets: Vec<Vec<u64>> = (0..8).map(|i| vec![i]).collect();
-        let handle = executor.submit(
-            sets.into_iter()
-                .map(|mut set| {
-                    move || {
-                        set.push(set[0] * 10);
-                        set
-                    }
-                })
-                .collect(),
-        );
-        let sets = handle.join();
-        assert_eq!(sets, (0..8).map(|i| vec![i, i * 10]).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dropping_a_handle_still_runs_the_tasks() {
-        let executor = ShardExecutor::new(2);
-        let ran = std::sync::Arc::new(AtomicUsize::new(0));
-        let handle = executor.submit(
-            (0..6)
-                .map(|_| {
-                    let ran = std::sync::Arc::clone(&ran);
-                    move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        drop(handle);
-        // Flush the queue: a follow-up blocking batch drains behind the
-        // dropped one (single shared FIFO).
-        let _: Vec<()> = executor.execute(vec![|| (), || ()]);
-        // The dropped batch's jobs were ahead of the flush in the queue, but
-        // another worker may still be mid-task; spin briefly.
-        for _ in 0..1000 {
-            if ran.load(Ordering::SeqCst) == 6 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_micros(100));
-        }
-        assert_eq!(ran.load(Ordering::SeqCst), 6);
-    }
-
-    #[test]
-    fn submitted_panics_resume_on_join() {
-        let executor = ShardExecutor::new(2);
-        let handle = executor.submit(
-            (0..4usize)
-                .map(|i| {
-                    move || {
-                        if i == 2 {
-                            panic!("submitted task exploded");
-                        }
-                        i
-                    }
-                })
-                .collect::<Vec<_>>(),
-        );
-        assert!(catch_unwind(AssertUnwindSafe(|| handle.join())).is_err());
-        // The pool survives.
-        assert_eq!(executor.execute(vec![|| 1, || 2]), vec![1, 2]);
     }
 
     #[test]

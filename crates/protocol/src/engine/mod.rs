@@ -1,9 +1,9 @@
 //! # The round engine
 //!
-//! The phase-pipeline engine behind [`crate::round::run_round`]. The seed
-//! implementation was a 400-line monolith that called each phase helper
-//! inline and re-spawned scoped OS threads every round for exactly one phase;
-//! this module replaces it with three explicit pieces:
+//! The phase-pipeline engine behind [`crate::round::run_round_observed`].
+//! The seed implementation was a 400-line monolith that called each phase
+//! helper inline and re-spawned scoped OS threads every round for exactly one
+//! phase; this module replaces it with three explicit pieces:
 //!
 //! * [`RoundContext`] (`context`) — owns all per-round shared state:
 //!   committees, referee, metrics, workload split, eviction ledger, and the
@@ -41,45 +41,6 @@
 //!
 //! The `determinism_*` tests in `simulation.rs` pin this down for 1, 2 and 8
 //! workers.
-//!
-//! ## Round pipelining
-//!
-//! With [`crate::config::ProtocolConfig::pipelined`] set, round `r`'s
-//! per-shard block application is *submitted* to the executor at the end of
-//! block generation ([`executor::ShardExecutor::submit`] returns a
-//! [`BatchHandle`]) instead of being joined in place: the shard UTXO sets
-//! move into the batch, the handle travels through
-//! [`crate::round::RoundOutput`] into round `r+1`'s input, and `r+1` joins
-//! it at its first UTXO-touching phase. So the apply tail drains on worker
-//! threads while `r+1` runs committee configuration and the semi-commitment
-//! exchange — the only phases that provably never read shard UTXO state.
-//! (The configuration phase's proof-verification batch shares the workers
-//! with that tail; the queue is FIFO, so it simply runs behind it.)
-//!
-//! The hazard rules that bound the overlap:
-//!
-//! * **Only the block apply may be deferred.** It touches *only* the shard
-//!   UTXO sets; every other artifact of round `r` (reputation deltas,
-//!   eviction ledger, the selection beacon) is consumed by `r`'s own later
-//!   phases or by `r+1`'s *selection-derived inputs*, so deferring any of
-//!   them would change observable state.
-//! * **Deeper overlap is forbidden by data flow.** Round `r+1`'s committee
-//!   assignment is a function of round `r`'s selection beacon, and
-//!   reputation updates feed the *same-round* selection that produces it —
-//!   there is no earlier point at which `r+1` could begin.
-//! * **Joins are idempotent and exhaustive.** Every UTXO-reading phase
-//!   (intra-consensus, intra-recovery, inter-consensus, block generation)
-//!   calls [`RoundContext::join_pending_apply`] first, and
-//!   `RoundContext::into_output` joins as a safety net, so no phase can
-//!   observe half-applied shard state and a round that produced no block
-//!   still settles.
-//!
-//! Because the deferred tasks are the exact closures the sequential engine
-//! runs (same per-shard order, results in submission order), the schedule
-//! change is invisible to output: summaries, canonical digests and scenario
-//! goldens are byte-identical for any worker count, asserted by the
-//! `pipelined_*` determinism tests in `simulation.rs` and the all-builtins
-//! sweep in the scenarios crate.
 
 pub mod arena;
 pub mod context;
@@ -88,7 +49,7 @@ pub mod pipeline;
 
 pub use arena::{RoundArena, ShardScratch};
 pub use context::{RecoveryAttempt, RoundContext};
-pub use executor::{BatchHandle, ShardExecutor};
+pub use executor::ShardExecutor;
 pub use pipeline::standard_pipeline;
 
 /// One protocol phase of the round pipeline.
@@ -127,11 +88,6 @@ pub trait RoundObserver {
 pub struct NoopObserver;
 
 impl RoundObserver for NoopObserver {}
-
-/// Drives a pipeline of phases over a context, in order.
-pub fn run_pipeline(ctx: &mut RoundContext<'_>, phases: &mut [Box<dyn RoundPhase>]) {
-    run_pipeline_observed(ctx, phases, &mut NoopObserver);
-}
 
 /// Drives a pipeline of phases over a context, in order, reporting every
 /// phase boundary to `observer`.

@@ -130,9 +130,6 @@ impl RoundPhase for IntraConsensusPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        // First phase that reads the shard UTXO sets: the previous round's
-        // block application must have fully drained (pipelined mode).
-        ctx.join_pending_apply();
         let mut outcomes = run_intra_batch(ctx, None);
         if ctx.config.verify_signatures {
             // Referee-side certificate verification, aggregated across every
@@ -187,7 +184,6 @@ impl RoundPhase for IntraRecoveryPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.join_pending_apply();
         let m = ctx.committee_count();
         let mut retries: Vec<usize> = Vec::new();
         for k in 0..m {
@@ -308,7 +304,6 @@ impl RoundPhase for InterConsensusPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.join_pending_apply();
         let env = InterEnv {
             plan: ctx.faults,
             registry: ctx.registry,
@@ -433,7 +428,6 @@ impl RoundPhase for BlockGenerationPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.join_pending_apply();
         // Stage candidates in the arena's reusable buffer, taking ownership
         // of the decided/accepted transactions instead of cloning them (no
         // later phase reads them, and `Transaction` clones would still pay
@@ -474,55 +468,25 @@ impl RoundPhase for BlockGenerationPhase {
 
         // Apply the released block to every shard's UTXO set, one executor
         // task per shard (the per-shard sets are disjoint by construction).
-        //
-        // Pipelined mode defers the batch instead of blocking on it: the sets
-        // move into owned tasks submitted to the executor, and the handle
-        // rides the round output into the next round, which joins it before
-        // its own first UTXO access. Apply order inside each shard is block
-        // order either way, so the resulting sets are identical — deferring
-        // only changes *when* the driver thread waits.
-        //
-        // The authenticated backend always takes the synchronous path: its
-        // state roots must be committed and in this round's report before
-        // the round closes, so there is no apply tail left to overlap.
-        let authenticated = ctx.config.state_backend == StateBackend::Smt;
         if let Some(block) = &block_outcome.block {
-            if ctx.config.pipelined && !authenticated {
-                let block = std::sync::Arc::new(block.clone());
-                let sets = std::mem::take(ctx.utxo_sets);
-                let tasks: Vec<_> = sets
-                    .into_iter()
-                    .map(|mut set| {
-                        let block = std::sync::Arc::clone(&block);
-                        move || {
-                            for tx in &block.transactions {
-                                set.apply(tx);
-                            }
-                            set
+            let tasks: Vec<_> = ctx
+                .utxo_sets
+                .iter_mut()
+                .map(|set| {
+                    move || {
+                        for tx in &block.transactions {
+                            set.apply(tx);
                         }
-                    })
-                    .collect();
-                ctx.deferred_apply = Some(ctx.executor.submit(tasks));
-            } else {
-                let tasks: Vec<_> = ctx
-                    .utxo_sets
-                    .iter_mut()
-                    .map(|set| {
-                        move || {
-                            for tx in &block.transactions {
-                                set.apply(tx);
-                            }
-                        }
-                    })
-                    .collect();
-                let _: Vec<()> = ctx.executor.execute(tasks);
-            }
+                    }
+                })
+                .collect();
+            let _: Vec<()> = ctx.executor.execute(tasks);
         }
         // Seal each shard's round delta into a versioned state root — one
         // executor task per shard, mirroring the apply batch. Rounds run
         // even when no block was produced (the root just re-publishes), so
         // every round report carries exactly one root per shard.
-        if authenticated {
+        if ctx.config.state_backend == StateBackend::Smt {
             let round = ctx.round;
             let tasks: Vec<_> = ctx
                 .utxo_sets

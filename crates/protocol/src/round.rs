@@ -11,8 +11,8 @@ use cycledger_reputation::ReputationTable;
 
 use crate::config::ProtocolConfig;
 use crate::engine::{
-    run_pipeline_observed, standard_pipeline, BatchHandle, NoopObserver, RoundArena, RoundContext,
-    RoundObserver, ShardExecutor,
+    run_pipeline_observed, standard_pipeline, RoundArena, RoundContext, RoundObserver,
+    ShardExecutor,
 };
 use crate::node::NodeRegistry;
 use crate::report::RoundReport;
@@ -26,14 +26,8 @@ pub struct RoundInput<'a> {
     pub registry: &'a NodeRegistry,
     /// This round's assignment (from the previous block).
     pub assignment: &'a RoundAssignment,
-    /// Mutable shard UTXO sets. In pipelined mode the vector may arrive
-    /// empty, with the sets still inside `pending_apply`; they are joined
-    /// back before the first phase that reads them.
-    pub utxo_sets: &'a mut Vec<UtxoSet>,
-    /// The previous round's still-draining block application, if the caller
-    /// runs the pipelined engine: the shard UTXO sets moved into this batch
-    /// and come back out at the join.
-    pub pending_apply: Option<BatchHandle<UtxoSet>>,
+    /// Mutable shard UTXO sets, one per committee.
+    pub utxo_sets: &'a mut [UtxoSet],
     /// Mutable global reputation table.
     pub reputation: &'a mut ReputationTable,
     /// Transactions offered by external users this round.
@@ -61,20 +55,12 @@ pub struct RoundOutput {
     pub next_assignment: Option<RoundAssignment>,
     /// The measured report.
     pub report: RoundReport,
-    /// Pipelined mode: the deferred per-shard block application, still
-    /// draining on the executor. The caller hands it to the next round's
-    /// [`RoundInput::pending_apply`] (or joins it to get the sets back).
-    pub pending_apply: Option<BatchHandle<UtxoSet>>,
 }
 
 /// Runs one complete round on `executor`'s worker pool by delegating to the
-/// standard phase pipeline.
-pub fn run_round(input: RoundInput<'_>, executor: &ShardExecutor) -> RoundOutput {
-    run_round_observed(input, executor, &mut NoopObserver)
-}
-
-/// Like [`run_round`], with every phase boundary reported to `observer`
-/// (see [`RoundObserver`]). Observation never changes protocol output.
+/// standard phase pipeline, with every phase boundary reported to `observer`
+/// (see [`RoundObserver`]; [`crate::engine::NoopObserver`] for none).
+/// Observation never changes protocol output.
 pub fn run_round_observed(
     input: RoundInput<'_>,
     executor: &ShardExecutor,

@@ -11,7 +11,7 @@
 
 use cycledger_ledger::StateBackend;
 use cycledger_net::latency::LatencyConfig;
-use cycledger_protocol::adversary::{AdversaryConfig, Behavior, BehaviorMix};
+use cycledger_protocol::adversary::{Behavior, BehaviorMix};
 use cycledger_protocol::config::ProtocolConfig;
 
 use crate::invariant::Invariant;
@@ -479,14 +479,6 @@ impl LatencyProfile {
             LatencyProfile::Lan => LatencyConfig::lan(),
             LatencyProfile::Wan => LatencyConfig::wan(),
         }
-    }
-}
-
-/// Builds an [`AdversaryConfig`] from the TOML-facing pair.
-pub fn adversary_from_parts(fraction: f64, mix: BehaviorMix) -> AdversaryConfig {
-    AdversaryConfig {
-        malicious_fraction: fraction,
-        mix,
     }
 }
 

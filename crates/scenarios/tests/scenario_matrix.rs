@@ -11,7 +11,7 @@ use std::path::PathBuf;
 
 use cycledger_scenarios::registry::builtin_scenarios;
 use cycledger_scenarios::report::render_report;
-use cycledger_scenarios::runner::{run_matrix, run_scenario};
+use cycledger_scenarios::runner::run_matrix;
 use cycledger_scenarios::toml_cfg::{scenarios_from_toml, scenarios_to_toml};
 
 fn golden_dir() -> PathBuf {
@@ -85,49 +85,6 @@ fn builtins_are_deterministic_invariant_clean_and_match_goldens() {
             scenario.name
         );
     }
-}
-
-/// The pipelined round engine must reproduce the committed goldens
-/// byte-for-byte: `pipelined` is a pure scheduling flag and is never
-/// rendered into reports. The per-scenario digest sweep over the whole
-/// registry lives in the runner's unit tests; here a representative slice
-/// — synchronous honest, mixed adversary, and message-driven with
-/// partitions — goes end-to-end through `run_scenario` (full worker
-/// matrix plus rerun) and the report renderer against the golden files.
-#[test]
-fn pipelined_engine_reproduces_goldens_byte_identically() {
-    let picks = [
-        "honest-baseline",
-        "mixed-adversary",
-        "partition-minority",
-        "traffic-baseline",
-    ];
-    let mut matched = 0;
-    for mut scenario in builtin_scenarios() {
-        if !picks.contains(&scenario.name.as_str()) {
-            continue;
-        }
-        matched += 1;
-        scenario.config.pipelined = true;
-        let run = run_scenario(&scenario)
-            .unwrap_or_else(|e| panic!("{}: pipelined run failed: {e}", scenario.name));
-        assert!(
-            run.passed(),
-            "{}: invariant violations under pipelining: {:#?}",
-            scenario.name,
-            run.violations()
-        );
-        let golden_path = golden_dir().join(format!("{}.json", scenario.name));
-        let golden = std::fs::read_to_string(&golden_path)
-            .unwrap_or_else(|e| panic!("{}: missing golden ({e})", scenario.name));
-        assert_eq!(
-            render_report(&run),
-            golden,
-            "{}: pipelined report drifted from the committed golden",
-            scenario.name
-        );
-    }
-    assert_eq!(matched, picks.len(), "a picked scenario was renamed");
 }
 
 #[test]

@@ -54,6 +54,8 @@ fn cross_shard_payments_conserve_value_across_the_chain() {
     let mut config = small_config(2);
     config.cross_shard_ratio = 0.6;
     config.invalid_ratio = 0.0;
+    // Several workers, so the per-shard apply batch runs on pool threads.
+    config.worker_threads = 4;
     let mut sim = Simulation::new(config).expect("valid configuration");
     let summary = sim.run(3);
 
@@ -98,6 +100,13 @@ fn cross_shard_payments_conserve_value_across_the_chain() {
     }
     let replay_value: u64 = replay.iter().map(|s| s.total_value()).sum();
     assert_eq!(genesis_value, replay_value + total_fees);
+    // The simulation's own sets hold exactly the replayed state, shard by
+    // shard: every block is fully applied by the time its round returns.
+    assert_eq!(sim.utxo_sets().len(), replay.len());
+    for (live, replayed) in sim.utxo_sets().iter().zip(&replay) {
+        assert_eq!(live.len(), replayed.len());
+        assert_eq!(live.total_value(), replayed.total_value());
+    }
 }
 
 #[test]

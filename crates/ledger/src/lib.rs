@@ -8,7 +8,8 @@
 //! * [`store`] — the pluggable [`StateStore`] layer: flat map or sparse
 //!   Merkle tree behind one statically-dispatched enum.
 //! * [`smt`] — the authenticated backend: a compressed sparse Merkle tree
-//!   with copy-on-write versioned roots and per-round batch commits.
+//!   updated in place by per-round batch commits, one root digest kept per
+//!   round.
 //! * [`block`] — blocks assembled by the referee committee, carrying the next
 //!   round's configuration, and a structurally-verified chain.
 //! * [`workload`] — deterministic external-user workload generation with

@@ -1,5 +1,5 @@
 //! The authenticated state backend: a compressed sparse Merkle tree over
-//! SHA-256 with copy-on-write versioned roots.
+//! SHA-256, updated in place, with one root digest recorded per round.
 //!
 //! ## Shape
 //!
@@ -22,19 +22,30 @@
 //!
 //! 1. key, value and leaf digests of the whole batch are lane-batched
 //!    through [`sha256_many`];
-//! 2. a structural pass merges the key-sorted batch into the tree
-//!    copy-on-write — path-copied internal nodes are allocated with
-//!    placeholder hashes and recorded per depth, untouched subtrees are
-//!    shared with previous versions;
+//! 2. a structural pass merges the key-sorted batch into the tree in
+//!    place — every internal node on a written path has its child
+//!    references overwritten and is recorded per depth, new nodes take a
+//!    recycled arena slot before the arena grows, untouched subtrees are not
+//!    visited;
 //! 3. dirty internal nodes are hashed level by level, deepest first, again
 //!    through [`sha256_many`] — children are always final before parents.
 //!
 //! Committing once per round instead of once per transaction is what keeps
 //! the authenticated backend within a small factor of the flat map: a
-//! round's writes to one path share the path copy and the O(log n) hashes.
+//! round's writes to one path share the O(log n) hashes.
 //!
-//! Old roots stay valid after a commit (nodes are never mutated, only
-//! superseded), which is what `root_at_round` snapshots lean on.
+//! ## Memory
+//!
+//! Only the latest tree is resident. A leaf that a batch replaces or
+//! deletes and an internal node whose subtree collapses go on a free list,
+//! and the next allocation pops that list before it pushes, so the arenas
+//! hold the live tree plus at most one round of churn — about 1.44 internal
+//! nodes (1 / ln 2, a leaf-collapsed binary trie over uniform keys) and one
+//! leaf per live entry. History is kept as what anything reads of it: the
+//! root *digest* of every committed round (`root_at_round`). A proof taken
+//! at round r keeps verifying against that digest; proving against an old
+//! root after the fact would need the superseded nodes back, and nothing
+//! asks for that.
 
 use cycledger_crypto::fxhash::{FxBuildHasher, FxHashMap};
 use cycledger_crypto::sha256::{sha256, sha256_many, Digest};
@@ -87,7 +98,8 @@ pub fn value_digest(output: &TxOutput) -> Digest {
     sha256(&value_preimage(output))
 }
 
-/// A path-copied internal node. `hash` is filled in by the level-ordered
+/// An internal node. A fold that changes anything below it overwrites
+/// `left` / `right` where it stands; `hash` is refreshed by the level-ordered
 /// hashing pass after the structural fold.
 #[derive(Clone, Debug)]
 struct InternalNode {
@@ -96,7 +108,8 @@ struct InternalNode {
     right: u32,
 }
 
-/// An immutable leaf binding one key to one value hash.
+/// A leaf binding one key to one value hash. Never edited: an update
+/// allocates the replacement and frees this slot for a later round.
 #[derive(Clone, Debug)]
 struct LeafNode {
     key: Digest,
@@ -111,8 +124,8 @@ struct Item {
     leaf: u32,
 }
 
-/// New internal nodes of the current fold, grouped by depth so the hashing
-/// pass can go level by level (children before parents).
+/// Internal nodes the current fold created or changed, grouped by depth so
+/// the hashing pass can go level by level (children before parents).
 #[derive(Default)]
 struct Dirty {
     by_depth: Vec<Vec<u32>>,
@@ -134,14 +147,19 @@ pub struct SmtStore {
     mirror: FxHashMap<OutPoint, TxOutput>,
     /// Deltas since the last commit: `Some` upserts, `None` deletes.
     pending: FxHashMap<OutPoint, Option<TxOutput>>,
-    /// Internal-node arena; nodes are immutable once hashed.
+    /// Internal-node arena: the live tree plus the slots in `free_internals`.
     internals: Vec<InternalNode>,
-    /// Leaf arena; leaves are immutable from creation.
+    /// Leaf arena: the live leaves plus the slots in `free_leaves`.
     leaves: Vec<LeafNode>,
-    /// Root of the latest committed version.
+    /// Slots of `internals` whose subtree collapsed, reused before the arena
+    /// grows.
+    free_internals: Vec<u32>,
+    /// Slots of `leaves` (untagged) that a batch replaced or deleted.
+    free_leaves: Vec<u32>,
+    /// Root of the tree as of the latest commit.
     root: u32,
-    /// `(round, root)` per committed round, ascending.
-    versions: Vec<(u64, u32)>,
+    /// `(round, root digest)` per committed round, ascending.
+    versions: Vec<(u64, Digest)>,
 }
 
 impl Default for SmtStore {
@@ -159,6 +177,8 @@ impl SmtStore {
             pending: FxHashMap::default(),
             internals: Vec::new(),
             leaves: Vec::new(),
+            free_internals: Vec::new(),
+            free_leaves: Vec::new(),
             root: EMPTY_REF,
             versions: Vec::new(),
         }
@@ -169,8 +189,10 @@ impl SmtStore {
         self.pending.len()
     }
 
-    /// Total nodes allocated across all versions (capacity telemetry for the
-    /// state benchmark).
+    /// Arena *slots* `(internal, leaf)`, free ones included (capacity
+    /// telemetry for the state benchmark). A freed slot stays in its arena
+    /// until it is reused, so neither count ever decreases — callers subtract
+    /// two readings as `usize`.
     pub fn allocated_nodes(&self) -> (usize, usize) {
         (self.internals.len(), self.leaves.len())
     }
@@ -240,14 +262,13 @@ impl SmtStore {
         let mut upsert_no = 0usize;
         for (i, (_, op)) in ops.iter().enumerate() {
             let leaf = if op.is_some() {
-                let leaf_ref = LEAF_TAG | self.leaves.len() as u32;
-                self.leaves.push(LeafNode {
+                let leaf = LeafNode {
                     key: keys[i],
                     value_hash: value_hashes[upsert_no],
                     hash: leaf_hashes[upsert_no],
-                });
+                };
                 upsert_no += 1;
-                leaf_ref
+                self.alloc_leaf(leaf)
             } else {
                 EMPTY_REF
             };
@@ -258,8 +279,25 @@ impl SmtStore {
         items.sort_unstable_by_key(|a| a.key);
 
         let mut dirty = Dirty::default();
-        self.root = self.fold(self.root, 0, &items, &mut dirty);
+        (self.root, _) = self.fold(self.root, 0, &items, &mut dirty);
         self.rehash_dirty(&dirty);
+    }
+
+    /// Stores `leaf` in a recycled slot if one is free, else in a new one.
+    fn alloc_leaf(&mut self, leaf: LeafNode) -> u32 {
+        let slot = match self.free_leaves.pop() {
+            Some(slot) => {
+                self.leaves[slot as usize] = leaf;
+                slot
+            }
+            None => {
+                let slot = self.leaves.len() as u32;
+                assert!(slot & LEAF_TAG == 0, "leaf arena exhausted");
+                self.leaves.push(leaf);
+                slot
+            }
+        };
+        LEAF_TAG | slot
     }
 
     /// First index of `batch` whose key has bit `depth` set (the
@@ -268,30 +306,38 @@ impl SmtStore {
         batch.partition_point(|item| !key_bit(&item.key, depth))
     }
 
-    /// Merges a key-sorted batch into `node`, copy-on-write. New internal
-    /// nodes carry placeholder hashes and are recorded in `dirty`.
-    fn fold(&mut self, node: u32, depth: usize, batch: &[Item], dirty: &mut Dirty) -> u32 {
+    /// Merges a key-sorted batch into the subtree at `node`, in place.
+    ///
+    /// Returns the subtree's reference afterwards and whether anything in it
+    /// changed. The flag is not redundant with the reference: an internal
+    /// node keeps its slot when its content changes, so only the flag tells
+    /// the parent that its own hash is stale.
+    fn fold(&mut self, node: u32, depth: usize, batch: &[Item], dirty: &mut Dirty) -> (u32, bool) {
         if batch.is_empty() {
-            return node;
+            return (node, false);
         }
+        // The empty subtree and a leaf are replaced, never edited, so for
+        // them a change does show in the reference.
         if node == EMPTY_REF {
-            return self.build(depth, batch, dirty);
+            let built = self.build(depth, batch, dirty);
+            return (built, built != EMPTY_REF);
         }
         if is_leaf(node) {
-            return self.merge_leaf(node, depth, batch, dirty);
+            let merged = self.merge_leaf(node, depth, batch, dirty);
+            return (merged, merged != node);
         }
         let (left, right) = {
             let n = &self.internals[node as usize];
             (n.left, n.right)
         };
         let split = Self::split_point(batch, depth);
-        let new_left = self.fold(left, depth + 1, &batch[..split], dirty);
-        let new_right = self.fold(right, depth + 1, &batch[split..], dirty);
-        if new_left == left && new_right == right {
-            // Pure no-op batch (deletes of absent keys): share the old node.
-            return node;
+        let (left, left_changed) = self.fold(left, depth + 1, &batch[..split], dirty);
+        let (right, right_changed) = self.fold(right, depth + 1, &batch[split..], dirty);
+        if !left_changed && !right_changed {
+            // Pure no-op batch (deletes of absent keys).
+            return (node, false);
         }
-        self.join(depth, new_left, new_right, dirty)
+        (self.join(depth, node, left, right, dirty), true)
     }
 
     /// Builds the canonical subtree of a key-sorted batch over an empty
@@ -309,7 +355,7 @@ impl SmtStore {
         let split = Self::split_point(batch, depth);
         let left = self.build(depth + 1, &batch[..split], dirty);
         let right = self.build(depth + 1, &batch[split..], dirty);
-        self.join(depth, left, right, dirty)
+        self.join(depth, EMPTY_REF, left, right, dirty)
     }
 
     /// Merges a batch into a subtree currently represented by a single
@@ -318,13 +364,16 @@ impl SmtStore {
         if batch.is_empty() {
             return leaf;
         }
-        let leaf_key = self.leaves[(leaf & !LEAF_TAG) as usize].key;
+        let slot = leaf & !LEAF_TAG;
+        let leaf_key = self.leaves[slot as usize].key;
         if batch
             .binary_search_by(|item| item.key.cmp(&leaf_key))
             .is_ok()
         {
             // The batch addresses the leaf's own key: an upsert replaces it,
-            // a delete removes it — either way the batch alone decides.
+            // a delete removes it — either way the batch alone decides, and
+            // the old leaf's slot is free for the next round's allocations.
+            self.free_leaves.push(slot);
             return self.build(depth, batch, dirty);
         }
         if !batch.iter().any(|item| item.leaf != EMPTY_REF) {
@@ -343,34 +392,60 @@ impl SmtStore {
                 self.build(depth + 1, &batch[split..], dirty),
             )
         };
-        self.join(depth, left, right, dirty)
+        self.join(depth, EMPTY_REF, left, right, dirty)
     }
 
     /// Canonicalizing node constructor: collapses one-leaf subtrees so the
     /// tree shape stays a pure function of the key set.
-    fn join(&mut self, depth: usize, left: u32, right: u32, dirty: &mut Dirty) -> u32 {
-        match (left == EMPTY_REF, right == EMPTY_REF) {
-            (true, true) => EMPTY_REF,
-            (true, false) if is_leaf(right) => right,
-            (false, true) if is_leaf(left) => left,
-            _ => {
-                let node = self.internals.len() as u32;
-                assert!(node & LEAF_TAG == 0, "internal arena exhausted");
-                self.internals.push(InternalNode {
-                    hash: Digest::ZERO,
-                    left,
-                    right,
-                });
-                dirty.mark(depth, node);
-                node
+    ///
+    /// `here` is the internal node the fold stands on, or [`EMPTY_REF`] where
+    /// the tree had none. A subtree that still needs an internal node keeps
+    /// `here` (or takes a recycled slot, or grows the arena); one that
+    /// collapsed gives `here` back to the free list.
+    fn join(&mut self, depth: usize, here: u32, left: u32, right: u32, dirty: &mut Dirty) -> u32 {
+        let collapsed = match (left == EMPTY_REF, right == EMPTY_REF) {
+            (true, true) => Some(EMPTY_REF),
+            (true, false) if is_leaf(right) => Some(right),
+            (false, true) if is_leaf(left) => Some(left),
+            _ => None,
+        };
+        if let Some(survivor) = collapsed {
+            if here != EMPTY_REF {
+                self.free_internals.push(here);
             }
+            return survivor;
         }
+        // The hash is a placeholder until `rehash_dirty` reaches this depth.
+        let joined = InternalNode {
+            hash: Digest::ZERO,
+            left,
+            right,
+        };
+        let reuse = if here != EMPTY_REF {
+            Some(here)
+        } else {
+            self.free_internals.pop()
+        };
+        let node = match reuse {
+            Some(slot) => {
+                self.internals[slot as usize] = joined;
+                slot
+            }
+            None => {
+                let slot = self.internals.len() as u32;
+                assert!(slot & LEAF_TAG == 0, "internal arena exhausted");
+                self.internals.push(joined);
+                slot
+            }
+        };
+        dirty.mark(depth, node);
+        node
     }
 
-    /// Hashes the fold's new internal nodes level by level, deepest first,
+    /// Hashes the fold's dirty internal nodes level by level, deepest first,
     /// lane-batched through [`sha256_many`]. Children are final before their
     /// parents: leaves were hashed before the fold, deeper internals in an
-    /// earlier iteration, shared subtrees in an earlier commit.
+    /// earlier iteration, untouched subtrees in an earlier commit.
     fn rehash_dirty(&mut self, dirty: &Dirty) {
         let mut bufs: Vec<[u8; 65]> = Vec::new();
         let mut hashes: Vec<Digest> = Vec::new();
@@ -433,8 +508,9 @@ impl StateStore for SmtStore {
             self.versions.last().is_none_or(|&(r, _)| r < round),
             "rounds must commit in ascending order"
         );
-        self.versions.push((round, self.root));
-        Some(self.ref_hash(self.root))
+        let root = self.ref_hash(self.root);
+        self.versions.push((round, root));
+        Some(root)
     }
 
     fn state_root(&self) -> Option<Digest> {
@@ -443,8 +519,7 @@ impl StateStore for SmtStore {
 
     fn root_at_round(&self, round: u64) -> Option<Digest> {
         let idx = self.versions.partition_point(|&(r, _)| r <= round);
-        idx.checked_sub(1)
-            .map(|i| self.ref_hash(self.versions[i].1))
+        idx.checked_sub(1).map(|i| self.versions[i].1)
     }
 
     fn prove(&self, outpoint: &OutPoint) -> Option<StateProof> {
@@ -642,7 +717,7 @@ mod tests {
             verify_proof(&new_root, &key_digest(&victim), &old_proof).is_err(),
             "stale inclusion must not verify against the new root"
         );
-        // The old root still verifies the old proof (copy-on-write snapshot).
+        // The old root digest still verifies the old proof.
         assert_eq!(
             verify_proof(&root, &key_digest(&victim), &old_proof),
             Ok(())
@@ -698,6 +773,212 @@ mod tests {
             nodes_before,
             "no-delta commits must allocate nothing"
         );
+    }
+
+    /// One churn round of the state benchmark's shape: spend the `count`
+    /// oldest live entries, credit `count` fresh ones, commit.
+    fn churn_round(store: &mut SmtStore, round: u64, oldest: &mut u64, next: &mut u64, count: u64) {
+        for _ in 0..count {
+            store.remove(&op(*oldest));
+            store.insert(op(*next), out(*next));
+            *oldest += 1;
+            *next += 1;
+        }
+        store.commit(round);
+    }
+
+    #[test]
+    fn arena_tracks_live_state() {
+        let (mut oldest, mut next) = (0u64, 10_000u64);
+        let mut store = SmtStore::with_capacity(next as usize);
+        for n in 0..next {
+            store.insert(op(n), out(n));
+        }
+        store.commit_genesis();
+        let mut slots_after_10 = 0usize;
+        for round in 1..=200u64 {
+            churn_round(&mut store, round, &mut oldest, &mut next, 512);
+            if round == 10 {
+                let (internal, leaf) = store.allocated_nodes();
+                slots_after_10 = internal + leaf;
+            }
+        }
+        assert_eq!(store.len(), 10_000);
+        let (internal, leaf) = store.allocated_nodes();
+        assert!(
+            10 * (internal + leaf) <= 11 * slots_after_10,
+            "arena grew from {slots_after_10} slots after 10 commits to {} after 200 \
+             behind a constant live set",
+            internal + leaf
+        );
+        // The bound the state gate caps: ~1.44 internal nodes and one leaf
+        // per live entry, plus one round of churn.
+        assert!(internal + leaf <= 3 * store.len());
+    }
+
+    #[test]
+    fn recorded_roots_and_old_proofs_outlive_their_nodes() {
+        let (mut oldest, mut next) = (0u64, 256u64);
+        let mut store = SmtStore::default();
+        for n in 0..next {
+            store.insert(op(n), out(n));
+        }
+        store.commit_genesis();
+        // Ten recorded rounds, each with a proof of a key the later churn
+        // spends, then fifty more that recycle every node those versions had.
+        let mut recorded: Vec<(u64, Digest, OutPoint, StateProof)> = Vec::new();
+        for round in 0..60u64 {
+            churn_round(&mut store, round, &mut oldest, &mut next, 32);
+            if round < 10 {
+                let witness = op(oldest);
+                let proof = store.prove(&witness).unwrap();
+                assert!(matches!(proof.terminal, ProofTerminal::Included { .. }));
+                recorded.push((round, store.state_root().unwrap(), witness, proof));
+            }
+        }
+        let (_, leaf_slots) = store.allocated_nodes();
+        assert!(
+            leaf_slots <= 256 + 2 * 32,
+            "the later rounds must have run on the recorded versions' recycled slots"
+        );
+        for (round, root, witness, proof) in &recorded {
+            assert_eq!(store.root_at_round(*round), Some(*root));
+            assert_eq!(verify_proof(root, &key_digest(witness), proof), Ok(()));
+            assert_ne!(store.state_root(), Some(*root));
+            assert!(store.get(witness).is_none(), "the witness was spent since");
+        }
+    }
+
+    #[test]
+    fn a_clone_and_its_original_diverge_independently() {
+        let mut original = SmtStore::default();
+        let mut model: FxHashMap<OutPoint, TxOutput> = FxHashMap::default();
+        for n in 0..200 {
+            original.insert(op(n), out(n));
+            model.insert(op(n), out(n));
+        }
+        original.commit(0);
+        // Leave recycled slots on both free lists before cloning, so the
+        // copies start out wanting the *same* slots.
+        for n in 0..60 {
+            original.remove(&op(n));
+            model.remove(&op(n));
+        }
+        original.commit(1);
+        let mut copy = original.clone();
+        let mut copy_model = model.clone();
+
+        for n in 1000..1080 {
+            original.insert(op(n), out(n));
+            model.insert(op(n), out(n));
+        }
+        for n in 2000..2040 {
+            copy.insert(op(n), out(n));
+            copy_model.insert(op(n), out(n));
+        }
+        for n in 60..120 {
+            copy.remove(&op(n));
+            copy_model.remove(&op(n));
+        }
+        let original_root = original.commit(2).unwrap();
+        let copy_root = copy.commit(2).unwrap();
+        assert_ne!(original_root, copy_root);
+        for (store, model, root) in [
+            (&original, &model, original_root),
+            (&copy, &copy_model, copy_root),
+        ] {
+            assert_eq!(root, reference_root_of(model));
+            for outpoint in model.keys() {
+                let proof = store.prove(outpoint).unwrap();
+                assert!(matches!(proof.terminal, ProofTerminal::Included { .. }));
+                assert_eq!(verify_proof(&root, &key_digest(outpoint), &proof), Ok(()));
+            }
+        }
+        assert_eq!(original.root_at_round(1), copy.root_at_round(1));
+    }
+
+    mod scripts {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Multi-commit scripts over a small key universe, so keys are
+            /// inserted, updated in place, deleted, deleted while absent and
+            /// inserted-then-removed inside one round, and the tree is now
+            /// and then deleted down to empty and refilled. After every
+            /// commit the in-place tree must be the canonical tree of the
+            /// model: same root as the reference construction, inclusion
+            /// for every live key and exclusion for dead ones.
+            #[test]
+            fn prop_in_place_tree_is_the_canonical_tree(
+                raw in proptest::collection::vec(0u64..1_000_000, 300..500),
+            ) {
+                const KEYS: u64 = 48;
+                let mut store = SmtStore::default();
+                let mut model: FxHashMap<OutPoint, TxOutput> = FxHashMap::default();
+                let mut round = 0u64;
+                for (step, v) in raw.iter().copied().enumerate() {
+                    let key = (v / 16) % KEYS;
+                    match v % 16 {
+                        0..=5 => {
+                            // Insert, or update in place when `key` is live.
+                            store.insert(op(key), out(v));
+                            model.insert(op(key), out(v));
+                        }
+                        6..=9 => {
+                            // Delete; of an absent key as often as not.
+                            prop_assert_eq!(store.remove(&op(key)), model.remove(&op(key)));
+                        }
+                        10 => {
+                            // A key born and gone inside one round.
+                            let ghost = op(10_000 + step as u64);
+                            store.insert(ghost, out(v));
+                            prop_assert_eq!(store.remove(&ghost), Some(out(v)));
+                        }
+                        11 => {
+                            // Down to empty; later steps refill.
+                            for outpoint in model.keys() {
+                                store.remove(outpoint);
+                            }
+                            model.clear();
+                        }
+                        _ => {
+                            let root = store.commit(round).unwrap();
+                            round += 1;
+                            prop_assert_eq!(root, reference_root_of(&model));
+                            prop_assert_eq!(store.len(), model.len());
+                            for outpoint in model.keys() {
+                                let proof = store.prove(outpoint).unwrap();
+                                prop_assert!(
+                                    matches!(proof.terminal, ProofTerminal::Included { .. })
+                                );
+                                prop_assert_eq!(
+                                    verify_proof(&root, &key_digest(outpoint), &proof),
+                                    Ok(())
+                                );
+                            }
+                            for dead in (0..KEYS).map(op).filter(|o| !model.contains_key(o)) {
+                                let proof = store.prove(&dead).unwrap();
+                                prop_assert!(
+                                    !matches!(proof.terminal, ProofTerminal::Included { .. })
+                                );
+                                prop_assert_eq!(
+                                    verify_proof(&root, &key_digest(&dead), &proof),
+                                    Ok(())
+                                );
+                            }
+                        }
+                    }
+                }
+                // At most `KEYS` leaves are live and a round upserts at most
+                // `KEYS` more before the fold frees any; a script this long
+                // allocates more leaves than that, so it ran on recycled slots.
+                let (_, leaf_slots) = store.allocated_nodes();
+                prop_assert!(leaf_slots as u64 <= 2 * KEYS);
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!
 //! * [`MapStore`] — the flat map, still the default: zero behavioural change
 //!   and byte-identical goldens for every pre-existing scenario;
-//! * [`crate::smt::SmtStore`] — a compressed sparse Merkle tree with
-//!   copy-on-write versioned roots, per-round batch commits and
-//!   inclusion/exclusion proofs, at the cost of hashing each round's delta.
+//! * [`crate::smt::SmtStore`] — a compressed sparse Merkle tree updated in
+//!   place by per-round batch commits, with one root digest kept per round
+//!   and inclusion/exclusion proofs against the latest, at the cost of
+//!   hashing each round's delta.
 //!
 //! Both backends sit behind the [`Store`] enum so the per-input lookup hot
 //! path stays statically dispatched (one predictable branch, no vtable).
@@ -54,9 +55,10 @@ impl StateBackend {
 /// The operations a UTXO state store must support.
 ///
 /// `insert`/`remove` are the write path (block application); `commit` seals
-/// one round's batch of writes into a versioned state root — a no-op
-/// returning `None` for unauthenticated backends. Proof queries answer
-/// against the *committed* tree, never the uncommitted batch.
+/// one round's batch of writes into the state root recorded for that round —
+/// a no-op returning `None` for unauthenticated backends. Proof queries
+/// answer against the *latest committed* tree, never the uncommitted batch
+/// and never an earlier round's: of history a store keeps root digests only.
 pub trait StateStore {
     /// Point lookup (the `V` hot path).
     fn get(&self, outpoint: &OutPoint) -> Option<&TxOutput>;
@@ -72,9 +74,9 @@ pub trait StateStore {
     }
     /// Calls `f` on every live entry (iteration order unspecified).
     fn for_each(&self, f: &mut dyn FnMut(&OutPoint, &TxOutput));
-    /// Seals the writes since the previous commit into a new versioned root
-    /// recorded for `round`; returns the root, or `None` for backends
-    /// without authentication.
+    /// Seals the writes since the previous commit into the tree and records
+    /// the resulting root digest for `round`; returns the root, or `None`
+    /// for backends without authentication.
     fn commit(&mut self, round: u64) -> Option<Digest>;
     /// The most recently committed state root, if the backend has one.
     fn state_root(&self) -> Option<Digest>;

@@ -36,6 +36,8 @@ pub struct RoundArena {
     /// The referee's re-validation overlay over the shard UTXO sets —
     /// replaces the seed's per-round clone of every `UtxoSet`.
     pub overlay: UtxoOverlay,
+    /// Per shard, the block positions of the transactions that touch it.
+    touched: Vec<Vec<usize>>,
 }
 
 impl RoundArena {
@@ -61,6 +63,35 @@ impl RoundArena {
         }
         &mut self.shard[..m]
     }
+
+    /// Indexes a block by touched shard: entry `k` lists, in block order,
+    /// the positions of the transactions with an input or an output in shard
+    /// `k` of `m`. One pass and one shard lookup per input and output, so
+    /// each shard's apply task visits its own transactions instead of all m
+    /// tasks walking the whole block.
+    pub fn index_by_touched_shard(&mut self, block: &[Transaction], m: usize) -> &[Vec<usize>] {
+        if self.touched.len() < m {
+            self.touched.resize_with(m, Vec::new);
+        }
+        let touched = &mut self.touched[..m];
+        for positions in touched.iter_mut() {
+            positions.clear();
+        }
+        for (position, tx) in block.iter().enumerate() {
+            let owners = tx
+                .inputs()
+                .iter()
+                .map(|input| input.owner)
+                .chain(tx.outputs().iter().map(|output| output.owner));
+            for owner in owners {
+                let positions = &mut touched[owner.shard(m)];
+                if positions.last() != Some(&position) {
+                    positions.push(position);
+                }
+            }
+        }
+        touched
+    }
 }
 
 #[cfg(test)]
@@ -84,5 +115,58 @@ mod tests {
         // Shrinking requests reuse the same slots.
         assert_eq!(arena.shard_slots(2).len(), 2);
         assert_eq!(arena.shard_slots(5).len(), 5);
+    }
+
+    #[test]
+    fn block_index_lists_each_touched_shard_once_in_block_order() {
+        use cycledger_ledger::transaction::{AccountId, TxInput, TxOutput};
+
+        let m = 4;
+        // Accounts 0..16 cover every shard; a payment from `from` to `to`
+        // with change touches one or two of them.
+        let pay = |from: u64, to: u64, nonce: u64| {
+            let funding = Transaction::genesis(
+                vec![TxOutput {
+                    owner: AccountId(from),
+                    amount: 10,
+                }],
+                nonce,
+            );
+            Transaction::new(
+                vec![TxInput {
+                    outpoint: funding.created_utxos()[0].0,
+                    owner: AccountId(from),
+                    amount: 10,
+                }],
+                vec![
+                    TxOutput {
+                        owner: AccountId(to),
+                        amount: 6,
+                    },
+                    TxOutput {
+                        owner: AccountId(from),
+                        amount: 4,
+                    },
+                ],
+                nonce,
+            )
+        };
+        let block: Vec<Transaction> = (0..16u64).map(|n| pay(n, (n * 7 + 3) % 16, n)).collect();
+
+        let mut arena = RoundArena::new();
+        // A stale index from a larger, earlier block must not leak through.
+        arena.index_by_touched_shard(&block, m);
+        let index = arena.index_by_touched_shard(&block[..12], m).to_vec();
+        assert_eq!(index.len(), m);
+        for (shard, positions) in index.iter().enumerate() {
+            let expected: Vec<usize> = (0..12)
+                .filter(|&p| block[p].touched_shards(m).contains(&shard))
+                .collect();
+            assert_eq!(positions, &expected, "shard {shard}");
+        }
+        assert!(
+            index.iter().map(Vec::len).sum::<usize>() > 12,
+            "some payment crosses shards"
+        );
     }
 }

@@ -184,16 +184,10 @@ impl<'a> RoundContext<'a> {
         let mut intra_per_shard: Vec<Vec<GeneratedTx>> = vec![Vec::new(); committee_count];
         let mut cross_shard: Vec<GeneratedTx> = Vec::new();
         for gen in offered {
-            if gen.tx.is_intra_shard(committee_count) {
-                let shard = gen
-                    .tx
-                    .touched_shards(committee_count)
-                    .first()
-                    .copied()
-                    .unwrap_or(0);
-                intra_per_shard[shard].push(gen);
-            } else {
-                cross_shard.push(gen);
+            match gen.tx.touched_shards(committee_count).as_slice() {
+                [] => intra_per_shard[0].push(gen),
+                [shard] => intra_per_shard[*shard].push(gen),
+                _ => cross_shard.push(gen),
             }
         }
 

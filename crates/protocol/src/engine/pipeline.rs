@@ -467,15 +467,20 @@ impl RoundPhase for BlockGenerationPhase {
         ctx.arena.candidates = candidates;
 
         // Apply the released block to every shard's UTXO set, one executor
-        // task per shard (the per-shard sets are disjoint by construction).
+        // task per shard (the per-shard sets are disjoint by construction),
+        // each over the transactions that touch its shard.
         if let Some(block) = &block_outcome.block {
+            let touched = ctx
+                .arena
+                .index_by_touched_shard(&block.transactions, ctx.utxo_sets.len());
             let tasks: Vec<_> = ctx
                 .utxo_sets
                 .iter_mut()
-                .map(|set| {
+                .zip(touched)
+                .map(|(set, positions)| {
                     move || {
-                        for tx in &block.transactions {
-                            set.apply(tx);
+                        for &position in positions {
+                            set.apply(&block.transactions[position]);
                         }
                     }
                 })

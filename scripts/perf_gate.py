@@ -36,7 +36,10 @@ UTXO set) and checks the tracked ratios against ``BENCH_state.json``. The
 per-transaction hot paths carry *hard caps* -- lookup must stay within 3x
 and apply within 4x of the flat map, regardless of what the committed
 baseline says -- because those bounds are what make the authenticated
-backend deployable on the transaction path. The per-round commit ratio and
+backend deployable on the transaction path. Resident tree size carries one
+too: at most 3.0 arena slots (internal + leaf, free ones included) per live
+UTXO after the measured write rounds, because the tree must follow the live
+set and not the number of rounds committed. The per-round commit ratio and
 the per-round allocation count are regression-gated (20% tolerance vs the
 committed values) instead: a Merkle commit pays O(log n) hashes per written
 key where a hashmap pays one probe, so no absolute small-constant cap is
@@ -262,9 +265,17 @@ def cap_check(label: str, metric: str, cap: float, measured: float, failures: li
 # and an apply is two hashmap writes plus a delta-buffer insert (~3x
 # measured), so breaching these caps means a structural regression, not
 # runner noise.
+#
+# The arena cap bounds resident tree size by the live set: a leaf-collapsed
+# binary trie over uniform keys holds 1 / ln 2 = 1.44 internal nodes per
+# leaf (the 100 000-entry genesis fold makes 144 089), plus the leaf, plus
+# one round of churn waiting on the free lists. A store that keeps what a
+# commit supersedes adds ~11 slots per write at this tier and is past 3.0
+# after some 50 rounds (the smoke run commits a few hundred).
 STATE_CAPS = (
     ("smt_lookup_over_map_lookup", 3.0),
     ("smt_apply_over_map_apply", 4.0),
+    ("smt_arena_slots_per_live_utxo", 3.0),
 )
 
 # Per-round numbers gated against the committed baseline instead: the commit
@@ -306,6 +317,7 @@ def state_self_test(baseline: dict) -> int:
             "smt_apply_over_map_apply": float(tracked["smt_apply_over_map_apply"]),
             "smt_commit_over_map_apply": float(tracked["smt_commit_over_map_apply"]),
             "smt_allocations_per_round": float(tracked["smt_allocations_per_round"]),
+            "smt_arena_slots_per_live_utxo": float(tracked["smt_arena_slots_per_live_utxo"]),
         }
         measured.update(overrides)
         return measured
@@ -323,6 +335,11 @@ def state_self_test(baseline: dict) -> int:
         (
             "apply ratio past the 4x cap must fail",
             synthetic(smt_apply_over_map_apply=4.3),
+            1,
+        ),
+        (
+            "arena slots per live UTXO past the 3.0 cap must fail",
+            synthetic(smt_arena_slots_per_live_utxo=3.1),
             1,
         ),
         (

@@ -12,7 +12,8 @@
 //!   verification against a committee key directory.
 //! * [`sigcache`] — per-instance memoization of signature verification, so the
 //!   simulator pays each distinct `(key, message, signature)` check once
-//!   instead of once per receiving member.
+//!   instead of once per receiving member — the receivers of the instance's
+//!   certificate included: the memo travels with it.
 //! * [`transition`] — the single side-effect-free decision core (thresholds,
 //!   tallies, impeachment rules) shared by the production drivers and the
 //!   `cycledger-checker` model checker.
@@ -39,7 +40,7 @@ pub use alg3::{LeaderState, MemberAction, MemberState};
 pub use envelope::{CarriesAlg3, CommitteeMessage};
 pub use messages::{Alg3Message, Confirm, ConsensusId, Echo, Propose};
 pub use quorum::{verify_certs_batch, CommitteeKeys, QuorumCertificate, QuorumError};
-pub use sigcache::SigCache;
+pub use sigcache::{SigCache, Verdicts};
 pub use votes::{Tally, Vote, VoteList, VoteVector};
 pub use witness::{
     member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence, EquivocationEvidence,

@@ -10,11 +10,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cycledger_crypto::schnorr::{PublicKey, Signature};
+use cycledger_crypto::schnorr::{BatchEntry, PublicKey, Signature};
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::topology::NodeId;
 
-use crate::messages::{confirm_signing_bytes, ConsensusId, CONFIRM_SIGNING_LEN};
+use crate::messages::{confirm_signing_bytes, ConsensusId};
+use crate::sigcache::SigCache;
 
 /// The public keys of a committee, indexed by node id.
 ///
@@ -133,41 +134,36 @@ impl QuorumCertificate {
         self.verify(keys, keys.majority_threshold())
     }
 
-    /// Verifies the certificate using one batched random-linear-combination
-    /// signature check instead of one check per signer.
-    ///
-    /// This is the entry point the round engine's shard executor uses for
-    /// per-shard vote sets: the whole `SigList` is handed to
-    /// [`cycledger_crypto::schnorr::batch_verify`] at once. Structural rules
-    /// (membership, deduplication, threshold) are identical to [`Self::verify`], and
-    /// when the batch check fails the slow path re-runs per signature so the
-    /// caller still learns *which* rule broke.
+    /// The receiver's check of a certificate that arrived with the verdict
+    /// memo of the instance that formed it: the structural rules of
+    /// [`Self::verify`] (membership, deduplication, threshold), then every
+    /// signature looked up in the memo. A signature the instance verified —
+    /// in a fault-free run, every one — costs that lookup and nothing else,
+    /// not even an allocation; a signature the memo has never seen (tampered,
+    /// swapped, replayed from another instance, forged) is verified here, the
+    /// misses as one [`SigCache::verify_batch`] (one batch, and one check per
+    /// miss only if the batch fails); a memoised `false` stays `false`.
+    /// Verdicts are pure functions of the triple, so the result is
+    /// [`Self::verify`]'s whatever the memo holds.
+    pub fn verify_memoized(
+        &self,
+        keys: &CommitteeKeys,
+        threshold: usize,
+        memo: &SigCache,
+    ) -> Result<(), QuorumError> {
+        let mut result = [Ok(())];
+        verify_certs_memoized(&[(self, keys, threshold)], memo, &mut result);
+        result[0]
+    }
+
+    /// [`Self::verify_memoized`] without a memo: every signature is a miss,
+    /// so the whole `SigList` goes through one
+    /// [`batch_verify`](cycledger_crypto::schnorr::batch_verify) and, if that
+    /// fails, through one check per signature. No protocol path calls it — a
+    /// certificate always arrives with its instance's memo — it remains as
+    /// what `consensus.probe.cert_verify_batch_us` in `benchmark/` times.
     pub fn verify_batch(&self, keys: &CommitteeKeys, threshold: usize) -> Result<(), QuorumError> {
-        self.structural_check(keys, threshold)?;
-        let message_bytes: Vec<[u8; CONFIRM_SIGNING_LEN]> = self
-            .signatures
-            .iter()
-            .map(|(node, _)| confirm_signing_bytes(&self.id, &self.digest, *node))
-            .collect();
-        let entries: Vec<cycledger_crypto::schnorr::BatchEntry<'_>> = self
-            .signatures
-            .iter()
-            .zip(&message_bytes)
-            .map(
-                |((node, signature), message)| cycledger_crypto::schnorr::BatchEntry {
-                    public_key: keys.get(*node).expect("membership checked above"),
-                    message,
-                    signature,
-                },
-            )
-            .collect();
-        if cycledger_crypto::schnorr::batch_verify(&entries) {
-            return Ok(());
-        }
-        // The batch is bad: fall back to the sequential path for a precise
-        // error (and as defence in depth should the two paths ever disagree).
-        self.verify(keys, threshold)?;
-        Err(QuorumError::BadSignature)
+        self.verify_memoized(keys, threshold, &SigCache::new())
     }
 
     /// Batched counterpart of [`Self::verify_majority`].
@@ -175,90 +171,98 @@ impl QuorumCertificate {
         self.verify_batch(keys, keys.majority_threshold())
     }
 
-    /// The non-cryptographic rules of certificate verification: enough
-    /// signatures, all signers distinct committee members, distinct-signer
-    /// count at threshold. Shared by the sequential, per-certificate-batch and
-    /// cross-committee-batch paths.
+    /// The non-cryptographic rules of certificate verification, as in
+    /// [`Self::verify`]: enough signatures, every signer a committee member,
+    /// none of them twice. Allocates nothing: a signer is compared with those
+    /// before it, and the first repeat or stranger ends the walk — at most
+    /// `C + 1` steps of at most `C` comparisons, however long the list.
     fn structural_check(&self, keys: &CommitteeKeys, threshold: usize) -> Result<(), QuorumError> {
         if self.signatures.len() < threshold {
             return Err(QuorumError::InsufficientSigners);
         }
-        let mut seen = std::collections::BTreeSet::new();
-        for (node, _) in &self.signatures {
-            if !seen.insert(*node) {
+        for (index, (node, _)) in self.signatures.iter().enumerate() {
+            let earlier = &self.signatures[..index];
+            if earlier.iter().any(|(signer, _)| signer == node) {
                 return Err(QuorumError::DuplicateSigner);
             }
-            if keys.get(*node).is_none() {
+            if !keys.contains(*node) {
                 return Err(QuorumError::UnknownSigner);
             }
-        }
-        if seen.len() < threshold {
-            return Err(QuorumError::InsufficientSigners);
         }
         Ok(())
     }
 }
 
-/// Verifies many certificates — typically one per committee for a whole round
-/// phase — with a **single** random-linear-combination batch check across all
-/// of their signatures, instead of one batch per certificate.
+/// Verifies `(certificate, that committee's key directory, threshold)`
+/// triples against one verdict memo, into `results` (aligned with `certs`).
+/// Structural rules are checked per certificate exactly as in
+/// [`QuorumCertificate::verify`]; the signatures of every certificate that
+/// passes them are looked up in `memo`, and those it lacks — across all the
+/// certificates — go through a single [`SigCache::verify_batch`]. A
+/// certificate with a `false` among its verdicts is a
+/// [`QuorumError::BadSignature`]; the others are untouched.
+fn verify_certs_memoized(
+    certs: &[(&QuorumCertificate, &CommitteeKeys, usize)],
+    memo: &SigCache,
+    results: &mut [Result<(), QuorumError>],
+) {
+    // `(certificate, key, signing bytes, signature)` of every miss. Stays
+    // empty, and unallocated, when the memo knows every signature.
+    let mut misses = Vec::new();
+    for (index, (cert, keys, threshold)) in certs.iter().enumerate() {
+        results[index] = cert.structural_check(keys, *threshold);
+        if results[index].is_err() {
+            continue;
+        }
+        for (node, signature) in &cert.signatures {
+            let public_key = keys.get(*node).expect("membership checked above");
+            let message = confirm_signing_bytes(&cert.id, &cert.digest, *node);
+            let entry = BatchEntry {
+                public_key,
+                message: &message,
+                signature,
+            };
+            match memo.lookup(&entry) {
+                Some(true) => {}
+                Some(false) => results[index] = Err(QuorumError::BadSignature),
+                None => misses.push((index, public_key, message, signature)),
+            }
+        }
+    }
+    let entries: Vec<BatchEntry<'_>> = misses
+        .iter()
+        .map(|(_, public_key, message, signature)| BatchEntry {
+            public_key,
+            message,
+            signature,
+        })
+        .collect();
+    for ((index, ..), valid) in misses.iter().zip(memo.verify_batch(&entries)) {
+        if !valid {
+            results[*index] = Err(QuorumError::BadSignature);
+        }
+    }
+}
+
+/// Verifies many certificates at once without a memo: every signature is a
+/// miss, so all of them go through a **single** random-linear-combination
+/// batch across the certificates (and, only if it fails, through one check
+/// per signature, which rejects the culprits alone). Soundness matches
+/// `batch_verify`: the random coefficients are derived from a transcript over
+/// every `(R, PK, message, s)` in the combined batch, so a forged signature
+/// in one certificate cannot hide behind valid signatures from another
+/// committee.
 ///
-/// Input is `(certificate, that committee's key directory, threshold)`; the
-/// returned vector is aligned with the input. Structural rules are checked
-/// per certificate exactly as in [`QuorumCertificate::verify`]; certificates
-/// that fail them are excluded from the combined batch and reported
-/// individually. If the combined batch fails, each structurally valid
-/// certificate is re-checked on its own (via [`QuorumCertificate::verify_batch`],
-/// which itself falls back to the sequential path) so only the culprits are
-/// rejected and with a precise error.
-///
-/// Soundness matches `batch_verify`: the random coefficients are derived from
-/// a transcript over every `(R, PK, message, s)` in the combined batch, so a
-/// forged signature in one certificate cannot hide behind valid signatures
-/// from another committee.
+/// No protocol path calls it: a receiver holds each certificate's own memo
+/// and pays lookups ([`QuorumCertificate::verify_memoized`]). It remains as
+/// what `consensus.probe.certs_batch_us_per_cert` in `benchmark/` times —
+/// the price of a round's certificates to a receiver that saw none of them
+/// formed.
 pub fn verify_certs_batch(
     certs: &[(&QuorumCertificate, &CommitteeKeys, usize)],
 ) -> Vec<Result<(), QuorumError>> {
-    // Structural pass; assemble signing bytes for the survivors.
-    let mut results: Vec<Result<(), QuorumError>> = Vec::with_capacity(certs.len());
-    let mut message_bytes: Vec<[u8; CONFIRM_SIGNING_LEN]> = Vec::new();
-    let mut spans: Vec<Option<usize>> = Vec::with_capacity(certs.len());
-    for (cert, keys, threshold) in certs {
-        match cert.structural_check(keys, *threshold) {
-            Err(err) => {
-                results.push(Err(err));
-                spans.push(None);
-            }
-            Ok(()) => {
-                spans.push(Some(message_bytes.len()));
-                for (node, _) in &cert.signatures {
-                    message_bytes.push(confirm_signing_bytes(&cert.id, &cert.digest, *node));
-                }
-                results.push(Ok(()));
-            }
-        }
-    }
-    // Crypto pass: one combined batch over every structurally valid certificate.
-    let mut entries: Vec<cycledger_crypto::schnorr::BatchEntry<'_>> = Vec::new();
-    for ((cert, keys, _), span) in certs.iter().zip(&spans) {
-        let Some(start) = span else { continue };
-        for (offset, (node, signature)) in cert.signatures.iter().enumerate() {
-            entries.push(cycledger_crypto::schnorr::BatchEntry {
-                public_key: keys.get(*node).expect("membership checked above"),
-                message: &message_bytes[start + offset],
-                signature,
-            });
-        }
-    }
-    if entries.is_empty() || cycledger_crypto::schnorr::batch_verify(&entries) {
-        return results;
-    }
-    // At least one certificate is bad: isolate the culprits per certificate.
-    for ((cert, keys, threshold), result) in certs.iter().zip(results.iter_mut()) {
-        if result.is_ok() {
-            *result = cert.verify_batch(keys, *threshold);
-        }
-    }
+    let mut results = vec![Ok(()); certs.len()];
+    verify_certs_memoized(certs, &SigCache::new(), &mut results);
     results
 }
 
@@ -459,6 +463,49 @@ mod tests {
             vec![Err(QuorumError::InsufficientSigners)]
         );
         assert!(verify_certs_batch(&[]).is_empty());
+    }
+
+    /// What the memo saves a receiver, in exact counts: a signature it holds
+    /// costs one lookup, the ones it lacks one batch between them, and a
+    /// memoised `false` rejects the certificate without curve work.
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn memoized_check_verifies_only_what_the_memo_lacks() {
+        use cycledger_crypto::opcount::scope;
+        let (kps, keys) = committee(7);
+        let digest = cycledger_crypto::sha256::sha256(b"decision");
+        let qc = certificate(&kps, &[0, 1, 2, 3], digest);
+        let learn = |memo: &SigCache, signers: &[usize]| {
+            for &i in signers {
+                let (node, signature) = &qc.signatures[i];
+                let bytes = confirm_signing_bytes(&qc.id, &qc.digest, *node);
+                assert!(memo.verify(keys.get(*node).unwrap(), &bytes, signature));
+            }
+        };
+        let counts = |memo: &SigCache, qc: &QuorumCertificate, expected| {
+            let mut verdict = Ok(());
+            let tally = scope(|| verdict = qc.verify_memoized(&keys, 4, memo));
+            assert_eq!(verdict, expected);
+            let sigs = (tally.sig_batches, tally.sigs_batched, tally.sigs_single);
+            (tally.memo_lookups, sigs)
+        };
+        let (warm, half) = (SigCache::new(), SigCache::new());
+        learn(&warm, &[0, 1, 2, 3]);
+        learn(&half, &[0, 2]);
+        assert_eq!(counts(&warm, &qc, Ok(())), (4, (0, 0, 0)));
+        // Two misses: looked up once here and once by the batch they join.
+        assert_eq!(counts(&half, &qc, Ok(())), (4 + 2, (1, 2, 0)));
+        assert_eq!(counts(&half, &qc, Ok(())), (4, (0, 0, 0)), "now memoised");
+        // The memo-less form is the same check from an empty memo.
+        let cold = scope(|| assert_eq!(qc.verify_batch(&keys, 4), Ok(())));
+        assert_eq!((cold.sig_batches, cold.sigs_batched), (1, 4));
+        // A lone forged signature is one single check; then a memoised `false`.
+        let mut bad = qc.clone();
+        let other = cycledger_crypto::sha256::sha256(b"other");
+        bad.signatures[2] = certificate(&kps, &[2], other).signatures[0];
+        let rejected = Err(QuorumError::BadSignature);
+        assert_eq!(counts(&warm, &bad, rejected), (4 + 1, (0, 0, 1)));
+        assert_eq!(counts(&warm, &bad, rejected), (4, (0, 0, 0)));
     }
 
     #[test]

@@ -16,6 +16,20 @@
 //! every receiver alike. With the memo, a `C`-member instance performs
 //! `O(C)` distinct verifications instead of `O(C²)`.
 //!
+//! **One memo per instance, carried with its certificate.** The receivers of
+//! a quorum certificate — the referee, a destination committee, a source
+//! taking its reply — are receivers of the same CONFIRM signatures the
+//! instance's leader checked to form it, so the rule does not stop at the
+//! instance's edge: when the instance ends, [`SigCache::into_verdicts`]
+//! detaches the table as a plain [`Verdicts`] value that travels beside the
+//! certificate (worker thread to driver thread included), and the receiver
+//! wraps it again ([`SigCache::from`]) for
+//! [`QuorumCertificate::verify_memoized`](crate::quorum::QuorumCertificate::verify_memoized).
+//! A signature the instance verified costs the receiver a lookup; one it
+//! never saw — tampered, swapped, replayed from another instance, forged — is
+//! a miss and is verified there and then; a memoised `false` stays `false`.
+//! A fault-free round therefore verifies each distinct signature once.
+//!
 //! The memo is keyed by the triple itself — the key and signature hashed with
 //! the in-process [`fxhash`](cycledger_crypto::fxhash), the message compared
 //! byte for byte — so a hit costs neither a SHA-256 nor an allocation. Fx is
@@ -30,10 +44,19 @@ use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::opcount::{count, Op};
 use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, PublicKey, Signature};
 
-/// Verdicts by `(key, signature)`, then by message: a signature is as good as
-/// always checked against one message, so the list is one entry long unless
-/// somebody replays it under another header.
-type Verdicts = FxHashMap<(PublicKey, Signature), Vec<(Box<[u8]>, bool)>>;
+/// A memo's table, detached from its handles: what one instance verified, as
+/// a plain value that can sit in a task's result and cross to another thread
+/// (a [`SigCache`] handle cannot — it is an `Rc`). It answers nothing by
+/// itself; [`SigCache::from`] makes it a memo again.
+///
+/// Verdicts by `(key, signature)`, then by message.
+#[derive(Clone, Debug, Default)]
+pub struct Verdicts(FxHashMap<(PublicKey, Signature), ByMessage>);
+
+/// The verdicts on one `(key, signature)`: a signature is as good as always
+/// checked against one message, so the list is one entry long unless somebody
+/// replays it under another header.
+type ByMessage = Vec<(Box<[u8]>, bool)>;
 
 /// A cloneable handle to one instance's verification memo.
 ///
@@ -47,16 +70,34 @@ pub struct SigCache {
     results: Rc<RefCell<Verdicts>>,
 }
 
+impl From<Verdicts> for SigCache {
+    /// A memo that already knows `verdicts`.
+    fn from(verdicts: Verdicts) -> SigCache {
+        SigCache {
+            results: Rc::new(RefCell::new(verdicts)),
+        }
+    }
+}
+
 impl SigCache {
     /// Creates an empty memo.
     pub fn new() -> SigCache {
         SigCache::default()
     }
 
-    fn lookup(&self, entry: &BatchEntry<'_>) -> Option<bool> {
+    /// Moves the table out of the memo — the table itself, no copy. Handles
+    /// still alive share an empty memo from here on, which costs them
+    /// verifications, never a verdict.
+    pub fn into_verdicts(self) -> Verdicts {
+        self.results.take()
+    }
+
+    /// The verdict on `entry`, if the memo holds one.
+    pub(crate) fn lookup(&self, entry: &BatchEntry<'_>) -> Option<bool> {
         count(Op::MemoLookup);
         self.results
             .borrow()
+            .0
             .get(&(*entry.public_key, *entry.signature))?
             .iter()
             .find(|(message, _)| **message == *entry.message)
@@ -73,6 +114,7 @@ impl SigCache {
     fn memoize(&self, entry: &BatchEntry<'_>, ok: bool) {
         let mut results = self.results.borrow_mut();
         let verdicts = results
+            .0
             .entry((*entry.public_key, *entry.signature))
             .or_default();
         // One batch may hold the same unknown triple twice.
@@ -132,12 +174,12 @@ impl SigCache {
 
     /// Number of distinct verifications performed so far.
     pub fn len(&self) -> usize {
-        self.results.borrow().values().map(Vec::len).sum()
+        self.results.borrow().0.values().map(Vec::len).sum()
     }
 
     /// True if no verification has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.results.borrow().is_empty()
+        self.results.borrow().0.is_empty()
     }
 }
 
@@ -181,6 +223,25 @@ mod tests {
         assert_eq!(cache.len(), 1, "clone writes into the shared table");
         assert!(cache.verify(&kp.public, b"shared", &sig));
         assert_eq!(handle.len(), 1);
+    }
+
+    #[test]
+    fn detached_verdicts_cross_threads_and_answer_again() {
+        let (keys, messages, signatures) = signed(4, &[2]);
+        let batch = entries(&keys, &messages, &signatures);
+        let cache = SigCache::new();
+        let handle = cache.clone();
+        let expected = [true, true, false, true];
+        assert_eq!(cache.verify_batch(&batch), expected);
+        let verdicts = cache.into_verdicts();
+        assert!(handle.is_empty(), "the table moved out, it was not copied");
+        // A `SigCache` is an `Rc` and stays on its thread; its table does not.
+        let worker = std::thread::spawn(move || verdicts);
+        let verdicts = worker.join().expect("moving a table cannot panic");
+        let received = SigCache::from(verdicts);
+        assert_eq!(received.len(), 4);
+        assert_eq!(received.verify_batch(&batch), expected);
+        assert_eq!(received.len(), 4, "all four were hits, the `false` too");
     }
 
     /// `n` signers over distinct messages, with the signatures at `forged`

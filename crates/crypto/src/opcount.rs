@@ -121,13 +121,21 @@ thread_local! {
     static TALLY: std::cell::Cell<Tally> = std::cell::Cell::new(Tally::default());
 }
 
+/// The calling thread's running totals, for a caller that sees a span of
+/// work only at its two ends (a round observer at a phase's boundaries) and
+/// so cannot wrap it in a [`scope`]: it subtracts two readings.
+#[cfg(feature = "opcount")]
+pub fn current() -> Tally {
+    TALLY.with(std::cell::Cell::get)
+}
+
 /// Runs `f` and returns the operations it performed on this thread. Scopes
 /// nest: an inner scope's operations also count towards the outer one.
 #[cfg(feature = "opcount")]
 pub fn scope<R>(f: impl FnOnce() -> R) -> Tally {
-    let before = TALLY.with(std::cell::Cell::get);
+    let before = current();
     std::hint::black_box(f());
-    let after = TALLY.with(std::cell::Cell::get);
+    let after = current();
     Tally {
         fe_mul: after.fe_mul - before.fe_mul,
         fe_square: after.fe_square - before.fe_square,

@@ -5,8 +5,9 @@
 //! simulated network: every message is signed, routed, delayed and charged to
 //! the metrics sink, and every honest member runs the
 //! [`cycledger_consensus::MemberState`] machine. The outcome carries the quorum
-//! certificate (if one was produced), any equivocation evidence honest members
-//! extracted, and the payload the honest majority accepted.
+//! certificate (if one was produced) with the instance's verdict memo beside
+//! it, any equivocation evidence honest members extracted, and the payload the
+//! honest majority accepted.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +17,7 @@ use cycledger_consensus::messages::{
     make_propose, make_propose_unsigned, Alg3Message, ConsensusId,
 };
 use cycledger_consensus::quorum::{CommitteeKeys, QuorumCertificate};
-use cycledger_consensus::sigcache::SigCache;
+use cycledger_consensus::sigcache::{SigCache, Verdicts};
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_net::latency::LinkClass;
 use cycledger_net::network::SimNetwork;
@@ -123,6 +124,11 @@ impl LeaderFault {
 pub struct InsideConsensusOutcome {
     /// The certificate produced by the leader, if the instance completed.
     pub certificate: Option<QuorumCertificate>,
+    /// Every signature verdict the instance reached, the certificate's
+    /// CONFIRMs among them: whoever receives the certificate checks it against
+    /// this ([`QuorumCertificate::verify_memoized`]) and so verifies only what
+    /// the instance did not.
+    pub memo: Verdicts,
     /// The payload accepted by the honest majority (None if the instance never
     /// started, e.g. a silent leader).
     pub accepted_payload: Option<Vec<u8>>,
@@ -167,6 +173,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
         // notices the missing proposal after the phase deadline).
         return InsideConsensusOutcome {
             certificate: None,
+            memo: Verdicts::default(),
             accepted_payload: None,
             equivocation: Vec::new(),
             messages: 0,
@@ -212,7 +219,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
     }
     let mut leader_state = LeaderState::new(id, main_propose.digest, committee.keys.clone());
     leader_state.set_verify_signatures(verify_signatures);
-    leader_state.set_sig_cache(sig_cache);
+    leader_state.set_sig_cache(sig_cache.clone());
 
     // Malicious non-leader members do not participate (worst case:
     // withholding), and neither do `Syncing` joiners — they abstain from all
@@ -367,6 +374,7 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
 
     InsideConsensusOutcome {
         certificate,
+        memo: sig_cache.into_verdicts(),
         accepted_payload,
         equivocation,
         messages,
@@ -378,10 +386,14 @@ mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
     use crate::sortition::{assign_round, AssignmentParams};
+    use cycledger_consensus::messages::make_confirm;
+    use cycledger_consensus::quorum::verify_certs_batch;
+    use cycledger_crypto::schnorr::Keypair;
     use cycledger_crypto::sha256::sha256;
     use cycledger_net::latency::LatencyConfig;
     use cycledger_net::metrics::Phase;
     use cycledger_reputation::ReputationTable;
+    use proptest::prelude::*;
 
     fn build_committee(adversary: AdversaryConfig, seed: u64) -> (Committee, NodeRegistry) {
         let registry = NodeRegistry::generate(60, &adversary, 100, 0, seed);
@@ -486,6 +498,130 @@ mod tests {
             (tally.drbg_instantiations, tally.sha256_blocks),
             (344, 7303)
         );
+    }
+
+    /// An honest instance of `committee` under `id`: its certificate and the
+    /// verdict memo it leaves behind.
+    fn certified(
+        committee: &Committee,
+        registry: &NodeRegistry,
+        id: ConsensusId,
+    ) -> (QuorumCertificate, Verdicts) {
+        let mut net: SimNetwork<Alg3Message> = SimNetwork::new(LatencyConfig::default(), id.seq);
+        let payload = b"the certified payload".to_vec();
+        let fault = LeaderFault::None;
+        let outcome = run_inside_consensus(&mut net, committee, registry, id, payload, fault, true);
+        let certificate = outcome.certificate.expect("honest instance certifies");
+        (certificate, outcome.memo)
+    }
+
+    /// One way to spoil a certificate; `a` and `b` pick the signatures.
+    fn tamper(
+        kind: usize,
+        (a, b): (usize, usize),
+        cert: &mut QuorumCertificate,
+        committee: &Committee,
+        registry: &NodeRegistry,
+    ) {
+        let n = cert.signatures.len();
+        let (a, b) = (a % n, (a % n + 1 + b % (n - 1)) % n);
+        let (member, signature) = cert.signatures[a];
+        let confirm = |digest, keypair| make_confirm(cert.id, digest, member, keypair, vec![]);
+        match kind {
+            0 => {}
+            // The same member's valid signature, over another digest.
+            1 => {
+                let keypair = registry.node(member).keypair;
+                cert.signatures[a].1 = confirm(sha256(b"another digest"), &keypair).signature;
+            }
+            // Another member's CONFIRM signature.
+            2 => cert.signatures[a].1 = cert.signatures[b].1,
+            // A forged `(R, s)`: the right bytes under somebody else's key.
+            3 => {
+                let forger = Keypair::from_seed(b"not a member's key");
+                cert.signatures[a].1 = confirm(cert.digest, &forger).signature;
+            }
+            // A signer counted twice, a signer from outside the committee.
+            4 => cert.signatures.push((member, signature)),
+            5 => cert.signatures.push((NodeId(u32::MAX), signature)),
+            6 => cert.signatures.truncate(committee.majority() - 1),
+            // The whole certificate under another round's instance, or under
+            // the instance this committee runs on the other side of a phase.
+            7 => cert.id.round += 1,
+            8 => cert.id.seq += 1_000,
+            _ => unreachable!("nine kinds"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Whatever is done to a certificate, and whichever memo it is
+        /// checked against — its own instance's (which knows every signature
+        /// it was formed from), another instance's, none — the verdict is
+        /// the sequential, memo-less one.
+        #[test]
+        fn prop_a_warm_memo_never_changes_a_certificate_verdict(
+            kind in 0usize..9,
+            a in 0usize..64,
+            b in 0usize..64,
+            whose_memo in 0usize..3,
+        ) {
+            let (committee, registry) = build_committee(AdversaryConfig::default(), 12);
+            let id = ConsensusId { round: 3, seq: 2_000 };
+            let (mut cert, own) = certified(&committee, &registry, id);
+            // The same committee and payload one round on: same digest, same
+            // signers, every signature over other bytes.
+            let next = ConsensusId { round: 4, ..id };
+            let (_, foreign) = certified(&committee, &registry, next);
+            tamper(kind, (a, b), &mut cert, &committee, &registry);
+
+            let (keys, majority) = (&committee.keys, committee.majority());
+            let reference = cert.verify(keys, majority);
+            prop_assert_eq!(reference.is_ok(), kind == 0);
+            prop_assert_eq!(verify_certs_batch(&[(&cert, keys, majority)]), [reference]);
+            let memo = SigCache::from([own, foreign, Verdicts::default()][whose_memo].clone());
+            prop_assert_eq!(cert.verify_memoized(keys, majority, &memo), reference);
+            // Again, every miss now memoised: a `false` stays `false`.
+            prop_assert_eq!(cert.verify_memoized(keys, majority, &memo), reference);
+        }
+    }
+
+    /// What forged signatures cost a receiver that holds the instance's memo:
+    /// a lookup per signature, then the k it has never seen as one batch and
+    /// — the batch failing — one check each. (At commit ee421ab: the round's
+    /// combined batch, this certificate's batch, then every one of its
+    /// signatures singly.)
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn forged_signatures_cost_one_batch_and_one_check_per_miss() {
+        use cycledger_crypto::opcount::scope;
+        let (committee, registry) = build_committee(AdversaryConfig::default(), 12);
+        let (cert, memo) = certified(&committee, &registry, consensus_id());
+        let n = cert.signer_count() as u64;
+        for k in 0..4 {
+            let mut cert = cert.clone();
+            for a in 0..k {
+                tamper(3, (a, 0), &mut cert, &committee, &registry);
+            }
+            let memo = SigCache::from(memo.clone());
+            let (keys, majority) = (&committee.keys, committee.majority());
+            let mut verdict = Ok(());
+            let tally = scope(|| verdict = cert.verify_memoized(keys, majority, &memo));
+            assert_eq!(verdict.is_ok(), k == 0);
+            let k = k as u64;
+            let batched = if k > 1 { (1, k) } else { (0, 0) };
+            assert_eq!(
+                (tally.sig_batches, tally.sigs_batched),
+                batched,
+                "{k} forged"
+            );
+            assert_eq!(
+                (tally.sigs_single, tally.memo_lookups),
+                (k, n + k),
+                "{k} forged"
+            );
+        }
     }
 
     #[test]

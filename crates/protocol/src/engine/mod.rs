@@ -23,8 +23,10 @@
 //!   epoch-boundary assignments) and the per-shard block application. What
 //!   stays on the driver thread is either one instance of something (the
 //!   PVSS beacon, the referee's block-generation consensus), cheap (the
-//!   semi-commitment exchange), or a fold over shared state (impeachments,
-//!   reputation sums) whose order is part of the determinism contract.
+//!   semi-commitment exchange; the admission of every quorum certificate,
+//!   which is lookups in the verdict memo its instance's task hands back
+//!   with it), or a fold over shared state (impeachments, reputation sums)
+//!   whose order is part of the determinism contract.
 //!
 //! ## Determinism contract
 //!

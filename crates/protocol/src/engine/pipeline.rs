@@ -7,6 +7,7 @@
 //! to the [`ShardExecutor`](crate::engine::ShardExecutor) without changing
 //! observable behaviour.
 
+use cycledger_consensus::sigcache::SigCache;
 use cycledger_consensus::votes::VoteList;
 use cycledger_consensus::witness::Witness;
 use cycledger_ledger::transaction::Transaction;
@@ -14,6 +15,7 @@ use cycledger_ledger::StateBackend;
 use cycledger_net::metrics::WorkerSinkPool;
 use cycledger_net::topology::NodeId;
 
+use crate::committee::Committee;
 use crate::engine::context::RoundContext;
 use crate::engine::RoundPhase;
 use crate::phases::block_generation::run_block_generation;
@@ -110,18 +112,9 @@ impl RoundPhase for SemiCommitmentPhase {
 /// task.
 ///
 /// Inputs: `ctx.intra_per_shard`, `ctx.committees`, the shard UTXO sets.
-/// Outputs: `ctx.intra_outcomes` (committee order) and per-worker metrics
-/// merged in committee order.
-///
-/// When signature verification is on, the driver then plays the referee's
-/// part: the certificates forwarded with the `TXdecSET`s of **all**
-/// committees are checked with one cross-committee
-/// [`verify_certs_batch`] — a single random-linear-combination batch per
-/// round rather than one batch per certificate. A certificate that fails is
-/// discarded, which routes the committee through recovery exactly as if the
-/// leader had never produced one.
-///
-/// [`verify_certs_batch`]: cycledger_consensus::quorum::verify_certs_batch
+/// Outputs: `ctx.intra_outcomes` (committee order), each certificate already
+/// through the referee's check (`run_intra_batch`), and per-worker
+/// metrics merged in committee order.
 pub struct IntraConsensusPhase;
 
 impl RoundPhase for IntraConsensusPhase {
@@ -130,39 +123,7 @@ impl RoundPhase for IntraConsensusPhase {
     }
 
     fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        let mut outcomes = run_intra_batch(ctx, None);
-        if ctx.config.verify_signatures {
-            // Referee-side certificate verification, aggregated across every
-            // committee: one random-linear-combination batch covers all the
-            // round's `TXdecSET` certificates instead of one batch per
-            // committee. A certificate that fails is treated exactly like a
-            // leader that never produced one — its decisions must not reach
-            // the block builder, and the committee goes through recovery.
-            let with_certs: Vec<usize> = (0..outcomes.len())
-                .filter(|&k| outcomes[k].certificate.is_some())
-                .collect();
-            let batch: Vec<_> = with_certs
-                .iter()
-                .map(|&k| {
-                    let keys = &ctx.committees[k].keys;
-                    (
-                        outcomes[k].certificate.as_ref().expect("filtered above"),
-                        keys,
-                        keys.majority_threshold(),
-                    )
-                })
-                .collect();
-            let verdicts = cycledger_consensus::quorum::verify_certs_batch(&batch);
-            drop(batch);
-            for (&k, verdict) in with_certs.iter().zip(&verdicts) {
-                if verdict.is_err() {
-                    outcomes[k].certificate = None;
-                    outcomes[k].decided.clear();
-                    outcomes[k].decided_indices.clear();
-                }
-            }
-        }
-        ctx.intra_outcomes = outcomes;
+        ctx.intra_outcomes = run_intra_batch(ctx, None);
     }
 }
 
@@ -230,6 +191,10 @@ impl RoundPhase for IntraRecoveryPhase {
 /// attempt's. Returns the outcomes in committee order, with their metrics
 /// merged into `ctx.metrics` and their timeout / drop / abstention counters
 /// folded into the round's in that same order.
+///
+/// When signature verification is on, the driver then plays the referee's
+/// part on every outcome of the batch, first attempt or retry:
+/// [`referee_check`] on the certificate forwarded with the `TXdecSET`.
 fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<IntraOutcome> {
     let m = ctx.committee_count();
     let (batch_size, seed_salt) = retry.map_or((m, 0), |ks| (ks.len(), 0x1_0000));
@@ -275,7 +240,7 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
             }
         })
         .collect();
-    let outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
+    let mut outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
     pool.merge_into(&mut ctx.metrics);
     debug_assert!(outcomes
         .iter()
@@ -288,7 +253,35 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
         ctx.syncing_abstentions += outcome.syncing_abstentions;
         ctx.syncing_votes += outcome.syncing_votes;
     }
+    if config.verify_signatures {
+        referee_check(&mut outcomes, committees);
+    }
     outcomes
+}
+
+/// The referee's check of the certificates forwarded with a batch's
+/// `TXdecSET`s, each against the key directory of the committee that sent it
+/// (`outcome.committee` — a retry batch holds some committees, not all) and
+/// the verdict memo of the instance that formed it: the signatures that
+/// instance's leader verified cost lookups here, and only what it never saw
+/// is verified on the driver thread. A certificate that fails is treated
+/// exactly like a leader that never produced one — its decisions must not
+/// reach the block builder; after the first attempt the committee goes
+/// through recovery, after a retry it packs nothing this round.
+fn referee_check(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
+    for outcome in outcomes {
+        let memo = SigCache::from(std::mem::take(&mut outcome.memo));
+        let Some(certificate) = &outcome.certificate else {
+            continue;
+        };
+        let keys = &committees[outcome.committee].keys;
+        let verdict = certificate.verify_memoized(keys, keys.majority_threshold(), &memo);
+        if verdict.is_err() {
+            outcome.certificate = None;
+            outcome.decided.clear();
+            outcome.decided_indices.clear();
+        }
+    }
 }
 
 /// Phase 4 — inter-committee consensus over cross-shard transactions
@@ -501,5 +494,143 @@ impl RoundPhase for BlockGenerationPhase {
             ctx.state_roots = ctx.executor.execute(tasks);
         }
         ctx.block_outcome = Some(block_outcome);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ProtocolConfig;
+    use crate::engine::RoundObserver;
+    use crate::simulation::Simulation;
+    use cycledger_consensus::quorum::QuorumCertificate;
+
+    /// Copies what the intra-consensus phase left on the context.
+    #[derive(Default)]
+    struct AfterIntra {
+        outcomes: Vec<IntraOutcome>,
+        committees: Vec<Committee>,
+    }
+
+    impl RoundObserver for AfterIntra {
+        fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+            if phase == "intra-consensus" {
+                self.outcomes = ctx.intra_outcomes.clone();
+                self.committees = ctx.committees.clone();
+            }
+        }
+    }
+
+    #[test]
+    fn a_retry_outcome_goes_through_the_same_referee_check_as_a_first_pass_one() {
+        let config = ProtocolConfig {
+            committees: 3,
+            committee_size: 8,
+            partial_set_size: 2,
+            referee_size: 5,
+            txs_per_round: 90,
+            accounts_per_shard: 24,
+            pow_difficulty: 2,
+            ..ProtocolConfig::default()
+        };
+        let mut sim = Simulation::new(config).unwrap();
+        let mut seen = AfterIntra::default();
+        sim.run_round_observed(&mut seen);
+        let (outcomes, committees) = (seen.outcomes, seen.committees);
+        assert!(outcomes
+            .iter()
+            .all(|o| o.certificate.is_some() && !o.decided.is_empty()));
+
+        let cut = |qc: &mut QuorumCertificate| qc.signatures.truncate(committees[2].majority() - 1);
+        let foreign = |qc: &mut QuorumCertificate| qc.signatures[0].0 = committees[0].members[1];
+        let tampers: [&dyn Fn(&mut QuorumCertificate); 2] = [&cut, &foreign];
+        // The first pass holds every committee; a retry only those whose
+        // leader a recovery replaced — here committee 2 alone, at position 0.
+        for batch in [outcomes.clone(), vec![outcomes[2].clone()]] {
+            let mut kept = batch.clone();
+            referee_check(&mut kept, &committees);
+            assert!(kept
+                .iter()
+                .all(|o| o.certificate.is_some() && !o.decided.is_empty()));
+            for tamper in tampers {
+                let mut batch = batch.clone();
+                let last = batch.last_mut().unwrap();
+                assert_eq!(last.committee, 2);
+                tamper(last.certificate.as_mut().unwrap());
+                referee_check(&mut batch, &committees);
+                let (last, others) = batch.split_last().unwrap();
+                assert!(last.certificate.is_none());
+                assert!(last.decided.is_empty() && last.decided_indices.is_empty());
+                assert!(others.iter().all(|o| o.certificate.is_some()));
+            }
+        }
+    }
+
+    /// Driver-thread operation counts of a fault-free verified 8×16 round on
+    /// two workers. Every batch of the two phases holds eight tasks, so the
+    /// executor runs none inline and the driver thread's tally is exactly
+    /// what the round does outside an executor task: the referee's and the
+    /// receivers' certificate checks are one memo lookup per certificate
+    /// signature and no signature verification at all. (At commit ee421ab
+    /// the same two phases verified 210 signatures here, in three batches.)
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn a_fault_free_round_verifies_no_signature_on_the_driver_thread_in_intra_and_inter() {
+        use cycledger_crypto::opcount::{current, Tally};
+
+        /// Per phase: signatures verified singly, batches, memo lookups.
+        #[derive(Default)]
+        struct DriverTally {
+            started: Tally,
+            spent: Vec<(&'static str, [u64; 3])>,
+            intra_signatures: usize,
+        }
+
+        impl RoundObserver for DriverTally {
+            fn on_phase_start(&mut self, _: &'static str, _: &RoundContext<'_>) {
+                self.started = current();
+            }
+
+            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+                let (before, after) = (self.started, current());
+                let spent = [
+                    after.sigs_single - before.sigs_single,
+                    after.sig_batches - before.sig_batches,
+                    after.memo_lookups - before.memo_lookups,
+                ];
+                self.spent.push((phase, spent));
+                if phase == "intra-consensus" {
+                    let certificates = ctx.intra_outcomes.iter().flat_map(|o| &o.certificate);
+                    self.intra_signatures = certificates.map(|qc| qc.signer_count()).sum();
+                }
+            }
+        }
+
+        let config = ProtocolConfig {
+            committees: 8,
+            committee_size: 16,
+            partial_set_size: 4,
+            txs_per_round: 400,
+            pow_difficulty: 2,
+            worker_threads: 2,
+            seed: 4242,
+            ..ProtocolConfig::default()
+        };
+        let mut sim = Simulation::new(config).unwrap();
+        let mut driver = DriverTally::default();
+        let report = sim.run_round_observed(&mut driver);
+        assert!(report.block_produced && report.evicted_leaders.is_empty());
+        let lookups = |name: &str| {
+            let phase = driver.spent.iter().find(|(phase, _)| *phase == name);
+            let (_, [singly, batches, lookups]) = phase.expect("the phase ran");
+            assert_eq!((*singly, *batches), (0, 0), "{name}");
+            *lookups
+        };
+        let intra = lookups("intra-consensus");
+        assert_eq!(intra, driver.intra_signatures as u64);
+        assert_eq!(intra, 71);
+        // The same committees certify once as sources and once as
+        // destinations, each at its majority of CONFIRMs again.
+        assert_eq!(lookups("inter-consensus"), 2 * intra);
     }
 }

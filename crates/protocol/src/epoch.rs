@@ -111,7 +111,7 @@ pub fn pick_leavers(
         return Vec::new();
     }
     let mut ranked = active;
-    ranked.sort_by_key(|&id| leave_lottery(epoch, randomness, id));
+    ranked.sort_by_cached_key(|&id| leave_lottery(epoch, randomness, id));
     ranked.truncate(quota);
     ranked
 }

@@ -33,6 +33,7 @@
 use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::quorum::QuorumCertificate;
+use cycledger_consensus::sigcache::Verdicts;
 use cycledger_consensus::votes::{Vote, VoteList, VoteVector};
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::Transaction;
@@ -76,6 +77,9 @@ pub struct IntraOutcome {
     pub decision: Vec<i8>,
     /// Certificate over the decision, if Algorithm 3 completed.
     pub certificate: Option<QuorumCertificate>,
+    /// The verdict memo of the instance that formed `certificate`, for the
+    /// referee's check of it (which takes it: empty afterwards).
+    pub memo: Verdicts,
     /// Equivocation evidence produced by honest members.
     pub equivocation: Vec<EquivocationEvidence>,
     /// True when the leader never proposed anything (fail-silent leader).
@@ -316,6 +320,7 @@ pub fn run_intra_consensus(
                 vote_list,
                 decision: vec![-1; offered.len()],
                 certificate: None,
+                memo: Verdicts::default(),
                 equivocation: Vec::new(),
                 leader_silent: true,
                 quorum_timeout: false,
@@ -376,8 +381,8 @@ pub fn run_intra_consensus(
 
     // 4. The certified TXdecSET travels to the referee committee as
     //    envelopes over the key-member mesh. (The pipeline's referee-side
-    //    certificate check reads the outcome directly — losing a forward
-    //    here costs metrics, not ground truth.)
+    //    certificate check reads the outcome, certificate and memo, directly
+    //    — losing a forward here costs metrics, not ground truth.)
     if consensus.certificate.is_some() {
         let cert_bytes = consensus
             .certificate
@@ -417,6 +422,7 @@ pub fn run_intra_consensus(
             vote_list,
             decision: tally.decision,
             certificate: consensus.certificate,
+            memo: consensus.memo,
             equivocation: consensus.equivocation,
             leader_silent: false,
             quorum_timeout,

@@ -15,7 +15,8 @@ use std::collections::BTreeMap;
 
 use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::{payload_digest, ConsensusId};
-use cycledger_consensus::quorum::{verify_certs_batch, QuorumCertificate};
+use cycledger_consensus::quorum::QuorumCertificate;
+use cycledger_consensus::sigcache::{SigCache, Verdicts};
 use cycledger_consensus::transition;
 use cycledger_consensus::votes::{Vote, VoteList};
 use cycledger_consensus::witness::EquivocationEvidence;
@@ -155,11 +156,13 @@ fn accepted_leaf((source, txs): &Accepted) -> [u8; 40] {
     vector_leaf(*source, txs.iter().map(|t| t.id()))
 }
 
-/// What one instance certified: the tree over the committee's leaves and
-/// the certificate committing to its root.
+/// What one instance certified: the tree over the committee's leaves, the
+/// certificate committing to its root, and the instance's verdict memo for
+/// whoever checks that certificate.
 pub struct CertifiedVector {
     tree: MerkleTree,
     pub certificate: QuorumCertificate,
+    memo: Verdicts,
     /// Wire size of what every leg carries beside its list: the root, a
     /// proof (each leaf has the tree's depth in siblings), the certificate.
     leg_overhead: u64,
@@ -178,12 +181,13 @@ impl CertifiedVector {
         )
     }
 
-    fn new(tree: MerkleTree, certificate: QuorumCertificate) -> Self {
+    fn new(tree: MerkleTree, certificate: QuorumCertificate, memo: Verdicts) -> Self {
         let depth = tree.prove(0).map_or(0, |proof| proof.siblings.len());
         let leg_overhead = 48 + 32 * depth as u64 + certificate.wire_size();
         CertifiedVector {
             tree,
             certificate,
+            memo,
             leg_overhead,
         }
     }
@@ -243,7 +247,7 @@ fn certify_vector<L>(
         legs,
         vector: outcome
             .certificate
-            .map(|cert| CertifiedVector::new(tree, cert)),
+            .map(|cert| CertifiedVector::new(tree, cert, outcome.memo)),
         ledger: Ledger {
             equivocation: outcome.equivocation,
             ..Ledger::default()
@@ -429,40 +433,34 @@ pub fn close_books<L>(mut net: Net, mut result: SideResult<L>) -> SideResult<L> 
     result
 }
 
-/// Checks every certificate of one side once — one cross-committee batch
-/// when signatures are real, the quorum rule alone over the fast path's
-/// placeholders — and says, per result and leg, whether the receiver admits it.
+/// Checks every certificate of one side once and says, per result and leg,
+/// whether the receiver admits it. With real signatures the check runs
+/// against the verdict memo of the instance that formed the certificate, so
+/// what that instance's leader verified costs the receiver lookups (the memo
+/// is taken out of the result: it is spent here); over the fast path's
+/// placeholders it is the quorum rule alone.
 fn admitted<L>(
     env: &InterEnv<'_>,
     side: Side,
-    results: &[SideResult<L>],
+    results: &mut [SideResult<L>],
     leaf_of: impl Fn(&L) -> [u8; 40],
 ) -> Vec<Vec<bool>> {
-    let mut batch = Vec::new();
-    for result in results {
-        let committee = &env.committees[result.committee];
-        if let Some(vector) = &result.vector {
-            batch.push((&vector.certificate, &committee.keys, committee.majority()));
-        }
-    }
-    let mut valid = Vec::with_capacity(batch.len());
-    if env.verify_signatures {
-        valid.extend(verify_certs_batch(&batch).iter().map(Result::is_ok));
-    } else {
-        let counts = batch
-            .iter()
-            .map(|(cert, keys, _)| (cert.signer_count(), keys.len()));
-        valid.extend(counts.map(|(n, size)| transition::confirm_quorum(n, size)));
-    }
-    let mut valid = valid.into_iter();
     let mut flags = Vec::with_capacity(results.len());
     for result in results {
-        let expected = side.instance(env.round, result.committee);
-        let ok = result.vector.as_ref().and_then(|_| valid.next());
-        let admit = |(index, leg)| match (&result.vector, ok) {
-            (Some(vector), Some(ok)) => vector.admits(index, expected, &leaf_of(leg), ok),
-            _ => false,
+        let Some(vector) = &mut result.vector else {
+            flags.push(vec![false; result.legs.len()]);
+            continue;
         };
+        let (committee, certificate) = (&env.committees[result.committee], &vector.certificate);
+        let valid = if env.verify_signatures {
+            let memo = SigCache::from(std::mem::take(&mut vector.memo));
+            let verdict = certificate.verify_memoized(&committee.keys, committee.majority(), &memo);
+            verdict.is_ok()
+        } else {
+            transition::confirm_quorum(certificate.signer_count(), committee.keys.len())
+        };
+        let expected = side.instance(env.round, result.committee);
+        let admit = |(index, leg)| vector.admits(index, expected, &leaf_of(leg), valid);
         flags.push(result.legs.iter().enumerate().map(admit).collect());
     }
     flags
@@ -501,10 +499,10 @@ pub fn run_phase(
 
     let outbound = group_outbound(cross_shard, m).into_iter();
     let tasks = outbound.map(|(i, lists)| move || run_source(env, i, lists));
-    let sources = executor.execute(tasks.collect());
+    let mut sources = executor.execute(tasks.collect());
 
+    let flags = admitted(env, Side::Source, &mut sources, list_leaf);
     let mut inbound: BTreeMap<usize, Vec<&PairList<'_>>> = BTreeMap::new();
-    let flags = admitted(env, Side::Source, &sources, list_leaf);
     for (source, flags) in sources.iter().zip(flags) {
         for (list, ok) in source.legs.iter().zip(flags) {
             if ok && !source.ledger.missed.contains(&list.dest) {
@@ -513,12 +511,12 @@ pub fn run_phase(
         }
     }
     let tasks = inbound.iter().map(|(&j, l)| move || run_dest(env, j, l));
-    let dests = executor.execute(tasks.collect());
+    let mut dests = executor.execute(tasks.collect());
 
     for source in sources {
         outcome.absorb(source.ledger, metrics);
     }
-    let flags = admitted(env, Side::Destination, &dests, accepted_leaf);
+    let flags = admitted(env, Side::Destination, &mut dests, accepted_leaf);
     for (dest, flags) in dests.into_iter().zip(flags) {
         for ((source, txs), _) in dest.legs.into_iter().zip(flags).filter(|(_, ok)| *ok) {
             outcome.accepted[source].extend(txs);
@@ -608,11 +606,16 @@ mod tests {
             }
         }
 
-        /// The whole phase under `plan`.
+        /// The whole phase under `plan`, signatures verified.
         fn run(&self, plan: &FaultPlan, workers: usize) -> (InterOutcome, MetricsSink) {
-            let (base, executor) = (self.env(true, 7), ShardExecutor::new(workers));
-            let (env, mut metrics) = (InterEnv { plan, ..base }, MetricsSink::new());
-            let outcome = run_phase(&env, &self.cross, &executor, &mut metrics);
+            let env = self.env(true, 7);
+            self.run_in(&InterEnv { plan, ..env }, workers)
+        }
+
+        /// The whole phase in `env`.
+        fn run_in(&self, env: &InterEnv<'_>, workers: usize) -> (InterOutcome, MetricsSink) {
+            let (executor, mut metrics) = (ShardExecutor::new(workers), MetricsSink::new());
+            let outcome = run_phase(env, &self.cross, &executor, &mut metrics);
             (outcome, metrics)
         }
 
@@ -695,8 +698,10 @@ mod tests {
         assert_eq!(lists.len(), 2, "source 0 feeds both other committees");
         let mut results = [run_source(&env, source, lists)];
         assert!(results[0].ledger.missed.is_empty());
+        let warm = results[0].vector.as_ref().map(|v| v.memo.clone());
+        let warm = warm.expect("honest instance certifies");
         assert_eq!(
-            admitted(&env, Side::Source, &results, list_leaf),
+            admitted(&env, Side::Source, &mut results, list_leaf),
             [[true, true]]
         );
 
@@ -725,16 +730,53 @@ mod tests {
             true
         ));
         // A certificate over some other vector.
-        let forged = CertifiedVector::new(MerkleTree::build(&[leaf]), vector.certificate.clone());
+        let (tree, certificate) = (MerkleTree::build(&[leaf]), vector.certificate.clone());
+        let forged = CertifiedVector::new(tree, certificate, warm.clone());
         assert!(!forged.admits(0, expected, &leaf, true));
-        // A certificate below quorum — with and without real signatures.
+        // A certificate below quorum — with and without real signatures, and
+        // with its instance's memo (which knows every signature left on it)
+        // as without one.
         let thin = fx.committees[source].majority() - 1;
-        let certificate = &mut results[0].vector.as_mut().unwrap().certificate;
-        certificate.signatures.truncate(thin);
-        for verify in [true, false] {
-            let verdicts = admitted(&fx.env(verify, 3), Side::Source, &results, list_leaf);
+        let vector = results[0].vector.as_mut().unwrap();
+        vector.certificate.signatures.truncate(thin);
+        for (verify, memo) in [
+            (true, warm),
+            (true, Verdicts::default()),
+            (false, Verdicts::default()),
+        ] {
+            results[0].vector.as_mut().unwrap().memo = memo;
+            let verdicts = admitted(&fx.env(verify, 3), Side::Source, &mut results, list_leaf);
             assert_eq!(verdicts, [[false, false]]);
         }
+    }
+
+    /// What admission costs at the source→destination barrier: the memo each
+    /// honest source hands over knows every signature on its certificate, so
+    /// the receivers verify nothing — and a memo is spent by the check that
+    /// took it, so admitting the same results again pays what a receiver
+    /// without one pays: a batch per certificate.
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn admitting_honest_results_costs_one_memo_lookup_per_certificate_signature() {
+        use cycledger_crypto::opcount::scope;
+        let fx = fixture(3, 8, 60, 21);
+        let env = fx.env(true, 3);
+        let outbound = group_outbound(&fx.cross, 3).into_iter();
+        let mut sources: Vec<_> = outbound
+            .map(|(source, lists)| run_source(&env, source, lists))
+            .collect();
+        let certificates = sources.iter().flat_map(|s| &s.vector);
+        let signatures: usize = certificates.map(|v| v.certificate.signer_count()).sum();
+        let signatures = signatures as u64;
+        let mut check = |expected| {
+            let mut flags = Vec::new();
+            let tally = scope(|| flags = admitted(&env, Side::Source, &mut sources, list_leaf));
+            assert!(flags.iter().flatten().all(|&ok| ok));
+            let verified = (tally.sig_batches, tally.sigs_batched, tally.sigs_single);
+            assert_eq!((verified, tally.memo_lookups), expected);
+        };
+        check(((0, 0, 0), signatures));
+        check(((3, signatures, 0), 2 * signatures));
     }
 
     #[test]
@@ -863,7 +905,8 @@ mod tests {
             "partial-set members relayed over IntraCommittee"
         );
         // A relayed list is admitted and voted on like any other.
-        let flags = admitted(&env, Side::Source, &sources, list_leaf);
+        let mut sources = sources;
+        let flags = admitted(&env, Side::Source, &mut sources, list_leaf);
         assert!(flags.iter().flatten().all(|&ok| ok));
         let legs = sources.iter().flat_map(|s| &s.legs);
         let inbound: Vec<&PairList<'_>> = legs.filter(|list| list.dest == 1).collect();
@@ -886,15 +929,19 @@ mod tests {
             4 * 3,
             "all m(m-1) pairs populated"
         );
-        let digests: Vec<Digest> = [1, 2, 8]
-            .iter()
-            .map(|&workers| {
-                let (outcome, metrics) = fx.run(&fx.no_faults, workers);
-                assert_eq!(outcome.alg3_instances, 2 * 4);
-                assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
-                digest(&outcome, &metrics)
-            })
-            .collect();
-        assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
+        // With real signatures (admission from the instances' memos) and with
+        // the fast path's placeholders (the quorum rule alone).
+        for verify in [true, false] {
+            let digests: Vec<Digest> = [1, 2, 8]
+                .iter()
+                .map(|&workers| {
+                    let (outcome, metrics) = fx.run_in(&fx.env(verify, 7), workers);
+                    assert_eq!(outcome.alg3_instances, 2 * 4);
+                    assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
+                    digest(&outcome, &metrics)
+                })
+                .collect();
+            assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
+        }
     }
 }

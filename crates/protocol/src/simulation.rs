@@ -554,15 +554,20 @@ mod tests {
     #[test]
     fn determinism_holds_under_adversarial_recovery_load() {
         // Recoveries, retries and censorship reports exercise every executor
-        // batch type; the digest must still be independent of worker count.
+        // batch type; the digest must still be independent of worker count —
+        // under the quorum rule alone and with real signatures, where every
+        // certificate, a retry's included, is admitted from a verdict memo
+        // that crossed from the worker that formed it.
         let mut config = small_config();
-        config.verify_signatures = false;
         config.cross_shard_ratio = 0.4;
         config.adversary = AdversaryConfig::with_behavior(0.3, Behavior::EquivocatingLeader);
         config.seed = 77;
-        let baseline = summary_digest(config, 1, 3);
-        assert_eq!(baseline, summary_digest(config, 2, 3));
-        assert_eq!(baseline, summary_digest(config, 8, 3));
+        for verify_signatures in [false, true] {
+            config.verify_signatures = verify_signatures;
+            let baseline = summary_digest(config, 1, 3);
+            assert_eq!(baseline, summary_digest(config, 2, 3));
+            assert_eq!(baseline, summary_digest(config, 8, 3));
+        }
     }
 
     #[test]

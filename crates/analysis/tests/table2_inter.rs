@@ -30,7 +30,6 @@ fn sends_per_role(m: usize) -> (f64, f64) {
         cross_shard_ratio: 1.0,
         invalid_ratio: 0.0,
         pow_difficulty: 2,
-        verify_signatures: false,
         seed: 2020,
         ..ProtocolConfig::default()
     };
@@ -120,7 +119,6 @@ fn intra_and_recovery_envelopes(c: usize, silent_leader: bool) -> [(u64, u64); 2
         cross_shard_ratio: 0.0,
         invalid_ratio: 0.0,
         pow_difficulty: 2,
-        verify_signatures: false,
         seed: 2020,
         ..ProtocolConfig::default()
     };

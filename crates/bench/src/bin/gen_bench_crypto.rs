@@ -1,10 +1,9 @@
 //! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
 //! secp256k1 kernel layer by layer (field, point, scalar multiplication), for
 //! the primitives built on it (Schnorr, VRF) and for a one-shot HMAC-DRBG
-//! draw (alone, and as the network's latency sample), one whole Algorithm 3
-//! instance at c = 16, plus round-engine rounds/sec at 1 worker and at the
-//! machine's parallelism. The set matches the
-//! `crypto_primitives` criterion bench.
+//! draw (alone, and as the network's latency sample) and one whole Algorithm 3
+//! instance at c = 16. The set matches the `crypto_primitives` criterion
+//! bench; rounds per second are `gen_bench_round`'s.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_crypto`;
 //! the JSON is printed to stdout so it can be pasted into `BENCH_crypto.json`
@@ -14,7 +13,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cycledger_bench::{alg3_instance, bench_config};
+use cycledger_bench::alg3_instance;
 use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::point::Point;
 use cycledger_crypto::scalar::Scalar;
@@ -22,7 +21,6 @@ use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair,
 use cycledger_crypto::vrf;
 use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
 use cycledger_net::topology::NodeId;
-use cycledger_protocol::Simulation;
 
 /// Times `f` repeatedly until at least `min_secs` have elapsed and returns
 /// iterations per second.
@@ -50,15 +48,6 @@ fn ns_per_op<R>(mut f: impl FnMut() -> R) -> f64 {
         }
     });
     1e6 / per_block
-}
-
-fn rounds_per_sec(workers: usize) -> f64 {
-    let mut config = bench_config(8, 16, 4242);
-    config.worker_threads = workers;
-    let mut sim = Simulation::new(config).expect("valid bench config");
-    ops_per_sec(3.0, || {
-        sim.run_round();
-    })
 }
 
 fn main() {
@@ -162,20 +151,12 @@ fn main() {
     });
     rows.push(("alg3_instance_c16", 1e9 / per_sec));
 
-    let parallel_workers = std::thread::available_parallelism()
-        .map(|n| n.get().max(4))
-        .unwrap_or(4);
-    let rps_1 = rounds_per_sec(1);
-    let rps_n = rounds_per_sec(parallel_workers);
-
     println!("{{");
     println!("  \"ns_per_op\": {{");
     for (i, (name, ns)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
         println!("    \"{name}\": {ns:.1}{comma}");
     }
-    println!("  }},");
-    println!("  \"rounds_per_sec_1_worker\": {rps_1:.3},");
-    println!("  \"rounds_per_sec_{parallel_workers}_workers\": {rps_n:.3}");
+    println!("  }}");
     println!("}}");
 }

@@ -2,17 +2,11 @@
 //! rounds/sec and heap allocations/round, at 1 worker and at the machine's
 //! parallelism.
 //!
-//! The tracked configuration is the **verified** one: `verify_signatures=on`,
-//! because that is what the protocol actually ships — benchmarking with
-//! verification off measures a config nobody runs. The unverified path stays
-//! reachable for comparison.
-//!
 //! Flags:
 //!
 //! * `--config 8x16|64x32` — committee geometry. `8x16` (default) is the
 //!   standard tracked config (400 txs/round); `64x32` is the large-scale
 //!   profile at 10 000 txs/round.
-//! * `--verify on|off` — signature verification (default `on`).
 //! * `--smoke` — CI perf-gate mode: short measured runs at 1 worker — the
 //!   plain config and the epoch-lifecycle variant (boundary every second
 //!   round) — whose `rounds_per_sec` / `allocations_per_round` are compared
@@ -82,32 +76,27 @@ impl BenchSpec {
         }
     }
 
-    fn config(&self, verify: bool) -> ProtocolConfig {
+    fn config(&self) -> ProtocolConfig {
         let mut config = bench_config(self.committees, self.committee_size, 4242);
         config.txs_per_round = self.txs_per_round;
-        config.verify_signatures = verify;
         config
     }
 
     /// The epoch-lifecycle variant of the tracked config: an epoch boundary
     /// (beacon, churn, state sync, reshuffle) every second round, so half the
     /// measured rounds pay the full handover cost.
-    fn epoch_config(&self, verify: bool) -> ProtocolConfig {
-        let mut config = self.config(verify);
+    fn epoch_config(&self) -> ProtocolConfig {
+        let mut config = self.config();
         config.epoch_length = 2;
         config.joins_per_epoch = 2;
         config.leaves_per_epoch = 1;
         config
     }
 
-    fn describe(&self, verify: bool) -> String {
+    fn describe(&self) -> String {
         format!(
-            "{} committees x {} members, {} txs/round, seed 4242, pow_difficulty 2, \
-             verify_signatures {}",
-            self.committees,
-            self.committee_size,
-            self.txs_per_round,
-            if verify { "on" } else { "off" }
+            "{} committees x {} members, {} txs/round, seed 4242, pow_difficulty 2",
+            self.committees, self.committee_size, self.txs_per_round
         )
     }
 }
@@ -165,7 +154,7 @@ const EPOCH_VARIANT: &str =
      (every second round closes an epoch: beacon, churn, state sync, reshuffle)";
 
 fn usage() -> ! {
-    eprintln!("usage: gen_bench_round [--smoke] [--config 8x16|64x32] [--verify on|off]");
+    eprintln!("usage: gen_bench_round [--smoke] [--config 8x16|64x32]");
     std::process::exit(2);
 }
 
@@ -177,7 +166,6 @@ fn main() {
 
     let mut smoke = false;
     let mut spec = BenchSpec::parse("8x16").unwrap();
-    let mut verify = true;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -186,11 +174,6 @@ fn main() {
                 let name = args.next().unwrap_or_else(|| usage());
                 spec = BenchSpec::parse(&name).unwrap_or_else(|| usage());
             }
-            "--verify" => match args.next().as_deref() {
-                Some("on") => verify = true,
-                Some("off") => verify = false,
-                _ => usage(),
-            },
             _ => usage(),
         }
     }
@@ -204,15 +187,15 @@ fn main() {
         // BENCH_round.json and fails the job on >20% regression. The plain
         // config is measured once more at the machine's parallelism; the
         // gate wants that series >= 1.25x the one-worker one.
-        let s = measure(spec.config(verify), 1, 0.0);
-        let e = measure(spec.epoch_config(verify), 1, 0.0);
+        let s = measure(spec.config(), 1, 0.0);
+        let e = measure(spec.epoch_config(), 1, 0.0);
         assert!(
             s.allocations_per_round > 0.0,
             "counting allocator saw no allocations"
         );
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         println!("{{");
-        println!("  \"bench_config\": \"{}\",", spec.describe(verify));
+        println!("  \"bench_config\": \"{}\",", spec.describe());
         println!("  \"epoch_bench_config\": \"{EPOCH_VARIANT}\",");
         println!("  \"parallel_workers\": {cores},");
         print_series("smoke_1_worker", &s, true);
@@ -221,7 +204,7 @@ fn main() {
             // that leaves a fresh pool on the driver's CPU for a second, only
             // ever adds time, while a phase gone serial is slow in all three.
             let p = (0..3)
-                .map(|_| measure(spec.config(verify), cores, 0.0))
+                .map(|_| measure(spec.config(), cores, 0.0))
                 .max_by(|a, b| a.rounds_per_sec.total_cmp(&b.rounds_per_sec))
                 .expect("three runs");
             print_series(&format!("smoke_{cores}_workers"), &p, true);
@@ -234,12 +217,12 @@ fn main() {
     let parallel_workers = std::thread::available_parallelism()
         .map(|n| n.get().max(4))
         .unwrap_or(4);
-    let one = measure(spec.config(verify), 1, 3.0);
-    let many = measure(spec.config(verify), parallel_workers, 3.0);
-    let one_epoch = measure(spec.epoch_config(verify), 1, 3.0);
+    let one = measure(spec.config(), 1, 3.0);
+    let many = measure(spec.config(), parallel_workers, 3.0);
+    let one_epoch = measure(spec.epoch_config(), 1, 3.0);
 
     println!("{{");
-    println!("  \"bench_config\": \"{}\",", spec.describe(verify));
+    println!("  \"bench_config\": \"{}\",", spec.describe());
     println!("  \"epoch_bench_config\": \"{EPOCH_VARIANT}\",");
     print_series("one_worker", &one, true);
     print_series(&format!("{parallel_workers}_workers"), &many, true);

@@ -30,10 +30,10 @@ use cycledger_protocol::{
 };
 
 /// Builds a simulation configuration sized for benchmarking: small PoW
-/// difficulty and `verify_signatures` **off** (placeholder signatures). The
-/// figure and table generators and the virtual-time latency sweep use it as
-/// is; the tracked wall-clock series do not — `gen_bench_round` and
-/// `phase_profile` turn verification back on (`--verify` defaults to `on`).
+/// difficulty, fifty transactions per committee. The figure and table
+/// generators, the virtual-time latency sweep and the tracked wall-clock
+/// series (`gen_bench_round`) all run it with every signature made and
+/// verified — there is no other way to run a round.
 pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> ProtocolConfig {
     ProtocolConfig {
         committees,
@@ -45,7 +45,6 @@ pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> Prot
         invalid_ratio: 0.05,
         accounts_per_shard: 96,
         pow_difficulty: 2,
-        verify_signatures: false,
         seed,
         ..ProtocolConfig::default()
     }

@@ -151,7 +151,6 @@ fn sim_config(adversary: AdversaryConfig, seed: u64, message_driven: bool) -> Pr
         txs_per_round: 16,
         accounts_per_shard: 16,
         pow_difficulty: 2,
-        verify_signatures: false,
         message_driven,
         adversary,
         worker_threads: 1,

@@ -187,8 +187,9 @@ impl MemberState {
     /// emit messages they could legitimately sign, so skipping verification does
     /// not change any protocol outcome — it only removes the O(c²) signature
     /// checks per instance *and* the O(c) signing multiplications that dominate
-    /// wall-clock time at large committee sizes. Large-scale benches enable it;
-    /// tests and examples keep full verification on.
+    /// wall-clock time at large committee sizes. No round of the engine uses
+    /// it: it is kept for the one probe that times an instance without its
+    /// signatures (`run_inside_consensus` in the protocol crate says which).
     pub fn set_verify_signatures(&mut self, verify: bool) {
         self.verify_signatures = verify;
     }

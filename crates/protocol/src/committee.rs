@@ -153,6 +153,11 @@ pub struct InsideConsensusOutcome {
 /// drained and ignored). The event loop ends at quiescence, so a network whose fault
 /// plan severs part of the committee simply yields fewer CONFIRMs and
 /// possibly no certificate — the caller's recovery path takes it from there.
+///
+/// Every caller in the workspace passes `verify_signatures = true`. `false`
+/// (placeholder signatures, nothing checked) is kept for one caller outside
+/// it, `benchmark/src/probes.rs`, whose `consensus.probe.alg3_unverified_ms`
+/// times what an instance costs besides its signatures.
 #[allow(clippy::too_many_arguments)]
 pub fn run_inside_consensus<M: CarriesAlg3>(
     net: &mut SimNetwork<M>,

@@ -42,9 +42,12 @@ pub struct ProtocolConfig {
     pub latency: LatencyConfig,
     /// Adversary configuration.
     pub adversary: AdversaryConfig,
-    /// Verify every signature during simulation. Disable only for large-scale
-    /// benches (see `MemberState::set_verify_signatures` for why this does not
-    /// change outcomes).
+    /// Selects no code: a round makes and verifies every signature, whatever
+    /// this says, and a report header always prints `true`. The placeholder
+    /// path it used to select bought 1.59x rounds/s and moved no result
+    /// (`docs/benchmarks.md`, "The `verify_signatures` verdict") and was
+    /// deleted; the field remains only because `benchmark/src/workloads.rs`
+    /// names it.
     pub verify_signatures: bool,
     /// Whether the run opts in to network faults. Every committee
     /// interaction (TXList announcements, votes, Algorithm 3, cross-shard

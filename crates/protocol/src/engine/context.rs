@@ -309,7 +309,6 @@ impl<'a> RoundContext<'a> {
             prosecutor,
             self.reputation,
             self.round,
-            self.config.verify_signatures,
             self.config.latency,
             self.faults,
             seed,

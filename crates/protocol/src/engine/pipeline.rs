@@ -61,7 +61,6 @@ impl RoundPhase for ConfigurationPhase {
             ctx.registry,
             ctx.assignment,
             ctx.config.latency.delta,
-            ctx.config.verify_signatures,
             &mut ctx.metrics,
         );
         // The engine's assignment always comes from `assign_round_on` over
@@ -93,7 +92,6 @@ impl RoundPhase for SemiCommitmentPhase {
             &ctx.referee,
             ctx.round,
             ctx.config.latency,
-            ctx.config.verify_signatures,
             ctx.config.seed ^ ctx.round,
             &mut ctx.metrics,
         );
@@ -230,7 +228,6 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
                     referee_members,
                     round,
                     config.latency,
-                    config.verify_signatures,
                     config.seed ^ (round << 8) ^ (seed_salt + k as u64),
                     scratch,
                     faults,
@@ -253,9 +250,7 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
         ctx.syncing_abstentions += outcome.syncing_abstentions;
         ctx.syncing_votes += outcome.syncing_votes;
     }
-    if config.verify_signatures {
-        referee_check(&mut outcomes, committees);
-    }
+    referee_check(&mut outcomes, committees);
     outcomes
 }
 
@@ -304,7 +299,6 @@ impl RoundPhase for InterConsensusPhase {
             utxo_sets: ctx.utxo_sets,
             round: ctx.round,
             latency: ctx.config.latency,
-            verify_signatures: ctx.config.verify_signatures,
             seed: ctx.config.seed ^ (ctx.round << 16),
         };
         let inter = xshard::run_phase(&env, &ctx.cross_shard, ctx.executor, &mut ctx.metrics);
@@ -370,7 +364,6 @@ impl RoundPhase for ReputationUpdatePhase {
             ctx.config.leader_bonus,
             ctx.round,
             ctx.config.latency,
-            ctx.config.verify_signatures,
             ctx.config.seed ^ (ctx.round << 24),
             &mut ctx.metrics,
         );
@@ -452,7 +445,6 @@ impl RoundPhase for BlockGenerationPhase {
             ctx.prev_hash,
             ctx.block_height,
             ctx.config.latency,
-            ctx.config.verify_signatures,
             ctx.config.seed ^ (ctx.round << 32),
             &mut ctx.metrics,
         );

@@ -53,7 +53,6 @@ pub fn run_block_generation(
     prev_hash: cycledger_crypto::sha256::Digest,
     round: u64,
     latency: LatencyConfig,
-    verify_signatures: bool,
     seed: u64,
     metrics: &mut MetricsSink,
 ) -> BlockOutcome {
@@ -110,7 +109,7 @@ pub fn run_block_generation(
         ConsensusId { round, seq: 9_000 },
         block.header_hash().as_bytes().to_vec(),
         LeaderFault::None,
-        verify_signatures,
+        true,
     );
     metrics.merge(net.metrics());
     if consensus.certificate.is_none() {
@@ -252,7 +251,6 @@ mod tests {
             Digest::ZERO,
             0,
             LatencyConfig::default(),
-            true,
             1,
             &mut metrics,
         );
@@ -294,7 +292,6 @@ mod tests {
             Digest::ZERO,
             0,
             LatencyConfig::default(),
-            true,
             2,
             &mut metricless(),
         );
@@ -334,7 +331,6 @@ mod tests {
             Digest::ZERO,
             0,
             LatencyConfig::default(),
-            true,
             3,
             &mut metricless(),
         );

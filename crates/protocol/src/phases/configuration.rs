@@ -45,7 +45,6 @@ pub fn run_committee_configuration(
     registry: &NodeRegistry,
     assignment: &RoundAssignment,
     delta: SimDuration,
-    verify_proofs: bool,
     metrics: &mut MetricsSink,
 ) -> ConfigurationOutcome {
     let phase = Phase::CommitteeConfiguration;
@@ -53,13 +52,9 @@ pub fn run_committee_configuration(
     let input =
         RoundAssignment::sortition_input(assignment.sortition_round, &assignment.randomness);
     let proofs = &assignment.sortition_proofs;
-    let valid: Vec<bool> = if verify_proofs {
-        executor.map_chunked(proofs, |(node, output)| {
-            vrf::verify(&registry.node(*node).keypair.public, &input, output)
-        })
-    } else {
-        vec![true; proofs.len()]
-    };
+    let valid: Vec<bool> = executor.map_chunked(proofs, |(node, output)| {
+        vrf::verify(&registry.node(*node).keypair.public, &input, output)
+    });
     let proof_of: std::collections::HashMap<_, _> = proofs
         .iter()
         .zip(valid)
@@ -81,13 +76,9 @@ pub fn run_committee_configuration(
             // 2. The first key member checks the proof (verified above) and
             //    replies with the current member list; the others just record
             //    the registration.
-            let ok = match proof_of.get(&member) {
-                Some(&(output, valid)) if verify_proofs => {
-                    valid && vrf::output_to_committee(&output.hash, m) == committee.index
-                }
-                Some(_) => true,
-                None => false,
-            };
+            let ok = proof_of.get(&member).is_some_and(|&(output, valid)| {
+                valid && vrf::output_to_committee(&output.hash, m) == committee.index
+            });
             if ok {
                 verified += 1;
             } else {
@@ -158,7 +149,6 @@ mod tests {
             &registry,
             &assignment,
             SimDuration::from_millis(50),
-            true,
             &mut metrics,
         );
         let expected: usize = assignment
@@ -188,7 +178,6 @@ mod tests {
             &registry,
             &assignment,
             SimDuration::from_millis(50),
-            false,
             &mut metrics,
         );
         let committee = &assignment.committees[0];
@@ -215,7 +204,6 @@ mod tests {
                 &registry,
                 assignment,
                 SimDuration::from_millis(50),
-                true,
                 &mut metrics,
             );
             let mut bytes = Vec::new();

@@ -294,7 +294,6 @@ pub fn run_intra_consensus(
     referee_members: &[NodeId],
     round: u64,
     latency: LatencyConfig,
-    verify_signatures: bool,
     seed: u64,
     scratch: &mut ShardScratch,
     plan: &FaultPlan,
@@ -376,7 +375,7 @@ pub fn run_intra_consensus(
         },
         payload,
         fault,
-        verify_signatures,
+        true,
     );
 
     // 4. The certified TXdecSET travels to the referee committee as
@@ -519,7 +518,6 @@ mod tests {
                 &self.referee,
                 1,
                 latency,
-                true,
                 seed,
                 &mut ShardScratch::default(),
                 plan,

@@ -103,7 +103,6 @@ pub fn run_recovery(
     prosecutor: NodeId,
     reputation: &mut ReputationTable,
     round: u64,
-    verify_signatures: bool,
     latency: LatencyConfig,
     plan: &FaultPlan,
     seed: u64,
@@ -116,15 +115,9 @@ pub fn run_recovery(
     net.set_phase(phase);
 
     let evidence_valid = match &accusation {
-        // Simulation fast path: with signature generation disabled,
-        // witnesses distilled from Algorithm 3 traffic carry placeholder
-        // signatures, and honest members skip the cryptographic check —
-        // in the simulator a witness only ever originates from a leader
-        // that really misbehaved, so outcomes are unchanged (the same
-        // contract as `MemberState::set_verify_signatures`).
         Accusation::Signed(w) => transition::signed_accusation_admissible(
             accused == committee.leader,
-            !verify_signatures || w.verify(&registry.node(accused).keypair.public),
+            w.verify(&registry.node(accused).keypair.public),
         ),
         Accusation::Timeout {
             observed_by_committee,
@@ -353,7 +346,6 @@ mod tests {
                 prosecutor,
                 &mut self.reputation,
                 round,
-                true,
                 LatencyConfig::default(),
                 &FaultPlan::default(),
                 7,

@@ -66,7 +66,6 @@ fn certify_scores(
     leader_ok: bool,
     round: u64,
     latency: LatencyConfig,
-    verify_signatures: bool,
     seed: u64,
 ) -> Certified {
     let mut certified = Certified {
@@ -105,7 +104,7 @@ fn certify_scores(
         },
         payload,
         LeaderFault::None,
-        verify_signatures,
+        true,
     );
     certified.sink = net.into_metrics();
     certified.scores.scores = scores;
@@ -133,7 +132,6 @@ pub fn run_reputation_update(
     leader_bonus: f64,
     round: u64,
     latency: LatencyConfig,
-    verify_signatures: bool,
     seed: u64,
     metrics: &mut MetricsSink,
 ) -> Vec<CommitteeScores> {
@@ -150,7 +148,6 @@ pub fn run_reputation_update(
                     leader_ok,
                     round,
                     latency,
-                    verify_signatures,
                     seed,
                 )
             }
@@ -258,7 +255,6 @@ mod tests {
             0.1,
             1,
             LatencyConfig::default(),
-            true,
             1,
             &mut metrics,
         );
@@ -298,7 +294,6 @@ mod tests {
             0.1,
             1,
             LatencyConfig::default(),
-            true,
             2,
             &mut MetricsSink::new(),
         );
@@ -349,7 +344,6 @@ mod tests {
                 0.1,
                 3,
                 LatencyConfig::default(),
-                true,
                 9,
                 &mut metrics,
             );

@@ -36,14 +36,12 @@ pub struct SemiCommitmentOutcome {
 }
 
 /// Runs the semi-commitment exchange for all committees.
-#[allow(clippy::too_many_arguments)]
 pub fn run_semi_commitment_exchange(
     registry: &NodeRegistry,
     committees: &[Committee],
     referee: &Committee,
     round: u64,
     latency: LatencyConfig,
-    verify_signatures: bool,
     seed: u64,
     metrics: &mut MetricsSink,
 ) -> SemiCommitmentOutcome {
@@ -122,7 +120,7 @@ pub fn run_semi_commitment_exchange(
         ConsensusId { round, seq: 0x5e1f },
         payload,
         LeaderFault::None,
-        verify_signatures,
+        true,
     );
     metrics.merge(referee_net.metrics());
 
@@ -196,7 +194,6 @@ mod tests {
             &referee,
             1,
             LatencyConfig::default(),
-            true,
             9,
             &mut metrics,
         );
@@ -231,7 +228,6 @@ mod tests {
             &referee,
             2,
             LatencyConfig::default(),
-            true,
             10,
             &mut metrics,
         );

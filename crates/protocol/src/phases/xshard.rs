@@ -57,7 +57,6 @@ pub struct InterEnv<'a> {
     pub utxo_sets: &'a [UtxoSet],
     pub round: u64,
     pub latency: LatencyConfig,
-    pub verify_signatures: bool,
     pub seed: u64,
 }
 
@@ -235,8 +234,7 @@ fn certify_vector<L>(
     let leader = members.leader;
     let fault = LeaderFault::from_behavior(env.registry.node(leader).behavior, &root);
     let id = side.instance(env.round, committee);
-    let verify = env.verify_signatures;
-    let outcome = run_inside_consensus(net, members, env.registry, id, root, fault, verify);
+    let outcome = run_inside_consensus(net, members, env.registry, id, root, fault, true);
     if outcome.messages > 0 {
         for &member in members.members.iter().filter(|&&n| n != leader) {
             net.account_message(leader, member, content_bytes);
@@ -434,11 +432,10 @@ pub fn close_books<L>(mut net: Net, mut result: SideResult<L>) -> SideResult<L> 
 }
 
 /// Checks every certificate of one side once and says, per result and leg,
-/// whether the receiver admits it. With real signatures the check runs
-/// against the verdict memo of the instance that formed the certificate, so
-/// what that instance's leader verified costs the receiver lookups (the memo
-/// is taken out of the result: it is spent here); over the fast path's
-/// placeholders it is the quorum rule alone.
+/// whether the receiver admits it. The check runs against the verdict memo
+/// of the instance that formed the certificate, so what that instance's
+/// leader verified costs the receiver lookups (the memo is taken out of the
+/// result: it is spent here).
 fn admitted<L>(
     env: &InterEnv<'_>,
     side: Side,
@@ -452,13 +449,9 @@ fn admitted<L>(
             continue;
         };
         let (committee, certificate) = (&env.committees[result.committee], &vector.certificate);
-        let valid = if env.verify_signatures {
-            let memo = SigCache::from(std::mem::take(&mut vector.memo));
-            let verdict = certificate.verify_memoized(&committee.keys, committee.majority(), &memo);
-            verdict.is_ok()
-        } else {
-            transition::confirm_quorum(certificate.signer_count(), committee.keys.len())
-        };
+        let memo = SigCache::from(std::mem::take(&mut vector.memo));
+        let verdict = certificate.verify_memoized(&committee.keys, committee.majority(), &memo);
+        let valid = verdict.is_ok();
         let expected = side.instance(env.round, result.committee);
         let admit = |(index, leg)| vector.admits(index, expected, &leaf_of(leg), valid);
         flags.push(result.legs.iter().enumerate().map(admit).collect());
@@ -593,7 +586,7 @@ mod tests {
     }
 
     impl Fixture {
-        fn env(&self, verify_signatures: bool, seed: u64) -> InterEnv<'_> {
+        fn env(&self, seed: u64) -> InterEnv<'_> {
             InterEnv {
                 plan: &self.no_faults,
                 registry: &self.registry,
@@ -601,21 +594,18 @@ mod tests {
                 utxo_sets: &self.utxo_sets,
                 round: 1,
                 latency: LatencyConfig::default(),
-                verify_signatures,
                 seed,
             }
         }
 
-        /// The whole phase under `plan`, signatures verified.
+        /// The whole phase under `plan`.
         fn run(&self, plan: &FaultPlan, workers: usize) -> (InterOutcome, MetricsSink) {
-            let env = self.env(true, 7);
-            self.run_in(&InterEnv { plan, ..env }, workers)
-        }
-
-        /// The whole phase in `env`.
-        fn run_in(&self, env: &InterEnv<'_>, workers: usize) -> (InterOutcome, MetricsSink) {
+            let env = InterEnv {
+                plan,
+                ..self.env(7)
+            };
             let (executor, mut metrics) = (ShardExecutor::new(workers), MetricsSink::new());
-            let outcome = run_phase(env, &self.cross, &executor, &mut metrics);
+            let outcome = run_phase(&env, &self.cross, &executor, &mut metrics);
             (outcome, metrics)
         }
 
@@ -692,7 +682,7 @@ mod tests {
     #[test]
     fn tampered_legs_are_rejected() {
         let fx = fixture(3, 8, 60, 21);
-        let env = fx.env(true, 3);
+        let env = fx.env(3);
         let source = 0;
         let lists = group_outbound(&fx.cross, 3).remove(&source).unwrap();
         assert_eq!(lists.len(), 2, "source 0 feeds both other committees");
@@ -733,19 +723,14 @@ mod tests {
         let (tree, certificate) = (MerkleTree::build(&[leaf]), vector.certificate.clone());
         let forged = CertifiedVector::new(tree, certificate, warm.clone());
         assert!(!forged.admits(0, expected, &leaf, true));
-        // A certificate below quorum — with and without real signatures, and
-        // with its instance's memo (which knows every signature left on it)
-        // as without one.
+        // A certificate below quorum — with its instance's memo (which knows
+        // every signature left on it) as without one.
         let thin = fx.committees[source].majority() - 1;
         let vector = results[0].vector.as_mut().unwrap();
         vector.certificate.signatures.truncate(thin);
-        for (verify, memo) in [
-            (true, warm),
-            (true, Verdicts::default()),
-            (false, Verdicts::default()),
-        ] {
+        for memo in [warm, Verdicts::default()] {
             results[0].vector.as_mut().unwrap().memo = memo;
-            let verdicts = admitted(&fx.env(verify, 3), Side::Source, &mut results, list_leaf);
+            let verdicts = admitted(&env, Side::Source, &mut results, list_leaf);
             assert_eq!(verdicts, [[false, false]]);
         }
     }
@@ -760,7 +745,7 @@ mod tests {
     fn admitting_honest_results_costs_one_memo_lookup_per_certificate_signature() {
         use cycledger_crypto::opcount::scope;
         let fx = fixture(3, 8, 60, 21);
-        let env = fx.env(true, 3);
+        let env = fx.env(3);
         let outbound = group_outbound(&fx.cross, 3).into_iter();
         let mut sources: Vec<_> = outbound
             .map(|(source, lists)| run_source(&env, source, lists))
@@ -874,7 +859,7 @@ mod tests {
         // forwarder→leader copies are as good as delayed past 4Γ) but its
         // partial set is not; the fault is on the forward leg only.
         let fx = fixture(3, 8, 60, 26);
-        let env = fx.env(true, 9);
+        let env = fx.env(9);
         let gamma = env.latency.gamma;
         let leader = fx.committees[1].leader;
         let cut = FaultPlan::default().with_partition(
@@ -929,19 +914,15 @@ mod tests {
             4 * 3,
             "all m(m-1) pairs populated"
         );
-        // With real signatures (admission from the instances' memos) and with
-        // the fast path's placeholders (the quorum rule alone).
-        for verify in [true, false] {
-            let digests: Vec<Digest> = [1, 2, 8]
-                .iter()
-                .map(|&workers| {
-                    let (outcome, metrics) = fx.run_in(&fx.env(verify, 7), workers);
-                    assert_eq!(outcome.alg3_instances, 2 * 4);
-                    assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
-                    digest(&outcome, &metrics)
-                })
-                .collect();
-            assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
-        }
+        let digests: Vec<Digest> = [1, 2, 8]
+            .iter()
+            .map(|&workers| {
+                let (outcome, metrics) = fx.run(&fx.no_faults, workers);
+                assert_eq!(outcome.alg3_instances, 2 * 4);
+                assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
+                digest(&outcome, &metrics)
+            })
+            .collect();
+        assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");
     }
 }

@@ -510,44 +510,55 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_recoveries_match_full_verification() {
-        // The signature fast path attaches placeholder signatures instead of
-        // real ones; witness-backed impeachments must still evict exactly as
-        // they do under full verification (regression: placeholder-signed
-        // equivocation evidence used to fail the recovery evidence check).
-        for verify in [true, false] {
-            let mut config = small_config();
-            config.verify_signatures = verify;
-            let mut sim = Simulation::new(config).unwrap();
-            let leader = sim.assignment().committees[0].leader;
-            sim.registry_mut()
-                .set_behavior(leader, Behavior::EquivocatingLeader);
-            let summary = sim.run(2);
-            assert!(
-                summary.total_evictions() >= 1,
-                "equivocator must be evicted (verify_signatures={verify})"
-            );
-            assert_eq!(
-                summary.blocks_produced(),
-                2,
-                "recovery keeps blocks flowing (verify_signatures={verify})"
-            );
-        }
+    fn a_lone_equivocator_is_evicted_on_its_signed_proposals() {
+        // An otherwise honest network: the only accusation is the witness
+        // distilled from the leader's two signed PROPOSEs, and the recovery
+        // evidence check must accept it.
+        let mut sim = Simulation::new(small_config()).unwrap();
+        let leader = sim.assignment().committees[0].leader;
+        sim.registry_mut()
+            .set_behavior(leader, Behavior::EquivocatingLeader);
+        let summary = sim.run(2);
+        assert!(
+            summary.total_evictions() >= 1,
+            "equivocator must be evicted"
+        );
+        assert_eq!(
+            summary.blocks_produced(),
+            2,
+            "recovery keeps blocks flowing"
+        );
     }
 
     #[test]
     fn determinism_same_summary_for_1_2_and_8_workers() {
         // Identical seeds must yield byte-identical summaries regardless of
-        // executor width — the engine's core contract. `pipelined` selects
-        // no code while the field exists, so it is one more inert input.
+        // executor width — the engine's core contract. `pipelined` and
+        // `verify_signatures` select no code while the fields exist, so they
+        // are two more inert inputs.
         let mut config = small_config();
-        config.verify_signatures = false;
         let baseline = summary_digest(config, 1, 3);
-        for pipelined in [false, true] {
+        for (pipelined, verify_signatures) in
+            [(false, false), (false, true), (true, false), (true, true)]
+        {
             config.pipelined = pipelined;
+            config.verify_signatures = verify_signatures;
             for workers in [1, 2, 8] {
                 assert_eq!(baseline, summary_digest(config, workers, 3));
             }
+        }
+        // Inert down to the operation: one worker runs everything inline on
+        // this thread, so its tally sees every signature made, verified
+        // singly or in a batch, and every memo lookup of the run.
+        #[cfg(feature = "opcount")]
+        {
+            let mut tally = |verify_signatures| {
+                config.verify_signatures = verify_signatures;
+                cycledger_crypto::opcount::scope(|| summary_digest(config, 1, 3))
+            };
+            let (off, on) = (tally(false), tally(true));
+            assert_eq!(off, on);
+            assert!(on.sigs_batched > 0 && on.memo_lookups > 0, "{on:?}");
         }
     }
 
@@ -555,19 +566,15 @@ mod tests {
     fn determinism_holds_under_adversarial_recovery_load() {
         // Recoveries, retries and censorship reports exercise every executor
         // batch type; the digest must still be independent of worker count —
-        // under the quorum rule alone and with real signatures, where every
-        // certificate, a retry's included, is admitted from a verdict memo
-        // that crossed from the worker that formed it.
+        // every certificate, a retry's included, is admitted from a verdict
+        // memo that crossed from the worker that formed it.
         let mut config = small_config();
         config.cross_shard_ratio = 0.4;
         config.adversary = AdversaryConfig::with_behavior(0.3, Behavior::EquivocatingLeader);
         config.seed = 77;
-        for verify_signatures in [false, true] {
-            config.verify_signatures = verify_signatures;
-            let baseline = summary_digest(config, 1, 3);
-            assert_eq!(baseline, summary_digest(config, 2, 3));
-            assert_eq!(baseline, summary_digest(config, 8, 3));
-        }
+        let baseline = summary_digest(config, 1, 3);
+        assert_eq!(baseline, summary_digest(config, 2, 3));
+        assert_eq!(baseline, summary_digest(config, 8, 3));
     }
 
     #[test]
@@ -576,7 +583,6 @@ mod tests {
         // to the flat map: round for round, its canonical bytes are exactly
         // the map run's bytes plus the tagged state-root extension block.
         let mut config = small_config();
-        config.verify_signatures = false;
         let mut map_sim = Simulation::new(config).unwrap();
         let map_summary = map_sim.run(3);
         config.state_backend = cycledger_ledger::StateBackend::Smt;
@@ -618,7 +624,6 @@ mod tests {
     fn smt_backend_digest_is_schedule_independent() {
         // Worker width must not move the state roots.
         let mut config = small_config();
-        config.verify_signatures = false;
         config.state_backend = cycledger_ledger::StateBackend::Smt;
         let baseline = summary_digest(config, 1, 3);
         assert_eq!(baseline, summary_digest(config, 2, 3));
@@ -631,7 +636,6 @@ mod tests {
         // proof against that shard's last committed root, and absent
         // outpoints an exclusion proof — the light-client contract.
         let mut config = small_config();
-        config.verify_signatures = false;
         config.state_backend = cycledger_ledger::StateBackend::Smt;
         let mut sim = Simulation::new(config).unwrap();
         let summary = sim.run(2);
@@ -662,7 +666,6 @@ mod tests {
     #[test]
     fn determinism_digest_differs_across_seeds() {
         let mut config = small_config();
-        config.verify_signatures = false;
         let a = summary_digest(config, 2, 2);
         config.seed = 4242;
         let b = summary_digest(config, 2, 2);
@@ -717,7 +720,6 @@ mod tests {
             epoch_length: 2,
             joins_per_epoch: 2,
             leaves_per_epoch: 1,
-            verify_signatures: false,
             ..small_config()
         }
     }
@@ -758,30 +760,21 @@ mod tests {
     }
 
     #[test]
-    fn epoch_runs_are_deterministic_across_worker_counts() {
-        let config = epoch_config();
-        let baseline = summary_digest(config, 1, 5);
-        assert_eq!(baseline, summary_digest(config, 2, 5));
-        assert_eq!(baseline, summary_digest(config, 8, 5));
-    }
-
-    #[test]
-    fn verified_epoch_runs_are_deterministic_on_both_planes() {
-        // Signature verification on: the sortition, proof-verification and
-        // score-certification batches all do real work, on either plane and
-        // through the boundary reshuffle after round 2 (with `Syncing`
-        // joiners in the mapped sortition list).
+    fn epoch_runs_are_deterministic_across_worker_counts_on_both_planes() {
+        // The sortition, proof-verification and score-certification batches
+        // all do real work, on either plane and through the boundary
+        // reshuffles after rounds 2 and 4 (with `Syncing` joiners in the
+        // mapped sortition list).
         for message_driven in [false, true] {
             let config = ProtocolConfig {
-                verify_signatures: true,
                 message_driven,
                 ..epoch_config()
             };
-            let baseline = summary_digest(config, 1, 3);
+            let baseline = summary_digest(config, 1, 5);
             for workers in [2, 8] {
                 assert_eq!(
                     baseline,
-                    summary_digest(config, workers, 3),
+                    summary_digest(config, workers, 5),
                     "message_driven={message_driven}, {workers} workers"
                 );
             }
@@ -796,7 +789,6 @@ mod tests {
         // (the configuration phase debug-asserts no rejection), so every
         // common member keeps its seat.
         let mut sim = Simulation::new(small_config()).unwrap();
-        assert!(sim.config.verify_signatures);
         let genesis = sim.assignment.clone();
         for &member in &genesis.referee {
             sim.registry.set_behavior(member, Behavior::LazyVoter);
@@ -813,7 +805,6 @@ mod tests {
             &sim.registry,
             &sim.assignment,
             sim.config.latency.delta,
-            true,
             &mut metrics,
         );
         assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
@@ -858,7 +849,6 @@ mod tests {
             ctx.registry,
             ctx.assignment,
             ctx.config.latency.delta,
-            true,
             &mut ctx.metrics,
         );
         assert_eq!(outcome.rejected, vec![(home, victim)]);
@@ -995,7 +985,6 @@ mod tests {
                 shape: crate::traffic::ArrivalShape::Constant,
                 warmup_rounds: 1,
             }),
-            verify_signatures: false,
             ..small_config()
         }
     }
@@ -1092,7 +1081,6 @@ mod tests {
         // from the latency accounting.
         let mut config = small_config();
         config.message_driven = true;
-        config.verify_signatures = false;
         config.invalid_ratio = 0.0;
         config.traffic = Some(TrafficConfig {
             rate_tps: 40.0,
@@ -1174,7 +1162,6 @@ mod tests {
             committees: 4,
             cross_shard_ratio: 0.8,
             txs_per_round: 120,
-            verify_signatures: false,
             ..small_config()
         };
         for message_driven in [false, true] {

@@ -28,7 +28,6 @@ fn epoch_config(seed: u64) -> ProtocolConfig {
         cross_shard_ratio: 0.2,
         invalid_ratio: 0.0,
         pow_difficulty: 2,
-        verify_signatures: false,
         message_driven: true,
         epoch_length: 2,
         joins_per_epoch: 2,

@@ -34,7 +34,6 @@ fn driven_config(seed: u64) -> ProtocolConfig {
         cross_shard_ratio: 0.2,
         invalid_ratio: 0.0,
         pow_difficulty: 2,
-        verify_signatures: false,
         message_driven: true,
         seed,
         ..ProtocolConfig::default()
@@ -100,27 +99,21 @@ fn normalised_bytes(sim: &Simulation) -> Vec<u8> {
 fn synchronous_and_driven_modes_agree_on_honest_decisions() {
     // Same seed, no faults: the flag selects no code, so the whole report —
     // decisions, certificates' effects, every traffic counter — is equal
-    // once the stamp is normalised, with real and placeholder signatures,
-    // honest and under the uniform adversary mix (recoveries included).
-    for verify_signatures in [false, true] {
-        for adversary in [AdversaryConfig::default(), AdversaryConfig::uniform(0.2)] {
-            let run = |message_driven: bool| {
-                let mut sim = Simulation::new(ProtocolConfig {
-                    message_driven,
-                    verify_signatures,
-                    adversary,
-                    ..driven_config(902)
-                })
-                .unwrap();
-                sim.run(3);
-                assert!(sim.reports().iter().any(|r| r.txs_packed > 0));
-                normalised_bytes(&sim)
-            };
-            assert!(
-                run(false) == run(true),
-                "reports differ (verify_signatures={verify_signatures}, {adversary:?})"
-            );
-        }
+    // once the stamp is normalised, honest and under the uniform adversary
+    // mix (recoveries included).
+    for adversary in [AdversaryConfig::default(), AdversaryConfig::uniform(0.2)] {
+        let run = |message_driven: bool| {
+            let mut sim = Simulation::new(ProtocolConfig {
+                message_driven,
+                adversary,
+                ..driven_config(902)
+            })
+            .unwrap();
+            sim.run(3);
+            assert!(sim.reports().iter().any(|r| r.txs_packed > 0));
+            normalised_bytes(&sim)
+        };
+        assert!(run(false) == run(true), "reports differ ({adversary:?})");
     }
 }
 

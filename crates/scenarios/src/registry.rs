@@ -282,7 +282,7 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
     ]);
     scenarios.push(wan);
 
-    // 14 — scaling sweep: 4 committees x 12 members, signature fast path off.
+    // 14 — scaling sweep: 4 committees x 12 members.
     let mut scale4 = Scenario::new(
         "scaling-4x12",
         ProtocolConfig {
@@ -295,7 +295,6 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
             cross_shard_ratio: 0.3,
             invalid_ratio: 0.05,
             pow_difficulty: 2,
-            verify_signatures: false,
             seed: 114,
             ..ProtocolConfig::default()
         },
@@ -325,7 +324,6 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
             cross_shard_ratio: 0.3,
             invalid_ratio: 0.05,
             pow_difficulty: 2,
-            verify_signatures: false,
             seed: 115,
             ..ProtocolConfig::default()
         },

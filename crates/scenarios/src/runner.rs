@@ -396,7 +396,6 @@ mod tests {
             cross_shard_ratio: 0.2,
             invalid_ratio: 0.0,
             pow_difficulty: 2,
-            verify_signatures: false,
             seed: 11,
             ..ProtocolConfig::default()
         };

@@ -315,7 +315,6 @@ fn apply_scenario_key(scenario: &mut Scenario, key: &str, value: &Value) -> Resu
         "latency_partial_us" => {
             scenario.config.latency.partial_bound = SimDuration::from_micros(value.as_u64()?)
         }
-        "verify_signatures" => scenario.config.verify_signatures = value.as_bool()?,
         "state_backend" => {
             let name = value.as_str()?;
             scenario.config.state_backend = cycledger_ledger::StateBackend::from_name(name)
@@ -586,7 +585,6 @@ pub fn scenarios_to_toml(scenarios: &[Scenario]) -> String {
             "latency_partial_us = {}\n",
             lat.partial_bound.as_micros()
         ));
-        out.push_str(&format!("verify_signatures = {}\n", cfg.verify_signatures));
         out.push_str(&format!(
             "state_backend = \"{}\"\n",
             cfg.state_backend.name()

@@ -135,4 +135,15 @@ fn toml_round_trips_the_whole_registry() {
         );
         assert_eq!(a.config.latency.delta, b.config.latency.delta);
     }
+    // The retired key is never written and, read, is a typo like any other;
+    // the shipped example never named it and still loads.
+    assert!(!serialized.contains("verify_signatures"));
+    let error = scenarios_from_toml("[[scenario]]\nverify_signatures = false\n").unwrap_err();
+    assert!(
+        error.contains("unknown scenario key \"verify_signatures\""),
+        "{error}"
+    );
+    let example = include_str!("../../../scenarios/examples/double-silent.toml");
+    let example = scenarios_from_toml(example).expect("the example loads");
+    assert_eq!(example[0].name, "double-silent");
 }

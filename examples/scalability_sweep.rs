@@ -24,7 +24,6 @@ fn main() {
             invalid_ratio: 0.0,
             accounts_per_shard: 48,
             pow_difficulty: 2,
-            verify_signatures: false, // large sweep: use the documented fast path
             seed: 31,
             ..ProtocolConfig::default()
         };

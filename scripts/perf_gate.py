@@ -3,9 +3,9 @@
 the authenticated state layer.
 
 Default mode (no arguments) gates wall-clock round throughput: runs
-``gen_bench_round --smoke`` (the tracked configuration: 8x16,
-verify_signatures on, one worker) and compares the measured
-``rounds_per_sec`` and ``allocations_per_round`` of both emitted series
+``gen_bench_round --smoke`` (the tracked configuration: 8x16, one worker)
+and compares the measured ``rounds_per_sec`` and
+``allocations_per_round`` of both emitted series
 against their committed entries in ``BENCH_round.json``:
 
 * ``smoke_1_worker``       vs ``verified.one_worker`` -- plain rounds;

@@ -1,38 +1,30 @@
 //! # cycledger-checker
 //!
-//! Explicit-state model checking and refinement for the CycLedger consensus
-//! core.
+//! Exhaustive exploration and refinement for the CycLedger consensus core.
 //!
-//! Two halves, one transition function:
-//!
-//! * [`model`] — an exhaustive BFS over every message delivery, drop, and
-//!   timer interleaving of the intra-committee pipeline (vote
-//!   collection under the 4Δ deadline, Algorithm 3, recovery with retry) at
-//!   the smallest non-trivial configuration (n = 4, t = 1, 2 rounds), with
-//!   hash-consed, symmetry-reduced states and machine-checked safety
-//!   assertions: no conflicting quorum certificates, no double-commit,
-//!   eviction only with admissible evidence, and a quorum-timeout fallback
-//!   that never manufactures a vote.
+//! * [`mod@explore`] — an enumerating scheduler over the machines the engine
+//!   runs (`cycledger_consensus`'s vote collector, Algorithm 3 member and
+//!   leader, impeachment vote, with real keys and signatures): BFS over every
+//!   message delivery, drop and timer interleaving of one committee at the
+//!   smallest non-trivial size (n = 4, t = 1, 2 rounds), with the safety
+//!   assertions checked on what the machines produce — a certificate that
+//!   verifies, never two digests certified in one instance, a tally that is
+//!   the strict-majority rule over votes actually received, eviction only
+//!   on admissible evidence.
 //! * [`refine`] — replays concrete executions (recorded by
 //!   `cycledger_protocol::TraceRecorder`, including the partition- and
-//!   churn-fuzz schedules) through the same decision rules, failing if any
-//!   concrete step has no abstract counterpart.
+//!   churn-fuzz schedules) through the decision rules of
+//!   [`cycledger_consensus::transition`], failing if any concrete step has
+//!   no counterpart there: the guard at fuzz scale, a different bound.
 //!
-//! Both halves decide *everything* via [`cycledger_consensus::transition`] —
-//! the same side-effect-free functions the protocol's phase drivers
-//! (`phases/{intra,recovery,xshard}.rs`) call — so a bug in a threshold or tally is caught twice: the model
-//! run refutes it at the exhaustive bound, and the refinement run refutes it
-//! at fuzz scale. The checker's own assertions are validated by self-test:
-//! exploring with a deliberately [broken rule](model::BrokenRule) must
-//! produce violations.
+//! The scheduler's own assertions are validated by self-test: exploring with
+//! a deliberately [broken rule](explore::broken) planted in the machines
+//! must produce violations.
 
 #![warn(missing_docs)]
 
-pub mod model;
+pub mod explore;
 pub mod refine;
 
-pub use model::{
-    explore, explore_all, BrokenRule, ExploreStats, Scenario, Violation, ALL_SCENARIOS,
-    COMMITTEE_SIZE, ROUNDS,
-};
+pub use explore::{explore, first_pass_in_send_order, ExploreStats, Fixture, Scenario, Violation};
 pub use refine::{check_trace, RefinementError, RefinementStats};

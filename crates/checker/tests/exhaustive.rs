@@ -1,112 +1,118 @@
-//! The exhaustive model-checking run, its self-test, and refinement over
-//! real executions.
+//! The exhaustive run over the real machines, its self-test, the check that
+//! the scheduler composes them the way the engine's driver does, and
+//! refinement over real executions.
 //!
 //! The headline deliverable: BFS over **every** message delivery, drop, and
-//! timer interleaving of the n = 4 / t = 1 / 2-round model finds **zero**
+//! timer interleaving of the n = 4 / t = 1 / 2-round committee finds **zero**
 //! safety violations, and the bound is pinned — the run is only meaningful if
 //! it actually covered the state space it claims, so the per-scenario state
-//! counts are asserted as exact regression pins and the total as an explicit
-//! lower bound.
+//! counts are asserted exactly.
 
-use cycledger_checker::model::{explore, explore_all, BrokenRule, Scenario, ALL_SCENARIOS};
+use std::sync::OnceLock;
+use std::time::{Duration, Instant};
+
+use cycledger_checker::explore::{
+    broken, explore, first_pass_in_send_order, ExploreStats, Fixture, Scenario,
+};
 use cycledger_checker::refine::check_trace;
+use cycledger_consensus::transition::Paper;
+use cycledger_ledger::workload::{Workload, WorkloadConfig};
+use cycledger_net::faults::FaultPlan;
+use cycledger_net::latency::LatencyConfig;
+use cycledger_net::time::SimDuration;
 use cycledger_protocol::adversary::{AdversaryConfig, Behavior};
 use cycledger_protocol::config::ProtocolConfig;
+use cycledger_protocol::engine::ShardScratch;
+use cycledger_protocol::phases::intra::{run_intra_consensus, IntraOutcome};
 use cycledger_protocol::simulation::Simulation;
-use cycledger_protocol::TraceRecorder;
+use cycledger_protocol::{Committee, NodeRegistry, TraceRecorder};
 
 /// Exact reachable-state counts per scenario, pinned as a regression guard:
-/// a model change that silently shrinks the explored space (and so weakens
-/// the exhaustiveness claim) fails here before anyone trusts its zero-
-/// violation result.
+/// a change that silently shrinks the explored space (and so weakens the
+/// exhaustiveness claim) fails here before anyone trusts its zero-violation
+/// result — and one that blows it up fails the time bound below.
 const EXPECTED_STATES: [(Scenario, usize); 5] = [
-    (Scenario::AllHonest, 12_934),
-    (Scenario::SilentLeader, 10_172),
-    (Scenario::EquivocatingLeader, 39_095),
-    (Scenario::CrashedMember, 660),
-    (Scenario::FalseAccusation, 32_934),
+    (Scenario::AllHonest, 118_956),
+    (Scenario::SilentLeader, 71_407),
+    (Scenario::EquivocatingLeader, 74_735),
+    (Scenario::CrashedMember, 1_204),
+    (Scenario::FalseAccusation, 119_276),
 ];
 
+/// The clean run, made once for the tests that read it, with its wall time
+/// per scenario.
+fn clean_run() -> &'static [(ExploreStats, Duration)] {
+    static RUN: OnceLock<Vec<(ExploreStats, Duration)>> = OnceLock::new();
+    RUN.get_or_init(|| {
+        let timed = |(scenario, _)| {
+            let started = Instant::now();
+            (explore::<Paper>(scenario), started.elapsed())
+        };
+        EXPECTED_STATES.into_iter().map(timed).collect()
+    })
+}
+
 /// The exhaustiveness bound is the deliverable: every scenario explores to
-/// fixpoint with zero violations, and the state space actually covered is
-/// asserted as a lower bound.
+/// fixpoint with zero violations over exactly the pinned state space — and
+/// in release inside 120 s, so a state-space blow-up is a red test, not a
+/// slow job. One line per scenario with `--nocapture`.
 #[test]
 fn exhaustive_enumeration_finds_no_safety_violations() {
-    let mut total_states = 0usize;
-    for (scenario, expected) in EXPECTED_STATES {
-        let stats = explore(scenario, None);
+    let mut total = Duration::ZERO;
+    for ((scenario, expected), (stats, wall)) in EXPECTED_STATES.into_iter().zip(clean_run()) {
+        println!(
+            "{scenario:?}: {} states, {} transitions, {} terminals, {} ms",
+            stats.states,
+            stats.transitions,
+            stats.terminal_states,
+            wall.as_millis()
+        );
         assert!(
             stats.violations.is_empty(),
             "{scenario:?}: {} violations, first: {:?}",
             stats.violations.len(),
             stats.violations.first()
         );
-        assert_eq!(
-            stats.states, expected,
-            "{scenario:?}: explored {} states, pinned {}",
-            stats.states, expected
-        );
-        assert!(
-            stats.transitions > stats.states,
-            "{scenario:?}: fewer transitions than states"
-        );
-        assert!(
-            stats.terminal_states > 0,
-            "{scenario:?}: exploration never reached a terminal state"
-        );
-        total_states += stats.states;
+        assert_eq!(stats.states, expected, "{scenario:?}: explored states");
+        assert!(stats.transitions > stats.states, "{scenario:?}");
+        assert!(stats.terminal_states > 0, "{scenario:?}: no terminal state");
+        total += *wall;
     }
-    // The ISSUE's exhaustiveness bound, as an explicit lower bound on the
-    // symmetry-reduced state space covered by the clean run.
-    assert!(
-        total_states >= 95_000,
-        "state space shrank below the exhaustiveness bound: {total_states}"
-    );
+    println!("clean run: {} ms", total.as_millis());
+    if !cfg!(debug_assertions) {
+        assert!(total < Duration::from_secs(120), "clean run took {total:?}");
+    }
 }
 
-/// The aggregate entry point agrees with the per-scenario runs.
-#[test]
-fn explore_all_aggregates_every_scenario() {
-    let total = explore_all();
-    assert!(total.violations.is_empty());
-    assert_eq!(
-        total.states,
-        EXPECTED_STATES.iter().map(|&(_, n)| n).sum::<usize>()
-    );
-}
-
-/// Liveness smoke: under full delivery the model commits both rounds in
-/// every scenario a certificate is reachable in — and in none where it is
-/// not. At n = 4 a crashed member makes every quorum unreachable (quorum =
-/// the whole member set), so `CrashedMember` must show zero full commits;
-/// that degenerate behaviour is exactly what the docs warn n = 4 does not
-/// generalize from.
+/// Liveness smoke: some schedule commits both rounds in every scenario,
+/// because in every one a quorum of ⌊4/2⌋+1 = 3 is alive and the leader is
+/// seated — it echoes and confirms as a member. That includes
+/// `CrashedMember`: three live members are exactly the threshold, so the
+/// one full-commit terminal there is reached only when nothing a live member
+/// sends is lost. (The hand-written model this run replaced gave the leader
+/// no ECHO or CONFIRM of its own, which made every quorum need all three
+/// member slots and `CrashedMember` never commit; the machines the engine
+/// runs say otherwise.) n = 4 still proves thresholds and nothing about
+/// collusion.
 #[test]
 fn full_commit_reachability_matches_quorum_arithmetic() {
-    for scenario in ALL_SCENARIOS {
-        let stats = explore(scenario, None);
-        if scenario == Scenario::CrashedMember {
-            assert_eq!(
-                stats.full_commit_terminals, 0,
-                "a 3-member quorum cannot survive a crashed member at n=4"
-            );
-        } else {
-            assert!(
-                stats.full_commit_terminals > 0,
-                "{scenario:?}: no interleaving commits both rounds"
-            );
-        }
+    for ((scenario, _), (stats, _)) in EXPECTED_STATES.into_iter().zip(clean_run()) {
+        assert!(
+            stats.full_commit_terminals > 0,
+            "{scenario:?}: no interleaving commits both rounds"
+        );
+        assert!(stats.full_commit_terminals < stats.terminal_states);
     }
 }
 
-/// Self-test: the checker must flag a deliberately broken transition, or its
-/// zero-violation result means nothing. Each broken rule is caught by the
-/// matching assertion, with a non-empty counterexample trace.
+/// Self-test: the checker must flag a deliberately broken rule planted in
+/// the real machines, or its zero-violation result means nothing. Each is
+/// caught by the matching assertion, with a non-empty counterexample trace.
 #[test]
 fn broken_rules_are_flagged_with_counterexamples() {
     // Committing at exactly half the committee (t+1 votes) breaks the
     // strict-majority tally rule.
-    let stats = explore(Scenario::AllHonest, Some(BrokenRule::CommitAtHalf));
+    let stats = explore::<broken::CommitAtHalf>(Scenario::AllHonest);
     let v = stats
         .violations
         .iter()
@@ -116,7 +122,7 @@ fn broken_rules_are_flagged_with_counterexamples() {
 
     // Backfilling missing voters as Yes manufactures votes out of the
     // quorum-timeout fallback.
-    let stats = explore(Scenario::AllHonest, Some(BrokenRule::BackfillYes));
+    let stats = explore::<broken::BackfillYes>(Scenario::AllHonest);
     let v = stats
         .violations
         .iter()
@@ -126,10 +132,7 @@ fn broken_rules_are_flagged_with_counterexamples() {
 
     // Dropping the evidence-verification gates lets a fabricated accusation
     // evict a correct leader.
-    let stats = explore(
-        Scenario::FalseAccusation,
-        Some(BrokenRule::SkipRefereeCheck),
-    );
+    let stats = explore::<broken::SkipRefereeCheck>(Scenario::FalseAccusation);
     let v = stats
         .violations
         .iter()
@@ -140,6 +143,88 @@ fn broken_rules_are_flagged_with_counterexamples() {
         "unevidenced eviction needs a multi-step schedule, got {:?}",
         v.trace
     );
+}
+
+/// A committee of four over one shard with one valid transaction offered —
+/// the scheduler's fixture and the driver's inputs from the same registry —
+/// and what `run_intra_consensus` makes of it on a network whose every leg
+/// takes exactly 1µs, which delivers in send order.
+fn scheduler_and_driver(leader: Behavior) -> (Fixture, NodeRegistry, IntraOutcome) {
+    let mut registry = NodeRegistry::generate(4, &AdversaryConfig::default(), 100, 0, 22);
+    let members = registry.ids();
+    registry.set_behavior(members[0], leader);
+    let committee = Committee {
+        index: 0,
+        leader: members[0],
+        partial_set: members[1..3].to_vec(),
+        keys: registry.committee_keys(&members),
+        members: members.clone(),
+    };
+    let mut workload = Workload::new(WorkloadConfig {
+        num_shards: 1,
+        cross_shard_ratio: 0.0,
+        invalid_ratio: 0.0,
+        ..WorkloadConfig::default()
+    });
+    let utxo = workload.build_genesis_utxo_sets().remove(0);
+    let offered = workload.generate_batch(1);
+    let unit = LatencyConfig {
+        delta: SimDuration::from_micros(1),
+        gamma: SimDuration::from_micros(2),
+        partial_bound: SimDuration::from_micros(3),
+    };
+    let (outcome, _) = run_intra_consensus(
+        &registry,
+        &committee,
+        &utxo,
+        &offered,
+        &[],
+        0,
+        unit,
+        22,
+        &mut ShardScratch::default(),
+        &FaultPlan::default(),
+    );
+    let seated: Vec<_> = members
+        .iter()
+        .map(|&member| (member, registry.node(member).keypair))
+        .collect();
+    (Fixture::new(&seated, offered[0].tx.id()), registry, outcome)
+}
+
+/// The scheduler composes the machines the way the driver does: fault-free,
+/// its deliver-everything-in-send-order schedule and `run_intra_consensus`
+/// end with the same decision vector and the same certificate — digest,
+/// signer set, signatures.
+#[test]
+fn the_scheduler_and_the_driver_certify_the_same_thing() {
+    let (fixture, _, driven) = scheduler_and_driver(Behavior::Honest);
+    let pass = first_pass_in_send_order(&fixture, Scenario::AllHonest);
+    assert_eq!(pass.decision, [1]);
+    assert_eq!(pass.decision, driven.decision);
+    let certificate = pass.certificate().expect("the honest pass certifies");
+    assert_eq!(certificate.signer_count(), 3);
+    assert_eq!(Some(certificate), driven.certificate.as_ref());
+    assert!(pass.equivocation.is_empty() && driven.equivocation.is_empty());
+}
+
+/// Likewise under an equivocating leader: both end without a certificate and
+/// with evidence that verifies under the leader's key.
+#[test]
+fn the_scheduler_and_the_driver_catch_the_same_equivocation() {
+    let (fixture, registry, driven) = scheduler_and_driver(Behavior::EquivocatingLeader);
+    let pass = first_pass_in_send_order(&fixture, Scenario::EquivocatingLeader);
+    assert_eq!(pass.decision, driven.decision);
+    assert_eq!(
+        (pass.certificate(), driven.certificate.as_ref()),
+        (None, None)
+    );
+    let leader_key = registry.node(registry.ids()[0]).keypair.public;
+    for evidence in [&pass.equivocation, &driven.equivocation] {
+        assert!(!evidence.is_empty());
+        assert!(evidence.iter().all(|e| e.verify(&leader_key)));
+    }
+    assert_eq!(pass.equivocation, driven.equivocation);
 }
 
 fn sim_config(adversary: AdversaryConfig, seed: u64, message_driven: bool) -> ProtocolConfig {

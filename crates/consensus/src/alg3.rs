@@ -26,6 +26,7 @@
 //! byte-identical; only the number of curve operations differs.
 
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 use cycledger_crypto::schnorr::{BatchEntry, Keypair, Signature};
 use cycledger_crypto::sha256::Digest;
@@ -43,7 +44,7 @@ use crate::witness::EquivocationEvidence;
 
 /// The signatures of one quorum step — ECHOes at a member, CONFIRMs at the
 /// leader: those verified, and those buffered for the batch check.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, Hash)]
 struct SignatureTally {
     verified: BTreeMap<NodeId, Signature>,
     /// Unchecked, in arrival order.
@@ -368,6 +369,22 @@ impl MemberState {
     }
 }
 
+/// State identity for an explorer: everything a reaction depends on. Left
+/// out are the verdict memo — it changes what a verdict costs, never the
+/// verdict — and what `me` and the instance determine (key pair, directory).
+impl Hash for MemberState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.me, self.leader, self.id, &self.accepted, &self.payload).hash(state);
+        (
+            &self.echoes,
+            self.confirmed,
+            self.halted,
+            self.verify_signatures,
+        )
+            .hash(state);
+    }
+}
+
 /// The leader's view of one Algorithm 3 instance: collecting CONFIRMs.
 #[derive(Clone, Debug)]
 pub struct LeaderState {
@@ -446,6 +463,14 @@ impl LeaderState {
     /// The certificate, if the instance already completed.
     pub fn certificate(&self) -> Option<&QuorumCertificate> {
         self.certificate.as_ref()
+    }
+}
+
+/// State identity for an explorer, as for [`MemberState`].
+impl Hash for LeaderState {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.id, self.digest, &self.confirms, &self.certificate).hash(state);
+        self.verify_signatures.hash(state);
     }
 }
 

@@ -8,6 +8,9 @@
 //!   recovery accusations travel through the discrete-event network.
 //! * [`alg3`] — per-node state machines for Algorithm 3, including equivocation
 //!   detection from conflicting leader-signed proposals.
+//! * [`collect`] — the `TXList` vote collection under its `4Δ` deadline, and
+//!   [`impeach`] — the impeachment vote of the recovery procedure: pure
+//!   machines of the same shape as [`alg3`]'s.
 //! * [`quorum`] — transferable quorum certificates ("SigList") and their
 //!   verification against a committee key directory.
 //! * [`sigcache`] — per-instance memoization of signature verification, so the
@@ -15,20 +18,22 @@
 //!   instead of once per receiving member — the receivers of the instance's
 //!   certificate included: the memo travels with it.
 //! * [`transition`] — the single side-effect-free decision core (thresholds,
-//!   tallies, impeachment rules) shared by the production drivers and the
-//!   `cycledger-checker` model checker.
+//!   tallies, impeachment rules) every machine here decides through.
 //! * [`votes`] — `TXList` voting, `V List` assembly, and the `TXdecSET` tally
 //!   (Algorithm 5).
 //! * [`witness`] — leader-misbehaviour witnesses (equivocation, semi-commitment
 //!   mismatch) that feed the recovery procedure (Algorithm 6, Claims 3 & 4).
 //!
-//! Everything here is transport-agnostic; the `cycledger-protocol` crate drives
-//! these state machines over the simulated network.
+//! Everything here is transport-agnostic: the `cycledger-protocol` crate drives
+//! these state machines over the simulated network, and `cycledger-checker`
+//! drives the same machines through every schedule of a small committee.
 
 #![warn(missing_docs)]
 
 pub mod alg3;
+pub mod collect;
 pub mod envelope;
+pub mod impeach;
 pub mod messages;
 pub mod quorum;
 pub mod sigcache;

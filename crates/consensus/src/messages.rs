@@ -38,7 +38,7 @@ impl ConsensusId {
 }
 
 /// The leader's PROPOSE message.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Propose {
     /// Consensus instance.
     pub id: ConsensusId,
@@ -56,7 +56,7 @@ pub struct Propose {
 
 /// A member's ECHO message (carries the leader-signed proposal header so that
 /// receivers can verify leader origin without having heard the PROPOSE).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Echo {
     /// Consensus instance.
     pub id: ConsensusId,
@@ -74,7 +74,7 @@ pub struct Echo {
 
 /// A member's CONFIRM message back to the leader, carrying the echo signatures
 /// that justify it.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Confirm {
     /// Consensus instance.
     pub id: ConsensusId,

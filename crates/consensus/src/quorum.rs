@@ -69,7 +69,7 @@ impl CommitteeKeys {
 }
 
 /// A quorum certificate: a digest plus confirm-signatures from distinct members.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct QuorumCertificate {
     /// Consensus instance the certificate belongs to.
     pub id: ConsensusId,

@@ -7,20 +7,21 @@
 //! (Algorithm 6, Claims 3 & 4), and the admit rule for a certified
 //! cross-shard list (§IV-D) — is a pure function in this module.
 //!
-//! The production drivers ([`crate::alg3`], [`crate::votes`],
-//! [`crate::quorum`], and the `cycledger-protocol` phase drivers) call these
-//! functions on their live state, and the `cycledger-checker` model checker
-//! calls the *same* functions on its abstract state. That sharing is the
-//! point: the checker's exhaustive verdicts bind the real code because there
-//! is exactly one copy of each rule — a divergence between model and
-//! implementation can only live in *plumbing* (message routing, deadlines),
-//! which the checker's refinement layer covers separately by replaying
-//! concrete traces through these functions.
+//! The machines of this crate ([`crate::alg3`], [`crate::collect`],
+//! [`crate::impeach`], [`crate::votes`], [`crate::quorum`]) decide through
+//! these functions and nothing else, and there is one copy of each machine:
+//! the `cycledger-protocol` phase loops feed them from a network, and the
+//! `cycledger-checker` scheduler feeds the *same* machines every schedule.
+//! What is left for the checker's refinement layer is the plumbing at fuzz
+//! scale — message routing, deadlines, counters — which it covers by
+//! replaying concrete traces through these functions.
 //!
 //! Nothing here allocates, reads clocks, or touches the network; every
 //! function is total over its inputs.
 
 use cycledger_crypto::sha256::Digest;
+
+use crate::votes::Vote;
 
 /// The majority threshold `⌊C/2⌋ + 1` used throughout Algorithm 3 and the
 /// recovery vote (Algorithm 6): the smallest count that is a strict majority
@@ -107,6 +108,53 @@ pub const fn impeachment_passes(approvals: usize, committee_size: usize) -> bool
     approvals >= majority_threshold(committee_size)
 }
 
+/// Whether a committee goes through recovery after its intra-committee
+/// consensus: its leader announced nothing, or honest members hold
+/// equivocation evidence, or work was offered and no certificate came of it
+/// (an idle committee without a certificate has nothing to recover).
+pub const fn needs_recovery(
+    leader_silent: bool,
+    equivocation_reported: bool,
+    certified: bool,
+    work_offered: bool,
+) -> bool {
+    leader_silent || equivocation_reported || (!certified && work_offered)
+}
+
+/// The rules the vote collector and the impeachment machine decide by, as a
+/// type parameter those machines default to [`Paper`]. It exists for one
+/// caller: the checker's self-test substitutes a deliberately broken rule
+/// and must then find a violation. Nothing selects a rule at run time.
+pub trait Rules {
+    /// What the leader records, per transaction, for a member whose reply
+    /// missed the deadline (§IV-C step 4): `Unknown`, which counts toward
+    /// nothing.
+    const BACKFILL: Vote = Vote::Unknown;
+
+    /// [`tx_accepted`].
+    fn tx_accepted(yes_votes: usize, committee_size: usize) -> bool {
+        tx_accepted(yes_votes, committee_size)
+    }
+
+    /// [`member_approves_impeachment`].
+    fn member_approves_impeachment(member_is_honest: bool, evidence_valid: bool) -> bool {
+        member_approves_impeachment(member_is_honest, evidence_valid)
+    }
+
+    /// The referee committee's own check of an impeachment that carried the
+    /// committee's vote: it evicts only on evidence it re-verified itself, so
+    /// a vote majority alone never evicts (Claim 4).
+    fn referee_upholds(evidence_valid: bool) -> bool {
+        evidence_valid
+    }
+}
+
+/// The rules as the paper states them: every default of [`Rules`].
+#[derive(Clone, Copy, Debug, Default, Hash)]
+pub struct Paper;
+
+impl Rules for Paper {}
+
 /// Whether a committee admits one leaf of another committee's certified
 /// vector — a forwarded `TXList_{i,j}` at the destination, or the returned
 /// vote result at the source (§IV-D). All four facts must hold:
@@ -189,6 +237,21 @@ mod tests {
         assert!(timeout_accusation_admissible(true, true));
         assert!(!timeout_accusation_admissible(true, false));
         assert!(!timeout_accusation_admissible(false, true));
+    }
+
+    #[test]
+    fn recovery_routing_boundaries() {
+        // A certificate over offered work, nothing reported: no recovery.
+        assert!(!needs_recovery(false, false, true, true));
+        // No certificate is a failure only when there was work to certify.
+        assert!(needs_recovery(false, false, false, true));
+        assert!(!needs_recovery(false, false, false, false));
+        // Silence and equivocation route to recovery whatever else holds —
+        // a certificate formed beside reported evidence included.
+        for (certified, offered) in [(false, false), (false, true), (true, false), (true, true)] {
+            assert!(needs_recovery(true, false, certified, offered));
+            assert!(needs_recovery(false, true, certified, offered));
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use cycledger_ledger::transaction::TxId;
 use cycledger_net::topology::NodeId;
 
 /// A member's opinion on one transaction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Vote {
     /// The transaction is valid.
     Yes,
@@ -33,7 +33,7 @@ impl Vote {
 }
 
 /// One member's votes over an ordered transaction list.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct VoteVector {
     /// The voting member.
     pub voter: NodeId,
@@ -47,15 +47,6 @@ impl VoteVector {
         VoteVector { voter, votes }
     }
 
-    /// An all-`Unknown` vector — what the leader records for members that did
-    /// not reply within the collection window (§IV-C step 4).
-    pub fn all_unknown(voter: NodeId, len: usize) -> Self {
-        VoteVector {
-            voter,
-            votes: vec![Vote::Unknown; len],
-        }
-    }
-
     /// Approximate wire size in bytes.
     pub fn wire_size(&self) -> u64 {
         4 + self.votes.len() as u64
@@ -63,7 +54,7 @@ impl VoteVector {
 }
 
 /// The leader's collected `V List`: every member's vote vector over one `TXList`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct VoteList {
     /// Transaction ids, in the order votes refer to them.
     pub tx_ids: Vec<TxId>,
@@ -114,6 +105,16 @@ impl VoteList {
     /// Tallies the votes: a transaction enters `TXdecSET` iff strictly more than
     /// `committee_size / 2` members voted `Yes` (Algorithm 5, line 14).
     pub fn tally(&self, committee_size: usize) -> Tally {
+        self.tally_by(committee_size, crate::transition::tx_accepted)
+    }
+
+    /// [`tally`](Self::tally) under an explicit acceptance rule — the vote
+    /// collector's seam for [`crate::transition::Rules`].
+    pub(crate) fn tally_by(
+        &self,
+        committee_size: usize,
+        accepts: impl Fn(usize, usize) -> bool,
+    ) -> Tally {
         let mut yes_counts = vec![0usize; self.tx_ids.len()];
         for vector in &self.votes {
             for (k, vote) in vector.votes.iter().enumerate() {
@@ -125,7 +126,7 @@ impl VoteList {
         let mut accepted_indices = Vec::new();
         let mut decision = Vec::with_capacity(self.tx_ids.len());
         for (k, &yes) in yes_counts.iter().enumerate() {
-            if crate::transition::tx_accepted(yes, committee_size) {
+            if accepts(yes, committee_size) {
                 accepted_indices.push(k);
                 decision.push(1);
             } else {
@@ -206,7 +207,7 @@ mod tests {
     #[test]
     fn all_unknown_vector_counts_nothing() {
         let mut list = VoteList::new(ids(3));
-        list.record(VoteVector::all_unknown(NodeId(0), 3));
+        list.record(VoteVector::new(NodeId(0), vec![Vote::Unknown; 3]));
         list.record(VoteVector::new(NodeId(1), vec![Vote::Yes; 3]));
         let tally = list.tally(2);
         // 1 yes out of committee of 2 is not a strict majority... 1*2 > 2 false.
@@ -227,7 +228,10 @@ mod tests {
         let mut list = VoteList::new(ids(4));
         list.record(VoteVector::new(NodeId(0), vec![Vote::Yes; 4]));
         assert_eq!(list.wire_size(), 4 * 32 + 4 + 4);
-        assert_eq!(VoteVector::all_unknown(NodeId(1), 10).wire_size(), 14);
+        assert_eq!(
+            VoteVector::new(NodeId(1), vec![Vote::Unknown; 10]).wire_size(),
+            14
+        );
     }
 
     proptest! {

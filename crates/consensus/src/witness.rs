@@ -23,7 +23,7 @@ use cycledger_net::topology::NodeId;
 use crate::messages::{propose_signing_bytes, ConsensusId};
 
 /// Proof that a leader signed two different digests for one consensus instance.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct EquivocationEvidence {
     /// The consensus instance.
     pub id: ConsensusId,

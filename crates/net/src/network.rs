@@ -367,8 +367,8 @@ impl<M> SimNetwork<M> {
     /// Deadlines are inclusive: when a message and a timer fall on the same
     /// instant the message is delivered first, so a driver that tallies on
     /// `Timer` has seen everything that arrived *by* the deadline. The
-    /// tie-break is [`crate::time::message_beats_timer`], shared with the
-    /// model checker's schedule enumerator.
+    /// tie-break is [`crate::time::message_beats_timer`]; `cycledger-checker`'s
+    /// scheduler takes the same side of it.
     pub fn next_event(&mut self) -> Option<NetEvent<M>> {
         let msg_at = self.queue.peek().map(|Reverse(s)| s.deliver_at);
         let timer_at = self.timers.peek().map(|Reverse((at, _, _))| *at);

@@ -115,9 +115,9 @@ impl Deadline {
 /// before a timer's instant is delivered before that timer fires. This is the
 /// queue-side twin of [`Deadline::includes`] — together they make every
 /// deadline in the simulator inclusive (a vote arriving *exactly at* `4Δ`
-/// still counts toward quorum). `cycledger-checker` enumerates abstract
-/// schedules against this same predicate, so the model and the production
-/// event loop cannot drift on boundary ordering.
+/// still counts toward quorum). `cycledger-checker`'s scheduler takes the
+/// same side of the tie: a delivery it enables beside the vote deadline is
+/// handed to the collector *at* the deadline instant.
 pub const fn message_beats_timer(message_at: SimTime, timer_at: SimTime) -> bool {
     message_at.0 <= timer_at.0
 }

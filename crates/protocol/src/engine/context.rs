@@ -39,7 +39,7 @@ pub enum RecoveryAttempt {
 }
 
 /// Per-round shared state, owned by the engine and threaded through every
-/// [`crate::engine::RoundPhase`].
+/// phase of [`crate::engine::pipeline`].
 ///
 /// The context splits into three bands:
 ///

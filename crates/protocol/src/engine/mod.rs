@@ -8,11 +8,11 @@
 //! * [`RoundContext`] (`context`) — owns all per-round shared state:
 //!   committees, referee, metrics, workload split, eviction ledger, and the
 //!   artifacts each phase produces for its successors.
-//! * [`RoundPhase`] (this module) — the boundary every protocol phase
-//!   implements. A phase declares its inputs and outputs as context
-//!   artifacts, so phase order and data flow are visible in one place
-//!   ([`pipeline::standard_pipeline`]) instead of being threaded through a
-//!   single function body.
+//! * [`pipeline`] — every protocol phase as a function over the context. A
+//!   phase declares its inputs and outputs as context artifacts, so phase
+//!   order and data flow are visible in one place
+//!   ([`pipeline::standard_pipeline`], a static table of names and functions)
+//!   instead of being threaded through a single function body.
 //! * [`ShardExecutor`] (`executor`) — a persistent worker pool created once
 //!   per [`crate::simulation::Simulation`] and reused across rounds. Every
 //!   per-committee or per-node cryptographic loop of a round is an executor
@@ -54,20 +54,6 @@ pub use context::{RecoveryAttempt, RoundContext};
 pub use executor::ShardExecutor;
 pub use pipeline::standard_pipeline;
 
-/// One protocol phase of the round pipeline.
-///
-/// Implementations read their inputs from earlier phases' artifacts on the
-/// [`RoundContext`] and write their outputs back to it; `execute` runs on the
-/// driver thread and delegates data-parallel work to
-/// [`RoundContext::executor`].
-pub trait RoundPhase {
-    /// Stable identifier of the phase (diagnostics and tracing).
-    fn name(&self) -> &'static str;
-
-    /// Runs the phase against the round's shared state.
-    fn execute(&mut self, ctx: &mut RoundContext<'_>);
-}
-
 /// Observation points the engine exposes to external subsystems.
 ///
 /// The scenario runner's invariant checkers implement this to watch a round
@@ -95,12 +81,12 @@ impl RoundObserver for NoopObserver {}
 /// phase boundary to `observer`.
 pub fn run_pipeline_observed(
     ctx: &mut RoundContext<'_>,
-    phases: &mut [Box<dyn RoundPhase>],
+    phases: &[pipeline::Phase],
     observer: &mut dyn RoundObserver,
 ) {
-    for phase in phases {
-        observer.on_phase_start(phase.name(), ctx);
-        phase.execute(ctx);
-        observer.on_phase_end(phase.name(), ctx);
+    for &(name, execute) in phases {
+        observer.on_phase_start(name, ctx);
+        execute(ctx);
+        observer.on_phase_end(name, ctx);
     }
 }

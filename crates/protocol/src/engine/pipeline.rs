@@ -1,5 +1,5 @@
-//! The standard seven-phase pipeline, each protocol phase as a
-//! [`RoundPhase`] implementation over [`RoundContext`].
+//! The standard seven-phase pipeline, each protocol phase as a function over
+//! [`RoundContext`].
 //!
 //! Inputs and outputs of every phase are explicit context artifacts (see the
 //! per-phase docs): a phase only reads artifacts produced by earlier phases
@@ -8,6 +8,7 @@
 //! observable behaviour.
 
 use cycledger_consensus::sigcache::SigCache;
+use cycledger_consensus::transition::needs_recovery;
 use cycledger_consensus::votes::VoteList;
 use cycledger_consensus::witness::Witness;
 use cycledger_ledger::transaction::Transaction;
@@ -17,7 +18,6 @@ use cycledger_net::topology::NodeId;
 
 use crate::committee::Committee;
 use crate::engine::context::RoundContext;
-use crate::engine::RoundPhase;
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::configuration::run_committee_configuration;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
@@ -28,17 +28,22 @@ use crate::phases::semi_commitment::run_semi_commitment_exchange;
 use crate::phases::xshard::{self, InterEnv};
 use crate::sortition::AssignmentParams;
 
+/// One phase of the pipeline: the name observers and traces see, and the
+/// function that runs it on the driver thread (delegating data-parallel work
+/// to [`RoundContext::executor`]).
+pub type Phase = (&'static str, fn(&mut RoundContext<'_>));
+
 /// The standard pipeline in protocol order (§IV).
-pub fn standard_pipeline() -> Vec<Box<dyn RoundPhase>> {
-    vec![
-        Box::new(ConfigurationPhase),
-        Box::new(SemiCommitmentPhase),
-        Box::new(IntraConsensusPhase),
-        Box::new(IntraRecoveryPhase),
-        Box::new(InterConsensusPhase),
-        Box::new(ReputationUpdatePhase),
-        Box::new(SelectionPhase),
-        Box::new(BlockGenerationPhase),
+pub fn standard_pipeline() -> &'static [Phase] {
+    &[
+        ("committee-configuration", configuration),
+        ("semi-commitment-exchange", semi_commitment),
+        ("intra-consensus", intra_consensus),
+        ("intra-recovery", intra_recovery),
+        ("inter-consensus", inter_consensus),
+        ("reputation-update", reputation_update),
+        ("selection", selection),
+        ("block-generation", block_generation),
     ]
 }
 
@@ -48,29 +53,21 @@ pub fn standard_pipeline() -> Vec<Box<dyn RoundPhase>> {
 /// Inputs: the round assignment. Outputs: configuration traffic in
 /// `ctx.metrics`, `ctx.configuration`, and `ctx.committees` without the
 /// members whose claim the key members rejected.
-pub struct ConfigurationPhase;
-
-impl RoundPhase for ConfigurationPhase {
-    fn name(&self) -> &'static str {
-        "committee-configuration"
-    }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        let outcome = run_committee_configuration(
-            ctx.executor,
-            ctx.registry,
-            ctx.assignment,
-            ctx.config.latency.delta,
-            &mut ctx.metrics,
-        );
-        // The engine's assignment always comes from `assign_round_on` over
-        // this very registry — one reused after a beacon failure still
-        // carries the round its proofs were drawn for — so every proof
-        // verifies; a rejection here means sortition and configuration
-        // disagree.
-        debug_assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
-        ctx.apply_configuration(outcome);
-    }
+pub fn configuration(ctx: &mut RoundContext<'_>) {
+    let outcome = run_committee_configuration(
+        ctx.executor,
+        ctx.registry,
+        ctx.assignment,
+        ctx.config.latency.delta,
+        &mut ctx.metrics,
+    );
+    // The engine's assignment always comes from `assign_round_on` over
+    // this very registry — one reused after a beacon failure still
+    // carries the round its proofs were drawn for — so every proof
+    // verifies; a rejection here means sortition and configuration
+    // disagree.
+    debug_assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
+    ctx.apply_configuration(outcome);
 }
 
 /// Phase 2 — semi-commitment exchange (Alg. 4), plus recovery for any
@@ -78,31 +75,23 @@ impl RoundPhase for ConfigurationPhase {
 ///
 /// Inputs: `ctx.committees`. Outputs: `ctx.witnesses`, evictions in
 /// `ctx.evicted`, mutated committees/reputation on successful impeachment.
-pub struct SemiCommitmentPhase;
-
-impl RoundPhase for SemiCommitmentPhase {
-    fn name(&self) -> &'static str {
-        "semi-commitment-exchange"
-    }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        let semi = run_semi_commitment_exchange(
-            ctx.registry,
-            &ctx.committees,
-            &ctx.referee,
-            ctx.round,
-            ctx.config.latency,
-            ctx.config.seed ^ ctx.round,
-            &mut ctx.metrics,
-        );
-        ctx.witnesses += semi.witnesses.len();
-        for witness in semi.witnesses {
-            let k = match &witness {
-                Witness::CommitmentMismatch(e) => e.committee,
-                Witness::Equivocation(_) => continue,
-            };
-            ctx.attempt_recovery(k, Accusation::Signed(witness));
-        }
+pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
+    let semi = run_semi_commitment_exchange(
+        ctx.registry,
+        &ctx.committees,
+        &ctx.referee,
+        ctx.round,
+        ctx.config.latency,
+        ctx.config.seed ^ ctx.round,
+        &mut ctx.metrics,
+    );
+    ctx.witnesses += semi.witnesses.len();
+    for witness in semi.witnesses {
+        let k = match &witness {
+            Witness::CommitmentMismatch(e) => e.committee,
+            Witness::Equivocation(_) => continue,
+        };
+        ctx.attempt_recovery(k, Accusation::Signed(witness));
     }
 }
 
@@ -113,16 +102,8 @@ impl RoundPhase for SemiCommitmentPhase {
 /// Outputs: `ctx.intra_outcomes` (committee order), each certificate already
 /// through the referee's check (`run_intra_batch`), and per-worker
 /// metrics merged in committee order.
-pub struct IntraConsensusPhase;
-
-impl RoundPhase for IntraConsensusPhase {
-    fn name(&self) -> &'static str {
-        "intra-consensus"
-    }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.intra_outcomes = run_intra_batch(ctx, None);
-    }
+pub fn intra_consensus(ctx: &mut RoundContext<'_>) {
+    ctx.intra_outcomes = run_intra_batch(ctx, None);
 }
 
 /// Phase 3b — recovery for leaders that failed intra consensus, then one
@@ -135,51 +116,45 @@ impl RoundPhase for IntraConsensusPhase {
 /// reputation table and the referee's metrics), but the retried consensus
 /// instances — pure functions of the post-recovery committees — run as one
 /// executor batch.
-pub struct IntraRecoveryPhase;
-
-impl RoundPhase for IntraRecoveryPhase {
-    fn name(&self) -> &'static str {
-        "intra-recovery"
+pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
+    let m = ctx.committee_count();
+    let mut retries: Vec<usize> = Vec::new();
+    for k in 0..m {
+        let outcome = &ctx.intra_outcomes[k];
+        if !needs_recovery(
+            outcome.leader_silent,
+            !outcome.equivocation.is_empty(),
+            outcome.certificate.is_some(),
+            !ctx.intra_per_shard[k].is_empty(),
+        ) {
+            continue;
+        }
+        ctx.witnesses += ctx.intra_outcomes[k].equivocation.len();
+        let accusation = if let Some(evidence) = ctx.intra_outcomes[k].equivocation.first() {
+            Accusation::Signed(Witness::Equivocation(evidence.clone()))
+        } else {
+            Accusation::Timeout {
+                leader: ctx.committees[k].leader,
+                committee: k,
+                observed_by_committee: true,
+            }
+        };
+        if let crate::engine::context::RecoveryAttempt::Evicted(_) =
+            ctx.attempt_recovery(k, accusation)
+        {
+            retries.push(k);
+        }
+    }
+    if retries.is_empty() {
+        return;
     }
 
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        let m = ctx.committee_count();
-        let mut retries: Vec<usize> = Vec::new();
-        for k in 0..m {
-            let needs_recovery = ctx.intra_outcomes[k].leader_silent
-                || !ctx.intra_outcomes[k].equivocation.is_empty()
-                || (ctx.intra_outcomes[k].certificate.is_none()
-                    && !ctx.intra_per_shard[k].is_empty());
-            if !needs_recovery {
-                continue;
-            }
-            ctx.witnesses += ctx.intra_outcomes[k].equivocation.len();
-            let accusation = if let Some(evidence) = ctx.intra_outcomes[k].equivocation.first() {
-                Accusation::Signed(Witness::Equivocation(evidence.clone()))
-            } else {
-                Accusation::Timeout {
-                    leader: ctx.committees[k].leader,
-                    committee: k,
-                    observed_by_committee: true,
-                }
-            };
-            if let crate::engine::context::RecoveryAttempt::Evicted(_) =
-                ctx.attempt_recovery(k, accusation)
-            {
-                retries.push(k);
-            }
-        }
-        if retries.is_empty() {
-            return;
-        }
-
-        // Retry the intra phase under the new leaders, in parallel. Both
-        // attempts really happened this round: the retry's counters fold in
-        // on top of the main batch's.
-        let results = run_intra_batch(ctx, Some(&retries));
-        for (outcome, &k) in results.into_iter().zip(&retries) {
-            ctx.intra_outcomes[k] = outcome;
-        }
+    // Retry the intra phase under the new leaders, in parallel. Both
+    // attempts really happened this round: the retry's counters fold in
+    // on top of the main batch's.
+    let results = run_intra_batch(ctx, Some(&retries));
+    for (outcome, &k) in results.into_iter().zip(&retries) {
+        ctx.intra_outcomes[k] = outcome;
     }
 }
 
@@ -284,47 +259,39 @@ fn referee_check(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
 ///
 /// Inputs: `ctx.cross_shard`, post-recovery committees. Outputs: `ctx.inter`,
 /// `ctx.censorship_count`, further evictions.
-pub struct InterConsensusPhase;
-
-impl RoundPhase for InterConsensusPhase {
-    fn name(&self) -> &'static str {
-        "inter-consensus"
-    }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        let env = InterEnv {
-            plan: ctx.faults,
-            registry: ctx.registry,
-            committees: &ctx.committees,
-            utxo_sets: ctx.utxo_sets,
-            round: ctx.round,
-            latency: ctx.config.latency,
-            seed: ctx.config.seed ^ (ctx.round << 16),
-        };
-        let inter = xshard::run_phase(&env, &ctx.cross_shard, ctx.executor, &mut ctx.metrics);
-        ctx.quorum_timeouts += inter.quorum_timeouts;
-        ctx.list_timeouts += inter.list_timeouts;
-        ctx.votes_missing += inter.votes_missing;
-        ctx.net_dropped += inter.net_dropped;
-        ctx.syncing_abstentions += inter.syncing_abstentions;
-        ctx.syncing_votes += inter.syncing_votes;
-        ctx.witnesses += inter.equivocation.len();
-        ctx.censorship_count = inter.censorship_reports.len();
-        // The reports are only needed for the impeachments below; nothing
-        // downstream reads them out of `ctx.inter` again.
-        let mut inter = inter;
-        let reports = std::mem::take(&mut inter.censorship_reports);
-        ctx.inter = Some(inter);
-        for report in &reports {
-            // The committee observed the timeout; impeach the censoring
-            // leader — once, however many destinations it withheld from —
-            // unless an earlier phase already replaced it.
-            let k = report.committee;
-            if ctx.evicted.iter().any(|(ek, _)| *ek == k) {
-                continue;
-            }
-            ctx.attempt_recovery_by(k, Accusation::from_censorship(report), report.reporter);
+pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
+    let env = InterEnv {
+        plan: ctx.faults,
+        registry: ctx.registry,
+        committees: &ctx.committees,
+        utxo_sets: ctx.utxo_sets,
+        round: ctx.round,
+        latency: ctx.config.latency,
+        seed: ctx.config.seed ^ (ctx.round << 16),
+    };
+    let inter = xshard::run_phase(&env, &ctx.cross_shard, ctx.executor, &mut ctx.metrics);
+    ctx.quorum_timeouts += inter.quorum_timeouts;
+    ctx.list_timeouts += inter.list_timeouts;
+    ctx.votes_missing += inter.votes_missing;
+    ctx.net_dropped += inter.net_dropped;
+    ctx.syncing_abstentions += inter.syncing_abstentions;
+    ctx.syncing_votes += inter.syncing_votes;
+    ctx.witnesses += inter.equivocation.len();
+    ctx.censorship_count = inter.censorship_reports.len();
+    // The reports are only needed for the impeachments below; nothing
+    // downstream reads them out of `ctx.inter` again.
+    let mut inter = inter;
+    let reports = std::mem::take(&mut inter.censorship_reports);
+    ctx.inter = Some(inter);
+    for report in &reports {
+        // The committee observed the timeout; impeach the censoring
+        // leader — once, however many destinations it withheld from —
+        // unless an earlier phase already replaced it.
+        let k = report.committee;
+        if ctx.evicted.iter().any(|(ek, _)| *ek == k) {
+            continue;
         }
+        ctx.attempt_recovery_by(k, report.accusation(), report.reporter);
     }
 }
 
@@ -332,71 +299,55 @@ impl RoundPhase for InterConsensusPhase {
 ///
 /// Inputs: `ctx.intra_outcomes`. Outputs: mutated reputation table, traffic
 /// in `ctx.metrics`.
-pub struct ReputationUpdatePhase;
-
-impl RoundPhase for ReputationUpdatePhase {
-    fn name(&self) -> &'static str {
-        "reputation-update"
-    }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        // Borrow the vote lists and decisions straight out of the intra
-        // outcomes — the seed cloned both per committee per round.
-        let inputs: Vec<(usize, &VoteList, &[i8], bool)> = ctx
-            .intra_outcomes
-            .iter()
-            .map(|o| {
-                (
-                    o.committee,
-                    &o.vote_list,
-                    o.decision.as_slice(),
-                    o.certificate.is_some(),
-                )
-            })
-            .collect();
-        run_reputation_update(
-            ctx.executor,
-            ctx.registry,
-            &ctx.committees,
-            &ctx.assignment.referee,
-            &inputs,
-            ctx.reputation,
-            ctx.config.leader_bonus,
-            ctx.round,
-            ctx.config.latency,
-            ctx.config.seed ^ (ctx.round << 24),
-            &mut ctx.metrics,
-        );
-    }
+pub fn reputation_update(ctx: &mut RoundContext<'_>) {
+    // Borrow the vote lists and decisions straight out of the intra
+    // outcomes — the seed cloned both per committee per round.
+    let inputs: Vec<(usize, &VoteList, &[i8], bool)> = ctx
+        .intra_outcomes
+        .iter()
+        .map(|o| {
+            (
+                o.committee,
+                &o.vote_list,
+                o.decision.as_slice(),
+                o.certificate.is_some(),
+            )
+        })
+        .collect();
+    run_reputation_update(
+        ctx.executor,
+        ctx.registry,
+        &ctx.committees,
+        &ctx.assignment.referee,
+        &inputs,
+        ctx.reputation,
+        ctx.config.leader_bonus,
+        ctx.round,
+        ctx.config.latency,
+        ctx.config.seed ^ (ctx.round << 24),
+        &mut ctx.metrics,
+    );
 }
 
 /// Phase 6 — beacon, PoW participation, next-round selection (§IV-F).
 ///
 /// Inputs: the reputation table after updates. Outputs: `ctx.selection`.
-pub struct SelectionPhase;
-
-impl RoundPhase for SelectionPhase {
-    fn name(&self) -> &'static str {
-        "selection"
-    }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        ctx.selection = Some(run_selection(
-            ctx.executor,
-            ctx.registry,
-            &ctx.assignment.referee,
-            AssignmentParams {
-                committees: ctx.config.committees,
-                partial_set_size: ctx.config.partial_set_size,
-                referee_size: ctx.config.referee_size,
-            },
-            ctx.reputation,
-            ctx.round,
-            ctx.assignment.randomness,
-            ctx.config.pow_difficulty,
-            &mut ctx.metrics,
-        ));
-    }
+pub fn selection(ctx: &mut RoundContext<'_>) {
+    ctx.selection = Some(run_selection(
+        ctx.executor,
+        ctx.registry,
+        &ctx.assignment.referee,
+        AssignmentParams {
+            committees: ctx.config.committees,
+            partial_set_size: ctx.config.partial_set_size,
+            referee_size: ctx.config.referee_size,
+        },
+        ctx.reputation,
+        ctx.round,
+        ctx.assignment.randomness,
+        ctx.config.pow_difficulty,
+        &mut ctx.metrics,
+    ));
 }
 
 /// Phase 7 — block generation, propagation and per-shard application
@@ -406,87 +357,79 @@ impl RoundPhase for SelectionPhase {
 /// `ctx.block_outcome`, `ctx.cross_packed_ids`, and the block applied to
 /// every shard's UTXO set — one executor task per shard, since the sets are
 /// disjoint.
-pub struct BlockGenerationPhase;
-
-impl RoundPhase for BlockGenerationPhase {
-    fn name(&self) -> &'static str {
-        "block-generation"
+pub fn block_generation(ctx: &mut RoundContext<'_>) {
+    // Stage candidates in the arena's reusable buffer, taking ownership
+    // of the decided/accepted transactions instead of cloning them (no
+    // later phase reads them, and `Transaction` clones would still pay
+    // an Arc bump each).
+    let mut candidates: Vec<Transaction> = std::mem::take(&mut ctx.arena.candidates);
+    for outcome in &mut ctx.intra_outcomes {
+        candidates.append(&mut outcome.decided);
     }
-
-    fn execute(&mut self, ctx: &mut RoundContext<'_>) {
-        // Stage candidates in the arena's reusable buffer, taking ownership
-        // of the decided/accepted transactions instead of cloning them (no
-        // later phase reads them, and `Transaction` clones would still pay
-        // an Arc bump each).
-        let mut candidates: Vec<Transaction> = std::mem::take(&mut ctx.arena.candidates);
-        for outcome in &mut ctx.intra_outcomes {
-            candidates.append(&mut outcome.decided);
-        }
-        if let Some(inter) = &mut ctx.inter {
-            for txs in &mut inter.accepted {
-                for tx in txs.drain(..) {
-                    ctx.cross_packed_ids.insert(tx.id());
-                    candidates.push(tx);
-                }
+    if let Some(inter) = &mut ctx.inter {
+        for txs in &mut inter.accepted {
+            for tx in txs.drain(..) {
+                ctx.cross_packed_ids.insert(tx.id());
+                candidates.push(tx);
             }
         }
-        let all_nodes: Vec<NodeId> = ctx.registry.ids();
-        let block_outcome = run_block_generation(
-            ctx.registry,
-            &ctx.referee,
-            &all_nodes,
-            ctx.selection
-                .as_ref()
-                .and_then(|s| s.next_assignment.as_ref()),
-            &mut candidates,
-            ctx.utxo_sets,
-            &mut ctx.arena.overlay,
-            ctx.reputation,
-            ctx.prev_hash,
-            ctx.block_height,
-            ctx.config.latency,
-            ctx.config.seed ^ (ctx.round << 32),
-            &mut ctx.metrics,
-        );
-        // Return the (drained) buffer to the arena for the next round.
-        ctx.arena.candidates = candidates;
-
-        // Apply the released block to every shard's UTXO set, one executor
-        // task per shard (the per-shard sets are disjoint by construction),
-        // each over the transactions that touch its shard.
-        if let Some(block) = &block_outcome.block {
-            let touched = ctx
-                .arena
-                .index_by_touched_shard(&block.transactions, ctx.utxo_sets.len());
-            let tasks: Vec<_> = ctx
-                .utxo_sets
-                .iter_mut()
-                .zip(touched)
-                .map(|(set, positions)| {
-                    move || {
-                        for &position in positions {
-                            set.apply(&block.transactions[position]);
-                        }
-                    }
-                })
-                .collect();
-            let _: Vec<()> = ctx.executor.execute(tasks);
-        }
-        // Seal each shard's round delta into a versioned state root — one
-        // executor task per shard, mirroring the apply batch. Rounds run
-        // even when no block was produced (the root just re-publishes), so
-        // every round report carries exactly one root per shard.
-        if ctx.config.state_backend == StateBackend::Smt {
-            let round = ctx.round;
-            let tasks: Vec<_> = ctx
-                .utxo_sets
-                .iter_mut()
-                .map(|set| move || set.commit_round(round).expect("smt backend returns a root"))
-                .collect();
-            ctx.state_roots = ctx.executor.execute(tasks);
-        }
-        ctx.block_outcome = Some(block_outcome);
     }
+    let all_nodes: Vec<NodeId> = ctx.registry.ids();
+    let block_outcome = run_block_generation(
+        ctx.registry,
+        &ctx.referee,
+        &all_nodes,
+        ctx.selection
+            .as_ref()
+            .and_then(|s| s.next_assignment.as_ref()),
+        &mut candidates,
+        ctx.utxo_sets,
+        &mut ctx.arena.overlay,
+        ctx.reputation,
+        ctx.prev_hash,
+        ctx.block_height,
+        ctx.config.latency,
+        ctx.config.seed ^ (ctx.round << 32),
+        &mut ctx.metrics,
+    );
+    // Return the (drained) buffer to the arena for the next round.
+    ctx.arena.candidates = candidates;
+
+    // Apply the released block to every shard's UTXO set, one executor
+    // task per shard (the per-shard sets are disjoint by construction),
+    // each over the transactions that touch its shard.
+    if let Some(block) = &block_outcome.block {
+        let touched = ctx
+            .arena
+            .index_by_touched_shard(&block.transactions, ctx.utxo_sets.len());
+        let tasks: Vec<_> = ctx
+            .utxo_sets
+            .iter_mut()
+            .zip(touched)
+            .map(|(set, positions)| {
+                move || {
+                    for &position in positions {
+                        set.apply(&block.transactions[position]);
+                    }
+                }
+            })
+            .collect();
+        let _: Vec<()> = ctx.executor.execute(tasks);
+    }
+    // Seal each shard's round delta into a versioned state root — one
+    // executor task per shard, mirroring the apply batch. Rounds run
+    // even when no block was produced (the root just re-publishes), so
+    // every round report carries exactly one root per shard.
+    if ctx.config.state_backend == StateBackend::Smt {
+        let round = ctx.round;
+        let tasks: Vec<_> = ctx
+            .utxo_sets
+            .iter_mut()
+            .map(|set| move || set.commit_round(round).expect("smt backend returns a root"))
+            .collect();
+        ctx.state_roots = ctx.executor.execute(tasks);
+    }
+    ctx.block_outcome = Some(block_outcome);
 }
 
 #[cfg(test)]

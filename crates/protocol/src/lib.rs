@@ -11,8 +11,8 @@
 //! * [`sortition`] — referee/leader/partial-set selection and VRF sortition.
 //! * [`committee`] — executable committees and network-driven Algorithm 3.
 //! * [`phases`] — the seven phases plus recovery, one module each.
-//! * [`engine`] — the phase-pipeline engine: [`engine::RoundContext`],
-//!   [`engine::RoundPhase`], and the persistent [`engine::ShardExecutor`].
+//! * [`engine`] — the phase-pipeline engine: [`engine::RoundContext`], the
+//!   [`engine::pipeline`] table, and the persistent [`engine::ShardExecutor`].
 //! * [`round`] — the per-round input/output types and pipeline entry point.
 //! * [`simulation`] — the multi-round public entry point.
 //! * [`report`] — measurement output consumed by benches and experiments.
@@ -42,7 +42,7 @@ pub mod traffic;
 pub use adversary::{AdversaryConfig, Behavior, BehaviorMix};
 pub use committee::{Committee, InsideConsensusOutcome, LeaderFault};
 pub use config::ProtocolConfig;
-pub use engine::{NoopObserver, RoundContext, RoundObserver, RoundPhase, ShardExecutor};
+pub use engine::{NoopObserver, RoundContext, RoundObserver, ShardExecutor};
 pub use epoch::EpochSchedule;
 pub use node::{MembershipState, NodeRegistry, SimNode};
 pub use report::{

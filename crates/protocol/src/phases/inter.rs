@@ -17,6 +17,7 @@
 //! also watches its own leader for `2Γ` (Lemma 7) — only the input leader is
 //! ever reported, and only when it really withheld.
 
+use cycledger_consensus::impeach::Accusation;
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_net::latency::LatencyConfig;
@@ -45,6 +46,18 @@ pub struct CensorshipReport {
     pub reporter: NodeId,
     /// Number of transactions that were withheld, across all destinations.
     pub withheld: usize,
+}
+
+impl CensorshipReport {
+    /// The timeout accusation the reporter raises: the committee observed
+    /// the omission itself.
+    pub fn accusation(&self) -> Accusation {
+        Accusation::Timeout {
+            leader: self.leader,
+            committee: self.committee,
+            observed_by_committee: true,
+        }
+    }
 }
 
 /// Outcome of the inter-committee consensus phase.

@@ -30,13 +30,14 @@
 //! function of that seed — delivery order is seeded virtual time, never
 //! thread order, so the engine's 1/2/8-worker digest contract holds.
 
+use cycledger_consensus::collect::{member_reply, Collected, VoteCollector};
 use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::quorum::QuorumCertificate;
 use cycledger_consensus::sigcache::Verdicts;
-use cycledger_consensus::votes::{Vote, VoteList, VoteVector};
+use cycledger_consensus::votes::{Vote, VoteList};
 use cycledger_consensus::witness::EquivocationEvidence;
-use cycledger_ledger::transaction::Transaction;
+use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
 use cycledger_net::faults::FaultPlan;
@@ -176,17 +177,15 @@ pub(crate) struct VoteCollection {
 }
 
 /// Announces a `TXList` to `committee` and collects vote replies under the
-/// `4Δ` [`Deadline`] — the shared vote-collection loop of this phase and of
-/// the inter-committee phase's destination side, over the transactions
-/// `vote_list` was created for. The leader's own votes (`votes_of`) are
-/// recorded locally; members vote when the announcement reaches them —
-/// except `Syncing` joiners, which abstain; members whose replies miss the
-/// deadline are backfilled as all-`Unknown` rows (§IV-C step 4 — the
-/// quorum-timeout fallback). Deadline semantics are inclusive (see
-/// [`Deadline::includes`]): a vote delivered exactly at the deadline instant
-/// still counts. Any unexpired deadline timer or late vote reply left in
-/// flight is consumed and ignored by the caller's subsequent Algorithm 3 run
-/// and tail drain.
+/// `4Δ` deadline — the transport of this phase's and of the inter-committee
+/// phase's destination side's vote, over the transactions `list` names. It
+/// pumps the network and feeds a [`VoteCollector`], which decides what
+/// counts (inclusive deadline, seated voters), backfills the rows still
+/// missing when the timer fires (§IV-C step 4 — the quorum-timeout fallback)
+/// and tallies; members answer through [`member_reply`] when the
+/// announcement reaches them. Any unexpired deadline timer or late vote reply
+/// left in flight is consumed and ignored by the caller's subsequent
+/// Algorithm 3 run and tail drain.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn collect_votes_under_deadline(
     net: &mut SimNetwork<CommitteeMessage>,
@@ -196,10 +195,10 @@ pub(crate) fn collect_votes_under_deadline(
     announce_bytes: u64,
     latency: &LatencyConfig,
     record_storage: bool,
-    vote_list: &mut VoteList,
-) -> VoteCollection {
+    list: VoteList,
+) -> (Collected, VoteCollection) {
     let leader = committee.leader;
-    let count = vote_list.tx_ids.len();
+    let count = list.tx_ids.len();
     let mut collection = VoteCollection::default();
     let announce = CommitteeMessage::TxList {
         committee: committee.index as u32,
@@ -216,23 +215,23 @@ pub(crate) fn collect_votes_under_deadline(
             );
         }
     }
-    vote_list.record(VoteVector::new(leader, votes_of(leader)));
     if record_storage {
         net.record_storage(leader, count as u64);
     }
-
     let deadline = Deadline::at(net.schedule_timer(vote_deadline(latency), VOTE_TIMER));
+    let seats = &committee.members;
+    let mut collector: VoteCollector<'_> =
+        VoteCollector::open(seats, leader, votes_of(leader), list, deadline);
+
     while let Some(event) = net.next_event() {
         match event {
             NetEvent::Message(env) => match env.payload {
                 CommitteeMessage::TxList { .. } if committee.contains(env.to) => {
-                    if !registry.node(env.to).membership.may_vote() {
-                        // A syncing joiner abstains: its backfilled
-                        // all-Unknown row counts against no transaction.
+                    let may_vote = registry.node(env.to).membership.may_vote();
+                    let Some(vector) = member_reply(env.to, may_vote, || votes_of(env.to)) else {
                         collection.syncing_abstentions += 1;
                         continue;
-                    }
-                    let vector = VoteVector::new(env.to, votes_of(env.to));
+                    };
                     if record_storage {
                         // Common members only keep their own opinion.
                         net.record_storage(env.to, count as u64);
@@ -246,13 +245,13 @@ pub(crate) fn collect_votes_under_deadline(
                         bytes,
                     );
                 }
-                CommitteeMessage::Votes(vector)
-                    if env.to == leader && deadline.includes(env.delivered_at) =>
-                {
-                    if !registry.node(vector.voter).membership.may_vote() {
+                CommitteeMessage::Votes(vector) if env.to == leader => {
+                    let voter = vector.voter;
+                    if collector.on_vote(vector, env.delivered_at)
+                        && !registry.node(voter).membership.may_vote()
+                    {
                         collection.syncing_votes += 1;
                     }
-                    vote_list.record(vector);
                 }
                 _ => {}
             },
@@ -261,22 +260,25 @@ pub(crate) fn collect_votes_under_deadline(
             } => break,
             NetEvent::Timer { .. } => {}
         }
-        if vote_list.voter_count() == committee.size() {
+        if collector.complete() {
             // Every vote arrived early; no need to sit out the deadline.
             break;
         }
     }
 
-    collection.missing = cycledger_consensus::transition::expected_votes_missing(
-        committee.size(),
-        vote_list.voter_count(),
-    );
-    for &member in &committee.members {
-        if !vote_list.votes.iter().any(|v| v.voter == member) {
-            vote_list.record(VoteVector::all_unknown(member, count));
-        }
+    let collected = collector.close();
+    collection.missing = collected.missing;
+    (collected, collection)
+}
+
+/// The bytes Algorithm 3 certifies for a `TXdecSET`: the count, then the ids.
+pub fn decision_payload(decided: impl ExactSizeIterator<Item = TxId>) -> Vec<u8> {
+    let mut payload = Vec::with_capacity(decided.len() * 32 + 8);
+    payload.extend_from_slice(&(decided.len() as u64).to_be_bytes());
+    for id in decided {
+        payload.extend_from_slice(id.as_bytes());
     }
-    collection
+    payload
 }
 
 /// Runs intra-committee consensus for one committee over its shard's
@@ -305,8 +307,7 @@ pub fn run_intra_consensus(
 
     let leader = committee.leader;
     let leader_behavior = registry.node(leader).behavior;
-    let tx_ids: Vec<_> = offered.iter().map(|g| g.tx.id()).collect();
-    let mut vote_list = VoteList::new(tx_ids);
+    let vote_list = VoteList::new(offered.iter().map(|g| g.tx.id()).collect());
 
     if leader_behavior == Behavior::SilentLeader {
         // No TXList is ever broadcast; members have nothing to vote on.
@@ -338,7 +339,7 @@ pub fn run_intra_consensus(
     //      table *when the announcement reaches it*.
     precompute_validity(utxo, offered, &mut scratch.validity);
     let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
-    let collection = collect_votes_under_deadline(
+    let (collected, collection) = collect_votes_under_deadline(
         &mut net,
         registry,
         committee,
@@ -346,24 +347,23 @@ pub fn run_intra_consensus(
         txlist_bytes,
         &latency,
         true,
-        &mut vote_list,
+        vote_list,
     );
-    let votes_missing = collection.missing;
+    let Collected {
+        list: vote_list,
+        missing: votes_missing,
+        tally,
+    } = collected;
     let quorum_timeout = cycledger_consensus::transition::quorum_timed_out(votes_missing);
 
-    // 3. The leader tallies and runs Algorithm 3 over the decision, on the
-    //    same network.
-    let tally = vote_list.tally(committee.size());
-    let decided_indices = tally.accepted_indices.clone();
+    // 3. The leader runs Algorithm 3 over the tallied decision, on the same
+    //    network.
+    let decided_indices = tally.accepted_indices;
     let decided: Vec<Transaction> = decided_indices
         .iter()
         .map(|&i| offered[i].tx.clone())
         .collect();
-    let mut payload = Vec::with_capacity(decided.len() * 32 + 8);
-    payload.extend_from_slice(&(decided.len() as u64).to_be_bytes());
-    for tx in &decided {
-        payload.extend_from_slice(tx.id().as_bytes());
-    }
+    let payload = decision_payload(decided.iter().map(|tx| tx.id()));
     let fault = LeaderFault::from_behavior(leader_behavior, &payload);
     let consensus = run_inside_consensus(
         &mut net,
@@ -440,6 +440,7 @@ mod tests {
     use crate::adversary::AdversaryConfig;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_consensus::transition::expected_votes_missing;
+    use cycledger_consensus::votes::VoteVector;
     use cycledger_crypto::sha256::sha256;
     use cycledger_ledger::workload::{Workload, WorkloadConfig};
     use cycledger_reputation::ReputationTable;

@@ -9,8 +9,8 @@
 //! cut to its cube root, §VII-B).
 
 use cycledger_consensus::envelope::CommitteeMessage;
-use cycledger_consensus::transition;
-use cycledger_consensus::witness::Witness;
+pub use cycledger_consensus::impeach::Accusation;
+use cycledger_consensus::impeach::{Impeachment, Verdict};
 use cycledger_crypto::sha256::hash_parts;
 use cycledger_net::faults::FaultPlan;
 use cycledger_net::latency::{LatencyConfig, LinkClass};
@@ -21,50 +21,7 @@ use cycledger_reputation::ReputationTable;
 
 use crate::committee::Committee;
 use crate::node::NodeRegistry;
-use crate::phases::inter::CensorshipReport;
 use crate::phases::intra::vote_deadline;
-
-/// An accusation against a leader, either backed by a signed witness or by a
-/// committee-observable omission (timeout).
-#[derive(Clone, Debug)]
-// A signed witness dwarfs the timeout variant; accusations are rare,
-// short-lived values, so clarity wins over boxing here.
-#[allow(clippy::large_enum_variant)]
-pub enum Accusation {
-    /// A leader-signed witness (equivocation / commitment mismatch).
-    Signed(Witness),
-    /// A liveness complaint: the leader never proposed / never forwarded.
-    /// Honest members approve it only if they observed the omission themselves,
-    /// which the simulator encodes in `observed_by_committee`.
-    Timeout {
-        /// The accused leader.
-        leader: NodeId,
-        /// The committee that timed out on its leader.
-        committee: usize,
-        /// True when the committee's honest members actually observed the
-        /// omission (false for a fabricated complaint against a live leader).
-        observed_by_committee: bool,
-    },
-}
-
-impl Accusation {
-    /// The accused leader.
-    pub fn accused(&self) -> NodeId {
-        match self {
-            Accusation::Signed(w) => w.accused(),
-            Accusation::Timeout { leader, .. } => *leader,
-        }
-    }
-
-    /// Builds a timeout accusation from a censorship report.
-    pub fn from_censorship(report: &CensorshipReport) -> Accusation {
-        Accusation::Timeout {
-            leader: report.leader,
-            committee: report.committee,
-            observed_by_committee: true,
-        }
-    }
-}
 
 /// Result of running the recovery procedure for one committee.
 #[derive(Clone, Debug)]
@@ -114,23 +71,18 @@ pub fn run_recovery(
         SimNetwork::with_faults(latency, seed, plan.clone());
     net.set_phase(phase);
 
-    let evidence_valid = match &accusation {
-        Accusation::Signed(w) => transition::signed_accusation_admissible(
-            accused == committee.leader,
-            w.verify(&registry.node(accused).keypair.public),
-        ),
-        Accusation::Timeout {
-            observed_by_committee,
-            ..
-        } => transition::timeout_accusation_admissible(
-            accused == committee.leader,
-            *observed_by_committee,
-        ),
-    };
-    let witness_bytes = match &accusation {
-        Accusation::Signed(w) => w.wire_size(),
-        Accusation::Timeout { .. } => 64,
-    };
+    // The impeachment machine settles admissibility, answers and the count;
+    // this function is its transport.
+    let node = |id: NodeId| registry.node(id);
+    let mut vote: Impeachment<'_> = Impeachment::open(
+        &committee.members,
+        committee.leader,
+        &accusation,
+        &node(accused).keypair.public,
+        prosecutor,
+        node(prosecutor).is_honest(),
+    );
+    let witness_bytes = accusation.wire_size();
 
     // 1. The prosecutor broadcasts the accusation.
     let envelope = CommitteeMessage::Accusation {
@@ -151,43 +103,28 @@ pub fn run_recovery(
 
     // 2. Members vote on the impeachment; approvals must reach the
     //    prosecutor by the 4Δ deadline.
-    let member_approves = |member: NodeId| {
-        // Malicious members approve anything (worst case for a framed
-        // leader) — but they are a minority, so their approvals never
-        // carry a vote alone.
-        transition::member_approves_impeachment(registry.node(member).is_honest(), evidence_valid)
-    };
-    let mut approvals = 0usize;
-    if prosecutor != accused && member_approves(prosecutor) {
-        approvals += 1;
-    }
     net.schedule_timer(vote_deadline(&latency), IMPEACH_TIMER);
     while let Some(event) = net.next_event() {
         match event {
             NetEvent::Message(env) => match env.payload {
                 CommitteeMessage::Accusation { .. } => {
-                    if env.to == accused || !registry.node(env.to).membership.may_vote() {
-                        // The accused never votes on its own impeachment, and
-                        // syncing joiners abstain (counted against approval,
-                        // same quorum math as their all-Unknown tx votes).
-                        continue;
+                    let member = node(env.to);
+                    let may_vote = member.membership.may_vote();
+                    if let Some(approve) = vote.member_vote(env.to, member.is_honest(), may_vote) {
+                        net.send(
+                            env.to,
+                            prosecutor,
+                            LinkClass::IntraCommittee,
+                            CommitteeMessage::ImpeachVote {
+                                committee: committee.index as u32,
+                                approve,
+                            },
+                            8,
+                        );
                     }
-                    let approve = member_approves(env.to);
-                    net.send(
-                        env.to,
-                        prosecutor,
-                        LinkClass::IntraCommittee,
-                        CommitteeMessage::ImpeachVote {
-                            committee: committee.index as u32,
-                            approve,
-                        },
-                        8,
-                    );
                 }
-                CommitteeMessage::ImpeachVote { approve, .. }
-                    if env.to == prosecutor && approve =>
-                {
-                    approvals += 1;
+                CommitteeMessage::ImpeachVote { approve, .. } if env.to == prosecutor => {
+                    vote.on_vote(env.from, approve);
                 }
                 _ => {}
             },
@@ -197,6 +134,7 @@ pub fn run_recovery(
             NetEvent::Timer { .. } => {}
         }
     }
+    let (approvals, verdict) = (vote.approvals(), vote.verdict());
 
     // Close the books and return.
     let mut finish = |mut net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
@@ -214,7 +152,7 @@ pub fn run_recovery(
         rejection_reason: Some(reason),
     };
 
-    if !transition::impeachment_passes(approvals, committee.size()) {
+    if verdict == Verdict::NoMajority {
         return finish(
             net,
             rejected("impeachment did not reach a committee majority"),
@@ -233,7 +171,7 @@ pub fn run_recovery(
             witness_bytes + 8 * approvals as u64,
         );
     }
-    if !evidence_valid {
+    if verdict == Verdict::EvidenceRejected {
         return finish(net, rejected("referee committee rejected the evidence"));
     }
 
@@ -286,7 +224,9 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
     use crate::sortition::{assign_round, AssignmentParams};
-    use cycledger_consensus::witness::{member_list_signing_bytes, CommitmentMismatchEvidence};
+    use cycledger_consensus::witness::{
+        member_list_signing_bytes, CommitmentMismatchEvidence, Witness,
+    };
     use cycledger_crypto::schnorr::sign;
     use cycledger_crypto::sha256::sha256;
 

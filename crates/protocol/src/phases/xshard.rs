@@ -18,7 +18,7 @@ use cycledger_consensus::messages::{payload_digest, ConsensusId};
 use cycledger_consensus::quorum::QuorumCertificate;
 use cycledger_consensus::sigcache::{SigCache, Verdicts};
 use cycledger_consensus::transition;
-use cycledger_consensus::votes::{Vote, VoteList};
+use cycledger_consensus::votes::{Tally, Vote, VoteList};
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_crypto::merkle::MerkleTree;
 use cycledger_crypto::sha256::Sha256;
@@ -370,9 +370,9 @@ pub fn run_dest(env: &InterEnv<'_>, j: usize, inbound: &[&PairList<'_>]) -> Side
     let mut net = Side::Destination.net(env, j);
     let validity = inbound_validity(env, inbound);
     let votes_of = |member| inbound_votes(env, member, &validity);
-    let mut vote_list = VoteList::new(inbound.iter().flat_map(|list| list.ids()).collect());
+    let vote_list = VoteList::new(inbound.iter().flat_map(|list| list.ids()).collect());
     let announce_bytes = inbound.iter().map(|list| list.wire_bytes()).sum::<u64>() + 96;
-    let votes = collect_votes_under_deadline(
+    let (collected, votes) = collect_votes_under_deadline(
         &mut net,
         env.registry,
         &env.committees[j],
@@ -380,23 +380,22 @@ pub fn run_dest(env: &InterEnv<'_>, j: usize, inbound: &[&PairList<'_>]) -> Side
         announce_bytes,
         &env.latency,
         false,
-        &mut vote_list,
+        vote_list,
     );
-    let mut result = certify_and_reply(&mut net, env, j, inbound, &vote_list);
+    let mut result = certify_and_reply(&mut net, env, j, inbound, &collected.tally);
     result.ledger.votes = votes;
     close_books(net, result)
 }
 
-/// Tallies the destination's one vote, certifies the vector of per-source
-/// accepted sub-lists (in vote order), and returns each source its own.
+/// Certifies the vector of per-source accepted sub-lists (in vote order) the
+/// destination's one tallied vote decided, and returns each source its own.
 fn certify_and_reply(
     net: &mut Net,
     env: &InterEnv<'_>,
     committee: usize,
     inbound: &[&PairList<'_>],
-    vote_list: &VoteList,
+    tally: &Tally,
 ) -> SideResult<Accepted> {
-    let tally = vote_list.tally(env.committees[committee].size());
     let mut decision = tally.decision.iter();
     let mut accepted = |list: &&PairList<'_>| -> Accepted {
         let decided = list.txs.iter().zip(&mut decision).filter(|(_, &d)| d > 0);

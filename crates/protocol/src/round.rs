@@ -67,7 +67,6 @@ pub fn run_round_observed(
     observer: &mut dyn RoundObserver,
 ) -> RoundOutput {
     let mut ctx = RoundContext::new(input, executor);
-    let mut phases = standard_pipeline();
-    run_pipeline_observed(&mut ctx, &mut phases, observer);
+    run_pipeline_observed(&mut ctx, standard_pipeline(), observer);
     ctx.into_output()
 }

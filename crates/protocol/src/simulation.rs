@@ -813,8 +813,7 @@ mod tests {
 
     #[test]
     fn a_rejected_sortition_claim_loses_its_seat_before_the_vote() {
-        use crate::engine::pipeline::IntraConsensusPhase;
-        use crate::engine::{RoundContext, RoundPhase};
+        use crate::engine::{pipeline, RoundContext};
         use crate::phases::configuration::run_committee_configuration;
 
         let mut sim = Simulation::new(small_config()).unwrap();
@@ -858,7 +857,7 @@ mod tests {
         assert_eq!(ctx.committees[home].size(), seats - 1);
         assert_eq!(ctx.committees[home].keys.len(), seats - 1);
 
-        IntraConsensusPhase.execute(&mut ctx);
+        pipeline::intra_consensus(&mut ctx);
         let outcome = &ctx.intra_outcomes[home];
         assert!(outcome.certificate.is_some(), "the rest still certify");
         assert_eq!(outcome.vote_list.votes.len(), seats - 1);

@@ -9,12 +9,12 @@
 //! counters. The recorder only reads the [`RoundContext`] — attaching it
 //! never changes protocol output (the [`RoundObserver`] contract).
 //!
-//! The point of the exercise: every concrete step recorded here must have an
-//! abstract counterpart in the model checker's transition relation. The
-//! checker's `refine` module consumes an [`ExecutionTrace`] and fails loudly
-//! on any step the shared transition functions cannot reproduce — catching
-//! drift between the phase drivers and the model at fuzz scale instead of
-//! only at the n=4 exhaustive bound.
+//! The point of the exercise: every concrete step recorded here must be
+//! reproducible by the shared decision rules. The checker's `refine` module
+//! consumes an [`ExecutionTrace`] and fails loudly on any step
+//! `consensus::transition` cannot reproduce — catching at fuzz scale what the
+//! plumbing around the machines (routing, deadlines, counters) could get
+//! wrong, where the exhaustive run covers the machines themselves at n = 4.
 
 use cycledger_consensus::votes::{Vote, VoteList};
 

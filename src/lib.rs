@@ -16,9 +16,9 @@
 //! * [`baselines`] — Elastico / OmniLedger / RapidChain comparison models.
 //! * [`scenarios`] — declarative, invariant-gated scenario matrix (the
 //!   `scenario-runner` CLI and the golden-report regression gate).
-//! * [`checker`] — explicit-state model checker (exhaustive n = 4 / t = 1
-//!   enumeration) and refinement of recorded executions against the shared
-//!   decision core.
+//! * [`checker`] — enumerating scheduler over the consensus machines the
+//!   engine runs (every schedule at n = 4 / t = 1) and refinement of recorded
+//!   executions against the shared decision core.
 //!
 //! ## Quickstart
 //!

@@ -286,13 +286,14 @@ pub fn check_trace(trace: &ExecutionTrace) -> Result<RefinementStats, Refinement
     }
     for delta in &trace.phase_deltas {
         let loc = format!("round {} / {}", delta.round, delta.phase);
-        if delta.syncing_votes != 0 {
+        let folded = delta.counters;
+        if folded.syncing_votes != 0 {
             return Err(err(
                 "syncing-vote-counted",
                 loc,
                 format!(
                     "{} syncing votes folded into the round",
-                    delta.syncing_votes
+                    folded.syncing_votes
                 ),
             ));
         }
@@ -302,13 +303,13 @@ pub fn check_trace(trace: &ExecutionTrace) -> Result<RefinementStats, Refinement
                     .get(&(delta.round, delta.phase))
                     .copied()
                     .unwrap_or_default();
-                if delta.quorum_timeouts != timeouts || delta.votes_missing != missing {
+                if folded.quorum_timeouts != timeouts || folded.votes_missing != missing {
                     return Err(err(
                         "counter-reconciliation",
                         loc,
                         format!(
                             "phase folded {} timeouts / {} missing but the steps sum to {} / {}",
-                            delta.quorum_timeouts, delta.votes_missing, timeouts, missing
+                            folded.quorum_timeouts, folded.votes_missing, timeouts, missing
                         ),
                     ));
                 }
@@ -318,13 +319,13 @@ pub fn check_trace(trace: &ExecutionTrace) -> Result<RefinementStats, Refinement
                     .get(&(delta.round, delta.phase))
                     .copied()
                     .unwrap_or_default();
-                if delta.quorum_timeouts != timeouts || delta.votes_missing != missing {
+                if folded.quorum_timeouts != timeouts || folded.votes_missing != missing {
                     return Err(err(
                         "counter-reconciliation",
                         loc,
                         format!(
                             "retries folded {} timeouts / {} missing but the re-snapshots sum to {} / {}",
-                            delta.quorum_timeouts, delta.votes_missing, timeouts, missing
+                            folded.quorum_timeouts, folded.votes_missing, timeouts, missing
                         ),
                     ));
                 }

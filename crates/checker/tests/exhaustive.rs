@@ -22,7 +22,7 @@ use cycledger_net::latency::LatencyConfig;
 use cycledger_net::time::SimDuration;
 use cycledger_protocol::adversary::{AdversaryConfig, Behavior};
 use cycledger_protocol::config::ProtocolConfig;
-use cycledger_protocol::engine::ShardScratch;
+use cycledger_protocol::engine::{RoundEnv, ShardScratch};
 use cycledger_protocol::phases::intra::{run_intra_consensus, IntraOutcome};
 use cycledger_protocol::simulation::Simulation;
 use cycledger_protocol::{Committee, NodeRegistry, TraceRecorder};
@@ -173,18 +173,28 @@ fn scheduler_and_driver(leader: Behavior) -> (Fixture, NodeRegistry, IntraOutcom
         gamma: SimDuration::from_micros(2),
         partial_bound: SimDuration::from_micros(3),
     };
-    let (outcome, _) = run_intra_consensus(
-        &registry,
-        &committee,
-        &utxo,
-        &offered,
-        &[],
-        0,
-        unit,
-        22,
-        &mut ShardScratch::default(),
-        &FaultPlan::default(),
-    );
+    let config = ProtocolConfig {
+        latency: unit,
+        seed: 22,
+        ..ProtocolConfig::default()
+    };
+    // Nobody to forward the certificate to: the comparison ends with it.
+    let no_referee = Committee {
+        index: usize::MAX,
+        leader: members[0],
+        partial_set: Vec::new(),
+        keys: registry.committee_keys(&[]),
+        members: Vec::new(),
+    };
+    let env = RoundEnv {
+        config: &config,
+        registry: &registry,
+        referee: &no_referee,
+        plan: &FaultPlan::default(),
+        round: 0,
+    };
+    let scratch = &mut ShardScratch::default();
+    let outcome = run_intra_consensus(&env, &committee, false, &utxo, &offered, scratch);
     let seated: Vec<_> = members
         .iter()
         .map(|&member| (member, registry.node(member).keypair))

@@ -235,11 +235,6 @@ impl Chain {
         self.blocks.get(round as usize)
     }
 
-    /// Total number of transactions across the chain.
-    pub fn total_transactions(&self) -> usize {
-        self.blocks.iter().map(|b| b.tx_count()).sum()
-    }
-
     /// Header summaries for up to `max` blocks starting at `from_round`, in
     /// round order — what a peer serves to a catching-up node (the state-sync
     /// chunk; see [`Chain::verify_header_chain`] for the receiver side).
@@ -383,7 +378,6 @@ mod tests {
         let b1 = sample_block(1, chain.tip_hash());
         chain.append(b1).unwrap();
         assert_eq!(chain.height(), 2);
-        assert_eq!(chain.total_transactions(), 4);
         assert!(chain.block(0).is_some());
         assert!(chain.block(5).is_none());
     }

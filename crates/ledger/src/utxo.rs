@@ -294,8 +294,7 @@ fn validate_structural(tx: &Transaction) -> Result<(), ValidationError> {
 /// A copy-free view of "the UTXO state after applying these candidates" used
 /// by the referee committee while it assembles a block.
 ///
-/// The seed cloned **every shard's entire UTXO set** each round just to
-/// re-validate candidates incrementally. The overlay records only the round's
+/// The overlay records only the round's
 /// deltas — outpoints spent and outputs created by already-accepted
 /// candidates — and resolves lookups as `created − spent` over the untouched
 /// base sets. `clear()` keeps the allocations for the next round, making the

@@ -211,11 +211,6 @@ impl Workload {
         &self.config
     }
 
-    /// The genesis transactions (apply these to shard UTXO sets before the run).
-    pub fn genesis_transactions(&self) -> &[Transaction] {
-        &self.genesis
-    }
-
     /// Builds fresh per-shard UTXO sets seeded with the genesis outputs.
     pub fn build_genesis_utxo_sets(&self) -> Vec<UtxoSet> {
         self.build_genesis_utxo_sets_with(StateBackend::Map)
@@ -414,7 +409,6 @@ mod tests {
             assert_eq!(set.len(), 16);
             assert_eq!(set.total_value(), 16_000);
         }
-        assert_eq!(wl.genesis_transactions().len(), 4);
     }
 
     #[test]

@@ -13,13 +13,12 @@
 //!   link class; the plan layers *extra* delay on top — uniform reorder
 //!   jitter and per-node targeted delay (a delay attack pushes a victim's
 //!   traffic past protocol deadlines without dropping a byte);
-//! * the `silence` mechanism drops all traffic *from* one node forever; a
-//!   [`Partition`] generalises it to a group severed from the rest of the
-//!   world for a virtual-time window, healing automatically at `until`.
+//! * a [`Partition`] severs a group from the rest of the world for a
+//!   virtual-time window, healing automatically at `until`.
 //!
 //! Faults act at *send* time: a message crossing an active partition
 //! boundary, or sampled into a loss event, is never enqueued and never
-//! charged to the metrics sink — exactly like a silenced sender. The network
+//! charged to the metrics sink. The network
 //! counts each category separately so tests can reconcile books exactly
 //! (see `dropped_by_partition` & friends on the network).
 

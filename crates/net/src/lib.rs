@@ -12,9 +12,9 @@
 //!   targeted delay attacks, loss rates and bursts, reorder jitter.
 //! * [`metrics`] — per-node, per-phase message/byte/storage accounting behind
 //!   Table II.
-//! * [`network`] — the event-queue network itself, with support for silenced
-//!   (fail-silent) nodes, fault plans, virtual-time timers and a
-//!   drain-until-quiescent event loop for message-driven protocol phases.
+//! * [`network`] — the event-queue network itself, with support for fault
+//!   plans, virtual-time timers and a drain-until-quiescent event loop for
+//!   message-driven protocol phases.
 
 #![warn(missing_docs)]
 
@@ -27,7 +27,7 @@ pub mod topology;
 
 pub use faults::{FaultPlan, LossBurst, Partition, TargetedDelay};
 pub use latency::{LatencyConfig, LatencySampler, LinkClass};
-pub use metrics::{Counters, MetricsSink, Phase, WorkerSinkPool};
+pub use metrics::{Counters, MetricsSink, Phase};
 pub use network::{DropCounts, Envelope, NetEvent, SimNetwork};
 pub use time::{SimDuration, SimTime};
 pub use topology::{ChannelSet, NodeId, Role, RoundTopology};

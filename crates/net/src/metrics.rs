@@ -169,17 +169,6 @@ impl MetricsSink {
             .unwrap_or_default()
     }
 
-    /// Sums counters for a node across all phases.
-    pub fn node_total(&self, node: NodeId) -> Counters {
-        let mut total = Counters::default();
-        for ((n, _), c) in &self.counters {
-            if *n == node {
-                total.merge(c);
-            }
-        }
-        total
-    }
-
     /// Sums counters across all nodes for one phase.
     pub fn phase_total(&self, phase: Phase) -> Counters {
         let mut total = Counters::default();
@@ -208,17 +197,9 @@ impl MetricsSink {
         (total, max)
     }
 
-    /// Mean per-node communication bytes for a group in a phase.
-    pub fn group_phase_mean_comm(&self, nodes: &[NodeId], phase: Phase) -> f64 {
-        if nodes.is_empty() {
-            return 0.0;
-        }
-        let (total, _) = self.group_phase(nodes, phase);
-        total.comm_bytes() as f64 / nodes.len() as f64
-    }
-
-    /// Merges another sink into this one (used when per-committee simulations
-    /// run on worker threads and their metrics are combined afterwards).
+    /// Merges another sink into this one (per-committee tasks run on worker
+    /// threads and their metrics are combined afterwards). Counters add, so
+    /// the result does not depend on merge order.
     pub fn merge(&mut self, other: &MetricsSink) {
         for (key, c) in &other.counters {
             self.counters.entry(*key).or_default().merge(c);
@@ -261,51 +242,6 @@ impl MetricsSink {
     }
 }
 
-/// Per-worker metric sinks with a deterministic merge order.
-///
-/// Parallel phase execution must not make measurement nondeterministic: each
-/// worker slot owns a private [`MetricsSink`] (no locks, no sharing — a worker
-/// writes only to the slot of the task it is running), and
-/// [`WorkerSinkPool::merge_into`] folds the slots into the round-level sink in
-/// slot order, which the engine fixes to committee order. The merged result is
-/// therefore identical whether the tasks ran on one thread or sixteen.
-#[derive(Clone, Debug, Default)]
-pub struct WorkerSinkPool {
-    slots: Vec<MetricsSink>,
-}
-
-impl WorkerSinkPool {
-    /// A pool with `slots` empty per-task sinks.
-    pub fn new(slots: usize) -> Self {
-        WorkerSinkPool {
-            slots: vec![MetricsSink::new(); slots],
-        }
-    }
-
-    /// Number of slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True if the pool has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Exclusive access to all slots, for handing one to each parallel task.
-    pub fn slots_mut(&mut self) -> &mut [MetricsSink] {
-        &mut self.slots
-    }
-
-    /// Folds every slot into `target` in ascending slot order, leaving the
-    /// pool empty. Merge order is part of the determinism contract.
-    pub fn merge_into(&mut self, target: &mut MetricsSink) {
-        for sink in self.slots.drain(..) {
-            target.merge(&sink);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -335,9 +271,6 @@ mod tests {
         let mut sink = MetricsSink::new();
         sink.record_message(Phase::BlockGeneration, NodeId(0), NodeId(1), 10);
         sink.record_message(Phase::Recovery, NodeId(0), NodeId(2), 20);
-        let total = sink.node_total(NodeId(0));
-        assert_eq!(total.msgs_sent, 2);
-        assert_eq!(total.bytes_sent, 30);
         let phase_total = sink.phase_total(Phase::BlockGeneration);
         assert_eq!(phase_total.msgs_sent, 1);
         assert_eq!(phase_total.msgs_received, 1);
@@ -346,11 +279,6 @@ mod tests {
             sink.group_phase(&[NodeId(1), NodeId(2)], Phase::BlockGeneration);
         assert_eq!(group_total.bytes_received, 10);
         assert_eq!(group_max.bytes_received, 10);
-        assert_eq!(
-            sink.group_phase_mean_comm(&[NodeId(1), NodeId(2)], Phase::BlockGeneration),
-            5.0
-        );
-        assert_eq!(sink.group_phase_mean_comm(&[], Phase::BlockGeneration), 0.0);
     }
 
     #[test]
@@ -399,38 +327,6 @@ mod tests {
         assert!(entries.windows(2).all(|w| {
             (w[0].0 .0 .0, w[0].0 .1.stable_id()) < (w[1].0 .0 .0, w[1].0 .1.stable_id())
         }));
-    }
-
-    #[test]
-    fn worker_pool_merges_in_slot_order() {
-        let mut pool = WorkerSinkPool::new(3);
-        assert_eq!(pool.len(), 3);
-        assert!(!pool.is_empty());
-        for (i, slot) in pool.slots_mut().iter_mut().enumerate() {
-            slot.record_message(
-                Phase::IntraCommitteeConsensus,
-                NodeId(i as u32),
-                NodeId(99),
-                10,
-            );
-        }
-        let mut merged = MetricsSink::new();
-        pool.merge_into(&mut merged);
-        assert!(pool.is_empty());
-        for i in 0..3u32 {
-            assert_eq!(
-                merged
-                    .node_phase(NodeId(i), Phase::IntraCommitteeConsensus)
-                    .msgs_sent,
-                1
-            );
-        }
-        assert_eq!(
-            merged
-                .node_phase(NodeId(99), Phase::IntraCommitteeConsensus)
-                .msgs_received,
-            3
-        );
     }
 
     #[test]

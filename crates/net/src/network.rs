@@ -38,10 +38,10 @@
 //! [`crate::faults::FaultPlan`]) are applied at send time by
 //! [`SimNetwork::with_faults`] networks; dropped traffic is counted per
 //! category ([`SimNetwork::drop_counts`]) and never charged to the metrics
-//! sink, mirroring the `silence` mechanism.
+//! sink.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use cycledger_crypto::opcount::{count, Op};
 
@@ -114,8 +114,6 @@ pub enum NetEvent<M> {
 /// metrics-audit tests).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DropCounts {
-    /// Sender was silenced (crashed / deliberately mute).
-    pub silenced: u64,
     /// The sender or receiver was crash-stopped at send time (see
     /// [`crate::faults::CrashStop`]).
     pub crashed: u64,
@@ -128,7 +126,7 @@ pub struct DropCounts {
 impl DropCounts {
     /// Total messages dropped across all categories.
     pub fn total(&self) -> u64 {
-        self.silenced + self.crashed + self.partitioned + self.lossy
+        self.crashed + self.partitioned + self.lossy
     }
 }
 
@@ -141,7 +139,6 @@ pub struct SimNetwork<M> {
     sampler: LatencySampler,
     metrics: MetricsSink,
     phase: Phase,
-    silenced: HashSet<NodeId>,
     plan: FaultPlan,
     drops: DropCounts,
     /// Send *attempts*, advanced whether or not the message is admitted.
@@ -173,7 +170,6 @@ impl<M> SimNetwork<M> {
             sampler: LatencySampler::new(config, seed),
             metrics: MetricsSink::new(),
             phase: Phase::CommitteeConfiguration,
-            silenced: HashSet::new(),
             plan,
             drops: DropCounts::default(),
             attempts: 0,
@@ -197,24 +193,8 @@ impl<M> SimNetwork<M> {
         self.phase
     }
 
-    /// Marks a node as silenced (crashed or deliberately mute); all of its
-    /// future outgoing messages are dropped. Used to model fail-silent leaders.
-    pub fn silence(&mut self, node: NodeId) {
-        self.silenced.insert(node);
-    }
-
-    /// Removes a node from the silenced set.
-    pub fn unsilence(&mut self, node: NodeId) {
-        self.silenced.remove(&node);
-    }
-
-    /// True if `node` is currently silenced.
-    pub fn is_silenced(&self, node: NodeId) -> bool {
-        self.silenced.contains(&node)
-    }
-
-    /// Total messages dropped by the network (silenced senders, partitions
-    /// and deterministic loss combined; see [`SimNetwork::drop_counts`] for
+    /// Total messages dropped by the network (crashes, partitions and
+    /// deterministic loss combined; see [`SimNetwork::drop_counts`] for
     /// the per-category split).
     pub fn dropped_messages(&self) -> u64 {
         self.drops.total()
@@ -232,10 +212,6 @@ impl<M> SimNetwork<M> {
     fn admit(&mut self, from: NodeId, to: NodeId) -> Option<SimDuration> {
         let attempt = self.attempts;
         self.attempts += 1;
-        if self.silenced.contains(&from) {
-            self.drops.silenced += 1;
-            return None;
-        }
         if self.plan.is_empty() {
             return Some(SimDuration::ZERO);
         }
@@ -263,7 +239,7 @@ impl<M> SimNetwork<M> {
 
     /// Sends a message; its delivery time is drawn from the latency model
     /// (plus any fault-plan delay). Returns the scheduled delivery time, or
-    /// `None` if the message was dropped (silenced sender, active partition,
+    /// `None` if the message was dropped (crashed endpoint, active partition,
     /// or sampled loss).
     pub fn send(
         &mut self,
@@ -273,12 +249,7 @@ impl<M> SimNetwork<M> {
         payload: M,
         bytes: u64,
     ) -> Option<SimTime> {
-        let fault_delay = self.admit(from, to)?;
-        let delay = self
-            .sampler
-            .sample(class, from, to, self.seq)
-            .plus(fault_delay);
-        Some(self.enqueue(from, to, payload, bytes, delay))
+        self.send_after(from, to, class, payload, bytes, SimDuration::ZERO)
     }
 
     /// Sends a message with an explicit extra delay on top of the sampled
@@ -386,21 +357,6 @@ impl<M> SimNetwork<M> {
         }
     }
 
-    /// Drains the network to quiescence, handing every event to `handler`
-    /// (which may send further messages or arm further timers through the
-    /// network it is given). Returns the number of events handled.
-    pub fn run_until_quiescent(
-        &mut self,
-        mut handler: impl FnMut(&mut Self, NetEvent<M>),
-    ) -> usize {
-        let mut handled = 0;
-        while let Some(event) = self.next_event() {
-            handler(self, event);
-            handled += 1;
-        }
-        handled
-    }
-
     /// Number of messages still in flight.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -457,30 +413,6 @@ impl<M> SimNetwork<M> {
     }
 }
 
-impl<M: Clone> SimNetwork<M> {
-    /// Broadcasts `payload` from `from` to every node in `targets` (excluding
-    /// the sender itself). Returns the number of messages actually sent.
-    pub fn broadcast(
-        &mut self,
-        from: NodeId,
-        targets: &[NodeId],
-        class: LinkClass,
-        payload: M,
-        bytes: u64,
-    ) -> usize {
-        let mut sent = 0;
-        for &to in targets {
-            if to == from {
-                continue;
-            }
-            if self.send(from, to, class, payload.clone(), bytes).is_some() {
-                sent += 1;
-            }
-        }
-        sent
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -514,36 +446,6 @@ mod tests {
         let env = net.deliver_next().unwrap();
         let delay = env.delivered_at.since(env.sent_at);
         assert!(delay <= net.latency_config().delta);
-    }
-
-    #[test]
-    fn broadcast_skips_sender_and_counts() {
-        let mut net = net();
-        let targets: Vec<NodeId> = (0..5).map(NodeId).collect();
-        let sent = net.broadcast(NodeId(2), &targets, LinkClass::IntraCommittee, 7, 10);
-        assert_eq!(sent, 4);
-        assert_eq!(net.pending(), 4);
-        let sender = net
-            .metrics()
-            .node_phase(NodeId(2), Phase::CommitteeConfiguration);
-        assert_eq!(sender.msgs_sent, 4);
-        assert_eq!(sender.bytes_sent, 40);
-    }
-
-    #[test]
-    fn silenced_nodes_drop_outgoing_traffic() {
-        let mut net = net();
-        net.silence(NodeId(3));
-        assert!(net.is_silenced(NodeId(3)));
-        assert!(net
-            .send(NodeId(3), NodeId(1), LinkClass::IntraCommittee, 1, 8)
-            .is_none());
-        assert_eq!(net.dropped_messages(), 1);
-        assert_eq!(net.pending(), 0);
-        net.unsilence(NodeId(3));
-        assert!(net
-            .send(NodeId(3), NodeId(1), LinkClass::IntraCommittee, 1, 8)
-            .is_some());
     }
 
     #[test]
@@ -627,28 +529,6 @@ mod tests {
             net.next_event(),
             Some(NetEvent::Timer { key: 9, .. })
         ));
-    }
-
-    #[test]
-    fn run_until_quiescent_drains_reactive_sends() {
-        let mut net = net();
-        net.send(NodeId(0), NodeId(1), LinkClass::IntraCommittee, 0, 8);
-        // Each delivery of k < 3 sends k+1 onward: 0→1→2→3, then quiescence.
-        let handled = net.run_until_quiescent(|net, event| {
-            if let NetEvent::Message(env) = event {
-                if env.payload < 3 {
-                    net.send(
-                        env.to,
-                        NodeId(env.to.0 + 1),
-                        LinkClass::IntraCommittee,
-                        env.payload + 1,
-                        8,
-                    );
-                }
-            }
-        });
-        assert_eq!(handled, 4);
-        assert_eq!(net.pending(), 0);
     }
 
     #[test]
@@ -769,15 +649,15 @@ mod tests {
                 drop_ppm: 0,
             }],
             ..FaultPlan::default()
-        };
+        }
+        .with_crash(NodeId(8), SimTime::ZERO, None);
         let mut net: SimNetwork<u32> = SimNetwork::with_faults(LatencyConfig::default(), 7, plan);
         net.set_phase(Phase::IntraCommitteeConsensus);
-        net.silence(NodeId(8));
         let mut attempted = 0u64;
         let mut admitted = 0u64;
         for seq in 0..200u32 {
             let (from, to) = match seq % 4 {
-                0 => (NodeId(8), NodeId(1)), // silenced sender
+                0 => (NodeId(8), NodeId(1)), // crashed sender
                 1 => (NodeId(9), NodeId(1)), // partitioned sender
                 2 => (NodeId(1), NodeId(9)), // partitioned receiver
                 _ => (NodeId(1), NodeId(2)), // lossy but otherwise healthy
@@ -791,7 +671,7 @@ mod tests {
             }
         }
         let drops = net.drop_counts();
-        assert_eq!(drops.silenced, 50);
+        assert_eq!(drops.crashed, 50);
         assert_eq!(drops.partitioned, 100);
         assert!(drops.lossy > 0, "30% loss over 50 sends must drop some");
         assert_eq!(attempted, admitted + drops.total());

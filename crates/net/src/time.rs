@@ -33,11 +33,6 @@ impl SimTime {
     pub fn as_micros(self) -> u64 {
         self.0
     }
-
-    /// Value in (fractional) milliseconds, for reporting.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
 }
 
 impl SimDuration {
@@ -145,11 +140,6 @@ mod tests {
     fn ordering() {
         assert!(SimTime(3) < SimTime(4));
         assert!(SimDuration::from_millis(2) > SimDuration::from_micros(1999));
-    }
-
-    #[test]
-    fn millis_reporting() {
-        assert_eq!(SimTime(1_500).as_millis_f64(), 1.5);
     }
 
     #[test]

@@ -55,6 +55,18 @@ impl Committee {
         }
     }
 
+    /// The referee committee `C_R` over `members`: its first member leads,
+    /// it has no partial set, and its index is `usize::MAX`.
+    pub fn referee(members: &[NodeId], registry: &NodeRegistry) -> Self {
+        Committee {
+            index: usize::MAX,
+            leader: members[0],
+            partial_set: Vec::new(),
+            members: members.to_vec(),
+            keys: registry.committee_keys(members),
+        }
+    }
+
     /// Committee size `C`.
     pub fn size(&self) -> usize {
         self.members.len()

@@ -4,6 +4,7 @@ use cycledger_ledger::StateBackend;
 use cycledger_net::latency::LatencyConfig;
 
 use crate::adversary::AdversaryConfig;
+use crate::sortition::AssignmentParams;
 use crate::traffic::TrafficConfig;
 
 /// Configuration of a CycLedger simulation run.
@@ -141,6 +142,15 @@ impl ProtocolConfig {
     /// Total number of ordinary (non-referee) nodes, `n = m·c`.
     pub fn ordinary_nodes(&self) -> usize {
         self.committees * self.committee_size
+    }
+
+    /// The shape of a round assignment under this configuration.
+    pub fn assignment_params(&self) -> AssignmentParams {
+        AssignmentParams {
+            committees: self.committees,
+            partial_set_size: self.partial_set_size,
+            referee_size: self.referee_size,
+        }
     }
 
     /// Total number of simulated nodes including the referee committee.

@@ -13,8 +13,7 @@ use cycledger_ledger::utxo::UtxoOverlay;
 
 /// Scratch state owned by one parallel shard task (intra-consensus).
 ///
-/// Slots are handed out like [`cycledger_net::metrics::WorkerSinkPool`]
-/// slots: each executor task borrows exactly one slot for the batch's
+/// Each executor task borrows exactly one slot for the batch's
 /// lifetime, so the parallel phase needs no locks and stays deterministic.
 #[derive(Debug, Default)]
 pub struct ShardScratch {
@@ -26,7 +25,7 @@ pub struct ShardScratch {
 }
 
 /// Reusable per-round scratch buffers, owned by the simulation and threaded
-/// through [`crate::round::RoundInput`] into the engine.
+/// into every round's [`crate::engine::RoundContext`].
 #[derive(Debug, Default)]
 pub struct RoundArena {
     /// One scratch slot per committee for parallel phases.

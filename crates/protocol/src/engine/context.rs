@@ -2,6 +2,7 @@
 
 use cycledger_crypto::fxhash::FxHashSet;
 use cycledger_crypto::sha256::Digest;
+use cycledger_ledger::block::{Block, Chain};
 use cycledger_ledger::transaction::TxId;
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::{GeneratedTx, TxKind};
@@ -10,10 +11,9 @@ use cycledger_net::topology::{NodeId, RoundTopology};
 use cycledger_reputation::ReputationTable;
 
 use crate::committee::Committee;
-use crate::config::ProtocolConfig;
 use crate::engine::arena::RoundArena;
+use crate::engine::env::{Books, PlaneCounters, RoundEnv};
 use crate::engine::executor::ShardExecutor;
-use crate::node::NodeRegistry;
 use crate::phases::block_generation::BlockOutcome;
 use crate::phases::configuration::ConfigurationOutcome;
 use crate::phases::inter::InterOutcome;
@@ -21,7 +21,6 @@ use crate::phases::intra::IntraOutcome;
 use crate::phases::recovery::{run_recovery, Accusation};
 use crate::phases::selection::SelectionOutcome;
 use crate::report::{RecoveryOutcome, RecoveryRecord, RoleGroups, RoundReport};
-use crate::round::{RoundInput, RoundOutput};
 use crate::sortition::RoundAssignment;
 
 /// What one recovery attempt did to the accused committee.
@@ -43,34 +42,30 @@ pub enum RecoveryAttempt {
 ///
 /// The context splits into three bands:
 ///
-/// * **round inputs** — configuration, registry, assignment, executor: shared
-///   immutable borrows;
+/// * **round inputs** — the [`RoundEnv`], the assignment, the chain tip,
+///   the executor: shared immutable borrows;
 /// * **simulation state** — UTXO sets and the reputation table: exclusive
 ///   borrows that persist across rounds;
-/// * **round artifacts** — committees, metrics, phase outcomes: owned by the
+/// * **round artifacts** — committees, books, phase outcomes: owned by the
 ///   context, produced by one phase and consumed by later ones, assembled
 ///   into the [`RoundReport`] at the end.
 pub struct RoundContext<'a> {
-    /// The protocol configuration.
-    pub config: &'a ProtocolConfig,
-    /// The node registry (PKI + ground truth).
-    pub registry: &'a NodeRegistry,
+    /// Configuration, registry, referee committee, fault plan and round
+    /// number: what every phase entry point and every task reads.
+    pub env: RoundEnv<'a>,
     /// This round's assignment (from the previous block).
     pub assignment: &'a RoundAssignment,
     /// The persistent worker pool shared by all parallel phases.
     pub executor: &'a ShardExecutor,
-    /// Network faults every phase network of this round runs under (empty
-    /// unless the simulation installed a plan).
-    pub faults: &'a cycledger_net::faults::FaultPlan,
     /// Reusable scratch buffers recycled across rounds (reset on context
     /// construction; drained and refilled by the phases).
     pub arena: &'a mut RoundArena,
-    /// The round number.
+    /// The round number (`env.round`).
     pub round: u64,
-    /// Hash of the previous block.
-    pub prev_hash: Digest,
-    /// Height the produced block will sit at.
-    pub block_height: u64,
+    /// The chain this round's block extends: its tip is the previous block,
+    /// its height the one the produced block will sit at. Usually the round
+    /// number; it trails only if an earlier round failed to produce a block.
+    pub chain: &'a Chain,
 
     /// Mutable shard UTXO sets (simulation state).
     pub utxo_sets: &'a mut [UtxoSet],
@@ -79,11 +74,9 @@ pub struct RoundContext<'a> {
 
     /// Committees as executable objects (leaders may change during recovery).
     pub committees: Vec<Committee>,
-    /// The referee committee.
-    pub referee: Committee,
-    /// Round-level metrics; parallel phases merge per-worker sinks into this
-    /// in committee order.
-    pub metrics: MetricsSink,
+    /// The round's books: every task's, folded in committee order, plus what
+    /// the phases account on the driver thread.
+    pub books: Books,
     /// Leaders evicted so far: `(committee, old leader)`.
     pub evicted: Vec<(usize, NodeId)>,
     /// Signed witnesses produced so far.
@@ -93,22 +86,6 @@ pub struct RoundContext<'a> {
     /// report's skipped-recovery count is derived from it, so the log is the
     /// single source of truth).
     pub recovery_log: Vec<RecoveryRecord>,
-    /// Vote-collection deadlines that fired with votes missing, across the
-    /// intra and inter phases.
-    pub quorum_timeouts: usize,
-    /// Cross-shard list forwards that missed their destination deadline (the
-    /// pair deferred to a later round).
-    pub list_timeouts: usize,
-    /// Individual votes missing at collection deadlines (each recorded as an
-    /// all-`Unknown` row).
-    pub votes_missing: usize,
-    /// Envelopes dropped by the fault plan across every phase network this
-    /// round.
-    pub net_dropped: u64,
-    /// Deliberate abstentions by `Syncing` members.
-    pub syncing_abstentions: usize,
-    /// Votes received from `Syncing` members (must stay zero).
-    pub syncing_votes: usize,
 
     /// Per-shard intra-committee transaction lists (workload split).
     pub intra_per_shard: Vec<Vec<GeneratedTx>>,
@@ -142,84 +119,48 @@ pub struct RoundContext<'a> {
 }
 
 impl<'a> RoundContext<'a> {
-    /// Builds the context from the round input: instantiates committees and
-    /// the referee, and splits the offered workload into per-shard intra
-    /// lists and cross-shard transactions.
-    pub fn new(input: RoundInput<'a>, executor: &'a ShardExecutor) -> Self {
-        let RoundInput {
-            config,
-            registry,
-            assignment,
-            utxo_sets,
-            reputation,
-            offered,
-            prev_hash,
-            block_height,
-            arena,
-            faults,
-        } = input;
+    /// Builds the context of round `env.round` over `assignment`:
+    /// instantiates the committees and resets the arena. The offered
+    /// workload comes in through [`offer`](Self::offer).
+    pub fn new(
+        env: RoundEnv<'a>,
+        assignment: &'a RoundAssignment,
+        executor: &'a ShardExecutor,
+        chain: &'a Chain,
+        utxo_sets: &'a mut [UtxoSet],
+        reputation: &'a mut ReputationTable,
+        arena: &'a mut RoundArena,
+    ) -> Self {
         arena.begin_round();
-        let round = assignment.round;
         let committee_count = assignment.committees.len();
-
         let committees: Vec<Committee> = assignment
             .committees
             .iter()
-            .map(|c| Committee::from_assignment(c, registry))
+            .map(|c| Committee::from_assignment(c, env.registry))
             .collect();
-        let referee = Committee {
-            index: usize::MAX,
-            leader: assignment.referee[0],
-            partial_set: Vec::new(),
-            members: assignment.referee.clone(),
-            keys: registry.committee_keys(&assignment.referee),
-        };
-
-        let offered_total = offered.len();
-        let offered_valid = offered.iter().filter(|g| g.kind.is_valid()).count();
-        let offered_cross = offered
-            .iter()
-            .filter(|g| g.kind == TxKind::CrossShard)
-            .count();
-        let mut intra_per_shard: Vec<Vec<GeneratedTx>> = vec![Vec::new(); committee_count];
-        let mut cross_shard: Vec<GeneratedTx> = Vec::new();
-        for gen in offered {
-            match gen.tx.touched_shards(committee_count).as_slice() {
-                [] => intra_per_shard[0].push(gen),
-                [shard] => intra_per_shard[*shard].push(gen),
-                _ => cross_shard.push(gen),
-            }
-        }
 
         RoundContext {
-            config,
-            registry,
+            env,
             assignment,
             executor,
-            faults,
             arena,
-            round,
-            prev_hash,
-            block_height,
+            round: env.round,
+            chain,
             utxo_sets,
             reputation,
             committees,
-            referee,
-            metrics: MetricsSink::with_node_capacity(registry.len()),
+            books: Books {
+                metrics: MetricsSink::with_node_capacity(env.registry.len()),
+                counters: PlaneCounters::default(),
+            },
             evicted: Vec::new(),
             witnesses: 0,
             recovery_log: Vec::new(),
-            quorum_timeouts: 0,
-            list_timeouts: 0,
-            votes_missing: 0,
-            net_dropped: 0,
-            syncing_abstentions: 0,
-            syncing_votes: 0,
-            intra_per_shard,
-            cross_shard,
-            offered_total,
-            offered_valid,
-            offered_cross,
+            intra_per_shard: vec![Vec::new(); committee_count],
+            cross_shard: Vec::new(),
+            offered_total: 0,
+            offered_valid: 0,
+            offered_cross: 0,
             configuration: None,
             intra_outcomes: Vec::new(),
             inter: None,
@@ -228,6 +169,25 @@ impl<'a> RoundContext<'a> {
             block_outcome: None,
             state_roots: Vec::new(),
             cross_packed_ids: FxHashSet::default(),
+        }
+    }
+
+    /// Takes the transactions external users offered this round and splits
+    /// them into per-shard intra lists and cross-shard transactions.
+    pub fn offer(&mut self, offered: Vec<GeneratedTx>) {
+        let committee_count = self.committee_count();
+        self.offered_total += offered.len();
+        self.offered_valid += offered.iter().filter(|g| g.kind.is_valid()).count();
+        self.offered_cross += offered
+            .iter()
+            .filter(|g| g.kind == TxKind::CrossShard)
+            .count();
+        for gen in offered {
+            match gen.tx.touched_shards(committee_count).as_slice() {
+                [] => self.intra_per_shard[0].push(gen),
+                [shard] => self.intra_per_shard[*shard].push(gen),
+                _ => self.cross_shard.push(gen),
+            }
         }
     }
 
@@ -244,24 +204,21 @@ impl<'a> RoundContext<'a> {
         for &(k, member) in &outcome.rejected {
             let committee = &mut self.committees[k];
             committee.members.retain(|&m| m != member);
-            committee.keys = self.registry.committee_keys(&committee.members);
+            committee.keys = self.env.registry.committee_keys(&committee.members);
         }
         self.configuration = Some(outcome);
     }
 
     /// Picks the prosecutor for committee `k`: the first honest partial-set
     /// member, falling back to the first partial-set member of any behaviour,
-    /// or `None` when the partial set has been drained by earlier recoveries.
-    ///
-    /// The seed unconditionally indexed `partial_set[0]` here, which panics
-    /// once every partial member has been promoted — the engine instead
-    /// records a skipped recovery and lets the round continue.
+    /// or `None` when the partial set has been drained by earlier recoveries
+    /// (the engine then records a skipped recovery and the round continues).
     pub fn pick_prosecutor(&self, k: usize) -> Option<NodeId> {
         let partial = &self.committees[k].partial_set;
         partial
             .iter()
             .copied()
-            .find(|&pm| self.registry.node(pm).is_honest())
+            .find(|&pm| self.env.registry.node(pm).is_honest())
             .or_else(|| partial.first().copied())
     }
 
@@ -274,7 +231,7 @@ impl<'a> RoundContext<'a> {
             self.recovery_log.push(RecoveryRecord {
                 committee: k,
                 accused,
-                accused_was_honest: self.registry.node(accused).is_honest(),
+                accused_was_honest: self.env.registry.node(accused).is_honest(),
                 prosecutor: None,
                 committee_size: self.committees[k].size(),
                 approvals: 0,
@@ -294,27 +251,18 @@ impl<'a> RoundContext<'a> {
         prosecutor: NodeId,
     ) -> RecoveryAttempt {
         let accused = self.committees[k].leader;
-        let accused_was_honest = self.registry.node(accused).is_honest();
+        let accused_was_honest = self.env.registry.node(accused).is_honest();
         // Recoveries run sequentially on the driver thread, so the attempt
-        // index makes the network seed unique and deterministic.
-        let seed = self.config.seed
-            ^ (self.round << 40)
-            ^ ((self.recovery_log.len() as u64) << 8)
-            ^ k as u64;
-        let (outcome, dropped) = run_recovery(
-            self.registry,
+        // index makes the task's network seed unique and deterministic.
+        let (outcome, books) = run_recovery(
+            &self.env,
+            self.recovery_log.len(),
             &mut self.committees[k],
-            &self.referee,
             accusation,
             prosecutor,
             self.reputation,
-            self.round,
-            self.config.latency,
-            self.faults,
-            seed,
-            &mut self.metrics,
         );
-        self.net_dropped += dropped;
+        self.books.absorb(&books);
         let (attempt, logged) = match outcome.evicted {
             Some(old) => {
                 self.evicted.push((k, old));
@@ -348,16 +296,18 @@ impl<'a> RoundContext<'a> {
         groups
     }
 
-    /// Consumes the context into the round's public output, assembling the
-    /// [`RoundReport`] from the phase artifacts.
-    pub fn into_output(self) -> RoundOutput {
-        let roles = self.role_groups();
+    /// Consumes the context into the round's output: the block, if one was
+    /// produced; the next round's assignment (`None` if the beacon failed);
+    /// and the [`RoundReport`] assembled from the phase artifacts.
+    pub fn into_output(self) -> (Option<Block>, Option<RoundAssignment>, RoundReport) {
+        let (roles, counters) = (self.role_groups(), self.books.counters);
         let inter = self.inter.unwrap_or_default();
         let block_outcome = self.block_outcome.expect("block generation phase ran");
 
-        let topology: RoundTopology = self.assignment.topology(self.registry.len());
+        let nodes = self.env.registry.len();
+        let topology: RoundTopology = self.assignment.topology(nodes);
         let channels = topology.channels.channel_count();
-        let full_clique = RoundTopology::full_clique_channels(self.registry.len());
+        let full_clique = RoundTopology::full_clique_channels(nodes);
 
         let txs_packed = block_outcome
             .block
@@ -401,16 +351,16 @@ impl<'a> RoundContext<'a> {
             fees_distributed: fees,
             channels,
             full_clique_channels: full_clique,
-            metrics: self.metrics,
+            metrics: self.books.metrics,
             roles,
             timeout_delays_us: inter.timeout_delays,
-            message_driven: self.config.message_driven,
-            quorum_timeouts: self.quorum_timeouts,
-            list_timeouts: self.list_timeouts,
-            votes_missing: self.votes_missing,
-            net_dropped_messages: self.net_dropped,
-            syncing_abstentions: self.syncing_abstentions,
-            syncing_votes: self.syncing_votes,
+            message_driven: self.env.config.message_driven,
+            quorum_timeouts: counters.quorum_timeouts,
+            list_timeouts: counters.list_timeouts,
+            votes_missing: counters.votes_missing,
+            net_dropped_messages: counters.net_dropped,
+            syncing_abstentions: counters.syncing_abstentions,
+            syncing_votes: counters.syncing_votes,
             // Attached by the simulation driver when this round closes an
             // epoch (see `Simulation::run_round_observed`).
             epoch_transition: None,
@@ -419,10 +369,7 @@ impl<'a> RoundContext<'a> {
             state_roots: self.state_roots,
         };
 
-        RoundOutput {
-            block: block_outcome.block,
-            next_assignment: self.selection.and_then(|s| s.next_assignment),
-            report,
-        }
+        let next_assignment = self.selection.and_then(|s| s.next_assignment);
+        (block_outcome.block, next_assignment, report)
     }
 }

@@ -1,7 +1,6 @@
 //! A persistent worker pool for per-shard protocol work.
 //!
-//! The seed implementation re-spawned OS threads with `std::thread::scope`
-//! every round, for exactly one phase. [`ShardExecutor`] is created once per
+//! [`ShardExecutor`] is created once per
 //! [`crate::simulation::Simulation`] and reused for every parallel stage of
 //! every round: per-committee stages (intra- and inter-committee consensus,
 //! recovery retries, score-list certification, block application) submit one
@@ -14,7 +13,7 @@
 //! Tasks may run on any worker in any interleaving, but:
 //!
 //! * every task is a pure function of its explicitly captured inputs (each
-//!   gets its own seed and its own metrics sink), and
+//!   gets its own seed and hands back its own books), and
 //! * [`ShardExecutor::execute`] returns results indexed by *submission order*,
 //!   never completion order.
 //!

@@ -1,13 +1,17 @@
 //! # The round engine
 //!
-//! The phase-pipeline engine behind [`crate::round::run_round_observed`].
-//! The seed implementation was a 400-line monolith that called each phase
-//! helper inline and re-spawned scoped OS threads every round for exactly one
-//! phase; this module replaces it with three explicit pieces:
+//! The phase-pipeline engine behind
+//! [`Simulation::run_round_observed`](crate::simulation::Simulation::run_round_observed),
+//! in four explicit pieces:
 //!
 //! * [`RoundContext`] (`context`) — owns all per-round shared state:
-//!   committees, referee, metrics, workload split, eviction ledger, and the
-//!   artifacts each phase produces for its successors.
+//!   committees, books, workload split, eviction ledger, and the artifacts
+//!   each phase produces for its successors.
+//! * [`mod@env`] — one way to open, run and close a committee task: the
+//!   [`RoundEnv`] every phase entry point takes, the [`Task`] table that
+//!   alone maps a task to its label, `seq`, network seed and whether its
+//!   network runs under the round's fault plan, and the [`Books`] a task
+//!   hands back.
 //! * [`pipeline`] — every protocol phase as a function over the context. A
 //!   phase declares its inputs and outputs as context artifacts, so phase
 //!   order and data flow are visible in one place
@@ -35,22 +39,25 @@
 //! construction:
 //!
 //! * every executor task is a pure function of explicitly captured inputs
-//!   with its own derived seed,
+//!   with its own seed from the task table,
 //! * results return in submission (= committee) order, never completion
 //!   order, and
-//! * per-worker metric sinks merge through
-//!   [`cycledger_net::metrics::WorkerSinkPool`] in slot order.
+//! * a task's metrics and counters travel back with its result as its
+//!   [`Books`], folded into the round's in that order (sums, so any order
+//!   would give the same totals).
 //!
 //! The `determinism_*` tests in `simulation.rs` pin this down for 1, 2 and 8
 //! workers.
 
 pub mod arena;
 pub mod context;
+pub mod env;
 pub mod executor;
 pub mod pipeline;
 
 pub use arena::{RoundArena, ShardScratch};
 pub use context::{RecoveryAttempt, RoundContext};
+pub use env::{Books, PlaneCounters, RoundEnv, Task};
 pub use executor::ShardExecutor;
 pub use pipeline::standard_pipeline;
 

@@ -11,13 +11,10 @@ use cycledger_consensus::sigcache::SigCache;
 use cycledger_consensus::transition::needs_recovery;
 use cycledger_consensus::votes::VoteList;
 use cycledger_consensus::witness::Witness;
-use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::StateBackend;
-use cycledger_net::metrics::WorkerSinkPool;
-use cycledger_net::topology::NodeId;
 
 use crate::committee::Committee;
-use crate::engine::context::RoundContext;
+use crate::engine::context::{RecoveryAttempt, RoundContext};
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::configuration::run_committee_configuration;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
@@ -25,8 +22,7 @@ use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
 use crate::phases::selection::run_selection;
 use crate::phases::semi_commitment::run_semi_commitment_exchange;
-use crate::phases::xshard::{self, InterEnv};
-use crate::sortition::AssignmentParams;
+use crate::phases::xshard;
 
 /// One phase of the pipeline: the name observers and traces see, and the
 /// function that runs it on the driver thread (delegating data-parallel work
@@ -51,16 +47,11 @@ pub fn standard_pipeline() -> &'static [Phase] {
 /// are verified as one chunked executor batch.
 ///
 /// Inputs: the round assignment. Outputs: configuration traffic in
-/// `ctx.metrics`, `ctx.configuration`, and `ctx.committees` without the
+/// `ctx.books`, `ctx.configuration`, and `ctx.committees` without the
 /// members whose claim the key members rejected.
 pub fn configuration(ctx: &mut RoundContext<'_>) {
-    let outcome = run_committee_configuration(
-        ctx.executor,
-        ctx.registry,
-        ctx.assignment,
-        ctx.config.latency.delta,
-        &mut ctx.metrics,
-    );
+    let metrics = &mut ctx.books.metrics;
+    let outcome = run_committee_configuration(&ctx.env, ctx.executor, ctx.assignment, metrics);
     // The engine's assignment always comes from `assign_round_on` over
     // this very registry — one reused after a beacon failure still
     // carries the round its proofs were drawn for — so every proof
@@ -76,15 +67,7 @@ pub fn configuration(ctx: &mut RoundContext<'_>) {
 /// Inputs: `ctx.committees`. Outputs: `ctx.witnesses`, evictions in
 /// `ctx.evicted`, mutated committees/reputation on successful impeachment.
 pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
-    let semi = run_semi_commitment_exchange(
-        ctx.registry,
-        &ctx.committees,
-        &ctx.referee,
-        ctx.round,
-        ctx.config.latency,
-        ctx.config.seed ^ ctx.round,
-        &mut ctx.metrics,
-    );
+    let semi = run_semi_commitment_exchange(&ctx.env, &ctx.committees, &mut ctx.books);
     ctx.witnesses += semi.witnesses.len();
     for witness in semi.witnesses {
         let k = match &witness {
@@ -100,8 +83,8 @@ pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
 ///
 /// Inputs: `ctx.intra_per_shard`, `ctx.committees`, the shard UTXO sets.
 /// Outputs: `ctx.intra_outcomes` (committee order), each certificate already
-/// through the referee's check (`run_intra_batch`), and per-worker
-/// metrics merged in committee order.
+/// through the referee's check (`run_intra_batch`), and every task's books
+/// folded into `ctx.books` in committee order.
 pub fn intra_consensus(ctx: &mut RoundContext<'_>) {
     ctx.intra_outcomes = run_intra_batch(ctx, None);
 }
@@ -113,7 +96,7 @@ pub fn intra_consensus(ctx: &mut RoundContext<'_>) {
 /// committees, evictions, witnesses, skipped-recovery count.
 ///
 /// Impeachments run sequentially in committee order (they mutate the global
-/// reputation table and the referee's metrics), but the retried consensus
+/// reputation table and the round's books), but the retried consensus
 /// instances — pure functions of the post-recovery committees — run as one
 /// executor batch.
 pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
@@ -139,9 +122,7 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
                 observed_by_committee: true,
             }
         };
-        if let crate::engine::context::RecoveryAttempt::Evicted(_) =
-            ctx.attempt_recovery(k, accusation)
-        {
+        if let RecoveryAttempt::Evicted(_) = ctx.attempt_recovery(k, accusation) {
             retries.push(k);
         }
     }
@@ -160,70 +141,40 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
 
 /// Runs intra-committee consensus as one executor batch: for every committee,
 /// or — `retry` — for the ascending list of committees whose leader a
-/// recovery just replaced, under network seeds apart from the first
-/// attempt's. Returns the outcomes in committee order, with their metrics
-/// merged into `ctx.metrics` and their timeout / drop / abstention counters
-/// folded into the round's in that same order.
+/// recovery just replaced (the task table seeds a retry's network apart from
+/// the first attempt's). Returns the outcomes in committee order, with their
+/// books folded into `ctx.books` in that same order.
 ///
-/// When signature verification is on, the driver then plays the referee's
-/// part on every outcome of the batch, first attempt or retry:
-/// [`referee_check`] on the certificate forwarded with the `TXdecSET`.
+/// The driver then plays the referee's part on every outcome of the batch,
+/// first attempt or retry: [`referee_check`] on the certificate forwarded
+/// with the `TXdecSET`.
 fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<IntraOutcome> {
     let m = ctx.committee_count();
-    let (batch_size, seed_salt) = retry.map_or((m, 0), |ks| (ks.len(), 0x1_0000));
     let selected = |k: usize| retry.is_none_or(|ks| ks.contains(&k));
+    let env = &ctx.env;
     let committees = &ctx.committees;
     let utxo_sets: &[_] = ctx.utxo_sets;
     let intra_per_shard = &ctx.intra_per_shard;
-    let registry = ctx.registry;
-    let referee_members = &ctx.assignment.referee;
-    let round = ctx.round;
-    let config = ctx.config;
-    let faults = ctx.faults;
 
-    // Each task owns one pool slot and its committee's arena scratch slot
-    // exclusively for the batch's lifetime — per-worker sinks and reusable
-    // validity tables without locks, merged/recycled in committee order below.
-    // (A retry simply recomputes the validity table: the offered list is
-    // unchanged, but the slot may have been resized.)
+    // Each task owns its committee's arena scratch slot exclusively for the
+    // batch's lifetime — reusable validity tables without locks. (A retry
+    // simply recomputes the validity table: the offered list is unchanged,
+    // but the slot may have been resized.)
     let scratch_slots = ctx.arena.shard_slots(m).iter_mut().enumerate();
-    let scratch_slots = scratch_slots.filter(|(k, _)| selected(*k));
-    let mut pool = WorkerSinkPool::new(batch_size);
-    let tasks: Vec<_> = pool
-        .slots_mut()
-        .iter_mut()
-        .zip(scratch_slots)
-        .map(|(slot, (k, scratch))| {
-            move || {
-                let (outcome, sink) = run_intra_consensus(
-                    registry,
-                    &committees[k],
-                    &utxo_sets[k],
-                    &intra_per_shard[k],
-                    referee_members,
-                    round,
-                    config.latency,
-                    config.seed ^ (round << 8) ^ (seed_salt + k as u64),
-                    scratch,
-                    faults,
-                );
-                *slot = sink;
-                outcome
-            }
+    let tasks: Vec<_> = scratch_slots
+        .filter(|(k, _)| selected(*k))
+        .map(|(k, scratch)| {
+            let (committee, utxo, offered) = (&committees[k], &utxo_sets[k], &intra_per_shard[k]);
+            move || run_intra_consensus(env, committee, retry.is_some(), utxo, offered, scratch)
         })
         .collect();
     let mut outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
-    pool.merge_into(&mut ctx.metrics);
     debug_assert!(outcomes
         .iter()
         .map(|o| o.committee)
         .eq((0..m).filter(|&k| selected(k))));
     for outcome in &outcomes {
-        ctx.quorum_timeouts += usize::from(outcome.quorum_timeout);
-        ctx.votes_missing += outcome.votes_missing;
-        ctx.net_dropped += outcome.net_dropped;
-        ctx.syncing_abstentions += outcome.syncing_abstentions;
-        ctx.syncing_votes += outcome.syncing_votes;
+        ctx.books.absorb(&outcome.books);
     }
     referee_check(&mut outcomes, committees);
     outcomes
@@ -260,22 +211,14 @@ fn referee_check(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
 /// Inputs: `ctx.cross_shard`, post-recovery committees. Outputs: `ctx.inter`,
 /// `ctx.censorship_count`, further evictions.
 pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
-    let env = InterEnv {
-        plan: ctx.faults,
-        registry: ctx.registry,
-        committees: &ctx.committees,
-        utxo_sets: ctx.utxo_sets,
-        round: ctx.round,
-        latency: ctx.config.latency,
-        seed: ctx.config.seed ^ (ctx.round << 16),
-    };
-    let inter = xshard::run_phase(&env, &ctx.cross_shard, ctx.executor, &mut ctx.metrics);
-    ctx.quorum_timeouts += inter.quorum_timeouts;
-    ctx.list_timeouts += inter.list_timeouts;
-    ctx.votes_missing += inter.votes_missing;
-    ctx.net_dropped += inter.net_dropped;
-    ctx.syncing_abstentions += inter.syncing_abstentions;
-    ctx.syncing_votes += inter.syncing_votes;
+    let inter = xshard::run_phase(
+        &ctx.env,
+        &ctx.committees,
+        ctx.utxo_sets,
+        &ctx.cross_shard,
+        ctx.executor,
+        &mut ctx.books,
+    );
     ctx.witnesses += inter.equivocation.len();
     ctx.censorship_count = inter.censorship_reports.len();
     // The reports are only needed for the impeachments below; nothing
@@ -301,7 +244,7 @@ pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
 /// in `ctx.metrics`.
 pub fn reputation_update(ctx: &mut RoundContext<'_>) {
     // Borrow the vote lists and decisions straight out of the intra
-    // outcomes — the seed cloned both per committee per round.
+    // outcomes.
     let inputs: Vec<(usize, &VoteList, &[i8], bool)> = ctx
         .intra_outcomes
         .iter()
@@ -315,17 +258,12 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
         })
         .collect();
     run_reputation_update(
+        &ctx.env,
         ctx.executor,
-        ctx.registry,
         &ctx.committees,
-        &ctx.assignment.referee,
         &inputs,
         ctx.reputation,
-        ctx.config.leader_bonus,
-        ctx.round,
-        ctx.config.latency,
-        ctx.config.seed ^ (ctx.round << 24),
-        &mut ctx.metrics,
+        &mut ctx.books,
     );
 }
 
@@ -334,19 +272,11 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
 /// Inputs: the reputation table after updates. Outputs: `ctx.selection`.
 pub fn selection(ctx: &mut RoundContext<'_>) {
     ctx.selection = Some(run_selection(
+        &ctx.env,
         ctx.executor,
-        ctx.registry,
-        &ctx.assignment.referee,
-        AssignmentParams {
-            committees: ctx.config.committees,
-            partial_set_size: ctx.config.partial_set_size,
-            referee_size: ctx.config.referee_size,
-        },
         ctx.reputation,
-        ctx.round,
         ctx.assignment.randomness,
-        ctx.config.pow_difficulty,
-        &mut ctx.metrics,
+        &mut ctx.books.metrics,
     ));
 }
 
@@ -362,7 +292,7 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     // of the decided/accepted transactions instead of cloning them (no
     // later phase reads them, and `Transaction` clones would still pay
     // an Arc bump each).
-    let mut candidates: Vec<Transaction> = std::mem::take(&mut ctx.arena.candidates);
+    let candidates = &mut ctx.arena.candidates;
     for outcome in &mut ctx.intra_outcomes {
         candidates.append(&mut outcome.decided);
     }
@@ -374,26 +304,16 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
             }
         }
     }
-    let all_nodes: Vec<NodeId> = ctx.registry.ids();
+    let next = ctx.selection.as_ref();
     let block_outcome = run_block_generation(
-        ctx.registry,
-        &ctx.referee,
-        &all_nodes,
-        ctx.selection
-            .as_ref()
-            .and_then(|s| s.next_assignment.as_ref()),
-        &mut candidates,
+        &ctx.env,
+        ctx.chain,
+        next.and_then(|s| s.next_assignment.as_ref()),
+        ctx.arena,
         ctx.utxo_sets,
-        &mut ctx.arena.overlay,
         ctx.reputation,
-        ctx.prev_hash,
-        ctx.block_height,
-        ctx.config.latency,
-        ctx.config.seed ^ (ctx.round << 32),
-        &mut ctx.metrics,
+        &mut ctx.books,
     );
-    // Return the (drained) buffer to the arena for the next round.
-    ctx.arena.candidates = candidates;
 
     // Apply the released block to every shard's UTXO set, one executor
     // task per shard (the per-shard sets are disjoint by construction),
@@ -420,7 +340,7 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     // executor task per shard, mirroring the apply batch. Rounds run
     // even when no block was produced (the root just re-publishes), so
     // every round report carries exactly one root per shard.
-    if ctx.config.state_backend == StateBackend::Smt {
+    if ctx.env.config.state_backend == StateBackend::Smt {
         let round = ctx.round;
         let tasks: Vec<_> = ctx
             .utxo_sets

@@ -12,8 +12,8 @@
 //! * [`committee`] — executable committees and network-driven Algorithm 3.
 //! * [`phases`] — the seven phases plus recovery, one module each.
 //! * [`engine`] — the phase-pipeline engine: [`engine::RoundContext`], the
-//!   [`engine::pipeline`] table, and the persistent [`engine::ShardExecutor`].
-//! * [`round`] — the per-round input/output types and pipeline entry point.
+//!   [`engine::pipeline`] table, the [`engine::env`] task table, and the
+//!   persistent [`engine::ShardExecutor`].
 //! * [`simulation`] — the multi-round public entry point.
 //! * [`report`] — measurement output consumed by benches and experiments.
 //! * [`epoch`] — epoch schedule, validator churn, committee reconfiguration.
@@ -32,7 +32,6 @@ pub mod epoch;
 pub mod node;
 pub mod phases;
 pub mod report;
-pub mod round;
 pub mod simulation;
 pub mod sortition;
 pub mod sync;
@@ -42,7 +41,7 @@ pub mod traffic;
 pub use adversary::{AdversaryConfig, Behavior, BehaviorMix};
 pub use committee::{Committee, InsideConsensusOutcome, LeaderFault};
 pub use config::ProtocolConfig;
-pub use engine::{NoopObserver, RoundContext, RoundObserver, ShardExecutor};
+pub use engine::{NoopObserver, PlaneCounters, RoundContext, RoundObserver, ShardExecutor};
 pub use epoch::EpochSchedule;
 pub use node::{MembershipState, NodeRegistry, SimNode};
 pub use report::{

@@ -7,18 +7,17 @@
 //! then applies the block to the UTXOs it maintains, and transaction fees are
 //! distributed proportionally to `g(reputation)`.
 
-use cycledger_consensus::messages::ConsensusId;
-use cycledger_ledger::block::{Block, NextRoundConfig};
-use cycledger_ledger::transaction::Transaction;
-use cycledger_ledger::utxo::{UtxoOverlay, UtxoSet};
-use cycledger_net::latency::LatencyConfig;
-use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_consensus::messages::Alg3Message;
+use cycledger_ledger::block::{Block, Chain, NextRoundConfig};
+use cycledger_ledger::utxo::UtxoSet;
+use cycledger_net::metrics::Phase;
 use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
-use crate::committee::{run_inside_consensus, Committee, LeaderFault};
-use crate::node::NodeRegistry;
+use crate::committee::{run_inside_consensus, LeaderFault};
+use crate::engine::arena::RoundArena;
+use crate::engine::env::{Books, RoundEnv, Task};
 use crate::sortition::RoundAssignment;
 
 /// Outcome of block generation.
@@ -34,40 +33,36 @@ pub struct BlockOutcome {
     pub rewards: Vec<(NodeId, u64)>,
 }
 
-/// Runs block generation and distributes fees.
+/// Runs block generation over the candidates staged in `arena` (drained
+/// here), extending `chain`'s tip, and distributes fees; the phase's traffic
+/// and the referee instance's go into `books`.
 ///
 /// The returned block is **not** applied to `utxo_sets`: application is
 /// per-shard-parallel work the engine's block-generation phase hands to the
 /// [`crate::engine::ShardExecutor`] (each shard's set is disjoint), keeping
 /// this function a pure map from candidates to a certified block.
-#[allow(clippy::too_many_arguments)]
 pub fn run_block_generation(
-    registry: &NodeRegistry,
-    referee: &Committee,
-    all_nodes: &[NodeId],
+    env: &RoundEnv<'_>,
+    chain: &Chain,
     assignment_next: Option<&RoundAssignment>,
-    candidate_txs: &mut Vec<Transaction>,
+    arena: &mut RoundArena,
     utxo_sets: &[UtxoSet],
-    overlay: &mut UtxoOverlay,
     reputation: &ReputationTable,
-    prev_hash: cycledger_crypto::sha256::Digest,
-    round: u64,
-    latency: LatencyConfig,
-    seed: u64,
-    metrics: &mut MetricsSink,
+    books: &mut Books,
 ) -> BlockOutcome {
     let phase = Phase::BlockGeneration;
+    let (referee, all_nodes) = (env.referee, env.registry.ids());
+    let (overlay, height) = (&mut arena.overlay, chain.height() as u64);
 
     // 1. Re-validate candidate transactions against the current UTXO state,
     //    applying them incrementally so intra-round chains (A→B then B→C) are
-    //    honoured and double-spends across committees are caught. The seed
-    //    cloned every shard's UTXO set for this; the overlay records only the
-    //    candidates' deltas over the untouched base sets (see `UtxoOverlay`),
-    //    making the same accept/reject decisions without the copy.
+    //    honoured and double-spends across committees are caught. The overlay
+    //    records only the candidates' deltas over the untouched base sets
+    //    (see `UtxoOverlay`).
     overlay.clear();
-    let mut accepted = Vec::with_capacity(candidate_txs.len());
+    let mut accepted = Vec::with_capacity(arena.candidates.len());
     let mut rejected = 0usize;
-    for tx in candidate_txs.drain(..) {
+    for tx in arena.candidates.drain(..) {
         if overlay.validate_across(&tx, utxo_sets).is_ok() {
             overlay.apply(&tx);
             accepted.push(tx);
@@ -96,22 +91,21 @@ pub fn run_block_generation(
         },
         None => NextRoundConfig::default(),
     };
-    let block = Block::assemble(round, prev_hash, accepted, next_round);
+    let block = Block::assemble(height, chain.tip_hash(), accepted, next_round);
 
     // 3. The referee committee agrees on the block via Algorithm 3.
-    let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ 0xb10c);
-    net.set_phase(phase);
+    let mut net: SimNetwork<Alg3Message> = env.open(Task::Block);
     let consensus = run_inside_consensus(
         &mut net,
         referee,
-        registry,
-        ConsensusId { round, seq: 9_000 },
+        env.registry,
+        Task::Block.instance(height),
         block.header_hash().as_bytes().to_vec(),
         LeaderFault::None,
         true,
     );
-    metrics.merge(net.metrics());
+    books.absorb(&Books::close(net));
+    let metrics = &mut books.metrics;
     if consensus.certificate.is_none() {
         return BlockOutcome {
             block: None,
@@ -137,7 +131,7 @@ pub fn run_block_generation(
     // 5. Fees are distributed proportionally to g(reputation) (§IV-G).
     //    (Step numbering from §IV-G; applying the block to the shard UTXO
     //    sets happens in the engine, one executor task per shard.)
-    let rewards = reputation.distribute_fees(all_nodes, block.total_fees());
+    let rewards = reputation.distribute_fees(&all_nodes, block.total_fees());
 
     BlockOutcome {
         block: Some(block),
@@ -150,9 +144,14 @@ pub fn run_block_generation(
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
+    use crate::committee::Committee;
+    use crate::config::ProtocolConfig;
+    use crate::node::NodeRegistry;
     use crate::sortition::{assign_round, AssignmentParams};
-    use cycledger_crypto::sha256::{sha256, Digest};
+    use cycledger_crypto::sha256::sha256;
+    use cycledger_ledger::transaction::Transaction;
     use cycledger_ledger::workload::{Workload, WorkloadConfig};
+    use cycledger_net::faults::FaultPlan;
 
     struct Fixture {
         registry: NodeRegistry,
@@ -179,13 +178,7 @@ mod tests {
             sha256(b"block-phase"),
             &reputation,
         );
-        let referee = Committee {
-            index: usize::MAX,
-            leader: assignment.referee[0],
-            partial_set: Vec::new(),
-            members: assignment.referee.clone(),
-            keys: registry.committee_keys(&assignment.referee),
-        };
+        let referee = Committee::referee(&assignment.referee, &registry);
         let mut workload = Workload::new(WorkloadConfig {
             num_shards: 3,
             accounts_per_shard: 16,
@@ -228,32 +221,57 @@ mod tests {
         }
     }
 
+    impl Fixture {
+        /// The first block of a chain over `candidates`, under configuration
+        /// seed `seed`.
+        fn generate(
+            &self,
+            next: Option<&RoundAssignment>,
+            candidates: Vec<Transaction>,
+            seed: u64,
+        ) -> (BlockOutcome, Books) {
+            let config = ProtocolConfig {
+                seed,
+                ..ProtocolConfig::default()
+            };
+            let env = RoundEnv {
+                config: &config,
+                registry: &self.registry,
+                referee: &self.referee,
+                plan: &FaultPlan::default(),
+                round: 0,
+            };
+            let mut arena = RoundArena::new();
+            arena.candidates = candidates;
+            let mut books = Books::default();
+            let outcome = run_block_generation(
+                &env,
+                &Chain::new(),
+                next,
+                &mut arena,
+                &self.utxo_sets,
+                &self.reputation,
+                &mut books,
+            );
+            assert!(
+                arena.candidates.is_empty(),
+                "the staged candidates are drained"
+            );
+            (outcome, books)
+        }
+    }
+
     #[test]
     fn block_packs_valid_transactions_and_applies_them() {
         let mut fx = fixture(91);
-        let mut metrics = MetricsSink::new();
         let before: u64 = fx.utxo_sets.iter().map(|s| s.total_value()).sum();
-        let mut candidates: Vec<Transaction> = fx
+        let candidates: Vec<Transaction> = fx
             .valid
             .iter()
             .cloned()
             .chain(fx.invalid.iter().cloned())
             .collect();
-        let outcome = run_block_generation(
-            &fx.registry,
-            &fx.referee,
-            &fx.all_nodes,
-            None,
-            &mut candidates,
-            &fx.utxo_sets,
-            &mut UtxoOverlay::new(),
-            &fx.reputation,
-            Digest::ZERO,
-            0,
-            LatencyConfig::default(),
-            1,
-            &mut metrics,
-        );
+        let (outcome, books) = fx.generate(None, candidates, 1);
         let block = outcome.block.expect("block produced");
         assert_eq!(block.tx_count(), fx.valid.len());
         assert_eq!(outcome.rejected_by_referee, fx.invalid.len());
@@ -271,7 +289,7 @@ mod tests {
         let reward_sum: u64 = outcome.rewards.iter().map(|(_, r)| r).sum();
         assert_eq!(reward_sum, block.total_fees());
         // Every node received the block.
-        let total = metrics.phase_total(Phase::BlockGeneration);
+        let total = books.metrics.phase_total(Phase::BlockGeneration);
         assert!(total.msgs_sent as usize >= fx.all_nodes.len() - fx.referee.members.len());
     }
 
@@ -280,28 +298,10 @@ mod tests {
         let fx = fixture(92);
         // Submit the same transaction twice: the second copy must be rejected.
         let tx = fx.valid[0].clone();
-        let outcome = run_block_generation(
-            &fx.registry,
-            &fx.referee,
-            &fx.all_nodes,
-            None,
-            &mut vec![tx.clone(), tx],
-            &fx.utxo_sets,
-            &mut UtxoOverlay::new(),
-            &fx.reputation,
-            Digest::ZERO,
-            0,
-            LatencyConfig::default(),
-            2,
-            &mut metricless(),
-        );
+        let (outcome, _) = fx.generate(None, vec![tx.clone(), tx], 2);
         let block = outcome.block.unwrap();
         assert_eq!(block.tx_count(), 1);
         assert_eq!(outcome.rejected_by_referee, 1);
-    }
-
-    fn metricless() -> MetricsSink {
-        MetricsSink::new()
     }
 
     #[test]
@@ -319,21 +319,7 @@ mod tests {
             sha256(b"next"),
             &fx.reputation,
         );
-        let outcome = run_block_generation(
-            &fx.registry,
-            &fx.referee,
-            &fx.all_nodes,
-            Some(&next),
-            &mut fx.valid.clone(),
-            &fx.utxo_sets,
-            &mut UtxoOverlay::new(),
-            &fx.reputation,
-            Digest::ZERO,
-            0,
-            LatencyConfig::default(),
-            3,
-            &mut metricless(),
-        );
+        let (outcome, _) = fx.generate(Some(&next), fx.valid.clone(), 3);
         let block = outcome.block.unwrap();
         assert_eq!(block.next_round.leaders.len(), 3);
         assert_eq!(block.next_round.referee.len(), 7);

@@ -6,13 +6,14 @@
 //! that list. The phase's purpose in the simulator is twofold: verify the
 //! sortition proofs (security) and account the O(c) / O(c²) traffic of Table II.
 
+use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::vrf;
 use cycledger_net::metrics::{MetricsSink, Phase};
 use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
 
+use crate::engine::env::RoundEnv;
 use crate::engine::ShardExecutor;
-use crate::node::NodeRegistry;
 use crate::sortition::RoundAssignment;
 
 /// Sizes (bytes) used for traffic accounting in this phase.
@@ -41,13 +42,13 @@ pub struct ConfigurationOutcome {
 /// verified up front as one chunked `executor` batch; the accounting loop
 /// below is serial and only consumes the verdicts.
 pub fn run_committee_configuration(
+    env: &RoundEnv<'_>,
     executor: &ShardExecutor,
-    registry: &NodeRegistry,
     assignment: &RoundAssignment,
-    delta: SimDuration,
     metrics: &mut MetricsSink,
 ) -> ConfigurationOutcome {
     let phase = Phase::CommitteeConfiguration;
+    let registry = env.registry;
     let m = assignment.committees.len();
     let input =
         RoundAssignment::sortition_input(assignment.sortition_round, &assignment.randomness);
@@ -55,7 +56,7 @@ pub fn run_committee_configuration(
     let valid: Vec<bool> = executor.map_chunked(proofs, |(node, output)| {
         vrf::verify(&registry.node(*node).keypair.public, &input, output)
     });
-    let proof_of: std::collections::HashMap<_, _> = proofs
+    let proof_of: FxHashMap<_, _> = proofs
         .iter()
         .zip(valid)
         .map(|((node, output), valid)| (*node, (output, valid)))
@@ -110,7 +111,7 @@ pub fn run_committee_configuration(
     ConfigurationOutcome {
         verified_members: verified,
         rejected,
-        elapsed: delta.times(8),
+        elapsed: env.config.latency.delta.times(8),
     }
 }
 
@@ -118,8 +119,12 @@ pub fn run_committee_configuration(
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
+    use crate::committee::Committee;
+    use crate::config::ProtocolConfig;
+    use crate::node::NodeRegistry;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::sha256;
+    use cycledger_net::faults::FaultPlan;
     use cycledger_reputation::ReputationTable;
 
     fn setup() -> (NodeRegistry, RoundAssignment) {
@@ -140,17 +145,29 @@ mod tests {
         (registry, assignment)
     }
 
+    /// The phase over `assignment` under the default configuration (Δ = 50 ms).
+    fn configure(
+        registry: &NodeRegistry,
+        assignment: &RoundAssignment,
+        workers: usize,
+    ) -> (ConfigurationOutcome, MetricsSink) {
+        let env = RoundEnv {
+            config: &ProtocolConfig::default(),
+            registry,
+            referee: &Committee::referee(&assignment.referee, registry),
+            plan: &FaultPlan::default(),
+            round: assignment.round,
+        };
+        let mut metrics = MetricsSink::new();
+        let executor = ShardExecutor::new(workers);
+        let outcome = run_committee_configuration(&env, &executor, assignment, &mut metrics);
+        (outcome, metrics)
+    }
+
     #[test]
     fn all_honest_members_verify() {
         let (registry, assignment) = setup();
-        let mut metrics = MetricsSink::new();
-        let outcome = run_committee_configuration(
-            &ShardExecutor::new(1),
-            &registry,
-            &assignment,
-            SimDuration::from_millis(50),
-            &mut metrics,
-        );
+        let (outcome, metrics) = configure(&registry, &assignment, 1);
         let expected: usize = assignment
             .committees
             .iter()
@@ -172,14 +189,7 @@ mod tests {
     #[test]
     fn key_member_traffic_exceeds_common_member_traffic() {
         let (registry, assignment) = setup();
-        let mut metrics = MetricsSink::new();
-        run_committee_configuration(
-            &ShardExecutor::new(1),
-            &registry,
-            &assignment,
-            SimDuration::from_millis(50),
-            &mut metrics,
-        );
+        let (_, metrics) = configure(&registry, &assignment, 1);
         let committee = &assignment.committees[0];
         let leader_bytes = metrics
             .node_phase(committee.leader, Phase::CommitteeConfiguration)
@@ -198,14 +208,7 @@ mod tests {
         let (registry, honest) = setup();
         let total = honest.sortition_proofs.len();
         let run = |assignment: &RoundAssignment, workers: usize| {
-            let mut metrics = MetricsSink::new();
-            let outcome = run_committee_configuration(
-                &ShardExecutor::new(workers),
-                &registry,
-                assignment,
-                SimDuration::from_millis(50),
-                &mut metrics,
-            );
+            let (outcome, metrics) = configure(&registry, assignment, workers);
             let mut bytes = Vec::new();
             metrics.write_canonical_bytes(&mut bytes);
             (outcome, bytes)

@@ -73,18 +73,4 @@ pub struct InterOutcome {
     pub timeout_delays: u64,
     /// Algorithm 3 instances started: at most one per committee per side.
     pub alg3_instances: usize,
-    /// Certified `(i, j)` lists that never reached the destination leader: a
-    /// forward leg severed or delayed past `4Γ`, or a censoring leader whose
-    /// whole partial set colludes.
-    pub list_timeouts: usize,
-    /// Destination vote deadlines that fired short.
-    pub quorum_timeouts: usize,
-    /// Destination votes missing (counted `Unknown`).
-    pub votes_missing: usize,
-    /// Envelopes dropped across all phase networks.
-    pub net_dropped: u64,
-    /// `Syncing` destination members that abstained.
-    pub syncing_abstentions: usize,
-    /// Votes from `Syncing` members — must stay zero.
-    pub syncing_votes: usize,
 }

@@ -6,10 +6,10 @@
 //! decision (and the vote list), and forwards the certified result to the
 //! referee committee.
 //!
-//! Every interaction is a typed [`CommitteeMessage`] envelope through a
-//! [`SimNetwork`] built with the round's [`FaultPlan`] — empty unless the
-//! scenario installed faults, in which case the network, not the driver,
-//! decides what arrives:
+//! Every interaction is a typed [`CommitteeMessage`] envelope through the
+//! network [`RoundEnv::open`] builds for the task, under the round's fault
+//! plan — empty unless the scenario installed faults, in which case the
+//! network, not the driver, decides what arrives:
 //!
 //! * the leader *sends* the `TXList` announcement; members vote only when it
 //!   arrives, and their replies ride the network back;
@@ -25,24 +25,22 @@
 //!   can suppress the quorum certificate — which routes the committee
 //!   through recovery exactly like a silent leader.
 //!
-//! Determinism: the committee's network derives its seed from
-//! `(config seed, round, committee)`, and every delivery time is a pure
-//! function of that seed — delivery order is seeded virtual time, never
+//! Determinism: the committee's network takes its seed from the task table
+//! (`config seed, round, committee, attempt`), and every delivery time is a
+//! pure function of that seed — delivery order is seeded virtual time, never
 //! thread order, so the engine's 1/2/8-worker digest contract holds.
 
 use cycledger_consensus::collect::{member_reply, Collected, VoteCollector};
 use cycledger_consensus::envelope::CommitteeMessage;
-use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::quorum::QuorumCertificate;
 use cycledger_consensus::sigcache::Verdicts;
+use cycledger_consensus::transition::quorum_timed_out;
 use cycledger_consensus::votes::{Vote, VoteList};
 use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
-use cycledger_net::faults::FaultPlan;
 use cycledger_net::latency::{LatencyConfig, LinkClass};
-use cycledger_net::metrics::{MetricsSink, Phase};
 use cycledger_net::network::{NetEvent, SimNetwork};
 use cycledger_net::time::{Deadline, SimDuration};
 use cycledger_net::topology::NodeId;
@@ -50,6 +48,7 @@ use cycledger_net::topology::NodeId;
 use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::arena::ShardScratch;
+use crate::engine::env::{Books, PlaneCounters, RoundEnv, Task};
 use crate::node::NodeRegistry;
 
 /// Timer key: the leader's vote-collection deadline.
@@ -85,37 +84,9 @@ pub struct IntraOutcome {
     pub equivocation: Vec<EquivocationEvidence>,
     /// True when the leader never proposed anything (fail-silent leader).
     pub leader_silent: bool,
-    /// The leader's vote-collection deadline fired with votes still missing
-    /// (the quorum-timeout fallback path was taken).
-    pub quorum_timeout: bool,
-    /// Members whose votes never arrived by the deadline (recorded as
-    /// all-`Unknown`, §IV-C step 4).
-    pub votes_missing: usize,
-    /// Envelopes the network dropped (partition/loss) while this committee
-    /// ran.
-    pub net_dropped: u64,
-    /// `Syncing` members that received the announcement and deliberately
-    /// abstained (their rows count `Unknown`).
-    pub syncing_abstentions: usize,
-    /// Votes received from `Syncing` members. Must stay zero — pinned by the
-    /// churn fuzz's `NoSyncingVotes` invariant.
-    pub syncing_votes: usize,
-}
-
-/// Casts one member's votes over the offered transactions.
-///
-/// Convenience wrapper that evaluates the authentication function `V`
-/// itself; the phase drivers precompute the validity table once per
-/// committee with [`precompute_validity`] and call [`votes_from_validity`]
-/// per member, since `V` is deterministic and member-independent.
-pub fn cast_votes(
-    registry: &NodeRegistry,
-    member: NodeId,
-    utxo: &UtxoSet,
-    txs: &[GeneratedTx],
-) -> Vec<Vote> {
-    let validity: Vec<bool> = txs.iter().map(|g| utxo.validate(&g.tx).is_ok()).collect();
-    votes_from_validity(registry, member, &validity)
+    /// The task's books. The engine folds them into the round's by
+    /// reference, so the committee's own counters stay readable here.
+    pub books: Books,
 }
 
 /// Evaluates `V` for every offered transaction into `validity` (cleared
@@ -162,20 +133,6 @@ pub fn votes_from_validity(
         .collect()
 }
 
-/// What one vote-collection loop observed.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct VoteCollection {
-    /// Votes missing when the deadline fired (backfilled as all-`Unknown`;
-    /// includes syncing abstentions).
-    pub missing: usize,
-    /// `Syncing` members that received the announcement and deliberately
-    /// abstained (their rows count `Unknown`, never breaking quorum math).
-    pub syncing_abstentions: usize,
-    /// Votes actually received from `Syncing` members — must stay zero (the
-    /// churn fuzz pins this as the `NoSyncingVotes` invariant).
-    pub syncing_votes: usize,
-}
-
 /// Announces a `TXList` to `committee` and collects vote replies under the
 /// `4Δ` deadline — the transport of this phase's and of the inter-committee
 /// phase's destination side's vote, over the transactions `list` names. It
@@ -183,23 +140,23 @@ pub(crate) struct VoteCollection {
 /// counts (inclusive deadline, seated voters), backfills the rows still
 /// missing when the timer fires (§IV-C step 4 — the quorum-timeout fallback)
 /// and tallies; members answer through [`member_reply`] when the
-/// announcement reaches them. Any unexpired deadline timer or late vote reply
-/// left in flight is consumed and ignored by the caller's subsequent
-/// Algorithm 3 run and tail drain.
-#[allow(clippy::too_many_arguments)]
+/// announcement reaches them. Returns the collection and what it counted
+/// missing. Any unexpired deadline timer or late vote reply left in flight is
+/// consumed and ignored by the caller's subsequent Algorithm 3 run and the
+/// closing drain.
 pub(crate) fn collect_votes_under_deadline(
     net: &mut SimNetwork<CommitteeMessage>,
-    registry: &NodeRegistry,
+    env: &RoundEnv<'_>,
     committee: &Committee,
     votes_of: &dyn Fn(NodeId) -> Vec<Vote>,
     announce_bytes: u64,
-    latency: &LatencyConfig,
     record_storage: bool,
     list: VoteList,
-) -> (Collected, VoteCollection) {
+) -> (Collected, PlaneCounters) {
+    let may_vote = |member: NodeId| env.registry.node(member).membership.may_vote();
     let leader = committee.leader;
     let count = list.tx_ids.len();
-    let mut collection = VoteCollection::default();
+    let mut counters = PlaneCounters::default();
     let announce = CommitteeMessage::TxList {
         committee: committee.index as u32,
         count: count as u32,
@@ -218,39 +175,37 @@ pub(crate) fn collect_votes_under_deadline(
     if record_storage {
         net.record_storage(leader, count as u64);
     }
-    let deadline = Deadline::at(net.schedule_timer(vote_deadline(latency), VOTE_TIMER));
+    let timer = net.schedule_timer(vote_deadline(&env.config.latency), VOTE_TIMER);
     let seats = &committee.members;
     let mut collector: VoteCollector<'_> =
-        VoteCollector::open(seats, leader, votes_of(leader), list, deadline);
+        VoteCollector::open(seats, leader, votes_of(leader), list, Deadline::at(timer));
 
     while let Some(event) = net.next_event() {
         match event {
-            NetEvent::Message(env) => match env.payload {
-                CommitteeMessage::TxList { .. } if committee.contains(env.to) => {
-                    let may_vote = registry.node(env.to).membership.may_vote();
-                    let Some(vector) = member_reply(env.to, may_vote, || votes_of(env.to)) else {
-                        collection.syncing_abstentions += 1;
+            NetEvent::Message(msg) => match msg.payload {
+                CommitteeMessage::TxList { .. } if committee.contains(msg.to) => {
+                    let Some(vector) = member_reply(msg.to, may_vote(msg.to), || votes_of(msg.to))
+                    else {
+                        counters.syncing_abstentions += 1;
                         continue;
                     };
                     if record_storage {
                         // Common members only keep their own opinion.
-                        net.record_storage(env.to, count as u64);
+                        net.record_storage(msg.to, count as u64);
                     }
                     let bytes = vector.wire_size() + 96;
                     net.send(
-                        env.to,
+                        msg.to,
                         leader,
                         LinkClass::IntraCommittee,
                         CommitteeMessage::Votes(vector),
                         bytes,
                     );
                 }
-                CommitteeMessage::Votes(vector) if env.to == leader => {
+                CommitteeMessage::Votes(vector) if msg.to == leader => {
                     let voter = vector.voter;
-                    if collector.on_vote(vector, env.delivered_at)
-                        && !registry.node(voter).membership.may_vote()
-                    {
-                        collection.syncing_votes += 1;
+                    if collector.on_vote(vector, msg.delivered_at) && !may_vote(voter) {
+                        counters.syncing_votes += 1;
                     }
                 }
                 _ => {}
@@ -267,8 +222,9 @@ pub(crate) fn collect_votes_under_deadline(
     }
 
     let collected = collector.close();
-    collection.missing = collected.missing;
-    (collected, collection)
+    counters.votes_missing = collected.missing;
+    counters.quorum_timeouts = usize::from(quorum_timed_out(collected.missing));
+    (collected, counters)
 }
 
 /// The bytes Algorithm 3 certifies for a `TXdecSET`: the count, then the ids.
@@ -282,55 +238,44 @@ pub fn decision_payload(decided: impl ExactSizeIterator<Item = TxId>) -> Vec<u8>
 }
 
 /// Runs intra-committee consensus for one committee over its shard's
-/// transactions, every message — `TXList` announcement, vote replies, the
-/// Algorithm 3 exchange, the certificate forward — travelling through a
-/// discrete-event network under `plan`. Returns the outcome and the metrics
-/// it generated (the caller merges them into the round-level sink, which lets
-/// committees run on worker threads).
-#[allow(clippy::too_many_arguments)]
+/// transactions — `retry` for the second attempt of the round, under a leader
+/// a recovery installed — every message (`TXList` announcement, vote replies,
+/// the Algorithm 3 exchange, the certificate forward) travelling through the
+/// task's network under the round's plan. Pure — own network, own books — so
+/// committees run on worker threads.
 pub fn run_intra_consensus(
-    registry: &NodeRegistry,
+    env: &RoundEnv<'_>,
     committee: &Committee,
+    retry: bool,
     utxo: &UtxoSet,
     offered: &[GeneratedTx],
-    referee_members: &[NodeId],
-    round: u64,
-    latency: LatencyConfig,
-    seed: u64,
     scratch: &mut ShardScratch,
-    plan: &FaultPlan,
-) -> (IntraOutcome, MetricsSink) {
-    let phase = Phase::IntraCommitteeConsensus;
-    let mut net: SimNetwork<CommitteeMessage> =
-        SimNetwork::with_faults(latency, seed, plan.clone());
-    net.set_phase(phase);
+) -> IntraOutcome {
+    let task = Task::Intra {
+        committee: committee.index,
+        retry,
+    };
+    let mut net: SimNetwork<CommitteeMessage> = env.open(task);
 
+    let registry = env.registry;
     let leader = committee.leader;
     let leader_behavior = registry.node(leader).behavior;
     let vote_list = VoteList::new(offered.iter().map(|g| g.tx.id()).collect());
 
     if leader_behavior == Behavior::SilentLeader {
         // No TXList is ever broadcast; members have nothing to vote on.
-        let metrics = net.into_metrics();
-        return (
-            IntraOutcome {
-                committee: committee.index,
-                decided: Vec::new(),
-                decided_indices: Vec::new(),
-                vote_list,
-                decision: vec![-1; offered.len()],
-                certificate: None,
-                memo: Verdicts::default(),
-                equivocation: Vec::new(),
-                leader_silent: true,
-                quorum_timeout: false,
-                votes_missing: 0,
-                net_dropped: 0,
-                syncing_abstentions: 0,
-                syncing_votes: 0,
-            },
-            metrics,
-        );
+        return IntraOutcome {
+            committee: committee.index,
+            decided: Vec::new(),
+            decided_indices: Vec::new(),
+            vote_list,
+            decision: vec![-1; offered.len()],
+            certificate: None,
+            memo: Verdicts::default(),
+            equivocation: Vec::new(),
+            leader_silent: true,
+            books: Books::close(net),
+        };
     }
 
     // 1-2. The leader announces the TXList as real envelopes and collects
@@ -339,22 +284,20 @@ pub fn run_intra_consensus(
     //      table *when the announcement reaches it*.
     precompute_validity(utxo, offered, &mut scratch.validity);
     let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
-    let (collected, collection) = collect_votes_under_deadline(
+    let (collected, votes) = collect_votes_under_deadline(
         &mut net,
-        registry,
+        env,
         committee,
         &|member| votes_from_validity(registry, member, &scratch.validity),
         txlist_bytes,
-        &latency,
         true,
         vote_list,
     );
     let Collected {
         list: vote_list,
-        missing: votes_missing,
         tally,
+        ..
     } = collected;
-    let quorum_timeout = cycledger_consensus::transition::quorum_timed_out(votes_missing);
 
     // 3. The leader runs Algorithm 3 over the tallied decision, on the same
     //    network.
@@ -365,18 +308,8 @@ pub fn run_intra_consensus(
         .collect();
     let payload = decision_payload(decided.iter().map(|tx| tx.id()));
     let fault = LeaderFault::from_behavior(leader_behavior, &payload);
-    let consensus = run_inside_consensus(
-        &mut net,
-        committee,
-        registry,
-        ConsensusId {
-            round,
-            seq: 1_000 + committee.index as u64,
-        },
-        payload,
-        fault,
-        true,
-    );
+    let id = env.instance(task);
+    let consensus = run_inside_consensus(&mut net, committee, registry, id, payload, fault, true);
 
     // 4. The certified TXdecSET travels to the referee committee as
     //    envelopes over the key-member mesh. (The pipeline's referee-side
@@ -393,7 +326,7 @@ pub fn run_intra_consensus(
             committee: committee.index as u32,
             decided: decided.len() as u32,
         };
-        for &rm in referee_members {
+        for &rm in &env.referee.members {
             net.send(
                 leader,
                 rm,
@@ -408,47 +341,40 @@ pub fn run_intra_consensus(
         }
     }
 
-    // Drain stragglers (late votes, in-flight forwards, unexpired timers) so
-    // the network quiesces before the books close.
-    while net.next_event().is_some() {}
-    let net_dropped = net.dropped_messages();
-    let metrics = net.into_metrics();
-    (
-        IntraOutcome {
-            committee: committee.index,
-            decided,
-            decided_indices,
-            vote_list,
-            decision: tally.decision,
-            certificate: consensus.certificate,
-            memo: consensus.memo,
-            equivocation: consensus.equivocation,
-            leader_silent: false,
-            quorum_timeout,
-            votes_missing,
-            net_dropped,
-            syncing_abstentions: collection.syncing_abstentions,
-            syncing_votes: collection.syncing_votes,
-        },
-        metrics,
-    )
+    let mut books = Books::close(net);
+    books.counters += votes;
+    IntraOutcome {
+        committee: committee.index,
+        decided,
+        decided_indices,
+        vote_list,
+        decision: tally.decision,
+        certificate: consensus.certificate,
+        memo: consensus.memo,
+        equivocation: consensus.equivocation,
+        leader_silent: false,
+        books,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
+    use crate::config::ProtocolConfig;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_consensus::transition::expected_votes_missing;
     use cycledger_consensus::votes::VoteVector;
     use cycledger_crypto::sha256::sha256;
     use cycledger_ledger::workload::{Workload, WorkloadConfig};
+    use cycledger_net::faults::FaultPlan;
+    use cycledger_net::metrics::Phase;
     use cycledger_reputation::ReputationTable;
 
     struct Fixture {
         registry: NodeRegistry,
         committees: Vec<Committee>,
-        referee: Vec<NodeId>,
+        referee: Committee,
         utxo_sets: Vec<UtxoSet>,
         offered: Vec<Vec<GeneratedTx>>,
     }
@@ -489,18 +415,17 @@ mod tests {
             offered[shard].push(gen);
         }
         Fixture {
+            referee: Committee::referee(&assignment.referee, &registry),
             registry,
             committees,
-            referee: assignment.referee.clone(),
             utxo_sets,
             offered,
         }
     }
 
     impl Fixture {
-        /// Committee `k` under the default latency profile, signatures
-        /// verified, no faults.
-        fn run(&self, k: usize, seed: u64) -> (IntraOutcome, MetricsSink) {
+        /// Committee `k` under the default latency profile and no faults.
+        fn run(&self, k: usize, seed: u64) -> IntraOutcome {
             self.run_under(k, LatencyConfig::default(), seed, &FaultPlan::default())
         }
 
@@ -510,18 +435,26 @@ mod tests {
             latency: LatencyConfig,
             seed: u64,
             plan: &FaultPlan,
-        ) -> (IntraOutcome, MetricsSink) {
-            run_intra_consensus(
-                &self.registry,
-                &self.committees[k],
-                &self.utxo_sets[k],
-                &self.offered[k],
-                &self.referee,
-                1,
+        ) -> IntraOutcome {
+            let config = ProtocolConfig {
                 latency,
                 seed,
-                &mut ShardScratch::default(),
+                ..ProtocolConfig::default()
+            };
+            let env = RoundEnv {
+                config: &config,
+                registry: &self.registry,
+                referee: &self.referee,
                 plan,
+                round: 1,
+            };
+            run_intra_consensus(
+                &env,
+                &self.committees[k],
+                false,
+                &self.utxo_sets[k],
+                &self.offered[k],
+                &mut ShardScratch::default(),
             )
         }
 
@@ -556,10 +489,11 @@ mod tests {
     #[test]
     fn honest_committee_accepts_valid_and_rejects_invalid() {
         let fx = fixture(51, 0.3);
-        let (outcome, metrics) = fx.run(0, 1);
+        let outcome = fx.run(0, 1);
+        let (metrics, counters) = (&outcome.books.metrics, outcome.books.counters);
         assert!(!outcome.leader_silent);
         assert!(outcome.certificate.is_some());
-        assert_eq!((outcome.votes_missing, outcome.net_dropped), (0, 0));
+        assert_eq!(counters, PlaneCounters::default());
         // Ground truth: exactly the valid transactions are decided.
         assert_eq!(outcome.decided_indices, fx.valid_indices(0));
         assert_eq!(outcome.decision.len(), fx.offered[0].len());
@@ -579,7 +513,7 @@ mod tests {
         let mut fx = fixture(52, 0.0);
         let leader = fx.committees[1].leader;
         fx.registry.set_behavior(leader, Behavior::SilentLeader);
-        let (outcome, _) = fx.run(1, 2);
+        let outcome = fx.run(1, 2);
         assert!(outcome.leader_silent);
         assert!(outcome.decided.is_empty());
         assert!(outcome.certificate.is_none());
@@ -591,7 +525,7 @@ mod tests {
         let leader = fx.committees[2].leader;
         fx.registry
             .set_behavior(leader, Behavior::EquivocatingLeader);
-        let (outcome, _) = fx.run(2, 3);
+        let outcome = fx.run(2, 3);
         assert!(!outcome.equivocation.is_empty());
         for ev in &outcome.equivocation {
             assert!(ev.verify(&fx.registry.node(leader).keypair.public));
@@ -606,7 +540,7 @@ mod tests {
         for &m in commons.iter().take(commons.len() / 3) {
             fx.registry.set_behavior(m, Behavior::WrongVoter);
         }
-        let (outcome, _) = fx.run(0, 4);
+        let outcome = fx.run(0, 4);
         assert_eq!(
             outcome.decided_indices,
             fx.valid_indices(0),
@@ -619,7 +553,9 @@ mod tests {
         let fx = fixture(55, 0.0);
         let member = fx.committees[0].members[3];
         let mut registry = fx.registry.clone();
-        let votes = cast_votes(&registry, member, &fx.utxo_sets[0], &fx.offered[0]);
+        let mut validity = Vec::new();
+        precompute_validity(&fx.utxo_sets[0], &fx.offered[0], &mut validity);
+        let votes = votes_from_validity(&registry, member, &validity);
         assert_eq!(votes.len(), fx.offered[0].len());
         // All-honest, ample capacity: no Unknown votes.
         assert!(votes.iter().all(|v| *v != Vote::Unknown));
@@ -631,7 +567,7 @@ mod tests {
         assert_eq!(beyond, [Vote::Unknown, Vote::Unknown]);
         // Lazy voters produce only Unknown.
         registry.set_behavior(member, Behavior::LazyVoter);
-        let votes = cast_votes(&registry, member, &fx.utxo_sets[0], &fx.offered[0]);
+        let votes = votes_from_validity(&registry, member, &validity);
         assert!(votes.iter().all(|v| *v == Vote::Unknown));
     }
 
@@ -644,9 +580,12 @@ mod tests {
         let fx = fixture(61, 0.0);
         let slow = fx.commons(0)[0];
         let plan = FaultPlan::default().with_delay(slow, SimDuration::from_micros(1));
-        let (outcome, _) = fx.run_under(0, unit_latency(), 1, &plan);
-        assert_eq!(outcome.votes_missing, 0, "on-deadline vote was dropped");
-        assert!(!outcome.quorum_timeout);
+        let outcome = fx.run_under(0, unit_latency(), 1, &plan);
+        assert_eq!(
+            outcome.books.counters.votes_missing, 0,
+            "on-deadline vote was dropped"
+        );
+        assert_eq!(outcome.books.counters.quorum_timeouts, 0);
         assert!(outcome.certificate.is_some());
         let row = outcome.vote_list.votes.iter().find(|v| v.voter == slow);
         let row = row.expect("slow member has a row");
@@ -665,13 +604,13 @@ mod tests {
         let fx = fixture(61, 0.0);
         let (slow, size) = (fx.commons(0)[0], fx.committees[0].size());
         let plan = FaultPlan::default().with_delay(slow, SimDuration::from_micros(2));
-        let (outcome, _) = fx.run_under(0, unit_latency(), 1, &plan);
-        assert_eq!(outcome.votes_missing, 1);
-        assert!(outcome.quorum_timeout);
+        let outcome = fx.run_under(0, unit_latency(), 1, &plan);
+        assert_eq!(outcome.books.counters.votes_missing, 1);
+        assert_eq!(outcome.books.counters.quorum_timeouts, 1);
         // Vote accounting reconciles through the shared transition core:
         // missing == expected − received.
         assert_eq!(
-            outcome.votes_missing,
+            outcome.books.counters.votes_missing,
             expected_votes_missing(size, size - 1)
         );
         let row = outcome.vote_list.votes.iter().find(|v| v.voter == slow);
@@ -697,10 +636,13 @@ mod tests {
         let members = committee.members.iter().copied();
         let severed: Vec<NodeId> = members.filter(|&m| m != committee.leader).collect();
         let plan = FaultPlan::partition(severed);
-        let (outcome, _) = fx.run_under(0, unit_latency(), 1, &plan);
-        assert_eq!(outcome.votes_missing, expected_votes_missing(size, 1));
-        assert_eq!(outcome.votes_missing, size - 1);
-        assert!(outcome.quorum_timeout);
+        let outcome = fx.run_under(0, unit_latency(), 1, &plan);
+        assert_eq!(
+            outcome.books.counters.votes_missing,
+            expected_votes_missing(size, 1)
+        );
+        assert_eq!(outcome.books.counters.votes_missing, size - 1);
+        assert_eq!(outcome.books.counters.quorum_timeouts, 1);
         assert!(outcome.decision.iter().all(|&d| d == -1));
         assert!(outcome.certificate.is_none());
         // Backfill still yields a full V List — one real row, C−1 Unknowns.

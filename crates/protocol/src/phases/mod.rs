@@ -1,5 +1,5 @@
 //! The seven protocol phases of a CycLedger round (§IV) plus the recovery
-//! procedure, each as a separate module driven by [`crate::round`].
+//! procedure, each as a separate module driven by [`crate::engine::pipeline`].
 
 pub mod block_generation;
 pub mod configuration;

@@ -12,15 +12,13 @@ use cycledger_consensus::envelope::CommitteeMessage;
 pub use cycledger_consensus::impeach::Accusation;
 use cycledger_consensus::impeach::{Impeachment, Verdict};
 use cycledger_crypto::sha256::hash_parts;
-use cycledger_net::faults::FaultPlan;
-use cycledger_net::latency::{LatencyConfig, LinkClass};
-use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_net::latency::LinkClass;
 use cycledger_net::network::{NetEvent, SimNetwork};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
 use crate::committee::Committee;
-use crate::node::NodeRegistry;
+use crate::engine::env::{Books, RoundEnv, Task};
 use crate::phases::intra::vote_deadline;
 
 /// Result of running the recovery procedure for one committee.
@@ -42,34 +40,29 @@ pub struct RecoveryOutcome {
 /// Timer key: the prosecutor's impeachment-vote deadline.
 const IMPEACH_TIMER: u64 = 3;
 
-/// Runs the recovery procedure for one committee given an accusation, with
-/// the accusation broadcast, impeachment votes and referee notifications
-/// travelling as envelopes under a `4Δ` approval deadline. Members `plan`
-/// severs from the prosecutor cannot approve, so an impeachment under
-/// partition can fail for lack of a majority.
+/// Runs the recovery procedure for one committee given an accusation — the
+/// round's `attempt`-th — with the accusation broadcast, impeachment votes
+/// and referee notifications travelling as envelopes under a `4Δ` approval
+/// deadline. Members the round's plan severs from the prosecutor cannot
+/// approve, so an impeachment under partition can fail for lack of a
+/// majority.
 ///
-/// Returns the outcome and the envelopes the network dropped; on success,
-/// mutates `committee` (new leader installed) and `reputation` (cube-root
-/// punishment for the old leader).
-#[allow(clippy::too_many_arguments)]
+/// On success, mutates `committee` (new leader installed) and `reputation`
+/// (cube-root punishment for the old leader).
 pub fn run_recovery(
-    registry: &NodeRegistry,
+    env: &RoundEnv<'_>,
+    attempt: usize,
     committee: &mut Committee,
-    referee: &Committee,
     accusation: Accusation,
     prosecutor: NodeId,
     reputation: &mut ReputationTable,
-    round: u64,
-    latency: LatencyConfig,
-    plan: &FaultPlan,
-    seed: u64,
-    metrics: &mut MetricsSink,
-) -> (RecoveryOutcome, u64) {
-    let phase = Phase::Recovery;
+) -> (RecoveryOutcome, Books) {
+    let (registry, referee) = (env.registry, env.referee);
     let accused = accusation.accused();
-    let mut net: SimNetwork<CommitteeMessage> =
-        SimNetwork::with_faults(latency, seed, plan.clone());
-    net.set_phase(phase);
+    let mut net: SimNetwork<CommitteeMessage> = env.open(Task::Recovery {
+        attempt,
+        committee: committee.index,
+    });
 
     // The impeachment machine settles admissibility, answers and the count;
     // this function is its transport.
@@ -103,16 +96,16 @@ pub fn run_recovery(
 
     // 2. Members vote on the impeachment; approvals must reach the
     //    prosecutor by the 4Δ deadline.
-    net.schedule_timer(vote_deadline(&latency), IMPEACH_TIMER);
+    net.schedule_timer(vote_deadline(&env.config.latency), IMPEACH_TIMER);
     while let Some(event) = net.next_event() {
         match event {
-            NetEvent::Message(env) => match env.payload {
+            NetEvent::Message(msg) => match msg.payload {
                 CommitteeMessage::Accusation { .. } => {
-                    let member = node(env.to);
+                    let member = node(msg.to);
                     let may_vote = member.membership.may_vote();
-                    if let Some(approve) = vote.member_vote(env.to, member.is_honest(), may_vote) {
+                    if let Some(approve) = vote.member_vote(msg.to, member.is_honest(), may_vote) {
                         net.send(
-                            env.to,
+                            msg.to,
                             prosecutor,
                             LinkClass::IntraCommittee,
                             CommitteeMessage::ImpeachVote {
@@ -123,8 +116,8 @@ pub fn run_recovery(
                         );
                     }
                 }
-                CommitteeMessage::ImpeachVote { approve, .. } if env.to == prosecutor => {
-                    vote.on_vote(env.from, approve);
+                CommitteeMessage::ImpeachVote { approve, .. } if msg.to == prosecutor => {
+                    vote.on_vote(msg.from, approve);
                 }
                 _ => {}
             },
@@ -136,13 +129,6 @@ pub fn run_recovery(
     }
     let (approvals, verdict) = (vote.approvals(), vote.verdict());
 
-    // Close the books and return.
-    let mut finish = |mut net: SimNetwork<CommitteeMessage>, outcome: RecoveryOutcome| {
-        while net.next_event().is_some() {}
-        let dropped = net.dropped_messages();
-        metrics.merge(net.metrics());
-        (outcome, dropped)
-    };
     let index = committee.index;
     let rejected = |reason| RecoveryOutcome {
         committee: index,
@@ -153,10 +139,8 @@ pub fn run_recovery(
     };
 
     if verdict == Verdict::NoMajority {
-        return finish(
-            net,
-            rejected("impeachment did not reach a committee majority"),
-        );
+        let outcome = rejected("impeachment did not reach a committee majority");
+        return (outcome, Books::close(net));
     }
 
     // 3. The prosecutor forwards accusation + vote certificate to C_R, which
@@ -172,7 +156,8 @@ pub fn run_recovery(
         );
     }
     if verdict == Verdict::EvidenceRejected {
-        return finish(net, rejected("referee committee rejected the evidence"));
+        let outcome = rejected("referee committee rejected the evidence");
+        return (outcome, Books::close(net));
     }
 
     // 4. C_R agrees (Algorithm 3 among referees; one broadcast round here)
@@ -190,14 +175,12 @@ pub fn run_recovery(
         .filter(|&n| n != accused)
         .collect();
     if candidates.is_empty() {
-        return finish(
-            net,
-            rejected("no partial-set member available to take over"),
-        );
+        let outcome = rejected("no partial-set member available to take over");
+        return (outcome, Books::close(net));
     }
     let pick = hash_parts(&[
         b"cycledger/new-leader",
-        &round.to_be_bytes(),
+        &env.round.to_be_bytes(),
         &(committee.index as u64).to_be_bytes(),
         &accused.0.to_be_bytes(),
     ])
@@ -207,28 +190,30 @@ pub fn run_recovery(
     committee.install_leader(new_leader);
     reputation.punish_leader(accused);
 
-    finish(
-        net,
-        RecoveryOutcome {
-            committee: committee.index,
-            evicted: Some(accused),
-            new_leader: Some(new_leader),
-            approvals,
-            rejection_reason: None,
-        },
-    )
+    let outcome = RecoveryOutcome {
+        committee: committee.index,
+        evicted: Some(accused),
+        new_leader: Some(new_leader),
+        approvals,
+        rejection_reason: None,
+    };
+    (outcome, Books::close(net))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
+    use crate::config::ProtocolConfig;
+    use crate::node::NodeRegistry;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_consensus::witness::{
         member_list_signing_bytes, CommitmentMismatchEvidence, Witness,
     };
     use cycledger_crypto::schnorr::sign;
     use cycledger_crypto::sha256::sha256;
+    use cycledger_net::faults::FaultPlan;
+    use cycledger_net::metrics::{MetricsSink, Phase};
 
     struct Fixture {
         registry: NodeRegistry,
@@ -253,13 +238,7 @@ mod tests {
             &reputation,
         );
         let committee = Committee::from_assignment(&assignment.committees[0], &registry);
-        let referee = Committee {
-            index: usize::MAX,
-            leader: assignment.referee[0],
-            partial_set: Vec::new(),
-            members: assignment.referee.clone(),
-            keys: registry.committee_keys(&assignment.referee),
-        };
+        let referee = Committee::referee(&assignment.referee, &registry);
         Fixture {
             registry,
             committee,
@@ -270,29 +249,37 @@ mod tests {
 
     impl Fixture {
         /// One recovery under the default latency profile and an empty fault
-        /// plan, signatures verified.
+        /// plan.
         fn recover(
             &mut self,
             accusation: Accusation,
             prosecutor: NodeId,
             round: u64,
         ) -> (RecoveryOutcome, MetricsSink) {
-            let mut metrics = MetricsSink::new();
-            let (outcome, dropped) = run_recovery(
-                &self.registry,
+            let config = ProtocolConfig {
+                seed: 7,
+                ..ProtocolConfig::default()
+            };
+            let env = RoundEnv {
+                config: &config,
+                registry: &self.registry,
+                referee: &self.referee,
+                plan: &FaultPlan::default(),
+                round,
+            };
+            let (outcome, books) = run_recovery(
+                &env,
+                0,
                 &mut self.committee,
-                &self.referee,
                 accusation,
                 prosecutor,
                 &mut self.reputation,
-                round,
-                LatencyConfig::default(),
-                &FaultPlan::default(),
-                7,
-                &mut metrics,
             );
-            assert_eq!(dropped, 0, "nothing drops under an empty plan");
-            (outcome, metrics)
+            assert_eq!(
+                books.counters.net_dropped, 0,
+                "nothing drops under an empty plan"
+            );
+            (outcome, books.metrics)
         }
 
         /// A commitment-mismatch witness over the real member list, signed

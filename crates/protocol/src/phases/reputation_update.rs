@@ -6,17 +6,16 @@
 //! and forwards it to the referee committee, which adds the scores to the
 //! global reputation table and credits the leader bonus.
 
-use cycledger_consensus::messages::ConsensusId;
+use cycledger_consensus::messages::Alg3Message;
 use cycledger_consensus::votes::VoteList;
-use cycledger_net::latency::LatencyConfig;
-use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_net::metrics::Phase;
 use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::{cosine_score, ReputationTable};
 
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
+use crate::engine::env::{Books, RoundEnv, Task};
 use crate::engine::ShardExecutor;
-use crate::node::NodeRegistry;
 
 /// Scores produced for one committee.
 #[derive(Clone, Debug, Default)]
@@ -51,22 +50,18 @@ struct Certified {
     /// forwards to every referee member.
     payload_len: u64,
     cert_bytes: u64,
-    /// Traffic of the committee's own Algorithm 3 instance.
-    sink: MetricsSink,
+    /// The books of the committee's own Algorithm 3 instance.
+    books: Books,
 }
 
 /// One committee's share of the phase: score the members, have the committee
-/// certify the `ScoreList`. Pure — own network, own sink, nothing shared.
-#[allow(clippy::too_many_arguments)]
+/// certify the `ScoreList`. Pure — own network, own books, nothing shared.
 fn certify_scores(
-    registry: &NodeRegistry,
+    env: &RoundEnv<'_>,
     committee: &Committee,
     vote_list: &VoteList,
     decision: &[i8],
     leader_ok: bool,
-    round: u64,
-    latency: LatencyConfig,
-    seed: u64,
 ) -> Certified {
     let mut certified = Certified {
         scores: CommitteeScores {
@@ -75,7 +70,7 @@ fn certify_scores(
         },
         payload_len: 0,
         cert_bytes: 0,
-        sink: MetricsSink::new(),
+        books: Books::default(),
     };
     if !leader_ok || vote_list.tx_ids.is_empty() {
         // A silent/evicted leader produced no decision this round; the
@@ -85,28 +80,18 @@ fn certify_scores(
     let scores = score_committee(vote_list, decision);
 
     // The leader broadcasts ScoreList + V List and the committee certifies it.
-    let mut net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ (0xabc0 + committee.index as u64));
-    net.set_phase(Phase::ReputationUpdate);
+    let task = Task::Reputation(committee.index);
+    let mut net: SimNetwork<Alg3Message> = env.open(task);
     let mut payload = Vec::with_capacity(scores.len() * 12);
     for (node, score) in &scores {
         payload.extend_from_slice(&node.0.to_be_bytes());
         payload.extend_from_slice(&ReputationTable::to_fixed_point(*score).to_be_bytes());
     }
     certified.payload_len = payload.len() as u64;
-    let consensus = run_inside_consensus(
-        &mut net,
-        committee,
-        registry,
-        ConsensusId {
-            round,
-            seq: 4_000 + committee.index as u64,
-        },
-        payload,
-        LeaderFault::None,
-        true,
-    );
-    certified.sink = net.into_metrics();
+    let (id, fault) = (env.instance(task), LeaderFault::None);
+    let consensus =
+        run_inside_consensus(&mut net, committee, env.registry, id, payload, fault, true);
+    certified.books = Books::close(net);
     certified.scores.scores = scores;
     certified.scores.certified = consensus.certificate.is_some();
     certified.cert_bytes = consensus.certificate.map_or(0, |c| c.wire_size());
@@ -118,59 +103,44 @@ fn certify_scores(
 ///
 /// Scoring a committee and certifying its `ScoreList` reads nothing another
 /// committee writes, so each committee is one `executor` task. Everything
-/// that touches shared state — the round's metrics, the referee forward, the
+/// that touches shared state — the round's `books`, the referee forward, the
 /// reputation table — is folded serially in `inputs` order afterwards, so
 /// every `f64` sum is taken in the same order at any worker count.
-#[allow(clippy::too_many_arguments)]
 pub fn run_reputation_update(
+    env: &RoundEnv<'_>,
     executor: &ShardExecutor,
-    registry: &NodeRegistry,
     committees: &[Committee],
-    referee_members: &[NodeId],
     inputs: &[(usize, &VoteList, &[i8], bool)],
     reputation: &mut ReputationTable,
-    leader_bonus: f64,
-    round: u64,
-    latency: LatencyConfig,
-    seed: u64,
-    metrics: &mut MetricsSink,
+    books: &mut Books,
 ) -> Vec<CommitteeScores> {
     let phase = Phase::ReputationUpdate;
     let tasks: Vec<_> = inputs
         .iter()
         .map(|&(k, vote_list, decision, leader_ok)| {
-            move || {
-                certify_scores(
-                    registry,
-                    &committees[k],
-                    vote_list,
-                    decision,
-                    leader_ok,
-                    round,
-                    latency,
-                    seed,
-                )
-            }
+            move || certify_scores(env, &committees[k], vote_list, decision, leader_ok)
         })
         .collect();
 
     let mut all_scores = Vec::with_capacity(inputs.len());
     for certified in executor.execute(tasks) {
-        metrics.merge(&certified.sink);
+        books.absorb(&certified.books);
         let scores = certified.scores;
         if scores.certified {
             let leader = committees[scores.committee].leader;
             // Leader forwards the certified score list to the referee committee.
             let forwarded = certified.payload_len + certified.cert_bytes;
-            for &rm in referee_members {
-                metrics.record_message(phase, leader, rm, forwarded);
-                metrics.record_storage(phase, rm, certified.payload_len);
+            for &rm in &env.referee.members {
+                books.metrics.record_message(phase, leader, rm, forwarded);
+                books
+                    .metrics
+                    .record_storage(phase, rm, certified.payload_len);
             }
             // The referee committee applies the scores and the leader bonus.
             for (node, score) in &scores.scores {
                 reputation.add_score(*node, *score);
             }
-            reputation.grant_leader_bonus(leader, leader_bonus);
+            reputation.grant_leader_bonus(leader, env.config.leader_bonus);
         }
         all_scores.push(scores);
     }
@@ -181,19 +151,24 @@ pub fn run_reputation_update(
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
+    use crate::config::ProtocolConfig;
+    use crate::node::NodeRegistry;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_consensus::votes::{Vote, VoteVector};
     use cycledger_crypto::sha256::sha256;
+    use cycledger_net::faults::FaultPlan;
 
-    fn fixture(seed: u64) -> (NodeRegistry, Vec<Committee>, Vec<NodeId>) {
+    struct Fixture {
+        registry: NodeRegistry,
+        committees: Vec<Committee>,
+        referee: Committee,
+    }
+
+    fn fixture(seed: u64) -> Fixture {
         fixture_of(seed, 60, 2)
     }
 
-    fn fixture_of(
-        seed: u64,
-        nodes: usize,
-        committees: usize,
-    ) -> (NodeRegistry, Vec<Committee>, Vec<NodeId>) {
+    fn fixture_of(seed: u64, nodes: usize, committees: usize) -> Fixture {
         let registry = NodeRegistry::generate(nodes, &AdversaryConfig::default(), 100, 0, seed);
         let reputation = ReputationTable::with_members(registry.ids());
         let assignment = assign_round(
@@ -213,7 +188,44 @@ mod tests {
             .iter()
             .map(|c| Committee::from_assignment(c, &registry))
             .collect();
-        (registry, committees, assignment.referee)
+        Fixture {
+            referee: Committee::referee(&assignment.referee, &registry),
+            registry,
+            committees,
+        }
+    }
+
+    /// The phase at `round` under configuration seed `seed` and a leader
+    /// bonus of 0.1, over a fresh reputation table.
+    fn update(
+        fx: &Fixture,
+        inputs: &[(usize, &VoteList, &[i8], bool)],
+        workers: usize,
+        (round, seed): (u64, u64),
+    ) -> (Vec<CommitteeScores>, ReputationTable, Books) {
+        let config = ProtocolConfig {
+            leader_bonus: 0.1,
+            seed,
+            ..ProtocolConfig::default()
+        };
+        let env = RoundEnv {
+            config: &config,
+            registry: &fx.registry,
+            referee: &fx.referee,
+            plan: &FaultPlan::default(),
+            round,
+        };
+        let mut reputation = ReputationTable::with_members(fx.registry.ids());
+        let mut books = Books::default();
+        let outcome = run_reputation_update(
+            &env,
+            &ShardExecutor::new(workers),
+            &fx.committees,
+            inputs,
+            &mut reputation,
+            &mut books,
+        );
+        (outcome, reputation, books)
     }
 
     fn vote_list_for(
@@ -238,26 +250,13 @@ mod tests {
 
     #[test]
     fn scores_follow_vote_quality() {
-        let (registry, committees, referee) = fixture(71);
-        let committee = &committees[0];
+        let fx = fixture(71);
+        let (committee, referee) = (&fx.committees[0], &fx.referee);
         let right: Vec<NodeId> = committee.members[..committee.members.len() / 2].to_vec();
         let wrong = vec![*committee.members.last().unwrap()];
         let (vote_list, decision) = vote_list_for(committee, &right, &wrong);
-        let mut reputation = ReputationTable::with_members(registry.ids());
-        let mut metrics = MetricsSink::new();
-        let outcome = run_reputation_update(
-            &ShardExecutor::new(1),
-            &registry,
-            &committees,
-            &referee,
-            &[(0, &vote_list, &decision, true)],
-            &mut reputation,
-            0.1,
-            1,
-            LatencyConfig::default(),
-            1,
-            &mut metrics,
-        );
+        let (outcome, reputation, books) =
+            update(&fx, &[(0, &vote_list, &decision, true)], 1, (1, 1));
         assert_eq!(outcome.len(), 1);
         assert!(outcome[0].certified);
         // Correct voters gained a full point, wrong voters lost one, idle zero.
@@ -271,8 +270,9 @@ mod tests {
         assert!((reputation.get(wrong[0]) + 1.0).abs() < 1e-9);
         // Referee members received and stored the certified score lists.
         assert!(
-            metrics
-                .node_phase(referee[0], Phase::ReputationUpdate)
+            books
+                .metrics
+                .node_phase(referee.members[0], Phase::ReputationUpdate)
                 .msgs_received
                 > 0
         );
@@ -280,31 +280,18 @@ mod tests {
 
     #[test]
     fn uncertified_committees_leave_reputation_untouched() {
-        let (registry, committees, referee) = fixture(72);
-        let committee = &committees[1];
+        let fx = fixture(72);
+        let committee = &fx.committees[1];
         let (vote_list, decision) = vote_list_for(committee, &committee.members, &[]);
-        let mut reputation = ReputationTable::with_members(registry.ids());
-        let outcome = run_reputation_update(
-            &ShardExecutor::new(1),
-            &registry,
-            &committees,
-            &referee,
-            &[(1, &vote_list, &decision, false)],
-            &mut reputation,
-            0.1,
-            1,
-            LatencyConfig::default(),
-            2,
-            &mut MetricsSink::new(),
-        );
+        let (outcome, reputation, _) = update(&fx, &[(1, &vote_list, &decision, false)], 1, (1, 2));
         assert!(!outcome[0].certified);
-        assert!(registry.ids().iter().all(|&n| reputation.get(n) == 0.0));
+        assert!(fx.registry.ids().iter().all(|&n| reputation.get(n) == 0.0));
     }
 
     #[test]
     fn score_committee_matches_cosine() {
-        let (_, committees, _) = fixture(73);
-        let committee = &committees[0];
+        let fx = fixture(73);
+        let committee = &fx.committees[0];
         let (vote_list, decision) = vote_list_for(committee, &committee.members, &[]);
         let scores = score_committee(&vote_list, &decision);
         assert_eq!(scores.len(), committee.size());
@@ -313,11 +300,12 @@ mod tests {
     }
     #[test]
     fn results_are_bit_identical_at_every_executor_width() {
-        let (mut registry, committees, referee) = fixture_of(74, 110, 5);
+        let mut fx = fixture_of(74, 110, 5);
         // Committee 2 cannot certify: all but two of its members withhold.
-        for &member in committees[2].members.iter().skip(2) {
-            registry.set_behavior(member, Behavior::WrongVoter);
+        for &member in fx.committees[2].members.iter().skip(2) {
+            fx.registry.set_behavior(member, Behavior::WrongVoter);
         }
+        let (registry, committees) = (&fx.registry, &fx.committees);
         let lists: Vec<(VoteList, Vec<i8>)> = committees
             .iter()
             .map(|c| {
@@ -332,21 +320,7 @@ mod tests {
             .map(|(k, (list, decision))| (k, list, decision.as_slice(), k != 1))
             .collect();
         let run = |workers: usize| {
-            let mut reputation = ReputationTable::with_members(registry.ids());
-            let mut metrics = MetricsSink::new();
-            let outcome = run_reputation_update(
-                &ShardExecutor::new(workers),
-                &registry,
-                &committees,
-                &referee,
-                &inputs,
-                &mut reputation,
-                0.1,
-                3,
-                LatencyConfig::default(),
-                9,
-                &mut metrics,
-            );
+            let (outcome, reputation, books) = update(&fx, &inputs, workers, (3, 9));
             // (committee, certified, score bits) per committee.
             let scores: Vec<(usize, bool, Vec<u64>)> = outcome
                 .iter()
@@ -365,7 +339,7 @@ mod tests {
                 .map(|&n| reputation.get(n).to_bits())
                 .collect();
             let mut sink = Vec::new();
-            metrics.write_canonical_bytes(&mut sink);
+            books.metrics.write_canonical_bytes(&mut sink);
             (scores, graded, table, sink)
         };
         let baseline = run(1);

@@ -13,9 +13,9 @@ use cycledger_net::metrics::{point_set_wire_bytes, MetricsSink, Phase};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
+use crate::engine::env::RoundEnv;
 use crate::engine::ShardExecutor;
-use crate::node::NodeRegistry;
-use crate::sortition::{assign_round_on, AssignmentParams, RoundAssignment};
+use crate::sortition::{assign_round_on, RoundAssignment};
 
 /// Outcome of the selection phase.
 #[derive(Clone, Debug)]
@@ -34,19 +34,15 @@ pub struct SelectionOutcome {
 /// Runs the selection phase. The beacon and the PoW admissions run on the
 /// caller thread; the next round's VRF sortition — the bulk of the phase —
 /// is mapped over `executor` (see [`assign_round_on`]).
-#[allow(clippy::too_many_arguments)]
 pub fn run_selection(
+    env: &RoundEnv<'_>,
     executor: &ShardExecutor,
-    registry: &NodeRegistry,
-    referee: &[NodeId],
-    params: AssignmentParams,
     reputation: &ReputationTable,
-    round: u64,
     current_randomness: Digest,
-    pow_difficulty: u32,
     metrics: &mut MetricsSink,
 ) -> SelectionOutcome {
     let phase = Phase::KeyMemberSelection;
+    let (registry, referee, round) = (env.registry, &env.referee.members[..], env.round);
 
     // 1. Distributed randomness beacon inside C_R.
     let honesty: Vec<bool> = referee
@@ -90,7 +86,7 @@ pub fn run_selection(
 
     // 2. PoW participation: every node solves the puzzle bound to the *current*
     //    randomness and submits the solution to the referee committee.
-    let puzzle = Puzzle::new(round + 1, current_randomness, pow_difficulty);
+    let puzzle = Puzzle::new(round + 1, current_randomness, env.config.pow_difficulty);
     let mut participants = Vec::new();
     for node in registry.iter().filter(|n| n.membership.participates()) {
         let solution = puzzle.solve(&node.keypair.public, 0, 1 << 22);
@@ -112,7 +108,7 @@ pub fn run_selection(
             executor,
             registry,
             &participants,
-            params,
+            env.config.assignment_params(),
             round + 1,
             randomness,
             reputation,
@@ -131,33 +127,50 @@ pub fn run_selection(
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
+    use crate::committee::Committee;
+    use crate::config::ProtocolConfig;
+    use crate::node::NodeRegistry;
     use cycledger_crypto::sha256::sha256;
+    use cycledger_net::faults::FaultPlan;
 
-    fn params() -> AssignmentParams {
-        AssignmentParams {
+    /// The phase at `round` over `registry`, its first seven nodes the
+    /// referee committee, three committees to draw.
+    fn select(
+        registry: &NodeRegistry,
+        round: u64,
+        randomness: &[u8],
+        pow_difficulty: u32,
+    ) -> (SelectionOutcome, MetricsSink) {
+        let config = ProtocolConfig {
             committees: 3,
             partial_set_size: 3,
             referee_size: 7,
-        }
+            pow_difficulty,
+            ..ProtocolConfig::default()
+        };
+        let env = RoundEnv {
+            config: &config,
+            registry,
+            referee: &Committee::referee(&registry.ids()[..7], registry),
+            plan: &FaultPlan::default(),
+            round,
+        };
+        let reputation = ReputationTable::with_members(registry.ids());
+        let mut metrics = MetricsSink::new();
+        let outcome = run_selection(
+            &env,
+            &ShardExecutor::new(1),
+            &reputation,
+            sha256(randomness),
+            &mut metrics,
+        );
+        (outcome, metrics)
     }
 
     #[test]
     fn honest_referee_produces_randomness_and_assignment() {
         let registry = NodeRegistry::generate(70, &AdversaryConfig::default(), 100, 0, 81);
-        let reputation = ReputationTable::with_members(registry.ids());
-        let referee: Vec<NodeId> = registry.ids()[..7].to_vec();
-        let mut metrics = MetricsSink::new();
-        let outcome = run_selection(
-            &ShardExecutor::new(1),
-            &registry,
-            &referee,
-            params(),
-            &reputation,
-            1,
-            sha256(b"r1"),
-            2,
-            &mut metrics,
-        );
+        let (outcome, metrics) = select(&registry, 1, b"r1", 2);
         assert!(outcome.next_randomness.is_some());
         assert_eq!(outcome.qualified_dealers.len(), 7);
         assert_eq!(
@@ -177,18 +190,7 @@ mod tests {
         let referee: Vec<NodeId> = registry.ids()[..7].to_vec();
         registry.set_behavior(referee[0], Behavior::WrongVoter);
         registry.set_behavior(referee[3], Behavior::SilentLeader);
-        let reputation = ReputationTable::with_members(registry.ids());
-        let outcome = run_selection(
-            &ShardExecutor::new(1),
-            &registry,
-            &referee,
-            params(),
-            &reputation,
-            2,
-            sha256(b"r2"),
-            2,
-            &mut MetricsSink::new(),
-        );
+        let (outcome, _) = select(&registry, 2, b"r2", 2);
         assert!(outcome.next_randomness.is_some());
         assert_eq!(outcome.qualified_dealers, vec![1, 2, 4, 5, 6]);
     }
@@ -196,30 +198,8 @@ mod tests {
     #[test]
     fn randomness_differs_across_rounds() {
         let registry = NodeRegistry::generate(70, &AdversaryConfig::default(), 100, 0, 83);
-        let reputation = ReputationTable::with_members(registry.ids());
-        let referee: Vec<NodeId> = registry.ids()[..7].to_vec();
-        let a = run_selection(
-            &ShardExecutor::new(1),
-            &registry,
-            &referee,
-            params(),
-            &reputation,
-            1,
-            sha256(b"seed"),
-            0,
-            &mut MetricsSink::new(),
-        );
-        let b = run_selection(
-            &ShardExecutor::new(1),
-            &registry,
-            &referee,
-            params(),
-            &reputation,
-            2,
-            sha256(b"seed"),
-            0,
-            &mut MetricsSink::new(),
-        );
+        let (a, _) = select(&registry, 1, b"seed", 0);
+        let (b, _) = select(&registry, 2, b"seed", 0);
         assert_ne!(a.next_randomness, b.next_randomness);
     }
 }

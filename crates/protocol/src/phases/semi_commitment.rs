@@ -8,19 +8,19 @@
 //! list their leader gave them — any mismatch yields a leader-signed witness
 //! (Theorem 2) that feeds the recovery procedure.
 
-use cycledger_consensus::messages::ConsensusId;
+use cycledger_consensus::messages::Alg3Message;
 use cycledger_consensus::witness::{
     member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence, Witness,
 };
 use cycledger_crypto::schnorr::sign;
 use cycledger_crypto::sha256::Digest;
-use cycledger_net::latency::LatencyConfig;
-use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_net::metrics::Phase;
 use cycledger_net::network::SimNetwork;
+use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
-use crate::node::NodeRegistry;
+use crate::engine::env::{Books, RoundEnv, Task};
 
 /// Outcome of the semi-commitment exchange.
 #[derive(Clone, Debug)]
@@ -35,17 +35,16 @@ pub struct SemiCommitmentOutcome {
     pub referee_agreement: bool,
 }
 
-/// Runs the semi-commitment exchange for all committees.
+/// Runs the semi-commitment exchange for all committees, accounting its
+/// traffic and the referee instance's into `books`.
 pub fn run_semi_commitment_exchange(
-    registry: &NodeRegistry,
+    env: &RoundEnv<'_>,
     committees: &[Committee],
-    referee: &Committee,
-    round: u64,
-    latency: LatencyConfig,
-    seed: u64,
-    metrics: &mut MetricsSink,
+    books: &mut Books,
 ) -> SemiCommitmentOutcome {
+    let (registry, referee, round) = (env.registry, env.referee, env.round);
     let phase = Phase::SemiCommitmentExchange;
+    let metrics = &mut books.metrics;
     let mut recorded_commitments = Vec::with_capacity(committees.len());
     let mut witnesses = Vec::new();
 
@@ -55,17 +54,13 @@ pub fn run_semi_commitment_exchange(
         let leader = registry.node(committee.leader);
         // A MismatchedCommitment leader commits to a *forged* list towards C_R
         // while handing the true (signed) list to its partial set.
-        let committed_list: Vec<u8> = if leader.behavior == Behavior::MismatchedCommitment {
-            let mut forged = true_list.clone();
-            if forged.len() >= 68 {
-                let len = forged.len();
-                forged.truncate(len - 68); // silently drop the last member
-            }
-            forged
+        let mismatched = leader.behavior == Behavior::MismatchedCommitment;
+        let committed_list = if mismatched && true_list.len() >= 68 {
+            &true_list[..true_list.len() - 68] // silently drop the last member
         } else {
-            true_list.clone()
+            &true_list[..]
         };
-        let commitment = semi_commitment(&committed_list);
+        let commitment = semi_commitment(committed_list);
         recorded_commitments.push(commitment);
 
         // Leader → every referee member: commitment + member list.
@@ -85,44 +80,37 @@ pub fn run_semi_commitment_exchange(
 
         // Step 3 (checked eagerly): honest partial-set members compare the
         // commitment C_R will record with the list they hold.
-        if semi_commitment(&true_list) != commitment {
-            if let Some(&honest_pm) = committee
-                .partial_set
-                .iter()
-                .find(|&&pm| registry.node(pm).is_honest())
-            {
-                let _ = honest_pm;
-                witnesses.push(Witness::CommitmentMismatch(CommitmentMismatchEvidence {
-                    round,
-                    committee: committee.index,
-                    leader: committee.leader,
-                    member_list: true_list.clone(),
-                    list_signature,
-                    recorded_commitment: commitment,
-                }));
-            }
+        let watched = |pm: &NodeId| registry.node(*pm).is_honest();
+        if semi_commitment(&true_list) != commitment && committee.partial_set.iter().any(watched) {
+            witnesses.push(Witness::CommitmentMismatch(CommitmentMismatchEvidence {
+                round,
+                committee: committee.index,
+                leader: committee.leader,
+                member_list: true_list.clone(),
+                list_signature,
+                recorded_commitment: commitment,
+            }));
         }
     }
 
     // Step 2: the referee committee reaches internal agreement on the set of
     // commitments via Algorithm 3, then relays it to every key member.
-    let mut referee_net: SimNetwork<cycledger_consensus::messages::Alg3Message> =
-        SimNetwork::new(latency, seed ^ 0x5e1f);
-    referee_net.set_phase(phase);
+    let task = Task::SemiCommitment;
+    let mut referee_net: SimNetwork<Alg3Message> = env.open(task);
     let mut payload = Vec::with_capacity(recorded_commitments.len() * 32);
     for c in &recorded_commitments {
         payload.extend_from_slice(c.as_bytes());
     }
+    let (id, fault) = (env.instance(task), LeaderFault::None);
     let outcome = run_inside_consensus(
         &mut referee_net,
         referee,
         registry,
-        ConsensusId { round, seq: 0x5e1f },
+        id,
         payload,
-        LeaderFault::None,
+        fault,
         true,
     );
-    metrics.merge(referee_net.metrics());
 
     // Relay: every referee member forwards the commitment set to the leaders and
     // partial sets it serves (modelled as every referee member sending to every
@@ -137,6 +125,7 @@ pub fn run_semi_commitment_exchange(
         }
         metrics.record_storage(phase, rm, set_bytes);
     }
+    books.absorb(&Books::close(referee_net));
 
     SemiCommitmentOutcome {
         recorded_commitments,
@@ -149,9 +138,11 @@ pub fn run_semi_commitment_exchange(
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
+    use crate::config::ProtocolConfig;
+    use crate::node::NodeRegistry;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::sha256;
-    use cycledger_net::topology::NodeId;
+    use cycledger_net::faults::FaultPlan;
     use cycledger_reputation::ReputationTable;
 
     fn setup(seed: u64) -> (NodeRegistry, Vec<Committee>, Committee) {
@@ -174,29 +165,38 @@ mod tests {
             .iter()
             .map(|c| Committee::from_assignment(c, &registry))
             .collect();
-        let referee = Committee {
-            index: usize::MAX,
-            leader: assignment.referee[0],
-            partial_set: Vec::new(),
-            members: assignment.referee.clone(),
-            keys: registry.committee_keys(&assignment.referee),
-        };
+        let referee = Committee::referee(&assignment.referee, &registry);
         (registry, committees, referee)
+    }
+
+    /// The exchange at `round` under configuration seed `seed`.
+    fn exchange(
+        registry: &NodeRegistry,
+        committees: &[Committee],
+        referee: &Committee,
+        round: u64,
+        seed: u64,
+    ) -> (SemiCommitmentOutcome, Books) {
+        let config = ProtocolConfig {
+            seed,
+            ..ProtocolConfig::default()
+        };
+        let env = RoundEnv {
+            config: &config,
+            registry,
+            referee,
+            plan: &FaultPlan::default(),
+            round,
+        };
+        let mut books = Books::default();
+        let outcome = run_semi_commitment_exchange(&env, committees, &mut books);
+        (outcome, books)
     }
 
     #[test]
     fn honest_exchange_records_matching_commitments() {
         let (registry, committees, referee) = setup(31);
-        let mut metrics = MetricsSink::new();
-        let outcome = run_semi_commitment_exchange(
-            &registry,
-            &committees,
-            &referee,
-            1,
-            LatencyConfig::default(),
-            9,
-            &mut metrics,
-        );
+        let (outcome, books) = exchange(&registry, &committees, &referee, 1, 9);
         assert!(outcome.referee_agreement);
         assert!(outcome.witnesses.is_empty());
         assert_eq!(outcome.recorded_commitments.len(), 3);
@@ -209,7 +209,8 @@ mod tests {
         // Referee members carried the O(m²)-style relay traffic.
         let rm = referee.members[1];
         assert!(
-            metrics
+            books
+                .metrics
                 .node_phase(rm, Phase::SemiCommitmentExchange)
                 .msgs_sent
                 >= committees.len() as u64
@@ -221,16 +222,7 @@ mod tests {
         let (mut registry, committees, referee) = setup(32);
         let bad_leader = committees[1].leader;
         registry.set_behavior(bad_leader, Behavior::MismatchedCommitment);
-        let mut metrics = MetricsSink::new();
-        let outcome = run_semi_commitment_exchange(
-            &registry,
-            &committees,
-            &referee,
-            2,
-            LatencyConfig::default(),
-            10,
-            &mut metrics,
-        );
+        let (outcome, _) = exchange(&registry, &committees, &referee, 2, 10);
         assert_eq!(outcome.witnesses.len(), 1);
         let witness = &outcome.witnesses[0];
         assert_eq!(witness.accused(), bad_leader);
@@ -244,6 +236,5 @@ mod tests {
                 assert!(!witness.verify(&registry.node(c.leader).keypair.public));
             }
         }
-        let _ = NodeId(0);
     }
 }

@@ -7,7 +7,7 @@
 //! results after voting once over every list it admitted. A leg carries its
 //! list, an `O(log m)` proof and the committee's one certificate. Every leg
 //! and every vote is an envelope on a network under the round's fault plan:
-//! one network per source committee (its instance, then the forwards and any
+//! one task per source committee (its instance, then the forwards and any
 //! relays), one per destination committee (the one vote, its instance, the
 //! replies).
 
@@ -25,19 +25,18 @@ use cycledger_crypto::sha256::Sha256;
 use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
-use cycledger_net::faults::FaultPlan;
-use cycledger_net::latency::{LatencyConfig, LinkClass};
-use cycledger_net::metrics::{MetricsSink, Phase};
+use cycledger_net::latency::LinkClass;
 use cycledger_net::network::{NetEvent, SimNetwork};
 use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
+use crate::engine::env::{Books, RoundEnv, Task};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::phases::inter::{list_deadline, CensorshipReport, InterOutcome};
-use crate::phases::intra::{collect_votes_under_deadline, votes_from_validity, VoteCollection};
+use crate::phases::intra::{collect_votes_under_deadline, votes_from_validity};
 
 /// The network one committee's task runs on.
 pub type Net = SimNetwork<CommitteeMessage>;
@@ -46,42 +45,6 @@ pub type Net = SimNetwork<CommitteeMessage>;
 /// destination partial sets' `2Γ` relay watch.
 const LIST_TIMER: u64 = 2;
 const RELAY_TIMER: u64 = 4;
-
-/// The read-shared inputs of one inter-committee phase; every task network
-/// derives its seed from `seed` and runs under `plan`.
-#[derive(Clone, Copy)]
-pub struct InterEnv<'a> {
-    pub plan: &'a FaultPlan,
-    pub registry: &'a NodeRegistry,
-    pub committees: &'a [Committee],
-    pub utxo_sets: &'a [UtxoSet],
-    pub round: u64,
-    pub latency: LatencyConfig,
-    pub seed: u64,
-}
-
-/// Which of a committee's two instances; the value is its `seq` base.
-#[derive(Clone, Copy)]
-pub enum Side {
-    Source = 2_000,
-    Destination = 3_000,
-}
-
-impl Side {
-    /// The instance `committee` runs on this side; a receiver admits only
-    /// certificates naming it.
-    pub fn instance(self, round: u64, committee: usize) -> ConsensusId {
-        let seq = self as u64 + committee as u64;
-        ConsensusId { round, seq }
-    }
-
-    pub fn net(self, env: &InterEnv<'_>, committee: usize) -> Net {
-        let seed = env.seed ^ (self.instance(0, committee).seq << 16);
-        let mut net = SimNetwork::with_faults(env.latency, seed, env.plan.clone());
-        net.set_phase(Phase::InterCommitteeConsensus);
-        net
-    }
-}
 
 /// `TXList_{source,dest}`: the cross-shard transactions spending from
 /// `source` into `dest`.
@@ -200,10 +163,6 @@ pub struct Ledger {
     pub timeout_delays: u64,
     /// Destinations whose leader never got this source's certified list.
     pub missed: Vec<usize>,
-    /// What the destination's vote collection saw.
-    pub votes: VoteCollection,
-    pub net_dropped: u64,
-    pub metrics: MetricsSink,
 }
 
 /// One committee's side of the phase: its legs (outbound lists, or accepted
@@ -214,26 +173,38 @@ pub struct SideResult<L> {
     pub legs: Vec<L>,
     pub vector: Option<CertifiedVector>,
     pub ledger: Ledger,
+    pub books: Books,
 }
 
-/// Runs `committee`'s one instance for `side` over `leaves`. The proposal
+impl<L> SideResult<L> {
+    /// Closes the task's network into the result's books, beside what the
+    /// task already counted there.
+    fn close(mut self, net: Net) -> Self {
+        let closed = Books::close(net);
+        self.books.metrics = closed.metrics;
+        self.books.counters += closed.counters;
+        self.books.counters.list_timeouts = self.ledger.missed.len();
+        self
+    }
+}
+
+/// Runs `members`' one instance for `task` over `leaves`. The proposal
 /// carries only the root; the leader announces the `content_bytes` of ids
 /// the members rebuild it from beside it.
 fn certify_vector<L>(
     net: &mut Net,
-    env: &InterEnv<'_>,
-    side: Side,
-    committee: usize,
+    env: &RoundEnv<'_>,
+    task: Task,
+    members: &Committee,
     legs: Vec<L>,
     leaves: &[[u8; 40]],
     content_bytes: u64,
 ) -> SideResult<L> {
     let tree = MerkleTree::build(leaves);
     let root = tree.root().as_bytes().to_vec();
-    let members = &env.committees[committee];
     let leader = members.leader;
     let fault = LeaderFault::from_behavior(env.registry.node(leader).behavior, &root);
-    let id = side.instance(env.round, committee);
+    let id = env.instance(task);
     let outcome = run_inside_consensus(net, members, env.registry, id, root, fault, true);
     if outcome.messages > 0 {
         for &member in members.members.iter().filter(|&&n| n != leader) {
@@ -241,7 +212,7 @@ fn certify_vector<L>(
         }
     }
     SideResult {
-        committee,
+        committee: members.index,
         legs,
         vector: outcome
             .certificate
@@ -250,6 +221,7 @@ fn certify_vector<L>(
             equivocation: outcome.equivocation,
             ..Ledger::default()
         },
+        books: Books::default(),
     }
 }
 
@@ -270,27 +242,28 @@ fn certify_vector<L>(
 /// acknowledgement is no message: its state is read directly, the way vote
 /// ground truth is.
 pub fn run_source<'a>(
-    env: &InterEnv<'_>,
+    env: &RoundEnv<'_>,
+    committees: &[Committee],
     committee: usize,
     lists: Vec<PairList<'a>>,
 ) -> SideResult<PairList<'a>> {
-    let mut net = Side::Source.net(env, committee);
+    let (task, source) = (Task::Source(committee), &committees[committee]);
+    let mut net: Net = env.open(task);
     let leaves: Vec<_> = lists.iter().map(list_leaf).collect();
     let withheld: usize = lists.iter().map(|l| l.txs.len()).sum();
     let bytes = 32 * withheld as u64;
-    let side = Side::Source;
-    let mut result = certify_vector(&mut net, env, side, committee, lists, &leaves, bytes);
-    let (lists, source) = (&result.legs, &env.committees[committee]);
+    let mut result = certify_vector(&mut net, env, task, source, lists, &leaves, bytes);
+    let lists = &result.legs;
     let Some(vector) = &result.vector else {
-        return close_books(net, result);
+        return result.close(net);
     };
-    let two_gamma = env.latency.gamma.times(2);
+    let two_gamma = env.config.latency.gamma.times(2);
     let (leader, mut forwarder, mut takeover) = (source.leader, source.leader, SimDuration::ZERO);
     if env.registry.node(leader).behavior == Behavior::CensoringLeader {
         let honest = |n: &NodeId| env.registry.node(*n).is_honest();
         let Some(reporter) = source.partial_set.iter().copied().find(honest) else {
             result.ledger.missed = lists.iter().map(|list| list.dest).collect();
-            return close_books(net, result);
+            return result.close(net);
         };
         (forwarder, takeover) = (reporter, two_gamma);
         result.ledger.timeout_delays = takeover.as_micros();
@@ -301,17 +274,17 @@ pub fn run_source<'a>(
             withheld,
         });
     }
-    let leader_of = |list: &PairList<'_>| env.committees[list.dest].leader;
+    let leader_of = |list: &PairList<'_>| committees[list.dest].leader;
     let leg_bytes = |list: &PairList<'_>| list.wire_bytes() + vector.leg_overhead;
     for list in lists {
-        let partial_set = env.committees[list.dest].partial_set.iter().copied();
+        let partial_set = committees[list.dest].partial_set.iter().copied();
         let (class, bytes) = (LinkClass::KeyMemberMesh, leg_bytes(list));
         for to in std::iter::once(leader_of(list)).chain(partial_set) {
             net.send_after(forwarder, to, class, list.forward(), bytes, takeover);
         }
     }
     net.schedule_timer(two_gamma, RELAY_TIMER);
-    net.schedule_timer(list_deadline(&env.latency), LIST_TIMER);
+    net.schedule_timer(list_deadline(&env.config.latency), LIST_TIMER);
     let mut holders: Vec<Vec<NodeId>> = vec![Vec::new(); lists.len()];
     let mut arrived = vec![false; lists.len()];
     while arrived.contains(&false) {
@@ -343,22 +316,22 @@ pub fn run_source<'a>(
     }
     let missed = lists.iter().zip(arrived).filter(|(_, arrived)| !arrived);
     result.ledger.missed = missed.map(|(list, _)| list.dest).collect();
-    close_books(net, result)
+    result.close(net)
 }
 
 /// Ground-truth validity of every inbound transaction, list by list, each
 /// against its *source* shard's state (the authentication function runs
 /// once per transaction, not once per member).
-fn inbound_validity(env: &InterEnv<'_>, inbound: &[&PairList<'_>]) -> Vec<Vec<bool>> {
-    let valid = |list: &PairList<'_>, g: &GeneratedTx| env.utxo_sets[list.source].validate(&g.tx);
+fn inbound_validity(utxo_sets: &[UtxoSet], inbound: &[&PairList<'_>]) -> Vec<Vec<bool>> {
+    let valid = |list: &PairList<'_>, g: &GeneratedTx| utxo_sets[list.source].validate(&g.tx);
     let table = |list: &&PairList<'_>| list.txs.iter().map(|g| valid(list, g).is_ok()).collect();
     inbound.iter().map(table).collect()
 }
 
 /// One member's single vote over all inbound lists (its compute budget
 /// applies per list, as it did when every list was voted on separately).
-fn inbound_votes(env: &InterEnv<'_>, member: NodeId, validity: &[Vec<bool>]) -> Vec<Vote> {
-    let votes = |list: &Vec<bool>| votes_from_validity(env.registry, member, list);
+fn inbound_votes(registry: &NodeRegistry, member: NodeId, validity: &[Vec<bool>]) -> Vec<Vote> {
+    let votes = |list: &Vec<bool>| votes_from_validity(registry, member, list);
     validity.iter().flat_map(votes).collect()
 }
 
@@ -366,32 +339,38 @@ fn inbound_votes(env: &InterEnv<'_>, member: NodeId, validity: &[Vec<bool>]) -> 
 /// once and members vote once under the single `4Δ` deadline (missing votes
 /// become all-`Unknown` rows — the same collection loop as the intra phase,
 /// minus its storage accounting); then tally, agreement and replies.
-pub fn run_dest(env: &InterEnv<'_>, j: usize, inbound: &[&PairList<'_>]) -> SideResult<Accepted> {
-    let mut net = Side::Destination.net(env, j);
-    let validity = inbound_validity(env, inbound);
-    let votes_of = |member| inbound_votes(env, member, &validity);
+pub fn run_dest(
+    env: &RoundEnv<'_>,
+    committees: &[Committee],
+    utxo_sets: &[UtxoSet],
+    j: usize,
+    inbound: &[&PairList<'_>],
+) -> SideResult<Accepted> {
+    let mut net: Net = env.open(Task::Destination(j));
+    let validity = inbound_validity(utxo_sets, inbound);
+    let votes_of = |member| inbound_votes(env.registry, member, &validity);
     let vote_list = VoteList::new(inbound.iter().flat_map(|list| list.ids()).collect());
     let announce_bytes = inbound.iter().map(|list| list.wire_bytes()).sum::<u64>() + 96;
     let (collected, votes) = collect_votes_under_deadline(
         &mut net,
-        env.registry,
-        &env.committees[j],
+        env,
+        &committees[j],
         &votes_of,
         announce_bytes,
-        &env.latency,
         false,
         vote_list,
     );
-    let mut result = certify_and_reply(&mut net, env, j, inbound, &collected.tally);
-    result.ledger.votes = votes;
-    close_books(net, result)
+    let mut result = certify_and_reply(&mut net, env, committees, j, inbound, &collected.tally);
+    result.books.counters = votes;
+    result.close(net)
 }
 
 /// Certifies the vector of per-source accepted sub-lists (in vote order) the
 /// destination's one tallied vote decided, and returns each source its own.
 fn certify_and_reply(
     net: &mut Net,
-    env: &InterEnv<'_>,
+    env: &RoundEnv<'_>,
+    committees: &[Committee],
     committee: usize,
     inbound: &[&PairList<'_>],
     tally: &Tally,
@@ -404,9 +383,10 @@ fn certify_and_reply(
     let legs: Vec<Accepted> = inbound.iter().map(&mut accepted).collect();
     let leaves: Vec<_> = legs.iter().map(accepted_leaf).collect();
     let bytes = 32 * tally.accepted_indices.len() as u64;
-    let result = certify_vector(net, env, Side::Destination, committee, legs, &leaves, bytes);
+    let (task, members) = (Task::Destination(committee), &committees[committee]);
+    let result = certify_vector(net, env, task, members, legs, &leaves, bytes);
     if let Some(vector) = &result.vector {
-        let from = env.committees[committee].leader;
+        let from = members.leader;
         for (source, txs) in &result.legs {
             let (input, output, accepted) = (*source as u32, committee as u32, txs.len() as u32);
             let reply = CommitteeMessage::ListReply {
@@ -414,7 +394,7 @@ fn certify_and_reply(
                 output,
                 accepted,
             };
-            let (to, class) = (env.committees[*source].leader, LinkClass::KeyMemberMesh);
+            let (to, class) = (committees[*source].leader, LinkClass::KeyMemberMesh);
             let bytes = 32 * txs.len() as u64 + vector.leg_overhead;
             net.send(from, to, class, reply, bytes);
         }
@@ -422,22 +402,16 @@ fn certify_and_reply(
     result
 }
 
-/// Closes a task's books: drain to quiescence, collect drops and metrics.
-pub fn close_books<L>(mut net: Net, mut result: SideResult<L>) -> SideResult<L> {
-    while net.next_event().is_some() {}
-    result.ledger.net_dropped = net.dropped_messages();
-    result.ledger.metrics = net.into_metrics();
-    result
-}
-
-/// Checks every certificate of one side once and says, per result and leg,
-/// whether the receiver admits it. The check runs against the verdict memo
-/// of the instance that formed the certificate, so what that instance's
-/// leader verified costs the receiver lookups (the memo is taken out of the
-/// result: it is spent here).
+/// Checks every certificate of one side (`Task::Source` or
+/// `Task::Destination`) once and says, per result and leg, whether the
+/// receiver admits it. The check runs against the verdict memo of the
+/// instance that formed the certificate, so what that instance's leader
+/// verified costs the receiver lookups (the memo is taken out of the result:
+/// it is spent here).
 fn admitted<L>(
-    env: &InterEnv<'_>,
-    side: Side,
+    env: &RoundEnv<'_>,
+    committees: &[Committee],
+    side: fn(usize) -> Task,
     results: &mut [SideResult<L>],
     leaf_of: impl Fn(&L) -> [u8; 40],
 ) -> Vec<Vec<bool>> {
@@ -447,11 +421,11 @@ fn admitted<L>(
             flags.push(vec![false; result.legs.len()]);
             continue;
         };
-        let (committee, certificate) = (&env.committees[result.committee], &vector.certificate);
+        let (committee, certificate) = (&committees[result.committee], &vector.certificate);
         let memo = SigCache::from(std::mem::take(&mut vector.memo));
         let verdict = certificate.verify_memoized(&committee.keys, committee.majority(), &memo);
         let valid = verdict.is_ok();
-        let expected = side.instance(env.round, result.committee);
+        let expected = env.instance(side(result.committee));
         let admit = |(index, leg)| vector.admits(index, expected, &leaf_of(leg), valid);
         flags.push(result.legs.iter().enumerate().map(admit).collect());
     }
@@ -459,18 +433,11 @@ fn admitted<L>(
 }
 
 impl InterOutcome {
-    fn absorb(&mut self, ledger: Ledger, metrics: &mut MetricsSink) {
-        metrics.merge(&ledger.metrics);
+    fn absorb(&mut self, ledger: Ledger) {
         self.alg3_instances += 1;
         self.equivocation.extend(ledger.equivocation);
         self.censorship_reports.extend(ledger.censorship);
         self.timeout_delays += ledger.timeout_delays;
-        self.list_timeouts += ledger.missed.len();
-        self.quorum_timeouts += usize::from(transition::quorum_timed_out(ledger.votes.missing));
-        self.votes_missing += ledger.votes.missing;
-        self.syncing_abstentions += ledger.votes.syncing_abstentions;
-        self.syncing_votes += ledger.votes.syncing_votes;
-        self.net_dropped += ledger.net_dropped;
     }
 }
 
@@ -478,22 +445,24 @@ impl InterOutcome {
 /// executor batch; a barrier where each list that arrived is admitted against
 /// its source's certificate; destinations as a second batch; each source
 /// admits its returned sub-list the same way; a fold in committee order,
-/// identical for any worker count.
+/// identical for any worker count, of every task's books into `books`.
 pub fn run_phase(
-    env: &InterEnv<'_>,
+    env: &RoundEnv<'_>,
+    committees: &[Committee],
+    utxo_sets: &[UtxoSet],
     cross_shard: &[GeneratedTx],
     executor: &ShardExecutor,
-    metrics: &mut MetricsSink,
+    books: &mut Books,
 ) -> InterOutcome {
-    let m = env.committees.len();
+    let m = committees.len();
     let mut outcome = InterOutcome::default();
     outcome.accepted.resize(m, Vec::new());
 
     let outbound = group_outbound(cross_shard, m).into_iter();
-    let tasks = outbound.map(|(i, lists)| move || run_source(env, i, lists));
+    let tasks = outbound.map(|(i, lists)| move || run_source(env, committees, i, lists));
     let mut sources = executor.execute(tasks.collect());
 
-    let flags = admitted(env, Side::Source, &mut sources, list_leaf);
+    let flags = admitted(env, committees, Task::Source, &mut sources, list_leaf);
     let mut inbound: BTreeMap<usize, Vec<&PairList<'_>>> = BTreeMap::new();
     for (source, flags) in sources.iter().zip(flags) {
         for (list, ok) in source.legs.iter().zip(flags) {
@@ -502,18 +471,28 @@ pub fn run_phase(
             }
         }
     }
-    let tasks = inbound.iter().map(|(&j, l)| move || run_dest(env, j, l));
+    let tasks = inbound
+        .iter()
+        .map(|(&j, l)| move || run_dest(env, committees, utxo_sets, j, l));
     let mut dests = executor.execute(tasks.collect());
 
     for source in sources {
-        outcome.absorb(source.ledger, metrics);
+        books.absorb(&source.books);
+        outcome.absorb(source.ledger);
     }
-    let flags = admitted(env, Side::Destination, &mut dests, accepted_leaf);
+    let flags = admitted(
+        env,
+        committees,
+        Task::Destination,
+        &mut dests,
+        accepted_leaf,
+    );
     for (dest, flags) in dests.into_iter().zip(flags) {
         for ((source, txs), _) in dest.legs.into_iter().zip(flags).filter(|(_, ok)| *ok) {
             outcome.accepted[source].extend(txs);
         }
-        outcome.absorb(dest.ledger, metrics);
+        books.absorb(&dest.books);
+        outcome.absorb(dest.ledger);
     }
     outcome
 }
@@ -522,9 +501,13 @@ pub fn run_phase(
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
+    use crate::config::ProtocolConfig;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::{sha256, Digest};
     use cycledger_ledger::workload::{Workload, WorkloadConfig};
+    use cycledger_net::faults::FaultPlan;
+    use cycledger_net::latency::LatencyConfig;
+    use cycledger_net::metrics::{MetricsSink, Phase};
     use cycledger_net::time::SimTime;
     use cycledger_reputation::ReputationTable;
     use std::collections::BTreeSet;
@@ -532,7 +515,9 @@ mod tests {
     const PHASE: Phase = Phase::InterCommitteeConsensus;
 
     struct Fixture {
+        config: ProtocolConfig,
         registry: NodeRegistry,
+        referee: Committee,
         committees: Vec<Committee>,
         utxo_sets: Vec<UtxoSet>,
         cross: Vec<GeneratedTx>,
@@ -576,6 +561,11 @@ mod tests {
             .filter(|g| !g.tx.is_intra_shard(m))
             .collect();
         Fixture {
+            config: ProtocolConfig {
+                seed,
+                ..ProtocolConfig::default()
+            },
+            referee: Committee::referee(&assignment.referee, &registry),
             registry,
             committees,
             utxo_sets,
@@ -585,27 +575,30 @@ mod tests {
     }
 
     impl Fixture {
-        fn env(&self, seed: u64) -> InterEnv<'_> {
-            InterEnv {
-                plan: &self.no_faults,
+        fn env(&self) -> RoundEnv<'_> {
+            RoundEnv {
+                config: &self.config,
                 registry: &self.registry,
-                committees: &self.committees,
-                utxo_sets: &self.utxo_sets,
+                referee: &self.referee,
+                plan: &self.no_faults,
                 round: 1,
-                latency: LatencyConfig::default(),
-                seed,
             }
         }
 
         /// The whole phase under `plan`.
-        fn run(&self, plan: &FaultPlan, workers: usize) -> (InterOutcome, MetricsSink) {
-            let env = InterEnv {
-                plan,
-                ..self.env(7)
-            };
-            let (executor, mut metrics) = (ShardExecutor::new(workers), MetricsSink::new());
-            let outcome = run_phase(&env, &self.cross, &executor, &mut metrics);
-            (outcome, metrics)
+        fn run(&self, plan: &FaultPlan, workers: usize) -> (InterOutcome, Books) {
+            let env = RoundEnv { plan, ..self.env() };
+            let (executor, mut books) = (ShardExecutor::new(workers), Books::default());
+            let (committees, utxo_sets) = (&self.committees, &self.utxo_sets);
+            let outcome = run_phase(
+                &env,
+                committees,
+                utxo_sets,
+                &self.cross,
+                &executor,
+                &mut books,
+            );
+            (outcome, books)
         }
 
         /// Ids of the valid offered transactions per `(source, dest)` pair.
@@ -663,7 +656,7 @@ mod tests {
         for (m, c, txs) in [(2, 8, 24), (3, 12, 60), (8, 16, 160)] {
             for seed in 0..16 {
                 let fx = fixture(m, c, txs, 1_000 * m as u64 + seed);
-                let (outcome, metrics) = fx.run(&fx.no_faults, 1);
+                let (outcome, books) = fx.run(&fx.no_faults, 1);
                 assert_eq!(
                     accepted_ids(&outcome),
                     fx.expected(|_, _| true),
@@ -672,8 +665,11 @@ mod tests {
                 assert!(outcome.alg3_instances <= 2 * m, "{m}x{c}/{seed}");
                 assert!(outcome.alg3_instances < 2 * fx.offered_valid().len() || m == 2);
                 assert!(outcome.censorship_reports.is_empty() && outcome.equivocation.is_empty());
-                assert_eq!((outcome.timeout_delays, outcome.list_timeouts), (0, 0));
-                assert!(metrics.phase_total(PHASE).msgs_sent > 0);
+                assert_eq!(
+                    (outcome.timeout_delays, books.counters.list_timeouts),
+                    (0, 0)
+                );
+                assert!(books.metrics.phase_total(PHASE).msgs_sent > 0);
             }
         }
     }
@@ -681,16 +677,16 @@ mod tests {
     #[test]
     fn tampered_legs_are_rejected() {
         let fx = fixture(3, 8, 60, 21);
-        let env = fx.env(3);
+        let env = fx.env();
         let source = 0;
         let lists = group_outbound(&fx.cross, 3).remove(&source).unwrap();
         assert_eq!(lists.len(), 2, "source 0 feeds both other committees");
-        let mut results = [run_source(&env, source, lists)];
+        let mut results = [run_source(&env, &fx.committees, source, lists)];
         assert!(results[0].ledger.missed.is_empty());
         let warm = results[0].vector.as_ref().map(|v| v.memo.clone());
         let warm = warm.expect("honest instance certifies");
         assert_eq!(
-            admitted(&env, Side::Source, &mut results, list_leaf),
+            admitted(&env, &fx.committees, Task::Source, &mut results, list_leaf),
             [[true, true]]
         );
 
@@ -699,7 +695,7 @@ mod tests {
             .as_ref()
             .expect("honest instance certifies");
         let (list, other) = (&results[0].legs[0], &results[0].legs[1]);
-        let expected = Side::Source.instance(env.round, source);
+        let expected = Task::Source(source).instance(env.round);
         let leaf = list_leaf(list);
         assert!(vector.admits(0, expected, &leaf, true));
         // One id swapped for another list's transaction.
@@ -711,13 +707,9 @@ mod tests {
         assert!(!vector.admits(1, expected, &leaf, true));
         assert!(!vector.admits(0, expected, &vector_leaf(other.dest, list.ids()), true));
         // A certificate from another round, or from the other side's instance.
-        assert!(!vector.admits(0, Side::Source.instance(env.round + 1, source), &leaf, true));
-        assert!(!vector.admits(
-            0,
-            Side::Destination.instance(env.round, source),
-            &leaf,
-            true
-        ));
+        assert!(!vector.admits(0, Task::Source(source).instance(env.round + 1), &leaf, true));
+        let other_side = Task::Destination(source).instance(env.round);
+        assert!(!vector.admits(0, other_side, &leaf, true));
         // A certificate over some other vector.
         let (tree, certificate) = (MerkleTree::build(&[leaf]), vector.certificate.clone());
         let forged = CertifiedVector::new(tree, certificate, warm.clone());
@@ -729,7 +721,7 @@ mod tests {
         vector.certificate.signatures.truncate(thin);
         for memo in [warm, Verdicts::default()] {
             results[0].vector.as_mut().unwrap().memo = memo;
-            let verdicts = admitted(&env, Side::Source, &mut results, list_leaf);
+            let verdicts = admitted(&env, &fx.committees, Task::Source, &mut results, list_leaf);
             assert_eq!(verdicts, [[false, false]]);
         }
     }
@@ -744,17 +736,19 @@ mod tests {
     fn admitting_honest_results_costs_one_memo_lookup_per_certificate_signature() {
         use cycledger_crypto::opcount::scope;
         let fx = fixture(3, 8, 60, 21);
-        let env = fx.env(3);
+        let env = fx.env();
         let outbound = group_outbound(&fx.cross, 3).into_iter();
         let mut sources: Vec<_> = outbound
-            .map(|(source, lists)| run_source(&env, source, lists))
+            .map(|(source, lists)| run_source(&env, &fx.committees, source, lists))
             .collect();
         let certificates = sources.iter().flat_map(|s| &s.vector);
         let signatures: usize = certificates.map(|v| v.certificate.signer_count()).sum();
         let signatures = signatures as u64;
         let mut check = |expected| {
             let mut flags = Vec::new();
-            let tally = scope(|| flags = admitted(&env, Side::Source, &mut sources, list_leaf));
+            let tally = scope(|| {
+                flags = admitted(&env, &fx.committees, Task::Source, &mut sources, list_leaf)
+            });
             assert!(flags.iter().flatten().all(|&ok| ok));
             let verified = (tally.sig_batches, tally.sigs_batched, tally.sigs_single);
             assert_eq!((verified, tally.memo_lookups), expected);
@@ -804,7 +798,7 @@ mod tests {
             .iter()
             .map(|l| l.txs.len())
             .sum();
-        let (outcome, _) = fx.run(&fx.no_faults, 1);
+        let (outcome, books) = fx.run(&fx.no_faults, 1);
         let [report] = &outcome.censorship_reports[..] else {
             panic!(
                 "one report per censoring leader, got {:?}",
@@ -822,14 +816,14 @@ mod tests {
         );
         // Lemma 6: the partial set forwards the lists, so transactions still land.
         assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
-        assert_eq!(outcome.list_timeouts, 0);
+        assert_eq!(books.counters.list_timeouts, 0);
         // With the whole partial set colluding nobody forwards or reports.
         for pm in fx.committees[0].partial_set.clone() {
             fx.registry.set_behavior(pm, Behavior::WrongVoter);
         }
-        let (outcome, _) = fx.run(&fx.no_faults, 1);
+        let (outcome, books) = fx.run(&fx.no_faults, 1);
         assert!(outcome.censorship_reports.is_empty());
-        assert_eq!(outcome.list_timeouts, 2);
+        assert_eq!(books.counters.list_timeouts, 2);
         assert!(outcome.accepted[0].is_empty() && !outcome.accepted[1].is_empty());
     }
 
@@ -841,8 +835,8 @@ mod tests {
         let fx = fixture(3, 8, 60, 25);
         let slow = fx.committees[0].leader;
         let plan = FaultPlan::default().with_delay(slow, LatencyConfig::default().gamma.times(5));
-        let (outcome, _) = fx.run(&plan, 1);
-        assert_eq!(outcome.list_timeouts, 4);
+        let (outcome, books) = fx.run(&plan, 1);
+        assert_eq!(books.counters.list_timeouts, 4);
         assert_eq!(accepted_ids(&outcome), fx.expected(|s, d| s != 0 && d != 0));
         assert!(!outcome.accepted[1].is_empty() && !outcome.accepted[2].is_empty());
         assert_eq!(
@@ -858,25 +852,25 @@ mod tests {
         // forwarder→leader copies are as good as delayed past 4Γ) but its
         // partial set is not; the fault is on the forward leg only.
         let fx = fixture(3, 8, 60, 26);
-        let env = fx.env(9);
-        let gamma = env.latency.gamma;
+        let env = fx.env();
+        let gamma = env.config.latency.gamma;
         let leader = fx.committees[1].leader;
         let cut = FaultPlan::default().with_partition(
             vec![leader],
             SimTime::ZERO,
             Some(SimTime::ZERO.after(gamma.times(2))),
         );
-        let forward_leg = InterEnv { plan: &cut, ..env };
+        let forward_leg = RoundEnv { plan: &cut, ..env };
         let outbound = group_outbound(&fx.cross, 3).into_iter();
         let sources: Vec<_> = outbound
             .filter(|(source, _)| *source != 1)
-            .map(|(source, lists)| run_source(&forward_leg, source, lists))
+            .map(|(source, lists)| run_source(&forward_leg, &fx.committees, source, lists))
             .collect();
-        let lost: u64 = sources.iter().map(|s| s.ledger.net_dropped).sum();
+        let lost: u64 = sources.iter().map(|s| s.books.counters.net_dropped).sum();
         assert!(lost > 0, "the leader's copies were lost");
         assert!(sources.iter().all(|s| s.ledger.missed.is_empty()));
         let relayed = |pm: &NodeId| -> u64 {
-            let sent = |s: &SideResult<_>| s.ledger.metrics.node_phase(*pm, PHASE).msgs_sent;
+            let sent = |s: &SideResult<_>| s.books.metrics.node_phase(*pm, PHASE).msgs_sent;
             sources.iter().map(sent).sum()
         };
         assert!(
@@ -890,12 +884,12 @@ mod tests {
         );
         // A relayed list is admitted and voted on like any other.
         let mut sources = sources;
-        let flags = admitted(&env, Side::Source, &mut sources, list_leaf);
+        let flags = admitted(&env, &fx.committees, Task::Source, &mut sources, list_leaf);
         assert!(flags.iter().flatten().all(|&ok| ok));
         let legs = sources.iter().flat_map(|s| &s.legs);
         let inbound: Vec<&PairList<'_>> = legs.filter(|list| list.dest == 1).collect();
         assert_eq!(inbound.len(), 2);
-        let dest = run_dest(&env, 1, &inbound);
+        let dest = run_dest(&env, &fx.committees, &fx.utxo_sets, 1, &inbound);
         assert!(dest.vector.is_some());
         let offered = fx.offered_valid();
         for (source, txs) in &dest.legs {
@@ -916,10 +910,10 @@ mod tests {
         let digests: Vec<Digest> = [1, 2, 8]
             .iter()
             .map(|&workers| {
-                let (outcome, metrics) = fx.run(&fx.no_faults, workers);
+                let (outcome, books) = fx.run(&fx.no_faults, workers);
                 assert_eq!(outcome.alg3_instances, 2 * 4);
                 assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
-                digest(&outcome, &metrics)
+                digest(&outcome, &books.metrics)
             })
             .collect();
         assert!(digests.windows(2).all(|w| w[0] == w[1]), "{digests:?}");

@@ -184,7 +184,7 @@ pub struct RoundReport {
     /// which only counts deadlines that fired).
     pub votes_missing: usize,
     /// Message-driven mode: envelopes dropped by the network fault plan
-    /// (partitions, loss) across every phase network this round.
+    /// (partitions, loss) across the round's task networks that run under it.
     pub net_dropped_messages: u64,
     /// Deliberate vote abstentions by `Syncing` members this round (their
     /// slots are counted `Unknown`, never breaking quorum math).
@@ -455,34 +455,6 @@ impl SimulationSummary {
     /// no-syncing-votes invariant demands this stays zero.
     pub fn total_syncing_votes(&self) -> usize {
         self.rounds.iter().map(|r| r.syncing_votes).sum()
-    }
-
-    /// Total arrivals injected across the run (open-loop traffic only).
-    pub fn total_traffic_injected(&self) -> usize {
-        self.rounds
-            .iter()
-            .filter_map(|r| r.traffic.as_ref())
-            .map(|t| t.injected)
-            .sum()
-    }
-
-    /// Total open-loop confirmations across the run.
-    pub fn total_traffic_confirmed(&self) -> usize {
-        self.rounds
-            .iter()
-            .filter_map(|r| r.traffic.as_ref())
-            .map(|t| t.confirmed)
-            .sum()
-    }
-
-    /// Total open-loop transactions censored (injected, then expired
-    /// unpacked under the driven plane) across the run.
-    pub fn total_traffic_censored(&self) -> usize {
-        self.rounds
-            .iter()
-            .filter_map(|r| r.traffic.as_ref())
-            .map(|t| t.censored)
-            .sum()
     }
 
     /// A digest over the summary's canonical byte encoding.
@@ -771,24 +743,6 @@ mod tests {
         let mut changed = authenticated.clone();
         changed.state_roots[1] = cycledger_crypto::sha256::sha256(b"tampered");
         assert_ne!(encode(&changed), auth_bytes);
-    }
-
-    #[test]
-    fn traffic_summary_aggregation() {
-        let mut with_traffic = dummy_report(1, 1, 1);
-        with_traffic.traffic = Some(crate::traffic::TrafficRoundReport {
-            injected: 20,
-            rejected_invalid: 2,
-            confirmed: 15,
-            censored: 3,
-            ..Default::default()
-        });
-        let summary = SimulationSummary {
-            rounds: vec![dummy_report(0, 1, 1), with_traffic],
-        };
-        assert_eq!(summary.total_traffic_injected(), 20);
-        assert_eq!(summary.total_traffic_confirmed(), 15);
-        assert_eq!(summary.total_traffic_censored(), 3);
     }
 
     #[test]

@@ -19,13 +19,16 @@ use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::{Workload, WorkloadConfig};
 use cycledger_reputation::ReputationTable;
 
+use crate::committee::Committee;
 use crate::config::ProtocolConfig;
-use crate::engine::{NoopObserver, RoundArena, RoundObserver, ShardExecutor};
+use crate::engine::{
+    run_pipeline_observed, standard_pipeline, NoopObserver, RoundArena, RoundContext, RoundEnv,
+    RoundObserver, ShardExecutor, Task,
+};
 use crate::epoch::{self, EpochSchedule};
 use crate::node::{MembershipState, NodeRegistry};
 use crate::report::{EpochTransitionReport, RoundReport, SimulationSummary};
-use crate::round::{run_round_observed, RoundInput};
-use crate::sortition::{assign_round_on, AssignmentParams, RoundAssignment};
+use crate::sortition::{assign_round_on, RoundAssignment};
 use crate::sync::{run_state_sync, SyncConfig};
 use crate::traffic::{OpenLoopDriver, TrafficSnapshot};
 
@@ -93,11 +96,7 @@ impl Simulation {
             &executor,
             &registry,
             &registry.ids(),
-            AssignmentParams {
-                committees: config.committees,
-                partial_set_size: config.partial_set_size,
-                referee_size: config.referee_size,
-            },
+            config.assignment_params(),
             0,
             genesis_randomness,
             &reputation,
@@ -130,8 +129,9 @@ impl Simulation {
         })
     }
 
-    /// Installs the network-fault plan every subsequent round's phase
-    /// networks and state-sync sessions run under. Scenario drivers call this
+    /// Installs the network-fault plan subsequent rounds' task networks (those
+    /// the `Task` table puts under it — all but the semi-commitment,
+    /// reputation and block instances) and state-sync sessions run under. Scenario drivers call this
     /// between rounds to activate and heal partitions, targeted delays and
     /// loss windows — passing the default (empty) plan heals everything.
     ///
@@ -232,25 +232,29 @@ impl Simulation {
             }
             None => self.workload.generate_batch(self.config.txs_per_round),
         };
-        let mut output = run_round_observed(
-            RoundInput {
-                config: &self.config,
-                registry: &self.registry,
-                assignment: &self.assignment,
-                utxo_sets: &mut self.utxo_sets,
-                reputation: &mut self.reputation,
-                offered,
-                prev_hash: self.chain.tip_hash(),
-                block_height: self.chain.height() as u64,
-                arena: &mut self.arena,
-                faults: &self.fault_plan,
-            },
+        let referee = Committee::referee(&self.assignment.referee, &self.registry);
+        let env = RoundEnv {
+            config: &self.config,
+            registry: &self.registry,
+            referee: &referee,
+            plan: &self.fault_plan,
+            round: self.assignment.round,
+        };
+        let mut ctx = RoundContext::new(
+            env,
+            &self.assignment,
             &self.executor,
-            observer,
+            &self.chain,
+            &mut self.utxo_sets,
+            &mut self.reputation,
+            &mut self.arena,
         );
+        ctx.offer(offered);
+        run_pipeline_observed(&mut ctx, standard_pipeline(), observer);
+        let (block, next_assignment, mut report) = ctx.into_output();
         let mut packed: cycledger_crypto::fxhash::FxHashSet<cycledger_ledger::transaction::TxId> =
             cycledger_crypto::fxhash::FxHashSet::default();
-        if let Some(block) = output.block {
+        if let Some(block) = block {
             packed.extend(block.transactions.iter().map(|t| t.id()));
             self.chain
                 .append(block)
@@ -268,11 +272,10 @@ impl Simulation {
         // confirmed (packed) or *censored* (not packed: its inputs were just
         // respent by `confirm_packed`, so it can never confirm later).
         if let Some(driver) = &mut self.traffic {
-            output.report.traffic = Some(
-                driver.complete_round(output.report.timeout_delays_us, |id| packed.contains(id)),
-            );
+            report.traffic =
+                Some(driver.complete_round(report.timeout_delays_us, |id| packed.contains(id)));
         }
-        if let Some(next) = output.next_assignment {
+        if let Some(next) = next_assignment {
             self.assignment = next;
         } else {
             // Beacon failure (every referee dealer malicious): reuse the current
@@ -281,7 +284,7 @@ impl Simulation {
             // stay valid for `sortition_round`, the round they were drawn for.
             self.assignment.round += 1;
         }
-        self.reports.push(output.report);
+        self.reports.push(report);
         self.maybe_close_epoch();
         self.reports.last().expect("just pushed")
     }
@@ -308,7 +311,7 @@ impl Simulation {
         let sync_config = SyncConfig::from_latency(self.config.latency);
         let tip = self.chain.tip_hash();
         for member in syncing {
-            let seed = self.config.seed ^ ((self.reports.len() as u64) << 48) ^ u64::from(member.0);
+            let seed = Task::Sync { member }.seed(self.config.seed, self.reports.len() as u64);
             let mut net = cycledger_net::network::SimNetwork::with_faults(
                 self.config.latency,
                 seed,
@@ -341,11 +344,7 @@ impl Simulation {
             return;
         }
         let epoch = schedule.epoch_of(completed - 1);
-        let params = AssignmentParams {
-            committees: self.config.committees,
-            partial_set_size: self.config.partial_set_size,
-            referee_size: self.config.referee_size,
-        };
+        let params = self.config.assignment_params();
         // The boundary round's PVSS beacon output already seeded the next
         // assignment's randomness; fold it into the epoch derivation so the
         // epoch's committees depend on it ("feed the beacon back in").
@@ -799,13 +798,18 @@ mod tests {
         assert_eq!(sim.assignment.round, genesis.round + 3);
         assert_eq!(sim.assignment.sortition_round, genesis.round);
         assert_eq!(sim.assignment.sortition_proofs, genesis.sortition_proofs);
-        let mut metrics = cycledger_net::metrics::MetricsSink::new();
+        let env = RoundEnv {
+            config: &sim.config,
+            registry: &sim.registry,
+            referee: &Committee::referee(&sim.assignment.referee, &sim.registry),
+            plan: &sim.fault_plan,
+            round: sim.assignment.round,
+        };
         let outcome = crate::phases::configuration::run_committee_configuration(
+            &env,
             &sim.executor,
-            &sim.registry,
             &sim.assignment,
-            sim.config.latency.delta,
-            &mut metrics,
+            &mut cycledger_net::metrics::MetricsSink::new(),
         );
         assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
         assert_eq!(outcome.verified_members, genesis.sortition_proofs.len());
@@ -813,7 +817,7 @@ mod tests {
 
     #[test]
     fn a_rejected_sortition_claim_loses_its_seat_before_the_vote() {
-        use crate::engine::{pipeline, RoundContext};
+        use crate::engine::pipeline;
         use crate::phases::configuration::run_committee_configuration;
 
         let mut sim = Simulation::new(small_config()).unwrap();
@@ -828,27 +832,29 @@ mod tests {
             .unwrap();
         let seats = sim.assignment.committees[home].size();
         let offered = sim.workload.generate_batch(sim.config.txs_per_round);
+        let referee = Committee::referee(&sim.assignment.referee, &sim.registry);
+        let env = RoundEnv {
+            config: &sim.config,
+            registry: &sim.registry,
+            referee: &referee,
+            plan: &sim.fault_plan,
+            round: sim.assignment.round,
+        };
         let mut ctx = RoundContext::new(
-            RoundInput {
-                config: &sim.config,
-                registry: &sim.registry,
-                assignment: &sim.assignment,
-                utxo_sets: &mut sim.utxo_sets,
-                reputation: &mut sim.reputation,
-                offered,
-                prev_hash: sim.chain.tip_hash(),
-                block_height: 0,
-                arena: &mut sim.arena,
-                faults: &sim.fault_plan,
-            },
+            env,
+            &sim.assignment,
             &sim.executor,
+            &sim.chain,
+            &mut sim.utxo_sets,
+            &mut sim.reputation,
+            &mut sim.arena,
         );
+        ctx.offer(offered);
         let outcome = run_committee_configuration(
+            &ctx.env,
             ctx.executor,
-            ctx.registry,
             ctx.assignment,
-            ctx.config.latency.delta,
-            &mut ctx.metrics,
+            &mut ctx.books.metrics,
         );
         assert_eq!(outcome.rejected, vec![(home, victim)]);
         ctx.apply_configuration(outcome);

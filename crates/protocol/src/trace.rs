@@ -18,7 +18,7 @@
 
 use cycledger_consensus::votes::{Vote, VoteList};
 
-use crate::engine::{RoundContext, RoundObserver};
+use crate::engine::{PlaneCounters, RoundContext, RoundObserver};
 use crate::report::{RecoveryOutcome, RecoveryRecord};
 
 /// Phase names the recorder snapshots committee outcomes at.
@@ -76,7 +76,7 @@ pub struct RecoveryStep {
     pub record: RecoveryRecord,
 }
 
-/// Per-phase deltas of the round's timeout / abstention counters, for reconciling
+/// What one phase added to the round's plane counters, for reconciling
 /// `RoundReport` totals against the per-committee steps.
 #[derive(Clone, Debug)]
 pub struct PhaseDelta {
@@ -84,14 +84,8 @@ pub struct PhaseDelta {
     pub round: u64,
     /// Phase name.
     pub phase: &'static str,
-    /// How many vote-collection deadlines fired with votes missing.
-    pub quorum_timeouts: usize,
-    /// Votes missing accumulated by the phase.
-    pub votes_missing: usize,
-    /// Syncing abstentions accumulated by the phase.
-    pub syncing_abstentions: usize,
-    /// Syncing votes accumulated by the phase (must stay zero).
-    pub syncing_votes: usize,
+    /// The round's counters at the phase's end minus those at its start.
+    pub counters: PlaneCounters,
     /// Committees whose consensus was retried under a new leader during this
     /// phase (non-empty only for `"intra-recovery"`).
     pub retried: Vec<usize>,
@@ -108,28 +102,6 @@ pub struct ExecutionTrace {
     pub phase_deltas: Vec<PhaseDelta>,
 }
 
-/// Counter values captured at a phase start, for delta computation.
-#[derive(Clone, Copy, Debug, Default)]
-struct CounterMark {
-    quorum_timeouts: usize,
-    votes_missing: usize,
-    syncing_abstentions: usize,
-    syncing_votes: usize,
-    recovery_log_len: usize,
-}
-
-impl CounterMark {
-    fn take(ctx: &RoundContext<'_>) -> CounterMark {
-        CounterMark {
-            quorum_timeouts: ctx.quorum_timeouts,
-            votes_missing: ctx.votes_missing,
-            syncing_abstentions: ctx.syncing_abstentions,
-            syncing_votes: ctx.syncing_votes,
-            recovery_log_len: ctx.recovery_log.len(),
-        }
-    }
-}
-
 /// A [`RoundObserver`] that records an [`ExecutionTrace`] across every round
 /// it observes. Attach with [`crate::Simulation::run_round_observed`] or
 /// [`crate::Simulation::run_observed`], then hand
@@ -137,7 +109,10 @@ impl CounterMark {
 #[derive(Clone, Debug, Default)]
 pub struct TraceRecorder {
     trace: ExecutionTrace,
-    mark: CounterMark,
+    /// The round's counters and recovery-log length at the current phase's
+    /// start.
+    mark: PlaneCounters,
+    recoveries_mark: usize,
 }
 
 impl TraceRecorder {
@@ -158,6 +133,7 @@ impl TraceRecorder {
 
     fn snapshot_committee(&mut self, ctx: &RoundContext<'_>, phase: &'static str, k: usize) {
         let outcome = &ctx.intra_outcomes[k];
+        let counters = outcome.books.counters;
         let size = ctx.committees[k].size();
         let (yes_counts, no_counts) = count_votes(&outcome.vote_list);
         self.trace.steps.push(CommitteeStep {
@@ -166,10 +142,10 @@ impl TraceRecorder {
             committee: k,
             committee_size: size,
             leader_silent: outcome.leader_silent,
-            quorum_timeout: outcome.quorum_timeout,
-            votes_missing: outcome.votes_missing,
-            syncing_abstentions: outcome.syncing_abstentions,
-            syncing_votes: outcome.syncing_votes,
+            quorum_timeout: counters.quorum_timeouts > 0,
+            votes_missing: counters.votes_missing,
+            syncing_abstentions: counters.syncing_abstentions,
+            syncing_votes: counters.syncing_votes,
             voter_rows: outcome.vote_list.voter_count(),
             yes_counts,
             no_counts,
@@ -183,7 +159,7 @@ impl TraceRecorder {
     }
 
     fn collect_recoveries(&mut self, ctx: &RoundContext<'_>, phase: &'static str) {
-        for record in &ctx.recovery_log[self.mark.recovery_log_len..] {
+        for record in &ctx.recovery_log[self.recoveries_mark..] {
             self.trace.recoveries.push(RecoveryStep {
                 round: ctx.round,
                 phase,
@@ -196,10 +172,7 @@ impl TraceRecorder {
         self.trace.phase_deltas.push(PhaseDelta {
             round: ctx.round,
             phase,
-            quorum_timeouts: ctx.quorum_timeouts - self.mark.quorum_timeouts,
-            votes_missing: ctx.votes_missing - self.mark.votes_missing,
-            syncing_abstentions: ctx.syncing_abstentions - self.mark.syncing_abstentions,
-            syncing_votes: ctx.syncing_votes - self.mark.syncing_votes,
+            counters: ctx.books.counters - self.mark,
             retried,
         });
     }
@@ -207,7 +180,8 @@ impl TraceRecorder {
 
 impl RoundObserver for TraceRecorder {
     fn on_phase_start(&mut self, _phase: &'static str, ctx: &RoundContext<'_>) {
-        self.mark = CounterMark::take(ctx);
+        self.mark = ctx.books.counters;
+        self.recoveries_mark = ctx.recovery_log.len();
     }
 
     fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
@@ -222,7 +196,7 @@ impl RoundObserver for TraceRecorder {
                 // Committees evicted during this phase had their consensus
                 // retried under the new leader; their outcomes were replaced
                 // in place, so re-snapshot exactly those.
-                let retried: Vec<usize> = ctx.recovery_log[self.mark.recovery_log_len..]
+                let retried: Vec<usize> = ctx.recovery_log[self.recoveries_mark..]
                     .iter()
                     .filter(|r| r.outcome == RecoveryOutcome::Evicted)
                     .map(|r| r.committee)

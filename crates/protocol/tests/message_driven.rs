@@ -12,15 +12,23 @@
 //!   the heal, and worker-count determinism still holds;
 //! * isolating a leader suppresses the quorum certificate and routes the
 //!   committee through recovery;
+//! * every task kind's books reconcile under a lossy plan, and a faulted
+//!   round's report counters are the sum of its tasks' books;
 //! * a random-seed property pins that delivery order is seeded virtual
 //!   time, never thread order.
 
 use cycledger_net::faults::FaultPlan;
+use cycledger_net::latency::LinkClass;
+use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 use cycledger_protocol::adversary::{AdversaryConfig, Behavior};
 use cycledger_protocol::config::ProtocolConfig;
+use cycledger_protocol::engine::{
+    Books, PlaneCounters, RoundContext, RoundEnv, RoundObserver, Task,
+};
 use cycledger_protocol::report::SimulationSummary;
 use cycledger_protocol::simulation::Simulation;
+use cycledger_protocol::Committee;
 use proptest::prelude::*;
 
 fn driven_config(seed: u64) -> ProtocolConfig {
@@ -281,6 +289,133 @@ fn partition_of_impeachment_votes_blocks_recovery() {
     );
     // The healthy committee keeps the chain alive.
     assert!(report.block_produced);
+}
+
+/// A fifth of all envelopes lost, on every link, all round long.
+fn lossy() -> FaultPlan {
+    FaultPlan {
+        drop_ppm: 200_000,
+        ..FaultPlan::default()
+    }
+}
+
+#[test]
+fn every_task_kinds_books_reconcile_under_a_lossy_plan() {
+    // sends == deliveries + dropped, per task kind: the books `Books::close`
+    // hands back account for every envelope offered to the task's network —
+    // and the three tasks whose networks stay outside the plan lose nothing.
+    let sim = Simulation::new(driven_config(907)).expect("valid config");
+    let referee = Committee::referee(&sim.assignment().referee, sim.registry());
+    let plan = lossy();
+    let env = RoundEnv {
+        config: sim.config(),
+        registry: sim.registry(),
+        referee: &referee,
+        plan: &plan,
+        round: 3,
+    };
+    let kinds = [
+        Task::SemiCommitment,
+        Task::Intra {
+            committee: 1,
+            retry: false,
+        },
+        Task::Intra {
+            committee: 1,
+            retry: true,
+        },
+        Task::Recovery {
+            attempt: 2,
+            committee: 1,
+        },
+        Task::Source(1),
+        Task::Destination(1),
+        Task::Reputation(1),
+        Task::Block,
+    ];
+    for task in kinds {
+        let row = task.row(env.round);
+        let mut net: SimNetwork<u32> = env.open(task);
+        let sends = 400;
+        for i in 0..sends {
+            let (from, to) = (NodeId(i % 7), NodeId(7 + i % 5));
+            net.send(from, to, LinkClass::IntraCommittee, i, 32);
+        }
+        let books = Books::close(net);
+        let delivered = books.metrics.phase_total(row.phase).msgs_received;
+        let dropped = books.counters.net_dropped;
+        assert_eq!(u64::from(sends), delivered + dropped, "{task:?}");
+        assert_eq!(dropped > 0, row.under_plan, "{task:?} dropped {dropped}");
+        let only_drops = PlaneCounters {
+            net_dropped: dropped,
+            ..PlaneCounters::default()
+        };
+        assert_eq!(books.counters, only_drops, "{task:?}");
+    }
+}
+
+/// Sums what each phase added to the round's books, and what the intra
+/// batch's tasks handed back one by one.
+#[derive(Default)]
+struct BooksAudit {
+    at_phase_start: PlaneCounters,
+    phases: PlaneCounters,
+    intra_phase: PlaneCounters,
+    intra_tasks: PlaneCounters,
+}
+
+impl RoundObserver for BooksAudit {
+    fn on_phase_start(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+        self.at_phase_start = ctx.books.counters;
+    }
+
+    fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+        let added = ctx.books.counters - self.at_phase_start;
+        self.phases += added;
+        if phase == "intra-consensus" {
+            self.intra_phase = added;
+            for outcome in &ctx.intra_outcomes {
+                self.intra_tasks += outcome.books.counters;
+            }
+        }
+    }
+}
+
+#[test]
+fn a_faulted_rounds_report_counters_are_the_sum_of_its_tasks_books() {
+    // Loss everywhere plus a syncing member and a severed one: every one of
+    // the six counters but `syncing_votes` (which must stay zero) moves.
+    let mut sim = Simulation::new(ProtocolConfig {
+        cross_shard_ratio: 0.5,
+        ..driven_config(908)
+    })
+    .expect("valid config");
+    let commons = sim.assignment().committees[0].common_members().to_vec();
+    sim.registry_mut()
+        .set_membership(commons[0], cycledger_protocol::MembershipState::Syncing);
+    sim.set_fault_plan(FaultPlan {
+        partitions: FaultPlan::partition(vec![commons[1]]).partitions,
+        ..lossy()
+    });
+    let mut audit = BooksAudit::default();
+    let report = sim.run_round_observed(&mut audit).clone();
+    let reported = PlaneCounters {
+        quorum_timeouts: report.quorum_timeouts,
+        list_timeouts: report.list_timeouts,
+        votes_missing: report.votes_missing,
+        net_dropped: report.net_dropped_messages,
+        syncing_abstentions: report.syncing_abstentions,
+        syncing_votes: report.syncing_votes,
+    };
+    assert_eq!(reported, audit.phases, "the report is the sum over phases");
+    assert_eq!(
+        audit.intra_phase, audit.intra_tasks,
+        "the intra phase folds each of its tasks' books exactly once"
+    );
+    assert!(audit.intra_tasks.quorum_timeouts >= 1 && audit.intra_tasks.votes_missing >= 2);
+    assert!(audit.intra_tasks.net_dropped > 0 && audit.intra_tasks.syncing_abstentions == 1);
+    assert!(reported.net_dropped > audit.intra_tasks.net_dropped);
+    assert_eq!(reported.syncing_votes, 0);
 }
 
 proptest! {

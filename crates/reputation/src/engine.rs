@@ -59,13 +59,6 @@ impl ReputationTable {
         *self.reputations.entry(node).or_insert(0.0) += score;
     }
 
-    /// Adds a batch of `(node, score)` pairs.
-    pub fn add_scores(&mut self, scores: impl IntoIterator<Item = (NodeId, f64)>) {
-        for (node, score) in scores {
-            self.add_score(node, score);
-        }
-    }
-
     /// Applies the cube-root punishment to a convicted leader and returns the
     /// new reputation.
     pub fn punish_leader(&mut self, node: NodeId) -> f64 {
@@ -120,11 +113,6 @@ impl ReputationTable {
     pub fn to_fixed_point(rep: f64) -> i64 {
         (rep * 1e6).round() as i64
     }
-
-    /// Decodes a block-stored fixed-point reputation.
-    pub fn from_fixed_point(fp: i64) -> f64 {
-        fp as f64 / 1e6
-    }
 }
 
 #[cfg(test)]
@@ -151,9 +139,6 @@ mod tests {
         table.add_score(NodeId(1), 0.75);
         table.add_score(NodeId(1), -0.25);
         assert!((table.get(NodeId(1)) - 1.0).abs() < 1e-12);
-        table.add_scores([(NodeId(2), 1.0), (NodeId(1), 1.0)]);
-        assert!((table.get(NodeId(1)) - 2.0).abs() < 1e-12);
-        assert!((table.get(NodeId(2)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -215,7 +200,7 @@ mod tests {
         assert_eq!(snap[1].0, NodeId(5));
         for (_, rep) in snap {
             let fp = ReputationTable::to_fixed_point(rep);
-            assert!((ReputationTable::from_fixed_point(fp) - rep).abs() < 1e-6);
+            assert!((fp as f64 / 1e6 - rep).abs() < 1e-6);
         }
     }
 }

@@ -866,15 +866,6 @@ fn state_scenarios() -> Vec<Scenario> {
     scenarios
 }
 
-/// The names of the smoke subset (fast, CI-gated).
-pub fn smoke_names() -> Vec<String> {
-    builtin_scenarios()
-        .into_iter()
-        .filter(|s| s.smoke)
-        .map(|s| s.name)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -990,7 +981,8 @@ mod tests {
 
     #[test]
     fn smoke_subset_is_marked() {
-        let smoke = smoke_names();
+        let smoke = builtin_scenarios().into_iter().filter(|s| s.smoke);
+        let smoke: Vec<String> = smoke.map(|s| s.name).collect();
         assert!(smoke.len() >= 8, "smoke matrix too thin: {smoke:?}");
         assert!(smoke.contains(&"honest-baseline".to_string()));
         assert!(smoke.contains(&"mixed-adversary".to_string()));

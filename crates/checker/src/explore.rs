@@ -11,12 +11,14 @@
 //! fires the vote deadline, or closes a phase with nothing left to wait for.
 //!
 //! **Real.** Every reaction: vote rows, backfill and tally come from
-//! [`VoteCollector`] / [`member_reply`], every ECHO, CONFIRM, certificate and
-//! piece of evidence from [`MemberState`] / [`LeaderState`] with real keys
-//! and signatures, every impeachment answer, count and verdict from
-//! [`Impeachment`]. This module moves messages between them the way
-//! `committee::run_inside_consensus` and the phase loops do (a test pins the
-//! two compositions equal) and checks the invariants on what they produce.
+//! [`VoteCollector`] / [`member_reply`], every PROPOSE, ECHO, CONFIRM,
+//! certificate and piece of evidence from the [`Instance`] the engine pumps
+//! — who is proposed what, whose machine a message reaches, what goes on
+//! file — with real keys and signatures, every impeachment answer, count and
+//! verdict from [`Impeachment`]. This module is a transport, as the phase
+//! loops are: it moves what the machines emit (a test pins the two
+//! transports equal on one schedule) and checks the invariants on what they
+//! produce.
 //!
 //! **Abstract.** The schedule's granularity: an ECHO reaches every live
 //! member or none; one valid transaction is offered and everybody votes `Yes`
@@ -38,21 +40,21 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 
-use cycledger_consensus::alg3::{LeaderState, MemberAction, MemberState};
+use cycledger_consensus::alg3::{Action, Instance, Seats};
 use cycledger_consensus::collect::{member_reply, Collected, VoteCollector};
 use cycledger_consensus::impeach::{Accusation, Impeachment, Verdict};
-use cycledger_consensus::messages::{make_propose, Confirm, ConsensusId, Echo, Propose};
-use cycledger_consensus::quorum::{CommitteeKeys, QuorumCertificate};
+use cycledger_consensus::messages::{Alg3Message, ConsensusId};
+use cycledger_consensus::quorum::CommitteeKeys;
 use cycledger_consensus::sigcache::SigCache;
 use cycledger_consensus::transition::{self, Paper, Rules};
 use cycledger_consensus::votes::{Vote, VoteList, VoteVector};
-use cycledger_consensus::witness::{EquivocationEvidence, Witness};
+use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_crypto::schnorr::Keypair;
 use cycledger_crypto::sha256::{sha256, Digest};
 use cycledger_net::time::{Deadline, SimTime};
 use cycledger_net::topology::NodeId;
 use cycledger_protocol::phases::intra::decision_payload;
-use cycledger_protocol::{Behavior, LeaderFault};
+use cycledger_protocol::Behavior;
 
 const COMMITTEE_SIZE: usize = 4;
 const ROUNDS: u64 = 2;
@@ -204,12 +206,13 @@ pub struct ExploreStats {
 /// A message in flight. Seats index the fixture; the machines' own messages
 /// name their sender.
 #[derive(Clone, Hash)]
+// Algorithm 3 traffic is most of what is ever in flight: boxing it would put
+// an allocation per message on every state clone.
+#[allow(clippy::large_enum_variant)]
 enum Msg {
     Announce(usize),
     Vote(VoteVector),
-    Propose(usize, Propose),
-    Echo(Echo),
-    Confirm(Confirm),
+    Alg3(Action),
     Accusation(usize),
     ImpeachVote(usize, bool),
 }
@@ -221,9 +224,12 @@ impl Msg {
         match self {
             Msg::Announce(to) => ("Announce", *to),
             Msg::Vote(row) => ("Vote", fx.seat_of(row.voter)),
-            Msg::Propose(to, _) => ("Propose", *to),
-            Msg::Echo(echo) => ("Echo", fx.seat_of(echo.member)),
-            Msg::Confirm(confirm) => ("Confirm", fx.seat_of(confirm.member)),
+            // One PROPOSE a receiver, one ECHO and one CONFIRM a sender.
+            Msg::Alg3(Action { from, to, message }) => match (message, to) {
+                (Alg3Message::Propose(_), Some(to)) => ("Propose", fx.seat_of(*to)),
+                (Alg3Message::Echo(_), _) => ("Echo", fx.seat_of(*from)),
+                _ => ("Confirm", fx.seat_of(*from)),
+            },
             Msg::Accusation(to) => ("Accusation", *to),
             Msg::ImpeachVote(from, _) => ("ImpeachVote", *from),
         }
@@ -239,31 +245,11 @@ struct Collect<'f, R> {
     timer_fired: bool,
 }
 
-/// One Algorithm 3 instance — also what its first pass is compared to the
-/// engine's driver by ([`first_pass_in_send_order`]).
-#[derive(Clone, Hash)]
-pub struct Alg3 {
-    /// The decision vector the vote tallied, which the instance certifies.
-    pub decision: Vec<i8>,
-    members: Vec<MemberState>,
-    /// One per digest the leader signed: an equivocating leader collects
-    /// CONFIRMs for both.
-    leaders: Vec<LeaderState>,
-    /// Equivocation evidence honest members produced, in report order.
-    pub equivocation: Vec<EquivocationEvidence>,
-}
-
-impl Alg3 {
-    /// The certificate over the leader's (first) digest, once it exists.
-    pub fn certificate(&self) -> Option<&QuorumCertificate> {
-        self.leaders[0].certificate()
-    }
-}
-
 #[derive(Clone, Hash)]
 enum Phase<'f, R> {
     Collect(Collect<'f, R>),
-    Alg3(Alg3),
+    /// The decision vector the vote tallied, and the instance certifying it.
+    Alg3(Vec<i8>, Instance<'f>),
     Recovery(Impeachment<'f, R>),
     Done,
 }
@@ -398,47 +384,35 @@ impl<'f> Run<'f> {
         Ok(())
     }
 
-    /// The composition of `committee::run_inside_consensus`: fresh machines
-    /// on the shared memo, the PROPOSE (or the equivocating pair) to every
-    /// other live seat, the leader's own handled locally.
+    /// Opens the pass's instance on the shared memo, nobody seated mute, and
+    /// puts the leader's opening in flight.
     fn start_alg3<R>(&self, state: &mut State<'f, R>, decision: Vec<i8>, payload: Vec<u8>) {
         let fx = self.fx;
+        let seats = Seats {
+            nodes: &fx.seats,
+            keypairs: &fx.keypairs,
+            mute: &[false; COMMITTEE_SIZE],
+            keys: &fx.keys,
+            leader: fx.seats[state.leader],
+        };
         let (round, seq) = (state.round, 1_000);
         let id = ConsensusId { round, seq };
-        let (leader, keypair) = (fx.seats[state.leader], &fx.keypairs[state.leader]);
         let behavior = self.scenario.leader_behavior(state.leader);
-        let fault = LeaderFault::from_behavior(behavior, &payload);
-        let main = make_propose(id, payload, leader, keypair);
-        let alternate = match fault {
-            LeaderFault::Equivocate { alternate } => Some(alternate),
-            _ => None,
-        };
-        let alternate = alternate.map(|payload| make_propose(id, payload, leader, keypair));
-        let member = |(seat, &node): (usize, &NodeId)| {
-            let mut member = MemberState::new(node, fx.keypairs[seat], leader, id, fx.keys.clone());
-            member.set_sig_cache(fx.memo.clone());
-            member
-        };
-        let collector_of = |propose: &Propose| {
-            let mut collector = LeaderState::new(id, propose.digest, fx.keys.clone());
-            collector.set_sig_cache(fx.memo.clone());
-            collector
-        };
-        let signed = std::iter::once(&main).chain(&alternate);
-        let mut alg3 = Alg3 {
-            decision,
-            members: fx.seats.iter().enumerate().map(member).collect(),
-            leaders: signed.map(collector_of).collect(),
-            equivocation: Vec::new(),
-        };
-        for seat in self.live_seats().filter(|&seat| seat != state.leader) {
-            let propose = alternate.as_ref().filter(|_| seat % 2 == 1);
-            let propose = propose.unwrap_or(&main).clone();
-            state.pending.push(Msg::Propose(seat, propose));
-        }
-        let own = alg3.members[state.leader].handle_propose(&main);
-        dispatch(own, &mut state.pending, &mut alg3.equivocation);
-        state.phase = Phase::Alg3(alg3);
+        let (fault, memo) = (behavior.leader_fault(&payload), fx.memo.clone());
+        let mut opening = Vec::new();
+        let instance = Instance::open(seats, id, payload, fault, true, memo, &mut opening);
+        self.put_in_flight(opening, &mut state.pending);
+        state.phase = Phase::Alg3(decision, instance);
+    }
+
+    /// Puts what an instance asked to have sent in flight, an ECHO as one
+    /// unit; what is addressed to a crashed seat is lost on the spot.
+    fn put_in_flight(&self, asked: Vec<Action>, pending: &mut Vec<Msg>) {
+        let crashed = |node| self.scenario.crashed(self.fx.seat_of(node));
+        let sent = asked
+            .into_iter()
+            .filter(|action| !action.to.is_some_and(crashed));
+        pending.extend(sent.map(Msg::Alg3));
     }
 
     /// What follows a pass's consensus, as the engine routes it: recovery —
@@ -460,14 +434,7 @@ impl<'f> Run<'f> {
             return self.finish_round(state);
         };
         let leader = fx.seats[state.leader];
-        let accusation = match evidence {
-            Some(evidence) => Accusation::Signed(Witness::Equivocation(evidence.clone())),
-            None => Accusation::Timeout {
-                leader,
-                committee: 0,
-                observed_by_committee: genuine,
-            },
-        };
+        let accusation = Accusation::after_consensus(evidence, leader, 0, genuine);
         state.phase = Phase::Recovery(Impeachment::open(
             &fx.seats,
             leader,
@@ -559,10 +526,10 @@ impl<'f> Run<'f> {
             Phase::Collect(collect) => {
                 self.finish_collect(state, collect.collector.close(), collect.received)
             }
-            Phase::Alg3(alg3) => {
-                let certified = alg3.certificate().is_some();
-                state.standing = certified && alg3.decision.iter().any(|&d| d > 0);
-                self.after_consensus(state, false, alg3.equivocation.first(), certified);
+            Phase::Alg3(decision, instance) => {
+                let certified = instance.certificate().is_some();
+                state.standing = certified && decision.iter().any(|&d| d > 0);
+                self.after_consensus(state, false, instance.equivocation().first(), certified);
                 Ok(())
             }
             Phase::Recovery(vote) => self.finish_recovery(state, &vote),
@@ -583,29 +550,24 @@ impl<'f> Run<'f> {
             (Phase::Collect(collect), Msg::Vote(row)) => {
                 collect.received += usize::from(collect.collector.on_vote(row, DEADLINE));
             }
-            (Phase::Alg3(alg3), Msg::Propose(to, propose)) => {
-                let actions = alg3.members[to].handle_propose(&propose);
-                dispatch(actions, pending, &mut alg3.equivocation);
-            }
-            (Phase::Alg3(alg3), Msg::Echo(echo)) => {
-                let sender = fx.seat_of(echo.member);
-                for to in self.live_seats().filter(|&seat| seat != sender) {
-                    let actions = alg3.members[to].handle_echo(&echo);
-                    dispatch(actions, pending, &mut alg3.equivocation);
+            (Phase::Alg3(_, instance), Msg::Alg3(Action { from, to, message })) => {
+                let live = self.live_seats().map(|seat| fx.seats[seat]);
+                let to: Vec<NodeId> = match to {
+                    Some(to) => vec![to],
+                    None => live.filter(|&node| node != from).collect(),
+                };
+                let mut asked = Vec::new();
+                for to in to {
+                    instance.deliver(to, &message, &mut asked);
                 }
-            }
-            (Phase::Alg3(alg3), Msg::Confirm(confirm)) => {
+                self.put_in_flight(asked, pending);
                 let threshold = fx.keys.majority_threshold();
-                for leader in &mut alg3.leaders {
-                    let formed = leader.handle_confirm(&confirm);
-                    let verdict =
-                        formed.map(|qc| qc.verify_memoized(&fx.keys, threshold, &fx.memo));
-                    if let Some(Err(error)) = verdict {
+                for formed in instance.certificates() {
+                    if let Err(error) = formed.verify_memoized(&fx.keys, threshold, &fx.memo) {
                         return Err(("invalid-certificate", format!("{error:?}")));
                     }
                 }
-                let certified = alg3.leaders.iter().filter(|l| l.certificate().is_some());
-                if certified.count() > 1 {
+                if instance.certificates().count() > 1 {
                     let detail = "two digests certified in one instance".to_string();
                     return Err(("conflicting-certificates", detail));
                 }
@@ -672,21 +634,6 @@ impl<'f> Run<'f> {
     }
 }
 
-/// Puts what a member machine asked for in flight; evidence goes on file.
-fn dispatch(
-    actions: Vec<MemberAction>,
-    pending: &mut Vec<Msg>,
-    equivocation: &mut Vec<EquivocationEvidence>,
-) {
-    for action in actions {
-        match action {
-            MemberAction::BroadcastEcho(echo) => pending.push(Msg::Echo(echo)),
-            MemberAction::SendConfirm(confirm) => pending.push(Msg::Confirm(confirm)),
-            MemberAction::ReportEquivocation(found) => equivocation.push(found),
-        }
-    }
-}
-
 /// Exhaustively explores one scenario over a fresh default [`Fixture`], the
 /// machines deciding by `R`: [`Paper`], or one of [`broken`] as a self-test.
 pub fn explore<R: Rules + Clone + Hash>(scenario: Scenario) -> ExploreStats {
@@ -698,12 +645,16 @@ pub fn explore<R: Rules + Clone + Hash>(scenario: Scenario) -> ExploreStats {
 /// in the order it was sent, up to the end of the first pass's Algorithm 3 —
 /// what `run_intra_consensus` produces over the same committee on a network
 /// whose legs all take equally long.
-pub fn first_pass_in_send_order(fx: &Fixture, scenario: Scenario) -> Alg3 {
+/// Returns the decision vector the vote tallied and the instance that
+/// certified it, ready to close.
+pub fn first_pass_in_send_order(fx: &Fixture, scenario: Scenario) -> (Vec<i8>, Instance<'_>) {
     let run = Run { fx, scenario };
     let mut state = run.initial::<Paper>();
     loop {
         match state.phase {
-            Phase::Alg3(alg3) if state.pending.is_empty() => return alg3,
+            Phase::Alg3(decision, instance) if state.pending.is_empty() => {
+                return (decision, instance)
+            }
             _ => {}
         }
         let (_, next, outcome) = run.successors(&state).swap_remove(0);

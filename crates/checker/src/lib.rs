@@ -3,8 +3,8 @@
 //! Exhaustive exploration and refinement for the CycLedger consensus core.
 //!
 //! * [`mod@explore`] — an enumerating scheduler over the machines the engine
-//!   runs (`cycledger_consensus`'s vote collector, Algorithm 3 member and
-//!   leader, impeachment vote, with real keys and signatures): BFS over every
+//!   runs (`cycledger_consensus`'s vote collector, Algorithm 3 instance,
+//!   impeachment vote, with real keys and signatures): BFS over every
 //!   message delivery, drop and timer interleaving of one committee at the
 //!   smallest non-trivial size (n = 4, t = 1, 2 rounds), with the safety
 //!   assertions checked on what the machines produce — a certificate that

@@ -1,5 +1,5 @@
 //! The exhaustive run over the real machines, its self-test, the check that
-//! the scheduler composes them the way the engine's driver does, and
+//! the scheduler moves their messages the way the engine's driver does, and
 //! refinement over real executions.
 //!
 //! The headline deliverable: BFS over **every** message delivery, drop, and
@@ -202,20 +202,21 @@ fn scheduler_and_driver(leader: Behavior) -> (Fixture, NodeRegistry, IntraOutcom
     (Fixture::new(&seated, offered[0].tx.id()), registry, outcome)
 }
 
-/// The scheduler composes the machines the way the driver does: fault-free,
-/// its deliver-everything-in-send-order schedule and `run_intra_consensus`
-/// end with the same decision vector and the same certificate — digest,
-/// signer set, signatures.
+/// The scheduler is a transport of the machines as the driver is — both step
+/// the same `alg3::Instance`, and this pins the part each writes itself:
+/// fault-free, its deliver-everything-in-send-order schedule and
+/// `run_intra_consensus` end with the same decision vector and the same
+/// certificate — digest, signer set, signatures.
 #[test]
 fn the_scheduler_and_the_driver_certify_the_same_thing() {
     let (fixture, _, driven) = scheduler_and_driver(Behavior::Honest);
-    let pass = first_pass_in_send_order(&fixture, Scenario::AllHonest);
-    assert_eq!(pass.decision, [1]);
-    assert_eq!(pass.decision, driven.decision);
-    let certificate = pass.certificate().expect("the honest pass certifies");
+    let (decision, instance) = first_pass_in_send_order(&fixture, Scenario::AllHonest);
+    assert_eq!(decision, [1]);
+    assert_eq!(decision, driven.decision);
+    let certificate = instance.certificate().expect("the honest pass certifies");
     assert_eq!(certificate.signer_count(), 3);
     assert_eq!(Some(certificate), driven.certificate.as_ref());
-    assert!(pass.equivocation.is_empty() && driven.equivocation.is_empty());
+    assert!(instance.equivocation().is_empty() && driven.equivocation.is_empty());
 }
 
 /// Likewise under an equivocating leader: both end without a certificate and
@@ -223,18 +224,18 @@ fn the_scheduler_and_the_driver_certify_the_same_thing() {
 #[test]
 fn the_scheduler_and_the_driver_catch_the_same_equivocation() {
     let (fixture, registry, driven) = scheduler_and_driver(Behavior::EquivocatingLeader);
-    let pass = first_pass_in_send_order(&fixture, Scenario::EquivocatingLeader);
-    assert_eq!(pass.decision, driven.decision);
+    let (decision, instance) = first_pass_in_send_order(&fixture, Scenario::EquivocatingLeader);
+    assert_eq!(decision, driven.decision);
     assert_eq!(
-        (pass.certificate(), driven.certificate.as_ref()),
+        (instance.certificate(), driven.certificate.as_ref()),
         (None, None)
     );
     let leader_key = registry.node(registry.ids()[0]).keypair.public;
-    for evidence in [&pass.equivocation, &driven.equivocation] {
+    for evidence in [instance.equivocation(), &driven.equivocation[..]] {
         assert!(!evidence.is_empty());
         assert!(evidence.iter().all(|e| e.verify(&leader_key)));
     }
-    assert_eq!(pass.equivocation, driven.equivocation);
+    assert_eq!(instance.equivocation(), driven.equivocation);
 }
 
 fn sim_config(adversary: AdversaryConfig, seed: u64, message_driven: bool) -> ProtocolConfig {

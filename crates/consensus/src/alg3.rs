@@ -7,9 +7,12 @@
 //! [`QuorumCertificate`] once more than half of the committee has CONFIRMed.
 //!
 //! The state machines are transport-agnostic: they consume verified-or-rejected
-//! messages and emit actions (messages to send, or misbehaviour evidence). The
-//! protocol crate drives them over the simulated network, which is where
-//! latency, phases, and adversarial scheduling come in.
+//! messages and emit actions (messages to send, or misbehaviour evidence).
+//! [`Instance`] composes one committee's worth of them — who is sent which
+//! PROPOSE, who never sends, where evidence goes — and is what a transport
+//! steps: the protocol crate pumps it over the simulated network, which is
+//! where latency, phases, and adversarial scheduling come in, and the checker
+//! delivers its messages in every order.
 //!
 //! **Signatures are verified at quorum, not at arrival.** A message that
 //! changes state beyond a tally is checked on the spot: the PROPOSE, an ECHO
@@ -34,11 +37,11 @@ use cycledger_net::topology::NodeId;
 
 use crate::messages::{
     confirm_signing_bytes, echo_signing_bytes, make_confirm, make_confirm_unsigned, make_echo,
-    make_echo_unsigned, propose_signing_bytes, verify_echo_cached, verify_propose_cached, Confirm,
-    ConsensusId, Echo, Propose,
+    make_echo_unsigned, make_propose, make_propose_unsigned, propose_signing_bytes,
+    verify_echo_cached, verify_propose_cached, Alg3Message, Confirm, ConsensusId, Echo, Propose,
 };
 use crate::quorum::{CommitteeKeys, QuorumCertificate};
-use crate::sigcache::SigCache;
+use crate::sigcache::{SigCache, Verdicts};
 use crate::transition::{confirm_quorum, digests_conflict, echo_quorum};
 use crate::witness::EquivocationEvidence;
 
@@ -142,8 +145,17 @@ pub struct MemberState {
     /// Echo signatures collected for the accepted digest.
     echoes: SignatureTally,
     confirmed: bool,
+    /// The member stopped participating: it caught the leader cheating.
     halted: bool,
+    /// `false` is a probe's counterfactual, set by [`Instance::open`] alone:
+    /// nothing incoming is checked and the member's own signatures are
+    /// placeholders (same message shapes and wire sizes), which times what
+    /// an instance costs besides its signatures. No round of the engine
+    /// uses it (`run_inside_consensus` in the protocol crate says who does).
     verify_signatures: bool,
+    /// The instance's verification memo (see [`SigCache`]): a triple every
+    /// receiver checks — the leader's multicast PROPOSE signature — is
+    /// verified once for the whole committee.
     sig_cache: SigCache,
 }
 
@@ -172,29 +184,6 @@ impl MemberState {
         }
     }
 
-    /// Shares a verification memo with the other state machines of this
-    /// instance (see [`SigCache`]): the same `(key, message, signature)`
-    /// triple — e.g. the leader's multicast PROPOSE signature — is then
-    /// checked once for the whole committee instead of once per receiver.
-    pub fn set_sig_cache(&mut self, cache: SigCache) {
-        self.sig_cache = cache;
-    }
-
-    /// Disables cryptographic verification of incoming messages **and**
-    /// generation of this member's own signatures (placeholder signatures are
-    /// attached instead, keeping message shapes and wire sizes identical).
-    ///
-    /// This is a *simulation fast path*: in the simulator, honest nodes only ever
-    /// emit messages they could legitimately sign, so skipping verification does
-    /// not change any protocol outcome — it only removes the O(c²) signature
-    /// checks per instance *and* the O(c) signing multiplications that dominate
-    /// wall-clock time at large committee sizes. No round of the engine uses
-    /// it: it is kept for the one probe that times an instance without its
-    /// signatures (`run_inside_consensus` in the protocol crate says which).
-    pub fn set_verify_signatures(&mut self, verify: bool) {
-        self.verify_signatures = verify;
-    }
-
     /// Echo for an accepted proposal: real signature when verification is on,
     /// placeholder on the fast path (nothing will check it).
     fn build_echo(&self, propose: &Propose) -> Echo {
@@ -203,22 +192,6 @@ impl MemberState {
         } else {
             make_echo_unsigned(propose, self.me)
         }
-    }
-
-    /// True once the member has stopped participating (leader caught cheating).
-    pub fn is_halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The payload this member accepted (if any) — what it will treat as the
-    /// committee's working data when the instance completes.
-    pub fn accepted_payload(&self) -> Option<&[u8]> {
-        self.payload.as_deref().map(|v| v.as_slice())
-    }
-
-    /// True once the member has sent its CONFIRM.
-    pub fn has_confirmed(&self) -> bool {
-        self.confirmed
     }
 
     /// Handles a PROPOSE from the leader.
@@ -411,18 +384,6 @@ impl LeaderState {
         }
     }
 
-    /// Shares a verification memo with the members of this instance (see
-    /// [`MemberState::set_sig_cache`]).
-    pub fn set_sig_cache(&mut self, cache: SigCache) {
-        self.sig_cache = cache;
-    }
-
-    /// Disables cryptographic verification of incoming CONFIRMs (see
-    /// [`MemberState::set_verify_signatures`] for the rationale).
-    pub fn set_verify_signatures(&mut self, verify: bool) {
-        self.verify_signatures = verify;
-    }
-
     /// Handles a CONFIRM from a member; returns the quorum certificate the
     /// first time a majority of valid CONFIRMs is in. CONFIRMs that arrive
     /// after that are dropped.
@@ -474,10 +435,234 @@ impl Hash for LeaderState {
     }
 }
 
+/// How the leader misbehaves during one Algorithm 3 instance.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LeaderFault {
+    /// Follows the protocol.
+    None,
+    /// Sends nothing.
+    Silent,
+    /// Sends `payload` to the even seats of the committee and `alternate` to
+    /// the odd ones.
+    Equivocate {
+        /// The conflicting payload delivered to the odd seats.
+        alternate: Vec<u8>,
+    },
+}
+
+/// The committee an instance runs in, as plain values in seat order.
+#[derive(Clone, Copy, Debug)]
+pub struct Seats<'c> {
+    /// Who holds each seat.
+    pub nodes: &'c [NodeId],
+    /// Each seat's key pair.
+    pub keypairs: &'c [Keypair],
+    /// Seats that take part in nothing they would have to send: their machine
+    /// runs, its ECHO and CONFIRM stay home. The worst a malicious member can
+    /// do to an honest leader's instance — a forged message is rejected
+    /// anyway — and what a joiner still syncing does.
+    pub mute: &'c [bool],
+    /// The committee's key directory.
+    pub keys: &'c CommitteeKeys,
+    /// The sitting leader, who holds one of the seats.
+    pub leader: NodeId,
+}
+
+/// What an [`Instance`] asks its transport to send.
+#[derive(Clone, Debug, Hash)]
+pub struct Action {
+    /// The sending seat.
+    pub from: NodeId,
+    /// The receiving seat; `None` — an ECHO — is every seat but the sender's.
+    pub to: Option<NodeId>,
+    /// A PROPOSE from the leader, or a CONFIRM to it, or an ECHO.
+    pub message: Alg3Message,
+}
+
+/// One Algorithm 3 instance, composed: a [`MemberState`] per seat (the
+/// leader's among them) and one CONFIRM collector per digest the leader
+/// signed, all on one verdict memo. A transport [`open`](Self::open)s it,
+/// sends what it asks for, hands it every message that arrives
+/// ([`deliver`](Self::deliver)) and [`close`](Self::close)s it when nothing
+/// is left in flight; no network, no clock.
+#[derive(Clone, Debug)]
+pub struct Instance<'c> {
+    seats: Seats<'c>,
+    members: Vec<MemberState>,
+    /// The first collects for the payload, the second — under an equivocating
+    /// leader — for the alternate; a silent leader has none.
+    collectors: Vec<LeaderState>,
+    /// Evidence honest members produced, in report order.
+    equivocation: Vec<EquivocationEvidence>,
+    memo: SigCache,
+}
+
+impl<'c> Instance<'c> {
+    /// Seats the machines on `memo` and plays the leader's opening into
+    /// `out`: a PROPOSE to every other seat — under
+    /// [`LeaderFault::Equivocate`] the alternate to the odd seats — then what
+    /// the leader's own machine makes of its proposal, which travels no
+    /// network. `verify = false` makes every machine skip verification and
+    /// sign with placeholders (see `MemberState`'s `verify_signatures`).
+    pub fn open(
+        seats: Seats<'c>,
+        id: ConsensusId,
+        payload: Vec<u8>,
+        fault: LeaderFault,
+        verify: bool,
+        memo: SigCache,
+        out: &mut Vec<Action>,
+    ) -> Self {
+        let Seats {
+            nodes,
+            keypairs,
+            keys,
+            leader,
+            ..
+        } = seats;
+        let seated = nodes.iter().position(|&node| node == leader);
+        let leader_seat = seated.expect("the leader holds a seat");
+        assert_eq!(
+            (keypairs.len(), seats.mute.len()),
+            (nodes.len(), nodes.len())
+        );
+        // Without verification nothing checks a signature, so the leader
+        // attaches placeholders; digests and wire sizes are unchanged.
+        let propose = |payload: Vec<u8>| {
+            if verify {
+                make_propose(id, payload, leader, &keypairs[leader_seat])
+            } else {
+                make_propose_unsigned(id, payload, leader)
+            }
+        };
+        let signed = match fault {
+            LeaderFault::None => vec![propose(payload)],
+            LeaderFault::Silent => Vec::new(),
+            LeaderFault::Equivocate { alternate } => vec![propose(payload), propose(alternate)],
+        };
+        let member = |(&node, &keypair): (&NodeId, &Keypair)| MemberState {
+            verify_signatures: verify,
+            sig_cache: memo.clone(),
+            ..MemberState::new(node, keypair, leader, id, keys.clone())
+        };
+        let collector = |signed: &Propose| LeaderState {
+            verify_signatures: verify,
+            sig_cache: memo.clone(),
+            ..LeaderState::new(id, signed.digest, keys.clone())
+        };
+        let mut instance = Instance {
+            seats,
+            members: nodes.iter().zip(keypairs).map(member).collect(),
+            collectors: signed.iter().map(collector).collect(),
+            equivocation: Vec::new(),
+            memo,
+        };
+        // A silent leader's missing proposal is for the partial set to
+        // notice, after the phase deadline.
+        let Some(main) = signed.first() else {
+            return instance;
+        };
+        for (seat, &to) in nodes.iter().enumerate() {
+            if to != leader {
+                // Seat parity picks among what the leader signed.
+                let propose = signed.get(seat % 2).unwrap_or(main).clone();
+                let (from, to, message) = (leader, Some(to), Alg3Message::Propose(propose));
+                out.push(Action { from, to, message });
+            }
+        }
+        let own = instance.members[leader_seat].handle_propose(main);
+        instance.file(leader_seat, own, out);
+        instance
+    }
+
+    /// Hands `message` to the machine of the seat it is addressed to — a
+    /// CONFIRM to the leader's collectors — and pushes what that machine asks
+    /// to have sent into `out`. Addressed to nobody seated, it is dropped.
+    pub fn deliver(&mut self, to: NodeId, message: &Alg3Message, out: &mut Vec<Action>) {
+        let Some(seat) = self.seats.nodes.iter().position(|&node| node == to) else {
+            return;
+        };
+        let actions = match message {
+            Alg3Message::Propose(propose) => self.members[seat].handle_propose(propose),
+            Alg3Message::Echo(echo) => self.members[seat].handle_echo(echo),
+            Alg3Message::Confirm(confirm) => {
+                if to == self.seats.leader {
+                    for collector in &mut self.collectors {
+                        collector.handle_confirm(confirm);
+                    }
+                }
+                return;
+            }
+        };
+        self.file(seat, actions, out);
+    }
+
+    /// Sends of a seat that is not mute go out; evidence goes on file.
+    fn file(&mut self, seat: usize, actions: Vec<MemberAction>, out: &mut Vec<Action>) {
+        let Seats { nodes, mute, .. } = self.seats;
+        for action in actions {
+            let (to, message) = match action {
+                MemberAction::BroadcastEcho(echo) => (None, Alg3Message::Echo(echo)),
+                MemberAction::SendConfirm(confirm) => {
+                    (Some(self.seats.leader), Alg3Message::Confirm(confirm))
+                }
+                MemberAction::ReportEquivocation(found) => {
+                    self.equivocation.push(found);
+                    continue;
+                }
+            };
+            if !mute[seat] {
+                let from = nodes[seat];
+                out.push(Action { from, to, message });
+            }
+        }
+    }
+
+    /// The certificate over the payload's digest, once it exists.
+    pub fn certificate(&self) -> Option<&QuorumCertificate> {
+        self.collectors.first()?.certificate()
+    }
+
+    /// Every certificate formed so far, one per digest at most: two is an
+    /// agreement violation.
+    pub fn certificates(&self) -> impl Iterator<Item = &QuorumCertificate> {
+        self.collectors.iter().filter_map(|c| c.certificate())
+    }
+
+    /// Equivocation evidence on file, in report order.
+    pub fn equivocation(&self) -> &[EquivocationEvidence] {
+        &self.equivocation
+    }
+
+    /// Ends the instance: the certificate over the payload's digest if one
+    /// formed, every signature verdict reached — the table itself, taken out
+    /// of the memo ([`SigCache::into_verdicts`]) — and the evidence on file.
+    pub fn close(
+        mut self,
+    ) -> (
+        Option<QuorumCertificate>,
+        Verdicts,
+        Vec<EquivocationEvidence>,
+    ) {
+        let main = self.collectors.first_mut();
+        let certificate = main.and_then(|collector| collector.certificate.take());
+        (certificate, self.memo.into_verdicts(), self.equivocation)
+    }
+}
+
+/// State identity for an explorer: the machines, the evidence and who is
+/// seated how; the memo is left out as it is for [`MemberState`].
+impl Hash for Instance<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.seats.nodes, self.seats.mute, self.seats.leader).hash(state);
+        (&self.members, &self.collectors, &self.equivocation).hash(state);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{make_propose, payload_digest, Alg3Message};
+    use crate::messages::payload_digest;
     use cycledger_crypto::hmac::HmacDrbg;
 
     /// Builds a committee of `n` members; node 0 is the leader.
@@ -507,7 +692,7 @@ mod tests {
             instance_id(),
             keys.clone(),
         );
-        state.set_sig_cache(cache.clone());
+        state.sig_cache = cache.clone();
         state
     }
 
@@ -533,7 +718,7 @@ mod tests {
         let cache = SigCache::new();
         let propose = make_propose(id, payload.to_vec(), NodeId(0), &kps[0]);
         let mut leader = LeaderState::new(id, propose.digest, keys.clone());
-        leader.set_sig_cache(cache.clone());
+        leader.sig_cache = cache.clone();
         let mut members: Vec<MemberState> = (0..n as u32)
             .map(|i| member(i, &kps, &keys, &cache))
             .collect();
@@ -584,9 +769,9 @@ mod tests {
             assert_eq!(cert.signer_count(), n / 2 + 1);
             // Every member accepted the same payload.
             for m in &members {
-                assert_eq!(m.accepted_payload(), Some(&b"TXdecSET payload"[..]));
-                assert!(!m.is_halted());
-                assert!(m.has_confirmed());
+                assert_eq!(m.payload.as_deref(), Some(&b"TXdecSET payload".to_vec()));
+                assert!(!m.halted);
+                assert!(m.confirmed);
             }
         }
     }
@@ -608,7 +793,7 @@ mod tests {
             }
             other => panic!("expected equivocation report, got {other:?}"),
         }
-        assert!(member.is_halted());
+        assert!(member.halted);
         // A halted member ignores further traffic.
         assert!(member.handle_propose(&p1).is_empty());
     }
@@ -630,15 +815,15 @@ mod tests {
                 m1.handle_echo(&echo_of(3, &p1, &kps));
                 m1.handle_echo(&echo_of(4, &p1, &kps));
             }
-            assert_eq!(m1.has_confirmed(), confirm_first);
+            assert_eq!(m1.confirmed, confirm_first);
             // A conflicting echo with a forged signature accuses nobody.
             assert!(m1.handle_echo(&forged_echo_of(2, &p2, &kps)).is_empty());
-            assert!(!m1.is_halted());
+            assert!(!m1.halted);
             let actions = m1.handle_echo(&echo_of(2, &p2, &kps));
             assert!(
                 matches!(actions.as_slice(), [MemberAction::ReportEquivocation(ev)] if ev.verify(&kps[0].public))
             );
-            assert!(m1.is_halted());
+            assert!(m1.halted);
         }
     }
 
@@ -655,7 +840,7 @@ mod tests {
             let actions = member.handle_echo(&echo_of(i, &propose, &kps));
             assert!(actions.is_empty(), "no confirm before threshold");
         }
-        assert!(!member.has_confirmed());
+        assert!(!member.confirmed);
         assert_eq!(cache.len(), 1, "echoes wait for the quorum");
         // One more echo crosses the threshold: the three are checked together.
         let actions = member.handle_echo(&echo_of(4, &propose, &kps));
@@ -664,7 +849,7 @@ mod tests {
         };
         let signers: Vec<u32> = confirm.echo_signatures.iter().map(|(n, _)| n.0).collect();
         assert_eq!(signers, [1, 2, 3, 4]);
-        assert!(member.has_confirmed());
+        assert!(member.confirmed);
         assert_eq!(cache.len(), 4);
     }
 
@@ -682,7 +867,7 @@ mod tests {
             // Four senders are in reach, so the buffer is checked: the batch
             // fails, the fallback keeps 2 and 4, and the quorum is not met.
             assert!(member.handle_echo(&echo_of(4, &propose, &kps)).is_empty());
-            assert!(!member.has_confirmed());
+            assert!(!member.confirmed);
             // The forgery did not use up member 3's place in the tally.
             let next = if real_one_follows { 3 } else { 5 };
             let actions = member.handle_echo(&echo_of(next, &propose, &kps));
@@ -718,7 +903,7 @@ mod tests {
         assert_eq!(member.echoes.reachable(), 3);
         assert_eq!(member.echoes.pending.len(), 3);
         assert_eq!(cache.len(), 1, "nothing but the PROPOSE was checked");
-        assert!(!member.has_confirmed());
+        assert!(!member.confirmed);
     }
 
     #[test]
@@ -754,7 +939,7 @@ mod tests {
             );
         }
         assert_eq!(cache.len(), checked + 2);
-        assert!(!late.has_confirmed());
+        assert!(!late.confirmed);
         // The leader's PROPOSE finally lands: the member echoes and confirms
         // with every echo it holds.
         let actions = late.handle_propose(&propose);
@@ -764,8 +949,8 @@ mod tests {
             panic!("expected an ECHO and a CONFIRM, got {actions:?}");
         };
         assert_eq!(confirm.echo_signatures.len(), 4);
-        assert!(late.has_confirmed());
-        assert_eq!(late.accepted_payload(), Some(&b"late propose"[..]));
+        assert!(late.confirmed);
+        assert_eq!(late.payload.as_deref(), Some(&b"late propose".to_vec()));
     }
 
     #[test]
@@ -777,7 +962,7 @@ mod tests {
         // A proposal "from the leader" signed by an outsider is dropped silently.
         let forged = make_propose(id, b"evil".to_vec(), NodeId(0), &outsider);
         assert!(member.handle_propose(&forged).is_empty());
-        assert!(member.accepted_payload().is_none());
+        assert!(member.payload.is_none());
         // An echo from a non-member is dropped too.
         let real = make_propose(id, b"ok".to_vec(), NodeId(0), &kps[0]);
         member.handle_propose(&real);
@@ -796,9 +981,9 @@ mod tests {
         member.handle_propose(&propose);
         member.handle_echo(&echo_of(2, &propose, &kps));
         member.handle_echo(&echo_of(3, &propose, &kps));
-        assert!(member.has_confirmed());
+        assert!(member.confirmed);
         let mut leader = LeaderState::new(id, propose.digest, keys.clone());
-        leader.set_sig_cache(cache.clone());
+        leader.sig_cache = cache.clone();
         let confirm =
             |i: u32| make_confirm(id, propose.digest, NodeId(i), &kps[i as usize], vec![]);
         assert!(leader.handle_confirm(&confirm(1)).is_none());
@@ -876,7 +1061,7 @@ mod tests {
         let mut members: Vec<MemberState> =
             (0..3).map(|i| member(i, &kps, &keys, &cache)).collect();
         for m in &mut members {
-            m.set_verify_signatures(false);
+            m.verify_signatures = false;
         }
         let echoes: Vec<Echo> = members
             .iter_mut()
@@ -891,7 +1076,7 @@ mod tests {
             panic!("expected a CONFIRM, got {actions:?}");
         };
         let mut leader = LeaderState::new(id, propose.digest, keys);
-        leader.set_verify_signatures(false);
+        leader.verify_signatures = false;
         let from = |i: u32| Confirm {
             member: NodeId(i),
             ..confirm.clone()
@@ -1073,107 +1258,281 @@ mod tests {
         }
     }
 
-    /// Plays one instance at committee size `c` on the lazy machines and the
+    /// `action` as the envelopes the engine posts for it in a committee of
+    /// `c` (node `i` in seat `i`): `(from, to, message)`, an ECHO once per
+    /// other seat in seat order.
+    fn envelopes(action: Action, c: usize) -> Vec<(usize, usize, Alg3Message)> {
+        let Action { from, to, message } = action;
+        let others = (0..c).filter(|&to| to != from.index());
+        let to = to.map_or_else(|| others.collect(), |to| vec![to.index()]);
+        let envelope = |to| (from.index(), to, message.clone());
+        to.into_iter().map(envelope).collect()
+    }
+
+    /// Steps one instance over `c` seats — holding the keys
+    /// `NodeRegistry::generate(c, .., seed 24)` of the protocol crate hands
+    /// out — on the schedule that delivers every envelope in the order it was
+    /// sent, and returns the envelope count, the closed instance and the
+    /// transcript: one line per envelope as it is sent, then the certificate,
+    /// then the evidence.
+    fn in_send_order(
+        c: usize,
+        fault: LeaderFault,
+        mute: &[bool],
+    ) -> (
+        usize,
+        Option<QuorumCertificate>,
+        Vec<EquivocationEvidence>,
+        String,
+    ) {
+        let seed = |i: usize| format!("cycledger-node-24-{i}");
+        let keypairs: Vec<Keypair> = (0..c)
+            .map(|i| Keypair::from_seed(seed(i).as_bytes()))
+            .collect();
+        let nodes: Vec<NodeId> = (0..c as u32).map(NodeId).collect();
+        let keys = CommitteeKeys::new(nodes.iter().zip(&keypairs).map(|(n, kp)| (*n, kp.public)));
+        let seats = Seats {
+            nodes: &nodes,
+            keypairs: &keypairs,
+            mute,
+            keys: &keys,
+            leader: NodeId(0),
+        };
+        let (payload, memo) = (b"the certified list".to_vec(), SigCache::new());
+        let mut asked = Vec::new();
+        let mut instance =
+            Instance::open(seats, instance_id(), payload, fault, true, memo, &mut asked);
+        let (mut sent, mut transcript) = (0, String::new());
+        let mut in_flight = std::collections::VecDeque::new();
+        loop {
+            for (from, to, message) in asked.drain(..).flat_map(|action| envelopes(action, c)) {
+                transcript.push_str(&format!("{from}>{to} {message:?}\n"));
+                in_flight.push_back((to, message));
+                sent += 1;
+            }
+            let Some((to, message)) = in_flight.pop_front() else {
+                break;
+            };
+            instance.deliver(NodeId(to as u32), &message, &mut asked);
+        }
+        assert!(instance.certificates().count() <= 1);
+        let (certificate, _, equivocation) = instance.close();
+        transcript.push_str(&format!("certificate {certificate:?}\n"));
+        transcript.push_str(&format!("evidence {equivocation:?}\n"));
+        (sent, certificate, equivocation, transcript)
+    }
+
+    /// `(c, scenario, envelopes, signers, pieces of evidence, transcript digest)`.
+    type ParentRun = (
+        usize,
+        &'static str,
+        usize,
+        &'static [u32],
+        usize,
+        &'static str,
+    );
+
+    /// What `committee::run_inside_consensus` of the protocol crate produced
+    /// at commit e59183c — where it composed the machines itself — over a
+    /// network whose every leg takes 1µs (which delivers in send order), for
+    /// a committee of the first `c` nodes of a seed-24 registry led by node 0
+    /// certifying `b"the certified list"` under `ConsensusId { 1, 1 }`:
+    /// envelopes sent, the certificate's signers, pieces of evidence, and the
+    /// SHA-256 of the transcript (every envelope's `Debug` in send order,
+    /// then the certificate's, then the evidence's — every signature byte).
+    /// `equivocating` sends `b"another list"` to the odd seats;
+    /// `mute-minority` has the last `(c - 1) / 2` seats withhold, which
+    /// leaves exactly a quorum.
+    #[rustfmt::skip]
+    const PARENT_DRIVER: [ParentRun; 12] = [
+        (4, "honest", 19, &[0, 2, 3], 0, "58569f031df087a5e7205e94070570dfafff703a68a8f48b56ee30b7ab23d0ab"),
+        (4, "silent", 0, &[], 0, "421e004c4f6e733c9903fd2c287a519498fd818621eba5dc355e99d68519bb4a"),
+        (4, "equivocating", 15, &[], 4, "f52c1342e3ab5bcefff2a38c668f6e2624005eb40ab43cbdf83808eeba5ae3a7"),
+        (4, "mute-minority", 15, &[0, 1, 2], 0, "c20f9c5029d043a1af66009a290dc97f994ac338cebfae52e730d0f53eef3149"),
+        (8, "honest", 71, &[0, 4, 5, 6, 7], 0, "7cc7cb729ace30ae58f844231199192f1e2be4471c106982884ec76bad722503"),
+        (8, "silent", 0, &[], 0, "421e004c4f6e733c9903fd2c287a519498fd818621eba5dc355e99d68519bb4a"),
+        (8, "equivocating", 63, &[], 8, "d19b156edf1c3c80d9d978f7a87202db440693a9a1ec3cf8f717f7c15b65aed4"),
+        (8, "mute-minority", 47, &[0, 1, 2, 3, 4], 0, "0cfbfd289b31bee7788036a055e13c51511b35f9138fa5ef37fe1ca7632bd3ef"),
+        (16, "honest", 271, &[0, 8, 9, 10, 11, 12, 13, 14, 15], 0, "3255d4c4fb2867b6801da553f5474739822688a9f3789b427f424d7f651b4a44"),
+        (16, "silent", 0, &[], 0, "421e004c4f6e733c9903fd2c287a519498fd818621eba5dc355e99d68519bb4a"),
+        (16, "equivocating", 255, &[], 16, "087b376ece1769805c922f95637c6856293bd14294d0f3d07e6d0222b25f5e43"),
+        (16, "mute-minority", 159, &[0, 1, 2, 3, 4, 5, 6, 7, 8], 0, "0ebd19b53ec6ef28bca3fcd1c6bc3d54da013ab3a48be4605c3337e3654eeb3a"),
+    ];
+
+    #[test]
+    fn instance_in_send_order_reproduces_the_parent_driver() {
+        for (c, scenario, envelopes, signers, evidence, digest) in PARENT_DRIVER {
+            let fault = match scenario {
+                "silent" => LeaderFault::Silent,
+                "equivocating" => LeaderFault::Equivocate {
+                    alternate: b"another list".to_vec(),
+                },
+                _ => LeaderFault::None,
+            };
+            let withholding = if scenario == "mute-minority" {
+                (c - 1) / 2
+            } else {
+                0
+            };
+            let mute: Vec<bool> = (0..c).map(|seat| seat >= c - withholding).collect();
+            let (sent, certificate, equivocation, transcript) = in_send_order(c, fault, &mute);
+            let signed: Vec<u32> = certificate
+                .iter()
+                .flat_map(|qc| qc.signatures.iter().map(|(node, _)| node.0))
+                .collect();
+            assert_eq!(
+                (sent, &signed[..], equivocation.len()),
+                (envelopes, signers, evidence),
+                "c {c} {scenario}"
+            );
+            let got = cycledger_crypto::sha256::sha256(transcript.as_bytes()).to_hex();
+            assert_eq!(got, digest, "c {c} {scenario}");
+            if let Some(certificate) = &certificate {
+                assert_eq!(certificate.digest, payload_digest(b"the certified list"));
+            }
+        }
+    }
+
+    /// What the eager oracle's member asked for, in the instance's terms.
+    fn asked_and_filed(
+        from: usize,
+        actions: Vec<MemberAction>,
+    ) -> (Vec<Action>, Vec<EquivocationEvidence>) {
+        let (mut asked, mut filed) = (Vec::new(), Vec::new());
+        let from = NodeId(from as u32);
+        for action in actions {
+            let (to, message) = match action {
+                MemberAction::BroadcastEcho(echo) => (None, Alg3Message::Echo(echo)),
+                MemberAction::SendConfirm(confirm) => {
+                    (Some(NodeId(0)), Alg3Message::Confirm(confirm))
+                }
+                MemberAction::ReportEquivocation(found) => {
+                    filed.push(found);
+                    continue;
+                }
+            };
+            asked.push(Action { from, to, message });
+        }
+        (asked, filed)
+    }
+
+    /// Plays one instance at committee size `c` on an [`Instance`] and on the
     /// eager oracle in lockstep, delivering the in-flight messages in an
     /// order drawn from `seed` (so ECHOes overtake the PROPOSE, CONFIRMs
-    /// overtake ECHOes). With `hostile`, the leader equivocates towards some
-    /// members and the schedule is salted with forged ECHOes and CONFIRMs
+    /// overtake ECHOes). With `hostile`, the leader of every third seed
+    /// equivocates and the schedule is salted with forged ECHOes and CONFIRMs
     /// (in a real sender's name) and verbatim duplicates. Every reaction is
     /// compared as it happens — `Debug` output shows every signature byte —
-    /// and the number of certificates is returned.
-    fn play_against_oracle(c: usize, seed: u64, hostile: bool) -> usize {
+    /// and whether the instance certified is returned.
+    fn play_against_oracle(c: usize, seed: u64, hostile: bool) -> bool {
         let (kps, keys) = committee(c);
         let id = instance_id();
         let mut rng = HmacDrbg::from_parts("alg3-delivery-order", &[&seed.to_be_bytes()]);
         let mut below = move |n: usize| rng.next_below(n as u64) as usize;
-        let propose = make_propose(id, b"certified list".to_vec(), NodeId(0), &kps[0]);
-        let alternate = make_propose(id, b"another list".to_vec(), NodeId(0), &kps[0]);
-        let cache = SigCache::new();
-        let mut lazy: Vec<MemberState> = (0..c as u32)
-            .map(|i| member(i, &kps, &keys, &cache))
-            .collect();
+        let nodes: Vec<NodeId> = (0..c as u32).map(NodeId).collect();
+        let seats = Seats {
+            nodes: &nodes,
+            keypairs: &kps,
+            mute: &vec![false; c],
+            keys: &keys,
+            leader: NodeId(0),
+        };
+        let fault = if hostile && seed.is_multiple_of(3) {
+            let alternate = b"another list".to_vec();
+            LeaderFault::Equivocate { alternate }
+        } else {
+            LeaderFault::None
+        };
+        let payload = b"certified list".to_vec();
+        let propose = make_propose(id, payload.clone(), NodeId(0), &kps[0]);
         let mut oracle: Vec<eager::Member> = (0..c)
             .map(|i| eager::Member::new(NodeId(i as u32), kps[i], id, keys.clone()))
             .collect();
-        let mut lazy_leader = LeaderState::new(id, propose.digest, keys.clone());
-        lazy_leader.set_sig_cache(cache);
         let mut oracle_leader = eager::Leader::new(id, propose.digest, keys.clone());
+        let mut oracle_certificate = None;
 
-        let mut in_flight: Vec<(usize, Alg3Message)> = (0..c)
-            .map(|to| {
-                let equivocate = hostile && to % 2 == 1 && seed.is_multiple_of(3);
-                let p = if equivocate { &alternate } else { &propose };
-                (to, Alg3Message::Propose(p.clone()))
-            })
-            .collect();
-        let mut certificates = 0;
-        while !in_flight.is_empty() {
+        // The opening: the leader's machine takes its own proposal.
+        let mut asked = Vec::new();
+        let mut instance =
+            Instance::open(seats, id, payload, fault, true, SigCache::new(), &mut asked);
+        let mut expected = asked_and_filed(0, oracle[0].handle_propose(&propose));
+        let mut filed = 0;
+        let mut in_flight: Vec<(usize, Alg3Message)> = Vec::new();
+        let mut delivered: Option<(usize, Alg3Message)> = None;
+        loop {
+            // The opening's PROPOSEs have no counterpart: the oracle has
+            // members and a collector, no proposing leader.
+            let reactions = asked
+                .iter()
+                .filter(|action| !matches!(action.message, Alg3Message::Propose(_)));
+            let got = (
+                reactions.collect::<Vec<_>>(),
+                &instance.equivocation()[filed..],
+            );
+            assert_eq!(
+                format!("{got:?}"),
+                format!("({:?}, {:?})", expected.0, expected.1),
+                "c {c} seed {seed}: on {delivered:?}"
+            );
+            for evidence in got.1 {
+                assert!(evidence.verify(&kps[0].public));
+            }
+            filed = instance.equivocation().len();
+            for (from, to, message) in asked.drain(..).flat_map(|action| envelopes(action, c)) {
+                let forged = match &message {
+                    Alg3Message::Echo(echo) if hostile && below(6) == 0 => {
+                        Some(Alg3Message::Echo(Echo {
+                            signature: kps[from].sign(b"forged"),
+                            member: NodeId(below(c) as u32),
+                            ..echo.clone()
+                        }))
+                    }
+                    Alg3Message::Confirm(confirm) if hostile && below(3) == 0 => {
+                        Some(Alg3Message::Confirm(Confirm {
+                            member: NodeId(below(c) as u32),
+                            ..confirm.clone()
+                        }))
+                    }
+                    _ => None,
+                };
+                in_flight.extend(forged.map(|forged| (to, forged)));
+                in_flight.push((to, message));
+            }
+            if in_flight.is_empty() {
+                break;
+            }
             let (to, message) = in_flight.swap_remove(below(in_flight.len()));
             if hostile && below(8) == 0 {
                 in_flight.push((to, message.clone()));
             }
-            let (got, expected) = match &message {
-                Alg3Message::Propose(p) => {
-                    (lazy[to].handle_propose(p), oracle[to].handle_propose(p))
-                }
-                Alg3Message::Echo(e) => (lazy[to].handle_echo(e), oracle[to].handle_echo(e)),
+            instance.deliver(NodeId(to as u32), &message, &mut asked);
+            expected = match &message {
+                Alg3Message::Propose(p) => asked_and_filed(to, oracle[to].handle_propose(p)),
+                Alg3Message::Echo(e) => asked_and_filed(to, oracle[to].handle_echo(e)),
                 Alg3Message::Confirm(confirm) => {
-                    let got = lazy_leader.handle_confirm(confirm);
-                    assert_eq!(got, oracle_leader.handle_confirm(confirm), "seed {seed}");
-                    if let Some(certificate) = got {
-                        assert_eq!(certificate.verify_majority(&keys), Ok(()));
-                        certificates += 1;
-                    }
-                    continue;
+                    let formed = oracle_leader.handle_confirm(confirm);
+                    oracle_certificate = oracle_certificate.or(formed);
+                    assert_eq!(instance.certificate(), oracle_certificate.as_ref());
+                    (Vec::new(), Vec::new())
                 }
             };
-            assert_eq!(
-                format!("{got:?}"),
-                format!("{expected:?}"),
-                "c {c} seed {seed}: member {to} on {message:?}"
-            );
-            for action in got {
-                match action {
-                    MemberAction::BroadcastEcho(echo) => {
-                        for target in (0..c).filter(|&t| t != to) {
-                            if hostile && below(6) == 0 {
-                                let forged = Echo {
-                                    signature: kps[to].sign(b"forged"),
-                                    member: NodeId(below(c) as u32),
-                                    ..echo.clone()
-                                };
-                                in_flight.push((target, Alg3Message::Echo(forged)));
-                            }
-                            in_flight.push((target, Alg3Message::Echo(echo.clone())));
-                        }
-                    }
-                    MemberAction::SendConfirm(confirm) => {
-                        if hostile && below(3) == 0 {
-                            let forged = Confirm {
-                                member: NodeId(below(c) as u32),
-                                ..confirm.clone()
-                            };
-                            in_flight.push((0, Alg3Message::Confirm(forged)));
-                        }
-                        in_flight.push((0, Alg3Message::Confirm(confirm)));
-                    }
-                    MemberAction::ReportEquivocation(evidence) => {
-                        assert!(evidence.verify(&kps[0].public));
-                    }
-                }
-            }
+            delivered = Some((to, message));
         }
-        certificates
+        assert!(instance.certificates().count() <= 1);
+        if let Some(certificate) = instance.certificate() {
+            assert_eq!(certificate.verify_majority(&keys), Ok(()));
+        }
+        instance.certificate().is_some()
     }
 
     #[test]
     fn lazy_machines_match_the_eager_oracle() {
         for c in [4usize, 5, 8, 16] {
             for seed in 0..64 {
-                assert_eq!(play_against_oracle(c, seed, false), 1, "c {c} seed {seed}");
+                assert!(play_against_oracle(c, seed, false), "c {c} seed {seed}");
             }
             for seed in 64..96 {
-                assert!(play_against_oracle(c, seed, true) <= 1);
+                play_against_oracle(c, seed, true);
             }
         }
     }

@@ -19,7 +19,7 @@ use cycledger_net::topology::NodeId;
 use crate::transition::{
     impeachment_passes, signed_accusation_admissible, timeout_accusation_admissible, Paper, Rules,
 };
-use crate::witness::Witness;
+use crate::witness::{EquivocationEvidence, Witness};
 
 /// An accusation against a leader, either backed by a signed witness or by a
 /// committee-observable omission (timeout).
@@ -45,6 +45,27 @@ pub enum Accusation {
 }
 
 impl Accusation {
+    /// What a partial-set member brings against `leader` of `committee` when
+    /// [`needs_recovery`](crate::transition::needs_recovery) sends the
+    /// committee to recovery after its consensus: the first equivocation
+    /// evidence honest members filed, else the missing proposal or
+    /// certificate as a timeout.
+    pub fn after_consensus(
+        evidence: Option<&EquivocationEvidence>,
+        leader: NodeId,
+        committee: usize,
+        observed_by_committee: bool,
+    ) -> Accusation {
+        match evidence {
+            Some(evidence) => Accusation::Signed(Witness::Equivocation(evidence.clone())),
+            None => Accusation::Timeout {
+                leader,
+                committee,
+                observed_by_committee,
+            },
+        }
+    }
+
     /// The accused leader.
     pub fn accused(&self) -> NodeId {
         match self {

@@ -7,7 +7,9 @@
 //!   for the message-driven data plane, where votes, list forwards and
 //!   recovery accusations travel through the discrete-event network.
 //! * [`alg3`] — per-node state machines for Algorithm 3, including equivocation
-//!   detection from conflicting leader-signed proposals.
+//!   detection from conflicting leader-signed proposals, and
+//!   [`alg3::Instance`], one committee's worth of them composed: the unit a
+//!   transport opens, steps message by message and closes.
 //! * [`collect`] — the `TXList` vote collection under its `4Δ` deadline, and
 //!   [`impeach`] — the impeachment vote of the recovery procedure: pure
 //!   machines of the same shape as [`alg3`]'s.
@@ -24,9 +26,10 @@
 //! * [`witness`] — leader-misbehaviour witnesses (equivocation, semi-commitment
 //!   mismatch) that feed the recovery procedure (Algorithm 6, Claims 3 & 4).
 //!
-//! Everything here is transport-agnostic: the `cycledger-protocol` crate drives
-//! these state machines over the simulated network, and `cycledger-checker`
-//! drives the same machines through every schedule of a small committee.
+//! Everything here is transport-agnostic: the `cycledger-protocol` crate pumps
+//! these machines over the simulated network, and `cycledger-checker` steps
+//! the same machines — the same composed instance — through every schedule
+//! of a small committee.
 
 #![warn(missing_docs)]
 

@@ -90,7 +90,7 @@ pub struct Confirm {
 
 /// All Algorithm 3 traffic, plus the abort notice honest members broadcast when
 /// they catch the leader equivocating.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum Alg3Message {
     /// Leader → members.
     Propose(Propose),

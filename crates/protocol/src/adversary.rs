@@ -15,6 +15,7 @@
 //! | lazy voter              | reputation stays at zero (§VII-A)        |
 //! | false accuser           | soundness of recovery (Claim 4)          |
 
+use cycledger_consensus::alg3::LeaderFault;
 use cycledger_crypto::hmac::HmacDrbg;
 
 /// What a corrupted node does.
@@ -58,6 +59,20 @@ impl Behavior {
                 | Behavior::MismatchedCommitment
                 | Behavior::CensoringLeader
         )
+    }
+
+    /// How a leader of this behaviour runs an Algorithm 3 instance over
+    /// `payload`.
+    pub fn leader_fault(self, payload: &[u8]) -> LeaderFault {
+        match self {
+            Behavior::SilentLeader => LeaderFault::Silent,
+            Behavior::EquivocatingLeader => {
+                let mut alternate = payload.to_vec();
+                alternate.extend_from_slice(b"/equivocated");
+                LeaderFault::Equivocate { alternate }
+            }
+            _ => LeaderFault::None,
+        }
     }
 }
 

@@ -1,30 +1,26 @@
 //! Committees and the network-driven execution of Algorithm 3.
 //!
-//! [`run_inside_consensus`] takes a committee, a leader payload and a leader
-//! fault mode, and plays the full PROPOSE / ECHO / CONFIRM exchange over the
-//! simulated network: every message is signed, routed, delayed and charged to
-//! the metrics sink, and every honest member runs the
-//! [`cycledger_consensus::MemberState`] machine. The outcome carries the quorum
-//! certificate (if one was produced) with the instance's verdict memo beside
-//! it, any equivocation evidence honest members extracted, and the payload the
-//! honest majority accepted.
+//! [`run_inside_consensus`] is the transport of one
+//! [`cycledger_consensus::alg3::Instance`] over the simulated network: what
+//! the instance asks to have sent is routed, delayed and charged to the
+//! metrics sink, what arrives is handed back to it. The outcome carries the
+//! quorum certificate (if one was produced) with the instance's verdict memo
+//! beside it and any equivocation evidence honest members extracted.
 
-use std::collections::BTreeMap;
-
-use cycledger_consensus::alg3::{LeaderState, MemberAction, MemberState};
+use cycledger_consensus::alg3::{Action, Instance, Seats};
 use cycledger_consensus::envelope::CarriesAlg3;
-use cycledger_consensus::messages::{
-    make_propose, make_propose_unsigned, Alg3Message, ConsensusId,
-};
+use cycledger_consensus::messages::{Alg3Message, ConsensusId};
 use cycledger_consensus::quorum::{CommitteeKeys, QuorumCertificate};
 use cycledger_consensus::sigcache::{SigCache, Verdicts};
 use cycledger_consensus::witness::EquivocationEvidence;
+use cycledger_crypto::schnorr::Keypair;
 use cycledger_net::latency::LinkClass;
 use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 
-use crate::adversary::Behavior;
-use crate::node::NodeRegistry;
+pub use cycledger_consensus::alg3::LeaderFault;
+
+use crate::node::{NodeRegistry, SimNode};
 use crate::sortition::CommitteeAssignment;
 
 /// A committee instantiated for execution: the assignment plus the key
@@ -101,36 +97,6 @@ impl Committee {
     }
 }
 
-/// How the leader misbehaves during one Algorithm 3 instance.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum LeaderFault {
-    /// Follows the protocol.
-    None,
-    /// Sends nothing.
-    Silent,
-    /// Sends `payload` to the first half of the committee and `alternate` to the
-    /// second half.
-    Equivocate {
-        /// The conflicting payload delivered to the second half.
-        alternate: Vec<u8>,
-    },
-}
-
-impl LeaderFault {
-    /// Derives the fault mode for an Algorithm 3 instance from a node behaviour.
-    pub fn from_behavior(behavior: Behavior, payload: &[u8]) -> LeaderFault {
-        match behavior {
-            Behavior::SilentLeader => LeaderFault::Silent,
-            Behavior::EquivocatingLeader => {
-                let mut alternate = payload.to_vec();
-                alternate.extend_from_slice(b"/equivocated");
-                LeaderFault::Equivocate { alternate }
-            }
-            _ => LeaderFault::None,
-        }
-    }
-}
-
 /// Result of one network-driven Algorithm 3 instance.
 #[derive(Clone, Debug)]
 pub struct InsideConsensusOutcome {
@@ -141,9 +107,6 @@ pub struct InsideConsensusOutcome {
     /// this ([`QuorumCertificate::verify_memoized`]) and so verifies only what
     /// the instance did not.
     pub memo: Verdicts,
-    /// The payload accepted by the honest majority (None if the instance never
-    /// started, e.g. a silent leader).
-    pub accepted_payload: Option<Vec<u8>>,
     /// Equivocation evidence produced by honest members (empty when the leader
     /// behaved).
     pub equivocation: Vec<EquivocationEvidence>,
@@ -151,26 +114,26 @@ pub struct InsideConsensusOutcome {
     pub messages: u64,
 }
 
-/// Runs one Algorithm 3 instance for `committee` over `net`.
+/// Runs one Algorithm 3 instance for `committee` over `net`: opens the
+/// [`Instance`], puts what it asks for on the network as `IntraCommittee`
+/// envelopes, hands it every Algorithm 3 envelope the network delivers, and
+/// closes it at quiescence.
 ///
-/// `malicious_members` (typically nodes whose behaviour is malicious and who are
-/// not the leader) stay silent during the instance — the worst they can do to an
-/// instance led by an honest leader, since forged messages are rejected anyway.
-///
-/// Generic over the envelope type: the phases whose whole exchange is the
-/// instance (semi-commitment, reputation, block generation) and the benches
-/// run it over a plain [`Alg3Message`] network, the intra- and inter-committee
-/// phases over a [`cycledger_consensus::envelope::CommitteeMessage`] network
-/// (whose non-Alg3 envelopes still in flight — e.g. late vote replies — are
-/// drained and ignored). The event loop ends at quiescence, so a network whose fault
-/// plan severs part of the committee simply yields fewer CONFIRMs and
-/// possibly no certificate — the caller's recovery path takes it from there.
+/// Non-leader members that are malicious or still `Syncing` are seated mute
+/// ([`Seats::mute`]). Generic over the envelope type: the phases whose whole
+/// exchange is the instance (semi-commitment, reputation, block generation)
+/// and the benches run it over a plain [`Alg3Message`] network, the intra-
+/// and inter-committee phases over a
+/// [`cycledger_consensus::envelope::CommitteeMessage`] network, whose other
+/// envelopes still in flight — e.g. late vote replies — are drained and
+/// ignored. A network whose fault plan severs part of the committee simply
+/// yields fewer CONFIRMs and possibly no certificate — the caller's recovery
+/// path takes it from there.
 ///
 /// Every caller in the workspace passes `verify_signatures = true`. `false`
 /// (placeholder signatures, nothing checked) is kept for one caller outside
 /// it, `benchmark/src/probes.rs`, whose `consensus.probe.alg3_unverified_ms`
 /// times what an instance costs besides its signatures.
-#[allow(clippy::too_many_arguments)]
 pub fn run_inside_consensus<M: CarriesAlg3>(
     net: &mut SimNetwork<M>,
     committee: &Committee,
@@ -180,219 +143,49 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
     fault: LeaderFault,
     verify_signatures: bool,
 ) -> InsideConsensusOutcome {
-    let leader_node = committee.leader;
-    let leader_key = registry.node(leader_node).keypair;
-    let mut messages = 0u64;
-
-    if fault == LeaderFault::Silent {
-        // The leader never proposes; nothing happens in this instance. The
-        // timeout-based detection lives at the phase level (the partial set
-        // notices the missing proposal after the phase deadline).
-        return InsideConsensusOutcome {
-            certificate: None,
-            memo: Verdicts::default(),
-            accepted_payload: None,
-            equivocation: Vec::new(),
-            messages: 0,
-        };
-    }
-
-    // Build the proposals the leader will distribute. On the fast path
-    // (verification off) nothing will ever check the Schnorr signatures, so
-    // the leader attaches placeholders instead of paying a curve
-    // multiplication per proposal; digests and wire sizes are unchanged.
-    let main_propose = if verify_signatures {
-        make_propose(id, payload, leader_node, &leader_key)
-    } else {
-        make_propose_unsigned(id, payload, leader_node)
+    let seated = committee.members.iter().map(|&node| registry.node(node));
+    let keypairs: Vec<Keypair> = seated.clone().map(|node| node.keypair).collect();
+    let withholds = |node: &SimNode| node.behavior.is_malicious() || !node.membership.may_vote();
+    let mute = seated.map(|node| node.id != committee.leader && withholds(node));
+    let mute: Vec<bool> = mute.collect();
+    let seats = Seats {
+        nodes: &committee.members,
+        keypairs: &keypairs,
+        mute: &mute,
+        keys: &committee.keys,
+        leader: committee.leader,
     };
-    let alt_propose = match &fault {
-        LeaderFault::Equivocate { alternate } => Some(if verify_signatures {
-            make_propose(id, alternate.clone(), leader_node, &leader_key)
-        } else {
-            make_propose_unsigned(id, alternate.clone(), leader_node)
-        }),
-        _ => None,
-    };
-
-    // Per-member state machines (the leader participates as a member too).
-    // All state machines of one instance share a signature-verification memo:
-    // the same multicast signature is then checked once for the whole
-    // committee instead of once per receiver (same ground-truth-sharing idiom
-    // as the per-transaction validity table in the inter-consensus phase).
-    let sig_cache = SigCache::new();
-    let mut members: BTreeMap<NodeId, MemberState> = BTreeMap::new();
-    for &node in &committee.members {
-        let mut state = MemberState::new(
-            node,
-            registry.node(node).keypair,
-            leader_node,
-            id,
-            committee.keys.clone(),
-        );
-        state.set_verify_signatures(verify_signatures);
-        state.set_sig_cache(sig_cache.clone());
-        members.insert(node, state);
-    }
-    let mut leader_state = LeaderState::new(id, main_propose.digest, committee.keys.clone());
-    leader_state.set_verify_signatures(verify_signatures);
-    leader_state.set_sig_cache(sig_cache.clone());
-
-    // Malicious non-leader members do not participate (worst case:
-    // withholding), and neither do `Syncing` joiners — they abstain from all
-    // consensus traffic until state sync verifies their chain.
-    let silent_members: std::collections::HashSet<NodeId> = committee
-        .members
-        .iter()
-        .copied()
-        .filter(|&n| {
-            n != leader_node
-                && (registry.node(n).behavior.is_malicious()
-                    || !registry.node(n).membership.may_vote())
-        })
-        .collect();
-
-    // Step 1: the leader multicasts the proposal(s).
-    for (idx, &node) in committee
-        .members
-        .iter()
-        .enumerate()
-        .filter(|(_, &n)| n != leader_node)
-    {
-        let propose = match (&fault, &alt_propose) {
-            (LeaderFault::Equivocate { .. }, Some(alt)) if idx % 2 == 1 => alt.clone(),
-            _ => main_propose.clone(),
+    let (verify, memo) = (verify_signatures, SigCache::new());
+    let mut asked = Vec::new();
+    let mut instance = Instance::open(seats, id, payload, fault, verify, memo, &mut asked);
+    let mut messages = 0;
+    loop {
+        for Action { from, to, message } in asked.drain(..) {
+            let (size, class) = (message.wire_size(), LinkClass::IntraCommittee);
+            let mut post = |to: NodeId, message: Alg3Message| {
+                net.send(from, to, class, M::from_alg3(message), size);
+                messages += 1;
+            };
+            match to {
+                Some(to) => post(to, message),
+                // An ECHO: one envelope per other member, in committee order.
+                None => {
+                    let others = committee.members.iter().filter(|&&to| to != from);
+                    others.for_each(|&to| post(to, message.clone()));
+                }
+            }
+        }
+        let Some(envelope) = net.deliver_next() else {
+            break;
         };
-        let message = Alg3Message::Propose(propose);
-        let size = message.wire_size();
-        net.send(
-            leader_node,
-            node,
-            LinkClass::IntraCommittee,
-            M::from_alg3(message),
-            size,
-        );
-        messages += 1;
-    }
-    // The leader processes its own proposal locally (no network hop).
-    let mut pending_local: Vec<(NodeId, Vec<MemberAction>)> = Vec::new();
-    if let Some(state) = members.get_mut(&leader_node) {
-        let actions = state.handle_propose(&main_propose);
-        pending_local.push((leader_node, actions));
-    }
-
-    let mut equivocation: Vec<EquivocationEvidence> = Vec::new();
-    let mut certificate: Option<QuorumCertificate> = None;
-
-    // Helper that routes a batch of member actions onto the network.
-    let dispatch = |from: NodeId,
-                    actions: Vec<MemberAction>,
-                    net: &mut SimNetwork<M>,
-                    equivocation: &mut Vec<EquivocationEvidence>,
-                    messages: &mut u64| {
-        for action in actions {
-            match action {
-                MemberAction::BroadcastEcho(echo) => {
-                    if silent_members.contains(&from) {
-                        continue;
-                    }
-                    let size = Alg3Message::Echo(echo.clone()).wire_size();
-                    for &target in &committee.members {
-                        if target == from {
-                            continue;
-                        }
-                        let message = Alg3Message::Echo(echo.clone());
-                        net.send(
-                            from,
-                            target,
-                            LinkClass::IntraCommittee,
-                            M::from_alg3(message),
-                            size,
-                        );
-                        *messages += 1;
-                    }
-                }
-                MemberAction::SendConfirm(confirm) => {
-                    if silent_members.contains(&from) {
-                        continue;
-                    }
-                    let message = Alg3Message::Confirm(confirm);
-                    let size = message.wire_size();
-                    net.send(
-                        from,
-                        leader_node,
-                        LinkClass::IntraCommittee,
-                        M::from_alg3(message),
-                        size,
-                    );
-                    *messages += 1;
-                }
-                MemberAction::ReportEquivocation(evidence) => {
-                    equivocation.push(evidence);
-                }
-            }
-        }
-    };
-
-    for (from, actions) in pending_local {
-        dispatch(from, actions, net, &mut equivocation, &mut messages);
-    }
-
-    // Event loop: pump the network until the instance quiesces. Envelopes
-    // that are not Algorithm 3 traffic (possible on a shared message-driven
-    // network, e.g. vote replies that missed the leader's deadline) are
-    // drained and ignored.
-    while let Some(envelope) = net.deliver_next() {
-        let to = envelope.to;
-        let Some(alg3) = envelope.payload.into_alg3() else {
-            continue;
-        };
-        match alg3 {
-            Alg3Message::Propose(p) => {
-                if let Some(state) = members.get_mut(&to) {
-                    let actions = state.handle_propose(&p);
-                    dispatch(to, actions, net, &mut equivocation, &mut messages);
-                }
-            }
-            Alg3Message::Echo(e) => {
-                if let Some(state) = members.get_mut(&to) {
-                    let actions = state.handle_echo(&e);
-                    dispatch(to, actions, net, &mut equivocation, &mut messages);
-                }
-            }
-            Alg3Message::Confirm(c) => {
-                if to == leader_node {
-                    if let Some(cert) = leader_state.handle_confirm(&c) {
-                        certificate = Some(cert);
-                    }
-                }
-            }
+        if let Some(message) = envelope.payload.into_alg3() {
+            instance.deliver(envelope.to, &message, &mut asked);
         }
     }
-
-    // What did the honest majority accept? (Relevant mostly for the equivocation
-    // case, where different halves saw different payloads.)
-    let mut payload_counts: BTreeMap<Vec<u8>, usize> = BTreeMap::new();
-    for (&node, state) in &members {
-        if node != leader_node
-            && (registry.node(node).behavior.is_malicious()
-                || !registry.node(node).membership.may_vote())
-        {
-            continue;
-        }
-        if let Some(p) = state.accepted_payload() {
-            *payload_counts.entry(p.to_vec()).or_insert(0) += 1;
-        }
-    }
-    let accepted_payload = payload_counts
-        .into_iter()
-        .max_by_key(|(_, count)| *count)
-        .map(|(p, _)| p);
-
+    let (certificate, memo, equivocation) = instance.close();
     InsideConsensusOutcome {
         certificate,
-        memo: sig_cache.into_verdicts(),
-        accepted_payload,
+        memo,
         equivocation,
         messages,
     }
@@ -401,9 +194,9 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::AdversaryConfig;
+    use crate::adversary::{AdversaryConfig, Behavior};
     use crate::sortition::{assign_round, AssignmentParams};
-    use cycledger_consensus::messages::make_confirm;
+    use cycledger_consensus::messages::{make_confirm, payload_digest};
     use cycledger_consensus::quorum::verify_certs_batch;
     use cycledger_crypto::schnorr::Keypair;
     use cycledger_crypto::sha256::sha256;
@@ -453,10 +246,7 @@ mod tests {
         );
         let cert = outcome.certificate.expect("consensus must complete");
         assert_eq!(cert.verify_majority(&committee.keys), Ok(()));
-        assert_eq!(
-            outcome.accepted_payload.as_deref(),
-            Some(&b"the TXdecSET"[..])
-        );
+        assert_eq!(cert.digest, payload_digest(b"the TXdecSET"));
         assert!(outcome.equivocation.is_empty());
         assert!(cert.signer_count() >= committee.majority());
         assert!(outcome.messages > committee.size() as u64);
@@ -654,8 +444,7 @@ mod tests {
             LeaderFault::Silent,
             true,
         );
-        assert!(outcome.certificate.is_none());
-        assert!(outcome.accepted_payload.is_none());
+        assert!(outcome.certificate.is_none() && outcome.equivocation.is_empty());
         assert_eq!(outcome.messages, 0);
     }
 
@@ -731,8 +520,11 @@ mod tests {
         };
         let with = run(true);
         let without = run(false);
-        assert_eq!(with.certificate.is_some(), without.certificate.is_some());
-        assert_eq!(with.accepted_payload, without.accepted_payload);
+        let certified = |outcome: &InsideConsensusOutcome| {
+            let certificate = outcome.certificate.as_ref().expect("certifies either way");
+            (certificate.digest, certificate.signer_count())
+        };
+        assert_eq!(certified(&with), certified(&without));
         assert_eq!(with.messages, without.messages);
     }
 

@@ -305,8 +305,7 @@ impl<'a> RoundContext<'a> {
         let block_outcome = self.block_outcome.expect("block generation phase ran");
 
         let nodes = self.env.registry.len();
-        let topology: RoundTopology = self.assignment.topology(nodes);
-        let channels = topology.channels.channel_count();
+        let channels = self.assignment.channel_count();
         let full_clique = RoundTopology::full_clique_channels(nodes);
 
         let txs_packed = block_outcome

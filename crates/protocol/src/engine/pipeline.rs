@@ -113,15 +113,8 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
             continue;
         }
         ctx.witnesses += ctx.intra_outcomes[k].equivocation.len();
-        let accusation = if let Some(evidence) = ctx.intra_outcomes[k].equivocation.first() {
-            Accusation::Signed(Witness::Equivocation(evidence.clone()))
-        } else {
-            Accusation::Timeout {
-                leader: ctx.committees[k].leader,
-                committee: k,
-                observed_by_committee: true,
-            }
-        };
+        let evidence = ctx.intra_outcomes[k].equivocation.first();
+        let accusation = Accusation::after_consensus(evidence, ctx.committees[k].leader, k, true);
         if let RecoveryAttempt::Evicted(_) = ctx.attempt_recovery(k, accusation) {
             retries.push(k);
         }

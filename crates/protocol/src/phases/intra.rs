@@ -46,7 +46,7 @@ use cycledger_net::time::{Deadline, SimDuration};
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
-use crate::committee::{run_inside_consensus, Committee, LeaderFault};
+use crate::committee::{run_inside_consensus, Committee};
 use crate::engine::arena::ShardScratch;
 use crate::engine::env::{Books, PlaneCounters, RoundEnv, Task};
 use crate::node::NodeRegistry;
@@ -307,7 +307,7 @@ pub fn run_intra_consensus(
         .map(|&i| offered[i].tx.clone())
         .collect();
     let payload = decision_payload(decided.iter().map(|tx| tx.id()));
-    let fault = LeaderFault::from_behavior(leader_behavior, &payload);
+    let fault = leader_behavior.leader_fault(&payload);
     let id = env.instance(task);
     let consensus = run_inside_consensus(&mut net, committee, registry, id, payload, fault, true);
 

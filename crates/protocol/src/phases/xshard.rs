@@ -31,7 +31,7 @@ use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
-use crate::committee::{run_inside_consensus, Committee, LeaderFault};
+use crate::committee::{run_inside_consensus, Committee};
 use crate::engine::env::{Books, RoundEnv, Task};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
@@ -203,7 +203,7 @@ fn certify_vector<L>(
     let tree = MerkleTree::build(leaves);
     let root = tree.root().as_bytes().to_vec();
     let leader = members.leader;
-    let fault = LeaderFault::from_behavior(env.registry.node(leader).behavior, &root);
+    let fault = env.registry.node(leader).behavior.leader_fault(&root);
     let id = env.instance(task);
     let outcome = run_inside_consensus(net, members, env.registry, id, root, fault, true);
     if outcome.messages > 0 {

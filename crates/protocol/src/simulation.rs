@@ -434,6 +434,50 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// `RoundReport::channels` is counted from the assignment; the
+        /// topology built as a set is the reference. Sortition sizes
+        /// committees unevenly, and the run crosses what produces an
+        /// assignment: genesis, the selection phase, and two epoch
+        /// reshuffles over a churned membership.
+        #[test]
+        fn prop_channel_count_matches_the_built_topology(
+            committees in 1usize..5,
+            committee_size in 4usize..10,
+            partial_set_size in 0usize..3,
+            referee_size in 3usize..6,
+            seed in 0u64..1 << 32,
+        ) {
+            let config = ProtocolConfig {
+                committees,
+                committee_size,
+                partial_set_size,
+                referee_size,
+                txs_per_round: 8,
+                accounts_per_shard: 8,
+                pow_difficulty: 2,
+                epoch_length: 2,
+                joins_per_epoch: 3,
+                leaves_per_epoch: 2,
+                worker_threads: 1,
+                seed,
+                ..ProtocolConfig::default()
+            };
+            let mut sim = Simulation::new(config).unwrap();
+            let mut sizes = std::collections::BTreeSet::new();
+            for round in 0..5 {
+                let (assignment, nodes) = (sim.assignment(), sim.registry().len());
+                let built = assignment.topology(nodes).channels.channel_count();
+                proptest::prop_assert_eq!(assignment.channel_count(), built, "round {}", round);
+                sizes.extend(assignment.committees.iter().map(|c| c.size()));
+                proptest::prop_assert_eq!(sim.run_round().channels, built);
+            }
+            proptest::prop_assert!(committees == 1 || sizes.len() > 1, "{:?}", sizes);
+        }
+    }
+
     #[test]
     fn honest_network_produces_blocks_every_round() {
         let mut sim = Simulation::new(small_config()).unwrap();

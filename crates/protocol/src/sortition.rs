@@ -81,7 +81,27 @@ impl RoundAssignment {
         all
     }
 
-    /// Builds the network topology (channel graph) implied by this assignment.
+    /// How many channels [`Self::topology`] holds, counted instead of
+    /// built: a clique per committee, the key-member mesh less the pairs a
+    /// committee's clique already holds, every key member to every referee,
+    /// the referee clique. Exact because sortition seats a node once: the
+    /// committees and the referee committee are pairwise disjoint.
+    pub fn channel_count(&self) -> usize {
+        let pairs = |n: usize| n * n.saturating_sub(1) / 2;
+        let partial = self.committees.first().map_or(0, |c| c.partial_set.len());
+        let (mut cliques, mut keys, mut held) = (0, 0, 0);
+        for committee in &self.committees {
+            let key_members = committee.size().min(1 + partial);
+            cliques += pairs(committee.size());
+            keys += key_members;
+            held += pairs(key_members);
+        }
+        let referee = self.referee.len();
+        cliques + pairs(keys) - held + keys * referee + pairs(referee)
+    }
+
+    /// Builds the network topology (channel graph) implied by this
+    /// assignment — the reference [`Self::channel_count`] is pinned to.
     pub fn topology(&self, total_nodes: usize) -> RoundTopology {
         let member_lists: Vec<Vec<NodeId>> =
             self.committees.iter().map(|c| c.members.clone()).collect();

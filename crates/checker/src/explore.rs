@@ -18,7 +18,8 @@
 //! verdict from [`Impeachment`]. This module is a transport, as the phase
 //! loops are: it moves what the machines emit (a test pins the two
 //! transports equal on one schedule) and checks the invariants on what they
-//! produce.
+//! produce — a closed vote with the function [`crate::refine`] checks a
+//! production one with, under the same rule names.
 //!
 //! **Abstract.** The schedule's granularity: an ECHO reaches every live
 //! member or none; one valid transaction is offered and everybody votes `Yes`
@@ -55,6 +56,8 @@ use cycledger_net::time::{Deadline, SimTime};
 use cycledger_net::topology::NodeId;
 use cycledger_protocol::phases::intra::decision_payload;
 use cycledger_protocol::Behavior;
+
+use crate::refine::{check_vote, Failure};
 
 const COMMITTEE_SIZE: usize = 4;
 const ROUNDS: u64 = 2;
@@ -283,7 +286,6 @@ impl Hasher for Encoder {
     }
 }
 
-type Failure = (&'static str, String);
 /// A transition: its label, the state it leads to — returned even when an
 /// invariant broke on the way — and whether one did.
 type Successor<'f, R> = (String, State<'f, R>, Result<(), Failure>);
@@ -352,35 +354,24 @@ impl<'f> Run<'f> {
     }
 
     /// Closes the vote into Algorithm 3 over its decision, and checks the
-    /// invariants of the closed collection.
+    /// closed collection as the refiner checks a production one.
     fn finish_collect<R: Rules + Clone>(
         &self,
         state: &mut State<'f, R>,
         collected: Collected,
         received: usize,
     ) -> Result<(), Failure> {
-        let (list, tally) = (&collected.list, &collected.tally);
+        let Collected {
+            list,
+            tally,
+            missing,
+        } = &collected;
         // What is still in flight is past the deadline: the Algorithm 3 loop
         // consumes and ignores it.
         state.pending.clear();
         let decided = tally.accepted_indices.iter().map(|&i| list.tx_ids[i]);
         self.start_alg3(state, tally.decision.clone(), decision_payload(decided));
-        let missing = transition::expected_votes_missing(COMMITTEE_SIZE, received);
-        if list.voter_count() != COMMITTEE_SIZE || collected.missing != missing {
-            let rows = list.voter_count();
-            let detail = format!("{rows} rows, {missing} missing, {received} received");
-            return Err(("vote-accounting-skew", detail));
-        }
-        for (&yes, &decision) in tally.yes_counts.iter().zip(&tally.decision) {
-            if yes > received {
-                let detail = format!("{yes} yes votes from {received} received");
-                return Err(("manufactured-votes", detail));
-            }
-            if (decision > 0) != transition::tx_accepted(yes, COMMITTEE_SIZE) {
-                let detail = format!("decision {decision} on {yes} yes of {COMMITTEE_SIZE}");
-                return Err(("tally-divergence", detail));
-            }
-        }
+        check_vote(COMMITTEE_SIZE, list, *missing, received, &tally.decision)?;
         Ok(())
     }
 

@@ -11,11 +11,13 @@
 //!   verifies, never two digests certified in one instance, a tally that is
 //!   the strict-majority rule over votes actually received, eviction only
 //!   on admissible evidence.
-//! * [`refine`] — replays concrete executions (recorded by
-//!   `cycledger_protocol::TraceRecorder`, including the partition- and
-//!   churn-fuzz schedules) through the decision rules of
+//! * [`refine`] — a [`Refiner`] observes real executions (including the
+//!   partition- and churn-fuzz schedules) and checks every phase's artifacts
+//!   on the round context against the decision rules of
 //!   [`cycledger_consensus::transition`], failing if any concrete step has
-//!   no counterpart there: the guard at fuzz scale, a different bound.
+//!   no counterpart there: the guard at fuzz scale, a different bound. A
+//!   closed vote collection is checked by one function, under one set of
+//!   rule names, in both modules.
 //!
 //! The scheduler's own assertions are validated by self-test: exploring with
 //! a deliberately [broken rule](explore::broken) planted in the machines
@@ -27,4 +29,4 @@ pub mod explore;
 pub mod refine;
 
 pub use explore::{explore, first_pass_in_send_order, ExploreStats, Fixture, Scenario, Violation};
-pub use refine::{check_trace, RefinementError, RefinementStats};
+pub use refine::{RefinementError, RefinementStats, Refiner};

@@ -384,16 +384,17 @@ impl LeaderState {
         }
     }
 
-    /// Handles a CONFIRM from a member; returns the quorum certificate the
-    /// first time a majority of valid CONFIRMs is in. CONFIRMs that arrive
-    /// after that are dropped.
-    pub fn handle_confirm(&mut self, confirm: &Confirm) -> Option<QuorumCertificate> {
+    /// Handles a CONFIRM from a member; returns whether it formed the quorum
+    /// certificate ([`certificate`](Self::certificate)) — true the first time
+    /// a majority of valid CONFIRMs is in. CONFIRMs that arrive after that
+    /// are dropped.
+    pub fn handle_confirm(&mut self, confirm: &Confirm) -> bool {
         if self.certificate.is_some()
             || confirm.id != self.id
             || confirm.digest != self.digest
             || !self.keys.contains(confirm.member)
         {
-            return None;
+            return false;
         }
         if self.verify_signatures {
             self.confirms.defer(confirm.member, confirm.signature);
@@ -404,21 +405,21 @@ impl LeaderState {
         }
         let committee_size = self.keys.len();
         if !confirm_quorum(self.confirms.reachable(), committee_size) {
-            return None;
+            return false;
         }
         let (id, digest) = (self.id, self.digest);
         self.confirms.settle(&self.sig_cache, &self.keys, |member| {
             confirm_signing_bytes(&id, &digest, member)
         });
         if !confirm_quorum(self.confirms.verified.len(), committee_size) {
-            return None;
+            return false;
         }
         self.certificate = Some(QuorumCertificate {
             id: self.id,
             digest: self.digest,
             signatures: self.confirms.signatures(),
         });
-        self.certificate.clone()
+        true
     }
 
     /// The certificate, if the instance already completed.
@@ -746,13 +747,10 @@ mod tests {
                 }
             }
         }
-        // Step 3: leader collects confirms.
-        let mut cert = None;
-        for confirm in &confirms {
-            if let Some(c) = leader.handle_confirm(confirm) {
-                cert = Some(c);
-            }
-        }
+        // Step 3: leader collects confirms; exactly one forms the certificate.
+        let formed = confirms.iter().filter(|c| leader.handle_confirm(c)).count();
+        assert_eq!(formed, 1);
+        let cert = leader.certificate().cloned();
         (
             cert.expect("honest run must produce a certificate"),
             members,
@@ -986,9 +984,10 @@ mod tests {
         leader.sig_cache = cache.clone();
         let confirm =
             |i: u32| make_confirm(id, propose.digest, NodeId(i), &kps[i as usize], vec![]);
-        assert!(leader.handle_confirm(&confirm(1)).is_none());
-        assert!(leader.handle_confirm(&confirm(2)).is_none());
-        let certificate = leader.handle_confirm(&confirm(3)).expect("quorum of 3");
+        assert!(!leader.handle_confirm(&confirm(1)));
+        assert!(!leader.handle_confirm(&confirm(2)));
+        assert!(leader.handle_confirm(&confirm(3)), "quorum of 3");
+        let certificate = leader.certificate().cloned().unwrap();
         let checked = cache.len();
         assert_eq!(checked, 1 + 2 + 3);
         // Honest or forged, what comes now is not looked at.
@@ -996,9 +995,9 @@ mod tests {
         assert!(member
             .handle_echo(&forged_echo_of(0, &propose, &kps))
             .is_empty());
-        assert!(leader.handle_confirm(&confirm(4)).is_none());
+        assert!(!leader.handle_confirm(&confirm(4)));
         let forged = make_confirm(id, propose.digest, NodeId(0), &kps[4], vec![]);
-        assert!(leader.handle_confirm(&forged).is_none());
+        assert!(!leader.handle_confirm(&forged));
         assert_eq!(cache.len(), checked);
         assert!(member.echoes.pending.is_empty() && leader.confirms.pending.is_empty());
         assert_eq!(leader.certificate(), Some(&certificate));
@@ -1012,30 +1011,31 @@ mod tests {
         let mut leader = LeaderState::new(id, digest, keys.clone());
         // Confirm for a different digest, and one from a non-member.
         let wrong = make_confirm(id, payload_digest(b"other"), NodeId(1), &kps[1], vec![]);
-        assert!(leader.handle_confirm(&wrong).is_none());
+        assert!(!leader.handle_confirm(&wrong));
         let outsider = make_confirm(id, digest, NodeId(9), &kps[1], vec![]);
-        assert!(leader.handle_confirm(&outsider).is_none());
+        assert!(!leader.handle_confirm(&outsider));
         assert_eq!(leader.confirms.reachable(), 0);
         // Confirm signed by the wrong node: counted as in reach until the
         // batch check throws it out.
         let forged = make_confirm(id, digest, NodeId(2), &kps[1], vec![]);
-        assert!(leader.handle_confirm(&forged).is_none());
+        assert!(!leader.handle_confirm(&forged));
         let c = |i: u32| make_confirm(id, digest, NodeId(i), &kps[i as usize], vec![]);
-        assert!(leader.handle_confirm(&c(1)).is_none());
-        assert!(leader.handle_confirm(&c(3)).is_none());
+        assert!(!leader.handle_confirm(&c(1)));
+        assert!(!leader.handle_confirm(&c(3)));
         assert!(
             leader.certificate().is_none(),
             "two valid CONFIRMs of three"
         );
         // The third valid one — from the member the forgery named — makes
         // exactly one certificate.
-        let certificate = leader.handle_confirm(&c(2)).expect("quorum");
+        assert!(leader.handle_confirm(&c(2)), "quorum");
+        let certificate = leader.certificate().cloned().unwrap();
         assert_eq!(
             certificate.signatures,
             [1, 2, 3].map(|i| (NodeId(i), c(i).signature))
         );
         assert_eq!(certificate.verify_majority(&keys), Ok(()));
-        assert!(leader.handle_confirm(&c(4)).is_none());
+        assert!(!leader.handle_confirm(&c(4)));
         assert_eq!(leader.certificate(), Some(&certificate));
     }
 
@@ -1047,7 +1047,7 @@ mod tests {
         let mut leader = LeaderState::new(id, digest, keys);
         let c1 = make_confirm(id, digest, NodeId(1), &kps[1], vec![]);
         for _ in 0..5 {
-            assert!(leader.handle_confirm(&c1).is_none());
+            assert!(!leader.handle_confirm(&c1));
         }
         assert_eq!(leader.confirms.reachable(), 1);
     }
@@ -1081,9 +1081,9 @@ mod tests {
             member: NodeId(i),
             ..confirm.clone()
         };
-        assert!(leader.handle_confirm(&from(0)).is_none());
-        assert!(leader.handle_confirm(&from(1)).is_none());
-        assert!(leader.handle_confirm(&from(2)).is_some());
+        assert!(!leader.handle_confirm(&from(0)));
+        assert!(!leader.handle_confirm(&from(1)));
+        assert!(leader.handle_confirm(&from(2)));
         assert!(cache.is_empty(), "nothing is verified, nothing buffered");
         assert!(members[0].echoes.pending.is_empty() && leader.confirms.pending.is_empty());
     }

@@ -233,7 +233,6 @@ impl<'a> RoundContext<'a> {
                 accused,
                 accused_was_honest: self.env.registry.node(accused).is_honest(),
                 prosecutor: None,
-                committee_size: self.committees[k].size(),
                 approvals: 0,
                 outcome: RecoveryOutcome::Skipped,
             });
@@ -275,7 +274,6 @@ impl<'a> RoundContext<'a> {
             accused,
             accused_was_honest,
             prosecutor: Some(prosecutor),
-            committee_size: self.committees[k].size(),
             approvals: outcome.approvals,
             outcome: logged,
         });

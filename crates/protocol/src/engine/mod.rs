@@ -63,13 +63,13 @@ pub use pipeline::standard_pipeline;
 
 /// Observation points the engine exposes to external subsystems.
 ///
-/// The scenario runner's invariant checkers implement this to watch a round
-/// as it executes: the engine calls in at every phase boundary with shared
-/// access to the full [`RoundContext`], so an observer can inspect phase
-/// artifacts (eviction ledger, recovery log, witnesses, metrics) exactly as
-/// each phase produced them. Observers must not affect protocol output —
-/// they only read — which keeps the determinism contract intact whether or
-/// not one is attached.
+/// The scenario runner's invariant checkers and the checker crate's refiner
+/// implement this to watch a round as it executes: the engine calls in at
+/// every phase boundary with shared access to the full [`RoundContext`], so
+/// an observer can inspect phase artifacts (outcomes, books, recovery log)
+/// exactly as each phase produced them. Observers must not affect protocol
+/// output — they only read — which keeps the determinism contract intact
+/// whether or not one is attached.
 pub trait RoundObserver {
     /// Called before a phase executes.
     fn on_phase_start(&mut self, _phase: &'static str, _ctx: &RoundContext<'_>) {}

@@ -19,8 +19,6 @@
 //! * [`epoch`] — epoch schedule, validator churn, committee reconfiguration.
 //! * [`sync`] — state sync for joining/restarting members.
 //! * [`traffic`] — open-loop arrival processes and confirm-latency tracking.
-//! * [`trace`] — observer-based execution-trace export for the
-//!   `cycledger-checker` refinement layer.
 
 #![warn(missing_docs)]
 
@@ -35,7 +33,6 @@ pub mod report;
 pub mod simulation;
 pub mod sortition;
 pub mod sync;
-pub mod trace;
 pub mod traffic;
 
 pub use adversary::{AdversaryConfig, Behavior, BehaviorMix};
@@ -49,5 +46,4 @@ pub use report::{
 };
 pub use simulation::Simulation;
 pub use sortition::{assign_round, AssignmentParams, CommitteeAssignment, RoundAssignment};
-pub use trace::{CommitteeStep, ExecutionTrace, PhaseDelta, RecoveryStep, TraceRecorder};
 pub use traffic::{ArrivalShape, LatencyHistogram, TrafficConfig, TrafficSnapshot};

@@ -53,12 +53,10 @@ pub struct RecoveryRecord {
     /// The prosecuting partial-set member (`None` when the recovery was
     /// skipped for lack of one).
     pub prosecutor: Option<NodeId>,
-    /// Size of the committee at impeachment time (refinement denominator).
-    pub committee_size: usize,
-    /// Impeachment approvals the prosecutor counted (0 for skipped attempts).
-    /// Together with `committee_size` this lets the refinement checker assert
-    /// `Evicted ⇒ approvals ≥ ⌊C/2⌋+1`. Not part of the canonical bytes, so
-    /// the golden digests predating this field are unchanged.
+    /// Impeachment approvals the prosecutor counted (0 for skipped attempts),
+    /// against which the refinement checker asserts `Evicted ⇒ approvals ≥
+    /// ⌊C/2⌋+1` with the committee's size `C` (fixed once configuration has
+    /// run). Not part of the canonical bytes.
     pub approvals: usize,
     /// What the attempt did.
     pub outcome: RecoveryOutcome,
@@ -170,21 +168,23 @@ pub struct RoundReport {
     pub roles: RoleGroups,
     /// Extra simulated latency spent in 2Γ recovery timeouts (µs).
     pub timeout_delays_us: u64,
-    /// Whether the round ran the message-driven data plane (committee
-    /// traffic as envelopes through the discrete-event network).
+    /// Whether the run opted in to network faults
+    /// ([`crate::ProtocolConfig::message_driven`]). The six counters below
+    /// are counted on every run; this decides whether the `0xD1` block
+    /// carries the first four into the canonical bytes.
     pub message_driven: bool,
-    /// Message-driven mode: vote-collection deadlines that fired with votes
-    /// missing (the quorum-timeout fallback path).
+    /// Vote-collection deadlines that fired with votes missing (the
+    /// quorum-timeout fallback path).
     pub quorum_timeouts: usize,
-    /// Message-driven mode: cross-shard list forwards that missed their
-    /// destination deadline (the pair's transactions deferred).
+    /// Cross-shard list forwards that missed their destination deadline (the
+    /// pair's transactions deferred).
     pub list_timeouts: usize,
-    /// Message-driven mode: individual votes missing at collection
-    /// deadlines (a per-round severity measure next to `quorum_timeouts`,
-    /// which only counts deadlines that fired).
+    /// Individual votes missing at collection deadlines (a per-round
+    /// severity measure next to `quorum_timeouts`, which only counts
+    /// deadlines that fired).
     pub votes_missing: usize,
-    /// Message-driven mode: envelopes dropped by the network fault plan
-    /// (partitions, loss) across the round's task networks that run under it.
+    /// Envelopes dropped by the network fault plan (partitions, loss) across
+    /// the round's task networks that run under it.
     pub net_dropped_messages: u64,
     /// Deliberate vote abstentions by `Syncing` members this round (their
     /// slots are counted `Unknown`, never breaking quorum math).
@@ -397,25 +397,22 @@ impl SimulationSummary {
             .collect()
     }
 
-    /// Total quorum-timeout fallbacks across the run (message-driven mode).
+    /// Total quorum-timeout fallbacks across the run.
     pub fn total_quorum_timeouts(&self) -> usize {
         self.rounds.iter().map(|r| r.quorum_timeouts).sum()
     }
 
-    /// Total cross-shard list-forward timeouts across the run
-    /// (message-driven mode).
+    /// Total cross-shard list-forward timeouts across the run.
     pub fn total_list_timeouts(&self) -> usize {
         self.rounds.iter().map(|r| r.list_timeouts).sum()
     }
 
-    /// Total votes missing at collection deadlines across the run
-    /// (message-driven mode).
+    /// Total votes missing at collection deadlines across the run.
     pub fn total_votes_missing(&self) -> usize {
         self.rounds.iter().map(|r| r.votes_missing).sum()
     }
 
-    /// Total envelopes dropped by network faults across the run
-    /// (message-driven mode).
+    /// Total envelopes dropped by network faults across the run.
     pub fn total_net_dropped_messages(&self) -> u64 {
         self.rounds.iter().map(|r| r.net_dropped_messages).sum()
     }
@@ -496,7 +493,6 @@ mod tests {
                 accused: NodeId(1),
                 accused_was_honest: false,
                 prosecutor: Some(NodeId(2)),
-                committee_size: 5,
                 approvals: 4,
                 outcome: RecoveryOutcome::Evicted,
             }],
@@ -551,7 +547,6 @@ mod tests {
             accused: NodeId(9),
             accused_was_honest: true,
             prosecutor: Some(NodeId(3)),
-            committee_size: 5,
             approvals: 3,
             outcome: RecoveryOutcome::Evicted,
         });
@@ -560,7 +555,6 @@ mod tests {
             accused: NodeId(10),
             accused_was_honest: true,
             prosecutor: Some(NodeId(3)),
-            committee_size: 5,
             approvals: 1,
             outcome: RecoveryOutcome::Rejected,
         });

@@ -210,8 +210,9 @@ fn resolve_fault_plan(
 }
 
 /// Counts transactions that appear in more than one block of the chain
-/// (the [`crate::invariant::Invariant::NoDoubleCommit`] safety measurement).
-fn count_duplicate_packed(sim: &Simulation) -> usize {
+/// (the [`crate::invariant::Invariant::NoDoubleCommit`] safety measurement,
+/// and the fuzz suites' double-commit check).
+pub fn count_duplicate_packed(sim: &Simulation) -> usize {
     let mut seen = std::collections::HashSet::new();
     let mut duplicates = 0;
     for height in 0..sim.chain().height() as u64 {

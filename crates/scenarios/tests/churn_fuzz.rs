@@ -14,9 +14,7 @@
 //! test name), so the ≥48 schedules exercised here form a fixed-seed quick
 //! profile suitable for CI.
 
-use std::collections::HashSet;
-
-use cycledger_checker::{RefinementError, RefinementStats};
+use cycledger_checker::{RefinementError, RefinementStats, Refiner};
 use cycledger_net::faults::{FaultPlan, Partition};
 use cycledger_net::time::SimTime;
 use cycledger_net::topology::NodeId;
@@ -24,7 +22,7 @@ use cycledger_protocol::adversary::AdversaryConfig;
 use cycledger_protocol::config::ProtocolConfig;
 use cycledger_protocol::report::SimulationSummary;
 use cycledger_protocol::simulation::Simulation;
-use cycledger_protocol::TraceRecorder;
+use cycledger_scenarios::runner::count_duplicate_packed;
 use proptest::prelude::*;
 
 fn fuzz_config(seed: u64, joins: u32, leaves: u32) -> ProtocolConfig {
@@ -77,7 +75,9 @@ fn run_schedule(
     let mut config = fuzz_config(seed, schedule.joins, schedule.leaves);
     config.worker_threads = workers;
     let mut sim = Simulation::new(config).expect("valid config");
-    let mut recorder = TraceRecorder::new();
+    // Refinement: every concrete step of the execution must have an abstract
+    // counterpart in the model checker's transition relation.
+    let mut refiner = Refiner::new();
     for group in &schedule.rounds {
         // Deliberately NOT reduced modulo the live population: ids past the
         // current registry are tomorrow's joiners, and partitioning them
@@ -96,26 +96,12 @@ fn run_schedule(
             }
         };
         sim.set_fault_plan(plan);
-        sim.run_round_observed(&mut recorder);
+        sim.run_round_observed(&mut refiner);
     }
     let summary = SimulationSummary {
         rounds: sim.reports().to_vec(),
     };
-    // Refinement: every concrete step of the recorded execution must have an
-    // abstract counterpart in the model checker's transition relation.
-    let refinement = cycledger_checker::check_trace(recorder.trace());
-    // Count transactions committed more than once anywhere in the chain.
-    let mut seen = HashSet::new();
-    let mut duplicates = 0usize;
-    for height in 0..sim.chain().height() as u64 {
-        let block = sim.chain().block(height).expect("block at height");
-        for tx in &block.transactions {
-            if !seen.insert(tx.id()) {
-                duplicates += 1;
-            }
-        }
-    }
-    (summary, duplicates, refinement)
+    (summary, count_duplicate_packed(&sim), refiner.finish())
 }
 
 proptest! {

@@ -18,6 +18,8 @@
 
 use crate::messages::Alg3Message;
 use crate::votes::VoteVector;
+use cycledger_crypto::sha256::Digest;
+use cycledger_ledger::block::HeaderSummary;
 use cycledger_net::topology::NodeId;
 
 /// An envelope type that can embed Algorithm 3 traffic.
@@ -122,7 +124,7 @@ pub enum CommitteeMessage {
         /// Round of the first header in the chunk.
         from_round: u64,
         /// `(round, prev_hash, header_hash)` per block, in round order.
-        headers: Vec<SyncHeader>,
+        headers: Vec<HeaderSummary>,
         /// Echo of the request ordinal this chunk answers.
         request_id: u64,
     },
@@ -131,21 +133,8 @@ pub enum CommitteeMessage {
         /// Height the member synced to.
         height: u64,
         /// Hash of the tip header the member verified.
-        tip: [u8; 32],
+        tip: Digest,
     },
-}
-
-/// One block-header summary inside a [`CommitteeMessage::SyncChunk`]: just
-/// enough for the requester to verify the hash linkage against the
-/// quorum-certified tip it learned from the committee.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SyncHeader {
-    /// Block round (also its height in the chain).
-    pub round: u64,
-    /// Hash of the previous block's header.
-    pub prev_hash: [u8; 32],
-    /// Hash of this block's header.
-    pub hash: [u8; 32],
 }
 
 impl CarriesAlg3 for CommitteeMessage {
@@ -212,10 +201,10 @@ mod tests {
         .is_none());
         assert!(CommitteeMessage::SyncChunk {
             from_round: 0,
-            headers: vec![SyncHeader {
+            headers: vec![HeaderSummary {
                 round: 0,
-                prev_hash: [0; 32],
-                hash: [1; 32],
+                prev_hash: Digest::ZERO,
+                hash: Digest([1; 32]),
             }],
             request_id: 1,
         }
@@ -223,7 +212,7 @@ mod tests {
         .is_none());
         assert!(CommitteeMessage::SyncDone {
             height: 4,
-            tip: [2; 32],
+            tip: Digest([2; 32]),
         }
         .into_alg3()
         .is_none());

@@ -5,8 +5,8 @@
 //! * [`transaction`] — accounts, outpoints, transactions, shard routing.
 //! * [`utxo`] — per-shard UTXO sets and the authentication function `V`
 //!   (existence, no double spend, value conservation — §III-D).
-//! * [`store`] — the pluggable [`StateStore`] layer: flat map or sparse
-//!   Merkle tree behind one statically-dispatched enum.
+//! * [`store`] — the [`Store`] a shard's UTXOs live in: a flat map, or the
+//!   same live map plus a sparse Merkle tree.
 //! * [`smt`] — the authenticated backend: a compressed sparse Merkle tree
 //!   updated in place by per-round batch commits, one root digest kept per
 //!   round.
@@ -26,7 +26,7 @@ pub mod workload;
 
 pub use block::{Block, BlockHeader, Chain, ChainError, NextRoundConfig};
 pub use smt::SmtStore;
-pub use store::{MapStore, StateBackend, StateStore, Store};
+pub use store::{StateBackend, Store};
 pub use transaction::{AccountId, OutPoint, Transaction, TxId, TxInput, TxOutput};
 pub use utxo::{validate_across_shards, UtxoSet, ValidationError};
 pub use workload::{GeneratedTx, TxKind, Workload, WorkloadConfig};

@@ -14,9 +14,10 @@
 //!
 //! ## Write path
 //!
-//! `insert`/`remove` update an [`FxHashMap`] mirror (so the per-input
-//! lookup hot path of the authentication function `V` stays O(1) and makes
-//! *identical* decisions to the flat-map backend) and buffer the delta.
+//! `insert`/`remove` update the live [`FxHashMap`] (the one
+//! [`crate::store::Store::live`] returns, so the per-input lookup hot path of
+//! the authentication function `V` stays O(1) and makes *identical*
+//! decisions to the flat-map backend) and buffer the delta.
 //! [`SmtStore::commit`] seals one round's buffered deltas in a single
 //! batch-sorted fold:
 //!
@@ -53,7 +54,6 @@ use cycledger_crypto::smt::{
     fill_internal_preimage, fill_leaf_preimage, key_bit, ProofTerminal, StateProof, EMPTY_ROOT,
 };
 
-use crate::store::StateStore;
 use crate::transaction::{OutPoint, TxOutput};
 
 /// Sentinel node reference: the empty subtree.
@@ -143,8 +143,8 @@ impl Dirty {
 /// The sparse-Merkle state store. See the module docs for the design.
 #[derive(Clone, Debug)]
 pub struct SmtStore {
-    /// O(1) lookup mirror of the *live* state (committed ⊕ pending).
-    mirror: FxHashMap<OutPoint, TxOutput>,
+    /// The live state (committed ⊕ pending), for O(1) lookups.
+    live: FxHashMap<OutPoint, TxOutput>,
     /// Deltas since the last commit: `Some` upserts, `None` deletes.
     pending: FxHashMap<OutPoint, Option<TxOutput>>,
     /// Internal-node arena: the live tree plus the slots in `free_internals`.
@@ -169,11 +169,10 @@ impl Default for SmtStore {
 }
 
 impl SmtStore {
-    /// An empty store whose lookup mirror is pre-sized for `capacity`
-    /// entries.
+    /// An empty store whose live map is pre-sized for `capacity` entries.
     pub fn with_capacity(capacity: usize) -> SmtStore {
         SmtStore {
-            mirror: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
+            live: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
             pending: FxHashMap::default(),
             internals: Vec::new(),
             leaves: Vec::new(),
@@ -182,6 +181,27 @@ impl SmtStore {
             root: EMPTY_REF,
             versions: Vec::new(),
         }
+    }
+
+    /// The live entries, pending writes included.
+    pub fn live(&self) -> &FxHashMap<OutPoint, TxOutput> {
+        &self.live
+    }
+
+    /// Inserts or replaces an entry and buffers the write for the next
+    /// commit; returns the previous value if any.
+    pub fn insert(&mut self, outpoint: OutPoint, output: TxOutput) -> Option<TxOutput> {
+        self.pending.insert(outpoint, Some(output));
+        self.live.insert(outpoint, output)
+    }
+
+    /// Removes an entry, buffering the delete if it existed; returns it.
+    pub fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOutput> {
+        let old = self.live.remove(outpoint);
+        if old.is_some() {
+            self.pending.insert(*outpoint, None);
+        }
+        old
     }
 
     /// Number of deltas buffered since the last commit.
@@ -202,7 +222,71 @@ impl SmtStore {
     /// genesis UTXOs as its base.
     pub fn commit_genesis(&mut self) -> Digest {
         self.fold_pending();
+        self.state_root()
+    }
+
+    /// Seals the writes since the previous commit into the tree and records
+    /// the resulting root digest for `round`.
+    pub fn commit(&mut self, round: u64) -> Digest {
+        self.fold_pending();
+        debug_assert!(
+            self.versions.last().is_none_or(|&(r, _)| r < round),
+            "rounds must commit in ascending order"
+        );
+        let root = self.state_root();
+        self.versions.push((round, root));
+        root
+    }
+
+    /// The root of the latest committed tree.
+    pub fn state_root(&self) -> Digest {
         self.ref_hash(self.root)
+    }
+
+    /// The root committed at the latest round `<= round`, if any.
+    pub fn root_at_round(&self, round: u64) -> Option<Digest> {
+        let idx = self.versions.partition_point(|&(r, _)| r <= round);
+        idx.checked_sub(1).map(|i| self.versions[i].1)
+    }
+
+    /// An inclusion/exclusion proof for `outpoint` against the latest
+    /// committed root.
+    pub fn prove(&self, outpoint: &OutPoint) -> StateProof {
+        let key = key_digest(outpoint);
+        let mut siblings = Vec::new();
+        let mut node = self.root;
+        let mut depth = 0usize;
+        loop {
+            if node == EMPTY_REF {
+                return StateProof {
+                    siblings,
+                    terminal: ProofTerminal::AbsentEmpty,
+                };
+            }
+            if is_leaf(node) {
+                let leaf = &self.leaves[(node & !LEAF_TAG) as usize];
+                let terminal = if leaf.key == key {
+                    ProofTerminal::Included {
+                        value_hash: leaf.value_hash,
+                    }
+                } else {
+                    ProofTerminal::AbsentLeaf {
+                        leaf_key: leaf.key,
+                        leaf_value_hash: leaf.value_hash,
+                    }
+                };
+                return StateProof { siblings, terminal };
+            }
+            let n = &self.internals[node as usize];
+            if key_bit(&key, depth) {
+                siblings.push(self.ref_hash(n.left));
+                node = n.right;
+            } else {
+                siblings.push(self.ref_hash(n.right));
+                node = n.left;
+            }
+            depth += 1;
+        }
     }
 
     fn ref_hash(&self, node: u32) -> Digest {
@@ -474,93 +558,6 @@ impl SmtStore {
     }
 }
 
-impl StateStore for SmtStore {
-    fn get(&self, outpoint: &OutPoint) -> Option<&TxOutput> {
-        self.mirror.get(outpoint)
-    }
-
-    fn insert(&mut self, outpoint: OutPoint, output: TxOutput) -> Option<TxOutput> {
-        self.pending.insert(outpoint, Some(output));
-        self.mirror.insert(outpoint, output)
-    }
-
-    fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOutput> {
-        let old = self.mirror.remove(outpoint);
-        if old.is_some() {
-            self.pending.insert(*outpoint, None);
-        }
-        old
-    }
-
-    fn len(&self) -> usize {
-        self.mirror.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&OutPoint, &TxOutput)) {
-        for (outpoint, output) in &self.mirror {
-            f(outpoint, output);
-        }
-    }
-
-    fn commit(&mut self, round: u64) -> Option<Digest> {
-        self.fold_pending();
-        debug_assert!(
-            self.versions.last().is_none_or(|&(r, _)| r < round),
-            "rounds must commit in ascending order"
-        );
-        let root = self.ref_hash(self.root);
-        self.versions.push((round, root));
-        Some(root)
-    }
-
-    fn state_root(&self) -> Option<Digest> {
-        Some(self.ref_hash(self.root))
-    }
-
-    fn root_at_round(&self, round: u64) -> Option<Digest> {
-        let idx = self.versions.partition_point(|&(r, _)| r <= round);
-        idx.checked_sub(1).map(|i| self.versions[i].1)
-    }
-
-    fn prove(&self, outpoint: &OutPoint) -> Option<StateProof> {
-        let key = key_digest(outpoint);
-        let mut siblings = Vec::new();
-        let mut node = self.root;
-        let mut depth = 0usize;
-        loop {
-            if node == EMPTY_REF {
-                return Some(StateProof {
-                    siblings,
-                    terminal: ProofTerminal::AbsentEmpty,
-                });
-            }
-            if is_leaf(node) {
-                let leaf = &self.leaves[(node & !LEAF_TAG) as usize];
-                let terminal = if leaf.key == key {
-                    ProofTerminal::Included {
-                        value_hash: leaf.value_hash,
-                    }
-                } else {
-                    ProofTerminal::AbsentLeaf {
-                        leaf_key: leaf.key,
-                        leaf_value_hash: leaf.value_hash,
-                    }
-                };
-                return Some(StateProof { siblings, terminal });
-            }
-            let n = &self.internals[node as usize];
-            if key_bit(&key, depth) {
-                siblings.push(self.ref_hash(n.left));
-                node = n.right;
-            } else {
-                siblings.push(self.ref_hash(n.right));
-                node = n.left;
-            }
-            depth += 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,7 +613,7 @@ mod tests {
             store.insert(op(n), out(n));
             model.insert(op(n), out(n));
         }
-        let root = store.commit(0).unwrap();
+        let root = store.commit(0);
         assert_eq!(root, reference_root_of(&model));
 
         for n in 50..70 {
@@ -630,15 +627,15 @@ mod tests {
         // Update in place: same key, new value.
         store.insert(op(51), out(999));
         model.insert(op(51), out(999));
-        let root = store.commit(1).unwrap();
+        let root = store.commit(1);
         assert_eq!(root, reference_root_of(&model));
-        assert_eq!(store.len(), model.len());
+        assert_eq!(store.live().len(), model.len());
 
         let keys: Vec<OutPoint> = model.keys().copied().collect();
         for k in keys {
             store.remove(&k);
         }
-        let root = store.commit(2).unwrap();
+        let root = store.commit(2);
         assert_eq!(root, EMPTY_ROOT, "deleting everything empties the tree");
     }
 
@@ -651,14 +648,14 @@ mod tests {
         for (o, v) in &entries {
             a.insert(*o, *v);
         }
-        let root_a = a.commit(0).unwrap();
+        let root_a = a.commit(0);
 
         // One batch, reverse order.
         let mut b = SmtStore::default();
         for (o, v) in entries.iter().rev() {
             b.insert(*o, *v);
         }
-        let root_b = b.commit(0).unwrap();
+        let root_b = b.commit(0);
         assert_eq!(root_a, root_b, "order within a batch must not matter");
 
         // Split across several commits, interleaved with churn that cancels.
@@ -672,7 +669,7 @@ mod tests {
             c.insert(*o, *v);
         }
         c.remove(&op(1000));
-        let root_c = c.commit(1).unwrap();
+        let root_c = c.commit(1);
         assert_eq!(root_a, root_c, "batch partitioning must not matter");
     }
 
@@ -682,11 +679,11 @@ mod tests {
         for n in 0..40 {
             store.insert(op(n), out(n));
         }
-        let root = store.commit(0).unwrap();
+        let root = store.commit(0);
 
         // Inclusion for every present key.
         for n in 0..40 {
-            let proof = store.prove(&op(n)).unwrap();
+            let proof = store.prove(&op(n));
             assert!(
                 matches!(proof.terminal, ProofTerminal::Included { .. }),
                 "present key proved absent"
@@ -695,16 +692,16 @@ mod tests {
         }
         // Exclusion for absent keys.
         for n in 1000..1040 {
-            let proof = store.prove(&op(n)).unwrap();
+            let proof = store.prove(&op(n));
             assert!(!matches!(proof.terminal, ProofTerminal::Included { .. }));
             assert_eq!(verify_proof(&root, &key_digest(&op(n)), &proof), Ok(()));
         }
         // A removed key flips from inclusion to exclusion.
         let victim = op(7);
-        let old_proof = store.prove(&victim).unwrap();
+        let old_proof = store.prove(&victim);
         store.remove(&victim);
-        let new_root = store.commit(1).unwrap();
-        let new_proof = store.prove(&victim).unwrap();
+        let new_root = store.commit(1);
+        let new_proof = store.prove(&victim);
         assert!(!matches!(
             new_proof.terminal,
             ProofTerminal::Included { .. }
@@ -728,9 +725,9 @@ mod tests {
     fn versioned_roots_snapshot_each_round() {
         let mut store = SmtStore::default();
         store.insert(op(1), out(1));
-        let r0 = store.commit(0).unwrap();
+        let r0 = store.commit(0);
         store.insert(op(2), out(2));
-        let r2 = store.commit(2).unwrap();
+        let r2 = store.commit(2);
         assert_ne!(r0, r2);
         assert_eq!(store.root_at_round(0), Some(r0));
         assert_eq!(
@@ -741,7 +738,7 @@ mod tests {
         assert_eq!(store.root_at_round(2), Some(r2));
         assert_eq!(store.root_at_round(u64::MAX), Some(r2));
         assert_eq!(SmtStore::default().root_at_round(0), None);
-        assert_eq!(store.state_root(), Some(r2));
+        assert_eq!(store.state_root(), r2);
     }
 
     #[test]
@@ -751,9 +748,9 @@ mod tests {
         let genesis_root = store.commit_genesis();
         assert_ne!(genesis_root, EMPTY_ROOT);
         assert_eq!(store.root_at_round(0), None, "genesis is not a round");
-        assert_eq!(store.state_root(), Some(genesis_root));
+        assert_eq!(store.state_root(), genesis_root);
         // An empty round commit re-publishes the same root.
-        assert_eq!(store.commit(0), Some(genesis_root));
+        assert_eq!(store.commit(0), genesis_root);
         assert_eq!(store.root_at_round(0), Some(genesis_root));
     }
 
@@ -803,7 +800,7 @@ mod tests {
                 slots_after_10 = internal + leaf;
             }
         }
-        assert_eq!(store.len(), 10_000);
+        assert_eq!(store.live().len(), 10_000);
         let (internal, leaf) = store.allocated_nodes();
         assert!(
             10 * (internal + leaf) <= 11 * slots_after_10,
@@ -813,7 +810,7 @@ mod tests {
         );
         // The bound the state gate caps: ~1.44 internal nodes and one leaf
         // per live entry, plus one round of churn.
-        assert!(internal + leaf <= 3 * store.len());
+        assert!(internal + leaf <= 3 * store.live().len());
     }
 
     #[test]
@@ -831,9 +828,9 @@ mod tests {
             churn_round(&mut store, round, &mut oldest, &mut next, 32);
             if round < 10 {
                 let witness = op(oldest);
-                let proof = store.prove(&witness).unwrap();
+                let proof = store.prove(&witness);
                 assert!(matches!(proof.terminal, ProofTerminal::Included { .. }));
-                recorded.push((round, store.state_root().unwrap(), witness, proof));
+                recorded.push((round, store.state_root(), witness, proof));
             }
         }
         let (_, leaf_slots) = store.allocated_nodes();
@@ -844,8 +841,11 @@ mod tests {
         for (round, root, witness, proof) in &recorded {
             assert_eq!(store.root_at_round(*round), Some(*root));
             assert_eq!(verify_proof(root, &key_digest(witness), proof), Ok(()));
-            assert_ne!(store.state_root(), Some(*root));
-            assert!(store.get(witness).is_none(), "the witness was spent since");
+            assert_ne!(store.state_root(), *root);
+            assert!(
+                store.live().get(witness).is_none(),
+                "the witness was spent since"
+            );
         }
     }
 
@@ -880,8 +880,8 @@ mod tests {
             copy.remove(&op(n));
             copy_model.remove(&op(n));
         }
-        let original_root = original.commit(2).unwrap();
-        let copy_root = copy.commit(2).unwrap();
+        let original_root = original.commit(2);
+        let copy_root = copy.commit(2);
         assert_ne!(original_root, copy_root);
         for (store, model, root) in [
             (&original, &model, original_root),
@@ -889,7 +889,7 @@ mod tests {
         ] {
             assert_eq!(root, reference_root_of(model));
             for outpoint in model.keys() {
-                let proof = store.prove(outpoint).unwrap();
+                let proof = store.prove(outpoint);
                 assert!(matches!(proof.terminal, ProofTerminal::Included { .. }));
                 assert_eq!(verify_proof(&root, &key_digest(outpoint), &proof), Ok(()));
             }
@@ -945,12 +945,12 @@ mod tests {
                             model.clear();
                         }
                         _ => {
-                            let root = store.commit(round).unwrap();
+                            let root = store.commit(round);
                             round += 1;
                             prop_assert_eq!(root, reference_root_of(&model));
-                            prop_assert_eq!(store.len(), model.len());
+                            prop_assert_eq!(store.live().len(), model.len());
                             for outpoint in model.keys() {
-                                let proof = store.prove(outpoint).unwrap();
+                                let proof = store.prove(outpoint);
                                 prop_assert!(
                                     matches!(proof.terminal, ProofTerminal::Included { .. })
                                 );
@@ -960,7 +960,7 @@ mod tests {
                                 );
                             }
                             for dead in (0..KEYS).map(op).filter(|o| !model.contains_key(o)) {
-                                let proof = store.prove(&dead).unwrap();
+                                let proof = store.prove(&dead);
                                 prop_assert!(
                                     !matches!(proof.terminal, ProofTerminal::Included { .. })
                                 );
@@ -987,15 +987,15 @@ mod tests {
         store.insert(op(1), out(1));
         store.commit(0);
         store.insert(op(2), out(2));
-        // The mirror sees the pending write...
-        assert_eq!(store.get(&op(2)), Some(&out(2)));
-        assert_eq!(store.len(), 2);
+        // The live map sees the pending write...
+        assert_eq!(store.live().get(&op(2)), Some(&out(2)));
+        assert_eq!(store.live().len(), 2);
         assert_eq!(store.pending_len(), 1);
         // ...but the committed tree does not, until the next commit.
-        let proof = store.prove(&op(2)).unwrap();
+        let proof = store.prove(&op(2));
         assert!(!matches!(proof.terminal, ProofTerminal::Included { .. }));
         store.commit(1);
-        let proof = store.prove(&op(2)).unwrap();
+        let proof = store.prove(&op(2));
         assert!(matches!(proof.terminal, ProofTerminal::Included { .. }));
     }
 
@@ -1003,13 +1003,9 @@ mod tests {
     fn insert_then_remove_before_commit_is_a_no_op() {
         let mut store = SmtStore::default();
         store.insert(op(1), out(1));
-        let base = store.commit(0).unwrap();
+        let base = store.commit(0);
         store.insert(op(2), out(2));
         store.remove(&op(2));
-        assert_eq!(
-            store.commit(1),
-            Some(base),
-            "cancelled delta changes nothing"
-        );
+        assert_eq!(store.commit(1), base, "cancelled delta changes nothing");
     }
 }

@@ -1,20 +1,20 @@
-//! The pluggable state-store layer behind [`crate::utxo::UtxoSet`].
+//! The state store behind [`crate::utxo::UtxoSet`].
 //!
 //! The paper's authentication function `V` only needs point lookups, so the
 //! seed stored each shard's UTXOs in a flat [`FxHashMap`]. That answers
 //! `get` in O(1) but can neither prove membership to a light client nor
-//! publish a state commitment. This module splits the storage decision out
-//! behind the [`StateStore`] trait with two backends:
+//! publish a state commitment. [`Store`] keeps that map as the default and
+//! adds one alternative:
 //!
-//! * [`MapStore`] — the flat map, still the default: zero behavioural change
-//!   and byte-identical goldens for every pre-existing scenario;
-//! * [`crate::smt::SmtStore`] — a compressed sparse Merkle tree updated in
-//!   place by per-round batch commits, with one root digest kept per round
-//!   and inclusion/exclusion proofs against the latest, at the cost of
-//!   hashing each round's delta.
+//! * [`Store::Map`] — the flat map: no authentication, and byte-identical
+//!   goldens for every pre-existing scenario;
+//! * [`Store::Smt`] — [`crate::smt::SmtStore`], the same live map plus a
+//!   compressed sparse Merkle tree updated in place by per-round batch
+//!   commits, with one root digest kept per round and inclusion/exclusion
+//!   proofs against the latest, at the cost of hashing each round's delta.
 //!
-//! Both backends sit behind the [`Store`] enum so the per-input lookup hot
-//! path stays statically dispatched (one predictable branch, no vtable).
+//! Lookups read the one live map either way; only writes and the tree
+//! queries branch on the variant.
 
 use cycledger_crypto::fxhash::{FxBuildHasher, FxHashMap};
 use cycledger_crypto::sha256::Digest;
@@ -52,157 +52,69 @@ impl StateBackend {
     }
 }
 
-/// The operations a UTXO state store must support.
+/// The UTXO entries of one shard on the chosen backend.
 ///
-/// `insert`/`remove` are the write path (block application); `commit` seals
-/// one round's batch of writes into the state root recorded for that round —
-/// a no-op returning `None` for unauthenticated backends. Proof queries
-/// answer against the *latest committed* tree, never the uncommitted batch
-/// and never an earlier round's: of history a store keeps root digests only.
-pub trait StateStore {
-    /// Point lookup (the `V` hot path).
-    fn get(&self, outpoint: &OutPoint) -> Option<&TxOutput>;
-    /// Inserts or replaces an entry, returning the previous value if any.
-    fn insert(&mut self, outpoint: OutPoint, output: TxOutput) -> Option<TxOutput>;
-    /// Removes an entry, returning it if it existed.
-    fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOutput>;
-    /// Number of live entries.
-    fn len(&self) -> usize;
-    /// True when no entries are held.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-    /// Calls `f` on every live entry (iteration order unspecified).
-    fn for_each(&self, f: &mut dyn FnMut(&OutPoint, &TxOutput));
-    /// Seals the writes since the previous commit into the tree and records
-    /// the resulting root digest for `round`; returns the root, or `None`
-    /// for backends without authentication.
-    fn commit(&mut self, round: u64) -> Option<Digest>;
-    /// The most recently committed state root, if the backend has one.
-    fn state_root(&self) -> Option<Digest>;
-    /// The root committed at the latest round `<= round`, if any.
-    fn root_at_round(&self, round: u64) -> Option<Digest>;
-    /// An inclusion/exclusion proof for `outpoint` against the latest
-    /// committed root (`None` for backends without authentication).
-    fn prove(&self, outpoint: &OutPoint) -> Option<StateProof>;
-}
-
-/// The flat-map backend: the seed's `FxHashMap`, unchanged semantics.
-///
-/// Outpoints are SHA-256 digests the protocol itself admitted (not
-/// attacker-chosen map keys), so the SipHash DoS defence of the std hasher
-/// buys nothing on this per-input-lookup hot path.
-#[derive(Clone, Debug, Default)]
-pub struct MapStore {
-    entries: FxHashMap<OutPoint, TxOutput>,
-}
-
-impl MapStore {
-    /// An empty store pre-sized for `capacity` entries.
-    pub fn with_capacity(capacity: usize) -> MapStore {
-        MapStore {
-            entries: FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default()),
-        }
-    }
-}
-
-impl StateStore for MapStore {
-    fn get(&self, outpoint: &OutPoint) -> Option<&TxOutput> {
-        self.entries.get(outpoint)
-    }
-
-    fn insert(&mut self, outpoint: OutPoint, output: TxOutput) -> Option<TxOutput> {
-        self.entries.insert(outpoint, output)
-    }
-
-    fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOutput> {
-        self.entries.remove(outpoint)
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn for_each(&self, f: &mut dyn FnMut(&OutPoint, &TxOutput)) {
-        for (outpoint, output) in &self.entries {
-            f(outpoint, output);
-        }
-    }
-
-    fn commit(&mut self, _round: u64) -> Option<Digest> {
-        None
-    }
-
-    fn state_root(&self) -> Option<Digest> {
-        None
-    }
-
-    fn root_at_round(&self, _round: u64) -> Option<Digest> {
-        None
-    }
-
-    fn prove(&self, _outpoint: &OutPoint) -> Option<StateProof> {
-        None
-    }
-}
-
-/// Static-dispatch holder of the chosen backend; forwards the
-/// [`StateStore`] surface with a single match instead of a vtable call.
+/// Both variants hold the live entries in one [`FxHashMap`] — the map
+/// itself, or the SMT's [`SmtStore::live`] — so lookups, `len` and
+/// iteration read [`Store::live`] whichever backend runs, and both make
+/// identical `V` decisions. Outpoints are SHA-256 digests the protocol
+/// itself admitted (not attacker-chosen map keys), so the SipHash DoS
+/// defence of the std hasher buys nothing on this per-input-lookup hot
+/// path. The tree methods answer `None` on the map: proof queries answer
+/// against the *latest committed* tree, never the uncommitted batch and
+/// never an earlier round's — of history a store keeps root digests only.
 #[derive(Clone, Debug)]
 pub enum Store {
     /// Flat-map backend.
-    Map(MapStore),
+    Map(FxHashMap<OutPoint, TxOutput>),
     /// Sparse-Merkle backend.
     Smt(SmtStore),
 }
 
 impl Store {
-    /// Builds an empty store of the given backend, pre-sized where the
-    /// backend supports it.
+    /// Builds an empty store of the given backend, its live map pre-sized
+    /// for `capacity` entries.
     pub fn with_capacity(backend: StateBackend, capacity: usize) -> Store {
         match backend {
-            StateBackend::Map => Store::Map(MapStore::with_capacity(capacity)),
+            StateBackend::Map => Store::Map(FxHashMap::with_capacity_and_hasher(
+                capacity,
+                FxBuildHasher::default(),
+            )),
             StateBackend::Smt => Store::Smt(SmtStore::with_capacity(capacity)),
         }
     }
 
-    /// Which backend this store is.
-    pub fn backend(&self) -> StateBackend {
+    /// The live entries (committed and pending alike).
+    #[inline]
+    pub fn live(&self) -> &FxHashMap<OutPoint, TxOutput> {
         match self {
-            Store::Map(_) => StateBackend::Map,
-            Store::Smt(_) => StateBackend::Smt,
+            Store::Map(map) => map,
+            Store::Smt(smt) => smt.live(),
         }
     }
 
-    fn as_store(&self) -> &dyn StateStore {
-        match self {
-            Store::Map(s) => s,
-            Store::Smt(s) => s,
-        }
-    }
-
-    fn as_store_mut(&mut self) -> &mut dyn StateStore {
-        match self {
-            Store::Map(s) => s,
-            Store::Smt(s) => s,
-        }
-    }
-
-    /// Point lookup (statically dispatched on the hot path).
+    /// Point lookup (the `V` hot path).
     #[inline]
     pub fn get(&self, outpoint: &OutPoint) -> Option<&TxOutput> {
-        match self {
-            Store::Map(s) => s.get(outpoint),
-            Store::Smt(s) => s.get(outpoint),
-        }
+        self.live().get(outpoint)
+    }
+
+    /// Number of live entries.
+    pub fn len(&self) -> usize {
+        self.live().len()
+    }
+
+    /// True when no entries are held.
+    pub fn is_empty(&self) -> bool {
+        self.live().is_empty()
     }
 
     /// Inserts or replaces an entry, returning the previous value if any.
     #[inline]
     pub fn insert(&mut self, outpoint: OutPoint, output: TxOutput) -> Option<TxOutput> {
         match self {
-            Store::Map(s) => s.insert(outpoint, output),
-            Store::Smt(s) => s.insert(outpoint, output),
+            Store::Map(map) => map.insert(outpoint, output),
+            Store::Smt(smt) => smt.insert(outpoint, output),
         }
     }
 
@@ -210,51 +122,57 @@ impl Store {
     #[inline]
     pub fn remove(&mut self, outpoint: &OutPoint) -> Option<TxOutput> {
         match self {
-            Store::Map(s) => s.remove(outpoint),
-            Store::Smt(s) => s.remove(outpoint),
+            Store::Map(map) => map.remove(outpoint),
+            Store::Smt(smt) => smt.remove(outpoint),
         }
     }
 
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.as_store().len()
+    fn smt(&self) -> Option<&SmtStore> {
+        match self {
+            Store::Map(_) => None,
+            Store::Smt(smt) => Some(smt),
+        }
     }
 
-    /// True when no entries are held.
-    pub fn is_empty(&self) -> bool {
-        self.as_store().is_empty()
+    fn smt_mut(&mut self) -> Option<&mut SmtStore> {
+        match self {
+            Store::Map(_) => None,
+            Store::Smt(smt) => Some(smt),
+        }
     }
 
-    /// Calls `f` on every live entry (iteration order unspecified).
-    pub fn for_each(&self, f: &mut dyn FnMut(&OutPoint, &TxOutput)) {
-        self.as_store().for_each(f)
-    }
-
-    /// Seals the writes since the previous commit for `round`.
+    /// Seals the writes since the previous commit into the tree and records
+    /// the resulting root digest for `round`.
     pub fn commit(&mut self, round: u64) -> Option<Digest> {
-        self.as_store_mut().commit(round)
+        self.smt_mut().map(|smt| smt.commit(round))
     }
 
-    /// The most recently committed state root, if any.
+    /// Folds the writes so far into the tree without recording a round —
+    /// genesis, so round 0's root already has the genesis UTXOs as its base.
+    pub fn commit_genesis(&mut self) -> Option<Digest> {
+        self.smt_mut().map(SmtStore::commit_genesis)
+    }
+
+    /// The most recently committed state root.
     pub fn state_root(&self) -> Option<Digest> {
-        self.as_store().state_root()
+        self.smt().map(SmtStore::state_root)
     }
 
     /// The root committed at the latest round `<= round`, if any.
     pub fn root_at_round(&self, round: u64) -> Option<Digest> {
-        self.as_store().root_at_round(round)
+        self.smt()?.root_at_round(round)
     }
 
-    /// A proof for `outpoint` against the latest committed root, if the
-    /// backend is authenticated.
+    /// An inclusion/exclusion proof for `outpoint` against the latest
+    /// committed root.
     pub fn prove(&self, outpoint: &OutPoint) -> Option<StateProof> {
-        self.as_store().prove(outpoint)
+        Some(self.smt()?.prove(outpoint))
     }
 }
 
 impl Default for Store {
     fn default() -> Store {
-        Store::Map(MapStore::default())
+        Store::Map(FxHashMap::default())
     }
 }
 
@@ -290,11 +208,11 @@ mod tests {
     #[test]
     fn map_store_has_no_authentication_surface() {
         let mut store = Store::with_capacity(StateBackend::Map, 4);
-        assert_eq!(store.backend(), StateBackend::Map);
         assert!(store.insert(op(1), out(1, 10)).is_none());
         assert_eq!(store.insert(op(1), out(1, 20)), Some(out(1, 10)));
         assert_eq!(store.len(), 1);
         assert_eq!(store.commit(0), None);
+        assert_eq!(store.commit_genesis(), None);
         assert_eq!(store.state_root(), None);
         assert_eq!(store.root_at_round(0), None);
         assert!(store.prove(&op(1)).is_none());
@@ -303,13 +221,17 @@ mod tests {
     }
 
     #[test]
-    fn for_each_visits_every_entry() {
-        let mut store = Store::with_capacity(StateBackend::Map, 4);
-        for n in 0..8 {
-            store.insert(op(n), out(n, n + 1));
+    fn both_backends_read_one_live_map() {
+        for backend in [StateBackend::Map, StateBackend::Smt] {
+            let mut store = Store::with_capacity(backend, 4);
+            for n in 0..8 {
+                store.insert(op(n), out(n, n + 1));
+            }
+            store.remove(&op(0));
+            let total: u64 = store.live().values().map(|o| o.amount).sum();
+            assert_eq!(total, (2..=8).sum::<u64>(), "{backend:?}");
+            assert_eq!(store.get(&op(3)), Some(&out(3, 4)));
+            assert_eq!(store.len(), 7);
         }
-        let mut total = 0u64;
-        store.for_each(&mut |_, o| total += o.amount);
-        assert_eq!(total, (1..=8).sum::<u64>());
     }
 }

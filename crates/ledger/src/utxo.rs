@@ -39,10 +39,7 @@ pub enum ValidationError {
 
 /// The UTXO set of a single shard.
 ///
-/// Entries live behind the pluggable [`Store`]: by default the seed's flat
-/// [`FxHashMap`] (outpoints are SHA-256 digests the protocol itself
-/// admitted, not attacker-chosen map keys, so the SipHash DoS defence of
-/// the std hasher buys nothing on this per-input-lookup hot path), or the
+/// Entries live in a [`Store`]: by default the seed's flat map, or the
 /// authenticated sparse-Merkle backend when the simulation asks for state
 /// roots. Nothing protocol-visible iterates the store unordered —
 /// [`UtxoSet::sorted_outpoints`] sorts first.
@@ -109,11 +106,6 @@ impl UtxoSet {
         self.shard
     }
 
-    /// Which state backend this set runs on.
-    pub fn backend(&self) -> StateBackend {
-        self.store.backend()
-    }
-
     /// Number of UTXOs held.
     pub fn len(&self) -> usize {
         self.store.len()
@@ -127,15 +119,11 @@ impl UtxoSet {
     /// Total value held by this shard — O(1), maintained on every
     /// credit/spend.
     pub fn total_value(&self) -> u64 {
-        #[cfg(debug_assertions)]
-        {
-            let mut scanned = 0u64;
-            self.store.for_each(&mut |_, o| scanned += o.amount);
-            debug_assert_eq!(
-                scanned, self.total,
-                "maintained total_value diverged from the full scan"
-            );
-        }
+        debug_assert_eq!(
+            self.store.live().values().map(|o| o.amount).sum::<u64>(),
+            self.total,
+            "maintained total_value diverged from the full scan"
+        );
         self.total
     }
 
@@ -167,10 +155,7 @@ impl UtxoSet {
     /// Folds genesis credits into the authenticated tree without recording a
     /// round version (no-op on the flat map).
     pub fn commit_genesis(&mut self) -> Option<Digest> {
-        match &mut self.store {
-            Store::Map(_) => None,
-            Store::Smt(smt) => Some(smt.commit_genesis()),
-        }
+        self.store.commit_genesis()
     }
 
     /// The most recently committed state root, if the backend has one.
@@ -196,22 +181,9 @@ impl UtxoSet {
     /// Structural checks (double-spend-within-tx, value conservation, non-empty
     /// outputs) are performed by every shard since they need no state.
     pub fn validate(&self, tx: &Transaction) -> Result<(), ValidationError> {
-        validate_structural(tx)?;
-        // Stateful: inputs owned by this shard must exist and match.
-        for input in tx.inputs() {
-            if input.owner.shard(self.num_shards) != self.shard {
-                continue;
-            }
-            match self.store.get(&input.outpoint) {
-                None => return Err(ValidationError::MissingInput),
-                Some(existing) => {
-                    if existing.owner != input.owner || existing.amount != input.amount {
-                        return Err(ValidationError::InputMismatch);
-                    }
-                }
-            }
-        }
-        Ok(())
+        validate_for_shard(tx, self.num_shards, self.shard, |outpoint| {
+            self.store.get(outpoint)
+        })
     }
 
     /// Applies a validated transaction: removes the inputs this shard owns and
@@ -254,8 +226,7 @@ impl UtxoSet {
     /// validate/apply traffic.
     pub fn sorted_outpoints(&self) -> Vec<OutPoint> {
         self.sorted_queries.fetch_add(1, Ordering::Relaxed);
-        let mut keys: Vec<OutPoint> = Vec::with_capacity(self.store.len());
-        self.store.for_each(&mut |outpoint, _| keys.push(*outpoint));
+        let mut keys: Vec<OutPoint> = self.store.live().keys().copied().collect();
         keys.sort();
         keys
     }
@@ -267,11 +238,18 @@ impl UtxoSet {
     }
 }
 
-/// The state-free parts of the authentication function `V`: non-empty
-/// outputs, no duplicate inputs, conservation of value. Shared by the
-/// per-shard [`UtxoSet::validate`] and the overlay validation used during
-/// block assembly.
-fn validate_structural(tx: &Transaction) -> Result<(), ValidationError> {
+/// The authentication function `V` as shard `shard` of `num_shards` runs it,
+/// with `lookup` resolving an outpoint in that shard's state: the state-free
+/// checks (non-empty outputs, no duplicate inputs, conservation of value),
+/// then every input the shard owns must resolve to exactly the output it
+/// claims. Shared by the per-shard [`UtxoSet::validate`] and the overlay
+/// validation used during block assembly; only the lookup differs.
+fn validate_for_shard<'a>(
+    tx: &Transaction,
+    num_shards: usize,
+    shard: usize,
+    lookup: impl Fn(&OutPoint) -> Option<&'a TxOutput>,
+) -> Result<(), ValidationError> {
     if tx.outputs().is_empty() {
         return Err(ValidationError::Empty);
     }
@@ -287,6 +265,18 @@ fn validate_structural(tx: &Transaction) -> Result<(), ValidationError> {
     // checks pin the claims to the actual UTXO sets.
     if !tx.is_genesis() && tx.output_sum() > tx.input_sum() {
         return Err(ValidationError::ValueCreated);
+    }
+    for input in inputs {
+        if input.owner.shard(num_shards) != shard {
+            continue;
+        }
+        match lookup(&input.outpoint) {
+            None => return Err(ValidationError::MissingInput),
+            Some(existing) if existing.owner != input.owner || existing.amount != input.amount => {
+                return Err(ValidationError::InputMismatch)
+            }
+            Some(_) => {}
+        }
     }
     Ok(())
 }
@@ -353,9 +343,10 @@ impl UtxoOverlay {
         base: &[UtxoSet],
     ) -> Result<(), ValidationError> {
         let m = base.len();
+        let check = |shard| validate_for_shard(tx, m, shard, |op| self.lookup(base, shard, op));
         let input_shards = tx.input_shards(m);
         for &shard in &input_shards {
-            self.validate_for_shard(tx, base, shard)?;
+            check(shard)?;
         }
         if !tx.is_genesis() && tx.inputs().is_empty() {
             return Err(ValidationError::Empty);
@@ -363,31 +354,7 @@ impl UtxoOverlay {
         if input_shards.is_empty() && !base.is_empty() {
             // Covers genesis transactions: run the structural checks once,
             // exactly as `validate_across_shards` does via the first shard.
-            self.validate_for_shard(tx, base, base[0].shard())?;
-        }
-        Ok(())
-    }
-
-    fn validate_for_shard(
-        &self,
-        tx: &Transaction,
-        base: &[UtxoSet],
-        shard: usize,
-    ) -> Result<(), ValidationError> {
-        validate_structural(tx)?;
-        let m = base.len();
-        for input in tx.inputs() {
-            if input.owner.shard(m) != shard {
-                continue;
-            }
-            match self.lookup(base, shard, &input.outpoint) {
-                None => return Err(ValidationError::MissingInput),
-                Some(existing) => {
-                    if existing.owner != input.owner || existing.amount != input.amount {
-                        return Err(ValidationError::InputMismatch);
-                    }
-                }
-            }
+            check(base[0].shard())?;
         }
         Ok(())
     }
@@ -677,7 +644,7 @@ mod tests {
     mod differential {
         use super::*;
         use crate::smt::SmtStore;
-        use crate::store::{StateBackend, StateStore};
+        use crate::store::StateBackend;
         use proptest::prelude::*;
 
         /// Applies one genesis-style credit to every set of both fleets.
@@ -784,7 +751,7 @@ mod tests {
                     }
                     let fwd_root = fwd.commit(0);
                     prop_assert_eq!(fwd_root, rev.commit(0));
-                    prop_assert_eq!(fwd_root, ss.state_root());
+                    prop_assert_eq!(Some(fwd_root), ss.state_root());
                 }
             }
         }
@@ -792,10 +759,27 @@ mod tests {
 
     #[test]
     fn overlay_matches_cloned_working_sets() {
-        // The overlay must make exactly the accept/reject decisions the old
-        // clone-and-apply working copy made, over a mix of valid spends,
-        // double submissions and chained spends.
-        let (shards, created) = setup(3, 30);
+        // The overlay must reach exactly the verdicts — accept, or reject for
+        // the same reason — that the clone-and-apply working copy reaches,
+        // over valid spends, double submissions, chained spends and one
+        // candidate per way `V` can fail.
+        let m = 3;
+        let (shards, created) = setup(m, 30);
+        let input = |(outpoint, output): (OutPoint, TxOutput)| TxInput {
+            outpoint,
+            owner: output.owner,
+            amount: output.amount,
+        };
+        let pay = |to: u64, amount: u64| TxOutput {
+            owner: AccountId(to),
+            amount,
+        };
+        let account = |same_shard: bool, of: AccountId| {
+            (0..200u64)
+                .map(AccountId)
+                .find(|a| *a != of && (a.shard(m) == of.shard(m)) == same_shard)
+                .unwrap()
+        };
         let mut candidates: Vec<Transaction> = Vec::new();
         for (i, from) in created.iter().enumerate().take(12) {
             let tx = spend(*from, AccountId((i as u64 + 7) % 30), 40);
@@ -805,48 +789,92 @@ mod tests {
             }
             candidates.push(tx);
         }
-        // A chained spend: consume an output created by an earlier candidate.
-        let parent = &candidates[0];
-        let parent_out = parent.created_utxos()[0];
+        // Chained spends of an output an earlier candidate created: claiming
+        // the wrong amount; claiming an owner of another shard, which does
+        // not hold the output (it went to its real owner's shard); valid.
+        let child = candidates[0].created_utxos()[0];
+        let (owner, amount) = (child.1.owner, child.1.amount);
+        let wrong_amount = TxInput {
+            amount: amount + 1,
+            ..input(child)
+        };
+        let foreign_owner = TxInput {
+            owner: account(false, owner),
+            ..input(child)
+        };
         candidates.push(Transaction::new(
-            vec![TxInput {
-                outpoint: parent_out.0,
-                owner: parent_out.1.owner,
-                amount: parent_out.1.amount,
-            }],
-            vec![TxOutput {
-                owner: AccountId(2),
-                amount: parent_out.1.amount.saturating_sub(1),
-            }],
-            999,
+            vec![wrong_amount],
+            vec![pay(2, amount)],
+            900,
         ));
+        candidates.push(Transaction::new(
+            vec![foreign_owner],
+            vec![pay(2, amount)],
+            901,
+        ));
+        candidates.push(Transaction::new(
+            vec![input(child)],
+            vec![pay(2, amount - 1)],
+            902,
+        ));
+        // Genesis UTXOs no candidate touched yet: the wrong owner of the
+        // right shard, value created, one input spent twice, no outputs, and
+        // an owner of another shard.
+        let claim_owner = |n: usize, same_shard: bool| TxInput {
+            owner: account(same_shard, created[n].1.owner),
+            ..input(created[n])
+        };
+        let (a, b, c, d) = (
+            input(created[21]),
+            input(created[22]),
+            input(created[23]),
+            claim_owner(24, false),
+        );
+        candidates.push(Transaction::new(
+            vec![claim_owner(20, true)],
+            vec![pay(3, 50)],
+            903,
+        ));
+        candidates.push(Transaction::new(vec![a], vec![pay(3, 101)], 904));
+        candidates.push(Transaction::new(vec![b, b], vec![pay(3, 150)], 905));
+        candidates.push(Transaction::new(vec![c], vec![], 906));
+        candidates.push(Transaction::new(vec![d], vec![pay(3, 50)], 907));
 
         // Reference: clone the sets and apply incrementally (the seed's way).
         let mut working: Vec<UtxoSet> = shards.to_vec();
         let mut expected = Vec::new();
         for tx in &candidates {
-            let ok = validate_across_shards(tx, &working).is_ok();
-            if ok {
+            let verdict = validate_across_shards(tx, &working);
+            if verdict.is_ok() {
                 for set in working.iter_mut() {
                     set.apply(tx);
                 }
             }
-            expected.push(ok);
+            expected.push(verdict);
+        }
+        use ValidationError::*;
+        let reasons = [
+            MissingInput,
+            InputMismatch,
+            ValueCreated,
+            DoubleSpendWithinTx,
+            Empty,
+        ];
+        for want in reasons.map(Err).into_iter().chain([Ok(())]) {
+            assert!(expected.contains(&want), "no candidate yields {want:?}");
         }
 
-        // Overlay: same decisions, no cloned sets.
+        // Overlay: same verdicts, no cloned sets.
         let mut overlay = UtxoOverlay::new();
-        for (tx, &want) in candidates.iter().zip(&expected) {
-            let got = overlay.validate_across(tx, &shards).is_ok();
-            assert_eq!(got, want, "overlay decision diverged for {:?}", tx.id());
-            if got {
+        for (tx, want) in candidates.iter().zip(&expected) {
+            let got = overlay.validate_across(tx, &shards);
+            assert_eq!(&got, want, "overlay verdict diverged for {:?}", tx.id());
+            if got.is_ok() {
                 overlay.apply(tx);
             }
         }
         assert!(!overlay.is_empty());
         overlay.clear();
         assert!(overlay.is_empty());
-        assert!(expected.iter().any(|&b| b));
-        assert!(expected.iter().any(|&b| !b));
     }
 }

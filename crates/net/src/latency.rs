@@ -99,11 +99,6 @@ impl LatencySampler {
         LatencySampler { config, seed }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &LatencyConfig {
-        &self.config
-    }
-
     /// The seed all samples derive from (shared with the fault model so one
     /// network seed fixes latency, loss and jitter together).
     pub fn seed(&self) -> u64 {
@@ -114,8 +109,7 @@ impl LatencySampler {
     /// over a link of class `class`.
     ///
     /// Honest traffic is uniform in `[bound/4, bound]`; the lower clamp models a
-    /// nonzero propagation floor. `adversarial_delay` returns the full bound,
-    /// which is what a network adversary does to slow honest nodes down.
+    /// nonzero propagation floor.
     pub fn sample(&self, class: LinkClass, from: NodeId, to: NodeId, seq: u64) -> SimDuration {
         let bound = self.config.bound(class).as_micros().max(1);
         let floor = (bound / 4).max(1);
@@ -123,11 +117,6 @@ impl LatencySampler {
         let mut drbg = link_draw("cycledger/latency", self.seed, from, to, seq);
         let span = bound - floor + 1;
         SimDuration::from_micros(floor + drbg.next_below(span))
-    }
-
-    /// Worst-case delay for a class: the synchrony bound itself.
-    pub fn adversarial_delay(&self, class: LinkClass) -> SimDuration {
-        self.config.bound(class)
     }
 }
 
@@ -213,7 +202,7 @@ mod tests {
                 LinkClass::PartiallySynchronous,
             ] {
                 let d = sampler.sample(class, NodeId(1), NodeId(2), seq);
-                let bound = sampler.config().bound(class);
+                let bound = LatencyConfig::default().bound(class);
                 assert!(d <= bound, "{class:?}: {d:?} > {bound:?}");
                 assert!(d.as_micros() >= bound.as_micros() / 4);
             }
@@ -240,15 +229,6 @@ mod tests {
             distinct.insert(sampler.sample(LinkClass::KeyMemberMesh, NodeId(0), NodeId(1), seq));
         }
         assert!(distinct.len() > 10, "latency should not be constant");
-    }
-
-    #[test]
-    fn adversarial_delay_is_the_bound() {
-        let sampler = LatencySampler::new(LatencyConfig::default(), 1);
-        assert_eq!(
-            sampler.adversarial_delay(LinkClass::IntraCommittee),
-            sampler.config().delta
-        );
     }
 
     #[test]

@@ -406,11 +406,6 @@ impl<M> SimNetwork<M> {
     pub fn into_metrics(self) -> MetricsSink {
         self.metrics
     }
-
-    /// The latency configuration in use.
-    pub fn latency_config(&self) -> &LatencyConfig {
-        self.sampler.config()
-    }
 }
 
 #[cfg(test)]
@@ -445,7 +440,7 @@ mod tests {
         net.send(NodeId(0), NodeId(1), LinkClass::IntraCommittee, 1, 8);
         let env = net.deliver_next().unwrap();
         let delay = env.delivered_at.since(env.sent_at);
-        assert!(delay <= net.latency_config().delta);
+        assert!(delay <= LatencyConfig::default().delta);
     }
 
     #[test]
@@ -628,7 +623,7 @@ mod tests {
         // Untargeted traffic still respects the bound.
         net.send(NodeId(3), NodeId(4), LinkClass::IntraCommittee, 1, 8);
         let env = net.deliver_next().unwrap();
-        assert!(env.delivered_at.since(env.sent_at) <= net.latency_config().delta);
+        assert!(env.delivered_at.since(env.sent_at) <= LatencyConfig::default().delta);
     }
 
     #[test]

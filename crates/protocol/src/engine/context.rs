@@ -77,14 +77,12 @@ pub struct RoundContext<'a> {
     /// The round's books: every task's, folded in committee order, plus what
     /// the phases account on the driver thread.
     pub books: Books,
-    /// Leaders evicted so far: `(committee, old leader)`.
-    pub evicted: Vec<(usize, NodeId)>,
     /// Signed witnesses produced so far.
     pub witnesses: usize,
     /// Every recovery attempted so far, in attempt order (the invariant
     /// observation log surfaced through [`RoundReport::recovery_log`]; the
-    /// report's skipped-recovery count is derived from it, so the log is the
-    /// single source of truth).
+    /// report's evicted leaders and skipped-recovery count are derived from
+    /// it, so the log is the single source of truth).
     pub recovery_log: Vec<RecoveryRecord>,
 
     /// Per-shard intra-committee transaction lists (workload split).
@@ -153,7 +151,6 @@ impl<'a> RoundContext<'a> {
                 metrics: MetricsSink::with_node_capacity(env.registry.len()),
                 counters: PlaneCounters::default(),
             },
-            evicted: Vec::new(),
             witnesses: 0,
             recovery_log: Vec::new(),
             intra_per_shard: vec![Vec::new(); committee_count],
@@ -263,10 +260,7 @@ impl<'a> RoundContext<'a> {
         );
         self.books.absorb(&books);
         let (attempt, logged) = match outcome.evicted {
-            Some(old) => {
-                self.evicted.push((k, old));
-                (RecoveryAttempt::Evicted(old), RecoveryOutcome::Evicted)
-            }
+            Some(old) => (RecoveryAttempt::Evicted(old), RecoveryOutcome::Evicted),
             None => (RecoveryAttempt::Rejected, RecoveryOutcome::Rejected),
         };
         self.recovery_log.push(RecoveryRecord {
@@ -278,6 +272,14 @@ impl<'a> RoundContext<'a> {
             outcome: logged,
         });
         attempt
+    }
+
+    /// Leaders evicted so far, `(committee, old leader)` in attempt order.
+    pub fn evicted(&self) -> impl Iterator<Item = (usize, NodeId)> + '_ {
+        self.recovery_log
+            .iter()
+            .filter(|r| r.outcome == RecoveryOutcome::Evicted)
+            .map(|r| (r.committee, r.accused))
     }
 
     /// Role groups of this round's assignment (Table II reporting).
@@ -299,6 +301,7 @@ impl<'a> RoundContext<'a> {
     /// and the [`RoundReport`] assembled from the phase artifacts.
     pub fn into_output(self) -> (Option<Block>, Option<RoundAssignment>, RoundReport) {
         let (roles, counters) = (self.role_groups(), self.books.counters);
+        let evicted_leaders = self.evicted().collect();
         let inter = self.inter.unwrap_or_default();
         let block_outcome = self.block_outcome.expect("block generation phase ran");
 
@@ -336,7 +339,7 @@ impl<'a> RoundContext<'a> {
             txs_packed,
             txs_packed_cross_shard: cross_packed,
             rejected_by_referee: block_outcome.rejected_by_referee,
-            evicted_leaders: self.evicted,
+            evicted_leaders,
             witnesses: self.witnesses,
             skipped_recoveries: self
                 .recovery_log

@@ -65,7 +65,8 @@ pub fn configuration(ctx: &mut RoundContext<'_>) {
 /// commitment-mismatch witness.
 ///
 /// Inputs: `ctx.committees`. Outputs: `ctx.witnesses`, evictions in
-/// `ctx.evicted`, mutated committees/reputation on successful impeachment.
+/// `ctx.recovery_log`, mutated committees/reputation on successful
+/// impeachment.
 pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
     let semi = run_semi_commitment_exchange(&ctx.env, &ctx.committees, &mut ctx.books);
     ctx.witnesses += semi.witnesses.len();
@@ -193,7 +194,6 @@ fn referee_check(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
         if verdict.is_err() {
             outcome.certificate = None;
             outcome.decided.clear();
-            outcome.decided_indices.clear();
         }
     }
 }
@@ -224,7 +224,7 @@ pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
         // leader — once, however many destinations it withheld from —
         // unless an earlier phase already replaced it.
         let k = report.committee;
-        if ctx.evicted.iter().any(|(ek, _)| *ek == k) {
+        if ctx.evicted().any(|(ek, _)| ek == k) {
             continue;
         }
         ctx.attempt_recovery_by(k, report.accusation(), report.reporter);
@@ -408,7 +408,7 @@ mod tests {
                 referee_check(&mut batch, &committees);
                 let (last, others) = batch.split_last().unwrap();
                 assert!(last.certificate.is_none());
-                assert!(last.decided.is_empty() && last.decided_indices.is_empty());
+                assert!(last.decided.is_empty());
                 assert!(others.iter().all(|o| o.certificate.is_some()));
             }
         }

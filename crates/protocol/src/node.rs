@@ -137,18 +137,6 @@ impl NodeRegistry {
         CommitteeKeys::new(members.iter().map(|&id| (id, self.node(id).keypair.public)))
     }
 
-    /// Fraction of honest nodes within a member set.
-    pub fn honest_fraction(&self, members: &[NodeId]) -> f64 {
-        if members.is_empty() {
-            return 1.0;
-        }
-        let honest = members
-            .iter()
-            .filter(|&&id| self.node(id).is_honest())
-            .count();
-        honest as f64 / members.len() as f64
-    }
-
     /// Overrides one node's behaviour (used by targeted fault-injection tests).
     pub fn set_behavior(&mut self, id: NodeId, behavior: Behavior) {
         self.nodes[id.index()].behavior = behavior;
@@ -314,14 +302,12 @@ mod tests {
     }
 
     #[test]
-    fn honest_fraction_and_override() {
+    fn behavior_override_counts_as_malicious() {
         let adv = AdversaryConfig::default();
         let mut reg = NodeRegistry::generate(10, &adv, 10, 0, 1);
-        assert_eq!(reg.honest_fraction(&reg.ids()), 1.0);
+        assert_eq!(reg.malicious_count(), 0);
         reg.set_behavior(NodeId(0), Behavior::WrongVoter);
         reg.set_behavior(NodeId(1), Behavior::SilentLeader);
-        assert!((reg.honest_fraction(&reg.ids()) - 0.8).abs() < 1e-12);
-        assert_eq!(reg.honest_fraction(&[]), 1.0);
         assert_eq!(reg.malicious_count(), 2);
     }
 }

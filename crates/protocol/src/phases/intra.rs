@@ -69,8 +69,6 @@ pub struct IntraOutcome {
     pub committee: usize,
     /// Transactions the committee accepted (its `TXdecSET`).
     pub decided: Vec<Transaction>,
-    /// Indices (into the offered `TXList`) of accepted transactions.
-    pub decided_indices: Vec<usize>,
     /// Every member's votes (the `V List` used for reputation scoring).
     pub vote_list: VoteList,
     /// The consensus decision vector (+1 accepted / −1 rejected).
@@ -267,7 +265,6 @@ pub fn run_intra_consensus(
         return IntraOutcome {
             committee: committee.index,
             decided: Vec::new(),
-            decided_indices: Vec::new(),
             vote_list,
             decision: vec![-1; offered.len()],
             certificate: None,
@@ -301,8 +298,8 @@ pub fn run_intra_consensus(
 
     // 3. The leader runs Algorithm 3 over the tallied decision, on the same
     //    network.
-    let decided_indices = tally.accepted_indices;
-    let decided: Vec<Transaction> = decided_indices
+    let decided: Vec<Transaction> = tally
+        .accepted_indices
         .iter()
         .map(|&i| offered[i].tx.clone())
         .collect();
@@ -346,7 +343,6 @@ pub fn run_intra_consensus(
     IntraOutcome {
         committee: committee.index,
         decided,
-        decided_indices,
         vote_list,
         decision: tally.decision,
         certificate: consensus.certificate,
@@ -465,14 +461,16 @@ mod tests {
             c.members.iter().copied().filter(|m| !key(m)).collect()
         }
 
-        /// Ground truth: indices of the valid transactions offered to `k`.
-        fn valid_indices(&self, k: usize) -> Vec<usize> {
-            let valid = self.offered[k].iter().enumerate();
-            valid
-                .filter(|(_, g)| g.kind.is_valid())
-                .map(|(i, _)| i)
-                .collect()
+        /// Ground truth: ids of the valid transactions offered to `k`, in
+        /// offer order.
+        fn valid_ids(&self, k: usize) -> Vec<TxId> {
+            let valid = self.offered[k].iter().filter(|g| g.kind.is_valid());
+            valid.map(|g| g.tx.id()).collect()
         }
+    }
+
+    fn decided_ids(outcome: &IntraOutcome) -> Vec<TxId> {
+        outcome.decided.iter().map(|tx| tx.id()).collect()
     }
 
     /// A microsecond-granular latency profile where every intra-committee leg
@@ -495,7 +493,7 @@ mod tests {
         assert!(outcome.certificate.is_some());
         assert_eq!(counters, PlaneCounters::default());
         // Ground truth: exactly the valid transactions are decided.
-        assert_eq!(outcome.decided_indices, fx.valid_indices(0));
+        assert_eq!(decided_ids(&outcome), fx.valid_ids(0));
         assert_eq!(outcome.decision.len(), fx.offered[0].len());
         assert!(
             fx.offered[0].iter().any(|g| !g.kind.is_valid()),
@@ -542,8 +540,8 @@ mod tests {
         }
         let outcome = fx.run(0, 4);
         assert_eq!(
-            outcome.decided_indices,
-            fx.valid_indices(0),
+            decided_ids(&outcome),
+            fx.valid_ids(0),
             "honest majority prevails"
         );
     }

@@ -12,8 +12,9 @@
 //!    peer, asking for up to `chunk_size` headers from its next missing
 //!    round, and arms a per-request virtual-time timer.
 //! 2. The peer answers with a [`CommitteeMessage::SyncChunk`] echoing the
-//!    request ordinal; chunks that arrive after the member rotated to a new
-//!    request are discarded by the ordinal mismatch.
+//!    request ordinal and carrying the chain's own [`HeaderSummary`] values,
+//!    which the member collects as they arrive; chunks that arrive after the
+//!    member rotated to a new request are discarded by the ordinal mismatch.
 //! 3. On timeout the member doubles its timeout (bounded) and rotates to the
 //!    next peer; `max_attempts` consecutive failures abandon the session —
 //!    the member stays `Syncing` and retries next round.
@@ -22,7 +23,7 @@
 //!    ([`Chain::verify_header_chain`]) and announces
 //!    [`CommitteeMessage::SyncDone`]; only then does it turn `Active`.
 
-use cycledger_consensus::envelope::{CommitteeMessage, SyncHeader};
+use cycledger_consensus::envelope::CommitteeMessage;
 use cycledger_crypto::sha256::Digest;
 use cycledger_ledger::block::{Chain, HeaderSummary};
 use cycledger_net::latency::{LatencyConfig, LinkClass};
@@ -37,7 +38,7 @@ const REQUEST_BYTES: u64 = 8 + 4 + 8;
 /// Wire size of a [`CommitteeMessage::SyncChunk`] before its headers
 /// (`from_round` + `request_id` + header count).
 const CHUNK_BASE_BYTES: u64 = 8 + 8 + 8;
-/// Wire size of one [`SyncHeader`] (`round` + two digests).
+/// Wire size of one [`HeaderSummary`] (`round` + two digests).
 const HEADER_BYTES: u64 = 8 + 32 + 32;
 /// Wire size of a [`CommitteeMessage::SyncDone`] (`height` + tip digest).
 const DONE_BYTES: u64 = 8 + 32;
@@ -157,15 +158,7 @@ pub fn run_state_sync(
                         }
                         // The peer's side, played by the driver: serve the
                         // requested slice of the shard chain.
-                        let headers: Vec<SyncHeader> = chain
-                            .header_summaries(from_round, max_blocks as usize)
-                            .iter()
-                            .map(|h| SyncHeader {
-                                round: h.round,
-                                prev_hash: *h.prev_hash.as_bytes(),
-                                hash: *h.hash.as_bytes(),
-                            })
-                            .collect();
+                        let headers = chain.header_summaries(from_round, max_blocks as usize);
                         let bytes = CHUNK_BASE_BYTES + HEADER_BYTES * headers.len() as u64;
                         net.send(
                             env.to,
@@ -196,11 +189,7 @@ pub fn run_state_sync(
                         {
                             continue;
                         }
-                        collected.extend(headers.iter().map(|h| HeaderSummary {
-                            round: h.round,
-                            prev_hash: Digest(h.prev_hash),
-                            hash: Digest(h.hash),
-                        }));
+                        collected.extend_from_slice(&headers);
                         net.record_storage(member, HEADER_BYTES * headers.len() as u64);
                         outcome.chunks += 1;
                         backoff = 1;
@@ -218,7 +207,7 @@ pub fn run_state_sync(
                                 LinkClass::KeyMemberMesh,
                                 CommitteeMessage::SyncDone {
                                     height,
-                                    tip: *expected_tip.as_bytes(),
+                                    tip: expected_tip,
                                 },
                                 DONE_BYTES,
                             );

@@ -193,21 +193,35 @@ impl HmacDrbg {
         u64::from_be_bytes(out)
     }
 
-    /// Returns a uniformly distributed value in `[0, bound)` using rejection sampling.
+    /// Returns a uniformly distributed value in `[0, bound)` using rejection
+    /// sampling over [`HmacDrbg::next_u64`] (see [`below`]).
     ///
     /// Panics if `bound == 0`.
     pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be positive");
-        if bound == 1 {
-            return 0;
-        }
-        // Rejection zone keeps the result unbiased.
-        let zone = u64::MAX - (u64::MAX % bound) - 1;
-        loop {
-            let v = self.next_u64();
-            if v <= zone {
-                return v % bound;
-            }
+        below(bound, || self.next_u64())
+    }
+}
+
+/// A uniformly distributed value in `[0, bound)` from a source of uniform
+/// `u64`s, by rejection sampling: values above the last whole multiple of
+/// `bound` are drawn again. `bound == 1` draws nothing.
+///
+/// This is the one definition of the stream's bounded draws: a consumer that
+/// takes a generator's `next_u64` values from elsewhere (computed ahead, on
+/// another thread) gets exactly what [`HmacDrbg::next_below`] returns.
+///
+/// Panics if `bound == 0`.
+pub fn below(bound: u64, mut next: impl FnMut() -> u64) -> u64 {
+    assert!(bound > 0, "bound must be positive");
+    if bound == 1 {
+        return 0;
+    }
+    // Rejection zone keeps the result unbiased.
+    let zone = u64::MAX - (u64::MAX % bound) - 1;
+    loop {
+        let v = next();
+        if v <= zone {
+            return v % bound;
         }
     }
 }
@@ -515,6 +529,42 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
         assert_eq!(drbg.next_below(1), 0);
+    }
+
+    /// `below` over a scripted source: the value and how many it took.
+    fn below_scripted(bound: u64, values: &[u64]) -> (u64, usize) {
+        let mut taken = 0;
+        let v = below(bound, || {
+            taken += 1;
+            values[taken - 1]
+        });
+        (v, taken)
+    }
+
+    #[test]
+    fn below_draws_again_only_above_the_zone() {
+        assert_eq!(below_scripted(1, &[]), (0, 0), "bound 1 draws nothing");
+        // A power of two: the top `bound` values are drawn again.
+        for k in [1u32, 8, 32, 63] {
+            let bound = 1u64 << k;
+            let zone = u64::MAX - bound;
+            assert_eq!(below_scripted(bound, &[zone]), (zone % bound, 1));
+            assert_eq!(
+                below_scripted(bound, &[zone + 1, 12_345]),
+                (12_345 % bound, 2)
+            );
+            assert_eq!(
+                below_scripted(bound, &[u64::MAX, u64::MAX, 3]),
+                (3 % bound, 3)
+            );
+        }
+        // Near 2^64: 2^63 + 1 leaves a zone of exactly [0, 2^63], and
+        // `u64::MAX` rejects only itself.
+        let bound = (1u64 << 63) + 1;
+        assert_eq!(below_scripted(bound, &[1 << 63]), (1 << 63, 1));
+        assert_eq!(below_scripted(bound, &[(1 << 63) + 1, 5]), (5, 2));
+        assert_eq!(below_scripted(u64::MAX, &[u64::MAX - 1]), (u64::MAX - 1, 1));
+        assert_eq!(below_scripted(u64::MAX, &[u64::MAX, 7]), (7, 2));
     }
 
     #[test]

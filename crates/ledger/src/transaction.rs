@@ -52,8 +52,11 @@ impl AccountId {
         SHARD_KEYS.with(|cache| {
             let mut cache = cache.borrow_mut();
             // Bound the memo so pathological workloads (unbounded fresh
-            // accounts) cannot grow it without limit.
-            if cache.len() > (1 << 16) {
+            // accounts) cannot grow it without limit. 2^18 entries hold the
+            // largest tracked working set (2 x 10^5 accounts); at the bound
+            // the table has 2^19 buckets of 16 bytes plus a control byte,
+            // so a routing thread keeps at most ≈ 8.5 MiB here.
+            if cache.len() > (1 << 18) {
                 cache.clear();
             }
             *cache.entry(self.0).or_insert_with(|| {
@@ -249,36 +252,71 @@ impl Transaction {
             .collect()
     }
 
+    fn input_owners(&self) -> impl Iterator<Item = AccountId> + Clone + '_ {
+        self.inputs().iter().map(|i| i.owner)
+    }
+
+    fn output_owners(&self) -> impl Iterator<Item = AccountId> + Clone + '_ {
+        self.outputs().iter().map(|o| o.owner)
+    }
+
+    /// The distinct shards holding an *input*, ascending, without
+    /// allocating — the order in which `V`'s per-shard checks run.
+    pub(crate) fn input_shard_iter(&self, m: usize) -> impl Iterator<Item = usize> + '_ {
+        ascending_shards(self.input_owners(), m)
+    }
+
     /// Shards that hold an *input* of this transaction (they must validate it).
     pub fn input_shards(&self, m: usize) -> Vec<usize> {
-        let mut shards: Vec<usize> = self.inputs().iter().map(|i| i.owner.shard(m)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+        self.input_shard_iter(m).collect()
     }
 
     /// Shards that receive an *output* of this transaction.
     pub fn output_shards(&self, m: usize) -> Vec<usize> {
-        let mut shards: Vec<usize> = self.outputs().iter().map(|o| o.owner.shard(m)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+        ascending_shards(self.output_owners(), m).collect()
     }
 
     /// All shards touched by this transaction.
     pub fn touched_shards(&self, m: usize) -> Vec<usize> {
-        let mut shards = self.input_shards(m);
-        shards.extend(self.output_shards(m));
-        shards.sort_unstable();
-        shards.dedup();
-        shards
+        ascending_shards(self.input_owners().chain(self.output_owners()), m).collect()
+    }
+
+    /// The one shard every input and output lives in, or `None` for a
+    /// cross-shard transaction; a transaction that touches no shard at all
+    /// is homed at shard 0. Allocates nothing.
+    pub fn home_shard(&self, m: usize) -> Option<usize> {
+        let mut owners = self.input_owners().chain(self.output_owners());
+        let Some(first) = owners.next() else {
+            return Some(0);
+        };
+        let home = first.shard(m);
+        owners.all(|a| a.shard(m) == home).then_some(home)
     }
 
     /// True if all inputs and outputs live in a single shard (an intra-shard
     /// transaction, handled by Algorithm 5 alone).
     pub fn is_intra_shard(&self, m: usize) -> bool {
-        self.touched_shards(m).len() <= 1
+        self.home_shard(m).is_some()
     }
+}
+
+/// The distinct shards of `owners` in ascending order, without allocating:
+/// each step is the least shard above the one before. A transaction has a
+/// handful of owners, so the rescans cost less than a sorted `Vec`.
+fn ascending_shards(
+    owners: impl Iterator<Item = AccountId> + Clone,
+    m: usize,
+) -> impl Iterator<Item = usize> {
+    let mut above: Option<usize> = None;
+    std::iter::from_fn(move || {
+        let next = owners
+            .clone()
+            .map(|a| a.shard(m))
+            .filter(|&s| above.is_none_or(|last| s > last))
+            .min()?;
+        above = Some(next);
+        Some(next)
+    })
 }
 
 #[cfg(test)]
@@ -444,6 +482,48 @@ mod tests {
         assert!(!mk(diff).is_intra_shard(m));
         assert_eq!(mk(diff).touched_shards(m).len(), 2);
         assert_eq!(mk(diff).input_shards(m), vec![a.shard(m)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The walk gives what sorting and deduplicating the owners' shards
+        /// gave, for any mix of inputs and outputs.
+        #[test]
+        fn prop_shard_walks_are_sorted_and_distinct(
+            m in 1usize..9,
+            inputs in proptest::collection::vec(0u64..500, 0..6),
+            outputs in proptest::collection::vec(0u64..500, 0..6),
+        ) {
+            let tx = Transaction::new(
+                inputs
+                    .iter()
+                    .map(|&a| TxInput {
+                        outpoint: OutPoint { tx_id: Digest::ZERO, index: a as u32 },
+                        owner: AccountId(a),
+                        amount: 1,
+                    })
+                    .collect(),
+                outputs.iter().map(|&a| TxOutput { owner: AccountId(a), amount: 1 }).collect(),
+                0,
+            );
+            let sorted = |owners: &[u64]| {
+                let mut shards: Vec<usize> = owners.iter().map(|&a| AccountId(a).shard(m)).collect();
+                shards.sort_unstable();
+                shards.dedup();
+                shards
+            };
+            let all = [inputs.clone(), outputs.clone()].concat();
+            proptest::prop_assert_eq!(tx.input_shards(m), sorted(&inputs));
+            proptest::prop_assert_eq!(tx.output_shards(m), sorted(&outputs));
+            proptest::prop_assert_eq!(tx.touched_shards(m), sorted(&all));
+            let home = match sorted(&all).as_slice() {
+                [] => Some(0),
+                [shard] => Some(*shard),
+                _ => None,
+            };
+            proptest::prop_assert_eq!(tx.home_shard(m), home);
+        }
     }
 
     #[test]

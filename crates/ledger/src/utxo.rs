@@ -344,14 +344,13 @@ impl UtxoOverlay {
     ) -> Result<(), ValidationError> {
         let m = base.len();
         let check = |shard| validate_for_shard(tx, m, shard, |op| self.lookup(base, shard, op));
-        let input_shards = tx.input_shards(m);
-        for &shard in &input_shards {
+        for shard in tx.input_shard_iter(m) {
             check(shard)?;
         }
         if !tx.is_genesis() && tx.inputs().is_empty() {
             return Err(ValidationError::Empty);
         }
-        if input_shards.is_empty() && !base.is_empty() {
+        if tx.inputs().is_empty() && !base.is_empty() {
             // Covers genesis transactions: run the structural checks once,
             // exactly as `validate_across_shards` does via the first shard.
             check(base[0].shard())?;
@@ -381,8 +380,7 @@ impl UtxoOverlay {
 /// Validates a transaction against every involved shard's UTXO set, as the
 /// referee committee conceptually does when it combines committee verdicts.
 pub fn validate_across_shards(tx: &Transaction, shards: &[UtxoSet]) -> Result<(), ValidationError> {
-    let input_shards = tx.input_shards(shards.len());
-    for &shard_idx in &input_shards {
+    for shard_idx in tx.input_shard_iter(shards.len()) {
         shards[shard_idx].validate(tx)?;
     }
     // A transaction with no inputs in any shard (non-genesis) cannot be valid.
@@ -391,7 +389,7 @@ pub fn validate_across_shards(tx: &Transaction, shards: &[UtxoSet]) -> Result<()
     }
     // Still run the structural checks at least once even if it has no inputs in
     // range (covers genesis and fully-foreign transactions).
-    if input_shards.is_empty() {
+    if tx.inputs().is_empty() {
         if let Some(first) = shards.first() {
             first.validate(tx)?;
         }

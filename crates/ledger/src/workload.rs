@@ -7,8 +7,17 @@
 //! cross-shard ratio and a configurable fraction of deliberately invalid
 //! transactions (which the committees must vote *No* on). Everything is derived
 //! from a seed so protocol runs and benchmarks are reproducible.
+//!
+//! The users are not on the round's critical path: the generator's HMAC-DRBG
+//! stream is computed ahead on a helper thread the workload owns
+//! (`DrawAhead`), and the caller only consumes the values, in stream order.
+//! Every transaction is the one a generator drawing on the caller's thread
+//! would build.
 
-use cycledger_crypto::hmac::HmacDrbg;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
+
+use cycledger_crypto::hmac::{below, HmacDrbg};
 
 use crate::store::StateBackend;
 use crate::transaction::{AccountId, OutPoint, Transaction, TxId, TxInput, TxOutput};
@@ -75,12 +84,115 @@ pub struct GeneratedTx {
     pub kind: TxKind,
 }
 
-/// One generated-but-unconfirmed transaction in the generator's view: the
-/// pool entry it consumed and the outputs it would create if it confirms.
-struct PendingTx {
-    id: TxId,
-    input: (OutPoint, TxOutput),
-    outputs: Vec<(OutPoint, TxOutput)>,
+/// Most values the helper sends in one message. A request is answered in
+/// pieces, so the workload starts on the first while the rest are drawn, and
+/// a workload dropped mid-request stops its helper within one piece (about
+/// 4 000 SHA-256 compressions).
+const PIECE: usize = 512;
+
+/// The workload's HMAC-DRBG stream, drawn ahead on a helper thread.
+///
+/// The helper owns the generator and answers a request for `n` values with
+/// the next `n` values of [`HmacDrbg::next_u64`]; the workload consumes them
+/// in the order they were drawn, so it reads the generator's stream exactly.
+/// How far ahead is measured, not fixed: [`DrawAhead::refill`] asks for as
+/// many values as were drawn since the last refill (one batch's worth), and
+/// a batch that needs more asks again and waits. A dropped workload has
+/// wasted at most one batch of draws.
+struct DrawAhead {
+    /// Requests to the helper and the pieces it sends back; `None` once
+    /// the workload is dropped.
+    channel: Option<(Sender<usize>, Receiver<Vec<u64>>)>,
+    helper: Option<JoinHandle<()>>,
+    /// The piece being consumed.
+    piece: std::vec::IntoIter<u64>,
+    /// Values requested and not yet received.
+    in_flight: usize,
+    /// Values consumed since the last refill.
+    drawn: usize,
+}
+
+impl DrawAhead {
+    fn spawn(mut drbg: HmacDrbg) -> DrawAhead {
+        let (requests, requested) = channel::<usize>();
+        let (pieces, received) = channel::<Vec<u64>>();
+        let helper = std::thread::Builder::new()
+            .name("cycledger-workload-drbg".into())
+            .spawn(move || {
+                for mut n in requested {
+                    while n > 0 {
+                        let len = n.min(PIECE);
+                        let piece = (0..len).map(|_| drbg.next_u64()).collect();
+                        if pieces.send(piece).is_err() {
+                            return; // The workload is gone.
+                        }
+                        n -= len;
+                    }
+                }
+            })
+            .expect("spawning the workload's DRBG thread");
+        DrawAhead {
+            channel: Some((requests, received)),
+            helper: Some(helper),
+            piece: Vec::new().into_iter(),
+            in_flight: 0,
+            drawn: 0,
+        }
+    }
+
+    fn channel(&self) -> &(Sender<usize>, Receiver<Vec<u64>>) {
+        self.channel.as_ref().expect("open until dropped")
+    }
+
+    fn request(&mut self, n: usize) {
+        self.channel()
+            .0
+            .send(n)
+            .expect("the workload's DRBG thread ended");
+        self.in_flight += n;
+    }
+
+    /// The next `u64` of the stream.
+    fn next_u64(&mut self) -> u64 {
+        self.drawn += 1;
+        if let Some(v) = self.piece.next() {
+            return v;
+        }
+        if self.in_flight == 0 {
+            // Demand outran the last refill: ask for as many again as have
+            // been drawn since, and wait for the first piece.
+            self.request(self.drawn.max(PIECE));
+        }
+        let piece = self
+            .channel()
+            .1
+            .recv()
+            .expect("the workload's DRBG thread ended");
+        self.in_flight -= piece.len();
+        self.piece = piece.into_iter();
+        self.piece.next().expect("a piece is never empty")
+    }
+
+    /// Tops what is buffered or on its way up to the number of values drawn
+    /// since the last refill, and starts counting again.
+    fn refill(&mut self) {
+        let ahead = self.piece.len() + self.in_flight;
+        if self.drawn > ahead {
+            self.request(self.drawn - ahead);
+        }
+        self.drawn = 0;
+    }
+}
+
+impl Drop for DrawAhead {
+    fn drop(&mut self) {
+        // Closing both channels ends the helper: an idle one leaves its
+        // request loop, a busy one fails its next send.
+        self.channel = None;
+        if let Some(helper) = self.helper.take() {
+            let _ = helper.join();
+        }
+    }
 }
 
 /// The workload generator.
@@ -96,12 +208,12 @@ pub struct Workload {
     config: WorkloadConfig,
     /// Spendable (confirmed) UTXOs per shard, from the generator's view.
     pools: Vec<Vec<(OutPoint, TxOutput)>>,
-    /// Generated-but-not-yet-confirmed transactions: the input each consumed
-    /// from the pool and the outputs it would create.
-    pending: Vec<PendingTx>,
+    /// Generated-but-not-yet-confirmed payments. Each spent exactly one
+    /// pool entry, its one input, and creates its outputs if it confirms.
+    pending: Vec<Transaction>,
     /// Accounts grouped by shard.
     accounts_by_shard: Vec<Vec<AccountId>>,
-    drbg: HmacDrbg,
+    stream: DrawAhead,
     nonce: u64,
     genesis: Vec<Transaction>,
 }
@@ -149,7 +261,10 @@ impl Workload {
             genesis.push(tx);
         }
         Workload {
-            drbg: HmacDrbg::from_parts("cycledger/workload", &[&config.seed.to_be_bytes()]),
+            stream: DrawAhead::spawn(HmacDrbg::from_parts(
+                "cycledger/workload",
+                &[&config.seed.to_be_bytes()],
+            )),
             config,
             pools,
             pending: Vec::new(),
@@ -172,12 +287,7 @@ impl Workload {
     /// whose rounds can leave transactions out — the protocol simulation,
     /// always — uses [`Workload::confirm_packed`] instead.
     pub fn confirm_pending(&mut self) {
-        let m = self.config.num_shards;
-        for tx in self.pending.drain(..) {
-            for (outpoint, output) in tx.outputs {
-                self.pools[output.owner.shard(m)].push((outpoint, output));
-            }
-        }
+        self.confirm_packed(|_| true);
     }
 
     /// Confirms exactly the pending transactions for which `packed` returns
@@ -187,23 +297,32 @@ impl Workload {
     /// outputs never existed. Keeps the generator's UTXO view consistent
     /// with the chain when partitions or timeouts keep transactions out of
     /// blocks.
-    pub fn confirm_packed(&mut self, packed: impl Fn(&crate::transaction::TxId) -> bool) {
+    pub fn confirm_packed(&mut self, packed: impl Fn(&TxId) -> bool) {
         let m = self.config.num_shards;
         for tx in self.pending.drain(..) {
-            if packed(&tx.id) {
-                for (outpoint, output) in tx.outputs {
+            let id = tx.id();
+            if packed(&id) {
+                for (index, &output) in tx.outputs().iter().enumerate() {
+                    let outpoint = OutPoint {
+                        tx_id: id,
+                        index: index as u32,
+                    };
                     self.pools[output.owner.shard(m)].push((outpoint, output));
                 }
             } else {
-                let (outpoint, output) = tx.input;
-                self.pools[output.owner.shard(m)].push((outpoint, output));
+                let input = tx.inputs()[0];
+                let output = TxOutput {
+                    owner: input.owner,
+                    amount: input.amount,
+                };
+                self.pools[input.owner.shard(m)].push((input.outpoint, output));
             }
         }
     }
 
     /// Number of outputs currently awaiting confirmation.
     pub fn pending_outputs(&self) -> usize {
-        self.pending.iter().map(|tx| tx.outputs.len()).sum()
+        self.pending.iter().map(|tx| tx.outputs().len()).sum()
     }
 
     /// The configuration in use.
@@ -244,33 +363,41 @@ impl Workload {
         self.nonce
     }
 
-    fn pick_account(&mut self, shard: usize) -> AccountId {
-        let accounts = &self.accounts_by_shard[shard];
-        accounts[self.drbg.next_below(accounts.len() as u64) as usize]
+    /// A uniform draw in `[0, bound)` from the stream.
+    fn next_below(&mut self, bound: u64) -> u64 {
+        below(bound, || self.stream.next_u64())
     }
 
+    fn pick_account(&mut self, shard: usize) -> AccountId {
+        let k = self.next_below(self.accounts_by_shard[shard].len() as u64);
+        self.accounts_by_shard[shard][k as usize]
+    }
+
+    /// One draw over the number of non-empty pools, then a walk to the
+    /// k-th of them.
     fn pick_nonempty_shard(&mut self) -> Option<usize> {
-        let nonempty: Vec<usize> = (0..self.config.num_shards)
-            .filter(|&s| !self.pools[s].is_empty())
-            .collect();
-        if nonempty.is_empty() {
+        let nonempty = self.pools.iter().filter(|p| !p.is_empty()).count();
+        if nonempty == 0 {
             return None;
         }
-        Some(nonempty[self.drbg.next_below(nonempty.len() as u64) as usize])
+        let k = self.next_below(nonempty as u64) as usize;
+        (0..self.pools.len())
+            .filter(|&s| !self.pools[s].is_empty())
+            .nth(k)
     }
 
     /// Generates one transaction, updating the generator's internal UTXO view so
     /// that later valid transactions never double-spend earlier ones.
     pub fn generate(&mut self) -> Option<GeneratedTx> {
         let roll_invalid =
-            (self.drbg.next_below(1_000_000) as f64) / 1_000_000.0 < self.config.invalid_ratio;
+            (self.next_below(1_000_000) as f64) / 1_000_000.0 < self.config.invalid_ratio;
         let roll_cross =
-            (self.drbg.next_below(1_000_000) as f64) / 1_000_000.0 < self.config.cross_shard_ratio;
+            (self.next_below(1_000_000) as f64) / 1_000_000.0 < self.config.cross_shard_ratio;
         let m = self.config.num_shards;
 
         let src_shard = self.pick_nonempty_shard()?;
         let pool_len = self.pools[src_shard].len() as u64;
-        let pick = self.drbg.next_below(pool_len) as usize;
+        let pick = self.next_below(pool_len) as usize;
         let nonce = self.next_nonce();
 
         if roll_invalid {
@@ -324,7 +451,7 @@ impl Workload {
         // most of it to the destination, returning change to the sender minus fee.
         let (outpoint, output) = self.pools[src_shard].swap_remove(pick);
         let dst_shard = if roll_cross && m > 1 {
-            let mut s = self.drbg.next_below(m as u64) as usize;
+            let mut s = self.next_below(m as u64) as usize;
             if s == src_shard {
                 s = (s + 1) % m;
             }
@@ -336,10 +463,11 @@ impl Workload {
         let fee = 1.min(output.amount.saturating_sub(1));
         let pay = (output.amount - fee) / 2 + 1;
         let change = output.amount - fee - pay;
-        let mut outputs = vec![TxOutput {
+        let mut outputs = Vec::with_capacity(2);
+        outputs.push(TxOutput {
             owner: to,
             amount: pay,
-        }];
+        });
         if change > 0 {
             outputs.push(TxOutput {
                 owner: output.owner,
@@ -358,29 +486,27 @@ impl Workload {
         // New outputs become spendable only after confirm_pending() /
         // confirm_packed() (i.e. after the block that contains this
         // transaction has been applied).
-        self.pending.push(PendingTx {
-            id: tx.id(),
-            input: (
-                outpoint,
-                TxOutput {
-                    owner: output.owner,
-                    amount: output.amount,
-                },
-            ),
-            outputs: tx.created_utxos(),
-        });
-        let kind = if dst_shard == src_shard && tx.is_intra_shard(m) {
+        self.pending.push(tx.clone());
+        let kind = if dst_shard == src_shard {
             TxKind::IntraShard
         } else {
             TxKind::CrossShard
         };
+        // The input and the change come from `src_shard`'s pool, the payee
+        // from `dst_shard`'s accounts: the kind holds by construction.
+        debug_assert_eq!(kind == TxKind::IntraShard, tx.is_intra_shard(m));
         Some(GeneratedTx { tx, kind })
     }
 
     /// Generates a batch of `count` transactions (possibly fewer if the UTXO
-    /// pools run dry, which only happens with pathological configurations).
+    /// pools run dry, which only happens with pathological configurations),
+    /// then asks the stream's helper to draw as many values ahead as the
+    /// batch took.
     pub fn generate_batch(&mut self, count: usize) -> Vec<GeneratedTx> {
-        (0..count).filter_map(|_| self.generate()).collect()
+        let mut batch = Vec::with_capacity(count);
+        batch.extend((0..count).filter_map(|_| self.generate()));
+        self.stream.refill();
+        batch
     }
 }
 
@@ -388,6 +514,7 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::utxo::validate_across_shards;
+    use proptest::prelude::*;
 
     fn config(cross: f64, invalid: f64) -> WorkloadConfig {
         WorkloadConfig {
@@ -554,6 +681,206 @@ mod tests {
             after + fees,
             "value only leaves the system as fees"
         );
+    }
+
+    /// The generator as it was before its stream was drawn ahead: one
+    /// `HmacDrbg` drawn on the calling thread, the non-empty shards collected
+    /// into a `Vec`, the kind read back off the built transaction — the
+    /// oracle the prefetched workload is held to, id for id.
+    struct Reference {
+        config: WorkloadConfig,
+        pools: Vec<Vec<(OutPoint, TxOutput)>>,
+        accounts_by_shard: Vec<Vec<AccountId>>,
+        pending: Vec<Transaction>,
+        drbg: HmacDrbg,
+        nonce: u64,
+    }
+
+    impl Reference {
+        fn new(config: WorkloadConfig) -> Reference {
+            let genesis = Workload::new(config);
+            Reference {
+                config,
+                pools: genesis.pools.clone(),
+                accounts_by_shard: genesis.accounts_by_shard.clone(),
+                pending: Vec::new(),
+                drbg: HmacDrbg::from_parts("cycledger/workload", &[&config.seed.to_be_bytes()]),
+                nonce: 0,
+            }
+        }
+
+        fn account(&mut self, shard: usize) -> AccountId {
+            let accounts = &self.accounts_by_shard[shard];
+            accounts[self.drbg.next_below(accounts.len() as u64) as usize]
+        }
+
+        fn generate(&mut self) -> Option<(TxId, TxKind)> {
+            let m = self.config.num_shards;
+            let roll = |drbg: &mut HmacDrbg, ratio| {
+                (drbg.next_below(1_000_000) as f64) / 1_000_000.0 < ratio
+            };
+            let roll_invalid = roll(&mut self.drbg, self.config.invalid_ratio);
+            let roll_cross = roll(&mut self.drbg, self.config.cross_shard_ratio);
+            let nonempty: Vec<usize> = (0..m).filter(|&s| !self.pools[s].is_empty()).collect();
+            if nonempty.is_empty() {
+                return None;
+            }
+            let src = nonempty[self.drbg.next_below(nonempty.len() as u64) as usize];
+            let pick = self.drbg.next_below(self.pools[src].len() as u64) as usize;
+            self.nonce += 1;
+            let nonce = self.nonce;
+            let spend = |outpoint, output: TxOutput| TxInput {
+                outpoint,
+                owner: output.owner,
+                amount: output.amount,
+            };
+            if roll_invalid {
+                let (outpoint, output) = self.pools[src][pick];
+                let to = self.account(src);
+                let (outpoint, amount, kind) = if nonce.is_multiple_of(2) {
+                    let ghost = OutPoint {
+                        tx_id: cycledger_crypto::sha256::hash_parts(&[
+                            b"ghost",
+                            &nonce.to_be_bytes(),
+                        ]),
+                        index: 0,
+                    };
+                    (ghost, output.amount - 1, TxKind::InvalidMissingInput)
+                } else {
+                    (outpoint, output.amount + 10, TxKind::InvalidValueCreated)
+                };
+                let paid = TxOutput { owner: to, amount };
+                let tx = Transaction::new(vec![spend(outpoint, output)], vec![paid], nonce);
+                return Some((tx.id(), kind));
+            }
+            let (outpoint, output) = self.pools[src].swap_remove(pick);
+            let dst = if roll_cross && m > 1 {
+                let s = self.drbg.next_below(m as u64) as usize;
+                if s == src {
+                    (s + 1) % m
+                } else {
+                    s
+                }
+            } else {
+                src
+            };
+            let to = self.account(dst);
+            let fee = 1.min(output.amount.saturating_sub(1));
+            let pay = (output.amount - fee) / 2 + 1;
+            let change = output.amount - fee - pay;
+            let mut outputs = vec![TxOutput {
+                owner: to,
+                amount: pay,
+            }];
+            if change > 0 {
+                outputs.push(TxOutput {
+                    owner: output.owner,
+                    amount: change,
+                });
+            }
+            let tx = Transaction::new(vec![spend(outpoint, output)], outputs, nonce);
+            let kind = if tx.touched_shards(m).len() <= 1 {
+                TxKind::IntraShard
+            } else {
+                TxKind::CrossShard
+            };
+            self.pending.push(tx.clone());
+            Some((tx.id(), kind))
+        }
+
+        fn confirm_pending(&mut self) {
+            let m = self.config.num_shards;
+            for tx in self.pending.drain(..) {
+                for (outpoint, output) in tx.created_utxos() {
+                    self.pools[output.owner.shard(m)].push((outpoint, output));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prefetched_stream_builds_what_direct_draws_build() {
+        // Batch sizes that grow past the last batch's draws (the stream asks
+        // again and waits), shrink under them (leftovers carry over), are
+        // empty, and outrun the pools (a dry pool still draws its rolls).
+        let configs = [
+            config(0.3, 0.1),
+            config(0.0, 1.0),
+            config(1.0, 0.0),
+            WorkloadConfig {
+                num_shards: 1,
+                ..config(0.5, 0.2)
+            },
+        ];
+        for config in configs {
+            let mut prefetched = Workload::new(config);
+            let mut reference = Reference::new(config);
+            for batch in 0..60usize {
+                let count = (batch * 37) % 97;
+                let got: Vec<(TxId, TxKind)> = prefetched
+                    .generate_batch(count)
+                    .iter()
+                    .map(|g| (g.tx.id(), g.kind))
+                    .collect();
+                let want: Vec<(TxId, TxKind)> =
+                    (0..count).filter_map(|_| reference.generate()).collect();
+                assert_eq!(got, want, "{config:?}, batch {batch}");
+                prefetched.confirm_pending();
+                reference.confirm_pending();
+            }
+        }
+    }
+
+    #[test]
+    fn dropping_a_workload_mid_request_returns_promptly() {
+        let mut wl = Workload::new(config(0.2, 0.1));
+        // 2^24 draws are 2^27 SHA-256 compressions, about ten seconds of
+        // work with SHA-NI; receiving the first piece proves the helper is in
+        // the middle of them. A helper that finished its request first would
+        // hold the drop for all of it; one that stops at its next piece, for
+        // under a millisecond.
+        wl.stream.request(1 << 24);
+        wl.stream.next_u64();
+        let start = std::time::Instant::now();
+        drop(wl);
+        let waited = start.elapsed();
+        assert!(
+            waited < std::time::Duration::from_secs(1),
+            "drop waited {waited:?} for the helper"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn prop_home_shard_agrees_with_touched_shards(
+            seed in 0u64..1_000,
+            shards in 1usize..6,
+            cross in 0u32..=100,
+            invalid in 0u32..=100,
+        ) {
+            let mut wl = Workload::new(WorkloadConfig {
+                num_shards: shards,
+                seed,
+                cross_shard_ratio: f64::from(cross) / 100.0,
+                invalid_ratio: f64::from(invalid) / 100.0,
+                ..config(0.0, 0.0)
+            });
+            for _ in 0..3 {
+                for gen in wl.generate_batch(40) {
+                    let touched = gen.tx.touched_shards(shards);
+                    let home = match touched.as_slice() {
+                        [] => Some(0),
+                        [shard] => Some(*shard),
+                        _ => None,
+                    };
+                    prop_assert_eq!(gen.tx.home_shard(shards), home);
+                    prop_assert_eq!(gen.kind == TxKind::CrossShard, home.is_none());
+                }
+                wl.confirm_pending();
+            }
+        }
     }
 
     #[test]

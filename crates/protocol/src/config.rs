@@ -63,7 +63,9 @@ pub struct ProtocolConfig {
     /// Worker threads of the persistent shard executor: `0` sizes the pool
     /// from the machine's available parallelism, `1` runs everything inline
     /// on the driver thread. Simulation output is byte-identical for any
-    /// value (see [`crate::engine`]'s determinism contract).
+    /// value (see [`crate::engine`]'s determinism contract). Whatever the
+    /// value, the workload's DRBG stream is drawn ahead on one thread of its
+    /// own (`cycledger_ledger::workload`), which never changes a result.
     pub worker_threads: usize,
     /// Selects no code: there is one round schedule, in which a round applies
     /// its block before it returns. Deferring that into the next round saved

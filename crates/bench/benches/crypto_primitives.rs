@@ -25,8 +25,8 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("sha256_1k", |b| b.iter(|| sha256(&data)));
 
     // A generator made, drawn from once and dropped: what every nonce,
-    // challenge and batch coefficient is — and, keyed per envelope, what the
-    // simulated network pays for each message's latency.
+    // challenge and batch coefficient is. The simulated network's latency
+    // draw beside it is one keyed SHA-256 compression per envelope.
     group.bench_function("hmac_drbg_one_shot", |b| {
         b.iter(|| HmacDrbg::from_parts("bench/one-shot", &[black_box(&data[..32])]).next_u64())
     });

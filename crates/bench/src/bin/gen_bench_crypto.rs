@@ -1,7 +1,7 @@
 //! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
 //! secp256k1 kernel layer by layer (field, point, scalar multiplication), for
-//! the primitives built on it (Schnorr, VRF) and for a one-shot HMAC-DRBG
-//! draw (alone, and as the network's latency sample) and one whole Algorithm 3
+//! the primitives built on it (Schnorr, VRF), for a one-shot HMAC-DRBG draw,
+//! the network's per-envelope latency draw and one whole Algorithm 3
 //! instance at c = 16. The set matches the `crypto_primitives` criterion
 //! bench; rounds per second are `gen_bench_round`'s.
 //!
@@ -127,8 +127,8 @@ fn main() {
         ns_per_op(|| vrf::verify(&kp.public, input, &out)),
     ));
 
-    // A generator made, drawn from once and dropped, and the same as the
-    // network pays it per envelope.
+    // A generator made, drawn from once and dropped, and the network's
+    // latency draw: one keyed compression per envelope.
     let seed = [0xabu8; 32];
     rows.push((
         "hmac_drbg_one_shot",

@@ -1063,21 +1063,23 @@ pub fn sha256_x8(messages: [&[u8]; 8]) -> [Digest; 8] {
 ///
 /// Equivalent to mapping [`sha256`] over `messages`; the lane width is chosen
 /// per chunk (8, then 4, then single) so every message is hashed exactly
-/// once with the widest batch that still fills.
-pub fn sha256_many(messages: &[&[u8]], out: &mut Vec<Digest>) {
+/// once with the widest batch that still fills. Messages may be slices or
+/// fixed-size arrays, so a caller with a buffer of equal-length preimages
+/// needs no second buffer of references to them.
+pub fn sha256_many<M: AsRef<[u8]>>(messages: &[M], out: &mut Vec<Digest>) {
     out.reserve(messages.len());
     let mut rest = messages;
     while rest.len() >= 8 {
         let (chunk, tail) = rest.split_at(8);
-        out.extend(sha256_x8(chunk.try_into().expect("8 messages")));
+        out.extend(sha256_x8(std::array::from_fn(|i| chunk[i].as_ref())));
         rest = tail;
     }
     if rest.len() >= 4 {
         let (chunk, tail) = rest.split_at(4);
-        out.extend(sha256_x4(chunk.try_into().expect("4 messages")));
+        out.extend(sha256_x4(std::array::from_fn(|i| chunk[i].as_ref())));
         rest = tail;
     }
-    out.extend(rest.iter().map(|m| sha256(m)));
+    out.extend(rest.iter().map(|m| sha256(m.as_ref())));
 }
 
 /// One-shot SHA-256 of a byte slice.
@@ -1103,6 +1105,48 @@ pub fn hash_parts(parts: &[&[u8]]) -> Digest {
 /// Domain-separated hash: `H(tag-len || tag || data)`, the protocol's random oracle.
 pub fn hash_domain(domain: &str, data: &[u8]) -> Digest {
     hash_parts(&[domain.as_bytes(), data])
+}
+
+/// SHA-256 of one fixed 64-byte key block followed by a short message, with
+/// the key block absorbed once: `KeyedHash::new(key).hash(msg)` is
+/// `sha256(key ‖ msg)`, and since the state after the key block is kept, a
+/// message of up to [`KeyedHash::MAX_MSG`] bytes — padding included, one
+/// block — costs one compression.
+///
+/// A keyed prefix, not a MAC: the simulated network draws its per-message
+/// decisions through it, and nothing secret is derived from one.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyedHash {
+    midstate: [u32; 8],
+}
+
+impl KeyedHash {
+    /// The longest message one padded block holds: `0x80` and the 8-byte bit
+    /// length take nine bytes.
+    pub const MAX_MSG: usize = BLOCK_LEN - 9;
+
+    /// Absorbs `key`: one compression.
+    pub fn new(key: &[u8; BLOCK_LEN]) -> KeyedHash {
+        let mut midstate = H0;
+        compress(&mut midstate, key);
+        KeyedHash { midstate }
+    }
+
+    /// `sha256(key ‖ msg)`: one compression.
+    ///
+    /// Panics if `msg` is longer than [`KeyedHash::MAX_MSG`].
+    #[inline]
+    pub fn hash(&self, msg: &[u8]) -> Digest {
+        assert!(msg.len() <= Self::MAX_MSG, "one padded block");
+        let mut block = [0u8; BLOCK_LEN];
+        block[..msg.len()].copy_from_slice(msg);
+        block[msg.len()] = 0x80;
+        let bit_len = 8 * (BLOCK_LEN + msg.len()) as u64;
+        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
+        let mut state = self.midstate;
+        compress(&mut state, &block);
+        Digest(state_bytes(&state))
+    }
 }
 
 #[cfg(test)]
@@ -1450,6 +1494,23 @@ mod tests {
     #[test]
     fn domain_separation() {
         assert_ne!(hash_domain("A", b"x"), hash_domain("B", b"x"));
+    }
+
+    #[test]
+    fn keyed_hash_is_sha256_of_key_then_message() {
+        let key: [u8; BLOCK_LEN] = std::array::from_fn(|i| (i * 13 + 5) as u8);
+        let keyed = KeyedHash::new(&key);
+        for len in 0..=KeyedHash::MAX_MSG {
+            let msg: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let whole: Vec<u8> = key.iter().chain(&msg).copied().collect();
+            assert_eq!(keyed.hash(&msg), sha256(&whole), "len {len}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one padded block")]
+    fn keyed_hash_rejects_a_second_block() {
+        KeyedHash::new(&[0u8; BLOCK_LEN]).hash(&[0u8; KeyedHash::MAX_MSG + 1]);
     }
 
     #[test]

@@ -124,19 +124,76 @@ struct Item {
     leaf: u32,
 }
 
-/// Internal nodes the current fold created or changed, grouped by depth so
-/// the hashing pass can go level by level (children before parents).
+/// Internal nodes the current fold created or changed, with their depths,
+/// so the hashing pass can go level by level (children before parents).
+/// Two flat buffers rather than one per level: a fold that reaches one level
+/// deeper than the last needs no new buffer.
 #[derive(Default)]
 struct Dirty {
-    by_depth: Vec<Vec<u32>>,
+    /// `(depth, node)` in the order the fold marked them.
+    marks: Vec<(u16, u32)>,
+    /// The marked nodes grouped by depth, deepest level first.
+    grouped: Vec<u32>,
 }
 
 impl Dirty {
     fn mark(&mut self, depth: usize, node: u32) {
-        if self.by_depth.len() <= depth {
-            self.by_depth.resize_with(depth + 1, Vec::new);
+        self.marks.push((depth as u16, node));
+    }
+
+    /// Groups the marks by depth — a counting sort, depths being at most
+    /// 256 — and returns where each level starts in `grouped`, indexed by
+    /// `256 - depth`; level `k` ends where level `k + 1` starts.
+    fn group(&mut self) -> [usize; 258] {
+        let mut starts = [0usize; 258];
+        for &(depth, _) in &self.marks {
+            starts[256 - depth as usize + 1] += 1;
         }
-        self.by_depth[depth].push(node);
+        for k in 1..starts.len() {
+            starts[k] += starts[k - 1];
+        }
+        let mut next = starts;
+        self.grouped.resize(self.marks.len(), 0);
+        for &(depth, node) in &self.marks {
+            let slot = &mut next[256 - depth as usize];
+            self.grouped[*slot] = node;
+            *slot += 1;
+        }
+        starts
+    }
+}
+
+/// The buffers of one fold, kept for the next: once the commits have warmed
+/// them up, a round's fold allocates nothing. A bulk fold — more deltas than
+/// half the live set, such as genesis — drops them afterwards, as `pending`
+/// sheds its genesis-sized table.
+#[derive(Default)]
+struct Scratch {
+    ops: Vec<(OutPoint, Option<TxOutput>)>,
+    key_preimages: Vec<[u8; 53]>,
+    keys: Vec<Digest>,
+    /// Indices into `ops` of the upserts.
+    upserts: Vec<usize>,
+    value_preimages: Vec<[u8; 33]>,
+    value_hashes: Vec<Digest>,
+    /// Leaf preimages, then each dirty level's internal-node preimages.
+    preimages: Vec<[u8; 65]>,
+    /// Leaf hashes, then each dirty level's internal-node hashes.
+    hashes: Vec<Digest>,
+    items: Vec<Item>,
+    dirty: Dirty,
+}
+
+/// A copy of a store starts with empty buffers of its own.
+impl Clone for Scratch {
+    fn clone(&self) -> Scratch {
+        Scratch::default()
+    }
+}
+
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Scratch").finish_non_exhaustive()
     }
 }
 
@@ -160,6 +217,9 @@ pub struct SmtStore {
     root: u32,
     /// `(round, root digest)` per committed round, ascending.
     versions: Vec<(u64, Digest)>,
+    /// The fold's buffers, kept across commits (boxed: the store is an
+    /// enum variant beside a bare map).
+    scratch: Option<Box<Scratch>>,
 }
 
 impl Default for SmtStore {
@@ -180,6 +240,7 @@ impl SmtStore {
             free_leaves: Vec::new(),
             root: EMPTY_REF,
             versions: Vec::new(),
+            scratch: None,
         }
     }
 
@@ -301,13 +362,29 @@ impl SmtStore {
 
     /// Drains `pending` into a key-sorted item batch with all leaf hashes
     /// precomputed (three `sha256_many` passes: keys, values, leaves), then
-    /// runs the structural fold and the level-ordered hash pass.
+    /// runs the structural fold and the level-ordered hash pass, all in the
+    /// buffers of `scratch`.
     fn fold_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let batch = self.pending.len();
-        let ops: Vec<(OutPoint, Option<TxOutput>)> = self.pending.drain().collect();
+        // Out of `self` for the fold, which borrows the arenas mutably.
+        let mut scratch = self.scratch.take().unwrap_or_default();
+        let Scratch {
+            ops,
+            key_preimages,
+            keys,
+            upserts,
+            value_preimages,
+            value_hashes,
+            preimages,
+            hashes,
+            items,
+            dirty,
+        } = &mut *scratch;
+        ops.clear();
+        ops.extend(self.pending.drain());
         // Draining keeps the bucket array — deliberately, so steady-state
         // rounds reuse it allocation-free — but one huge batch (genesis at
         // 10^6+ entries) must not leave every later round walking a
@@ -317,39 +394,45 @@ impl SmtStore {
         }
 
         // Pass 1: keys.
-        let key_bufs: Vec<[u8; 53]> = ops.iter().map(|(op, _)| key_preimage(op)).collect();
-        let key_refs: Vec<&[u8]> = key_bufs.iter().map(|b| b.as_slice()).collect();
-        let mut keys: Vec<Digest> = Vec::new();
-        sha256_many(&key_refs, &mut keys);
+        key_preimages.clear();
+        key_preimages.extend(ops.iter().map(|(op, _)| key_preimage(op)));
+        keys.clear();
+        sha256_many(key_preimages, keys);
 
         // Pass 2: value hashes of the upserts.
-        let upserts: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].1.is_some()).collect();
-        let val_bufs: Vec<[u8; 33]> = upserts
-            .iter()
-            .map(|&i| value_preimage(ops[i].1.as_ref().unwrap()))
-            .collect();
-        let val_refs: Vec<&[u8]> = val_bufs.iter().map(|b| b.as_slice()).collect();
-        let mut value_hashes: Vec<Digest> = Vec::new();
-        sha256_many(&val_refs, &mut value_hashes);
+        upserts.clear();
+        upserts.extend((0..ops.len()).filter(|&i| ops[i].1.is_some()));
+        value_preimages.clear();
+        value_preimages.extend(
+            upserts
+                .iter()
+                .map(|&i| value_preimage(ops[i].1.as_ref().unwrap())),
+        );
+        value_hashes.clear();
+        sha256_many(value_preimages, value_hashes);
 
         // Pass 3: leaf hashes of the upserts.
-        let mut leaf_bufs: Vec<[u8; 65]> = vec![[0u8; 65]; upserts.len()];
-        for ((buf, &i), value_hash) in leaf_bufs.iter_mut().zip(&upserts).zip(&value_hashes) {
+        preimages.clear();
+        preimages.resize(upserts.len(), [0u8; 65]);
+        for ((buf, &i), value_hash) in preimages
+            .iter_mut()
+            .zip(upserts.iter())
+            .zip(value_hashes.iter())
+        {
             fill_leaf_preimage(buf, &keys[i], value_hash);
         }
-        let leaf_refs: Vec<&[u8]> = leaf_bufs.iter().map(|b| b.as_slice()).collect();
-        let mut leaf_hashes: Vec<Digest> = Vec::new();
-        sha256_many(&leaf_refs, &mut leaf_hashes);
+        hashes.clear();
+        sha256_many(preimages, hashes);
 
         // Allocate the new leaves and assemble the batch.
-        let mut items: Vec<Item> = Vec::with_capacity(ops.len());
+        items.clear();
         let mut upsert_no = 0usize;
         for (i, (_, op)) in ops.iter().enumerate() {
             let leaf = if op.is_some() {
                 let leaf = LeafNode {
                     key: keys[i],
                     value_hash: value_hashes[upsert_no],
-                    hash: leaf_hashes[upsert_no],
+                    hash: hashes[upsert_no],
                 };
                 upsert_no += 1;
                 self.alloc_leaf(leaf)
@@ -362,9 +445,12 @@ impl SmtStore {
         // sub-slice of the fold is contiguous.
         items.sort_unstable_by_key(|a| a.key);
 
-        let mut dirty = Dirty::default();
-        (self.root, _) = self.fold(self.root, 0, &items, &mut dirty);
-        self.rehash_dirty(&dirty);
+        dirty.marks.clear();
+        (self.root, _) = self.fold(self.root, 0, items, dirty);
+        self.rehash_dirty(dirty, preimages, hashes);
+        if 2 * batch <= self.live.len() {
+            self.scratch = Some(scratch);
+        }
     }
 
     /// Stores `leaf` in a recycled slot if one is free, else in a new one.
@@ -527,13 +613,18 @@ impl SmtStore {
     }
 
     /// Hashes the fold's dirty internal nodes level by level, deepest first,
-    /// lane-batched through [`sha256_many`]. Children are final before their
-    /// parents: leaves were hashed before the fold, deeper internals in an
-    /// earlier iteration, untouched subtrees in an earlier commit.
-    fn rehash_dirty(&mut self, dirty: &Dirty) {
-        let mut bufs: Vec<[u8; 65]> = Vec::new();
-        let mut hashes: Vec<Digest> = Vec::new();
-        for level in dirty.by_depth.iter().rev() {
+    /// lane-batched through [`sha256_many`] in `bufs` and `hashes`. Children
+    /// are final before their parents: leaves were hashed before the fold,
+    /// deeper internals in an earlier iteration, untouched subtrees in an
+    /// earlier commit.
+    fn rehash_dirty(
+        &mut self,
+        dirty: &mut Dirty,
+        bufs: &mut Vec<[u8; 65]>,
+        hashes: &mut Vec<Digest>,
+    ) {
+        let starts = dirty.group();
+        for level in starts.windows(2).map(|w| &dirty.grouped[w[0]..w[1]]) {
             if level.is_empty() {
                 continue;
             }
@@ -548,10 +639,9 @@ impl SmtStore {
                 let right_hash = self.ref_hash(right);
                 fill_internal_preimage(buf, &left_hash, &right_hash);
             }
-            let refs: Vec<&[u8]> = bufs.iter().map(|b| b.as_slice()).collect();
             hashes.clear();
-            sha256_many(&refs, &mut hashes);
-            for (&node, hash) in level.iter().zip(&hashes) {
+            sha256_many(bufs, hashes);
+            for (&node, hash) in level.iter().zip(hashes.iter()) {
                 self.internals[node as usize].hash = *hash;
             }
         }

@@ -5,7 +5,10 @@
 //! Every decision the plan makes is a pure function of `(seed, src, dst,
 //! sequence number, virtual time)`, so a faulted run is exactly as
 //! reproducible as a clean one: same seed ⇒ same drops, same delays, same
-//! delivery order, independent of worker threads or wall-clock.
+//! delivery order, independent of worker threads or wall-clock. The seed
+//! enters through [`FaultDraws`]: the network keys its loss and jitter draws
+//! once, when it is built, and each sampled decision costs one SHA-256
+//! compression.
 //!
 //! The model extends the two knobs the network already had:
 //!
@@ -24,7 +27,7 @@
 
 use cycledger_crypto::opcount::{count, Op};
 
-use crate::latency::link_draw;
+use crate::latency::LinkDraws;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
 
@@ -107,6 +110,24 @@ impl CrashStop {
     /// True while the node is down at `now`.
     pub fn down_at(&self, now: SimTime) -> bool {
         now >= self.at && self.restart_at.is_none_or(|restart| now < restart)
+    }
+}
+
+/// The keyed draws behind a network's sampled faults: one `LinkDraws` for
+/// loss and one for jitter, both keyed by the network seed.
+#[derive(Clone, Copy, Debug)]
+pub struct FaultDraws {
+    loss: LinkDraws,
+    jitter: LinkDraws,
+}
+
+impl FaultDraws {
+    /// The loss and jitter draws of a network built with `seed`.
+    pub fn new(seed: u64) -> FaultDraws {
+        FaultDraws {
+            loss: LinkDraws::new("cycledger/net-loss", seed),
+            jitter: LinkDraws::new("cycledger/net-jitter", seed),
+        }
     }
 }
 
@@ -225,11 +246,18 @@ impl FaultPlan {
     }
 
     /// Deterministically decides whether send attempt number `attempt` from
-    /// `from` to `to` at `now` is lost. Pure in `(seed, from, to, attempt,
-    /// now)`. The caller must advance `attempt` for *every* send attempt —
-    /// including dropped ones — or the first sampled drop on a link would
-    /// repeat forever.
-    pub fn drops(&self, seed: u64, now: SimTime, from: NodeId, to: NodeId, attempt: u64) -> bool {
+    /// `from` to `to` at `now` is lost: Bernoulli(`drop_ppm_at(now)` / 10^6),
+    /// pure in `(draws, from, to, attempt, now)`. The caller must advance
+    /// `attempt` for *every* send attempt — including dropped ones — or the
+    /// first sampled drop on a link would repeat forever.
+    pub fn drops(
+        &self,
+        draws: &FaultDraws,
+        now: SimTime,
+        from: NodeId,
+        to: NodeId,
+        attempt: u64,
+    ) -> bool {
         let ppm = self.drop_ppm_at(now);
         if ppm == 0 {
             return false;
@@ -238,19 +266,24 @@ impl FaultPlan {
             return true;
         }
         count(Op::FaultDraw);
-        let mut drbg = link_draw("cycledger/net-loss", seed, from, to, attempt);
-        drbg.next_below(PPM as u64) < ppm as u64
+        draws.loss.below(from, to, attempt, PPM as u64) < ppm as u64
     }
 
     /// Deterministic reorder jitter for send attempt `attempt` from `from`
     /// to `to`: uniform in `[0, jitter]`.
-    pub fn jitter_for(&self, seed: u64, from: NodeId, to: NodeId, attempt: u64) -> SimDuration {
+    pub fn jitter_for(
+        &self,
+        draws: &FaultDraws,
+        from: NodeId,
+        to: NodeId,
+        attempt: u64,
+    ) -> SimDuration {
         if self.jitter == SimDuration::ZERO {
             return SimDuration::ZERO;
         }
         count(Op::FaultDraw);
-        let mut drbg = link_draw("cycledger/net-jitter", seed, from, to, attempt);
-        SimDuration::from_micros(drbg.next_below(self.jitter.as_micros() + 1))
+        let bound = self.jitter.as_micros() + 1;
+        SimDuration::from_micros(draws.jitter.below(from, to, attempt, bound))
     }
 }
 
@@ -265,9 +298,10 @@ mod tests {
         assert!(!plan.severed(SimTime(0), NodeId(0), NodeId(1)));
         assert_eq!(plan.extra_delay(NodeId(0), NodeId(1)), SimDuration::ZERO);
         assert_eq!(plan.drop_ppm_at(SimTime(0)), 0);
-        assert!(!plan.drops(1, SimTime(0), NodeId(0), NodeId(1), 0));
+        let draws = FaultDraws::new(1);
+        assert!(!plan.drops(&draws, SimTime(0), NodeId(0), NodeId(1), 0));
         assert_eq!(
-            plan.jitter_for(1, NodeId(0), NodeId(1), 0),
+            plan.jitter_for(&draws, NodeId(0), NodeId(1), 0),
             SimDuration::ZERO
         );
     }
@@ -333,7 +367,7 @@ mod tests {
         assert_eq!(plan.drop_ppm_at(SimTime(10)), PPM);
         assert_eq!(plan.drop_ppm_at(SimTime(20)), 100_000);
         // Inside a total-loss burst everything drops, deterministically.
-        assert!(plan.drops(42, SimTime(15), NodeId(0), NodeId(1), 7));
+        assert!(plan.drops(&FaultDraws::new(42), SimTime(15), NodeId(0), NodeId(1), 7));
     }
 
     #[test]
@@ -343,8 +377,9 @@ mod tests {
             ..FaultPlan::default()
         };
         let pattern = |seed: u64| -> Vec<bool> {
+            let draws = FaultDraws::new(seed);
             (0..64)
-                .map(|seq| plan.drops(seed, SimTime(0), NodeId(1), NodeId(2), seq))
+                .map(|seq| plan.drops(&draws, SimTime(0), NodeId(1), NodeId(2), seq))
                 .collect()
         };
         assert_eq!(pattern(5), pattern(5));
@@ -414,8 +449,9 @@ mod tests {
         );
         assert_eq!(plan.drop_ppm_at(SimTime(ROUND_EDGE * 3)), 0);
         // Determinism of the sampled decision at the edges.
-        assert!(plan.drops(7, SimTime(ROUND_EDGE - 1), NodeId(0), NodeId(1), 0));
-        assert!(!plan.drops(7, SimTime(ROUND_EDGE), NodeId(0), NodeId(1), 0));
+        let draws = FaultDraws::new(7);
+        assert!(plan.drops(&draws, SimTime(ROUND_EDGE - 1), NodeId(0), NodeId(1), 0));
+        assert!(!plan.drops(&draws, SimTime(ROUND_EDGE), NodeId(0), NodeId(1), 0));
     }
 
     #[test]
@@ -446,12 +482,31 @@ mod tests {
             jitter: SimDuration::from_millis(2),
             ..FaultPlan::default()
         };
+        let draws = FaultDraws::new(9);
         let mut distinct = std::collections::HashSet::new();
         for seq in 0..50 {
-            let j = plan.jitter_for(9, NodeId(0), NodeId(1), seq);
+            let j = plan.jitter_for(&draws, NodeId(0), NodeId(1), seq);
             assert!(j <= SimDuration::from_millis(2));
             distinct.insert(j);
         }
         assert!(distinct.len() > 10, "jitter should not be constant");
+    }
+
+    #[test]
+    fn jitter_spans_exactly_zero_to_its_bound() {
+        // A 100 µs bound: 101 values, so 10^5 draws reach both ends.
+        let plan = FaultPlan {
+            jitter: SimDuration::from_micros(100),
+            ..FaultPlan::default()
+        };
+        let draws = FaultDraws::new(4242);
+        let (mut lowest, mut highest) = (u64::MAX, 0);
+        for seq in 0..100_000u64 {
+            let (from, to) = (NodeId((seq % 16) as u32), NodeId((seq / 16 % 16) as u32));
+            let j = plan.jitter_for(&draws, from, to, seq).as_micros();
+            lowest = lowest.min(j);
+            highest = highest.max(j);
+        }
+        assert_eq!((lowest, highest), (0, 100));
     }
 }

@@ -11,10 +11,15 @@
 //! Latencies are sampled deterministically from a seed so simulation runs are
 //! reproducible; the adversary is allowed to push any honest message to the full
 //! bound of its class (worst-case reordering of classical BFT models).
+//!
+//! Every decision the network makes about one message — its latency here, a
+//! loss or a jitter under a [`FaultPlan`](crate::faults::FaultPlan) — is a
+//! `LinkDraws`: a SHA-256 keyed once, when the network is built, by the
+//! decision's domain and the network seed, then one compression per message.
 
-use cycledger_crypto::hmac::HmacDrbg;
+use cycledger_crypto::hmac::below;
 use cycledger_crypto::opcount::{count, Op};
-use cycledger_crypto::sha256::sha256;
+use cycledger_crypto::sha256::{KeyedHash, BLOCK_LEN};
 
 use crate::time::SimDuration;
 use crate::topology::NodeId;
@@ -90,19 +95,16 @@ impl LatencyConfig {
 #[derive(Clone, Debug)]
 pub struct LatencySampler {
     config: LatencyConfig,
-    seed: u64,
+    draws: LinkDraws,
 }
 
 impl LatencySampler {
     /// Creates a sampler with the given configuration and seed.
     pub fn new(config: LatencyConfig, seed: u64) -> Self {
-        LatencySampler { config, seed }
-    }
-
-    /// The seed all samples derive from (shared with the fault model so one
-    /// network seed fixes latency, loss and jitter together).
-    pub fn seed(&self) -> u64 {
-        self.seed
+        LatencySampler {
+            config,
+            draws: LinkDraws::new("cycledger/latency", seed),
+        }
     }
 
     /// Samples the delivery delay for the `seq`-th message from `from` to `to`
@@ -114,64 +116,69 @@ impl LatencySampler {
         let bound = self.config.bound(class).as_micros().max(1);
         let floor = (bound / 4).max(1);
         count(Op::LatencyDraw);
-        let mut drbg = link_draw("cycledger/latency", self.seed, from, to, seq);
         let span = bound - floor + 1;
-        SimDuration::from_micros(floor + drbg.next_below(span))
+        SimDuration::from_micros(floor + self.draws.below(from, to, seq, span))
     }
 }
 
-/// The generator behind one decision about the `n`-th message of a link:
-/// `HmacDrbg::from_parts(domain, &[seed, from, to, n])` (all big-endian), its
-/// length-prefixed preimage assembled on the stack and hashed in one call —
-/// every envelope pays for one of these, a lossy or jittered one for more.
-pub(crate) fn link_draw(domain: &str, seed: u64, from: NodeId, to: NodeId, n: u64) -> HmacDrbg {
-    // Five 8-byte length prefixes, 24 bytes of integers, a domain of up to 32.
-    let mut preimage = [0u8; 96];
-    let mut at = 0;
-    for part in [
-        domain.as_bytes(),
-        &seed.to_be_bytes(),
-        &from.0.to_be_bytes(),
-        &to.0.to_be_bytes(),
-        &n.to_be_bytes(),
-    ] {
-        preimage[at..at + 8].copy_from_slice(&(part.len() as u64).to_le_bytes());
-        preimage[at + 8..at + 8 + part.len()].copy_from_slice(part);
-        at += 8 + part.len();
+/// One kind of decision about the messages of a network's links — a
+/// latency, a loss, a jitter — keyed by the network seed.
+///
+/// The key block, `len(domain) ‖ domain ‖ seed` (an 8-byte little-endian
+/// length, the seed big-endian, zeros to 64 bytes), is absorbed once when
+/// the draws are built. A decision about the `n`-th message from `from` to
+/// `to` then hashes `from ‖ to ‖ n ‖ block` (big-endian, `block` = 0) in one
+/// compression, and the digest's four 64-bit words feed [`below`]'s
+/// rejection sampler; should it reject all four, `block` = 1, 2, … give more.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LinkDraws {
+    key: KeyedHash,
+}
+
+impl LinkDraws {
+    /// Absorbs the key block of `domain` (at most 48 bytes) and `seed`.
+    pub(crate) fn new(domain: &str, seed: u64) -> LinkDraws {
+        let domain = domain.as_bytes();
+        let mut key = [0u8; BLOCK_LEN];
+        key[..8].copy_from_slice(&(domain.len() as u64).to_le_bytes());
+        key[8..8 + domain.len()].copy_from_slice(domain);
+        key[8 + domain.len()..16 + domain.len()].copy_from_slice(&seed.to_be_bytes());
+        LinkDraws {
+            key: KeyedHash::new(&key),
+        }
     }
-    HmacDrbg::new(sha256(&preimage[..at]).as_bytes())
+
+    /// The decision about the `n`-th message from `from` to `to`: uniform
+    /// in `[0, bound)`.
+    ///
+    /// Panics if `bound == 0`.
+    pub(crate) fn below(&self, from: NodeId, to: NodeId, n: u64, bound: u64) -> u64 {
+        let mut msg = [0u8; 20];
+        msg[..4].copy_from_slice(&from.0.to_be_bytes());
+        msg[4..8].copy_from_slice(&to.0.to_be_bytes());
+        msg[8..16].copy_from_slice(&n.to_be_bytes());
+        let mut block = 0u32;
+        let mut words = [0u64; 4];
+        let mut taken = words.len();
+        below(bound, || {
+            if taken == words.len() {
+                msg[16..].copy_from_slice(&block.to_be_bytes());
+                let digest = self.key.hash(&msg);
+                for (word, bytes) in words.iter_mut().zip(digest.0.chunks_exact(8)) {
+                    *word = u64::from_be_bytes(bytes.try_into().expect("8 bytes"));
+                }
+                block += 1;
+                taken = 0;
+            }
+            taken += 1;
+            words[taken - 1]
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn link_draw_is_from_parts_of_the_four_integers() {
-        for domain in [
-            "cycledger/latency",
-            "cycledger/net-loss",
-            "cycledger/net-jitter",
-        ] {
-            for (seed, from, to, n) in [
-                (0u64, 0u32, 0u32, 0u64),
-                (4242, 3, 11, 7),
-                (u64::MAX, 9, 1, 1 << 40),
-            ] {
-                let mut expected = HmacDrbg::from_parts(
-                    domain,
-                    &[
-                        &seed.to_be_bytes(),
-                        &from.to_be_bytes(),
-                        &to.to_be_bytes(),
-                        &n.to_be_bytes(),
-                    ],
-                );
-                let mut drawn = link_draw(domain, seed, NodeId(from), NodeId(to), n);
-                assert_eq!(drawn.next_bytes32(), expected.next_bytes32(), "{domain}");
-            }
-        }
-    }
 
     #[test]
     fn default_ordering_of_bounds() {
@@ -241,5 +248,98 @@ mod tests {
         let sampler = LatencySampler::new(cfg, 0);
         let d = sampler.sample(LinkClass::IntraCommittee, NodeId(0), NodeId(1), 0);
         assert!(d.as_micros() >= 1 && d.as_micros() <= 1);
+    }
+
+    #[test]
+    fn each_tenth_of_every_class_range_holds_a_tenth_of_the_draws() {
+        const DRAWS: u64 = 100_000;
+        let config = LatencyConfig::default();
+        let sampler = LatencySampler::new(config, 4242);
+        for class in [
+            LinkClass::IntraCommittee,
+            LinkClass::KeyMemberMesh,
+            LinkClass::PartiallySynchronous,
+        ] {
+            let bound = config.bound(class).as_micros();
+            let floor = bound / 4;
+            let span = bound - floor + 1;
+            let mut buckets = [0u64; 10];
+            for i in 0..DRAWS {
+                let (from, to) = (NodeId((i % 64) as u32), NodeId((i / 64 % 64) as u32));
+                let d = sampler.sample(class, from, to, i).as_micros();
+                assert!((floor..=bound).contains(&d), "{class:?}: {d}");
+                buckets[((d - floor) * 10 / span) as usize] += 1;
+            }
+            for (k, &n) in buckets.iter().enumerate() {
+                assert!(
+                    (9_500..=10_500).contains(&n),
+                    "{class:?}: tenth {k} holds {n} of {DRAWS}"
+                );
+            }
+        }
+    }
+
+    /// The construction as its doc states it, hashed whole with no midstate:
+    /// the words of block 0, then of block 1, …, through `hmac::below`.
+    fn spelled_out(domain: &str, seed: u64, from: u32, to: u32, n: u64, bound: u64) -> u64 {
+        let mut key = [0u8; BLOCK_LEN];
+        key[..8].copy_from_slice(&(domain.len() as u64).to_le_bytes());
+        key[8..8 + domain.len()].copy_from_slice(domain.as_bytes());
+        key[8 + domain.len()..16 + domain.len()].copy_from_slice(&seed.to_be_bytes());
+        let mut words = (0u32..).flat_map(|block| {
+            let mut preimage = key.to_vec();
+            for part in [&from.to_be_bytes()[..], &to.to_be_bytes(), &n.to_be_bytes()] {
+                preimage.extend_from_slice(part);
+            }
+            preimage.extend_from_slice(&block.to_be_bytes());
+            let digest = cycledger_crypto::sha256::sha256(&preimage);
+            (0..4).map(move |i| u64::from_be_bytes(digest.0[8 * i..8 * i + 8].try_into().unwrap()))
+        });
+        below(bound, || words.next().unwrap())
+    }
+
+    #[test]
+    fn a_bound_above_two_to_the_63_takes_its_words_from_counter_blocks() {
+        // Bound 2^63 + 1 accepts a word only up to 2^63: each word is
+        // rejected with probability one half, all four of block 0 with one
+        // sixteenth, and then block 1 must answer.
+        let bound = (1u64 << 63) + 1;
+        let draws = LinkDraws::new("cycledger/latency", 4242);
+        let rebuilt = LinkDraws::new("cycledger/latency", 4242);
+        let mut fell_back = 0;
+        for n in 0..2_000u64 {
+            let v = draws.below(NodeId(3), NodeId(11), n, bound);
+            assert!(v < bound);
+            assert_eq!(v, rebuilt.below(NodeId(3), NodeId(11), n, bound));
+            assert_eq!(v, spelled_out("cycledger/latency", 4242, 3, 11, n, bound));
+            let mut first_block = [0u8; 20];
+            first_block[..4].copy_from_slice(&3u32.to_be_bytes());
+            first_block[4..8].copy_from_slice(&11u32.to_be_bytes());
+            first_block[8..16].copy_from_slice(&n.to_be_bytes());
+            let digest = draws.key.hash(&first_block);
+            if digest
+                .0
+                .chunks_exact(8)
+                .all(|w| u64::from_be_bytes(w.try_into().unwrap()) > 1 << 63)
+            {
+                fell_back += 1;
+            }
+        }
+        // 125 expected; with the seed fixed the count is exact.
+        assert_eq!(fell_back, 140, "draws that needed block 1");
+    }
+
+    #[test]
+    fn draws_separate_domains_seeds_links_and_sequence_numbers() {
+        let bound = u64::MAX;
+        let base = LinkDraws::new("cycledger/latency", 1).below(NodeId(0), NodeId(1), 2, bound);
+        for other in [
+            LinkDraws::new("cycledger/net-loss", 1).below(NodeId(0), NodeId(1), 2, bound),
+            LinkDraws::new("cycledger/latency", 2).below(NodeId(0), NodeId(1), 2, bound),
+            LinkDraws::new("cycledger/latency", 1).below(NodeId(1), NodeId(0), 2, bound),
+            LinkDraws::new("cycledger/latency", 1).below(NodeId(0), NodeId(1), 3, bound),
+        ] {
+            assert_ne!(base, other);
+        }
     }
 }

@@ -45,7 +45,7 @@ use std::collections::BinaryHeap;
 
 use cycledger_crypto::opcount::{count, Op};
 
-use crate::faults::FaultPlan;
+use crate::faults::{FaultDraws, FaultPlan};
 use crate::latency::{LatencyConfig, LatencySampler, LinkClass};
 use crate::metrics::{MetricsSink, Phase};
 use crate::time::{SimDuration, SimTime};
@@ -140,6 +140,7 @@ pub struct SimNetwork<M> {
     metrics: MetricsSink,
     phase: Phase,
     plan: FaultPlan,
+    fault_draws: FaultDraws,
     drops: DropCounts,
     /// Send *attempts*, advanced whether or not the message is admitted.
     /// Drop/jitter sampling keys on this — keying on the admitted-send
@@ -162,6 +163,9 @@ impl<M> SimNetwork<M> {
     /// Creates a network whose traffic is perturbed by `plan`. A network
     /// built with [`FaultPlan::default`] behaves exactly like one from
     /// [`SimNetwork::new`].
+    ///
+    /// `seed` keys the latency, loss and jitter draws here, one SHA-256
+    /// compression each; every later decision about a message is one more.
     pub fn with_faults(config: LatencyConfig, seed: u64, plan: FaultPlan) -> Self {
         SimNetwork {
             now: SimTime::ZERO,
@@ -171,6 +175,7 @@ impl<M> SimNetwork<M> {
             metrics: MetricsSink::new(),
             phase: Phase::CommitteeConfiguration,
             plan,
+            fault_draws: FaultDraws::new(seed),
             drops: DropCounts::default(),
             attempts: 0,
             timers: BinaryHeap::new(),
@@ -228,12 +233,12 @@ impl<M> SimNetwork<M> {
         }
         if self
             .plan
-            .drops(self.sampler.seed(), self.now, from, to, attempt)
+            .drops(&self.fault_draws, self.now, from, to, attempt)
         {
             self.drops.lossy += 1;
             return None;
         }
-        let jitter = self.plan.jitter_for(self.sampler.seed(), from, to, attempt);
+        let jitter = self.plan.jitter_for(&self.fault_draws, from, to, attempt);
         Some(self.plan.extra_delay(from, to).plus(jitter))
     }
 
@@ -722,6 +727,32 @@ mod tests {
         assert!(
             (50..=200).contains(&dropped),
             "10% loss over 1000 sends on one link should drop ~100, got {dropped}"
+        );
+    }
+
+    #[test]
+    fn a_two_percent_plan_drops_two_percent_of_a_million_sends() {
+        let plan = FaultPlan {
+            drop_ppm: 20_000,
+            ..FaultPlan::default()
+        };
+        let mut net: SimNetwork<u32> =
+            SimNetwork::with_faults(LatencyConfig::default(), 4242, plan);
+        let mut dropped = 0u64;
+        for batch in 0..1_000u32 {
+            for i in 0..1_000u32 {
+                let (from, to) = (NodeId(i % 64), NodeId((i + 1 + batch) % 64));
+                dropped += u64::from(
+                    net.send(from, to, LinkClass::IntraCommittee, i, 8)
+                        .is_none(),
+                );
+            }
+            while net.deliver_next().is_some() {}
+        }
+        assert_eq!(net.drop_counts().lossy, dropped);
+        assert!(
+            (18_000..=22_000).contains(&dropped),
+            "2% of 10^6 is 20 000, got {dropped}"
         );
     }
 

@@ -1,17 +1,20 @@
 //! Exact costs of the message plane's per-envelope draws, gated at zero
 //! tolerance. Run with `cargo test -p cycledger-net --features opcount`.
 //!
-//! Every envelope instantiates one HMAC-DRBG keyed by `(seed, from, to, seq)`
-//! and draws its latency from it; a lossy or jittered network instantiates
-//! one more per decision. SHA-256 compressions per draw — `naive` is the
-//! generator of commit b85479e, `now` the one that keeps its key schedule
-//! and owes its closing update (`cycledger_crypto::hmac`):
+//! A network keys one `LinkDraws` per kind of decision — latency, loss,
+//! jitter — when it is built; every envelope then draws its latency with one
+//! SHA-256 compression, and a lossy or jittered network pays one more per
+//! decision. SHA-256 compressions — `naive` is the HMAC-DRBG per decision of
+//! commit b85479e, `drbg` the one that kept its key schedule and owed its
+//! closing update (commit 46d96b8), `now` the keyed one-block hash
+//! (`cycledger_crypto::sha256::KeyedHash`); no generator is made any more:
 //!
-//! | operation                            | naive | now | generators |
-//! |--------------------------------------|-------|-----|------------|
-//! | `LatencySampler::sample`             |    32 |  18 | 1          |
-//! | `send` on a clean network            |    32 |  18 | 1          |
-//! | `send` under loss + jitter, admitted |    96 |  54 | 3          |
+//! | operation                            | naive | drbg | now | generators |
+//! |--------------------------------------|-------|------|-----|------------|
+//! | `LatencySampler::sample`             |    32 |   18 |   1 | 1 → 0      |
+//! | `send` on a clean network            |    32 |   18 |   1 | 1 → 0      |
+//! | `send` under loss + jitter, admitted |    96 |   54 |   3 | 3 → 0      |
+//! | building a `SimNetwork`              |     0 |    0 |   3 | 0          |
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
@@ -21,22 +24,31 @@ use cycledger_net::network::SimNetwork;
 use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
 
-/// With this seed no `next_below` in these tests rejects its first `u64`
-/// (a second request on one generator would pay the update the first owed).
+/// With this seed no draw in these tests has all four words of its block
+/// rejected (for these bounds a word is rejected with odds below 10^-13).
 const SEED: u64 = 4242;
 
 #[test]
-fn one_latency_draw_is_one_generator_and_eighteen_compressions() {
+fn one_latency_draw_is_one_compression_and_no_generator() {
     let sampler = LatencySampler::new(LatencyConfig::default(), SEED);
-    // The all-zero instantiation key's schedule is computed once a process.
-    sampler.sample(LinkClass::IntraCommittee, NodeId(0), NodeId(1), 0);
     let draw = scope(|| sampler.sample(LinkClass::IntraCommittee, NodeId(3), NodeId(11), 7));
     assert_eq!(
         draw,
         Tally {
-            sha256_blocks: 18,
-            drbg_instantiations: 1,
+            sha256_blocks: 1,
             latency_draws: 1,
+            ..Tally::default()
+        }
+    );
+}
+
+#[test]
+fn a_network_keys_its_three_draws_once() {
+    let built = scope(|| SimNetwork::<u64>::new(LatencyConfig::default(), SEED));
+    assert_eq!(
+        built,
+        Tally {
+            sha256_blocks: 3,
             ..Tally::default()
         }
     );
@@ -45,13 +57,11 @@ fn one_latency_draw_is_one_generator_and_eighteen_compressions() {
 #[test]
 fn an_envelope_costs_its_draws() {
     let mut clean: SimNetwork<u64> = SimNetwork::new(LatencyConfig::default(), SEED);
-    clean.send(NodeId(0), NodeId(1), LinkClass::IntraCommittee, 0, 128);
     let sent = scope(|| clean.send(NodeId(3), NodeId(11), LinkClass::IntraCommittee, 1, 128));
     assert_eq!(
         sent,
         Tally {
-            sha256_blocks: 18,
-            drbg_instantiations: 1,
+            sha256_blocks: 1,
             envelopes_sent: 1,
             latency_draws: 1,
             ..Tally::default()
@@ -73,8 +83,7 @@ fn an_envelope_costs_its_draws() {
     assert_eq!(
         sent,
         Tally {
-            sha256_blocks: 54,
-            drbg_instantiations: 3,
+            sha256_blocks: 3,
             envelopes_sent: 1,
             latency_draws: 1,
             fault_draws: 2,

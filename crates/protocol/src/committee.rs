@@ -261,10 +261,12 @@ mod tests {
     /// members — the size closest to c = 16 that sortition hands out at
     /// 8×16, and the one `consensus.probe.alg3_msgs` reports: 14 PROPOSEs,
     /// 15 × 14 ECHOes and 15 CONFIRMs are 239 envelopes, each with one
-    /// latency draw of 18 SHA-256 compressions — 4 302 of the 7 303. The
-    /// other 105 generators are nonces, challenges and batch coefficients.
-    /// At commit b85479e, where a one-shot generator cost 14 compressions
-    /// more, the same instance hashed 12 119 blocks, 7 648 of them in draws.
+    /// latency draw of one SHA-256 compression, and building the network
+    /// keys its three draws with three more — 242 of the 3 243. The 105
+    /// generators are nonces, challenges and batch coefficients. While a
+    /// latency draw was an HMAC-DRBG of its own (commit 8a5a2b3) the same
+    /// instance made 344 generators and hashed 7 303 blocks, 4 302 of them
+    /// in draws; at commit b85479e, 12 119.
     #[cfg(feature = "opcount")]
     #[test]
     fn honest_instance_envelopes_and_draws_are_pinned() {
@@ -303,7 +305,7 @@ mod tests {
         );
         assert_eq!(
             (tally.drbg_instantiations, tally.sha256_blocks),
-            (344, 7303)
+            (105, 3243)
         );
     }
 

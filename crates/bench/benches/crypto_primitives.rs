@@ -96,13 +96,30 @@ fn bench_crypto(c: &mut Criterion) {
     group.bench_function("vrf_evaluate", |b| {
         b.iter(|| vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed"))
     });
-    // What sortition calls: the prover already holds its public key.
+    // The prover already holds its public key.
     group.bench_function("vrf_evaluate_with_public", |b| {
         b.iter(|| vrf::evaluate_with_public(&kp.secret, &kp.public, b"COMMON_MEMBER|7|seed"))
+    });
+    // What sortition calls: one table per round, every member on it.
+    group.bench_function("vrf_prover_new", |b| {
+        b.iter(|| vrf::Prover::new(b"COMMON_MEMBER|7|seed"))
+    });
+    let prover = vrf::Prover::new(b"COMMON_MEMBER|7|seed");
+    group.bench_function("vrf_prover_evaluate", |b| {
+        b.iter(|| prover.evaluate(&kp.secret, &kp.public))
     });
     let out = vrf::evaluate(&kp.secret, b"COMMON_MEMBER|7|seed");
     group.bench_function("vrf_verify", |b| {
         b.iter(|| vrf::verify(&kp.public, b"COMMON_MEMBER|7|seed", &out))
+    });
+    // What committee configuration calls: a group of eight proofs.
+    let outputs: Vec<vrf::VrfOutput> = keys[..8]
+        .iter()
+        .map(|k| prover.evaluate(&k.secret, &k.public))
+        .collect();
+    let proofs: Vec<_> = keys.iter().map(|k| &k.public).zip(&outputs).collect();
+    group.bench_function("vrf_verify_batch_8", |b| {
+        b.iter(|| vrf::verify_batch(b"COMMON_MEMBER|7|seed", &proofs))
     });
 
     // One verified Algorithm 3 instance at c = 16: the unit of work a round

@@ -121,10 +121,27 @@ fn main() {
         "vrf_evaluate_with_public",
         ns_per_op(|| vrf::evaluate_with_public(&kp.secret, &kp.public, input)),
     ));
+    // Sortition's path: one table for the round's base, every member on it.
+    rows.push(("vrf_prover_new", ns_per_op(|| vrf::Prover::new(input))));
+    let prover = vrf::Prover::new(input);
+    rows.push((
+        "vrf_prover_evaluate",
+        ns_per_op(|| prover.evaluate(&kp.secret, &kp.public)),
+    ));
     let out = vrf::evaluate(&kp.secret, input);
     rows.push((
         "vrf_verify",
         ns_per_op(|| vrf::verify(&kp.public, input, &out)),
+    ));
+    // Committee configuration's path: groups of eight proofs, per proof.
+    let outputs: Vec<vrf::VrfOutput> = keys[..8]
+        .iter()
+        .map(|k| prover.evaluate(&k.secret, &k.public))
+        .collect();
+    let proofs: Vec<_> = keys.iter().map(|k| &k.public).zip(&outputs).collect();
+    rows.push((
+        "vrf_verify_batch_8_per_proof",
+        ns_per_op(|| vrf::verify_batch(input, &proofs)) / 8.0,
     ));
 
     // A generator made, drawn from once and dropped, and the network's

@@ -14,8 +14,9 @@
 //!   shared chain of 128 doublings, and every table is affine — the per-call
 //!   ones through a shared `Z`, without an inversion — so each step is a
 //!   mixed addition ([`Point::add_affine`]);
-//! * a lazily built fixed-base table of signed eight-bit windows (at most 33
-//!   mixed additions, no doublings) for [`Point::mul_generator`];
+//! * a fixed-base comb of signed windows (`FixedBase`: no doublings) — a
+//!   lazily built eight-bit one for [`Point::mul_generator`] (at most 33
+//!   mixed additions), and a five-bit one per round for the VRF's base;
 //! * Montgomery batch inversion ([`Point::batch_to_affine`]) when many points
 //!   are normalized at once.
 //!
@@ -264,36 +265,18 @@ impl Point {
         acc
     }
 
-    /// `k·G` for the standard generator over a lazily built fixed-base table
-    /// of `d·2^(8i)·G`: `k` is recoded into 33 signed eight-bit digits
+    /// `k·G` for the standard generator over a lazily built `FixedBase`
+    /// of eight-bit windows: `k` is recoded into 33 signed digits
     /// `d ∈ [−128, 128]`, so evaluation is at most 33 mixed additions and
     /// zero doublings.
     pub fn mul_generator(k: &Scalar) -> Point {
-        let table = fixed_base_table();
-        let limbs = &k.as_u256().limbs;
-        let mut acc = Point::infinity();
-        let mut carry = 0;
-        for window in 0..FB_WINDOWS {
-            let pos = window * FB_WIDTH;
-            // Bits past 256 are zero; the last window only takes the carry.
-            let raw = if pos < 256 {
-                ((limbs[pos / 64] >> (pos % 64)) as usize) & (FB_FULL - 1)
-            } else {
-                0
-            };
-            // A digit above half the window becomes negative and borrows
-            // from the next window.
-            let bits = raw + carry;
-            let negative = bits > FB_HALF;
-            carry = usize::from(negative);
-            let magnitude = if negative { FB_FULL - bits } else { bits };
-            if magnitude == 0 {
-                continue;
-            }
-            let entry = table[window * FB_HALF + magnitude - 1];
-            acc = acc.add_affine(&if negative { entry.neg() } else { entry });
-        }
-        acc
+        static TABLE: OnceLock<FixedBase> = OnceLock::new();
+        TABLE
+            .get_or_init(|| {
+                let g = Point::generator().to_affine().expect("G is not infinity");
+                FixedBase::new(&g, FB_WIDTH)
+            })
+            .mul(k)
     }
 
     /// Strauss–Shamir double multiplication `k1·P1 + k2·P2` over one shared
@@ -321,9 +304,10 @@ impl Point {
     /// chain beats Pippenger bucketing, whose per-window bucket-collapse
     /// overhead dominates until `n` reaches several hundred per window.
     ///
-    /// The scratch of up to `STACK_TERMS` (19) terms lives on the stack, so the
-    /// quorum batches of a committee allocate nothing here; certificate
-    /// batches across committees take one pair of `Vec`s.
+    /// The scratch of up to `STACK_TERMS` (34) terms lives on the stack, so the
+    /// quorum batches of a committee and a configuration group of eight VRF
+    /// proofs allocate nothing here; certificate batches across committees
+    /// take one pair of `Vec`s.
     pub fn multi_mul(terms: &[(Scalar, Point)]) -> Point {
         let n = terms.len();
         if n <= STACK_TERMS {
@@ -391,47 +375,137 @@ impl Point {
     }
 }
 
-/// Window width of [`Point::mul_generator`]'s fixed-base table (a divisor of
-/// 64, so no window straddles two limbs).
+/// Window width of [`Point::mul_generator`]'s table, built once per process
+/// (4 097 entries, 256 KiB, under 2.5 ms). Wider windows trade table size for
+/// additions (DESIGN-notes.md has the measurements).
 const FB_WIDTH: usize = 8;
-/// Values of one window.
-const FB_FULL: usize = 1 << FB_WIDTH;
-/// Table entries per window: the digit magnitudes `1..=FB_HALF`.
-const FB_HALF: usize = FB_FULL / 2;
-/// Windows covering a 256-bit scalar, plus one for the last carry.
-const FB_WINDOWS: usize = 256 / FB_WIDTH + 1;
 
-/// The fixed-base table for [`Point::mul_generator`]: `table[128·i + d − 1]
-/// = d·2^(8i)·G` for `i ∈ [0, 33)`, `d ∈ [1, 128]`. Built once per process
-/// (4 224 Jacobian additions plus one batched affine conversion per window,
-/// 264 KiB, about 2 ms). Wider windows trade table size for additions
-/// (DESIGN-notes.md has the measurements); the width only has to divide 64.
-fn fixed_base_table() -> &'static [AffinePoint] {
-    static TABLE: OnceLock<Vec<AffinePoint>> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = Vec::with_capacity(FB_WINDOWS * FB_HALF);
-        // One window at a time, so the Jacobian scratch stays at 12 KiB
-        // instead of half as much again as the table.
-        let mut jacobian = Vec::with_capacity(FB_HALF);
-        let mut base = Point::generator();
-        for _ in 0..FB_WINDOWS {
-            jacobian.clear();
-            let mut multiple = base;
-            for _ in 1..FB_HALF {
-                jacobian.push(multiple);
-                multiple = multiple.add(&base);
+/// A fixed-base comb for one base point `B`: `k·B` is at most
+/// `256/width + 1` mixed additions and no doublings.
+///
+/// `k` is recoded into signed `width`-bit digits `d ∈ [−2^(w−1), 2^(w−1)]` (a
+/// window above half borrows from the next), and the table holds
+/// `d·2^(w·i)·B` for every window `i` and magnitude `d ≥ 1`; the last window
+/// only ever holds the scalar's top bits plus a carry, so it keeps only the
+/// magnitudes those can reach. [`Point::mul_generator`] is the static
+/// instance for `G`; the VRF builds one per round for its `hash_to_curve`
+/// base (`vrf::Prover`).
+///
+/// Every entry is stored affine on the curve scaled by one shared `ζ` (see
+/// `strauss`): the build chains mixed additions window by window and
+/// rescales all entries to the last one's `Z` in one backward pass — five
+/// multiplications an entry and no inversion — and an evaluation multiplies
+/// its result's `Z` by `ζ` once.
+pub(crate) struct FixedBase {
+    width: usize,
+    /// `table[i·2^(w−1) + d − 1] = d·2^(w·i)·B`, affine on the `ζ` curve.
+    table: Vec<AffinePoint>,
+    zeta: Fe,
+}
+
+impl FixedBase {
+    /// Builds the table of `base` with `width`-bit windows (2 to 16).
+    pub(crate) fn new(base: &AffinePoint, width: usize) -> FixedBase {
+        assert!((2..=16).contains(&width), "window width {width}");
+        let half = 1usize << (width - 1);
+        let windows = 256 / width + 1;
+        // The top bits plus a carry reach at most 2^(256 − w·(windows − 1)).
+        let top = half.min(1 << (256 - width * (windows - 1)));
+        let len = (windows - 1) * half + top;
+        let mut table = Vec::with_capacity(len);
+        // `Z` of each entry over the one before it (the first entry's is 1).
+        let mut ratios = Vec::with_capacity(len);
+        // The window's base, affine on the curve scaled by its own `Z`, where
+        // its multiples are one doubling and then mixed additions.
+        let mut step = *base;
+        let mut ratio = Fe::one();
+        for window in 0..windows {
+            let last = window + 1 == windows;
+            let mut multiple = step.to_point();
+            table.push(step);
+            ratios.push(ratio);
+            for d in 2..=if last { top } else { half } {
+                let (next, h) = if d == 2 {
+                    let twice = multiple.double();
+                    (twice, twice.z)
+                } else {
+                    // (d − 1)·B + B with 2 < d ≤ 2^(w−1) never doubles or
+                    // cancels: the group has prime order.
+                    multiple.add_affine_core(&step, &multiple.z)
+                };
+                multiple = next;
+                table.push(AffinePoint {
+                    x: multiple.x,
+                    y: multiple.y,
+                });
+                ratios.push(h);
             }
-            jacobian.push(multiple);
-            // `multiple` is FB_HALF·base; twice that is the next window's base.
-            base = multiple.double();
-            table.extend(
-                Point::batch_to_affine(&jacobian)
-                    .into_iter()
-                    .map(|p| p.expect("d·2^(8i)·G with d ≤ 128 is never infinity")),
-            );
+            if !last {
+                // Twice the last multiple, 2^(w−1)·2·B, is the next window's
+                // base; a doubling multiplies `Z` by 2Y.
+                let next = multiple.double();
+                ratio = multiple.y.mul_u64(2);
+                step = AffinePoint {
+                    x: next.x,
+                    y: next.y,
+                };
+            }
         }
-        table
-    })
+        // Bring every entry to the last one's `Z`, as `strauss` does.
+        let mut scale = Fe::one();
+        for (i, (entry, ratio)) in table.iter_mut().zip(&ratios).enumerate().rev() {
+            if i + 1 < len {
+                let scale_sq = scale.square();
+                entry.x = entry.x.mul(&scale_sq);
+                entry.y = entry.y.mul(&scale_sq).mul(&scale);
+            }
+            if i > 0 {
+                scale = scale.mul(ratio);
+            }
+        }
+        FixedBase {
+            width,
+            table,
+            zeta: scale,
+        }
+    }
+
+    /// `k·B`: one mixed addition per nonzero signed digit of `k`.
+    pub(crate) fn mul(&self, k: &Scalar) -> Point {
+        let half = 1usize << (self.width - 1);
+        let full = half << 1;
+        let limbs = &k.as_u256().limbs;
+        let mut acc = Point::infinity();
+        let mut carry = 0;
+        for (window, entries) in self.table.chunks(half).enumerate() {
+            let bits = window_bits(limbs, window * self.width, self.width) + carry;
+            let negative = bits > half;
+            carry = usize::from(negative);
+            let magnitude = if negative { full - bits } else { bits };
+            if magnitude == 0 {
+                continue;
+            }
+            let entry = entries[magnitude - 1];
+            acc = acc.add_affine(&if negative { entry.neg() } else { entry });
+        }
+        // Back from the curve scaled by ζ.
+        acc.z = acc.z.mul(&self.zeta);
+        acc
+    }
+}
+
+/// Bits `[pos, pos + width)` of a 256-bit little-endian limb array, zero
+/// past bit 255; a window may straddle two limbs.
+fn window_bits(limbs: &[u64; 4], pos: usize, width: usize) -> usize {
+    if pos >= 256 {
+        return 0;
+    }
+    let (limb, shift) = (pos / 64, pos % 64);
+    let mut bits = limbs[limb] >> shift;
+    if shift + width > 64 && limb + 1 < 4 {
+        bits |= limbs[limb + 1] << (64 - shift);
+    }
+    (bits as usize) & ((1 << width) - 1)
 }
 
 /// wNAF window width of per-call tables: odd multiples up to `15·P`.
@@ -465,9 +539,9 @@ fn generator_table() -> &'static [AffinePoint] {
     })
 }
 
-/// Terms whose scratch [`Point::multi_mul`] keeps on the stack (25 KiB): a
-/// batch of nine signatures, the quorum of a committee of sixteen.
-const STACK_TERMS: usize = 19;
+/// Terms whose scratch [`Point::multi_mul`] keeps on the stack (45 KiB): a
+/// group of eight VRF proofs (`4·8 + 2`), or a batch of sixteen signatures.
+const STACK_TERMS: usize = 34;
 
 /// Signed wNAF digits of one scalar half, least significant first, in a
 /// fixed stack array (zero beyond `len`).
@@ -1030,6 +1104,34 @@ mod tests {
     }
 
     #[test]
+    fn fixed_base_matches_ladder_at_every_width() {
+        let base = Point::generator().mul_ladder(&Scalar::from_u64(0xdead_beef));
+        let affine = base.to_affine().unwrap();
+        let n_minus = |d: u64| Scalar::from_u256(group_order().wrapping_sub(&U256::from_u64(d)));
+        let two_255 = U256::ONE.shl(255);
+        // n − 1 and 2^255 − 1 are ones in every high window, so each digit
+        // borrows and the carry runs into the last window; 2^255 sets the one
+        // data bit a five-bit comb's last window holds.
+        let mut scalars = vec![
+            Scalar::zero(),
+            Scalar::one(),
+            n_minus(1),
+            n_minus(2),
+            Scalar::from_u256(two_255),
+            Scalar::from_u256(two_255.wrapping_sub(&U256::ONE)),
+            Scalar::from_u256(two_255.wrapping_add(&two_255.shr(1))),
+        ];
+        scalars.extend(edge_scalars());
+        let expected: Vec<Point> = scalars.iter().map(|k| base.mul_ladder(k)).collect();
+        for width in [2, 3, 4, 5, 6, 7, 8, 11] {
+            let comb = FixedBase::new(&affine, width);
+            for (k, expected) in scalars.iter().zip(&expected) {
+                assert!(comb.mul(k).equals(expected), "width {width}, k = {k:?}");
+            }
+        }
+    }
+
+    #[test]
     fn mul_double_matches_ladder_on_edge_scalars() {
         let g = Point::generator();
         let q = g.mul_ladder(&Scalar::from_u64(0x1234_5678));
@@ -1078,11 +1180,11 @@ mod tests {
             (Scalar::from_u64(5), Point::infinity())
         ])
         .is_infinity());
-        // 1 to 23 terms, on either side of the stack-scratch limit; every
-        // third point repeats the first, G is among them (twice from 7 terms
+        // 1 to 35 terms, on either side of the stack-scratch limit; every
+        // sixth point repeats the first, G is among them (twice from 10 terms
         // on), some points carry Z != 1, and a zero scalar and an ∞ sit in
         // the middle of the long ones.
-        for n in [1usize, 2, 3, 7, 17, STACK_TERMS, STACK_TERMS + 1, 23] {
+        for n in [1usize, 2, 3, 7, 17, 23, STACK_TERMS, STACK_TERMS + 1] {
             let mut terms: Vec<(Scalar, Point)> = (0..n)
                 .map(|i| {
                     let k = Scalar::from_hash("multi-mul-scalar", &[&(i as u64).to_be_bytes()]);
@@ -1182,6 +1284,9 @@ mod tests {
         #[test]
         fn prop_fixed_base_matches_ladder(a in arb_scalar()) {
             prop_assert!(Point::mul_generator(&a).equals(&Point::generator().mul_ladder(&a)));
+            // A five-bit comb, the VRF's, on a base of its own.
+            let h = hash_to_curve("fixed-base-prop", b"base");
+            prop_assert!(FixedBase::new(&h, 5).mul(&a).equals(&h.to_point().mul_ladder(&a)));
         }
 
         #[test]

@@ -1,7 +1,9 @@
 //! Known-answer test for everything that rests on the secp256k1 kernel.
 //!
 //! One digest over 64 Schnorr signatures, 64 VRF outputs and one beacon
-//! round. Affine results are canonical and nonce derivation is hash-based, so
+//! round. A VRF proof carries its commitments `(Γ, U, V, s)` now; the digest
+//! hashes the `(Γ, c, s)` form it was recorded with, `c` re-derived from
+//! them. Affine results are canonical and nonce derivation is hash-based, so
 //! any kernel (field, point, scalar-multiplication) change must reproduce it
 //! bit for bit; a kernel bug shows here in milliseconds instead of as dozens
 //! of drifted scenario goldens.
@@ -25,8 +27,9 @@ fn signatures_vrf_outputs_and_beacon_match_the_recorded_digest() {
         hasher.update(&kp.sign(&message).to_bytes());
         let out = vrf::evaluate(&kp.secret, &message);
         hasher.update(out.hash.as_bytes());
+        // The proof in its (Γ, c, s) form, as recorded.
         hasher.update(&out.proof.gamma.to_bytes());
-        hasher.update(&out.proof.c.to_be_bytes());
+        hasher.update(&out.proof.challenge(&kp.public, &message).to_be_bytes());
         hasher.update(&out.proof.s.to_be_bytes());
     }
     let honest = [true, true, false, true, true, true, true];

@@ -4,9 +4,9 @@
 //! [`crate::simulation::Simulation`] and reused for every parallel stage of
 //! every round: per-committee stages (intra- and inter-committee consensus,
 //! recovery retries, score-list certification, block application) submit one
-//! borrowed closure per committee, per-node stages (VRF sortition and its
-//! verification) go through [`ShardExecutor::map_chunked`], and both receive
-//! the results in index order.
+//! borrowed closure per committee, VRF sortition goes through
+//! [`ShardExecutor::map_chunked`], its verification submits one closure per
+//! group of proofs, and all receive the results in index order.
 //!
 //! # Determinism
 //!
@@ -215,7 +215,7 @@ impl ShardExecutor {
     /// results, so `out[i] == f(&items[i])` whatever ran where.
     ///
     /// This is the batch shape for many small independent items (one VRF
-    /// evaluation or verification per node) where a task per item would
+    /// evaluation per node) where a task per item would
     /// drown in queue traffic. The chunk count derives from
     /// [`worker_count`](Self::worker_count): `CHUNKS_PER_WORKER` chunks per
     /// worker to even out stragglers, never more than one per item. In

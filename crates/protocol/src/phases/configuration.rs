@@ -16,9 +16,17 @@ use crate::engine::env::RoundEnv;
 use crate::engine::ShardExecutor;
 use crate::sortition::RoundAssignment;
 
-/// Sizes (bytes) used for traffic accounting in this phase.
-const CONFIG_MSG_BYTES: u64 = 4 + 64 + 32 + 160; // id, pk, vrf hash, vrf proof
+/// Sizes (bytes) used for traffic accounting in this phase. A CONFIG is
+/// charged id, public key, VRF output and Table II's nominal 160 bytes of
+/// proof — not the proof's encoding, which is `vrf::PROOF_BYTES` (224, the
+/// commitment form); charging that would move every golden.
+const CONFIG_MSG_BYTES: u64 = 4 + 64 + 32 + 160;
 const MEMBER_ENTRY_BYTES: u64 = 68;
+
+/// Sortition proofs verified as one `vrf::verify_batch` group, one executor
+/// task each. Groups are cut by proof index, so where a forged proof sends
+/// its group down the per-proof path is the same at every worker count.
+const PROOFS_PER_GROUP: usize = 8;
 
 /// Outcome of the committee-configuration phase.
 #[derive(Clone, Debug, Default)]
@@ -39,8 +47,8 @@ pub struct ConfigurationOutcome {
 /// `metrics`.
 ///
 /// The sortition proofs are independent of one another, so they are all
-/// verified up front as one chunked `executor` batch; the accounting loop
-/// below is serial and only consumes the verdicts.
+/// verified up front as one `executor` batch of eight-proof groups; the
+/// accounting loop below is serial and only consumes the verdicts.
 pub fn run_committee_configuration(
     env: &RoundEnv<'_>,
     executor: &ShardExecutor,
@@ -51,11 +59,21 @@ pub fn run_committee_configuration(
     let registry = env.registry;
     let m = assignment.committees.len();
     let input =
-        RoundAssignment::sortition_input(assignment.sortition_round, &assignment.randomness);
+        &RoundAssignment::sortition_input(assignment.sortition_round, &assignment.randomness);
     let proofs = &assignment.sortition_proofs;
-    let valid: Vec<bool> = executor.map_chunked(proofs, |(node, output)| {
-        vrf::verify(&registry.node(*node).keypair.public, &input, output)
-    });
+    let groups: Vec<_> = proofs
+        .chunks(PROOFS_PER_GROUP)
+        .map(|group| {
+            move || {
+                let entries: Vec<_> = group
+                    .iter()
+                    .map(|(node, output)| (&registry.node(*node).keypair.public, output))
+                    .collect();
+                vrf::verify_batch(input, &entries)
+            }
+        })
+        .collect();
+    let valid = executor.execute(groups).into_iter().flatten();
     let proof_of: FxHashMap<_, _> = proofs
         .iter()
         .zip(valid)
@@ -213,8 +231,16 @@ mod tests {
             metrics.write_canonical_bytes(&mut bytes);
             (outcome, bytes)
         };
-        // First, last and a middle position: every chunk boundary layout.
-        for k in [0, total / 2, total - 1] {
+        // First, last and a middle position, and either side of the first
+        // group boundary.
+        assert!(total > 2 * PROOFS_PER_GROUP);
+        for k in [
+            0,
+            PROOFS_PER_GROUP - 1,
+            PROOFS_PER_GROUP,
+            total / 2,
+            total - 1,
+        ] {
             let mut forged = honest.clone();
             // Another node's (valid) proof does not verify under k's key.
             forged.sortition_proofs[k].1 = honest.sortition_proofs[(k + 1) % total].1;

@@ -172,9 +172,11 @@ pub fn assign_round(
 }
 
 /// [`assign_round`] with the common members' VRF sortition (step 4, one
-/// evaluation per node, all independent) mapped over `executor`. The result
-/// is identical at any worker count: evaluations come back in node order and
-/// the committees are filled serially from them.
+/// evaluation per node, all independent) mapped over `executor`, every one
+/// through the round's one [`vrf::Prover`] (a fixed-base table of the
+/// round's VRF base, built before the batch). The result is identical at any
+/// worker count: evaluations come back in node order and the committees are
+/// filled serially from them.
 pub fn assign_round_on(
     executor: &ShardExecutor,
     registry: &NodeRegistry,
@@ -272,9 +274,10 @@ pub fn assign_round_on(
         .chain(&syncing)
         .copied()
         .collect();
+    let prover = vrf::Prover::new(&input);
     let outputs = executor.map_chunked(&sortitioned, |&id| {
         let keypair = &registry.node(id).keypair;
-        vrf::evaluate_with_public(&keypair.secret, &keypair.public, &input)
+        prover.evaluate(&keypair.secret, &keypair.public)
     });
     let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
     for (&id, output) in sortitioned.iter().zip(&outputs) {
@@ -359,9 +362,11 @@ mod tests {
     /// nodes, 8 committees). Each lottery value is a two-block hash and each
     /// sort computes it once per node: 128 for the referee lottery, 113 for
     /// the partial-set lottery and 113 more for its committee draw are 708
-    /// compressions; the rest is the 81 common members' VRF evaluations. At
-    /// commit ee421ab the two sorts hashed both sides of every comparison and
-    /// this assignment cost 13 264.
+    /// compressions; all but 5 of the rest are the 81 common members' VRF
+    /// evaluations, 47 each. At commit ee421ab the two sorts hashed both
+    /// sides of every comparison and this assignment cost 13 264; until every
+    /// evaluation went through one `vrf::Prover`, each also looked the round's
+    /// `hash_to_curve` base up in its memo (3 compressions), for 4 760.
     #[cfg(feature = "opcount")]
     #[test]
     fn the_lottery_sorts_hash_once_per_node() {
@@ -378,7 +383,7 @@ mod tests {
         assign(0); // builds the static tables
         let mut sortitioned = 0;
         let tally = scope(|| sortitioned = assign(1).sortition_proofs.len());
-        assert_eq!((sortitioned, tally.sha256_blocks), (81, 4760));
+        assert_eq!((sortitioned, tally.sha256_blocks), (81, 4520));
     }
 
     #[test]

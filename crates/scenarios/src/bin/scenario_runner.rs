@@ -17,7 +17,7 @@
 //! run is gated on its invariants only — golden comparison is skipped, as
 //! the committed goldens pin the scenarios' *declared* backends.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cycledger_ledger::StateBackend;
@@ -130,30 +130,34 @@ fn assemble_scenarios(options: &Options) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
-/// Applies the `--state-backend` override to every selected scenario.
-fn apply_backend_override(scenarios: &mut [Scenario], backend: StateBackend) {
-    for scenario in scenarios {
-        scenario.config.state_backend = backend;
+fn main() -> ExitCode {
+    match execute() {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("scenario-runner: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn main() -> ExitCode {
-    let options = match Options::parse() {
-        Ok(options) => options,
-        Err(e) => {
-            eprintln!("scenario-runner: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut scenarios = match assemble_scenarios(&options) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scenario-runner: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn create_dir(dir: &Path) -> Result<(), String> {
+    std::fs::create_dir_all(dir).map_err(|e| format!("creating {}: {e}", dir.display()))
+}
+
+fn write(path: &Path, text: &str) -> Result<(), String> {
+    std::fs::write(path, text).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// Runs the selected scenarios: `Ok(false)` when any of them failed to run,
+/// violated an invariant or drifted from its golden file.
+fn execute() -> Result<bool, String> {
+    let options = Options::parse()?;
+    let mut scenarios = assemble_scenarios(&options)?;
     if let Some(backend) = options.state_backend {
-        apply_backend_override(&mut scenarios, backend);
+        for scenario in &mut scenarios {
+            scenario.config.state_backend = backend;
+        }
     }
 
     if options.list {
@@ -172,20 +176,13 @@ fn main() -> ExitCode {
                 s.invariants.len()
             );
         }
-        return ExitCode::SUCCESS;
+        return Ok(true);
     }
 
     if scenarios.is_empty() {
-        eprintln!("scenario-runner: nothing to run");
-        return ExitCode::FAILURE;
+        return Err("nothing to run".into());
     }
-    if let Err(e) = std::fs::create_dir_all(&options.out_dir) {
-        eprintln!(
-            "scenario-runner: creating {}: {e}",
-            options.out_dir.display()
-        );
-        return ExitCode::FAILURE;
-    }
+    create_dir(&options.out_dir)?;
 
     let started = std::time::Instant::now();
     let results = run_matrix(&scenarios, options.jobs);
@@ -201,10 +198,7 @@ fn main() -> ExitCode {
         };
         let report = render_report(&run);
         let report_path = options.out_dir.join(format!("{}.json", scenario.name));
-        if let Err(e) = std::fs::write(&report_path, &report) {
-            eprintln!("scenario-runner: writing {}: {e}", report_path.display());
-            return ExitCode::FAILURE;
-        }
+        write(&report_path, &report)?;
 
         let golden_path = options.golden_dir.join(format!("{}.json", scenario.name));
         let golden_status = if options.state_backend.is_some() {
@@ -212,17 +206,8 @@ fn main() -> ExitCode {
             // every report); invariants still gate the run.
             "golden skipped (backend override)"
         } else if options.bless {
-            if let Err(e) = std::fs::create_dir_all(&options.golden_dir) {
-                eprintln!(
-                    "scenario-runner: creating {}: {e}",
-                    options.golden_dir.display()
-                );
-                return ExitCode::FAILURE;
-            }
-            if let Err(e) = std::fs::write(&golden_path, &report) {
-                eprintln!("scenario-runner: writing {}: {e}", golden_path.display());
-                return ExitCode::FAILURE;
-            }
+            create_dir(&options.golden_dir)?;
+            write(&golden_path, &report)?;
             "blessed"
         } else {
             match std::fs::read_to_string(&golden_path) {
@@ -266,9 +251,5 @@ fn main() -> ExitCode {
         started.elapsed().as_secs_f64(),
         options.out_dir.display()
     );
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    Ok(failures == 0)
 }

@@ -1,6 +1,8 @@
 //! Machine-checkable invariants: each maps one of the paper's claims onto a
 //! predicate over a [`ScenarioOutcome`].
 
+use std::str::FromStr;
+
 use cycledger_analysis::failure::cycledger_round_failure_exact;
 use cycledger_protocol::adversary::AdversaryConfig;
 
@@ -194,16 +196,13 @@ impl Invariant {
             Some((h, p)) => (h, Some(p)),
             None => (s, None),
         };
-        let need_usize = |p: Option<&str>| -> Result<usize, String> {
-            p.ok_or_else(|| format!("invariant {s:?} needs a numeric parameter"))?
+        /// Parses one numeric parameter of the spec `s`.
+        fn number<T: FromStr>(s: &str, param: Option<&str>) -> Result<T, String> {
+            param
+                .ok_or_else(|| format!("invariant {s:?} needs a numeric parameter"))?
                 .parse()
                 .map_err(|_| format!("bad numeric parameter in invariant {s:?}"))
-        };
-        let need_f64 = |p: Option<&str>| -> Result<f64, String> {
-            p.ok_or_else(|| format!("invariant {s:?} needs a numeric parameter"))?
-                .parse()
-                .map_err(|_| format!("bad numeric parameter in invariant {s:?}"))
-        };
+        }
         Ok(match head {
             "digest-matches-across-worker-counts" => Invariant::DigestMatchesAcrossWorkerCounts,
             "digest-stable-across-runs" => Invariant::DigestStableAcrossRuns,
@@ -213,57 +212,37 @@ impl Invariant {
                 Invariant::CensoredCrossShardTxsEventuallyApply
             }
             "blocks-every-round" => Invariant::BlocksEveryRound,
-            "min-blocks" => Invariant::MinBlocksProduced(need_usize(param)?),
-            "min-acceptance" => Invariant::MinMeanAcceptanceRate(need_f64(param)?),
+            "min-blocks" => Invariant::MinBlocksProduced(number(s, param)?),
+            "min-acceptance" => Invariant::MinMeanAcceptanceRate(number(s, param)?),
             "no-evictions" => Invariant::NoEvictions,
-            "min-evictions" => Invariant::MinEvictions(need_usize(param)?),
-            "min-censorship-reports" => Invariant::MinCensorshipReports(need_usize(param)?),
-            "min-witnesses" => Invariant::MinWitnesses(need_usize(param)?),
+            "min-evictions" => Invariant::MinEvictions(number(s, param)?),
+            "min-censorship-reports" => Invariant::MinCensorshipReports(number(s, param)?),
+            "min-witnesses" => Invariant::MinWitnesses(number(s, param)?),
             "packed-within-offered-valid" => Invariant::PackedWithinOfferedValid,
             "malicious-never-outearn-honest" => Invariant::MaliciousNeverOutearnHonest,
             "adversary-bound-respected" => Invariant::AdversaryBoundRespected,
-            "failure-probability-below" => Invariant::FailureProbabilityBelow(need_f64(param)?),
+            "failure-probability-below" => Invariant::FailureProbabilityBelow(number(s, param)?),
             "pipeline-complete" => Invariant::PipelineComplete,
-            "min-quorum-timeouts" => Invariant::MinQuorumTimeouts(need_usize(param)?),
+            "min-quorum-timeouts" => Invariant::MinQuorumTimeouts(number(s, param)?),
             "no-quorum-timeouts" => Invariant::NoQuorumTimeouts,
-            "min-net-dropped" => {
-                let n = param
-                    .ok_or_else(|| format!("invariant {s:?} needs a numeric parameter"))?
-                    .parse()
-                    .map_err(|_| format!("bad numeric parameter in invariant {s:?}"))?;
-                Invariant::MinNetDroppedMessages(n)
-            }
-            "blocks-from-round" => {
-                let r = param
-                    .ok_or_else(|| format!("invariant {s:?} needs a round parameter"))?
-                    .parse()
-                    .map_err(|_| format!("bad round parameter in invariant {s:?}"))?;
-                Invariant::BlocksFromRound(r)
-            }
+            "min-net-dropped" => Invariant::MinNetDroppedMessages(number(s, param)?),
+            "blocks-from-round" => Invariant::BlocksFromRound(number(s, param)?),
             "min-acceptance-from" => {
-                let rest =
-                    param.ok_or_else(|| format!("invariant {s:?} needs round:rate parameters"))?;
-                let (round, rate) = rest
-                    .split_once(':')
+                let (round, rate) = param
+                    .and_then(|p| p.split_once(':'))
                     .ok_or_else(|| format!("invariant {s:?} needs round:rate parameters"))?;
-                Invariant::MinAcceptanceFromRound(
-                    round
-                        .parse()
-                        .map_err(|_| format!("bad round parameter in invariant {s:?}"))?,
-                    rate.parse()
-                        .map_err(|_| format!("bad rate parameter in invariant {s:?}"))?,
-                )
+                Invariant::MinAcceptanceFromRound(number(s, Some(round))?, number(s, Some(rate))?)
             }
             "no-double-commit" => Invariant::NoDoubleCommit,
-            "min-epoch-transitions" => Invariant::MinEpochTransitions(need_usize(param)?),
+            "min-epoch-transitions" => Invariant::MinEpochTransitions(number(s, param)?),
             "no-syncing-votes" => Invariant::NoSyncingVotes,
-            "min-synced" => Invariant::MinSynced(need_usize(param)?),
-            "min-sync-timeouts" => Invariant::MinSyncTimeouts(need_usize(param)?),
-            "max-p99-latency" => Invariant::MaxP99Latency(need_f64(param)?),
-            "min-sustained-tps" => Invariant::MinSustainedTps(need_f64(param)?),
+            "min-synced" => Invariant::MinSynced(number(s, param)?),
+            "min-sync-timeouts" => Invariant::MinSyncTimeouts(number(s, param)?),
+            "max-p99-latency" => Invariant::MaxP99Latency(number(s, param)?),
+            "min-sustained-tps" => Invariant::MinSustainedTps(number(s, param)?),
             "confirmed-equals-packed" => Invariant::ConfirmedEqualsPacked,
             "state-root" => Invariant::StateRootsEveryRound,
-            "light-client-proof" => Invariant::LightClientProofsVerify(need_usize(param)?),
+            "light-client-proof" => Invariant::LightClientProofsVerify(number(s, param)?),
             other => return Err(format!("unknown invariant {other:?}")),
         })
     }

@@ -63,22 +63,6 @@ impl RoundObserver for PhaseTraceObserver {
     }
 }
 
-/// What one simulation pass produces (shared by the baseline and the
-/// cross-check passes).
-struct SimPass {
-    summary: SimulationSummary,
-    digest: String,
-    injected: Vec<ResolvedFault>,
-    nodes: Vec<NodeSnapshot>,
-    malicious_count: usize,
-    total_nodes: usize,
-    chain_height: usize,
-    phase_trace: Vec<Vec<&'static str>>,
-    duplicate_packed_txs: usize,
-    traffic: Option<cycledger_protocol::traffic::TrafficSnapshot>,
-    proof_audit: Option<ProofAudit>,
-}
-
 fn resolve_targets(
     sim: &Simulation,
     target: FaultTarget,
@@ -271,8 +255,12 @@ fn audit_state_proofs(sim: &Simulation, summary: &SimulationSummary) -> ProofAud
     audit
 }
 
+/// A finished pass: the simulation, the faults it injected and the phases
+/// each round ran.
+type Pass = (Simulation, Vec<ResolvedFault>, Vec<Vec<&'static str>>);
+
 /// Runs one simulation pass of a scenario at a fixed worker count.
-fn run_pass(scenario: &Scenario, worker_threads: usize) -> Result<SimPass, String> {
+fn run_pass(scenario: &Scenario, worker_threads: usize) -> Result<Pass, String> {
     let mut config = scenario.config;
     config.worker_threads = worker_threads;
     let mut sim = Simulation::new(config)?;
@@ -295,34 +283,13 @@ fn run_pass(scenario: &Scenario, worker_threads: usize) -> Result<SimPass, Strin
         observer.begin_round();
         sim.run_round_observed(&mut observer);
     }
-    let summary = SimulationSummary {
+    Ok((sim, injected, observer.rounds))
+}
+
+fn summary_of(sim: &Simulation) -> SimulationSummary {
+    SimulationSummary {
         rounds: sim.reports().to_vec(),
-    };
-    let digest = summary.canonical_digest().to_hex();
-    let proof_audit = (sim.config().state_backend == StateBackend::Smt)
-        .then(|| audit_state_proofs(&sim, &summary));
-    let nodes: Vec<NodeSnapshot> = sim
-        .registry()
-        .iter()
-        .map(|n| NodeSnapshot {
-            id: n.id,
-            honest: n.is_honest(),
-            reputation: sim.reputation().get(n.id),
-        })
-        .collect();
-    Ok(SimPass {
-        digest,
-        injected,
-        malicious_count: sim.registry().malicious_count(),
-        total_nodes: sim.registry().len(),
-        chain_height: sim.chain().height(),
-        phase_trace: observer.rounds,
-        duplicate_packed_txs: count_duplicate_packed(&sim),
-        traffic: sim.traffic(),
-        proof_audit,
-        nodes,
-        summary,
-    })
+    }
 }
 
 /// Runs a scenario across its whole worker matrix (plus one repeat of the
@@ -330,29 +297,46 @@ fn run_pass(scenario: &Scenario, worker_threads: usize) -> Result<SimPass, Strin
 pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioRun, String> {
     scenario.validate()?;
     let baseline_workers = scenario.workers[0];
-    let baseline = run_pass(scenario, baseline_workers)?;
-    let mut worker_digests = vec![(baseline_workers, baseline.digest.clone())];
+    // The cross-checks keep only their digests and run before the baseline,
+    // so one simulation is alive at a time.
+    let digest_at = |workers| {
+        run_pass(scenario, workers).map(|(sim, ..)| summary_of(&sim).canonical_digest().to_hex())
+    };
+    let mut cross_checks = Vec::new();
     for &workers in &scenario.workers[1..] {
-        let pass = run_pass(scenario, workers)?;
-        worker_digests.push((workers, pass.digest));
+        cross_checks.push((workers, digest_at(workers)?));
     }
-    let rerun = run_pass(scenario, baseline_workers)?;
+    let rerun_digest = digest_at(baseline_workers)?;
 
+    let (sim, injected, phase_trace) = run_pass(scenario, baseline_workers)?;
+    let summary = summary_of(&sim);
+    let digest = summary.canonical_digest().to_hex();
+    let mut worker_digests = vec![(baseline_workers, digest.clone())];
+    worker_digests.extend(cross_checks);
     let outcome = ScenarioOutcome {
         scenario: scenario.clone(),
-        digest: baseline.digest,
+        digest,
         worker_digests,
-        rerun_digest: rerun.digest,
-        injected: baseline.injected,
-        nodes: baseline.nodes,
-        malicious_count: baseline.malicious_count,
-        total_nodes: baseline.total_nodes,
-        chain_height: baseline.chain_height,
-        phase_trace: baseline.phase_trace,
-        duplicate_packed_txs: baseline.duplicate_packed_txs,
-        traffic: baseline.traffic,
-        proof_audit: baseline.proof_audit,
-        summary: baseline.summary,
+        rerun_digest,
+        injected,
+        nodes: sim
+            .registry()
+            .iter()
+            .map(|n| NodeSnapshot {
+                id: n.id,
+                honest: n.is_honest(),
+                reputation: sim.reputation().get(n.id),
+            })
+            .collect(),
+        malicious_count: sim.registry().malicious_count(),
+        total_nodes: sim.registry().len(),
+        chain_height: sim.chain().height(),
+        phase_trace,
+        duplicate_packed_txs: count_duplicate_packed(&sim),
+        traffic: sim.traffic(),
+        proof_audit: (sim.config().state_backend == StateBackend::Smt)
+            .then(|| audit_state_proofs(&sim, &summary)),
+        summary,
     };
     let invariants = scenario
         .invariants
@@ -474,6 +458,26 @@ mod tests {
         let a = results[0].as_ref().unwrap().outcome.digest.clone();
         let b = results[1].as_ref().unwrap().outcome.digest.clone();
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn an_out_of_range_delay_target_is_an_error_in_its_slot() {
+        let mut scenario = tiny_scenario();
+        scenario.config.message_driven = true;
+        scenario.net_faults.push(crate::spec::NetFaultInjection {
+            from_round: 0,
+            until_round: 1,
+            kind: NetFaultKind::Delay {
+                target: FaultTarget::Leader(9),
+                micros: 1_000,
+            },
+        });
+        let results = run_matrix(&[scenario], 1);
+        let err = results[0].as_ref().map(|_| ()).unwrap_err();
+        assert!(
+            err.contains("\"tiny\"") && err.contains("leader:9"),
+            "{err}"
+        );
     }
 
     #[test]

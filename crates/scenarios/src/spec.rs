@@ -79,6 +79,23 @@ impl FaultTarget {
             _ => Err(format!("unknown fault target {s:?}")),
         }
     }
+
+    /// Checks that a positional target names a committee and a partial-set
+    /// slot the configuration has (node ids are checked against the live
+    /// registry when the target is resolved).
+    fn check(self, config: &ProtocolConfig) -> Result<(), String> {
+        match self {
+            FaultTarget::Leader(committee) | FaultTarget::PartialSetMember { committee, .. }
+                if committee >= config.committees =>
+            {
+                Err(format!("committee {committee} of {}", config.committees))
+            }
+            FaultTarget::PartialSetMember { index, .. } if index >= config.partial_set_size => Err(
+                format!("partial-set slot {index} of {}", config.partial_set_size),
+            ),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// One targeted behaviour flip, applied between rounds (corruption takes a
@@ -307,6 +324,15 @@ impl Scenario {
                 self.name
             ));
         }
+        let check_target = |what: &str, target: FaultTarget| {
+            target.check(&self.config).map_err(|e| {
+                format!(
+                    "scenario {:?}: {what} target {:?} names {e}",
+                    self.name,
+                    target.to_spec()
+                )
+            })
+        };
         for fault in &self.faults {
             if fault.round >= self.rounds as u64 {
                 return Err(format!(
@@ -314,29 +340,7 @@ impl Scenario {
                     self.name, fault.round, self.rounds
                 ));
             }
-            match fault.target {
-                FaultTarget::Leader(k) if k >= self.config.committees => {
-                    return Err(format!(
-                        "scenario {:?}: fault targets committee {k} of {}",
-                        self.name, self.config.committees
-                    ));
-                }
-                FaultTarget::PartialSetMember { committee, index } => {
-                    if committee >= self.config.committees {
-                        return Err(format!(
-                            "scenario {:?}: fault targets committee {committee} of {}",
-                            self.name, self.config.committees
-                        ));
-                    }
-                    if index >= self.config.partial_set_size {
-                        return Err(format!(
-                            "scenario {:?}: fault targets partial-set slot {index} of {}",
-                            self.name, self.config.partial_set_size
-                        ));
-                    }
-                }
-                _ => {}
-            }
+            check_target("fault", fault.target)?;
         }
         if !self.net_faults.is_empty() && !self.config.message_driven {
             return Err(format!(
@@ -386,29 +390,9 @@ impl Scenario {
                         self.name
                     ));
                 }
-                NetFaultKind::CrashStop { target } => match target {
-                    FaultTarget::Leader(k) if k >= self.config.committees => {
-                        return Err(format!(
-                            "scenario {:?}: crash-stop targets committee {k} of {}",
-                            self.name, self.config.committees
-                        ));
-                    }
-                    FaultTarget::PartialSetMember { committee, index } => {
-                        if committee >= self.config.committees {
-                            return Err(format!(
-                                "scenario {:?}: crash-stop targets committee {committee} of {}",
-                                self.name, self.config.committees
-                            ));
-                        }
-                        if index >= self.config.partial_set_size {
-                            return Err(format!(
-                                "scenario {:?}: crash-stop targets partial-set slot {index} of {}",
-                                self.name, self.config.partial_set_size
-                            ));
-                        }
-                    }
-                    _ => {}
-                },
+                NetFaultKind::Delay { target, .. } | NetFaultKind::CrashStop { target } => {
+                    check_target(nf.kind.name(), target)?
+                }
                 NetFaultKind::IsolateJoiners if self.config.joins_per_epoch == 0 => {
                     return Err(format!(
                         "scenario {:?}: isolate-joiners needs epoch churn \
@@ -654,6 +638,28 @@ mod tests {
             },
         });
         assert!(crash_bad_committee.validate().is_err());
+
+        // Delay targets get the same bounds check; the error names the
+        // scenario and the target.
+        for target in [
+            FaultTarget::Leader(99),
+            FaultTarget::PartialSetMember {
+                committee: 0,
+                index: 99,
+            },
+        ] {
+            let mut far_delay = base.clone();
+            far_delay.net_faults.push(NetFaultInjection {
+                from_round: 0,
+                until_round: 1,
+                kind: NetFaultKind::Delay { target, micros: 1 },
+            });
+            let err = far_delay.validate().unwrap_err();
+            assert!(
+                err.contains(&format!("{:?}", base.name)) && err.contains(&target.to_spec()),
+                "{err}"
+            );
+        }
 
         // isolate-joiners without epoch churn has nobody to isolate.
         let mut no_churn = base.clone();

@@ -2,18 +2,24 @@
 //!
 //! The workspace is fully offline, so this module implements the small TOML
 //! subset the scenario schema needs: `[[scenario]]` array-of-table headers
-//! (plus `[[scenario.faults]]` sub-tables), `key = value` pairs with
-//! strings, integers, floats, booleans and single-line arrays, and `#`
-//! comments. Unknown keys are rejected — a typo in a scenario file should
-//! fail loudly, not silently fall back to a default.
+//! (plus the `[[scenario.faults]]`, `[[scenario.net_faults]]` and
+//! `[scenario.traffic]` sub-tables), `key = value` pairs with strings,
+//! integers, floats, booleans and arrays, and `#` comments. Unknown keys are
+//! rejected — a typo in a scenario file should fail loudly, not silently fall
+//! back to a default.
 //!
-//! The serializer writes every field in a fixed order, and
-//! `parse(serialize(s))` reproduces `s` exactly — pinned by the round-trip
-//! tests in `tests/scenario_matrix.rs`.
+//! `SCENARIO_KEYS` below is the one list of `[[scenario]]` keys (and
+//! `TRAFFIC_KEYS` of `[scenario.traffic]` keys): each row names a key, reads
+//! its value off a scenario and writes a parsed value back, so the parser and
+//! the serializer cannot disagree. The serializer writes every row in table
+//! order, and `parse(serialize(s))` reproduces `s` exactly — pinned by the
+//! round-trip property in this module's tests.
 
-use cycledger_net::latency::LatencyConfig;
+use std::fmt;
+
+use cycledger_ledger::StateBackend;
 use cycledger_net::time::SimDuration;
-use cycledger_protocol::adversary::Behavior;
+use cycledger_protocol::adversary::{Behavior, BehaviorMix};
 use cycledger_protocol::config::ProtocolConfig;
 use cycledger_protocol::traffic::{ArrivalShape, TrafficConfig};
 
@@ -28,78 +34,213 @@ use crate::spec::{
 pub enum Value {
     /// A quoted string.
     Str(String),
-    /// An integer.
-    Int(i64),
+    /// An integer (wide enough for every `u64` and every negative `i64`).
+    Int(i128),
     /// A float.
     Float(f64),
     /// A boolean.
     Bool(bool),
-    /// A single-line array.
+    /// An array (it may span lines).
     Array(Vec<Value>),
 }
 
-impl Value {
-    fn type_name(&self) -> &'static str {
+/// Prints the value the way the parser reads it back: floats in their
+/// shortest exact form (`{:?}`), strings quoted and escaped.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Value::Str(_) => "string",
-            Value::Int(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Bool(_) => "boolean",
-            Value::Array(_) => "array",
-        }
-    }
-
-    fn as_str(&self) -> Result<&str, String> {
-        match self {
-            Value::Str(s) => Ok(s),
-            other => Err(format!("expected a string, got {}", other.type_name())),
-        }
-    }
-
-    fn as_usize(&self) -> Result<usize, String> {
-        match self {
-            Value::Int(i) if *i >= 0 => Ok(*i as usize),
-            other => Err(format!(
-                "expected a non-negative integer, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn as_u64(&self) -> Result<u64, String> {
-        match self {
-            Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            other => Err(format!(
-                "expected a non-negative integer, got {}",
-                other.type_name()
-            )),
-        }
-    }
-
-    fn as_u32(&self) -> Result<u32, String> {
-        let v = self.as_u64()?;
-        u32::try_from(v).map_err(|_| format!("{v} does not fit in 32 bits"))
-    }
-
-    fn as_f64(&self) -> Result<f64, String> {
-        match self {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(format!("expected a number, got {}", other.type_name())),
-        }
-    }
-
-    fn as_bool(&self) -> Result<bool, String> {
-        match self {
-            Value::Bool(b) => Ok(*b),
-            other => Err(format!("expected a boolean, got {}", other.type_name())),
+            Value::Str(s) => {
+                let escaped = s
+                    .replace('\\', "\\\\")
+                    .replace('"', "\\\"")
+                    .replace('\n', "\\n")
+                    .replace('\t', "\\t");
+                write!(f, "\"{escaped}\"")
+            }
+            Value::Int(i) => write!(f, "{i}"),
+            Value::Float(x) => write!(f, "{x:?}"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Array(items) => {
+                let items: Vec<String> = items.iter().map(Value::to_string).collect();
+                write!(f, "[{}]", items.join(", "))
+            }
         }
     }
 }
+
+/// A type a key stores: how it prints as a TOML value and how it is read
+/// back.
+trait Field: Sized {
+    fn to_value(&self) -> Value;
+    fn from_value(value: &Value) -> Result<Self, String>;
+}
+
+/// Implements [`Field`] for `$t`: `$to` is the value of the field bound to
+/// `$x`, and a value matching a `$pat` reads back as its `$from`.
+macro_rules! field {
+    ($t:ty, $what:literal, |$x:ident| $to:expr, $($pat:pat => $from:expr),+) => {
+        impl Field for $t {
+            fn to_value(&self) -> Value {
+                let $x = self;
+                $to
+            }
+            fn from_value(value: &Value) -> Result<$t, String> {
+                match value {
+                    $($pat => $from,)+
+                    other => Err(format!(concat!("expected ", $what, ", got {}"), other)),
+                }
+            }
+        }
+    };
+}
+
+/// An integer literal as an unsigned `T`: negatives and overflows fail.
+fn unsigned<T: TryFrom<i128>>(i: i128) -> Result<T, String> {
+    T::try_from(i).map_err(|_| format!("{i} is out of range for a non-negative integer key"))
+}
+
+field!(String, "a string", |s| Value::Str(s.clone()), Value::Str(s) => Ok(s.clone()));
+field!(bool, "a boolean", |b| Value::Bool(*b), Value::Bool(b) => Ok(*b));
+field!(f64, "a number", |x| Value::Float(*x),
+    Value::Float(x) => Ok(*x), Value::Int(i) => Ok(*i as f64));
+field!(u32, "a non-negative integer", |n| Value::Int(*n as i128), Value::Int(i) => unsigned(*i));
+field!(u64, "a non-negative integer", |n| Value::Int(*n as i128), Value::Int(i) => unsigned(*i));
+field!(usize, "a non-negative integer", |n| Value::Int(*n as i128), Value::Int(i) => unsigned(*i));
+// Durations are written in microseconds (their keys end in `_us`).
+field!(SimDuration, "a non-negative integer", |d| d.as_micros().to_value(),
+    Value::Int(i) => unsigned(*i).map(SimDuration::from_micros));
+field!(Invariant, "an invariant spec", |i| Value::Str(i.to_spec()),
+    Value::Str(s) => Invariant::from_spec(s));
+field!(FaultTarget, "a target spec", |t| Value::Str(t.to_spec()),
+    Value::Str(s) => FaultTarget::from_spec(s));
+field!(Behavior, "a behaviour name", |b| Value::Str(behavior_name(*b).into()),
+    Value::Str(s) => behavior_from_name(s));
+field!(BehaviorMix, "a mix name", |m| Value::Str(mix_name(*m)),
+    Value::Str(s) => mix_from_name(s));
+field!(StateBackend, "a backend name", |b| Value::Str(b.name().into()),
+    Value::Str(s) => StateBackend::from_name(s)
+        .ok_or_else(|| format!("unknown state backend {s:?} (map or smt)")));
+field!(ArrivalShape, "a shape name", |a| Value::Str(a.name().into()),
+    Value::Str(s) => ArrivalShape::from_name(s)
+        .ok_or_else(|| format!("unknown arrival shape {s:?}")));
+
+impl<T: Field> Field for Vec<T> {
+    fn to_value(&self) -> Value {
+        Value::Array(self.iter().map(Field::to_value).collect())
+    }
+    fn from_value(value: &Value) -> Result<Vec<T>, String> {
+        match value {
+            Value::Array(items) => items.iter().map(T::from_value).collect(),
+            other => Err(format!("expected an array, got {other}")),
+        }
+    }
+}
+
+/// One `key = value` line of a table: the key, how its value is read off a
+/// `T`, and how a parsed value is written back.
+struct Key<T> {
+    name: &'static str,
+    read: fn(&T) -> Value,
+    write: fn(&mut T, &Value) -> Result<(), String>,
+}
+
+/// The row of a key stored in one field of `T`.
+macro_rules! key {
+    ($name:literal, $($field:ident).+) => {
+        Key {
+            name: $name,
+            read: |t| t.$($field).+.to_value(),
+            write: |t, value| {
+                t.$($field).+ = Field::from_value(value)?;
+                Ok(())
+            },
+        }
+    };
+}
+
+/// Every `[[scenario]]` key, in the order `scenarios_to_toml` writes them: the
+/// one list of keys a scenario file may use. A key left out of a file keeps
+/// its default ([`Scenario::new`] over [`ProtocolConfig::default`]).
+static SCENARIO_KEYS: [Key<Scenario>; 30] = [
+    key!("name", name),
+    key!("description", description),
+    key!("paper_claim", paper_claim),
+    key!("rounds", rounds),
+    key!("smoke", smoke),
+    key!("workers", workers),
+    key!("seed", config.seed),
+    key!("committees", config.committees),
+    key!("committee_size", config.committee_size),
+    key!("partial_set_size", config.partial_set_size),
+    key!("referee_size", config.referee_size),
+    key!("txs_per_round", config.txs_per_round),
+    key!("cross_shard_ratio", config.cross_shard_ratio),
+    key!("invalid_ratio", config.invalid_ratio),
+    key!("accounts_per_shard", config.accounts_per_shard),
+    key!("pow_difficulty", config.pow_difficulty),
+    key!("base_compute_capacity", config.base_compute_capacity),
+    key!("compute_capacity_spread", config.compute_capacity_spread),
+    key!("leader_bonus", config.leader_bonus),
+    key!("latency_delta_us", config.latency.delta),
+    key!("latency_gamma_us", config.latency.gamma),
+    key!("latency_partial_us", config.latency.partial_bound),
+    key!("state_backend", config.state_backend),
+    key!("message_driven", config.message_driven),
+    key!("epoch_length", config.epoch_length),
+    key!("joins_per_epoch", config.joins_per_epoch),
+    key!("leaves_per_epoch", config.leaves_per_epoch),
+    key!("malicious_fraction", config.adversary.malicious_fraction),
+    key!("mix", config.adversary.mix),
+    key!("invariants", invariants),
+];
+
+/// Every `[scenario.traffic]` key (`rate_tps` is required).
+static TRAFFIC_KEYS: [Key<TrafficConfig>; 3] = [
+    key!("rate_tps", rate_tps),
+    key!("shape", shape),
+    key!("warmup_rounds", warmup_rounds),
+];
+
+/// Writes a table's entries into `target` through its key table.
+fn apply_keys<T>(
+    keys: &[Key<T>],
+    table: &str,
+    target: &mut T,
+    entries: &[(String, Value)],
+) -> Result<(), String> {
+    for (name, value) in entries {
+        let key = keys
+            .iter()
+            .find(|key| key.name == name)
+            .ok_or_else(|| format!("unknown {table} key {name:?}"))?;
+        (key.write)(target, value).map_err(|e| format!("{name}: {e}"))?;
+    }
+    Ok(())
+}
+
+/// Writes one `key = value` line per row of `keys`, read off `source`.
+fn write_keys<T>(out: &mut String, keys: &[Key<T>], source: &T) {
+    for key in keys {
+        push_line(out, key.name, (key.read)(source));
+    }
+}
+
+fn push_line(out: &mut String, key: &str, value: Value) {
+    out.push_str(&format!("{key} = {value}\n"));
+}
+
+/// The section headers of the scenario schema.
+const HEADERS: [&str; 4] = [
+    "[[scenario]]",
+    "[[scenario.faults]]",
+    "[[scenario.net_faults]]",
+    "[scenario.traffic]",
+];
 
 /// One `[header]` / `[[header]]` section with its key/value pairs.
 #[derive(Clone, Debug)]
 struct Section {
+    /// One of [`HEADERS`].
     header: String,
     entries: Vec<(String, Value)>,
     line: usize,
@@ -166,7 +307,7 @@ fn parse_scalar(s: &str) -> Result<Value, String> {
             .map(Value::Float)
             .map_err(|_| format!("bad float {s:?}"));
     }
-    s.parse::<i64>()
+    s.parse::<i128>()
         .map(Value::Int)
         .map_err(|_| format!("bad value {s:?}"))
 }
@@ -227,7 +368,7 @@ fn bracket_balance(line: &str) -> i64 {
 }
 
 /// Parses a TOML document into its sections (top-level keys before any
-/// header are rejected — the scenario schema has none). Arrays may span
+/// header, and headers outside [`HEADERS`], are rejected). Arrays may span
 /// multiple lines; continuation lines are joined until brackets balance.
 fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
     let mut sections: Vec<Section> = Vec::new();
@@ -252,13 +393,24 @@ fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
             }
         }
         let line = line.as_str();
-        if let Some(header) = line
+        let header = line
             .strip_prefix("[[")
             .and_then(|h| h.strip_suffix("]]"))
-            .or_else(|| line.strip_prefix('[').and_then(|h| h.strip_suffix(']')))
-        {
+            .map(|h| format!("[[{}]]", h.trim()))
+            .or_else(|| {
+                line.strip_prefix('[')
+                    .and_then(|h| h.strip_suffix(']'))
+                    .map(|h| format!("[{}]", h.trim()))
+            });
+        if let Some(header) = header {
+            if !HEADERS.contains(&header.as_str()) {
+                return Err(format!(
+                    "line {lineno}: unknown section {header} (expected {})",
+                    HEADERS.join(", ")
+                ));
+            }
             sections.push(Section {
-                header: header.trim().to_string(),
+                header,
                 entries: Vec::new(),
                 line: lineno,
             });
@@ -277,78 +429,13 @@ fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
     Ok(sections)
 }
 
-fn apply_scenario_key(scenario: &mut Scenario, key: &str, value: &Value) -> Result<(), String> {
-    match key {
-        "name" => scenario.name = value.as_str()?.to_string(),
-        "description" => scenario.description = value.as_str()?.to_string(),
-        "paper_claim" => scenario.paper_claim = value.as_str()?.to_string(),
-        "rounds" => scenario.rounds = value.as_usize()?,
-        "smoke" => scenario.smoke = value.as_bool()?,
-        "workers" => {
-            let Value::Array(items) = value else {
-                return Err("workers must be an array of integers".into());
-            };
-            scenario.workers = items
-                .iter()
-                .map(|v| v.as_usize())
-                .collect::<Result<Vec<_>, _>>()?;
-        }
-        "seed" => scenario.config.seed = value.as_u64()?,
-        "committees" => scenario.config.committees = value.as_usize()?,
-        "committee_size" => scenario.config.committee_size = value.as_usize()?,
-        "partial_set_size" => scenario.config.partial_set_size = value.as_usize()?,
-        "referee_size" => scenario.config.referee_size = value.as_usize()?,
-        "txs_per_round" => scenario.config.txs_per_round = value.as_usize()?,
-        "cross_shard_ratio" => scenario.config.cross_shard_ratio = value.as_f64()?,
-        "invalid_ratio" => scenario.config.invalid_ratio = value.as_f64()?,
-        "accounts_per_shard" => scenario.config.accounts_per_shard = value.as_usize()?,
-        "pow_difficulty" => scenario.config.pow_difficulty = value.as_u32()?,
-        "base_compute_capacity" => scenario.config.base_compute_capacity = value.as_u32()?,
-        "compute_capacity_spread" => scenario.config.compute_capacity_spread = value.as_u32()?,
-        "leader_bonus" => scenario.config.leader_bonus = value.as_f64()?,
-        "latency_delta_us" => {
-            scenario.config.latency.delta = SimDuration::from_micros(value.as_u64()?)
-        }
-        "latency_gamma_us" => {
-            scenario.config.latency.gamma = SimDuration::from_micros(value.as_u64()?)
-        }
-        "latency_partial_us" => {
-            scenario.config.latency.partial_bound = SimDuration::from_micros(value.as_u64()?)
-        }
-        "state_backend" => {
-            let name = value.as_str()?;
-            scenario.config.state_backend = cycledger_ledger::StateBackend::from_name(name)
-                .ok_or_else(|| format!("unknown state backend {name:?} (map or smt)"))?;
-        }
-        "message_driven" => scenario.config.message_driven = value.as_bool()?,
-        "epoch_length" => scenario.config.epoch_length = value.as_u64()?,
-        "joins_per_epoch" => scenario.config.joins_per_epoch = value.as_u32()?,
-        "leaves_per_epoch" => scenario.config.leaves_per_epoch = value.as_u32()?,
-        "malicious_fraction" => scenario.config.adversary.malicious_fraction = value.as_f64()?,
-        "mix" => scenario.config.adversary.mix = mix_from_name(value.as_str()?)?,
-        "invariants" => {
-            let Value::Array(items) = value else {
-                return Err("invariants must be an array of strings".into());
-            };
-            scenario.invariants = items
-                .iter()
-                .map(|v| Invariant::from_spec(v.as_str()?))
-                .collect::<Result<Vec<_>, _>>()?;
-        }
-        other => return Err(format!("unknown scenario key {other:?}")),
-    }
-    Ok(())
-}
-
 fn fault_from_section(section: &Section) -> Result<FaultInjection, String> {
-    let mut round: Option<u64> = None;
-    let mut target: Option<FaultTarget> = None;
-    let mut behavior: Option<Behavior> = None;
+    let (mut round, mut target, mut behavior) = (None, None, None);
     for (key, value) in &section.entries {
         match key.as_str() {
-            "round" => round = Some(value.as_u64()?),
-            "target" => target = Some(FaultTarget::from_spec(value.as_str()?)?),
-            "behavior" => behavior = Some(behavior_from_name(value.as_str()?)?),
+            "round" => round = Some(Field::from_value(value)?),
+            "target" => target = Some(Field::from_value(value)?),
+            "behavior" => behavior = Some(Field::from_value(value)?),
             other => return Err(format!("unknown fault key {other:?}")),
         }
     }
@@ -370,14 +457,14 @@ fn net_fault_from_section(section: &Section) -> Result<NetFaultInjection, String
     let mut loss_ppm: Option<u32> = None;
     for (key, value) in &section.entries {
         match key.as_str() {
-            "from_round" => from_round = Some(value.as_u64()?),
-            "until_round" => until_round = Some(value.as_u64()?),
-            "kind" => kind = Some(value.as_str()?.to_string()),
-            "committee" => committee = Some(value.as_usize()?),
-            "count" => count = Some(value.as_usize()?),
-            "target" => target = Some(FaultTarget::from_spec(value.as_str()?)?),
-            "delay_us" => delay_us = Some(value.as_u64()?),
-            "loss_ppm" => loss_ppm = Some(value.as_u32()?),
+            "from_round" => from_round = Some(Field::from_value(value)?),
+            "until_round" => until_round = Some(Field::from_value(value)?),
+            "kind" => kind = Some(Field::from_value(value)?),
+            "committee" => committee = Some(Field::from_value(value)?),
+            "count" => count = Some(Field::from_value(value)?),
+            "target" => target = Some(Field::from_value(value)?),
+            "delay_us" => delay_us = Some(Field::from_value(value)?),
+            "loss_ppm" => loss_ppm = Some(Field::from_value(value)?),
             other => return Err(format!("unknown net-fault key {other:?}")),
         }
     }
@@ -411,23 +498,8 @@ fn net_fault_from_section(section: &Section) -> Result<NetFaultInjection, String
 
 fn traffic_from_section(section: &Section) -> Result<TrafficConfig, String> {
     let mut traffic = TrafficConfig::default();
-    let mut rate_seen = false;
-    for (key, value) in &section.entries {
-        match key.as_str() {
-            "rate_tps" => {
-                traffic.rate_tps = value.as_f64()?;
-                rate_seen = true;
-            }
-            "shape" => {
-                let name = value.as_str()?;
-                traffic.shape = ArrivalShape::from_name(name)
-                    .ok_or_else(|| format!("unknown arrival shape {name:?}"))?;
-            }
-            "warmup_rounds" => traffic.warmup_rounds = value.as_u64()?,
-            other => return Err(format!("unknown traffic key {other:?}")),
-        }
-    }
-    if !rate_seen {
+    apply_keys(&TRAFFIC_KEYS, "traffic", &mut traffic, &section.entries)?;
+    if !section.entries.iter().any(|(key, _)| key == "rate_tps") {
         return Err("traffic needs rate_tps".into());
     }
     Ok(traffic)
@@ -437,81 +509,45 @@ fn traffic_from_section(section: &Section) -> Result<TrafficConfig, String> {
 /// the library defaults ([`ProtocolConfig::default`] with an empty fault and
 /// invariant list), so a file only states what differs.
 pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
-    let sections = parse_sections(text)?;
     let mut scenarios: Vec<Scenario> = Vec::new();
-    for section in &sections {
-        match section.header.as_str() {
-            "scenario" => {
-                let mut scenario = Scenario::new("", ProtocolConfig::default());
-                for (key, value) in &section.entries {
-                    apply_scenario_key(&mut scenario, key, value)
-                        .map_err(|e| format!("line {}: {e}", section.line))?;
-                }
-                scenarios.push(scenario);
-            }
-            "scenario.faults" => {
-                let scenario = scenarios.last_mut().ok_or_else(|| {
-                    format!(
-                        "line {}: [[scenario.faults]] before any [[scenario]]",
-                        section.line
-                    )
-                })?;
-                // Errors name the table's index within its scenario so a
-                // matrix failure is attributable to one concrete table.
-                let index = scenario.faults.len();
-                let fault = fault_from_section(section).map_err(|e| {
-                    format!(
-                        "line {}: [[scenario.faults]] #{index} of scenario {:?}: {e}",
-                        section.line, scenario.name
-                    )
-                })?;
-                scenario.faults.push(fault);
-            }
-            "scenario.net_faults" => {
-                let scenario = scenarios.last_mut().ok_or_else(|| {
-                    format!(
-                        "line {}: [[scenario.net_faults]] before any [[scenario]]",
-                        section.line
-                    )
-                })?;
-                let index = scenario.net_faults.len();
-                let fault = net_fault_from_section(section).map_err(|e| {
-                    format!(
-                        "line {}: [[scenario.net_faults]] #{index} of scenario {:?}: {e}",
-                        section.line, scenario.name
-                    )
-                })?;
-                scenario.net_faults.push(fault);
-            }
-            "scenario.traffic" => {
-                let scenario = scenarios.last_mut().ok_or_else(|| {
-                    format!(
-                        "line {}: [scenario.traffic] before any [[scenario]]",
-                        section.line
-                    )
-                })?;
-                if scenario.config.traffic.is_some() {
-                    return Err(format!(
-                        "line {}: duplicate [scenario.traffic] block in scenario {:?}",
-                        section.line, scenario.name
-                    ));
-                }
-                let traffic = traffic_from_section(section).map_err(|e| {
-                    format!(
-                        "line {}: [scenario.traffic] of scenario {:?}: {e}",
-                        section.line, scenario.name
-                    )
-                })?;
-                scenario.config.traffic = Some(traffic);
-            }
-            other => {
-                return Err(format!(
-                    "line {}: unknown section [[{other}]] (expected [[scenario]], \
-                     [[scenario.faults]], [[scenario.net_faults]] or [scenario.traffic])",
-                    section.line
-                ))
-            }
+    for section in &parse_sections(text)? {
+        let (line, header) = (section.line, section.header.as_str());
+        if header == "[[scenario]]" {
+            let mut scenario = Scenario::new("", ProtocolConfig::default());
+            apply_keys(&SCENARIO_KEYS, "scenario", &mut scenario, &section.entries)
+                .map_err(|e| format!("line {line}: {e}"))?;
+            scenarios.push(scenario);
+            continue;
         }
+        // A sub-table belongs to the last `[[scenario]]`; an error names its
+        // index among that scenario's tables of the same header.
+        let Some(scenario) = scenarios.last_mut() else {
+            return Err(format!("line {line}: {header} before any [[scenario]]"));
+        };
+        let (index, attached) = match header {
+            "[[scenario.faults]]" => (
+                scenario.faults.len(),
+                fault_from_section(section).map(|f| scenario.faults.push(f)),
+            ),
+            "[[scenario.net_faults]]" => (
+                scenario.net_faults.len(),
+                net_fault_from_section(section).map(|f| scenario.net_faults.push(f)),
+            ),
+            // `[scenario.traffic]`, the one other header `parse_sections` admits.
+            _ => match scenario.config.traffic {
+                Some(_) => (1, Err("a scenario takes one [scenario.traffic]".into())),
+                None => (
+                    0,
+                    traffic_from_section(section).map(|t| scenario.config.traffic = Some(t)),
+                ),
+            },
+        };
+        attached.map_err(|e| {
+            format!(
+                "line {line}: {header} #{index} of scenario {:?}: {e}",
+                scenario.name
+            )
+        })?;
     }
     for scenario in &scenarios {
         scenario.validate()?;
@@ -519,128 +555,43 @@ pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            other => out.push(other),
-        }
-    }
-    out
-}
-
-/// Serializes scenarios to the canonical TOML form (every field, fixed
-/// order; `parse(serialize(s))` reproduces `s` exactly).
+/// Serializes scenarios to the canonical TOML form (every key, table order;
+/// `parse(serialize(s))` reproduces `s` exactly).
 pub fn scenarios_to_toml(scenarios: &[Scenario]) -> String {
     let mut out = String::new();
     for scenario in scenarios {
-        let cfg: &ProtocolConfig = &scenario.config;
-        let lat: &LatencyConfig = &cfg.latency;
         out.push_str("[[scenario]]\n");
-        out.push_str(&format!("name = \"{}\"\n", escape(&scenario.name)));
-        out.push_str(&format!(
-            "description = \"{}\"\n",
-            escape(&scenario.description)
-        ));
-        out.push_str(&format!(
-            "paper_claim = \"{}\"\n",
-            escape(&scenario.paper_claim)
-        ));
-        out.push_str(&format!("rounds = {}\n", scenario.rounds));
-        out.push_str(&format!("smoke = {}\n", scenario.smoke));
-        let workers: Vec<String> = scenario.workers.iter().map(|w| w.to_string()).collect();
-        out.push_str(&format!("workers = [{}]\n", workers.join(", ")));
-        out.push_str(&format!("seed = {}\n", cfg.seed));
-        out.push_str(&format!("committees = {}\n", cfg.committees));
-        out.push_str(&format!("committee_size = {}\n", cfg.committee_size));
-        out.push_str(&format!("partial_set_size = {}\n", cfg.partial_set_size));
-        out.push_str(&format!("referee_size = {}\n", cfg.referee_size));
-        out.push_str(&format!("txs_per_round = {}\n", cfg.txs_per_round));
-        out.push_str(&format!(
-            "cross_shard_ratio = {:?}\n",
-            cfg.cross_shard_ratio
-        ));
-        out.push_str(&format!("invalid_ratio = {:?}\n", cfg.invalid_ratio));
-        out.push_str(&format!(
-            "accounts_per_shard = {}\n",
-            cfg.accounts_per_shard
-        ));
-        out.push_str(&format!("pow_difficulty = {}\n", cfg.pow_difficulty));
-        out.push_str(&format!(
-            "base_compute_capacity = {}\n",
-            cfg.base_compute_capacity
-        ));
-        out.push_str(&format!(
-            "compute_capacity_spread = {}\n",
-            cfg.compute_capacity_spread
-        ));
-        out.push_str(&format!("leader_bonus = {:?}\n", cfg.leader_bonus));
-        out.push_str(&format!("latency_delta_us = {}\n", lat.delta.as_micros()));
-        out.push_str(&format!("latency_gamma_us = {}\n", lat.gamma.as_micros()));
-        out.push_str(&format!(
-            "latency_partial_us = {}\n",
-            lat.partial_bound.as_micros()
-        ));
-        out.push_str(&format!(
-            "state_backend = \"{}\"\n",
-            cfg.state_backend.name()
-        ));
-        out.push_str(&format!("message_driven = {}\n", cfg.message_driven));
-        out.push_str(&format!("epoch_length = {}\n", cfg.epoch_length));
-        out.push_str(&format!("joins_per_epoch = {}\n", cfg.joins_per_epoch));
-        out.push_str(&format!("leaves_per_epoch = {}\n", cfg.leaves_per_epoch));
-        out.push_str(&format!(
-            "malicious_fraction = {:?}\n",
-            cfg.adversary.malicious_fraction
-        ));
-        out.push_str(&format!("mix = \"{}\"\n", mix_name(cfg.adversary.mix)));
-        let invariants: Vec<String> = scenario
-            .invariants
-            .iter()
-            .map(|i| format!("\"{}\"", escape(&i.to_spec())))
-            .collect();
-        out.push_str(&format!("invariants = [{}]\n", invariants.join(", ")));
-        if let Some(traffic) = &cfg.traffic {
+        write_keys(&mut out, &SCENARIO_KEYS, scenario);
+        if let Some(traffic) = &scenario.config.traffic {
             out.push_str("\n[scenario.traffic]\n");
-            out.push_str(&format!("rate_tps = {:?}\n", traffic.rate_tps));
-            out.push_str(&format!("shape = \"{}\"\n", traffic.shape.name()));
-            out.push_str(&format!("warmup_rounds = {}\n", traffic.warmup_rounds));
+            write_keys(&mut out, &TRAFFIC_KEYS, traffic);
         }
         for fault in &scenario.faults {
             out.push_str("\n[[scenario.faults]]\n");
-            out.push_str(&format!("round = {}\n", fault.round));
-            out.push_str(&format!("target = \"{}\"\n", fault.target.to_spec()));
-            out.push_str(&format!(
-                "behavior = \"{}\"\n",
-                behavior_name(fault.behavior)
-            ));
+            push_line(&mut out, "round", fault.round.to_value());
+            push_line(&mut out, "target", fault.target.to_value());
+            push_line(&mut out, "behavior", fault.behavior.to_value());
         }
         for fault in &scenario.net_faults {
             out.push_str("\n[[scenario.net_faults]]\n");
-            out.push_str(&format!("from_round = {}\n", fault.from_round));
-            out.push_str(&format!("until_round = {}\n", fault.until_round));
-            out.push_str(&format!("kind = \"{}\"\n", fault.kind.name()));
+            push_line(&mut out, "from_round", fault.from_round.to_value());
+            push_line(&mut out, "until_round", fault.until_round.to_value());
+            push_line(&mut out, "kind", Value::Str(fault.kind.name().into()));
             match fault.kind {
                 NetFaultKind::IsolateLeader { committee } => {
-                    out.push_str(&format!("committee = {committee}\n"));
+                    push_line(&mut out, "committee", committee.to_value());
                 }
                 NetFaultKind::IsolateCommons { committee, count } => {
-                    out.push_str(&format!("committee = {committee}\n"));
-                    out.push_str(&format!("count = {count}\n"));
+                    push_line(&mut out, "committee", committee.to_value());
+                    push_line(&mut out, "count", count.to_value());
                 }
                 NetFaultKind::Delay { target, micros } => {
-                    out.push_str(&format!("target = \"{}\"\n", target.to_spec()));
-                    out.push_str(&format!("delay_us = {micros}\n"));
+                    push_line(&mut out, "target", target.to_value());
+                    push_line(&mut out, "delay_us", micros.to_value());
                 }
-                NetFaultKind::Loss { ppm } => {
-                    out.push_str(&format!("loss_ppm = {ppm}\n"));
-                }
+                NetFaultKind::Loss { ppm } => push_line(&mut out, "loss_ppm", ppm.to_value()),
                 NetFaultKind::CrashStop { target } => {
-                    out.push_str(&format!("target = \"{}\"\n", target.to_spec()));
+                    push_line(&mut out, "target", target.to_value());
                 }
                 NetFaultKind::IsolateJoiners => {}
             }
@@ -672,6 +623,8 @@ pub fn load_dir(dir: &std::path::Path) -> Result<Vec<Scenario>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::builtin_scenarios;
+    use proptest::prelude::*;
 
     #[test]
     fn value_parsing_covers_the_subset() {
@@ -824,6 +777,14 @@ delay_us = 600000
         )
         .unwrap_err()
         .contains("unknown net-fault kind"));
+        // A delay target past the committee count fails to load (it used to
+        // pass and index out of bounds in the runner).
+        let far = text.replace("\"partial:0:0\"", "\"leader:9\"");
+        let err = scenarios_from_toml(&far).unwrap_err();
+        assert!(
+            err.contains("\"driven\"") && err.contains("\"leader:9\""),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1032,5 +993,121 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         assert!(scenarios_from_toml("[[scenario.faults]]\nround = 0\n")
             .unwrap_err()
             .contains("before any"));
+    }
+
+    #[test]
+    fn u64_keys_round_trip_over_the_full_range() {
+        let mut scenario = builtin_scenarios().remove(0);
+        scenario.config.seed = u64::MAX;
+        scenario.config.latency.delta = SimDuration::from_micros(1 << 63);
+        scenario.config.epoch_length = u64::MAX;
+        let text = scenarios_to_toml(&[scenario]);
+        assert!(text.contains("\nseed = 18446744073709551615\n"), "{text}");
+        let parsed = &scenarios_from_toml(&text).expect("round-trips")[0];
+        assert_eq!(parsed.config.seed, u64::MAX);
+        assert_eq!(parsed.config.latency.delta.as_micros(), 1 << 63);
+        assert_eq!(parsed.config.epoch_length, u64::MAX);
+
+        // Unsigned keys still reject negatives, and values past their range.
+        for line in [
+            "seed = -1",
+            "seed = 18446744073709551616",
+            "rounds = -3",
+            "joins_per_epoch = 4294967296",
+        ] {
+            let err = scenarios_from_toml(&format!("[[scenario]]\n{line}\n")).unwrap_err();
+            assert!(err.contains("non-negative"), "{line}: {err}");
+        }
+    }
+
+    /// The whole builtin registry in its canonical TOML form.
+    fn registry_toml() -> &'static str {
+        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+        TEXT.get_or_init(|| scenarios_to_toml(&builtin_scenarios()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every builtin, moved across the full range of its `u64` keys and
+        /// its ratios, reads back row for row.
+        #[test]
+        fn every_builtin_round_trips_through_the_key_table(
+            seed in any::<u64>(),
+            delta in any::<u64>(),
+            epoch_length in 1u64..=u64::MAX,
+            cross in 0.0f64..1.0,
+            invalid in 0.0f64..1.0,
+            malicious in 0.0f64..0.5,
+            rate in 0.5f64..1e6,
+        ) {
+            let mut scenarios = builtin_scenarios();
+            for s in &mut scenarios {
+                s.config.seed = seed;
+                s.config.latency.delta = SimDuration::from_micros(delta);
+                s.config.latency.gamma = SimDuration::from_micros(delta.rotate_left(17));
+                s.config.latency.partial_bound = SimDuration::from_micros(!delta);
+                if s.config.epoch_length > 0 {
+                    s.config.epoch_length = epoch_length;
+                }
+                s.config.cross_shard_ratio = cross;
+                s.config.invalid_ratio = invalid;
+                s.config.adversary.malicious_fraction = malicious;
+                if let Some(traffic) = &mut s.config.traffic {
+                    traffic.rate_tps = rate;
+                }
+            }
+            let text = scenarios_to_toml(&scenarios);
+            let parsed = scenarios_from_toml(&text)?;
+            prop_assert_eq!(parsed.len(), scenarios.len());
+            for (a, b) in scenarios.iter().zip(&parsed) {
+                for key in &SCENARIO_KEYS {
+                    let (written, read) = ((key.read)(a), (key.read)(b));
+                    prop_assert!(
+                        written == read,
+                        "{}: {} = {written} read back as {read}",
+                        a.name,
+                        key.name
+                    );
+                }
+                prop_assert_eq!(a.config.traffic, b.config.traffic);
+                prop_assert_eq!(&a.faults, &b.faults);
+                prop_assert_eq!(&a.net_faults, &b.net_faults);
+            }
+            prop_assert_eq!(scenarios_to_toml(&parsed), text);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The loader answers `Ok` or `Err`, and never panics, on a bit flip,
+        /// a truncation or a duplicated line of the serialized registry.
+        #[test]
+        fn a_mutated_registry_never_panics_the_loader(
+            mutation in 0u8..3,
+            at in any::<u64>(),
+            bit in 0u8..8,
+        ) {
+            let text = registry_toml();
+            let mut bytes = text.as_bytes().to_vec();
+            let at = (at % bytes.len() as u64) as usize;
+            match mutation {
+                0 => bytes[at] ^= 1 << bit,
+                1 => bytes.truncate(at),
+                _ => {
+                    let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+                    let line = at % lines.len();
+                    lines.insert(line, lines[line]);
+                    bytes = lines.concat().into_bytes();
+                }
+            }
+            let mutated = String::from_utf8_lossy(&bytes);
+            let loaded = std::panic::catch_unwind(|| scenarios_from_toml(&mutated).is_ok());
+            prop_assert!(
+                loaded.is_ok(),
+                "mutation {mutation} at byte {at} (bit {bit}) panicked the loader"
+            );
+        }
     }
 }

@@ -1,9 +1,9 @@
 //! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
 //! secp256k1 kernel layer by layer (field, point, scalar multiplication), for
-//! the primitives built on it (Schnorr, VRF), for a one-shot HMAC-DRBG draw,
-//! the network's per-envelope latency draw and one whole Algorithm 3
-//! instance at c = 16. The set matches the `crypto_primitives` criterion
-//! bench; rounds per second are `gen_bench_round`'s.
+//! the primitives built on it (Schnorr, VRF, PVSS), for SHA-256 over 1 KiB, a
+//! one-shot HMAC-DRBG draw, the network's per-envelope latency draw and one
+//! whole Algorithm 3 instance at c = 16. It is the one harness timing these
+//! primitives; rounds per second are `gen_bench_round`'s.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_crypto`;
 //! the JSON is printed to stdout so it can be pasted into `BENCH_crypto.json`
@@ -13,11 +13,13 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cycledger_bench::alg3_instance;
+use cycledger_bench::{alg3_instance, Json};
 use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::point::Point;
+use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
+use cycledger_crypto::sha256::sha256;
 use cycledger_crypto::vrf;
 use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
 use cycledger_net::topology::NodeId;
@@ -48,6 +50,14 @@ fn ns_per_op<R>(mut f: impl FnMut() -> R) -> f64 {
         }
     });
     1e6 / per_block
+}
+
+/// Nanoseconds per call of `f`, timed one call at a time over a second: for
+/// operations of microseconds and more, where one clock read a call is noise.
+fn ns_per_call<R>(mut f: impl FnMut() -> R) -> f64 {
+    1e9 / ops_per_sec(1.0, || {
+        black_box(f());
+    })
 }
 
 fn main() {
@@ -144,6 +154,8 @@ fn main() {
         ns_per_op(|| vrf::verify_batch(input, &proofs)) / 8.0,
     ));
 
+    let data = [0xabu8; 1024];
+    rows.push(("sha256_1k", ns_per_op(|| sha256(black_box(&data)))));
     // A generator made, drawn from once and dropped, and the network's
     // latency draw: one keyed compression per envelope.
     let seed = [0xabu8; 32];
@@ -162,18 +174,20 @@ fn main() {
     ));
 
     // What the primitives add up to: one verified instance (239 messages).
-    let mut instance = alg3_instance(16);
-    let per_sec = ops_per_sec(1.0, || {
-        black_box(instance());
-    });
-    rows.push(("alg3_instance_c16", 1e9 / per_sec));
+    rows.push(("alg3_instance_c16", ns_per_call(alg3_instance(16))));
 
-    println!("{{");
-    println!("  \"ns_per_op\": {{");
-    for (i, (name, ns)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        println!("    \"{name}\": {ns:.1}{comma}");
-    }
-    println!("  }}");
-    println!("}}");
+    // The epoch beacon's dealing and a reconstruction from a quorum of shares.
+    let secret = Scalar::from_u64(424242);
+    rows.push((
+        "pvss_deal_7_of_13",
+        ns_per_call(|| pvss::deal(&secret, 13, 7, b"bench").expect("7 of 13 deals")),
+    ));
+    let dealing = pvss::deal(&secret, 13, 7, b"bench").expect("7 of 13 deals");
+    rows.push((
+        "pvss_reconstruct_7",
+        ns_per_call(|| pvss::reconstruct(&dealing.shares[..7], 7).expect("7 shares suffice")),
+    ));
+
+    let ns_per_op = rows.into_iter().map(|(name, ns)| (name, Json::Num(ns, 1)));
+    println!("{}", Json::obj([("ns_per_op", Json::obj(ns_per_op))]));
 }

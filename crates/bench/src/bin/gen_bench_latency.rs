@@ -23,47 +23,9 @@
 //! the JSON is printed to stdout so it can be redirected into
 //! `BENCH_latency.json` at the repository root.
 
-use cycledger_bench::bench_config;
-use cycledger_protocol::config::ProtocolConfig;
+use cycledger_bench::{Args, Flag, Geometry, Json};
 use cycledger_protocol::traffic::{capacity_tps, ArrivalShape, TrafficConfig, TrafficSnapshot};
 use cycledger_protocol::Simulation;
-
-/// The swept geometry: committees x committee size, with the per-round
-/// offered load inherited from [`bench_config`] (50 txs per committee).
-#[derive(Clone, Copy)]
-struct BenchSpec {
-    committees: usize,
-    committee_size: usize,
-}
-
-impl BenchSpec {
-    fn parse(name: &str) -> Option<BenchSpec> {
-        match name {
-            "8x16" => Some(BenchSpec {
-                committees: 8,
-                committee_size: 16,
-            }),
-            "64x32" => Some(BenchSpec {
-                committees: 64,
-                committee_size: 32,
-            }),
-            _ => None,
-        }
-    }
-
-    fn config(&self) -> ProtocolConfig {
-        bench_config(self.committees, self.committee_size, 4242)
-    }
-
-    fn describe(&self, capacity: f64) -> String {
-        let config = self.config();
-        format!(
-            "{} committees x {} members, {} txs/round, seed 4242, constant arrivals, \
-             warmup 2 rounds, capacity {:.1} tps",
-            self.committees, self.committee_size, config.txs_per_round, capacity
-        )
-    }
-}
 
 /// One measured point of the rate sweep.
 struct SweepPoint {
@@ -78,12 +40,28 @@ impl SweepPoint {
     fn keeps_up(&self) -> bool {
         self.snapshot.sustained_tps() >= 0.9 * self.offered_tps
     }
+
+    fn json(&self) -> Json {
+        let s = &self.snapshot;
+        Json::obj([
+            ("offered_tps", Json::Num(self.offered_tps, 3)),
+            ("sustained_tps", Json::Num(s.sustained_tps(), 3)),
+            ("backlog", Json::Int(s.backlog)),
+            ("p50_us", Json::Int(s.p50_us)),
+            ("p99_us", Json::Int(s.p99_us)),
+            ("p999_us", Json::Int(s.p999_us)),
+            ("p99_delta", Json::Num(s.p99_delta(), 3)),
+            ("samples", Json::Int(s.samples)),
+        ])
+    }
 }
 
-/// Runs `rounds` open-loop rounds at the offered rate and snapshots the
-/// traffic counters. Virtual-time determinism makes one pass sufficient.
-fn measure(spec: &BenchSpec, rate_tps: f64, rounds: usize) -> SweepPoint {
-    let mut config = spec.config();
+/// Runs `rounds` open-loop rounds of the geometry (its offered load per
+/// round from `bench_config`, 50 txs per committee) at the offered rate
+/// and snapshots the traffic counters. Virtual-time determinism makes one
+/// pass sufficient.
+fn measure(geometry: Geometry, rate_tps: f64, rounds: usize) -> SweepPoint {
+    let mut config = geometry.config();
     config.traffic = Some(TrafficConfig {
         rate_tps,
         shape: ArrivalShape::Constant,
@@ -100,45 +78,13 @@ fn measure(spec: &BenchSpec, rate_tps: f64, rounds: usize) -> SweepPoint {
     }
 }
 
-fn print_point(point: &SweepPoint, trailing_comma: bool) {
-    let s = &point.snapshot;
-    println!("    {{");
-    println!("      \"offered_tps\": {:.3},", point.offered_tps);
-    println!("      \"sustained_tps\": {:.3},", s.sustained_tps());
-    println!("      \"backlog\": {},", s.backlog);
-    println!("      \"p50_us\": {},", s.p50_us);
-    println!("      \"p99_us\": {},", s.p99_us);
-    println!("      \"p999_us\": {},", s.p999_us);
-    println!("      \"p99_delta\": {:.3},", s.p99_delta());
-    println!("      \"samples\": {}", s.samples);
-    println!("    }}{}", if trailing_comma { "," } else { "" });
-}
-
-fn usage() -> ! {
-    eprintln!("usage: gen_bench_latency [--smoke] [--config 8x16|64x32]");
-    std::process::exit(2);
-}
-
 fn main() {
-    let mut smoke = false;
-    let mut spec = BenchSpec::parse("8x16").unwrap();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--config" => {
-                let name = args.next().unwrap_or_else(|| usage());
-                spec = BenchSpec::parse(&name).unwrap_or_else(|| usage());
-            }
-            _ => usage(),
-        }
-    }
-
-    let config = spec.config();
+    let args = Args::parse("gen_bench_latency", &[Flag::Smoke, Flag::Config]);
+    let config = args.geometry.config();
     let capacity = capacity_tps(config.txs_per_round, &config.latency);
     // Fractions of analytic capacity: under-provisioned through 1.5×
     // overload. The smoke sweep keeps the span but thins the points.
-    let (fractions, rounds): (&[f64], usize) = if smoke {
+    let (fractions, rounds): (&[f64], usize) = if args.smoke {
         (&[0.25, 0.5, 0.9, 1.5], 8)
     } else {
         (&[0.25, 0.5, 0.75, 0.9, 1.1, 1.5], 20)
@@ -146,7 +92,7 @@ fn main() {
 
     let points: Vec<SweepPoint> = fractions
         .iter()
-        .map(|f| measure(&spec, f * capacity, rounds))
+        .map(|f| measure(args.geometry, f * capacity, rounds))
         .collect();
 
     // The knee: the last swept rate the pipeline keeps up with. Past it,
@@ -168,22 +114,32 @@ fn main() {
         .rfind(|p| p.offered_tps <= 0.95 * capacity)
         .expect("sweep includes an under-capacity point");
 
-    println!("{{");
-    println!("  \"bench_config\": \"{}\",", spec.describe(capacity));
-    println!("  \"capacity_tps\": {capacity:.3},");
-    println!("  \"sweep\": [");
-    for (i, point) in points.iter().enumerate() {
-        print_point(point, i + 1 < points.len());
-    }
-    println!("  ],");
-    println!("  \"tracked\": {{");
-    println!("    \"offered_tps\": {:.3},", tracked.offered_tps);
-    println!("    \"p50_us\": {},", tracked.snapshot.p50_us);
-    println!("    \"p99_us\": {},", tracked.snapshot.p99_us);
-    println!("    \"p999_us\": {},", tracked.snapshot.p999_us);
-    println!("    \"p99_delta\": {:.3}", tracked.snapshot.p99_delta());
-    println!("  }},");
-    println!("  \"knee_offered_tps\": {:.3},", knee.offered_tps);
-    println!("  \"saturated_tps\": {saturated_tps:.3}");
-    println!("}}");
+    let doc = Json::obj([
+        (
+            "bench_config",
+            Json::Str(format!(
+                "{} committees x {} members, {} txs/round, seed 4242, constant arrivals, \
+                 warmup 2 rounds, capacity {:.1} tps",
+                config.committees, config.committee_size, config.txs_per_round, capacity
+            )),
+        ),
+        ("capacity_tps", Json::Num(capacity, 3)),
+        (
+            "sweep",
+            Json::Arr(points.iter().map(SweepPoint::json).collect()),
+        ),
+        (
+            "tracked",
+            Json::obj([
+                ("offered_tps", Json::Num(tracked.offered_tps, 3)),
+                ("p50_us", Json::Int(tracked.snapshot.p50_us)),
+                ("p99_us", Json::Int(tracked.snapshot.p99_us)),
+                ("p999_us", Json::Int(tracked.snapshot.p999_us)),
+                ("p99_delta", Json::Num(tracked.snapshot.p99_delta(), 3)),
+            ]),
+        ),
+        ("knee_offered_tps", Json::Num(knee.offered_tps, 3)),
+        ("saturated_tps", Json::Num(saturated_tps, 3)),
+    ]);
+    println!("{doc}");
 }

@@ -43,6 +43,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use cycledger_bench::{Args, Flag, Json};
 use cycledger_crypto::sha256::{hash_parts, Digest};
 use cycledger_crypto::{verify_proof, ProofTerminal, StateProof};
 use cycledger_ledger::smt::key_digest;
@@ -281,34 +282,33 @@ fn run_tier(
     }
 }
 
-fn print_series(label: &str, s: &StateSeries, indent: &str, trailing_comma: bool) {
-    println!("{indent}\"{label}\": {{");
-    println!("{indent}  \"seed_secs\": {:.3},", s.seed_secs);
-    println!("{indent}  \"lookup_ns\": {:.1},", s.lookup_ns);
-    println!(
-        "{indent}  \"apply_us_per_round\": {:.1},",
-        s.apply_us_per_round
-    );
-    println!(
-        "{indent}  \"commit_us_per_round\": {:.1},",
-        s.commit_us_per_round
-    );
-    println!(
-        "{indent}  \"allocations_per_round\": {:.0},",
-        s.allocations_per_round
-    );
-    if let Some(proof) = &s.proof {
-        println!("{indent}  \"prove_us\": {:.2},", proof.prove_us);
-        println!("{indent}  \"verify_us\": {:.2},", proof.verify_us);
-        println!(
-            "{indent}  \"mean_proof_siblings\": {:.1},",
-            proof.mean_siblings
-        );
-        println!("{indent}  \"internal_nodes\": {},", proof.internal_nodes);
-        println!("{indent}  \"leaf_nodes\": {},", proof.leaf_nodes);
+impl StateSeries {
+    fn json(&self) -> Json {
+        let mut entries = vec![
+            ("seed_secs", Json::Num(self.seed_secs, 3)),
+            ("lookup_ns", Json::Num(self.lookup_ns, 1)),
+            ("apply_us_per_round", Json::Num(self.apply_us_per_round, 1)),
+            (
+                "commit_us_per_round",
+                Json::Num(self.commit_us_per_round, 1),
+            ),
+            (
+                "allocations_per_round",
+                Json::Num(self.allocations_per_round, 0),
+            ),
+        ];
+        if let Some(proof) = &self.proof {
+            entries.extend([
+                ("prove_us", Json::Num(proof.prove_us, 2)),
+                ("verify_us", Json::Num(proof.verify_us, 2)),
+                ("mean_proof_siblings", Json::Num(proof.mean_siblings, 1)),
+                ("internal_nodes", Json::Int(proof.internal_nodes as u64)),
+                ("leaf_nodes", Json::Int(proof.leaf_nodes as u64)),
+            ]);
+        }
+        entries.push(("rounds_measured", Json::Int(self.rounds_measured)));
+        Json::obj(entries)
     }
-    println!("{indent}  \"rounds_measured\": {}", s.rounds_measured);
-    println!("{indent}}}{}", if trailing_comma { "," } else { "" });
 }
 
 /// Runs both backends at one tier over a shared operation sequence and
@@ -326,47 +326,45 @@ fn commit_ratio(map: &StateSeries, smt: &StateSeries) -> f64 {
     smt.commit_us_per_round / map.apply_us_per_round
 }
 
-fn print_tracked(utxos: usize, map: &StateSeries, smt: &StateSeries) {
-    println!("  \"tracked\": {{");
-    println!("    \"utxos\": {utxos},");
-    println!("    \"map_lookup_ns\": {:.1},", map.lookup_ns);
-    println!("    \"smt_lookup_ns\": {:.1},", smt.lookup_ns);
-    println!(
-        "    \"smt_lookup_over_map_lookup\": {:.3},",
-        smt.lookup_ns / map.lookup_ns
-    );
-    println!(
-        "    \"map_apply_us_per_round\": {:.1},",
-        map.apply_us_per_round
-    );
-    println!(
-        "    \"smt_apply_us_per_round\": {:.1},",
-        smt.apply_us_per_round
-    );
-    println!(
-        "    \"smt_apply_over_map_apply\": {:.3},",
-        smt.apply_us_per_round / map.apply_us_per_round
-    );
-    println!(
-        "    \"smt_commit_us_per_round\": {:.1},",
-        smt.commit_us_per_round
-    );
-    println!(
-        "    \"smt_commit_over_map_apply\": {:.3},",
-        commit_ratio(map, smt)
-    );
-    println!(
-        "    \"smt_allocations_per_round\": {:.0},",
-        smt.allocations_per_round
-    );
+fn tracked(utxos: usize, map: &StateSeries, smt: &StateSeries) -> Json {
     // Arena slots (free ones included) per live entry once the write rounds
     // have run: what the tree keeps resident per UTXO it holds.
     let proof = smt.proof.as_ref().expect("the SMT series carries one");
-    println!(
-        "    \"smt_arena_slots_per_live_utxo\": {:.3}",
-        (proof.internal_nodes + proof.leaf_nodes) as f64 / utxos as f64
-    );
-    println!("  }}");
+    let arena_slots = (proof.internal_nodes + proof.leaf_nodes) as f64 / utxos as f64;
+    Json::obj([
+        ("utxos", Json::Int(utxos as u64)),
+        ("map_lookup_ns", Json::Num(map.lookup_ns, 1)),
+        ("smt_lookup_ns", Json::Num(smt.lookup_ns, 1)),
+        (
+            "smt_lookup_over_map_lookup",
+            Json::Num(smt.lookup_ns / map.lookup_ns, 3),
+        ),
+        (
+            "map_apply_us_per_round",
+            Json::Num(map.apply_us_per_round, 1),
+        ),
+        (
+            "smt_apply_us_per_round",
+            Json::Num(smt.apply_us_per_round, 1),
+        ),
+        (
+            "smt_apply_over_map_apply",
+            Json::Num(smt.apply_us_per_round / map.apply_us_per_round, 3),
+        ),
+        (
+            "smt_commit_us_per_round",
+            Json::Num(smt.commit_us_per_round, 1),
+        ),
+        (
+            "smt_commit_over_map_apply",
+            Json::Num(commit_ratio(map, smt), 3),
+        ),
+        (
+            "smt_allocations_per_round",
+            Json::Num(smt.allocations_per_round, 0),
+        ),
+        ("smt_arena_slots_per_live_utxo", Json::Num(arena_slots, 3)),
+    ])
 }
 
 fn bench_config(effort: &Effort) -> String {
@@ -382,64 +380,49 @@ fn bench_config(effort: &Effort) -> String {
     )
 }
 
-fn usage() -> ! {
-    eprintln!("usage: gen_bench_state [--smoke]");
-    std::process::exit(2);
-}
-
 fn main() {
     assert!(
         alloccount::counting_enabled(),
         "bench must be built with the alloccount `count` feature"
     );
-
-    let mut smoke = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            _ => usage(),
-        }
-    }
-
-    if smoke {
-        // CI perf gate: the tracked 10^6 tier only, short measured runs.
-        // scripts/perf_gate.py --state compares the tracked ratios and
-        // allocation count against BENCH_state.json and additionally
-        // enforces the hard caps (lookup, apply, arena slots per live UTXO).
-        let (map, smt) = run_both(1_000_000, &SMOKE);
+    // The smoke run (CI perf gate) measures the tracked 10^6 tier only;
+    // scripts/perf_gate.py --state compares the tracked ratios and
+    // allocation count against BENCH_state.json and additionally enforces
+    // the hard caps (lookup, apply, arena slots per live UTXO).
+    let smoke = Args::parse("gen_bench_state", &[Flag::Smoke]).smoke;
+    let (effort, tiers): (Effort, &[usize]) = if smoke {
+        (SMOKE, &[1_000_000])
+    } else {
+        (FULL, &[100_000, 1_000_000, 10_000_000])
+    };
+    let mut sweep = Vec::new();
+    let mut tracked_tier = None;
+    for &utxos in tiers {
+        let (map, smt) = run_both(utxos, &effort);
         assert!(
-            smt.allocations_per_round > 0.0,
+            !smoke || smt.allocations_per_round > 0.0,
             "counting allocator saw no allocations"
         );
-        println!("{{");
-        println!("  \"bench_config\": \"{}\",", bench_config(&SMOKE));
-        print_tracked(1_000_000, &map, &smt);
-        println!("}}");
-        return;
-    }
-
-    let tiers = [100_000usize, 1_000_000, 10_000_000];
-    let mut tracked: Option<(StateSeries, StateSeries)> = None;
-    println!("{{");
-    println!("  \"bench_config\": \"{}\",", bench_config(&FULL));
-    println!("  \"tiers\": [");
-    for (i, &utxos) in tiers.iter().enumerate() {
-        let (map, smt) = run_both(utxos, &FULL);
-        println!("    {{");
-        println!("      \"utxos\": {utxos},");
-        print_series("map", &map, "      ", true);
-        print_series("smt", &smt, "      ", true);
-        println!(
-            "      \"smt_commit_over_map_apply\": {:.3}",
-            commit_ratio(&map, &smt)
-        );
-        println!("    }}{}", if i + 1 < tiers.len() { "," } else { "" });
+        sweep.push(Json::obj([
+            ("utxos", Json::Int(utxos as u64)),
+            ("map", map.json()),
+            ("smt", smt.json()),
+            (
+                "smt_commit_over_map_apply",
+                Json::Num(commit_ratio(&map, &smt), 3),
+            ),
+        ]));
         if utxos == 1_000_000 {
-            tracked = Some((map, smt));
+            tracked_tier = Some(tracked(utxos, &map, &smt));
         }
     }
-    println!("  ],");
-    let (map, smt) = tracked.expect("the 10^6 tier is always swept");
-    print_tracked(1_000_000, &map, &smt);
-    println!("}}");
+    let mut doc = vec![("bench_config", Json::Str(bench_config(&effort)))];
+    if !smoke {
+        doc.push(("tiers", Json::Arr(sweep)));
+    }
+    doc.push((
+        "tracked",
+        tracked_tier.expect("the 10^6 tier is always swept"),
+    ));
+    println!("{}", Json::obj(doc));
 }

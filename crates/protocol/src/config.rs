@@ -166,7 +166,8 @@ impl ProtocolConfig {
         if self.committees == 0 {
             return Err("at least one committee is required".into());
         }
-        if self.committee_size < self.partial_set_size + 2 {
+        let least_committee = self.partial_set_size.checked_add(2);
+        if least_committee.is_none_or(|least| self.committee_size < least) {
             return Err(format!(
                 "committee size {} too small for partial set {} plus leader and a member",
                 self.committee_size, self.partial_set_size
@@ -174,6 +175,17 @@ impl ProtocolConfig {
         }
         if self.referee_size < 3 {
             return Err("referee committee needs at least 3 members".into());
+        }
+        // `total_nodes()` must not overflow: it sizes the registry.
+        let total = self.committees.checked_mul(self.committee_size);
+        if total
+            .and_then(|n| n.checked_add(self.referee_size))
+            .is_none()
+        {
+            return Err(format!(
+                "{} committees of {} plus {} referees overflow the node count",
+                self.committees, self.committee_size, self.referee_size
+            ));
         }
         if !(0.0..=1.0).contains(&self.cross_shard_ratio)
             || !(0.0..=1.0).contains(&self.invalid_ratio)
@@ -252,5 +264,51 @@ mod tests {
         for cfg in bad_configs {
             assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn sizes_at_usize_max_are_rejected_not_overflowed() {
+        let max = usize::MAX;
+        let bad_configs = [
+            ProtocolConfig {
+                partial_set_size: max,
+                ..ProtocolConfig::default()
+            },
+            ProtocolConfig {
+                committee_size: max,
+                partial_set_size: max - 1,
+                ..ProtocolConfig::default()
+            },
+            ProtocolConfig {
+                committees: max,
+                ..ProtocolConfig::default()
+            },
+            ProtocolConfig {
+                committee_size: max,
+                ..ProtocolConfig::default()
+            },
+            ProtocolConfig {
+                committees: 1,
+                committee_size: max - 2,
+                referee_size: 3,
+                ..ProtocolConfig::default()
+            },
+            ProtocolConfig {
+                referee_size: max,
+                ..ProtocolConfig::default()
+            },
+        ];
+        for cfg in bad_configs {
+            assert!(cfg.validate().is_err(), "{cfg:?} must be rejected");
+        }
+        // The largest node count that fits is still a valid shape.
+        let edge = ProtocolConfig {
+            committees: 1,
+            committee_size: max - 3,
+            referee_size: 3,
+            ..ProtocolConfig::default()
+        };
+        assert_eq!(edge.validate(), Ok(()));
+        assert_eq!(edge.total_nodes(), max);
     }
 }

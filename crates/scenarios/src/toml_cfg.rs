@@ -1020,6 +1020,75 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         }
     }
 
+    /// Every integer key of every builtin (sub-tables included; an integer
+    /// array becomes one element) at 0, 1, 2^63, `u64::MAX` and
+    /// `usize::MAX`: the loader answers `Ok` or `Err` and never panics.
+    #[test]
+    fn extreme_integers_never_panic_the_loader() {
+        let extremes = [0, 1, 1 << 63, u64::MAX as u128, usize::MAX as u128];
+        let mut keys = std::collections::BTreeSet::new();
+        for scenario in builtin_scenarios() {
+            let text = scenarios_to_toml(&[scenario]);
+            let lines: Vec<&str> = text.lines().collect();
+            for (at, line) in lines.iter().enumerate() {
+                let Some((key, value)) = line.split_once(" = ") else {
+                    continue;
+                };
+                let array = match parse_value(value) {
+                    Ok(Value::Int(_)) => false,
+                    Ok(Value::Array(items)) => match items.first() {
+                        Some(Value::Int(_)) => true,
+                        _ => continue,
+                    },
+                    _ => continue,
+                };
+                keys.insert(key.to_string());
+                for n in extremes {
+                    let value = if array {
+                        format!("[{n}]")
+                    } else {
+                        n.to_string()
+                    };
+                    let mut mutated = lines.clone();
+                    let replaced = format!("{key} = {value}");
+                    mutated[at] = &replaced;
+                    let mutated = mutated.join("\n");
+                    let loaded = std::panic::catch_unwind(|| scenarios_from_toml(&mutated).is_ok());
+                    assert!(loaded.is_ok(), "{key} = {value} panicked the loader");
+                }
+            }
+        }
+        let expected = [
+            "accounts_per_shard",
+            "base_compute_capacity",
+            "committee",
+            "committee_size",
+            "committees",
+            "compute_capacity_spread",
+            "count",
+            "delay_us",
+            "epoch_length",
+            "from_round",
+            "joins_per_epoch",
+            "latency_delta_us",
+            "latency_gamma_us",
+            "latency_partial_us",
+            "leaves_per_epoch",
+            "loss_ppm",
+            "partial_set_size",
+            "pow_difficulty",
+            "referee_size",
+            "round",
+            "rounds",
+            "seed",
+            "txs_per_round",
+            "until_round",
+            "warmup_rounds",
+            "workers",
+        ];
+        assert_eq!(keys.into_iter().collect::<Vec<_>>(), expected);
+    }
+
     /// The whole builtin registry in its canonical TOML form.
     fn registry_toml() -> &'static str {
         static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();

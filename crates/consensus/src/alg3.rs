@@ -27,11 +27,22 @@
 //! is dropped unchecked. The tally at each decision point is exactly what
 //! per-message checks would have produced, so CONFIRMs and certificates are
 //! byte-identical; only the number of curve operations differs.
+//!
+//! **An instance allocates per member, not per message.** A machine pushes
+//! its reactions into a buffer its caller owns — [`Instance`] keeps one,
+//! drained into the transport's list after every delivery — and a tally is
+//! a sorted list and a buffer, each sized for the quorum it collects. The
+//! quorum batches check in the verdict memo's scratch
+//! (`SigCache::verify_signed`), which [`Instance::open`] sizes for the
+//! committee along with the memo's table, and the collector's tally becomes
+//! the certificate. What is left is a fixed handful per instance and, per
+//! member, its two tally lists and its CONFIRM's echo signatures — message
+//! content: 61 allocations for an honest `c = 15` instance, 109 at `c = 31`
+//! (`crates/protocol/tests/instance_allocations.rs`).
 
-use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
-use cycledger_crypto::schnorr::{BatchEntry, Keypair, Signature};
+use cycledger_crypto::schnorr::{Keypair, Signature};
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::topology::NodeId;
 
@@ -42,14 +53,15 @@ use crate::messages::{
 };
 use crate::quorum::{CommitteeKeys, QuorumCertificate};
 use crate::sigcache::{SigCache, Verdicts};
-use crate::transition::{confirm_quorum, digests_conflict, echo_quorum};
+use crate::transition::{confirm_quorum, digests_conflict, echo_quorum, majority_threshold};
 use crate::witness::EquivocationEvidence;
 
 /// The signatures of one quorum step — ECHOes at a member, CONFIRMs at the
 /// leader: those verified, and those buffered for the batch check.
-#[derive(Clone, Debug, Default, Hash)]
+#[derive(Clone, Debug, Hash)]
 struct SignatureTally {
-    verified: BTreeMap<NodeId, Signature>,
+    /// One signature per sender, in sender order.
+    verified: Vec<(NodeId, Signature)>,
     /// Unchecked, in arrival order.
     pending: Vec<(NodeId, Signature)>,
     /// Distinct senders in `pending` that `verified` lacks.
@@ -57,16 +69,39 @@ struct SignatureTally {
 }
 
 impl SignatureTally {
+    /// A tally with room for the `quorum` it collects, in both lists: the
+    /// one allocation each makes in a run that reaches its quorum without a
+    /// forgery in the way.
+    fn for_quorum(quorum: usize) -> SignatureTally {
+        SignatureTally {
+            verified: Vec::with_capacity(quorum),
+            pending: Vec::with_capacity(quorum),
+            fresh_senders: 0,
+        }
+    }
+
+    fn signature_of(&self, sender: NodeId) -> Option<&Signature> {
+        let at = self.verified.binary_search_by_key(&sender, |(s, _)| *s);
+        at.ok().map(|at| &self.verified[at].1)
+    }
+
+    /// Counts `signature` as verified, replacing `sender`'s earlier one.
+    fn insert(&mut self, sender: NodeId, signature: Signature) {
+        match self.verified.binary_search_by_key(&sender, |(s, _)| *s) {
+            Ok(at) => self.verified[at].1 = signature,
+            Err(at) => self.verified.insert(at, (sender, signature)),
+        }
+    }
+
     /// Buffers an unchecked signature. A sender may appear more than once —
     /// anyone can claim a sender, so a buffered signature cannot shadow a
     /// later one — but counts once towards [`Self::reachable`].
     fn defer(&mut self, sender: NodeId, signature: Signature) {
-        if self.verified.get(&sender) == Some(&signature)
-            || self.pending.contains(&(sender, signature))
-        {
+        let verified = self.signature_of(sender);
+        if verified == Some(&signature) || self.pending.contains(&(sender, signature)) {
             return;
         }
-        if !self.verified.contains_key(&sender) && self.pending.iter().all(|(s, _)| *s != sender) {
+        if verified.is_none() && self.pending.iter().all(|(s, _)| *s != sender) {
             self.fresh_senders += 1;
         }
         self.pending.push((sender, signature));
@@ -77,10 +112,11 @@ impl SignatureTally {
         self.verified.len() + self.fresh_senders
     }
 
-    /// Checks the buffer as one batch and moves the valid signatures into
-    /// `verified` in arrival order (a sender's later valid signature replaces
-    /// its earlier one, as it would have on arrival). `signing_bytes` gives
-    /// the bytes `sender` signed; every buffered sender has a key in `keys`.
+    /// Checks the buffer as one batch (`SigCache::verify_signed`, in the
+    /// memo's scratch) and moves the valid signatures into `verified` in
+    /// arrival order (a sender's later valid signature replaces its earlier
+    /// one, as it would have on arrival). `signing_bytes` gives the bytes
+    /// `sender` signed; every buffered sender has a key in `keys`.
     fn settle<const N: usize>(
         &mut self,
         cache: &SigCache,
@@ -90,32 +126,24 @@ impl SignatureTally {
         if self.pending.is_empty() {
             return;
         }
-        let messages: Vec<[u8; N]> = self
+        let key = |sender| keys.get(sender).expect("membership checked on arrival");
+        let signers = self
             .pending
             .iter()
-            .map(|(sender, _)| signing_bytes(*sender))
-            .collect();
-        let entries: Vec<BatchEntry<'_>> = self
+            .map(|(sender, signature)| (key(*sender), signature));
+        let signed = self
             .pending
             .iter()
-            .zip(&messages)
-            .map(|((sender, signature), message)| BatchEntry {
-                public_key: keys.get(*sender).expect("membership checked on arrival"),
-                message,
-                signature,
-            })
-            .collect();
-        let verdicts = cache.verify_batch(&entries);
-        for ((sender, signature), valid) in self.pending.drain(..).zip(verdicts) {
-            if valid {
-                self.verified.insert(sender, signature);
+            .map(|(sender, _)| signing_bytes(*sender));
+        let verdicts = cache.verify_signed(signers, signed);
+        for (index, valid) in verdicts.iter().enumerate() {
+            if *valid {
+                let (sender, signature) = self.pending[index];
+                self.insert(sender, signature);
             }
         }
+        self.pending.clear();
         self.fresh_senders = 0;
-    }
-
-    fn signatures(&self) -> Vec<(NodeId, Signature)> {
-        self.verified.iter().map(|(n, s)| (*n, *s)).collect()
     }
 }
 
@@ -160,27 +188,29 @@ pub struct MemberState {
 }
 
 impl MemberState {
-    /// Creates the member-side state for one consensus instance.
+    /// Creates the member-side state for one consensus instance, verifying
+    /// through the instance's memo `sig_cache`.
     pub fn new(
         me: NodeId,
         keypair: Keypair,
         leader: NodeId,
         id: ConsensusId,
         keys: CommitteeKeys,
+        sig_cache: SigCache,
     ) -> Self {
         MemberState {
             me,
             keypair,
             leader,
             id,
+            echoes: SignatureTally::for_quorum(keys.majority_threshold()),
             keys,
             accepted: None,
             payload: None,
-            echoes: SignatureTally::default(),
             confirmed: false,
             halted: false,
             verify_signatures: true,
-            sig_cache: SigCache::default(),
+            sig_cache,
         }
     }
 
@@ -194,78 +224,79 @@ impl MemberState {
         }
     }
 
-    /// Handles a PROPOSE from the leader.
-    pub fn handle_propose(&mut self, propose: &Propose) -> Vec<MemberAction> {
+    /// Handles a PROPOSE from the leader, pushing what it asks for onto `out`.
+    pub fn handle_propose(&mut self, propose: &Propose, out: &mut Vec<MemberAction>) {
         if self.halted || propose.id != self.id || propose.leader != self.leader {
-            return Vec::new();
+            return;
         }
         let Some(leader_pk) = self.keys.get(self.leader) else {
-            return Vec::new();
+            return;
         };
         if self.verify_signatures && !verify_propose_cached(propose, leader_pk, &self.sig_cache) {
             // Unsigned/garbled proposal: ignore (an invalid signature is not
             // evidence of anything — anyone could have forged it).
-            return Vec::new();
+            return;
         }
         match &self.accepted {
             None => {
                 self.accepted = Some((propose.digest, propose.signature));
-                self.echo_and_maybe_confirm(propose)
+                self.echo_and_maybe_confirm(propose, out);
             }
             Some((digest, _)) if *digest == propose.digest && self.payload.is_none() => {
                 // We adopted the digest earlier from a relayed echo (the network
                 // delivered a peer's ECHO before the leader's PROPOSE); now that
                 // the payload has arrived we can echo and, if the quorum of
                 // echoes is already in, confirm.
-                self.echo_and_maybe_confirm(propose)
+                self.echo_and_maybe_confirm(propose, out);
             }
             Some((digest, sig)) if digests_conflict(digest, &propose.digest) => {
                 // Two leader-signed digests for the same (r, sn): equivocation.
                 self.halted = true;
-                vec![MemberAction::ReportEquivocation(EquivocationEvidence {
+                out.push(MemberAction::ReportEquivocation(EquivocationEvidence {
                     id: self.id,
                     leader: self.leader,
                     digest_a: *digest,
                     sig_a: *sig,
                     digest_b: propose.digest,
                     sig_b: propose.signature,
-                })]
+                }));
             }
-            Some(_) => Vec::new(), // duplicate of what we already accepted
+            Some(_) => {} // duplicate of what we already accepted
         }
     }
 
     /// Takes the payload of the accepted proposal, echoes it and counts the
     /// echo (a member counts its own, which needs no check).
-    fn echo_and_maybe_confirm(&mut self, propose: &Propose) -> Vec<MemberAction> {
+    fn echo_and_maybe_confirm(&mut self, propose: &Propose, out: &mut Vec<MemberAction>) {
         self.payload = Some(propose.payload.clone());
         let echo = self.build_echo(propose);
-        self.echoes.verified.insert(self.me, echo.signature);
-        let mut actions = vec![MemberAction::BroadcastEcho(echo)];
-        actions.extend(self.maybe_confirm());
-        actions
+        self.echoes.insert(self.me, echo.signature);
+        out.push(MemberAction::BroadcastEcho(echo));
+        self.maybe_confirm(out);
     }
 
-    /// Handles an ECHO from another member.
-    pub fn handle_echo(&mut self, echo: &Echo) -> Vec<MemberAction> {
+    /// Handles an ECHO from another member, pushing what it asks for onto
+    /// `out`.
+    pub fn handle_echo(&mut self, echo: &Echo, out: &mut Vec<MemberAction>) {
         if self.halted || echo.id != self.id || echo.leader != self.leader {
-            return Vec::new();
+            return;
         }
         let (Some(member_pk), Some(leader_pk)) =
             (self.keys.get(echo.member), self.keys.get(self.leader))
         else {
-            return Vec::new();
+            return;
         };
         match self.accepted {
             Some((digest, leader_signature)) if !digests_conflict(&digest, &echo.digest) => {
                 // At most one more echo in the tally — and once the CONFIRM
                 // is out the tally decides nothing.
                 if self.confirmed {
-                    return Vec::new();
+                    return;
                 }
                 if !self.verify_signatures {
-                    self.echoes.verified.insert(echo.member, echo.signature);
-                    return self.maybe_confirm();
+                    self.echoes.insert(echo.member, echo.signature);
+                    self.maybe_confirm(out);
+                    return;
                 }
                 // The relayed leader signature is the accepted — verified —
                 // one, unless the leader signed the same header twice.
@@ -276,10 +307,10 @@ impl MemberState {
                         &echo.propose_signature,
                     )
                 {
-                    return Vec::new();
+                    return;
                 }
                 self.echoes.defer(echo.member, echo.signature);
-                self.maybe_confirm()
+                self.maybe_confirm(out);
             }
             accepted => {
                 // This echo would make us adopt a digest, or accuse the
@@ -287,7 +318,7 @@ impl MemberState {
                 if self.verify_signatures
                     && !verify_echo_cached(echo, member_pk, leader_pk, &self.sig_cache)
                 {
-                    return Vec::new();
+                    return;
                 }
                 let Some((digest, sig)) = accepted else {
                     // We have not heard the leader directly, but the echo
@@ -295,50 +326,50 @@ impl MemberState {
                     // digest (we still cannot confirm until we also hold the
                     // payload via PROPOSE, but we can start counting echoes).
                     self.accepted = Some((echo.digest, echo.propose_signature));
-                    self.echoes.verified.insert(echo.member, echo.signature);
-                    return Vec::new();
+                    self.echoes.insert(echo.member, echo.signature);
+                    return;
                 };
                 // The relayed leader signature proves the leader also signed a
                 // different digest: equivocation caught via a peer's echo.
                 self.halted = true;
-                vec![MemberAction::ReportEquivocation(EquivocationEvidence {
+                out.push(MemberAction::ReportEquivocation(EquivocationEvidence {
                     id: self.id,
                     leader: self.leader,
                     digest_a: digest,
                     sig_a: sig,
                     digest_b: echo.digest,
                     sig_b: echo.propose_signature,
-                })]
+                }));
             }
         }
     }
 
-    fn maybe_confirm(&mut self) -> Vec<MemberAction> {
+    fn maybe_confirm(&mut self, out: &mut Vec<MemberAction>) {
         if self.confirmed || self.payload.is_none() {
-            return Vec::new();
+            return;
         }
         let Some((digest, _)) = self.accepted else {
-            return Vec::new();
+            return;
         };
         let committee_size = self.keys.len();
         if !echo_quorum(self.echoes.reachable(), committee_size) {
-            return Vec::new();
+            return;
         }
         let id = self.id;
         self.echoes.settle(&self.sig_cache, &self.keys, |member| {
             echo_signing_bytes(&id, &digest, member)
         });
         if !echo_quorum(self.echoes.verified.len(), committee_size) {
-            return Vec::new();
+            return;
         }
         self.confirmed = true;
-        let echo_signatures = self.echoes.signatures();
+        let echo_signatures = self.echoes.verified.clone();
         let confirm = if self.verify_signatures {
             make_confirm(self.id, digest, self.me, &self.keypair, echo_signatures)
         } else {
             make_confirm_unsigned(self.id, digest, self.me, echo_signatures)
         };
-        vec![MemberAction::SendConfirm(confirm)]
+        out.push(MemberAction::SendConfirm(confirm));
     }
 }
 
@@ -371,16 +402,17 @@ pub struct LeaderState {
 }
 
 impl LeaderState {
-    /// Creates the leader-side state after the leader has built its proposal.
-    pub fn new(id: ConsensusId, digest: Digest, keys: CommitteeKeys) -> Self {
+    /// Creates the leader-side state after the leader has built its proposal,
+    /// verifying through the instance's memo `sig_cache`.
+    pub fn new(id: ConsensusId, digest: Digest, keys: CommitteeKeys, sig_cache: SigCache) -> Self {
         LeaderState {
             id,
             digest,
+            confirms: SignatureTally::for_quorum(keys.majority_threshold()),
             keys,
-            confirms: SignatureTally::default(),
             certificate: None,
             verify_signatures: true,
-            sig_cache: SigCache::default(),
+            sig_cache,
         }
     }
 
@@ -399,9 +431,7 @@ impl LeaderState {
         if self.verify_signatures {
             self.confirms.defer(confirm.member, confirm.signature);
         } else {
-            self.confirms
-                .verified
-                .insert(confirm.member, confirm.signature);
+            self.confirms.insert(confirm.member, confirm.signature);
         }
         let committee_size = self.keys.len();
         if !confirm_quorum(self.confirms.reachable(), committee_size) {
@@ -414,10 +444,12 @@ impl LeaderState {
         if !confirm_quorum(self.confirms.verified.len(), committee_size) {
             return false;
         }
+        // Nothing enters the tally once the certificate exists, so its list
+        // becomes the certificate's.
         self.certificate = Some(QuorumCertificate {
             id: self.id,
             digest: self.digest,
-            signatures: self.confirms.signatures(),
+            signatures: std::mem::take(&mut self.confirms.verified),
         });
         true
     }
@@ -496,6 +528,9 @@ pub struct Instance<'c> {
     /// Evidence honest members produced, in report order.
     equivocation: Vec<EquivocationEvidence>,
     memo: SigCache,
+    /// What the machine a message was delivered to asks for, until it is
+    /// filed: empty between deliveries, and reused by every one.
+    reactions: Vec<MemberAction>,
 }
 
 impl<'c> Instance<'c> {
@@ -505,6 +540,10 @@ impl<'c> Instance<'c> {
     /// the leader's own machine makes of its proposal, which travels no
     /// network. `verify = false` makes every machine skip verification and
     /// sign with placeholders (see `MemberState`'s `verify_signatures`).
+    ///
+    /// The memo is sized here for what an instance of this committee
+    /// verifies (`SigCache::reserve`), so the machines' verdicts and quorum
+    /// batches allocate nothing more.
     pub fn open(
         seats: Seats<'c>,
         id: ConsensusId,
@@ -536,43 +575,47 @@ impl<'c> Instance<'c> {
                 make_propose_unsigned(id, payload, leader)
             }
         };
-        let signed = match fault {
-            LeaderFault::None => vec![propose(payload)],
-            LeaderFault::Silent => Vec::new(),
-            LeaderFault::Equivocate { alternate } => vec![propose(payload), propose(alternate)],
+        let (main, alternate) = match fault {
+            LeaderFault::None => (Some(propose(payload)), None),
+            LeaderFault::Silent => (None, None),
+            LeaderFault::Equivocate { alternate } => {
+                (Some(propose(payload)), Some(propose(alternate)))
+            }
         };
+        memo.reserve(memo_verdicts(nodes.len()), nodes.len());
         let member = |(&node, &keypair): (&NodeId, &Keypair)| MemberState {
             verify_signatures: verify,
-            sig_cache: memo.clone(),
-            ..MemberState::new(node, keypair, leader, id, keys.clone())
+            ..MemberState::new(node, keypair, leader, id, keys.clone(), memo.clone())
         };
         let collector = |signed: &Propose| LeaderState {
             verify_signatures: verify,
-            sig_cache: memo.clone(),
-            ..LeaderState::new(id, signed.digest, keys.clone())
+            ..LeaderState::new(id, signed.digest, keys.clone(), memo.clone())
         };
         let mut instance = Instance {
             seats,
             members: nodes.iter().zip(keypairs).map(member).collect(),
-            collectors: signed.iter().map(collector).collect(),
+            collectors: main.iter().chain(&alternate).map(collector).collect(),
             equivocation: Vec::new(),
             memo,
+            reactions: Vec::new(),
         };
         // A silent leader's missing proposal is for the partial set to
         // notice, after the phase deadline.
-        let Some(main) = signed.first() else {
+        let Some(main) = main else {
             return instance;
         };
         for (seat, &to) in nodes.iter().enumerate() {
             if to != leader {
                 // Seat parity picks among what the leader signed.
-                let propose = signed.get(seat % 2).unwrap_or(main).clone();
+                let odd = alternate.as_ref().filter(|_| seat % 2 == 1);
+                let propose = odd.unwrap_or(&main).clone();
                 let (from, to, message) = (leader, Some(to), Alg3Message::Propose(propose));
                 out.push(Action { from, to, message });
             }
         }
-        let own = instance.members[leader_seat].handle_propose(main);
-        instance.file(leader_seat, own, out);
+        let reactions = &mut instance.reactions;
+        instance.members[leader_seat].handle_propose(&main, reactions);
+        instance.file(leader_seat, out);
         instance
     }
 
@@ -583,9 +626,10 @@ impl<'c> Instance<'c> {
         let Some(seat) = self.seats.nodes.iter().position(|&node| node == to) else {
             return;
         };
-        let actions = match message {
-            Alg3Message::Propose(propose) => self.members[seat].handle_propose(propose),
-            Alg3Message::Echo(echo) => self.members[seat].handle_echo(echo),
+        let (member, reactions) = (&mut self.members[seat], &mut self.reactions);
+        match message {
+            Alg3Message::Propose(propose) => member.handle_propose(propose, reactions),
+            Alg3Message::Echo(echo) => member.handle_echo(echo, reactions),
             Alg3Message::Confirm(confirm) => {
                 if to == self.seats.leader {
                     for collector in &mut self.collectors {
@@ -594,14 +638,15 @@ impl<'c> Instance<'c> {
                 }
                 return;
             }
-        };
-        self.file(seat, actions, out);
+        }
+        self.file(seat, out);
     }
 
-    /// Sends of a seat that is not mute go out; evidence goes on file.
-    fn file(&mut self, seat: usize, actions: Vec<MemberAction>, out: &mut Vec<Action>) {
+    /// The sends of the seat's reactions go out unless it is mute; evidence
+    /// goes on file.
+    fn file(&mut self, seat: usize, out: &mut Vec<Action>) {
         let Seats { nodes, mute, .. } = self.seats;
-        for action in actions {
+        for action in self.reactions.drain(..) {
             let (to, message) = match action {
                 MemberAction::BroadcastEcho(echo) => (None, Alg3Message::Echo(echo)),
                 MemberAction::SendConfirm(confirm) => {
@@ -651,8 +696,17 @@ impl<'c> Instance<'c> {
     }
 }
 
+/// Verdicts an honest instance of `c` seats memoises at most: the PROPOSE,
+/// every member's ECHO and a quorum of CONFIRMs (measured at 8×16: 23–27 at
+/// `c = 17`, 37–39 at `c = 25`). Forgeries and a second proposal grow the
+/// memo past it.
+fn memo_verdicts(c: usize) -> usize {
+    1 + c + majority_threshold(c)
+}
+
 /// State identity for an explorer: the machines, the evidence and who is
-/// seated how; the memo is left out as it is for [`MemberState`].
+/// seated how; the memo is left out as it is for [`MemberState`], and the
+/// reaction buffer is empty between deliveries.
 impl Hash for Instance<'_> {
     fn hash<H: Hasher>(&self, state: &mut H) {
         (self.seats.nodes, self.seats.mute, self.seats.leader).hash(state);
@@ -686,15 +740,29 @@ mod tests {
 
     /// A member of `committee(n)` led by node 0, on the given memo.
     fn member(i: u32, kps: &[Keypair], keys: &CommitteeKeys, cache: &SigCache) -> MemberState {
-        let mut state = MemberState::new(
+        MemberState::new(
             NodeId(i),
             kps[i as usize],
             NodeId(0),
             instance_id(),
             keys.clone(),
-        );
-        state.sig_cache = cache.clone();
-        state
+            cache.clone(),
+        )
+    }
+
+    /// The machines' reactions, as the list the tests read.
+    impl MemberState {
+        fn on_propose(&mut self, propose: &Propose) -> Vec<MemberAction> {
+            let mut out = Vec::new();
+            self.handle_propose(propose, &mut out);
+            out
+        }
+
+        fn on_echo(&mut self, echo: &Echo) -> Vec<MemberAction> {
+            let mut out = Vec::new();
+            self.handle_echo(echo, &mut out);
+            out
+        }
     }
 
     /// The honest ECHO of member `i` for `propose`.
@@ -718,8 +786,7 @@ mod tests {
         let id = instance_id();
         let cache = SigCache::new();
         let propose = make_propose(id, payload.to_vec(), NodeId(0), &kps[0]);
-        let mut leader = LeaderState::new(id, propose.digest, keys.clone());
-        leader.sig_cache = cache.clone();
+        let mut leader = LeaderState::new(id, propose.digest, keys.clone(), cache.clone());
         let mut members: Vec<MemberState> = (0..n as u32)
             .map(|i| member(i, &kps, &keys, &cache))
             .collect();
@@ -727,7 +794,7 @@ mod tests {
         // Step 1: PROPOSE delivered to everyone; collect echoes.
         let mut echoes = Vec::new();
         for member in members.iter_mut() {
-            for action in member.handle_propose(&propose) {
+            for action in member.on_propose(&propose) {
                 if let MemberAction::BroadcastEcho(e) = action {
                     echoes.push(e);
                 }
@@ -740,7 +807,7 @@ mod tests {
                 if echo.member == member.me {
                     continue;
                 }
-                for action in member.handle_echo(echo) {
+                for action in member.on_echo(echo) {
                     if let MemberAction::SendConfirm(c) = action {
                         confirms.push(c);
                     }
@@ -781,8 +848,8 @@ mod tests {
         let p1 = make_propose(id, b"list A".to_vec(), NodeId(0), &kps[0]);
         let p2 = make_propose(id, b"list B".to_vec(), NodeId(0), &kps[0]);
         let mut member = member(1, &kps, &keys, &SigCache::new());
-        assert_eq!(member.handle_propose(&p1).len(), 1);
-        let actions = member.handle_propose(&p2);
+        assert_eq!(member.on_propose(&p1).len(), 1);
+        let actions = member.on_propose(&p2);
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             MemberAction::ReportEquivocation(ev) => {
@@ -793,7 +860,7 @@ mod tests {
         }
         assert!(member.halted);
         // A halted member ignores further traffic.
-        assert!(member.handle_propose(&p1).is_empty());
+        assert!(member.on_propose(&p1).is_empty());
     }
 
     #[test]
@@ -808,16 +875,16 @@ mod tests {
         let p2 = make_propose(id, b"list B".to_vec(), NodeId(0), &kps[0]);
         for confirm_first in [false, true] {
             let mut m1 = member(1, &kps, &keys, &SigCache::new());
-            m1.handle_propose(&p1);
+            m1.on_propose(&p1);
             if confirm_first {
-                m1.handle_echo(&echo_of(3, &p1, &kps));
-                m1.handle_echo(&echo_of(4, &p1, &kps));
+                m1.on_echo(&echo_of(3, &p1, &kps));
+                m1.on_echo(&echo_of(4, &p1, &kps));
             }
             assert_eq!(m1.confirmed, confirm_first);
             // A conflicting echo with a forged signature accuses nobody.
-            assert!(m1.handle_echo(&forged_echo_of(2, &p2, &kps)).is_empty());
+            assert!(m1.on_echo(&forged_echo_of(2, &p2, &kps)).is_empty());
             assert!(!m1.halted);
-            let actions = m1.handle_echo(&echo_of(2, &p2, &kps));
+            let actions = m1.on_echo(&echo_of(2, &p2, &kps));
             assert!(
                 matches!(actions.as_slice(), [MemberAction::ReportEquivocation(ev)] if ev.verify(&kps[0].public))
             );
@@ -831,17 +898,17 @@ mod tests {
         let propose = make_propose(instance_id(), b"payload".to_vec(), NodeId(0), &kps[0]);
         let cache = SigCache::new();
         let mut member = member(1, &kps, &keys, &cache);
-        member.handle_propose(&propose); // own echo = 1
+        member.on_propose(&propose); // own echo = 1
         assert_eq!(cache.len(), 1, "the PROPOSE is checked on arrival");
         // Two more echoes: total 3 < 4, no confirm yet — and no check either.
         for i in 2..4 {
-            let actions = member.handle_echo(&echo_of(i, &propose, &kps));
+            let actions = member.on_echo(&echo_of(i, &propose, &kps));
             assert!(actions.is_empty(), "no confirm before threshold");
         }
         assert!(!member.confirmed);
         assert_eq!(cache.len(), 1, "echoes wait for the quorum");
         // One more echo crosses the threshold: the three are checked together.
-        let actions = member.handle_echo(&echo_of(4, &propose, &kps));
+        let actions = member.on_echo(&echo_of(4, &propose, &kps));
         let [MemberAction::SendConfirm(confirm)] = actions.as_slice() else {
             panic!("expected a CONFIRM, got {actions:?}");
         };
@@ -857,18 +924,18 @@ mod tests {
         let propose = make_propose(instance_id(), b"payload".to_vec(), NodeId(0), &kps[0]);
         for real_one_follows in [false, true] {
             let mut member = member(1, &kps, &keys, &SigCache::new());
-            member.handle_propose(&propose);
-            assert!(member.handle_echo(&echo_of(2, &propose, &kps)).is_empty());
+            member.on_propose(&propose);
+            assert!(member.on_echo(&echo_of(2, &propose, &kps)).is_empty());
             assert!(member
-                .handle_echo(&forged_echo_of(3, &propose, &kps))
+                .on_echo(&forged_echo_of(3, &propose, &kps))
                 .is_empty());
             // Four senders are in reach, so the buffer is checked: the batch
             // fails, the fallback keeps 2 and 4, and the quorum is not met.
-            assert!(member.handle_echo(&echo_of(4, &propose, &kps)).is_empty());
+            assert!(member.on_echo(&echo_of(4, &propose, &kps)).is_empty());
             assert!(!member.confirmed);
             // The forgery did not use up member 3's place in the tally.
             let next = if real_one_follows { 3 } else { 5 };
-            let actions = member.handle_echo(&echo_of(next, &propose, &kps));
+            let actions = member.on_echo(&echo_of(next, &propose, &kps));
             let [MemberAction::SendConfirm(confirm)] = actions.as_slice() else {
                 panic!("expected a CONFIRM, got {actions:?}");
             };
@@ -888,15 +955,15 @@ mod tests {
         let propose = make_propose(instance_id(), b"payload".to_vec(), NodeId(0), &kps[0]);
         let cache = SigCache::new();
         let mut member = member(1, &kps, &keys, &cache);
-        member.handle_propose(&propose);
+        member.on_propose(&propose);
         // The same sender over and over — verbatim, and with another
         // signature — stays one sender: the quorum is not even in reach.
         for _ in 0..3 {
-            assert!(member.handle_echo(&echo_of(2, &propose, &kps)).is_empty());
+            assert!(member.on_echo(&echo_of(2, &propose, &kps)).is_empty());
             assert!(member
-                .handle_echo(&forged_echo_of(2, &propose, &kps))
+                .on_echo(&forged_echo_of(2, &propose, &kps))
                 .is_empty());
-            assert!(member.handle_echo(&echo_of(3, &propose, &kps)).is_empty());
+            assert!(member.on_echo(&echo_of(3, &propose, &kps)).is_empty());
         }
         assert_eq!(member.echoes.reachable(), 3);
         assert_eq!(member.echoes.pending.len(), 3);
@@ -914,25 +981,23 @@ mod tests {
         let cache = SigCache::new();
         let mut late = member(1, &kps, &keys, &cache);
         // A forged echo adopts nothing...
-        assert!(late
-            .handle_echo(&forged_echo_of(2, &propose, &kps))
-            .is_empty());
+        assert!(late.on_echo(&forged_echo_of(2, &propose, &kps)).is_empty());
         assert!(late.accepted.is_none());
         // ...nor does one relaying a header the leader never signed.
         let impostor = Keypair::from_seed(b"impostor");
         let fake = make_propose(instance_id(), b"fake".to_vec(), NodeId(0), &impostor);
-        assert!(late.handle_echo(&echo_of(2, &fake, &kps)).is_empty());
+        assert!(late.on_echo(&echo_of(2, &fake, &kps)).is_empty());
         assert!(late.accepted.is_none());
         let checked = cache.len();
         // The first honest echo makes the member adopt the digest, so it is
         // checked on the spot: its own signature and the relayed leader's.
-        assert!(late.handle_echo(&echo_of(2, &propose, &kps)).is_empty());
+        assert!(late.on_echo(&echo_of(2, &propose, &kps)).is_empty());
         assert_eq!(late.accepted.map(|(d, _)| d), Some(propose.digest));
         assert_eq!(cache.len(), checked + 2);
         // Echoes from members 3 and 4 only add to the tally: buffered.
         for i in 3..5 {
             assert!(
-                late.handle_echo(&echo_of(i, &propose, &kps)).is_empty(),
+                late.on_echo(&echo_of(i, &propose, &kps)).is_empty(),
                 "cannot confirm without the payload"
             );
         }
@@ -940,7 +1005,7 @@ mod tests {
         assert!(!late.confirmed);
         // The leader's PROPOSE finally lands: the member echoes and confirms
         // with every echo it holds.
-        let actions = late.handle_propose(&propose);
+        let actions = late.on_propose(&propose);
         let [MemberAction::BroadcastEcho(_), MemberAction::SendConfirm(confirm)] =
             actions.as_slice()
         else {
@@ -959,13 +1024,13 @@ mod tests {
         let mut member = member(1, &kps, &keys, &SigCache::new());
         // A proposal "from the leader" signed by an outsider is dropped silently.
         let forged = make_propose(id, b"evil".to_vec(), NodeId(0), &outsider);
-        assert!(member.handle_propose(&forged).is_empty());
+        assert!(member.on_propose(&forged).is_empty());
         assert!(member.payload.is_none());
         // An echo from a non-member is dropped too.
         let real = make_propose(id, b"ok".to_vec(), NodeId(0), &kps[0]);
-        member.handle_propose(&real);
+        member.on_propose(&real);
         let echo = make_echo(&real, NodeId(9), &outsider);
-        assert!(member.handle_echo(&echo).is_empty());
+        assert!(member.on_echo(&echo).is_empty());
         assert!(member.echoes.pending.is_empty());
     }
 
@@ -976,12 +1041,11 @@ mod tests {
         let propose = make_propose(id, b"payload".to_vec(), NodeId(0), &kps[0]);
         let cache = SigCache::new();
         let mut member = member(1, &kps, &keys, &cache);
-        member.handle_propose(&propose);
-        member.handle_echo(&echo_of(2, &propose, &kps));
-        member.handle_echo(&echo_of(3, &propose, &kps));
+        member.on_propose(&propose);
+        member.on_echo(&echo_of(2, &propose, &kps));
+        member.on_echo(&echo_of(3, &propose, &kps));
         assert!(member.confirmed);
-        let mut leader = LeaderState::new(id, propose.digest, keys.clone());
-        leader.sig_cache = cache.clone();
+        let mut leader = LeaderState::new(id, propose.digest, keys.clone(), cache.clone());
         let confirm =
             |i: u32| make_confirm(id, propose.digest, NodeId(i), &kps[i as usize], vec![]);
         assert!(!leader.handle_confirm(&confirm(1)));
@@ -991,9 +1055,9 @@ mod tests {
         let checked = cache.len();
         assert_eq!(checked, 1 + 2 + 3);
         // Honest or forged, what comes now is not looked at.
-        assert!(member.handle_echo(&echo_of(4, &propose, &kps)).is_empty());
+        assert!(member.on_echo(&echo_of(4, &propose, &kps)).is_empty());
         assert!(member
-            .handle_echo(&forged_echo_of(0, &propose, &kps))
+            .on_echo(&forged_echo_of(0, &propose, &kps))
             .is_empty());
         assert!(!leader.handle_confirm(&confirm(4)));
         let forged = make_confirm(id, propose.digest, NodeId(0), &kps[4], vec![]);
@@ -1008,7 +1072,7 @@ mod tests {
         let (kps, keys) = committee(5);
         let id = instance_id();
         let digest = payload_digest(b"payload");
-        let mut leader = LeaderState::new(id, digest, keys.clone());
+        let mut leader = LeaderState::new(id, digest, keys.clone(), SigCache::new());
         // Confirm for a different digest, and one from a non-member.
         let wrong = make_confirm(id, payload_digest(b"other"), NodeId(1), &kps[1], vec![]);
         assert!(!leader.handle_confirm(&wrong));
@@ -1044,7 +1108,7 @@ mod tests {
         let (kps, keys) = committee(5);
         let id = instance_id();
         let digest = payload_digest(b"payload");
-        let mut leader = LeaderState::new(id, digest, keys);
+        let mut leader = LeaderState::new(id, digest, keys, SigCache::new());
         let c1 = make_confirm(id, digest, NodeId(1), &kps[1], vec![]);
         for _ in 0..5 {
             assert!(!leader.handle_confirm(&c1));
@@ -1065,17 +1129,17 @@ mod tests {
         }
         let echoes: Vec<Echo> = members
             .iter_mut()
-            .map(|m| match m.handle_propose(&propose).as_slice() {
+            .map(|m| match m.on_propose(&propose).as_slice() {
                 [MemberAction::BroadcastEcho(e)] => e.clone(),
                 other => panic!("expected an ECHO, got {other:?}"),
             })
             .collect();
-        assert!(members[0].handle_echo(&echoes[1]).is_empty());
-        let actions = members[0].handle_echo(&echoes[2]);
+        assert!(members[0].on_echo(&echoes[1]).is_empty());
+        let actions = members[0].on_echo(&echoes[2]);
         let [MemberAction::SendConfirm(confirm)] = actions.as_slice() else {
             panic!("expected a CONFIRM, got {actions:?}");
         };
-        let mut leader = LeaderState::new(id, propose.digest, keys);
+        let mut leader = LeaderState::new(id, propose.digest, keys, cache.clone());
         leader.verify_signatures = false;
         let from = |i: u32| Confirm {
             member: NodeId(i),
@@ -1095,6 +1159,7 @@ mod tests {
         use super::super::*;
         use crate::messages::payload_digest;
         use cycledger_crypto::schnorr::verify;
+        use std::collections::BTreeMap;
 
         pub struct Member {
             me: NodeId,

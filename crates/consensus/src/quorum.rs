@@ -237,7 +237,7 @@ fn verify_certs_memoized(
             signature,
         })
         .collect();
-    for ((index, ..), valid) in misses.iter().zip(memo.verify_batch(&entries)) {
+    for ((index, ..), valid) in misses.iter().zip(memo.verify_batch(&entries).iter()) {
         if !valid {
             results[*index] = Err(QuorumError::BadSignature);
         }

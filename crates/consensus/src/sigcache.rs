@@ -36,13 +36,28 @@
 //! not collision-resistant, and does not have to be: a collision costs one
 //! more comparison, never a wrong verdict, and the keys are this instance's
 //! own messages.
+//!
+//! **The memo owns its bytes, and lends its scratch.** A memoised message is
+//! not a heap copy of its own: every message is appended to one byte buffer,
+//! and the table holds `(offset, len, verdict)` slots into it, so a verdict
+//! costs no allocation once `SigCache::reserve` has sized the table and the
+//! buffer for the instance. The quorum batches of the instance's machines
+//! ([`SigCache::verify_batch`], `SigCache::verify_signed`) work in buffers
+//! that sit beside the table behind the memo's `Rc` — the signed bytes of the
+//! batch, the memo's answers, the verdicts handed back — cleared and reused
+//! by every batch, which is sound because every machine of an instance (and
+//! the checker's explorer) runs on one thread. The buffers stay behind when
+//! the table is detached; [`Verdicts`] is the table and its bytes alone.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
+use std::collections::hash_map::Entry;
 use std::rc::Rc;
 
 use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::opcount::{count, Op};
-use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, PublicKey, Signature};
+use cycledger_crypto::schnorr::{batch_verify_each, verify, BatchEntry, PublicKey, Signature};
+
+use crate::messages::CONFIRM_SIGNING_LEN;
 
 /// A memo's table, detached from its handles: what one instance verified, as
 /// a plain value that can sit in a task's result and cross to another thread
@@ -51,12 +66,96 @@ use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, PublicKey, Sig
 ///
 /// Verdicts by `(key, signature)`, then by message.
 #[derive(Clone, Debug, Default)]
-pub struct Verdicts(FxHashMap<(PublicKey, Signature), ByMessage>);
+pub struct Verdicts {
+    /// The first verdict on each `(key, signature)`: a signature is as good
+    /// as always checked against one message.
+    first: FxHashMap<(PublicKey, Signature), Slot>,
+    /// The verdicts on a `(key, signature)` under further messages — a
+    /// signature replayed under another header — each chained from the slot
+    /// before it. Empty, and unallocated, in an instance nobody replays in.
+    replayed: Vec<Slot>,
+    /// Every memoised message, back to back, in the order first verified.
+    bytes: Vec<u8>,
+}
 
-/// The verdicts on one `(key, signature)`: a signature is as good as always
-/// checked against one message, so the list is one entry long unless somebody
-/// replays it under another header.
-type ByMessage = Vec<(Box<[u8]>, bool)>;
+/// One memoised verdict: its message is `bytes[offset..offset + len]`.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    offset: usize,
+    len: usize,
+    ok: bool,
+    /// The next verdict on the same `(key, signature)`, in `replayed`.
+    next: Option<usize>,
+}
+
+impl Slot {
+    fn holds(&self, bytes: &[u8], message: &[u8]) -> bool {
+        &bytes[self.offset..][..self.len] == message
+    }
+}
+
+impl Verdicts {
+    /// The verdict on `entry`, if one is in.
+    fn find(&self, entry: &BatchEntry<'_>) -> Option<bool> {
+        let mut slot = self.first.get(&(*entry.public_key, *entry.signature))?;
+        while !slot.holds(&self.bytes, entry.message) {
+            slot = &self.replayed[slot.next?];
+        }
+        Some(slot.ok)
+    }
+
+    /// Records `ok` for `entry` unless a verdict on it is already in — one
+    /// batch may hold the same unknown triple twice.
+    fn insert(&mut self, entry: &BatchEntry<'_>, ok: bool) {
+        let slot = Slot {
+            offset: self.bytes.len(),
+            len: entry.message.len(),
+            ok,
+            next: None,
+        };
+        let mut last = match self.first.entry((*entry.public_key, *entry.signature)) {
+            Entry::Vacant(vacant) => {
+                vacant.insert(slot);
+                self.bytes.extend_from_slice(entry.message);
+                return;
+            }
+            Entry::Occupied(first) => first.into_mut(),
+        };
+        let index = self.replayed.len();
+        while !last.holds(&self.bytes, entry.message) {
+            let Some(next) = last.next else {
+                last.next = Some(index);
+                self.replayed.push(slot);
+                self.bytes.extend_from_slice(entry.message);
+                return;
+            };
+            last = &mut self.replayed[next];
+        }
+    }
+
+    /// Number of verdicts held.
+    fn len(&self) -> usize {
+        self.first.len() + self.replayed.len()
+    }
+}
+
+/// A memo's table and the buffers its batch checks reuse.
+#[derive(Debug, Default)]
+struct Memo {
+    table: RefCell<Verdicts>,
+    scratch: RefCell<Scratch>,
+}
+
+/// What one batch check works in; cleared, never shrunk, by the next.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// The signed bytes of a [`SigCache::verify_signed`] batch, back to back.
+    messages: Vec<u8>,
+    /// The memo's answer on each entry of the batch, before it is checked.
+    known: Vec<Option<bool>>,
+    /// The verdicts handed back, aligned with the batch.
+    verdicts: Vec<bool>,
+}
 
 /// A cloneable handle to one instance's verification memo.
 ///
@@ -67,14 +166,17 @@ type ByMessage = Vec<(Box<[u8]>, bool)>;
 /// before.
 #[derive(Clone, Debug, Default)]
 pub struct SigCache {
-    results: Rc<RefCell<Verdicts>>,
+    memo: Rc<Memo>,
 }
 
 impl From<Verdicts> for SigCache {
     /// A memo that already knows `verdicts`.
     fn from(verdicts: Verdicts) -> SigCache {
         SigCache {
-            results: Rc::new(RefCell::new(verdicts)),
+            memo: Rc::new(Memo {
+                table: RefCell::new(verdicts),
+                scratch: RefCell::default(),
+            }),
         }
     }
 }
@@ -85,23 +187,30 @@ impl SigCache {
         SigCache::default()
     }
 
+    /// Makes room for `verdicts` more verdicts and for batches of up to
+    /// `batch` Algorithm 3 signatures, so that an instance filling them
+    /// allocates nothing more.
+    pub(crate) fn reserve(&self, verdicts: usize, batch: usize) {
+        let mut table = self.memo.table.borrow_mut();
+        table.first.reserve(verdicts);
+        table.bytes.reserve(verdicts * CONFIRM_SIGNING_LEN);
+        let mut scratch = self.memo.scratch.borrow_mut();
+        scratch.messages.reserve(batch * CONFIRM_SIGNING_LEN);
+        scratch.known.reserve(batch);
+        scratch.verdicts.reserve(batch);
+    }
+
     /// Moves the table out of the memo — the table itself, no copy. Handles
     /// still alive share an empty memo from here on, which costs them
     /// verifications, never a verdict.
     pub fn into_verdicts(self) -> Verdicts {
-        self.results.take()
+        self.memo.table.take()
     }
 
     /// The verdict on `entry`, if the memo holds one.
     pub(crate) fn lookup(&self, entry: &BatchEntry<'_>) -> Option<bool> {
         count(Op::MemoLookup);
-        self.results
-            .borrow()
-            .0
-            .get(&(*entry.public_key, *entry.signature))?
-            .iter()
-            .find(|(message, _)| **message == *entry.message)
-            .map(|(_, ok)| *ok)
+        self.memo.table.borrow().find(entry)
     }
 
     /// Checks a triple the memo lacks and records the verdict.
@@ -112,18 +221,7 @@ impl SigCache {
     }
 
     fn memoize(&self, entry: &BatchEntry<'_>, ok: bool) {
-        let mut results = self.results.borrow_mut();
-        let verdicts = results
-            .0
-            .entry((*entry.public_key, *entry.signature))
-            .or_default();
-        // One batch may hold the same unknown triple twice.
-        if !verdicts
-            .iter()
-            .any(|(message, _)| **message == *entry.message)
-        {
-            verdicts.push((entry.message.into(), ok));
-        }
+        self.memo.table.borrow_mut().insert(entry, ok);
     }
 
     /// Verifies `signature` by `public_key` over `message`, serving repeated
@@ -140,46 +238,95 @@ impl SigCache {
 
     /// Verdicts for `entries`, in order — each what [`Self::verify`] would
     /// return — for the price of one batch: triples already in the memo are
-    /// answered from it, the rest go through a single [`batch_verify`] (a
-    /// lone one through [`verify`]), and only if that batch fails is each of
-    /// them checked on its own, to tell the forged from the valid. Every
-    /// verdict is memoized.
-    pub fn verify_batch(&self, entries: &[BatchEntry<'_>]) -> Vec<bool> {
-        let known: Vec<Option<bool>> = entries.iter().map(|entry| self.lookup(entry)).collect();
-        let unknown: Vec<BatchEntry<'_>> = entries
-            .iter()
-            .zip(&known)
-            .filter(|(_, verdict)| verdict.is_none())
-            .map(|(entry, _)| *entry)
-            .collect();
-        let all_valid = unknown.len() > 1 && batch_verify(&unknown);
-        let mut unknown = unknown.iter();
-        known
-            .into_iter()
-            .map(|verdict| {
-                verdict.unwrap_or_else(|| {
-                    let entry = unknown
-                        .next()
-                        .expect("one unknown entry per missing verdict");
-                    if all_valid {
-                        self.memoize(entry, true);
-                        true
-                    } else {
-                        self.verify_unknown(entry)
-                    }
-                })
+    /// answered from it, the rest go through a single
+    /// [`batch_verify`](cycledger_crypto::schnorr::batch_verify) (a lone one
+    /// through [`verify`]), and only if that batch fails is each of them
+    /// checked on its own, to tell the forged from the valid. Every verdict
+    /// is memoized.
+    ///
+    /// The verdicts are lent from the memo's scratch: drop them before the
+    /// next batch of this memo.
+    pub fn verify_batch(&self, entries: &[BatchEntry<'_>]) -> Ref<'_, [bool]> {
+        {
+            let mut scratch = self.memo.scratch.borrow_mut();
+            let Scratch {
+                known, verdicts, ..
+            } = &mut *scratch;
+            self.check(entries.iter().copied(), known, verdicts);
+        }
+        self.verdicts()
+    }
+
+    /// [`Self::verify_batch`] over signatures whose `N`-byte messages are
+    /// made on the spot — a quorum's ECHOes or CONFIRMs: `signers` gives each
+    /// entry's key and signature, `signed` its message, in the same order.
+    /// The messages are kept in the memo's scratch for the check, so a batch
+    /// allocates nothing once the instance's first has sized the buffers.
+    pub(crate) fn verify_signed<'e, const N: usize>(
+        &self,
+        signers: impl Iterator<Item = (&'e PublicKey, &'e Signature)> + Clone,
+        signed: impl Iterator<Item = [u8; N]>,
+    ) -> Ref<'_, [bool]> {
+        {
+            let mut scratch = self.memo.scratch.borrow_mut();
+            let Scratch {
+                messages,
+                known,
+                verdicts,
+            } = &mut *scratch;
+            messages.clear();
+            signed.for_each(|message| messages.extend_from_slice(&message));
+            let entries =
+                signers
+                    .zip(messages.chunks_exact(N))
+                    .map(|((public_key, signature), message)| BatchEntry {
+                        public_key,
+                        message,
+                        signature,
+                    });
+            self.check(entries, known, verdicts);
+        }
+        self.verdicts()
+    }
+
+    fn verdicts(&self) -> Ref<'_, [bool]> {
+        Ref::map(self.memo.scratch.borrow(), |scratch| &scratch.verdicts[..])
+    }
+
+    /// The batch check behind both front doors: `known` takes the memo's
+    /// answers, `verdicts` the result.
+    fn check<'e>(
+        &self,
+        entries: impl Iterator<Item = BatchEntry<'e>> + Clone,
+        known: &mut Vec<Option<bool>>,
+        verdicts: &mut Vec<bool>,
+    ) {
+        known.clear();
+        known.extend(entries.clone().map(|entry| self.lookup(&entry)));
+        let unknown = entries.clone().zip(known.iter());
+        let unknown = unknown.filter_map(|(entry, verdict)| verdict.is_none().then_some(entry));
+        let all_valid = unknown.clone().nth(1).is_some() && batch_verify_each(unknown);
+        verdicts.clear();
+        verdicts.extend(entries.zip(known.iter()).map(|(entry, verdict)| {
+            verdict.unwrap_or_else(|| {
+                if all_valid {
+                    self.memoize(&entry, true);
+                    true
+                } else {
+                    self.verify_unknown(&entry)
+                }
             })
-            .collect()
+        }));
     }
 
     /// Number of distinct verifications performed so far.
     pub fn len(&self) -> usize {
-        self.results.borrow().0.values().map(Vec::len).sum()
+        self.memo.table.borrow().len()
     }
 
     /// True if no verification has been memoized yet.
     pub fn is_empty(&self) -> bool {
-        self.results.borrow().0.is_empty()
+        self.len() == 0
     }
 }
 
@@ -206,20 +353,42 @@ mod tests {
     }
 
     #[test]
+    fn a_signature_replayed_under_many_messages_keeps_every_verdict() {
+        let kp = Keypair::from_seed(b"sigcache-replay");
+        let sig = kp.sign(b"the signed one");
+        let cache = SigCache::new();
+        let replays: Vec<Vec<u8>> = (0..5).map(|i| format!("replay {i}").into_bytes()).collect();
+        // The valid triple lands in the middle of the chain.
+        for (i, message) in replays.iter().enumerate() {
+            assert!(!cache.verify(&kp.public, message, &sig));
+            if i == 2 {
+                assert!(cache.verify(&kp.public, b"the signed one", &sig));
+            }
+        }
+        assert_eq!(cache.len(), 6);
+        let verdicts = cache.into_verdicts();
+        assert_eq!((verdicts.first.len(), verdicts.replayed.len()), (1, 5));
+        let cache = SigCache::from(verdicts);
+        for message in &replays {
+            assert!(!cache.verify(&kp.public, message, &sig));
+        }
+        assert!(cache.verify(&kp.public, b"the signed one", &sig));
+        assert_eq!(cache.len(), 6, "every one was a hit");
+    }
+
+    #[test]
     fn clones_share_one_memo() {
         let kp = Keypair::from_seed(b"sigcache-c");
         let sig = kp.sign(b"shared");
         let cache = SigCache::new();
         let handle = cache.clone();
         assert!(cache.is_empty());
-        assert_eq!(
-            handle.verify_batch(&[BatchEntry {
-                public_key: &kp.public,
-                message: b"shared",
-                signature: &sig,
-            }]),
-            [true]
-        );
+        let entry = BatchEntry {
+            public_key: &kp.public,
+            message: b"shared",
+            signature: &sig,
+        };
+        assert_eq!(*handle.verify_batch(&[entry]), [true]);
         assert_eq!(cache.len(), 1, "clone writes into the shared table");
         assert!(cache.verify(&kp.public, b"shared", &sig));
         assert_eq!(handle.len(), 1);
@@ -232,7 +401,7 @@ mod tests {
         let cache = SigCache::new();
         let handle = cache.clone();
         let expected = [true, true, false, true];
-        assert_eq!(cache.verify_batch(&batch), expected);
+        assert_eq!(*cache.verify_batch(&batch), expected);
         let verdicts = cache.into_verdicts();
         assert!(handle.is_empty(), "the table moved out, it was not copied");
         // A `SigCache` is an `Rc` and stays on its thread; its table does not.
@@ -240,7 +409,7 @@ mod tests {
         let verdicts = worker.join().expect("moving a table cannot panic");
         let received = SigCache::from(verdicts);
         assert_eq!(received.len(), 4);
-        assert_eq!(received.verify_batch(&batch), expected);
+        assert_eq!(*received.verify_batch(&batch), expected);
         assert_eq!(received.len(), 4, "all four were hits, the `false` too");
     }
 
@@ -284,7 +453,7 @@ mod tests {
             let batch = entries(&keys, &messages, &signatures);
             let expected: Vec<bool> = (0..6).map(|i| !forged.contains(&i)).collect();
             let cache = SigCache::new();
-            assert_eq!(cache.verify_batch(&batch), expected, "forged {forged:?}");
+            assert_eq!(*cache.verify_batch(&batch), expected, "forged {forged:?}");
             assert_eq!(cache.len(), 6, "every verdict is memoized");
             // Each verdict is what `verify` says, from the memo or afresh.
             let fresh = SigCache::new();
@@ -300,6 +469,23 @@ mod tests {
     }
 
     #[test]
+    fn made_messages_are_checked_as_their_entries() {
+        let (keys, messages, signatures) = signed(5, &[1, 3]);
+        let made = messages
+            .iter()
+            .map(|m| <[u8; 6]>::try_from(&m[..]).unwrap());
+        let signers = keys.iter().map(|k| &k.public).zip(&signatures);
+        let expected = [true, false, true, false, true];
+        let cache = SigCache::new();
+        assert_eq!(*cache.verify_signed(signers, made), expected);
+        assert_eq!(cache.len(), 5);
+        // The memo holds the very triples the entries name.
+        let batch = entries(&keys, &messages, &signatures);
+        assert_eq!(*cache.verify_batch(&batch), expected);
+        assert_eq!(cache.len(), 5, "all five were hits");
+    }
+
+    #[test]
     fn batch_skips_what_the_memo_already_holds() {
         let (keys, messages, signatures) = signed(5, &[3]);
         let batch = entries(&keys, &messages, &signatures);
@@ -308,7 +494,7 @@ mod tests {
         assert!(cache.verify(&keys[1].public, &messages[1], &signatures[1]));
         assert!(!cache.verify(&keys[3].public, &messages[3], &signatures[3]));
         assert_eq!(
-            cache.verify_batch(&batch),
+            *cache.verify_batch(&batch),
             [true, true, true, false, true],
             "the known forgery does not fail the batch of the rest"
         );
@@ -316,7 +502,7 @@ mod tests {
         // The same triple twice in one batch is two verdicts, one memo entry.
         let twice = [batch[0], batch[4], batch[0]];
         let fresh = SigCache::new();
-        assert_eq!(fresh.verify_batch(&twice), [true, true, true]);
+        assert_eq!(*fresh.verify_batch(&twice), [true, true, true]);
         assert_eq!(fresh.len(), 2);
     }
 
@@ -330,7 +516,7 @@ mod tests {
         let (keys, messages, signatures) = signed(4, &[1]);
         let batch = entries(&keys, &messages, &signatures);
         let cache = SigCache::new();
-        let first = scope(|| cache.verify_batch(&batch));
+        let first = scope(|| drop(cache.verify_batch(&batch)));
         // One batch of four fails, so each is then checked singly.
         assert_eq!(
             (
@@ -345,7 +531,7 @@ mod tests {
             memo_lookups: 4,
             ..Tally::default()
         };
-        assert_eq!(scope(|| cache.verify_batch(&batch)), hits);
+        assert_eq!(scope(|| drop(cache.verify_batch(&batch))), hits);
         let one = scope(|| cache.verify(&keys[1].public, &messages[1], &signatures[1]));
         assert_eq!(
             one,
@@ -355,7 +541,7 @@ mod tests {
             }
         );
         // A batch of one unknown triple is a plain `verify`.
-        let lone = scope(|| SigCache::new().verify_batch(&batch[..1]));
+        let lone = scope(|| drop(SigCache::new().verify_batch(&batch[..1])));
         assert_eq!(
             (lone.memo_lookups, lone.sig_batches, lone.sigs_single),
             (1, 0, 1)

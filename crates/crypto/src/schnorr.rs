@@ -10,7 +10,7 @@ use crate::hmac::HmacDrbg;
 use crate::opcount::{count, Op};
 use crate::point::{AffinePoint, Point};
 use crate::scalar::Scalar;
-use crate::sha256::hash_parts;
+use crate::sha256::{hash_parts, Digest, Sha256};
 
 /// A secret key: a nonzero scalar.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -199,29 +199,35 @@ pub struct BatchEntry<'a> {
 /// Returns `false` if *any* signature in the batch is invalid; callers that
 /// need to identify the culprit fall back to per-signature [`verify`].
 pub fn batch_verify(entries: &[BatchEntry<'_>]) -> bool {
-    if entries.is_empty() {
+    batch_verify_each(entries.iter().copied())
+}
+
+/// [`batch_verify`] over entries handed out by an iterator rather than
+/// gathered in a slice — the same check, coefficient for coefficient. The
+/// iterator is walked three times (it is cloned), so a caller whose batch is
+/// a selection of a longer list (the consensus crate's verdict memo checks
+/// the triples it lacks) builds no list for it.
+///
+/// Nothing here allocates for up to sixteen entries: the
+/// transcript is streamed into one SHA-256 and the `2n + 1` terms sit on the
+/// stack, as [`Point::multi_mul`]'s own scratch does.
+pub fn batch_verify_each<'e>(entries: impl Iterator<Item = BatchEntry<'e>> + Clone) -> bool {
+    let n = entries.clone().count();
+    if n == 0 {
         return true;
     }
-    count(Op::SigBatch(entries.len()));
-    // Bind the coefficients to the entire batch content — crucially
-    // *including* every response scalar `s_i`. If the coefficients were
-    // computable before the `s` values are fixed, two entries could be
-    // mauled in tandem (`s_1 + d·z_1⁻¹`, `s_2 − d·z_2⁻¹`) without changing
-    // the weighted sum, making invalid batches verify.
-    let mut transcript: Vec<u8> = Vec::with_capacity(entries.len() * 224);
-    for entry in entries {
-        transcript.extend_from_slice(&entry.signature.r.to_bytes());
-        transcript.extend_from_slice(&entry.public_key.to_bytes());
-        transcript.extend_from_slice(&hash_parts(&[entry.message]).as_bytes()[..]);
-        transcript.extend_from_slice(&entry.signature.s.to_be_bytes());
-    }
-    // One pass over the transcript; per-entry coefficients derive from the
-    // digest so coefficient generation stays O(n), not O(n²).
-    let seed = hash_parts(&[b"cycledger/schnorr-batch-seed", &transcript]);
-
+    count(Op::SigBatch(n));
+    let seed = batch_seed(entries.clone(), n);
+    let mut stack = [(Scalar::zero(), Point::infinity()); 2 * STACK_ENTRIES + 1];
+    let mut heap = Vec::new();
+    let terms = if n <= STACK_ENTRIES {
+        &mut stack[..2 * n + 1]
+    } else {
+        heap.resize(2 * n + 1, (Scalar::zero(), Point::infinity()));
+        &mut heap[..]
+    };
     let mut scaled_s = Scalar::zero();
-    let mut terms: Vec<(Scalar, Point)> = Vec::with_capacity(entries.len() * 2 + 1);
-    for (i, entry) in entries.iter().enumerate() {
+    for (i, entry) in entries.enumerate() {
         if !entry.signature.r.is_on_curve() || !entry.public_key.point().is_on_curve() {
             return false;
         }
@@ -232,11 +238,44 @@ pub fn batch_verify(entries: &[BatchEntry<'_>]) -> bool {
         );
         let e = challenge(&entry.signature.r, entry.public_key, entry.message);
         scaled_s = scaled_s.add(&z.mul(&entry.signature.s));
-        terms.push((z, entry.signature.r.to_point()));
-        terms.push((z.mul(&e), entry.public_key.point().to_point()));
+        terms[2 * i] = (z, entry.signature.r.to_point());
+        terms[2 * i + 1] = (z.mul(&e), entry.public_key.point().to_point());
     }
-    terms.push((scaled_s.neg(), Point::generator()));
-    Point::multi_mul(&terms).is_infinity()
+    terms[2 * n] = (scaled_s.neg(), Point::generator());
+    Point::multi_mul(terms).is_infinity()
+}
+
+/// Batches of at most this many signatures keep their `2n + 1` terms on the
+/// stack: the sixteen-signature batch [`Point::multi_mul`]'s stack scratch is
+/// sized for, which covers a quorum batch of a committee up to `c = 31`.
+const STACK_ENTRIES: usize = 16;
+
+/// Bytes one entry adds to the batch transcript: `R`, the key, the message's
+/// digest and `s`.
+const TRANSCRIPT_ENTRY_LEN: usize = 64 + 64 + 32 + 32;
+
+/// The seed every coefficient of a batch derives from:
+/// `hash_parts([tag, transcript])`, the transcript streamed into the hash
+/// under the same length prefixes rather than gathered first.
+///
+/// It binds the coefficients to the entire batch content — crucially
+/// *including* every response scalar `s_i`. If the coefficients were
+/// computable before the `s` values are fixed, two entries could be mauled
+/// in tandem (`s_1 + d·z_1⁻¹`, `s_2 − d·z_2⁻¹`) without changing the weighted
+/// sum, making invalid batches verify. Per-entry coefficients derive from
+/// the one digest, so coefficient generation stays O(n), not O(n²).
+fn batch_seed<'e>(entries: impl Iterator<Item = BatchEntry<'e>>, n: usize) -> Digest {
+    const TAG: &[u8] = b"cycledger/schnorr-batch-seed";
+    let mut hasher = Sha256::new();
+    hasher.update(&(TAG.len() as u64).to_le_bytes()).update(TAG);
+    hasher.update(&((n * TRANSCRIPT_ENTRY_LEN) as u64).to_le_bytes());
+    for entry in entries {
+        hasher.update(&entry.signature.r.to_bytes());
+        hasher.update(&entry.public_key.to_bytes());
+        hasher.update(hash_parts(&[entry.message]).as_bytes());
+        hasher.update(&entry.signature.s.to_be_bytes());
+    }
+    hasher.finalize()
 }
 
 impl Signature {
@@ -507,6 +546,16 @@ mod tests {
             transcript.extend_from_slice(&s.to_be_bytes());
         }
         let seed = hash_parts(&[b"cycledger/schnorr-batch-seed", &transcript]);
+        let original = (0..3).map(|i| BatchEntry {
+            public_key: &kps[i].public,
+            message: &msgs[i],
+            signature: &sigs[i],
+        });
+        assert_eq!(
+            batch_seed(original, 3),
+            seed,
+            "the streamed transcript hashes as the gathered one"
+        );
         let z = |i: u64| {
             Scalar::rlc_coefficient(
                 "cycledger/schnorr-batch-coefficient",
@@ -558,5 +607,22 @@ mod tests {
         sigs[3].s = sigs[3].s.add(&Scalar::one());
         assert_eq!(sequential(&sigs), batched(&sigs));
         assert!(!batched(&sigs));
+    }
+
+    #[test]
+    fn batches_past_the_stack_terms_verify_alike() {
+        let n = STACK_ENTRIES + 3;
+        let (kps, msgs, mut sigs) = batch(n);
+        let batched = |sigs: &[Signature], len: usize| {
+            batch_verify_each((0..len).map(|i| BatchEntry {
+                public_key: &kps[i].public,
+                message: &msgs[i],
+                signature: &sigs[i],
+            }))
+        };
+        assert!(batched(&sigs, n) && batched(&sigs, STACK_ENTRIES));
+        sigs[STACK_ENTRIES + 1] = sigs[0];
+        assert!(!batched(&sigs, n));
+        assert!(batched(&sigs, STACK_ENTRIES + 1));
     }
 }

@@ -49,7 +49,7 @@ use crate::adversary::Behavior;
 use crate::committee::{run_inside_consensus, Committee};
 use crate::engine::arena::ShardScratch;
 use crate::engine::env::{Books, PlaneCounters, RoundEnv, Task};
-use crate::node::NodeRegistry;
+use crate::node::{NodeRegistry, SimNode};
 
 /// Timer key: the leader's vote-collection deadline.
 const VOTE_TIMER: u64 = 1;
@@ -104,31 +104,34 @@ pub fn votes_from_validity(
     member: NodeId,
     validity: &[bool],
 ) -> Vec<Vote> {
-    let node = registry.node(member);
+    member_votes(registry.node(member), validity).collect()
+}
+
+/// [`votes_from_validity`]'s votes of `node`, one by one.
+pub(crate) fn member_votes<'a>(
+    node: &'a SimNode,
+    validity: &'a [bool],
+) -> impl Iterator<Item = Vote> + 'a {
     let capacity = node.compute_capacity as usize;
-    validity
-        .iter()
-        .enumerate()
-        .map(|(i, &valid)| {
-            if node.behavior == Behavior::LazyVoter {
-                return Vote::Unknown;
+    validity.iter().enumerate().map(move |(i, &valid)| {
+        if node.behavior == Behavior::LazyVoter {
+            return Vote::Unknown;
+        }
+        if i >= capacity {
+            // Out of compute budget: an honest node admits it cannot judge.
+            return Vote::Unknown;
+        }
+        let honest_vote = if valid { Vote::Yes } else { Vote::No };
+        if node.behavior == Behavior::WrongVoter {
+            match honest_vote {
+                Vote::Yes => Vote::No,
+                Vote::No => Vote::Yes,
+                Vote::Unknown => Vote::Unknown,
             }
-            if i >= capacity {
-                // Out of compute budget: an honest node admits it cannot judge.
-                return Vote::Unknown;
-            }
-            let honest_vote = if valid { Vote::Yes } else { Vote::No };
-            if node.behavior == Behavior::WrongVoter {
-                match honest_vote {
-                    Vote::Yes => Vote::No,
-                    Vote::No => Vote::Yes,
-                    Vote::Unknown => Vote::Unknown,
-                }
-            } else {
-                honest_vote
-            }
-        })
-        .collect()
+        } else {
+            honest_vote
+        }
+    })
 }
 
 /// Announces a `TXList` to `committee` and collects vote replies under the

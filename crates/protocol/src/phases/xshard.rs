@@ -36,7 +36,7 @@ use crate::engine::env::{Books, RoundEnv, Task};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::phases::inter::{list_deadline, CensorshipReport, InterOutcome};
-use crate::phases::intra::{collect_votes_under_deadline, votes_from_validity};
+use crate::phases::intra::{collect_votes_under_deadline, member_votes};
 
 /// The network one committee's task runs on.
 pub type Net = SimNetwork<CommitteeMessage>;
@@ -328,11 +328,16 @@ fn inbound_validity(utxo_sets: &[UtxoSet], inbound: &[&PairList<'_>]) -> Vec<Vec
     inbound.iter().map(table).collect()
 }
 
-/// One member's single vote over all inbound lists (its compute budget
-/// applies per list, as it did when every list was voted on separately).
+/// One member's single vote over all inbound lists, written into one vector
+/// (its compute budget applies per list, as it did when every list was voted
+/// on separately).
 fn inbound_votes(registry: &NodeRegistry, member: NodeId, validity: &[Vec<bool>]) -> Vec<Vote> {
-    let votes = |list: &Vec<bool>| votes_from_validity(registry, member, list);
-    validity.iter().flat_map(votes).collect()
+    let node = registry.node(member);
+    let mut votes = Vec::with_capacity(validity.iter().map(Vec::len).sum());
+    for list in validity {
+        votes.extend(member_votes(node, list));
+    }
+    votes
 }
 
 /// Destination committee `j`: the leader announces every admitted list at

@@ -7,15 +7,22 @@ its table in ``GATES`` against the smoke report. A row names one measured
 value and its bound, which is one of two kinds:
 
 * a committed value, read from the gate's ``BENCH_*.json``. The row fails
-  on a regression of more than ``PERF_GATE_TOLERANCE`` (default 20%):
-  a higher-is-better value fails when measured < committed * (1 - tol), and
-  a lower-is-better value fails when measured > committed * (1 + tol);
+  on a regression of more than its tolerance -- ``PERF_GATE_TOLERANCE``
+  (default 20%) unless the row carries its own: a higher-is-better value
+  fails when measured < committed * (1 - tol), and a lower-is-better value
+  fails when measured > committed * (1 + tol);
 * a fixed cap or floor that holds on any machine, whatever the baseline
   says.
 
-Improvements never fail a committed row. Re-bless the ``BENCH_*.json`` with
-the matching ``gen_bench_*`` binary when a PR moves the numbers on purpose
-(see the ``regeneration`` field in each JSON for the full recipe).
+A row with a tolerance of its own is an exact count (allocations repeat to
+the digit from run to run). It is gated both ways: a regression past its
+tolerance fails, and so does an improvement of more than ``STALE`` (5%),
+with "re-record <BENCH file>" -- a change that makes the count fall lands
+its new count as the baseline, so the next regression cannot hide in the
+gap. Improvements never fail any other committed row. Re-bless the
+``BENCH_*.json`` with the matching ``gen_bench_*`` binary when a PR moves
+the numbers on purpose (see the ``regeneration`` field in each JSON for the
+full recipe).
 
 Default mode (no arguments) gates wall-clock round throughput on
 ``gen_bench_round --smoke`` (the tracked configuration: 8x16, one worker):
@@ -49,15 +56,18 @@ commit pays O(log n) hashes per written key where a hashmap pays one probe,
 so no small absolute cap is physically achievable there.
 
 ``--self-test`` (alone for the round gate, or after ``--latency`` /
-``--state``) runs no benchmark: for every row of the gate it feeds the one
-move of ``SELF_TEST`` that must fail and the one that must pass through the
-same check the real gate runs. The moves are written from what each metric
+``--state``) runs no benchmark: for every row of the gate it feeds the moves
+of ``SELF_TEST`` -- one that must fail, one that must pass and, for an
+exact row, a stale baseline that must fail too -- through the same check
+the real gate runs. The moves are written from what each metric
 means, not from the row's direction, so a row whose direction is flipped
 or whose cap is loosened fails here. CI runs it before each gate.
 
-Allocation counts come from the counting global allocator and are exact;
-rounds/sec is wall clock, so the tolerance absorbs runner noise. Override
-with ``PERF_GATE_TOLERANCE=0.35`` etc. if a shared runner proves noisier.
+Allocation counts come from the counting global allocator and are exact:
+the round gate's two ``allocations_per_round`` rows carry a 1% tolerance.
+Rounds/sec is wall clock, so the default tolerance absorbs runner noise.
+Override it with ``PERF_GATE_TOLERANCE=0.35`` etc. if a shared runner proves
+noisier; the exact rows keep theirs.
 """
 
 import functools
@@ -70,6 +80,8 @@ from typing import Callable, NamedTuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOLERANCE = float(os.environ.get("PERF_GATE_TOLERANCE", "0.20"))
+# An exact row fails when it is better than committed by more than this.
+STALE = 0.05
 
 
 class Row(NamedTuple):
@@ -80,11 +92,14 @@ class Row(NamedTuple):
     # Where the value is read in the smoke report: a key path, or a function
     # of the report that returns None when this runner cannot measure it.
     measured: tuple | Callable[[dict], float | None]
-    # A key path into the committed BENCH_*.json (gated within TOLERANCE),
-    # or a fixed cap (better lower) or floor (better higher).
+    # A key path into the committed BENCH_*.json (gated within the row's
+    # tolerance), or a fixed cap (better lower) or floor (better higher).
     bound: tuple | float
     # "higher" or "lower".
     better: str
+    # The tolerance of an exact count, which is also gated against a stale
+    # baseline; None gates within TOLERANCE.
+    tolerance: float | None = None
 
 
 def parallel_speedup(report: dict) -> float | None:
@@ -120,6 +135,7 @@ GATES = {
                 ("smoke_1_worker", "allocations_per_round"),
                 ("verified", "one_worker", "allocations_per_round"),
                 "lower",
+                0.01,
             ),
             Row(
                 "epoch.rounds_per_sec",
@@ -132,6 +148,7 @@ GATES = {
                 ("smoke_epoch_1_worker", "allocations_per_round"),
                 ("verified", "one_worker_epoch", "allocations_per_round"),
                 "lower",
+                0.01,
             ),
             Row("parallel.speedup", parallel_speedup, 1.25, "higher"),
         ),
@@ -152,7 +169,9 @@ GATES = {
     # plus the leaf, plus one round of churn waiting on the free lists. A
     # store that keeps what a commit supersedes adds ~11 slots per write at
     # this tier and is past 3.0 after some 50 rounds (the smoke run commits
-    # a few hundred).
+    # a few hundred). A churn round's commit allocates nothing once the
+    # fold's scratch is sized (two smoke runs: 0 and 0), so its count is
+    # capped at zero rather than gated relative to a zero baseline.
     "state": (
         "gen_bench_state",
         "BENCH_state.json",
@@ -161,7 +180,7 @@ GATES = {
             state_row("smt_apply_over_map_apply", 4.0),
             state_row("smt_arena_slots_per_live_utxo", 3.0),
             state_row("smt_commit_over_map_apply"),
-            state_row("smt_allocations_per_round"),
+            state_row("smt_allocations_per_round", 0.0),
         ),
     ),
 }
@@ -169,16 +188,27 @@ GATES = {
 # A move past the tolerance, applied to a row's committed value.
 UP, DOWN = "up", "down"
 
-# Per row: (a move that must fail, a move that must pass). UP / DOWN scale
-# the committed value past the tolerance; a number is the measured value
-# itself. Written from what each metric means -- fewer rounds/s is worse,
-# more allocations are worse, a 1.2x speed-up is a phase gone serial -- and
-# never derived from the row, so a flipped direction or a loosened cap fails.
+
+class By(NamedTuple):
+    """A move of the committed value by a fixed factor."""
+
+    factor: float
+
+
+# Per row: (a move that must fail, a move that must pass) and, for an exact
+# row, a third that must fail too: a baseline gone stale. UP / DOWN scale
+# the committed value past the tolerance, By scales it by a fixed factor; a
+# number is the measured value itself. Written from what each metric means
+# -- fewer rounds/s is worse, more allocations are worse, 6% fewer exact
+# allocations mean a count nobody re-recorded, a 1.2x speed-up is a phase
+# gone serial -- and never derived from the row, so a flipped direction, a
+# loosened cap or a loosened exact tolerance fails.
+EXACT = (By(1.02), By(0.995), By(0.94))
 SELF_TEST = {
     "plain.rounds_per_sec": (DOWN, UP),
-    "plain.allocations_per_round": (UP, DOWN),
+    "plain.allocations_per_round": EXACT,
     "epoch.rounds_per_sec": (DOWN, UP),
-    "epoch.allocations_per_round": (UP, DOWN),
+    "epoch.allocations_per_round": EXACT,
     "parallel.speedup": (1.2, 1.6),
     "tracked.p99_us": (UP, DOWN),
     "sweep.saturated_tps": (DOWN, UP),
@@ -186,7 +216,7 @@ SELF_TEST = {
     "tracked.smt_apply_over_map_apply": (4.1, 3.5),
     "tracked.smt_arena_slots_per_live_utxo": (3.05, 2.44),
     "tracked.smt_commit_over_map_apply": (UP, DOWN),
-    "tracked.smt_allocations_per_round": (UP, DOWN),
+    "tracked.smt_allocations_per_round": (1.0, 0.0),
 }
 
 
@@ -194,19 +224,25 @@ def dig(document: dict, path: tuple) -> float:
     return float(functools.reduce(lambda node, key: node[key], path, document))
 
 
-def check(row: Row, measured: float, baseline: dict, failures: list) -> None:
+def check(row: Row, measured: float, baseline: dict, failures: list, committed: str) -> None:
     """Prints the row's verdict line; appends the row's name on failure."""
     higher = row.better == "higher"
+    stale = None
     if isinstance(row.bound, tuple):
-        committed = dig(baseline, row.bound)
-        limit = committed * (1.0 - TOLERANCE if higher else 1.0 + TOLERANCE)
-        against = f"committed {committed:.3f} (gate {'>=' if higher else '<='} {limit:.3f})"
+        value = dig(baseline, row.bound)
+        tolerance = TOLERANCE if row.tolerance is None else row.tolerance
+        limit = value * (1.0 - tolerance if higher else 1.0 + tolerance)
+        against = f"committed {value:.3f} (gate {'>=' if higher else '<='} {limit:.3f})"
         failed = "REGRESSION"
+        if row.tolerance is not None:
+            stale = value * (1.0 + STALE if higher else 1.0 - STALE)
     else:
         limit = row.bound
         against = f"hard {'floor' if higher else 'cap'} {limit:.3f}"
         failed = "BELOW FLOOR" if higher else "CAP EXCEEDED"
     ok = measured >= limit if higher else measured <= limit
+    if ok and stale is not None and (measured > stale if higher else measured < stale):
+        ok, failed = False, f"STALE BASELINE: better by more than {STALE:.0%}, re-record {committed}"
     print(f"{row.name}: measured {measured:.3f} vs {against} ... {'ok' if ok else failed}")
     if not ok:
         failures.append(row.name)
@@ -224,25 +260,28 @@ def run_bench(binary: str) -> dict | None:
     return json.loads(out.stdout)
 
 
-def self_test(rows: tuple, baseline: dict) -> int:
+def self_test(rows: tuple, baseline: dict, committed: str) -> int:
     broken = 0
     for row in rows:
-        for move, must_fail in zip(SELF_TEST.get(row.name, ()), (True, False)):
-            if isinstance(move, str):
+        for move, must_fail in zip(SELF_TEST.get(row.name, ()), (True, False, True)):
+            reference = dig(baseline, row.bound) if isinstance(row.bound, tuple) else row.bound
+            if isinstance(move, By):
+                measured, what = reference * move.factor, f"by {move.factor - 1.0:+.1%}"
+            elif isinstance(move, str):
                 step = TOLERANCE + 0.10
-                reference = dig(baseline, row.bound) if isinstance(row.bound, tuple) else row.bound
                 measured = reference * (1.0 + step if move == UP else 1.0 - step)
                 what = f"{move} {step:.0%}"
             else:
                 measured, what = move, f"at {move}"
             print(f"self-test: {row.name} {what} must {'fail' if must_fail else 'pass'}")
             failures = []
-            check(row, measured, baseline, failures)
+            check(row, measured, baseline, failures, committed)
             if bool(failures) != must_fail:
                 print(f"self-test FAILED: {row.name} {what}", file=sys.stderr)
                 broken += 1
-        if row.name not in SELF_TEST:
-            print(f"self-test FAILED: {row.name} has no moves", file=sys.stderr)
+        moves = len(SELF_TEST.get(row.name, ()))
+        if moves != (2 if row.tolerance is None else 3):
+            print(f"self-test FAILED: {row.name} has {moves} moves", file=sys.stderr)
             broken += 1
     for name in SELF_TEST.keys() - {row.name for gate in GATES.values() for row in gate[2]}:
         print(f"self-test FAILED: {name} has moves but no row", file=sys.stderr)
@@ -258,7 +297,7 @@ def gate(name: str, run_self_test: bool) -> int:
     binary, committed, rows = GATES[name]
     baseline = json.loads((REPO_ROOT / committed).read_text())
     if run_self_test:
-        return self_test(rows, baseline)
+        return self_test(rows, baseline, committed)
 
     report = run_bench(binary)
     if report is None:
@@ -269,15 +308,11 @@ def gate(name: str, run_self_test: bool) -> int:
         if measured is None:
             print(f"{row.name}: not measured on this runner (one core) ... skipped")
         else:
-            check(row, measured, baseline, failures)
+            check(row, measured, baseline, failures, committed)
     if failures:
-        print(
-            f"perf gate FAILED ({', '.join(failures)} regressed by more than "
-            f"{TOLERANCE:.0%} vs {committed})",
-            file=sys.stderr,
-        )
+        print(f"perf gate FAILED ({', '.join(failures)} vs {committed}; see above)", file=sys.stderr)
         return 1
-    print(f"perf gate passed (tolerance {TOLERANCE:.0%})")
+    print(f"perf gate passed (tolerance {TOLERANCE:.0%}, exact rows their own)")
     return 0
 
 

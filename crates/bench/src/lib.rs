@@ -1,23 +1,18 @@
 //! # cycledger-bench
 //!
-//! The benchmark and experiment harness: one generator binary per table/figure
-//! of the paper, and one per committed `BENCH_*.json` baseline. The binaries
-//! print the same rows/series the paper reports; `docs/benchmarks.md` indexes
-//! the committed baselines and what regenerates each. The `gen_bench_*`
-//! binaries print through [`Json`] and read their flags with [`Args`].
+//! The benchmark and experiment harness: [`paper`] builds the paper's
+//! evaluation (Tables I–II, Figs. 4–5, scalability, recovery, incentives)
+//! as one document, and one generator binary per committed `BENCH_*.json`
+//! baseline measures the rest. `docs/benchmarks.md` indexes the committed
+//! files and what regenerates each. The binaries print through [`Json`]
+//! and the `gen_bench_*` ones read their flags with [`Args`].
 //!
 //! Binaries (run with `cargo run --release -p cycledger-bench --bin <name>`):
 //!
-//! * `gen_table1` — protocol comparison (Table I).
-//! * `gen_table2` — per-phase, per-role complexity measured on the simulator
-//!   (Table II).
-//! * `gen_fig4` — the reward-mapping function `g(x)` (Fig. 4).
-//! * `gen_fig5` — committee-sampling failure probability (Fig. 5) plus the
-//!   partial-set bound (§V-C).
-//! * `gen_scalability` — throughput vs. number of committees (§III-D).
-//! * `gen_recovery` — throughput with dishonest leaders, with and without the
-//!   recovery procedure (Table I "High Efficiency w.r.t Dishonest Leaders").
-//! * `gen_incentive` — reputation and reward split by behaviour (§VII).
+//! * `gen_paper` — [`paper::document`], committed as `BENCH_paper.json`.
+//! * `gen_bench_crypto`, `gen_bench_latency`, `gen_bench_round`,
+//!   `gen_bench_state` — the `BENCH_crypto`, `_latency`, `_round` and
+//!   `_state` baselines.
 
 #![warn(missing_docs)]
 
@@ -28,14 +23,15 @@ use cycledger_net::latency::LatencyConfig;
 use cycledger_net::network::SimNetwork;
 use cycledger_protocol::committee::run_inside_consensus;
 use cycledger_protocol::{
-    AdversaryConfig, Behavior, Committee, InsideConsensusOutcome, LeaderFault, NodeRegistry,
-    ProtocolConfig, Simulation,
+    AdversaryConfig, Committee, InsideConsensusOutcome, LeaderFault, NodeRegistry, ProtocolConfig,
 };
 
+pub mod paper;
+
 /// Builds a simulation configuration sized for benchmarking: small PoW
-/// difficulty, fifty transactions per committee. The figure and table
-/// generators, the virtual-time latency sweep and the tracked wall-clock
-/// series (`gen_bench_round`) all run it with every signature made and
+/// difficulty, fifty transactions per committee. The paper document, the
+/// virtual-time latency sweep and the tracked wall-clock series
+/// (`gen_bench_round`) all run it with every signature made and
 /// verified — there is no other way to run a round.
 pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> ProtocolConfig {
     ProtocolConfig {
@@ -86,30 +82,6 @@ pub fn alg3_instance(committee_size: usize) -> impl FnMut() -> InsideConsensusOu
         assert!(outcome.certificate.is_some(), "honest instance certifies");
         outcome
     }
-}
-
-/// Runs a short simulation and returns mean transactions packed per round.
-pub fn measure_throughput(config: ProtocolConfig, rounds: usize) -> f64 {
-    let mut sim = Simulation::new(config).expect("valid bench configuration");
-    sim.run(rounds).mean_throughput()
-}
-
-/// Runs a short simulation with a given fraction of leader-targeted adversaries
-/// and returns `(mean throughput, total evictions, blocks produced)`.
-pub fn measure_adversarial(
-    mut config: ProtocolConfig,
-    fraction: f64,
-    behavior: Behavior,
-    rounds: usize,
-) -> (f64, usize, usize) {
-    config.adversary = AdversaryConfig::with_behavior(fraction, behavior);
-    let mut sim = Simulation::new(config).expect("valid bench configuration");
-    let summary = sim.run(rounds);
-    (
-        summary.mean_throughput(),
-        summary.total_evictions(),
-        summary.blocks_produced(),
-    )
 }
 
 /// A committee geometry of the tracked generators, as `--config` names it.
@@ -194,12 +166,16 @@ impl Args {
     }
 }
 
-/// A JSON document as the `gen_bench_*` binaries print it: one entry per
-/// line, two spaces of indent per level, commas placed by the writer.
+/// A JSON document as the generator binaries print it: one entry per line,
+/// two spaces of indent per level, commas placed by the writer.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// A number printed with the given count of decimal places.
     Num(f64, usize),
+    /// A number printed in exponent form with the given count of decimal
+    /// places in its mantissa (`8.531e-9`), for values fixed decimals would
+    /// print as zero.
+    Exp(f64, usize),
     /// An integer.
     Int(u64),
     /// A string, escaped on output.
@@ -224,6 +200,7 @@ impl Json {
     fn write(&self, f: &mut fmt::Formatter<'_>, depth: usize) -> fmt::Result {
         let (open, close, items): (char, char, Vec<(Option<&str>, &Json)>) = match self {
             Json::Num(x, places) => return write!(f, "{x:.places$}"),
+            Json::Exp(x, places) => return write!(f, "{x:.places$e}"),
             Json::Int(n) => return write!(f, "{n}"),
             Json::Str(s) => return write_str(f, s),
             Json::Obj(entries) => (
@@ -296,6 +273,7 @@ mod tests {
                 ]),
             ),
             ("last", Json::Num(2.7, 0)),
+            ("tail", Json::Exp(8.225_4e-20, 3)),
         ]);
         let expected = r#"{
   "name": "a \"b\" \\c",
@@ -312,16 +290,9 @@ mod tests {
       "empty": []
     }
   ],
-  "last": 3
+  "last": 3,
+  "tail": 8.225e-20
 }"#;
         assert_eq!(doc.to_string(), expected);
-    }
-
-    #[test]
-    fn throughput_measurement_runs() {
-        let mut cfg = bench_config(2, 8, 3);
-        cfg.txs_per_round = 40;
-        let tput = measure_throughput(cfg, 1);
-        assert!(tput > 0.0);
     }
 }

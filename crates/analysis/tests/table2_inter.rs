@@ -1,7 +1,8 @@
 //! Table II's inter-committee row, re-derived from `MetricsSink` counters
 //! instead of the closed form: with every one of the `m(m−1)` shard pairs
 //! carrying traffic, what one node *sends* in the phase is `O(c)` for a
-//! common member — one Algorithm 3 instance per side whatever `m` is, so
+//! common member — one Algorithm 3 instance, its destination side's,
+//! whatever `m` is (the source side rides the intra certificate), so
 //! `O(c + m)` with room to spare, not the `O(m·c)` of one instance per pair —
 //! and grows linearly in `m` for a key member (the leader's `m−1` forwards
 //! and `m−1` replies).
@@ -71,7 +72,7 @@ fn inter_phase_sends_have_the_shape_table2_states() {
     );
 
     // Common members: doubling m at fixed c moves their sends by < 15 % —
-    // two instances' worth of echoes, `2(c−1)` plus a vote and two confirms.
+    // one instance's worth of echoes, `c−1` plus a vote and a confirm.
     for (small, large) in [(common_4, common_8), (common_8, common_16)] {
         assert!(
             large < 1.15 * small,

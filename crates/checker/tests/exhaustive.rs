@@ -199,7 +199,7 @@ fn scheduler_and_driver(leader: Behavior) -> (Fixture, NodeRegistry, IntraOutcom
         round: 0,
     };
     let scratch = &mut ShardScratch::default();
-    let outcome = run_intra_consensus(&env, &committee, false, &utxo, &offered, scratch);
+    let outcome = run_intra_consensus(&env, &committee, false, &utxo, &offered, &[], scratch);
     let seated: Vec<_> = members
         .iter()
         .map(|&member| (member, registry.node(member).keypair))

@@ -84,7 +84,8 @@ pub enum Task {
         /// Committee index.
         committee: usize,
     },
-    /// Committee `k` certifies and forwards its outbound cross-shard lists.
+    /// Committee `k` forwards its outbound cross-shard lists under its intra
+    /// certificate. No Algorithm 3 instance.
     Source(usize),
     /// Committee `k` votes on, certifies and returns its inbound lists.
     Destination(usize),
@@ -140,7 +141,7 @@ impl Task {
                 let attempt = if retry { 0x1_0000 } else { 0 };
                 row(
                     IntraCommitteeConsensus,
-                    Some(1_000 + k),
+                    Some(1_000 + attempt + k),
                     (round << 8) ^ (attempt + k),
                     true,
                 )
@@ -152,13 +153,8 @@ impl Task {
                 true,
             ),
             Task::Source(k) => {
-                let seq = 2_000 + k as u64;
-                row(
-                    InterCommitteeConsensus,
-                    Some(seq),
-                    (round << 16) ^ (seq << 16),
-                    true,
-                )
+                let salt = (round << 16) ^ ((2_000 + k as u64) << 16);
+                row(InterCommitteeConsensus, None, salt, true)
             }
             Task::Destination(k) => {
                 let seq = 3_000 + k as u64;
@@ -191,7 +187,7 @@ impl Task {
     /// height, which trails the round after a round without a block.)
     ///
     /// # Panics
-    /// For the two tasks that run none (`Recovery`, `Sync`).
+    /// For the three tasks that run none (`Recovery`, `Source`, `Sync`).
     pub fn instance(self, round: u64) -> ConsensusId {
         let seq = self.row(round).seq;
         let seq = seq.expect("the task runs an Algorithm 3 instance");
@@ -303,11 +299,18 @@ mod tests {
                 (s ^ r) ^ 0x5e1f,
             ),
             // pipeline.rs: `config.seed ^ (round << 8) ^ (seed_salt + k)`,
-            // `seed_salt` 0 or 0x1_0000; intra.rs: `seq: 1_000 + index`.
+            // `seed_salt` 0 or 0x1_0000; intra.rs: `seq: 1_000 + index`. (A
+            // retry's seq has added the seed salt since a forward leg is
+            // admitted under the attempt the referee admitted: the two
+            // attempts' certificates must not be interchangeable.)
             Task::Intra { committee, retry } => {
                 let (k, seed_salt) = (committee as u64, if retry { 0x1_0000 } else { 0 });
                 let seed = s ^ (r << 8) ^ (seed_salt + k);
-                (Phase::IntraCommitteeConsensus, Some(1_000 + k), seed)
+                (
+                    Phase::IntraCommitteeConsensus,
+                    Some(1_000 + seed_salt + k),
+                    seed,
+                )
             }
             // context.rs: `seed ^ (round << 40) ^ (log.len() << 8) ^ k`.
             Task::Recovery { attempt, committee } => {
@@ -316,10 +319,12 @@ mod tests {
             }
             // pipeline.rs: `seed: config.seed ^ (round << 16)`, then
             // xshard.rs: `env.seed ^ (seq << 16)`, `seq = side + committee`.
+            // (A source has run no instance since its vector rode the intra
+            // certificate; its seed kept the expression.)
             Task::Source(k) => {
                 let seq = 2_000 + k as u64;
                 let seed = (s ^ (r << 16)) ^ (seq << 16);
-                (Phase::InterCommitteeConsensus, Some(seq), seed)
+                (Phase::InterCommitteeConsensus, None, seed)
             }
             Task::Destination(k) => {
                 let seq = 3_000 + k as u64;
@@ -426,6 +431,27 @@ mod tests {
             }
             assert_eq!(collisions, if round == 0 { 64 } else { 0 }, "round {round}");
         }
+    }
+
+    #[test]
+    fn within_one_round_no_two_tasks_run_the_same_instance() {
+        let tasks = tasks_of_a_round(64, 8);
+        let instances: Vec<ConsensusId> = tasks
+            .iter()
+            .filter(|task| task.row(7).seq.is_some())
+            .map(|task| task.instance(7))
+            .collect();
+        let distinct: std::collections::HashSet<_> = instances.iter().collect();
+        assert_eq!(distinct.len(), instances.len());
+        // Both attempts of every committee, its destination side, C_R's two.
+        assert_eq!(instances.len(), 64 * 3 + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the task runs an Algorithm 3 instance")]
+    fn a_source_task_runs_no_instance() {
+        // Its lists ride the committee's intra certificate.
+        Task::Source(3).instance(1);
     }
 
     #[test]

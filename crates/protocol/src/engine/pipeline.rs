@@ -7,14 +7,15 @@
 //! to the [`ShardExecutor`](crate::engine::ShardExecutor) without changing
 //! observable behaviour.
 
-use cycledger_consensus::messages::payload_digest;
 use cycledger_consensus::sigcache::SigCache;
 use cycledger_consensus::transition::needs_recovery;
 use cycledger_consensus::witness::Witness;
+use cycledger_ledger::workload::GeneratedTx;
 use cycledger_ledger::StateBackend;
 
 use crate::committee::Committee;
 use crate::engine::context::{RecoveryAttempt, RoundContext};
+use crate::engine::env::Task;
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::configuration::run_committee_configuration;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
@@ -105,11 +106,14 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
     let mut retries: Vec<usize> = Vec::new();
     for k in 0..m {
         let outcome = &ctx.intra_outcomes[k];
+        // Work is offered transactions or outbound lists.
+        let source = |g: &GeneratedTx| xshard::pair_of(&g.tx, m).0 == k;
+        let work_offered = !ctx.intra_per_shard[k].is_empty() || ctx.cross_shard.iter().any(source);
         if !needs_recovery(
             outcome.leader_silent,
             !outcome.equivocation.is_empty(),
             outcome.certificate.is_some(),
-            !ctx.intra_per_shard[k].is_empty(),
+            work_offered,
         ) {
             continue;
         }
@@ -136,8 +140,9 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
 /// Runs intra-committee consensus as one executor batch: for every committee,
 /// or — `retry` — for the ascending list of committees whose leader a
 /// recovery just replaced (the task table seeds a retry's network apart from
-/// the first attempt's). Returns the outcomes in committee order, with their
-/// books folded into `ctx.books` in that same order.
+/// the first attempt's). Each committee certifies its outbound cross-shard
+/// lists with its `V List`. Returns the outcomes in committee order, with
+/// their books folded into `ctx.books` in that same order.
 ///
 /// The driver then plays the referee's part on every outcome of the batch,
 /// first attempt or retry: [`referee_check`] on the certificate forwarded
@@ -149,6 +154,7 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
     let committees = &ctx.committees;
     let utxo_sets: &[_] = ctx.utxo_sets;
     let intra_per_shard = &ctx.intra_per_shard;
+    let outbound = xshard::group_outbound(&ctx.cross_shard, m);
 
     // Each task owns its committee's arena scratch slot exclusively for the
     // batch's lifetime — reusable validity tables without locks. (A retry
@@ -159,7 +165,9 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
         .filter(|(k, _)| selected(*k))
         .map(|(k, scratch)| {
             let (committee, utxo, offered) = (&committees[k], &utxo_sets[k], &intra_per_shard[k]);
-            move || run_intra_consensus(env, committee, retry.is_some(), utxo, offered, scratch)
+            let lists = outbound.get(&k).map_or(&[][..], Vec::as_slice);
+            let retry = retry.is_some();
+            move || run_intra_consensus(env, committee, retry, utxo, offered, lists, scratch)
         })
         .collect();
     let mut outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
@@ -170,14 +178,15 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
     for outcome in &outcomes {
         ctx.books.absorb(&outcome.books);
     }
-    referee_check(&mut outcomes, committees);
+    referee_check(ctx.round, &mut outcomes, committees);
     outcomes
 }
 
 /// The referee's check of what a batch's leaders forwarded — a `TXdecSET`,
 /// the `V List` and the certificate over that list — each against the
 /// committee that sent it (`outcome.committee` — a retry batch holds some
-/// committees, not all). The certificate must cover the forwarded list, the
+/// committees, not all). The certificate must name the attempt's instance
+/// and cover the forwarded list as leaf 0 of the committee's vector, the
 /// list's tally over the committee must accept exactly the forwarded
 /// transactions, and the signatures must hold, checked against the verdict
 /// memo of the instance that formed the certificate: what that instance's
@@ -188,7 +197,7 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
 /// certificate — its decisions must not reach the block builder; after the
 /// first attempt the committee goes through recovery, after a retry it packs
 /// nothing this round.
-fn referee_check(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
+pub(crate) fn referee_check(round: u64, outcomes: &mut [IntraOutcome], committees: &[Committee]) {
     for outcome in outcomes {
         let memo = SigCache::from(std::mem::take(&mut outcome.memo));
         let Some(certificate) = &outcome.certificate else {
@@ -199,11 +208,15 @@ fn referee_check(outcomes: &mut [IntraOutcome], committees: &[Committee]) {
         let tally = list.tally(committee.size());
         let tallied = tally.accepted_indices.iter().map(|&i| list.tx_ids[i]);
         let keys = &committee.keys;
-        let admitted = certificate.digest == payload_digest(&list.to_payload())
-            && tallied.eq(outcome.decided.iter().map(|tx| tx.id()))
-            && certificate
-                .verify_memoized(keys, keys.majority_threshold(), &memo)
-                .is_ok();
+        let attempt = Task::Intra {
+            committee: outcome.committee,
+            retry: outcome.retry,
+        };
+        let (tree, expected) = (outcome.vector.as_ref(), attempt.instance(round));
+        let valid = certificate.verify_memoized(keys, keys.majority_threshold(), &memo);
+        let leaf = list.to_payload();
+        let admitted = tallied.eq(outcome.decided.iter().map(|tx| tx.id()))
+            && xshard::leaf_admitted(certificate, tree, 0, expected, &leaf, valid.is_ok());
         if admitted {
             outcome.decision = tally.decision;
         } else {
@@ -224,6 +237,7 @@ pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
         &ctx.committees,
         ctx.utxo_sets,
         &ctx.cross_shard,
+        &ctx.intra_outcomes,
         ctx.executor,
         &mut ctx.books,
     );
@@ -362,6 +376,7 @@ mod tests {
     struct AfterIntra {
         outcomes: Vec<IntraOutcome>,
         committees: Vec<Committee>,
+        round: u64,
     }
 
     impl RoundObserver for AfterIntra {
@@ -369,6 +384,7 @@ mod tests {
             if phase == "intra-consensus" {
                 self.outcomes = ctx.intra_outcomes.clone();
                 self.committees = ctx.committees.clone();
+                self.round = ctx.round;
             }
         }
     }
@@ -388,7 +404,7 @@ mod tests {
         let mut sim = Simulation::new(config).unwrap();
         let mut seen = AfterIntra::default();
         sim.run_round_observed(&mut seen);
-        let (outcomes, committees) = (seen.outcomes, seen.committees);
+        let (outcomes, committees, round) = (seen.outcomes, seen.committees, seen.round);
         assert!(outcomes
             .iter()
             .all(|o| o.certificate.is_some() && !o.decided.is_empty()));
@@ -402,12 +418,14 @@ mod tests {
         // V List the certificate does not cover.
         let shed = |o: &mut IntraOutcome| drop(o.decided.pop());
         let recast = |o: &mut IntraOutcome| o.vote_list.votes.swap(0, 1);
-        let tampers: [&dyn Fn(&mut IntraOutcome); 4] = [&cut, &foreign, &shed, &recast];
+        // A certificate checked as the other attempt's.
+        let attempt = |o: &mut IntraOutcome| o.retry = !o.retry;
+        let tampers: [&dyn Fn(&mut IntraOutcome); 5] = [&cut, &foreign, &shed, &recast, &attempt];
         // The first pass holds every committee; a retry only those whose
         // leader a recovery replaced — here committee 2 alone, at position 0.
         for batch in [outcomes.clone(), vec![outcomes[2].clone()]] {
             let mut kept = batch.clone();
-            referee_check(&mut kept, &committees);
+            referee_check(round, &mut kept, &committees);
             assert!(kept
                 .iter()
                 .all(|o| o.certificate.is_some() && !o.decided.is_empty()));
@@ -416,13 +434,67 @@ mod tests {
                 let last = batch.last_mut().unwrap();
                 assert_eq!(last.committee, 2);
                 tamper(last);
-                referee_check(&mut batch, &committees);
+                referee_check(round, &mut batch, &committees);
                 let (last, others) = batch.split_last().unwrap();
                 assert!(last.certificate.is_none());
                 assert!(last.decided.is_empty());
                 assert!(others.iter().all(|o| o.certificate.is_some()));
             }
         }
+    }
+
+    /// Committee 0 is offered no transaction of its own, only outbound lists,
+    /// and its first leader is fail-silent: the lists are work, so the
+    /// committee goes through recovery, and they travel in the same round
+    /// under the retry's certificate.
+    #[test]
+    fn a_silent_leader_with_only_outbound_lists_is_recovered_and_its_lists_land() {
+        #[derive(Default)]
+        struct Source0 {
+            offered: usize,
+            retry_certified: bool,
+            accepted: usize,
+        }
+        impl RoundObserver for Source0 {
+            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+                let outcome = ctx.intra_outcomes.first();
+                match phase {
+                    "intra-recovery" => {
+                        self.offered = ctx.intra_per_shard[0].len();
+                        self.retry_certified =
+                            outcome.is_some_and(|o| o.retry && o.certificate.is_some());
+                    }
+                    "inter-consensus" => {
+                        self.accepted = ctx.inter.as_ref().map_or(0, |i| i.accepted[0].len());
+                    }
+                    _ => {}
+                }
+            }
+        }
+
+        let config = ProtocolConfig {
+            committees: 3,
+            committee_size: 8,
+            partial_set_size: 2,
+            referee_size: 5,
+            txs_per_round: 90,
+            accounts_per_shard: 24,
+            cross_shard_ratio: 1.0,
+            invalid_ratio: 0.0,
+            pow_difficulty: 2,
+            ..ProtocolConfig::default()
+        };
+        let mut sim = Simulation::new(config).unwrap();
+        let leader = sim.assignment().committees[0].leader;
+        let silent = crate::adversary::Behavior::SilentLeader;
+        sim.registry_mut().set_behavior(leader, silent);
+        let mut seen = Source0::default();
+        let report = sim.run_round_observed(&mut seen);
+        assert_eq!(seen.offered, 0, "committee 0 has outbound lists only");
+        assert_eq!(report.evicted_leaders, [(0, leader)]);
+        assert!(seen.retry_certified);
+        assert!(seen.accepted > 0, "its lists were accepted this round");
+        assert!(report.block_produced);
     }
 
     /// Driver-thread operation counts of a fault-free verified 8×16 round on
@@ -437,12 +509,15 @@ mod tests {
     fn a_fault_free_round_verifies_no_signature_on_the_driver_thread_in_intra_and_inter() {
         use cycledger_crypto::opcount::{current, Tally};
 
-        /// Per phase: signatures verified singly, batches, memo lookups.
+        /// Per phase: signatures verified singly, batches, memo lookups;
+        /// and the Algorithm 3 instances the two phases ran.
         #[derive(Default)]
         struct DriverTally {
             started: Tally,
             spent: Vec<(&'static str, [u64; 3])>,
             intra_signatures: usize,
+            instances: usize,
+            destinations: usize,
         }
 
         impl RoundObserver for DriverTally {
@@ -461,6 +536,15 @@ mod tests {
                 if phase == "intra-consensus" {
                     let certificates = ctx.intra_outcomes.iter().flat_map(|o| &o.certificate);
                     self.intra_signatures = certificates.map(|qc| qc.signer_count()).sum();
+                    let silent = ctx.intra_outcomes.iter().filter(|o| o.leader_silent);
+                    self.instances += ctx.intra_outcomes.len() - silent.count();
+                }
+                if phase == "inter-consensus" {
+                    self.instances += ctx.inter.as_ref().map_or(0, |i| i.alg3_instances);
+                    let m = ctx.committee_count();
+                    let pairs = ctx.cross_shard.iter().map(|g| xshard::pair_of(&g.tx, m));
+                    let dests: std::collections::BTreeSet<usize> = pairs.map(|p| p.1).collect();
+                    self.destinations = dests.len();
                 }
             }
         }
@@ -488,8 +572,12 @@ mod tests {
         let intra = lookups("intra-consensus");
         assert_eq!(intra, driver.intra_signatures as u64);
         assert_eq!(intra, 71);
-        // The same committees certify once as sources and once as
+        // A forward rides the intra certificate the referee admitted and
+        // costs nothing; the same committees certify once more as
         // destinations, each at its majority of CONFIRMs again.
-        assert_eq!(lookups("inter-consensus"), 2 * intra);
+        assert_eq!(lookups("inter-consensus"), intra);
+        // One instance per committee and one per destination: m + |dest|.
+        assert_eq!(driver.destinations, 8);
+        assert_eq!(driver.instances, 8 + driver.destinations);
     }
 }

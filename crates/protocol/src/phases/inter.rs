@@ -1,14 +1,16 @@
 //! Phase 4 — inter-committee consensus (§IV-D, Lemmas 6 & 7): what the phase
 //! reports. The phase itself is `phases/xshard.rs`.
 //!
-//! Each input committee agrees **once** on the vector of its outbound lists
-//! with Algorithm 3 and forwards every list, with a Merkle proof and the one
-//! certificate, to the destination's leader and partial set; each destination
-//! votes once over everything it admitted, agrees once on the per-source
-//! results, and returns them. Forwards and replies travel the key-member mesh
-//! under a [`list_deadline`]; a destination's partial set relays a list its
-//! leader is still missing at `2Γ`, and a forward that misses the deadline
-//! anyway defers that pair's transactions to a later round.
+//! Each input committee's outbound lists are leaves of the vector its intra
+//! instance certified (phase 3: leaf 0 its `V List`), so it runs no
+//! Algorithm 3 instance here: it forwards every list, with a Merkle proof and
+//! that one certificate, to the destination's leader and partial set; each
+//! destination votes once over everything it admitted, agrees once on the
+//! per-source results, and returns them. Forwards and replies travel the
+//! key-member mesh under a [`list_deadline`]; a destination's partial set
+//! relays a list its leader is still missing at `2Γ`, and a forward that
+//! misses the deadline anyway defers that pair's transactions to a later
+//! round.
 //!
 //! Two leader attacks are modelled: a **censoring** input-committee leader
 //! withholds the certified lists, and after the `2Γ` timeout an honest member
@@ -71,6 +73,7 @@ pub struct InterOutcome {
     pub equivocation: Vec<EquivocationEvidence>,
     /// Extra latency incurred by `2Γ` timeouts (microseconds of simulated time).
     pub timeout_delays: u64,
-    /// Algorithm 3 instances started: at most one per committee per side.
+    /// Algorithm 3 instances started: one per destination committee (a
+    /// source's lists ride its intra certificate).
     pub alg3_instances: usize,
 }

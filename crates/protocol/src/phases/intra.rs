@@ -10,6 +10,13 @@
 //! so the referee re-derives the first two from it and the reputation update
 //! needs no certificate of its own.
 //!
+//! A committee with outbound cross-shard lists certifies them in the same
+//! instance: it agrees on the root of its vector (`xshard::intra_vector`:
+//! leaf 0 the `V List`, then one leaf per list in ascending destination
+//! order), the leader announcing the `V List` and the outbound ids beside
+//! the root, and the inter phase forwards the lists under this one
+//! certificate.
+//!
 //! Every interaction is a typed [`CommitteeMessage`] envelope through the
 //! network [`RoundEnv::open`] builds for the task, under the round's fault
 //! plan — empty unless the scenario installed faults, in which case the
@@ -41,6 +48,7 @@ use cycledger_consensus::sigcache::Verdicts;
 use cycledger_consensus::transition::quorum_timed_out;
 use cycledger_consensus::votes::{Vote, VoteList};
 use cycledger_consensus::witness::EquivocationEvidence;
+use cycledger_crypto::merkle::MerkleTree;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::GeneratedTx;
@@ -54,6 +62,7 @@ use crate::committee::{run_inside_consensus, Committee};
 use crate::engine::arena::ShardScratch;
 use crate::engine::env::{Books, PlaneCounters, RoundEnv, Task};
 use crate::node::{NodeRegistry, SimNode};
+use crate::phases::xshard::{intra_vector, proof_bytes, PairList};
 
 /// Timer key: the leader's vote-collection deadline.
 const VOTE_TIMER: u64 = 1;
@@ -79,8 +88,15 @@ pub struct IntraOutcome {
     /// The consensus decision vector (+1 accepted / −1 rejected): the
     /// `V List`'s tally.
     pub decision: Vec<i8>,
-    /// Certificate over the `V List`, if Algorithm 3 completed.
+    /// Certificate over the `V List` — or, with outbound lists, over the
+    /// root of `vector` — if Algorithm 3 completed.
     pub certificate: Option<QuorumCertificate>,
+    /// The tree over the committee's vector (`xshard::intra_vector`), when
+    /// it has outbound lists; `None` when the `V List` is its only leaf.
+    pub vector: Option<MerkleTree>,
+    /// Whether this is the round's second attempt: which instance the
+    /// certificate must name.
+    pub retry: bool,
     /// The verdict memo of the instance that formed `certificate`, for the
     /// referee's check of it (which takes it: empty afterwards).
     pub memo: Verdicts,
@@ -235,17 +251,19 @@ pub(crate) fn collect_votes_under_deadline(
 }
 
 /// Runs intra-committee consensus for one committee over its shard's
-/// transactions — `retry` for the second attempt of the round, under a leader
-/// a recovery installed — every message (`TXList` announcement, vote replies,
-/// the Algorithm 3 exchange, the certificate forward) travelling through the
-/// task's network under the round's plan. Pure — own network, own books — so
-/// committees run on worker threads.
+/// transactions and its `outbound` cross-shard lists — `retry` for the second
+/// attempt of the round, under a leader a recovery installed — every message
+/// (`TXList` announcement, vote replies, the Algorithm 3 exchange, the
+/// certificate forward) travelling through the task's network under the
+/// round's plan. Pure — own network, own books — so committees run on worker
+/// threads.
 pub fn run_intra_consensus(
     env: &RoundEnv<'_>,
     committee: &Committee,
     retry: bool,
     utxo: &UtxoSet,
     offered: &[GeneratedTx],
+    outbound: &[PairList<'_>],
     scratch: &mut ShardScratch,
 ) -> IntraOutcome {
     let task = Task::Intra {
@@ -267,6 +285,8 @@ pub fn run_intra_consensus(
             vote_list,
             decision: vec![-1; offered.len()],
             certificate: None,
+            vector: None,
+            retry,
             memo: Verdicts::default(),
             equivocation: Vec::new(),
             leader_silent: true,
@@ -295,7 +315,8 @@ pub fn run_intra_consensus(
         ..
     } = collected;
 
-    // 3. The leader runs Algorithm 3 over the V List it tallied, on the same
+    // 3. The leader runs Algorithm 3 over the V List it tallied — or, with
+    //    outbound lists, over the root of the vector it leads — on the same
     //    network.
     let decided: Vec<Transaction> = tally
         .accepted_indices
@@ -306,12 +327,27 @@ pub fn run_intra_consensus(
     // What the forward adds to the decided bodies (whose ids a receiver
     // hashes for itself): the header, the other offered ids and the rows.
     let rows_bytes = (payload.len() - 32 * decided.len()) as u64;
-    let fault = leader_behavior.leader_fault(&payload);
+    let vector = intra_vector(&payload, outbound);
+    // What the leader announces beside a root: the V List and the outbound
+    // ids the members rebuild the other leaves from.
+    let outbound_ids: usize = outbound.iter().map(|list| list.txs.len()).sum();
+    let beside_root = (payload.len() + 32 * outbound_ids) as u64;
+    let proposal = match &vector {
+        Some(tree) => tree.root().as_bytes().to_vec(),
+        None => payload,
+    };
+    let fault = leader_behavior.leader_fault(&proposal);
     let id = env.instance(task);
-    let consensus = run_inside_consensus(&mut net, committee, registry, id, payload, fault, true);
+    let consensus = run_inside_consensus(&mut net, committee, registry, id, proposal, fault, true);
+    if vector.is_some() && consensus.messages > 0 {
+        for &member in committee.members.iter().filter(|&&n| n != leader) {
+            net.account_message(leader, member, beside_root);
+        }
+    }
 
-    // 4. The certified TXdecSET and V List travel to the referee committee
-    //    as envelopes over the key-member mesh. (The pipeline's referee-side
+    // 4. The certified TXdecSET and V List — with the root and leaf 0's
+    //    proof, under a vector — travel to the referee committee as
+    //    envelopes over the key-member mesh. (The pipeline's referee-side
     //    check reads the outcome, certificate and memo, directly — losing a
     //    forward here costs metrics, not ground truth.)
     if consensus.certificate.is_some() {
@@ -321,6 +357,7 @@ pub fn run_intra_consensus(
             .map(|c| c.wire_size())
             .unwrap_or(0);
         let decided_bytes: u64 = decided.iter().map(|t| t.wire_size()).sum();
+        let proof = vector.as_ref().map_or(0, proof_bytes);
         let forward = CommitteeMessage::CertForward {
             committee: committee.index as u32,
             decided: decided.len() as u32,
@@ -331,7 +368,7 @@ pub fn run_intra_consensus(
                 rm,
                 LinkClass::KeyMemberMesh,
                 forward.clone(),
-                decided_bytes + rows_bytes + cert_bytes,
+                decided_bytes + rows_bytes + cert_bytes + proof,
             );
         }
         net.record_storage(leader, cert_bytes + decided_bytes);
@@ -348,6 +385,8 @@ pub fn run_intra_consensus(
         vote_list,
         decision: tally.decision,
         certificate: consensus.certificate,
+        vector,
+        retry,
         memo: consensus.memo,
         equivocation: consensus.equivocation,
         leader_silent: false,
@@ -453,6 +492,7 @@ mod tests {
                 false,
                 &self.utxo_sets[k],
                 &self.offered[k],
+                &[],
                 &mut ShardScratch::default(),
             )
         }

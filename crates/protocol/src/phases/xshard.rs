@@ -1,15 +1,17 @@
-//! Shared core of the inter-committee phase (§IV-D): one Algorithm 3
-//! instance per committee per side.
+//! Shared core of the inter-committee phase (§IV-D).
 //!
-//! A committee certifies, in **one** instance, the *vector* of its outbound
-//! lists — leaves `(dest, count, H(tx ids))` under a Merkle root the quorum
-//! certificate commits to — and, in one more, the vector of its per-source
-//! results after voting once over every list it admitted. A leg carries its
-//! list, an `O(log m)` proof and the committee's one certificate. Every leg
-//! and every vote is an envelope on a network under the round's fault plan:
-//! one task per source committee (its instance, then the forwards and any
-//! relays), one per destination committee (the one vote, its instance, the
-//! replies).
+//! A source committee's outbound vector — leaves `(dest, count, H(tx ids))`,
+//! in ascending destination order — is certified by its intra instance: leaf
+//! 0 of that vector is the committee's `V List`, and the quorum certificate
+//! the referee admitted commits to the root. So the source side runs no
+//! Algorithm 3 instance of its own; it forwards every list, with an
+//! `O(log m)` proof and the intra certificate, to the destination's leader
+//! and partial set. A destination votes once over every list it admitted and
+//! certifies, in one instance, the vector of its per-source results, which
+//! it returns the same way. Every leg and every vote is an envelope on a
+//! network under the round's fault plan: one task per source committee (the
+//! forwards and any relays), one per destination committee (the one vote,
+//! its instance, the replies).
 
 use std::collections::BTreeMap;
 
@@ -36,7 +38,7 @@ use crate::engine::env::{Books, RoundEnv, Task};
 use crate::engine::ShardExecutor;
 use crate::node::NodeRegistry;
 use crate::phases::inter::{list_deadline, CensorshipReport, InterOutcome};
-use crate::phases::intra::{collect_votes_under_deadline, member_votes};
+use crate::phases::intra::{collect_votes_under_deadline, member_votes, IntraOutcome};
 
 /// The network one committee's task runs on.
 pub type Net = SimNetwork<CommitteeMessage>;
@@ -77,16 +79,26 @@ impl PairList<'_> {
 /// The sub-list of one source's transactions a destination accepted.
 pub type Accepted = (usize, Vec<Transaction>);
 
+/// The `(source, dest)` pair a cross-shard transaction travels: its least
+/// input shard, and its least output shard other than that one (its least
+/// output shard if there is none). Allocates nothing.
+pub fn pair_of(tx: &Transaction, m: usize) -> (usize, usize) {
+    let i = tx.inputs().iter().map(|input| input.owner.shard(m)).min();
+    let i = i.unwrap_or(0);
+    let outputs = || tx.outputs().iter().map(|output| output.owner.shard(m));
+    let j = outputs()
+        .filter(|&s| s != i)
+        .min()
+        .or_else(|| outputs().min());
+    (i, j.unwrap_or(0))
+}
+
 /// Groups cross-shard transactions into outbound vectors by source, each in
 /// ascending destination order.
 pub fn group_outbound(txs: &[GeneratedTx], m: usize) -> BTreeMap<usize, Vec<PairList<'_>>> {
     let mut by_pair: BTreeMap<(usize, usize), Vec<&GeneratedTx>> = BTreeMap::new();
     for gen in txs {
-        let outputs = gen.tx.output_shards(m);
-        let i = gen.tx.input_shards(m).first().copied().unwrap_or(0);
-        let other = outputs.iter().copied().find(|&s| s != i);
-        let j = other.unwrap_or_else(|| outputs.first().copied().unwrap_or(0));
-        by_pair.entry((i, j)).or_default().push(gen);
+        by_pair.entry(pair_of(&gen.tx, m)).or_default().push(gen);
     }
     let mut outbound: BTreeMap<usize, Vec<PairList<'_>>> = BTreeMap::new();
     for ((source, dest), txs) in by_pair {
@@ -110,7 +122,7 @@ pub fn vector_leaf(peer: usize, ids: impl ExactSizeIterator<Item = TxId>) -> [u8
     leaf
 }
 
-fn list_leaf(list: &PairList<'_>) -> [u8; 40] {
+pub(crate) fn list_leaf(list: &PairList<'_>) -> [u8; 40] {
     vector_leaf(list.dest, list.ids())
 }
 
@@ -118,41 +130,57 @@ fn accepted_leaf((source, txs): &Accepted) -> [u8; 40] {
     vector_leaf(*source, txs.iter().map(|t| t.id()))
 }
 
-/// What one instance certified: the tree over the committee's leaves, the
+/// The tree a source committee's intra instance certifies: leaf 0 its
+/// `V List` payload, then leaf `1 + i` for its outbound list `i`. `None`
+/// without outbound lists — the one-leaf vector, which the instance certifies
+/// as the `V List` payload itself.
+pub fn intra_vector(v_list: &[u8], outbound: &[PairList<'_>]) -> Option<MerkleTree> {
+    if outbound.is_empty() {
+        return None;
+    }
+    let leaves: Vec<[u8; 40]> = outbound.iter().map(list_leaf).collect();
+    let slices = std::iter::once(v_list).chain(leaves.iter().map(|leaf| &leaf[..]));
+    Some(MerkleTree::build_from_slices(slices.collect::<Vec<_>>()))
+}
+
+/// Whether `certificate` admits leaf `index` of the vector it was formed
+/// over — `tree`, or with `None` the one leaf the instance certified as is —
+/// at a receiver that expects instance `expected`, recomputed `leaf` and
+/// holds `valid` as its verdict on the signatures. The one rule behind the
+/// referee's leaf 0, a forward leg and a destination's reply.
+pub fn leaf_admitted(
+    certificate: &QuorumCertificate,
+    tree: Option<&MerkleTree>,
+    index: usize,
+    expected: ConsensusId,
+    leaf: &[u8],
+    valid: bool,
+) -> bool {
+    let (committed, proven) = match tree.map(|tree| (tree.root(), tree.prove(index))) {
+        None => (payload_digest(leaf), index == 0),
+        Some((root, proof)) => {
+            let proven = proof.is_some_and(|proof| proof.verify(&root, leaf));
+            (payload_digest(root.as_bytes()), proven)
+        }
+    };
+    let (instance, root) = (certificate.id == expected, certificate.digest == committed);
+    transition::certified_leaf_admissible(instance, root, proven, valid)
+}
+
+/// Wire size of what a leg carries beside its list and the certificate: the
+/// root and a proof (each leaf has the tree's depth in siblings).
+pub fn proof_bytes(tree: &MerkleTree) -> u64 {
+    let depth = tree.prove(0).map_or(0, |proof| proof.siblings.len());
+    48 + 32 * depth as u64
+}
+
+/// What a destination's instance certified: the tree over its replies, the
 /// certificate committing to its root, and the instance's verdict memo for
 /// whoever checks that certificate.
 pub struct CertifiedVector {
     tree: MerkleTree,
     pub certificate: QuorumCertificate,
     memo: Verdicts,
-    /// Wire size of what every leg carries beside its list: the root, a
-    /// proof (each leaf has the tree's depth in siblings), the certificate.
-    leg_overhead: u64,
-}
-
-impl CertifiedVector {
-    /// The receiver's check of leg `index`: against the instance it expects,
-    /// the leaf it recomputed, and the round's verdict on the certificate.
-    pub fn admits(&self, index: usize, expected: ConsensusId, leaf: &[u8], valid: bool) -> bool {
-        let (root, proof) = (self.tree.root(), self.tree.prove(index));
-        transition::certified_leaf_admissible(
-            self.certificate.id == expected,
-            self.certificate.digest == payload_digest(root.as_bytes()),
-            proof.is_some_and(|proof| proof.verify(&root, leaf)),
-            valid,
-        )
-    }
-
-    fn new(tree: MerkleTree, certificate: QuorumCertificate, memo: Verdicts) -> Self {
-        let depth = tree.prove(0).map_or(0, |proof| proof.siblings.len());
-        let leg_overhead = 48 + 32 * depth as u64 + certificate.wire_size();
-        CertifiedVector {
-            tree,
-            certificate,
-            memo,
-            leg_overhead,
-        }
-    }
 }
 
 /// What one task adds to the phase outcome beside accepted transactions.
@@ -166,17 +194,24 @@ pub struct Ledger {
 }
 
 /// One committee's side of the phase: its legs (outbound lists, or accepted
-/// sub-lists to return) and the vector certifying them — `None` when the
-/// instance failed, which defers every leg to a later round.
+/// sub-lists to return), what it adds to the phase outcome, and its books.
 pub struct SideResult<L> {
     pub committee: usize,
     pub legs: Vec<L>,
-    pub vector: Option<CertifiedVector>,
     pub ledger: Ledger,
     pub books: Books,
 }
 
 impl<L> SideResult<L> {
+    fn new(committee: usize, legs: Vec<L>) -> Self {
+        SideResult {
+            committee,
+            legs,
+            ledger: Ledger::default(),
+            books: Books::default(),
+        }
+    }
+
     /// Closes the task's network into the result's books, beside what the
     /// task already counted there.
     fn close(mut self, net: Net) -> Self {
@@ -190,16 +225,17 @@ impl<L> SideResult<L> {
 
 /// Runs `members`' one instance for `task` over `leaves`. The proposal
 /// carries only the root; the leader announces the `content_bytes` of ids
-/// the members rebuild it from beside it.
-fn certify_vector<L>(
+/// the members rebuild it from beside it. Returns the certified vector, if
+/// the instance formed a certificate, and the equivocation evidence it
+/// surfaced.
+fn certify_vector(
     net: &mut Net,
     env: &RoundEnv<'_>,
     task: Task,
     members: &Committee,
-    legs: Vec<L>,
     leaves: &[[u8; 40]],
     content_bytes: u64,
-) -> SideResult<L> {
+) -> (Option<CertifiedVector>, Vec<EquivocationEvidence>) {
     let tree = MerkleTree::build(leaves);
     let root = tree.root().as_bytes().to_vec();
     let leader = members.leader;
@@ -211,23 +247,19 @@ fn certify_vector<L>(
             net.account_message(leader, member, content_bytes);
         }
     }
-    SideResult {
-        committee: members.index,
-        legs,
-        vector: outcome
-            .certificate
-            .map(|cert| CertifiedVector::new(tree, cert, outcome.memo)),
-        ledger: Ledger {
-            equivocation: outcome.equivocation,
-            ..Ledger::default()
-        },
-        books: Books::default(),
-    }
+    let memo = outcome.memo;
+    let vector = outcome.certificate.map(|certificate| CertifiedVector {
+        tree,
+        certificate,
+        memo,
+    });
+    (vector, outcome.equivocation)
 }
 
-/// Source committee: certify the outbound vector and forward
-/// every list, with its proof and the certificate, to the destination's
-/// leader and partial set.
+/// Source committee: forward every list, with its proof and the intra
+/// certificate over the committee's vector, to the destination's leader and
+/// partial set. `overhead` is what a leg carries beside its list
+/// ([`forward_overhead`]).
 ///
 /// A censoring leader withholds them all; one honest partial-set member
 /// notices after `2Γ`, takes over every forward at once (Lemma 6) and reports
@@ -246,17 +278,13 @@ pub fn run_source<'a>(
     committees: &[Committee],
     committee: usize,
     lists: Vec<PairList<'a>>,
+    overhead: u64,
 ) -> SideResult<PairList<'a>> {
-    let (task, source) = (Task::Source(committee), &committees[committee]);
-    let mut net: Net = env.open(task);
-    let leaves: Vec<_> = lists.iter().map(list_leaf).collect();
+    let source = &committees[committee];
+    let mut net: Net = env.open(Task::Source(committee));
     let withheld: usize = lists.iter().map(|l| l.txs.len()).sum();
-    let bytes = 32 * withheld as u64;
-    let mut result = certify_vector(&mut net, env, task, source, lists, &leaves, bytes);
+    let mut result = SideResult::new(committee, lists);
     let lists = &result.legs;
-    let Some(vector) = &result.vector else {
-        return result.close(net);
-    };
     let two_gamma = env.config.latency.gamma.times(2);
     let (leader, mut forwarder, mut takeover) = (source.leader, source.leader, SimDuration::ZERO);
     if env.registry.node(leader).behavior == Behavior::CensoringLeader {
@@ -275,7 +303,7 @@ pub fn run_source<'a>(
         });
     }
     let leader_of = |list: &PairList<'_>| committees[list.dest].leader;
-    let leg_bytes = |list: &PairList<'_>| list.wire_bytes() + vector.leg_overhead;
+    let leg_bytes = |list: &PairList<'_>| list.wire_bytes() + overhead;
     for list in lists {
         let partial_set = committees[list.dest].partial_set.iter().copied();
         let (class, bytes) = (LinkClass::KeyMemberMesh, leg_bytes(list));
@@ -340,6 +368,10 @@ fn inbound_votes(registry: &NodeRegistry, member: NodeId, validity: &[Vec<bool>]
     votes
 }
 
+/// A destination's result and the vector certifying its replies — `None`
+/// when its instance failed, which defers every reply to a later round.
+pub type DestResult = (SideResult<Accepted>, Option<CertifiedVector>);
+
 /// Destination committee `j`: the leader announces every admitted list at
 /// once and members vote once under the single `4Δ` deadline (missing votes
 /// become all-`Unknown` rows — the same collection loop as the intra phase,
@@ -350,7 +382,7 @@ pub fn run_dest(
     utxo_sets: &[UtxoSet],
     j: usize,
     inbound: &[&PairList<'_>],
-) -> SideResult<Accepted> {
+) -> DestResult {
     let mut net: Net = env.open(Task::Destination(j));
     let validity = inbound_validity(utxo_sets, inbound);
     let votes_of = |member| inbound_votes(env.registry, member, &validity);
@@ -365,9 +397,10 @@ pub fn run_dest(
         false,
         vote_list,
     );
-    let mut result = certify_and_reply(&mut net, env, committees, j, inbound, &collected.tally);
+    let (mut result, vector) =
+        certify_and_reply(&mut net, env, committees, j, inbound, &collected.tally);
     result.books.counters = votes;
-    result.close(net)
+    (result.close(net), vector)
 }
 
 /// Certifies the vector of per-source accepted sub-lists (in vote order) the
@@ -379,19 +412,21 @@ fn certify_and_reply(
     committee: usize,
     inbound: &[&PairList<'_>],
     tally: &Tally,
-) -> SideResult<Accepted> {
+) -> DestResult {
     let mut decision = tally.decision.iter();
     let mut accepted = |list: &&PairList<'_>| -> Accepted {
         let decided = list.txs.iter().zip(&mut decision).filter(|(_, &d)| d > 0);
         (list.source, decided.map(|(g, _)| g.tx.clone()).collect())
     };
-    let legs: Vec<Accepted> = inbound.iter().map(&mut accepted).collect();
-    let leaves: Vec<_> = legs.iter().map(accepted_leaf).collect();
+    let mut result = SideResult::new(committee, inbound.iter().map(&mut accepted).collect());
+    let leaves: Vec<_> = result.legs.iter().map(accepted_leaf).collect();
     let bytes = 32 * tally.accepted_indices.len() as u64;
     let (task, members) = (Task::Destination(committee), &committees[committee]);
-    let result = certify_vector(net, env, task, members, legs, &leaves, bytes);
-    if let Some(vector) = &result.vector {
-        let from = members.leader;
+    let (vector, equivocation) = certify_vector(net, env, task, members, &leaves, bytes);
+    result.ledger.equivocation = equivocation;
+    if let Some(vector) = &vector {
+        let (from, overhead) = (members.leader, proof_bytes(&vector.tree));
+        let overhead = overhead + vector.certificate.wire_size();
         for (source, txs) in &result.legs {
             let (input, output, accepted) = (*source as u32, committee as u32, txs.len() as u32);
             let reply = CommitteeMessage::ListReply {
@@ -400,29 +435,57 @@ fn certify_and_reply(
                 accepted,
             };
             let (to, class) = (committees[*source].leader, LinkClass::KeyMemberMesh);
-            let bytes = 32 * txs.len() as u64 + vector.leg_overhead;
+            let bytes = 32 * txs.len() as u64 + overhead;
             net.send(from, to, class, reply, bytes);
         }
     }
-    result
+    (result, vector)
 }
 
-/// Checks every certificate of one side (`Task::Source` or
-/// `Task::Destination`) once and says, per result and leg, whether the
-/// receiver admits it. The check runs against the verdict memo of the
-/// instance that formed the certificate, so what that instance's leader
-/// verified costs the receiver lookups (the memo is taken out of the result:
-/// it is spent here).
-fn admitted<L>(
+/// What a forward leg carries beside its list under `intra`'s certificate:
+/// `None` unless the referee admitted that certificate over an outbound
+/// vector.
+pub fn forward_overhead(intra: &IntraOutcome) -> Option<u64> {
+    let (certificate, tree) = (intra.certificate.as_ref()?, intra.vector.as_ref()?);
+    Some(proof_bytes(tree) + certificate.wire_size())
+}
+
+/// Says, per source result and leg, whether the destination admits the
+/// forward: list `i` is leaf `1 + i` of the source's intra vector, under the
+/// certificate of the attempt the referee admitted (`intra`, in committee
+/// order). The referee's verdict stands for the signatures: admitting a
+/// forward verifies and looks up nothing.
+pub(crate) fn forwards_admitted(
+    env: &RoundEnv<'_>,
+    intra: &[IntraOutcome],
+    sources: &[SideResult<PairList<'_>>],
+) -> Vec<Vec<bool>> {
+    let admit = |source: &SideResult<PairList<'_>>| {
+        let (committee, outcome) = (source.committee, &intra[source.committee]);
+        let retry = outcome.retry;
+        let expected = env.instance(Task::Intra { committee, retry });
+        let (qc, tree) = (outcome.certificate.as_ref(), outcome.vector.as_ref());
+        let leg = |(i, list)| {
+            qc.is_some_and(|qc| leaf_admitted(qc, tree, 1 + i, expected, &list_leaf(list), true))
+        };
+        source.legs.iter().enumerate().map(leg).collect()
+    };
+    sources.iter().map(admit).collect()
+}
+
+/// Checks every destination's certificate once and says, per result and
+/// reply, whether its source admits it. The check runs against the verdict
+/// memo of the instance that formed the certificate, so what that instance's
+/// leader verified costs the receiver lookups (the memo is taken out of the
+/// result: it is spent here).
+fn replies_admitted(
     env: &RoundEnv<'_>,
     committees: &[Committee],
-    side: fn(usize) -> Task,
-    results: &mut [SideResult<L>],
-    leaf_of: impl Fn(&L) -> [u8; 40],
+    dests: &mut [DestResult],
 ) -> Vec<Vec<bool>> {
-    let mut flags = Vec::with_capacity(results.len());
-    for result in results {
-        let Some(vector) = &mut result.vector else {
+    let mut flags = Vec::with_capacity(dests.len());
+    for (result, vector) in dests {
+        let Some(vector) = vector else {
             flags.push(vec![false; result.legs.len()]);
             continue;
         };
@@ -430,8 +493,9 @@ fn admitted<L>(
         let memo = SigCache::from(std::mem::take(&mut vector.memo));
         let verdict = certificate.verify_memoized(&committee.keys, committee.majority(), &memo);
         let valid = verdict.is_ok();
-        let expected = env.instance(side(result.committee));
-        let admit = |(index, leg)| vector.admits(index, expected, &leaf_of(leg), valid);
+        let expected = env.instance(Task::Destination(result.committee));
+        let (qc, tree) = (certificate, Some(&vector.tree));
+        let admit = |(i, leg)| leaf_admitted(qc, tree, i, expected, &accepted_leaf(leg), valid);
         flags.push(result.legs.iter().enumerate().map(admit).collect());
     }
     flags
@@ -439,23 +503,26 @@ fn admitted<L>(
 
 impl InterOutcome {
     fn absorb(&mut self, ledger: Ledger) {
-        self.alg3_instances += 1;
         self.equivocation.extend(ledger.equivocation);
         self.censorship_reports.extend(ledger.censorship);
         self.timeout_delays += ledger.timeout_delays;
     }
 }
 
-/// The phase over the cross-shard portion of the workload: sources as one
-/// executor batch; a barrier where each list that arrived is admitted against
-/// its source's certificate; destinations as a second batch; each source
-/// admits its returned sub-list the same way; a fold in committee order,
-/// identical for any worker count, of every task's books into `books`.
+/// The phase over the cross-shard portion of the workload: the sources the
+/// referee admitted an intra certificate for (`intra`, in committee order)
+/// forward as one executor batch; a barrier where each list that arrived is
+/// admitted against that certificate; destinations as a second batch; each
+/// source admits its returned sub-list against the destination's
+/// certificate; a fold in committee order, identical for any worker count,
+/// of every task's books into `books`. A source without an admitted
+/// certificate forwards nothing: its lists wait for a later round.
 pub fn run_phase(
     env: &RoundEnv<'_>,
     committees: &[Committee],
     utxo_sets: &[UtxoSet],
     cross_shard: &[GeneratedTx],
+    intra: &[IntraOutcome],
     executor: &ShardExecutor,
     books: &mut Books,
 ) -> InterOutcome {
@@ -464,10 +531,13 @@ pub fn run_phase(
     outcome.accepted.resize(m, Vec::new());
 
     let outbound = group_outbound(cross_shard, m).into_iter();
-    let tasks = outbound.map(|(i, lists)| move || run_source(env, committees, i, lists));
-    let mut sources = executor.execute(tasks.collect());
+    let certified =
+        outbound.filter_map(|(i, lists)| Some((i, lists, forward_overhead(&intra[i])?)));
+    let tasks = certified
+        .map(|(i, lists, overhead)| move || run_source(env, committees, i, lists, overhead));
+    let sources = executor.execute(tasks.collect());
 
-    let flags = admitted(env, committees, Task::Source, &mut sources, list_leaf);
+    let flags = forwards_admitted(env, intra, &sources);
     let mut inbound: BTreeMap<usize, Vec<&PairList<'_>>> = BTreeMap::new();
     for (source, flags) in sources.iter().zip(flags) {
         for (list, ok) in source.legs.iter().zip(flags) {
@@ -479,20 +549,15 @@ pub fn run_phase(
     let tasks = inbound
         .iter()
         .map(|(&j, l)| move || run_dest(env, committees, utxo_sets, j, l));
-    let mut dests = executor.execute(tasks.collect());
+    let mut dests: Vec<DestResult> = executor.execute(tasks.collect());
+    outcome.alg3_instances = dests.len();
 
     for source in sources {
         books.absorb(&source.books);
         outcome.absorb(source.ledger);
     }
-    let flags = admitted(
-        env,
-        committees,
-        Task::Destination,
-        &mut dests,
-        accepted_leaf,
-    );
-    for (dest, flags) in dests.into_iter().zip(flags) {
+    let flags = replies_admitted(env, committees, &mut dests);
+    for ((dest, _), flags) in dests.into_iter().zip(flags) {
         for ((source, txs), _) in dest.legs.into_iter().zip(flags).filter(|(_, ok)| *ok) {
             outcome.accepted[source].extend(txs);
         }
@@ -507,7 +572,11 @@ mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
     use crate::config::ProtocolConfig;
+    use crate::engine::arena::ShardScratch;
+    use crate::engine::pipeline::referee_check;
+    use crate::phases::intra::run_intra_consensus;
     use crate::sortition::{assign_round, AssignmentParams};
+    use cycledger_consensus::alg3::LeaderFault;
     use cycledger_crypto::sha256::{sha256, Digest};
     use cycledger_ledger::workload::{Workload, WorkloadConfig};
     use cycledger_net::faults::FaultPlan;
@@ -590,7 +659,27 @@ mod tests {
             }
         }
 
-        /// The whole phase under `plan`.
+        /// Committee `k`'s fault-free intra attempt over its outbound vector
+        /// and no transaction of its own, before the referee's check.
+        fn attempt(&self, k: usize, retry: bool) -> IntraOutcome {
+            let outbound = group_outbound(&self.cross, self.committees.len());
+            let lists = outbound.get(&k).map_or(&[][..], Vec::as_slice);
+            let (committee, utxo) = (&self.committees[k], &self.utxo_sets[k]);
+            let scratch = &mut ShardScratch::default();
+            run_intra_consensus(&self.env(), committee, retry, utxo, &[], lists, scratch)
+        }
+
+        /// Every committee's first intra attempt, through the referee's check:
+        /// the certificates the phase forwards under.
+        fn intra(&self) -> Vec<IntraOutcome> {
+            let mut outcomes: Vec<_> = (0..self.committees.len())
+                .map(|k| self.attempt(k, false))
+                .collect();
+            referee_check(self.env().round, &mut outcomes, &self.committees);
+            outcomes
+        }
+
+        /// The whole phase under `plan`, after a fault-free intra phase.
         fn run(&self, plan: &FaultPlan, workers: usize) -> (InterOutcome, Books) {
             let env = RoundEnv { plan, ..self.env() };
             let (executor, mut books) = (ShardExecutor::new(workers), Books::default());
@@ -600,10 +689,23 @@ mod tests {
                 committees,
                 utxo_sets,
                 &self.cross,
+                &self.intra(),
                 &executor,
                 &mut books,
             );
             (outcome, books)
+        }
+
+        /// Source `k`'s forwards under the certificate of `intra`.
+        fn forward<'a>(
+            &'a self,
+            env: &RoundEnv<'_>,
+            intra: &IntraOutcome,
+        ) -> SideResult<PairList<'a>> {
+            let k = intra.committee;
+            let lists = group_outbound(&self.cross, self.committees.len()).remove(&k);
+            let overhead = forward_overhead(intra).expect("the referee admitted the certificate");
+            run_source(env, &self.committees, k, lists.unwrap(), overhead)
         }
 
         /// Ids of the valid offered transactions per `(source, dest)` pair.
@@ -657,7 +759,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_free_rounds_accept_the_offered_valid_set_in_at_most_2m_instances() {
+    fn fault_free_rounds_accept_the_offered_valid_set_in_at_most_m_instances() {
         for (m, c, txs) in [(2, 8, 24), (3, 12, 60), (8, 16, 160)] {
             for seed in 0..16 {
                 let fx = fixture(m, c, txs, 1_000 * m as u64 + seed);
@@ -667,8 +769,9 @@ mod tests {
                     fx.expected(|_, _| true),
                     "{m}x{c}/{seed}"
                 );
-                assert!(outcome.alg3_instances <= 2 * m, "{m}x{c}/{seed}");
-                assert!(outcome.alg3_instances < 2 * fx.offered_valid().len() || m == 2);
+                // One instance per destination; the sources run none.
+                assert!(outcome.alg3_instances <= m, "{m}x{c}/{seed}");
+                assert!(outcome.alg3_instances < fx.offered_valid().len() || m == 2);
                 assert!(outcome.censorship_reports.is_empty() && outcome.equivocation.is_empty());
                 assert_eq!(
                     (outcome.timeout_delays, books.counters.list_timeouts),
@@ -680,80 +783,183 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_is_the_first_input_shard_and_the_first_other_output_shard() {
+        for (m, seed) in [(2, 41), (3, 42), (8, 43)] {
+            let fx = fixture(m, 8, 400, seed);
+            assert!(fx.cross.len() > 100);
+            for gen in &fx.cross {
+                let (inputs, outputs) = (gen.tx.input_shards(m), gen.tx.output_shards(m));
+                let i = inputs.first().copied().unwrap_or(0);
+                let other = outputs.iter().copied().find(|&s| s != i);
+                let j = other.unwrap_or_else(|| outputs.first().copied().unwrap_or(0));
+                assert_eq!(pair_of(&gen.tx, m), (i, j));
+            }
+        }
+    }
+
+    #[test]
     fn tampered_legs_are_rejected() {
         let fx = fixture(3, 8, 60, 21);
         let env = fx.env();
         let source = 0;
-        let lists = group_outbound(&fx.cross, 3).remove(&source).unwrap();
-        assert_eq!(lists.len(), 2, "source 0 feeds both other committees");
-        let mut results = [run_source(&env, &fx.committees, source, lists)];
-        assert!(results[0].ledger.missed.is_empty());
-        let warm = results[0].vector.as_ref().map(|v| v.memo.clone());
-        let warm = warm.expect("honest instance certifies");
+        let mut intra = fx.intra();
+        let results = [fx.forward(&env, &intra[source])];
         assert_eq!(
-            admitted(&env, &fx.committees, Task::Source, &mut results, list_leaf),
-            [[true, true]]
+            results[0].legs.len(),
+            2,
+            "source 0 feeds both other committees"
         );
+        assert!(results[0].ledger.missed.is_empty());
+        assert_eq!(forwards_admitted(&env, &intra, &results), [[true, true]]);
 
-        let vector = results[0]
-            .vector
-            .as_ref()
-            .expect("honest instance certifies");
+        let outcome = &intra[source];
+        let (tree, certificate) = (outcome.vector.as_ref(), outcome.certificate.as_ref());
+        let certificate = certificate.expect("honest instance certifies");
+        let attempt = |retry| Task::Intra {
+            committee: source,
+            retry,
+        };
+        let expected = attempt(false).instance(env.round);
+        let admits = |index, expected, leaf: &[u8]| {
+            leaf_admitted(certificate, tree, index, expected, leaf, true)
+        };
         let (list, other) = (&results[0].legs[0], &results[0].legs[1]);
-        let expected = Task::Source(source).instance(env.round);
         let leaf = list_leaf(list);
-        assert!(vector.admits(0, expected, &leaf, true));
+        assert!(admits(1, expected, &leaf));
         // One id swapped for another list's transaction.
         let mut ids: Vec<TxId> = list.ids().collect();
         ids[0] = other.txs[0].tx.id();
-        assert!(!vector.admits(0, expected, &vector_leaf(list.dest, ids.into_iter()), true));
+        assert!(!admits(
+            1,
+            expected,
+            &vector_leaf(list.dest, ids.into_iter())
+        ));
         // The proof for the other destination's leaf, or the same list
         // claimed under the other destination's index.
-        assert!(!vector.admits(1, expected, &leaf, true));
-        assert!(!vector.admits(0, expected, &vector_leaf(other.dest, list.ids()), true));
-        // A certificate from another round, or from the other side's instance.
-        assert!(!vector.admits(0, Task::Source(source).instance(env.round + 1), &leaf, true));
-        let other_side = Task::Destination(source).instance(env.round);
-        assert!(!vector.admits(0, other_side, &leaf, true));
+        assert!(!admits(2, expected, &leaf));
+        assert!(!admits(1, expected, &vector_leaf(other.dest, list.ids())));
+        // The next round's certificate, or the destination side's.
+        assert!(!admits(1, attempt(false).instance(env.round + 1), &leaf));
+        assert!(!admits(
+            1,
+            Task::Destination(source).instance(env.round),
+            &leaf
+        ));
         // A certificate over some other vector.
-        let (tree, certificate) = (MerkleTree::build(&[leaf]), vector.certificate.clone());
-        let forged = CertifiedVector::new(tree, certificate, warm.clone());
-        assert!(!forged.admits(0, expected, &leaf, true));
-        // A certificate below quorum — with its instance's memo (which knows
-        // every signature left on it) as without one.
-        let thin = fx.committees[source].majority() - 1;
-        let vector = results[0].vector.as_mut().unwrap();
-        vector.certificate.signatures.truncate(thin);
+        let forged = MerkleTree::build(&[leaf, leaf]);
+        assert!(!leaf_admitted(
+            certificate,
+            Some(&forged),
+            1,
+            expected,
+            &leaf,
+            true
+        ));
+
+        // A certificate below quorum is the referee's to refuse — with its
+        // instance's memo (which knows every signature left on it) as
+        // without one — and a forward under a refused certificate is refused.
+        let raw = fx.attempt(source, false);
+        let warm = raw.memo.clone();
         for memo in [warm, Verdicts::default()] {
-            results[0].vector.as_mut().unwrap().memo = memo;
-            let verdicts = admitted(&env, &fx.committees, Task::Source, &mut results, list_leaf);
-            assert_eq!(verdicts, [[false, false]]);
+            let mut thin = raw.clone();
+            let quorum = fx.committees[source].majority();
+            thin.certificate
+                .as_mut()
+                .unwrap()
+                .signatures
+                .truncate(quorum - 1);
+            thin.memo = memo;
+            referee_check(env.round, std::slice::from_mut(&mut thin), &fx.committees);
+            intra[source] = thin;
+            assert_eq!(forwards_admitted(&env, &intra, &results), [[false, false]]);
         }
     }
 
-    /// What admission costs at the source→destination barrier: the memo each
-    /// honest source hands over knows every signature on its certificate, so
-    /// the receivers verify nothing — and a memo is spent by the check that
-    /// took it, so admitting the same results again pays what a receiver
-    /// without one pays: a batch per certificate.
+    #[test]
+    fn the_v_list_leaf_is_never_admitted_as_a_forward() {
+        // Leaf 0 of a source's vector is its V List. One id and no row
+        // encode to exactly an outbound leaf's 40 bytes, so only the index
+        // offset keeps a forward from claiming it.
+        let fx = fixture(3, 8, 60, 21);
+        let env = fx.env();
+        let lists = group_outbound(&fx.cross, 3).remove(&0).unwrap();
+        let v_list = VoteList::new(vec![lists[0].txs[0].tx.id()]).to_payload();
+        let v_list: [u8; 40] = v_list.try_into().expect("one id, no row: 40 bytes");
+        let tree = intra_vector(&v_list, &lists).expect("source 0 has outbound lists");
+        let task = Task::Intra {
+            committee: 0,
+            retry: false,
+        };
+        let (mut net, id): (Net, _) = (env.open(task), env.instance(task));
+        let root = tree.root().as_bytes().to_vec();
+        let committee = &fx.committees[0];
+        let fault = LeaderFault::None;
+        let consensus =
+            run_inside_consensus(&mut net, committee, &fx.registry, id, root, fault, true);
+        let certificate = consensus.certificate.expect("honest instance certifies");
+        let admits =
+            |index, leaf: &[u8]| leaf_admitted(&certificate, Some(&tree), index, id, leaf, true);
+        assert!(admits(0, &v_list), "the referee's leaf");
+        for (leg, list) in lists.iter().enumerate() {
+            assert!(admits(1 + leg, &list_leaf(list)));
+            assert!(!admits(1 + leg, &v_list), "leg {leg}");
+        }
+    }
+
+    #[test]
+    fn a_first_attempt_certificate_is_refused_once_a_retry_was_admitted() {
+        let fx = fixture(3, 8, 60, 21);
+        let env = fx.env();
+        let mut intra = fx.intra();
+        let first = intra[0].clone();
+        let mut retry = [fx.attempt(0, true)];
+        referee_check(env.round, &mut retry, &fx.committees);
+        let [retry] = retry;
+        assert!(first.certificate.is_some() && retry.certificate.is_some());
+        intra[0] = retry.clone();
+        let results = [fx.forward(&env, &intra[0])];
+        assert_eq!(forwards_admitted(&env, &intra, &results), [[true, true]]);
+        // The same vector, under the first attempt's certificate.
+        intra[0].certificate = first.certificate;
+        assert_eq!(forwards_admitted(&env, &intra, &results), [[false, false]]);
+    }
+
+    /// What admission costs at the two barriers. A forward is admitted on
+    /// the referee's verdict: nothing verified, nothing looked up, however
+    /// often. A reply is checked against the memo its destination hands over,
+    /// which knows every signature on the certificate, so the sources verify
+    /// nothing — and a memo is spent by the check that took it, so admitting
+    /// the same replies again pays what a receiver without one pays: a batch
+    /// per certificate.
     #[cfg(feature = "opcount")]
     #[test]
     fn admitting_honest_results_costs_one_memo_lookup_per_certificate_signature() {
         use cycledger_crypto::opcount::scope;
         let fx = fixture(3, 8, 60, 21);
         let env = fx.env();
-        let outbound = group_outbound(&fx.cross, 3).into_iter();
-        let mut sources: Vec<_> = outbound
-            .map(|(source, lists)| run_source(&env, &fx.committees, source, lists))
+        let intra = fx.intra();
+        let sources: Vec<_> = (0..3).map(|k| fx.forward(&env, &intra[k])).collect();
+        for _ in 0..2 {
+            let mut flags = Vec::new();
+            let tally = scope(|| flags = forwards_admitted(&env, &intra, &sources));
+            assert!(flags.iter().flatten().all(|&ok| ok));
+            let verified = (tally.sig_batches, tally.sigs_batched, tally.sigs_single);
+            assert_eq!((verified, tally.memo_lookups), ((0, 0, 0), 0));
+        }
+        let legs = sources.iter().flat_map(|s| &s.legs);
+        let mut dests: Vec<DestResult> = (0..3)
+            .map(|j| {
+                let inbound: Vec<&PairList<'_>> = legs.clone().filter(|l| l.dest == j).collect();
+                run_dest(&env, &fx.committees, &fx.utxo_sets, j, &inbound)
+            })
             .collect();
-        let certificates = sources.iter().flat_map(|s| &s.vector);
+        let certificates = dests.iter().flat_map(|(_, vector)| vector);
         let signatures: usize = certificates.map(|v| v.certificate.signer_count()).sum();
         let signatures = signatures as u64;
         let mut check = |expected| {
             let mut flags = Vec::new();
-            let tally = scope(|| {
-                flags = admitted(&env, &fx.committees, Task::Source, &mut sources, list_leaf)
-            });
+            let tally = scope(|| flags = replies_admitted(&env, &fx.committees, &mut dests));
             assert!(flags.iter().flatten().all(|&ok| ok));
             let verified = (tally.sig_batches, tally.sigs_batched, tally.sigs_single);
             assert_eq!((verified, tally.memo_lookups), expected);
@@ -765,7 +971,9 @@ mod tests {
     #[test]
     fn a_failed_leader_stalls_only_its_own_vector() {
         for behavior in [Behavior::SilentLeader, Behavior::EquivocatingLeader] {
-            // As a source, committee 0 loses its outbound vector and nothing else.
+            // Committee 0's intra attempt certifies nothing (this fixture runs
+            // no recovery), so as a source it loses its outbound vector and
+            // nothing else.
             let mut fx = fixture(3, 8, 60, 22);
             let leader = fx.committees[0].leader;
             fx.registry.set_behavior(leader, behavior);
@@ -845,8 +1053,7 @@ mod tests {
         assert_eq!(accepted_ids(&outcome), fx.expected(|s, d| s != 0 && d != 0));
         assert!(!outcome.accepted[1].is_empty() && !outcome.accepted[2].is_empty());
         assert_eq!(
-            outcome.alg3_instances,
-            3 + 2,
+            outcome.alg3_instances, 2,
             "committee 0 admitted nothing to vote on"
         );
     }
@@ -866,11 +1073,10 @@ mod tests {
             Some(SimTime::ZERO.after(gamma.times(2))),
         );
         let forward_leg = RoundEnv { plan: &cut, ..env };
-        let outbound = group_outbound(&fx.cross, 3).into_iter();
-        let sources: Vec<_> = outbound
-            .filter(|(source, _)| *source != 1)
-            .map(|(source, lists)| run_source(&forward_leg, &fx.committees, source, lists))
-            .collect();
+        let intra = fx.intra();
+        let sources: Vec<_> = [0, 2]
+            .map(|source| fx.forward(&forward_leg, &intra[source]))
+            .into();
         let lost: u64 = sources.iter().map(|s| s.books.counters.net_dropped).sum();
         assert!(lost > 0, "the leader's copies were lost");
         assert!(sources.iter().all(|s| s.ledger.missed.is_empty()));
@@ -888,14 +1094,13 @@ mod tests {
             "partial-set members relayed over IntraCommittee"
         );
         // A relayed list is admitted and voted on like any other.
-        let mut sources = sources;
-        let flags = admitted(&env, &fx.committees, Task::Source, &mut sources, list_leaf);
+        let flags = forwards_admitted(&env, &intra, &sources);
         assert!(flags.iter().flatten().all(|&ok| ok));
         let legs = sources.iter().flat_map(|s| &s.legs);
         let inbound: Vec<&PairList<'_>> = legs.filter(|list| list.dest == 1).collect();
         assert_eq!(inbound.len(), 2);
-        let dest = run_dest(&env, &fx.committees, &fx.utxo_sets, 1, &inbound);
-        assert!(dest.vector.is_some());
+        let (dest, vector) = run_dest(&env, &fx.committees, &fx.utxo_sets, 1, &inbound);
+        assert!(vector.is_some());
         let offered = fx.offered_valid();
         for (source, txs) in &dest.legs {
             let ids: BTreeSet<TxId> = txs.iter().map(|t| t.id()).collect();
@@ -916,7 +1121,7 @@ mod tests {
             .iter()
             .map(|&workers| {
                 let (outcome, books) = fx.run(&fx.no_faults, workers);
-                assert_eq!(outcome.alg3_instances, 2 * 4);
+                assert_eq!(outcome.alg3_instances, 4);
                 assert_eq!(accepted_ids(&outcome), fx.expected(|_, _| true));
                 digest(&outcome, &books.metrics)
             })

@@ -10,8 +10,9 @@
 //! * `--smoke` — CI perf-gate mode: short measured runs at 1 worker — the
 //!   plain config and the epoch-lifecycle variant (boundary every second
 //!   round) — whose `rounds_per_sec`, `allocations_per_round`,
-//!   `messages_per_round` and `bytes_per_round` are compared against the
-//!   committed `BENCH_round.json` by `scripts/perf_gate.py`,
+//!   `messages_per_round`, `bytes_per_round` and `batches_per_round` are
+//!   compared against the committed `BENCH_round.json` by
+//!   `scripts/perf_gate.py`,
 //!   plus the plain config at the machine's parallelism (`parallel_workers`,
 //!   series `smoke_N_workers`, the fastest of three short runs; left out on
 //!   a one-core machine). The gate
@@ -26,7 +27,9 @@
 //! one-worker count repeats exactly from run to run and machine to machine.
 //! The envelope counts are summed from the same rounds' reports
 //! (`RoundReport::metrics`, every accounting phase); they are virtual, so
-//! they repeat at any worker count.
+//! they repeat at any worker count. So does `batches_per_round`, the
+//! executor barriers of the same rounds: the executor counts a batch it
+//! runs inline like one it hands to its workers.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_round`;
 //! the JSON is printed to stdout so it can be redirected into the relevant
@@ -69,20 +72,22 @@ fn epoch_variant(mut config: ProtocolConfig) -> ProtocolConfig {
 
 /// Runs rounds for at least `min_secs` (at least [`ALLOC_ROUNDS`]) and
 /// returns the rounds per second over all of them, and the series: that
-/// throughput plus per-round allocation activity and envelopes sent over the
-/// first [`ALLOC_ROUNDS`].
+/// throughput plus per-round allocation activity, envelopes sent and
+/// executor batches over the first [`ALLOC_ROUNDS`].
 fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, Json) {
     config.worker_threads = workers;
     let mut sim = Simulation::new(config).expect("valid bench config");
     // Warm-up round: lazy crypto tables, executor spin-up, genesis state.
     sim.run_round();
 
+    let start_batches = sim.executor().batches_executed();
     let start_alloc = alloccount::snapshot();
     let start = Instant::now();
     for _ in 0..ALLOC_ROUNDS {
         sim.run_round();
     }
     let d = alloccount::snapshot().since(&start_alloc);
+    let batches = (sim.executor().batches_executed() - start_batches) as u64;
     assert!(d.allocations > 0, "counting allocator saw no allocations");
     let counted = &sim.reports()[1..=ALLOC_ROUNDS as usize];
     let sent = counted.iter().flat_map(|report| {
@@ -115,6 +120,7 @@ fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, J
         ),
         ("messages_per_round", Json::Num(per_round(messages), 1)),
         ("bytes_per_round", Json::Num(per_round(bytes), 0)),
+        ("batches_per_round", Json::Num(per_round(batches), 2)),
         ("rounds_measured", Json::Int(rounds)),
     ]);
     (rounds_per_sec, series)
@@ -149,13 +155,13 @@ fn main() {
         // worker, plus the epoch-lifecycle variant (boundary every second
         // round, so half the measured rounds pay beacon + churn + state
         // sync + reshuffle). scripts/perf_gate.py compares rounds_per_sec,
-        // allocations_per_round, messages_per_round and bytes_per_round of
-        // both series against the committed BENCH_round.json and fails the
-        // job on a >20% regression of the first, a >1% regression of a count
-        // or a count >5% below the committed one (a baseline nobody
-        // re-recorded). The plain
-        // config is measured once more at the machine's parallelism; the
-        // gate wants that series >= 1.25x the one-worker one.
+        // allocations_per_round, messages_per_round, bytes_per_round and
+        // batches_per_round of both series against the committed
+        // BENCH_round.json and fails the job on a >20% regression of the
+        // first, a >1% regression of a count or a count >5% below the
+        // committed one (a baseline nobody re-recorded). The plain config is
+        // measured once more at the machine's parallelism; the gate wants
+        // that series >= 1.25x the one-worker one.
         let (_, s) = measure(plain, 1, 0.0);
         let (_, e) = measure(epoch, 1, 0.0);
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());

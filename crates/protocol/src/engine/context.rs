@@ -19,7 +19,7 @@ use crate::phases::configuration::ConfigurationOutcome;
 use crate::phases::inter::InterOutcome;
 use crate::phases::intra::IntraOutcome;
 use crate::phases::recovery::{run_recovery, Accusation};
-use crate::phases::selection::SelectionOutcome;
+use crate::phases::selection::{PreparedSelection, SelectionOutcome};
 use crate::report::{RecoveryOutcome, RecoveryRecord, RoleGroups, RoundReport};
 use crate::sortition::RoundAssignment;
 
@@ -98,6 +98,14 @@ pub struct RoundContext<'a> {
 
     /// Output of the committee-configuration phase.
     pub configuration: Option<ConfigurationOutcome>,
+    /// The selection phase's round-start part (the next round's beacon, PoW
+    /// admissions and VRF table), computed by the configuration batch's
+    /// lead task and consumed by the selection phase.
+    pub prepared_selection: Option<PreparedSelection>,
+    /// The semi-commitments the referee committee recorded, in committee
+    /// order; its agreement on them leads the selection phase's sortition
+    /// batch.
+    pub recorded_commitments: Vec<Digest>,
     /// Output of the intra-consensus phase, one entry per committee.
     pub intra_outcomes: Vec<IntraOutcome>,
     /// Output of the inter-consensus phase.
@@ -159,6 +167,8 @@ impl<'a> RoundContext<'a> {
             offered_valid: 0,
             offered_cross: 0,
             configuration: None,
+            prepared_selection: None,
+            recorded_commitments: Vec::new(),
             intra_outcomes: Vec::new(),
             inter: None,
             censorship_count: 0,

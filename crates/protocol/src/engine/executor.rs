@@ -2,11 +2,22 @@
 //!
 //! [`ShardExecutor`] is created once per
 //! [`crate::simulation::Simulation`] and reused for every parallel stage of
-//! every round: per-committee stages (intra- and inter-committee consensus,
-//! recovery retries, score-list certification, block application) submit one
-//! borrowed closure per committee, VRF sortition goes through
-//! [`ShardExecutor::map_chunked`], its verification submits one closure per
-//! group of proofs, and all receive the results in index order.
+//! every round. A fault-free round without cross-shard traffic runs four
+//! batches:
+//!
+//! * **configuration** — the next round's beacon, PoW admissions and VRF
+//!   table as the lead task, beside the sortition proofs verified in groups
+//!   of eight;
+//! * **intra consensus** — one task per committee (a recovery adds a retry
+//!   batch of the committees it re-led);
+//! * **selection** — the next round's VRF sortition through
+//!   [`ShardExecutor::map_chunked`], led by the referee's
+//!   semi-commitment instance;
+//! * **block application** — one task per shard, the SMT commit included.
+//!
+//! Cross-shard traffic adds the inter phase's two per-committee batches
+//! (sources, then destinations). Every batch returns its results in index
+//! order, the lead task's beside them.
 //!
 //! # Determinism
 //!
@@ -18,7 +29,9 @@
 //!   never completion order.
 //!
 //! Together these make round output byte-identical for any worker count,
-//! which the determinism tests in `simulation.rs` assert for 1/2/8 workers.
+//! which the determinism tests in `simulation.rs` assert for 1/2/8 workers —
+//! and, through a test-only mode that runs every batch's tasks in a seeded
+//! permuted order, for any order the tasks happen to run in.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -67,6 +80,10 @@ pub struct ShardExecutor {
     workers: Vec<JoinHandle<()>>,
     worker_count: usize,
     batches_executed: AtomicUsize,
+    /// Seed of the order a batch's tasks are handed out in (`None`: index
+    /// order). Test-only: see [`ShardExecutor::permute_batches`].
+    #[cfg(test)]
+    permutation: Option<u64>,
 }
 
 impl ShardExecutor {
@@ -87,6 +104,8 @@ impl ShardExecutor {
                 workers: Vec::new(),
                 worker_count: 1,
                 batches_executed: AtomicUsize::new(0),
+                #[cfg(test)]
+                permutation: None,
             };
         }
         let (sender, receiver) = channel::<Job>();
@@ -115,6 +134,8 @@ impl ShardExecutor {
             workers,
             worker_count,
             batches_executed: AtomicUsize::new(0),
+            #[cfg(test)]
+            permutation: None,
         }
     }
 
@@ -123,9 +144,19 @@ impl ShardExecutor {
         self.worker_count
     }
 
-    /// Number of `execute` batches run so far (observability for tests).
+    /// Number of batches that ran at least one task so far, inline ones
+    /// included (a batch with no task is no barrier and is not counted).
     pub fn batches_executed(&self) -> usize {
         self.batches_executed.load(Ordering::Relaxed)
+    }
+
+    /// Hands every later batch's tasks out in an order drawn from `seed`
+    /// and the batch's number instead of index order; results still come
+    /// back by index. A round whose output depends on the order its tasks
+    /// run in fails the determinism tests under this mode.
+    #[cfg(test)]
+    pub(crate) fn permute_batches(&mut self, seed: u64) {
+        self.permutation = Some(seed);
     }
 
     /// Runs a batch of tasks, returning their results in submission order.
@@ -141,11 +172,67 @@ impl ShardExecutor {
         T: Send + 'env,
         F: FnOnce() -> T + Send + 'env,
     {
-        self.batches_executed.fetch_add(1, Ordering::Relaxed);
-        let task_count = tasks.len();
-        if task_count == 0 {
+        if tasks.is_empty() {
             return Vec::new();
         }
+        self.batches_executed.fetch_add(1, Ordering::Relaxed);
+        #[cfg(test)]
+        if let Some(seed) = self.permutation {
+            return self.run_permuted(tasks, seed ^ self.batches_executed() as u64);
+        }
+        self.run(tasks)
+    }
+
+    /// [`execute`](Self::execute) with `lead` as the batch's first task,
+    /// ahead of `tasks`: one barrier, and the lead's result beside the
+    /// others'. The lead goes first so the longest piece of a batch never
+    /// starts last.
+    pub fn execute_led<'env, A, T, L, F>(
+        &self,
+        lead: L,
+        tasks: impl IntoIterator<Item = F>,
+    ) -> (A, Vec<T>)
+    where
+        A: Send + 'env,
+        T: Send + 'env,
+        L: FnOnce() -> A + Send + 'env,
+        F: FnOnce() -> T + Send + 'env,
+    {
+        enum Job<L, F> {
+            Lead(L),
+            Task(F),
+        }
+        enum Done<A, T> {
+            Lead(A),
+            Task(T),
+        }
+        let jobs = std::iter::once(Job::Lead(lead)).chain(tasks.into_iter().map(Job::Task));
+        let jobs: Vec<_> = jobs
+            .map(|job| {
+                move || match job {
+                    Job::Lead(lead) => Done::Lead(lead()),
+                    Job::Task(task) => Done::Task(task()),
+                }
+            })
+            .collect();
+        let mut done = self.execute(jobs).into_iter();
+        let Some(Done::Lead(led)) = done.next() else {
+            unreachable!("the lead is submitted first")
+        };
+        let results = done.map(|result| match result {
+            Done::Task(result) => result,
+            Done::Lead(_) => unreachable!("one lead per batch"),
+        });
+        (led, results.collect())
+    }
+
+    /// Runs a non-empty batch, results in submission order.
+    fn run<'env, T, F>(&self, tasks: Vec<F>) -> Vec<T>
+    where
+        T: Send + 'env,
+        F: FnOnce() -> T + Send + 'env,
+    {
+        let task_count = tasks.len();
         let sender = match &self.sender {
             Some(sender) if task_count > 1 => sender,
             _ => {
@@ -210,21 +297,48 @@ impl ShardExecutor {
         results
     }
 
-    /// Maps a pure function over `items` as one [`execute`](Self::execute)
-    /// batch of contiguous, index-ordered chunks and concatenates the chunk
-    /// results, so `out[i] == f(&items[i])` whatever ran where.
+    /// [`run`](Self::run) with the tasks handed out in an order drawn from
+    /// `seed` (a Fisher-Yates shuffle under splitmix64), their results put
+    /// back in index order.
+    #[cfg(test)]
+    fn run_permuted<'env, T, F>(&self, tasks: Vec<F>, mut seed: u64) -> Vec<T>
+    where
+        T: Send + 'env,
+        F: FnOnce() -> T + Send + 'env,
+    {
+        let mut tasks: Vec<(usize, F)> = tasks.into_iter().enumerate().collect();
+        for i in (1..tasks.len()).rev() {
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            tasks.swap(i, ((z ^ (z >> 31)) % (i as u64 + 1)) as usize);
+        }
+        let permuted = tasks.into_iter().map(|(i, task)| move || (i, task()));
+        let mut results = self.run(permuted.collect());
+        results.sort_unstable_by_key(|&(i, _)| i);
+        results.into_iter().map(|(_, result)| result).collect()
+    }
+
+    /// Maps a pure function over `items` as one batch of contiguous,
+    /// index-ordered chunks led by `lead` ([`execute_led`](Self::execute_led))
+    /// and concatenates the chunk results, so `out[i] == f(&items[i])`
+    /// whatever ran where; returns the lead's result beside them.
     ///
     /// This is the batch shape for many small independent items (one VRF
-    /// evaluation per node) where a task per item would
-    /// drown in queue traffic. The chunk count derives from
+    /// evaluation per node) where a task per item would drown in queue
+    /// traffic, and the finest grain a round has, so the chunks fill in
+    /// around a lead that runs long. The chunk count derives from
     /// [`worker_count`](Self::worker_count): `CHUNKS_PER_WORKER` chunks per
     /// worker to even out stragglers, never more than one per item. In
-    /// inline mode that is a single chunk, which `execute` runs on the
-    /// caller thread — the serial loop, not a second code path.
-    pub fn map_chunked<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
+    /// inline mode that is a single chunk, which runs on the caller thread
+    /// after the lead — the serial loop, not a second code path.
+    pub fn map_chunked<A, I, T, L, F>(&self, lead: L, items: &[I], f: F) -> (A, Vec<T>)
     where
+        A: Send,
         I: Sync,
         T: Send,
+        L: FnOnce() -> A + Send,
         F: Fn(&I) -> T + Sync,
     {
         let chunks = if self.worker_count == 1 {
@@ -235,15 +349,15 @@ impl ShardExecutor {
         // At least one item per chunk, so short inputs make fewer chunks.
         let chunk_len = items.len().div_ceil(chunks).max(1);
         let f = &f;
-        let tasks: Vec<_> = items
+        let tasks = items
             .chunks(chunk_len)
-            .map(|chunk| move || chunk.iter().map(f).collect::<Vec<T>>())
-            .collect();
+            .map(|chunk| move || chunk.iter().map(f).collect::<Vec<T>>());
+        let (led, parts) = self.execute_led(lead, tasks);
         let mut out = Vec::with_capacity(items.len());
-        for part in self.execute(tasks) {
+        for part in parts {
             out.extend(part);
         }
-        out
+        (led, out)
     }
 }
 
@@ -335,9 +449,61 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let executor = ShardExecutor::new(2);
-        let results: Vec<u8> = executor.execute(Vec::<fn() -> u8>::new());
-        assert!(results.is_empty());
+        for workers in [1, 2] {
+            let executor = ShardExecutor::new(workers);
+            let results: Vec<u8> = executor.execute(Vec::<fn() -> u8>::new());
+            assert!(results.is_empty());
+            assert_eq!(executor.batches_executed(), 0, "no task, no barrier");
+            let (led, none) = executor.map_chunked(|| 3, &[] as &[u8], |&b| b);
+            assert_eq!((led, none.len()), (3, 0), "the lead runs all the same");
+            assert_eq!(executor.batches_executed(), 1);
+            // An inline batch is a batch all the same.
+            assert_eq!(executor.execute(vec![|| 1u8]), [1]);
+            assert_eq!(executor.batches_executed(), 2);
+        }
+    }
+
+    #[test]
+    fn a_led_batch_is_one_batch_with_the_lead_beside_the_results() {
+        for workers in [1, 2, 8] {
+            let executor = ShardExecutor::new(workers);
+            let tasks = (0..9u64).map(|i| move || i * 3);
+            let (led, results) = executor.execute_led(|| "lead", tasks);
+            assert_eq!(led, "lead");
+            assert_eq!(results, (0..9).map(|i| i * 3).collect::<Vec<_>>());
+            // A lead alone still runs, and is a batch of its own.
+            let (led, none) = executor.execute_led(|| 7, Vec::<fn() -> u8>::new());
+            assert_eq!((led, none.len()), (7, 0));
+            assert_eq!(executor.batches_executed(), 2, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn a_permuted_batch_runs_out_of_order_and_returns_by_index() {
+        for workers in [1, 2, 8] {
+            let mut executor = ShardExecutor::new(workers);
+            executor.permute_batches(5);
+            let started = Mutex::new(Vec::new());
+            let started_ref = &started;
+            let tasks: Vec<_> = (0..32usize)
+                .map(|i| {
+                    move || {
+                        started_ref.lock().unwrap().push(i);
+                        i * 10
+                    }
+                })
+                .collect();
+            let results = executor.execute(tasks);
+            assert_eq!(results, (0..32).map(|i| i * 10).collect::<Vec<_>>());
+            let started = started.into_inner().unwrap();
+            assert_eq!(started.len(), 32);
+            if workers == 1 {
+                // Inline: the start order is the permutation itself.
+                assert_ne!(started, (0..32).collect::<Vec<_>>(), "not index order");
+            }
+            let (led, mapped) = executor.map_chunked(|| 1, &[4u8, 5, 6], |&b| b * 2);
+            assert_eq!((led, mapped), (1, vec![8, 10, 12]));
+        }
     }
 
     #[test]
@@ -353,7 +519,8 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
         for workers in [1, 2, 3, 8, 64] {
             let executor = ShardExecutor::new(workers);
-            let mapped = executor.map_chunked(&items, |&i| {
+            let lead = || std::thread::sleep(std::time::Duration::from_micros(300));
+            let ((), mapped) = executor.map_chunked(lead, &items, |&i| {
                 if i % 5 == 0 {
                     std::thread::sleep(std::time::Duration::from_micros(100));
                 }
@@ -368,14 +535,11 @@ mod tests {
     fn map_chunked_handles_empty_and_tiny_inputs() {
         for workers in [1, 2, 8] {
             let executor = ShardExecutor::new(workers);
-            let none: Vec<u8> = executor.map_chunked(&[] as &[u8], |&b| b);
-            assert!(none.is_empty());
+            let map = |items: &[u8], f: fn(&u8) -> u8| executor.map_chunked(|| (), items, f).1;
+            assert!(map(&[], |&b| b).is_empty());
             // Fewer items than workers: one chunk per item, none empty.
-            assert_eq!(executor.map_chunked(&[7u8], |&b| b + 1), vec![8]);
-            assert_eq!(
-                executor.map_chunked(&[1u8, 2, 3], |&b| b * 2),
-                vec![2, 4, 6]
-            );
+            assert_eq!(map(&[7], |&b| b + 1), vec![8]);
+            assert_eq!(map(&[1, 2, 3], |&b| b * 2), vec![2, 4, 6]);
         }
     }
 
@@ -385,16 +549,20 @@ mod tests {
             let executor = ShardExecutor::new(workers);
             let items: Vec<usize> = (0..20).collect();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                executor.map_chunked(&items, |&i| {
-                    if i == 13 {
-                        panic!("item 13 exploded");
-                    }
-                    i
-                })
+                executor.map_chunked(
+                    || (),
+                    &items,
+                    |&i| {
+                        if i == 13 {
+                            panic!("item 13 exploded");
+                        }
+                        i
+                    },
+                )
             }));
             assert!(outcome.is_err(), "{workers} workers");
             // The pool survives.
-            assert_eq!(executor.map_chunked(&items, |&i| i), items);
+            assert_eq!(executor.map_chunked(|| (), &items, |&i| i).1, items);
         }
     }
 

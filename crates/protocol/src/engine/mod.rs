@@ -24,13 +24,17 @@
 //!   fan-out, the post-recovery consensus retries, both sides of
 //!   inter-committee consensus, the next round's VRF sortition (selection,
 //!   and the genesis and epoch-boundary assignments) and the per-shard block
-//!   application. What
-//!   stays on the driver thread is either one instance of something (the
-//!   PVSS beacon, the referee's block-generation consensus), cheap (the
-//!   semi-commitment exchange; the admission of every quorum certificate,
-//!   which is lookups in the verdict memo its instance's task hands back
-//!   with it), or a fold over shared state (impeachments, the reputation
-//!   update's scores) whose order is part of the determinism contract.
+//!   application and commit. Work that waits on nothing a batch produces
+//!   rides in one as its lead task: the next round's PVSS beacon, PoW
+//!   admissions and VRF table in the configuration batch, the referee's
+//!   semi-commitment instance in the sortition batch. What stays on the
+//!   driver thread is either one instance of something that waits on the
+//!   round (the referee's block-generation consensus), cheap (the
+//!   semi-commitment exchange's hashes and signatures; the admission of
+//!   every quorum certificate, which is lookups in the verdict memo its
+//!   instance's task hands back with it), or a fold over shared state
+//!   (impeachments, the reputation update's scores) whose order is part of
+//!   the determinism contract.
 //!
 //! ## Determinism contract
 //!

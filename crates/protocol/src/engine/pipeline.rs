@@ -21,8 +21,8 @@ use crate::phases::configuration::run_committee_configuration;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
-use crate::phases::selection::run_selection;
-use crate::phases::semi_commitment::run_semi_commitment_exchange;
+use crate::phases::selection::{prepare_selection, run_selection};
+use crate::phases::semi_commitment::{certify_commitments, run_semi_commitment_exchange};
 use crate::phases::xshard;
 
 /// One phase of the pipeline: the name observers and traces see, and the
@@ -45,14 +45,22 @@ pub fn standard_pipeline() -> &'static [Phase] {
 }
 
 /// Phase 1 — committee configuration (Alg. 1 & 2). The sortition proofs
-/// are verified as one chunked executor batch.
+/// are verified as one chunked executor batch, whose lead task is the
+/// selection phase's round-start part ([`prepare_selection`]): the next
+/// round's beacon, PoW admissions and VRF table wait on nothing this round
+/// produces.
 ///
 /// Inputs: the round assignment. Outputs: configuration traffic in
-/// `ctx.books`, `ctx.configuration`, and `ctx.committees` without the
-/// members whose claim the key members rejected.
+/// `ctx.books`, `ctx.configuration`, `ctx.prepared_selection`, and
+/// `ctx.committees` without the members whose claim the key members
+/// rejected.
 pub fn configuration(ctx: &mut RoundContext<'_>) {
+    let (env, randomness) = (&ctx.env, ctx.assignment.randomness);
+    let round_start = move || prepare_selection(env, randomness);
     let metrics = &mut ctx.books.metrics;
-    let outcome = run_committee_configuration(&ctx.env, ctx.executor, ctx.assignment, metrics);
+    let (outcome, prepared) =
+        run_committee_configuration(env, ctx.executor, ctx.assignment, round_start, metrics);
+    ctx.prepared_selection = Some(prepared);
     // The engine's assignment always comes from `assign_round_on` over
     // this very registry — one reused after a beacon failure still
     // carries the round its proofs were drawn for — so every proof
@@ -63,13 +71,16 @@ pub fn configuration(ctx: &mut RoundContext<'_>) {
 }
 
 /// Phase 2 — semi-commitment exchange (Alg. 4), plus recovery for any
-/// commitment-mismatch witness.
+/// commitment-mismatch witness. The referee's agreement on the recorded
+/// commitments runs later, as the lead task of the selection phase's
+/// sortition batch: nothing in the round reads its certificate.
 ///
-/// Inputs: `ctx.committees`. Outputs: `ctx.witnesses`, evictions in
-/// `ctx.recovery_log`, mutated committees/reputation on successful
-/// impeachment.
+/// Inputs: `ctx.committees`. Outputs: `ctx.recorded_commitments`,
+/// `ctx.witnesses`, evictions in `ctx.recovery_log`, mutated
+/// committees/reputation on successful impeachment.
 pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
-    let semi = run_semi_commitment_exchange(&ctx.env, &ctx.committees, &mut ctx.books);
+    let semi = run_semi_commitment_exchange(&ctx.env, &ctx.committees, &mut ctx.books.metrics);
+    ctx.recorded_commitments = semi.recorded_commitments;
     ctx.witnesses += semi.witnesses.len();
     for witness in semi.witnesses {
         let k = match &witness {
@@ -278,17 +289,29 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
     );
 }
 
-/// Phase 6 — beacon, PoW participation, next-round selection (§IV-F).
+/// Phase 6 — beacon, PoW participation, next-round selection (§IV-F), on
+/// the round-start part the configuration batch prepared. The next round's
+/// sortition batch is led by the referee's agreement on the recorded
+/// semi-commitments (Alg. 4, step 2), whose books fold into the round's.
 ///
-/// Inputs: the reputation table after updates. Outputs: `ctx.selection`.
+/// Inputs: `ctx.prepared_selection`, `ctx.recorded_commitments`, the
+/// reputation table after updates. Outputs: `ctx.selection`.
 pub fn selection(ctx: &mut RoundContext<'_>) {
-    ctx.selection = Some(run_selection(
-        &ctx.env,
+    let prepared = ctx.prepared_selection.take();
+    let prepared = prepared.expect("the configuration phase prepares the selection");
+    let (env, recorded) = (&ctx.env, &ctx.recorded_commitments);
+    let agreement = move || certify_commitments(env, recorded);
+    let metrics = &mut ctx.books.metrics;
+    let (outcome, (_, books)) = run_selection(
+        env,
         ctx.executor,
         ctx.reputation,
-        ctx.assignment.randomness,
-        &mut ctx.books.metrics,
-    ));
+        prepared,
+        agreement,
+        metrics,
+    );
+    ctx.books.absorb(&books);
+    ctx.selection = Some(outcome);
 }
 
 /// Phase 7 — block generation, propagation and per-shard application
@@ -326,39 +349,40 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
         &mut ctx.books,
     );
 
-    // Apply the released block to every shard's UTXO set, one executor
-    // task per shard (the per-shard sets are disjoint by construction),
-    // each over the transactions that touch its shard.
-    if let Some(block) = &block_outcome.block {
-        let touched = ctx
-            .arena
-            .index_by_touched_shard(&block.transactions, ctx.utxo_sets.len());
+    // Apply the released block to every shard's UTXO set and, on the SMT
+    // backend, seal the shard's round delta into a versioned state root:
+    // one executor task per shard (the per-shard sets are disjoint by
+    // construction), each over the transactions that touch its shard.
+    // Rounds commit even when no block was produced (the root just
+    // re-publishes), so every round report carries exactly one root per
+    // shard.
+    let (round, smt) = (ctx.round, ctx.env.config.state_backend == StateBackend::Smt);
+    let block = block_outcome.block.as_ref();
+    if block.is_some() || smt {
+        let touched = match block {
+            Some(block) => {
+                let m = ctx.utxo_sets.len();
+                ctx.arena.index_by_touched_shard(&block.transactions, m)
+            }
+            None => &[],
+        };
         let tasks: Vec<_> = ctx
             .utxo_sets
             .iter_mut()
-            .zip(touched)
-            .map(|(set, positions)| {
+            .enumerate()
+            .map(|(shard, set)| {
+                let positions = touched.get(shard).map_or(&[][..], Vec::as_slice);
                 move || {
-                    for &position in positions {
-                        set.apply(&block.transactions[position]);
+                    if let Some(block) = block {
+                        for &position in positions {
+                            set.apply(&block.transactions[position]);
+                        }
                     }
+                    smt.then(|| set.commit_round(round).expect("smt backend returns a root"))
                 }
             })
             .collect();
-        let _: Vec<()> = ctx.executor.execute(tasks);
-    }
-    // Seal each shard's round delta into a versioned state root — one
-    // executor task per shard, mirroring the apply batch. Rounds run
-    // even when no block was produced (the root just re-publishes), so
-    // every round report carries exactly one root per shard.
-    if ctx.env.config.state_backend == StateBackend::Smt {
-        let round = ctx.round;
-        let tasks: Vec<_> = ctx
-            .utxo_sets
-            .iter_mut()
-            .map(|set| move || set.commit_round(round).expect("smt backend returns a root"))
-            .collect();
-        ctx.state_roots = ctx.executor.execute(tasks);
+        ctx.state_roots = ctx.executor.execute(tasks).into_iter().flatten().collect();
     }
     ctx.block_outcome = Some(block_outcome);
 }

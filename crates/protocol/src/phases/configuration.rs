@@ -47,33 +47,33 @@ pub struct ConfigurationOutcome {
 /// `metrics`.
 ///
 /// The sortition proofs are independent of one another, so they are all
-/// verified up front as one `executor` batch of eight-proof groups; the
-/// accounting loop below is serial and only consumes the verdicts.
-pub fn run_committee_configuration(
+/// verified up front as one `executor` batch of eight-proof groups, with
+/// `lead` as the batch's first task; the accounting loop below is serial and
+/// only consumes the verdicts. Returns the outcome and the lead's result.
+pub fn run_committee_configuration<A: Send>(
     env: &RoundEnv<'_>,
     executor: &ShardExecutor,
     assignment: &RoundAssignment,
+    lead: impl FnOnce() -> A + Send,
     metrics: &mut MetricsSink,
-) -> ConfigurationOutcome {
+) -> (ConfigurationOutcome, A) {
     let phase = Phase::CommitteeConfiguration;
     let registry = env.registry;
     let m = assignment.committees.len();
     let input =
         &RoundAssignment::sortition_input(assignment.sortition_round, &assignment.randomness);
     let proofs = &assignment.sortition_proofs;
-    let groups: Vec<_> = proofs
-        .chunks(PROOFS_PER_GROUP)
-        .map(|group| {
-            move || {
-                let entries: Vec<_> = group
-                    .iter()
-                    .map(|(node, output)| (&registry.node(*node).keypair.public, output))
-                    .collect();
-                vrf::verify_batch(input, &entries)
-            }
-        })
-        .collect();
-    let valid = executor.execute(groups).into_iter().flatten();
+    let groups = proofs.chunks(PROOFS_PER_GROUP).map(|group| {
+        move || {
+            let entries: Vec<_> = group
+                .iter()
+                .map(|(node, output)| (&registry.node(*node).keypair.public, output))
+                .collect();
+            vrf::verify_batch(input, &entries)
+        }
+    });
+    let (led, valid) = executor.execute_led(lead, groups);
+    let valid = valid.into_iter().flatten();
     let proof_of: FxHashMap<_, _> = proofs
         .iter()
         .zip(valid)
@@ -126,11 +126,12 @@ pub fn run_committee_configuration(
             );
         }
     }
-    ConfigurationOutcome {
+    let outcome = ConfigurationOutcome {
         verified_members: verified,
         rejected,
         elapsed: env.config.latency.delta.times(8),
-    }
+    };
+    (outcome, led)
 }
 
 #[cfg(test)]
@@ -178,7 +179,9 @@ mod tests {
         };
         let mut metrics = MetricsSink::new();
         let executor = ShardExecutor::new(workers);
-        let outcome = run_committee_configuration(&env, &executor, assignment, &mut metrics);
+        let no_lead = || ();
+        let (outcome, ()) =
+            run_committee_configuration(&env, &executor, assignment, no_lead, &mut metrics);
         (outcome, metrics)
     }
 

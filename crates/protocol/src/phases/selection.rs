@@ -5,6 +5,13 @@
 //! participate in the next round solve the PoW participation puzzle; and the
 //! next round's referee committee, leaders and partial sets are derived from the
 //! new randomness plus the updated reputation table.
+//!
+//! The phase runs in two parts. The beacon, the PoW admissions and the next
+//! round's VRF table depend only on the round, `R^r`, `C_R` and the registry,
+//! all fixed when the round opens: [`prepare_selection`] computes them, and
+//! the engine runs it as the lead task of the configuration batch.
+//! [`run_selection`] does the rest once the reputation update is in: the
+//! traffic accounting, the lotteries, the leaders and the VRF evaluations.
 
 use cycledger_crypto::pow::Puzzle;
 use cycledger_crypto::pvss;
@@ -15,10 +22,10 @@ use cycledger_reputation::ReputationTable;
 
 use crate::engine::env::RoundEnv;
 use crate::engine::ShardExecutor;
-use crate::sortition::{assign_round_on, RoundAssignment};
+use crate::sortition::{RoundAssignment, SortitionBase};
 
 /// Outcome of the selection phase.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SelectionOutcome {
     /// The next round's randomness `R^{r+1}` (None if the beacon failed, which
     /// requires every referee dealer to misbehave).
@@ -31,17 +38,25 @@ pub struct SelectionOutcome {
     pub next_assignment: Option<RoundAssignment>,
 }
 
-/// Runs the selection phase. The beacon and the PoW admissions run on the
-/// caller thread; the next round's VRF sortition — the bulk of the phase —
-/// is mapped over `executor` (see [`assign_round_on`]).
-pub fn run_selection(
-    env: &RoundEnv<'_>,
-    executor: &ShardExecutor,
-    reputation: &ReputationTable,
-    current_randomness: Digest,
-    metrics: &mut MetricsSink,
-) -> SelectionOutcome {
-    let phase = Phase::KeyMemberSelection;
+/// The round-start part of the selection phase: what [`prepare_selection`]
+/// computes and [`run_selection`] consumes.
+pub struct PreparedSelection {
+    /// The next round's sortition base, drawn from `R^{r+1}` (None if the
+    /// beacon failed).
+    next: Option<SortitionBase>,
+    /// Referee dealers whose PVSS dealings qualified.
+    qualified_dealers: Vec<usize>,
+    /// Bytes each referee member's dealing puts on the wire.
+    dealing_bytes: Vec<u64>,
+    /// Nodes that solved the participation puzzle, in registry order.
+    participants: Vec<NodeId>,
+}
+
+/// The selection work fixed when the round opens: the beacon transcript
+/// inside `C_R` on `R^r` (`current_randomness`), the PoW admissions and the
+/// VRF table of `R^{r+1}`. Charges nothing; [`run_selection`] accounts the
+/// traffic.
+pub fn prepare_selection(env: &RoundEnv<'_>, current_randomness: Digest) -> PreparedSelection {
     let (registry, referee, round) = (env.registry, &env.referee.members[..], env.round);
 
     // 1. Distributed randomness beacon inside C_R.
@@ -76,13 +91,6 @@ pub fn run_selection(
             (None, Vec::new(), vec![nominal; referee.len()])
         }
     };
-    for (dealer_idx, &dealer) in referee.iter().enumerate() {
-        for &receiver in referee {
-            if dealer != receiver {
-                metrics.record_message(phase, dealer, receiver, dealing_bytes[dealer_idx]);
-            }
-        }
-    }
 
     // 2. PoW participation: every node solves the puzzle bound to the *current*
     //    randomness and submits the solution to the referee committee.
@@ -93,34 +101,75 @@ pub fn run_selection(
         if let Some(solution) = solution {
             if puzzle.verify(&node.keypair.public, &solution) {
                 participants.push(node.id);
-                // Submission to one referee member (who gossips the identity).
-                metrics.record_message(phase, node.id, referee[0], 8 + 32 + 64);
             }
         }
+    }
+
+    PreparedSelection {
+        next: next_randomness.map(|randomness| SortitionBase::new(round + 1, randomness)),
+        qualified_dealers,
+        dealing_bytes,
+        participants,
+    }
+}
+
+/// Runs the selection phase on its `prepared` round-start part: charges the
+/// beacon's and the PoW submissions' traffic and derives the next round's
+/// configuration, the VRF sortition — the bulk of the phase — mapped over
+/// `executor` with `lead` as the batch's first task (see
+/// [`SortitionBase::assign`]). `lead` runs on the caller thread when the
+/// beacon failed and there is no sortition.
+pub fn run_selection<A: Send>(
+    env: &RoundEnv<'_>,
+    executor: &ShardExecutor,
+    reputation: &ReputationTable,
+    prepared: PreparedSelection,
+    lead: impl FnOnce() -> A + Send,
+    metrics: &mut MetricsSink,
+) -> (SelectionOutcome, A) {
+    let phase = Phase::KeyMemberSelection;
+    let (registry, referee) = (env.registry, &env.referee.members[..]);
+    let PreparedSelection {
+        next,
+        qualified_dealers,
+        dealing_bytes,
+        participants,
+    } = prepared;
+
+    for (dealer_idx, &dealer) in referee.iter().enumerate() {
+        for &receiver in referee {
+            if dealer != receiver {
+                metrics.record_message(phase, dealer, receiver, dealing_bytes[dealer_idx]);
+            }
+        }
+    }
+    // Each admitted node submits its solution to one referee member (who
+    // gossips the identity).
+    for &node in &participants {
+        metrics.record_message(phase, node, referee[0], 8 + 32 + 64);
     }
     for &rm in referee {
         metrics.record_storage(phase, rm, participants.len() as u64 * 8);
     }
 
     // 3. Derive the next round's configuration.
-    let next_assignment = next_randomness.map(|randomness| {
-        assign_round_on(
-            executor,
-            registry,
-            &participants,
-            env.config.assignment_params(),
-            round + 1,
-            randomness,
-            reputation,
-        )
-    });
+    let params = env.config.assignment_params();
+    let (next_assignment, led) = match &next {
+        Some(base) => {
+            let (assignment, led) =
+                base.assign(executor, lead, registry, &participants, params, reputation);
+            (Some(assignment), led)
+        }
+        None => (None, lead()),
+    };
 
-    SelectionOutcome {
-        next_randomness,
+    let outcome = SelectionOutcome {
+        next_randomness: next.as_ref().map(SortitionBase::randomness),
         qualified_dealers,
         participants,
         next_assignment,
-    }
+    };
+    (outcome, led)
 }
 
 #[cfg(test)]
@@ -157,11 +206,15 @@ mod tests {
         };
         let reputation = ReputationTable::with_members(registry.ids());
         let mut metrics = MetricsSink::new();
-        let outcome = run_selection(
+        let prepared = prepare_selection(&env, sha256(randomness));
+        let executor = ShardExecutor::new(1);
+        let no_lead = || ();
+        let (outcome, ()) = run_selection(
             &env,
-            &ShardExecutor::new(1),
+            &executor,
             &reputation,
-            sha256(randomness),
+            prepared,
+            no_lead,
             &mut metrics,
         );
         (outcome, metrics)

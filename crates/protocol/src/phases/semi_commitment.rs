@@ -7,6 +7,10 @@
 //! set members then cross-check the commitment recorded by `C_R` against the
 //! list their leader gave them — any mismatch yields a leader-signed witness
 //! (Theorem 2) that feeds the recovery procedure.
+//!
+//! Nothing later in the round reads the referee's certificate, so its
+//! instance is a function of its own, [`certify_commitments`], which the
+//! engine runs as the lead task of a later executor batch.
 
 use cycledger_consensus::messages::Alg3Message;
 use cycledger_consensus::witness::{
@@ -14,7 +18,7 @@ use cycledger_consensus::witness::{
 };
 use cycledger_crypto::schnorr::sign;
 use cycledger_crypto::sha256::Digest;
-use cycledger_net::metrics::Phase;
+use cycledger_net::metrics::{MetricsSink, Phase};
 use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 
@@ -30,21 +34,18 @@ pub struct SemiCommitmentOutcome {
     /// Witnesses produced by partial-set members that caught their leader
     /// committing to a forged member list.
     pub witnesses: Vec<Witness>,
-    /// Whether the referee committee's internal consensus on the commitment set
-    /// completed.
-    pub referee_agreement: bool,
 }
 
 /// Runs the semi-commitment exchange for all committees, accounting its
-/// traffic and the referee instance's into `books`.
+/// traffic into `metrics`. The referee committee's agreement on the
+/// recorded commitments is [`certify_commitments`].
 pub fn run_semi_commitment_exchange(
     env: &RoundEnv<'_>,
     committees: &[Committee],
-    books: &mut Books,
+    metrics: &mut MetricsSink,
 ) -> SemiCommitmentOutcome {
     let (registry, referee, round) = (env.registry, env.referee, env.round);
     let phase = Phase::SemiCommitmentExchange;
-    let metrics = &mut books.metrics;
     let mut recorded_commitments = Vec::with_capacity(committees.len());
     let mut witnesses = Vec::new();
 
@@ -93,28 +94,11 @@ pub fn run_semi_commitment_exchange(
         }
     }
 
-    // Step 2: the referee committee reaches internal agreement on the set of
-    // commitments via Algorithm 3, then relays it to every key member.
-    let task = Task::SemiCommitment;
-    let mut referee_net: SimNetwork<Alg3Message> = env.open(task);
-    let mut payload = Vec::with_capacity(recorded_commitments.len() * 32);
-    for c in &recorded_commitments {
-        payload.extend_from_slice(c.as_bytes());
-    }
-    let (id, fault) = (env.instance(task), LeaderFault::None);
-    let outcome = run_inside_consensus(
-        &mut referee_net,
-        referee,
-        registry,
-        id,
-        payload,
-        fault,
-        true,
-    );
-
-    // Relay: every referee member forwards the commitment set to the leaders and
-    // partial sets it serves (modelled as every referee member sending to every
-    // key member — the O(m²) Table II entry for C_R).
+    // Step 2: the referee committee agrees on the set of commitments
+    // (`certify_commitments`), then relays it: every referee member forwards
+    // the set to the leaders and partial sets it serves (modelled as every
+    // referee member sending to every key member — the O(m²) Table II entry
+    // for C_R).
     let set_bytes = recorded_commitments.len() as u64 * 32;
     for &rm in &referee.members {
         for committee in committees {
@@ -125,13 +109,27 @@ pub fn run_semi_commitment_exchange(
         }
         metrics.record_storage(phase, rm, set_bytes);
     }
-    books.absorb(&Books::close(referee_net));
 
     SemiCommitmentOutcome {
         recorded_commitments,
         witnesses,
-        referee_agreement: outcome.certificate.is_some(),
     }
+}
+
+/// The referee committee's internal agreement on the `recorded` commitments
+/// (Algorithm 4, step 2): one Algorithm 3 instance on a network of its own.
+/// Returns whether it certified the set, and its books.
+pub fn certify_commitments(env: &RoundEnv<'_>, recorded: &[Digest]) -> (bool, Books) {
+    let task = Task::SemiCommitment;
+    let mut net: SimNetwork<Alg3Message> = env.open(task);
+    let mut payload = Vec::with_capacity(recorded.len() * 32);
+    for c in recorded {
+        payload.extend_from_slice(c.as_bytes());
+    }
+    let (id, fault) = (env.instance(task), LeaderFault::None);
+    let (referee, registry) = (env.referee, env.registry);
+    let outcome = run_inside_consensus(&mut net, referee, registry, id, payload, fault, true);
+    (outcome.certificate.is_some(), Books::close(net))
 }
 
 #[cfg(test)]
@@ -169,14 +167,16 @@ mod tests {
         (registry, committees, referee)
     }
 
-    /// The exchange at `round` under configuration seed `seed`.
+    /// The exchange at `round` under configuration seed `seed`, then the
+    /// referee's agreement on what it recorded: the outcome, whether the
+    /// referee certified it, and the books of both.
     fn exchange(
         registry: &NodeRegistry,
         committees: &[Committee],
         referee: &Committee,
         round: u64,
         seed: u64,
-    ) -> (SemiCommitmentOutcome, Books) {
+    ) -> (SemiCommitmentOutcome, bool, Books) {
         let config = ProtocolConfig {
             seed,
             ..ProtocolConfig::default()
@@ -189,15 +189,17 @@ mod tests {
             round,
         };
         let mut books = Books::default();
-        let outcome = run_semi_commitment_exchange(&env, committees, &mut books);
-        (outcome, books)
+        let outcome = run_semi_commitment_exchange(&env, committees, &mut books.metrics);
+        let (certified, instance) = certify_commitments(&env, &outcome.recorded_commitments);
+        books.absorb(&instance);
+        (outcome, certified, books)
     }
 
     #[test]
     fn honest_exchange_records_matching_commitments() {
         let (registry, committees, referee) = setup(31);
-        let (outcome, books) = exchange(&registry, &committees, &referee, 1, 9);
-        assert!(outcome.referee_agreement);
+        let (outcome, certified, books) = exchange(&registry, &committees, &referee, 1, 9);
+        assert!(certified);
         assert!(outcome.witnesses.is_empty());
         assert_eq!(outcome.recorded_commitments.len(), 3);
         for (committee, recorded) in committees.iter().zip(&outcome.recorded_commitments) {
@@ -222,7 +224,7 @@ mod tests {
         let (mut registry, committees, referee) = setup(32);
         let bad_leader = committees[1].leader;
         registry.set_behavior(bad_leader, Behavior::MismatchedCommitment);
-        let (outcome, _) = exchange(&registry, &committees, &referee, 2, 10);
+        let (outcome, _, _) = exchange(&registry, &committees, &referee, 2, 10);
         assert_eq!(outcome.witnesses.len(), 1);
         let witness = &outcome.witnesses[0];
         assert_eq!(witness.accused(), bad_leader);

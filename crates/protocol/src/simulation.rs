@@ -418,6 +418,7 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
     use crate::traffic::TrafficConfig;
+    use cycledger_net::topology::NodeId;
 
     fn small_config() -> ProtocolConfig {
         ProtocolConfig {
@@ -545,11 +546,28 @@ mod tests {
         assert!(any_positive, "honest voters must accumulate reputation");
     }
 
+    /// The canonical digest of `rounds` rounds at `workers` workers. The
+    /// run is repeated with every batch's tasks handed out in each of three
+    /// seeded permuted orders, and must not move: a round whose output
+    /// depends on the order its tasks run in fails here.
     fn summary_digest(mut config: ProtocolConfig, workers: usize, rounds: usize) -> String {
         config.worker_threads = workers;
-        let mut sim = Simulation::new(config).unwrap();
-        let summary = sim.run(rounds);
-        format!("{:?}", summary.canonical_digest())
+        let digest = |permutation: Option<u64>| {
+            let mut sim = Simulation::new(config).unwrap();
+            if let Some(seed) = permutation {
+                sim.executor.permute_batches(seed);
+            }
+            format!("{:?}", sim.run(rounds).canonical_digest())
+        };
+        let baseline = digest(None);
+        for seed in [0x5eed, 0xface, 0xb0a7] {
+            let permuted = digest(Some(seed));
+            assert_eq!(
+                baseline, permuted,
+                "{workers} workers, permutation {seed:#x}"
+            );
+        }
+        baseline
     }
 
     #[test]
@@ -804,8 +822,8 @@ mod tests {
 
     #[test]
     fn epoch_runs_are_deterministic_across_worker_counts_on_both_planes() {
-        // The sortition, proof-verification and score-certification batches
-        // all do real work, on either plane and through the boundary
+        // The sortition and proof-verification batches and their lead
+        // tasks all do real work, on either plane and through the boundary
         // reshuffles after rounds 2 and 4 (with `Syncing` joiners in the
         // mapped sortition list).
         for message_driven in [false, true] {
@@ -836,7 +854,15 @@ mod tests {
         for &member in &genesis.referee {
             sim.registry.set_behavior(member, Behavior::LazyVoter);
         }
-        let summary = sim.run(3);
+        let mut serial = SerialSelection::default();
+        let summary = sim.run_observed(3, &mut serial);
+        // Each round's prepared selection equals the serial one, the failed
+        // beacon included, and every node passed the PoW admission.
+        assert_eq!(serial.rounds, 3);
+        assert!(serial
+            .participants
+            .iter()
+            .all(|p| p.len() == sim.registry.len()));
         // A fully lazy referee committee certifies no block either.
         assert_eq!(summary.blocks_produced(), 0);
         assert_eq!(sim.assignment.round, genesis.round + 3);
@@ -849,10 +875,11 @@ mod tests {
             plan: &sim.fault_plan,
             round: sim.assignment.round,
         };
-        let outcome = crate::phases::configuration::run_committee_configuration(
+        let (outcome, ()) = crate::phases::configuration::run_committee_configuration(
             &env,
             &sim.executor,
             &sim.assignment,
+            || (),
             &mut cycledger_net::metrics::MetricsSink::new(),
         );
         assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
@@ -894,10 +921,11 @@ mod tests {
             &mut sim.arena,
         );
         ctx.offer(offered);
-        let outcome = run_committee_configuration(
+        let (outcome, ()) = run_committee_configuration(
             &ctx.env,
             ctx.executor,
             ctx.assignment,
+            || (),
             &mut ctx.books.metrics,
         );
         assert_eq!(outcome.rejected, vec![(home, victim)]);
@@ -997,6 +1025,140 @@ mod tests {
         );
         assert_eq!(summary.total_syncing_votes(), 0);
         assert_eq!(summary.blocks_produced(), 1);
+    }
+
+    /// Compares every round's selection outcome with the selection phase
+    /// run as one serial function on the same round: the beacon transcript,
+    /// the PoW loop and `assign_round_on`, called directly — the way the
+    /// phase ran before its round-start part moved into the configuration
+    /// batch.
+    #[derive(Default)]
+    struct SerialSelection {
+        rounds: usize,
+        /// The PoW admissions of each round.
+        participants: Vec<Vec<NodeId>>,
+    }
+
+    impl RoundObserver for SerialSelection {
+        fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+            use crate::phases::selection::SelectionOutcome;
+            use cycledger_crypto::{pow::Puzzle, pvss};
+            if phase != "selection" {
+                return;
+            }
+            let (registry, config, round) = (ctx.env.registry, ctx.env.config, ctx.round);
+            let referee = &ctx.env.referee.members;
+            let randomness = ctx.assignment.randomness;
+            let honesty: Vec<bool> = referee
+                .iter()
+                .map(|&rm| registry.node(rm).is_honest())
+                .collect();
+            let mut tag = round.to_be_bytes().to_vec();
+            tag.extend_from_slice(randomness.as_bytes());
+            let threshold = referee.len() / 2 + 1;
+            let beacon = pvss::run_beacon_transcript(referee.len(), threshold, &honesty, &tag).ok();
+            let puzzle = Puzzle::new(round + 1, randomness, config.pow_difficulty);
+            let admitted = |pk| {
+                let solution = puzzle.solve(pk, 0, 1 << 22);
+                solution.is_some_and(|solution| puzzle.verify(pk, &solution))
+            };
+            let participants: Vec<NodeId> = registry
+                .iter()
+                .filter(|n| n.membership.participates() && admitted(&n.keypair.public))
+                .map(|n| n.id)
+                .collect();
+            let next = beacon.as_ref().map(|transcript| {
+                assign_round_on(
+                    &ShardExecutor::new(1),
+                    registry,
+                    &participants,
+                    config.assignment_params(),
+                    round + 1,
+                    transcript.output,
+                    ctx.reputation,
+                )
+            });
+            let serial = SelectionOutcome {
+                next_randomness: beacon.as_ref().map(|transcript| transcript.output),
+                qualified_dealers: beacon.map_or(Vec::new(), |transcript| transcript.qualified),
+                participants,
+                next_assignment: next,
+            };
+            assert_eq!(ctx.selection.as_ref(), Some(&serial), "round {round}");
+            self.rounds += 1;
+            self.participants.push(serial.participants);
+        }
+    }
+
+    #[test]
+    fn the_prepared_selection_equals_the_serial_one() {
+        for (seed, workers) in [(1, 1), (2, 2), (4242, 2), (9, 8)] {
+            let config = ProtocolConfig {
+                seed,
+                worker_threads: workers,
+                ..small_config()
+            };
+            let mut sim = Simulation::new(config).unwrap();
+            let mut serial = SerialSelection::default();
+            let summary = sim.run_observed(3, &mut serial);
+            assert_eq!((serial.rounds, summary.blocks_produced()), (3, 3));
+        }
+    }
+
+    #[test]
+    fn the_prepared_selection_equals_the_serial_one_across_an_epoch_boundary() {
+        // Round 1 closes epoch 0: two nodes join (still `Syncing`, so they
+        // take no PoW admission until they catch up), one leaves.
+        let config = ProtocolConfig {
+            worker_threads: 2,
+            ..epoch_config()
+        };
+        let mut sim = Simulation::new(config).unwrap();
+        let mut serial = SerialSelection::default();
+        let summary = sim.run_observed(4, &mut serial);
+        assert_eq!(serial.rounds, 4);
+        assert!(summary.rounds[1].epoch_transition.is_some());
+        let (before, after) = (&serial.participants[1], &serial.participants[2]);
+        assert_ne!(
+            before, after,
+            "the boundary's churn changes who is admitted"
+        );
+    }
+
+    /// Executor batches of each round: configuration (led by the next
+    /// round's beacon, PoW admissions and VRF table), intra consensus, the
+    /// sortition (led by the referee's semi-commitment instance) and block
+    /// application with the SMT commit; cross-shard traffic adds the inter
+    /// phase's sources and destinations. A batch with no task is not one.
+    #[test]
+    fn a_fault_free_round_runs_four_batches_and_cross_shard_traffic_adds_two() {
+        use cycledger_ledger::StateBackend;
+        for (cross_shard_ratio, state_backend, batches) in [
+            (0.0, StateBackend::Map, 4),
+            (0.2, StateBackend::Map, 6),
+            (0.2, StateBackend::Smt, 6),
+        ] {
+            for workers in [1, 2] {
+                let config = ProtocolConfig {
+                    cross_shard_ratio,
+                    state_backend,
+                    worker_threads: workers,
+                    ..small_config()
+                };
+                let mut sim = Simulation::new(config).unwrap();
+                for round in 0..3 {
+                    let before = sim.executor().batches_executed();
+                    let report = sim.run_round();
+                    assert!(report.block_produced && report.recovery_log.is_empty());
+                    assert_eq!(
+                        sim.executor().batches_executed() - before,
+                        batches,
+                        "{cross_shard_ratio} cross-shard, {state_backend:?}, round {round}, \
+                         {workers} workers"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::engine::ShardExecutor;
 use crate::node::{MembershipState, NodeRegistry};
 
 /// Assignment of one committee for a round.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommitteeAssignment {
     /// Committee index `k` (also the shard index it maintains).
     pub index: usize,
@@ -51,7 +51,7 @@ impl CommitteeAssignment {
 }
 
 /// The full configuration of one round.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundAssignment {
     /// Round number.
     pub round: u64,
@@ -171,12 +171,9 @@ pub fn assign_round(
     )
 }
 
-/// [`assign_round`] with the common members' VRF sortition (step 4, one
-/// evaluation per node, all independent) mapped over `executor`, every one
-/// through the round's one [`vrf::Prover`] (a fixed-base table of the
-/// round's VRF base, built before the batch). The result is identical at any
-/// worker count: evaluations come back in node order and the committees are
-/// filled serially from them.
+/// [`assign_round`] with the common members' VRF sortition mapped over
+/// `executor`: [`SortitionBase::assign`] on a base built here, its lead
+/// task empty.
 pub fn assign_round_on(
     executor: &ShardExecutor,
     registry: &NodeRegistry,
@@ -186,126 +183,183 @@ pub fn assign_round_on(
     randomness: Digest,
     reputation: &ReputationTable,
 ) -> RoundAssignment {
-    assert!(params.committees > 0, "need at least one committee");
-    // Trusted roles (referee, leader, partial set) are drawn only from
-    // `Active` members; `Syncing` joiners sit in committees as common members
-    // (they abstain from votes until caught up), and `Left` nodes never
-    // appear in `participants` at all. A fully `Active` population makes
-    // `trusted == participants`, so pre-epoch assignments are unchanged.
-    let trusted: Vec<NodeId> = participants
-        .iter()
-        .copied()
-        .filter(|&id| registry.node(id).membership.may_vote())
-        .collect();
-    let syncing: Vec<NodeId> = participants
-        .iter()
-        .copied()
-        .filter(|&id| registry.node(id).membership == MembershipState::Syncing)
-        .collect();
-    assert!(
-        trusted.len() > params.referee_size + params.committees * (1 + params.partial_set_size),
-        "not enough participants for the requested configuration"
-    );
+    let base = SortitionBase::new(round, randomness);
+    let no_lead = || ();
+    base.assign(
+        executor,
+        no_lead,
+        registry,
+        participants,
+        params,
+        reputation,
+    )
+    .0
+}
 
-    // 1. Referee committee: smallest lottery values.
-    let mut by_referee_lottery: Vec<NodeId> = trusted.clone();
-    by_referee_lottery.sort_by_cached_key(|&id| {
-        (
-            lottery_value(round, &randomness, id, "REFEREE_COMMITTEE_MEMBER"),
-            id,
-        )
-    });
-    let referee: Vec<NodeId> = by_referee_lottery[..params.referee_size].to_vec();
-    let referee_set: std::collections::HashSet<NodeId> = referee.iter().copied().collect();
+/// The part of a round's sortition fixed by its round number and randomness
+/// alone: the lottery inputs and the round's one [`vrf::Prover`] (a
+/// fixed-base table of the round's VRF base). The selection phase builds the
+/// next round's while the committees are still being configured, before the
+/// reputation update the leader choice waits on.
+pub struct SortitionBase {
+    round: u64,
+    randomness: Digest,
+    prover: vrf::Prover,
+}
 
-    // 2. Leaders: highest reputation among the remaining active participants.
-    let eligible: Vec<NodeId> = trusted
-        .iter()
-        .copied()
-        .filter(|id| !referee_set.contains(id))
-        .collect();
-    let leaders = reputation.select_leaders(&eligible, params.committees);
-    let leader_set: std::collections::HashSet<NodeId> = leaders.iter().copied().collect();
-
-    // 3. Partial sets: per-committee hash lottery over the remaining nodes.
-    let mut partial_sets: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
-    let mut remaining: Vec<NodeId> = eligible
-        .iter()
-        .copied()
-        .filter(|id| !leader_set.contains(id))
-        .collect();
-    // Sort by (lottery value) so the λ smallest per committee win determinately.
-    remaining.sort_by_cached_key(|&id| {
-        (
-            lottery_value(round, &randomness, id, "PARTIAL_SET_MEMBER"),
-            id,
-        )
-    });
-    let mut used: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-    for &id in &remaining {
-        let committee = (lottery_value(round, &randomness, id, "PARTIAL_SET_COMMITTEE")
-            % params.committees as u64) as usize;
-        if partial_sets[committee].len() < params.partial_set_size {
-            partial_sets[committee].push(id);
-            used.insert(id);
-        }
-    }
-    // Backfill any committee whose lottery under-filled (possible for tiny
-    // populations) from the unused pool, preserving lottery order.
-    for partial_set in partial_sets.iter_mut().take(params.committees) {
-        if partial_set.len() < params.partial_set_size {
-            for &id in &remaining {
-                if partial_set.len() >= params.partial_set_size {
-                    break;
-                }
-                if !used.contains(&id) {
-                    partial_set.push(id);
-                    used.insert(id);
-                }
-            }
+impl SortitionBase {
+    /// Builds the base of `round` drawn from `randomness`.
+    pub fn new(round: u64, randomness: Digest) -> SortitionBase {
+        let prover = vrf::Prover::new(&RoundAssignment::sortition_input(round, &randomness));
+        SortitionBase {
+            round,
+            randomness,
+            prover,
         }
     }
 
-    // 4. Common members: VRF-based sortition (Algorithm 1) for everyone left.
-    let input = RoundAssignment::sortition_input(round, &randomness);
-    let sortitioned: Vec<NodeId> = remaining
-        .iter()
-        .filter(|id| !used.contains(id))
-        .chain(&syncing)
-        .copied()
-        .collect();
-    let prover = vrf::Prover::new(&input);
-    let outputs = executor.map_chunked(&sortitioned, |&id| {
-        let keypair = &registry.node(id).keypair;
-        prover.evaluate(&keypair.secret, &keypair.public)
-    });
-    let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
-    for (&id, output) in sortitioned.iter().zip(&outputs) {
-        commons[vrf::output_to_committee(&output.hash, params.committees)].push(id);
+    /// The randomness `R^r` the base was drawn from.
+    pub fn randomness(&self) -> Digest {
+        self.randomness
     }
-    let proofs: Vec<(NodeId, VrfOutput)> = sortitioned.into_iter().zip(outputs).collect();
 
-    let committees = (0..params.committees)
-        .map(|k| {
-            let mut members = vec![leaders[k]];
-            members.extend_from_slice(&partial_sets[k]);
-            members.extend_from_slice(&commons[k]);
-            CommitteeAssignment {
-                index: k,
-                leader: leaders[k],
-                partial_set: partial_sets[k].clone(),
-                members,
+    /// Builds the assignment from the participant set and the current
+    /// reputation table. The common members' VRF sortition (step 4, one
+    /// evaluation per node, all independent) is mapped over `executor`, with
+    /// `lead` as the batch's first task ([`ShardExecutor::map_chunked`]);
+    /// returns the assignment and the lead's result. The assignment is
+    /// identical at any worker count: evaluations come back in node order
+    /// and the committees are filled serially from them.
+    pub fn assign<A: Send>(
+        &self,
+        executor: &ShardExecutor,
+        lead: impl FnOnce() -> A + Send,
+        registry: &NodeRegistry,
+        participants: &[NodeId],
+        params: AssignmentParams,
+        reputation: &ReputationTable,
+    ) -> (RoundAssignment, A) {
+        let (round, randomness) = (self.round, self.randomness);
+        assert!(params.committees > 0, "need at least one committee");
+        // Trusted roles (referee, leader, partial set) are drawn only from
+        // `Active` members; `Syncing` joiners sit in committees as common members
+        // (they abstain from votes until caught up), and `Left` nodes never
+        // appear in `participants` at all. A fully `Active` population makes
+        // `trusted == participants`, so pre-epoch assignments are unchanged.
+        let trusted: Vec<NodeId> = participants
+            .iter()
+            .copied()
+            .filter(|&id| registry.node(id).membership.may_vote())
+            .collect();
+        let syncing: Vec<NodeId> = participants
+            .iter()
+            .copied()
+            .filter(|&id| registry.node(id).membership == MembershipState::Syncing)
+            .collect();
+        assert!(
+            trusted.len() > params.referee_size + params.committees * (1 + params.partial_set_size),
+            "not enough participants for the requested configuration"
+        );
+
+        // 1. Referee committee: smallest lottery values.
+        let mut by_referee_lottery: Vec<NodeId> = trusted.clone();
+        by_referee_lottery.sort_by_cached_key(|&id| {
+            (
+                lottery_value(round, &randomness, id, "REFEREE_COMMITTEE_MEMBER"),
+                id,
+            )
+        });
+        let referee: Vec<NodeId> = by_referee_lottery[..params.referee_size].to_vec();
+        let referee_set: std::collections::HashSet<NodeId> = referee.iter().copied().collect();
+
+        // 2. Leaders: highest reputation among the remaining active participants.
+        let eligible: Vec<NodeId> = trusted
+            .iter()
+            .copied()
+            .filter(|id| !referee_set.contains(id))
+            .collect();
+        let leaders = reputation.select_leaders(&eligible, params.committees);
+        let leader_set: std::collections::HashSet<NodeId> = leaders.iter().copied().collect();
+
+        // 3. Partial sets: per-committee hash lottery over the remaining nodes.
+        let mut partial_sets: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
+        let mut remaining: Vec<NodeId> = eligible
+            .iter()
+            .copied()
+            .filter(|id| !leader_set.contains(id))
+            .collect();
+        // Sort by (lottery value) so the λ smallest per committee win determinately.
+        remaining.sort_by_cached_key(|&id| {
+            (
+                lottery_value(round, &randomness, id, "PARTIAL_SET_MEMBER"),
+                id,
+            )
+        });
+        let mut used: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
+        for &id in &remaining {
+            let committee = (lottery_value(round, &randomness, id, "PARTIAL_SET_COMMITTEE")
+                % params.committees as u64) as usize;
+            if partial_sets[committee].len() < params.partial_set_size {
+                partial_sets[committee].push(id);
+                used.insert(id);
             }
-        })
-        .collect();
+        }
+        // Backfill any committee whose lottery under-filled (possible for tiny
+        // populations) from the unused pool, preserving lottery order.
+        for partial_set in partial_sets.iter_mut().take(params.committees) {
+            if partial_set.len() < params.partial_set_size {
+                for &id in &remaining {
+                    if partial_set.len() >= params.partial_set_size {
+                        break;
+                    }
+                    if !used.contains(&id) {
+                        partial_set.push(id);
+                        used.insert(id);
+                    }
+                }
+            }
+        }
 
-    RoundAssignment {
-        round,
-        sortition_round: round,
-        randomness,
-        referee,
-        committees,
-        sortition_proofs: proofs,
+        // 4. Common members: VRF-based sortition (Algorithm 1) for everyone left.
+        let sortitioned: Vec<NodeId> = remaining
+            .iter()
+            .filter(|id| !used.contains(id))
+            .chain(&syncing)
+            .copied()
+            .collect();
+        let (led, outputs) = executor.map_chunked(lead, &sortitioned, |&id| {
+            let keypair = &registry.node(id).keypair;
+            self.prover.evaluate(&keypair.secret, &keypair.public)
+        });
+        let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
+        for (&id, output) in sortitioned.iter().zip(&outputs) {
+            commons[vrf::output_to_committee(&output.hash, params.committees)].push(id);
+        }
+        let proofs: Vec<(NodeId, VrfOutput)> = sortitioned.into_iter().zip(outputs).collect();
+
+        let committees = (0..params.committees)
+            .map(|k| {
+                let mut members = vec![leaders[k]];
+                members.extend_from_slice(&partial_sets[k]);
+                members.extend_from_slice(&commons[k]);
+                CommitteeAssignment {
+                    index: k,
+                    leader: leaders[k],
+                    partial_set: partial_sets[k].clone(),
+                    members,
+                }
+            })
+            .collect();
+
+        let assignment = RoundAssignment {
+            round,
+            sortition_round: round,
+            randomness,
+            referee,
+            committees,
+            sortition_proofs: proofs,
+        };
+        (assignment, led)
     }
 }
 

@@ -26,8 +26,8 @@ full recipe).
 
 Default mode (no arguments) gates wall-clock round throughput on
 ``gen_bench_round --smoke`` (the tracked configuration: 8x16, one worker):
-``rounds_per_sec``, ``allocations_per_round``, ``messages_per_round`` and
-``bytes_per_round`` of ``smoke_1_worker``
+``rounds_per_sec``, ``allocations_per_round``, ``messages_per_round``,
+``bytes_per_round`` and ``batches_per_round`` of ``smoke_1_worker``
 (plain rounds) and ``smoke_epoch_1_worker`` (``epoch_length=2``, so every
 second round pays the full boundary: beacon, churn, state sync,
 reshuffle) against ``BENCH_round.json``'s ``verified`` series. The same run
@@ -64,11 +64,13 @@ the real gate runs. The moves are written from what each metric
 means, not from the row's direction, so a row whose direction is flipped
 or whose cap is loosened fails here. CI runs it before each gate.
 
-Allocation counts come from the counting global allocator and envelope
-counts from the rounds' reports; both are exact, so the round gate's
-``allocations_per_round``, ``messages_per_round`` and ``bytes_per_round``
-rows carry a 1% tolerance. An envelope a phase stops sending (or starts
-sending again) moves the last two by thousands.
+Allocation counts come from the counting global allocator, envelope counts
+from the rounds' reports and batch counts from the executor (which counts a
+batch it runs inline too); all are exact, so the round gate's
+``allocations_per_round``, ``messages_per_round``, ``bytes_per_round`` and
+``batches_per_round`` rows carry a 1% tolerance. An envelope a phase stops
+sending (or starts sending again) moves the middle two by thousands; a phase
+that falls back onto an executor barrier of its own moves the last by one.
 Rounds/sec is wall clock, so the default tolerance absorbs runner noise.
 Override it with ``PERF_GATE_TOLERANCE=0.35`` etc. if a shared runner proves
 noisier; the exact rows keep theirs.
@@ -153,7 +155,12 @@ GATES = {
             *(
                 exact_row(series, metric)
                 for series in ("plain", "epoch")
-                for metric in ("allocations_per_round", "messages_per_round", "bytes_per_round")
+                for metric in (
+                    "allocations_per_round",
+                    "messages_per_round",
+                    "bytes_per_round",
+                    "batches_per_round",
+                )
             ),
             Row("parallel.speedup", parallel_speedup, 1.25, "higher"),
         ),
@@ -218,6 +225,8 @@ SELF_TEST = {
     "plain.bytes_per_round": EXACT,
     "epoch.messages_per_round": EXACT,
     "epoch.bytes_per_round": EXACT,
+    "plain.batches_per_round": EXACT,
+    "epoch.batches_per_round": EXACT,
     "parallel.speedup": (1.2, 1.6),
     "tracked.p99_us": (UP, DOWN),
     "sweep.saturated_tps": (DOWN, UP),

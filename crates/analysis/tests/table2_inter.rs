@@ -1,11 +1,11 @@
 //! Table II's inter-committee row, re-derived from `MetricsSink` counters
 //! instead of the closed form: with every one of the `m(m−1)` shard pairs
-//! carrying traffic, what one node *sends* in the phase is `O(c)` for a
-//! common member — one Algorithm 3 instance, its destination side's,
-//! whatever `m` is (the source side rides the intra certificate), so
-//! `O(c + m)` with room to spare, not the `O(m·c)` of one instance per pair —
-//! and grows linearly in `m` for a key member (the leader's `m−1` forwards
-//! and `m−1` replies).
+//! carrying traffic, a common member sends nothing in the phase — its
+//! committee voted on its outbound transactions in the intra phase, and a
+//! destination admits a forward without a vote or an instance — well inside
+//! the closed form's `O(m)`, not the `O(m·c)` of one instance per pair; a
+//! key member's sends grow linearly in `m` (the leader's `m−1` forwards, each
+//! to the destination's leader and partial set).
 //!
 //! The intra-committee and recovery rows by the same method, exactly: every
 //! leg of those phases is an envelope on the network, so the counted sends of
@@ -71,18 +71,8 @@ fn inter_phase_sends_have_the_shape_table2_states() {
         "common {common_4:.1} {common_8:.1} {common_16:.1}; key {key_4:.1} {key_8:.1} {key_16:.1}"
     );
 
-    // Common members: doubling m at fixed c moves their sends by < 15 % —
-    // one instance's worth of echoes, `c−1` plus a vote and a confirm.
-    for (small, large) in [(common_4, common_8), (common_8, common_16)] {
-        assert!(
-            large < 1.15 * small,
-            "common-member sends {small:.1} -> {large:.1}"
-        );
-    }
-    assert!(
-        common_16 < 3.0 * C as f64,
-        "O(c): {common_16:.1} sends at c = {C}"
-    );
+    // Common members take no part in the phase, at any m.
+    assert_eq!([common_4, common_8, common_16], [0.0; 3]);
 
     // Key members: linear in m — each doubling adds twice what the last did.
     let (first, second) = (key_8 - key_4, key_16 - key_8);
@@ -92,7 +82,7 @@ fn inter_phase_sends_have_the_shape_table2_states() {
     );
 
     // The closed form agrees on who grows: its key-member entry is O(n) at
-    // fixed c, its common-member entry no more than O(m).
+    // fixed c; its common-member entry is an upper bound the counters meet.
     let predicted = |role, m| {
         table2_prediction(PHASE, role, SystemSize::from_committees(m, C as u64)).communication
     };
@@ -100,10 +90,7 @@ fn inter_phase_sends_have_the_shape_table2_states() {
         predicted(RoleClass::KeyMember, 16) / predicted(RoleClass::KeyMember, 8),
         2.0
     );
-    assert!(
-        common_16 / common_8
-            <= predicted(RoleClass::CommonMember, 16) / predicted(RoleClass::CommonMember, 8)
-    );
+    assert!(common_16 <= predicted(RoleClass::CommonMember, 16));
 }
 
 /// Envelopes sent in the intra-committee and recovery phases of one round of

@@ -84,15 +84,6 @@ pub enum CommitteeMessage {
         /// Number of forwarded transactions.
         count: u32,
     },
-    /// Destination leader → input leader: the certified vote result.
-    ListReply {
-        /// Input shard.
-        input: u32,
-        /// Output shard.
-        output: u32,
-        /// Number of accepted transactions.
-        accepted: u32,
-    },
     /// Recovery prosecutor → committee: an accusation against the leader.
     Accusation {
         /// Committee the accusation concerns.

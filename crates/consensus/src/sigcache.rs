@@ -17,13 +17,12 @@
 //! `O(C)` distinct verifications instead of `O(C²)`.
 //!
 //! **One memo per instance, carried with its certificate.** The receivers of
-//! a quorum certificate — the referee, a destination committee, a source
-//! taking its reply — are receivers of the same CONFIRM signatures the
-//! instance's leader checked to form it, so the rule does not stop at the
-//! instance's edge: when the instance ends, [`SigCache::into_verdicts`]
-//! detaches the table as a plain [`Verdicts`] value that travels beside the
-//! certificate (worker thread to driver thread included), and the receiver
-//! wraps it again ([`SigCache::from`]) for
+//! a quorum certificate — the referee above all — are receivers of the same
+//! CONFIRM signatures the instance's leader checked to form it, so the rule
+//! does not stop at the instance's edge: when the instance ends,
+//! [`SigCache::into_verdicts`] detaches the table as a plain [`Verdicts`]
+//! value that travels beside the certificate (worker thread to driver thread
+//! included), and the receiver wraps it again ([`SigCache::from`]) for
 //! [`QuorumCertificate::verify_memoized`](crate::quorum::QuorumCertificate::verify_memoized).
 //! A signature the instance verified costs the receiver a lookup; one it
 //! never saw — tampered, swapped, replayed from another instance, forged — is

@@ -156,12 +156,11 @@ pub struct Paper;
 impl Rules for Paper {}
 
 /// Whether a committee admits one leaf of another committee's certified
-/// vector — the `V List` at the referee (§IV-C), a forwarded `TXList_{i,j}`
-/// at the destination, or the returned vote result at the source (§IV-D).
-/// All four facts must hold: the certificate names the expected instance
-/// (the intra attempt or the destination side, at this round), its digest
-/// commits to the carried Merkle root (or, for a one-leaf vector, to the leaf
-/// itself), the proof links the leaf the receiver recomputed from what it was
+/// vector — the `V List` or an outbound leaf at the referee (§IV-C), or a
+/// forwarded `TXList_{i,j}` at the destination (§IV-D). All four facts must
+/// hold: the certificate names the expected instance (the intra attempt, at
+/// this round), its digest commits to the carried Merkle root (or, for a
+/// one-leaf vector, to the leaf itself), the proof links the leaf the receiver recomputed from what it was
 /// handed to that root, and the certificate itself is valid at the sender
 /// committee's majority threshold.
 pub const fn certified_leaf_admissible(

@@ -396,7 +396,7 @@ impl<M> SimNetwork<M> {
     /// nobody waits on the delivery, so pumping them through the event queue
     /// would add nothing. Any leg a timeout, a tally or a quorum waits on
     /// (TXList and votes, accusations and impeachment votes, cross-shard
-    /// forwards and replies) is a real envelope (`send`), so a fault plan can
+    /// forwards) is a real envelope (`send`), so a fault plan can
     /// hit it and Table II's rows count what was sent.
     pub fn account_message(&mut self, from: NodeId, to: NodeId, bytes: u64) {
         self.metrics.record_message(self.phase, from, to, bytes);

@@ -122,9 +122,9 @@ pub struct InsideConsensusOutcome {
 /// Non-leader members that are malicious or still `Syncing` are seated mute
 /// ([`Seats::mute`]). Generic over the envelope type: the phases whose whole
 /// exchange is the instance (semi-commitment, block generation)
-/// and the benches run it over a plain [`Alg3Message`] network, the intra-
-/// and inter-committee phases over a
-/// [`cycledger_consensus::envelope::CommitteeMessage`] network, whose other
+/// and the benches run it over a plain [`Alg3Message`] network, the intra
+/// phase over a [`cycledger_consensus::envelope::CommitteeMessage`] network,
+/// whose other
 /// envelopes still in flight — e.g. late vote replies — are drained and
 /// ignored. A network whose fault plan severs part of the committee simply
 /// yields fewer CONFIRMs and possibly no certificate — the caller's recovery

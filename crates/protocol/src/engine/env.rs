@@ -87,8 +87,6 @@ pub enum Task {
     /// Committee `k` forwards its outbound cross-shard lists under its intra
     /// certificate. No Algorithm 3 instance.
     Source(usize),
-    /// Committee `k` votes on, certifies and returns its inbound lists.
-    Destination(usize),
     /// The referee committee agrees on the block.
     Block,
     /// `member`'s state-sync session. It runs between rounds, so it uses the
@@ -155,15 +153,6 @@ impl Task {
             Task::Source(k) => {
                 let salt = (round << 16) ^ ((2_000 + k as u64) << 16);
                 row(InterCommitteeConsensus, None, salt, true)
-            }
-            Task::Destination(k) => {
-                let seq = 3_000 + k as u64;
-                row(
-                    InterCommitteeConsensus,
-                    Some(seq),
-                    (round << 16) ^ (seq << 16),
-                    true,
-                )
             }
             Task::Block => row(BlockGeneration, Some(9_000), (round << 32) ^ 0xb10c, false),
             // The label is the network's default: a session's sink is never
@@ -326,11 +315,6 @@ mod tests {
                 let seed = (s ^ (r << 16)) ^ (seq << 16);
                 (Phase::InterCommitteeConsensus, None, seed)
             }
-            Task::Destination(k) => {
-                let seq = 3_000 + k as u64;
-                let seed = (s ^ (r << 16)) ^ (seq << 16);
-                (Phase::InterCommitteeConsensus, Some(seq), seed)
-            }
             // pipeline.rs: `config.seed ^ (round << 32)`, then
             // block_generation.rs: `seed ^ 0xb10c`, `seq: 9_000`.
             Task::Block => (
@@ -362,7 +346,7 @@ mod tests {
                 attempt,
                 committee: k,
             }));
-            tasks.extend([Task::Source(k), Task::Destination(k)]);
+            tasks.push(Task::Source(k));
             let member = NodeId(k as u32);
             tasks.push(Task::Sync { member });
         }
@@ -443,8 +427,8 @@ mod tests {
             .collect();
         let distinct: std::collections::HashSet<_> = instances.iter().collect();
         assert_eq!(distinct.len(), instances.len());
-        // Both attempts of every committee, its destination side, C_R's two.
-        assert_eq!(instances.len(), 64 * 3 + 2);
+        // Both attempts of every committee and C_R's two.
+        assert_eq!(instances.len(), 64 * 2 + 2);
     }
 
     #[test]

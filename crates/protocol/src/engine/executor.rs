@@ -15,8 +15,8 @@
 //!   semi-commitment instance;
 //! * **block application** — one task per shard, the SMT commit included.
 //!
-//! Cross-shard traffic adds the inter phase's two per-committee batches
-//! (sources, then destinations). Every batch returns its results in index
+//! Cross-shard traffic adds the inter phase's batch, one task per source
+//! committee. Every batch returns its results in index
 //! order, the lead task's beside them.
 //!
 //! # Determinism

@@ -1,16 +1,17 @@
 //! Phase 4 — inter-committee consensus (§IV-D, Lemmas 6 & 7): what the phase
 //! reports. The phase itself is `phases/xshard.rs`.
 //!
-//! Each input committee's outbound lists are leaves of the vector its intra
-//! instance certified (phase 3: leaf 0 its `V List`), so it runs no
-//! Algorithm 3 instance here: it forwards every list, with a Merkle proof and
-//! that one certificate, to the destination's leader and partial set; each
-//! destination votes once over everything it admitted, agrees once on the
-//! per-source results, and returns them. Forwards and replies travel the
-//! key-member mesh under a [`list_deadline`]; a destination's partial set
-//! relays a list its leader is still missing at `2Γ`, and a forward that
-//! misses the deadline anyway defers that pair's transactions to a later
-//! round.
+//! Each input committee voted on its outbound transactions in its intra vote
+//! (phase 3), against the shard that owns their inputs, and its intra
+//! instance certified what that vote accepted as the leaves of its vector
+//! (leaf 0 its `V List`). So the phase runs no vote and no Algorithm 3
+//! instance: the input committee forwards every accepted list, with a Merkle
+//! proof and that one certificate, to the destination's leader and partial
+//! set, and the destination admits it against the certificate. Forwards
+//! travel the key-member mesh under a [`list_deadline`]; a destination's
+//! partial set relays a list its leader is still missing at `2Γ`, and a
+//! forward that misses the deadline anyway defers that pair's transactions
+//! to a later round.
 //!
 //! Two leader attacks are modelled: a **censoring** input-committee leader
 //! withholds the certified lists, and after the `2Γ` timeout an honest member
@@ -20,7 +21,6 @@
 //! ever reported, and only when it really withheld.
 
 use cycledger_consensus::impeach::Accusation;
-use cycledger_consensus::witness::EquivocationEvidence;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_net::latency::LatencyConfig;
 use cycledger_net::time::SimDuration;
@@ -65,15 +65,11 @@ impl CensorshipReport {
 /// Outcome of the inter-committee consensus phase.
 #[derive(Clone, Debug, Default)]
 pub struct InterOutcome {
-    /// Cross-shard transactions accepted by both sides, per input committee.
+    /// Cross-shard transactions the input committee accepted and the
+    /// destination admitted, per input committee.
     pub accepted: Vec<Vec<Transaction>>,
     /// Censorship reports, one per censoring leader.
     pub censorship_reports: Vec<CensorshipReport>,
-    /// Equivocation evidence surfaced while agreeing on cross-shard vectors.
-    pub equivocation: Vec<EquivocationEvidence>,
     /// Extra latency incurred by `2Γ` timeouts (microseconds of simulated time).
     pub timeout_delays: u64,
-    /// Algorithm 3 instances started: one per destination committee (a
-    /// source's lists ride its intra certificate).
-    pub alg3_instances: usize,
 }

@@ -10,12 +10,15 @@
 //! so the referee re-derives the first two from it and the reputation update
 //! needs no certificate of its own.
 //!
-//! A committee with outbound cross-shard lists certifies them in the same
-//! instance: it agrees on the root of its vector (`xshard::intra_vector`:
-//! leaf 0 the `V List`, then one leaf per list in ascending destination
-//! order), the leader announcing the `V List` and the outbound ids beside
-//! the root, and the inter phase forwards the lists under this one
-//! certificate.
+//! A committee with outbound cross-shard lists votes on them in the same
+//! vote, as the `V List`'s last columns in outbound-vector order: the
+//! committee owns their inputs, so only it sees every competing spend. Its
+//! instance agrees on the root of its vector (`xshard::intra_vector`: leaf 0
+//! the `V List`, then one leaf per list in ascending destination order, over
+//! the part of the list the tally accepted), the leader announcing the
+//! `V List` beside the root, and the inter phase forwards the accepted lists
+//! under this one certificate. The `TXdecSET` covers the offered columns
+//! only; the outbound ones are certified but not scored.
 //!
 //! Every interaction is a typed [`CommitteeMessage`] envelope through the
 //! network [`RoundEnv::open`] builds for the task, under the round's fault
@@ -62,7 +65,7 @@ use crate::committee::{run_inside_consensus, Committee};
 use crate::engine::arena::ShardScratch;
 use crate::engine::env::{Books, PlaneCounters, RoundEnv, Task};
 use crate::node::{NodeRegistry, SimNode};
-use crate::phases::xshard::{intra_vector, proof_bytes, PairList};
+use crate::phases::xshard::{accepted_lists, intra_vector, proof_bytes, PairList};
 
 /// Timer key: the leader's vote-collection deadline.
 const VOTE_TIMER: u64 = 1;
@@ -82,11 +85,15 @@ pub struct IntraOutcome {
     pub committee: usize,
     /// Transactions the committee accepted (its `TXdecSET`).
     pub decided: Vec<Transaction>,
-    /// Every member's votes: the `V List` the certificate covers, which the
-    /// reputation update scores.
+    /// Every member's votes: the `V List` the certificate covers. Its first
+    /// `offered` columns are the shard's own transactions, which the
+    /// reputation update scores; the rest are its outbound ones, list after
+    /// list in outbound-vector order.
     pub vote_list: VoteList,
+    /// How many of the `V List`'s columns are offered transactions.
+    pub offered: usize,
     /// The consensus decision vector (+1 accepted / −1 rejected): the
-    /// `V List`'s tally.
+    /// `V List`'s tally, over every column.
     pub decision: Vec<i8>,
     /// Certificate over the `V List` — or, with outbound lists, over the
     /// root of `vector` — if Algorithm 3 completed.
@@ -109,13 +116,24 @@ pub struct IntraOutcome {
     pub books: Books,
 }
 
-/// Evaluates `V` for every offered transaction into `validity` (cleared
-/// first). Runs once per committee per round; every member's vote derives
-/// from this shared table.
-pub fn precompute_validity(utxo: &UtxoSet, txs: &[GeneratedTx], validity: &mut Vec<bool>) {
+impl IntraOutcome {
+    /// The decisions on the committee's outbound transactions, list after
+    /// list in outbound-vector order.
+    pub fn outbound_decision(&self) -> &[i8] {
+        &self.decision[self.offered..]
+    }
+}
+
+/// Evaluates `V` against `utxo` for every transaction of `txs` into
+/// `validity` (cleared first). Runs once per committee per round; every
+/// member's vote derives from this shared table.
+pub fn precompute_validity<'a>(
+    utxo: &UtxoSet,
+    txs: impl IntoIterator<Item = &'a GeneratedTx>,
+    validity: &mut Vec<bool>,
+) {
     validity.clear();
-    validity.reserve(txs.len());
-    validity.extend(txs.iter().map(|g| utxo.validate(&g.tx).is_ok()));
+    validity.extend(txs.into_iter().map(|g| utxo.validate(&g.tx).is_ok()));
 }
 
 /// Casts one member's votes given the precomputed ground-truth validity of
@@ -130,10 +148,7 @@ pub fn votes_from_validity(
 }
 
 /// [`votes_from_validity`]'s votes of `node`, one by one.
-pub(crate) fn member_votes<'a>(
-    node: &'a SimNode,
-    validity: &'a [bool],
-) -> impl Iterator<Item = Vote> + 'a {
+fn member_votes<'a>(node: &'a SimNode, validity: &'a [bool]) -> impl Iterator<Item = Vote> + 'a {
     let capacity = node.compute_capacity as usize;
     validity.iter().enumerate().map(move |(i, &valid)| {
         if node.behavior == Behavior::LazyVoter {
@@ -157,23 +172,21 @@ pub(crate) fn member_votes<'a>(
 }
 
 /// Announces a `TXList` to `committee` and collects vote replies under the
-/// `4Δ` deadline — the transport of this phase's and of the inter-committee
-/// phase's destination side's vote, over the transactions `list` names. It
-/// pumps the network and feeds a [`VoteCollector`], which decides what
-/// counts (inclusive deadline, seated voters), backfills the rows still
+/// `4Δ` deadline, over the transactions `list` names. It pumps the network
+/// and feeds a [`VoteCollector`], which decides what counts (inclusive
+/// deadline, seated voters), backfills the rows still
 /// missing when the timer fires (§IV-C step 4 — the quorum-timeout fallback)
 /// and tallies; members answer through [`member_reply`] when the
 /// announcement reaches them. Returns the collection and what it counted
 /// missing. Any unexpired deadline timer or late vote reply left in flight is
 /// consumed and ignored by the caller's subsequent Algorithm 3 run and the
 /// closing drain.
-pub(crate) fn collect_votes_under_deadline(
+fn collect_votes_under_deadline(
     net: &mut SimNetwork<CommitteeMessage>,
     env: &RoundEnv<'_>,
     committee: &Committee,
     votes_of: &dyn Fn(NodeId) -> Vec<Vote>,
     announce_bytes: u64,
-    record_storage: bool,
     list: VoteList,
 ) -> (Collected, PlaneCounters) {
     let may_vote = |member: NodeId| env.registry.node(member).membership.may_vote();
@@ -195,9 +208,7 @@ pub(crate) fn collect_votes_under_deadline(
             );
         }
     }
-    if record_storage {
-        net.record_storage(leader, count as u64);
-    }
+    net.record_storage(leader, count as u64);
     let timer = net.schedule_timer(vote_deadline(&env.config.latency), VOTE_TIMER);
     let seats = &committee.members;
     let mut collector: VoteCollector<'_> =
@@ -212,10 +223,8 @@ pub(crate) fn collect_votes_under_deadline(
                         counters.syncing_abstentions += 1;
                         continue;
                     };
-                    if record_storage {
-                        // Common members only keep their own opinion.
-                        net.record_storage(msg.to, count as u64);
-                    }
+                    // Common members only keep their own opinion.
+                    net.record_storage(msg.to, count as u64);
                     let bytes = vector.wire_size() + 96;
                     net.send(
                         msg.to,
@@ -251,8 +260,9 @@ pub(crate) fn collect_votes_under_deadline(
 }
 
 /// Runs intra-committee consensus for one committee over its shard's
-/// transactions and its `outbound` cross-shard lists — `retry` for the second
-/// attempt of the round, under a leader a recovery installed — every message
+/// `offered` transactions and its `outbound` cross-shard lists, voted on
+/// together against `utxo` — `retry` for the second attempt of the round,
+/// under a leader a recovery installed — every message
 /// (`TXList` announcement, vote replies, the Algorithm 3 exchange, the
 /// certificate forward) travelling through the task's network under the
 /// round's plan. Pure — own network, own books — so committees run on worker
@@ -275,15 +285,21 @@ pub fn run_intra_consensus(
     let registry = env.registry;
     let leader = committee.leader;
     let leader_behavior = registry.node(leader).behavior;
-    let vote_list = VoteList::new(offered.iter().map(|g| g.tx.id()).collect());
+    let outbound_txs = outbound.iter().flat_map(|list| list.txs.iter().copied());
+    let columns = offered.iter().chain(outbound_txs);
+    let outbound_count: usize = outbound.iter().map(|list| list.txs.len()).sum();
+    let mut ids = Vec::with_capacity(offered.len() + outbound_count);
+    ids.extend(columns.clone().map(|g| g.tx.id()));
+    let vote_list = VoteList::new(ids);
 
     if leader_behavior == Behavior::SilentLeader {
         // No TXList is ever broadcast; members have nothing to vote on.
         return IntraOutcome {
             committee: committee.index,
             decided: Vec::new(),
+            decision: vec![-1; vote_list.tx_ids.len()],
             vote_list,
-            decision: vec![-1; offered.len()],
+            offered: offered.len(),
             certificate: None,
             vector: None,
             retry,
@@ -294,19 +310,19 @@ pub fn run_intra_consensus(
         };
     }
 
-    // 1-2. The leader announces the TXList as real envelopes and collects
-    //      vote replies under the 4Δ deadline. Ground truth is computed once
-    //      per committee; each member derives its votes from the shared
+    // 1-2. The leader announces the TXList — the offered and the outbound
+    //      bodies — as real envelopes and collects vote replies under the 4Δ
+    //      deadline. Ground truth is computed once per committee, against
+    //      its own shard; each member derives its votes from the shared
     //      table *when the announcement reaches it*.
-    precompute_validity(utxo, offered, &mut scratch.validity);
-    let txlist_bytes: u64 = offered.iter().map(|g| g.tx.wire_size()).sum::<u64>() + 96;
+    precompute_validity(utxo, columns.clone(), &mut scratch.validity);
+    let txlist_bytes: u64 = columns.map(|g| g.tx.wire_size()).sum::<u64>() + 96;
     let (collected, votes) = collect_votes_under_deadline(
         &mut net,
         env,
         committee,
         &|member| votes_from_validity(registry, member, &scratch.validity),
         txlist_bytes,
-        true,
         vote_list,
     );
     let Collected {
@@ -316,22 +332,23 @@ pub fn run_intra_consensus(
     } = collected;
 
     // 3. The leader runs Algorithm 3 over the V List it tallied — or, with
-    //    outbound lists, over the root of the vector it leads — on the same
-    //    network.
-    let decided: Vec<Transaction> = tally
-        .accepted_indices
+    //    outbound lists, over the root of the vector it leads, whose leaves
+    //    are the sub-lists the tally accepted — on the same network.
+    let indices = &tally.accepted_indices;
+    let offered_accepted = &indices[..indices.partition_point(|&i| i < offered.len())];
+    let decided: Vec<Transaction> = offered_accepted
         .iter()
         .map(|&i| offered[i].tx.clone())
         .collect();
     let payload = vote_list.to_payload();
     // What the forward adds to the decided bodies (whose ids a receiver
-    // hashes for itself): the header, the other offered ids and the rows.
+    // hashes for itself): the header, the other ids and the rows.
     let rows_bytes = (payload.len() - 32 * decided.len()) as u64;
-    let vector = intra_vector(&payload, outbound);
-    // What the leader announces beside a root: the V List and the outbound
-    // ids the members rebuild the other leaves from.
-    let outbound_ids: usize = outbound.iter().map(|list| list.txs.len()).sum();
-    let beside_root = (payload.len() + 32 * outbound_ids) as u64;
+    let accepted = accepted_lists(outbound, &tally.decision[offered.len()..]);
+    let vector = intra_vector(&payload, &accepted);
+    // What the leader announces beside a root: the V List, from which the
+    // members rebuild the other leaves.
+    let beside_root = payload.len() as u64;
     let proposal = match &vector {
         Some(tree) => tree.root().as_bytes().to_vec(),
         None => payload,
@@ -383,6 +400,7 @@ pub fn run_intra_consensus(
         committee: committee.index,
         decided,
         vote_list,
+        offered: offered.len(),
         decision: tally.decision,
         certificate: consensus.certificate,
         vector,

@@ -20,16 +20,18 @@ use cycledger_reputation::{cosine_score, ReputationTable};
 
 use crate::committee::Committee;
 
-/// Computes every member's cosine score from a vote list and decision vector.
+/// Computes every member's cosine score from a vote list and decision vector,
+/// over the list's first `decision.len()` columns.
 pub fn score_committee(vote_list: &VoteList, decision: &[i8]) -> Vec<(NodeId, f64)> {
     // One {+1, −1, 0} buffer refilled per voter.
     let mut votes: Vec<i8> = Vec::with_capacity(decision.len());
+    let columns = decision.len();
     vote_list
         .votes
         .iter()
         .map(|vector| {
             votes.clear();
-            votes.extend(vector.votes.iter().map(|v| v.as_i8()));
+            votes.extend(vector.votes.iter().take(columns).map(|v| v.as_i8()));
             (vector.voter, cosine_score(&votes, decision))
         })
         .collect()
@@ -37,9 +39,11 @@ pub fn score_committee(vote_list: &VoteList, decision: &[i8]) -> Vec<(NodeId, f6
 
 /// Applies the round's scores to `reputation`: for each committee
 /// `(k, V List, decision, admitted)` in the order given whose certificate the
-/// referee admitted, every member's score, then `leader_bonus` to
-/// `committees[k].leader` — the leader as it stands after the
-/// inter-committee phase. A committee offered nothing scores nobody.
+/// referee admitted, every member's score over the columns `decision` covers
+/// (the offered ones: a `V List`'s outbound columns are certified but not
+/// scored), then `leader_bonus` to `committees[k].leader` — the leader as it
+/// stands after the inter-committee phase. A committee offered nothing
+/// scores nobody.
 pub fn run_reputation_update<'a>(
     inputs: impl IntoIterator<Item = (usize, &'a VoteList, &'a [i8], bool)>,
     committees: &[Committee],
@@ -47,7 +51,7 @@ pub fn run_reputation_update<'a>(
     reputation: &mut ReputationTable,
 ) {
     for (k, vote_list, decision, admitted) in inputs {
-        if !admitted || vote_list.tx_ids.is_empty() {
+        if !admitted || decision.is_empty() {
             continue;
         }
         for (node, score) in score_committee(vote_list, decision) {

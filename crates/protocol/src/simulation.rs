@@ -1129,14 +1129,14 @@ mod tests {
     /// round's beacon, PoW admissions and VRF table), intra consensus, the
     /// sortition (led by the referee's semi-commitment instance) and block
     /// application with the SMT commit; cross-shard traffic adds the inter
-    /// phase's sources and destinations. A batch with no task is not one.
+    /// phase's sources. A batch with no task is not one.
     #[test]
-    fn a_fault_free_round_runs_four_batches_and_cross_shard_traffic_adds_two() {
+    fn a_fault_free_round_runs_four_batches_and_cross_shard_traffic_adds_one() {
         use cycledger_ledger::StateBackend;
         for (cross_shard_ratio, state_backend, batches) in [
             (0.0, StateBackend::Map, 4),
-            (0.2, StateBackend::Map, 6),
-            (0.2, StateBackend::Smt, 6),
+            (0.2, StateBackend::Map, 5),
+            (0.2, StateBackend::Smt, 5),
         ] {
             for workers in [1, 2] {
                 let config = ProtocolConfig {

@@ -329,7 +329,6 @@ fn every_task_kinds_books_reconcile_under_a_lossy_plan() {
             committee: 1,
         },
         Task::Source(1),
-        Task::Destination(1),
         Task::Block,
     ];
     for task in kinds {

@@ -7,8 +7,14 @@ use cycledger::consensus::{semi_commitment, CommitmentMismatchEvidence, Witness}
 use cycledger::crypto::pvss;
 use cycledger::crypto::scalar::Scalar;
 use cycledger::crypto::schnorr::{sign, Keypair};
-use cycledger::net::NodeId;
-use cycledger::protocol::{AdversaryConfig, Behavior, ProtocolConfig, Simulation};
+use cycledger::ledger::{
+    AccountId, GeneratedTx, Transaction, TxOutput, UtxoSet, Workload, WorkloadConfig,
+};
+use cycledger::net::{FaultPlan, NodeId};
+use cycledger::protocol::engine::{run_pipeline_observed, standard_pipeline, RoundArena, RoundEnv};
+use cycledger::protocol::{
+    AdversaryConfig, Behavior, Committee, ProtocolConfig, RoundContext, RoundObserver, Simulation,
+};
 
 fn config(seed: u64) -> ProtocolConfig {
     ProtocolConfig {
@@ -176,5 +182,113 @@ fn theorem8_cross_shard_safety_under_censoring_leaders() {
     assert!(
         report.txs_packed_cross_shard > 0,
         "cross-shard transactions still complete via the partial set (Lemma 6)"
+    );
+}
+
+/// `invalid` with its payee moved to another shard. The closed-loop
+/// generator keeps an invalid transaction inside its input's shard, so this
+/// is what makes it cross-shard.
+fn paying_another_shard(invalid: GeneratedTx, m: usize) -> GeneratedTx {
+    let source = invalid.tx.inputs()[0].owner.shard(m);
+    let payee = (0..).map(AccountId).find(|a| a.shard(m) != source).unwrap();
+    let pay = |output: &TxOutput| TxOutput {
+        owner: payee,
+        ..*output
+    };
+    let outputs = invalid.tx.outputs().iter().map(pay).collect();
+    let tx = Transaction::new(invalid.tx.inputs().to_vec(), outputs, invalid.tx.nonce());
+    GeneratedTx { tx, ..invalid }
+}
+
+/// What the inter-committee phase accepted, checked against the state it
+/// was accepted on: every cross-shard transaction offered, and how many of
+/// them were invalid at their source shard and how many of those accepted.
+#[derive(Default)]
+struct CrossShardAudit {
+    offered_invalid: usize,
+    accepted: usize,
+    accepted_invalid: usize,
+}
+
+impl RoundObserver for CrossShardAudit {
+    fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+        if phase != "inter-consensus" {
+            return;
+        }
+        let sets: &[UtxoSet] = ctx.utxo_sets;
+        let m = sets.len();
+        let invalid = |tx: &Transaction| sets[tx.inputs()[0].owner.shard(m)].validate(tx).is_err();
+        self.offered_invalid = ctx.cross_shard.iter().filter(|g| invalid(&g.tx)).count();
+        let inter = ctx.inter.as_ref().expect("the phase ran");
+        let accepted = inter.accepted.iter().flatten();
+        self.accepted = accepted.clone().count();
+        self.accepted_invalid = accepted.filter(|tx| invalid(tx)).count();
+    }
+}
+
+/// Theorem 8 (safety): a cross-shard transaction is accepted only if it is
+/// valid at the shard that owns its input — the committee that votes on it.
+/// A quarter of the closed-loop workload is invalid, each such transaction
+/// paying into another shard; the round's accepted cross-shard set is read
+/// when the inter-committee phase ends, before the block's re-validation
+/// could hide a bad acceptance.
+#[test]
+fn theorem8_every_accepted_cross_shard_transaction_is_valid_at_its_source() {
+    let mut cfg = config(29);
+    (cfg.committees, cfg.txs_per_round) = (3, 90);
+    (cfg.cross_shard_ratio, cfg.invalid_ratio) = (0.8, 0.25);
+    let sim = Simulation::new(cfg).expect("valid configuration");
+    let mut workload = Workload::new(WorkloadConfig {
+        num_shards: cfg.committees,
+        accounts_per_shard: cfg.accounts_per_shard,
+        genesis_amount: 1_000,
+        cross_shard_ratio: cfg.cross_shard_ratio,
+        invalid_ratio: cfg.invalid_ratio,
+        seed: cfg.seed,
+    });
+    let mut utxo_sets = workload.build_genesis_utxo_sets();
+    let m = cfg.committees;
+    let offered: Vec<GeneratedTx> = workload
+        .generate_batch(cfg.txs_per_round)
+        .into_iter()
+        .map(|g| {
+            if g.kind.is_valid() {
+                g
+            } else {
+                paying_another_shard(g, m)
+            }
+        })
+        .collect();
+
+    let referee = Committee::referee(&sim.assignment().referee, sim.registry());
+    let plan = FaultPlan::default();
+    let env = RoundEnv {
+        config: sim.config(),
+        registry: sim.registry(),
+        referee: &referee,
+        plan: &plan,
+        round: sim.assignment().round,
+    };
+    let (mut reputation, mut arena) = (sim.reputation().clone(), RoundArena::new());
+    let mut ctx = RoundContext::new(
+        env,
+        sim.assignment(),
+        sim.executor(),
+        sim.chain(),
+        &mut utxo_sets,
+        &mut reputation,
+        &mut arena,
+    );
+    ctx.offer(offered);
+    let mut audit = CrossShardAudit::default();
+    run_pipeline_observed(&mut ctx, standard_pipeline(), &mut audit);
+    assert!(
+        audit.offered_invalid > 0,
+        "invalid cross-shard transactions were offered"
+    );
+    assert!(audit.accepted > 0, "valid ones were accepted");
+    assert_eq!(
+        audit.accepted_invalid, 0,
+        "an accepted cross-shard transaction must validate at its source shard"
     );
 }

@@ -9,7 +9,7 @@
 use std::sync::OnceLock;
 
 use cycledger_crypto::merkle::MerkleTree;
-use cycledger_crypto::sha256::{hash_parts, Digest};
+use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 
 use crate::transaction::Transaction;
 
@@ -83,6 +83,10 @@ pub struct BlockHeader {
     pub tx_root: Digest,
     /// Hash of the next-round configuration.
     pub config_hash: Digest,
+    /// Hash of the semi-commitments the referee recorded this round, in
+    /// committee order ([`Block::commitments_hash`]): the block certificate
+    /// covers them (Algorithm 4, step 2).
+    pub commitments_hash: Digest,
 }
 
 impl BlockHeader {
@@ -94,6 +98,7 @@ impl BlockHeader {
             self.prev_hash.as_bytes(),
             self.tx_root.as_bytes(),
             self.config_hash.as_bytes(),
+            self.commitments_hash.as_bytes(),
         ])
     }
 }
@@ -127,12 +132,14 @@ impl PartialEq for Block {
 impl Eq for Block {}
 
 impl Block {
-    /// Assembles a block for `round` on top of `prev_hash`.
+    /// Assembles a block for `round` on top of `prev_hash`, its header
+    /// carrying the round's `commitments_hash`.
     pub fn assemble(
         round: u64,
         prev_hash: Digest,
         transactions: Vec<Transaction>,
         next_round: NextRoundConfig,
+        commitments_hash: Digest,
     ) -> Block {
         let tx_root = Self::tx_root(&transactions);
         let config_hash = hash_parts(&[b"cycledger/next-round", &next_round.encode()]);
@@ -142,6 +149,7 @@ impl Block {
                 prev_hash,
                 tx_root,
                 config_hash,
+                commitments_hash,
             },
             transactions,
             next_round,
@@ -161,6 +169,17 @@ impl Block {
         MerkleTree::build_from_slices(transactions.iter().map(|t| t.encoded_bytes())).root()
     }
 
+    /// The header's hash over a round's recorded semi-commitments, in
+    /// committee order.
+    pub fn commitments_hash(commitments: &[Digest]) -> Digest {
+        let mut h = Sha256::new();
+        h.update(b"cycledger/semi-commitments");
+        for c in commitments {
+            h.update(c.as_bytes());
+        }
+        h.finalize()
+    }
+
     /// Verifies internal consistency: the header commits to exactly this body.
     pub fn verify_structure(&self) -> bool {
         self.header.tx_root == Self::tx_root(&self.transactions)
@@ -176,7 +195,7 @@ impl Block {
     /// Approximate wire size of the block when propagated to the network.
     pub fn wire_size(&self) -> u64 {
         let tx_bytes: u64 = self.transactions.iter().map(|t| t.wire_size()).sum();
-        tx_bytes + self.next_round.encode().len() as u64 + 4 * 32
+        tx_bytes + self.next_round.encode().len() as u64 + 5 * 32
     }
 
     /// Number of transactions packed.
@@ -307,6 +326,10 @@ mod tests {
     use crate::transaction::{AccountId, TxOutput};
 
     fn sample_block(round: u64, prev: Digest) -> Block {
+        sample_block_committing(round, prev, &[])
+    }
+
+    fn sample_block_committing(round: u64, prev: Digest, commitments: &[Digest]) -> Block {
         let txs = vec![
             Transaction::genesis(
                 vec![TxOutput {
@@ -331,7 +354,8 @@ mod tests {
             partial_sets: vec![vec![3]],
             randomness: hash_parts(&[b"seed", &round.to_be_bytes()]),
         };
-        Block::assemble(round, prev, txs, config)
+        let commitments = Block::commitments_hash(commitments);
+        Block::assemble(round, prev, txs, config, commitments)
     }
 
     #[test]
@@ -368,6 +392,13 @@ mod tests {
         let a = sample_block(0, Digest::ZERO);
         let b = sample_block(1, Digest::ZERO);
         assert_ne!(a.header.hash(), b.header.hash());
+        // And with the recorded semi-commitments, their order included.
+        let (x, y) = (hash_parts(&[b"x"]), hash_parts(&[b"y"]));
+        let c = sample_block_committing(0, Digest::ZERO, &[x, y]);
+        let d = sample_block_committing(0, Digest::ZERO, &[y, x]);
+        assert_ne!(a.header.hash(), c.header.hash());
+        assert_ne!(c.header.hash(), d.header.hash());
+        assert!(c.verify_structure() && d.verify_structure());
     }
 
     #[test]
@@ -467,7 +498,8 @@ mod tests {
 
     #[test]
     fn empty_block_has_zero_tx_root() {
-        let block = Block::assemble(0, Digest::ZERO, vec![], NextRoundConfig::default());
+        let config = NextRoundConfig::default();
+        let block = Block::assemble(0, Digest::ZERO, vec![], config, Digest::ZERO);
         assert_eq!(block.header.tx_root, Digest::ZERO);
         assert!(block.verify_structure());
     }

@@ -103,8 +103,8 @@ pub struct RoundContext<'a> {
     /// lead task and consumed by the selection phase.
     pub prepared_selection: Option<PreparedSelection>,
     /// The semi-commitments the referee committee recorded, in committee
-    /// order; its agreement on them leads the selection phase's sortition
-    /// batch.
+    /// order; the block header commits to them, so the block instance
+    /// certifies them.
     pub recorded_commitments: Vec<Digest>,
     /// Output of the intra-consensus phase, one entry per committee.
     pub intra_outcomes: Vec<IntraOutcome>,

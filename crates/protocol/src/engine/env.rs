@@ -66,8 +66,6 @@ impl RoundEnv<'_> {
 /// One committee-local unit of work.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Task {
-    /// The referee committee agrees on the round's semi-commitments.
-    SemiCommitment,
     /// Committee `committee` votes on and certifies its `TXdecSET`; `retry`
     /// for the second attempt, under the leader a recovery installed.
     Intra {
@@ -109,9 +107,9 @@ pub struct TaskRow {
     /// `config.seed ^ salt`.
     pub salt: u64,
     /// Whether the task's network carries the round's [`FaultPlan`]. The
-    /// two `false` rows are one Algorithm 3 instance each with nothing
-    /// waiting on a deadline; they never ran under the plan, and putting
-    /// them under it moves every faulted golden.
+    /// one `false` row, the block, is one Algorithm 3 instance with nothing
+    /// waiting on a deadline; it never ran under the plan, and putting it
+    /// under it moves every faulted golden.
     pub under_plan: bool,
 }
 
@@ -131,9 +129,6 @@ impl Task {
             under_plan,
         };
         match self {
-            Task::SemiCommitment => {
-                row(SemiCommitmentExchange, Some(0x5e1f), round ^ 0x5e1f, false)
-            }
             Task::Intra { committee, retry } => {
                 let k = committee as u64;
                 let attempt = if retry { 0x1_0000 } else { 0 };
@@ -280,13 +275,6 @@ mod tests {
     /// configuration seed `s` at round `r`.
     fn parent(task: Task, s: u64, r: u64) -> (Phase, Option<u64>, u64) {
         match task {
-            // pipeline.rs: `seed = config.seed ^ round`, then
-            // semi_commitment.rs: `SimNetwork::new(latency, seed ^ 0x5e1f)`.
-            Task::SemiCommitment => (
-                Phase::SemiCommitmentExchange,
-                Some(0x5e1f),
-                (s ^ r) ^ 0x5e1f,
-            ),
             // pipeline.rs: `config.seed ^ (round << 8) ^ (seed_salt + k)`,
             // `seed_salt` 0 or 0x1_0000; intra.rs: `seq: 1_000 + index`. (A
             // retry's seq has added the seed salt since a forward leg is
@@ -334,7 +322,7 @@ mod tests {
     /// Every task of one round over `m` committees and `attempts` recoveries
     /// in each, plus a sync session for each of `m` members.
     fn tasks_of_a_round(m: usize, attempts: usize) -> Vec<Task> {
-        let mut tasks = vec![Task::SemiCommitment, Task::Block];
+        let mut tasks = vec![Task::Block];
         for k in 0..m {
             for retry in [false, true] {
                 tasks.push(Task::Intra {
@@ -365,10 +353,9 @@ mod tests {
                     if let Some(seq) = seq {
                         assert_eq!(task.instance(r), ConsensusId { round: r, seq });
                     }
-                    // Semi-commitment and block opened theirs with
-                    // `SimNetwork::new`; everyone else `with_faults`.
-                    let plain = matches!(task, Task::SemiCommitment | Task::Block);
-                    assert_eq!(row.under_plan, !plain, "{task:?}");
+                    // The block opened its network with `SimNetwork::new`;
+                    // everyone else `with_faults`.
+                    assert_eq!(row.under_plan, task != Task::Block, "{task:?}");
                 }
             }
         }
@@ -427,8 +414,8 @@ mod tests {
             .collect();
         let distinct: std::collections::HashSet<_> = instances.iter().collect();
         assert_eq!(distinct.len(), instances.len());
-        // Both attempts of every committee and C_R's two.
-        assert_eq!(instances.len(), 64 * 2 + 2);
+        // Both attempts of every committee and C_R's block.
+        assert_eq!(instances.len(), 64 * 2 + 1);
     }
 
     #[test]

@@ -11,13 +11,11 @@
 //! * **intra consensus** — one task per committee (a recovery adds a retry
 //!   batch of the committees it re-led);
 //! * **selection** — the next round's VRF sortition through
-//!   [`ShardExecutor::map_chunked`], led by the referee's
-//!   semi-commitment instance;
+//!   [`ShardExecutor::map_chunked`];
 //! * **block application** — one task per shard, the SMT commit included.
 //!
 //! Cross-shard traffic adds the inter phase's batch, one task per source
-//! committee. Every batch returns its results in index
-//! order, the lead task's beside them.
+//! committee. Every batch returns its results in index order.
 //!
 //! # Determinism
 //!
@@ -321,24 +319,20 @@ impl ShardExecutor {
     }
 
     /// Maps a pure function over `items` as one batch of contiguous,
-    /// index-ordered chunks led by `lead` ([`execute_led`](Self::execute_led))
-    /// and concatenates the chunk results, so `out[i] == f(&items[i])`
-    /// whatever ran where; returns the lead's result beside them.
+    /// index-ordered chunks and concatenates the chunk results, so
+    /// `out[i] == f(&items[i])` whatever ran where.
     ///
     /// This is the batch shape for many small independent items (one VRF
     /// evaluation per node) where a task per item would drown in queue
-    /// traffic, and the finest grain a round has, so the chunks fill in
-    /// around a lead that runs long. The chunk count derives from
+    /// traffic. The chunk count derives from
     /// [`worker_count`](Self::worker_count): `CHUNKS_PER_WORKER` chunks per
     /// worker to even out stragglers, never more than one per item. In
     /// inline mode that is a single chunk, which runs on the caller thread
-    /// after the lead — the serial loop, not a second code path.
-    pub fn map_chunked<A, I, T, L, F>(&self, lead: L, items: &[I], f: F) -> (A, Vec<T>)
+    /// — the serial loop, not a second code path.
+    pub fn map_chunked<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
     where
-        A: Send,
         I: Sync,
         T: Send,
-        L: FnOnce() -> A + Send,
         F: Fn(&I) -> T + Sync,
     {
         let chunks = if self.worker_count == 1 {
@@ -352,12 +346,12 @@ impl ShardExecutor {
         let tasks = items
             .chunks(chunk_len)
             .map(|chunk| move || chunk.iter().map(f).collect::<Vec<T>>());
-        let (led, parts) = self.execute_led(lead, tasks);
+        let parts = self.execute(tasks.collect());
         let mut out = Vec::with_capacity(items.len());
         for part in parts {
             out.extend(part);
         }
-        (led, out)
+        out
     }
 }
 
@@ -454,12 +448,11 @@ mod tests {
             let results: Vec<u8> = executor.execute(Vec::<fn() -> u8>::new());
             assert!(results.is_empty());
             assert_eq!(executor.batches_executed(), 0, "no task, no barrier");
-            let (led, none) = executor.map_chunked(|| 3, &[] as &[u8], |&b| b);
-            assert_eq!((led, none.len()), (3, 0), "the lead runs all the same");
-            assert_eq!(executor.batches_executed(), 1);
+            assert!(executor.map_chunked(&[] as &[u8], |&b| b).is_empty());
+            assert_eq!(executor.batches_executed(), 0, "no item, no chunk");
             // An inline batch is a batch all the same.
             assert_eq!(executor.execute(vec![|| 1u8]), [1]);
-            assert_eq!(executor.batches_executed(), 2);
+            assert_eq!(executor.batches_executed(), 1);
         }
     }
 
@@ -501,8 +494,8 @@ mod tests {
                 // Inline: the start order is the permutation itself.
                 assert_ne!(started, (0..32).collect::<Vec<_>>(), "not index order");
             }
-            let (led, mapped) = executor.map_chunked(|| 1, &[4u8, 5, 6], |&b| b * 2);
-            assert_eq!((led, mapped), (1, vec![8, 10, 12]));
+            let mapped = executor.map_chunked(&[4u8, 5, 6], |&b| b * 2);
+            assert_eq!(mapped, [8, 10, 12]);
         }
     }
 
@@ -519,8 +512,7 @@ mod tests {
         let expected: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
         for workers in [1, 2, 3, 8, 64] {
             let executor = ShardExecutor::new(workers);
-            let lead = || std::thread::sleep(std::time::Duration::from_micros(300));
-            let ((), mapped) = executor.map_chunked(lead, &items, |&i| {
+            let mapped = executor.map_chunked(&items, |&i| {
                 if i % 5 == 0 {
                     std::thread::sleep(std::time::Duration::from_micros(100));
                 }
@@ -535,7 +527,7 @@ mod tests {
     fn map_chunked_handles_empty_and_tiny_inputs() {
         for workers in [1, 2, 8] {
             let executor = ShardExecutor::new(workers);
-            let map = |items: &[u8], f: fn(&u8) -> u8| executor.map_chunked(|| (), items, f).1;
+            let map = |items: &[u8], f: fn(&u8) -> u8| executor.map_chunked(items, f);
             assert!(map(&[], |&b| b).is_empty());
             // Fewer items than workers: one chunk per item, none empty.
             assert_eq!(map(&[7], |&b| b + 1), vec![8]);
@@ -549,20 +541,16 @@ mod tests {
             let executor = ShardExecutor::new(workers);
             let items: Vec<usize> = (0..20).collect();
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                executor.map_chunked(
-                    || (),
-                    &items,
-                    |&i| {
-                        if i == 13 {
-                            panic!("item 13 exploded");
-                        }
-                        i
-                    },
-                )
+                executor.map_chunked(&items, |&i| {
+                    if i == 13 {
+                        panic!("item 13 exploded");
+                    }
+                    i
+                })
             }));
             assert!(outcome.is_err(), "{workers} workers");
             // The pool survives.
-            assert_eq!(executor.map_chunked(|| (), &items, |&i| i).1, items);
+            assert_eq!(executor.map_chunked(&items, |&i| i), items);
         }
     }
 

@@ -24,7 +24,7 @@ use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
 use crate::phases::selection::{prepare_selection, run_selection};
-use crate::phases::semi_commitment::{certify_commitments, run_semi_commitment_exchange};
+use crate::phases::semi_commitment::run_semi_commitment_exchange;
 use crate::phases::xshard::{self, PairList};
 
 /// One phase of the pipeline: the name observers and traces see, and the
@@ -74,8 +74,8 @@ pub fn configuration(ctx: &mut RoundContext<'_>) {
 
 /// Phase 2 — semi-commitment exchange (Alg. 4), plus recovery for any
 /// commitment-mismatch witness. The referee's agreement on the recorded
-/// commitments runs later, as the lead task of the selection phase's
-/// sortition batch: nothing in the round reads its certificate.
+/// commitments is the block instance's: the block header commits to them
+/// (phase 7).
 ///
 /// Inputs: `ctx.committees`. Outputs: `ctx.recorded_commitments`,
 /// `ctx.witnesses`, evictions in `ctx.recovery_log`, mutated
@@ -315,37 +315,25 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
 }
 
 /// Phase 6 — beacon, PoW participation, next-round selection (§IV-F), on
-/// the round-start part the configuration batch prepared. The next round's
-/// sortition batch is led by the referee's agreement on the recorded
-/// semi-commitments (Alg. 4, step 2), whose books fold into the round's.
+/// the round-start part the configuration batch prepared.
 ///
-/// Inputs: `ctx.prepared_selection`, `ctx.recorded_commitments`, the
-/// reputation table after updates. Outputs: `ctx.selection`.
+/// Inputs: `ctx.prepared_selection`, the reputation table after updates.
+/// Outputs: `ctx.selection`.
 pub fn selection(ctx: &mut RoundContext<'_>) {
     let prepared = ctx.prepared_selection.take();
     let prepared = prepared.expect("the configuration phase prepares the selection");
-    let (env, recorded) = (&ctx.env, &ctx.recorded_commitments);
-    let agreement = move || certify_commitments(env, recorded);
     let metrics = &mut ctx.books.metrics;
-    let (outcome, (_, books)) = run_selection(
-        env,
-        ctx.executor,
-        ctx.reputation,
-        prepared,
-        agreement,
-        metrics,
-    );
-    ctx.books.absorb(&books);
+    let outcome = run_selection(&ctx.env, ctx.executor, ctx.reputation, prepared, metrics);
     ctx.selection = Some(outcome);
 }
 
 /// Phase 7 — block generation, propagation and per-shard application
 /// (§IV-G).
 ///
-/// Inputs: `ctx.intra_outcomes`, `ctx.inter`, `ctx.selection`. Outputs:
-/// `ctx.block_outcome`, `ctx.cross_packed_ids`, and the block applied to
-/// every shard's UTXO set — one executor task per shard, since the sets are
-/// disjoint.
+/// Inputs: `ctx.intra_outcomes`, `ctx.inter`, `ctx.selection`,
+/// `ctx.recorded_commitments`. Outputs: `ctx.block_outcome`,
+/// `ctx.cross_packed_ids`, and the block applied to every shard's UTXO set —
+/// one executor task per shard, since the sets are disjoint.
 pub fn block_generation(ctx: &mut RoundContext<'_>) {
     // Stage candidates in the arena's reusable buffer, taking ownership
     // of the decided/accepted transactions instead of cloning them (no
@@ -363,11 +351,12 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
             }
         }
     }
-    let next = ctx.selection.as_ref();
+    let selection = ctx.selection.as_ref();
+    let next = selection.and_then(|s| s.next_assignment.as_ref());
     let block_outcome = run_block_generation(
         &ctx.env,
         ctx.chain,
-        next.and_then(|s| s.next_assignment.as_ref()),
+        (next, &ctx.recorded_commitments),
         ctx.arena,
         ctx.utxo_sets,
         ctx.reputation,
@@ -557,8 +546,10 @@ mod tests {
     /// certificate check is one memo lookup per certificate signature and no
     /// signature verification at all, and admitting a forward costs nothing.
     /// (At commit ee421ab the same two phases verified 210 signatures here,
-    /// in three batches.) The round runs `m + 2` Algorithm 3 instances: one
-    /// per committee, the semi-commitment one and the block one.
+    /// in three batches.) The round runs `m + 1` Algorithm 3 instances: one
+    /// per committee and the block one, which also certifies the recorded
+    /// semi-commitments; the semi-commitment exchange sends its three legs
+    /// and nothing else.
     #[cfg(feature = "opcount")]
     #[test]
     fn a_fault_free_round_verifies_no_signature_on_the_driver_thread_in_intra_and_inter() {
@@ -582,6 +573,7 @@ mod tests {
             intra_signatures: usize,
             instances: usize,
             forwards: u64,
+            semi: u64,
         }
 
         impl RoundObserver for DriverTally {
@@ -617,11 +609,8 @@ mod tests {
                     assert_eq!(inter, pairs.iter().map(legs).sum::<u64>());
                     self.forwards = inter;
                 }
-                // The referee's semi-commitment instance leads the next
-                // round's sortition batch; the block instance certifies the
-                // block.
-                if phase == "selection" && semi > 0 {
-                    self.instances += 1;
+                if phase == "semi-commitment-exchange" {
+                    self.semi = semi;
                 }
                 let block = ctx.block_outcome.as_ref().and_then(|b| b.block.as_ref());
                 if phase == "block-generation" && block.is_some() {
@@ -657,6 +646,9 @@ mod tests {
         // costs nothing.
         assert_eq!(lookups("inter-consensus"), 0);
         assert!(driver.forwards > 0);
-        assert_eq!(driver.instances, 8 + 2);
+        assert_eq!(driver.instances, 8 + 1);
+        // Leader → referee (8 × 7), leader → partial set (8 × 4) and the
+        // referee's relay to every key member (7 × 8 × 5).
+        assert_eq!(driver.semi, 56 + 32 + 280);
     }
 }

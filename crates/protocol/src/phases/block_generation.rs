@@ -8,6 +8,7 @@
 //! distributed proportionally to `g(reputation)`.
 
 use cycledger_consensus::messages::Alg3Message;
+use cycledger_crypto::sha256::Digest;
 use cycledger_ledger::block::{Block, Chain, NextRoundConfig};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_net::metrics::Phase;
@@ -35,7 +36,10 @@ pub struct BlockOutcome {
 
 /// Runs block generation over the candidates staged in `arena` (drained
 /// here), extending `chain`'s tip, and distributes fees; the phase's traffic
-/// and the referee instance's go into `books`.
+/// and the referee instance's go into `books`. The block carries the `next`
+/// round's configuration, and its header commits to the semi-commitments
+/// the referee `recorded` this round: the referee's one instance certifies
+/// both.
 ///
 /// The returned block is **not** applied to `utxo_sets`: application is
 /// per-shard-parallel work the engine's block-generation phase hands to the
@@ -44,7 +48,7 @@ pub struct BlockOutcome {
 pub fn run_block_generation(
     env: &RoundEnv<'_>,
     chain: &Chain,
-    assignment_next: Option<&RoundAssignment>,
+    (next, recorded): (Option<&RoundAssignment>, &[Digest]),
     arena: &mut RoundArena,
     utxo_sets: &[UtxoSet],
     reputation: &ReputationTable,
@@ -72,7 +76,7 @@ pub fn run_block_generation(
     }
 
     // 2. Assemble the block with the next round's configuration.
-    let next_round = match assignment_next {
+    let next_round = match next {
         Some(next) => NextRoundConfig {
             participants: next.participants().iter().map(|n| n.0).collect(),
             reputations_fp: next
@@ -91,7 +95,8 @@ pub fn run_block_generation(
         },
         None => NextRoundConfig::default(),
     };
-    let block = Block::assemble(height, chain.tip_hash(), accepted, next_round);
+    let (tip, commitments) = (chain.tip_hash(), Block::commitments_hash(recorded));
+    let block = Block::assemble(height, tip, accepted, next_round, commitments);
 
     // 3. The referee committee agrees on the block via Algorithm 3.
     let mut net: SimNetwork<Alg3Message> = env.open(Task::Block);
@@ -247,7 +252,7 @@ mod tests {
             let outcome = run_block_generation(
                 &env,
                 &Chain::new(),
-                next,
+                (next, &[]),
                 &mut arena,
                 &self.utxo_sets,
                 &self.reputation,

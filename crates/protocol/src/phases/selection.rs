@@ -116,17 +116,14 @@ pub fn prepare_selection(env: &RoundEnv<'_>, current_randomness: Digest) -> Prep
 /// Runs the selection phase on its `prepared` round-start part: charges the
 /// beacon's and the PoW submissions' traffic and derives the next round's
 /// configuration, the VRF sortition — the bulk of the phase — mapped over
-/// `executor` with `lead` as the batch's first task (see
-/// [`SortitionBase::assign`]). `lead` runs on the caller thread when the
-/// beacon failed and there is no sortition.
-pub fn run_selection<A: Send>(
+/// `executor` (see [`SortitionBase::assign`]).
+pub fn run_selection(
     env: &RoundEnv<'_>,
     executor: &ShardExecutor,
     reputation: &ReputationTable,
     prepared: PreparedSelection,
-    lead: impl FnOnce() -> A + Send,
     metrics: &mut MetricsSink,
-) -> (SelectionOutcome, A) {
+) -> SelectionOutcome {
     let phase = Phase::KeyMemberSelection;
     let (registry, referee) = (env.registry, &env.referee.members[..]);
     let PreparedSelection {
@@ -154,22 +151,16 @@ pub fn run_selection<A: Send>(
 
     // 3. Derive the next round's configuration.
     let params = env.config.assignment_params();
-    let (next_assignment, led) = match &next {
-        Some(base) => {
-            let (assignment, led) =
-                base.assign(executor, lead, registry, &participants, params, reputation);
-            (Some(assignment), led)
-        }
-        None => (None, lead()),
-    };
+    let next_assignment = next
+        .as_ref()
+        .map(|base| base.assign(executor, registry, &participants, params, reputation));
 
-    let outcome = SelectionOutcome {
+    SelectionOutcome {
         next_randomness: next.as_ref().map(SortitionBase::randomness),
         qualified_dealers,
         participants,
         next_assignment,
-    };
-    (outcome, led)
+    }
 }
 
 #[cfg(test)]
@@ -208,15 +199,7 @@ mod tests {
         let mut metrics = MetricsSink::new();
         let prepared = prepare_selection(&env, sha256(randomness));
         let executor = ShardExecutor::new(1);
-        let no_lead = || ();
-        let (outcome, ()) = run_selection(
-            &env,
-            &executor,
-            &reputation,
-            prepared,
-            no_lead,
-            &mut metrics,
-        );
+        let outcome = run_selection(&env, &executor, &reputation, prepared, &mut metrics);
         (outcome, metrics)
     }
 

@@ -2,29 +2,26 @@
 //!
 //! Each leader hashes its member list (`SEMI_COM = H(S)`), sends the commitment
 //! plus the list to every referee member, and the signed list to its partial
-//! set. The referee committee agrees on the set of valid commitments with one
-//! internal Algorithm 3 instance and relays the set to all key members. Partial
-//! set members then cross-check the commitment recorded by `C_R` against the
-//! list their leader gave them — any mismatch yields a leader-signed witness
-//! (Theorem 2) that feeds the recovery procedure.
+//! set. The referee committee relays the set of recorded commitments to all
+//! key members. Partial set members then cross-check the commitment recorded
+//! by `C_R` against the list their leader gave them — any mismatch yields a
+//! leader-signed witness (Theorem 2) that feeds the recovery procedure.
 //!
-//! Nothing later in the round reads the referee's certificate, so its
-//! instance is a function of its own, [`certify_commitments`], which the
-//! engine runs as the lead task of a later executor batch.
+//! The referee runs no instance of its own on the set: the block header
+//! commits to the recorded commitments, so the block instance certifies
+//! them (a departure from Algorithm 4, step 2; see ARCHITECTURE.md).
 
-use cycledger_consensus::messages::Alg3Message;
 use cycledger_consensus::witness::{
     member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence, Witness,
 };
 use cycledger_crypto::schnorr::sign;
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::metrics::{MetricsSink, Phase};
-use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::Behavior;
-use crate::committee::{run_inside_consensus, Committee, LeaderFault};
-use crate::engine::env::{Books, RoundEnv, Task};
+use crate::committee::Committee;
+use crate::engine::env::RoundEnv;
 
 /// Outcome of the semi-commitment exchange.
 #[derive(Clone, Debug)]
@@ -37,8 +34,7 @@ pub struct SemiCommitmentOutcome {
 }
 
 /// Runs the semi-commitment exchange for all committees, accounting its
-/// traffic into `metrics`. The referee committee's agreement on the
-/// recorded commitments is [`certify_commitments`].
+/// traffic into `metrics`.
 pub fn run_semi_commitment_exchange(
     env: &RoundEnv<'_>,
     committees: &[Committee],
@@ -94,11 +90,10 @@ pub fn run_semi_commitment_exchange(
         }
     }
 
-    // Step 2: the referee committee agrees on the set of commitments
-    // (`certify_commitments`), then relays it: every referee member forwards
-    // the set to the leaders and partial sets it serves (modelled as every
-    // referee member sending to every key member — the O(m²) Table II entry
-    // for C_R).
+    // Step 2: the referee committee relays the set of commitments (the block
+    // certificate covers it): every referee member forwards the set to the
+    // leaders and partial sets it serves (modelled as every referee member
+    // sending to every key member — the O(m²) Table II entry for C_R).
     let set_bytes = recorded_commitments.len() as u64 * 32;
     for &rm in &referee.members {
         for committee in committees {
@@ -116,30 +111,18 @@ pub fn run_semi_commitment_exchange(
     }
 }
 
-/// The referee committee's internal agreement on the `recorded` commitments
-/// (Algorithm 4, step 2): one Algorithm 3 instance on a network of its own.
-/// Returns whether it certified the set, and its books.
-pub fn certify_commitments(env: &RoundEnv<'_>, recorded: &[Digest]) -> (bool, Books) {
-    let task = Task::SemiCommitment;
-    let mut net: SimNetwork<Alg3Message> = env.open(task);
-    let mut payload = Vec::with_capacity(recorded.len() * 32);
-    for c in recorded {
-        payload.extend_from_slice(c.as_bytes());
-    }
-    let (id, fault) = (env.instance(task), LeaderFault::None);
-    let (referee, registry) = (env.referee, env.registry);
-    let outcome = run_inside_consensus(&mut net, referee, registry, id, payload, fault, true);
-    (outcome.certificate.is_some(), Books::close(net))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::AdversaryConfig;
     use crate::config::ProtocolConfig;
+    use crate::engine::arena::RoundArena;
+    use crate::engine::env::Books;
     use crate::node::NodeRegistry;
+    use crate::phases::block_generation::run_block_generation;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::sha256;
+    use cycledger_ledger::block::{Block, Chain};
     use cycledger_net::faults::FaultPlan;
     use cycledger_reputation::ReputationTable;
 
@@ -167,16 +150,17 @@ mod tests {
         (registry, committees, referee)
     }
 
-    /// The exchange at `round` under configuration seed `seed`, then the
-    /// referee's agreement on what it recorded: the outcome, whether the
-    /// referee certified it, and the books of both.
+    /// The exchange at `round` then block generation on an empty chain with
+    /// no candidate, both under configuration seed `seed`: the exchange's
+    /// outcome, the block (if the referee certified one) and the books of
+    /// both.
     fn exchange(
         registry: &NodeRegistry,
         committees: &[Committee],
         referee: &Committee,
         round: u64,
         seed: u64,
-    ) -> (SemiCommitmentOutcome, bool, Books) {
+    ) -> (SemiCommitmentOutcome, Option<Block>, Books) {
         let config = ProtocolConfig {
             seed,
             ..ProtocolConfig::default()
@@ -190,16 +174,24 @@ mod tests {
         };
         let mut books = Books::default();
         let outcome = run_semi_commitment_exchange(&env, committees, &mut books.metrics);
-        let (certified, instance) = certify_commitments(&env, &outcome.recorded_commitments);
-        books.absorb(&instance);
-        (outcome, certified, books)
+        let reputation = ReputationTable::with_members(registry.ids());
+        let block = run_block_generation(
+            &env,
+            &Chain::new(),
+            (None, &outcome.recorded_commitments),
+            &mut RoundArena::new(),
+            &[],
+            &reputation,
+            &mut books,
+        );
+        (outcome, block.block, books)
     }
 
     #[test]
     fn honest_exchange_records_matching_commitments() {
         let (registry, committees, referee) = setup(31);
-        let (outcome, certified, books) = exchange(&registry, &committees, &referee, 1, 9);
-        assert!(certified);
+        let (outcome, block, books) = exchange(&registry, &committees, &referee, 1, 9);
+        assert!(block.is_some());
         assert!(outcome.witnesses.is_empty());
         assert_eq!(outcome.recorded_commitments.len(), 3);
         for (committee, recorded) in committees.iter().zip(&outcome.recorded_commitments) {
@@ -224,7 +216,7 @@ mod tests {
         let (mut registry, committees, referee) = setup(32);
         let bad_leader = committees[1].leader;
         registry.set_behavior(bad_leader, Behavior::MismatchedCommitment);
-        let (outcome, _, _) = exchange(&registry, &committees, &referee, 2, 10);
+        let (outcome, block, _) = exchange(&registry, &committees, &referee, 2, 10);
         assert_eq!(outcome.witnesses.len(), 1);
         let witness = &outcome.witnesses[0];
         assert_eq!(witness.accused(), bad_leader);
@@ -238,5 +230,17 @@ mod tests {
                 assert!(!witness.verify(&registry.node(c.leader).keypair.public));
             }
         }
+        // The block certificate covers what the referee recorded, the forged
+        // commitment included, and so fixes the commitment the witness is
+        // checked against.
+        let header = block.expect("the referee certifies the block").header;
+        let recorded = &outcome.recorded_commitments;
+        assert_eq!(header.commitments_hash, Block::commitments_hash(recorded));
+        let honest: Vec<_> = committees
+            .iter()
+            .map(|c| semi_commitment(&c.member_list_bytes(&registry)))
+            .collect();
+        assert_ne!(recorded[1], honest[1]);
+        assert_ne!(header.commitments_hash, Block::commitments_hash(&honest));
     }
 }

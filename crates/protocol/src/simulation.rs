@@ -130,10 +130,10 @@ impl Simulation {
     }
 
     /// Installs the network-fault plan subsequent rounds' task networks (those
-    /// the `Task` table puts under it — all but the semi-commitment,
-    /// reputation and block instances) and state-sync sessions run under. Scenario drivers call this
-    /// between rounds to activate and heal partitions, targeted delays and
-    /// loss windows — passing the default (empty) plan heals everything.
+    /// the `Task` table puts under it — all but the block instance) and
+    /// state-sync sessions run under. Scenario drivers call this between
+    /// rounds to activate and heal partitions, targeted delays and loss
+    /// windows — passing the default (empty) plan heals everything.
     ///
     /// This is the one place `config.message_driven` is consulted: with the
     /// flag off the plan is discarded and every round keeps running under
@@ -1127,9 +1127,9 @@ mod tests {
 
     /// Executor batches of each round: configuration (led by the next
     /// round's beacon, PoW admissions and VRF table), intra consensus, the
-    /// sortition (led by the referee's semi-commitment instance) and block
-    /// application with the SMT commit; cross-shard traffic adds the inter
-    /// phase's sources. A batch with no task is not one.
+    /// sortition and block application with the SMT commit; cross-shard
+    /// traffic adds the inter phase's sources. A batch with no task is not
+    /// one.
     #[test]
     fn a_fault_free_round_runs_four_batches_and_cross_shard_traffic_adds_one() {
         use cycledger_ledger::StateBackend;

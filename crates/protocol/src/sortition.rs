@@ -172,8 +172,7 @@ pub fn assign_round(
 }
 
 /// [`assign_round`] with the common members' VRF sortition mapped over
-/// `executor`: [`SortitionBase::assign`] on a base built here, its lead
-/// task empty.
+/// `executor`: [`SortitionBase::assign`] on a base built here.
 pub fn assign_round_on(
     executor: &ShardExecutor,
     registry: &NodeRegistry,
@@ -184,16 +183,7 @@ pub fn assign_round_on(
     reputation: &ReputationTable,
 ) -> RoundAssignment {
     let base = SortitionBase::new(round, randomness);
-    let no_lead = || ();
-    base.assign(
-        executor,
-        no_lead,
-        registry,
-        participants,
-        params,
-        reputation,
-    )
-    .0
+    base.assign(executor, registry, participants, params, reputation)
 }
 
 /// The part of a round's sortition fixed by its round number and randomness
@@ -225,20 +215,18 @@ impl SortitionBase {
 
     /// Builds the assignment from the participant set and the current
     /// reputation table. The common members' VRF sortition (step 4, one
-    /// evaluation per node, all independent) is mapped over `executor`, with
-    /// `lead` as the batch's first task ([`ShardExecutor::map_chunked`]);
-    /// returns the assignment and the lead's result. The assignment is
-    /// identical at any worker count: evaluations come back in node order
-    /// and the committees are filled serially from them.
-    pub fn assign<A: Send>(
+    /// evaluation per node, all independent) is mapped over `executor`
+    /// ([`ShardExecutor::map_chunked`]). The assignment is identical at any
+    /// worker count: evaluations come back in node order and the committees
+    /// are filled serially from them.
+    pub fn assign(
         &self,
         executor: &ShardExecutor,
-        lead: impl FnOnce() -> A + Send,
         registry: &NodeRegistry,
         participants: &[NodeId],
         params: AssignmentParams,
         reputation: &ReputationTable,
-    ) -> (RoundAssignment, A) {
+    ) -> RoundAssignment {
         let (round, randomness) = (self.round, self.randomness);
         assert!(params.committees > 0, "need at least one committee");
         // Trusted roles (referee, leader, partial set) are drawn only from
@@ -327,7 +315,7 @@ impl SortitionBase {
             .chain(&syncing)
             .copied()
             .collect();
-        let (led, outputs) = executor.map_chunked(lead, &sortitioned, |&id| {
+        let outputs = executor.map_chunked(&sortitioned, |&id| {
             let keypair = &registry.node(id).keypair;
             self.prover.evaluate(&keypair.secret, &keypair.public)
         });
@@ -351,15 +339,14 @@ impl SortitionBase {
             })
             .collect();
 
-        let assignment = RoundAssignment {
+        RoundAssignment {
             round,
             sortition_round: round,
             randomness,
             referee,
             committees,
             sortition_proofs: proofs,
-        };
-        (assignment, led)
+        }
     }
 }
 

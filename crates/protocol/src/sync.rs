@@ -255,6 +255,7 @@ mod tests {
                 chain.tip_hash(),
                 Vec::new(),
                 NextRoundConfig::default(),
+                Block::commitments_hash(&[]),
             );
             chain.append(block).expect("test chain links");
         }

@@ -303,7 +303,7 @@ fn lossy() -> FaultPlan {
 fn every_task_kinds_books_reconcile_under_a_lossy_plan() {
     // sends == deliveries + dropped, per task kind: the books `Books::close`
     // hands back account for every envelope offered to the task's network —
-    // and the two tasks whose networks stay outside the plan lose nothing.
+    // and the block, whose network stays outside the plan, loses nothing.
     let sim = Simulation::new(driven_config(907)).expect("valid config");
     let referee = Committee::referee(&sim.assignment().referee, sim.registry());
     let plan = lossy();
@@ -315,7 +315,6 @@ fn every_task_kinds_books_reconcile_under_a_lossy_plan() {
         round: 3,
     };
     let kinds = [
-        Task::SemiCommitment,
         Task::Intra {
             committee: 1,
             retry: false,

@@ -42,13 +42,16 @@ fn node_msg(left: &Digest, right: &Digest, out: &mut [u8; NODE_MSG_LEN]) {
 /// All node digests live in **one flat vector**, level by level (leaves
 /// first, root last), with `level_offsets[i]` marking where level `i`
 /// starts. The flat layout is one allocation of known size instead of a
-/// `Vec<Vec<Digest>>` per build — the tree is rebuilt for every block's
-/// `tx_root`, so build allocation discipline is part of the round hot path.
-#[derive(Clone, Debug)]
+/// `Vec<Vec<Digest>>` per build — trees are built for every block's slice
+/// roots, so build allocation discipline is part of the round hot path.
+#[derive(Clone, Debug, Default)]
 pub struct MerkleTree {
     nodes: Vec<Digest>,
     level_offsets: Vec<usize>,
     leaf_count: usize,
+    /// Leaf pre-image staging, one buffer per hashing lane; kept so a tree
+    /// rebuilt in place ([`MerkleTree::rebuild_from_slices`]) reuses it.
+    lanes: [Vec<u8>; LANES],
 }
 
 /// A Merkle membership proof: the sibling hashes from leaf to root.
@@ -92,14 +95,28 @@ impl MerkleTree {
         I: IntoIterator<Item = &'x [u8]>,
         I::IntoIter: ExactSizeIterator,
     {
+        let mut tree = MerkleTree::default();
+        tree.rebuild_from_slices(leaves);
+        tree
+    }
+
+    /// Rebuilds this tree over new leaf payloads, keeping its buffers: a
+    /// caller hashing many small trees in a row (a block's per-shard slice
+    /// roots) allocates for the largest of them, not for each.
+    pub fn rebuild_from_slices<'x, I>(&mut self, leaves: I)
+    where
+        I: IntoIterator<Item = &'x [u8]>,
+        I::IntoIter: ExactSizeIterator,
+    {
         let iter = leaves.into_iter();
         let leaf_count = iter.len();
+        let (nodes, level_offsets) = (&mut self.nodes, &mut self.level_offsets);
+        nodes.clear();
+        level_offsets.clear();
+        level_offsets.push(0);
+        self.leaf_count = leaf_count;
         if leaf_count == 0 {
-            return MerkleTree {
-                nodes: Vec::new(),
-                level_offsets: vec![0],
-                leaf_count: 0,
-            };
+            return;
         }
         // Total node count over all levels is known up front: one allocation.
         let mut total = 0usize;
@@ -111,13 +128,13 @@ impl MerkleTree {
             }
             width = width.div_ceil(2);
         }
-        let mut nodes = Vec::with_capacity(total);
+        nodes.reserve(total);
         // Leaf level, hashed in interleaved lanes: each lane's message is the
-        // leaf pre-image under the `hash_parts` framing, staged into a small
-        // ring of reusable scratch buffers so full groups go through the
+        // leaf pre-image under the `hash_parts` framing, staged into the
+        // tree's ring of reusable lane buffers so full groups go through the
         // 8-wide compression. Byte-identical to `iter.map(leaf_hash)`.
         {
-            let mut scratch: [Vec<u8>; LANES] = Default::default();
+            let scratch = &mut self.lanes;
             let mut pending = 0usize;
             for leaf in iter {
                 let buf = &mut scratch[pending];
@@ -127,14 +144,13 @@ impl MerkleTree {
                 pending += 1;
                 if pending == LANES {
                     let msgs: [&[u8]; LANES] = std::array::from_fn(|j| scratch[j].as_slice());
-                    sha256_many(&msgs, &mut nodes);
+                    sha256_many(&msgs, nodes);
                     pending = 0;
                 }
             }
             let msgs: [&[u8]; LANES] = std::array::from_fn(|j| scratch[j].as_slice());
-            sha256_many(&msgs[..pending], &mut nodes);
+            sha256_many(&msgs[..pending], nodes);
         }
-        let mut level_offsets = vec![0usize];
         let mut start = 0usize;
         let mut len = leaf_count;
         // Interior levels: node pre-images are fixed-size, so groups of up to
@@ -151,7 +167,7 @@ impl MerkleTree {
                     node_msg(&nodes[i], &nodes[i + 1], buf);
                 }
                 let msgs: [&[u8]; LANES] = std::array::from_fn(|j| bufs[j].as_slice());
-                sha256_many(&msgs[..k], &mut nodes);
+                sha256_many(&msgs[..k], nodes);
                 p += k;
             }
             if len % 2 == 1 {
@@ -163,11 +179,6 @@ impl MerkleTree {
             len = len.div_ceil(2);
         }
         debug_assert_eq!(nodes.len(), total);
-        MerkleTree {
-            nodes,
-            level_offsets,
-            leaf_count,
-        }
     }
 
     /// Number of leaves.
@@ -278,6 +289,23 @@ mod tests {
             for (i, leaf) in data.iter().enumerate() {
                 let proof = tree.prove(i).unwrap();
                 assert!(proof.verify(&tree.root(), leaf), "n={n} i={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rebuilt_tree_equals_a_fresh_one() {
+        // Growing, shrinking and emptying a reused tree: its buffers carry
+        // nothing from the previous build into root or proofs.
+        let mut reused = MerkleTree::default();
+        for n in [5usize, 17, 1, 0, 9, 33, 2] {
+            let data = leaves(n);
+            reused.rebuild_from_slices(data.iter().map(|l| l.as_slice()));
+            let fresh = MerkleTree::build(&data);
+            assert_eq!(reused.root(), fresh.root(), "n={n}");
+            assert_eq!(reused.leaf_count(), n);
+            for i in 0..n {
+                assert_eq!(reused.prove(i), fresh.prove(i), "n={n} i={i}");
             }
         }
     }

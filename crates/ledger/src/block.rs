@@ -3,12 +3,24 @@
 //! At the end of round `r` the referee committee `C_R` packs (§IV-G):
 //! the valid `TXdecSET`s of every committee, the next round's participants and
 //! their reputations, the next referee committee, the next leaders and partial
-//! sets, and the next round's randomness `R^{r+1}`. Releasing the block to the
-//! whole network tells every node the configuration of round `r+1`.
+//! sets, and the next round's randomness `R^{r+1}`. Releasing the block tells
+//! every node the configuration of round `r+1`.
+//!
+//! Releasing it does not send the whole block to every node (a departure from
+//! §IV-G; ARCHITECTURE.md). The body is cut into `m` slices: slice `k` is
+//! the block's transactions that touch shard `k` — an input or an output
+//! there — in block order ([`index_slices`]), so a cross-shard transaction is
+//! in each of its shards' slices. The header's body root is the Merkle root
+//! over the `m` slice roots, and the referee's certificate covers the header.
+//! Every node receives the header and the next round's configuration; a
+//! member of committee `k` also receives slice `k` with its ⌈log₂ m⌉-hash
+//! path ([`BlockSlice`]) and checks it against the certified body root. The
+//! body root fixes each slice's order, which is all a shard's apply reads:
+//! two transactions that share no shard cannot depend on each other.
 
 use std::sync::OnceLock;
 
-use cycledger_crypto::merkle::MerkleTree;
+use cycledger_crypto::merkle::{MerkleProof, MerkleTree};
 use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 
 use crate::transaction::Transaction;
@@ -32,10 +44,9 @@ pub struct NextRoundConfig {
 }
 
 impl NextRoundConfig {
-    fn encode(&self) -> Vec<u8> {
-        // Exact encoded size, so the buffer never regrows mid-encode.
-        let capacity = 4
-            + 4 * self.participants.len()
+    /// Bytes of the encoded configuration, as a node receives it.
+    pub fn wire_size(&self) -> u64 {
+        (4 + 4 * self.participants.len()
             + 4
             + 8 * self.reputations_fp.len()
             + 4
@@ -48,8 +59,12 @@ impl NextRoundConfig {
                 .iter()
                 .map(|ps| 4 + 4 * ps.len())
                 .sum::<usize>()
-            + 32;
-        let mut out = Vec::with_capacity(capacity);
+            + 32) as u64
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        // Exact encoded size, so the buffer never regrows mid-encode.
+        let mut out = Vec::with_capacity(self.wire_size() as usize);
         let push_list = |out: &mut Vec<u8>, xs: &[u32]| {
             out.extend_from_slice(&(xs.len() as u32).to_be_bytes());
             for x in xs {
@@ -79,8 +94,9 @@ pub struct BlockHeader {
     pub round: u64,
     /// Hash of the previous block's header.
     pub prev_hash: Digest,
-    /// Merkle root over the packed transactions.
-    pub tx_root: Digest,
+    /// The body root: Merkle root over the block's `m` slice roots, slice
+    /// `k` the block's transactions touching shard `k` ([`index_slices`]).
+    pub body_root: Digest,
     /// Hash of the next-round configuration.
     pub config_hash: Digest,
     /// Hash of the semi-commitments the referee recorded this round, in
@@ -90,13 +106,16 @@ pub struct BlockHeader {
 }
 
 impl BlockHeader {
+    /// Bytes of a header on the wire: the round and four digests.
+    pub const WIRE_BYTES: u64 = 8 + 4 * 32;
+
     /// The header hash identifying this block.
     pub fn hash(&self) -> Digest {
         hash_parts(&[
             b"cycledger/block-header",
             &self.round.to_be_bytes(),
             self.prev_hash.as_bytes(),
-            self.tx_root.as_bytes(),
+            self.body_root.as_bytes(),
             self.config_hash.as_bytes(),
             self.commitments_hash.as_bytes(),
         ])
@@ -112,6 +131,8 @@ pub struct Block {
     pub transactions: Vec<Transaction>,
     /// Configuration of round `r+1`.
     pub next_round: NextRoundConfig,
+    /// Number of shards `m`: the body root is over `m` slices.
+    pub shards: usize,
     /// Memoized header hash: the hash is consumed at least twice per round
     /// (referee agreement payload, chain append) and again by every
     /// tip-chaining caller, so it is computed once on first use. Sound as
@@ -126,6 +147,7 @@ impl PartialEq for Block {
         self.header == other.header
             && self.transactions == other.transactions
             && self.next_round == other.next_round
+            && self.shards == other.shards
     }
 }
 
@@ -133,26 +155,30 @@ impl Eq for Block {}
 
 impl Block {
     /// Assembles a block for `round` on top of `prev_hash`, its header
-    /// carrying the round's `commitments_hash`.
+    /// carrying the round's `commitments_hash`. `slices` is the
+    /// transactions' [`index_slices`] index over the `m = slices.len()`
+    /// shards, which the caller keeps for propagation and apply.
     pub fn assemble(
         round: u64,
         prev_hash: Digest,
         transactions: Vec<Transaction>,
+        slices: &[Vec<usize>],
         next_round: NextRoundConfig,
         commitments_hash: Digest,
     ) -> Block {
-        let tx_root = Self::tx_root(&transactions);
+        let body_root = Self::body_tree(&transactions, slices).root();
         let config_hash = hash_parts(&[b"cycledger/next-round", &next_round.encode()]);
         Block {
             header: BlockHeader {
                 round,
                 prev_hash,
-                tx_root,
+                body_root,
                 config_hash,
                 commitments_hash,
             },
             transactions,
             next_round,
+            shards: slices.len(),
             header_hash: OnceLock::new(),
         }
     }
@@ -162,11 +188,54 @@ impl Block {
         *self.header_hash.get_or_init(|| self.header.hash())
     }
 
-    /// Merkle root over a transaction list: each transaction's **memoized**
-    /// canonical encoding is hashed straight into the tree's flat node
-    /// vector — no re-encoding, no staged `Vec<Vec<u8>>` of leaves.
+    /// Merkle root over a transaction list (a slice root is this over the
+    /// slice): each transaction's **memoized** canonical encoding is hashed
+    /// straight into the tree's flat node vector — no re-encoding, no staged
+    /// `Vec<Vec<u8>>` of leaves.
     pub fn tx_root(transactions: &[Transaction]) -> Digest {
         MerkleTree::build_from_slices(transactions.iter().map(|t| t.encoded_bytes())).root()
+    }
+
+    /// The Merkle tree over the slice roots of `transactions` under its
+    /// [`index_slices`] index, whose root is the body root ([`Digest::ZERO`]
+    /// for `m = 0`): one scratch tree hashes every slice, then their roots.
+    fn body_tree(transactions: &[Transaction], slices: &[Vec<usize>]) -> MerkleTree {
+        let mut tree = MerkleTree::default();
+        let roots: Vec<Digest> = slices
+            .iter()
+            .map(|positions| {
+                tree.rebuild_from_slices(
+                    positions.iter().map(|&p| transactions[p].encoded_bytes()),
+                );
+                tree.root()
+            })
+            .collect();
+        tree.rebuild_from_slices(roots.iter().map(|root| root.as_bytes().as_slice()));
+        tree
+    }
+
+    /// Bytes of a slice's path to the body root over `m` slices: ⌈log₂ m⌉
+    /// sibling digests.
+    pub fn path_bytes(m: usize) -> u64 {
+        32 * u64::from(m.next_power_of_two().trailing_zeros())
+    }
+
+    /// Slice `shard` of the body with its path to the body root: what a
+    /// member of committee `shard` receives besides the header. `None` past
+    /// the block's shards.
+    pub fn slice(&self, shard: usize) -> Option<BlockSlice> {
+        let mut slices = Vec::new();
+        index_slices(&self.transactions, self.shards, &mut slices);
+        let path = Self::body_tree(&self.transactions, &slices).prove(shard)?;
+        let transactions = slices[shard]
+            .iter()
+            .map(|&p| self.transactions[p].clone())
+            .collect();
+        Some(BlockSlice {
+            shard,
+            transactions,
+            path,
+        })
     }
 
     /// The header's hash over a round's recorded semi-commitments, in
@@ -180,9 +249,16 @@ impl Block {
         h.finalize()
     }
 
-    /// Verifies internal consistency: the header commits to exactly this body.
+    /// Verifies internal consistency: the header commits to exactly this
+    /// body — every slice, in its order — and every transaction is in a
+    /// slice.
     pub fn verify_structure(&self) -> bool {
-        self.header.tx_root == Self::tx_root(&self.transactions)
+        let mut slices = Vec::new();
+        index_slices(&self.transactions, self.shards, &mut slices);
+        let in_a_slice = |t: &Transaction| !t.inputs().is_empty() || !t.outputs().is_empty();
+        (self.shards > 0 || self.transactions.is_empty())
+            && self.transactions.iter().all(in_a_slice)
+            && self.header.body_root == Self::body_tree(&self.transactions, &slices).root()
             && self.header.config_hash
                 == hash_parts(&[b"cycledger/next-round", &self.next_round.encode()])
     }
@@ -192,15 +268,69 @@ impl Block {
         self.transactions.iter().map(|t| t.fee()).sum()
     }
 
-    /// Approximate wire size of the block when propagated to the network.
+    /// Wire size of the whole block: what a referee member stores.
     pub fn wire_size(&self) -> u64 {
         let tx_bytes: u64 = self.transactions.iter().map(|t| t.wire_size()).sum();
-        tx_bytes + self.next_round.encode().len() as u64 + 5 * 32
+        tx_bytes + self.next_round.wire_size() + BlockHeader::WIRE_BYTES
     }
 
     /// Number of transactions packed.
     pub fn tx_count(&self) -> usize {
         self.transactions.len()
+    }
+}
+
+/// Indexes `transactions` by touched shard into `slices`: entry `k` lists, in
+/// block order, the positions of the transactions with an input or an output
+/// in shard `k` of `m` — slice `k` of a block's body. One pass and one shard
+/// lookup per input and output; `slices` keeps its buffers across calls.
+pub fn index_slices(transactions: &[Transaction], m: usize, slices: &mut Vec<Vec<usize>>) {
+    slices.resize_with(m, Vec::new);
+    for positions in slices.iter_mut() {
+        positions.clear();
+    }
+    if m == 0 {
+        return;
+    }
+    for (position, tx) in transactions.iter().enumerate() {
+        let owners = tx
+            .inputs()
+            .iter()
+            .map(|input| input.owner)
+            .chain(tx.outputs().iter().map(|output| output.owner));
+        for owner in owners {
+            let positions = &mut slices[owner.shard(m)];
+            if positions.last() != Some(&position) {
+                positions.push(position);
+            }
+        }
+    }
+}
+
+/// One slice of a block's body and its path to the body root: what a member
+/// of committee `shard` receives besides the header and keeps.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct BlockSlice {
+    /// The shard the slice belongs to.
+    pub shard: usize,
+    /// The block's transactions touching the shard, in block order.
+    pub transactions: Vec<Transaction>,
+    /// The slice root's Merkle path to the header's body root.
+    pub path: MerkleProof,
+}
+
+impl BlockSlice {
+    /// True if this is slice `shard` of the block whose (certified) header is
+    /// `header`, transaction for transaction and in order.
+    pub fn verify(&self, header: &BlockHeader) -> bool {
+        let root = Block::tx_root(&self.transactions);
+        self.path.leaf_index == self.shard && self.path.verify(&header.body_root, root.as_bytes())
+    }
+
+    /// Bytes of the slice on the wire: its transactions and its path.
+    pub fn wire_size(&self) -> u64 {
+        let tx_bytes: u64 = self.transactions.iter().map(|t| t.wire_size()).sum();
+        tx_bytes + 32 * self.path.siblings.len() as u64
     }
 }
 
@@ -323,7 +453,55 @@ pub enum ChainError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transaction::{AccountId, TxOutput};
+    use crate::transaction::{AccountId, TxInput, TxOutput};
+
+    /// Shards of the sample blocks.
+    const M: usize = 4;
+
+    /// A payment of 6 from `from` to `to` with change: it touches one shard
+    /// or two.
+    fn pay(from: u64, to: u64, nonce: u64) -> Transaction {
+        let funding = Transaction::genesis(
+            vec![TxOutput {
+                owner: AccountId(from),
+                amount: 10,
+            }],
+            nonce,
+        );
+        Transaction::new(
+            vec![TxInput {
+                outpoint: funding.created_utxos()[0].0,
+                owner: AccountId(from),
+                amount: 10,
+            }],
+            vec![
+                TxOutput {
+                    owner: AccountId(to),
+                    amount: 6,
+                },
+                TxOutput {
+                    owner: AccountId(from),
+                    amount: 4,
+                },
+            ],
+            nonce,
+        )
+    }
+
+    /// Assembles `txs` over `m` shards.
+    fn assemble(round: u64, prev: Digest, txs: Vec<Transaction>, m: usize) -> Block {
+        let mut slices = Vec::new();
+        index_slices(&txs, m, &mut slices);
+        let config = NextRoundConfig::default();
+        Block::assemble(round, prev, txs, &slices, config, Digest::ZERO)
+    }
+
+    /// Twelve payments among accounts 0..12, several crossing shards.
+    fn payments(round: u64) -> Vec<Transaction> {
+        (0..12u64)
+            .map(|n| pay(n, (n * 5 + 3) % 12, round * 100 + n))
+            .collect()
+    }
 
     fn sample_block(round: u64, prev: Digest) -> Block {
         sample_block_committing(round, prev, &[])
@@ -346,6 +524,8 @@ mod tests {
                 round + 1000,
             ),
         ];
+        let mut slices = Vec::new();
+        index_slices(&txs, M, &mut slices);
         let config = NextRoundConfig {
             participants: vec![0, 1, 2, 3],
             reputations_fp: vec![0, 1_000_000, -500_000, 250_000],
@@ -355,7 +535,7 @@ mod tests {
             randomness: hash_parts(&[b"seed", &round.to_be_bytes()]),
         };
         let commitments = Block::commitments_hash(commitments);
-        Block::assemble(round, prev, txs, config, commitments)
+        Block::assemble(round, prev, txs, &slices, config, commitments)
     }
 
     #[test]
@@ -435,7 +615,11 @@ mod tests {
     fn fees_and_sizes() {
         let block = sample_block(0, Digest::ZERO);
         assert_eq!(block.total_fees(), 0, "genesis transactions carry no fee");
-        assert!(block.wire_size() > 100);
+        let tx_bytes: u64 = block.transactions.iter().map(|t| t.wire_size()).sum();
+        let config = block.next_round.encode().len() as u64;
+        assert_eq!(block.next_round.wire_size(), config);
+        assert_eq!(block.wire_size(), tx_bytes + config + 136);
+        assert_eq!(BlockHeader::WIRE_BYTES, 136, "a u64 and four digests");
         assert_eq!(block.tx_count(), 2);
     }
 
@@ -497,10 +681,117 @@ mod tests {
     }
 
     #[test]
-    fn empty_block_has_zero_tx_root() {
-        let config = NextRoundConfig::default();
-        let block = Block::assemble(0, Digest::ZERO, vec![], config, Digest::ZERO);
-        assert_eq!(block.header.tx_root, Digest::ZERO);
+    fn every_slice_verifies_against_the_body_root_with_its_path() {
+        let block = assemble(0, Digest::ZERO, payments(0), M);
         assert!(block.verify_structure());
+        assert_eq!(block.slice(M), None, "no slice past the shards");
+        for k in 0..M {
+            let slice = block.slice(k).unwrap();
+            assert!(slice.verify(&block.header), "shard {k}");
+            let expected: Vec<Transaction> = block
+                .transactions
+                .iter()
+                .filter(|t| t.touched_shards(M).contains(&k))
+                .cloned()
+                .collect();
+            assert_eq!(slice.transactions, expected, "shard {k}: in block order");
+            assert_eq!(slice.path.siblings.len(), 2, "⌈log₂ 4⌉ hashes");
+            let tx_bytes: u64 = expected.iter().map(|t| t.wire_size()).sum();
+            assert_eq!(slice.wire_size(), tx_bytes + Block::path_bytes(M));
+            // Offered as another shard's slice, it fails.
+            let mut elsewhere = slice.clone();
+            elsewhere.shard = (k + 1) % M;
+            assert!(!elsewhere.verify(&block.header));
+            // So does any slice against another block's header.
+            let other = assemble(1, Digest::ZERO, payments(1), M);
+            assert!(!slice.verify(&other.header));
+        }
+        assert_eq!(
+            (1..=9).map(Block::path_bytes).collect::<Vec<_>>(),
+            [0u64, 32, 64, 64, 96, 96, 96, 96, 128]
+        );
+    }
+
+    #[test]
+    fn a_cross_shard_transaction_is_in_both_of_its_slices() {
+        let block = assemble(0, Digest::ZERO, payments(0), M);
+        let cross = block
+            .transactions
+            .iter()
+            .find(|t| t.touched_shards(M).len() == 2)
+            .expect("a payment crosses shards");
+        for k in cross.touched_shards(M) {
+            let slice = block.slice(k).unwrap();
+            assert!(slice.transactions.contains(cross), "shard {k}");
+            assert!(slice.verify(&block.header));
+        }
+        let in_slices: usize = (0..M)
+            .map(|k| block.slice(k).unwrap().transactions.len())
+            .sum();
+        assert!(in_slices > block.tx_count());
+    }
+
+    #[test]
+    fn a_dropped_added_or_reordered_transaction_in_any_slice_is_bad_structure() {
+        let block = assemble(0, Digest::ZERO, payments(0), M);
+        let extra = pay(40, 41, 999);
+        let appends = |tampered: Block| Chain::new().append(tampered);
+        assert_eq!(appends(block.clone()), Ok(()));
+        let mut slices = Vec::new();
+        index_slices(&block.transactions, M, &mut slices);
+        for (k, positions) in slices.iter().enumerate() {
+            assert!(
+                positions.len() >= 2,
+                "shard {k} has two transactions to swap"
+            );
+            // Dropped from the slice (and so from the block).
+            let mut dropped = block.clone();
+            dropped.transactions.remove(positions[0]);
+            assert_eq!(appends(dropped), Err(ChainError::BadStructure), "shard {k}");
+            // Added to the slice.
+            let mut added = block.clone();
+            let touching = (0..100u64)
+                .map(|n| pay(n, n, 500 + n))
+                .find(|t| t.touched_shards(M) == [k])
+                .unwrap();
+            added.transactions.insert(positions[1], touching);
+            assert_eq!(appends(added), Err(ChainError::BadStructure), "shard {k}");
+            // Reordered within the slice.
+            let mut reordered = block.clone();
+            reordered.transactions.swap(positions[0], positions[1]);
+            assert_eq!(
+                appends(reordered),
+                Err(ChainError::BadStructure),
+                "shard {k}"
+            );
+        }
+        // Appended at the end, and a transaction in no slice at all.
+        let mut appended = block.clone();
+        appended.transactions.push(extra);
+        assert_eq!(appends(appended), Err(ChainError::BadStructure));
+        let mut unsliced = block.clone();
+        unsliced
+            .transactions
+            .push(Transaction::genesis(Vec::new(), 7));
+        assert_eq!(appends(unsliced), Err(ChainError::BadStructure));
+        // A block claiming no shards carries no transactions.
+        let mut shardless = block;
+        shardless.shards = 0;
+        assert_eq!(appends(shardless), Err(ChainError::BadStructure));
+    }
+
+    #[test]
+    fn empty_block_assembles_and_verifies() {
+        for m in [0, 1, M] {
+            let block = assemble(0, Digest::ZERO, Vec::new(), m);
+            assert!(block.verify_structure(), "m = {m}");
+            for k in 0..m {
+                let slice = block.slice(k).unwrap();
+                assert!(slice.transactions.is_empty() && slice.verify(&block.header));
+            }
+            assert_eq!(Chain::new().append(block), Ok(()));
+        }
+        let none = assemble(0, Digest::ZERO, Vec::new(), 0);
+        assert_eq!(none.header.body_root, Digest::ZERO);
     }
 }

@@ -8,6 +8,7 @@
 //! recycles them (clear contents, keep capacity) for the next one, so the
 //! steady-state round performs no allocations for any of this scratch.
 
+use cycledger_ledger::block::index_slices;
 use cycledger_ledger::transaction::Transaction;
 use cycledger_ledger::utxo::UtxoOverlay;
 
@@ -35,7 +36,8 @@ pub struct RoundArena {
     /// The referee's re-validation overlay over the shard UTXO sets —
     /// replaces the seed's per-round clone of every `UtxoSet`.
     pub overlay: UtxoOverlay,
-    /// Per shard, the block positions of the transactions that touch it.
+    /// Per shard, the block positions of the transactions that touch it:
+    /// the block's slices.
     touched: Vec<Vec<usize>>,
 }
 
@@ -63,33 +65,20 @@ impl RoundArena {
         &mut self.shard[..m]
     }
 
-    /// Indexes a block by touched shard: entry `k` lists, in block order,
-    /// the positions of the transactions with an input or an output in shard
-    /// `k` of `m`. One pass and one shard lookup per input and output, so
-    /// each shard's apply task visits its own transactions instead of all m
-    /// tasks walking the whole block.
+    /// Indexes a block by touched shard ([`index_slices`]): entry `k`
+    /// lists, in block order, the positions of the transactions with an input
+    /// or an output in shard `k` of `m` — slice `k` of the block's body. Built
+    /// once a round, before assembly: the slice roots, propagation and each
+    /// shard's apply task all read it, so each shard visits its own
+    /// transactions instead of all m tasks walking the whole block.
     pub fn index_by_touched_shard(&mut self, block: &[Transaction], m: usize) -> &[Vec<usize>] {
-        if self.touched.len() < m {
-            self.touched.resize_with(m, Vec::new);
-        }
-        let touched = &mut self.touched[..m];
-        for positions in touched.iter_mut() {
-            positions.clear();
-        }
-        for (position, tx) in block.iter().enumerate() {
-            let owners = tx
-                .inputs()
-                .iter()
-                .map(|input| input.owner)
-                .chain(tx.outputs().iter().map(|output| output.owner));
-            for owner in owners {
-                let positions = &mut touched[owner.shard(m)];
-                if positions.last() != Some(&position) {
-                    positions.push(position);
-                }
-            }
-        }
-        touched
+        index_slices(block, m, &mut self.touched);
+        &self.touched
+    }
+
+    /// The index the last [`RoundArena::index_by_touched_shard`] built.
+    pub fn touched(&self) -> &[Vec<usize>] {
+        &self.touched
     }
 }
 

@@ -356,7 +356,7 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     let block_outcome = run_block_generation(
         &ctx.env,
         ctx.chain,
-        (next, &ctx.recorded_commitments),
+        (next, &ctx.recorded_commitments, &ctx.committees),
         ctx.arena,
         ctx.utxo_sets,
         ctx.reputation,
@@ -366,7 +366,8 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     // Apply the released block to every shard's UTXO set and, on the SMT
     // backend, seal the shard's round delta into a versioned state root:
     // one executor task per shard (the per-shard sets are disjoint by
-    // construction), each over the transactions that touch its shard.
+    // construction), each over its slice of the block: the transactions
+    // that touch its shard, from the index block generation built.
     // Rounds commit even when no block was produced (the root just
     // re-publishes), so every round report carries exactly one root per
     // shard.
@@ -374,10 +375,7 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     let block = block_outcome.block.as_ref();
     if block.is_some() || smt {
         let touched = match block {
-            Some(block) => {
-                let m = ctx.utxo_sets.len();
-                ctx.arena.index_by_touched_shard(&block.transactions, m)
-            }
+            Some(_) => ctx.arena.touched(),
             None => &[],
         };
         let tasks: Vec<_> = ctx

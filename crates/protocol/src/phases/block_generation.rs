@@ -3,20 +3,22 @@
 //! The referee committee verifies the certified `TXdecSET`s it received,
 //! re-validates the transactions against the shard UTXO sets, packs the valid
 //! ones together with the next round's configuration into block `B^r`, agrees on
-//! it with Algorithm 3, and releases it to the whole network. Every committee
+//! it with Algorithm 3, and releases it: the header and the configuration to
+//! every node, and each shard's slice of the body to that shard's committee
+//! (a departure from §IV-G; see [`cycledger_ledger::block`]). Every committee
 //! then applies the block to the UTXOs it maintains, and transaction fees are
 //! distributed proportionally to `g(reputation)`.
 
 use cycledger_consensus::messages::Alg3Message;
 use cycledger_crypto::sha256::Digest;
-use cycledger_ledger::block::{Block, Chain, NextRoundConfig};
+use cycledger_ledger::block::{Block, BlockHeader, Chain, NextRoundConfig};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_net::metrics::Phase;
 use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
 
-use crate::committee::{run_inside_consensus, LeaderFault};
+use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::arena::RoundArena;
 use crate::engine::env::{Books, RoundEnv, Task};
 use crate::sortition::RoundAssignment;
@@ -39,7 +41,10 @@ pub struct BlockOutcome {
 /// and the referee instance's go into `books`. The block carries the `next`
 /// round's configuration, and its header commits to the semi-commitments
 /// the referee `recorded` this round: the referee's one instance certifies
-/// both.
+/// both. The round's `committees` receive their shards' slices.
+///
+/// The block's slice index is left in `arena` ([`RoundArena::touched`]) for
+/// the per-shard apply.
 ///
 /// The returned block is **not** applied to `utxo_sets`: application is
 /// per-shard-parallel work the engine's block-generation phase hands to the
@@ -48,7 +53,7 @@ pub struct BlockOutcome {
 pub fn run_block_generation(
     env: &RoundEnv<'_>,
     chain: &Chain,
-    (next, recorded): (Option<&RoundAssignment>, &[Digest]),
+    (next, recorded, committees): (Option<&RoundAssignment>, &[Digest], &[Committee]),
     arena: &mut RoundArena,
     utxo_sets: &[UtxoSet],
     reputation: &ReputationTable,
@@ -75,7 +80,9 @@ pub fn run_block_generation(
         }
     }
 
-    // 2. Assemble the block with the next round's configuration.
+    // 2. Assemble the block with the next round's configuration, its body
+    //    root over the slices of the one touched-shard index this round
+    //    builds.
     let next_round = match next {
         Some(next) => NextRoundConfig {
             participants: next.participants().iter().map(|n| n.0).collect(),
@@ -96,7 +103,9 @@ pub fn run_block_generation(
         None => NextRoundConfig::default(),
     };
     let (tip, commitments) = (chain.tip_hash(), Block::commitments_hash(recorded));
-    let block = Block::assemble(height, tip, accepted, next_round, commitments);
+    let m = utxo_sets.len();
+    let slices = arena.index_by_touched_shard(&accepted, m);
+    let block = Block::assemble(height, tip, accepted, slices, next_round, commitments);
 
     // 3. The referee committee agrees on the block via Algorithm 3.
     let mut net: SimNetwork<Alg3Message> = env.open(Task::Block);
@@ -119,18 +128,38 @@ pub fn run_block_generation(
         };
     }
 
-    // 4. Propagation: the referee committee releases the block to every node
-    //    (each referee member serves a slice of the network), and every node
-    //    stores the slice of state it is responsible for.
-    let block_bytes = block.wire_size();
-    for (i, &node) in all_nodes.iter().enumerate() {
-        let server = referee.members[i % referee.members.len()];
-        if node != server {
-            metrics.record_message(phase, server, node, block_bytes);
+    // 4. Propagation: the referee committee releases the certified header
+    //    and the next round's configuration to every node (each referee
+    //    member serves a part of the network), and to a member of committee
+    //    k also slice k of the body with its path to the header's body root,
+    //    against which the member checks it — one envelope per recipient,
+    //    never the whole block. Every node stores what it keeps: the header,
+    //    the configuration and its own slice; the referee keeps the whole
+    //    block.
+    let (header_and_config, path) = (
+        BlockHeader::WIRE_BYTES + block.next_round.wire_size(),
+        Block::path_bytes(m),
+    );
+    let mut slice_of = vec![None; all_nodes.len()];
+    for committee in committees {
+        let positions = slices[committee.index].iter();
+        let bytes: u64 = positions.map(|&p| block.transactions[p].wire_size()).sum();
+        for member in &committee.members {
+            slice_of[member.0 as usize] = Some(bytes);
         }
     }
-    for &rm in &referee.members {
-        metrics.record_storage(phase, rm, block_bytes);
+    for (i, &node) in all_nodes.iter().enumerate() {
+        let server = referee.members[i % referee.members.len()];
+        let slice = slice_of[node.0 as usize];
+        if node != server {
+            let sent = header_and_config + slice.map_or(0, |bytes| bytes + path);
+            metrics.record_message(phase, server, node, sent);
+        }
+        if referee.members.contains(&node) {
+            metrics.record_storage(phase, node, block.wire_size());
+        } else {
+            metrics.record_storage(phase, node, header_and_config + slice.unwrap_or(0));
+        }
     }
 
     // 5. Fees are distributed proportionally to g(reputation) (§IV-G).
@@ -161,6 +190,7 @@ mod tests {
     struct Fixture {
         registry: NodeRegistry,
         referee: Committee,
+        committees: Vec<Committee>,
         all_nodes: Vec<NodeId>,
         utxo_sets: Vec<UtxoSet>,
         valid: Vec<Transaction>,
@@ -171,9 +201,10 @@ mod tests {
     fn fixture(seed: u64) -> Fixture {
         let registry = NodeRegistry::generate(60, &AdversaryConfig::default(), 100, 0, seed);
         let reputation = ReputationTable::with_members(registry.ids());
+        // Ten of the sixty nodes solve no puzzle: they are in no committee.
         let assignment = assign_round(
             &registry,
-            &registry.ids(),
+            &registry.ids()[..50],
             AssignmentParams {
                 committees: 3,
                 partial_set_size: 3,
@@ -184,6 +215,11 @@ mod tests {
             &reputation,
         );
         let referee = Committee::referee(&assignment.referee, &registry);
+        let committees = assignment
+            .committees
+            .iter()
+            .map(|c| Committee::from_assignment(c, &registry))
+            .collect();
         let mut workload = Workload::new(WorkloadConfig {
             num_shards: 3,
             accounts_per_shard: 16,
@@ -219,6 +255,7 @@ mod tests {
             all_nodes: registry.ids(),
             registry,
             referee,
+            committees,
             utxo_sets,
             valid,
             invalid,
@@ -252,7 +289,7 @@ mod tests {
             let outcome = run_block_generation(
                 &env,
                 &Chain::new(),
-                (next, &[]),
+                (next, &[], &self.committees),
                 &mut arena,
                 &self.utxo_sets,
                 &self.reputation,
@@ -293,7 +330,7 @@ mod tests {
         // Rewards sum to the collected fees.
         let reward_sum: u64 = outcome.rewards.iter().map(|(_, r)| r).sum();
         assert_eq!(reward_sum, block.total_fees());
-        // Every node received the block.
+        // Every node received the header.
         let total = books.metrics.phase_total(Phase::BlockGeneration);
         assert!(total.msgs_sent as usize >= fx.all_nodes.len() - fx.referee.members.len());
     }
@@ -333,5 +370,69 @@ mod tests {
             block.next_round.participants.len(),
             block.next_round.reputations_fp.len()
         );
+    }
+
+    #[test]
+    fn propagation_sends_each_node_the_header_the_config_and_its_own_slice() {
+        let fx = fixture(94);
+        let next = assign_round(
+            &fx.registry,
+            &fx.registry.ids(),
+            AssignmentParams {
+                committees: 3,
+                partial_set_size: 3,
+                referee_size: 7,
+            },
+            1,
+            sha256(b"next"),
+            &fx.reputation,
+        );
+        let (outcome, books) = fx.generate(Some(&next), fx.valid.clone(), 4);
+        let block = outcome.block.unwrap();
+        let metrics = &books.metrics;
+        let header_and_config = BlockHeader::WIRE_BYTES + block.next_round.wire_size();
+        // What each node is sent besides the header and the configuration,
+        // and what it keeps of that: its committee's slice and path, and the
+        // slice alone.
+        let own = |node: NodeId| {
+            let committee = fx.committees.iter().find(|c| c.members.contains(&node));
+            committee.map_or((0, 0), |c| {
+                let slice = block.slice(c.index).unwrap();
+                assert!(slice.verify(&block.header), "committee {}", c.index);
+                (slice.wire_size(), slice.wire_size() - Block::path_bytes(3))
+            })
+        };
+        let referee = &fx.referee.members;
+        let (mut outside, mut envelopes, mut bytes) = (0, 0, 0);
+        for (i, &node) in fx.all_nodes.iter().enumerate() {
+            let (sent, kept) = own(node);
+            let counters = metrics.node_phase(node, Phase::BlockGeneration);
+            if referee.contains(&node) {
+                assert_eq!(counters.storage_bytes, block.wire_size(), "{node:?}");
+                assert_eq!((sent, kept), (0, 0), "the referee is in no committee");
+                continue;
+            }
+            // One envelope from the node's server, and no other traffic.
+            assert_ne!(referee[i % referee.len()], node);
+            assert_eq!(counters.msgs_received, 1, "{node:?}");
+            assert_eq!(counters.msgs_sent, 0, "{node:?}");
+            assert_eq!(
+                counters.bytes_received,
+                header_and_config + sent,
+                "{node:?}"
+            );
+            assert_eq!(counters.storage_bytes, header_and_config + kept, "{node:?}");
+            outside += usize::from(sent == 0);
+            envelopes += counters.msgs_received;
+            bytes += counters.bytes_received;
+        }
+        assert_eq!(
+            outside, 10,
+            "nodes outside every committee get the header and config only"
+        );
+        let recipients = fx.all_nodes.len() - referee.len();
+        assert_eq!(envelopes as usize, recipients);
+        // Far below the whole block to every recipient.
+        assert!(bytes * 2 < block.wire_size() * recipients as u64);
     }
 }

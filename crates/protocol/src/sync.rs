@@ -254,6 +254,7 @@ mod tests {
                 round,
                 chain.tip_hash(),
                 Vec::new(),
+                &[],
                 NextRoundConfig::default(),
                 Block::commitments_hash(&[]),
             );

@@ -7,9 +7,9 @@
 //! decision core ([`cycledger_consensus::transition`]): each committee's
 //! intra outcome, each new recovery record and the phase's counter delta. A
 //! step the shared functions cannot reproduce means a phase driver
-//! (`phases/{intra,recovery,xshard}.rs` — one implementation, whatever
-//! `message_driven` says) computed a decision some way other than the one the
-//! model checker exhaustively verified — exactly the drift this layer exists
+//! (`phases/{intra,recovery,xshard}.rs`, the one implementation every run
+//! uses) computed a decision some way other than the one the model checker
+//! exhaustively verified — exactly the drift this layer exists
 //! to catch. A closed vote collection is checked by `check_vote`, the
 //! function the explorer checks its own collections with.
 

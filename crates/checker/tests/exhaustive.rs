@@ -243,7 +243,7 @@ fn the_scheduler_and_the_driver_catch_the_same_equivocation() {
     assert_eq!(instance.equivocation(), driven.equivocation);
 }
 
-fn sim_config(adversary: AdversaryConfig, seed: u64, message_driven: bool) -> ProtocolConfig {
+fn sim_config(adversary: AdversaryConfig, seed: u64) -> ProtocolConfig {
     ProtocolConfig {
         committees: 2,
         committee_size: 8,
@@ -252,7 +252,6 @@ fn sim_config(adversary: AdversaryConfig, seed: u64, message_driven: bool) -> Pr
         txs_per_round: 16,
         accounts_per_shard: 16,
         pow_difficulty: 2,
-        message_driven,
         adversary,
         worker_threads: 1,
         seed,
@@ -277,25 +276,22 @@ const ADVERSARIAL_STATS: RefinementStats = RefinementStats {
     ..HONEST_STATS
 };
 
-/// Refinement over a clean execution, with and without the fault-plan opt-in
-/// (one implementation runs either way): every concrete step has an abstract
+/// Refinement over a clean execution: every concrete step has an abstract
 /// counterpart.
 #[test]
 fn refinement_holds_over_honest_driven_execution() {
-    for message_driven in [false, true] {
-        let config = sim_config(AdversaryConfig::default(), 7, message_driven);
-        let mut sim = Simulation::new(config).expect("valid config");
-        let mut refiner = Refiner::new();
-        sim.run_observed(3, &mut refiner);
-        let stats = refiner.finish().expect("refinement gap in an honest run");
-        assert_eq!(stats, HONEST_STATS, "message_driven={message_driven}");
-    }
+    let config = sim_config(AdversaryConfig::default(), 7);
+    let mut sim = Simulation::new(config).expect("valid config");
+    let mut refiner = Refiner::new();
+    sim.run_observed(3, &mut refiner);
+    let stats = refiner.finish().expect("refinement gap in an honest run");
+    assert_eq!(stats, HONEST_STATS);
 }
 
 /// Refinement over adversarial executions: with silent, equivocating or
 /// false-accusing nodes the run stays within the abstract transition
-/// relation, on either setting of the flag. These three rounds run no
-/// recovery; the partition- and churn-fuzz schedules refine those.
+/// relation. These three rounds run no recovery; the partition- and
+/// churn-fuzz schedules refine those.
 #[test]
 fn refinement_holds_over_adversarial_driven_executions() {
     for behavior in [
@@ -303,16 +299,13 @@ fn refinement_holds_over_adversarial_driven_executions() {
         Behavior::EquivocatingLeader,
         Behavior::FalseAccuser,
     ] {
-        for message_driven in [false, true] {
-            let adversary = AdversaryConfig::with_behavior(0.3, behavior);
-            let config = sim_config(adversary, 11, message_driven);
-            let mut sim = Simulation::new(config).expect("valid config");
-            let mut refiner = Refiner::new();
-            sim.run_observed(3, &mut refiner);
-            let stats = refiner.finish().unwrap_or_else(|gap| {
-                panic!("refinement gap under {behavior:?}, message_driven={message_driven}: {gap}")
-            });
-            assert_eq!(stats, ADVERSARIAL_STATS, "{behavior:?}");
-        }
+        let adversary = AdversaryConfig::with_behavior(0.3, behavior);
+        let mut sim = Simulation::new(sim_config(adversary, 11)).expect("valid config");
+        let mut refiner = Refiner::new();
+        sim.run_observed(3, &mut refiner);
+        let stats = refiner
+            .finish()
+            .unwrap_or_else(|gap| panic!("refinement gap under {behavior:?}: {gap}"));
+        assert_eq!(stats, ADVERSARIAL_STATS, "{behavior:?}");
     }
 }

@@ -363,7 +363,6 @@ impl<'a> RoundContext<'a> {
             metrics: self.books.metrics,
             roles,
             timeout_delays_us: inter.timeout_delays,
-            message_driven: self.env.config.message_driven,
             quorum_timeouts: counters.quorum_timeouts,
             list_timeouts: counters.list_timeouts,
             votes_missing: counters.votes_missing,

@@ -80,8 +80,7 @@ impl RecoveryRecord {
 }
 
 /// What one epoch transition did, attached to the round report that closed
-/// the epoch. Folded into the canonical bytes as a tagged extension block, so
-/// runs without epoch machinery keep their pre-epoch encoding byte-identical.
+/// the epoch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EpochTransitionReport {
     /// The epoch that just closed (0-based).
@@ -168,11 +167,6 @@ pub struct RoundReport {
     pub roles: RoleGroups,
     /// Extra simulated latency spent in 2Γ recovery timeouts (µs).
     pub timeout_delays_us: u64,
-    /// Whether the run opted in to network faults
-    /// ([`crate::ProtocolConfig::message_driven`]). The six counters below
-    /// are counted on every run; this decides whether the `0xD1` block
-    /// carries the first four into the canonical bytes.
-    pub message_driven: bool,
     /// Vote-collection deadlines that fired with votes missing (the
     /// quorum-timeout fallback path).
     pub quorum_timeouts: usize,
@@ -200,8 +194,7 @@ pub struct RoundReport {
     pub traffic: Option<crate::traffic::TrafficRoundReport>,
     /// Authenticated state roots committed this round, one per shard in
     /// shard order. Empty on the default map backend — the sparse-Merkle
-    /// backend fills it after block application, and it rides the canonical
-    /// bytes as a tagged extension block.
+    /// backend fills it after block application.
     pub state_roots: Vec<cycledger_crypto::sha256::Digest>,
 }
 
@@ -240,9 +233,11 @@ impl RoundReport {
     }
 
     /// Appends a canonical byte encoding of the report to `out`: every field
-    /// in declaration order, metrics in sorted `(node, phase)` order. Equal
-    /// reports produce equal bytes independent of hash-map iteration order —
-    /// the unit of the engine's byte-identical determinism contract.
+    /// in declaration order on every round, metrics in sorted `(node, phase)`
+    /// order, an optional block as a presence byte and its body, the state
+    /// roots behind their count (zero on the map backend). Equal reports
+    /// produce equal bytes independent of hash-map iteration order — the
+    /// unit of the engine's byte-identical determinism contract.
     pub fn write_canonical_bytes(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.round.to_be_bytes());
         out.push(u8::from(self.block_produced));
@@ -283,48 +278,33 @@ impl RoundReport {
             }
         }
         self.metrics.write_canonical_bytes(out);
-        // Message-driven extension block: appended only when the round ran
-        // the message-driven data plane, so fully synchronous runs keep the
-        // exact pre-extension encoding (and with it their golden digests).
-        if self.message_driven {
-            out.push(0xD1);
-            out.extend_from_slice(&(self.quorum_timeouts as u64).to_be_bytes());
-            out.extend_from_slice(&(self.list_timeouts as u64).to_be_bytes());
-            out.extend_from_slice(&(self.votes_missing as u64).to_be_bytes());
-            out.extend_from_slice(&self.net_dropped_messages.to_be_bytes());
+        for count in [
+            self.quorum_timeouts as u64,
+            self.list_timeouts as u64,
+            self.votes_missing as u64,
+            self.net_dropped_messages,
+            self.syncing_abstentions as u64,
+            self.syncing_votes as u64,
+        ] {
+            out.extend_from_slice(&count.to_be_bytes());
         }
-        // Epoch extension block: appended only when this round closed an
-        // epoch, so runs with the epoch machinery disabled (the default)
-        // keep their pre-epoch encoding — and golden digests — unchanged.
-        if let Some(transition) = &self.epoch_transition {
-            out.push(0xE7);
-            transition.write_canonical_bytes(out);
-        }
-        // Syncing-counter extension block: appended only when a `Syncing`
-        // member actually abstained (or, impossibly, voted), for the same
-        // golden-preservation reason.
-        if self.syncing_abstentions > 0 || self.syncing_votes > 0 {
-            out.push(0xE8);
-            out.extend_from_slice(&(self.syncing_abstentions as u64).to_be_bytes());
-            out.extend_from_slice(&(self.syncing_votes as u64).to_be_bytes());
-        }
-        // Open-loop traffic extension block: appended only when the round
-        // ran under traffic drive, so every closed-loop run — all goldens
-        // predating the harness — keeps its exact encoding.
-        if let Some(traffic) = &self.traffic {
-            out.push(0xAC);
-            traffic.write_canonical_bytes(out);
-        }
-        // Authenticated-state extension block: appended only when the run
-        // commits state roots (the sparse-Merkle backend), so every
-        // map-backed run — all goldens predating the state layer — keeps
-        // its exact encoding.
-        if !self.state_roots.is_empty() {
-            out.push(0xA5);
-            out.extend_from_slice(&(self.state_roots.len() as u64).to_be_bytes());
-            for root in &self.state_roots {
-                out.extend_from_slice(root.as_bytes());
+        match &self.epoch_transition {
+            Some(transition) => {
+                out.push(1);
+                transition.write_canonical_bytes(out);
             }
+            None => out.push(0),
+        }
+        match &self.traffic {
+            Some(traffic) => {
+                out.push(1);
+                traffic.write_canonical_bytes(out);
+            }
+            None => out.push(0),
+        }
+        out.extend_from_slice(&(self.state_roots.len() as u64).to_be_bytes());
+        for root in &self.state_roots {
+            out.extend_from_slice(root.as_bytes());
         }
     }
 }
@@ -502,7 +482,6 @@ mod tests {
             metrics: MetricsSink::new(),
             roles: RoleGroups::default(),
             timeout_delays_us: 0,
-            message_driven: false,
             quorum_timeouts: 0,
             list_timeouts: 0,
             votes_missing: 0,
@@ -582,161 +561,62 @@ mod tests {
         );
     }
 
-    #[test]
-    fn message_driven_extension_block_is_gated() {
-        // Synchronous rounds must keep the exact pre-extension encoding
-        // (golden digests depend on it); driven rounds append the extension
-        // block, and its counters are digest-relevant.
-        let sync = dummy_report(0, 1, 1);
-        let mut driven = sync.clone();
-        driven.message_driven = true;
-        let encode = |r: &RoundReport| {
-            let mut bytes = Vec::new();
-            r.write_canonical_bytes(&mut bytes);
-            bytes
-        };
-        let sync_bytes = encode(&sync);
-        let driven_bytes = encode(&driven);
-        assert_eq!(
-            driven_bytes.len(),
-            sync_bytes.len() + 1 + 4 * 8,
-            "driven rounds append exactly the tagged extension block"
-        );
-        assert_eq!(&driven_bytes[..sync_bytes.len()], &sync_bytes[..]);
-        // Counters on a synchronous round never reach the encoding…
-        let mut sync_with_counts = sync.clone();
-        sync_with_counts.quorum_timeouts = 5;
-        sync_with_counts.net_dropped_messages = 99;
-        assert_eq!(encode(&sync_with_counts), sync_bytes);
-        // …but on a driven round they are digest-relevant.
-        let mut driven_with_counts = driven.clone();
-        driven_with_counts.quorum_timeouts = 5;
-        assert_ne!(encode(&driven_with_counts), driven_bytes);
+    fn digest_of(report: &RoundReport) -> cycledger_crypto::sha256::Digest {
+        SimulationSummary {
+            rounds: vec![report.clone()],
+        }
+        .canonical_digest()
     }
 
     #[test]
-    fn epoch_extension_block_is_gated() {
-        // Rounds without an epoch transition keep the exact pre-epoch
-        // encoding (all 21 committed goldens depend on it); boundary rounds
-        // append the tagged extension, and its content is digest-relevant.
-        let plain = dummy_report(0, 1, 1);
-        let encode = |r: &RoundReport| {
-            let mut bytes = Vec::new();
-            r.write_canonical_bytes(&mut bytes);
-            bytes
-        };
-        let plain_bytes = encode(&plain);
-        let mut boundary = plain.clone();
-        boundary.epoch_transition = Some(EpochTransitionReport {
-            epoch: 3,
-            joined: vec![NodeId(40), NodeId(41)],
-            left: vec![NodeId(7)],
-            synced: 2,
-            still_syncing: 0,
-            sync_timeouts: 1,
-            sync_chunks: 4,
-            reshuffled_seats: 12,
-        });
-        let boundary_bytes = encode(&boundary);
-        // tag + epoch + joined(len + 2 ids) + left(len + 1 id) + 5 counters
-        assert_eq!(
-            boundary_bytes.len(),
-            plain_bytes.len() + 1 + 8 + (8 + 2 * 4) + (8 + 4) + 5 * 8,
-            "boundary rounds append exactly the tagged epoch block"
-        );
-        assert_eq!(&boundary_bytes[..plain_bytes.len()], &plain_bytes[..]);
-        let mut changed = boundary.clone();
-        changed.epoch_transition.as_mut().unwrap().synced = 1;
-        assert_ne!(encode(&changed), boundary_bytes);
-    }
-
-    #[test]
-    fn syncing_counter_extension_block_is_gated() {
-        let plain = dummy_report(0, 1, 1);
-        let encode = |r: &RoundReport| {
-            let mut bytes = Vec::new();
-            r.write_canonical_bytes(&mut bytes);
-            bytes
-        };
-        let plain_bytes = encode(&plain);
-        let mut abstained = plain.clone();
-        abstained.syncing_abstentions = 3;
-        let abstained_bytes = encode(&abstained);
-        assert_eq!(
-            abstained_bytes.len(),
-            plain_bytes.len() + 1 + 2 * 8,
-            "abstentions append exactly the tagged syncing block"
-        );
-        assert_eq!(&abstained_bytes[..plain_bytes.len()], &plain_bytes[..]);
-        // A forbidden syncing vote is also digest-relevant.
-        let mut voted = plain.clone();
-        voted.syncing_votes = 1;
-        assert_ne!(encode(&voted), plain_bytes);
-    }
-
-    #[test]
-    fn traffic_extension_block_is_gated() {
-        // Closed-loop rounds (every golden predating the traffic harness)
-        // must keep their exact encoding; open-loop rounds append the
-        // tagged block, and its counters are digest-relevant.
-        let closed = dummy_report(0, 1, 1);
-        let encode = |r: &RoundReport| {
-            let mut bytes = Vec::new();
-            r.write_canonical_bytes(&mut bytes);
-            bytes
-        };
-        let closed_bytes = encode(&closed);
-        let mut open = closed.clone();
-        open.traffic = Some(crate::traffic::TrafficRoundReport {
-            injected: 12,
-            rejected_invalid: 1,
-            confirmed: 10,
-            censored: 1,
-            backlog: 4,
-            round_duration_us: 1_200_000,
-            latency_sum_us: 9_000_000,
-            max_latency_us: 1_400_000,
-        });
-        let open_bytes = encode(&open);
-        assert_eq!(
-            open_bytes.len(),
-            closed_bytes.len() + 1 + 8 * 8,
-            "open-loop rounds append exactly the tagged traffic block"
-        );
-        assert_eq!(&open_bytes[..closed_bytes.len()], &closed_bytes[..]);
-        // Censoring is digest-relevant, not silently dropped.
-        let mut censored_more = open.clone();
-        censored_more.traffic.as_mut().unwrap().censored += 1;
-        assert_ne!(encode(&censored_more), open_bytes);
-    }
-
-    #[test]
-    fn state_root_extension_block_is_gated() {
-        // Map-backed rounds (every golden predating the state layer) must
-        // keep their exact encoding; SMT-backed rounds append the tagged
-        // block, and the roots are digest-relevant.
-        let plain = dummy_report(0, 1, 1);
-        let encode = |r: &RoundReport| {
-            let mut bytes = Vec::new();
-            r.write_canonical_bytes(&mut bytes);
-            bytes
-        };
-        let plain_bytes = encode(&plain);
-        let mut authenticated = plain.clone();
-        authenticated.state_roots = vec![
-            cycledger_crypto::sha256::sha256(b"root-shard-0"),
-            cycledger_crypto::sha256::sha256(b"root-shard-1"),
+    fn every_plane_counter_reaches_the_digest() {
+        // A closed-loop, map-backed round outside any epoch boundary: each of
+        // the six plane counters is written whatever else the round did.
+        let base = dummy_report(0, 1, 1);
+        assert!(base.epoch_transition.is_none() && base.traffic.is_none());
+        assert!(base.state_roots.is_empty());
+        let bumps: [fn(&mut RoundReport); 6] = [
+            |r| r.quorum_timeouts += 1,
+            |r| r.list_timeouts += 1,
+            |r| r.votes_missing += 1,
+            |r| r.net_dropped_messages += 1,
+            |r| r.syncing_abstentions += 1,
+            |r| r.syncing_votes += 1,
         ];
-        let auth_bytes = encode(&authenticated);
-        assert_eq!(
-            auth_bytes.len(),
-            plain_bytes.len() + 1 + 8 + 2 * 32,
-            "authenticated rounds append exactly the tagged state block"
-        );
-        assert_eq!(&auth_bytes[..plain_bytes.len()], &plain_bytes[..]);
-        let mut changed = authenticated.clone();
-        changed.state_roots[1] = cycledger_crypto::sha256::sha256(b"tampered");
-        assert_ne!(encode(&changed), auth_bytes);
+        let mut digests = vec![digest_of(&base)];
+        for bump in bumps {
+            let mut changed = base.clone();
+            bump(&mut changed);
+            let digest = digest_of(&changed);
+            assert!(!digests.contains(&digest), "counter {}", digests.len());
+            digests.push(digest);
+        }
+    }
+
+    #[test]
+    fn optional_blocks_reach_the_digest_by_presence_and_content() {
+        let base = dummy_report(0, 1, 1);
+        let mut boundary = base.clone();
+        boundary.epoch_transition = Some(EpochTransitionReport::default());
+        let mut open = base.clone();
+        open.traffic = Some(crate::traffic::TrafficRoundReport::default());
+        let mut authenticated = base.clone();
+        authenticated.state_roots = vec![cycledger_crypto::sha256::sha256(b"root-shard-0")];
+        let variants = [&base, &boundary, &open, &authenticated];
+        for (i, a) in variants.iter().enumerate() {
+            for b in &variants[i + 1..] {
+                assert_ne!(digest_of(a), digest_of(b), "an empty block is not no block");
+            }
+        }
+        let mut synced = boundary.clone();
+        synced.epoch_transition.as_mut().unwrap().synced = 1;
+        assert_ne!(digest_of(&synced), digest_of(&boundary));
+        let mut censored = open.clone();
+        censored.traffic.as_mut().unwrap().censored = 1;
+        assert_ne!(digest_of(&censored), digest_of(&open));
+        let mut tampered = authenticated.clone();
+        tampered.state_roots[0] = cycledger_crypto::sha256::sha256(b"tampered");
+        assert_ne!(digest_of(&tampered), digest_of(&authenticated));
     }
 
     #[test]

@@ -134,16 +134,8 @@ impl Simulation {
     /// state-sync sessions run under. Scenario drivers call this between
     /// rounds to activate and heal partitions, targeted delays and loss
     /// windows — passing the default (empty) plan heals everything.
-    ///
-    /// This is the one place `config.message_driven` is consulted: with the
-    /// flag off the plan is discarded and every round keeps running under
-    /// the empty plan, so a fault schedule can never perturb a run that did
-    /// not opt in. The flag selects no code — both settings run the same
-    /// envelope implementation of every committee interaction.
     pub fn set_fault_plan(&mut self, plan: cycledger_net::faults::FaultPlan) {
-        if self.config.message_driven {
-            self.fault_plan = plan;
-        }
+        self.fault_plan = plan;
     }
 
     /// The persistent shard executor backing the round pipeline.
@@ -594,18 +586,17 @@ mod tests {
     #[test]
     fn determinism_same_summary_for_1_2_and_8_workers() {
         // Identical seeds must yield byte-identical summaries regardless of
-        // executor width — the engine's core contract. `pipelined` and
-        // `verify_signatures` select no code while the fields exist, so they
-        // are two more inert inputs.
+        // executor width — the engine's core contract. `pipelined`,
+        // `verify_signatures` and `message_driven` select no code while the
+        // fields exist, so they are three more inert inputs.
         let mut config = small_config();
         let baseline = summary_digest(config, 1, 3);
-        for (pipelined, verify_signatures) in
-            [(false, false), (false, true), (true, false), (true, true)]
-        {
-            config.pipelined = pipelined;
-            config.verify_signatures = verify_signatures;
+        for modes in 0..8u8 {
+            config.pipelined = modes & 1 != 0;
+            config.verify_signatures = modes & 2 != 0;
+            config.message_driven = modes & 4 != 0;
             for workers in [1, 2, 8] {
-                assert_eq!(baseline, summary_digest(config, workers, 3));
+                assert_eq!(baseline, summary_digest(config, workers, 3), "{config:?}");
             }
         }
         // Inert down to the operation: one worker runs everything inline on
@@ -641,8 +632,9 @@ mod tests {
     #[test]
     fn smt_backend_extends_but_never_perturbs_the_map_digest() {
         // The authenticated backend must make identical validation decisions
-        // to the flat map: round for round, its canonical bytes are exactly
-        // the map run's bytes plus the tagged state-root extension block.
+        // to the flat map: round for round, its report is the map run's
+        // report with one state root per shard added, and every other field
+        // equal.
         let mut config = small_config();
         let mut map_sim = Simulation::new(config).unwrap();
         let map_summary = map_sim.run(3);
@@ -663,15 +655,13 @@ mod tests {
                 m,
                 "one root per shard per round"
             );
-            let map_bytes = encode(map_round);
-            let smt_bytes = encode(smt_round);
-            assert_eq!(
-                &smt_bytes[..map_bytes.len()],
-                &map_bytes[..],
-                "round {} diverged beyond the extension block",
+            let mut rootless = smt_round.clone();
+            rootless.state_roots.clear();
+            assert!(
+                encode(&rootless) == encode(map_round),
+                "round {} diverged beyond its state roots",
                 map_round.round
             );
-            assert_eq!(smt_bytes.len(), map_bytes.len() + 1 + 8 + m * 32);
         }
 
         // Rounds with different packed transactions commit different roots.
@@ -822,16 +812,16 @@ mod tests {
 
     #[test]
     fn epoch_runs_are_deterministic_across_worker_counts_on_both_planes() {
-        // The sortition and proof-verification batches and their lead
-        // tasks all do real work, on either plane and through the boundary
-        // reshuffles after rounds 2 and 4 (with `Syncing` joiners in the
-        // mapped sortition list).
+        // The sortition and proof-verification batches all do real work,
+        // through the boundary reshuffles after rounds 2 and 4 (with
+        // `Syncing` joiners in the mapped sortition list); `message_driven`
+        // moves nothing either.
+        let baseline = summary_digest(epoch_config(), 1, 5);
         for message_driven in [false, true] {
             let config = ProtocolConfig {
                 message_driven,
                 ..epoch_config()
             };
-            let baseline = summary_digest(config, 1, 5);
             for workers in [2, 8] {
                 assert_eq!(
                     baseline,
@@ -975,7 +965,6 @@ mod tests {
         // across the remaining rounds, and in driven mode their TXList slots
         // show up as abstentions — never as votes.
         let mut config = epoch_config();
-        config.message_driven = true;
         config.leaves_per_epoch = 0;
         let initial_nodes = config.total_nodes() as u32;
         let mut sim = Simulation::new(config).unwrap();
@@ -1011,9 +1000,7 @@ mod tests {
         // A member flipped to `Syncing` mid-epoch (as a restart would) still
         // receives its TXList but deliberately abstains; the slot counts
         // `Unknown` and consensus proceeds.
-        let mut config = small_config();
-        config.message_driven = true;
-        let mut sim = Simulation::new(config).unwrap();
+        let mut sim = Simulation::new(small_config()).unwrap();
         let commons = sim.assignment().committees[0].common_members().to_vec();
         let member = commons[0];
         sim.registry_mut()
@@ -1291,7 +1278,6 @@ mod tests {
         // counted, canonical-bytes-relevant outcome — not silently drop them
         // from the latency accounting.
         let mut config = small_config();
-        config.message_driven = true;
         config.invalid_ratio = 0.0;
         config.traffic = Some(TrafficConfig {
             rate_tps: 40.0,
@@ -1342,26 +1328,20 @@ mod tests {
         // A fully lazy referee committee certifies no block (and no beacon,
         // so the assignment is reused): nothing was packed, so nothing may
         // be reported confirmed and the generator may not spend outputs that
-        // never existed — on either setting of the flag.
-        for message_driven in [false, true] {
-            let mut sim = Simulation::new(ProtocolConfig {
-                message_driven,
-                ..traffic_config(20.0)
-            })
-            .unwrap();
-            for member in sim.assignment.referee.clone() {
-                sim.registry.set_behavior(member, Behavior::LazyVoter);
-            }
-            let summary = sim.run(2);
-            assert_eq!(summary.blocks_produced(), 0);
-            let snapshot = sim.traffic().unwrap();
-            assert_eq!(snapshot.confirmed, 0, "message_driven={message_driven}");
-            assert!(snapshot.censored > 0);
-            assert_eq!(
-                snapshot.injected,
-                snapshot.censored + snapshot.rejected_invalid
-            );
+        // never existed.
+        let mut sim = Simulation::new(traffic_config(20.0)).unwrap();
+        for member in sim.assignment.referee.clone() {
+            sim.registry.set_behavior(member, Behavior::LazyVoter);
         }
+        let summary = sim.run(2);
+        assert_eq!(summary.blocks_produced(), 0);
+        let snapshot = sim.traffic().unwrap();
+        assert_eq!(snapshot.confirmed, 0);
+        assert!(snapshot.censored > 0);
+        assert_eq!(
+            snapshot.injected,
+            snapshot.censored + snapshot.rejected_invalid
+        );
     }
 
     #[test]
@@ -1375,25 +1355,19 @@ mod tests {
             txs_per_round: 120,
             ..small_config()
         };
-        for message_driven in [false, true] {
-            let mut sim = Simulation::new(ProtocolConfig {
-                message_driven,
-                ..config
-            })
-            .unwrap();
-            let leader = sim.assignment().committees[0].leader;
-            sim.registry_mut()
-                .set_behavior(leader, Behavior::CensoringLeader);
-            let report = sim.run_round().clone();
-            assert_eq!(report.censorship_reports, 1);
-            assert_eq!(
-                report.timeout_delays_us,
-                2 * config.latency.gamma.as_micros()
-            );
-            assert_eq!(report.recovery_log.len(), 1);
-            assert_eq!(report.evicted_leaders, vec![(0, leader)]);
-            assert_eq!(report.list_timeouts, 0);
-        }
+        let mut sim = Simulation::new(config).unwrap();
+        let leader = sim.assignment().committees[0].leader;
+        sim.registry_mut()
+            .set_behavior(leader, Behavior::CensoringLeader);
+        let report = sim.run_round().clone();
+        assert_eq!(report.censorship_reports, 1);
+        assert_eq!(
+            report.timeout_delays_us,
+            2 * config.latency.gamma.as_micros()
+        );
+        assert_eq!(report.recovery_log.len(), 1);
+        assert_eq!(report.evicted_leaders, vec![(0, leader)]);
+        assert_eq!(report.list_timeouts, 0);
     }
 
     #[test]

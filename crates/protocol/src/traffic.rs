@@ -227,8 +227,7 @@ impl LatencyHistogram {
 }
 
 /// Per-round open-loop traffic record, attached to the round's
-/// [`crate::report::RoundReport`] (and folded into the canonical bytes as a
-/// tagged extension block, so non-traffic runs keep their exact encoding).
+/// [`crate::report::RoundReport`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrafficRoundReport {
     /// Arrivals injected into this round (valid and invalid submissions).

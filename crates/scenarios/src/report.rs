@@ -74,10 +74,8 @@ pub fn render_report(run: &ScenarioRun) -> String {
     let cfg = &scenario.config;
     let summary = &outcome.summary;
 
-    // `message_driven`, the epoch knobs, the traffic block and the state
-    // backend are emitted only when on, so reports (and goldens) of
-    // scenarios predating any of these extensions keep their exact
-    // pre-extension bytes.
+    // The epoch knobs, the traffic block and the state backend are emitted
+    // only when on.
     let epochs_on = cfg.epoch_length > 0;
     let state_on = cfg.state_backend == StateBackend::Smt;
     let mut config = vec![
@@ -94,11 +92,7 @@ pub fn render_report(run: &ScenarioRun) -> String {
             format!("{:?}", cfg.adversary.malicious_fraction),
         ),
         entry("mix", string(&mix_name(cfg.adversary.mix))),
-        entry("verify_signatures", true),
     ];
-    if cfg.message_driven {
-        config.push(entry("message_driven", true));
-    }
     if epochs_on {
         config.extend([
             entry("epoch_length", cfg.epoch_length),
@@ -160,8 +154,7 @@ pub fn render_report(run: &ScenarioRun) -> String {
         entry("injected_faults", array(&injected)),
     ];
 
-    // Scheduled network faults (message-driven scenarios only; omitted
-    // entirely otherwise so classic reports keep their exact bytes).
+    // Scheduled network faults (omitted when the scenario schedules none).
     if !scenario.net_faults.is_empty() {
         let net_faults: Vec<String> = scenario
             .net_faults
@@ -221,19 +214,16 @@ pub fn render_report(run: &ScenarioRun) -> String {
         ]),
     ));
 
-    // Message-driven network measurements (omitted for classic scenarios).
-    if cfg.message_driven {
-        report.push(entry(
-            "network",
-            object(&[
-                entry("quorum_timeouts", summary.total_quorum_timeouts()),
-                entry("list_timeouts", summary.total_list_timeouts()),
-                entry("votes_missing", summary.total_votes_missing()),
-                entry("net_dropped_messages", summary.total_net_dropped_messages()),
-                entry("duplicate_packed_txs", outcome.duplicate_packed_txs),
-            ]),
-        ));
-    }
+    report.push(entry(
+        "network",
+        object(&[
+            entry("quorum_timeouts", summary.total_quorum_timeouts()),
+            entry("list_timeouts", summary.total_list_timeouts()),
+            entry("votes_missing", summary.total_votes_missing()),
+            entry("net_dropped_messages", summary.total_net_dropped_messages()),
+            entry("duplicate_packed_txs", outcome.duplicate_packed_txs),
+        ]),
+    ));
 
     // Epoch lifecycle measurements (omitted when epochs are disabled).
     if epochs_on {
@@ -293,10 +283,10 @@ pub fn render_report(run: &ScenarioRun) -> String {
         ));
     }
 
-    // Authenticated-state measurements (omitted under the map backend, so
-    // every pre-smt golden keeps its exact bytes). The final roots are the
-    // last round's published per-shard commitments; the proof counters come
-    // from the runner's light-client audit against exactly those roots.
+    // Authenticated-state measurements (omitted under the map backend). The
+    // final roots are the last round's published per-shard commitments; the
+    // proof counters come from the runner's light-client audit against
+    // exactly those roots.
     if state_on {
         let audit = outcome.proof_audit.unwrap_or_default();
         let final_roots: Vec<String> = summary

@@ -463,7 +463,6 @@ mod tests {
     #[test]
     fn an_out_of_range_delay_target_is_an_error_in_its_slot() {
         let mut scenario = tiny_scenario();
-        scenario.config.message_driven = true;
         scenario.net_faults.push(crate::spec::NetFaultInjection {
             from_round: 0,
             until_round: 1,

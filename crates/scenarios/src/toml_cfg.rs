@@ -161,7 +161,7 @@ macro_rules! key {
 /// Every `[[scenario]]` key, in the order `scenarios_to_toml` writes them: the
 /// one list of keys a scenario file may use. A key left out of a file keeps
 /// its default ([`Scenario::new`] over [`ProtocolConfig::default`]).
-static SCENARIO_KEYS: [Key<Scenario>; 30] = [
+static SCENARIO_KEYS: [Key<Scenario>; 29] = [
     key!("name", name),
     key!("description", description),
     key!("paper_claim", paper_claim),
@@ -185,7 +185,6 @@ static SCENARIO_KEYS: [Key<Scenario>; 30] = [
     key!("latency_gamma_us", config.latency.gamma),
     key!("latency_partial_us", config.latency.partial_bound),
     key!("state_backend", config.state_backend),
-    key!("message_driven", config.message_driven),
     key!("epoch_length", config.epoch_length),
     key!("joins_per_epoch", config.joins_per_epoch),
     key!("leaves_per_epoch", config.leaves_per_epoch),
@@ -727,7 +726,6 @@ committee_size = 8
 partial_set_size = 2
 referee_size = 5
 accounts_per_shard = 24
-message_driven = true
 invariants = ["min-quorum-timeouts:1", "min-acceptance-from:2:0.9", "no-double-commit"]
 
 [[scenario.net_faults]]
@@ -746,7 +744,6 @@ delay_us = 600000
 "#;
         let scenarios = scenarios_from_toml(text).expect("parses");
         let s = &scenarios[0];
-        assert!(s.config.message_driven);
         assert_eq!(s.net_faults.len(), 2);
         assert_eq!(
             s.net_faults[0].kind,
@@ -797,7 +794,6 @@ delay_us = 600000
 name = "attributable"
 rounds = 3
 workers = [1]
-message_driven = true
 invariants = ["no-double-commit"]
 
 [[scenario.net_faults]]
@@ -821,7 +817,7 @@ target = "leader:0"
             err.contains("\"attributable\""),
             "error lacks the scenario name: {err}"
         );
-        assert!(err.contains("line 15"), "error lacks the line: {err}");
+        assert!(err.contains("line 14"), "error lacks the line: {err}");
         assert!(err.contains("delay needs delay_us"), "wrong cause: {err}");
 
         let classic = "[[scenario]]\nname = \"x\"\n\
@@ -841,7 +837,6 @@ target = "leader:0"
 name = "churny"
 rounds = 6
 workers = [1]
-message_driven = true
 epoch_length = 2
 joins_per_epoch = 2
 leaves_per_epoch = 1

@@ -36,7 +36,6 @@ fn fuzz_config(seed: u64, joins: u32, leaves: u32) -> ProtocolConfig {
         cross_shard_ratio: 0.2,
         invalid_ratio: 0.0,
         pow_difficulty: 2,
-        message_driven: true,
         // Epoch boundary every second round: a 4-round run crosses two
         // committee handovers, each with `joins` arrivals and up to
         // `leaves` departures (clamped above the sortition floor).

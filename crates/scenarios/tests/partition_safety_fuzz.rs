@@ -36,7 +36,6 @@ fn fuzz_config(seed: u64) -> ProtocolConfig {
         cross_shard_ratio: 0.2,
         invalid_ratio: 0.0,
         pow_difficulty: 2,
-        message_driven: true,
         // The paper's bound: just under a third of the nodes are corrupted,
         // drawn uniformly over all malicious behaviours.
         adversary: AdversaryConfig::uniform(0.3),

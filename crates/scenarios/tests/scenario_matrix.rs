@@ -118,14 +118,17 @@ fn toml_round_trips_the_whole_registry() {
     );
     // Field-by-field fidelity is `toml_cfg`'s key-table property, which
     // compares every row of every builtin under random seeds and ratios.
-    // The retired key is never written and, read, is a typo like any other;
-    // the shipped example never named it and still loads.
-    assert!(!serialized.contains("verify_signatures"));
-    let error = scenarios_from_toml("[[scenario]]\nverify_signatures = false\n").unwrap_err();
-    assert!(
-        error.contains("unknown scenario key \"verify_signatures\""),
-        "{error}"
-    );
+    // The retired keys are never written and, read, are typos like any
+    // other; the shipped example never named them and still loads.
+    for (retired, value) in [("verify_signatures", false), ("message_driven", true)] {
+        assert!(!serialized.contains(retired));
+        let error =
+            scenarios_from_toml(&format!("[[scenario]]\n{retired} = {value}\n")).unwrap_err();
+        assert!(
+            error.contains(&format!("unknown scenario key \"{retired}\"")),
+            "{error}"
+        );
+    }
     let example = include_str!("../../../scenarios/examples/double-silent.toml");
     let example = scenarios_from_toml(example).expect("the example loads");
     assert_eq!(example[0].name, "double-silent");

@@ -101,7 +101,7 @@ fn role_nodes(report: &RoundReport, role: RoleClass) -> &[NodeId] {
 }
 
 /// Table II: one round's per-node means per phase and role beside the
-/// paper's prediction, at m = 4 and m = 8 (c = 12), and how four of them
+/// paper's prediction, at m = 4 and m = 8 (c = 12), and how five of them
 /// move when m doubles.
 fn table2() -> Json {
     let c = 12;
@@ -156,6 +156,13 @@ fn table2() -> Json {
             "common_member_intra_bytes",
             doubling(
                 |r| comm_bytes(r, RoleClass::CommonMember, Phase::IntraCommitteeConsensus),
+                0,
+            ),
+        ),
+        (
+            "common_member_block_bytes",
+            doubling(
+                |r| comm_bytes(r, RoleClass::CommonMember, Phase::BlockGeneration),
                 0,
             ),
         ),

@@ -6,85 +6,170 @@
 //! sets, and the next round's randomness `R^{r+1}`. Releasing the block tells
 //! every node the configuration of round `r+1`.
 //!
-//! Releasing it does not send the whole block to every node (a departure from
-//! §IV-G; ARCHITECTURE.md). The body is cut into `m` slices: slice `k` is
-//! the block's transactions that touch shard `k` — an input or an output
-//! there — in block order ([`index_slices`]), so a cross-shard transaction is
-//! in each of its shards' slices. The header's body root is the Merkle root
-//! over the `m` slice roots, and the referee's certificate covers the header.
-//! Every node receives the header and the next round's configuration; a
-//! member of committee `k` also receives slice `k` with its ⌈log₂ m⌉-hash
-//! path ([`BlockSlice`]) and checks it against the certified body root. The
-//! body root fixes each slice's order, which is all a shard's apply reads:
-//! two transactions that share no shard cannot depend on each other.
+//! Releasing it sends each body across the wire once, not the whole block
+//! to every node (a departure from §IV-G; ARCHITECTURE.md). The body is cut
+//! into `m` slices: slice `k` is the block's transactions that touch shard
+//! `k` — an input or an output there — in block order ([`index_slices`]), so
+//! a cross-shard transaction is in each of its shards' slices. The header's
+//! body root is the Merkle root over the `m` slice roots; its config root
+//! is the Merkle root over the configuration's shared leaf and the root of
+//! its rows, one per next-round committee ([`NextRoundConfig`]); the
+//! referee's certificate covers the header. Every node receives the header
+//! and its [`ConfigShare`]: the shared leaf, and its own committee's row
+//! with a path. A member of committee `k` also receives slice `k` with its
+//! ⌈log₂ m⌉-hash path: as a [`CompactSlice`] if it holds the bodies of its
+//! committee's certified `V List` columns, which names each of those by its
+//! column, else whole ([`BlockSlice`]). It checks what it receives against
+//! the certified header. The body root fixes each slice's order, which is
+//! all a shard's apply reads: two transactions that share no shard cannot
+//! depend on each other.
 
 use std::sync::OnceLock;
 
+use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::merkle::{MerkleProof, MerkleTree};
 use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 
-use crate::transaction::Transaction;
+use crate::transaction::{Transaction, TxId};
 
-/// Committee configuration for the next round, as committed inside a block.
+/// One seat of a next-round committee: a node and its updated reputation
+/// (fixed-point, 1e6 = 1.0).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct Seat {
+    /// The seated node's index.
+    pub node: u32,
+    /// Its reputation after this round's update.
+    pub reputation_fp: i64,
+}
+
+/// The configuration's shared leaf: what every node receives.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct NextRoundConfig {
-    /// Node indices participating in round `r+1` (PoW solvers).
-    pub participants: Vec<u32>,
-    /// Updated reputation (fixed-point, 1e6 = 1.0) for each participant, in the
-    /// same order as `participants`.
-    pub reputations_fp: Vec<i64>,
-    /// Members of the next referee committee.
-    pub referee: Vec<u32>,
+pub struct SharedConfig {
+    /// The next referee committee.
+    pub referee: Vec<Seat>,
     /// Leader of each committee `k`.
     pub leaders: Vec<u32>,
-    /// Partial set of each committee `k`.
-    pub partial_sets: Vec<Vec<u32>>,
     /// Next round's randomness `R^{r+1}` from the beacon.
     pub randomness: Digest,
 }
 
-impl NextRoundConfig {
-    /// Bytes of the encoded configuration, as a node receives it.
+/// One next-round committee's leaf: what its members receive besides the
+/// shared leaf.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+pub struct CommitteeRow {
+    /// The committee's members, leader and partial set included.
+    pub seats: Vec<Seat>,
+    /// The committee's partial set.
+    pub partial_set: Vec<u32>,
+}
+
+/// Committee configuration for the next round, as committed inside a block:
+/// the header's config root is the Merkle root over two leaves, the shared
+/// leaf and the root of the tree over the rows, one row per committee in
+/// committee order.
+#[derive(Clone, Debug, PartialEq, Eq, Default)]
+pub struct NextRoundConfig {
+    /// Referee, leaders and randomness.
+    pub shared: SharedConfig,
+    /// One row per next-round committee.
+    pub rows: Vec<CommitteeRow>,
+}
+
+fn push_u32s(out: &mut Vec<u8>, xs: &[u32]) {
+    out.extend_from_slice(&(xs.len() as u32).to_be_bytes());
+    for x in xs {
+        out.extend_from_slice(&x.to_be_bytes());
+    }
+}
+
+fn push_seats(out: &mut Vec<u8>, seats: &[Seat]) {
+    out.extend_from_slice(&(seats.len() as u32).to_be_bytes());
+    for seat in seats {
+        out.extend_from_slice(&seat.node.to_be_bytes());
+        out.extend_from_slice(&seat.reputation_fp.to_be_bytes());
+    }
+}
+
+impl SharedConfig {
+    /// Bytes of the encoded leaf.
     pub fn wire_size(&self) -> u64 {
-        (4 + 4 * self.participants.len()
-            + 4
-            + 8 * self.reputations_fp.len()
-            + 4
-            + 4 * self.referee.len()
-            + 4
-            + 4 * self.leaders.len()
-            + 4
-            + self
-                .partial_sets
-                .iter()
-                .map(|ps| 4 + 4 * ps.len())
-                .sum::<usize>()
-            + 32) as u64
+        (4 + 12 * self.referee.len() + 4 + 4 * self.leaders.len() + 32) as u64
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        push_seats(out, &self.referee);
+        push_u32s(out, &self.leaders);
+        out.extend_from_slice(self.randomness.as_bytes());
+    }
+}
+
+impl CommitteeRow {
+    /// Bytes of the encoded row.
+    pub fn wire_size(&self) -> u64 {
+        (4 + 12 * self.seats.len() + 4 + 4 * self.partial_set.len()) as u64
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        push_seats(out, &self.seats);
+        push_u32s(out, &self.partial_set);
     }
 
     fn encode(&self) -> Vec<u8> {
-        // Exact encoded size, so the buffer never regrows mid-encode.
         let mut out = Vec::with_capacity(self.wire_size() as usize);
-        let push_list = |out: &mut Vec<u8>, xs: &[u32]| {
-            out.extend_from_slice(&(xs.len() as u32).to_be_bytes());
-            for x in xs {
-                out.extend_from_slice(&x.to_be_bytes());
-            }
-        };
-        push_list(&mut out, &self.participants);
-        out.extend_from_slice(&(self.reputations_fp.len() as u32).to_be_bytes());
-        for r in &self.reputations_fp {
-            out.extend_from_slice(&r.to_be_bytes());
-        }
-        push_list(&mut out, &self.referee);
-        push_list(&mut out, &self.leaders);
-        out.extend_from_slice(&(self.partial_sets.len() as u32).to_be_bytes());
-        for ps in &self.partial_sets {
-            push_list(&mut out, ps);
-        }
-        out.extend_from_slice(self.randomness.as_bytes());
+        self.encode_into(&mut out);
         out
     }
+}
+
+impl NextRoundConfig {
+    /// Bytes of the whole encoded configuration, as the referee stores it.
+    pub fn wire_size(&self) -> u64 {
+        let rows: u64 = self.rows.iter().map(CommitteeRow::wire_size).sum();
+        self.shared.wire_size() + 4 + rows
+    }
+
+    /// Bytes of a node's [`ConfigShare`] on the wire, and of what it keeps of
+    /// it (the shared leaf and the row, without the rows root and the path),
+    /// for a node in next-round committee `committee`, or in none.
+    pub fn share_bytes(&self, committee: Option<usize>) -> (u64, u64) {
+        let row = committee.and_then(|k| self.rows.get(k));
+        let row = row.map_or(0, CommitteeRow::wire_size);
+        let path = committee.map_or(0, |_| Block::path_bytes(self.rows.len()));
+        let kept = self.shared.wire_size() + row;
+        (kept + 32 + path, kept)
+    }
+
+    /// The encoded shared leaf, then every row, in one buffer; and where the
+    /// rows start.
+    fn encode(&self) -> (Vec<u8>, usize) {
+        let mut bytes = Vec::with_capacity(self.wire_size() as usize);
+        self.shared.encode_into(&mut bytes);
+        let rows_at = bytes.len();
+        for row in &self.rows {
+            row.encode_into(&mut bytes);
+        }
+        (bytes, rows_at)
+    }
+
+    /// The config root, with `tree` as scratch.
+    fn root(&self, tree: &mut MerkleTree) -> Digest {
+        let (bytes, rows_at) = self.encode();
+        let (shared, mut rest) = bytes.split_at(rows_at);
+        tree.rebuild_from_slices(self.rows.iter().map(|row| {
+            let (leaf, tail) = rest.split_at(row.wire_size() as usize);
+            rest = tail;
+            leaf
+        }));
+        let rows_root = tree.root();
+        config_root(tree, shared, &rows_root)
+    }
+}
+
+/// The config root: the Merkle root over the encoded shared leaf and the
+/// rows root, with `tree` as scratch.
+fn config_root(tree: &mut MerkleTree, shared: &[u8], rows_root: &Digest) -> Digest {
+    tree.rebuild_from_slices([shared, rows_root.as_bytes().as_slice()]);
+    tree.root()
 }
 
 /// A block header: everything needed to chain and verify the block body.
@@ -97,8 +182,9 @@ pub struct BlockHeader {
     /// The body root: Merkle root over the block's `m` slice roots, slice
     /// `k` the block's transactions touching shard `k` ([`index_slices`]).
     pub body_root: Digest,
-    /// Hash of the next-round configuration.
-    pub config_hash: Digest,
+    /// The config root: Merkle root over the next-round configuration's
+    /// shared leaf and the root of its rows ([`NextRoundConfig`]).
+    pub config_root: Digest,
     /// Hash of the semi-commitments the referee recorded this round, in
     /// committee order ([`Block::commitments_hash`]): the block certificate
     /// covers them (Algorithm 4, step 2).
@@ -116,7 +202,7 @@ impl BlockHeader {
             &self.round.to_be_bytes(),
             self.prev_hash.as_bytes(),
             self.body_root.as_bytes(),
-            self.config_hash.as_bytes(),
+            self.config_root.as_bytes(),
             self.commitments_hash.as_bytes(),
         ])
     }
@@ -166,14 +252,13 @@ impl Block {
         next_round: NextRoundConfig,
         commitments_hash: Digest,
     ) -> Block {
-        let body_root = Self::body_tree(&transactions, slices).root();
-        let config_hash = hash_parts(&[b"cycledger/next-round", &next_round.encode()]);
+        let (body_root, config_root) = Self::roots(&transactions, slices, &next_round);
         Block {
             header: BlockHeader {
                 round,
                 prev_hash,
                 body_root,
-                config_hash,
+                config_root,
                 commitments_hash,
             },
             transactions,
@@ -196,11 +281,11 @@ impl Block {
         MerkleTree::build_from_slices(transactions.iter().map(|t| t.encoded_bytes())).root()
     }
 
-    /// The Merkle tree over the slice roots of `transactions` under its
-    /// [`index_slices`] index, whose root is the body root ([`Digest::ZERO`]
-    /// for `m = 0`): one scratch tree hashes every slice, then their roots.
-    fn body_tree(transactions: &[Transaction], slices: &[Vec<usize>]) -> MerkleTree {
-        let mut tree = MerkleTree::default();
+    /// Rebuilds `tree` over the slice roots of `transactions` under its
+    /// [`index_slices`] index; its root is the body root ([`Digest::ZERO`]
+    /// for `m = 0`). The same scratch tree hashes every slice, then their
+    /// roots.
+    fn body_tree(transactions: &[Transaction], slices: &[Vec<usize>], tree: &mut MerkleTree) {
         let roots: Vec<Digest> = slices
             .iter()
             .map(|positions| {
@@ -211,7 +296,18 @@ impl Block {
             })
             .collect();
         tree.rebuild_from_slices(roots.iter().map(|root| root.as_bytes().as_slice()));
-        tree
+    }
+
+    /// The body root and the config root, hashed with one scratch tree.
+    fn roots(
+        transactions: &[Transaction],
+        slices: &[Vec<usize>],
+        next_round: &NextRoundConfig,
+    ) -> (Digest, Digest) {
+        let mut tree = MerkleTree::default();
+        Self::body_tree(transactions, slices, &mut tree);
+        let body_root = tree.root();
+        (body_root, next_round.root(&mut tree))
     }
 
     /// Bytes of a slice's path to the body root over `m` slices: ⌈log₂ m⌉
@@ -221,12 +317,14 @@ impl Block {
     }
 
     /// Slice `shard` of the body with its path to the body root: what a
-    /// member of committee `shard` receives besides the header. `None` past
-    /// the block's shards.
+    /// member of committee `shard` that holds no body of it receives besides
+    /// the header. `None` past the block's shards.
     pub fn slice(&self, shard: usize) -> Option<BlockSlice> {
         let mut slices = Vec::new();
         index_slices(&self.transactions, self.shards, &mut slices);
-        let path = Self::body_tree(&self.transactions, &slices).prove(shard)?;
+        let mut tree = MerkleTree::default();
+        Self::body_tree(&self.transactions, &slices, &mut tree);
+        let path = tree.prove(shard)?;
         let transactions = slices[shard]
             .iter()
             .map(|&p| self.transactions[p].clone())
@@ -235,6 +333,55 @@ impl Block {
             shard,
             transactions,
             path,
+        })
+    }
+
+    /// Slice `shard` as a member of committee `shard` that holds the bodies
+    /// of its certified `V List`'s `columns` receives it: a transaction that
+    /// is a column ([`CompactSlice::nameable`]; its first, if twice) is named
+    /// by its index, any other is sent whole. `None` past the block's shards.
+    pub fn compact_slice(&self, shard: usize, columns: &[TxId]) -> Option<CompactSlice> {
+        let BlockSlice {
+            transactions, path, ..
+        } = self.slice(shard)?;
+        let named = CompactSlice::nameable(columns).iter();
+        let column_of: FxHashMap<TxId, u16> = named
+            .enumerate()
+            .rev()
+            .map(|(c, id)| (*id, c as u16))
+            .collect();
+        let entries = transactions
+            .into_iter()
+            .map(|tx| match column_of.get(&tx.id()) {
+                Some(&column) => SliceEntry::Held(column),
+                None => SliceEntry::Body(tx),
+            })
+            .collect();
+        Some(CompactSlice {
+            shard,
+            entries,
+            path,
+        })
+    }
+
+    /// What a node in next-round committee `committee`, or in none, receives
+    /// of the configuration besides the header. `None` past the rows.
+    pub fn config_share(&self, committee: Option<usize>) -> Option<ConfigShare> {
+        let config = &self.next_round;
+        let rows: Vec<Vec<u8>> = config.rows.iter().map(CommitteeRow::encode).collect();
+        let tree = MerkleTree::build(&rows);
+        let row = match committee {
+            Some(k) => Some(ConfigRow {
+                committee: k,
+                row: config.rows.get(k)?.clone(),
+                path: tree.prove(k)?,
+            }),
+            None => None,
+        };
+        Some(ConfigShare {
+            shared: config.shared.clone(),
+            rows_root: tree.root(),
+            row,
         })
     }
 
@@ -258,9 +405,8 @@ impl Block {
         let in_a_slice = |t: &Transaction| !t.inputs().is_empty() || !t.outputs().is_empty();
         (self.shards > 0 || self.transactions.is_empty())
             && self.transactions.iter().all(in_a_slice)
-            && self.header.body_root == Self::body_tree(&self.transactions, &slices).root()
-            && self.header.config_hash
-                == hash_parts(&[b"cycledger/next-round", &self.next_round.encode()])
+            && (self.header.body_root, self.header.config_root)
+                == Self::roots(&self.transactions, &slices, &self.next_round)
     }
 
     /// Total fee collected by the block (distributed by reputation, §IV-G).
@@ -331,6 +477,123 @@ impl BlockSlice {
     pub fn wire_size(&self) -> u64 {
         let tx_bytes: u64 = self.transactions.iter().map(|t| t.wire_size()).sum();
         tx_bytes + 32 * self.path.siblings.len() as u64
+    }
+}
+
+/// One entry of a [`CompactSlice`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SliceEntry {
+    /// A column of the committee's certified `V List`: the member holds its
+    /// body from the `TXList`.
+    Held(u16),
+    /// A body the member does not hold.
+    Body(Transaction),
+}
+
+/// A block slice as a member that holds its committee's `TXList` bodies
+/// receives it: one entry per transaction, in block order, naming a body the
+/// member holds by its column or carrying it whole.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CompactSlice {
+    /// The shard the slice belongs to.
+    pub shard: usize,
+    /// The slice's transactions, by column or whole.
+    pub entries: Vec<SliceEntry>,
+    /// The slice root's Merkle path to the header's body root.
+    pub path: MerkleProof,
+}
+
+impl CompactSlice {
+    /// Bytes of an entry's word: its column, or [`u16::MAX`] for "a body
+    /// follows".
+    const WORD_BYTES: u64 = 2;
+
+    /// The columns of a `V List` over `columns` an entry can name: all but
+    /// those past the last index a word holds.
+    pub fn nameable(columns: &[TxId]) -> &[TxId] {
+        &columns[..columns.len().min(usize::from(u16::MAX))]
+    }
+
+    /// Bytes of `tx`'s entry: its word, and its body unless it is `held`.
+    pub fn entry_bytes(tx: &Transaction, held: bool) -> u64 {
+        Self::WORD_BYTES + if held { 0 } else { tx.wire_size() }
+    }
+
+    /// The slice, its held entries filled from `held`: the member's `TXList`
+    /// bodies in column order. `None` if an entry names a column past them.
+    pub fn expand(&self, held: &[Transaction]) -> Option<BlockSlice> {
+        let body = |entry: &SliceEntry| match entry {
+            SliceEntry::Held(column) => held.get(usize::from(*column)).cloned(),
+            SliceEntry::Body(tx) => Some(tx.clone()),
+        };
+        Some(BlockSlice {
+            shard: self.shard,
+            transactions: self.entries.iter().map(body).collect::<Option<_>>()?,
+            path: self.path.clone(),
+        })
+    }
+
+    /// True if, its held entries filled from `held`, this is slice `shard`
+    /// of the block whose (certified) header is `header` ([`BlockSlice::verify`]).
+    pub fn verify(&self, held: &[Transaction], header: &BlockHeader) -> bool {
+        self.expand(held).is_some_and(|slice| slice.verify(header))
+    }
+
+    /// Bytes of the slice on the wire: a word per entry, the bodies it
+    /// carries, and its path.
+    pub fn wire_size(&self) -> u64 {
+        let entry = |entry: &SliceEntry| match entry {
+            SliceEntry::Held(_) => Self::WORD_BYTES,
+            SliceEntry::Body(tx) => Self::entry_bytes(tx, false),
+        };
+        let entries: u64 = self.entries.iter().map(entry).sum();
+        entries + 32 * self.path.siblings.len() as u64
+    }
+}
+
+/// A next-round committee's row with its path to the rows root.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigRow {
+    /// The committee the row belongs to.
+    pub committee: usize,
+    /// The row.
+    pub row: CommitteeRow,
+    /// The row's Merkle path to the rows root.
+    pub path: MerkleProof,
+}
+
+/// What a node receives of the next round's configuration besides the
+/// header: the shared leaf, the rows root, and — for a member of a
+/// next-round committee — that committee's row with its path.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ConfigShare {
+    /// Referee, leaders and randomness.
+    pub shared: SharedConfig,
+    /// The root of the tree over the rows.
+    pub rows_root: Digest,
+    /// The node's committee row, if it sits in a next-round committee.
+    pub row: Option<ConfigRow>,
+}
+
+impl ConfigShare {
+    /// True if this is the configuration the (certified) `header` commits
+    /// to: the shared leaf and the rows root hash to its config root, and
+    /// the row is its committee's.
+    pub fn verify(&self, header: &BlockHeader) -> bool {
+        let mut shared = Vec::with_capacity(self.shared.wire_size() as usize);
+        self.shared.encode_into(&mut shared);
+        let mut tree = MerkleTree::default();
+        let row_holds = self.row.as_ref().is_none_or(|r| {
+            r.path.leaf_index == r.committee && r.path.verify(&self.rows_root, &r.row.encode())
+        });
+        row_holds && config_root(&mut tree, &shared, &self.rows_root) == header.config_root
+    }
+
+    /// Bytes of the share on the wire.
+    pub fn wire_size(&self) -> u64 {
+        let row = self.row.as_ref();
+        let row = row.map_or(0, |r| r.row.wire_size() + 32 * r.path.siblings.len() as u64);
+        self.shared.wire_size() + 32 + row
     }
 }
 
@@ -526,13 +789,26 @@ mod tests {
         ];
         let mut slices = Vec::new();
         index_slices(&txs, M, &mut slices);
+        let seat = |node, reputation_fp| Seat {
+            node,
+            reputation_fp,
+        };
         let config = NextRoundConfig {
-            participants: vec![0, 1, 2, 3],
-            reputations_fp: vec![0, 1_000_000, -500_000, 250_000],
-            referee: vec![0, 1],
-            leaders: vec![2],
-            partial_sets: vec![vec![3]],
-            randomness: hash_parts(&[b"seed", &round.to_be_bytes()]),
+            shared: SharedConfig {
+                referee: vec![seat(0, 0), seat(1, 1_000_000)],
+                leaders: vec![2, 4],
+                randomness: hash_parts(&[b"seed", &round.to_be_bytes()]),
+            },
+            rows: vec![
+                CommitteeRow {
+                    seats: vec![seat(2, -500_000), seat(3, 250_000)],
+                    partial_set: vec![3],
+                },
+                CommitteeRow {
+                    seats: vec![seat(4, 0), seat(5, 7), seat(6, 8)],
+                    partial_set: vec![5, 6],
+                },
+            ],
         };
         let commitments = Block::commitments_hash(commitments);
         Block::assemble(round, prev, txs, &slices, config, commitments)
@@ -546,7 +822,13 @@ mod tests {
         tampered.transactions.pop();
         assert!(!tampered.verify_structure());
         let mut tampered = block.clone();
-        tampered.next_round.leaders[0] = 99;
+        tampered.next_round.shared.leaders[0] = 99;
+        assert!(!tampered.verify_structure());
+        let mut tampered = block.clone();
+        tampered.next_round.rows[1].seats[2].reputation_fp += 1;
+        assert!(!tampered.verify_structure());
+        let mut tampered = block.clone();
+        tampered.next_round.rows.swap(0, 1);
         assert!(!tampered.verify_structure());
     }
 
@@ -616,7 +898,8 @@ mod tests {
         let block = sample_block(0, Digest::ZERO);
         assert_eq!(block.total_fees(), 0, "genesis transactions carry no fee");
         let tx_bytes: u64 = block.transactions.iter().map(|t| t.wire_size()).sum();
-        let config = block.next_round.encode().len() as u64;
+        // The encoded leaves and a row count.
+        let config = block.next_round.encode().0.len() as u64 + 4;
         assert_eq!(block.next_round.wire_size(), config);
         assert_eq!(block.wire_size(), tx_bytes + config + 136);
         assert_eq!(BlockHeader::WIRE_BYTES, 136, "a u64 and four digests");
@@ -793,5 +1076,201 @@ mod tests {
         }
         let none = assemble(0, Digest::ZERO, Vec::new(), 0);
         assert_eq!(none.header.body_root, Digest::ZERO);
+    }
+
+    #[test]
+    fn every_config_share_verifies_and_a_tampered_one_fails() {
+        let block = sample_block(0, Digest::ZERO);
+        let config = &block.next_round;
+        let other = sample_block(1, Digest::ZERO);
+        assert_eq!(block.config_share(Some(config.rows.len())), None);
+        let committees = (0..config.rows.len()).map(Some).chain([None]);
+        for committee in committees {
+            let share = block.config_share(committee).unwrap();
+            assert!(share.verify(&block.header), "{committee:?}");
+            assert!(!share.verify(&other.header), "{committee:?}");
+            assert_eq!(share.wire_size(), config.share_bytes(committee).0);
+            let mut tampered = share.clone();
+            tampered.shared.referee[0].reputation_fp += 1;
+            assert!(!tampered.verify(&block.header));
+            let mut tampered = share.clone();
+            tampered.rows_root = Digest::ZERO;
+            assert!(!tampered.verify(&block.header));
+            let Some(row) = &share.row else {
+                assert_eq!(
+                    config.share_bytes(None),
+                    (config.shared.wire_size() + 32, config.shared.wire_size())
+                );
+                continue;
+            };
+            assert_eq!(row.row, config.rows[row.committee]);
+            let mut tampered = share.clone();
+            tampered.row.as_mut().unwrap().row.seats[0].reputation_fp += 1;
+            assert!(!tampered.verify(&block.header));
+            let mut tampered = share.clone();
+            let row = tampered.row.as_mut().unwrap();
+            row.committee = 1 - row.committee;
+            assert!(!tampered.verify(&block.header), "the wrong committee index");
+            let mut tampered = share.clone();
+            let row = tampered.row.as_mut().unwrap();
+            row.row = config.rows[1 - row.committee].clone();
+            assert!(!tampered.verify(&block.header), "another committee's row");
+        }
+    }
+
+    /// The shard holding a transaction's inputs: the committee whose
+    /// `TXList` carries it.
+    fn source(tx: &Transaction, m: usize) -> Option<usize> {
+        tx.inputs().iter().map(|input| input.owner.shard(m)).min()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// For every committee of a random block, the compact slice named
+        /// against the committee's columns — its transactions and some the
+        /// block left out, in a shuffled column order — expands to the
+        /// block's slice byte for byte and verifies; a column the member does
+        /// not hold, a swapped entry, a tampered body and a config row with a
+        /// tampered reputation or the wrong committee index all fail.
+        #[test]
+        fn prop_a_compact_slice_expands_to_the_block_slice_and_verifies(
+            seed in 0u64..1_000,
+            pick in 0usize..3,
+            cross in 0u32..=50,
+        ) {
+            use crate::workload::{Workload, WorkloadConfig};
+
+            let m = [1usize, 3, 8][pick];
+            let mut workload = Workload::new(WorkloadConfig {
+                num_shards: m,
+                accounts_per_shard: 16,
+                genesis_amount: 1_000,
+                cross_shard_ratio: f64::from(cross) / 100.0,
+                invalid_ratio: 0.0,
+                seed,
+            });
+            let batch = workload.generate_batch(12 * m);
+            let (packed, left_out) = batch.split_at(9 * m);
+            let txs: Vec<Transaction> = packed.iter().map(|g| g.tx.clone()).collect();
+            let mut slices = Vec::new();
+            index_slices(&txs, m, &mut slices);
+            let seat = |node: usize| Seat {
+                node: node as u32,
+                reputation_fp: (seed as i64 - node as i64) * 1_000,
+            };
+            let next_round = NextRoundConfig {
+                shared: SharedConfig {
+                    referee: (0..4).map(seat).collect(),
+                    leaders: (0..m).map(|k| (4 + 5 * k) as u32).collect(),
+                    randomness: hash_parts(&[b"prop", &seed.to_be_bytes()]),
+                },
+                rows: (0..m)
+                    .map(|k| CommitteeRow {
+                        seats: (4 + 5 * k..9 + 5 * k).map(seat).collect(),
+                        partial_set: vec![(5 + 5 * k) as u32],
+                    })
+                    .collect(),
+            };
+            let block = Block::assemble(0, Digest::ZERO, txs, &slices, next_round, Digest::ZERO);
+            proptest::prop_assert!(block.verify_structure());
+            let other = Transaction::genesis(Vec::new(), seed);
+            for k in 0..m {
+                // The TXList: the shard's transactions, packed or not, in an
+                // order the seed rotates.
+                let mut held: Vec<Transaction> = packed
+                    .iter()
+                    .chain(left_out)
+                    .map(|g| g.tx.clone())
+                    .filter(|tx| source(tx, m) == Some(k))
+                    .collect();
+                if !held.is_empty() {
+                    let turn = seed as usize % held.len();
+                    held.rotate_left(turn);
+                }
+                let columns: Vec<TxId> = held.iter().map(Transaction::id).collect();
+                let compact = block.compact_slice(k, &columns).unwrap();
+                let slice = block.slice(k).unwrap();
+                let expanded = compact.expand(&held).unwrap();
+                proptest::prop_assert_eq!(&expanded, &slice);
+                let bytes = |s: &BlockSlice| -> Vec<u8> {
+                    s.transactions.iter().flat_map(|t| t.encoded_bytes().to_vec()).collect()
+                };
+                proptest::prop_assert_eq!(bytes(&expanded), bytes(&slice));
+                proptest::prop_assert!(compact.verify(&held, &block.header));
+                // Held entries are the shard's own; bodies are inbound.
+                for (entry, tx) in compact.entries.iter().zip(&slice.transactions) {
+                    match entry {
+                        SliceEntry::Held(c) => {
+                            proptest::prop_assert_eq!(&held[usize::from(*c)], tx);
+                        }
+                        SliceEntry::Body(body) => {
+                            proptest::prop_assert_eq!(body, tx);
+                            proptest::prop_assert_ne!(source(tx, m), Some(k));
+                        }
+                    }
+                }
+                let bodies: u64 = slice.transactions.iter().map(|t| t.wire_size()).sum();
+                let words = 2 * compact.entries.len() as u64;
+                let sent: u64 = compact.entries.iter().map(|e| match e {
+                    SliceEntry::Held(_) => 0,
+                    SliceEntry::Body(tx) => tx.wire_size(),
+                }).sum();
+                proptest::prop_assert_eq!(compact.wire_size(), words + sent + Block::path_bytes(m));
+                proptest::prop_assert!(sent <= bodies);
+
+                if let Some(first) = compact.entries.iter().position(|e| matches!(e, SliceEntry::Held(_))) {
+                    // A column past the member's TXList, and one it holds
+                    // but that names another transaction.
+                    let mut past = compact.clone();
+                    past.entries[first] = SliceEntry::Held(held.len() as u16);
+                    proptest::prop_assert!(!past.verify(&held, &block.header));
+                    let SliceEntry::Held(c) = compact.entries[first] else { unreachable!() };
+                    let mut short = held.clone();
+                    short.truncate(usize::from(c));
+                    proptest::prop_assert!(!compact.verify(&short, &block.header));
+                    if held.len() > 1 {
+                        let mut wrong = compact.clone();
+                        let shifted = (usize::from(c) + 1) % held.len();
+                        wrong.entries[first] = SliceEntry::Held(shifted as u16);
+                        proptest::prop_assert!(!wrong.verify(&held, &block.header));
+                    }
+                }
+                if compact.entries.len() > 1 {
+                    let mut swapped = compact.clone();
+                    let last = swapped.entries.len() - 1;
+                    swapped.entries.swap(0, last);
+                    proptest::prop_assert!(!swapped.verify(&held, &block.header));
+                    let mut reordered = compact.clone();
+                    reordered.entries.rotate_left(1);
+                    proptest::prop_assert!(!reordered.verify(&held, &block.header));
+                }
+                if let Some(first) = compact.entries.first() {
+                    // A tampered body: another transaction in the entry's place.
+                    let mut tampered = compact.clone();
+                    tampered.entries[0] = SliceEntry::Body(other.clone());
+                    proptest::prop_assert!(!tampered.verify(&held, &block.header));
+                    // Sent whole instead of by column, it still verifies.
+                    let mut whole = compact.clone();
+                    whole.entries[0] = SliceEntry::Body(slice.transactions[0].clone());
+                    proptest::prop_assert!(whole.verify(&held, &block.header), "{first:?}");
+                }
+                let mut elsewhere = compact.clone();
+                elsewhere.shard = (k + 1) % m;
+                proptest::prop_assert_eq!(elsewhere.verify(&held, &block.header), m == 1);
+
+                // The member's configuration row.
+                let share = block.config_share(Some(k)).unwrap();
+                proptest::prop_assert!(share.verify(&block.header));
+                let mut tampered = share.clone();
+                tampered.row.as_mut().unwrap().row.seats[1].reputation_fp -= 1;
+                proptest::prop_assert!(!tampered.verify(&block.header));
+                if m > 1 {
+                    let mut misplaced = share.clone();
+                    misplaced.row.as_mut().unwrap().committee = (k + 1) % m;
+                    proptest::prop_assert!(!misplaced.verify(&block.header));
+                }
+            }
+        }
     }
 }

@@ -8,8 +8,9 @@
 //! recycles them (clear contents, keep capacity) for the next one, so the
 //! steady-state round performs no allocations for any of this scratch.
 
+use cycledger_crypto::fxhash::FxHashSet;
 use cycledger_ledger::block::index_slices;
-use cycledger_ledger::transaction::Transaction;
+use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::utxo::UtxoOverlay;
 
 /// Scratch state owned by one parallel shard task (intra-consensus).
@@ -39,6 +40,9 @@ pub struct RoundArena {
     /// Per shard, the block positions of the transactions that touch it:
     /// the block's slices.
     touched: Vec<Vec<usize>>,
+    /// The columns of one committee's certified `V List`, which block
+    /// propagation names a slice's held bodies by.
+    columns: FxHashSet<TxId>,
 }
 
 impl RoundArena {
@@ -79,6 +83,12 @@ impl RoundArena {
     /// The index the last [`RoundArena::index_by_touched_shard`] built.
     pub fn touched(&self) -> &[Vec<usize>] {
         &self.touched
+    }
+
+    /// That index, beside the scratch set block propagation gathers a
+    /// committee's `V List` columns in.
+    pub fn slices_and_columns(&mut self) -> (&[Vec<usize>], &mut FxHashSet<TxId>) {
+        (&self.touched, &mut self.columns)
     }
 }
 

@@ -356,7 +356,12 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     let block_outcome = run_block_generation(
         &ctx.env,
         ctx.chain,
-        (next, &ctx.recorded_commitments, &ctx.committees),
+        (
+            next,
+            &ctx.recorded_commitments,
+            &ctx.committees,
+            &ctx.intra_outcomes,
+        ),
         ctx.arena,
         ctx.utxo_sets,
         ctx.reputation,

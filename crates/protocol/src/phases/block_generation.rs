@@ -3,15 +3,23 @@
 //! The referee committee verifies the certified `TXdecSET`s it received,
 //! re-validates the transactions against the shard UTXO sets, packs the valid
 //! ones together with the next round's configuration into block `B^r`, agrees on
-//! it with Algorithm 3, and releases it: the header and the configuration to
-//! every node, and each shard's slice of the body to that shard's committee
-//! (a departure from §IV-G; see [`cycledger_ledger::block`]). Every committee
-//! then applies the block to the UTXOs it maintains, and transaction fees are
-//! distributed proportionally to `g(reputation)`.
+//! it with Algorithm 3, and releases it so that each body crosses the wire
+//! once (a departure from §IV-G; see [`cycledger_ledger::block`]): the header
+//! to every node with its share of the configuration — the shared leaf, and
+//! its own next-round committee's row — and each shard's slice of the body
+//! to that shard's committee. A member whose row of its committee's certified
+//! `V List` is not all-`Unknown` holds the bodies of the list's columns from
+//! the `TXList`, so its slice names those by column; every other member gets
+//! the bodies whole. Every committee then applies the block to the UTXOs it
+//! maintains, and transaction fees are distributed proportionally to
+//! `g(reputation)`.
 
 use cycledger_consensus::messages::Alg3Message;
+use cycledger_consensus::votes::{Vote, VoteVector};
 use cycledger_crypto::sha256::Digest;
-use cycledger_ledger::block::{Block, BlockHeader, Chain, NextRoundConfig};
+use cycledger_ledger::block::{
+    Block, BlockHeader, Chain, CommitteeRow, CompactSlice, NextRoundConfig, Seat, SharedConfig,
+};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_net::metrics::Phase;
 use cycledger_net::network::SimNetwork;
@@ -21,6 +29,7 @@ use cycledger_reputation::ReputationTable;
 use crate::committee::{run_inside_consensus, Committee, LeaderFault};
 use crate::engine::arena::RoundArena;
 use crate::engine::env::{Books, RoundEnv, Task};
+use crate::phases::intra::IntraOutcome;
 use crate::sortition::RoundAssignment;
 
 /// Outcome of block generation.
@@ -36,12 +45,22 @@ pub struct BlockOutcome {
     pub rewards: Vec<(NodeId, u64)>,
 }
 
+/// What propagation sends a node and what it keeps, `(sent, kept)` in
+/// bytes, besides the header: of its slice and of its share of the
+/// configuration.
+#[derive(Clone, Copy, Debug)]
+struct Due {
+    slice: (u64, u64),
+    config: (u64, u64),
+}
+
 /// Runs block generation over the candidates staged in `arena` (drained
 /// here), extending `chain`'s tip, and distributes fees; the phase's traffic
 /// and the referee instance's go into `books`. The block carries the `next`
 /// round's configuration, and its header commits to the semi-commitments
 /// the referee `recorded` this round: the referee's one instance certifies
-/// both. The round's `committees` receive their shards' slices.
+/// both. The round's `committees` receive their shards' slices, compact to
+/// the members the `intra` outcome the referee admitted shows voting.
 ///
 /// The block's slice index is left in `arena` ([`RoundArena::touched`]) for
 /// the per-shard apply.
@@ -53,7 +72,12 @@ pub struct BlockOutcome {
 pub fn run_block_generation(
     env: &RoundEnv<'_>,
     chain: &Chain,
-    (next, recorded, committees): (Option<&RoundAssignment>, &[Digest], &[Committee]),
+    (next, recorded, committees, intra): (
+        Option<&RoundAssignment>,
+        &[Digest],
+        &[Committee],
+        &[IntraOutcome],
+    ),
     arena: &mut RoundArena,
     utxo_sets: &[UtxoSet],
     reputation: &ReputationTable,
@@ -83,25 +107,30 @@ pub fn run_block_generation(
     // 2. Assemble the block with the next round's configuration, its body
     //    root over the slices of the one touched-shard index this round
     //    builds.
-    let next_round = match next {
-        Some(next) => NextRoundConfig {
-            participants: next.participants().iter().map(|n| n.0).collect(),
-            reputations_fp: next
-                .participants()
-                .iter()
-                .map(|n| ReputationTable::to_fixed_point(reputation.get(*n)))
-                .collect(),
-            referee: next.referee.iter().map(|n| n.0).collect(),
-            leaders: next.committees.iter().map(|c| c.leader.0).collect(),
-            partial_sets: next
+    let next_round = next.map_or_else(NextRoundConfig::default, |next| {
+        let seats = |nodes: &[NodeId]| {
+            let seat = |n: &NodeId| Seat {
+                node: n.0,
+                reputation_fp: ReputationTable::to_fixed_point(reputation.get(*n)),
+            };
+            nodes.iter().map(seat).collect()
+        };
+        NextRoundConfig {
+            shared: SharedConfig {
+                referee: seats(&next.referee),
+                leaders: next.committees.iter().map(|c| c.leader.0).collect(),
+                randomness: next.randomness,
+            },
+            rows: next
                 .committees
                 .iter()
-                .map(|c| c.partial_set.iter().map(|n| n.0).collect())
+                .map(|c| CommitteeRow {
+                    seats: seats(&c.members),
+                    partial_set: c.partial_set.iter().map(|n| n.0).collect(),
+                })
                 .collect(),
-            randomness: next.randomness,
-        },
-        None => NextRoundConfig::default(),
-    };
+        }
+    });
     let (tip, commitments) = (chain.tip_hash(), Block::commitments_hash(recorded));
     let m = utxo_sets.len();
     let slices = arena.index_by_touched_shard(&accepted, m);
@@ -129,36 +158,63 @@ pub fn run_block_generation(
     }
 
     // 4. Propagation: the referee committee releases the certified header
-    //    and the next round's configuration to every node (each referee
-    //    member serves a part of the network), and to a member of committee
-    //    k also slice k of the body with its path to the header's body root,
-    //    against which the member checks it — one envelope per recipient,
-    //    never the whole block. Every node stores what it keeps: the header,
-    //    the configuration and its own slice; the referee keeps the whole
-    //    block.
-    let (header_and_config, path) = (
-        BlockHeader::WIRE_BYTES + block.next_round.wire_size(),
-        Block::path_bytes(m),
-    );
-    let mut slice_of = vec![None; all_nodes.len()];
+    //    to every node (each referee member serves a part of the network),
+    //    one envelope per recipient and never the whole block. With it go
+    //    the node's share of the next round's configuration — the shared
+    //    leaf and the rows root, and to a member of next-round committee j
+    //    also row j with its path — and, to a member of committee k, slice k
+    //    with its path to the body root. A member whose row of k's
+    //    certified V List is not all-Unknown received and voted on k's
+    //    TXList, so its slice names each column body by its index
+    //    (`Block::compact_slice`); any other member gets the bodies whole.
+    //    Each checks what it gets against the certified header. Every node
+    //    stores what it keeps: the header, the shared leaf and its row, and
+    //    its slice's bodies; the referee keeps the whole block.
+    let config = &block.next_round;
+    let outside = Due {
+        slice: (0, 0),
+        config: config.share_bytes(None),
+    };
+    let mut due = vec![outside; all_nodes.len()];
+    let (slices, columns) = arena.slices_and_columns();
     for committee in committees {
-        let positions = slices[committee.index].iter();
-        let bytes: u64 = positions.map(|&p| block.transactions[p].wire_size()).sum();
+        let k = committee.index;
+        let admitted = intra
+            .iter()
+            .find(|o| o.committee == k && o.certificate.is_some());
+        let (ids, rows) = admitted.map_or((&[][..], &[][..]), |o| {
+            (&o.vote_list.tx_ids[..], &o.vote_list.votes[..])
+        });
+        columns.clear();
+        columns.extend(CompactSlice::nameable(ids));
+        let (mut whole, mut compact) = (0, 0);
+        for tx in slices[k].iter().map(|&p| &block.transactions[p]) {
+            whole += tx.wire_size();
+            compact += CompactSlice::entry_bytes(tx, columns.contains(&tx.id()));
+        }
+        let voted = |row: &VoteVector| row.votes.iter().any(|&v| v != Vote::Unknown);
+        for &member in &committee.members {
+            let holds = rows.iter().any(|row| row.voter == member && voted(row));
+            let sent = if holds { compact } else { whole };
+            due[member.0 as usize].slice = (sent + Block::path_bytes(m), whole);
+        }
+    }
+    for (j, committee) in next.map_or(&[][..], |n| &n.committees).iter().enumerate() {
         for member in &committee.members {
-            slice_of[member.0 as usize] = Some(bytes);
+            due[member.0 as usize].config = config.share_bytes(Some(j));
         }
     }
     for (i, &node) in all_nodes.iter().enumerate() {
         let server = referee.members[i % referee.members.len()];
-        let slice = slice_of[node.0 as usize];
+        let Due { slice, config } = due[node.0 as usize];
         if node != server {
-            let sent = header_and_config + slice.map_or(0, |bytes| bytes + path);
+            let sent = BlockHeader::WIRE_BYTES + config.0 + slice.0;
             metrics.record_message(phase, server, node, sent);
         }
         if referee.members.contains(&node) {
             metrics.record_storage(phase, node, block.wire_size());
         } else {
-            metrics.record_storage(phase, node, header_and_config + slice.unwrap_or(0));
+            metrics.record_storage(phase, node, BlockHeader::WIRE_BYTES + config.1 + slice.1);
         }
     }
 
@@ -177,14 +233,17 @@ pub fn run_block_generation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::AdversaryConfig;
+    use crate::adversary::{AdversaryConfig, Behavior};
     use crate::committee::Committee;
     use crate::config::ProtocolConfig;
+    use crate::engine::arena::ShardScratch;
     use crate::node::NodeRegistry;
+    use crate::phases::intra::run_intra_consensus;
+    use crate::phases::xshard;
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::sha256;
     use cycledger_ledger::transaction::Transaction;
-    use cycledger_ledger::workload::{Workload, WorkloadConfig};
+    use cycledger_ledger::workload::{GeneratedTx, Workload, WorkloadConfig};
     use cycledger_net::faults::FaultPlan;
 
     struct Fixture {
@@ -193,7 +252,7 @@ mod tests {
         committees: Vec<Committee>,
         all_nodes: Vec<NodeId>,
         utxo_sets: Vec<UtxoSet>,
-        valid: Vec<Transaction>,
+        valid: Vec<GeneratedTx>,
         invalid: Vec<Transaction>,
         reputation: ReputationTable,
     }
@@ -229,22 +288,14 @@ mod tests {
             seed,
         });
         let utxo_sets = workload.build_genesis_utxo_sets();
-        let valid: Vec<Transaction> = workload
-            .generate_batch(40)
-            .into_iter()
-            .map(|g| g.tx)
-            .collect();
+        let valid = workload.generate_batch(40);
         let mut invalid_workload = Workload::new(WorkloadConfig {
+            num_shards: 3,
+            accounts_per_shard: 16,
+            genesis_amount: 1_000,
+            cross_shard_ratio: 0.0,
             invalid_ratio: 1.0,
             seed: seed + 1,
-            ..WorkloadConfig {
-                num_shards: 3,
-                accounts_per_shard: 16,
-                genesis_amount: 1_000,
-                cross_shard_ratio: 0.0,
-                invalid_ratio: 1.0,
-                seed: seed + 1,
-            }
         });
         let invalid: Vec<Transaction> = invalid_workload
             .generate_batch(10)
@@ -264,32 +315,85 @@ mod tests {
     }
 
     impl Fixture {
+        fn env<'a>(&'a self, config: &'a ProtocolConfig, plan: &'a FaultPlan) -> RoundEnv<'a> {
+            RoundEnv {
+                config,
+                registry: &self.registry,
+                referee: &self.referee,
+                plan,
+                round: 0,
+            }
+        }
+
+        fn valid_txs(&self) -> Vec<Transaction> {
+            self.valid.iter().map(|g| g.tx.clone()).collect()
+        }
+
+        /// Committee `k`'s `TXList`: its offered transactions, then its
+        /// outbound ones in outbound-vector order — the bodies behind its
+        /// `V List`'s columns.
+        fn txlist(&self, k: usize) -> (Vec<GeneratedTx>, Vec<GeneratedTx>) {
+            let m = self.committees.len();
+            let offered = self.valid.iter().filter(|g| g.tx.home_shard(m) == Some(k));
+            let cross: Vec<GeneratedTx> = self
+                .valid
+                .iter()
+                .filter(|g| g.tx.home_shard(m).is_none())
+                .cloned()
+                .collect();
+            let outbound = xshard::group_outbound(&cross, m);
+            let lists = outbound.get(&k).map_or(&[][..], Vec::as_slice);
+            let outbound = lists.iter().flat_map(|l| l.txs.iter().map(|&g| g.clone()));
+            (offered.cloned().collect(), outbound.collect())
+        }
+
+        /// Every committee's intra consensus over its `TXList`.
+        fn vote(&self) -> Vec<IntraOutcome> {
+            let (config, plan) = (ProtocolConfig::default(), FaultPlan::default());
+            let env = self.env(&config, &plan);
+            let m = self.committees.len();
+            let cross: Vec<GeneratedTx> = self
+                .valid
+                .iter()
+                .filter(|g| g.tx.home_shard(m).is_none())
+                .cloned()
+                .collect();
+            let outbound = xshard::group_outbound(&cross, m);
+            let mut outcomes = Vec::new();
+            for (k, committee) in self.committees.iter().enumerate() {
+                let offered = self.txlist(k).0;
+                let lists = outbound.get(&k).map_or(&[][..], Vec::as_slice);
+                let utxo = &self.utxo_sets[k];
+                let scratch = &mut ShardScratch::default();
+                let outcome =
+                    run_intra_consensus(&env, committee, false, utxo, &offered, lists, scratch);
+                assert!(outcome.certificate.is_some(), "committee {k}");
+                outcomes.push(outcome);
+            }
+            outcomes
+        }
+
         /// The first block of a chain over `candidates`, under configuration
-        /// seed `seed`.
+        /// seed `seed`, the committees having voted as `intra` says.
         fn generate(
             &self,
             next: Option<&RoundAssignment>,
             candidates: Vec<Transaction>,
+            intra: &[IntraOutcome],
             seed: u64,
         ) -> (BlockOutcome, Books) {
             let config = ProtocolConfig {
                 seed,
                 ..ProtocolConfig::default()
             };
-            let env = RoundEnv {
-                config: &config,
-                registry: &self.registry,
-                referee: &self.referee,
-                plan: &FaultPlan::default(),
-                round: 0,
-            };
+            let plan = FaultPlan::default();
             let mut arena = RoundArena::new();
             arena.candidates = candidates;
             let mut books = Books::default();
             let outcome = run_block_generation(
-                &env,
+                &self.env(&config, &plan),
                 &Chain::new(),
-                (next, &[], &self.committees),
+                (next, &[], &self.committees, intra),
                 &mut arena,
                 &self.utxo_sets,
                 &self.reputation,
@@ -301,6 +405,22 @@ mod tests {
             );
             (outcome, books)
         }
+
+        /// The next round's assignment over the first `solvers` nodes.
+        fn next(&self, solvers: usize) -> RoundAssignment {
+            assign_round(
+                &self.registry,
+                &self.registry.ids()[..solvers],
+                AssignmentParams {
+                    committees: 3,
+                    partial_set_size: 3,
+                    referee_size: 7,
+                },
+                1,
+                sha256(b"next"),
+                &self.reputation,
+            )
+        }
     }
 
     #[test]
@@ -308,12 +428,11 @@ mod tests {
         let mut fx = fixture(91);
         let before: u64 = fx.utxo_sets.iter().map(|s| s.total_value()).sum();
         let candidates: Vec<Transaction> = fx
-            .valid
-            .iter()
-            .cloned()
+            .valid_txs()
+            .into_iter()
             .chain(fx.invalid.iter().cloned())
             .collect();
-        let (outcome, books) = fx.generate(None, candidates, 1);
+        let (outcome, books) = fx.generate(None, candidates, &[], 1);
         let block = outcome.block.expect("block produced");
         assert_eq!(block.tx_count(), fx.valid.len());
         assert_eq!(outcome.rejected_by_referee, fx.invalid.len());
@@ -339,8 +458,8 @@ mod tests {
     fn intra_round_double_spends_are_caught_by_referee() {
         let fx = fixture(92);
         // Submit the same transaction twice: the second copy must be rejected.
-        let tx = fx.valid[0].clone();
-        let (outcome, _) = fx.generate(None, vec![tx.clone(), tx], 2);
+        let tx = fx.valid[0].tx.clone();
+        let (outcome, _) = fx.generate(None, vec![tx.clone(), tx], &[], 2);
         let block = outcome.block.unwrap();
         assert_eq!(block.tx_count(), 1);
         assert_eq!(outcome.rejected_by_referee, 1);
@@ -349,90 +468,166 @@ mod tests {
     #[test]
     fn next_round_config_is_embedded() {
         let fx = fixture(93);
-        let next = assign_round(
-            &fx.registry,
-            &fx.registry.ids(),
-            AssignmentParams {
-                committees: 3,
-                partial_set_size: 3,
-                referee_size: 7,
-            },
-            1,
-            sha256(b"next"),
-            &fx.reputation,
-        );
-        let (outcome, _) = fx.generate(Some(&next), fx.valid.clone(), 3);
+        let next = fx.next(60);
+        let (outcome, _) = fx.generate(Some(&next), fx.valid_txs(), &[], 3);
         let block = outcome.block.unwrap();
-        assert_eq!(block.next_round.leaders.len(), 3);
-        assert_eq!(block.next_round.referee.len(), 7);
-        assert_eq!(block.next_round.randomness, next.randomness);
+        let config = &block.next_round;
+        assert_eq!(config.shared.leaders.len(), 3);
+        assert_eq!(config.shared.referee.len(), 7);
+        assert_eq!(config.shared.randomness, next.randomness);
+        assert_eq!(config.rows.len(), 3);
+        for (row, committee) in config.rows.iter().zip(&next.committees) {
+            let members = row.seats.iter().map(|s| NodeId(s.node));
+            assert!(members.eq(committee.members.iter().copied()));
+            assert_eq!(row.partial_set.len(), 3);
+        }
+        let seated = config.rows.iter().map(|r| r.seats.len()).sum::<usize>();
         assert_eq!(
-            block.next_round.participants.len(),
-            block.next_round.reputations_fp.len()
+            seated + config.shared.referee.len(),
+            next.participants().len()
         );
+    }
+
+    /// What propagation charges `node`, sent and kept: the header, its share
+    /// of the configuration, and its committee's slice — by column if its
+    /// row of the committee's certified `V List` is not all-`Unknown`, else
+    /// whole — each verified against the certified header here, from the
+    /// bodies the node holds.
+    fn expected(
+        fx: &Fixture,
+        block: &Block,
+        next: &RoundAssignment,
+        intra: &[IntraOutcome],
+        node: NodeId,
+    ) -> (u64, u64) {
+        let in_next = next
+            .committees
+            .iter()
+            .position(|c| c.members.contains(&node));
+        let share = block.config_share(in_next).unwrap();
+        assert!(share.verify(&block.header), "{node:?}");
+        let (shared, row) = (&share.shared, share.row.as_ref());
+        let config_kept = shared.wire_size() + row.map_or(0, |r| r.row.wire_size());
+        let (mut sent, mut kept) = (share.wire_size(), config_kept);
+        if let Some(committee) = fx.committees.iter().find(|c| c.members.contains(&node)) {
+            let k = committee.index;
+            let slice = block.slice(k).unwrap();
+            assert!(slice.verify(&block.header), "committee {k}");
+            let list = &intra[k].vote_list;
+            let row = list.votes.iter().find(|row| row.voter == node).unwrap();
+            let (offered, outbound) = fx.txlist(k);
+            let held: Vec<Transaction> =
+                offered.into_iter().chain(outbound).map(|g| g.tx).collect();
+            assert!(held
+                .iter()
+                .map(Transaction::id)
+                .eq(list.tx_ids.iter().copied()));
+            if row.votes.iter().all(|&v| v == Vote::Unknown) {
+                sent += slice.wire_size();
+            } else {
+                let compact = block.compact_slice(k, &list.tx_ids).unwrap();
+                assert!(compact.verify(&held, &block.header), "committee {k}");
+                assert_eq!(compact.expand(&held).unwrap(), slice);
+                sent += compact.wire_size();
+            }
+            kept += slice.wire_size() - Block::path_bytes(3);
+        }
+        let header = BlockHeader::WIRE_BYTES;
+        (header + sent, header + kept)
     }
 
     #[test]
     fn propagation_sends_each_node_the_header_the_config_and_its_own_slice() {
         let fx = fixture(94);
-        let next = assign_round(
-            &fx.registry,
-            &fx.registry.ids(),
-            AssignmentParams {
-                committees: 3,
-                partial_set_size: 3,
-                referee_size: 7,
-            },
-            1,
-            sha256(b"next"),
-            &fx.reputation,
-        );
-        let (outcome, books) = fx.generate(Some(&next), fx.valid.clone(), 4);
+        let intra = fx.vote();
+        // Nodes 55..60 solve no puzzle this round or the next.
+        let next = fx.next(55);
+        let (outcome, books) = fx.generate(Some(&next), fx.valid_txs(), &intra, 4);
         let block = outcome.block.unwrap();
         let metrics = &books.metrics;
-        let header_and_config = BlockHeader::WIRE_BYTES + block.next_round.wire_size();
-        // What each node is sent besides the header and the configuration,
-        // and what it keeps of that: its committee's slice and path, and the
-        // slice alone.
-        let own = |node: NodeId| {
-            let committee = fx.committees.iter().find(|c| c.members.contains(&node));
-            committee.map_or((0, 0), |c| {
-                let slice = block.slice(c.index).unwrap();
-                assert!(slice.verify(&block.header), "committee {}", c.index);
-                (slice.wire_size(), slice.wire_size() - Block::path_bytes(3))
-            })
-        };
         let referee = &fx.referee.members;
-        let (mut outside, mut envelopes, mut bytes) = (0, 0, 0);
-        for (i, &node) in fx.all_nodes.iter().enumerate() {
-            let (sent, kept) = own(node);
+        let (mut outside, mut compact, mut envelopes, mut bytes) = (0, 0, 0, 0);
+        for &node in &fx.all_nodes {
             let counters = metrics.node_phase(node, Phase::BlockGeneration);
+            let (sent, kept) = expected(&fx, &block, &next, &intra, node);
             if referee.contains(&node) {
+                // Its counters hold the referee's instance too.
                 assert_eq!(counters.storage_bytes, block.wire_size(), "{node:?}");
-                assert_eq!((sent, kept), (0, 0), "the referee is in no committee");
                 continue;
             }
+            assert_eq!(counters.storage_bytes, kept, "{node:?}");
             // One envelope from the node's server, and no other traffic.
-            assert_ne!(referee[i % referee.len()], node);
             assert_eq!(counters.msgs_received, 1, "{node:?}");
             assert_eq!(counters.msgs_sent, 0, "{node:?}");
-            assert_eq!(
-                counters.bytes_received,
-                header_and_config + sent,
-                "{node:?}"
-            );
-            assert_eq!(counters.storage_bytes, header_and_config + kept, "{node:?}");
-            outside += usize::from(sent == 0);
+            assert_eq!(counters.bytes_received, sent, "{node:?}");
+            let in_a_committee = fx.committees.iter().any(|c| c.members.contains(&node));
+            compact += usize::from(in_a_committee && sent < kept);
+            if node.0 >= 55 {
+                // In no committee this round or the next: the header and
+                // the shared leaf with the rows root.
+                let shared = block.next_round.shared.wire_size() + 32;
+                assert_eq!(sent, BlockHeader::WIRE_BYTES + shared, "{node:?}");
+                outside += 1;
+            }
             envelopes += counters.msgs_received;
             bytes += counters.bytes_received;
         }
-        assert_eq!(
-            outside, 10,
-            "nodes outside every committee get the header and config only"
-        );
+        assert_eq!(outside, 5);
+        assert_eq!(compact, 50 - 7, "every committee member holds its columns");
         let recipients = fx.all_nodes.len() - referee.len();
-        assert_eq!(envelopes as usize, recipients);
+        assert_eq!(envelopes as usize, recipients, "one envelope a recipient");
         // Far below the whole block to every recipient.
-        assert!(bytes * 2 < block.wire_size() * recipients as u64);
+        assert!(bytes * 4 < block.wire_size() * recipients as u64);
+    }
+
+    /// A lazy voter's row is all-`Unknown`: it counts as holding nothing and
+    /// gets its committee's slice whole, and so does every member when the
+    /// committee's `V List` is not certified.
+    #[test]
+    fn a_member_whose_row_is_all_unknown_gets_the_bodies_whole() {
+        let mut fx = fixture(95);
+        let committee = &fx.committees[1];
+        let key = |n: &NodeId| *n == committee.leader || committee.partial_set.contains(n);
+        let lazy = *committee.members.iter().rfind(|n| !key(n)).unwrap();
+        fx.registry.set_behavior(lazy, Behavior::LazyVoter);
+        let mut intra = fx.vote();
+        let next = fx.next(55);
+        let (outcome, books) = fx.generate(Some(&next), fx.valid_txs(), &intra, 5);
+        let block = outcome.block.unwrap();
+        let received = |books: &Books, node| {
+            let counters = books.metrics.node_phase(node, Phase::BlockGeneration);
+            counters.bytes_received
+        };
+        let in_next = next
+            .committees
+            .iter()
+            .position(|c| c.members.contains(&lazy));
+        let share = block.config_share(in_next).unwrap().wire_size();
+        let whole = block.slice(1).unwrap().wire_size();
+        assert_eq!(
+            received(&books, lazy),
+            BlockHeader::WIRE_BYTES + share + whole
+        );
+        assert_eq!(
+            received(&books, lazy),
+            expected(&fx, &block, &next, &intra, lazy).0
+        );
+        let voter = fx.committees[1].leader;
+        let list = &intra[1].vote_list;
+        let compact = block.compact_slice(1, &list.tx_ids).unwrap().wire_size();
+        assert!(compact < whole);
+        let in_next = next
+            .committees
+            .iter()
+            .position(|c| c.members.contains(&voter));
+        let share = block.config_share(in_next).unwrap().wire_size();
+        let header = BlockHeader::WIRE_BYTES;
+        assert_eq!(received(&books, voter), header + share + compact);
+
+        // Refused by the referee, the V List vouches for no member.
+        intra[1].certificate = None;
+        let (outcome, books) = fx.generate(Some(&next), fx.valid_txs(), &intra, 5);
+        assert_eq!(outcome.block.unwrap().header, block.header);
+        assert_eq!(received(&books, voter), header + share + whole);
     }
 }

@@ -178,7 +178,7 @@ mod tests {
         let block = run_block_generation(
             &env,
             &Chain::new(),
-            (None, &outcome.recorded_commitments, &[]),
+            (None, &outcome.recorded_commitments, &[], &[]),
             &mut RoundArena::new(),
             &[],
             &reputation,

@@ -143,7 +143,7 @@ fn main() {
         "vrf_verify",
         ns_per_op(|| vrf::verify(&kp.public, input, &out)),
     ));
-    // Committee configuration's path: groups of eight proofs, per proof.
+    // The sortition draw's path: groups of eight proofs, per proof.
     let outputs: Vec<vrf::VrfOutput> = keys[..8]
         .iter()
         .map(|k| prover.evaluate(&k.secret, &k.public))

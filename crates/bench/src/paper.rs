@@ -102,25 +102,31 @@ fn role_nodes(report: &RoundReport, role: RoleClass) -> &[NodeId] {
 
 /// Table II: one round's per-node means per phase and role beside the
 /// paper's prediction, at m = 4 and m = 8 (c = 12), and how five of them
-/// move when m doubles.
+/// move when m doubles. The committee-configuration rows measure what a
+/// node receives of its certified row ([`config_row_means`]).
 fn table2() -> Json {
     let c = 12;
     let [small, large] = [4usize, 8].map(|m| {
         let mut sim = simulation(bench_config(m, c, 1));
-        sim.run_round().clone()
+        let report = sim.run_round().clone();
+        (report, config_row_means(&sim))
     });
-    let system = |report: &RoundReport, m: usize| {
+    let system = |(report, config_rows): &(RoundReport, [(u64, u64); 3]), m: usize| {
         let size = SystemSize::from_committees(m as u64, c as u64);
         let mut rows = Vec::new();
         for phase in Phase::ALL {
-            for role in RoleClass::ALL {
+            for (role, &config_row) in RoleClass::ALL.into_iter().zip(config_rows) {
                 let measured = report.role_phase_mean(role_nodes(report, role), phase);
+                let (comm, storage) = match phase {
+                    Phase::CommitteeConfiguration => config_row,
+                    _ => (measured.comm_bytes(), measured.storage_bytes),
+                };
                 let predicted = table2_prediction(phase, role, size);
                 rows.push(Json::obj([
                     ("phase", Json::Str(phase.label().into())),
                     ("role", Json::Str(role.label().into())),
-                    ("comm_bytes_per_node", Json::Int(measured.comm_bytes())),
-                    ("storage_bytes_per_node", Json::Int(measured.storage_bytes)),
+                    ("comm_bytes_per_node", Json::Int(comm)),
+                    ("storage_bytes_per_node", Json::Int(storage)),
                     ("predicted_comm", Json::Num(predicted.communication, 0)),
                     ("predicted_storage", Json::Num(predicted.storage, 0)),
                 ]));
@@ -129,7 +135,7 @@ fn table2() -> Json {
         Json::obj([("m", int(m)), ("n", int(m * c)), ("rows", Json::Arr(rows))])
     };
     let doubling = |measure: fn(&RoundReport) -> f64, places| {
-        let (at_4, at_8) = (measure(&small), measure(&large));
+        let (at_4, at_8) = (measure(&small.0), measure(&large.0));
         Json::obj([
             ("m4", Json::Num(at_4, places)),
             ("m8", Json::Num(at_8, places)),
@@ -173,6 +179,37 @@ fn table2() -> Json {
         ("systems", Json::Arr(systems)),
         ("m_doubling", m_doubling),
     ])
+}
+
+/// What a node of each role (in [`RoleClass::ALL`] order) receives of its
+/// certified configuration row after `sim`'s first round, on average: the
+/// row with its path to the rows root, and the row it keeps. A member's
+/// configuration is its row of the block's `NextRoundConfig` (Algorithm 2
+/// sends nothing of its own), so the row is the phase's measurement; a
+/// referee member sits in no committee and receives none.
+fn config_row_means(sim: &Simulation) -> [(u64, u64); 3] {
+    let block = sim
+        .chain()
+        .block(0)
+        .expect("the first round certifies a block");
+    let config = &block.next_round;
+    let (outside_sent, outside_kept) = config.share_bytes(None);
+    let next = sim.assignment();
+    RoleClass::ALL.map(|role| {
+        let (mut sent, mut kept, mut nodes) = (0, 0, 0);
+        for (j, committee) in next.committees.iter().enumerate() {
+            let seated = match role {
+                RoleClass::CommonMember => committee.common_members().len(),
+                RoleClass::KeyMember => 1 + committee.partial_set.len(),
+                RoleClass::Referee => 0,
+            } as u64;
+            let (row_sent, row_kept) = config.share_bytes(Some(j));
+            sent += seated * (row_sent - outside_sent);
+            kept += seated * (row_kept - outside_kept);
+            nodes += seated;
+        }
+        (sent / nodes.max(1), kept / nodes.max(1))
+    })
 }
 
 /// Messages a node of `role` sent in the inter-committee phase, on average.

@@ -16,9 +16,9 @@
 //! exactly one output — a malicious node cannot grind multiple committee
 //! assignments for the same round (the property Elastico lacked, §II-A).
 //!
-//! Carrying `U` and `V` is what lets key members check a group of proofs as
-//! one random linear combination ([`verify_batch`]; the ECVRF variant of
-//! Badertscher, Gaži, Querejeta-Azurmendi and Russell, 2022). The
+//! Carrying `U` and `V` is what lets the sortition draw check a group of
+//! proofs as one random linear combination ([`verify_batch`]; the ECVRF
+//! variant of Badertscher, Gaži, Querejeta-Azurmendi and Russell, 2022). The
 //! `(Γ, c, s)` proof is [`VrfProof::challenge`] away, and `Γ`, `s` and the
 //! output are the same either way. A round's provers all share one `H`, so a
 //! [`Prover`] builds a fixed-base table for it once and every `sk·H` and

@@ -15,7 +15,6 @@ use crate::engine::arena::RoundArena;
 use crate::engine::env::{Books, PlaneCounters, RoundEnv};
 use crate::engine::executor::ShardExecutor;
 use crate::phases::block_generation::BlockOutcome;
-use crate::phases::configuration::ConfigurationOutcome;
 use crate::phases::inter::InterOutcome;
 use crate::phases::intra::IntraOutcome;
 use crate::phases::recovery::{run_recovery, Accusation};
@@ -96,10 +95,8 @@ pub struct RoundContext<'a> {
     /// Of those, how many were cross-shard (ground truth).
     pub offered_cross: usize,
 
-    /// Output of the committee-configuration phase.
-    pub configuration: Option<ConfigurationOutcome>,
     /// The selection phase's round-start part (the next round's beacon, PoW
-    /// admissions and VRF table), computed by the configuration batch's
+    /// admissions and VRF table), computed by the intra-consensus batch's
     /// lead task and consumed by the selection phase.
     pub prepared_selection: Option<PreparedSelection>,
     /// The semi-commitments the referee committee recorded, in committee
@@ -166,7 +163,6 @@ impl<'a> RoundContext<'a> {
             offered_total: 0,
             offered_valid: 0,
             offered_cross: 0,
-            configuration: None,
             prepared_selection: None,
             recorded_commitments: Vec::new(),
             intra_outcomes: Vec::new(),
@@ -200,19 +196,6 @@ impl<'a> RoundContext<'a> {
     /// Number of ordinary committees `m`.
     pub fn committee_count(&self) -> usize {
         self.committees.len()
-    }
-
-    /// Records the configuration phase's outcome and removes every member
-    /// whose sortition claim was rejected from its instantiated committee
-    /// (member list and key directory), so it neither votes nor counts
-    /// towards the committee's quorum in any later phase.
-    pub fn apply_configuration(&mut self, outcome: ConfigurationOutcome) {
-        for &(k, member) in &outcome.rejected {
-            let committee = &mut self.committees[k];
-            committee.members.retain(|&m| m != member);
-            committee.keys = self.env.registry.committee_keys(&committee.members);
-        }
-        self.configuration = Some(outcome);
     }
 
     /// Picks the prosecutor for committee `k`: the first honest partial-set

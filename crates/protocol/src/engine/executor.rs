@@ -2,16 +2,14 @@
 //!
 //! [`ShardExecutor`] is created once per
 //! [`crate::simulation::Simulation`] and reused for every parallel stage of
-//! every round. A fault-free round without cross-shard traffic runs four
+//! every round. A fault-free round without cross-shard traffic runs three
 //! batches:
 //!
-//! * **configuration** — the next round's beacon, PoW admissions and VRF
-//!   table as the lead task, beside the sortition proofs verified in groups
-//!   of eight;
-//! * **intra consensus** — one task per committee (a recovery adds a retry
-//!   batch of the committees it re-led);
-//! * **selection** — the next round's VRF sortition through
-//!   [`ShardExecutor::map_chunked`];
+//! * **intra consensus** — one task per committee, led by the next round's
+//!   beacon, PoW admissions and VRF table (a recovery adds a retry batch of
+//!   the committees it re-led);
+//! * **selection** — the next round's VRF sortition, one task per group of
+//!   eight proofs, each evaluated and the group checked as one batch;
 //! * **block application** — one task per shard, the SMT commit included.
 //!
 //! Cross-shard traffic adds the inter phase's batch, one task per source

@@ -20,13 +20,13 @@
 //! * [`ShardExecutor`] (`executor`) — a persistent worker pool created once
 //!   per [`crate::simulation::Simulation`] and reused across rounds. Every
 //!   per-committee or per-node cryptographic loop of a round is an executor
-//!   batch: sortition-proof verification (configuration), the intra-consensus
-//!   fan-out, the post-recovery consensus retries, the inter phase's
-//!   sources, the next round's VRF sortition (selection,
-//!   and the genesis and epoch-boundary assignments) and the per-shard block
-//!   application and commit. Work that waits on nothing a batch produces
-//!   rides in one as its lead task: the next round's PVSS beacon, PoW
-//!   admissions and VRF table in the configuration batch. What stays on the
+//!   batch: the intra-consensus fan-out, the post-recovery consensus
+//!   retries, the inter phase's sources, the next round's VRF sortition with
+//!   every proof checked in groups of eight (selection, and the genesis and
+//!   epoch-boundary assignments) and the per-shard block application and
+//!   commit. Work that waits on nothing a batch produces rides in one as its
+//!   lead task: the next round's PVSS beacon, PoW admissions and VRF table in
+//!   the intra-consensus batch. What stays on the
 //!   driver thread is either one instance of something that waits on the
 //!   round (the referee's block-generation consensus), cheap (the
 //!   semi-commitment exchange's hashes and signatures; the admission of

@@ -1,4 +1,4 @@
-//! The standard seven-phase pipeline, each protocol phase as a function over
+//! The standard pipeline, each protocol phase as a function over
 //! [`RoundContext`].
 //!
 //! Inputs and outputs of every phase are explicit context artifacts (see the
@@ -6,6 +6,11 @@
 //! and writes its own, which is what lets the engine hand the parallel ones
 //! to the [`ShardExecutor`](crate::engine::ShardExecutor) without changing
 //! observable behaviour.
+//!
+//! Phases keep the paper's numbers. Phase 1, committee configuration
+//! (Alg. 1 & 2), has no entry: a member's configuration is its row of the
+//! configuration the previous block certified (phase 7), and the sortition
+//! proofs behind the rows were checked as the selection phase drew them.
 
 use std::collections::BTreeMap;
 
@@ -19,7 +24,6 @@ use crate::committee::Committee;
 use crate::engine::context::{RecoveryAttempt, RoundContext};
 use crate::engine::env::Task;
 use crate::phases::block_generation::run_block_generation;
-use crate::phases::configuration::run_committee_configuration;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
@@ -35,7 +39,6 @@ pub type Phase = (&'static str, fn(&mut RoundContext<'_>));
 /// The standard pipeline in protocol order (§IV).
 pub fn standard_pipeline() -> &'static [Phase] {
     &[
-        ("committee-configuration", configuration),
         ("semi-commitment-exchange", semi_commitment),
         ("intra-consensus", intra_consensus),
         ("intra-recovery", intra_recovery),
@@ -44,32 +47,6 @@ pub fn standard_pipeline() -> &'static [Phase] {
         ("selection", selection),
         ("block-generation", block_generation),
     ]
-}
-
-/// Phase 1 — committee configuration (Alg. 1 & 2). The sortition proofs
-/// are verified as one chunked executor batch, whose lead task is the
-/// selection phase's round-start part ([`prepare_selection`]): the next
-/// round's beacon, PoW admissions and VRF table wait on nothing this round
-/// produces.
-///
-/// Inputs: the round assignment. Outputs: configuration traffic in
-/// `ctx.books`, `ctx.configuration`, `ctx.prepared_selection`, and
-/// `ctx.committees` without the members whose claim the key members
-/// rejected.
-pub fn configuration(ctx: &mut RoundContext<'_>) {
-    let (env, randomness) = (&ctx.env, ctx.assignment.randomness);
-    let round_start = move || prepare_selection(env, randomness);
-    let metrics = &mut ctx.books.metrics;
-    let (outcome, prepared) =
-        run_committee_configuration(env, ctx.executor, ctx.assignment, round_start, metrics);
-    ctx.prepared_selection = Some(prepared);
-    // The engine's assignment always comes from `assign_round_on` over
-    // this very registry — one reused after a beacon failure still
-    // carries the round its proofs were drawn for — so every proof
-    // verifies; a rejection here means sortition and configuration
-    // disagree.
-    debug_assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
-    ctx.apply_configuration(outcome);
 }
 
 /// Phase 2 — semi-commitment exchange (Alg. 4), plus recovery for any
@@ -94,12 +71,15 @@ pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
 }
 
 /// Phase 3 — intra-committee consensus (Alg. 5), one committee per executor
-/// task.
+/// task. The batch's lead task is the selection phase's round-start part
+/// ([`prepare_selection`]): the next round's beacon, PoW admissions and VRF
+/// table wait on nothing this round produces.
 ///
 /// Inputs: `ctx.intra_per_shard`, `ctx.committees`, the shard UTXO sets.
 /// Outputs: `ctx.intra_outcomes` (committee order), each certificate already
-/// through the referee's check (`run_intra_batch`), and every task's books
-/// folded into `ctx.books` in committee order.
+/// through the referee's check (`run_intra_batch`), every task's books
+/// folded into `ctx.books` in committee order, and
+/// `ctx.prepared_selection`.
 pub fn intra_consensus(ctx: &mut RoundContext<'_>) {
     ctx.intra_outcomes = run_intra_batch(ctx, None);
 }
@@ -151,11 +131,12 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
 }
 
 /// Runs intra-committee consensus as one executor batch: for every committee,
-/// or — `retry` — for the ascending list of committees whose leader a
-/// recovery just replaced (the task table seeds a retry's network apart from
-/// the first attempt's). Each committee certifies its outbound cross-shard
-/// lists with its `V List`. Returns the outcomes in committee order, with
-/// their books folded into `ctx.books` in that same order.
+/// led by [`prepare_selection`] into `ctx.prepared_selection`, or — `retry`
+/// — for the ascending list of committees whose leader a recovery just
+/// replaced (the task table seeds a retry's network apart from the first
+/// attempt's). Each committee certifies its outbound cross-shard lists with
+/// its `V List`. Returns the outcomes in committee order, with their books
+/// folded into `ctx.books` in that same order.
 ///
 /// The driver then plays the referee's part on every outcome of the batch,
 /// first attempt or retry: [`referee_check`] on the certificate forwarded
@@ -183,7 +164,16 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
             move || run_intra_consensus(env, committee, retry, utxo, offered, lists, scratch)
         })
         .collect();
-    let mut outcomes: Vec<IntraOutcome> = ctx.executor.execute(tasks);
+    let mut outcomes: Vec<IntraOutcome> = match retry {
+        Some(_) => ctx.executor.execute(tasks),
+        None => {
+            let randomness = ctx.assignment.randomness;
+            let round_start = move || prepare_selection(env, randomness);
+            let (prepared, outcomes) = ctx.executor.execute_led(round_start, tasks);
+            ctx.prepared_selection = Some(prepared);
+            outcomes
+        }
+    };
     debug_assert!(outcomes
         .iter()
         .map(|o| o.committee)
@@ -315,13 +305,13 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
 }
 
 /// Phase 6 — beacon, PoW participation, next-round selection (§IV-F), on
-/// the round-start part the configuration batch prepared.
+/// the round-start part the intra-consensus batch prepared.
 ///
 /// Inputs: `ctx.prepared_selection`, the reputation table after updates.
 /// Outputs: `ctx.selection`.
 pub fn selection(ctx: &mut RoundContext<'_>) {
     let prepared = ctx.prepared_selection.take();
-    let prepared = prepared.expect("the configuration phase prepares the selection");
+    let prepared = prepared.expect("the intra-consensus batch prepares the selection");
     let metrics = &mut ctx.books.metrics;
     let outcome = run_selection(&ctx.env, ctx.executor, ctx.reputation, prepared, metrics);
     ctx.selection = Some(outcome);

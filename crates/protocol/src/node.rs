@@ -2,6 +2,7 @@
 
 use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::schnorr::Keypair;
+use cycledger_crypto::vrf::{self, VrfOutput};
 use cycledger_net::topology::NodeId;
 
 use crate::adversary::{AdversaryConfig, Behavior};
@@ -67,6 +68,10 @@ impl SimNode {
 #[derive(Clone, Debug)]
 pub struct NodeRegistry {
     nodes: Vec<SimNode>,
+    /// Nodes whose sortition proof fails verification (test-only fault
+    /// injection: see [`NodeRegistry::forge_sortition_proof`]).
+    #[cfg(test)]
+    forgers: Vec<NodeId>,
 }
 
 impl NodeRegistry {
@@ -98,7 +103,11 @@ impl NodeRegistry {
                 }
             })
             .collect();
-        NodeRegistry { nodes }
+        NodeRegistry {
+            nodes,
+            #[cfg(test)]
+            forgers: Vec::new(),
+        }
     }
 
     /// Number of nodes.
@@ -114,6 +123,29 @@ impl NodeRegistry {
     /// Access a node by id.
     pub fn node(&self, id: NodeId) -> &SimNode {
         &self.nodes[id.index()]
+    }
+
+    /// The sortition proof node `id` submits with its PoW solution: its VRF
+    /// evaluation on `prover`'s input under its registered key pair.
+    pub(crate) fn sortition_proof(&self, id: NodeId, prover: &vrf::Prover) -> VrfOutput {
+        let keypair = &self.node(id).keypair;
+        let output = prover.evaluate(&keypair.secret, &keypair.public);
+        #[cfg(test)]
+        if self.forgers.contains(&id) {
+            // The output the node drew, under a response no key answers.
+            let mut forged = output;
+            let one = cycledger_crypto::scalar::Scalar::from_u64(1);
+            forged.proof.s = forged.proof.s.add(&one);
+            return forged;
+        }
+        output
+    }
+
+    /// Makes node `id` submit a sortition proof that fails verification
+    /// from now on, claiming the seat its honest proof would draw.
+    #[cfg(test)]
+    pub(crate) fn forge_sortition_proof(&mut self, id: NodeId) {
+        self.forgers.push(id);
     }
 
     /// All node ids.

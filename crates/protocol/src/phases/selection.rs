@@ -9,13 +9,15 @@
 //! The phase runs in two parts. The beacon, the PoW admissions and the next
 //! round's VRF table depend only on the round, `R^r`, `C_R` and the registry,
 //! all fixed when the round opens: [`prepare_selection`] computes them, and
-//! the engine runs it as the lead task of the configuration batch.
+//! the engine runs it as the lead task of the intra-consensus batch.
 //! [`run_selection`] does the rest once the reputation update is in: the
-//! traffic accounting, the lotteries, the leaders and the VRF evaluations.
+//! traffic accounting, the lotteries, the leaders, and the VRF sortition
+//! proofs, each evaluated and checked in the draw.
 
 use cycledger_crypto::pow::Puzzle;
 use cycledger_crypto::pvss;
 use cycledger_crypto::sha256::Digest;
+use cycledger_crypto::vrf;
 use cycledger_net::metrics::{point_set_wire_bytes, MetricsSink, Phase};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
@@ -114,9 +116,9 @@ pub fn prepare_selection(env: &RoundEnv<'_>, current_randomness: Digest) -> Prep
 }
 
 /// Runs the selection phase on its `prepared` round-start part: charges the
-/// beacon's and the PoW submissions' traffic and derives the next round's
-/// configuration, the VRF sortition — the bulk of the phase — mapped over
-/// `executor` (see [`SortitionBase::assign`]).
+/// beacon's and the submissions' traffic and derives the next round's
+/// configuration, the VRF sortition — the bulk of the phase — as one
+/// `executor` batch that checks every proof (see [`SortitionBase::assign`]).
 pub fn run_selection(
     env: &RoundEnv<'_>,
     executor: &ShardExecutor,
@@ -140,10 +142,11 @@ pub fn run_selection(
             }
         }
     }
-    // Each admitted node submits its solution to one referee member (who
-    // gossips the identity).
+    // Each admitted node submits its solution and its sortition proof for
+    // `R^{r+1}` to one referee member (who gossips the identity).
     for &node in &participants {
-        metrics.record_message(phase, node, referee[0], 8 + 32 + 64);
+        let submission = 8 + 32 + 64 + vrf::PROOF_BYTES as u64;
+        metrics.record_message(phase, node, referee[0], submission);
     }
     for &rm in referee {
         metrics.record_storage(phase, rm, participants.len() as u64 * 8);

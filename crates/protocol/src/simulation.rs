@@ -272,8 +272,8 @@ impl Simulation {
         } else {
             // Beacon failure (every referee dealer malicious): reuse the current
             // assignment so the simulation can continue and the failure shows up
-            // in the report instead of aborting the run. The sortition proofs
-            // stay valid for `sortition_round`, the round they were drawn for.
+            // in the report instead of aborting the run. Its draw checked every
+            // sortition proof, so the reuse needs no second check.
             self.assignment.round += 1;
         }
         self.reports.push(report);
@@ -410,6 +410,7 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
     use crate::traffic::TrafficConfig;
+    use cycledger_ledger::block::CommitteeRow;
     use cycledger_net::topology::NodeId;
 
     fn small_config() -> ProtocolConfig {
@@ -833,14 +834,31 @@ mod tests {
     }
 
     #[test]
-    fn a_reused_assignment_keeps_its_sortition_proofs_verifiable() {
-        // Every referee dealer corrupt: the beacon fails each round, so the
-        // genesis assignment is reused with only `round` bumped. Its proofs
-        // were drawn for round 0 and must keep verifying against that round
-        // (the configuration phase debug-asserts no rejection), so every
-        // common member keeps its seat.
+    fn a_reused_assignment_keeps_every_seat_its_draw_checked() {
+        use crate::sortition::proof_order;
+
+        // A node whose genesis proof fails, and a genesis draw over it.
         let mut sim = Simulation::new(small_config()).unwrap();
+        let forger = proof_order(&sim.assignment, &sim.registry)[0];
+        sim.registry.forge_sortition_proof(forger);
+        let ids = sim.registry.ids();
+        let (params, randomness) = (sim.config.assignment_params(), sim.assignment.randomness);
+        sim.assignment = assign_round_on(
+            &sim.executor,
+            &sim.registry,
+            &ids,
+            params,
+            0,
+            randomness,
+            &sim.reputation,
+        );
         let genesis = sim.assignment.clone();
+        assert!(!genesis.participants().contains(&forger));
+        assert_eq!(genesis.participants().len(), ids.len() - 1);
+        // Every referee dealer corrupt: the beacon fails each round, so the
+        // genesis assignment is reused with only `round` bumped. Its draw
+        // checked every sortition proof; the reuse checks none again and
+        // keeps every seat, and the forger stays out.
         for &member in &genesis.referee {
             sim.registry.set_behavior(member, Behavior::LazyVoter);
         }
@@ -856,80 +874,143 @@ mod tests {
         // A fully lazy referee committee certifies no block either.
         assert_eq!(summary.blocks_produced(), 0);
         assert_eq!(sim.assignment.round, genesis.round + 3);
-        assert_eq!(sim.assignment.sortition_round, genesis.round);
-        assert_eq!(sim.assignment.sortition_proofs, genesis.sortition_proofs);
-        let env = RoundEnv {
-            config: &sim.config,
-            registry: &sim.registry,
-            referee: &Committee::referee(&sim.assignment.referee, &sim.registry),
-            plan: &sim.fault_plan,
-            round: sim.assignment.round,
+        assert_eq!(sim.assignment.referee, genesis.referee);
+        assert_eq!(sim.assignment.committees, genesis.committees);
+    }
+
+    /// A config whose draw checks more than two groups of proofs.
+    fn three_group_config() -> ProtocolConfig {
+        ProtocolConfig {
+            committees: 3,
+            committee_size: 12,
+            ..small_config()
+        }
+    }
+
+    /// One round of [`three_group_config`] at `workers`, with `forger`
+    /// submitting a sortition proof that fails: the rows its block certifies
+    /// for the next round, and the round's metrics bytes.
+    fn forged_round(forger: Option<NodeId>, workers: usize) -> (Vec<CommitteeRow>, Vec<u8>) {
+        let config = ProtocolConfig {
+            worker_threads: workers,
+            ..three_group_config()
         };
-        let (outcome, ()) = crate::phases::configuration::run_committee_configuration(
-            &env,
-            &sim.executor,
-            &sim.assignment,
-            || (),
-            &mut cycledger_net::metrics::MetricsSink::new(),
-        );
-        assert!(outcome.rejected.is_empty(), "{:?}", outcome.rejected);
-        assert_eq!(outcome.verified_members, genesis.sortition_proofs.len());
+        let mut sim = Simulation::new(config).unwrap();
+        if let Some(forger) = forger {
+            sim.registry.forge_sortition_proof(forger);
+        }
+        let mut bytes = Vec::new();
+        sim.run_round().metrics.write_canonical_bytes(&mut bytes);
+        let block = sim.chain().block(0).expect("round 0 certifies a block");
+        (block.next_round.rows.clone(), bytes)
+    }
+
+    #[test]
+    fn a_forged_sortition_proof_sits_in_no_certified_row_at_any_width() {
+        use crate::sortition::{proof_order, PROOFS_PER_GROUP};
+
+        let mut honest = Simulation::new(three_group_config()).unwrap();
+        honest.run_round();
+        let order = proof_order(honest.assignment(), honest.registry());
+        let (honest_rows, _) = forged_round(None, 1);
+        let total = order.len();
+        // First, last and a middle position, and either side of the first
+        // group boundary.
+        assert!(total > 2 * PROOFS_PER_GROUP);
+        for k in [
+            0,
+            PROOFS_PER_GROUP - 1,
+            PROOFS_PER_GROUP,
+            total / 2,
+            total - 1,
+        ] {
+            let forger = order[k];
+            let (rows, bytes) = forged_round(Some(forger), 1);
+            assert_eq!(rows.len(), honest_rows.len());
+            for (row, honest_row) in rows.iter().zip(&honest_rows) {
+                let kept = honest_row.seats.iter().filter(|seat| seat.node != forger.0);
+                assert!(row.seats.iter().eq(kept), "position {k}");
+                assert_eq!(row.partial_set, honest_row.partial_set);
+            }
+            assert_ne!(rows, honest_rows, "position {k}: the forger had a seat");
+            for workers in [2, 8] {
+                let wide = forged_round(Some(forger), workers);
+                assert_eq!(wide, (rows.clone(), bytes.clone()), "{workers} workers");
+            }
+        }
     }
 
     #[test]
     fn a_rejected_sortition_claim_loses_its_seat_before_the_vote() {
-        use crate::engine::pipeline;
-        use crate::phases::configuration::run_committee_configuration;
+        use crate::sortition::proof_order;
 
-        let mut sim = Simulation::new(small_config()).unwrap();
-        // Another node's proof under the victim's name: fails verification.
-        let victim = sim.assignment.sortition_proofs[0].0;
-        sim.assignment.sortition_proofs[0].1 = sim.assignment.sortition_proofs[1].1;
-        let home = sim
-            .assignment
+        /// Committee `home`'s size and intra outcome, as the intra phase
+        /// left them.
+        struct AfterIntra {
+            home: usize,
+            seen: Option<(usize, crate::phases::intra::IntraOutcome)>,
+        }
+        impl RoundObserver for AfterIntra {
+            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+                if phase == "intra-consensus" {
+                    let k = self.home;
+                    self.seen = Some((ctx.committees[k].size(), ctx.intra_outcomes[k].clone()));
+                }
+            }
+        }
+
+        // Round 1's draw without the forgery.
+        let mut honest = Simulation::new(small_config()).unwrap();
+        honest.run_round();
+        let drawn = honest.assignment().clone();
+        let victim = proof_order(&drawn, honest.registry())[0];
+        let home = drawn
             .committees
             .iter()
             .position(|c| c.members.contains(&victim))
             .unwrap();
-        let seats = sim.assignment.committees[home].size();
-        let offered = sim.workload.generate_batch(sim.config.txs_per_round);
-        let referee = Committee::referee(&sim.assignment.referee, &sim.registry);
-        let env = RoundEnv {
-            config: &sim.config,
-            registry: &sim.registry,
-            referee: &referee,
-            plan: &sim.fault_plan,
-            round: sim.assignment.round,
-        };
-        let mut ctx = RoundContext::new(
-            env,
-            &sim.assignment,
-            &sim.executor,
-            &sim.chain,
-            &mut sim.utxo_sets,
-            &mut sim.reputation,
-            &mut sim.arena,
-        );
-        ctx.offer(offered);
-        let (outcome, ()) = run_committee_configuration(
-            &ctx.env,
-            ctx.executor,
-            ctx.assignment,
-            || (),
-            &mut ctx.books.metrics,
-        );
-        assert_eq!(outcome.rejected, vec![(home, victim)]);
-        ctx.apply_configuration(outcome);
-        assert_eq!(ctx.configuration.as_ref().unwrap().rejected.len(), 1);
-        assert!(!ctx.committees[home].contains(victim));
-        assert_eq!(ctx.committees[home].size(), seats - 1);
-        assert_eq!(ctx.committees[home].keys.len(), seats - 1);
+        let seats = drawn.committees[home].size();
 
-        pipeline::intra_consensus(&mut ctx);
-        let outcome = &ctx.intra_outcomes[home];
+        // The victim's proof for round 1 fails: the draw seats it nowhere.
+        let mut sim = Simulation::new(small_config()).unwrap();
+        sim.registry.forge_sortition_proof(victim);
+        sim.run_round();
+        assert!(!sim.assignment().participants().contains(&victim));
+        assert_eq!(sim.assignment().committees[home].size(), seats - 1);
+        let mut after = AfterIntra { home, seen: None };
+        sim.run_round_observed(&mut after);
+        let (size, outcome) = after.seen.expect("the intra phase ran");
+        assert_eq!(size, seats - 1);
         assert!(outcome.certificate.is_some(), "the rest still certify");
         assert_eq!(outcome.vote_list.votes.len(), seats - 1);
         assert!(outcome.vote_list.votes.iter().all(|v| v.voter != victim));
+    }
+
+    #[test]
+    fn an_epoch_reshuffle_seats_no_forger() {
+        use crate::sortition::proof_order;
+
+        // Round 1 closes epoch 0; the reshuffle replaces the assignment its
+        // selection drew.
+        let mut honest = Simulation::new(epoch_config()).unwrap();
+        honest.run(2);
+        assert!(honest.reports()[1].epoch_transition.is_some());
+        let reshuffled = honest.assignment().clone();
+        let forger = proof_order(&reshuffled, honest.registry())[0];
+
+        // The same run with the forgery from the boundary round on.
+        let mut sim = Simulation::new(epoch_config()).unwrap();
+        sim.run(1);
+        sim.registry.forge_sortition_proof(forger);
+        sim.run(1);
+        let forged = sim.assignment();
+        assert!(!forged.participants().contains(&forger));
+        assert_eq!(forged.referee, reshuffled.referee);
+        for (row, honest_row) in forged.committees.iter().zip(&reshuffled.committees) {
+            let kept = honest_row.members.iter().filter(|&&n| n != forger);
+            assert!(row.members.iter().eq(kept));
+            assert_eq!(row.partial_set, honest_row.partial_set);
+        }
     }
 
     #[test]
@@ -1017,8 +1098,7 @@ mod tests {
     /// Compares every round's selection outcome with the selection phase
     /// run as one serial function on the same round: the beacon transcript,
     /// the PoW loop and `assign_round_on`, called directly — the way the
-    /// phase ran before its round-start part moved into the configuration
-    /// batch.
+    /// phase ran before its round-start part moved into an earlier batch.
     #[derive(Default)]
     struct SerialSelection {
         rounds: usize,
@@ -1112,18 +1192,18 @@ mod tests {
         );
     }
 
-    /// Executor batches of each round: configuration (led by the next
-    /// round's beacon, PoW admissions and VRF table), intra consensus, the
-    /// sortition and block application with the SMT commit; cross-shard
+    /// Executor batches of each round: intra consensus (led by the next
+    /// round's beacon, PoW admissions and VRF table), the sortition with its
+    /// proof checks, and block application with the SMT commit; cross-shard
     /// traffic adds the inter phase's sources. A batch with no task is not
     /// one.
     #[test]
-    fn a_fault_free_round_runs_four_batches_and_cross_shard_traffic_adds_one() {
+    fn a_fault_free_round_runs_three_batches_and_cross_shard_traffic_adds_one() {
         use cycledger_ledger::StateBackend;
         for (cross_shard_ratio, state_backend, batches) in [
-            (0.0, StateBackend::Map, 4),
-            (0.2, StateBackend::Map, 5),
-            (0.2, StateBackend::Smt, 5),
+            (0.0, StateBackend::Map, 3),
+            (0.2, StateBackend::Map, 4),
+            (0.2, StateBackend::Smt, 4),
         ] {
             for workers in [1, 2] {
                 let config = ProtocolConfig {

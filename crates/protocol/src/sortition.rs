@@ -13,11 +13,14 @@
 //!   a committee, the `λ` smallest lottery values per committee win.
 //! * **Common members** — every remaining participant runs cryptographic
 //!   sortition (Algorithm 1): a VRF on `COMMON_MEMBER ‖ r ‖ R^r` whose output
-//!   mod `m` is the committee index; the proof lets key members verify the
-//!   claim during committee configuration.
+//!   mod `m` is the committee index. A participant submits its proof with its
+//!   PoW solution, and the draw checks every proof before it seats anyone: a
+//!   node whose proof fails sits in no committee, so in no row of the
+//!   configuration the block certifies (a departure from Algorithm 2, where
+//!   the key members check the claims; see ARCHITECTURE.md).
 
 use cycledger_crypto::sha256::{hash_parts, Digest};
-use cycledger_crypto::vrf::{self, VrfOutput};
+use cycledger_crypto::vrf;
 use cycledger_net::topology::{NodeId, RoundTopology};
 use cycledger_reputation::ReputationTable;
 
@@ -55,20 +58,12 @@ impl CommitteeAssignment {
 pub struct RoundAssignment {
     /// Round number.
     pub round: u64,
-    /// The round the committees were drawn for, which is what
-    /// `sortition_proofs` verify against. Equal to `round` except while an
-    /// assignment is being reused after a beacon failure: the reuse bumps
-    /// `round` only.
-    pub sortition_round: u64,
     /// Round randomness `R^r` the assignment was derived from.
     pub randomness: Digest,
     /// The referee committee `C_R`.
     pub referee: Vec<NodeId>,
     /// The `m` ordinary committees.
     pub committees: Vec<CommitteeAssignment>,
-    /// Sortition proofs of common members (`node → VRF output`), retained so
-    /// that committee configuration can verify membership claims.
-    pub sortition_proofs: Vec<(NodeId, VrfOutput)>,
 }
 
 impl RoundAssignment {
@@ -134,6 +129,11 @@ fn lottery_value(round: u64, randomness: &Digest, node: NodeId, role: &str) -> u
     .prefix_u64()
 }
 
+/// Sortition proofs checked as one `vrf::verify_batch` group, one executor
+/// task each. Groups are cut by proof index, so where a forged proof sends
+/// its group down the per-proof path is the same at every worker count.
+pub(crate) const PROOFS_PER_GROUP: usize = 8;
+
 /// Parameters for building a round assignment.
 #[derive(Clone, Copy, Debug)]
 pub struct AssignmentParams {
@@ -171,8 +171,8 @@ pub fn assign_round(
     )
 }
 
-/// [`assign_round`] with the common members' VRF sortition mapped over
-/// `executor`: [`SortitionBase::assign`] on a base built here.
+/// [`assign_round`] with the common members' VRF proofs evaluated and
+/// checked on `executor`: [`SortitionBase::assign`] on a base built here.
 pub fn assign_round_on(
     executor: &ShardExecutor,
     registry: &NodeRegistry,
@@ -189,8 +189,8 @@ pub fn assign_round_on(
 /// The part of a round's sortition fixed by its round number and randomness
 /// alone: the lottery inputs and the round's one [`vrf::Prover`] (a
 /// fixed-base table of the round's VRF base). The selection phase builds the
-/// next round's while the committees are still being configured, before the
-/// reputation update the leader choice waits on.
+/// next round's beside the intra-consensus instances, before the reputation
+/// update the leader choice waits on.
 pub struct SortitionBase {
     round: u64,
     randomness: Digest,
@@ -214,11 +214,13 @@ impl SortitionBase {
     }
 
     /// Builds the assignment from the participant set and the current
-    /// reputation table. The common members' VRF sortition (step 4, one
-    /// evaluation per node, all independent) is mapped over `executor`
-    /// ([`ShardExecutor::map_chunked`]). The assignment is identical at any
-    /// worker count: evaluations come back in node order and the committees
-    /// are filled serially from them.
+    /// reputation table. The common members' VRF sortition (step 4) is one
+    /// `executor` batch: each task evaluates the proofs of a group of
+    /// [`PROOFS_PER_GROUP`] participants, as they submit them, and checks the
+    /// group with `vrf::verify_batch`. A participant whose proof fails is
+    /// seated nowhere. The assignment is identical at any worker count:
+    /// verdicts come back in proof order and the committees are filled
+    /// serially from them.
     pub fn assign(
         &self,
         executor: &ShardExecutor,
@@ -308,22 +310,40 @@ impl SortitionBase {
             }
         }
 
-        // 4. Common members: VRF-based sortition (Algorithm 1) for everyone left.
+        // 4. Common members: VRF-based sortition (Algorithm 1) for everyone
+        //    left, each proof checked before its committee index is taken.
         let sortitioned: Vec<NodeId> = remaining
             .iter()
             .filter(|id| !used.contains(id))
             .chain(&syncing)
             .copied()
             .collect();
-        let outputs = executor.map_chunked(&sortitioned, |&id| {
-            let keypair = &registry.node(id).keypair;
-            self.prover.evaluate(&keypair.secret, &keypair.public)
+        let input = &RoundAssignment::sortition_input(round, &randomness);
+        let groups = sortitioned.chunks(PROOFS_PER_GROUP).map(|group| {
+            move || {
+                let proofs: Vec<_> = group
+                    .iter()
+                    .map(|&id| registry.sortition_proof(id, &self.prover))
+                    .collect();
+                let entries: Vec<_> = group
+                    .iter()
+                    .zip(&proofs)
+                    .map(|(&id, output)| (&registry.node(id).keypair.public, output))
+                    .collect();
+                let valid = vrf::verify_batch(input, &entries);
+                (proofs, valid)
+            }
         });
+        let drawn = executor.execute(groups.collect());
+        let drawn = drawn
+            .iter()
+            .flat_map(|(proofs, valid)| proofs.iter().zip(valid));
         let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
-        for (&id, output) in sortitioned.iter().zip(&outputs) {
-            commons[vrf::output_to_committee(&output.hash, params.committees)].push(id);
+        for (&id, (output, &valid)) in sortitioned.iter().zip(drawn) {
+            if valid {
+                commons[vrf::output_to_committee(&output.hash, params.committees)].push(id);
+            }
         }
-        let proofs: Vec<(NodeId, VrfOutput)> = sortitioned.into_iter().zip(outputs).collect();
 
         let committees = (0..params.committees)
             .map(|k| {
@@ -341,13 +361,32 @@ impl SortitionBase {
 
         RoundAssignment {
             round,
-            sortition_round: round,
             randomness,
             referee,
             committees,
-            sortition_proofs: proofs,
         }
     }
+}
+
+/// The order the draw of `assignment` checked its common members' proofs
+/// in: the active ones by their partial-set lottery value, then the syncing
+/// ones in id order.
+#[cfg(test)]
+pub(crate) fn proof_order(assignment: &RoundAssignment, registry: &NodeRegistry) -> Vec<NodeId> {
+    let (round, randomness) = (assignment.round, &assignment.randomness);
+    let commons = assignment.committees.iter();
+    let commons = commons.flat_map(|c| c.common_members().iter().copied());
+    let (mut order, mut syncing): (Vec<NodeId>, Vec<NodeId>) =
+        commons.partition(|&id| registry.node(id).membership.may_vote());
+    order.sort_by_cached_key(|&id| {
+        (
+            lottery_value(round, randomness, id, "PARTIAL_SET_MEMBER"),
+            id,
+        )
+    });
+    syncing.sort();
+    order.extend(syncing);
+    order
 }
 
 #[cfg(test)]
@@ -403,11 +442,15 @@ mod tests {
     /// nodes, 8 committees). Each lottery value is a two-block hash and each
     /// sort computes it once per node: 128 for the referee lottery, 113 for
     /// the partial-set lottery and 113 more for its committee draw are 708
-    /// compressions; all but 5 of the rest are the 81 common members' VRF
-    /// evaluations, 47 each. At commit ee421ab the two sorts hashed both
+    /// compressions; all but 5 of the next 3 812 are the 81 common members'
+    /// VRF evaluations, 47 each. At commit ee421ab the two sorts hashed both
     /// sides of every comparison and this assignment cost 13 264; until every
     /// evaluation went through one `vrf::Prover`, each also looked the round's
-    /// `hash_to_curve` base up in its memo (3 compressions), for 4 760.
+    /// `hash_to_curve` base up in its memo (3 compressions), for 4 760. The
+    /// other 5 361 are the draw checking the 81 proofs, one
+    /// `vrf::verify_batch` a group: ten groups of eight at 528 each (the
+    /// crypto crate pins that group) and a last group of one at 81. Before
+    /// the draw checked its proofs this assignment cost 4 520.
     #[cfg(feature = "opcount")]
     #[test]
     fn the_lottery_sorts_hash_once_per_node() {
@@ -422,9 +465,42 @@ mod tests {
         let randomness = sha256(b"seed-pin");
         let assign = |round| assign_round(&registry, &ids, params, round, randomness, &reputation);
         assign(0); // builds the static tables
-        let mut sortitioned = 0;
-        let tally = scope(|| sortitioned = assign(1).sortition_proofs.len());
-        assert_eq!((sortitioned, tally.sha256_blocks), (81, 4520));
+        let mut assignment = None;
+        let tally = scope(|| assignment = Some(assign(1)));
+        let sortitioned = proof_order(&assignment.unwrap(), &registry).len();
+        assert_eq!((sortitioned, tally.sha256_blocks), (81, 9881));
+    }
+
+    /// An all-honest population loses no seat to the proof check: the draw's
+    /// batch verifier accepts every common member's proof, and every
+    /// participant outside the referee and the key members is seated.
+    #[test]
+    fn all_honest_members_verify() {
+        let (registry, reputation) = setup(60);
+        let randomness = sha256(b"seed-honest");
+        let assignment = assign_round(
+            &registry,
+            &registry.ids(),
+            params(),
+            2,
+            randomness,
+            &reputation,
+        );
+        let input = RoundAssignment::sortition_input(2, &randomness);
+        let prover = vrf::Prover::new(&input);
+        let order = proof_order(&assignment, &registry);
+        let proofs: Vec<_> = order
+            .iter()
+            .map(|&id| registry.sortition_proof(id, &prover))
+            .collect();
+        let entries: Vec<_> = order
+            .iter()
+            .zip(&proofs)
+            .map(|(&id, output)| (&registry.node(id).keypair.public, output))
+            .collect();
+        let valid = vrf::verify_batch(&input, &entries);
+        assert_eq!(valid.len(), 60 - 7 - 4 * (1 + 3));
+        assert!(valid.iter().all(|&v| v), "no honest proof is rejected");
     }
 
     #[test]
@@ -440,17 +516,20 @@ mod tests {
             &reputation,
         );
         let input = RoundAssignment::sortition_input(3, &randomness);
-        for (node, output) in &assignment.sortition_proofs {
-            assert!(vrf::verify(
-                &registry.node(*node).keypair.public,
-                &input,
-                output
-            ));
-            let committee = vrf::output_to_committee(&output.hash, 4);
-            assert!(
-                assignment.committees[committee].members.contains(node),
-                "node must sit in the committee its VRF output designates"
-            );
+        let prover = vrf::Prover::new(&input);
+        let order = proof_order(&assignment, &registry);
+        assert_eq!(order.len(), 60 - 7 - 4 * (1 + 3));
+        for (k, committee) in assignment.committees.iter().enumerate() {
+            for &node in committee.common_members() {
+                let output = registry.sortition_proof(node, &prover);
+                let public = &registry.node(node).keypair.public;
+                assert!(vrf::verify(public, &input, &output));
+                assert_eq!(
+                    vrf::output_to_committee(&output.hash, 4),
+                    k,
+                    "node must sit in the committee its VRF output designates"
+                );
+            }
         }
     }
 
@@ -594,7 +673,7 @@ mod tests {
     fn sortition_is_identical_at_every_executor_width() {
         let (mut registry, reputation) = setup(82);
         // A `Syncing` tail rides behind the active commons in the mapped
-        // list; 82 nodes leave 59 to sortition, which no chunk count divides.
+        // list; 82 nodes leave 59 to sortition, a short last group of three.
         for id in [70u32, 71, 72] {
             registry.set_membership(NodeId(id), MembershipState::Syncing);
         }
@@ -610,16 +689,15 @@ mod tests {
             )
         };
         let baseline = assign(1);
-        let proven = baseline.sortition_proofs.len();
-        assert_eq!(proven, 59);
-        let tail: Vec<NodeId> = baseline.sortition_proofs[proven - 3..]
-            .iter()
-            .map(|(id, _)| *id)
-            .collect();
-        assert_eq!(tail, [70u32, 71, 72].map(NodeId), "syncing nodes come last");
+        let order = proof_order(&baseline, &registry);
+        assert_eq!(order.len(), 59);
+        assert_eq!(
+            order[59 - 3..],
+            [70u32, 71, 72].map(NodeId),
+            "syncing nodes come last"
+        );
         for workers in [2, 3, 8] {
             let wide = assign(workers);
-            assert_eq!(wide.sortition_proofs, baseline.sortition_proofs);
             assert_eq!(wide.referee, baseline.referee);
             for (a, b) in wide.committees.iter().zip(&baseline.committees) {
                 assert_eq!(a.members, b.members, "{workers} workers");

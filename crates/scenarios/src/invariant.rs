@@ -10,8 +10,7 @@ use crate::outcome::ScenarioOutcome;
 
 /// The phase names of the standard pipeline, in protocol order — the
 /// [`Invariant::PipelineComplete`] reference sequence.
-pub const STANDARD_PHASES: [&str; 8] = [
-    "committee-configuration",
+pub const STANDARD_PHASES: [&str; 7] = [
     "semi-commitment-exchange",
     "intra-consensus",
     "intra-recovery",

@@ -84,12 +84,9 @@ impl MerkleTree {
         Self::build_from_slices(leaves.iter().map(|l| l.as_ref()))
     }
 
-    /// Builds a tree from an iterator of **borrowed** leaf payloads.
-    ///
-    /// This is the zero-staging entry point: callers that already hold each
-    /// leaf's bytes (e.g. a block's memoized transaction encodings) hash them
-    /// straight into the flat node vector, with no intermediate
-    /// `Vec<Vec<u8>>` of re-encoded leaves and no per-level vectors.
+    /// Builds a tree from an iterator of **borrowed** leaf payloads, hashed
+    /// straight into the flat node vector with no intermediate
+    /// `Vec<Vec<u8>>` of leaves and no per-level vectors.
     pub fn build_from_slices<'x, I>(leaves: I) -> MerkleTree
     where
         I: IntoIterator<Item = &'x [u8]>,
@@ -107,6 +104,20 @@ impl MerkleTree {
     where
         I: IntoIterator<Item = &'x [u8]>,
         I::IntoIter: ExactSizeIterator,
+    {
+        self.rebuild_with(leaves, |leaf, buf| buf.extend_from_slice(leaf));
+    }
+
+    /// Rebuilds this tree over leaves that write their payloads rather than
+    /// lend them: `write(leaf, buf)` appends the leaf's payload to `buf`, the
+    /// reusable lane buffer its pre-image is staged in. A leaf whose bytes
+    /// are a function of its fields (a transaction's canonical encoding)
+    /// costs one copy, as a borrowed slice does, and no allocation of its own.
+    pub fn rebuild_with<I, F>(&mut self, leaves: I, mut write: F)
+    where
+        I: IntoIterator,
+        I::IntoIter: ExactSizeIterator,
+        F: FnMut(I::Item, &mut Vec<u8>),
     {
         let iter = leaves.into_iter();
         let leaf_count = iter.len();
@@ -140,7 +151,13 @@ impl MerkleTree {
                 let buf = &mut scratch[pending];
                 buf.clear();
                 frame_part(buf, LEAF_DOMAIN);
-                frame_part(buf, leaf);
+                // `frame_part` of the written payload: its length prefix is
+                // patched in once the payload is down.
+                let at = buf.len();
+                buf.extend_from_slice(&[0; 8]);
+                write(leaf, buf);
+                let len = (buf.len() - at - 8) as u64;
+                buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
                 pending += 1;
                 if pending == LANES {
                     let msgs: [&[u8]; LANES] = std::array::from_fn(|j| scratch[j].as_slice());
@@ -307,6 +324,24 @@ mod tests {
             for i in 0..n {
                 assert_eq!(reused.prove(i), fresh.prove(i), "n={n} i={i}");
             }
+        }
+    }
+
+    #[test]
+    fn written_leaves_hash_as_borrowed_ones() {
+        // Payloads of every length class around the lane width and the
+        // 64-byte block, written in two pieces.
+        let data: Vec<Vec<u8>> = (0..19).map(|n| vec![n as u8; n * 7]).collect();
+        let mut written = MerkleTree::default();
+        written.rebuild_with(&data, |leaf, buf| {
+            let (a, b) = leaf.split_at(leaf.len() / 2);
+            buf.extend_from_slice(a);
+            buf.extend_from_slice(b);
+        });
+        let borrowed = MerkleTree::build(&data);
+        assert_eq!(written.root(), borrowed.root());
+        for (i, leaf) in data.iter().enumerate() {
+            assert!(written.prove(i).unwrap().verify(&written.root(), leaf));
         }
     }
 

@@ -129,10 +129,11 @@ pub fn verify_share(commitments: &[Point], share: &Share) -> bool {
 /// `(Σ_i z_i·s_i)·G == Σ_j (Σ_i z_i·x_i^j)·C_j`
 ///
 /// which collapses `n` share verifications (each `t` small multiplications
-/// plus one fixed-base) into `t` variable-base multiplications and one
-/// fixed-base, with the coefficients `z_i` derived by hashing the whole
-/// dealing (commitments included, via the batched point-set encoding) so a
-/// malicious dealer cannot choose shares after seeing them. Structural
+/// plus one fixed-base) into one `t + 1`-term [`Point::multi_mul`], its
+/// generator term served from the static table. The coefficients `z_i` are
+/// derived by hashing the whole dealing (commitments included, via the
+/// batched point-set encoding) so a malicious dealer cannot choose shares
+/// after seeing them. Structural
 /// defects (no commitments, zero/duplicate indices, mismatched threshold)
 /// fail the check outright; on a `false` result callers that need the
 /// offending share fall back to per-share [`verify_share`].
@@ -158,8 +159,9 @@ pub fn verify_dealing(dealing: &Dealing) -> bool {
     let seed = hash_parts(&[b"cycledger/pvss-batch-seed", &transcript]);
 
     let mut scaled_sum = Scalar::zero();
-    // weights[j] = Σ_i z_i·x_i^j.
-    let mut weights = vec![Scalar::zero(); dealing.commitments.len()];
+    // terms[j] = (Σ_i z_i·x_i^j, C_j); the last term carries −(Σ_i z_i·s_i)·G.
+    let mut terms = Vec::with_capacity(dealing.commitments.len() + 1);
+    terms.extend(dealing.commitments.iter().map(|&c| (Scalar::zero(), c)));
     for (i, share) in dealing.shares.iter().enumerate() {
         let z = Scalar::rlc_coefficient(
             "cycledger/pvss-batch-coefficient",
@@ -169,17 +171,15 @@ pub fn verify_dealing(dealing: &Dealing) -> bool {
         scaled_sum = scaled_sum.add(&z.mul(&share.value));
         let x = Scalar::from_u64(share.index as u64);
         let mut x_pow = z;
-        for w in weights.iter_mut() {
+        for (w, _) in terms.iter_mut() {
             *w = w.add(&x_pow);
             x_pow = x_pow.mul(&x);
         }
     }
-    let lhs = Point::mul_generator(&scaled_sum);
-    let mut rhs = Point::infinity();
-    for (c, w) in dealing.commitments.iter().zip(&weights) {
-        rhs = rhs.add(&c.mul(w));
-    }
-    lhs.equals(&rhs)
+    // Σ_j w_j·C_j − (Σ_i z_i·s_i)·G = O, one combination over one doubling
+    // chain where `t` separate multiplications walk `t` of them.
+    terms.push((scaled_sum.neg(), Point::generator()));
+    Point::multi_mul(&terms).is_infinity()
 }
 
 /// Reconstructs the secret from at least `threshold` shares via Lagrange

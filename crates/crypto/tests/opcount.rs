@@ -59,6 +59,8 @@
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
+use cycledger_crypto::pvss;
+use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, Keypair, PublicKey, Signature};
 use cycledger_crypto::vrf;
 
@@ -290,6 +292,54 @@ fn vrf_table_and_group_counts_are_pinned() {
         (29823, 36266)
     );
     assert!(field_muls(&ten_on_table) < field_muls(&ten_direct));
+}
+
+#[test]
+fn pvss_dealing_check_and_beacon_counts_are_pinned() {
+    // `kernel_kat`'s beacon: seven dealers, threshold four, one corrupted.
+    let honest = [true, true, false, true, true, true, true];
+    let tag = b"kernel-kat beacon";
+    let dealing = pvss::deal(&Scalar::from_u64(99), 7, 4, tag).unwrap();
+    // Warm the static tables outside the scopes.
+    pvss::run_beacon(7, 4, &honest, tag).unwrap();
+
+    let check = scope(|| assert!(pvss::verify_dealing(&dealing)));
+    let beacon = scope(|| pvss::run_beacon(7, 4, &honest, tag).unwrap());
+    // Shown when an assertion below fails, for re-pinning at once.
+    println!("verify_dealing {check:?}\nbeacon {beacon:?}");
+    // One 5-term combination over one doubling chain: 131 doublings and
+    // 3 963 field multiplications, where four multiplications and a
+    // fixed-base one walked 507 doublings in 6 706.
+    assert_eq!(
+        check,
+        Tally {
+            fe_mul: 2478,
+            fe_square: 1485,
+            fe_invert: 1,
+            point_double: 131,
+            point_add_affine: 221,
+            sha256_blocks: 135,
+            drbg_instantiations: 7,
+            ..Tally::default()
+        }
+    );
+    // Seven dealings, seven checks, six reconstructions: 56 297 field
+    // multiplications and 3 542 doublings with a multiplication per
+    // commitment.
+    assert_eq!(
+        beacon,
+        Tally {
+            fe_mul: 24256,
+            fe_square: 12975,
+            fe_invert: 7,
+            point_double: 917,
+            point_add_affine: 2407,
+            sha256_blocks: 1311,
+            drbg_instantiations: 63,
+            ..Tally::default()
+        }
+    );
+    assert!(field_muls(&beacon) * 100 <= 56_297 * 70);
 }
 
 #[test]

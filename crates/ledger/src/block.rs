@@ -274,11 +274,12 @@ impl Block {
     }
 
     /// Merkle root over a transaction list (a slice root is this over the
-    /// slice): each transaction's **memoized** canonical encoding is hashed
-    /// straight into the tree's flat node vector — no re-encoding, no staged
-    /// `Vec<Vec<u8>>` of leaves.
+    /// slice): each transaction writes its canonical encoding straight into
+    /// the tree's leaf buffer — no encoding kept, none staged.
     pub fn tx_root(transactions: &[Transaction]) -> Digest {
-        MerkleTree::build_from_slices(transactions.iter().map(|t| t.encoded_bytes())).root()
+        let mut tree = MerkleTree::default();
+        tree.rebuild_with(transactions, Transaction::encode_into);
+        tree.root()
     }
 
     /// Rebuilds `tree` over the slice roots of `transactions` under its
@@ -289,9 +290,7 @@ impl Block {
         let roots: Vec<Digest> = slices
             .iter()
             .map(|positions| {
-                tree.rebuild_from_slices(
-                    positions.iter().map(|&p| transactions[p].encoded_bytes()),
-                );
+                tree.rebuild_with(positions, |&p, buf| transactions[p].encode_into(buf));
                 tree.root()
             })
             .collect();
@@ -1194,7 +1193,9 @@ mod tests {
                 let expanded = compact.expand(&held).unwrap();
                 proptest::prop_assert_eq!(&expanded, &slice);
                 let bytes = |s: &BlockSlice| -> Vec<u8> {
-                    s.transactions.iter().flat_map(|t| t.encoded_bytes().to_vec()).collect()
+                    let mut bytes = Vec::new();
+                    s.transactions.iter().for_each(|t| t.encode_into(&mut bytes));
+                    bytes
                 };
                 proptest::prop_assert_eq!(bytes(&expanded), bytes(&slice));
                 proptest::prop_assert!(compact.verify(&held, &block.header));

@@ -11,22 +11,32 @@
 //! constant-factor noise to the measurements. The shard of an account is
 //! `H(account) mod m`, mirroring the paper's uniform user partition.
 //!
-//! ## Memoized canonical encoding
+//! ## Canonical encoding
 //!
-//! A transaction's canonical byte encoding and its digest are computed **once,
-//! at construction**, and shared behind an `Arc`: `encoded_bytes()`, `id()`
-//! and `wire_size()` are lookups, and cloning a transaction anywhere in the
-//! round pipeline is a reference-count bump instead of a re-allocation of its
-//! input/output vectors. This is sound because a transaction is immutable
-//! after construction — there is no way to change inputs, outputs or nonce
-//! without building a new transaction, so the cached encoding can never go
-//! stale.
+//! A transaction's digest is computed **once, at construction**, and shared
+//! with its fields behind an `Arc`: `id()` is a lookup, and cloning a
+//! transaction anywhere in the round pipeline is a reference-count bump. The
+//! canonical byte encoding itself is not kept. It is a pure function of the
+//! fields, `16 + 52·inputs + 16·outputs` bytes long:
+//!
+//! ```text
+//! be64(nonce) ‖ be32(#inputs) ‖ { tx_id ‖ be32(index) ‖ be64(owner) ‖ be64(amount) }*
+//!             ‖ be32(#outputs) ‖ { be64(owner) ‖ be64(amount) }*
+//! ```
+//!
+//! It is written out only where something reads it: streamed record by record
+//! into SHA-256 for the id, and into a Merkle tree's leaf buffer for a slice
+//! root ([`Transaction::encode_into`]). A kept copy of bytes the fields
+//! already hold would be 136 B of a chain transaction's 369. Memoizing the
+//! digest is sound because a transaction is immutable after construction —
+//! there is no way to change inputs, outputs or nonce without building a new
+//! transaction, so the digest can never go stale.
 
 use std::cell::RefCell;
 use std::sync::Arc;
 
 use cycledger_crypto::fxhash::FxHashMap;
-use cycledger_crypto::sha256::{hash_parts, Digest};
+use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 
 /// A user account identifier.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -103,19 +113,17 @@ pub struct TxInput {
 /// The immutable body shared by every clone of a transaction.
 #[derive(Debug)]
 struct TxBody {
-    inputs: Vec<TxInput>,
-    outputs: Vec<TxOutput>,
+    inputs: Box<[TxInput]>,
+    outputs: Box<[TxOutput]>,
     nonce: u64,
-    /// Canonical encoding, computed once at construction.
-    encoded: Vec<u8>,
-    /// `H("cycledger/txid" || encoded)`, computed once at construction.
+    /// `H("cycledger/txid" || encoding)`, computed once at construction.
     id: TxId,
 }
 
 /// A transfer of value from a set of UTXOs to a set of new outputs.
 ///
 /// Immutable after construction; clones share the body (and its memoized
-/// canonical encoding and digest) behind an `Arc`.
+/// digest) behind an `Arc`.
 #[derive(Clone, Debug)]
 pub struct Transaction {
     body: Arc<TxBody>,
@@ -123,8 +131,8 @@ pub struct Transaction {
 
 impl PartialEq for Transaction {
     fn eq(&self, other: &Self) -> bool {
-        // The canonical encoding is injective over (inputs, outputs, nonce).
-        Arc::ptr_eq(&self.body, &other.body) || self.body.encoded == other.body.encoded
+        let (a, b) = (&self.body, &other.body);
+        Arc::ptr_eq(a, b) || (a.nonce == b.nonce && a.inputs == b.inputs && a.outputs == b.outputs)
     }
 }
 
@@ -132,23 +140,74 @@ impl Eq for Transaction {}
 
 impl std::hash::Hash for Transaction {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        // Consistent with Eq: equal encodings have equal ids.
+        // Consistent with Eq: equal fields have equal ids.
         self.body.id.hash(state);
     }
 }
 
+/// Domain tag of a transaction id.
+const TXID_DOMAIN: &[u8] = b"cycledger/txid";
+
+/// Encoded bytes of one input: outpoint id and index, owner, amount.
+const INPUT_BYTES: usize = 32 + 4 + 8 + 8;
+
+/// Encoded bytes of one output: owner, amount.
+const OUTPUT_BYTES: usize = 8 + 8;
+
+/// Length of the canonical encoding of a transaction of this shape.
+fn encoded_len(inputs: usize, outputs: usize) -> usize {
+    16 + INPUT_BYTES * inputs + OUTPUT_BYTES * outputs
+}
+
+/// Hands the canonical encoding to `put` a record at a time: the nonce and
+/// input count, each input, the output count, each output.
+fn write_encoding(
+    inputs: &[TxInput],
+    outputs: &[TxOutput],
+    nonce: u64,
+    mut put: impl FnMut(&[u8]),
+) {
+    let mut head = [0u8; 12];
+    head[..8].copy_from_slice(&nonce.to_be_bytes());
+    head[8..].copy_from_slice(&(inputs.len() as u32).to_be_bytes());
+    put(&head);
+    for input in inputs {
+        let mut record = [0u8; INPUT_BYTES];
+        record[..32].copy_from_slice(input.outpoint.tx_id.as_bytes());
+        record[32..36].copy_from_slice(&input.outpoint.index.to_be_bytes());
+        record[36..44].copy_from_slice(&input.owner.0.to_be_bytes());
+        record[44..].copy_from_slice(&input.amount.to_be_bytes());
+        put(&record);
+    }
+    put(&(outputs.len() as u32).to_be_bytes());
+    for output in outputs {
+        let mut record = [0u8; OUTPUT_BYTES];
+        record[..8].copy_from_slice(&output.owner.0.to_be_bytes());
+        record[8..].copy_from_slice(&output.amount.to_be_bytes());
+        put(&record);
+    }
+}
+
 impl Transaction {
-    /// Creates a transaction, computing its canonical encoding and digest.
+    /// Creates a transaction, streaming its canonical encoding into SHA-256
+    /// for its digest. Exact-capacity vectors become the body's slices
+    /// without a reallocation.
     pub fn new(inputs: Vec<TxInput>, outputs: Vec<TxOutput>, nonce: u64) -> Self {
-        let encoded = Self::encode_parts(&inputs, &outputs, nonce);
-        let id = hash_parts(&[b"cycledger/txid", &encoded]);
+        // `hash_parts(&[TXID_DOMAIN, encoding])`, with the encoding streamed.
+        let mut hasher = Sha256::new();
+        hasher
+            .update(&(TXID_DOMAIN.len() as u64).to_le_bytes())
+            .update(TXID_DOMAIN)
+            .update(&(encoded_len(inputs.len(), outputs.len()) as u64).to_le_bytes());
+        write_encoding(&inputs, &outputs, nonce, |bytes| {
+            hasher.update(bytes);
+        });
         Transaction {
             body: Arc::new(TxBody {
-                inputs,
-                outputs,
+                inputs: inputs.into_boxed_slice(),
+                outputs: outputs.into_boxed_slice(),
                 nonce,
-                encoded,
-                id,
+                id: hasher.finalize(),
             }),
         }
     }
@@ -180,28 +239,14 @@ impl Transaction {
         self.body.inputs.is_empty()
     }
 
-    fn encode_parts(inputs: &[TxInput], outputs: &[TxOutput], nonce: u64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + inputs.len() * 52 + outputs.len() * 16);
-        out.extend_from_slice(&nonce.to_be_bytes());
-        out.extend_from_slice(&(inputs.len() as u32).to_be_bytes());
-        for input in inputs {
-            out.extend_from_slice(input.outpoint.tx_id.as_bytes());
-            out.extend_from_slice(&input.outpoint.index.to_be_bytes());
-            out.extend_from_slice(&input.owner.0.to_be_bytes());
-            out.extend_from_slice(&input.amount.to_be_bytes());
-        }
-        out.extend_from_slice(&(outputs.len() as u32).to_be_bytes());
-        for output in outputs {
-            out.extend_from_slice(&output.owner.0.to_be_bytes());
-            out.extend_from_slice(&output.amount.to_be_bytes());
-        }
-        out
-    }
-
-    /// The memoized canonical encoding, used for hashing, Merkle leaves and
-    /// wire-size estimation.
-    pub fn encoded_bytes(&self) -> &[u8] {
-        &self.body.encoded
+    /// Appends the canonical encoding to `out` (the bytes hashed into the id
+    /// and into a Merkle leaf).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let body = &self.body;
+        out.reserve(self.wire_size() as usize);
+        write_encoding(&body.inputs, &body.outputs, body.nonce, |bytes| {
+            out.extend_from_slice(bytes)
+        });
     }
 
     /// The transaction identifier (hash of the canonical encoding), memoized
@@ -210,9 +255,10 @@ impl Transaction {
         self.body.id
     }
 
-    /// Wire size in bytes, used when charging the transaction to the network.
+    /// Wire size in bytes, used when charging the transaction to the network:
+    /// the length of the canonical encoding.
     pub fn wire_size(&self) -> u64 {
-        self.body.encoded.len() as u64
+        encoded_len(self.body.inputs.len(), self.body.outputs.len()) as u64
     }
 
     /// Total input value.
@@ -364,22 +410,72 @@ mod tests {
         assert_ne!(tx.id(), other.id());
     }
 
+    /// The canonical encoding spelled out field by field into one `Vec`: the
+    /// reference the streamed paths are checked against.
+    fn reference_encoding(tx: &Transaction) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&tx.nonce().to_be_bytes());
+        out.extend_from_slice(&(tx.inputs().len() as u32).to_be_bytes());
+        for input in tx.inputs() {
+            out.extend_from_slice(input.outpoint.tx_id.as_bytes());
+            out.extend_from_slice(&input.outpoint.index.to_be_bytes());
+            out.extend_from_slice(&input.owner.0.to_be_bytes());
+            out.extend_from_slice(&input.amount.to_be_bytes());
+        }
+        out.extend_from_slice(&(tx.outputs().len() as u32).to_be_bytes());
+        for output in tx.outputs() {
+            out.extend_from_slice(&output.owner.0.to_be_bytes());
+            out.extend_from_slice(&output.amount.to_be_bytes());
+        }
+        out
+    }
+
+    /// A transaction of `inputs` inputs and `outputs` outputs, its fields
+    /// drawn from `seed`.
+    fn shaped(inputs: usize, outputs: usize, seed: u64) -> Transaction {
+        let input = |i: usize| TxInput {
+            outpoint: OutPoint {
+                tx_id: hash_parts(&[b"shaped", &seed.to_be_bytes(), &i.to_be_bytes()]),
+                index: i as u32 ^ seed as u32,
+            },
+            owner: AccountId(seed.rotate_left(i as u32)),
+            amount: seed.wrapping_mul(i as u64 + 3),
+        };
+        let output = |o: usize| TxOutput {
+            owner: AccountId(seed ^ o as u64),
+            amount: seed.wrapping_add(o as u64),
+        };
+        Transaction::new(
+            (0..inputs).map(input).collect(),
+            (0..outputs).map(output).collect(),
+            seed,
+        )
+    }
+
     #[test]
-    fn memoized_encoding_matches_rebuild_and_clone_shares_it() {
+    fn streamed_encoding_id_and_wire_size_match_the_reference() {
         let tx = sample_tx();
-        // Rebuilding from the same parts yields the same bytes and id.
-        let rebuilt = Transaction::new(tx.inputs().to_vec(), tx.outputs().to_vec(), tx.nonce());
-        assert_eq!(tx.encoded_bytes(), rebuilt.encoded_bytes());
-        assert_eq!(tx.id(), rebuilt.id());
-        assert_eq!(tx, rebuilt, "structurally equal without shared body");
-        // Clones share the body: same encoding address, no re-encode.
-        let clone = tx.clone();
+        let mut encoded = Vec::new();
+        tx.encode_into(&mut encoded);
+        assert_eq!(encoded, reference_encoding(&tx));
+        assert_eq!(tx.id(), hash_parts(&[b"cycledger/txid", &encoded]));
+        // Known answer, recorded from an implementation that hashed a
+        // materialized encoding.
         assert_eq!(
-            tx.encoded_bytes().as_ptr(),
-            clone.encoded_bytes().as_ptr(),
-            "clone must share the memoized encoding"
+            tx.id().to_hex(),
+            "99df86b406172386afa3b63541c7e24810b1fa64bd8992c0773eba54155184ab"
         );
-        assert_eq!(tx, clone);
+        for inputs in 0..=3 {
+            for outputs in 0..=3 {
+                let tx = shaped(inputs, outputs, 7);
+                assert_eq!(tx.wire_size(), reference_encoding(&tx).len() as u64);
+            }
+        }
+        // Equal fields are equal transactions, shared body or not.
+        let rebuilt = Transaction::new(tx.inputs().to_vec(), tx.outputs().to_vec(), tx.nonce());
+        assert_eq!(tx, rebuilt);
+        assert_eq!(tx, tx.clone());
+        assert_ne!(tx, shaped(1, 2, 8));
     }
 
     #[test]
@@ -529,7 +625,30 @@ mod tests {
     #[test]
     fn wire_size_tracks_encoding() {
         let tx = sample_tx();
-        assert_eq!(tx.wire_size(), tx.encoded_bytes().len() as u64);
+        let mut encoded = Vec::new();
+        tx.encode_into(&mut encoded);
+        assert_eq!(tx.wire_size(), encoded.len() as u64);
         assert!(tx.wire_size() > 60);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Any shape: the streamed encoding is the reference's, the id hashes
+        /// it, and the wire size is its length.
+        #[test]
+        fn prop_encoding_matches_the_reference(
+            inputs in 0usize..9,
+            outputs in 0usize..9,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let tx = shaped(inputs, outputs, seed);
+            let reference = reference_encoding(&tx);
+            let mut encoded = Vec::new();
+            tx.encode_into(&mut encoded);
+            proptest::prop_assert_eq!(&encoded, &reference);
+            proptest::prop_assert_eq!(tx.id(), hash_parts(&[b"cycledger/txid", &reference]));
+            proptest::prop_assert_eq!(tx.wire_size(), reference.len() as u64);
+        }
     }
 }

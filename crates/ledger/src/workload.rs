@@ -463,17 +463,22 @@ impl Workload {
         let fee = 1.min(output.amount.saturating_sub(1));
         let pay = (output.amount - fee) / 2 + 1;
         let change = output.amount - fee - pay;
-        let mut outputs = Vec::with_capacity(2);
-        outputs.push(TxOutput {
+        let paid = TxOutput {
             owner: to,
             amount: pay,
-        });
-        if change > 0 {
-            outputs.push(TxOutput {
-                owner: output.owner,
-                amount: change,
-            });
-        }
+        };
+        // Exact capacity: the body keeps the vector as a boxed slice.
+        let outputs = if change > 0 {
+            vec![
+                paid,
+                TxOutput {
+                    owner: output.owner,
+                    amount: change,
+                },
+            ]
+        } else {
+            vec![paid]
+        };
         let tx = Transaction::new(
             vec![TxInput {
                 outpoint,

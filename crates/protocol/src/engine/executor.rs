@@ -315,48 +315,7 @@ impl ShardExecutor {
         results.sort_unstable_by_key(|&(i, _)| i);
         results.into_iter().map(|(_, result)| result).collect()
     }
-
-    /// Maps a pure function over `items` as one batch of contiguous,
-    /// index-ordered chunks and concatenates the chunk results, so
-    /// `out[i] == f(&items[i])` whatever ran where.
-    ///
-    /// This is the batch shape for many small independent items (one VRF
-    /// evaluation per node) where a task per item would drown in queue
-    /// traffic. The chunk count derives from
-    /// [`worker_count`](Self::worker_count): `CHUNKS_PER_WORKER` chunks per
-    /// worker to even out stragglers, never more than one per item. In
-    /// inline mode that is a single chunk, which runs on the caller thread
-    /// — the serial loop, not a second code path.
-    pub fn map_chunked<I, T, F>(&self, items: &[I], f: F) -> Vec<T>
-    where
-        I: Sync,
-        T: Send,
-        F: Fn(&I) -> T + Sync,
-    {
-        let chunks = if self.worker_count == 1 {
-            1
-        } else {
-            self.worker_count * CHUNKS_PER_WORKER
-        };
-        // At least one item per chunk, so short inputs make fewer chunks.
-        let chunk_len = items.len().div_ceil(chunks).max(1);
-        let f = &f;
-        let tasks = items
-            .chunks(chunk_len)
-            .map(|chunk| move || chunk.iter().map(f).collect::<Vec<T>>());
-        let parts = self.execute(tasks.collect());
-        let mut out = Vec::with_capacity(items.len());
-        for part in parts {
-            out.extend(part);
-        }
-        out
-    }
 }
-
-/// Chunks per worker in [`ShardExecutor::map_chunked`]: enough that one slow
-/// chunk cannot leave the other workers idle for long, few enough that the
-/// per-job queue cost stays invisible next to ~200 µs items.
-const CHUNKS_PER_WORKER: usize = 4;
 
 impl Drop for ShardExecutor {
     fn drop(&mut self) {
@@ -446,8 +405,6 @@ mod tests {
             let results: Vec<u8> = executor.execute(Vec::<fn() -> u8>::new());
             assert!(results.is_empty());
             assert_eq!(executor.batches_executed(), 0, "no task, no barrier");
-            assert!(executor.map_chunked(&[] as &[u8], |&b| b).is_empty());
-            assert_eq!(executor.batches_executed(), 0, "no item, no chunk");
             // An inline batch is a batch all the same.
             assert_eq!(executor.execute(vec![|| 1u8]), [1]);
             assert_eq!(executor.batches_executed(), 1);
@@ -492,8 +449,6 @@ mod tests {
                 // Inline: the start order is the permutation itself.
                 assert_ne!(started, (0..32).collect::<Vec<_>>(), "not index order");
             }
-            let mapped = executor.map_chunked(&[4u8, 5, 6], |&b| b * 2);
-            assert_eq!(mapped, [8, 10, 12]);
         }
     }
 
@@ -501,55 +456,6 @@ mod tests {
     fn auto_sizing_uses_available_parallelism() {
         let executor = ShardExecutor::new(0);
         assert!(executor.worker_count() >= 1);
-    }
-
-    #[test]
-    fn map_chunked_keeps_index_order_at_any_width() {
-        // 37 is prime: no chunk count divides it, so the last chunk is short.
-        let items: Vec<u64> = (0..37).collect();
-        let expected: Vec<u64> = items.iter().map(|i| i * i + 1).collect();
-        for workers in [1, 2, 3, 8, 64] {
-            let executor = ShardExecutor::new(workers);
-            let mapped = executor.map_chunked(&items, |&i| {
-                if i % 5 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(100));
-                }
-                i * i + 1
-            });
-            assert_eq!(mapped, expected, "{workers} workers");
-            assert_eq!(executor.batches_executed(), 1, "one batch per map");
-        }
-    }
-
-    #[test]
-    fn map_chunked_handles_empty_and_tiny_inputs() {
-        for workers in [1, 2, 8] {
-            let executor = ShardExecutor::new(workers);
-            let map = |items: &[u8], f: fn(&u8) -> u8| executor.map_chunked(items, f);
-            assert!(map(&[], |&b| b).is_empty());
-            // Fewer items than workers: one chunk per item, none empty.
-            assert_eq!(map(&[7], |&b| b + 1), vec![8]);
-            assert_eq!(map(&[1, 2, 3], |&b| b * 2), vec![2, 4, 6]);
-        }
-    }
-
-    #[test]
-    fn map_chunked_propagates_a_panicking_item() {
-        for workers in [1, 4] {
-            let executor = ShardExecutor::new(workers);
-            let items: Vec<usize> = (0..20).collect();
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                executor.map_chunked(&items, |&i| {
-                    if i == 13 {
-                        panic!("item 13 exploded");
-                    }
-                    i
-                })
-            }));
-            assert!(outcome.is_err(), "{workers} workers");
-            // The pool survives.
-            assert_eq!(executor.map_chunked(&items, |&i| i), items);
-        }
     }
 
     #[test]

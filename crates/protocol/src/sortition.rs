@@ -216,7 +216,7 @@ impl SortitionBase {
     /// Builds the assignment from the participant set and the current
     /// reputation table. The common members' VRF sortition (step 4) is one
     /// `executor` batch: each task evaluates the proofs of a group of
-    /// [`PROOFS_PER_GROUP`] participants, as they submit them, and checks the
+    /// `PROOFS_PER_GROUP` participants, as they submit them, and checks the
     /// group with `vrf::verify_batch`. A participant whose proof fails is
     /// seated nowhere. The assignment is identical at any worker count:
     /// verdicts come back in proof order and the committees are filled

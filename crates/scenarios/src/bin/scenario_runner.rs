@@ -16,6 +16,10 @@
 //! backend extends each report with per-round state roots, an overridden
 //! run is gated on its invariants only — golden comparison is skipped, as
 //! the committed goldens pin the scenarios' *declared* backends.
+//!
+//! The last line of standard output is the process's peak resident set
+//! (`VmHWM` of `/proc/self/status`, where the platform has one), for the
+//! CI soak step's memory ceiling. It never reaches a report or a golden.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -251,5 +255,15 @@ fn execute() -> Result<bool, String> {
         started.elapsed().as_secs_f64(),
         options.out_dir.display()
     );
+    if let Some(kib) = peak_rss_kib() {
+        println!("peak resident set: {kib} KiB");
+    }
     Ok(failures == 0)
+}
+
+/// The process's peak resident set in KiB (`VmHWM`), if `/proc` has it.
+fn peak_rss_kib() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }

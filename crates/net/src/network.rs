@@ -389,15 +389,15 @@ impl<M> SimNetwork<M> {
 
     /// Accounts a message in the metrics sink *without* scheduling a delivery.
     ///
-    /// Only for legs no control flow depends on — the certificate content a
-    /// leader announces beside a certified root (the inter-committee phase's
-    /// one use; block propagation and score forwards charge their sink the
-    /// same way): the bytes and message counts matter for Table II, but
-    /// nobody waits on the delivery, so pumping them through the event queue
-    /// would add nothing. Any leg a timeout, a tally or a quorum waits on
-    /// (TXList and votes, accusations and impeachment votes, cross-shard
-    /// forwards) is a real envelope (`send`), so a fault plan can
-    /// hit it and Table II's rows count what was sent.
+    /// Only for legs no control flow depends on — the `V List` an intra
+    /// leader announces beside the certified root of its vector (the one
+    /// use; block propagation charges its sink the same way): the bytes and
+    /// message counts matter for Table II, but nobody waits on the delivery,
+    /// so pumping them through the event queue would add nothing. Any leg a
+    /// timeout, a tally or a quorum waits on (TXList and votes, accusations
+    /// and impeachment votes, cross-shard forwards) is a real envelope
+    /// (`send`), so a fault plan can hit it and Table II's rows count what
+    /// was sent.
     pub fn account_message(&mut self, from: NodeId, to: NodeId, bytes: u64) {
         self.metrics.record_message(self.phase, from, to, bytes);
     }

@@ -78,6 +78,13 @@ impl Committee {
         self.members.contains(&node)
     }
 
+    /// The first honest member of the partial set: the one that watches the
+    /// leader — it takes over a censored forward at `2Γ` and prosecutes.
+    pub fn first_honest_partial(&self, registry: &NodeRegistry) -> Option<NodeId> {
+        let honest = |n: &NodeId| registry.node(*n).is_honest();
+        self.partial_set.iter().copied().find(honest)
+    }
+
     /// Replaces the leader (after a recovery) with a member of the partial set;
     /// the old leader stays an ordinary member for the rest of the round.
     pub fn install_leader(&mut self, new_leader: NodeId) {
@@ -120,11 +127,10 @@ pub struct InsideConsensusOutcome {
 /// closes it at quiescence.
 ///
 /// Non-leader members that are malicious or still `Syncing` are seated mute
-/// ([`Seats::mute`]). Generic over the envelope type: the phases whose whole
-/// exchange is the instance (semi-commitment, block generation)
-/// and the benches run it over a plain [`Alg3Message`] network, the intra
-/// phase over a [`cycledger_consensus::envelope::CommitteeMessage`] network,
-/// whose other
+/// ([`Seats::mute`]). Generic over the envelope type: block generation,
+/// whose whole exchange is the referee's instance, and the benches run it
+/// over a plain [`Alg3Message`] network, the intra phase over a
+/// [`cycledger_consensus::envelope::CommitteeMessage`] network, whose other
 /// envelopes still in flight — e.g. late vote replies — are drained and
 /// ignored. A network whose fault plan severs part of the committee simply
 /// yields fewer CONFIRMs and possibly no certificate — the caller's recovery

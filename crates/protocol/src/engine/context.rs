@@ -15,26 +15,12 @@ use crate::engine::arena::RoundArena;
 use crate::engine::env::{Books, PlaneCounters, RoundEnv};
 use crate::engine::executor::ShardExecutor;
 use crate::phases::block_generation::BlockOutcome;
-use crate::phases::inter::InterOutcome;
 use crate::phases::intra::IntraOutcome;
 use crate::phases::recovery::{run_recovery, Accusation};
 use crate::phases::selection::{PreparedSelection, SelectionOutcome};
+use crate::phases::xshard::InterOutcome;
 use crate::report::{RecoveryOutcome, RecoveryRecord, RoleGroups, RoundReport};
 use crate::sortition::RoundAssignment;
-
-/// What one recovery attempt did to the accused committee.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecoveryAttempt {
-    /// The leader was evicted and a partial-set member installed.
-    Evicted(NodeId),
-    /// The impeachment ran but did not evict (bad evidence, no majority, or
-    /// an empty candidate pool at the referee step).
-    Rejected,
-    /// The recovery could not even start: the partial set has no member left
-    /// to prosecute, so the committee skips recovery this round instead of
-    /// panicking (the next sortition refills the partial set).
-    Skipped,
-}
 
 /// Per-round shared state, owned by the engine and threaded through every
 /// phase of [`crate::engine::pipeline`].
@@ -107,8 +93,6 @@ pub struct RoundContext<'a> {
     pub intra_outcomes: Vec<IntraOutcome>,
     /// Output of the inter-consensus phase.
     pub inter: Option<InterOutcome>,
-    /// Censorship reports observed during inter consensus.
-    pub censorship_count: usize,
     /// Output of the selection phase.
     pub selection: Option<SelectionOutcome>,
     /// Output of the block-generation phase.
@@ -167,7 +151,6 @@ impl<'a> RoundContext<'a> {
             recorded_commitments: Vec::new(),
             intra_outcomes: Vec::new(),
             inter: None,
-            censorship_count: 0,
             selection: None,
             block_outcome: None,
             state_roots: Vec::new(),
@@ -201,48 +184,26 @@ impl<'a> RoundContext<'a> {
     /// Picks the prosecutor for committee `k`: the first honest partial-set
     /// member, falling back to the first partial-set member of any behaviour,
     /// or `None` when the partial set has been drained by earlier recoveries
-    /// (the engine then records a skipped recovery and the round continues).
+    /// (the recovery is then skipped and the round continues).
     pub fn pick_prosecutor(&self, k: usize) -> Option<NodeId> {
-        let partial = &self.committees[k].partial_set;
-        partial
-            .iter()
-            .copied()
-            .find(|&pm| self.env.registry.node(pm).is_honest())
-            .or_else(|| partial.first().copied())
+        let committee = &self.committees[k];
+        let honest = committee.first_honest_partial(self.env.registry);
+        honest.or_else(|| committee.partial_set.first().copied())
     }
 
-    /// Runs the recovery procedure for committee `k` with an automatically
-    /// picked prosecutor, keeping the eviction ledger and skip counter
-    /// consistent. Returns what happened.
-    pub fn attempt_recovery(&mut self, k: usize, accusation: Accusation) -> RecoveryAttempt {
-        let Some(prosecutor) = self.pick_prosecutor(k) else {
-            let accused = self.committees[k].leader;
-            self.recovery_log.push(RecoveryRecord {
-                committee: k,
-                accused,
-                accused_was_honest: self.env.registry.node(accused).is_honest(),
-                prosecutor: None,
-                approvals: 0,
-                outcome: RecoveryOutcome::Skipped,
-            });
-            return RecoveryAttempt::Skipped;
-        };
-        self.attempt_recovery_by(k, accusation, prosecutor)
-    }
-
-    /// Like [`attempt_recovery`](Self::attempt_recovery) but with an explicit
-    /// prosecutor (censorship reports name their reporter).
-    pub fn attempt_recovery_by(
+    /// Runs the recovery procedure for committee `k` — the one entry every
+    /// accusation goes through — and logs its record. The `prosecutor` is
+    /// [`pick_prosecutor`](Self::pick_prosecutor)'s unless one is named.
+    pub fn attempt_recovery(
         &mut self,
         k: usize,
         accusation: Accusation,
-        prosecutor: NodeId,
-    ) -> RecoveryAttempt {
-        let accused = self.committees[k].leader;
-        let accused_was_honest = self.env.registry.node(accused).is_honest();
+        prosecutor: Option<NodeId>,
+    ) -> RecoveryOutcome {
+        let prosecutor = prosecutor.or_else(|| self.pick_prosecutor(k));
         // Recoveries run sequentially on the driver thread, so the attempt
         // index makes the task's network seed unique and deterministic.
-        let (outcome, books) = run_recovery(
+        let (record, books) = run_recovery(
             &self.env,
             self.recovery_log.len(),
             &mut self.committees[k],
@@ -251,19 +212,9 @@ impl<'a> RoundContext<'a> {
             self.reputation,
         );
         self.books.absorb(&books);
-        let (attempt, logged) = match outcome.evicted {
-            Some(old) => (RecoveryAttempt::Evicted(old), RecoveryOutcome::Evicted),
-            None => (RecoveryAttempt::Rejected, RecoveryOutcome::Rejected),
-        };
-        self.recovery_log.push(RecoveryRecord {
-            committee: k,
-            accused,
-            accused_was_honest,
-            prosecutor: Some(prosecutor),
-            approvals: outcome.approvals,
-            outcome: logged,
-        });
-        attempt
+        let outcome = record.outcome;
+        self.recovery_log.push(record);
+        outcome
     }
 
     /// Leaders evicted so far, `(committee, old leader)` in attempt order.
@@ -338,7 +289,7 @@ impl<'a> RoundContext<'a> {
                 .iter()
                 .filter(|r| r.outcome == RecoveryOutcome::Skipped)
                 .count(),
-            censorship_reports: self.censorship_count,
+            censorship_reports: inter.censorship.len(),
             recovery_log: self.recovery_log,
             fees_distributed: fees,
             channels,

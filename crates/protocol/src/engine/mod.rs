@@ -59,7 +59,7 @@ pub mod executor;
 pub mod pipeline;
 
 pub use arena::{RoundArena, ShardScratch};
-pub use context::{RecoveryAttempt, RoundContext};
+pub use context::RoundContext;
 pub use env::{Books, PlaneCounters, RoundEnv, Task};
 pub use executor::ShardExecutor;
 pub use pipeline::standard_pipeline;

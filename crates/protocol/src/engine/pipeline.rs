@@ -21,7 +21,7 @@ use cycledger_ledger::workload::GeneratedTx;
 use cycledger_ledger::StateBackend;
 
 use crate::committee::Committee;
-use crate::engine::context::{RecoveryAttempt, RoundContext};
+use crate::engine::context::RoundContext;
 use crate::engine::env::Task;
 use crate::phases::block_generation::run_block_generation;
 use crate::phases::intra::{run_intra_consensus, IntraOutcome};
@@ -30,6 +30,7 @@ use crate::phases::reputation_update::run_reputation_update;
 use crate::phases::selection::{prepare_selection, run_selection};
 use crate::phases::semi_commitment::run_semi_commitment_exchange;
 use crate::phases::xshard::{self, PairList};
+use crate::report::RecoveryOutcome;
 
 /// One phase of the pipeline: the name observers and traces see, and the
 /// function that runs it on the driver thread (delegating data-parallel work
@@ -61,12 +62,10 @@ pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
     let semi = run_semi_commitment_exchange(&ctx.env, &ctx.committees, &mut ctx.books.metrics);
     ctx.recorded_commitments = semi.recorded_commitments;
     ctx.witnesses += semi.witnesses.len();
-    for witness in semi.witnesses {
-        let k = match &witness {
-            Witness::CommitmentMismatch(e) => e.committee,
-            Witness::Equivocation(_) => continue,
-        };
-        ctx.attempt_recovery(k, Accusation::Signed(witness));
+    for evidence in semi.witnesses {
+        let k = evidence.committee;
+        let witness = Witness::CommitmentMismatch(evidence);
+        ctx.attempt_recovery(k, Accusation::Signed(witness), None);
     }
 }
 
@@ -113,7 +112,7 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
         ctx.witnesses += ctx.intra_outcomes[k].equivocation.len();
         let evidence = ctx.intra_outcomes[k].equivocation.first();
         let accusation = Accusation::after_consensus(evidence, ctx.committees[k].leader, k, true);
-        if let RecoveryAttempt::Evicted(_) = ctx.attempt_recovery(k, accusation) {
+        if ctx.attempt_recovery(k, accusation, None) == RecoveryOutcome::Evicted {
             retries.push(k);
         }
     }
@@ -257,8 +256,8 @@ pub(crate) fn referee_check(
 /// Phase 4 — inter-committee consensus over cross-shard transactions
 /// (§IV-D), plus impeachment of censoring leaders.
 ///
-/// Inputs: `ctx.cross_shard`, post-recovery committees. Outputs: `ctx.inter`,
-/// `ctx.censorship_count`, further evictions.
+/// Inputs: `ctx.cross_shard`, post-recovery committees. Outputs: `ctx.inter`
+/// (its censorship accusations counted in the report), further evictions.
 pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
     let inter = xshard::run_phase(
         &ctx.env,
@@ -268,22 +267,16 @@ pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
         ctx.executor,
         &mut ctx.books,
     );
-    ctx.censorship_count = inter.censorship_reports.len();
-    // The reports are only needed for the impeachments below; nothing
-    // downstream reads them out of `ctx.inter` again.
-    let mut inter = inter;
-    let reports = std::mem::take(&mut inter.censorship_reports);
-    ctx.inter = Some(inter);
-    for report in &reports {
-        // The committee observed the timeout; impeach the censoring
-        // leader — once, however many destinations it withheld from —
-        // unless an earlier phase already replaced it.
-        let k = report.committee;
-        if ctx.evicted().any(|(ek, _)| ek == k) {
+    for (k, accusation) in &inter.censorship {
+        // The committee observed the timeout; impeach the censoring leader —
+        // once, however many destinations it withheld from — unless an
+        // earlier phase already replaced it.
+        if ctx.evicted().any(|(ek, _)| ek == *k) {
             continue;
         }
-        ctx.attempt_recovery_by(k, report.accusation(), report.reporter);
+        ctx.attempt_recovery(*k, accusation.clone(), None);
     }
+    ctx.inter = Some(inter);
 }
 
 /// Phase 5 — reputation updating from the certified `V List`s (§IV-E): a

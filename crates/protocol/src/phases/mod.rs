@@ -6,7 +6,6 @@
 //! (`crate::sortition`).
 
 pub mod block_generation;
-pub mod inter;
 pub mod intra;
 pub mod recovery;
 pub mod reputation_update;

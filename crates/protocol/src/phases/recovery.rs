@@ -1,12 +1,12 @@
 //! The leader re-selection (recovery) procedure — Algorithm 6, §V-D.
 //!
-//! A partial-set member holding a witness (or a timeout-based censorship
-//! report) broadcasts it to its committee and asks for an impeachment vote.
-//! Honest members approve only accusations they can verify. If a majority
-//! approves, the prosecutor forwards the witness and the vote certificate to the
-//! referee committee, which re-verifies it, agrees via Algorithm 3, installs a
-//! new leader drawn from the partial set, and punishes the old one (reputation
-//! cut to its cube root, §VII-B).
+//! A partial-set member holding evidence — a signed witness, or a timeout
+//! the committee observed — broadcasts it to its committee and asks for an
+//! impeachment vote. Honest members approve only accusations they can
+//! verify. If a majority approves, the prosecutor forwards the witness and
+//! the vote certificate to the referee committee, which re-verifies it,
+//! agrees via Algorithm 3, installs a new leader drawn from the partial set,
+//! and punishes the old one (reputation cut to its cube root, §VII-B).
 
 use cycledger_consensus::envelope::CommitteeMessage;
 pub use cycledger_consensus::impeach::Accusation;
@@ -20,22 +20,7 @@ use cycledger_reputation::ReputationTable;
 use crate::committee::Committee;
 use crate::engine::env::{Books, RoundEnv, Task};
 use crate::phases::intra::vote_deadline;
-
-/// Result of running the recovery procedure for one committee.
-#[derive(Clone, Debug)]
-pub struct RecoveryOutcome {
-    /// Committee index.
-    pub committee: usize,
-    /// The evicted leader, if the impeachment succeeded.
-    pub evicted: Option<NodeId>,
-    /// The newly installed leader.
-    pub new_leader: Option<NodeId>,
-    /// Impeachment approvals counted by the prosecutor (for the refinement
-    /// checker: `evicted.is_some()` must imply a committee majority).
-    pub approvals: usize,
-    /// Why the impeachment failed (for diagnostics / tests).
-    pub rejection_reason: Option<&'static str>,
-}
+use crate::report::{RecoveryOutcome, RecoveryRecord};
 
 /// Timer key: the prosecutor's impeachment-vote deadline.
 const IMPEACH_TIMER: u64 = 3;
@@ -45,19 +30,32 @@ const IMPEACH_TIMER: u64 = 3;
 /// and referee notifications travelling as envelopes under a `4Δ` approval
 /// deadline. Members the round's plan severs from the prosecutor cannot
 /// approve, so an impeachment under partition can fail for lack of a
-/// majority.
+/// majority. Without a `prosecutor` (the partial set is drained) nothing is
+/// sent and the attempt is `Skipped`.
 ///
-/// On success, mutates `committee` (new leader installed) and `reputation`
-/// (cube-root punishment for the old leader).
+/// Returns the attempt's record, against the sitting leader. On eviction,
+/// mutates `committee` (new leader installed) and `reputation` (cube-root
+/// punishment for the old leader).
 pub fn run_recovery(
     env: &RoundEnv<'_>,
     attempt: usize,
     committee: &mut Committee,
     accusation: Accusation,
-    prosecutor: NodeId,
+    prosecutor: Option<NodeId>,
     reputation: &mut ReputationTable,
-) -> (RecoveryOutcome, Books) {
+) -> (RecoveryRecord, Books) {
     let (registry, referee) = (env.registry, env.referee);
+    let mut record = RecoveryRecord {
+        committee: committee.index,
+        accused: committee.leader,
+        accused_was_honest: registry.node(committee.leader).is_honest(),
+        prosecutor,
+        approvals: 0,
+        outcome: RecoveryOutcome::Skipped,
+    };
+    let Some(prosecutor) = prosecutor else {
+        return (record, Books::default());
+    };
     let accused = accusation.accused();
     let mut net: SimNetwork<CommitteeMessage> = env.open(Task::Recovery {
         attempt,
@@ -128,19 +126,9 @@ pub fn run_recovery(
         }
     }
     let (approvals, verdict) = (vote.approvals(), vote.verdict());
-
-    let index = committee.index;
-    let rejected = |reason| RecoveryOutcome {
-        committee: index,
-        evicted: None,
-        new_leader: None,
-        approvals,
-        rejection_reason: Some(reason),
-    };
-
+    (record.approvals, record.outcome) = (approvals, RecoveryOutcome::Rejected);
     if verdict == Verdict::NoMajority {
-        let outcome = rejected("impeachment did not reach a committee majority");
-        return (outcome, Books::close(net));
+        return (record, Books::close(net));
     }
 
     // 3. The prosecutor forwards accusation + vote certificate to C_R, which
@@ -156,8 +144,7 @@ pub fn run_recovery(
         );
     }
     if verdict == Verdict::EvidenceRejected {
-        let outcome = rejected("referee committee rejected the evidence");
-        return (outcome, Books::close(net));
+        return (record, Books::close(net));
     }
 
     // 4. C_R agrees (Algorithm 3 among referees; one broadcast round here)
@@ -175,8 +162,8 @@ pub fn run_recovery(
         .filter(|&n| n != accused)
         .collect();
     if candidates.is_empty() {
-        let outcome = rejected("no partial-set member available to take over");
-        return (outcome, Books::close(net));
+        // No partial-set member is left to take over.
+        return (record, Books::close(net));
     }
     let pick = hash_parts(&[
         b"cycledger/new-leader",
@@ -189,15 +176,8 @@ pub fn run_recovery(
     let new_leader = candidates[pick];
     committee.install_leader(new_leader);
     reputation.punish_leader(accused);
-
-    let outcome = RecoveryOutcome {
-        committee: committee.index,
-        evicted: Some(accused),
-        new_leader: Some(new_leader),
-        approvals,
-        rejection_reason: None,
-    };
-    (outcome, Books::close(net))
+    record.outcome = RecoveryOutcome::Evicted;
+    (record, Books::close(net))
 }
 
 #[cfg(test)]
@@ -255,7 +235,7 @@ mod tests {
             accusation: Accusation,
             prosecutor: NodeId,
             round: u64,
-        ) -> (RecoveryOutcome, MetricsSink) {
+        ) -> (RecoveryRecord, MetricsSink) {
             let config = ProtocolConfig {
                 seed: 7,
                 ..ProtocolConfig::default()
@@ -267,19 +247,20 @@ mod tests {
                 plan: &FaultPlan::default(),
                 round,
             };
-            let (outcome, books) = run_recovery(
+            let (record, books) = run_recovery(
                 &env,
                 0,
                 &mut self.committee,
                 accusation,
-                prosecutor,
+                Some(prosecutor),
                 &mut self.reputation,
             );
             assert_eq!(
                 books.counters.net_dropped, 0,
                 "nothing drops under an empty plan"
             );
-            (outcome, books.metrics)
+            assert_eq!(record.prosecutor, Some(prosecutor));
+            (record, books.metrics)
         }
 
         /// A commitment-mismatch witness over the real member list, signed
@@ -311,14 +292,17 @@ mod tests {
         let prosecutor = fx.committee.partial_set[0];
         fx.reputation.add_score(old_leader, 27.0);
         let accusation = Accusation::Signed(fx.witness(old_leader, b"a different commitment"));
-        let (outcome, metrics) = fx.recover(accusation, prosecutor, 1);
-        assert_eq!(outcome.evicted, Some(old_leader));
+        let (record, metrics) = fx.recover(accusation, prosecutor, 1);
+        assert_eq!(record.outcome, RecoveryOutcome::Evicted);
+        assert_eq!(
+            (record.accused, record.accused_was_honest),
+            (old_leader, true)
+        );
         // Everyone but the accused approves; the prosecutor's own approval
         // is counted, never sent.
-        assert_eq!(outcome.approvals, size - 1);
-        let new_leader = outcome.new_leader.expect("new leader installed");
+        assert_eq!(record.approvals, size - 1);
+        let new_leader = fx.committee.leader;
         assert_ne!(new_leader, old_leader);
-        assert_eq!(fx.committee.leader, new_leader);
         assert!(!fx.committee.partial_set.contains(&new_leader));
         // Cube-root punishment: 27 → 3.
         assert!((fx.reputation.get(old_leader) - 3.0).abs() < 1e-9);
@@ -339,9 +323,8 @@ mod tests {
         // The false accuser forges "evidence" signed with its own key.
         let accuser = fx.committee.partial_set[0];
         let forged = fx.witness(accuser, b"fake");
-        let (outcome, _) = fx.recover(Accusation::Signed(forged), accuser, 1);
-        assert_eq!(outcome.evicted, None);
-        assert!(outcome.rejection_reason.is_some());
+        let (record, _) = fx.recover(Accusation::Signed(forged), accuser, 1);
+        assert_eq!(record.outcome, RecoveryOutcome::Rejected);
         assert_eq!(
             fx.committee.leader, honest_leader,
             "leader must keep its seat"
@@ -365,9 +348,9 @@ mod tests {
             committee: fx.committee.index,
             observed_by_committee: true,
         };
-        let (outcome, _) = fx.recover(accusation, prosecutor.unwrap(), 2);
-        assert_eq!(outcome.evicted, Some(old_leader));
-        assert!(outcome.new_leader.is_some());
+        let (record, _) = fx.recover(accusation, prosecutor.unwrap(), 2);
+        assert_eq!(record.outcome, RecoveryOutcome::Evicted);
+        assert_ne!(fx.committee.leader, old_leader);
     }
 
     #[test]
@@ -380,8 +363,8 @@ mod tests {
             committee: fx.committee.index,
             observed_by_committee: false,
         };
-        let (outcome, _) = fx.recover(accusation, accuser, 2);
-        assert_eq!(outcome.evicted, None);
+        let (record, _) = fx.recover(accusation, accuser, 2);
+        assert_eq!(record.outcome, RecoveryOutcome::Rejected);
         assert_eq!(fx.committee.leader, leader);
     }
 }

@@ -12,7 +12,7 @@
 //! them (a departure from Algorithm 4, step 2; see ARCHITECTURE.md).
 
 use cycledger_consensus::witness::{
-    member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence, Witness,
+    member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence,
 };
 use cycledger_crypto::schnorr::sign;
 use cycledger_crypto::sha256::Digest;
@@ -30,7 +30,7 @@ pub struct SemiCommitmentOutcome {
     pub recorded_commitments: Vec<Digest>,
     /// Witnesses produced by partial-set members that caught their leader
     /// committing to a forged member list.
-    pub witnesses: Vec<Witness>,
+    pub witnesses: Vec<CommitmentMismatchEvidence>,
 }
 
 /// Runs the semi-commitment exchange for all committees, accounting its
@@ -79,14 +79,14 @@ pub fn run_semi_commitment_exchange(
         // commitment C_R will record with the list they hold.
         let watched = |pm: &NodeId| registry.node(*pm).is_honest();
         if semi_commitment(&true_list) != commitment && committee.partial_set.iter().any(watched) {
-            witnesses.push(Witness::CommitmentMismatch(CommitmentMismatchEvidence {
+            witnesses.push(CommitmentMismatchEvidence {
                 round,
                 committee: committee.index,
                 leader: committee.leader,
                 member_list: true_list.clone(),
                 list_signature,
                 recorded_commitment: commitment,
-            }));
+            });
         }
     }
 
@@ -219,7 +219,7 @@ mod tests {
         let (outcome, block, _) = exchange(&registry, &committees, &referee, 2, 10);
         assert_eq!(outcome.witnesses.len(), 1);
         let witness = &outcome.witnesses[0];
-        assert_eq!(witness.accused(), bad_leader);
+        assert_eq!(witness.leader, bad_leader);
         assert!(
             witness.verify(&registry.node(bad_leader).keypair.public),
             "the witness must verify against the accused leader's key"

@@ -1,4 +1,4 @@
-//! Shared core of the inter-committee phase (§IV-D).
+//! Phase 4 — inter-committee consensus (§IV-D, Lemmas 6 & 7).
 //!
 //! A cross-shard transaction is voted on by the committee that owns its
 //! input: its source. The source's intra vote covers its outbound
@@ -11,7 +11,16 @@
 //! and partial set; the destination admits it against that certificate and
 //! runs no vote and no instance. Every leg is an envelope on a network under
 //! the round's fault plan, one task per source committee (the forwards and
-//! any relays).
+//! any relays), under a [`list_deadline`]; a destination's partial set relays
+//! a list its leader is still missing at `2Γ`, and a forward that misses the
+//! deadline anyway defers that pair's transactions to a later round.
+//!
+//! Two leader attacks are modelled: a **censoring** source leader withholds
+//! the certified lists, and after the `2Γ` timeout an honest member of its
+//! partial set forwards them instead (Lemma 6) and the committee accuses the
+//! leader; framing is impossible because the destination's partial set also
+//! watches its own leader for `2Γ` (Lemma 7) — only the source leader is
+//! ever accused, and only when it really withheld.
 
 use std::collections::BTreeMap;
 
@@ -23,7 +32,7 @@ use cycledger_crypto::merkle::MerkleTree;
 use cycledger_crypto::sha256::Sha256;
 use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::workload::GeneratedTx;
-use cycledger_net::latency::LinkClass;
+use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::network::{NetEvent, SimNetwork};
 use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
@@ -32,8 +41,8 @@ use crate::adversary::Behavior;
 use crate::committee::Committee;
 use crate::engine::env::{Books, RoundEnv, Task};
 use crate::engine::ShardExecutor;
-use crate::phases::inter::{list_deadline, CensorshipReport, InterOutcome};
 use crate::phases::intra::IntraOutcome;
+use crate::phases::recovery::Accusation;
 
 /// The network one committee's task runs on.
 pub type Net = SimNetwork<CommitteeMessage>;
@@ -42,6 +51,27 @@ pub type Net = SimNetwork<CommitteeMessage>;
 /// destination partial sets' `2Γ` relay watch.
 const LIST_TIMER: u64 = 2;
 const RELAY_TIMER: u64 = 4;
+
+/// The destination leader's deadline for a forwarded cross-shard list:
+/// `4Γ`. Honest forwards arrive within `Γ`; the Lemma 6 takeover (an honest
+/// partial-set member forwarding after the `2Γ` censorship timeout) within
+/// `3Γ`; a relay by the destination's own partial set at `2Γ` within
+/// `2Γ + Δ` — so only genuine network faults miss this deadline.
+pub fn list_deadline(latency: &LatencyConfig) -> SimDuration {
+    latency.gamma.times(4)
+}
+
+/// Outcome of the inter-committee consensus phase.
+#[derive(Clone, Debug, Default)]
+pub struct InterOutcome {
+    /// Cross-shard transactions the input committee accepted and the
+    /// destination admitted, per input committee.
+    pub accepted: Vec<Vec<Transaction>>,
+    /// One timeout accusation per censoring leader, with its committee.
+    pub censorship: Vec<(usize, Accusation)>,
+    /// Extra latency incurred by `2Γ` timeouts (microseconds of simulated time).
+    pub timeout_delays: u64,
+}
 
 /// `TXList_{source,dest}`: the cross-shard transactions spending from
 /// `source` into `dest`.
@@ -183,7 +213,7 @@ pub fn proof_bytes(tree: &MerkleTree) -> u64 {
 pub struct SourceResult<'a> {
     pub committee: usize,
     pub legs: Vec<PairList<'a>>,
-    pub censorship: Option<CensorshipReport>,
+    pub censorship: Option<Accusation>,
     pub timeout_delays: u64,
     /// Destinations whose leader never got this source's certified list.
     pub missed: Vec<usize>,
@@ -204,11 +234,11 @@ impl SourceResult<'_> {
 /// leader and partial set. `overhead` is what a leg carries beside its list
 /// ([`forward_overhead`]).
 ///
-/// A censoring leader withholds them all; one honest partial-set member
-/// notices after `2Γ`, takes over every forward at once (Lemma 6) and reports
-/// the leader — one report and one `2Γ` per leader. With the whole partial
-/// set colluding (the w.h.p. argument failed at this scale) nobody forwards
-/// or reports.
+/// A censoring leader withholds them all; the first honest partial-set
+/// member notices after `2Γ` and takes over every forward at once (Lemma 6),
+/// and the committee accuses the leader of the timeout it observed — one
+/// accusation and one `2Γ` per leader. With the whole partial set colluding
+/// (the w.h.p. argument failed at this scale) nobody forwards or accuses.
 ///
 /// A list has arrived when the destination *leader* holds it by `4Γ`. If its
 /// copy is lost or late, every member of the destination's partial set
@@ -224,7 +254,6 @@ pub fn run_source<'a>(
 ) -> SourceResult<'a> {
     let source = &committees[committee];
     let mut net: Net = env.open(Task::Source(committee));
-    let withheld: usize = lists.iter().map(|l| l.txs.len()).sum();
     let mut result = SourceResult {
         committee,
         legs: lists,
@@ -237,18 +266,16 @@ pub fn run_source<'a>(
     let two_gamma = env.config.latency.gamma.times(2);
     let (leader, mut forwarder, mut takeover) = (source.leader, source.leader, SimDuration::ZERO);
     if env.registry.node(leader).behavior == Behavior::CensoringLeader {
-        let honest = |n: &NodeId| env.registry.node(*n).is_honest();
-        let Some(reporter) = source.partial_set.iter().copied().find(honest) else {
+        let Some(watcher) = source.first_honest_partial(env.registry) else {
             result.missed = lists.iter().map(|list| list.dest).collect();
             return result.close(net);
         };
-        (forwarder, takeover) = (reporter, two_gamma);
+        (forwarder, takeover) = (watcher, two_gamma);
         result.timeout_delays = takeover.as_micros();
-        result.censorship = Some(CensorshipReport {
-            committee,
+        result.censorship = Some(Accusation::Timeout {
             leader,
-            reporter,
-            withheld,
+            committee,
+            observed_by_committee: true,
         });
     }
     let leader_of = |list: &PairList<'_>| committees[list.dest].leader;
@@ -367,7 +394,8 @@ pub fn run_phase(
             }
         }
         books.absorb(&source.books);
-        outcome.censorship_reports.extend(source.censorship);
+        let accusation = source.censorship.map(|a| (source.committee, a));
+        outcome.censorship.extend(accusation);
         outcome.timeout_delays += source.timeout_delays;
     }
     outcome
@@ -601,7 +629,7 @@ mod tests {
                     fx.expected(|_, _| true),
                     "{m}x{c}/{seed}"
                 );
-                assert!(outcome.censorship_reports.is_empty());
+                assert!(outcome.censorship.is_empty());
                 assert_eq!(
                     (outcome.timeout_delays, books.counters.list_timeouts),
                     (0, 0)
@@ -914,20 +942,22 @@ mod tests {
         let mut fx = fixture(3, 8, 60, 24);
         let leader = fx.committees[0].leader;
         fx.registry.set_behavior(leader, Behavior::CensoringLeader);
-        // What it withholds is what its committee accepted.
-        let withheld = fx.expected(|s, _| s == 0)[0].len();
         let (outcome, books) = fx.run(&fx.no_faults, 1);
-        let [report] = &outcome.censorship_reports[..] else {
+        let [(
+            k,
+            Accusation::Timeout {
+                leader: accused,
+                committee,
+                observed_by_committee: true,
+            },
+        )] = &outcome.censorship[..]
+        else {
             panic!(
-                "one report per censoring leader, got {:?}",
-                outcome.censorship_reports
+                "one observed timeout per censoring leader, got {:?}",
+                outcome.censorship
             );
         };
-        assert_eq!(
-            (report.committee, report.leader, report.withheld),
-            (0, leader, withheld)
-        );
-        assert!(fx.registry.node(report.reporter).is_honest());
+        assert_eq!((*k, *committee, *accused), (0, 0, leader));
         assert_eq!(
             outcome.timeout_delays,
             2 * LatencyConfig::default().gamma.as_micros()
@@ -940,7 +970,7 @@ mod tests {
             fx.registry.set_behavior(pm, Behavior::WrongVoter);
         }
         let (outcome, books) = fx.run(&fx.no_faults, 1);
-        assert!(outcome.censorship_reports.is_empty());
+        assert!(outcome.censorship.is_empty());
         assert_eq!(books.counters.list_timeouts, 2);
         assert!(outcome.accepted[0].is_empty() && !outcome.accepted[1].is_empty());
     }

@@ -1439,6 +1439,10 @@ mod tests {
         let leader = sim.assignment().committees[0].leader;
         sim.registry_mut()
             .set_behavior(leader, Behavior::CensoringLeader);
+        // The member that takes over the forwards is the one that prosecutes.
+        let partial_set = sim.assignment().committees[0].partial_set.clone();
+        let honest = |n: &NodeId| sim.registry().node(*n).is_honest();
+        let watcher = partial_set.into_iter().find(honest);
         let report = sim.run_round().clone();
         assert_eq!(report.censorship_reports, 1);
         assert_eq!(
@@ -1446,6 +1450,8 @@ mod tests {
             2 * config.latency.gamma.as_micros()
         );
         assert_eq!(report.recovery_log.len(), 1);
+        assert!(watcher.is_some());
+        assert_eq!(report.recovery_log[0].prosecutor, watcher);
         assert_eq!(report.evicted_leaders, vec![(0, leader)]);
         assert_eq!(report.list_timeouts, 0);
     }

@@ -52,8 +52,9 @@ pub enum Invariant {
     NoEvictions,
     /// At least this many evictions happened.
     MinEvictions(usize),
-    /// At least this many censorship (timeout) reports were filed.
-    MinCensorshipReports(usize),
+    /// At least this many censoring leaders were accused of a timeout (the
+    /// report's `censorship_reports`).
+    MinCensorshipAccusations(usize),
     /// At least this many signed witnesses were produced.
     MinWitnesses(usize),
     /// No round packs more transactions than it was offered valid ones
@@ -162,7 +163,7 @@ impl Invariant {
             Invariant::MinMeanAcceptanceRate(r) => format!("min-acceptance:{r:?}"),
             Invariant::NoEvictions => "no-evictions".into(),
             Invariant::MinEvictions(n) => format!("min-evictions:{n}"),
-            Invariant::MinCensorshipReports(n) => format!("min-censorship-reports:{n}"),
+            Invariant::MinCensorshipAccusations(n) => format!("min-censorship-reports:{n}"),
             Invariant::MinWitnesses(n) => format!("min-witnesses:{n}"),
             Invariant::PackedWithinOfferedValid => "packed-within-offered-valid".into(),
             Invariant::MaliciousNeverOutearnHonest => "malicious-never-outearn-honest".into(),
@@ -215,7 +216,7 @@ impl Invariant {
             "min-acceptance" => Invariant::MinMeanAcceptanceRate(number(s, param)?),
             "no-evictions" => Invariant::NoEvictions,
             "min-evictions" => Invariant::MinEvictions(number(s, param)?),
-            "min-censorship-reports" => Invariant::MinCensorshipReports(number(s, param)?),
+            "min-censorship-reports" => Invariant::MinCensorshipAccusations(number(s, param)?),
             "min-witnesses" => Invariant::MinWitnesses(number(s, param)?),
             "packed-within-offered-valid" => Invariant::PackedWithinOfferedValid,
             "malicious-never-outearn-honest" => Invariant::MaliciousNeverOutearnHonest,
@@ -370,7 +371,7 @@ impl Invariant {
                     format!("{evictions} evictions (need >= {min})"),
                 )
             }
-            Invariant::MinCensorshipReports(min) => {
+            Invariant::MinCensorshipAccusations(min) => {
                 let reports = summary.total_censorship_reports();
                 (
                     reports >= min,
@@ -638,7 +639,7 @@ mod tests {
             Invariant::MinMeanAcceptanceRate(0.95),
             Invariant::NoEvictions,
             Invariant::MinEvictions(2),
-            Invariant::MinCensorshipReports(1),
+            Invariant::MinCensorshipAccusations(1),
             Invariant::MinWitnesses(4),
             Invariant::PackedWithinOfferedValid,
             Invariant::MaliciousNeverOutearnHonest,

@@ -128,7 +128,7 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
         105,
         Behavior::CensoringLeader,
         vec![
-            Invariant::MinCensorshipReports(1),
+            Invariant::MinCensorshipAccusations(1),
             Invariant::CensoredCrossShardTxsEventuallyApply,
             Invariant::BlocksEveryRound,
         ],

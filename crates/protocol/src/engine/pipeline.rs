@@ -20,6 +20,7 @@ use cycledger_consensus::witness::Witness;
 use cycledger_ledger::workload::GeneratedTx;
 use cycledger_ledger::StateBackend;
 
+use crate::adversary::Behavior;
 use crate::committee::Committee;
 use crate::engine::context::RoundContext;
 use crate::engine::env::Task;
@@ -28,7 +29,7 @@ use crate::phases::intra::{run_intra_consensus, IntraOutcome};
 use crate::phases::recovery::Accusation;
 use crate::phases::reputation_update::run_reputation_update;
 use crate::phases::selection::{prepare_selection, run_selection};
-use crate::phases::semi_commitment::run_semi_commitment_exchange;
+use crate::phases::semi_commitment::{fabricated_witness, run_semi_commitment_exchange};
 use crate::phases::xshard::{self, PairList};
 use crate::report::RecoveryOutcome;
 
@@ -51,12 +52,14 @@ pub fn standard_pipeline() -> &'static [Phase] {
 }
 
 /// Phase 2 — semi-commitment exchange (Alg. 4), plus recovery for any
-/// commitment-mismatch witness. The referee's agreement on the recorded
+/// commitment-mismatch witness, then for every fabricated one a
+/// `FalseAccuser` in a partial set brings against its sitting leader (not
+/// counted as a witness). The referee's agreement on the recorded
 /// commitments is the block instance's: the block header commits to them
 /// (phase 7).
 ///
 /// Inputs: `ctx.committees`. Outputs: `ctx.recorded_commitments`,
-/// `ctx.witnesses`, evictions in `ctx.recovery_log`, mutated
+/// `ctx.witnesses`, attempts in `ctx.recovery_log`, mutated
 /// committees/reputation on successful impeachment.
 pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
     let semi = run_semi_commitment_exchange(&ctx.env, &ctx.committees, &mut ctx.books.metrics);
@@ -66,6 +69,16 @@ pub fn semi_commitment(ctx: &mut RoundContext<'_>) {
         let k = evidence.committee;
         let witness = Witness::CommitmentMismatch(evidence);
         ctx.attempt_recovery(k, Accusation::Signed(witness), None);
+    }
+    let (env, framing) = (&ctx.env, Behavior::FalseAccuser);
+    let seats = ctx.committees.iter();
+    let forged: Vec<_> = seats
+        .flat_map(|c| c.partial_set.iter().map(move |&accuser| (c, accuser)))
+        .filter(|&(_, accuser)| env.registry.node(accuser).behavior == framing)
+        .map(|(c, accuser)| (c.index, accuser, fabricated_witness(env, c, accuser)))
+        .collect();
+    for (k, accuser, witness) in forged {
+        ctx.attempt_recovery(k, Accusation::Signed(witness), Some(accuser));
     }
 }
 

@@ -12,7 +12,7 @@
 //! them (a departure from Algorithm 4, step 2; see ARCHITECTURE.md).
 
 use cycledger_consensus::witness::{
-    member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence,
+    member_list_signing_bytes, semi_commitment, CommitmentMismatchEvidence, Witness,
 };
 use cycledger_crypto::schnorr::sign;
 use cycledger_crypto::sha256::Digest;
@@ -109,6 +109,25 @@ pub fn run_semi_commitment_exchange(
         recorded_commitments,
         witnesses,
     }
+}
+
+/// What a `FalseAccuser` in `committee`'s partial set brings against the
+/// sitting leader: the true member list, claimed to contradict a commitment
+/// to the empty list, signed with the accuser's own key. The leader signed
+/// none of it, so the witness verifies under no key of the leader's
+/// (Claim 4).
+pub fn fabricated_witness(env: &RoundEnv<'_>, committee: &Committee, accuser: NodeId) -> Witness {
+    let (round, index) = (env.round, committee.index);
+    let member_list = committee.member_list_bytes(env.registry);
+    let signed = member_list_signing_bytes(round, index, &member_list);
+    Witness::CommitmentMismatch(CommitmentMismatchEvidence {
+        round,
+        committee: index,
+        leader: committee.leader,
+        list_signature: sign(&env.registry.node(accuser).keypair.secret, &signed),
+        member_list,
+        recorded_commitment: semi_commitment(&[]),
+    })
 }
 
 #[cfg(test)]

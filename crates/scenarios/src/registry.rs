@@ -197,6 +197,41 @@ pub fn builtin_scenarios() -> Vec<Scenario> {
         .extend([Invariant::NoEvictions, Invariant::BlocksEveryRound]);
     scenarios.push(framed);
 
+    // 8b — framed leaders: a false accuser seated in each partial set every
+    // round brings its fabricated witness to the referee, which throws it
+    // out (Claim 4 on the live engine, not just its premise).
+    let mut seated = Scenario::new("framed-leaders", security_config(114));
+    seated.description = "The first partial-set member of each committee is a false accuser \
+         every round and prosecutes its honest leader on a witness it signed \
+         itself; the referee rejects every one and nobody is evicted."
+        .into();
+    seated.paper_claim = "Claim 4 (soundness)".into();
+    seated.smoke = true;
+    for round in 0..seated.rounds as u64 {
+        for committee in 0..2 {
+            seated.faults.push(FaultInjection {
+                round,
+                target: FaultTarget::PartialSetMember {
+                    committee,
+                    index: 0,
+                },
+                behavior: Behavior::FalseAccuser,
+            });
+        }
+        for target in [FaultTarget::AllLeaders, FaultTarget::AllReferees] {
+            seated.faults.push(FaultInjection {
+                round,
+                target,
+                behavior: Behavior::Honest,
+            });
+        }
+    }
+    seated.invariants = common_invariants();
+    seated
+        .invariants
+        .extend([Invariant::NoEvictions, Invariant::BlocksEveryRound]);
+    scenarios.push(seated);
+
     // 9 — mixed adversary: every behaviour at once under the paper bound.
     let mut mixed = Scenario::new("mixed-adversary", security_config(109));
     mixed.config.adversary = AdversaryConfig::uniform(0.25);

@@ -174,7 +174,14 @@ fn main() {
     ));
 
     // What the primitives add up to: one verified instance (239 messages).
-    rows.push(("alg3_instance_c16", ns_per_call(alg3_instance(16))));
+    rows.push(("alg3_instance_c16", ns_per_call(alg3_instance(16, true))));
+    // Table I's committee size, c = 200, verified and not:
+    // at this size most of an instance is not signature work.
+    rows.push(("alg3_instance_c200", ns_per_call(alg3_instance(200, true))));
+    rows.push((
+        "alg3_unverified_c200",
+        ns_per_call(alg3_instance(200, false)),
+    ));
 
     // The epoch beacon's dealing and a reconstruction from a quorum of shares.
     let secret = Scalar::from_u64(424242);

@@ -52,9 +52,14 @@ pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> Prot
 /// One Algorithm 3 instance to time — the unit of work every phase of a
 /// round repeats: an all-honest committee of `committee_size` certifies a
 /// list of 100 transaction ids over the simulated network, every signature
-/// made and verified. Each call of the returned closure is a fresh instance
-/// (its own network, sequence number and verification memo).
-pub fn alg3_instance(committee_size: usize) -> impl FnMut() -> InsideConsensusOutcome {
+/// made and, if `verify`, verified (unverified, an instance costs what is not
+/// signature work: the network, the machines, the tallies). Each call of the
+/// returned closure is a fresh instance (its own network, sequence number and
+/// verification memo).
+pub fn alg3_instance(
+    committee_size: usize,
+    verify: bool,
+) -> impl FnMut() -> InsideConsensusOutcome {
     let registry =
         NodeRegistry::generate(committee_size, &AdversaryConfig::default(), 100, 0, 4242);
     let members = registry.ids();
@@ -77,7 +82,7 @@ pub fn alg3_instance(committee_size: usize) -> impl FnMut() -> InsideConsensusOu
             ConsensusId { round: 0, seq },
             payload.clone(),
             LeaderFault::None,
-            true,
+            verify,
         );
         assert!(outcome.certificate.is_some(), "honest instance certifies");
         outcome
@@ -250,7 +255,7 @@ mod tests {
 
     #[test]
     fn alg3_instance_certifies_every_time() {
-        let mut instance = alg3_instance(8);
+        let mut instance = alg3_instance(8, true);
         let first = instance();
         let second = instance();
         assert_eq!(first.messages, second.messages);

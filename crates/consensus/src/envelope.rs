@@ -50,7 +50,9 @@ impl CarriesAlg3 for Alg3Message {
 #[derive(Clone, Debug)]
 // Alg3 traffic dominates every committee exchange (one PROPOSE/ECHO/CONFIRM
 // per member per instance); boxing it to shrink the rare small variants
-// would put an allocation on the hottest send path.
+// would put an allocation on the hottest send path. The size is paid once a
+// post, not once a recipient: an ECHO in flight to the other c - 1 members
+// is one payload under c - 1 queue keys of 24 bytes (`SimNetwork::multicast`).
 #[allow(clippy::large_enum_variant)]
 pub enum CommitteeMessage {
     /// Leader → members: the round's `TXList` announcement (the transaction

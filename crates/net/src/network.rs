@@ -4,7 +4,19 @@
 //! messages. Protocol code sends messages (which are assigned a delivery time by
 //! the latency model and charged to the metrics sink) and then repeatedly calls
 //! [`SimNetwork::deliver_next`] to pump the queue; every delivery advances the
-//! clock to the message's arrival time. The pattern for a phase driver is:
+//! clock to the message's arrival time.
+//!
+//! A payload sent to several nodes at once ([`SimNetwork::multicast`] — an
+//! ECHO to the rest of a committee, a `TXList` announcement, a forward to the
+//! referee) is one *post*: a slot holding the payload, sender, size, send time
+//! and phase once. The queue orders 24-byte keys `(deliver_at, seq, slot, to)`,
+//! one per recipient admitted, so a heap sift moves no payload. Delivery
+//! clones the payload for every recipient but the last, which takes it and
+//! frees the slot. Each recipient is still admitted, drawn a latency, charged
+//! and sequenced on its own, in order, so a multicast delivers exactly what a
+//! loop of [`SimNetwork::send`]s would; `send` is a multicast to one node.
+//!
+//! The pattern for a phase driver is:
 //!
 //! ```
 //! use cycledger_net::network::SimNetwork;
@@ -70,28 +82,38 @@ pub struct Envelope<M> {
     pub phase: Phase,
 }
 
-struct Scheduled<M> {
-    deliver_at: SimTime,
-    seq: u64,
-    envelope: Envelope<M>,
+/// One payload in flight to one or more recipients, kept once however many
+/// recipients it has; the queue's keys name it by slot.
+struct Post<M> {
+    payload: M,
+    from: NodeId,
+    bytes: u64,
+    sent_at: SimTime,
+    phase: Phase,
+    /// Recipients whose key is still queued; the last delivery moves the
+    /// payload out and frees the slot.
+    due: u32,
 }
 
-impl<M> PartialEq for Scheduled<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
+/// A slot of the post table: a post in flight, or a free slot naming the
+/// next free one (the free list is threaded through the table itself).
+enum Slot<M> {
+    Live(Post<M>),
+    Free(Option<u32>),
 }
-impl<M> Eq for Scheduled<M> {}
-impl<M> PartialOrd for Scheduled<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// One recipient's delivery: ordered by `(deliver_at, seq)` — `seq` is
+/// unique, so `slot` and `to` never decide — and small enough that a heap
+/// sift moves 24 bytes, not a payload.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    deliver_at: SimTime,
+    seq: u64,
+    slot: u32,
+    to: NodeId,
 }
-impl<M> Ord for Scheduled<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deliver_at, self.seq).cmp(&(other.deliver_at, other.seq))
-    }
-}
+
+const _: () = assert!(std::mem::size_of::<Key>() == 24);
 
 /// An event surfaced by [`SimNetwork::next_event`]: either a delivered
 /// message or a fired virtual-time timer.
@@ -134,7 +156,12 @@ impl DropCounts {
 /// timers, metrics.
 pub struct SimNetwork<M> {
     now: SimTime,
-    queue: BinaryHeap<Reverse<Scheduled<M>>>,
+    /// One key per recipient still due, earliest first.
+    queue: BinaryHeap<Reverse<Key>>,
+    /// The posts the queued keys name, by slot.
+    slots: Vec<Slot<M>>,
+    /// Head of the free list threaded through `slots`.
+    free: Option<u32>,
     seq: u64,
     sampler: LatencySampler,
     metrics: MetricsSink,
@@ -170,6 +197,8 @@ impl<M> SimNetwork<M> {
         SimNetwork {
             now: SimTime::ZERO,
             queue: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: None,
             seq: 0,
             sampler: LatencySampler::new(config, seed),
             metrics: MetricsSink::new(),
@@ -254,71 +283,106 @@ impl<M> SimNetwork<M> {
         payload: M,
         bytes: u64,
     ) -> Option<SimTime> {
-        self.send_after(from, to, class, payload, bytes, SimDuration::ZERO)
+        self.multicast_after(from, [to], class, payload, bytes, SimDuration::ZERO)
     }
 
-    /// Sends a message with an explicit extra delay on top of the sampled
-    /// latency — used to model nodes that deliberately wait (e.g. the partial
-    /// set's `2Γ` framing timeout of Lemma 7).
-    pub fn send_after(
+    /// Sends one payload to every node of `recipients`, in order: exactly
+    /// what a loop of [`SimNetwork::send`]s would do — each recipient is
+    /// admitted, drawn a latency, charged and sequenced in turn — except
+    /// that the payload is kept once, not once per recipient. Returns the
+    /// delivery time of the last recipient admitted, or `None` if every one
+    /// was dropped.
+    pub fn multicast(
         &mut self,
         from: NodeId,
-        to: NodeId,
+        recipients: impl IntoIterator<Item = NodeId>,
+        class: LinkClass,
+        payload: M,
+        bytes: u64,
+    ) -> Option<SimTime> {
+        self.multicast_after(from, recipients, class, payload, bytes, SimDuration::ZERO)
+    }
+
+    /// [`SimNetwork::multicast`] with an explicit extra delay on top of every
+    /// recipient's sampled latency — used to model nodes that deliberately
+    /// wait (e.g. the partial set's `2Γ` framing timeout of Lemma 7). Every
+    /// send takes this path.
+    pub fn multicast_after(
+        &mut self,
+        from: NodeId,
+        recipients: impl IntoIterator<Item = NodeId>,
         class: LinkClass,
         payload: M,
         bytes: u64,
         extra_delay: SimDuration,
     ) -> Option<SimTime> {
-        let fault_delay = self.admit(from, to)?;
-        let delay = self
-            .sampler
-            .sample(class, from, to, self.seq)
-            .plus(extra_delay)
-            .plus(fault_delay);
-        Some(self.enqueue(from, to, payload, bytes, delay))
-    }
-
-    fn enqueue(
-        &mut self,
-        from: NodeId,
-        to: NodeId,
-        payload: M,
-        bytes: u64,
-        delay: SimDuration,
-    ) -> SimTime {
-        let deliver_at = self.now.after(delay);
-        count(Op::EnvelopeSent);
-        self.metrics.record_message(self.phase, from, to, bytes);
-        let envelope = Envelope {
-            from,
-            to,
+        let post = Post {
             payload,
+            from,
             bytes,
             sent_at: self.now,
-            delivered_at: deliver_at,
             phase: self.phase,
+            due: 0,
         };
-        self.queue.push(Reverse(Scheduled {
-            deliver_at,
-            seq: self.seq,
-            envelope,
-        }));
-        self.seq += 1;
-        deliver_at
+        let slot = self.open(post);
+        let (mut due, mut last) = (0, None);
+        for to in recipients {
+            let Some(fault_delay) = self.admit(from, to) else {
+                continue;
+            };
+            let delay = self
+                .sampler
+                .sample(class, from, to, self.seq)
+                .plus(extra_delay)
+                .plus(fault_delay);
+            let deliver_at = self.now.after(delay);
+            count(Op::EnvelopeSent);
+            self.metrics.record_message(self.phase, from, to, bytes);
+            let key = Key {
+                deliver_at,
+                seq: self.seq,
+                slot,
+                to,
+            };
+            self.queue.push(Reverse(key));
+            self.seq += 1;
+            (due, last) = (due + 1, Some(deliver_at));
+        }
+        if due == 0 {
+            self.release(slot);
+        } else {
+            self.post_mut(slot).due = due;
+        }
+        last
     }
 
-    /// Delivers the next in-flight message, advancing the clock to its delivery
-    /// time. Returns `None` when the queue is empty.
-    ///
-    /// The clock is monotone: if the caller already advanced past a pending
-    /// message's scheduled time (via [`SimNetwork::advance_to`]), the message
-    /// is delivered *now* rather than moving time backwards — its
-    /// `delivered_at` reflects the effective (clamped) delivery instant.
-    pub fn deliver_next(&mut self) -> Option<Envelope<M>> {
-        let Reverse(mut scheduled) = self.queue.pop()?;
-        self.now = self.now.max(scheduled.deliver_at);
-        scheduled.envelope.delivered_at = self.now;
-        Some(scheduled.envelope)
+    /// Puts `post` in a free slot (or a new one) and returns the slot.
+    fn open(&mut self, post: Post<M>) -> u32 {
+        let Some(slot) = self.free else {
+            self.slots.push(Slot::Live(post));
+            return (self.slots.len() - 1) as u32;
+        };
+        match std::mem::replace(&mut self.slots[slot as usize], Slot::Live(post)) {
+            Slot::Free(next) => self.free = next,
+            Slot::Live(_) => unreachable!("the free list names only free slots"),
+        }
+        slot
+    }
+
+    /// Frees `slot` and returns the post it held.
+    fn release(&mut self, slot: u32) -> Post<M> {
+        let freed = Slot::Free(self.free.replace(slot));
+        match std::mem::replace(&mut self.slots[slot as usize], freed) {
+            Slot::Live(post) => post,
+            Slot::Free(_) => unreachable!("a queued key names a live post"),
+        }
+    }
+
+    fn post_mut(&mut self, slot: u32) -> &mut Post<M> {
+        match &mut self.slots[slot as usize] {
+            Slot::Live(post) => post,
+            Slot::Free(_) => unreachable!("a queued key names a live post"),
+        }
     }
 
     /// Arms a virtual-time timer to fire `after` from now, returning the
@@ -334,32 +398,6 @@ impl<M> SimNetwork<M> {
     /// Number of armed timers that have not fired yet.
     pub fn pending_timers(&self) -> usize {
         self.timers.len()
-    }
-
-    /// Delivers the next event — message arrival or timer firing — in
-    /// virtual-time order, advancing the clock. Returns `None` when both the
-    /// message queue and the timer queue are empty (quiescence).
-    ///
-    /// Deadlines are inclusive: when a message and a timer fall on the same
-    /// instant the message is delivered first, so a driver that tallies on
-    /// `Timer` has seen everything that arrived *by* the deadline. The
-    /// tie-break is [`crate::time::message_beats_timer`]; `cycledger-checker`'s
-    /// scheduler takes the same side of it.
-    pub fn next_event(&mut self) -> Option<NetEvent<M>> {
-        let msg_at = self.queue.peek().map(|Reverse(s)| s.deliver_at);
-        let timer_at = self.timers.peek().map(|Reverse((at, _, _))| *at);
-        match (msg_at, timer_at) {
-            (None, None) => None,
-            (Some(_), None) => self.deliver_next().map(NetEvent::Message),
-            (Some(m), Some(t)) if crate::time::message_beats_timer(m, t) => {
-                self.deliver_next().map(NetEvent::Message)
-            }
-            _ => {
-                let Reverse((at, _, key)) = self.timers.pop()?;
-                self.now = self.now.max(at);
-                Some(NetEvent::Timer { key, at })
-            }
-        }
     }
 
     /// Number of messages still in flight.
@@ -413,6 +451,65 @@ impl<M> SimNetwork<M> {
     }
 }
 
+/// Delivery clones a post's payload for every recipient but its last, which
+/// takes it.
+impl<M: Clone> SimNetwork<M> {
+    /// Delivers the next in-flight message, advancing the clock to its delivery
+    /// time. Returns `None` when the queue is empty.
+    ///
+    /// The clock is monotone: if the caller already advanced past a pending
+    /// message's scheduled time (via [`SimNetwork::advance_to`]), the message
+    /// is delivered *now* rather than moving time backwards — its
+    /// `delivered_at` reflects the effective (clamped) delivery instant.
+    pub fn deliver_next(&mut self) -> Option<Envelope<M>> {
+        let Reverse(key) = self.queue.pop()?;
+        self.now = self.now.max(key.deliver_at);
+        let post = self.post_mut(key.slot);
+        post.due -= 1;
+        let (from, bytes, sent_at, phase) = (post.from, post.bytes, post.sent_at, post.phase);
+        let payload = if post.due > 0 {
+            post.payload.clone()
+        } else {
+            self.release(key.slot).payload
+        };
+        Some(Envelope {
+            from,
+            to: key.to,
+            payload,
+            bytes,
+            sent_at,
+            delivered_at: self.now,
+            phase,
+        })
+    }
+
+    /// Delivers the next event — message arrival or timer firing — in
+    /// virtual-time order, advancing the clock. Returns `None` when both the
+    /// message queue and the timer queue are empty (quiescence).
+    ///
+    /// Deadlines are inclusive: when a message and a timer fall on the same
+    /// instant the message is delivered first, so a driver that tallies on
+    /// `Timer` has seen everything that arrived *by* the deadline. The
+    /// tie-break is [`crate::time::message_beats_timer`]; `cycledger-checker`'s
+    /// scheduler takes the same side of it.
+    pub fn next_event(&mut self) -> Option<NetEvent<M>> {
+        let msg_at = self.queue.peek().map(|Reverse(s)| s.deliver_at);
+        let timer_at = self.timers.peek().map(|Reverse((at, _, _))| *at);
+        match (msg_at, timer_at) {
+            (None, None) => None,
+            (Some(_), None) => self.deliver_next().map(NetEvent::Message),
+            (Some(m), Some(t)) if crate::time::message_beats_timer(m, t) => {
+                self.deliver_next().map(NetEvent::Message)
+            }
+            _ => {
+                let Reverse((at, _, key)) = self.timers.pop()?;
+                self.now = self.now.max(at);
+                Some(NetEvent::Timer { key, at })
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,6 +537,26 @@ mod tests {
     }
 
     #[test]
+    fn a_post_whose_recipients_were_all_dropped_frees_its_slot() {
+        let plan = FaultPlan::partition(vec![NodeId(1), NodeId(2)]);
+        let mut net: SimNetwork<u32> = SimNetwork::with_faults(LatencyConfig::default(), 5, plan);
+        let class = LinkClass::IntraCommittee;
+        let severed = [NodeId(1), NodeId(2)];
+        assert_eq!(net.multicast(NodeId(0), severed, class, 7, 8), None);
+        assert_eq!((net.pending(), net.drop_counts().partitioned), (0, 2));
+        assert_eq!((net.slots.len(), net.free), (1, Some(0)), "freed at once");
+
+        // The next post takes the freed slot; its last delivery frees it.
+        let reachable = [NodeId(3), NodeId(4)];
+        assert!(net.multicast(NodeId(0), reachable, class, 9, 8).is_some());
+        assert_eq!((net.slots.len(), net.free, net.pending()), (1, None, 2));
+        assert_eq!(net.deliver_next().map(|env| env.payload), Some(9));
+        assert_eq!(net.free, None, "one recipient still due");
+        assert_eq!(net.deliver_next().map(|env| env.payload), Some(9));
+        assert_eq!((net.slots.len(), net.free, net.pending()), (1, Some(0), 0));
+    }
+
+    #[test]
     fn latency_respects_class_bound() {
         let mut net = net();
         net.send(NodeId(0), NodeId(1), LinkClass::IntraCommittee, 1, 8);
@@ -450,11 +567,30 @@ mod tests {
 
     #[test]
     fn send_after_adds_extra_delay() {
+        // A delayed send is a delayed multicast to one node.
         let mut net = net();
         let extra = SimDuration::from_millis(500);
-        net.send_after(NodeId(0), NodeId(1), LinkClass::IntraCommittee, 1, 8, extra);
+        net.multicast_after(
+            NodeId(0),
+            [NodeId(1)],
+            LinkClass::IntraCommittee,
+            1,
+            8,
+            extra,
+        );
         let env = net.deliver_next().unwrap();
         assert!(env.delivered_at.since(env.sent_at) >= extra);
+    }
+
+    #[test]
+    fn multicast_after_adds_extra_delay() {
+        let mut net = net();
+        let extra = SimDuration::from_millis(500);
+        let (recipients, class) = ([NodeId(1), NodeId(2)], LinkClass::IntraCommittee);
+        net.multicast_after(NodeId(0), recipients, class, 1, 8, extra);
+        while let Some(env) = net.deliver_next() {
+            assert!(env.delivered_at.since(env.sent_at) >= extra);
+        }
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! | `send` on a clean network            |    32 |   18 |   1 | 1 → 0      |
 //! | `send` under loss + jitter, admitted |    96 |   54 |   3 | 3 → 0      |
 //! | building a `SimNetwork`              |     0 |    0 |   3 | 0          |
+//!
+//! A multicast keeps its payload once but pays per recipient: k envelopes
+//! and k latency draws for k recipients, as k `send`s would.
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
@@ -90,4 +93,24 @@ fn an_envelope_costs_its_draws() {
             ..Tally::default()
         }
     );
+}
+
+#[test]
+fn a_multicast_to_k_recipients_costs_k_envelopes_and_k_draws() {
+    let mut net: SimNetwork<u64> = SimNetwork::new(LatencyConfig::default(), SEED);
+    let k = 5;
+    let recipients = (10..10 + k).map(NodeId);
+    let class = LinkClass::IntraCommittee;
+    let sent = scope(|| net.multicast(NodeId(3), recipients, class, 1, 128));
+    assert_eq!(
+        sent,
+        Tally {
+            sha256_blocks: k.into(),
+            envelopes_sent: k.into(),
+            latency_draws: k.into(),
+            ..Tally::default()
+        }
+    );
+    let delivered = scope(|| while net.deliver_next().is_some() {});
+    assert_eq!(delivered, Tally::default(), "delivery draws nothing");
 }

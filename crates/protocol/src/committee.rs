@@ -9,7 +9,7 @@
 
 use cycledger_consensus::alg3::{Action, Instance, Seats};
 use cycledger_consensus::envelope::CarriesAlg3;
-use cycledger_consensus::messages::{Alg3Message, ConsensusId};
+use cycledger_consensus::messages::ConsensusId;
 use cycledger_consensus::quorum::{CommitteeKeys, QuorumCertificate};
 use cycledger_consensus::sigcache::{SigCache, Verdicts};
 use cycledger_consensus::witness::EquivocationEvidence;
@@ -129,12 +129,12 @@ pub struct InsideConsensusOutcome {
 /// Non-leader members that are malicious or still `Syncing` are seated mute
 /// ([`Seats::mute`]). Generic over the envelope type: block generation,
 /// whose whole exchange is the referee's instance, and the benches run it
-/// over a plain [`Alg3Message`] network, the intra phase over a
-/// [`cycledger_consensus::envelope::CommitteeMessage`] network, whose other
-/// envelopes still in flight — e.g. late vote replies — are drained and
-/// ignored. A network whose fault plan severs part of the committee simply
-/// yields fewer CONFIRMs and possibly no certificate — the caller's recovery
-/// path takes it from there.
+/// over a plain [`cycledger_consensus::messages::Alg3Message`] network, the
+/// intra phase over a [`cycledger_consensus::envelope::CommitteeMessage`]
+/// network, whose other envelopes still in flight — e.g. late vote replies
+/// — are drained and ignored. A network whose fault plan severs part of the
+/// committee simply yields fewer CONFIRMs and possibly no certificate — the
+/// caller's recovery path takes it from there.
 ///
 /// Every caller in the workspace passes `verify_signatures = true`. `false`
 /// (placeholder signatures, nothing checked) is kept for one caller outside
@@ -168,16 +168,17 @@ pub fn run_inside_consensus<M: CarriesAlg3>(
     loop {
         for Action { from, to, message } in asked.drain(..) {
             let (size, class) = (message.wire_size(), LinkClass::IntraCommittee);
-            let mut post = |to: NodeId, message: Alg3Message| {
-                net.send(from, to, class, M::from_alg3(message), size);
-                messages += 1;
-            };
+            let payload = M::from_alg3(message);
             match to {
-                Some(to) => post(to, message),
-                // An ECHO: one envelope per other member, in committee order.
+                Some(to) => {
+                    net.send(from, to, class, payload, size);
+                    messages += 1;
+                }
+                // An ECHO: one post to every other member, in committee order.
                 None => {
-                    let others = committee.members.iter().filter(|&&to| to != from);
-                    others.for_each(|&to| post(to, message.clone()));
+                    let others = committee.members.iter().copied().filter(|&to| to != from);
+                    let others = others.inspect(|_| messages += 1);
+                    net.multicast(from, others, class, payload, size);
                 }
             }
         }
@@ -202,7 +203,7 @@ mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
     use crate::sortition::{assign_round, AssignmentParams};
-    use cycledger_consensus::messages::{make_confirm, payload_digest};
+    use cycledger_consensus::messages::{make_confirm, payload_digest, Alg3Message};
     use cycledger_consensus::quorum::verify_certs_batch;
     use cycledger_crypto::schnorr::Keypair;
     use cycledger_crypto::sha256::sha256;

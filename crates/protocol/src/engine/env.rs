@@ -245,7 +245,7 @@ impl Books {
     /// Closes a task's network: drains it to quiescence (late votes,
     /// in-flight forwards, unexpired timers), then takes its drop count and
     /// its sink.
-    pub fn close<M>(mut net: SimNetwork<M>) -> Books {
+    pub fn close<M: Clone>(mut net: SimNetwork<M>) -> Books {
         while net.next_event().is_some() {}
         let counters = PlaneCounters {
             net_dropped: net.dropped_messages(),

@@ -197,17 +197,14 @@ fn collect_votes_under_deadline(
         committee: committee.index as u32,
         count: count as u32,
     };
-    for &member in &committee.members {
-        if member != leader {
-            net.send(
-                leader,
-                member,
-                LinkClass::IntraCommittee,
-                announce.clone(),
-                announce_bytes,
-            );
-        }
-    }
+    let members = committee.members.iter().copied().filter(|&m| m != leader);
+    net.multicast(
+        leader,
+        members,
+        LinkClass::IntraCommittee,
+        announce,
+        announce_bytes,
+    );
     net.record_storage(leader, count as u64);
     let timer = net.schedule_timer(vote_deadline(&env.config.latency), VOTE_TIMER);
     let seats = &committee.members;
@@ -379,15 +376,13 @@ pub fn run_intra_consensus(
             committee: committee.index as u32,
             decided: decided.len() as u32,
         };
-        for &rm in &env.referee.members {
-            net.send(
-                leader,
-                rm,
-                LinkClass::KeyMemberMesh,
-                forward.clone(),
-                decided_bytes + rows_bytes + cert_bytes + proof,
-            );
-        }
+        net.multicast(
+            leader,
+            env.referee.members.iter().copied(),
+            LinkClass::KeyMemberMesh,
+            forward,
+            decided_bytes + rows_bytes + cert_bytes + proof,
+        );
         net.record_storage(leader, cert_bytes + decided_bytes);
         for &pm in &committee.partial_set {
             net.record_storage(pm, cert_bytes);

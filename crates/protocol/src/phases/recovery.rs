@@ -80,17 +80,14 @@ pub fn run_recovery(
         committee: committee.index as u32,
         accused,
     };
-    for &member in &committee.members {
-        if member != prosecutor {
-            net.send(
-                prosecutor,
-                member,
-                LinkClass::IntraCommittee,
-                envelope.clone(),
-                witness_bytes,
-            );
-        }
-    }
+    let members = committee.members.iter().filter(|&&m| m != prosecutor);
+    net.multicast(
+        prosecutor,
+        members.copied(),
+        LinkClass::IntraCommittee,
+        envelope.clone(),
+        witness_bytes,
+    );
 
     // 2. Members vote on the impeachment; approvals must reach the
     //    prosecutor by the 4Δ deadline.
@@ -134,15 +131,13 @@ pub fn run_recovery(
     // 3. The prosecutor forwards accusation + vote certificate to C_R, which
     //    re-verifies the evidence itself before acting (Claim 4: malicious
     //    committee votes alone can never evict an honest leader).
-    for &rm in &referee.members {
-        net.send(
-            prosecutor,
-            rm,
-            LinkClass::KeyMemberMesh,
-            envelope.clone(),
-            witness_bytes + 8 * approvals as u64,
-        );
-    }
+    net.multicast(
+        prosecutor,
+        referee.members.iter().copied(),
+        LinkClass::KeyMemberMesh,
+        envelope.clone(),
+        witness_bytes + 8 * approvals as u64,
+    );
     if verdict == Verdict::EvidenceRejected {
         return (record, Books::close(net));
     }
@@ -151,9 +146,8 @@ pub fn run_recovery(
     //    and notifies the committee of the new leader, chosen from the
     //    partial set by a hash lottery over the round randomness.
     for &rm in &referee.members {
-        for &member in &committee.members {
-            net.send(rm, member, LinkClass::KeyMemberMesh, envelope.clone(), 16);
-        }
+        let members = committee.members.iter().copied();
+        net.multicast(rm, members, LinkClass::KeyMemberMesh, envelope.clone(), 16);
     }
     let candidates: Vec<NodeId> = committee
         .partial_set

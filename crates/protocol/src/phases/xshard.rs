@@ -283,9 +283,8 @@ pub fn run_source<'a>(
     for list in lists {
         let partial_set = committees[list.dest].partial_set.iter().copied();
         let (class, bytes) = (LinkClass::KeyMemberMesh, leg_bytes(list));
-        for to in std::iter::once(leader_of(list)).chain(partial_set) {
-            net.send_after(forwarder, to, class, list.forward(), bytes, takeover);
-        }
+        let to = std::iter::once(leader_of(list)).chain(partial_set);
+        net.multicast_after(forwarder, to, class, list.forward(), bytes, takeover);
     }
     net.schedule_timer(two_gamma, RELAY_TIMER);
     net.schedule_timer(list_deadline(&env.config.latency), LIST_TIMER);

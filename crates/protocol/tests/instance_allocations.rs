@@ -9,7 +9,9 @@
 //! committee has already carried (its queue sized, the static curve tables
 //! built), so the count is the instance's own: the transport's lists, the
 //! machines, the memo, and the messages that carry lists (a CONFIRM's echo
-//! signatures, the certificate).
+//! signatures, the certificate). Two more honest instances run on fresh
+//! networks, and their allocated bytes are pinned too: those count the
+//! queue's growth.
 
 use cycledger_consensus::messages::{make_echo, make_propose, Alg3Message, ConsensusId};
 use cycledger_crypto::schnorr::Keypair;
@@ -19,6 +21,8 @@ use cycledger_net::network::SimNetwork;
 use cycledger_net::time::SimDuration;
 use cycledger_protocol::committee::run_inside_consensus;
 use cycledger_protocol::{AdversaryConfig, Committee, LeaderFault, NodeRegistry};
+
+use alloccount::AllocSnapshot;
 
 #[global_allocator]
 static ALLOC: alloccount::CountingAllocator = alloccount::CountingAllocator;
@@ -47,11 +51,11 @@ fn instance(
     (committee, registry): &(Committee, NodeRegistry),
     seq: u64,
     fault: LeaderFault,
-) -> (u64, String, u64) {
+) -> (AllocSnapshot, String, u64) {
     let id = ConsensusId { round: 0, seq };
     let (before, singles) = (alloccount::snapshot(), single_verifications());
     let outcome = run_inside_consensus(net, committee, registry, id, PAYLOAD.to_vec(), fault, true);
-    let allocations = alloccount::snapshot().since(&before).allocations;
+    let allocations = alloccount::snapshot().since(&before);
     let singles = single_verifications() - singles;
     let seen = format!(
         "{:?} {:?} {}",
@@ -86,9 +90,8 @@ fn forge_echo(
     let forged = make_echo(&propose, claimed, &Keypair::from_seed(b"not a member"));
     let message = Alg3Message::Echo(forged);
     let (class, size) = (LinkClass::IntraCommittee, message.wire_size());
-    for &to in committee.members.iter().filter(|&&to| to != claimed) {
-        net.send_after(claimed, to, class, message.clone(), size, ONE_LEG);
-    }
+    let others = committee.members.iter().filter(|&&to| to != claimed);
+    net.multicast_after(claimed, others.copied(), class, message, size, ONE_LEG);
 }
 
 /// Every leg of the network takes this long, so it delivers in send order.
@@ -112,6 +115,16 @@ const PINNED: [(&str, u64, &str); 5] = [
     ("c = 15 honest, in send order", 61, "905bcd6be5d89289bfc2542e2e3bec55070c08994c926c66bf60c7ec32d0356f"),
     ("c = 15 forged ECHO, in send order", 61, "9ccb39a073d47c8443310e49601c2c2fb8c5e1927b42876ccd33d2bd5658c08e"),
     ("c = 31 honest", 109, "a450eb926ec6d505b4f55d26a426229aeed347a1ad83fa2049ffa580f1823733"),
+];
+
+/// `(instance, bytes allocated)` for an honest instance on a fresh network,
+/// so its queue's growth counts. The queue used to hold each recipient's
+/// whole envelope, an ECHO cloned c - 1 times; it holds 24-byte keys over
+/// one post per payload now, and the bytes fell 147 087 -> 82 575 at
+/// c = 15 and 529 663 -> 253 183 at c = 31.
+const FRESH_BYTES: [(&str, u64); 2] = [
+    ("c = 15 honest, fresh network", 82_575),
+    ("c = 31 honest, fresh network", 253_183),
 ];
 
 #[test]
@@ -143,11 +156,19 @@ fn an_instance_allocates_per_member_not_per_message() {
         &honest_31,
     ];
     for ((allocations, digest, _), (name, pinned, expected)) in runs.into_iter().zip(PINNED) {
+        let allocations = allocations.allocations;
         println!("{name}: {allocations} allocations");
         assert_eq!(digest, expected, "{name}: the outcome moved");
-        assert_eq!(*allocations, pinned, "{name}");
+        assert_eq!(allocations, pinned, "{name}");
     }
-    assert!(honest.0 <= 64 && honest_31.0 <= 112);
+    assert!(honest.0.allocations <= 64 && honest_31.0.allocations <= 112);
+
+    for (committee, (name, pinned)) in [&small, &large].into_iter().zip(FRESH_BYTES) {
+        let mut net = SimNetwork::new(LatencyConfig::default(), 4242);
+        let (allocated, _, _) = instance(&mut net, committee, 1, LeaderFault::None);
+        println!("{name}: {} bytes", allocated.allocated_bytes);
+        assert_eq!(allocated.allocated_bytes, pinned, "{name}");
+    }
     // The forgery cost the first batch that held it: its eight signatures
     // were then checked one at a time.
     if cfg!(feature = "opcount") {

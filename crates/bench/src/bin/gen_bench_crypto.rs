@@ -15,10 +15,12 @@ use std::time::Instant;
 
 use cycledger_bench::{alg3_instance, Json};
 use cycledger_crypto::hmac::HmacDrbg;
-use cycledger_crypto::point::Point;
+use cycledger_crypto::point::{KeyTable, Point};
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
-use cycledger_crypto::schnorr::{batch_verify, sign, verify, BatchEntry, Keypair, Signature};
+use cycledger_crypto::schnorr::{
+    batch_verify, sign, verify, BatchEntry, Keypair, PreparedKey, Signature,
+};
 use cycledger_crypto::sha256::sha256;
 use cycledger_crypto::vrf;
 use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
@@ -100,26 +102,33 @@ fn main() {
         "schnorr_sign_deriving_pk",
         ns_per_op(|| sign(&kp.secret, msg)),
     ));
-    let sig = kp.sign(msg);
+    // Every verification row takes the signer's key prepared, as the
+    // protocol's registry hands it out; building its table is a row of its
+    // own.
     rows.push((
-        "schnorr_verify",
-        ns_per_op(|| verify(&kp.public, msg, &sig)),
+        "key_table_build",
+        ns_per_call(|| KeyTable::new(black_box(kp.public.point()))),
     ));
+    let key = PreparedKey::new(kp.public);
+    let sig = kp.sign(msg);
+    rows.push(("schnorr_verify", ns_per_op(|| verify(&key, msg, &sig))));
 
     let keys: Vec<Keypair> = (0..16u8).map(|i| Keypair::from_seed(&[b'k', i])).collect();
+    let prepared: Vec<PreparedKey> = keys.iter().map(|k| PreparedKey::new(k.public)).collect();
     let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(msg)).collect();
-    let entries: Vec<BatchEntry<'_>> = keys
+    let entries: Vec<BatchEntry<'_, PreparedKey>> = prepared
         .iter()
         .zip(&sigs)
-        .map(|(k, s)| BatchEntry {
-            public_key: &k.public,
+        .map(|(public_key, s)| BatchEntry {
+            public_key,
             message: msg,
             signature: s,
         })
         .collect();
     rows.push(("batch_verify_16", ns_per_op(|| batch_verify(&entries))));
     // The size of a cross-committee certificate batch at 8x16 (8 x up to 16).
-    let many: Vec<BatchEntry<'_>> = (0..8).flat_map(|_| entries.iter().copied()).collect();
+    let many: Vec<BatchEntry<'_, PreparedKey>> =
+        (0..8).flat_map(|_| entries.iter().copied()).collect();
     rows.push(("batch_verify_128", ns_per_op(|| batch_verify(&many))));
 
     let input = b"COMMON_MEMBER|7|seed";
@@ -139,16 +148,13 @@ fn main() {
         ns_per_op(|| prover.evaluate(&kp.secret, &kp.public)),
     ));
     let out = vrf::evaluate(&kp.secret, input);
-    rows.push((
-        "vrf_verify",
-        ns_per_op(|| vrf::verify(&kp.public, input, &out)),
-    ));
+    rows.push(("vrf_verify", ns_per_op(|| vrf::verify(&key, input, &out))));
     // The sortition draw's path: groups of eight proofs, per proof.
     let outputs: Vec<vrf::VrfOutput> = keys[..8]
         .iter()
         .map(|k| prover.evaluate(&k.secret, &k.public))
         .collect();
-    let proofs: Vec<_> = keys.iter().map(|k| &k.public).zip(&outputs).collect();
+    let proofs: Vec<_> = prepared.iter().zip(&outputs).collect();
     rows.push((
         "vrf_verify_batch_8_per_proof",
         ns_per_op(|| vrf::verify_batch(input, &proofs)) / 8.0,

@@ -19,6 +19,16 @@
 //!   takes the ratio of the two plain series measured in this one run, so a
 //!   phase that silently goes serial again fails CI on a runner of any speed.
 //!
+//! Built with `--features opcount`, every one-worker series also carries
+//! `opcount`: per-round totals, over the same rounds, of the operations
+//! `cycledger_crypto::opcount` tallies — field multiplications and
+//! squarings, inversions, doublings, mixed additions, SHA-256 compressions,
+//! DRBG instantiations, signatures verified singly and in batches, memo
+//! lookups and envelopes. At one worker every task runs on the driver
+//! thread, whose tally this is (the workload's draw-ahead thread is not
+//! counted), so the counts repeat exactly; `scripts/perf_gate.py --counts`
+//! gates the plain series' against `BENCH_round.json`.
+//!
 //! The binary installs [`alloccount::CountingAllocator`] as the global
 //! allocator (built with counting enabled), so the reported allocation counts
 //! cover every heap allocation the round engine performs — worker threads
@@ -81,12 +91,16 @@ fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, J
     sim.run_round();
 
     let start_batches = sim.executor().batches_executed();
+    #[cfg(feature = "opcount")]
+    let start_ops = cycledger_crypto::opcount::current();
     let start_alloc = alloccount::snapshot();
     let start = Instant::now();
     for _ in 0..ALLOC_ROUNDS {
         sim.run_round();
     }
     let d = alloccount::snapshot().since(&start_alloc);
+    #[cfg(feature = "opcount")]
+    let ops = op_counts(&start_ops, &cycledger_crypto::opcount::current());
     let batches = (sim.executor().batches_executed() - start_batches) as u64;
     assert!(d.allocations > 0, "counting allocator saw no allocations");
     let counted = &sim.reports()[1..=ALLOC_ROUNDS as usize];
@@ -123,7 +137,51 @@ fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, J
         ("batches_per_round", Json::Num(per_round(batches), 2)),
         ("rounds_measured", Json::Int(rounds)),
     ]);
+    #[cfg(feature = "opcount")]
+    let series = match series {
+        Json::Obj(mut fields) if workers == 1 => {
+            fields.push(("opcount".into(), ops));
+            Json::Obj(fields)
+        }
+        series => series,
+    };
     (rounds_per_sec, series)
+}
+
+/// The operations the driver thread tallied between two readings, per
+/// round over [`ALLOC_ROUNDS`] rounds.
+#[cfg(feature = "opcount")]
+fn op_counts(
+    before: &cycledger_crypto::opcount::Tally,
+    after: &cycledger_crypto::opcount::Tally,
+) -> Json {
+    let per_round = |count: fn(&cycledger_crypto::opcount::Tally) -> u64| {
+        Json::Num(
+            (count(after) - count(before)) as f64 / ALLOC_ROUNDS as f64,
+            1,
+        )
+    };
+    Json::obj([
+        (
+            "field_muls_per_round",
+            per_round(|t| t.fe_mul + t.fe_square),
+        ),
+        ("inversions_per_round", per_round(|t| t.fe_invert)),
+        ("doublings_per_round", per_round(|t| t.point_double)),
+        (
+            "mixed_additions_per_round",
+            per_round(|t| t.point_add_affine),
+        ),
+        ("sha256_blocks_per_round", per_round(|t| t.sha256_blocks)),
+        (
+            "drbg_instantiations_per_round",
+            per_round(|t| t.drbg_instantiations),
+        ),
+        ("sigs_single_per_round", per_round(|t| t.sigs_single)),
+        ("sigs_batched_per_round", per_round(|t| t.sigs_batched)),
+        ("memo_lookups_per_round", per_round(|t| t.memo_lookups)),
+        ("envelopes_per_round", per_round(|t| t.envelopes_sent)),
+    ])
 }
 
 /// Describes the epoch-lifecycle variant measured by `*_epoch` series.

@@ -50,7 +50,7 @@ use cycledger_consensus::sigcache::SigCache;
 use cycledger_consensus::transition::{self, Paper, Rules};
 use cycledger_consensus::votes::{Vote, VoteList, VoteVector};
 use cycledger_consensus::witness::EquivocationEvidence;
-use cycledger_crypto::schnorr::Keypair;
+use cycledger_crypto::schnorr::{Keypair, PreparedKey};
 use cycledger_crypto::sha256::{sha256, Digest};
 use cycledger_net::time::{Deadline, SimTime};
 use cycledger_net::topology::NodeId;
@@ -158,7 +158,11 @@ impl Fixture {
         Fixture {
             seats: members.iter().map(|(node, _)| *node).collect(),
             keypairs: members.iter().map(|(_, keypair)| *keypair).collect(),
-            keys: CommitteeKeys::new(members.iter().map(|(node, kp)| (*node, kp.public))),
+            keys: CommitteeKeys::new(
+                members
+                    .iter()
+                    .map(|(node, kp)| (*node, PreparedKey::new(kp.public))),
+            ),
             tx,
             memo: SigCache::new(),
         }

@@ -719,6 +719,7 @@ mod tests {
     use super::*;
     use crate::messages::payload_digest;
     use cycledger_crypto::hmac::HmacDrbg;
+    use cycledger_crypto::schnorr::PreparedKey;
 
     /// Builds a committee of `n` members; node 0 is the leader.
     fn committee(n: usize) -> (Vec<Keypair>, CommitteeKeys) {
@@ -729,7 +730,7 @@ mod tests {
             keypairs
                 .iter()
                 .enumerate()
-                .map(|(i, kp)| (NodeId(i as u32), kp.public)),
+                .map(|(i, kp)| (NodeId(i as u32), PreparedKey::new(kp.public))),
         );
         (keypairs, keys)
     }
@@ -1355,7 +1356,12 @@ mod tests {
             .map(|i| Keypair::from_seed(seed(i).as_bytes()))
             .collect();
         let nodes: Vec<NodeId> = (0..c as u32).map(NodeId).collect();
-        let keys = CommitteeKeys::new(nodes.iter().zip(&keypairs).map(|(n, kp)| (*n, kp.public)));
+        let keys = CommitteeKeys::new(
+            nodes
+                .iter()
+                .zip(&keypairs)
+                .map(|(n, kp)| (*n, PreparedKey::new(kp.public))),
+        );
         let seats = Seats {
             nodes: &nodes,
             keypairs: &keypairs,

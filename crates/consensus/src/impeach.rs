@@ -13,7 +13,7 @@
 
 use std::marker::PhantomData;
 
-use cycledger_crypto::schnorr::PublicKey;
+use cycledger_crypto::schnorr::VerifyingKey;
 use cycledger_net::topology::NodeId;
 
 use crate::transition::{
@@ -118,7 +118,7 @@ impl<'c, R: Rules> Impeachment<'c, R> {
         seats: &'c [NodeId],
         leader: NodeId,
         accusation: &Accusation,
-        accused_key: &PublicKey,
+        accused_key: &impl VerifyingKey,
         prosecutor: NodeId,
         prosecutor_is_honest: bool,
     ) -> Self {

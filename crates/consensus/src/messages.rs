@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use cycledger_crypto::schnorr::{sign, Keypair, PublicKey, SecretKey, Signature};
+use cycledger_crypto::schnorr::{sign, Keypair, PreparedKey, SecretKey, Signature};
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::topology::NodeId;
 
@@ -225,7 +225,7 @@ pub fn payload_digest(payload: &[u8]) -> Digest {
 /// checks the *same* `(leader key, header, signature)` triple; the shared memo
 /// collapses those to a single curve evaluation. The digest/payload
 /// consistency check still runs per call.
-pub fn verify_propose_cached(propose: &Propose, leader_pk: &PublicKey, cache: &SigCache) -> bool {
+pub fn verify_propose_cached(propose: &Propose, leader_pk: &PreparedKey, cache: &SigCache) -> bool {
     propose.digest == payload_digest(&propose.payload)
         && cache.verify(
             leader_pk,
@@ -270,8 +270,8 @@ pub fn make_echo_unsigned(propose: &Propose, member: NodeId) -> Echo {
 /// ([`SigCache::verify_batch`]).
 pub fn verify_echo_cached(
     echo: &Echo,
-    member_pk: &PublicKey,
-    leader_pk: &PublicKey,
+    member_pk: &PreparedKey,
+    leader_pk: &PreparedKey,
     cache: &SigCache,
 ) -> bool {
     cache.verify(
@@ -325,6 +325,10 @@ mod tests {
     use super::*;
     use cycledger_crypto::schnorr::verify;
 
+    fn prepared(kp: &Keypair) -> PreparedKey {
+        PreparedKey::new(kp.public)
+    }
+
     fn id() -> ConsensusId {
         ConsensusId { round: 3, seq: 11 }
     }
@@ -333,7 +337,11 @@ mod tests {
     fn propose_round_trip() {
         let leader = Keypair::from_seed(b"leader");
         let p = make_propose(id(), b"payload".to_vec(), NodeId(0), &leader);
-        assert!(verify_propose_cached(&p, &leader.public, &SigCache::new()));
+        assert!(verify_propose_cached(
+            &p,
+            &prepared(&leader),
+            &SigCache::new()
+        ));
         assert_eq!(p.digest, payload_digest(b"payload"));
     }
 
@@ -342,7 +350,11 @@ mod tests {
         let leader = Keypair::from_seed(b"leader");
         let mut p = make_propose(id(), b"payload".to_vec(), NodeId(0), &leader);
         p.payload = Arc::new(b"swapped".to_vec());
-        assert!(!verify_propose_cached(&p, &leader.public, &SigCache::new()));
+        assert!(!verify_propose_cached(
+            &p,
+            &prepared(&leader),
+            &SigCache::new()
+        ));
     }
 
     #[test]
@@ -356,8 +368,8 @@ mod tests {
         let bad = make_echo(&forged_propose, NodeId(5), &member);
         assert!(!verify_echo_cached(
             &bad,
-            &member.public,
-            &leader.public,
+            &prepared(&member),
+            &prepared(&leader),
             &cache
         ));
     }
@@ -375,18 +387,18 @@ mod tests {
         assert!(verify(&member.public, &confirm_bytes, &c.signature));
         assert!(!verify(&impostor.public, &confirm_bytes, &c.signature));
         for _ in 0..2 {
-            assert!(verify_propose_cached(&p, &leader.public, &cache));
-            assert!(!verify_propose_cached(&p, &impostor.public, &cache));
+            assert!(verify_propose_cached(&p, &prepared(&leader), &cache));
+            assert!(!verify_propose_cached(&p, &prepared(&impostor), &cache));
             assert!(verify_echo_cached(
                 &e,
-                &member.public,
-                &leader.public,
+                &prepared(&member),
+                &prepared(&leader),
                 &cache
             ));
             assert!(!verify_echo_cached(
                 &e,
-                &impostor.public,
-                &leader.public,
+                &prepared(&impostor),
+                &prepared(&leader),
                 &cache
             ));
         }

@@ -10,14 +10,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use cycledger_crypto::schnorr::{BatchEntry, PublicKey, Signature};
+use cycledger_crypto::schnorr::{BatchEntry, PreparedKey, Signature};
 use cycledger_crypto::sha256::Digest;
 use cycledger_net::topology::NodeId;
 
 use crate::messages::{confirm_signing_bytes, ConsensusId};
 use crate::sigcache::SigCache;
 
-/// The public keys of a committee, indexed by node id.
+/// The public keys of a committee, indexed by node id, each with the table
+/// its registration built ([`PreparedKey`]): every signature a member checks
+/// multiplies the signer's key through it.
 ///
 /// The directory is immutable once built and shared behind an `Arc`: one
 /// Algorithm 3 instance hands a copy to every member state machine, so a
@@ -25,19 +27,21 @@ use crate::sigcache::SigCache;
 /// keys per member (the seed paid that `O(C²)` copy per instance).
 #[derive(Clone, Debug, Default)]
 pub struct CommitteeKeys {
-    keys: Arc<BTreeMap<NodeId, PublicKey>>,
+    keys: Arc<BTreeMap<NodeId, PreparedKey>>,
 }
 
 impl CommitteeKeys {
-    /// Builds the key directory from `(node, key)` pairs.
-    pub fn new(pairs: impl IntoIterator<Item = (NodeId, PublicKey)>) -> Self {
+    /// Builds the key directory from `(node, key)` pairs. The keys come
+    /// prepared (the node registry's, or a test's prepared on the spot): a
+    /// directory builds no table.
+    pub fn new(pairs: impl IntoIterator<Item = (NodeId, PreparedKey)>) -> Self {
         CommitteeKeys {
             keys: Arc::new(pairs.into_iter().collect()),
         }
     }
 
     /// Looks up a member's key.
-    pub fn get(&self, node: NodeId) -> Option<&PublicKey> {
+    pub fn get(&self, node: NodeId) -> Option<&PreparedKey> {
         self.keys.get(&node)
     }
 
@@ -229,9 +233,9 @@ fn verify_certs_memoized(
             }
         }
     }
-    let entries: Vec<BatchEntry<'_>> = misses
+    let entries: Vec<BatchEntry<'_, PreparedKey>> = misses
         .iter()
-        .map(|(_, public_key, message, signature)| BatchEntry {
+        .map(|&(_, public_key, ref message, signature)| BatchEntry {
             public_key,
             message,
             signature,
@@ -280,7 +284,7 @@ mod tests {
             keypairs
                 .iter()
                 .enumerate()
-                .map(|(i, kp)| (NodeId(i as u32), kp.public)),
+                .map(|(i, kp)| (NodeId(i as u32), PreparedKey::new(kp.public))),
         );
         (keypairs, keys)
     }
@@ -414,7 +418,7 @@ mod tests {
             kps_b
                 .iter()
                 .enumerate()
-                .map(|(i, kp)| (NodeId(i as u32), kp.public)),
+                .map(|(i, kp)| (NodeId(i as u32), PreparedKey::new(kp.public))),
         );
         let kps_c: Vec<Keypair> = (0..5)
             .map(|i| Keypair::from_seed(format!("qc-c-{i}").as_bytes()))
@@ -423,7 +427,7 @@ mod tests {
             kps_c
                 .iter()
                 .enumerate()
-                .map(|(i, kp)| (NodeId(i as u32), kp.public)),
+                .map(|(i, kp)| (NodeId(i as u32), PreparedKey::new(kp.public))),
         );
         let digest = cycledger_crypto::sha256::sha256(b"decision");
         let qc_a = certificate(&kps_a, &[0, 1, 2], digest);

@@ -54,7 +54,9 @@ use std::rc::Rc;
 
 use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::opcount::{count, Op};
-use cycledger_crypto::schnorr::{batch_verify_each, verify, BatchEntry, PublicKey, Signature};
+use cycledger_crypto::schnorr::{
+    batch_verify_each, verify, BatchEntry, PreparedKey, PublicKey, Signature, VerifyingKey,
+};
 
 use crate::messages::CONFIRM_SIGNING_LEN;
 
@@ -95,8 +97,10 @@ impl Slot {
 
 impl Verdicts {
     /// The verdict on `entry`, if one is in.
-    fn find(&self, entry: &BatchEntry<'_>) -> Option<bool> {
-        let mut slot = self.first.get(&(*entry.public_key, *entry.signature))?;
+    fn find(&self, entry: &BatchEntry<'_, PreparedKey>) -> Option<bool> {
+        let mut slot = self
+            .first
+            .get(&(*entry.public_key.public_key(), *entry.signature))?;
         while !slot.holds(&self.bytes, entry.message) {
             slot = &self.replayed[slot.next?];
         }
@@ -105,14 +109,17 @@ impl Verdicts {
 
     /// Records `ok` for `entry` unless a verdict on it is already in — one
     /// batch may hold the same unknown triple twice.
-    fn insert(&mut self, entry: &BatchEntry<'_>, ok: bool) {
+    fn insert(&mut self, entry: &BatchEntry<'_, PreparedKey>, ok: bool) {
         let slot = Slot {
             offset: self.bytes.len(),
             len: entry.message.len(),
             ok,
             next: None,
         };
-        let mut last = match self.first.entry((*entry.public_key, *entry.signature)) {
+        let mut last = match self
+            .first
+            .entry((*entry.public_key.public_key(), *entry.signature))
+        {
             Entry::Vacant(vacant) => {
                 vacant.insert(slot);
                 self.bytes.extend_from_slice(entry.message);
@@ -207,25 +214,25 @@ impl SigCache {
     }
 
     /// The verdict on `entry`, if the memo holds one.
-    pub(crate) fn lookup(&self, entry: &BatchEntry<'_>) -> Option<bool> {
+    pub(crate) fn lookup(&self, entry: &BatchEntry<'_, PreparedKey>) -> Option<bool> {
         count(Op::MemoLookup);
         self.memo.table.borrow().find(entry)
     }
 
     /// Checks a triple the memo lacks and records the verdict.
-    fn verify_unknown(&self, entry: &BatchEntry<'_>) -> bool {
+    fn verify_unknown(&self, entry: &BatchEntry<'_, PreparedKey>) -> bool {
         let ok = verify(entry.public_key, entry.message, entry.signature);
         self.memoize(entry, ok);
         ok
     }
 
-    fn memoize(&self, entry: &BatchEntry<'_>, ok: bool) {
+    fn memoize(&self, entry: &BatchEntry<'_, PreparedKey>, ok: bool) {
         self.memo.table.borrow_mut().insert(entry, ok);
     }
 
     /// Verifies `signature` by `public_key` over `message`, serving repeated
     /// queries for the same triple from the memo.
-    pub fn verify(&self, public_key: &PublicKey, message: &[u8], signature: &Signature) -> bool {
+    pub fn verify(&self, public_key: &PreparedKey, message: &[u8], signature: &Signature) -> bool {
         let entry = BatchEntry {
             public_key,
             message,
@@ -245,7 +252,7 @@ impl SigCache {
     ///
     /// The verdicts are lent from the memo's scratch: drop them before the
     /// next batch of this memo.
-    pub fn verify_batch(&self, entries: &[BatchEntry<'_>]) -> Ref<'_, [bool]> {
+    pub fn verify_batch(&self, entries: &[BatchEntry<'_, PreparedKey>]) -> Ref<'_, [bool]> {
         {
             let mut scratch = self.memo.scratch.borrow_mut();
             let Scratch {
@@ -263,7 +270,7 @@ impl SigCache {
     /// allocates nothing once the instance's first has sized the buffers.
     pub(crate) fn verify_signed<'e, const N: usize>(
         &self,
-        signers: impl Iterator<Item = (&'e PublicKey, &'e Signature)> + Clone,
+        signers: impl Iterator<Item = (&'e PreparedKey, &'e Signature)> + Clone,
         signed: impl Iterator<Item = [u8; N]>,
     ) -> Ref<'_, [bool]> {
         {
@@ -296,7 +303,7 @@ impl SigCache {
     /// answers, `verdicts` the result.
     fn check<'e>(
         &self,
-        entries: impl Iterator<Item = BatchEntry<'e>> + Clone,
+        entries: impl Iterator<Item = BatchEntry<'e, PreparedKey>> + Clone,
         known: &mut Vec<Option<bool>>,
         verdicts: &mut Vec<bool>,
     ) {
@@ -338,30 +345,32 @@ mod tests {
     fn memo_matches_direct_verification() {
         let kp = Keypair::from_seed(b"sigcache-a");
         let other = Keypair::from_seed(b"sigcache-b");
+        let (key, other_key) = (PreparedKey::new(kp.public), PreparedKey::new(other.public));
         let sig = kp.sign(b"message");
         let cache = SigCache::new();
-        assert!(cache.verify(&kp.public, b"message", &sig));
+        assert!(cache.verify(&key, b"message", &sig));
         // Served from the memo; still true, no growth.
-        assert!(cache.verify(&kp.public, b"message", &sig));
+        assert!(cache.verify(&key, b"message", &sig));
         assert_eq!(cache.len(), 1);
         // Distinct triples are distinct entries, with the right verdicts.
-        assert!(!cache.verify(&other.public, b"message", &sig));
-        assert!(!cache.verify(&kp.public, b"other message", &sig));
-        assert!(!cache.verify(&kp.public, b"message", &other.sign(b"message")));
+        assert!(!cache.verify(&other_key, b"message", &sig));
+        assert!(!cache.verify(&key, b"other message", &sig));
+        assert!(!cache.verify(&key, b"message", &other.sign(b"message")));
         assert_eq!(cache.len(), 4);
     }
 
     #[test]
     fn a_signature_replayed_under_many_messages_keeps_every_verdict() {
         let kp = Keypair::from_seed(b"sigcache-replay");
+        let key = PreparedKey::new(kp.public);
         let sig = kp.sign(b"the signed one");
         let cache = SigCache::new();
         let replays: Vec<Vec<u8>> = (0..5).map(|i| format!("replay {i}").into_bytes()).collect();
         // The valid triple lands in the middle of the chain.
         for (i, message) in replays.iter().enumerate() {
-            assert!(!cache.verify(&kp.public, message, &sig));
+            assert!(!cache.verify(&key, message, &sig));
             if i == 2 {
-                assert!(cache.verify(&kp.public, b"the signed one", &sig));
+                assert!(cache.verify(&key, b"the signed one", &sig));
             }
         }
         assert_eq!(cache.len(), 6);
@@ -369,27 +378,28 @@ mod tests {
         assert_eq!((verdicts.first.len(), verdicts.replayed.len()), (1, 5));
         let cache = SigCache::from(verdicts);
         for message in &replays {
-            assert!(!cache.verify(&kp.public, message, &sig));
+            assert!(!cache.verify(&key, message, &sig));
         }
-        assert!(cache.verify(&kp.public, b"the signed one", &sig));
+        assert!(cache.verify(&key, b"the signed one", &sig));
         assert_eq!(cache.len(), 6, "every one was a hit");
     }
 
     #[test]
     fn clones_share_one_memo() {
         let kp = Keypair::from_seed(b"sigcache-c");
+        let key = PreparedKey::new(kp.public);
         let sig = kp.sign(b"shared");
         let cache = SigCache::new();
         let handle = cache.clone();
         assert!(cache.is_empty());
         let entry = BatchEntry {
-            public_key: &kp.public,
+            public_key: &key,
             message: b"shared",
             signature: &sig,
         };
         assert_eq!(*handle.verify_batch(&[entry]), [true]);
         assert_eq!(cache.len(), 1, "clone writes into the shared table");
-        assert!(cache.verify(&kp.public, b"shared", &sig));
+        assert!(cache.verify(&key, b"shared", &sig));
         assert_eq!(handle.len(), 1);
     }
 
@@ -412,33 +422,37 @@ mod tests {
         assert_eq!(received.len(), 4, "all four were hits, the `false` too");
     }
 
-    /// `n` signers over distinct messages, with the signatures at `forged`
-    /// made over a different message.
-    fn signed(n: usize, forged: &[usize]) -> (Vec<Keypair>, Vec<Vec<u8>>, Vec<Signature>) {
-        let keys: Vec<Keypair> = (0..n)
+    /// The keys of `n` signers over distinct messages, with the signatures at
+    /// `forged` made over a different message.
+    fn signed(n: usize, forged: &[usize]) -> (Vec<PreparedKey>, Vec<Vec<u8>>, Vec<Signature>) {
+        let signers: Vec<Keypair> = (0..n)
             .map(|i| Keypair::from_seed(format!("sigcache-batch-{i}").as_bytes()))
             .collect();
         let messages: Vec<Vec<u8>> = (0..n).map(|i| format!("echo {i}").into_bytes()).collect();
         let signatures = (0..n)
             .map(|i| {
                 if forged.contains(&i) {
-                    keys[i].sign(b"something else")
+                    signers[i].sign(b"something else")
                 } else {
-                    keys[i].sign(&messages[i])
+                    signers[i].sign(&messages[i])
                 }
             })
+            .collect();
+        let keys = signers
+            .iter()
+            .map(|kp| PreparedKey::new(kp.public))
             .collect();
         (keys, messages, signatures)
     }
 
     fn entries<'a>(
-        keys: &'a [Keypair],
+        keys: &'a [PreparedKey],
         messages: &'a [Vec<u8>],
         signatures: &'a [Signature],
-    ) -> Vec<BatchEntry<'a>> {
+    ) -> Vec<BatchEntry<'a, PreparedKey>> {
         (0..keys.len())
             .map(|i| BatchEntry {
-                public_key: &keys[i].public,
+                public_key: &keys[i],
                 message: &messages[i],
                 signature: &signatures[i],
             })
@@ -473,7 +487,7 @@ mod tests {
         let made = messages
             .iter()
             .map(|m| <[u8; 6]>::try_from(&m[..]).unwrap());
-        let signers = keys.iter().map(|k| &k.public).zip(&signatures);
+        let signers = keys.iter().zip(&signatures);
         let expected = [true, false, true, false, true];
         let cache = SigCache::new();
         assert_eq!(*cache.verify_signed(signers, made), expected);
@@ -490,8 +504,8 @@ mod tests {
         let batch = entries(&keys, &messages, &signatures);
         let cache = SigCache::new();
         // Two verdicts, one of them `false`, are known before the batch.
-        assert!(cache.verify(&keys[1].public, &messages[1], &signatures[1]));
-        assert!(!cache.verify(&keys[3].public, &messages[3], &signatures[3]));
+        assert!(cache.verify(&keys[1], &messages[1], &signatures[1]));
+        assert!(!cache.verify(&keys[3], &messages[3], &signatures[3]));
         assert_eq!(
             *cache.verify_batch(&batch),
             [true, true, true, false, true],
@@ -531,7 +545,7 @@ mod tests {
             ..Tally::default()
         };
         assert_eq!(scope(|| drop(cache.verify_batch(&batch))), hits);
-        let one = scope(|| cache.verify(&keys[1].public, &messages[1], &signatures[1]));
+        let one = scope(|| cache.verify(&keys[1], &messages[1], &signatures[1]));
         assert_eq!(
             one,
             Tally {

@@ -16,7 +16,7 @@
 //! signature, which cannot be forged). The verification functions here are what
 //! the referee committee runs before evicting a leader.
 
-use cycledger_crypto::schnorr::{verify, PublicKey, Signature};
+use cycledger_crypto::schnorr::{verify, Signature, VerifyingKey};
 use cycledger_crypto::sha256::{hash_parts, Digest};
 use cycledger_net::topology::NodeId;
 
@@ -42,7 +42,7 @@ pub struct EquivocationEvidence {
 impl EquivocationEvidence {
     /// Verifies the evidence against the leader's public key: both signatures
     /// must be valid leader signatures and the digests must differ.
-    pub fn verify(&self, leader_pk: &PublicKey) -> bool {
+    pub fn verify(&self, leader_pk: &impl VerifyingKey) -> bool {
         crate::transition::digests_conflict(&self.digest_a, &self.digest_b)
             && verify(
                 leader_pk,
@@ -94,7 +94,7 @@ pub struct CommitmentMismatchEvidence {
 impl CommitmentMismatchEvidence {
     /// Verifies the evidence: the leader really signed this member list, and its
     /// hash differs from the recorded semi-commitment.
-    pub fn verify(&self, leader_pk: &PublicKey) -> bool {
+    pub fn verify(&self, leader_pk: &impl VerifyingKey) -> bool {
         crate::transition::digests_conflict(
             &semi_commitment(&self.member_list),
             &self.recorded_commitment,
@@ -125,7 +125,7 @@ impl Witness {
     }
 
     /// Verifies the witness against the accused leader's public key.
-    pub fn verify(&self, leader_pk: &PublicKey) -> bool {
+    pub fn verify(&self, leader_pk: &impl VerifyingKey) -> bool {
         match self {
             Witness::Equivocation(e) => e.verify(leader_pk),
             Witness::CommitmentMismatch(e) => e.verify(leader_pk),

@@ -151,8 +151,8 @@ impl Fe {
     }
 
     /// `self^(2^n)`: `n` squarings. The second (and last) copy of the
-    /// squaring body: the inversion and square-root chains spend 250 of their
-    /// 270 steps in this loop, where a call per step costs 20 %.
+    /// squaring body: the square-root chain spends 250 of its 266 steps in
+    /// this loop, where a call per step costs 20 %.
     #[inline(never)]
     fn square_n(&self, n: usize) -> Fe {
         let mut acc = *self;
@@ -201,7 +201,8 @@ impl Fe {
         }
     }
 
-    /// The shared prefix of the `p − 2` and `(p + 1)/4` addition chains.
+    /// The shared prefix of the `(p + 1)/4` addition chain of
+    /// [`sqrt`](Self::sqrt) and of the tests' `p − 2` one.
     /// `p = 2^256 − 2^32 − 977` is, in binary, 223 ones, a zero, 22 ones and
     /// a ten-bit tail, so both exponents are built from runs of ones: returns
     /// `(x2, x22, x223)` with `x_k = self^(2^k − 1)`. 221 squarings and 10
@@ -221,24 +222,44 @@ impl Fe {
         (x2, x22, x223)
     }
 
-    /// Multiplicative inverse `a^(p−2)` (Fermat) on a fixed addition chain:
-    /// 255 squarings and 15 multiplications, against 255 + 248 for generic
-    /// square-and-multiply over an exponent that is almost all ones.
+    /// Multiplicative inverse, by Bernstein–Yang divsteps in the
+    /// variable-time form libsecp256k1 ships ("Fast constant-time gcd
+    /// computation and modular inversion", TCHES 2019): batches of 62
+    /// divsteps on the low limbs of `f = p` and `g = self` give a 2×2
+    /// transition matrix, applied to the whole of `f`, `g` and to the
+    /// coefficients `d`, `e` in signed 62-bit limbs, until `g` is zero; `d`
+    /// is then `±self⁻¹`. At most twelve batches and no field
+    /// multiplication, where the Fermat chain (`a^(p−2)`, the tests' oracle)
+    /// costs 255 squarings and 15 multiplications.
     ///
     /// Panics if `self` is zero.
     pub fn invert(&self) -> Fe {
         assert!(!self.is_zero(), "cannot invert zero");
         count(Op::FeInvert);
-        let (x2, x22, x223) = self.ones_runs();
-        // p − 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1.
-        x223.square_n(23)
-            .mul(&x22)
-            .square_n(5)
-            .mul(self)
-            .square_n(3)
-            .mul(&x2)
-            .square_n(2)
-            .mul(self)
+        let (mut d, mut e) = ([0i64; 5], [1i64, 0, 0, 0, 0]);
+        let (mut f, mut g) = (P62, to_signed62(&self.0));
+        let mut len = 5;
+        // eta = −delta, and delta starts at 1.
+        let mut eta = -1;
+        loop {
+            let t;
+            (eta, t) = divsteps_62(eta, f[0] as u64, g[0] as u64);
+            update_de(&mut d, &mut e, &t);
+            update_fg(len, &mut f, &mut g, &t);
+            if g[..len].iter().all(|&limb| limb == 0) {
+                break;
+            }
+            // Both top limbs 0 or −1: fold their sign into the limb below
+            // and drop a limb.
+            let (f_top, g_top) = (f[len - 1], g[len - 1]);
+            if len > 1 && (f_top ^ (f_top >> 63)) == 0 && (g_top ^ (g_top >> 63)) == 0 {
+                f[len - 2] |= f_top << 62;
+                g[len - 2] |= g_top << 62;
+                len -= 1;
+            }
+        }
+        // g = 0, so f = ±gcd(p, self) = ±1 and d = ±self⁻¹ in (−2p, p).
+        Fe(normalize_62(d, f[len - 1]))
     }
 
     /// Montgomery batch inversion: inverts every nonzero element in place with
@@ -247,29 +268,40 @@ impl Fe {
     /// [`Point::batch_to_affine`](crate::point::Point::batch_to_affine) skips
     /// the point at infinity.
     pub fn batch_invert(elements: &mut [Fe]) {
-        let mut prefix = Vec::with_capacity(elements.len());
+        Fe::batch_invert_in(elements, &mut vec![Fe::zero(); elements.len()]);
+    }
+
+    /// [`batch_invert`](Self::batch_invert) of a fixed number of elements,
+    /// its scratch on the stack: a VRF proof's three points allocate
+    /// nothing.
+    pub fn batch_invert_array<const N: usize>(elements: &mut [Fe; N]) {
+        Fe::batch_invert_in(elements, &mut [Fe::zero(); N]);
+    }
+
+    /// The batch inversion, `prefix` (as long as `elements`) its scratch.
+    fn batch_invert_in(elements: &mut [Fe], prefix: &mut [Fe]) {
         let mut acc = Fe::one();
-        for e in elements.iter() {
-            prefix.push(acc);
+        for (e, pre) in elements.iter().zip(prefix.iter_mut()) {
+            *pre = acc;
             if !e.is_zero() {
                 acc = acc.mul(e);
             }
         }
         // acc is the product of all nonzero entries (or one, if none).
         let mut inv = acc.invert();
-        for (e, pre) in elements.iter_mut().zip(prefix).rev() {
+        for (e, pre) in elements.iter_mut().zip(prefix.iter()).rev() {
             if e.is_zero() {
                 continue;
             }
             let original = *e;
-            *e = inv.mul(&pre);
+            *e = inv.mul(pre);
             inv = inv.mul(&original);
         }
     }
 
     /// Square root via the `p ≡ 3 (mod 4)` shortcut `sqrt(a) = a^((p+1)/4)`,
-    /// on the same addition chain as [`invert`](Self::invert) (253 squarings,
-    /// 13 multiplications).
+    /// on an addition chain built from runs of ones (253 squarings, 13
+    /// multiplications).
     ///
     /// Returns `None` if `self` is a quadratic non-residue.
     pub fn sqrt(&self) -> Option<Fe> {
@@ -282,6 +314,177 @@ impl Fe {
             None
         }
     }
+}
+
+/// Mask of a signed-62 limb's value bits.
+const M62: u64 = u64::MAX >> 2;
+
+/// `p` in signed 62-bit limbs (`Σ v[i]·2^(62·i)`): `2^256 − (2^32 + 977)`.
+const P62: [i64; 5] = [-(P_COMPLEMENT as i64), 0, 0, 0, 256];
+
+/// `p⁻¹ mod 2^62`, by Newton's iteration on the low limb (each step doubles
+/// the correct bits, from the three every odd number gets right).
+const P_INV62: u64 = {
+    let p0 = FIELD_PRIME.limbs[0];
+    let mut inv = p0;
+    let mut step = 0;
+    while step < 5 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(p0.wrapping_mul(inv)));
+        step += 1;
+    }
+    inv & M62
+};
+
+/// A reduced value in signed 62-bit limbs (all of them non-negative).
+fn to_signed62(v: &U256) -> [i64; 5] {
+    let [a0, a1, a2, a3] = v.limbs;
+    [
+        (a0 & M62) as i64,
+        ((a0 >> 62 | a1 << 2) & M62) as i64,
+        ((a1 >> 60 | a2 << 4) & M62) as i64,
+        ((a2 >> 58 | a3 << 6) & M62) as i64,
+        (a3 >> 56) as i64,
+    ]
+}
+
+/// Up to 62 divsteps on the low bits `f0` (odd) and `g0` of `f` and `g`:
+/// returns the new `eta` and the matrix `[u, v, q, r]` with
+/// `2^62·(f', g') = (u·f + v·g, q·f + r·g)`. A run of zeros at the bottom of
+/// `g` is one shift, and a step that swaps cancels up to six bits of `g` at
+/// once (four when it does not).
+fn divsteps_62(mut eta: i64, f0: u64, g0: u64) -> (i64, [i64; 4]) {
+    let (mut u, mut v, mut q, mut r) = (1u64, 0u64, 0u64, 1u64);
+    let (mut f, mut g) = (f0, g0);
+    let mut left = 62u32;
+    loop {
+        // The sentinel bit stops the count at the steps left.
+        let zeros = (g | (u64::MAX << left)).trailing_zeros();
+        g >>= zeros;
+        u <<= zeros;
+        v <<= zeros;
+        eta -= i64::from(zeros);
+        left -= zeros;
+        if left == 0 {
+            break;
+        }
+        // f and g are odd here. With eta < 0 the step swaps: (f, g)
+        // becomes (g, −f).
+        let swap = eta < 0;
+        if swap {
+            eta = -eta;
+            (f, g) = (g, f.wrapping_neg());
+            (u, q) = (q, u.wrapping_neg());
+            (v, r) = (r, v.wrapping_neg());
+        }
+        // Cancel the low bits of g with a multiple w of f: at most `left`
+        // (the batch ends there) and `eta + 1` (eta's sign flips after
+        // that), and six of them after a swap, four otherwise.
+        let limit = (eta + 1).min(i64::from(left));
+        let (mask, w) = if swap {
+            // −g/f mod 64, with 1/f = f·(2 − f²) mod 64.
+            let w = f
+                .wrapping_mul(g)
+                .wrapping_mul(f.wrapping_mul(f).wrapping_sub(2));
+            ((u64::MAX >> (64 - limit)) & 63, w)
+        } else {
+            // 1/f mod 16, then −g/f.
+            let f_inv = f.wrapping_add((f.wrapping_add(1) & 4) << 1);
+            (
+                (u64::MAX >> (64 - limit)) & 15,
+                f_inv.wrapping_neg().wrapping_mul(g),
+            )
+        };
+        let w = w & mask;
+        g = g.wrapping_add(f.wrapping_mul(w));
+        q = q.wrapping_add(u.wrapping_mul(w));
+        r = r.wrapping_add(v.wrapping_mul(w));
+    }
+    (eta, [u as i64, v as i64, q as i64, r as i64])
+}
+
+/// `(d, e) ← t·(d, e) / 2^62 mod p`, keeping both in `(−2p, p)`: a multiple
+/// of `p` chosen to clear the low 62 bits is added before the shift.
+fn update_de(d: &mut [i64; 5], e: &mut [i64; 5], t: &[i64; 4]) {
+    let [u, v, q, r] = *t;
+    // Start from [u, q] if d is negative and [v, r] if e is.
+    let (sd, se) = (d[4] >> 63, e[4] >> 63);
+    let mut md = (u & sd) + (v & se);
+    let mut me = (q & sd) + (r & se);
+    let (u, v, q, r) = (i128::from(u), i128::from(v), i128::from(q), i128::from(r));
+    let mut cd = u * i128::from(d[0]) + v * i128::from(e[0]);
+    let mut ce = q * i128::from(d[0]) + r * i128::from(e[0]);
+    md -= (P_INV62.wrapping_mul(cd as u64).wrapping_add(md as u64) & M62) as i64;
+    me -= (P_INV62.wrapping_mul(ce as u64).wrapping_add(me as u64) & M62) as i64;
+    cd += i128::from(P62[0]) * i128::from(md);
+    ce += i128::from(P62[0]) * i128::from(me);
+    debug_assert_eq!((cd as u64 & M62, ce as u64 & M62), (0, 0));
+    cd >>= 62;
+    ce >>= 62;
+    for i in 1..5 {
+        cd += u * i128::from(d[i]) + v * i128::from(e[i]) + i128::from(P62[i]) * i128::from(md);
+        ce += q * i128::from(d[i]) + r * i128::from(e[i]) + i128::from(P62[i]) * i128::from(me);
+        d[i - 1] = (cd as u64 & M62) as i64;
+        e[i - 1] = (ce as u64 & M62) as i64;
+        cd >>= 62;
+        ce >>= 62;
+    }
+    d[4] = cd as i64;
+    e[4] = ce as i64;
+}
+
+/// `(f, g) ← t·(f, g) / 2^62` over their first `len` limbs (the division is
+/// exact: the divsteps cleared the low 62 bits).
+fn update_fg(len: usize, f: &mut [i64; 5], g: &mut [i64; 5], t: &[i64; 4]) {
+    let [u, v, q, r] = t.map(i128::from);
+    let mut cf = u * i128::from(f[0]) + v * i128::from(g[0]);
+    let mut cg = q * i128::from(f[0]) + r * i128::from(g[0]);
+    debug_assert_eq!((cf as u64 & M62, cg as u64 & M62), (0, 0));
+    cf >>= 62;
+    cg >>= 62;
+    for i in 1..len {
+        cf += u * i128::from(f[i]) + v * i128::from(g[i]);
+        cg += q * i128::from(f[i]) + r * i128::from(g[i]);
+        f[i - 1] = (cf as u64 & M62) as i64;
+        g[i - 1] = (cg as u64 & M62) as i64;
+        cf >>= 62;
+        cg >>= 62;
+    }
+    f[len - 1] = cf as i64;
+    g[len - 1] = cg as i64;
+}
+
+/// `d` in `(−2p, p)`, negated if `sign` is negative, as the reduced value in
+/// `[0, p)`.
+fn normalize_62(mut d: [i64; 5], sign: i64) -> U256 {
+    let add_p_if_negative = |d: &mut [i64; 5]| {
+        if d[4] < 0 {
+            for (limb, p) in d.iter_mut().zip(P62) {
+                *limb += p;
+            }
+        }
+    };
+    let carry = |d: &mut [i64; 5]| {
+        for i in 0..4 {
+            d[i + 1] += d[i] >> 62;
+            d[i] &= M62 as i64;
+        }
+    };
+    add_p_if_negative(&mut d);
+    if sign < 0 {
+        d = d.map(|limb| -limb);
+    }
+    carry(&mut d);
+    add_p_if_negative(&mut d);
+    carry(&mut d);
+    let d = d.map(|limb| limb as u64);
+    let value = U256::from_limbs([
+        d[0] | d[1] << 62,
+        d[1] >> 2 | d[2] << 60,
+        d[2] >> 4 | d[3] << 58,
+        d[3] >> 6 | d[4] << 56,
+    ]);
+    debug_assert!(value < FIELD_PRIME);
+    value
 }
 
 impl core::fmt::Debug for Fe {
@@ -371,6 +574,63 @@ mod tests {
         a.pow(&FIELD_PRIME.wrapping_sub(&U256::from_u64(2)))
     }
 
+    /// `a^(p−2)` on the addition chain `invert` used before the divsteps:
+    /// 255 squarings and 15 multiplications.
+    fn invert_by_chain(a: &Fe) -> Fe {
+        let (x2, x22, x223) = a.ones_runs();
+        // p − 2 = [223 ones] 0 [22 ones] 0000 1 0 11 0 1.
+        x223.square_n(23)
+            .mul(&x22)
+            .square_n(5)
+            .mul(a)
+            .square_n(3)
+            .mul(&x2)
+            .square_n(2)
+            .mul(a)
+    }
+
+    #[test]
+    fn p_inv62_inverts_the_prime_modulo_2_62() {
+        assert_eq!(P_INV62.wrapping_mul(FIELD_PRIME.limbs[0]) & M62, 1);
+        // Reduced values survive the round trip through signed-62 limbs,
+        // negated ones come back as p − v, and −p as zero.
+        for v in [
+            U256::ZERO,
+            U256::ONE,
+            FIELD_PRIME.wrapping_sub(&U256::ONE),
+            BETA.0,
+        ] {
+            assert_eq!(normalize_62(to_signed62(&v), 1), v);
+            let negated = normalize_62(to_signed62(&v), -1);
+            assert_eq!(Fe(negated), Fe(v).neg());
+        }
+        assert_eq!(normalize_62(P62.map(|limb| -limb), 1), U256::ZERO);
+    }
+
+    #[test]
+    fn divstep_inverse_matches_the_chain_and_pow_on_edge_values() {
+        let p_minus = |d: u64| Fe::from_u256(FIELD_PRIME.wrapping_sub(&U256::from_u64(d)));
+        let mut values = vec![
+            Fe::one(),
+            Fe::from_u64(2),
+            Fe::from_u64(3),
+            p_minus(1),
+            p_minus(2),
+            p_minus(3),
+            BETA,
+            Fe::from_u64(P_COMPLEMENT),
+            Fe::from_u256(U256::MAX),
+        ];
+        values.extend((0..256).map(|k| Fe::from_u256(U256::ONE.shl(k))));
+        values.extend((0..256).map(|k| p_minus(1).sub(&Fe::from_u256(U256::ONE.shl(k)))));
+        for a in values {
+            let inverse = a.invert();
+            assert_eq!(inverse, invert_by_chain(&a), "{a:?}");
+            assert_eq!(inverse, invert_by_pow(&a), "{a:?}");
+            assert_eq!(a.mul(&inverse), Fe::one(), "{a:?}");
+        }
+    }
+
     /// `a^((p+1)/4)` through the generic loop, checked like `sqrt` checks it.
     fn sqrt_by_pow(a: &Fe) -> Option<Fe> {
         let exp = FIELD_PRIME
@@ -395,6 +655,7 @@ mod tests {
             assert_eq!(a.sqrt(), sqrt_by_pow(&a), "{a:?}");
             if !a.is_zero() {
                 assert_eq!(a.invert(), invert_by_pow(&a), "{a:?}");
+                assert_eq!(invert_by_chain(&a), invert_by_pow(&a), "{a:?}");
             }
         }
         // All-ones limbs stress every carry of the squaring.
@@ -438,6 +699,7 @@ mod tests {
             prop_assume!(!a.is_zero());
             prop_assert_eq!(a.mul(&a.invert()), Fe::one());
             prop_assert_eq!(a.invert(), invert_by_pow(&a));
+            prop_assert_eq!(a.invert(), invert_by_chain(&a));
         }
 
         #[test]
@@ -493,7 +755,13 @@ mod tests {
                 .collect();
             let mut batched = elements.clone();
             Fe::batch_invert(&mut batched);
-            prop_assert_eq!(batched, expected);
+            prop_assert_eq!(&batched, &expected);
+            // The stack form, on the first eight.
+            if elements.len() >= 8 {
+                let mut array: [Fe; 8] = elements[..8].try_into().unwrap();
+                Fe::batch_invert_array(&mut array);
+                prop_assert_eq!(&array[..], &expected[..8]);
+            }
         }
     }
 }

@@ -21,7 +21,7 @@ pub enum Op {
     FeMul,
     /// `Fe::square`.
     FeSquare,
-    /// `Fe::invert`.
+    /// `Fe::invert` (divsteps, no field multiplication).
     FeInvert,
     /// `Point::double`.
     Double,
@@ -79,8 +79,11 @@ pub fn count(op: Op) {
 }
 
 /// Operation counts of one [`scope`]. Multiplications and squarings made
-/// inside an inversion or a point operation are counted where they happen,
-/// so `fe_mul + fe_square` is the whole field-multiplication work.
+/// inside a point operation are counted where they happen, so
+/// `fe_mul + fe_square` is the whole field-multiplication work. An
+/// inversion is its own kind of work: `Fe::invert` runs divsteps on signed
+/// 62-bit limbs and makes no field multiplication, so `fe_invert` counts it
+/// and nothing else does.
 #[cfg(feature = "opcount")]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Tally {
@@ -88,7 +91,7 @@ pub struct Tally {
     pub fe_mul: u64,
     /// `Fe::square` calls.
     pub fe_square: u64,
-    /// `Fe::invert` calls.
+    /// `Fe::invert` calls, each a run of divsteps outside `fe_mul`.
     pub fe_invert: u64,
     /// `Point::double` calls that did the arithmetic (not ∞).
     pub point_double: u64,

@@ -10,15 +10,17 @@
 //!   (the `a·P + b·Q` shape every verifier reduces to) and
 //!   [`Point::multi_mul`]: every scalar is split with the curve endomorphism
 //!   into two 128-bit halves, all halves are recoded to wNAF (width 5 for a
-//!   per-call table, width 12 for the static `G` table) and walk one
-//!   shared chain of 128 doublings, and every table is affine — the per-call
-//!   ones through a shared `Z`, without an inversion — so each step is a
-//!   mixed addition ([`Point::add_affine`]);
+//!   per-call table, width 8 for a registered key's [`KeyTable`], width 12
+//!   for the static `G` table) and walk one shared chain of 128 doublings,
+//!   and every table is affine — the per-call ones through a shared `Z`,
+//!   without an inversion — so each step is a mixed addition
+//!   ([`Point::add_affine`]);
 //! * a fixed-base comb of signed windows (`FixedBase`: no doublings) — a
 //!   lazily built eight-bit one for [`Point::mul_generator`] (at most 33
 //!   mixed additions), and a five-bit one per round for the VRF's base;
-//! * Montgomery batch inversion ([`Point::batch_to_affine`]) when many points
-//!   are normalized at once.
+//! * Montgomery batch inversion ([`Point::batch_to_affine`], and
+//!   [`Point::batch_to_affine_array`] with its scratch on the stack) when
+//!   many points are normalized at once.
 //!
 //! Variable time is fine for a protocol simulation (see DESIGN.md,
 //! substitutions table); the naive double-and-add ladder is retained under
@@ -95,13 +97,7 @@ impl Point {
         if self.is_infinity() {
             return None;
         }
-        let z_inv = self.z.invert();
-        let z2 = z_inv.square();
-        let z3 = z2.mul(&z_inv);
-        Some(AffinePoint {
-            x: self.x.mul(&z2),
-            y: self.y.mul(&z3),
-        })
+        self.scaled_by(&self.z.invert())
     }
 
     /// Point doubling.
@@ -244,8 +240,8 @@ impl Point {
     /// many doublings as they have bits.
     pub fn mul(&self, k: &Scalar) -> Point {
         strauss(
-            &[(*k, *self)],
-            &mut [Term::EMPTY; 1],
+            &[(*k, Base::Point(*self))],
+            &mut [Slot::EMPTY; 1],
             &mut [[Wnaf::EMPTY; 2]; 1],
         )
     }
@@ -285,17 +281,18 @@ impl Point {
     /// DLEQ); a `G` operand is served from the static tables.
     pub fn mul_double(k1: &Scalar, p1: &Point, k2: &Scalar, p2: &Point) -> Point {
         strauss(
-            &[(*k1, *p1), (*k2, *p2)],
-            &mut [Term::EMPTY; 2],
+            &[(*k1, Base::Point(*p1)), (*k2, Base::Point(*p2))],
+            &mut [Slot::EMPTY; 2],
             &mut [[Wnaf::EMPTY; 2]; 2],
         )
     }
 
-    /// Simultaneous multi-scalar multiplication `Σ kᵢ·Pᵢ` over one shared
+    /// Simultaneous multi-scalar multiplication `Σ kᵢ·Bᵢ` over one shared
     /// doubling chain (generalized Strauss, `strauss` below): the cost is
     /// `128 doublings + n·(table + ~43 mixed additions)` instead of `n` full
-    /// multiplications. Terms on the generator are summed into one scalar and
-    /// served from the static tables.
+    /// multiplications, and a term on a registered key ([`Base::Key`]) skips
+    /// the table and takes ~28. Terms on the generator are summed into one
+    /// scalar and served from the static tables.
     ///
     /// This is what makes random-linear-combination batch verification
     /// actually cheaper than repeated [`Point::mul_double`]: an `n`-signature
@@ -307,19 +304,27 @@ impl Point {
     /// The scratch of up to `STACK_TERMS` (34) terms lives on the stack, so the
     /// quorum batches of a committee and a configuration group of eight VRF
     /// proofs allocate nothing here; certificate batches across committees
-    /// take one pair of `Vec`s.
-    pub fn multi_mul(terms: &[(Scalar, Point)]) -> Point {
+    /// take one pair of `Vec`s. A two-term call (a single verification)
+    /// initialises two slots, not 45 KiB of them.
+    pub fn multi_mul(terms: &[(Scalar, Base<'_>)]) -> Point {
         let n = terms.len();
+        if n <= 2 {
+            return strauss(
+                terms,
+                &mut [Slot::EMPTY; 2][..n],
+                &mut [[Wnaf::EMPTY; 2]; 2][..n],
+            );
+        }
         if n <= STACK_TERMS {
             return strauss(
                 terms,
-                &mut [Term::EMPTY; STACK_TERMS][..n],
+                &mut [Slot::EMPTY; STACK_TERMS][..n],
                 &mut [[Wnaf::EMPTY; 2]; STACK_TERMS][..n],
             );
         }
         strauss(
             terms,
-            &mut vec![Term::EMPTY; n],
+            &mut vec![Slot::EMPTY; n],
             &mut vec![[Wnaf::EMPTY; 2]; n],
         )
     }
@@ -332,19 +337,31 @@ impl Point {
         Fe::batch_invert(&mut zs);
         points
             .iter()
-            .zip(zs)
-            .map(|(p, z_inv)| {
-                if p.is_infinity() {
-                    return None;
-                }
-                let z2 = z_inv.square();
-                let z3 = z2.mul(&z_inv);
-                Some(AffinePoint {
-                    x: p.x.mul(&z2),
-                    y: p.y.mul(&z3),
-                })
-            })
+            .zip(&zs)
+            .map(|(p, z_inv)| p.scaled_by(z_inv))
             .collect()
+    }
+
+    /// [`batch_to_affine`](Self::batch_to_affine) of a fixed number of
+    /// points, on the stack: a VRF proof's `Γ`, `U` and `V` normalise
+    /// without an allocation.
+    pub fn batch_to_affine_array<const N: usize>(points: &[Point; N]) -> [Option<AffinePoint>; N] {
+        let mut zs = points.map(|p| p.z);
+        Fe::batch_invert_array(&mut zs);
+        std::array::from_fn(|i| points[i].scaled_by(&zs[i]))
+    }
+
+    /// The affine point, given `z_inv = 1/Z`; `None` at infinity.
+    fn scaled_by(&self, z_inv: &Fe) -> Option<AffinePoint> {
+        if self.is_infinity() {
+            return None;
+        }
+        let z2 = z_inv.square();
+        let z3 = z2.mul(z_inv);
+        Some(AffinePoint {
+            x: self.x.mul(&z2),
+            y: self.y.mul(&z3),
+        })
     }
 
     /// True if the (affine form of the) point satisfies the curve equation.
@@ -512,6 +529,10 @@ fn window_bits(limbs: &[u64; 4], pos: usize, width: usize) -> usize {
 const VAR_WIDTH: u32 = 5;
 /// Entries of a per-call table.
 const VAR_TABLE: usize = 1 << (VAR_WIDTH - 2);
+/// wNAF window width of a [`KeyTable`]: odd multiples up to `127·P`.
+const KEY_WIDTH: u32 = 8;
+/// Entries of a key table.
+const KEY_TABLE: usize = 1 << (KEY_WIDTH - 2);
 /// wNAF window width of the static `G` table, which costs nothing per call
 /// and so can be wider.
 const GEN_WIDTH: u32 = 12;
@@ -537,6 +558,72 @@ fn generator_table() -> &'static [AffinePoint] {
             .map(|p| p.expect("an odd multiple of G below the order is never infinity"))
             .collect()
     })
+}
+
+/// The odd multiples `(2i+1)·P`, `i < 64`, of one point, affine: the table
+/// of a registered public key (`schnorr::PreparedKey`), built once when the
+/// key is registered and walked by every multiplication of that key as a
+/// [`Base::Key`] term. Its width-8 digits add about 28 multiples a scalar,
+/// where a per-call width-5 table costs a doubling and seven additions to
+/// build and about 43 to walk. 4 KiB (DESIGN-notes.md, "Key tables").
+pub struct KeyTable {
+    odd: [AffinePoint; KEY_TABLE],
+}
+
+impl KeyTable {
+    /// Builds the table of `p`, a point of the curve, as `strauss` builds a
+    /// per-call one: on the curve scaled by `C = Z(2P)`, `2P` is affine and
+    /// the odd multiples are 63 mixed additions, each adding its ratio of
+    /// consecutive `Z`s; one inversion of the last entry's true `Z` then
+    /// brings every entry back to the plain curve, walking down the ratios.
+    /// 1 024 field multiplications and one inversion.
+    pub fn new(p: &AffinePoint) -> KeyTable {
+        let twice = p.to_point().double();
+        let c_sq = twice.z.square();
+        let step = AffinePoint {
+            x: twice.x,
+            y: twice.y,
+        };
+        let mut multiple = Point {
+            x: p.x.mul(&c_sq),
+            y: p.y.mul(&c_sq).mul(&twice.z),
+            z: Fe::one(),
+        };
+        let mut odd = [AffinePoint::ZERO; KEY_TABLE];
+        let mut ratios = [Fe::one(); KEY_TABLE];
+        for i in 0..KEY_TABLE {
+            if i > 0 {
+                // (2i − 1)·P + 2P never doubles or cancels below the order.
+                (multiple, ratios[i]) = multiple.add_affine_core(&step, &multiple.z);
+            }
+            odd[i] = AffinePoint {
+                x: multiple.x,
+                y: multiple.y,
+            };
+        }
+        // On the plain curve the last entry's `Z` is its `Z` here times `C`.
+        let mut z_inv = multiple.z.mul(&twice.z).invert();
+        for i in (0..KEY_TABLE).rev() {
+            let z_inv_sq = z_inv.square();
+            let entry = &mut odd[i];
+            entry.x = entry.x.mul(&z_inv_sq);
+            entry.y = entry.y.mul(&z_inv_sq).mul(&z_inv);
+            if i > 0 {
+                z_inv = z_inv.mul(&ratios[i]);
+            }
+        }
+        KeyTable { odd }
+    }
+}
+
+/// What a term of [`Point::multi_mul`] multiplies.
+#[derive(Clone, Copy)]
+pub enum Base<'k> {
+    /// A point, whose table the call builds (`G` is served from the static
+    /// one).
+    Point(Point),
+    /// A registered key, through its own table.
+    Key(&'k KeyTable),
 }
 
 /// Terms whose scratch [`Point::multi_mul`] keeps on the stack (45 KiB): a
@@ -565,19 +652,21 @@ impl Wnaf {
         let mut k = half.magnitude;
         let full = 1i16 << width;
         while k != 0 {
+            // The zero digits up to the next set bit, in one step.
+            let zeros = k.trailing_zeros();
+            k >>= zeros;
+            wnaf.len += zeros as usize;
             // Rounding a magnitude just under 2^128 up carries into bit 128,
             // which the shift below brings back into range.
+            let low = (k & (full as u128 - 1)) as i16;
+            let digit = if low > full / 2 { low - full } else { low };
             let mut carry = false;
-            if k & 1 == 1 {
-                let low = (k & (full as u128 - 1)) as i16;
-                let digit = if low > full / 2 { low - full } else { low };
-                if digit > 0 {
-                    k -= digit as u128;
-                } else {
-                    (k, carry) = k.overflowing_add(digit.unsigned_abs() as u128);
-                }
-                wnaf.digits[wnaf.len] = if half.negative { -digit } else { digit };
+            if digit > 0 {
+                k -= digit as u128;
+            } else {
+                (k, carry) = k.overflowing_add(digit.unsigned_abs() as u128);
             }
+            wnaf.digits[wnaf.len] = if half.negative { -digit } else { digit };
             k = (k >> 1) | (u128::from(carry) << 127);
             wnaf.len += 1;
         }
@@ -585,18 +674,21 @@ impl Wnaf {
     }
 }
 
-/// The table of one variable-point term of [`strauss`].
+/// The table one term of [`strauss`] walks: a registered key's own (on the
+/// plain curve), or else one built for the call.
 #[derive(Clone, Copy)]
-struct Term {
-    /// Odd multiples `(2i+1)·P`.
+struct Slot<'k> {
+    key: Option<&'k KeyTable>,
+    /// Built for the call: odd multiples `(2i+1)·P` on the walk's curve.
     table: [AffinePoint; VAR_TABLE],
-    /// `Z(table[i]) / Z(previous entry)` while the tables still have their
-    /// own `Z`s.
+    /// `Z(table[i]) / Z(previous entry)` while the built tables still have
+    /// their own `Z`s.
     ratios: [Fe; VAR_TABLE],
 }
 
-impl Term {
-    const EMPTY: Term = Term {
+impl Slot<'_> {
+    const EMPTY: Slot<'static> = Slot {
+        key: None,
         table: [AffinePoint::ZERO; VAR_TABLE],
         ratios: [Fe::zero(); VAR_TABLE],
     };
@@ -631,7 +723,7 @@ fn add_digit(
     }
 }
 
-/// `Σ kᵢ·Pᵢ` — the one scalar-multiplication kernel behind [`Point::mul`],
+/// `Σ kᵢ·Bᵢ` — the one scalar-multiplication kernel behind [`Point::mul`],
 /// [`Point::mul_double`] and [`Point::multi_mul`]. `slots` and `digits` are
 /// scratch, one each per term (the digits apart from the tables, so the walk
 /// scans them compactly).
@@ -644,33 +736,54 @@ fn add_digit(
 ///   doublings; each adds an odd multiple about every `w + 1` positions.
 /// * **One shared `Z`.** A table entry `(X, Y, Z)` is the affine point
 ///   `(X, Y)` of the isomorphic curve `y² = x³ + 7·Z⁶`, whose group law has
-///   the same formulas (they do not involve the constant). The tables are
-///   built so that all entries of all terms end up with the *same* `Z = ζ`
-///   — each is rescaled by the product of the `Z` ratios that follow it, no
-///   inversion — the whole walk runs on that curve with mixed additions, and
-///   the result's `Z` is multiplied by `ζ` at the end to come back.
-/// * **Generator terms** are summed into one scalar and walk the static
-///   [`generator_table`], scaled onto the walk's curve as they are added.
-fn strauss(terms: &[(Scalar, Point)], slots: &mut [Term], digits: &mut [[Wnaf; 2]]) -> Point {
+///   the same formulas (they do not involve the constant). The tables built
+///   for the call end up with the *same* `Z = ζ` — each entry is rescaled
+///   by the product of the `Z` ratios that follow it, no inversion — the
+///   whole walk runs on that curve with mixed additions, and the result's
+///   `Z` is multiplied by `ζ` at the end to come back.
+/// * **Three kinds of table.** A point term builds a width-5 table as
+///   above. A key term walks its [`KeyTable`] (width 8), and the generator
+///   terms, summed into one scalar, the static [`generator_table`] (width
+///   12): both are affine on the plain curve and are scaled onto the walk's
+///   as they are added — unless no table was built, when the walk is on the
+///   plain curve itself.
+fn strauss<'k>(
+    terms: &[(Scalar, Base<'k>)],
+    slots: &mut [Slot<'k>],
+    digits: &mut [[Wnaf; 2]],
+) -> Point {
     let generator = Point::generator();
     let mut g_scalar = Scalar::zero();
     let mut live = 0;
-    // True `Z` of the last table entry built so far.
+    // Tables built so far, and the true `Z` of the last entry of the last.
+    let mut built = 0;
     let mut zeta = Fe::one();
-    for (k, p) in terms {
+    for (k, base) in terms {
         // Zero scalars and infinity points contribute nothing.
-        if k.is_zero() || p.is_infinity() {
+        if k.is_zero() {
             continue;
         }
-        if p.z == generator.z && p.x == generator.x && p.y == generator.y {
-            g_scalar = g_scalar.add(k);
-            continue;
-        }
+        let p = match base {
+            Base::Key(table) => {
+                let (k1, k2) = k.split_lambda();
+                slots[live].key = Some(table);
+                digits[live] = [Wnaf::recode(k1, KEY_WIDTH), Wnaf::recode(k2, KEY_WIDTH)];
+                live += 1;
+                continue;
+            }
+            Base::Point(p) if p.is_infinity() => continue,
+            Base::Point(p) if p.z == generator.z && p.x == generator.x && p.y == generator.y => {
+                g_scalar = g_scalar.add(k);
+                continue;
+            }
+            Base::Point(p) => p,
+        };
         let slot = &mut slots[live];
+        slot.key = None;
         let (k1, k2) = k.split_lambda();
         digits[live] = [Wnaf::recode(k1, VAR_WIDTH), Wnaf::recode(k2, VAR_WIDTH)];
         // The same point with its Z a multiple of the previous table's.
-        let a = if live == 0 {
+        let a = if built == 0 {
             *p
         } else {
             let zeta_sq = zeta.square();
@@ -704,25 +817,30 @@ fn strauss(terms: &[(Scalar, Point)], slots: &mut [Term], digits: &mut [[Wnaf; 2
             };
         }
         zeta = multiple.z.mul(&twice.z);
+        built += 1;
         live += 1;
     }
     let slots = &mut slots[..live];
     let digits = &digits[..live];
 
-    // Bring every entry to the last one's Z: walking backwards, an entry is
-    // rescaled by the product of the ratios after it.
+    // Bring every built entry to the last one's Z: walking backwards, an
+    // entry is rescaled by the product of the ratios after it.
     let mut scale = Fe::one();
-    for (t, slot) in slots.iter_mut().enumerate().rev() {
+    let mut last = true;
+    for slot in slots.iter_mut().rev().filter(|slot| slot.key.is_none()) {
         for i in (0..VAR_TABLE).rev() {
-            if t + 1 < live || i + 1 < VAR_TABLE {
+            if !last {
                 let scale_sq = scale.square();
                 let entry = &mut slot.table[i];
                 entry.x = entry.x.mul(&scale_sq);
                 entry.y = entry.y.mul(&scale_sq).mul(&scale);
             }
+            last = false;
             scale = scale.mul(&slot.ratios[i]);
         }
     }
+    // The plain-curve tables' scale onto the walk's curve.
+    let onto_walk = (built > 0).then_some(&zeta);
 
     let (g1, g2) = g_scalar.split_lambda();
     let g_digits = [Wnaf::recode(g1, GEN_WIDTH), Wnaf::recode(g2, GEN_WIDTH)];
@@ -739,15 +857,21 @@ fn strauss(terms: &[(Scalar, Point)], slots: &mut [Term], digits: &mut [[Wnaf; 2
     for i in (0..longest).rev() {
         acc = acc.double();
         for (slot, [d1, d2]) in slots.iter().zip(digits) {
-            acc = add_digit(&acc, &slot.table, d1.digits[i], false, None);
-            acc = add_digit(&acc, &slot.table, d2.digits[i], true, None);
+            let (table, scale) = match slot.key {
+                Some(key) => (&key.odd[..], onto_walk),
+                None => (&slot.table[..], None),
+            };
+            acc = add_digit(&acc, table, d1.digits[i], false, scale);
+            acc = add_digit(&acc, table, d2.digits[i], true, scale);
         }
         for (digits, lambda) in g_digits.iter().zip([false, true]) {
-            acc = add_digit(&acc, g_table, digits.digits[i], lambda, Some(&zeta));
+            acc = add_digit(&acc, g_table, digits.digits[i], lambda, onto_walk);
         }
     }
     // Back from the curve scaled by ζ: (X, Y, Z) there is (X, Y, Z·ζ) here.
-    acc.z = acc.z.mul(&zeta);
+    if built > 0 {
+        acc.z = acc.z.mul(&zeta);
+    }
     acc
 }
 
@@ -992,6 +1116,26 @@ mod tests {
             .fold(Point::infinity(), |acc, (k, p)| acc.add(&p.mul_ladder(k)))
     }
 
+    /// `terms` as point terms of [`Point::multi_mul`].
+    fn bases(terms: &[(Scalar, Point)]) -> Vec<(Scalar, Base<'static>)> {
+        terms.iter().map(|&(k, p)| (k, Base::Point(p))).collect()
+    }
+
+    /// `terms` with every point that `tables` holds a table of as a key
+    /// term, and the others as point terms.
+    fn keyed<'k>(
+        terms: &[(Scalar, Point)],
+        tables: &'k [(Point, KeyTable)],
+    ) -> Vec<(Scalar, Base<'k>)> {
+        terms
+            .iter()
+            .map(|&(k, p)| match tables.iter().find(|(q, _)| q.equals(&p)) {
+                Some((_, table)) => (k, Base::Key(table)),
+                None => (k, Base::Point(p)),
+            })
+            .collect()
+    }
+
     #[test]
     fn endomorphism_is_multiplication_by_lambda() {
         let g = Point::generator();
@@ -1176,8 +1320,8 @@ mod tests {
         // Empty and all-degenerate inputs give the identity.
         assert!(Point::multi_mul(&[]).is_infinity());
         assert!(Point::multi_mul(&[
-            (Scalar::zero(), g),
-            (Scalar::from_u64(5), Point::infinity())
+            (Scalar::zero(), Base::Point(g)),
+            (Scalar::from_u64(5), Base::Point(Point::infinity()))
         ])
         .is_infinity());
         // 1 to 35 terms, on either side of the stack-scratch limit; every
@@ -1202,7 +1346,7 @@ mod tests {
                 terms[4].1 = Point::infinity();
             }
             assert!(
-                Point::multi_mul(&terms).equals(&ladder_sum(&terms)),
+                Point::multi_mul(&bases(&terms)).equals(&ladder_sum(&terms)),
                 "n = {n}"
             );
         }
@@ -1212,9 +1356,51 @@ mod tests {
             let q = g.mul_ladder(&Scalar::from_u64(99));
             let terms = [(k, g), (other, q), (k, q), (k, q.neg().double())];
             assert!(
-                Point::multi_mul(&terms).equals(&ladder_sum(&terms)),
+                Point::multi_mul(&bases(&terms)).equals(&ladder_sum(&terms)),
                 "k = {k:?}"
             );
+        }
+    }
+
+    #[test]
+    fn key_table_holds_the_odd_multiples() {
+        let p = Point::generator().mul_ladder(&Scalar::from_u64(0xc0ffee));
+        let table = KeyTable::new(&p.to_affine().unwrap());
+        for (i, entry) in table.odd.iter().enumerate() {
+            let expected = p.mul_ladder(&Scalar::from_u64(2 * i as u64 + 1));
+            assert_eq!(Some(*entry), expected.to_affine(), "{i}");
+        }
+    }
+
+    #[test]
+    fn key_terms_match_point_terms_on_edge_scalars() {
+        // 0, 1, n − 1, 2^128 ± 1 and the rest of the edge set, on a key term
+        // alone (the walk stays on the plain curve), beside built tables
+        // (it is scaled onto theirs) and beside G.
+        let g = Point::generator();
+        let keys: Vec<Point> = [7u64, 0xdead_beef, 1 << 40]
+            .iter()
+            .map(|&k| g.mul_ladder(&Scalar::from_hash("key-edge", &[&k.to_be_bytes()])))
+            .collect();
+        let tables: Vec<(Point, KeyTable)> = keys
+            .iter()
+            .map(|p| (*p, KeyTable::new(&p.to_affine().unwrap())))
+            .collect();
+        let other = Scalar::from_hash("key-edge", &[b"other"]);
+        let q = g.mul_ladder(&Scalar::from_u64(99)).double();
+        for k in edge_scalars() {
+            for p in &keys {
+                for terms in [
+                    vec![(k, *p)],
+                    vec![(k, *p), (other, q)],
+                    vec![(other, g), (k, *p), (k, q), (other, keys[0])],
+                    vec![(k, *p), (k.neg(), *p)],
+                ] {
+                    let keyed = Point::multi_mul(&keyed(&terms, &tables));
+                    assert!(keyed.equals(&ladder_sum(&terms)), "k = {k:?}");
+                    assert!(keyed.equals(&Point::multi_mul(&bases(&terms))), "k = {k:?}");
+                }
+            }
         }
     }
 
@@ -1232,6 +1418,9 @@ mod tests {
             assert_eq!(p.to_affine(), *affine);
         }
         assert!(Point::batch_to_affine(&[]).is_empty());
+        // The stack form, on the first eight (two of them infinity).
+        let eight: [Point; 8] = points[..8].try_into().unwrap();
+        assert_eq!(Point::batch_to_affine_array(&eight)[..], batched[..8]);
     }
 
     #[test]
@@ -1320,7 +1509,32 @@ mod tests {
                     (k, p)
                 })
                 .collect();
-            prop_assert!(Point::multi_mul(&terms).equals(&ladder_sum(&terms)));
+            prop_assert!(Point::multi_mul(&bases(&terms)).equals(&ladder_sum(&terms)));
+        }
+
+        #[test]
+        fn prop_key_terms_match_point_terms(
+            key in arb_scalar(),
+            other in arb_scalar(),
+            a in arb_scalar(),
+            b in arb_scalar(),
+            c in arb_scalar(),
+        ) {
+            // A random key beside a point with Z != 1 and G, and the key twice.
+            let g = Point::generator();
+            let p = g.mul_ladder(&key);
+            prop_assume!(!p.is_infinity());
+            let tables = [(p, KeyTable::new(&p.to_affine().unwrap()))];
+            let q = g.mul_ladder(&other).double();
+            for terms in [
+                vec![(a, p)],
+                vec![(a, p), (b, q), (c, g)],
+                vec![(a, p), (b, p.neg()), (c, p)],
+            ] {
+                let expected = ladder_sum(&terms);
+                prop_assert!(Point::multi_mul(&bases(&terms)).equals(&expected));
+                prop_assert!(Point::multi_mul(&keyed(&terms, &tables)).equals(&expected));
+            }
         }
     }
 }

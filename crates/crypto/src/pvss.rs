@@ -17,7 +17,7 @@
 //! verifiable". DESIGN.md records this substitution.
 
 use crate::hmac::HmacDrbg;
-use crate::point::Point;
+use crate::point::{Base, Point};
 use crate::scalar::Scalar;
 use crate::sha256::{hash_parts, Digest};
 
@@ -161,26 +161,32 @@ pub fn verify_dealing(dealing: &Dealing) -> bool {
     let mut scaled_sum = Scalar::zero();
     // terms[j] = (Σ_i z_i·x_i^j, C_j); the last term carries −(Σ_i z_i·s_i)·G.
     let mut terms = Vec::with_capacity(dealing.commitments.len() + 1);
-    terms.extend(dealing.commitments.iter().map(|&c| (Scalar::zero(), c)));
-    for (i, share) in dealing.shares.iter().enumerate() {
-        let z = Scalar::rlc_coefficient(
-            "cycledger/pvss-batch-coefficient",
-            &seed.as_bytes()[..],
-            i as u64,
-        );
-        scaled_sum = scaled_sum.add(&z.mul(&share.value));
-        let x = Scalar::from_u64(share.index as u64);
-        let mut x_pow = z;
-        for (w, _) in terms.iter_mut() {
-            *w = w.add(&x_pow);
-            x_pow = x_pow.mul(&x);
+    terms.extend(
+        dealing
+            .commitments
+            .iter()
+            .map(|&c| (Scalar::zero(), Base::Point(c))),
+    );
+    let seed = seed.as_bytes();
+    Scalar::rlc_coefficients(COEFFICIENT, seed, dealing.shares.len(), |coefficients| {
+        for (share, &z) in dealing.shares.iter().zip(coefficients) {
+            scaled_sum = scaled_sum.add(&z.mul(&share.value));
+            let x = Scalar::from_u64(share.index as u64);
+            let mut x_pow = z;
+            for (w, _) in terms.iter_mut() {
+                *w = w.add(&x_pow);
+                x_pow = x_pow.mul(&x);
+            }
         }
-    }
+    });
     // Σ_j w_j·C_j − (Σ_i z_i·s_i)·G = O, one combination over one doubling
     // chain where `t` separate multiplications walk `t` of them.
-    terms.push((scaled_sum.neg(), Point::generator()));
+    terms.push((scaled_sum.neg(), Base::Point(Point::generator())));
     Point::multi_mul(&terms).is_infinity()
 }
+
+/// The domain of a dealing check's coefficient stream.
+const COEFFICIENT: &str = "cycledger/pvss-batch-coefficient";
 
 /// Reconstructs the secret from at least `threshold` shares via Lagrange
 /// interpolation at zero.

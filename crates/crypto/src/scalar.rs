@@ -133,20 +133,45 @@ impl Scalar {
         Scalar::from_be_bytes(&drbg.next_bytes32())
     }
 
-    /// Derives the `index`-th coefficient of a random-linear-combination
-    /// batch check from a transcript-bound seed: 128 bits, which keeps a
-    /// forged equation's chance of cancelling at `2^-128` while `z·R` needs
-    /// only one 128-bit stream of the multiplication kernel (the λ-half of
+    /// Draws the `n` coefficients of a random-linear-combination batch
+    /// check from one HMAC-DRBG stream seeded with the transcript-bound
+    /// `seed` — 16 bytes each, all in one request — and hands them to
+    /// `check`. 128 bits keep a forged equation's chance of cancelling at
+    /// `2^-128` while `z·R` needs only one 128-bit stream of the
+    /// multiplication kernel (the λ-half of
     /// [`split_lambda`](Self::split_lambda) of a 128-bit scalar is zero). A
     /// zero coefficient would drop an equation from the weighted sum; it is
     /// unreachable in practice, but is mapped to one to keep the check
-    /// honest. Shared by the Schnorr batch verifier and the PVSS dealing
-    /// verifier.
-    pub fn rlc_coefficient(domain: &str, seed: &[u8], index: u64) -> Scalar {
-        let mut drbg = HmacDrbg::from_parts(domain, &[seed, &index.to_be_bytes()]);
-        let bytes = drbg.next_bytes32();
-        let z = u128::from_be_bytes(bytes[16..].try_into().expect("16 bytes"));
-        Scalar(U256::from_u128(z.max(1)))
+    /// honest. Shared by the Schnorr and VRF batch verifiers and the PVSS
+    /// dealing verifier; up to 34 coefficients sit on the stack.
+    pub fn rlc_coefficients<R>(
+        domain: &str,
+        seed: &[u8],
+        n: usize,
+        check: impl FnOnce(&[Scalar]) -> R,
+    ) -> R {
+        const STACK: usize = 34;
+        let mut drbg = HmacDrbg::from_parts(domain, &[seed]);
+        let coefficient = |bytes: &[u8]| {
+            let value = u128::from_be_bytes(bytes.try_into().expect("16 bytes"));
+            Scalar(U256::from_u128(value.max(1)))
+        };
+        if n <= STACK {
+            let mut bytes = [0u8; 16 * STACK];
+            drbg.fill_bytes(&mut bytes[..16 * n]);
+            let mut coefficients = [Scalar::zero(); STACK];
+            for (z, chunk) in coefficients
+                .iter_mut()
+                .zip(bytes[..16 * n].chunks_exact(16))
+            {
+                *z = coefficient(chunk);
+            }
+            check(&coefficients[..n])
+        } else {
+            let mut bytes = vec![0u8; 16 * n];
+            drbg.fill_bytes(&mut bytes);
+            check(&bytes.chunks_exact(16).map(coefficient).collect::<Vec<_>>())
+        }
     }
 
     /// Derives a *nonzero* scalar from a DRBG stream (rejection sampling).
@@ -461,18 +486,31 @@ mod tests {
 
     #[test]
     fn rlc_coefficients_are_nonzero_and_128_bit() {
-        for i in 0..32 {
-            let z = Scalar::rlc_coefficient("rlc-test", b"seed", i);
+        let draw = |seed: &[u8], n: usize| {
+            Scalar::rlc_coefficients("rlc-test", seed, n, |coefficients| coefficients.to_vec())
+        };
+        // On both sides of the stack buffer: a batch draws one stream, so a
+        // shorter batch's coefficients are a prefix of a longer one's.
+        let long = draw(b"seed", 40);
+        let short = draw(b"seed", 3);
+        assert_eq!((long.len(), short.len()), (40, 3));
+        assert_eq!(short, long[..3]);
+        for &z in &long {
             assert!(!z.is_zero());
             assert!(z.as_u256().bits() <= 128);
             let (z1, z2) = z.split_lambda();
             assert_eq!(half_as_scalar(z1), z);
             assert_eq!(z2.magnitude, 0);
         }
-        assert_ne!(
-            Scalar::rlc_coefficient("rlc-test", b"seed", 0),
-            Scalar::rlc_coefficient("rlc-test", b"seed", 1)
-        );
+        assert_ne!(long[0], long[1]);
+        assert_ne!(draw(b"another seed", 3), short);
+        // The stream, spelled out: 16 big-endian bytes a coefficient.
+        let mut bytes = [0u8; 48];
+        HmacDrbg::from_parts("rlc-test", &[b"seed"]).fill_bytes(&mut bytes);
+        for (z, chunk) in short.iter().zip(bytes.chunks(16)) {
+            let value = u128::from_be_bytes(chunk.try_into().unwrap());
+            assert_eq!(*z, Scalar::from_u256(U256::from_u128(value)));
+        }
     }
 
     proptest! {

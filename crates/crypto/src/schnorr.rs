@@ -6,9 +6,11 @@
 //! that leader*. The scheme here is a classic Schnorr signature with
 //! deterministic (RFC 6979-style) nonces derived from an HMAC-DRBG.
 
+use std::sync::Arc;
+
 use crate::hmac::HmacDrbg;
 use crate::opcount::{count, Op};
-use crate::point::{AffinePoint, Point};
+use crate::point::{AffinePoint, Base, KeyTable, Point};
 use crate::scalar::Scalar;
 use crate::sha256::{hash_parts, Digest, Sha256};
 
@@ -100,6 +102,66 @@ impl PublicKey {
     }
 }
 
+/// A registered public key with its [`KeyTable`], built once when the key
+/// is registered (the protocol's node registry builds one per node, joiners
+/// included) and shared behind an `Arc`, so a copy for a committee's key
+/// directory is a reference count. Every verifier multiplies it through the
+/// table: a signature check costs about 28 mixed additions for the key term
+/// where a bare [`PublicKey`] pays a table build and about 43.
+#[derive(Clone)]
+pub struct PreparedKey {
+    public: PublicKey,
+    table: Arc<KeyTable>,
+}
+
+impl PreparedKey {
+    /// Builds `public`'s table.
+    pub fn new(public: PublicKey) -> PreparedKey {
+        PreparedKey {
+            table: Arc::new(KeyTable::new(public.point())),
+            public,
+        }
+    }
+}
+
+impl core::fmt::Debug for PreparedKey {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_tuple("PreparedKey").field(&self.public).finish()
+    }
+}
+
+/// A public key as a verifier multiplies it: a [`PreparedKey`] through its
+/// table, a bare [`PublicKey`] (a one-off check, a benchmark probe) through
+/// one the multiplication builds for the call. Every verifier of this crate
+/// takes either, and gives the same verdict.
+pub trait VerifyingKey {
+    /// The key itself.
+    fn public_key(&self) -> &PublicKey;
+
+    /// The key as the base of a [`Point::multi_mul`] term.
+    fn base(&self) -> Base<'_>;
+}
+
+impl VerifyingKey for PublicKey {
+    fn public_key(&self) -> &PublicKey {
+        self
+    }
+
+    fn base(&self) -> Base<'_> {
+        Base::Point(self.0.to_point())
+    }
+}
+
+impl VerifyingKey for PreparedKey {
+    fn public_key(&self) -> &PublicKey {
+        &self.public
+    }
+
+    fn base(&self) -> Base<'_> {
+        Base::Key(&self.table)
+    }
+}
+
 impl Keypair {
     /// Generates a key pair deterministically from a seed.
     pub fn from_seed(seed: &[u8]) -> Keypair {
@@ -155,38 +217,47 @@ pub fn sign_with_public(sk: &SecretKey, pk: &PublicKey, message: &[u8]) -> Signa
 
 /// Verifies a Schnorr signature: checks `s·G == R + e·PK`, evaluated as the
 /// single Strauss–Shamir combination `s·G − e·PK` compared against `R`.
-pub fn verify(pk: &PublicKey, message: &[u8], sig: &Signature) -> bool {
+pub fn verify<K: VerifyingKey>(pk: &K, message: &[u8], sig: &Signature) -> bool {
     count(Op::SigVerify);
-    if !sig.r.is_on_curve() || !pk.point().is_on_curve() {
+    let public = pk.public_key();
+    if !sig.r.is_on_curve() || !public.point().is_on_curve() {
         return false;
     }
-    let e = challenge(&sig.r, pk, message);
-    let lhs = Point::mul_double(
-        &sig.s,
-        &Point::generator(),
-        &e.neg(),
-        &pk.point().to_point(),
-    );
+    let e = challenge(&sig.r, public, message);
+    let lhs = Point::multi_mul(&[
+        (sig.s, Base::Point(Point::generator())),
+        (e.neg(), pk.base()),
+    ]);
     lhs.equals(&sig.r.to_point())
 }
 
-/// One `(public key, message, signature)` triple of a batch verification.
-#[derive(Clone, Copy, Debug)]
-pub struct BatchEntry<'a> {
+/// One `(public key, message, signature)` triple of a batch verification;
+/// the key is a bare [`PublicKey`] unless `K` says otherwise.
+#[derive(Debug)]
+pub struct BatchEntry<'a, K = PublicKey> {
     /// The claimed signer.
-    pub public_key: &'a PublicKey,
+    pub public_key: &'a K,
     /// The signed message.
     pub message: &'a [u8],
     /// The signature to check.
     pub signature: &'a Signature,
 }
 
+impl<K> Clone for BatchEntry<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for BatchEntry<'_, K> {}
+
 /// Verifies a batch of Schnorr signatures with a single random-linear-
 /// combination check.
 ///
 /// Each equation `s_i·G == R_i + e_i·PK_i` is scaled by an independent
-/// coefficient `z_i` (derived by hashing the whole batch, so a forger cannot
-/// choose signatures after seeing the coefficients) and summed:
+/// coefficient `z_i` (drawn from a stream seeded with a hash of the whole
+/// batch, so a forger cannot choose signatures after seeing the
+/// coefficients) and summed:
 ///
 /// `(Σ z_i·s_i)·G == Σ z_i·R_i + Σ (z_i·e_i)·PK_i`
 ///
@@ -198,7 +269,7 @@ pub struct BatchEntry<'a> {
 ///
 /// Returns `false` if *any* signature in the batch is invalid; callers that
 /// need to identify the culprit fall back to per-signature [`verify`].
-pub fn batch_verify(entries: &[BatchEntry<'_>]) -> bool {
+pub fn batch_verify<K: VerifyingKey>(entries: &[BatchEntry<'_, K>]) -> bool {
     batch_verify_each(entries.iter().copied())
 }
 
@@ -209,41 +280,45 @@ pub fn batch_verify(entries: &[BatchEntry<'_>]) -> bool {
 /// the triples it lacks) builds no list for it.
 ///
 /// Nothing here allocates for up to sixteen entries: the
-/// transcript is streamed into one SHA-256 and the `2n + 1` terms sit on the
-/// stack, as [`Point::multi_mul`]'s own scratch does.
-pub fn batch_verify_each<'e>(entries: impl Iterator<Item = BatchEntry<'e>> + Clone) -> bool {
+/// transcript is streamed into one SHA-256 and the coefficients and the
+/// `2n + 1` terms sit on the stack, as [`Point::multi_mul`]'s own scratch
+/// does.
+pub fn batch_verify_each<'e, K: VerifyingKey + 'e>(
+    entries: impl Iterator<Item = BatchEntry<'e, K>> + Clone,
+) -> bool {
     let n = entries.clone().count();
     if n == 0 {
         return true;
     }
     count(Op::SigBatch(n));
     let seed = batch_seed(entries.clone(), n);
-    let mut stack = [(Scalar::zero(), Point::infinity()); 2 * STACK_ENTRIES + 1];
+    let mut stack = [(Scalar::zero(), Base::Point(Point::infinity())); 2 * STACK_ENTRIES + 1];
     let mut heap = Vec::new();
     let terms = if n <= STACK_ENTRIES {
         &mut stack[..2 * n + 1]
     } else {
-        heap.resize(2 * n + 1, (Scalar::zero(), Point::infinity()));
+        heap.resize(2 * n + 1, (Scalar::zero(), Base::Point(Point::infinity())));
         &mut heap[..]
     };
-    let mut scaled_s = Scalar::zero();
-    for (i, entry) in entries.enumerate() {
-        if !entry.signature.r.is_on_curve() || !entry.public_key.point().is_on_curve() {
-            return false;
+    Scalar::rlc_coefficients(BATCH_COEFFICIENT, seed.as_bytes(), n, |coefficients| {
+        let mut scaled_s = Scalar::zero();
+        for ((i, entry), z) in entries.enumerate().zip(coefficients) {
+            let public = entry.public_key.public_key();
+            if !entry.signature.r.is_on_curve() || !public.point().is_on_curve() {
+                return false;
+            }
+            let e = challenge(&entry.signature.r, public, entry.message);
+            scaled_s = scaled_s.add(&z.mul(&entry.signature.s));
+            terms[2 * i] = (*z, Base::Point(entry.signature.r.to_point()));
+            terms[2 * i + 1] = (z.mul(&e), entry.public_key.base());
         }
-        let z = Scalar::rlc_coefficient(
-            "cycledger/schnorr-batch-coefficient",
-            &seed.as_bytes()[..],
-            i as u64,
-        );
-        let e = challenge(&entry.signature.r, entry.public_key, entry.message);
-        scaled_s = scaled_s.add(&z.mul(&entry.signature.s));
-        terms[2 * i] = (z, entry.signature.r.to_point());
-        terms[2 * i + 1] = (z.mul(&e), entry.public_key.point().to_point());
-    }
-    terms[2 * n] = (scaled_s.neg(), Point::generator());
-    Point::multi_mul(terms).is_infinity()
+        terms[2 * n] = (scaled_s.neg(), Base::Point(Point::generator()));
+        Point::multi_mul(terms).is_infinity()
+    })
 }
+
+/// The domain of a Schnorr batch's coefficient stream.
+const BATCH_COEFFICIENT: &str = "cycledger/schnorr-batch-coefficient";
 
 /// Batches of at most this many signatures keep their `2n + 1` terms on the
 /// stack: the sixteen-signature batch [`Point::multi_mul`]'s stack scratch is
@@ -254,7 +329,7 @@ const STACK_ENTRIES: usize = 16;
 /// digest and `s`.
 const TRANSCRIPT_ENTRY_LEN: usize = 64 + 64 + 32 + 32;
 
-/// The seed every coefficient of a batch derives from:
+/// The seed of a batch's coefficient stream:
 /// `hash_parts([tag, transcript])`, the transcript streamed into the hash
 /// under the same length prefixes rather than gathered first.
 ///
@@ -262,16 +337,19 @@ const TRANSCRIPT_ENTRY_LEN: usize = 64 + 64 + 32 + 32;
 /// *including* every response scalar `s_i`. If the coefficients were
 /// computable before the `s` values are fixed, two entries could be mauled
 /// in tandem (`s_1 + d·z_1⁻¹`, `s_2 − d·z_2⁻¹`) without changing the weighted
-/// sum, making invalid batches verify. Per-entry coefficients derive from
-/// the one digest, so coefficient generation stays O(n), not O(n²).
-fn batch_seed<'e>(entries: impl Iterator<Item = BatchEntry<'e>>, n: usize) -> Digest {
+/// sum, making invalid batches verify. The coefficients are one stream
+/// from the one digest, so coefficient generation stays O(n), not O(n²).
+fn batch_seed<'e, K: VerifyingKey + 'e>(
+    entries: impl Iterator<Item = BatchEntry<'e, K>>,
+    n: usize,
+) -> Digest {
     const TAG: &[u8] = b"cycledger/schnorr-batch-seed";
     let mut hasher = Sha256::new();
     hasher.update(&(TAG.len() as u64).to_le_bytes()).update(TAG);
     hasher.update(&((n * TRANSCRIPT_ENTRY_LEN) as u64).to_le_bytes());
     for entry in entries {
         hasher.update(&entry.signature.r.to_bytes());
-        hasher.update(&entry.public_key.to_bytes());
+        hasher.update(&entry.public_key.public_key().to_bytes());
         hasher.update(hash_parts(&[entry.message]).as_bytes());
         hasher.update(&entry.signature.s.to_be_bytes());
     }
@@ -435,6 +513,59 @@ mod tests {
         assert!(SecretKey::from_scalar(Scalar::from_u64(5)).is_some());
     }
 
+    /// `batch_verify` of `entries`, checked to give the same verdict with
+    /// every key prepared, and the entries checked one at a time to agree
+    /// across the two kinds of key too.
+    fn batched(entries: &[BatchEntry<'_>]) -> bool {
+        let prepared: Vec<PreparedKey> = entries
+            .iter()
+            .map(|entry| PreparedKey::new(*entry.public_key))
+            .collect();
+        let keyed: Vec<BatchEntry<'_, PreparedKey>> = entries
+            .iter()
+            .zip(&prepared)
+            .map(|(entry, public_key)| BatchEntry {
+                public_key,
+                message: entry.message,
+                signature: entry.signature,
+            })
+            .collect();
+        let verdict = batch_verify(entries);
+        assert_eq!(batch_verify(&keyed), verdict, "prepared keys, batched");
+        for (bare, keyed) in entries.iter().zip(&keyed) {
+            assert_eq!(
+                verify(bare.public_key, bare.message, bare.signature),
+                verify(keyed.public_key, keyed.message, keyed.signature),
+                "prepared keys, one at a time"
+            );
+        }
+        verdict
+    }
+
+    #[test]
+    fn prepared_keys_verify_as_bare_keys() {
+        let kp = Keypair::from_seed(b"node-prepared");
+        let other = Keypair::from_seed(b"node-prepared-other");
+        let (key, other_key) = (PreparedKey::new(kp.public), PreparedKey::new(other.public));
+        assert_eq!(key.public_key(), &kp.public);
+        let sig = kp.sign(b"msg");
+        let tampered = Signature {
+            r: sig.r,
+            s: sig.s.add(&Scalar::one()),
+        };
+        for (message, signature, expected) in [
+            (b"msg".as_slice(), &sig, true),
+            (b"ms9", &sig, false),
+            (b"msg", &tampered, false),
+            (b"msg", &other.sign(b"msg"), false),
+        ] {
+            assert_eq!(verify(&kp.public, message, signature), expected);
+            assert_eq!(verify(&key, message, signature), expected);
+        }
+        assert!(!verify(&other_key, b"msg", &sig));
+        assert!(verify(&other_key, b"msg", &other.sign(b"msg")));
+    }
+
     fn batch(n: usize) -> (Vec<Keypair>, Vec<Vec<u8>>, Vec<Signature>) {
         let keypairs: Vec<Keypair> = (0..n)
             .map(|i| Keypair::from_seed(format!("batch-{i}").as_bytes()))
@@ -460,9 +591,12 @@ mod tests {
                 signature: &sigs[i],
             })
             .collect();
-        assert!(batch_verify(&entries));
-        assert!(batch_verify(&[]), "empty batches verify trivially");
-        assert!(batch_verify(&entries[..1]), "singleton batches work");
+        assert!(batched(&entries));
+        assert!(
+            batch_verify::<PublicKey>(&[]),
+            "empty batches verify trivially"
+        );
+        assert!(batched(&entries[..1]), "singleton batches work");
     }
 
     #[test]
@@ -477,10 +611,7 @@ mod tests {
                     signature: &sigs[i],
                 })
                 .collect();
-            assert!(
-                !batch_verify(&entries),
-                "bad entry {bad} must fail the batch"
-            );
+            assert!(!batched(&entries), "bad entry {bad} must fail the batch");
         }
     }
 
@@ -496,7 +627,7 @@ mod tests {
             .collect();
         entries.swap(0, 1);
         // Swapping whole entries is fine (order must not matter)...
-        assert!(batch_verify(&entries));
+        assert!(batched(&entries));
         // ...but crossing a key with another entry's signature is not.
         let crossed: Vec<BatchEntry<'_>> = vec![
             BatchEntry {
@@ -510,7 +641,7 @@ mod tests {
                 signature: &sigs[1],
             },
         ];
-        assert!(!batch_verify(&crossed));
+        assert!(!batched(&crossed));
     }
 
     #[test]
@@ -556,17 +687,11 @@ mod tests {
             seed,
             "the streamed transcript hashes as the gathered one"
         );
-        let z = |i: u64| {
-            Scalar::rlc_coefficient(
-                "cycledger/schnorr-batch-coefficient",
-                &seed.as_bytes()[..],
-                i,
-            )
-        };
+        let z = Scalar::rlc_coefficients(BATCH_COEFFICIENT, seed.as_bytes(), 3, <[_]>::to_vec);
         let d = Scalar::from_u64(12345);
         let mut mauled = sigs.clone();
-        mauled[0].s = mauled[0].s.add(&d.mul(&z(0).invert()));
-        mauled[1].s = mauled[1].s.sub(&d.mul(&z(1).invert()));
+        mauled[0].s = mauled[0].s.add(&d.mul(&z[0].invert()));
+        mauled[1].s = mauled[1].s.sub(&d.mul(&z[1].invert()));
         let batch_entries: Vec<BatchEntry<'_>> = (0..3)
             .map(|i| BatchEntry {
                 public_key: &kps[i].public,
@@ -579,7 +704,7 @@ mod tests {
             "mauled signatures are individually invalid"
         );
         assert!(
-            !batch_verify(&batch_entries),
+            !batched(&batch_entries),
             "tandem-mauled batch must not verify"
         );
     }
@@ -601,7 +726,7 @@ mod tests {
                     signature: &sigs[i],
                 })
                 .collect();
-            batch_verify(&entries)
+            batched(&entries)
         };
         assert_eq!(sequential(&sigs), batched(&sigs));
         sigs[3].s = sigs[3].s.add(&Scalar::one());

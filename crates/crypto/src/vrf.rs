@@ -25,9 +25,9 @@
 //! `k·H` after that is additions only.
 
 use crate::hmac::HmacDrbg;
-use crate::point::{hash_to_curve, AffinePoint, FixedBase, Point};
+use crate::point::{hash_to_curve, AffinePoint, Base, FixedBase, Point};
 use crate::scalar::Scalar;
-use crate::schnorr::{PublicKey, SecretKey};
+use crate::schnorr::{PublicKey, SecretKey, VerifyingKey};
 use crate::sha256::{hash_parts, Digest, Sha256};
 
 /// VRF proof: the gamma point plus a DLEQ (Chaum–Pedersen) proof in
@@ -173,9 +173,11 @@ fn prove(
     let mut drbg =
         HmacDrbg::from_parts("cycledger/vrf-nonce", &[&sk.scalar().to_be_bytes(), input]);
     let k = Scalar::nonzero_from_drbg(&mut drbg);
-    // Γ, U and V share one field inversion (Montgomery's trick).
-    let affine = Point::batch_to_affine(&[mul_h(sk.scalar()), Point::mul_generator(&k), mul_h(&k)]);
-    let [Some(gamma), Some(u), Some(v)] = affine[..] else {
+    // Γ, U and V share one field inversion (Montgomery's trick), on the
+    // stack.
+    let affine =
+        Point::batch_to_affine_array(&[mul_h(sk.scalar()), Point::mul_generator(&k), mul_h(&k)]);
+    let [Some(gamma), Some(u), Some(v)] = affine else {
         unreachable!("sk and k are nonzero and H is not the identity")
     };
     let mut proof = VrfProof {
@@ -197,10 +199,11 @@ fn prove(
 /// Checks that every point is on the curve and the output hash is `Γ`'s,
 /// re-derives the challenge `c`, and checks the DLEQ relation
 /// `U = s·G + c·PK`, `V = s·H + c·Γ` — each side one Strauss–Shamir double
-/// multiplication, compared with `U` and `V` in Jacobian coordinates, so no
-/// field inversion.
-pub fn verify(pk: &PublicKey, input: &[u8], output: &VrfOutput) -> bool {
-    well_formed(pk, output) && dleq_holds(pk, &hash_to_curve(H2C_DOMAIN, input), &output.proof)
+/// multiplication (`PK` through its table when it is a prepared key),
+/// compared with `U` and `V` in Jacobian coordinates, so no field inversion.
+pub fn verify<K: VerifyingKey>(pk: &K, input: &[u8], output: &VrfOutput) -> bool {
+    well_formed(pk.public_key(), output)
+        && dleq_holds(pk, &hash_to_curve(H2C_DOMAIN, input), &output.proof)
 }
 
 /// What [`verify`] checks besides the DLEQ relation: the points are on the
@@ -213,9 +216,9 @@ fn well_formed(pk: &PublicKey, output: &VrfOutput) -> bool {
         && output_from_gamma(&proof.gamma) == output.hash
 }
 
-fn dleq_holds(pk: &PublicKey, h: &AffinePoint, proof: &VrfProof) -> bool {
-    let c = dleq_challenge(pk, h, proof);
-    Point::mul_double(&proof.s, &Point::generator(), &c, &pk.point().to_point())
+fn dleq_holds<K: VerifyingKey>(pk: &K, h: &AffinePoint, proof: &VrfProof) -> bool {
+    let c = dleq_challenge(pk.public_key(), h, proof);
+    Point::multi_mul(&[(proof.s, Base::Point(Point::generator())), (c, pk.base())])
         .equals(&proof.u.to_point())
         && Point::mul_double(&proof.s, &h.to_point(), &c, &proof.gamma.to_point())
             .equals(&proof.v.to_point())
@@ -232,24 +235,30 @@ fn dleq_holds(pk: &PublicKey, h: &AffinePoint, proof: &VrfProof) -> bool {
 /// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i) = ∞`,
 ///
 /// as one `4n + 2`-term [`Point::multi_mul`] — `G`'s and `H`'s scalars are
-/// summed over the group — over one shared doubling chain, where [`verify`]
-/// pays two chains a proof. The coefficients are hashed from the whole
-/// group, every `s_i` included, for the reason `schnorr::batch_verify`
-/// gives. If the sum is not `∞`, every proof of the group is checked on its
-/// own, so the verdicts are [`verify`]'s and a forgery costs its group one
-/// second pass.
-pub fn verify_batch(input: &[u8], entries: &[(&PublicKey, &VrfOutput)]) -> Vec<bool> {
+/// summed over the group, and each `PK_i` is a key term — over one shared
+/// doubling chain, where [`verify`] pays two chains a proof. The
+/// coefficients are one stream seeded with a hash of the whole group, every
+/// `s_i` included, for the reason `schnorr::batch_verify` gives. If the sum
+/// is not `∞`, every proof of the group is checked on its own, so the
+/// verdicts are [`verify`]'s and a forgery costs its group one second pass.
+/// A group of up to eight proofs keeps its coefficients and terms on the
+/// stack.
+pub fn verify_batch<K: VerifyingKey>(input: &[u8], entries: &[(&K, &VrfOutput)]) -> Vec<bool> {
     let h = hash_to_curve(H2C_DOMAIN, input);
     let mut verdicts: Vec<bool> = entries
         .iter()
-        .map(|(pk, output)| well_formed(pk, output))
+        .map(|(pk, output)| well_formed(pk.public_key(), output))
         .collect();
     let seed = batch_seed(&h, entries);
-    let coefficient =
-        |i: usize| Scalar::rlc_coefficient(BATCH_COEFFICIENT, seed.as_bytes(), i as u64);
-    if !weighted_sum(&h, entries, &verdicts, coefficient).is_infinity() {
+    let cancels = Scalar::rlc_coefficients(
+        BATCH_COEFFICIENT,
+        seed.as_bytes(),
+        2 * entries.len(),
+        |coefficients| weighted_sum(&h, entries, &verdicts, coefficients).is_infinity(),
+    );
+    if !cancels {
         for (verdict, (pk, output)) in verdicts.iter_mut().zip(entries) {
-            *verdict = *verdict && dleq_holds(pk, &h, &output.proof);
+            *verdict = *verdict && dleq_holds(*pk, &h, &output.proof);
         }
     }
     verdicts
@@ -257,49 +266,63 @@ pub fn verify_batch(input: &[u8], entries: &[(&PublicKey, &VrfOutput)]) -> Vec<b
 
 const BATCH_COEFFICIENT: &str = "cycledger/vrf-batch-coefficient";
 
+/// Groups of at most this many proofs keep their `4n + 2` terms on the
+/// stack: the sortition draw's group of eight.
+const STACK_PROOFS: usize = 8;
+
 /// The seed of a group's coefficients: `H` and every entry's key and whole
 /// proof. Were the `s_i` left out, responses could be shifted in tandem so
 /// that both weighted sums of `s` stay put.
-fn batch_seed(h: &AffinePoint, entries: &[(&PublicKey, &VrfOutput)]) -> Digest {
+fn batch_seed<K: VerifyingKey>(h: &AffinePoint, entries: &[(&K, &VrfOutput)]) -> Digest {
     let mut transcript = Sha256::new();
     transcript.update(b"cycledger/vrf-batch-seed");
     transcript.update(&h.to_bytes());
     for (pk, output) in entries {
-        transcript.update(&pk.to_bytes());
+        transcript.update(&pk.public_key().to_bytes());
         transcript.update(&output.proof.to_bytes());
     }
     transcript.finalize()
 }
 
 /// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i)` over the
-/// entries `live` marks, with `z_i = coefficient(2i)` and
-/// `w_i = coefficient(2i + 1)`.
-fn weighted_sum(
+/// entries `live` marks, with `z_i = coefficients[2i]` and
+/// `w_i = coefficients[2i + 1]`.
+fn weighted_sum<K: VerifyingKey>(
     h: &AffinePoint,
-    entries: &[(&PublicKey, &VrfOutput)],
+    entries: &[(&K, &VrfOutput)],
     live: &[bool],
-    coefficient: impl Fn(usize) -> Scalar,
+    coefficients: &[Scalar],
 ) -> Point {
+    let placeholder = (Scalar::zero(), Base::Point(Point::infinity()));
+    let mut stack = [placeholder; 4 * STACK_PROOFS + 2];
+    let mut heap = Vec::new();
+    let terms = if entries.len() <= STACK_PROOFS {
+        &mut stack[..]
+    } else {
+        heap.resize(4 * entries.len() + 2, placeholder);
+        &mut heap[..]
+    };
     let (mut on_g, mut on_h) = (Scalar::zero(), Scalar::zero());
-    let mut terms = Vec::with_capacity(4 * entries.len() + 2);
+    let mut len = 0;
     for (i, (pk, output)) in entries.iter().enumerate() {
         if !live[i] {
             continue;
         }
         let proof = &output.proof;
-        let (z, w) = (coefficient(2 * i), coefficient(2 * i + 1));
-        let c = dleq_challenge(pk, h, proof);
+        let (z, w) = (coefficients[2 * i], coefficients[2 * i + 1]);
+        let c = dleq_challenge(pk.public_key(), h, proof);
         on_g = on_g.add(&z.mul(&proof.s));
         on_h = on_h.add(&w.mul(&proof.s));
         // `−U` and `−V` under the 128-bit coefficients: one stream each.
-        terms.push((z.mul(&c), pk.point().to_point()));
-        terms.push((z, proof.u.neg().to_point()));
-        terms.push((w.mul(&c), proof.gamma.to_point()));
-        terms.push((w, proof.v.neg().to_point()));
+        terms[len] = (z.mul(&c), pk.base());
+        terms[len + 1] = (z, Base::Point(proof.u.neg().to_point()));
+        terms[len + 2] = (w.mul(&c), Base::Point(proof.gamma.to_point()));
+        terms[len + 3] = (w, Base::Point(proof.v.neg().to_point()));
+        len += 4;
     }
-    terms.push((on_g, Point::generator()));
-    terms.push((on_h, h.to_point()));
-    Point::multi_mul(&terms)
+    terms[len] = (on_g, Base::Point(Point::generator()));
+    terms[len + 1] = (on_h, Base::Point(h.to_point()));
+    Point::multi_mul(&terms[..len + 2])
 }
 
 /// Interprets a VRF output as a committee index in `[0, m)` — the
@@ -312,7 +335,7 @@ pub fn output_to_committee(output: &Digest, m: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schnorr::Keypair;
+    use crate::schnorr::{Keypair, PreparedKey};
     use proptest::prelude::*;
 
     #[test]
@@ -451,14 +474,30 @@ mod tests {
         (keys, outputs)
     }
 
+    /// The group's verdicts, batched and one at a time, each checked to be
+    /// the same with the keys prepared.
     fn batch_and_single(keys: &[Keypair], outputs: &[VrfOutput]) -> (Vec<bool>, Vec<bool>) {
         let entries: Vec<(&PublicKey, &VrfOutput)> =
             keys.iter().map(|kp| &kp.public).zip(outputs).collect();
-        let single = entries
+        let prepared: Vec<PreparedKey> =
+            keys.iter().map(|kp| PreparedKey::new(kp.public)).collect();
+        let keyed: Vec<(&PreparedKey, &VrfOutput)> = prepared.iter().zip(outputs).collect();
+        let single: Vec<bool> = entries
             .iter()
-            .map(|(pk, output)| verify(pk, GROUP_INPUT, output))
+            .map(|(pk, output)| verify(*pk, GROUP_INPUT, output))
             .collect();
-        (verify_batch(GROUP_INPUT, &entries), single)
+        let keyed_single: Vec<bool> = keyed
+            .iter()
+            .map(|(pk, output)| verify(*pk, GROUP_INPUT, output))
+            .collect();
+        assert_eq!(keyed_single, single, "prepared keys, one at a time");
+        let batched = verify_batch(GROUP_INPUT, &entries);
+        assert_eq!(
+            verify_batch(GROUP_INPUT, &keyed),
+            batched,
+            "prepared keys, batched"
+        );
+        (batched, single)
     }
 
     /// `(1, 1)` is not on `y² = x³ + 7`: 1 ≠ 8.
@@ -473,7 +512,7 @@ mod tests {
         let (verdicts, single) = batch_and_single(&keys, &honest);
         assert_eq!(verdicts, vec![true; 8]);
         assert_eq!(verdicts, single);
-        assert!(verify_batch(GROUP_INPUT, &[]).is_empty());
+        assert!(verify_batch::<PublicKey>(GROUP_INPUT, &[]).is_empty());
         assert!(!OFF_CURVE.is_on_curve());
 
         let other = evaluate(
@@ -528,10 +567,11 @@ mod tests {
         let entries: Vec<(&PublicKey, &VrfOutput)> =
             keys.iter().map(|kp| &kp.public).zip(&honest).collect();
         let seed = batch_seed(&h, &entries);
-        let coefficient =
-            |i: usize| Scalar::rlc_coefficient(BATCH_COEFFICIENT, seed.as_bytes(), i as u64);
-        let (z, w): (Vec<Scalar>, Vec<Scalar>) = (0..3)
-            .map(|i| (coefficient(2 * i), coefficient(2 * i + 1)))
+        let coefficients =
+            Scalar::rlc_coefficients(BATCH_COEFFICIENT, seed.as_bytes(), 6, <[_]>::to_vec);
+        let (z, w): (Vec<Scalar>, Vec<Scalar>) = coefficients
+            .chunks(2)
+            .map(|pair| (pair[0], pair[1]))
             .unzip();
 
         let d = Scalar::from_u64(12345);
@@ -547,7 +587,7 @@ mod tests {
         }
         let shifted: Vec<(&PublicKey, &VrfOutput)> =
             keys.iter().map(|kp| &kp.public).zip(&three).collect();
-        assert!(weighted_sum(&h, &shifted, &[true; 3], coefficient).is_infinity());
+        assert!(weighted_sum(&h, &shifted, &[true; 3], &coefficients).is_infinity());
 
         for (outputs, forged) in [(two, 2), (three, 3)] {
             let (verdicts, single) = batch_and_single(&keys, &outputs);

@@ -11,46 +11,50 @@
 //! (counted with the same hooks before it was replaced; its `square` was
 //! `mul(self)`), `4-bit` the endomorphism + mixed-addition kernel with
 //! four-bit fixed-base windows (commit da63273), `8-bit` the same kernel with
-//! eight-bit ones (commit e69df41), `now` with VRF proofs that carry their
-//! commitments `(Γ, U, V, s)` and every fixed-base table a `FixedBase` comb
-//! whose entries share one `Z` (one multiplication more per `k·G`):
+//! eight-bit ones (commit e69df41), `shared Z` with VRF proofs that carry
+//! their commitments `(Γ, U, V, s)` and every fixed-base table a `FixedBase`
+//! comb whose entries share one `Z` (one multiplication more per `k·G`), and
+//! `now` with the divstep inversion (no field multiplication) and every
+//! verifier's key prepared, its `KeyTable` built outside the scope:
 //!
-//! | operation                | wNAF   | 4-bit  | 8-bit  | now    |
-//! |--------------------------|--------|--------|--------|--------|
-//! | `Keypair::sign`          |   1451 |    934 |    615 |    616 |
-//! | `schnorr::verify`        |   3255 |   1798 |   1798 |   1798 |
-//! | `batch_verify` ×16       |  28328 |  17268 |  17268 |  17268 |
-//! | `vrf::evaluate`          |   8121 |   4846 |   4230 |   4232 |
-//! | `vrf::verify`            |   7202 |   4116 |   4116 |   3854 |
-//! | `vrf::Prover::new`       |        |        |        |  12660 |
-//! | `Prover::evaluate`       |        |        |        |   1735 |
-//! | `verify_batch` ×8, /8    |        |        |        |   2248 |
+//! | operation                | wNAF   | 4-bit  | 8-bit  | shared Z | now    |
+//! |--------------------------|--------|--------|--------|----------|--------|
+//! | `Keypair::sign`          |   1451 |    934 |    615 |      616 |    346 |
+//! | `KeyTable::new`          |        |        |        |          |   1024 |
+//! | `schnorr::verify`        |   3255 |   1798 |   1798 |     1798 |   1430 |
+//! | `batch_verify` ×16       |  28328 |  17268 |  17268 |    17268 |  13053 |
+//! | `vrf::evaluate`          |   8121 |   4846 |   4230 |     4232 |   3692 |
+//! | `vrf::verify`            |   7202 |   4116 |   4116 |     3854 |   3531 |
+//! | `vrf::Prover::new`       |        |        |        |    12660 |  12660 |
+//! | `Prover::evaluate`       |        |        |        |     1735 |   1465 |
+//! | `verify_batch` ×8, /8    |        |        |        |     2248 |   1980 |
 //!
 //! Point operations, wNAF → now: sign 59 additions → 31 mixed (signed
 //! eight-bit fixed-base windows; four-bit ones made it 60); verify 255
-//! doublings + 91 additions → 128 doublings + 72 mixed (7 of them build the
-//! public key's table); batch ×16 288 + 1639 → 160 + 1277 mixed. A VRF
-//! verification no longer normalises `U` and `V` (one inversion less); a
-//! table evaluation is 131 mixed additions and no doubling where
-//! `evaluate_with_public` walks 255 doublings; a group of eight walks one
-//! chain of 128 doublings where single checks walk sixteen. Ten evaluations
-//! cost 36 266 without a table and 29 823 with a fresh one.
+//! doublings + 91 additions → 125 doublings + 47 mixed (a bare key: 128 +
+//! 72, 7 of them to build its table); batch ×16 288 + 1639 → 144 + 946
+//! mixed. A VRF verification no longer normalises `U` and `V` (one
+//! inversion less); a table evaluation is 131 mixed additions and no
+//! doubling where `evaluate_with_public` walks 255 doublings; a group of
+//! eight walks one chain of 128 doublings where single checks walk sixteen.
+//! Ten evaluations cost 33 566 without a table and 27 123 with a fresh one.
 //!
 //! SHA-256 compressions per operation — `naive` is the HMAC-DRBG of commit
 //! b85479e (both pad blocks hashed on every HMAC, the closing state update
-//! made even when the generator is dropped), `now` the one that keeps its
-//! key schedule and owes that update; every nonce, Fiat–Shamir challenge and
-//! batch coefficient is one draw from a generator of its own:
+//! made even when the generator is dropped), `own` the one that keeps its
+//! key schedule and owes that update, with every nonce, Fiat–Shamir
+//! challenge and batch coefficient one draw from a generator of its own,
+//! `now` with a batch's coefficients drawn from one stream:
 //!
-//! | operation          | naive | now | generators |
-//! |--------------------|-------|-----|------------|
-//! | `Keypair::sign`    |    68 |  40 | 2          |
-//! | `schnorr::verify`  |    35 |  21 | 1          |
-//! | `batch_verify` ×16 |  1153 | 705 | 32         |
-//! | `vrf::evaluate`    |    73 |  45 | 2          |
-//! | `vrf::verify`      |    41 |  27 | 1          |
-//! | `Prover::evaluate` |       |  43 | 2          |
-//! | `verify_batch` ×8  |       | 528 | 24         |
+//! | operation          | naive | own | now | generators |
+//! |--------------------|-------|-----|-----|------------|
+//! | `Keypair::sign`    |    68 |  40 |  40 | 2          |
+//! | `schnorr::verify`  |    35 |  21 |  21 | 1          |
+//! | `batch_verify` ×16 |  1153 | 705 | 449 | 32 → 17    |
+//! | `vrf::evaluate`    |    73 |  45 |  45 | 2          |
+//! | `vrf::verify`      |    41 |  27 |  27 | 1          |
+//! | `Prover::evaluate` |       |  43 |  43 | 2          |
+//! | `verify_batch` ×8  |       | 528 | 272 | 24 → 9     |
 //!
 //! The tally also counts signatures verified (one at a time, in batches),
 //! verification-memo lookups and the simulated network's envelopes and
@@ -59,9 +63,12 @@
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
+use cycledger_crypto::point::KeyTable;
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
-use cycledger_crypto::schnorr::{batch_verify, verify, BatchEntry, Keypair, PublicKey, Signature};
+use cycledger_crypto::schnorr::{
+    batch_verify, verify, BatchEntry, Keypair, PreparedKey, Signature,
+};
 use cycledger_crypto::vrf;
 
 const MESSAGE: &[u8] = b"a consensus message of typical size padded to sixty-four bytes!";
@@ -78,38 +85,44 @@ fn field_muls(t: &Tally) -> u64 {
 #[test]
 fn kernel_operation_counts_are_pinned() {
     let kp = Keypair::from_seed(b"opcount-key");
-    // Warm the lazily built tables and the hash-to-curve memo outside the scopes.
+    // Warm the lazily built tables and the hash-to-curve memo outside the
+    // scopes; every key is prepared outside them too, as the node registry
+    // prepares it once.
+    let key = PreparedKey::new(kp.public);
     let sig = kp.sign(MESSAGE);
     let out = vrf::evaluate(&kp.secret, VRF_INPUT);
-    assert!(verify(&kp.public, MESSAGE, &sig));
-    assert!(vrf::verify(&kp.public, VRF_INPUT, &out));
+    assert!(verify(&key, MESSAGE, &sig));
+    assert!(vrf::verify(&key, VRF_INPUT, &out));
 
     let keys: Vec<Keypair> = (0..16u8).map(|i| Keypair::from_seed(&[b'b', i])).collect();
+    let prepared: Vec<PreparedKey> = keys.iter().map(|k| PreparedKey::new(k.public)).collect();
     let sigs: Vec<Signature> = keys.iter().map(|k| k.sign(MESSAGE)).collect();
-    let entries: Vec<BatchEntry<'_>> = keys
+    let entries: Vec<BatchEntry<'_, PreparedKey>> = prepared
         .iter()
         .zip(&sigs)
-        .map(|(k, s)| BatchEntry {
-            public_key: &k.public,
+        .map(|(public_key, signature)| BatchEntry {
+            public_key,
             message: MESSAGE,
-            signature: s,
+            signature,
         })
         .collect();
 
     let sign = scope(|| kp.sign(MESSAGE));
-    let verified = scope(|| assert!(verify(&kp.public, MESSAGE, &sig)));
+    let table = scope(|| KeyTable::new(kp.public.point()));
+    let verified = scope(|| assert!(verify(&key, MESSAGE, &sig)));
+    let bare = scope(|| assert!(verify(&kp.public, MESSAGE, &sig)));
     let batch = scope(|| assert!(batch_verify(&entries)));
     let evaluated = scope(|| vrf::evaluate(&kp.secret, VRF_INPUT));
-    let vrf_verified = scope(|| assert!(vrf::verify(&kp.public, VRF_INPUT, &out)));
-    // Shown when an assertion below fails: all five, for re-pinning at once.
-    println!("sign {sign:?}\nverify {verified:?}\nbatch x16 {batch:?}");
-    println!("vrf evaluate {evaluated:?}\nvrf verify {vrf_verified:?}");
+    let vrf_verified = scope(|| assert!(vrf::verify(&key, VRF_INPUT, &out)));
+    // Shown when an assertion below fails: all of them, for re-pinning at once.
+    println!("sign {sign:?}\nkey table {table:?}\nverify {verified:?}\nbare verify {bare:?}");
+    println!("batch x16 {batch:?}\nvrf evaluate {evaluated:?}\nvrf verify {vrf_verified:?}");
 
     assert_eq!(
         sign,
         Tally {
-            fe_mul: 267,
-            fe_square: 349,
+            fe_mul: 252,
+            fe_square: 94,
             fe_invert: 1,
             point_double: 0,
             point_add: 0,
@@ -119,14 +132,41 @@ fn kernel_operation_counts_are_pinned() {
             ..Tally::default()
         }
     );
+    // 63 mixed additions of 2P where it is affine, one inversion for all 64.
+    assert_eq!(
+        table,
+        Tally {
+            fe_mul: 766,
+            fe_square: 258,
+            fe_invert: 1,
+            point_double: 1,
+            point_add_affine: 63,
+            ..Tally::default()
+        }
+    );
+    // The key term walks its table (about 28 additions, none to build one);
+    // a bare key builds a width-5 table and walks it (7 + 43 or so).
     assert_eq!(
         verified,
         Tally {
+            fe_mul: 783,
+            fe_square: 647,
+            fe_invert: 0,
+            point_double: 125,
+            point_add: 0,
+            point_add_affine: 47,
+            sha256_blocks: 21,
+            drbg_instantiations: 1,
+            sigs_single: 1,
+            ..Tally::default()
+        }
+    );
+    assert_eq!(
+        bare,
+        Tally {
             fe_mul: 1056,
             fe_square: 742,
-            fe_invert: 0,
             point_double: 128,
-            point_add: 0,
             point_add_affine: 72,
             sha256_blocks: 21,
             drbg_instantiations: 1,
@@ -137,14 +177,14 @@ fn kernel_operation_counts_are_pinned() {
     assert_eq!(
         batch,
         Tally {
-            fe_mul: 12414,
-            fe_square: 4854,
+            fe_mul: 9416,
+            fe_square: 3637,
             fe_invert: 0,
-            point_double: 160,
+            point_double: 144,
             point_add: 0,
-            point_add_affine: 1277,
-            sha256_blocks: 705,
-            drbg_instantiations: 32,
+            point_add_affine: 946,
+            sha256_blocks: 449,
+            drbg_instantiations: 17,
             sigs_batched: 16,
             sig_batches: 1,
             ..Tally::default()
@@ -153,8 +193,8 @@ fn kernel_operation_counts_are_pinned() {
     assert_eq!(
         evaluated,
         Tally {
-            fe_mul: 2206,
-            fe_square: 2026,
+            fe_mul: 2176,
+            fe_square: 1516,
             fe_invert: 2,
             point_double: 254,
             point_add: 0,
@@ -167,21 +207,24 @@ fn kernel_operation_counts_are_pinned() {
     assert_eq!(
         vrf_verified,
         Tally {
-            fe_mul: 2298,
-            fe_square: 1556,
+            fe_mul: 2054,
+            fe_square: 1477,
             fe_invert: 0,
-            point_double: 257,
+            point_double: 256,
             point_add: 0,
-            point_add_affine: 163,
+            point_add_affine: 141,
             sha256_blocks: 27,
             drbg_instantiations: 1,
             ..Tally::default()
         }
     );
 
-    // The reductions the kernel replacement was accepted on.
+    // The reductions the kernel replacement was accepted on, and the key
+    // tables' on a verification (1 798 with a bare key) and a batch (17 268).
     assert!(field_muls(&verified) * 100 <= WNAF_VERIFY * 65);
     assert!(field_muls(&sign) * 100 <= WNAF_SIGN * 70);
+    assert!(field_muls(&verified) * 100 <= field_muls(&bare) * 80);
+    assert!(field_muls(&batch) * 100 <= 17_268 * 76);
 }
 
 #[test]
@@ -193,12 +236,9 @@ fn vrf_table_and_group_counts_are_pinned() {
         .iter()
         .map(|k| warm.evaluate(&k.secret, &k.public))
         .collect();
-    let group: Vec<(&PublicKey, &vrf::VrfOutput)> = keys
-        .iter()
-        .map(|k| &k.public)
-        .zip(&outputs)
-        .take(8)
-        .collect();
+    let prepared: Vec<PreparedKey> = keys.iter().map(|k| PreparedKey::new(k.public)).collect();
+    let group: Vec<(&PreparedKey, &vrf::VrfOutput)> =
+        prepared.iter().zip(&outputs).take(8).collect();
     let kp = &keys[0];
     vrf::evaluate_with_public(&kp.secret, &kp.public, VRF_INPUT);
     vrf::verify_batch(VRF_INPUT, &group);
@@ -208,7 +248,7 @@ fn vrf_table_and_group_counts_are_pinned() {
     let prover = prover.expect("built");
     let on_table = scope(|| prover.evaluate(&kp.secret, &kp.public));
     let direct = scope(|| vrf::evaluate_with_public(&kp.secret, &kp.public, VRF_INPUT));
-    let single = scope(|| assert!(vrf::verify(&kp.public, VRF_INPUT, &outputs[0])));
+    let single = scope(|| assert!(vrf::verify(&prepared[0], VRF_INPUT, &outputs[0])));
     let grouped = scope(|| assert_eq!(vrf::verify_batch(VRF_INPUT, &group), vec![true; 8]));
     let ten_on_table = scope(|| {
         let prover = vrf::Prover::new(VRF_INPUT);
@@ -245,8 +285,8 @@ fn vrf_table_and_group_counts_are_pinned() {
     assert_eq!(
         on_table,
         Tally {
-            fe_mul: 1084,
-            fe_square: 651,
+            fe_mul: 1069,
+            fe_square: 396,
             fe_invert: 1,
             point_add_affine: 131,
             sha256_blocks: 43,
@@ -257,8 +297,8 @@ fn vrf_table_and_group_counts_are_pinned() {
     assert_eq!(
         direct,
         Tally {
-            fe_mul: 1942,
-            fe_square: 1681,
+            fe_mul: 1927,
+            fe_square: 1426,
             fe_invert: 1,
             point_double: 255,
             point_add_affine: 129,
@@ -268,28 +308,29 @@ fn vrf_table_and_group_counts_are_pinned() {
         }
     );
     // Eight proofs, one 34-term combination: one chain of 128 doublings (and
-    // the H term's table doubling) where eight single checks walk sixteen;
-    // a challenge and two coefficients a proof.
+    // the point terms' table doublings) where eight single checks walk
+    // sixteen, every key through its table; a challenge a proof and one
+    // stream of sixteen coefficients.
     assert_eq!(
         grouped,
         Tally {
-            fe_mul: 12940,
-            fe_square: 5042,
-            point_double: 161,
-            point_add_affine: 1335,
-            sha256_blocks: 528,
-            drbg_instantiations: 24,
+            fe_mul: 11416,
+            fe_square: 4424,
+            point_double: 153,
+            point_add_affine: 1166,
+            sha256_blocks: 272,
+            drbg_instantiations: 9,
             ..Tally::default()
         }
     );
-    assert_eq!(field_muls(&single), 3894);
+    assert_eq!(field_muls(&single), 3602);
     assert!(field_muls(&grouped) * 100 <= 8 * field_muls(&single) * 60);
 
     // Break-even: a table and ten evaluations on it cost fewer field
     // operations than ten evaluations without one.
     assert_eq!(
         (field_muls(&ten_on_table), field_muls(&ten_direct)),
-        (29823, 36266)
+        (27123, 33566)
     );
     assert!(field_muls(&ten_on_table) < field_muls(&ten_direct));
 }
@@ -308,18 +349,19 @@ fn pvss_dealing_check_and_beacon_counts_are_pinned() {
     // Shown when an assertion below fails, for re-pinning at once.
     println!("verify_dealing {check:?}\nbeacon {beacon:?}");
     // One 5-term combination over one doubling chain: 131 doublings and
-    // 3 963 field multiplications, where four multiplications and a
-    // fixed-base one walked 507 doublings in 6 706.
+    // 3 684 field multiplications (3 963 when the inversion was a Fermat
+    // chain), where four multiplications and a fixed-base one walked 507
+    // doublings in 6 706; the seven coefficients are one stream.
     assert_eq!(
         check,
         Tally {
-            fe_mul: 2478,
-            fe_square: 1485,
+            fe_mul: 2457,
+            fe_square: 1227,
             fe_invert: 1,
             point_double: 131,
-            point_add_affine: 221,
-            sha256_blocks: 135,
-            drbg_instantiations: 7,
+            point_add_affine: 220,
+            sha256_blocks: 33,
+            drbg_instantiations: 1,
             ..Tally::default()
         }
     );
@@ -329,13 +371,13 @@ fn pvss_dealing_check_and_beacon_counts_are_pinned() {
     assert_eq!(
         beacon,
         Tally {
-            fe_mul: 24256,
-            fe_square: 12975,
+            fe_mul: 24267,
+            fe_square: 11230,
             fe_invert: 7,
-            point_double: 917,
-            point_add_affine: 2407,
-            sha256_blocks: 1311,
-            drbg_instantiations: 63,
+            point_double: 916,
+            point_add_affine: 2422,
+            sha256_blocks: 597,
+            drbg_instantiations: 21,
             ..Tally::default()
         }
     );

@@ -269,9 +269,11 @@ mod tests {
     /// 8×16, and the one `consensus.probe.alg3_msgs` reports: 14 PROPOSEs,
     /// 15 × 14 ECHOes and 15 CONFIRMs are 239 envelopes, each with one
     /// latency draw of one SHA-256 compression, and building the network
-    /// keys its three draws with three more — 242 of the 3 243. The 105
-    /// generators are nonces, challenges and batch coefficients. While a
-    /// latency draw was an HMAC-DRBG of its own (commit 8a5a2b3) the same
+    /// keys its three draws with three more — 242 of the 2 985. The 90
+    /// generators are nonces, challenges and one coefficient stream a quorum
+    /// batch (105 and 3 243 while every coefficient had a generator of its
+    /// own). While a latency draw was an HMAC-DRBG of its own (commit
+    /// 8a5a2b3) the same
     /// instance made 344 generators and hashed 7 303 blocks, 4 302 of them
     /// in draws; at commit b85479e, 12 119.
     #[cfg(feature = "opcount")]
@@ -310,10 +312,7 @@ mod tests {
             (tally.envelopes_sent, tally.latency_draws, tally.fault_draws),
             (239, 239, 0)
         );
-        assert_eq!(
-            (tally.drbg_instantiations, tally.sha256_blocks),
-            (105, 3243)
-        );
+        assert_eq!((tally.drbg_instantiations, tally.sha256_blocks), (90, 2985));
     }
 
     /// An honest instance of `committee` under `id`: its certificate and the

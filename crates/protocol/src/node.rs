@@ -1,7 +1,7 @@
 //! Simulated nodes and the node registry (the PKI of §III-A).
 
 use cycledger_crypto::hmac::HmacDrbg;
-use cycledger_crypto::schnorr::Keypair;
+use cycledger_crypto::schnorr::{Keypair, PreparedKey};
 use cycledger_crypto::vrf::{self, VrfOutput};
 use cycledger_net::topology::NodeId;
 
@@ -46,6 +46,10 @@ pub struct SimNode {
     pub id: NodeId,
     /// Long-lived key pair registered with the PKI.
     pub keypair: Keypair,
+    /// The public half of `keypair` with its table, built when the node is
+    /// registered: what every verifier of the node's signatures and
+    /// sortition proofs multiplies.
+    pub verifying_key: PreparedKey,
     /// Honest or one of the adversarial behaviours.
     pub behavior: Behavior,
     /// Number of transactions the node can validate per round; beyond this it
@@ -56,6 +60,26 @@ pub struct SimNode {
 }
 
 impl SimNode {
+    /// Node `i` of the registry drawn from `seed`: its key pair derives from
+    /// `cycledger-node-{seed}-{i}`, and its key's table is built here, once.
+    fn new(
+        i: usize,
+        seed: u64,
+        behavior: Behavior,
+        compute_capacity: u32,
+        membership: MembershipState,
+    ) -> SimNode {
+        let keypair = Keypair::from_seed(format!("cycledger-node-{seed}-{i}").as_bytes());
+        SimNode {
+            id: NodeId(i as u32),
+            keypair,
+            verifying_key: PreparedKey::new(keypair.public),
+            behavior,
+            compute_capacity,
+            membership,
+        }
+    }
+
     /// True if the node follows the protocol.
     pub fn is_honest(&self) -> bool {
         !self.behavior.is_malicious()
@@ -94,13 +118,7 @@ impl NodeRegistry {
                     } else {
                         drbg.next_below(compute_spread as u64 + 1) as u32
                     };
-                SimNode {
-                    id: NodeId(i as u32),
-                    keypair: Keypair::from_seed(format!("cycledger-node-{seed}-{i}").as_bytes()),
-                    behavior: behaviors[i],
-                    compute_capacity: capacity,
-                    membership: MembershipState::Active,
-                }
+                SimNode::new(i, seed, behaviors[i], capacity, MembershipState::Active)
             })
             .collect();
         NodeRegistry {
@@ -166,7 +184,11 @@ impl NodeRegistry {
     /// Builds the public-key directory for a set of nodes (what committee
     /// members learn during committee configuration).
     pub fn committee_keys(&self, members: &[NodeId]) -> CommitteeKeys {
-        CommitteeKeys::new(members.iter().map(|&id| (id, self.node(id).keypair.public)))
+        CommitteeKeys::new(
+            members
+                .iter()
+                .map(|&id| (id, self.node(id).verifying_key.clone())),
+        )
     }
 
     /// Overrides one node's behaviour (used by targeted fault-injection tests).
@@ -225,13 +247,13 @@ impl NodeRegistry {
                         );
                         drbg.next_below(compute_spread as u64 + 1) as u32
                     };
-                let node = SimNode {
-                    id: NodeId(i as u32),
-                    keypair: Keypair::from_seed(format!("cycledger-node-{seed}-{i}").as_bytes()),
-                    behavior: Behavior::Honest,
-                    compute_capacity: capacity,
-                    membership: MembershipState::Syncing,
-                };
+                let node = SimNode::new(
+                    i,
+                    seed,
+                    Behavior::Honest,
+                    capacity,
+                    MembershipState::Syncing,
+                );
                 let id = node.id;
                 self.nodes.push(node);
                 id
@@ -243,6 +265,7 @@ impl NodeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cycledger_crypto::schnorr::VerifyingKey;
 
     #[test]
     fn generation_is_deterministic_and_sized() {
@@ -280,8 +303,58 @@ mod tests {
             reg.iter().map(|n| n.keypair.public.to_bytes()).collect();
         assert_eq!(distinct.len(), 20);
         for node in reg.iter() {
-            assert_eq!(keys.get(node.id), Some(&node.keypair.public));
+            assert_eq!(
+                keys.get(node.id).map(|key| key.public_key()),
+                Some(&node.keypair.public)
+            );
+            assert_eq!(node.verifying_key.public_key(), &node.keypair.public);
         }
+    }
+
+    #[test]
+    fn an_epoch_joiner_is_registered_with_a_table_and_its_echo_verifies() {
+        use cycledger_consensus::messages::{make_echo, make_propose, verify_echo_cached};
+        use cycledger_consensus::{ConsensusId, SigCache};
+
+        let mut reg = NodeRegistry::generate(10, &AdversaryConfig::default(), 100, 0, 9);
+        let joiner = reg.extend(1, 100, 0, 9)[0];
+        let node = reg.node(joiner);
+        assert_eq!(node.verifying_key.public_key(), &node.keypair.public);
+        let leader = NodeId(0);
+        let keys = reg.committee_keys(&[leader, joiner]);
+        let (leader_key, joiner_key) = (keys.get(leader).unwrap(), keys.get(joiner).unwrap());
+        assert_eq!(joiner_key.public_key(), &node.keypair.public);
+
+        let id = ConsensusId { round: 3, seq: 1 };
+        let propose = make_propose(
+            id,
+            b"joiner payload".to_vec(),
+            leader,
+            &reg.node(leader).keypair,
+        );
+        let echo = make_echo(&propose, joiner, &node.keypair);
+        assert!(verify_echo_cached(
+            &echo,
+            joiner_key,
+            leader_key,
+            &SigCache::new()
+        ));
+        // An ECHO in the joiner's name under another node's key fails
+        // through the joiner's table, as it does through the bare key.
+        let forged = make_echo(&propose, joiner, &reg.node(NodeId(1)).keypair);
+        assert!(!verify_echo_cached(
+            &forged,
+            joiner_key,
+            leader_key,
+            &SigCache::new()
+        ));
+        let signed =
+            cycledger_consensus::messages::echo_signing_bytes(&id, &propose.digest, joiner);
+        assert!(!cycledger_crypto::schnorr::verify(
+            &node.keypair.public,
+            &signed,
+            &forged.signature
+        ));
     }
 
     #[test]

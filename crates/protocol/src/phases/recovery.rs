@@ -69,7 +69,7 @@ pub fn run_recovery(
         &committee.members,
         committee.leader,
         &accusation,
-        &node(accused).keypair.public,
+        &node(accused).verifying_key,
         prosecutor,
         node(prosecutor).is_honest(),
     );

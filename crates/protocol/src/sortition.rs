@@ -328,7 +328,7 @@ impl SortitionBase {
                 let entries: Vec<_> = group
                     .iter()
                     .zip(&proofs)
-                    .map(|(&id, output)| (&registry.node(id).keypair.public, output))
+                    .map(|(&id, output)| (&registry.node(id).verifying_key, output))
                     .collect();
                 let valid = vrf::verify_batch(input, &entries);
                 (proofs, valid)
@@ -447,10 +447,11 @@ mod tests {
     /// sides of every comparison and this assignment cost 13 264; until every
     /// evaluation went through one `vrf::Prover`, each also looked the round's
     /// `hash_to_curve` base up in its memo (3 compressions), for 4 760. The
-    /// other 5 361 are the draw checking the 81 proofs, one
-    /// `vrf::verify_batch` a group: ten groups of eight at 528 each (the
-    /// crypto crate pins that group) and a last group of one at 81. Before
-    /// the draw checked its proofs this assignment cost 4 520.
+    /// other 2 783 are the draw checking the 81 proofs, one
+    /// `vrf::verify_batch` a group: ten groups of eight at 272 each (the
+    /// crypto crate pins that group) and a last group of one at 63 — 5 361
+    /// while every coefficient came from a generator of its own. Before the
+    /// draw checked its proofs this assignment cost 4 520.
     #[cfg(feature = "opcount")]
     #[test]
     fn the_lottery_sorts_hash_once_per_node() {
@@ -468,7 +469,7 @@ mod tests {
         let mut assignment = None;
         let tally = scope(|| assignment = Some(assign(1)));
         let sortitioned = proof_order(&assignment.unwrap(), &registry).len();
-        assert_eq!((sortitioned, tally.sha256_blocks), (81, 9881));
+        assert_eq!((sortitioned, tally.sha256_blocks), (81, 7303));
     }
 
     /// An all-honest population loses no seat to the proof check: the draw's

@@ -45,6 +45,19 @@ latency (at 0.9x capacity) and the saturated throughput against
 protocol changed, never the runner; the tolerance stays because the smoke
 sweep measures fewer rounds than the committed full sweep.
 
+``--counts`` gates ``gen_bench_round --smoke`` built with ``--features
+opcount``: the operation counts of the tracked configuration's one-worker
+series (``smoke_1_worker.opcount``, per round over the same first 16 measured
+rounds) -- field multiplications and squarings, inversions, doublings, mixed
+additions, SHA-256 compressions, DRBG instantiations, signatures verified
+singly and in batches, memo lookups and envelopes -- against
+``BENCH_round.json``'s ``verified.one_worker.opcount``. They are counted on
+the driver thread, where a one-worker round runs every task, so they repeat
+to the digit on any machine and are all exact rows: a kernel that loses a
+table, a phase that verifies a signature twice, or an envelope that comes
+back moves one past its 1%, and a count that falls by more than 5% wants
+its baseline re-recorded.
+
 ``--state`` gates ``gen_bench_state --smoke`` (flat map vs sparse Merkle
 store over a 10^6-entry UTXO set). The per-transaction hot paths carry
 hard caps -- lookup within 3x and apply within 4x of the flat map --
@@ -57,7 +70,7 @@ commit pays O(log n) hashes per written key where a hashmap pays one probe,
 so no small absolute cap is physically achievable there.
 
 ``--self-test`` (alone for the round gate, or after ``--latency`` /
-``--state``) runs no benchmark: for every row of the gate it feeds the moves
+``--counts`` / ``--state``) runs no benchmark: for every row of the gate it feeds the moves
 of ``SELF_TEST`` -- one that must fail, one that must pass and, for an
 exact row, a stale baseline that must fail too -- through the same check
 the real gate runs. The moves are written from what each metric
@@ -124,6 +137,32 @@ def state_row(metric: str, bound: float | None = None) -> Row:
     return Row(f"tracked.{metric}", tracked, tracked if bound is None else bound, "lower")
 
 
+# The counts of ``--counts``: one exact row each.
+OP_COUNTS = (
+    "field_muls_per_round",
+    "inversions_per_round",
+    "doublings_per_round",
+    "mixed_additions_per_round",
+    "sha256_blocks_per_round",
+    "drbg_instantiations_per_round",
+    "sigs_single_per_round",
+    "sigs_batched_per_round",
+    "memo_lookups_per_round",
+    "envelopes_per_round",
+)
+
+
+def count_row(metric: str) -> Row:
+    """An exact per-round operation count of the plain one-worker series."""
+    return Row(
+        f"counts.{metric}",
+        ("smoke_1_worker", "opcount", metric),
+        ("verified", "one_worker", "opcount", metric),
+        "lower",
+        0.01,
+    )
+
+
 def exact_row(series: str, metric: str) -> Row:
     """An exact per-round count of the plain or epoch one-worker series,
     gated within 1% (and against a stale baseline)."""
@@ -134,7 +173,8 @@ def exact_row(series: str, metric: str) -> Row:
     return Row(f"{series}.{metric}", (smoke, metric), ("verified", committed, metric), "lower", 0.01)
 
 
-# gate: (smoke binary, committed baseline, rows)
+# gate: (smoke binary, committed baseline, rows); FEATURES names the cargo
+# features a gate's binary is built with.
 GATES = {
     "round": (
         "gen_bench_round",
@@ -164,6 +204,11 @@ GATES = {
             ),
             Row("parallel.speedup", parallel_speedup, 1.25, "higher"),
         ),
+    ),
+    "counts": (
+        "gen_bench_round",
+        "BENCH_round.json",
+        tuple(count_row(metric) for metric in OP_COUNTS),
     ),
     "latency": (
         "gen_bench_latency",
@@ -197,6 +242,8 @@ GATES = {
     ),
 }
 
+FEATURES = {"counts": ("opcount",)}
+
 # A move past the tolerance, applied to a row's committed value.
 UP, DOWN = "up", "down"
 
@@ -228,6 +275,7 @@ SELF_TEST = {
     "plain.batches_per_round": EXACT,
     "epoch.batches_per_round": EXACT,
     "parallel.speedup": (1.2, 1.6),
+    **{f"counts.{metric}": EXACT for metric in OP_COUNTS},
     "tracked.p99_us": (UP, DOWN),
     "sweep.saturated_tps": (DOWN, UP),
     "tracked.smt_lookup_over_map_lookup": (3.1, 1.1),
@@ -266,8 +314,11 @@ def check(row: Row, measured: float, baseline: dict, failures: list, committed: 
         failures.append(row.name)
 
 
-def run_bench(binary: str) -> dict | None:
-    cmd = ["cargo", "run", "-q", "--release", "-p", "cycledger-bench", "--bin", binary, "--", "--smoke"]
+def run_bench(binary: str, features: tuple = ()) -> dict | None:
+    cmd = ["cargo", "run", "-q", "--release", "-p", "cycledger-bench", "--bin", binary]
+    if features:
+        cmd += ["--features", ",".join(features)]
+    cmd += ["--", "--smoke"]
     print("+", " ".join(cmd), flush=True)
     out = subprocess.run(cmd, cwd=REPO_ROOT, capture_output=True, text=True)
     print(out.stdout)
@@ -317,7 +368,7 @@ def gate(name: str, run_self_test: bool) -> int:
     if run_self_test:
         return self_test(rows, baseline, committed)
 
-    report = run_bench(binary)
+    report = run_bench(binary, FEATURES.get(name, ()))
     if report is None:
         return 1
     failures = []
@@ -336,10 +387,10 @@ def gate(name: str, run_self_test: bool) -> int:
 
 def main() -> int:
     args = sys.argv[1:]
-    modes = [a for a in args if a in ("--latency", "--state")]
-    unknown = [a for a in args if a not in ("--latency", "--state", "--self-test")]
+    modes = [a for a in args if a in ("--latency", "--counts", "--state")]
+    unknown = [a for a in args if a not in ("--latency", "--counts", "--state", "--self-test")]
     if unknown or len(modes) > 1:
-        print("usage: perf_gate.py [--latency | --state] [--self-test]", file=sys.stderr)
+        print("usage: perf_gate.py [--latency | --counts | --state] [--self-test]", file=sys.stderr)
         return 2
     return gate(modes[0][2:] if modes else "round", "--self-test" in args)
 

@@ -18,15 +18,11 @@ use cycledger_consensus::transition::{
     quorum_timed_out, tx_accepted,
 };
 use cycledger_consensus::votes::{Vote, VoteList};
+use cycledger_net::metrics::Phase;
 use cycledger_protocol::phases::intra::IntraOutcome;
 use cycledger_protocol::{
     PlaneCounters, RecoveryOutcome, RecoveryRecord, RoundContext, RoundObserver,
 };
-
-/// The phases whose artifacts are checked.
-const INTRA: &str = "intra-consensus";
-const RECOVERY: &str = "intra-recovery";
-const INTER: &str = "inter-consensus";
 
 /// A broken rule: its name and what broke it.
 pub(crate) type Failure = (&'static str, String);
@@ -186,7 +182,8 @@ fn check_recovery(record: &RecoveryRecord, size: usize) -> Result<(), Failure> {
 
 /// Reconciles what `phase` added to the round's counters with the sum of the
 /// books of the committees it checked.
-fn reconcile(phase: &str, delta: PlaneCounters, tasks: PlaneCounters) -> Result<(), Failure> {
+fn reconcile(phase: Phase, delta: PlaneCounters, tasks: PlaneCounters) -> Result<(), Failure> {
+    use Phase::*;
     if delta.syncing_votes != 0 {
         let detail = format!(
             "{} syncing votes folded into the round",
@@ -196,12 +193,17 @@ fn reconcile(phase: &str, delta: PlaneCounters, tasks: PlaneCounters) -> Result<
     }
     // The intra phase folds its tasks' books and nothing else; the recovery
     // phase folds its impeachments' networks too, so only the vote counters
-    // are the retries' alone.
+    // are the retries' alone. The semi-commitment phase runs impeachments
+    // and retries nothing: it folds no vote counter at all.
     let votes = |c: PlaneCounters| (c.quorum_timeouts, c.votes_missing);
     let folded = match phase {
-        INTRA => delta == tasks,
-        RECOVERY => votes(delta) == votes(tasks),
-        _ => true,
+        IntraCommitteeConsensus => delta == tasks,
+        SemiCommitmentExchange | Recovery => votes(delta) == votes(tasks),
+        CommitteeConfiguration
+        | InterCommitteeConsensus
+        | ReputationUpdate
+        | KeyMemberSelection
+        | BlockGeneration => true,
     };
     if !folded {
         let detail = format!("the phase folded {delta:?}, its committees sum to {tasks:?}");
@@ -238,15 +240,16 @@ impl Refiner {
 
     /// Checks what `phase` left on `ctx`: the outcomes of the committees it
     /// ran consensus for — every one in the intra phase, the retried ones in
-    /// recovery — the records it added to the recovery log, and its counter
-    /// delta.
-    fn check_phase(&mut self, phase: &str, ctx: &RoundContext<'_>) -> Result<(), RefinementError> {
-        let round = ctx.round;
+    /// recovery — the records it added to the recovery log, and, in the
+    /// phases that run committee tasks or impeachments, its counter delta.
+    fn check_phase(&mut self, phase: Phase, ctx: &RoundContext<'_>) -> Result<(), RefinementError> {
+        use Phase::*;
+        let (round, name) = (ctx.round, phase.name());
         let located = |committee: Option<usize>| {
             move |(rule, detail): Failure| {
                 let location = match committee {
-                    Some(k) => format!("round {round} / {phase} / committee {k}"),
-                    None => format!("round {round} / {phase}"),
+                    Some(k) => format!("round {round} / {name} / committee {k}"),
+                    None => format!("round {round} / {name}"),
                 };
                 RefinementError {
                     rule,
@@ -259,10 +262,13 @@ impl Refiner {
         let retried = added
             .iter()
             .filter(|r| r.outcome == RecoveryOutcome::Evicted);
-        let checked: Vec<usize> = match phase {
-            INTRA => (0..ctx.committee_count()).collect(),
-            RECOVERY => retried.map(|r| r.committee).collect(),
-            _ => Vec::new(),
+        let (checked, reconciled): (Vec<usize>, bool) = match phase {
+            IntraCommitteeConsensus => ((0..ctx.committee_count()).collect(), true),
+            Recovery => (retried.map(|r| r.committee).collect(), true),
+            SemiCommitmentExchange | InterCommitteeConsensus => (Vec::new(), true),
+            CommitteeConfiguration | ReputationUpdate | KeyMemberSelection | BlockGeneration => {
+                (Vec::new(), false)
+            }
         };
         let mut tasks = PlaneCounters::default();
         for k in checked {
@@ -278,7 +284,7 @@ impl Refiner {
             check_recovery(record, size).map_err(located(Some(record.committee)))?;
             self.stats.recovery_steps += 1;
         }
-        if matches!(phase, INTRA | RECOVERY | INTER) {
+        if reconciled {
             let delta = ctx.books.counters - self.mark;
             reconcile(phase, delta, tasks).map_err(located(None))?;
             self.stats.phase_deltas += 1;
@@ -293,9 +299,9 @@ impl RoundObserver for Refiner {
         self.recoveries_mark = ctx.recovery_log.len();
     }
 
-    fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+    fn on_phase_end(&mut self, _phase: &'static str, ctx: &RoundContext<'_>) {
         if self.first_error.is_none() {
-            self.first_error = self.check_phase(phase, ctx).err();
+            self.first_error = self.check_phase(ctx.phase, ctx).err();
         }
     }
 }
@@ -316,8 +322,8 @@ mod tests {
         #[derive(Default)]
         struct AfterIntra(Option<(IntraOutcome, usize)>);
         impl RoundObserver for AfterIntra {
-            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
-                if phase == INTRA {
+            fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+                if ctx.phase == Phase::IntraCommitteeConsensus {
                     let size = ctx.committees[0].size();
                     self.0 = Some((ctx.intra_outcomes[0].clone(), size));
                 }
@@ -432,7 +438,7 @@ mod tests {
         };
         let none = PlaneCounters::default();
         assert_eq!(
-            rule(reconcile(INTER, folded, none)),
+            rule(reconcile(Phase::InterCommitteeConsensus, folded, none)),
             Err("syncing-vote-counted")
         );
     }
@@ -514,12 +520,40 @@ mod tests {
         let mut dropped_elsewhere = task;
         dropped_elsewhere.net_dropped += 1;
         let skew = Err("counter-reconciliation");
-        assert_eq!(rule(reconcile(INTRA, task, task)), Ok(()));
-        assert_eq!(rule(reconcile(INTRA, twice, task)), skew);
-        assert_eq!(rule(reconcile(INTRA, dropped_elsewhere, task)), skew);
+        let (intra, recovery) = (Phase::IntraCommitteeConsensus, Phase::Recovery);
+        assert_eq!(rule(reconcile(intra, task, task)), Ok(()));
+        assert_eq!(rule(reconcile(intra, twice, task)), skew);
+        assert_eq!(rule(reconcile(intra, dropped_elsewhere, task)), skew);
         // The recovery phase's impeachments drop envelopes of their own: only
         // its vote counters are the retries'.
-        assert_eq!(rule(reconcile(RECOVERY, dropped_elsewhere, task)), Ok(()));
-        assert_eq!(rule(reconcile(RECOVERY, twice, task)), skew);
+        assert_eq!(rule(reconcile(recovery, dropped_elsewhere, task)), Ok(()));
+        assert_eq!(rule(reconcile(recovery, twice, task)), skew);
+    }
+
+    #[test]
+    fn the_semi_commitment_phase_folds_no_vote_counter() {
+        // Its impeachments drop envelopes of their own, and it retries no
+        // committee's consensus: a vote counter folded there came from
+        // somewhere else.
+        let none = PlaneCounters::default();
+        let dropped = PlaneCounters {
+            net_dropped: 3,
+            ..none
+        };
+        let semi = Phase::SemiCommitmentExchange;
+        assert_eq!(rule(reconcile(semi, dropped, none)), Ok(()));
+        for voted in [
+            PlaneCounters {
+                votes_missing: 1,
+                ..dropped
+            },
+            PlaneCounters {
+                quorum_timeouts: 1,
+                ..dropped
+            },
+        ] {
+            let skew = rule(reconcile(semi, voted, none));
+            assert_eq!(skew, Err("counter-reconciliation"));
+        }
     }
 }

@@ -264,12 +264,15 @@ fn sim_config(adversary: AdversaryConfig, seed: u64) -> ProtocolConfig {
 /// steps off the round instead — but for the decisions, which count every
 /// column of a `V List`: since a committee votes on its outbound
 /// cross-shard transactions in its intra vote, those columns are replayed
-/// through the tally rule too (39 and 41 offered columns at 951dfc0).
+/// through the tally rule too (39 and 41 offered columns at 951dfc0); and
+/// for the phase deltas, since the semi-commitment phase, which runs
+/// impeachments, is reconciled too: four phases a round where there were
+/// three.
 const HONEST_STATS: RefinementStats = RefinementStats {
     committee_steps: 6,
     decisions: 48,
     recovery_steps: 0,
-    phase_deltas: 9,
+    phase_deltas: 12,
 };
 const ADVERSARIAL_STATS: RefinementStats = RefinementStats {
     decisions: 48,

@@ -22,7 +22,13 @@ pub fn point_set_wire_bytes(points: &[Point]) -> u64 {
     8 + points.len() as u64 * 64
 }
 
-/// Protocol phases used as accounting labels (matching §IV and Table II).
+/// The protocol's phases (§IV and Table II): the accounting label of every
+/// envelope, and the key of the engine's pipeline, which runs seven of them
+/// in order (committee configuration has no entry of its own).
+///
+/// An envelope's label is its Table II row, which can differ from the phase
+/// running when it is sent: the impeachments brought in the semi-commitment
+/// and inter-committee phases are charged to [`Phase::Recovery`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Phase {
     /// Committee configuration (Alg. 1 & 2).
@@ -69,6 +75,21 @@ impl Phase {
             Phase::KeyMemberSelection => 5,
             Phase::BlockGeneration => 6,
             Phase::Recovery => 7,
+        }
+    }
+
+    /// The phase's name: what the engine's observers, traces and per-phase
+    /// measurements are keyed by. The one place a phase name is spelled.
+    pub fn name(self) -> &'static str {
+        match self {
+            Phase::CommitteeConfiguration => "committee-configuration",
+            Phase::SemiCommitmentExchange => "semi-commitment-exchange",
+            Phase::IntraCommitteeConsensus => "intra-consensus",
+            Phase::InterCommitteeConsensus => "inter-consensus",
+            Phase::ReputationUpdate => "reputation-update",
+            Phase::KeyMemberSelection => "selection",
+            Phase::BlockGeneration => "block-generation",
+            Phase::Recovery => "intra-recovery",
         }
     }
 
@@ -245,6 +266,29 @@ impl MetricsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The names are an interface: the benchmark's per-phase keys
+    /// (`protocol.phase.<name>.ms`) and the goldens' "7 standard phases" are
+    /// read by them, so renaming one moves every consumer at once.
+    #[test]
+    fn phase_names_are_pinned_and_distinct() {
+        let names = Phase::ALL.map(Phase::name);
+        assert_eq!(
+            names,
+            [
+                "committee-configuration",
+                "semi-commitment-exchange",
+                "intra-consensus",
+                "inter-consensus",
+                "reputation-update",
+                "selection",
+                "block-generation",
+                "intra-recovery",
+            ]
+        );
+        let distinct: std::collections::BTreeSet<_> = names.iter().collect();
+        assert_eq!(distinct.len(), names.len());
+    }
 
     #[test]
     fn record_and_query() {

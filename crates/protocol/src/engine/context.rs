@@ -6,7 +6,7 @@ use cycledger_ledger::block::{Block, Chain};
 use cycledger_ledger::transaction::TxId;
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::{GeneratedTx, TxKind};
-use cycledger_net::metrics::MetricsSink;
+use cycledger_net::metrics::{MetricsSink, Phase};
 use cycledger_net::topology::{NodeId, RoundTopology};
 use cycledger_reputation::ReputationTable;
 
@@ -51,6 +51,10 @@ pub struct RoundContext<'a> {
     /// its height the one the produced block will sit at. Usually the round
     /// number; it trails only if an earlier round failed to produce a block.
     pub chain: &'a Chain,
+    /// The pipeline phase running, set by the engine before each one.
+    /// `CommitteeConfiguration` until the first: a round starts configured,
+    /// from the rows the previous block certified.
+    pub phase: Phase,
 
     /// Mutable shard UTXO sets (simulation state).
     pub utxo_sets: &'a mut [UtxoSet],
@@ -133,6 +137,7 @@ impl<'a> RoundContext<'a> {
             arena,
             round: env.round,
             chain,
+            phase: Phase::CommitteeConfiguration,
             utxo_sets,
             reputation,
             committees,

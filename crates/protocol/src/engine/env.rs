@@ -42,19 +42,9 @@ pub struct RoundEnv<'a> {
 }
 
 impl RoundEnv<'_> {
-    /// Opens `task`'s network: seeded, labelled and faulted as the task table
-    /// says.
+    /// Opens `task`'s network this round ([`Task::open`]).
     pub fn open<M>(&self, task: Task) -> SimNetwork<M> {
-        let row = task.row(self.round);
-        let plan = if row.under_plan {
-            self.plan.clone()
-        } else {
-            FaultPlan::default()
-        };
-        let seed = self.config.seed ^ row.salt;
-        let mut net = SimNetwork::with_faults(self.config.latency, seed, plan);
-        net.set_phase(row.phase);
-        net
+        task.open(self.config, self.plan, self.round)
     }
 
     /// The Algorithm 3 instance `task` runs this round.
@@ -87,9 +77,9 @@ pub enum Task {
     Source(usize),
     /// The referee committee agrees on the block.
     Block,
-    /// `member`'s state-sync session. It runs between rounds, so it uses the
-    /// table's seed alone ([`Task::seed`], with the rounds completed so far
-    /// as the round) and never [`RoundEnv::open`].
+    /// `member`'s state-sync session. It runs between rounds, so it opens
+    /// its network with [`Task::open`], with the rounds completed so far as
+    /// the round, and never through a [`RoundEnv`].
     Sync {
         /// The catching-up member.
         member: NodeId,
@@ -159,6 +149,20 @@ impl Task {
                 true,
             ),
         }
+    }
+
+    /// Opens the task's network at `round`: seeded, labelled and faulted as
+    /// its row says. The one recipe every task's network is built by.
+    pub fn open<M>(self, config: &ProtocolConfig, plan: &FaultPlan, round: u64) -> SimNetwork<M> {
+        let row = self.row(round);
+        let plan = if row.under_plan {
+            plan.clone()
+        } else {
+            FaultPlan::default()
+        };
+        let mut net = SimNetwork::with_faults(config.latency, self.seed(config.seed, round), plan);
+        net.set_phase(row.phase);
+        net
     }
 
     /// The task's network seed under the configuration seed `config_seed`.

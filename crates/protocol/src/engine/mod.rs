@@ -15,7 +15,8 @@
 //! * [`pipeline`] — every protocol phase as a function over the context. A
 //!   phase declares its inputs and outputs as context artifacts, so phase
 //!   order and data flow are visible in one place
-//!   ([`pipeline::standard_pipeline`], a static table of names and functions)
+//!   ([`pipeline::standard_pipeline`], a static table of a
+//!   [`Phase`](cycledger_net::metrics::Phase) and a function each)
 //!   instead of being threaded through a single function body.
 //! * [`ShardExecutor`] (`executor`) — a persistent worker pool created once
 //!   per [`crate::simulation::Simulation`] and reused across rounds. Every
@@ -70,9 +71,11 @@ pub use pipeline::standard_pipeline;
 /// implement this to watch a round as it executes: the engine calls in at
 /// every phase boundary with shared access to the full [`RoundContext`], so
 /// an observer can inspect phase artifacts (outcomes, books, recovery log)
-/// exactly as each phase produced them. Observers must not affect protocol
-/// output — they only read — which keeps the determinism contract intact
-/// whether or not one is attached.
+/// exactly as each phase produced them. The running phase is
+/// [`RoundContext::phase`]; the `&'static str` argument is its
+/// [`name`](cycledger_net::metrics::Phase::name). Observers must not affect
+/// protocol output — they only read — which keeps the determinism contract
+/// intact whether or not one is attached.
 pub trait RoundObserver {
     /// Called before a phase executes.
     fn on_phase_start(&mut self, _phase: &'static str, _ctx: &RoundContext<'_>) {}
@@ -87,16 +90,14 @@ pub struct NoopObserver;
 
 impl RoundObserver for NoopObserver {}
 
-/// Drives a pipeline of phases over a context, in order, reporting every
-/// phase boundary to `observer`.
-pub fn run_pipeline_observed(
-    ctx: &mut RoundContext<'_>,
-    phases: &[pipeline::Phase],
-    observer: &mut dyn RoundObserver,
-) {
-    for &(name, execute) in phases {
-        observer.on_phase_start(name, ctx);
+/// Drives the [`standard_pipeline`] over a context, in order, setting
+/// [`RoundContext::phase`] before each phase and reporting every phase
+/// boundary to `observer`.
+pub fn run_pipeline_observed(ctx: &mut RoundContext<'_>, observer: &mut dyn RoundObserver) {
+    for &(phase, execute) in standard_pipeline() {
+        ctx.phase = phase;
+        observer.on_phase_start(phase.name(), ctx);
         execute(ctx);
-        observer.on_phase_end(name, ctx);
+        observer.on_phase_end(phase.name(), ctx);
     }
 }

@@ -19,6 +19,7 @@ use cycledger_consensus::transition::needs_recovery;
 use cycledger_consensus::witness::Witness;
 use cycledger_ledger::workload::GeneratedTx;
 use cycledger_ledger::StateBackend;
+use cycledger_net::metrics::Phase;
 
 use crate::adversary::Behavior;
 use crate::committee::Committee;
@@ -33,21 +34,22 @@ use crate::phases::semi_commitment::{fabricated_witness, run_semi_commitment_exc
 use crate::phases::xshard::{self, PairList};
 use crate::report::RecoveryOutcome;
 
-/// One phase of the pipeline: the name observers and traces see, and the
-/// function that runs it on the driver thread (delegating data-parallel work
-/// to [`RoundContext::executor`]).
-pub type Phase = (&'static str, fn(&mut RoundContext<'_>));
+/// The function that runs a phase on the driver thread (delegating
+/// data-parallel work to [`RoundContext::executor`]).
+pub type PhaseFn = fn(&mut RoundContext<'_>);
 
-/// The standard pipeline in protocol order (§IV).
-pub fn standard_pipeline() -> &'static [Phase] {
+/// The standard pipeline in protocol order (§IV): each phase and its
+/// function.
+pub fn standard_pipeline() -> &'static [(Phase, PhaseFn)] {
+    use Phase::*;
     &[
-        ("semi-commitment-exchange", semi_commitment),
-        ("intra-consensus", intra_consensus),
-        ("intra-recovery", intra_recovery),
-        ("inter-consensus", inter_consensus),
-        ("reputation-update", reputation_update),
-        ("selection", selection),
-        ("block-generation", block_generation),
+        (SemiCommitmentExchange, semi_commitment),
+        (IntraCommitteeConsensus, intra_consensus),
+        (Recovery, intra_recovery),
+        (InterCommitteeConsensus, inter_consensus),
+        (ReputationUpdate, reputation_update),
+        (KeyMemberSelection, selection),
+        (BlockGeneration, block_generation),
     ]
 }
 
@@ -408,6 +410,16 @@ mod tests {
     use crate::simulation::Simulation;
     use cycledger_consensus::quorum::QuorumCertificate;
 
+    #[test]
+    fn the_pipeline_runs_seven_distinct_phases_and_no_configuration() {
+        let phases: Vec<Phase> = standard_pipeline().iter().map(|&(p, _)| p).collect();
+        assert_eq!(phases.len(), 7);
+        let distinct: std::collections::HashSet<Phase> = phases.iter().copied().collect();
+        assert_eq!(distinct.len(), 7);
+        // A member's configuration is its certified row: no phase runs it.
+        assert!(!phases.contains(&Phase::CommitteeConfiguration));
+    }
+
     /// Copies what the intra-consensus phase left on the context.
     #[derive(Default)]
     struct AfterIntra {
@@ -418,8 +430,8 @@ mod tests {
     }
 
     impl RoundObserver for AfterIntra {
-        fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
-            if phase == "intra-consensus" {
+        fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+            if ctx.phase == Phase::IntraCommitteeConsensus {
                 self.outcomes = ctx.intra_outcomes.clone();
                 self.committees = ctx.committees.clone();
                 self.cross_shard = ctx.cross_shard.clone();
@@ -497,15 +509,15 @@ mod tests {
             accepted: usize,
         }
         impl RoundObserver for Source0 {
-            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+            fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
                 let outcome = ctx.intra_outcomes.first();
-                match phase {
-                    "intra-recovery" => {
+                match ctx.phase {
+                    Phase::Recovery => {
                         self.offered = ctx.intra_per_shard[0].len();
                         self.retry_certified =
                             outcome.is_some_and(|o| o.retry && o.certificate.is_some());
                     }
-                    "inter-consensus" => {
+                    Phase::InterCommitteeConsensus => {
                         self.accepted = ctx.inter.as_ref().map_or(0, |i| i.accepted[0].len());
                     }
                     _ => {}
@@ -553,11 +565,13 @@ mod tests {
     #[test]
     fn a_fault_free_round_verifies_no_signature_on_the_driver_thread_in_intra_and_inter() {
         use cycledger_crypto::opcount::{current, Tally};
-        use cycledger_net::metrics::Phase::{InterCommitteeConsensus, SemiCommitmentExchange};
+        use Phase::{
+            BlockGeneration, InterCommitteeConsensus, IntraCommitteeConsensus,
+            SemiCommitmentExchange,
+        };
 
-        const LABELS: [cycledger_net::metrics::Phase; 2] =
-            [SemiCommitmentExchange, InterCommitteeConsensus];
-        fn sent(ctx: &RoundContext<'_>, label: cycledger_net::metrics::Phase) -> u64 {
+        const LABELS: [Phase; 2] = [SemiCommitmentExchange, InterCommitteeConsensus];
+        fn sent(ctx: &RoundContext<'_>, label: Phase) -> u64 {
             ctx.books.metrics.phase_total(label).msgs_sent
         }
 
@@ -568,7 +582,7 @@ mod tests {
         struct DriverTally {
             started: Tally,
             sent: [u64; 2],
-            spent: Vec<(&'static str, [u64; 3])>,
+            spent: Vec<(Phase, [u64; 3])>,
             intra_signatures: usize,
             instances: usize,
             forwards: u64,
@@ -581,22 +595,22 @@ mod tests {
                 self.sent = LABELS.map(|label| sent(ctx, label));
             }
 
-            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+            fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
                 let (before, after) = (self.started, current());
                 let spent = [
                     after.sigs_single - before.sigs_single,
                     after.sig_batches - before.sig_batches,
                     after.memo_lookups - before.memo_lookups,
                 ];
-                self.spent.push((phase, spent));
-                if phase == "intra-consensus" {
+                self.spent.push((ctx.phase, spent));
+                if ctx.phase == IntraCommitteeConsensus {
                     let certificates = ctx.intra_outcomes.iter().flat_map(|o| &o.certificate);
                     self.intra_signatures = certificates.map(|qc| qc.signer_count()).sum();
                     let silent = ctx.intra_outcomes.iter().filter(|o| o.leader_silent);
                     self.instances += ctx.intra_outcomes.len() - silent.count();
                 }
                 let [semi, inter] = [0, 1].map(|i| sent(ctx, LABELS[i]) - self.sent[i]);
-                if phase == "inter-consensus" {
+                if ctx.phase == InterCommitteeConsensus {
                     // No instance and no vote: one forward per list to the
                     // destination's leader and partial set, and nothing else.
                     let m = ctx.committee_count();
@@ -608,11 +622,11 @@ mod tests {
                     assert_eq!(inter, pairs.iter().map(legs).sum::<u64>());
                     self.forwards = inter;
                 }
-                if phase == "semi-commitment-exchange" {
+                if ctx.phase == SemiCommitmentExchange {
                     self.semi = semi;
                 }
                 let block = ctx.block_outcome.as_ref().and_then(|b| b.block.as_ref());
-                if phase == "block-generation" && block.is_some() {
+                if ctx.phase == BlockGeneration && block.is_some() {
                     self.instances += 1;
                 }
             }
@@ -632,18 +646,18 @@ mod tests {
         let mut driver = DriverTally::default();
         let report = sim.run_round_observed(&mut driver);
         assert!(report.block_produced && report.evicted_leaders.is_empty());
-        let lookups = |name: &str| {
-            let phase = driver.spent.iter().find(|(phase, _)| *phase == name);
-            let (_, [singly, batches, lookups]) = phase.expect("the phase ran");
-            assert_eq!((*singly, *batches), (0, 0), "{name}");
+        let lookups = |phase: Phase| {
+            let spent = driver.spent.iter().find(|(ran, _)| *ran == phase);
+            let (_, [singly, batches, lookups]) = spent.expect("the phase ran");
+            assert_eq!((*singly, *batches), (0, 0), "{phase:?}");
             *lookups
         };
-        let intra = lookups("intra-consensus");
+        let intra = lookups(IntraCommitteeConsensus);
         assert_eq!(intra, driver.intra_signatures as u64);
         assert_eq!(intra, 71);
         // A forward rides the intra certificate the referee admitted and
         // costs nothing.
-        assert_eq!(lookups("inter-consensus"), 0);
+        assert_eq!(lookups(InterCommitteeConsensus), 0);
         assert!(driver.forwards > 0);
         assert_eq!(driver.instances, 8 + 1);
         // Leader → referee (8 × 7), leader → partial set (8 × 4) and the

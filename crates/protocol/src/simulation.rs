@@ -22,8 +22,8 @@ use cycledger_reputation::ReputationTable;
 use crate::committee::Committee;
 use crate::config::ProtocolConfig;
 use crate::engine::{
-    run_pipeline_observed, standard_pipeline, NoopObserver, RoundArena, RoundContext, RoundEnv,
-    RoundObserver, ShardExecutor, Task,
+    run_pipeline_observed, NoopObserver, RoundArena, RoundContext, RoundEnv, RoundObserver,
+    ShardExecutor, Task,
 };
 use crate::epoch::{self, EpochSchedule};
 use crate::node::{MembershipState, NodeRegistry};
@@ -242,7 +242,7 @@ impl Simulation {
             &mut self.arena,
         );
         ctx.offer(offered);
-        run_pipeline_observed(&mut ctx, standard_pipeline(), observer);
+        run_pipeline_observed(&mut ctx, observer);
         let (block, next_assignment, mut report) = ctx.into_output();
         let mut packed: cycledger_crypto::fxhash::FxHashSet<cycledger_ledger::transaction::TxId> =
             cycledger_crypto::fxhash::FxHashSet::default();
@@ -303,12 +303,8 @@ impl Simulation {
         let sync_config = SyncConfig::from_latency(self.config.latency);
         let tip = self.chain.tip_hash();
         for member in syncing {
-            let seed = Task::Sync { member }.seed(self.config.seed, self.reports.len() as u64);
-            let mut net = cycledger_net::network::SimNetwork::with_faults(
-                self.config.latency,
-                seed,
-                self.fault_plan.clone(),
-            );
+            let round = self.reports.len() as u64;
+            let mut net = Task::Sync { member }.open(&self.config, &self.fault_plan, round);
             let outcome = run_state_sync(member, &peers, &self.chain, tip, &mut net, &sync_config);
             totals.timeouts += outcome.timeouts;
             totals.chunks += outcome.chunks;
@@ -411,6 +407,7 @@ mod tests {
     use crate::adversary::{AdversaryConfig, Behavior};
     use crate::traffic::TrafficConfig;
     use cycledger_ledger::block::CommitteeRow;
+    use cycledger_net::metrics::Phase;
     use cycledger_net::topology::NodeId;
 
     fn small_config() -> ProtocolConfig {
@@ -951,8 +948,8 @@ mod tests {
             seen: Option<(usize, crate::phases::intra::IntraOutcome)>,
         }
         impl RoundObserver for AfterIntra {
-            fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
-                if phase == "intra-consensus" {
+            fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+                if ctx.phase == Phase::IntraCommitteeConsensus {
                     let k = self.home;
                     self.seen = Some((ctx.committees[k].size(), ctx.intra_outcomes[k].clone()));
                 }
@@ -1107,10 +1104,10 @@ mod tests {
     }
 
     impl RoundObserver for SerialSelection {
-        fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+        fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
             use crate::phases::selection::SelectionOutcome;
             use cycledger_crypto::{pow::Puzzle, pvss};
-            if phase != "selection" {
+            if ctx.phase != Phase::KeyMemberSelection {
                 return;
             }
             let (registry, config, round) = (ctx.env.registry, ctx.env.config, ctx.round);

@@ -16,6 +16,7 @@
 
 use cycledger_net::faults::FaultPlan;
 use cycledger_net::latency::LinkClass;
+use cycledger_net::metrics::Phase;
 use cycledger_net::network::SimNetwork;
 use cycledger_net::topology::NodeId;
 use cycledger_protocol::adversary::Behavior;
@@ -328,10 +329,10 @@ impl RoundObserver for BooksAudit {
         self.at_phase_start = ctx.books.counters;
     }
 
-    fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
+    fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
         let added = ctx.books.counters - self.at_phase_start;
         self.phases += added;
-        if phase == "intra-consensus" {
+        if ctx.phase == Phase::IntraCommitteeConsensus {
             self.intra_phase = added;
             for outcome in &ctx.intra_outcomes {
                 self.intra_tasks += outcome.books.counters;

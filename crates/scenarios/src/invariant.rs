@@ -4,20 +4,23 @@
 use std::str::FromStr;
 
 use cycledger_analysis::failure::cycledger_round_failure_exact;
+use cycledger_net::metrics::Phase;
 use cycledger_protocol::adversary::AdversaryConfig;
 
 use crate::outcome::ScenarioOutcome;
 
-/// The phase names of the standard pipeline, in protocol order — the
-/// [`Invariant::PipelineComplete`] reference sequence.
-pub const STANDARD_PHASES: [&str; 7] = [
-    "semi-commitment-exchange",
-    "intra-consensus",
-    "intra-recovery",
-    "inter-consensus",
-    "reputation-update",
-    "selection",
-    "block-generation",
+/// The phases of the standard pipeline, in protocol order — the
+/// [`Invariant::PipelineComplete`] reference sequence, written out here
+/// rather than read off the engine's table so that the check is independent
+/// of it.
+pub const STANDARD_PHASES: [Phase; 7] = [
+    Phase::SemiCommitmentExchange,
+    Phase::IntraCommitteeConsensus,
+    Phase::Recovery,
+    Phase::InterCommitteeConsensus,
+    Phase::ReputationUpdate,
+    Phase::KeyMemberSelection,
+    Phase::BlockGeneration,
 ];
 
 /// A machine-checkable claim over a scenario run.
@@ -612,10 +615,11 @@ impl Invariant {
                             STANDARD_PHASES.len()
                         ),
                     ),
-                    Some(r) => (
-                        false,
-                        format!("round {r} ran phases {:?}", outcome.phase_trace[r]),
-                    ),
+                    Some(r) => {
+                        let ran = outcome.phase_trace[r].iter().map(|p| p.name());
+                        let ran: Vec<_> = ran.collect();
+                        (false, format!("round {r} ran phases {ran:?}"))
+                    }
                 }
             }
         }

@@ -1,6 +1,7 @@
 //! What one scenario run produced: everything the invariant checkers and the
 //! JSON report read.
 
+use cycledger_net::metrics::Phase;
 use cycledger_net::topology::NodeId;
 use cycledger_protocol::adversary::Behavior;
 use cycledger_protocol::report::SimulationSummary;
@@ -75,9 +76,9 @@ pub struct ScenarioOutcome {
     pub total_nodes: usize,
     /// Final chain height of the baseline run.
     pub chain_height: usize,
-    /// Phase names each round executed, in execution order (from the
+    /// The phases each round executed, in execution order (from the
     /// [`cycledger_protocol::engine::RoundObserver`] hooks).
-    pub phase_trace: Vec<Vec<&'static str>>,
+    pub phase_trace: Vec<Vec<Phase>>,
     /// Transactions that appear in more than one block of the baseline
     /// run's chain (safety: must be 0; see
     /// [`crate::invariant::Invariant::NoDoubleCommit`]).

@@ -6,6 +6,7 @@ use cycledger_crypto::{verify_proof, ProofTerminal};
 use cycledger_ledger::smt::key_digest;
 use cycledger_ledger::{OutPoint, StateBackend};
 use cycledger_net::faults::{CrashStop, FaultPlan, Partition, TargetedDelay, PPM};
+use cycledger_net::metrics::Phase;
 use cycledger_net::time::{SimDuration, SimTime};
 use cycledger_net::topology::NodeId;
 use cycledger_protocol::engine::{RoundContext, RoundObserver, ShardExecutor};
@@ -41,11 +42,11 @@ impl ScenarioRun {
     }
 }
 
-/// Collects the phase names each round executed, through the engine's
+/// Collects the phases each round executed, through the engine's
 /// [`RoundObserver`] hooks.
 #[derive(Default)]
 struct PhaseTraceObserver {
-    rounds: Vec<Vec<&'static str>>,
+    rounds: Vec<Vec<Phase>>,
 }
 
 impl PhaseTraceObserver {
@@ -55,11 +56,11 @@ impl PhaseTraceObserver {
 }
 
 impl RoundObserver for PhaseTraceObserver {
-    fn on_phase_end(&mut self, phase: &'static str, _ctx: &RoundContext<'_>) {
+    fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
         self.rounds
             .last_mut()
             .expect("begin_round precedes every pipeline run")
-            .push(phase);
+            .push(ctx.phase);
     }
 }
 
@@ -257,7 +258,7 @@ fn audit_state_proofs(sim: &Simulation, summary: &SimulationSummary) -> ProofAud
 
 /// A finished pass: the simulation, the faults it injected and the phases
 /// each round ran.
-type Pass = (Simulation, Vec<ResolvedFault>, Vec<Vec<&'static str>>);
+type Pass = (Simulation, Vec<ResolvedFault>, Vec<Vec<Phase>>);
 
 /// Runs one simulation pass of a scenario at a fixed worker count.
 fn run_pass(scenario: &Scenario, worker_threads: usize) -> Result<Pass, String> {

@@ -10,8 +10,8 @@ use cycledger::crypto::schnorr::{sign, Keypair};
 use cycledger::ledger::{
     AccountId, GeneratedTx, Transaction, TxOutput, UtxoSet, Workload, WorkloadConfig,
 };
-use cycledger::net::{FaultPlan, NodeId};
-use cycledger::protocol::engine::{run_pipeline_observed, standard_pipeline, RoundArena, RoundEnv};
+use cycledger::net::{FaultPlan, NodeId, Phase};
+use cycledger::protocol::engine::{run_pipeline_observed, RoundArena, RoundEnv};
 use cycledger::protocol::{
     AdversaryConfig, Behavior, Committee, ProtocolConfig, RecoveryOutcome, RoundContext,
     RoundObserver, Simulation,
@@ -141,14 +141,14 @@ impl Framing {
 }
 
 impl RoundObserver for Framing {
-    fn on_phase_start(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
-        if phase == "semi-commitment-exchange" {
+    fn on_phase_start(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+        if ctx.phase == Phase::SemiCommitmentExchange {
             self.look(ctx);
         }
     }
 
-    fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
-        if phase == "semi-commitment-exchange" {
+    fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+        if ctx.phase == Phase::SemiCommitmentExchange {
             self.look(ctx);
         }
     }
@@ -272,8 +272,8 @@ struct CrossShardAudit {
 }
 
 impl RoundObserver for CrossShardAudit {
-    fn on_phase_end(&mut self, phase: &'static str, ctx: &RoundContext<'_>) {
-        if phase != "inter-consensus" {
+    fn on_phase_end(&mut self, _: &'static str, ctx: &RoundContext<'_>) {
+        if ctx.phase != Phase::InterCommitteeConsensus {
             return;
         }
         let sets: &[UtxoSet] = ctx.utxo_sets;
@@ -342,7 +342,7 @@ fn theorem8_every_accepted_cross_shard_transaction_is_valid_at_its_source() {
     );
     ctx.offer(offered);
     let mut audit = CrossShardAudit::default();
-    run_pipeline_observed(&mut ctx, standard_pipeline(), &mut audit);
+    run_pipeline_observed(&mut ctx, &mut audit);
     assert!(
         audit.offered_invalid > 0,
         "invalid cross-shard transactions were offered"

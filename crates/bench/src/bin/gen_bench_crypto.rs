@@ -14,6 +14,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use cycledger_bench::{alg3_instance, Json};
+use cycledger_crypto::fe::Fe;
 use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::point::{KeyTable, Point};
 use cycledger_crypto::pvss;
@@ -25,6 +26,9 @@ use cycledger_crypto::sha256::sha256;
 use cycledger_crypto::vrf;
 use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
 use cycledger_net::topology::NodeId;
+
+/// Elements in `fe_add_sub`'s ring of operands.
+const FE_RING: usize = 1024;
 
 /// Times `f` repeatedly until at least `min_secs` have elapsed and returns
 /// iterations per second.
@@ -72,6 +76,26 @@ fn main() {
     rows.push(("fe_mul", ns_per_op(|| black_box(&x).mul(black_box(&y)))));
     rows.push(("fe_square", ns_per_op(|| black_box(&x).square())));
     rows.push(("fe_invert", ns_per_op(|| black_box(&x).invert())));
+    // One subtraction and one addition, their operands walked through a
+    // ring of random elements: on fixed operands the branch predictor
+    // learns whether a sum reaches p, which random data never lets it do.
+    let mut drbg = HmacDrbg::from_parts("bench/fe-ring", &[]);
+    let ring: Vec<Fe> = (0..FE_RING)
+        .map(|_| Fe::from_be_bytes(&drbg.next_bytes32()))
+        .collect();
+    let mut at = 0;
+    rows.push((
+        "fe_add_sub",
+        ns_per_op(|| {
+            at = (at + 1) % FE_RING;
+            let (a, b, c) = (
+                &ring[at],
+                &ring[(at + 1) % FE_RING],
+                &ring[(at + 2) % FE_RING],
+            );
+            black_box(a).sub(b).add(c)
+        }),
+    ));
 
     // Jacobian operands with Z != 1, as inside a multiplication.
     let p = kp.public.point().to_point().double();

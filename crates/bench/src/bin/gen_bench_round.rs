@@ -24,7 +24,8 @@
 //! `cycledger_crypto::opcount` tallies — field multiplications and
 //! squarings, inversions, doublings, mixed additions, SHA-256 compressions,
 //! DRBG instantiations, signatures verified singly and in batches, memo
-//! lookups and envelopes. At one worker every task runs on the driver
+//! lookups, envelopes, latency draws, VRF evaluations and VRF proofs
+//! checked. At one worker every task runs on the driver
 //! thread, whose tally this is (the workload's draw-ahead thread is not
 //! counted), so the counts repeat exactly; `scripts/perf_gate.py --counts`
 //! gates the plain series' against `BENCH_round.json`.
@@ -181,6 +182,15 @@ fn op_counts(
         ("sigs_batched_per_round", per_round(|t| t.sigs_batched)),
         ("memo_lookups_per_round", per_round(|t| t.memo_lookups)),
         ("envelopes_per_round", per_round(|t| t.envelopes_sent)),
+        ("latency_draws_per_round", per_round(|t| t.latency_draws)),
+        (
+            "vrf_evaluations_per_round",
+            per_round(|t| t.vrf_evaluations),
+        ),
+        (
+            "vrf_proofs_checked_per_round",
+            per_round(|t| t.vrf_proofs_checked),
+        ),
     ])
 }
 

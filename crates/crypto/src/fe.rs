@@ -1,13 +1,20 @@
 //! Field elements modulo the secp256k1 base-field prime
 //! `p = 2^256 - 2^32 - 977`.
 //!
-//! Elements are kept reduced (`0 <= value < p`) at all times. The arithmetic is
-//! variable-time, which is acceptable for a protocol *simulation*: the adversary
-//! model in the paper has no side-channel component, and DESIGN.md documents this
-//! substitution.
+//! Elements are kept reduced (`0 <= value < p`) at all times. Addition,
+//! subtraction and negation pick their correction by a carry or borrow mask
+//! instead of a branch, because whether a sum of field elements reaches `p`
+//! depends on the data and a branch on it mispredicts about half the time
+//! (`crates/crypto/DESIGN-notes.md`, "Branch-free addition"). That is for
+//! branch prediction, not for timing: the module as a whole is not
+//! constant-time (the divstep inverse, the square-root check and the
+//! reductions' final corrections branch on the data). Variable time is
+//! acceptable for a protocol *simulation*, whose adversary has no side
+//! channel (`crates/crypto/DESIGN-notes.md`, "Why variable time is still
+//! acceptable").
 
 use crate::opcount::{count, Op};
-use crate::u256::U256;
+use crate::u256::{mask, U256};
 
 /// The secp256k1 base-field prime `p = 2^256 - 2^32 - 977` as a compile-time
 /// constant (little-endian limbs).
@@ -106,17 +113,29 @@ impl Fe {
         self.0.is_odd()
     }
 
-    /// Field addition.
+    /// Field addition, without a branch. With `s = a + b mod 2^256` and
+    /// `t = s + c`, the sum is `t` if either addition carried — the true
+    /// sum reached `2^256`, or `s ≥ p`; subtracting `p` and adding `c` agree
+    /// modulo `2^256` — and `s` otherwise.
+    #[inline]
     pub fn add(&self, rhs: &Fe) -> Fe {
-        Fe(self.0.add_mod(&rhs.0, &FIELD_PRIME))
+        let (s, carry) = self.0.overflowing_add(&rhs.0);
+        let (t, reduced) = s.overflowing_add(&U256::from_u64(P_COMPLEMENT));
+        Fe(U256::select(carry | reduced, &t, &s))
     }
 
-    /// Field subtraction.
+    /// Field subtraction, without a branch: `d = a − b mod 2^256`, less `c`
+    /// under the borrow's mask — if `a < b` the difference is `d + p`, which
+    /// is `d − c` modulo `2^256`, and that `d` exceeds `c`, so the second
+    /// subtraction never borrows.
+    #[inline]
     pub fn sub(&self, rhs: &Fe) -> Fe {
-        Fe(self.0.sub_mod(&rhs.0, &FIELD_PRIME))
+        let (d, borrow) = self.0.overflowing_sub(&rhs.0);
+        Fe(d.wrapping_sub(&U256::from_u64(P_COMPLEMENT & mask(borrow))))
     }
 
-    /// Field negation.
+    /// Field negation: `p − a`, and zero for zero.
+    #[inline]
     pub fn neg(&self) -> Fe {
         Fe::zero().sub(self)
     }

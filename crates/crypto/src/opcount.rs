@@ -4,8 +4,9 @@
 //! With the `opcount` cargo feature on, every field multiplication, squaring
 //! and inversion, every point doubling, addition and mixed addition, every
 //! SHA-256 compression, every HMAC-DRBG instantiated, every signature
-//! verified (alone or in a batch), every verification-memo lookup and every
-//! envelope, latency draw and fault draw of `cycledger-net` bumps one
+//! verified (alone or in a batch), every VRF evaluation and proof checked,
+//! every verification-memo lookup and every envelope, latency draw and
+//! fault draw of `cycledger-net` bumps one
 //! thread-local `Tally`;
 //! `scope(|| …)` returns what a closure spent. The counts are exact and
 //! machine-independent, so a test can gate the kernel — and how many
@@ -45,6 +46,11 @@ pub enum Op {
     LatencyDraw,
     /// One loss or jitter decision drawn by the net crate's `FaultPlan`.
     FaultDraw,
+    /// One VRF evaluation (a proof made, on a `vrf::Prover` table or not).
+    VrfEvaluate,
+    /// One VRF proof checked, by `vrf::verify` or inside a
+    /// `vrf::verify_batch` group.
+    VrfProofChecked,
 }
 
 /// Records one operation on the calling thread's tally.
@@ -71,6 +77,8 @@ pub fn count(op: Op) {
             Op::EnvelopeSent => t.envelopes_sent += 1,
             Op::LatencyDraw => t.latency_draws += 1,
             Op::FaultDraw => t.fault_draws += 1,
+            Op::VrfEvaluate => t.vrf_evaluations += 1,
+            Op::VrfProofChecked => t.vrf_proofs_checked += 1,
         }
         tally.set(t);
     });
@@ -117,6 +125,10 @@ pub struct Tally {
     pub latency_draws: u64,
     /// Loss and jitter decisions drawn under a fault plan.
     pub fault_draws: u64,
+    /// VRF evaluations.
+    pub vrf_evaluations: u64,
+    /// VRF proofs checked, singly or in groups.
+    pub vrf_proofs_checked: u64,
 }
 
 #[cfg(feature = "opcount")]
@@ -155,5 +167,7 @@ pub fn scope<R>(f: impl FnOnce() -> R) -> Tally {
         envelopes_sent: after.envelopes_sent - before.envelopes_sent,
         latency_draws: after.latency_draws - before.latency_draws,
         fault_draws: after.fault_draws - before.fault_draws,
+        vrf_evaluations: after.vrf_evaluations - before.vrf_evaluations,
+        vrf_proofs_checked: after.vrf_proofs_checked - before.vrf_proofs_checked,
     }
 }

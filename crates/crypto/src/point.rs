@@ -22,8 +22,9 @@
 //!   [`Point::batch_to_affine_array`] with its scratch on the stack) when
 //!   many points are normalized at once.
 //!
-//! Variable time is fine for a protocol simulation (see DESIGN.md,
-//! substitutions table); the naive double-and-add ladder is retained under
+//! Variable time is fine for a protocol simulation
+//! (`crates/crypto/DESIGN-notes.md`, "Why variable time is still
+//! acceptable"); the naive double-and-add ladder is retained under
 //! `#[cfg(test)]` as a differential oracle.
 
 use std::collections::HashMap;

@@ -14,7 +14,8 @@
 //!
 //! Feldman commitments (`C_j = a_j·G`) replace SCRAPE's LDEI proofs; verification
 //! is `share_i·G == Σ_j i^j·C_j`, checkable by anyone — hence "publicly
-//! verifiable". DESIGN.md records this substitution.
+//! verifiable". `crates/crypto/DESIGN-notes.md` ("Why variable time is still
+//! acceptable") records this substitution.
 
 use crate::hmac::HmacDrbg;
 use crate::point::{Base, Point};

@@ -15,6 +15,12 @@ pub struct U256 {
 /// A 512-bit product, eight little-endian 64-bit limbs.
 pub type Wide = [u64; 8];
 
+/// All ones if `flag` holds, zero otherwise: a condition as a limb mask.
+#[inline(always)]
+pub(crate) fn mask(flag: bool) -> u64 {
+    0u64.wrapping_sub(flag as u64)
+}
+
 impl U256 {
     /// The value 0.
     pub const ZERO: U256 = U256 { limbs: [0; 4] };
@@ -129,38 +135,44 @@ impl U256 {
         0
     }
 
-    /// Addition returning `(sum mod 2^256, carry)`.
+    /// Addition returning `(sum mod 2^256, carry)`. The carry is a `bool`
+    /// or-ed limb to limb, the shape LLVM turns into one `add`/`adc` chain.
+    #[inline(always)]
     pub fn overflowing_add(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut carry = 0u64;
+        let mut carry = false;
         for (i, out_limb) in out.iter_mut().enumerate() {
             let (s1, c1) = self.limbs[i].overflowing_add(rhs.limbs[i]);
-            let (s2, c2) = s1.overflowing_add(carry);
+            let (s2, c2) = s1.overflowing_add(carry as u64);
             *out_limb = s2;
-            carry = (c1 as u64) + (c2 as u64);
+            carry = c1 | c2;
         }
-        (U256 { limbs: out }, carry != 0)
+        (U256 { limbs: out }, carry)
     }
 
     /// Wrapping addition mod 2^256.
+    #[inline]
     pub fn wrapping_add(&self, rhs: &U256) -> U256 {
         self.overflowing_add(rhs).0
     }
 
-    /// Subtraction returning `(diff mod 2^256, borrow)`.
+    /// Subtraction returning `(diff mod 2^256, borrow)`: one `sub`/`sbb`
+    /// chain, as [`overflowing_add`](Self::overflowing_add).
+    #[inline(always)]
     pub fn overflowing_sub(&self, rhs: &U256) -> (U256, bool) {
         let mut out = [0u64; 4];
-        let mut borrow = 0u64;
+        let mut borrow = false;
         for (i, out_limb) in out.iter_mut().enumerate() {
             let (d1, b1) = self.limbs[i].overflowing_sub(rhs.limbs[i]);
-            let (d2, b2) = d1.overflowing_sub(borrow);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
             *out_limb = d2;
-            borrow = (b1 as u64) + (b2 as u64);
+            borrow = b1 | b2;
         }
-        (U256 { limbs: out }, borrow != 0)
+        (U256 { limbs: out }, borrow)
     }
 
     /// Wrapping subtraction mod 2^256.
+    #[inline]
     pub fn wrapping_sub(&self, rhs: &U256) -> U256 {
         self.overflowing_sub(rhs).0
     }
@@ -359,25 +371,34 @@ impl U256 {
         Self::reduce_wide_with_complement(wide, modulus, &c)
     }
 
+    /// `if_set` when `flag` holds and `if_clear` otherwise, by masking the
+    /// limbs instead of branching on `flag`.
+    #[inline]
+    pub(crate) fn select(flag: bool, if_set: &U256, if_clear: &U256) -> U256 {
+        let m = mask(flag);
+        let pick = |i: usize| (if_set.limbs[i] & m) | (if_clear.limbs[i] & !m);
+        U256::from_limbs([pick(0), pick(1), pick(2), pick(3)])
+    }
+
     /// Modular addition `(self + rhs) mod modulus`; both inputs must already be
-    /// reduced below `modulus`.
+    /// reduced below `modulus`. The sum less the modulus is taken if the sum
+    /// carried or that subtraction did not borrow, by a mask: no branch on
+    /// the data.
+    #[inline]
     pub fn add_mod(&self, rhs: &U256, modulus: &U256) -> U256 {
         let (sum, carry) = self.overflowing_add(rhs);
-        if carry || sum >= *modulus {
-            sum.wrapping_sub(modulus)
-        } else {
-            sum
-        }
+        let (reduced, borrow) = sum.overflowing_sub(modulus);
+        U256::select(carry | !borrow, &reduced, &sum)
     }
 
     /// Modular subtraction `(self - rhs) mod modulus`; inputs must be reduced.
+    /// The modulus is added back under the borrow's mask.
+    #[inline]
     pub fn sub_mod(&self, rhs: &U256, modulus: &U256) -> U256 {
         let (diff, borrow) = self.overflowing_sub(rhs);
-        if borrow {
-            diff.wrapping_add(modulus)
-        } else {
-            diff
-        }
+        let [m0, m1, m2, m3] = modulus.limbs;
+        let m = mask(borrow);
+        diff.wrapping_add(&U256::from_limbs([m0 & m, m1 & m, m2 & m, m3 & m]))
     }
 
     /// Modular multiplication `(self * rhs) mod modulus`; `modulus > 2^255`.

@@ -25,6 +25,7 @@
 //! `k·H` after that is additions only.
 
 use crate::hmac::HmacDrbg;
+use crate::opcount::{count, Op};
 use crate::point::{hash_to_curve, AffinePoint, Base, FixedBase, Point};
 use crate::scalar::Scalar;
 use crate::schnorr::{PublicKey, SecretKey, VerifyingKey};
@@ -169,6 +170,7 @@ fn prove(
     h: &AffinePoint,
     mul_h: impl Fn(&Scalar) -> Point,
 ) -> VrfOutput {
+    count(Op::VrfEvaluate);
     // Deterministic DLEQ nonce bound to the key and input.
     let mut drbg =
         HmacDrbg::from_parts("cycledger/vrf-nonce", &[&sk.scalar().to_be_bytes(), input]);
@@ -202,6 +204,7 @@ fn prove(
 /// multiplication (`PK` through its table when it is a prepared key),
 /// compared with `U` and `V` in Jacobian coordinates, so no field inversion.
 pub fn verify<K: VerifyingKey>(pk: &K, input: &[u8], output: &VrfOutput) -> bool {
+    count(Op::VrfProofChecked);
     well_formed(pk.public_key(), output)
         && dleq_holds(pk, &hash_to_curve(H2C_DOMAIN, input), &output.proof)
 }
@@ -244,6 +247,7 @@ fn dleq_holds<K: VerifyingKey>(pk: &K, h: &AffinePoint, proof: &VrfProof) -> boo
 /// A group of up to eight proofs keeps its coefficients and terms on the
 /// stack.
 pub fn verify_batch<K: VerifyingKey>(input: &[u8], entries: &[(&K, &VrfOutput)]) -> Vec<bool> {
+    entries.iter().for_each(|_| count(Op::VrfProofChecked));
     let h = hash_to_curve(H2C_DOMAIN, input);
     let mut verdicts: Vec<bool> = entries
         .iter()

@@ -201,6 +201,7 @@ fn kernel_operation_counts_are_pinned() {
             point_add_affine: 160,
             sha256_blocks: 45,
             drbg_instantiations: 2,
+            vrf_evaluations: 1,
             ..Tally::default()
         }
     );
@@ -215,6 +216,7 @@ fn kernel_operation_counts_are_pinned() {
             point_add_affine: 141,
             sha256_blocks: 27,
             drbg_instantiations: 1,
+            vrf_proofs_checked: 1,
             ..Tally::default()
         }
     );
@@ -291,6 +293,7 @@ fn vrf_table_and_group_counts_are_pinned() {
             point_add_affine: 131,
             sha256_blocks: 43,
             drbg_instantiations: 2,
+            vrf_evaluations: 1,
             ..Tally::default()
         }
     );
@@ -304,6 +307,7 @@ fn vrf_table_and_group_counts_are_pinned() {
             point_add_affine: 129,
             sha256_blocks: 45,
             drbg_instantiations: 2,
+            vrf_evaluations: 1,
             ..Tally::default()
         }
     );
@@ -320,10 +324,15 @@ fn vrf_table_and_group_counts_are_pinned() {
             point_add_affine: 1166,
             sha256_blocks: 272,
             drbg_instantiations: 9,
+            vrf_proofs_checked: 8,
             ..Tally::default()
         }
     );
     assert_eq!(field_muls(&single), 3602);
+    assert_eq!(
+        (single.vrf_proofs_checked, ten_on_table.vrf_evaluations),
+        (1, 10)
+    );
     assert!(field_muls(&grouped) * 100 <= 8 * field_muls(&single) * 60);
 
     // Break-even: a table and ten evaluations on it cost fewer field

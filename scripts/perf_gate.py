@@ -50,7 +50,8 @@ opcount``: the operation counts of the tracked configuration's one-worker
 series (``smoke_1_worker.opcount``, per round over the same first 16 measured
 rounds) -- field multiplications and squarings, inversions, doublings, mixed
 additions, SHA-256 compressions, DRBG instantiations, signatures verified
-singly and in batches, memo lookups and envelopes -- against
+singly and in batches, memo lookups, envelopes, latency draws, VRF
+evaluations and VRF proofs checked -- against
 ``BENCH_round.json``'s ``verified.one_worker.opcount``. They are counted on
 the driver thread, where a one-worker round runs every task, so they repeat
 to the digit on any machine and are all exact rows: a kernel that loses a
@@ -149,6 +150,9 @@ OP_COUNTS = (
     "sigs_batched_per_round",
     "memo_lookups_per_round",
     "envelopes_per_round",
+    "latency_draws_per_round",
+    "vrf_evaluations_per_round",
+    "vrf_proofs_checked_per_round",
 )
 
 

@@ -17,17 +17,17 @@ itself in it and stays registered when a run is interrupted.
 Pair ``i`` runs seed ``--seed + i`` once on each side, base first in even
 pairs and head first in odd ones, so a drift of the host's speed over the
 session falls on both sides alike. Each run is the benchmark's own command
-line (``--workload w --seed s --seconds t --trace 0``) in a run directory
-of its side; its last stdout line is the JSON the benchmark prints.
+line (``--workload w --seed s --seconds t --trace 0``, ``t`` being the
+base's ``BENCHMARK.json`` ``run_seconds``) in a run directory of its side;
+its last stdout line is the JSON the benchmark prints.
 
-The script prints, for ``--metric`` (default ``cpu_s_per_ktx``; its
-direction is read from ``BENCHMARK.json``): every pair's two values, both
-medians, the base's interquartile range and the head's wins. The claim
-holds when the head wins at least nine in ten pairs and its median is
-better than the base's by more than the base's IQR; the script exits 1
-when it does not. It also lists every
-metric that should repeat to the digit per seed (``EXACT``) and differs,
-and the medians of the other end-to-end metrics.
+The script prints, for ``cpu_s_per_ktx`` (lower is better): every pair's
+two values, both medians, the base's interquartile range and the head's
+wins. The claim holds when the head wins at least nine in ten pairs and its
+median is lower than the base's by more than the base's IQR; the script
+exits 1 when it does not. It also lists every metric that should repeat
+per seed (``EXACT``, ``ALLOCATION``) and differs, and the medians of the
+other end-to-end metrics.
 
 ``--self-test`` runs no benchmark: it feeds canned benchmark outputs
 through the same parsing and summary and checks the verdicts.
@@ -49,13 +49,12 @@ from typing import NamedTuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# End-to-end metrics that repeat per seed when a change moves no byte on
-# the wire and no allocation: the message and latency ones to the digit, the
-# allocation ones within EXACT_TOLERANCE (one binary run twice on one seed
-# can differ by an allocation in 100 rounds, which worker threads make).
+# The metric a claim is made on; lower is better.
+METRIC = "cpu_s_per_ktx"
+
+# End-to-end metrics that repeat to the digit per seed when a change moves
+# no byte on the wire and no virtual time.
 EXACT = (
-    "allocs_per_round",
-    "alloc_mib_per_round",
     "msgs_per_committed_tx",
     "bytes_per_committed_tx",
     "confirm_vt_delta_p50",
@@ -63,7 +62,12 @@ EXACT = (
     "confirmed_share",
 )
 
-EXACT_TOLERANCE = 1e-3
+# End-to-end metrics that repeat per seed within ALLOCATION_TOLERANCE when a
+# change moves no allocation: one binary run twice on one seed can differ by
+# an allocation in 100 rounds, which worker threads make.
+ALLOCATION = ("allocs_per_round", "alloc_mib_per_round")
+
+ALLOCATION_TOLERANCE = 1e-3
 
 # The share of pairs the head must win.
 WIN_SHARE = 0.9
@@ -105,43 +109,45 @@ class Summary(NamedTuple):
     pairs: int
     holds: bool
     # (seed, metric, base value, head value) for every exact metric that
-    # differs between the two sides of a pair by more than EXACT_TOLERANCE.
+    # differs between the two sides of a pair, and every allocation metric
+    # that differs by more than ALLOCATION_TOLERANCE.
     exact_differences: list
 
 
-def same(x: float, y: float | None) -> bool:
-    return y is not None and abs(x - y) <= EXACT_TOLERANCE * max(abs(x), abs(y))
+def same(name: str, x: float, y: float | None) -> bool:
+    if y is None:
+        return False
+    if name in ALLOCATION:
+        return abs(x - y) <= ALLOCATION_TOLERANCE * max(abs(x), abs(y))
+    return x == y
 
 
-def summarise(pairs: list, metric: str, better: str) -> Summary:
+def summarise(pairs: list) -> Summary:
     """`pairs` is a list of (base Run, head Run) on one seed each."""
-    base = [b.metrics[metric] for b, _ in pairs]
-    head = [h.metrics[metric] for _, h in pairs]
-    sign = -1.0 if better == "lower" else 1.0
-    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    base = [b.metrics[METRIC] for b, _ in pairs]
+    head = [h.metrics[METRIC] for _, h in pairs]
+    wins = sum(h < b for b, h in zip(base, head))
     q1, base_median, q3 = quartiles(base)
     head_median = statistics.median(head)
-    gain = sign * (head_median - base_median)
-    holds = wins >= math.ceil(WIN_SHARE * len(pairs)) and gain > q3 - q1
+    holds = wins >= math.ceil(WIN_SHARE * len(pairs)) and base_median - head_median > q3 - q1
     differences = [
         (b.seed, name, b.metrics[name], h.metrics[name])
         for b, h in pairs
-        for name in EXACT
-        if name in b.metrics and not same(b.metrics[name], h.metrics.get(name))
+        for name in EXACT + ALLOCATION
+        if name in b.metrics and not same(name, b.metrics[name], h.metrics.get(name))
     ]
     return Summary(base_median, head_median, q3 - q1, wins, len(pairs), holds, differences)
 
 
-def report(pairs: list, metric: str, better: str, order: list) -> Summary:
+def report(pairs: list, order: list) -> Summary:
     """Prints the pairs and the verdict, and returns the summary."""
-    summary = summarise(pairs, metric, better)
-    print(f"{metric} ({better} is better)")
+    summary = summarise(pairs)
+    print(f"{METRIC} (lower is better)")
     print(f"{'pair':>4} {'seed':>6} {'first':>5} {'base':>14} {'head':>14} {'head/base':>9}")
-    sign = -1.0 if better == "lower" else 1.0
     for i, ((b, h), first) in enumerate(zip(pairs, order)):
-        x, y = b.metrics[metric], h.metrics[metric]
+        x, y = b.metrics[METRIC], h.metrics[METRIC]
         ratio = f"{y / x:9.3f}" if x else f"{'-':>9}"
-        won = "  win" if sign * (y - x) > 0 else ""
+        won = "  win" if y < x else ""
         print(f"{i + 1:>4} {b.seed:>6} {first:>5} {x:>14.6g} {y:>14.6g} {ratio}{won}")
     change = (summary.head_median / summary.base_median - 1.0) if summary.base_median else 0.0
     print(
@@ -152,15 +158,16 @@ def report(pairs: list, metric: str, better: str, order: list) -> Summary:
     needed = math.ceil(WIN_SHARE * summary.pairs)
     print(
         f"claim {'holds' if summary.holds else 'does not hold'}: needs >= {needed} wins "
-        f"and a median better by more than the base IQR"
+        f"and a median lower by more than the base IQR"
     )
     if summary.exact_differences:
-        print(f"exact metrics that differ per seed by more than {EXACT_TOLERANCE:.1%}:")
+        print(f"per-seed metrics that differ (allocations: by more than {ALLOCATION_TOLERANCE:.1%}):")
         for seed, name, x, y in summary.exact_differences:
             print(f"  seed {seed}: {name} base {x!r} head {y!r}")
     else:
-        print(f"exact metrics equal per seed (within {EXACT_TOLERANCE:.1%}): {', '.join(EXACT)}")
-    others = [name for name in pairs[0][0].metrics if name != metric and name not in EXACT]
+        print(f"equal per seed: {', '.join(EXACT)}")
+        print(f"equal per seed within {ALLOCATION_TOLERANCE:.1%}: {', '.join(ALLOCATION)}")
+    others = [name for name in pairs[0][0].metrics if name != METRIC and name not in EXACT + ALLOCATION]
     for name in others:
         x = statistics.median(b.metrics[name] for b, _ in pairs)
         y = statistics.median(h.metrics[name] for _, h in pairs)
@@ -213,14 +220,6 @@ def run(binary: pathlib.Path, workdir: pathlib.Path, workload: str, seed: int, s
     return parse_run(seed, out.stdout)
 
 
-def direction(source: pathlib.Path, metric: str) -> str:
-    declared = json.loads((source / "BENCHMARK.json").read_text())["end_to_end"]
-    for entry in declared:
-        if entry["name"] == metric:
-            return entry["better"]
-    raise SystemExit(f"ab.py: {metric} is not an end-to-end metric of BENCHMARK.json")
-
-
 def compare(args: argparse.Namespace) -> int:
     scratch = pathlib.Path(args.scratch).resolve()
     scratch.mkdir(parents=True, exist_ok=True)
@@ -228,7 +227,7 @@ def compare(args: argparse.Namespace) -> int:
     for label, side in (("base", args.base), ("head", args.head)):
         source, target = checkout(side, scratch)
         if label == "base":
-            better = direction(source, args.metric)
+            seconds = json.loads((source / "BENCHMARK.json").read_text())["run_seconds"]
         sides[label] = (build(source, target), scratch / f"run-{label}")
     pairs, order = [], []
     for i in range(args.pairs):
@@ -237,13 +236,13 @@ def compare(args: argparse.Namespace) -> int:
         runs = {}
         for label in (first, second):
             binary, workdir = sides[label]
-            runs[label] = run(binary, workdir, args.workload, seed, args.seconds)
+            runs[label] = run(binary, workdir, args.workload, seed, seconds)
         pairs.append((runs["base"], runs["head"]))
         order.append(first)
-        b, h = runs["base"].metrics[args.metric], runs["head"].metrics[args.metric]
+        b, h = runs["base"].metrics[METRIC], runs["head"].metrics[METRIC]
         print(f"pair {i + 1}/{args.pairs} seed {seed}: base {b:.6g} head {h:.6g}", flush=True)
-    print(f"\nab: {args.workload}, {args.pairs} pairs, --seconds {args.seconds}, base {args.base}, head {args.head}")
-    summary = report(pairs, args.metric, better, order)
+    print(f"\nab: {args.workload}, {args.pairs} pairs, --seconds {seconds}, base {args.base}, head {args.head}")
+    summary = report(pairs, order)
     return 0 if summary.holds else 1
 
 
@@ -259,33 +258,32 @@ def canned(seed: int, metrics: dict, correct: bool = True) -> str:
 
 
 def self_test() -> int:
-    exact = {name: 1.0 + i for i, name in enumerate(EXACT)}
+    exact = {name: 1.0 + i for i, name in enumerate(EXACT + ALLOCATION)}
+    exact["confirmed_share"] = 100.0
 
-    def pairs_of(base: list, head: list, metric: str, head_exact=None) -> list:
+    def pairs_of(base: list, head: list, head_exact=None) -> list:
         out = []
         for i, (x, y) in enumerate(zip(base, head)):
             seed = i + 1
-            b = parse_run(seed, canned(seed, {metric: x, **exact}))
-            h = parse_run(seed, canned(seed, {metric: y, **(head_exact or exact)}))
+            b = parse_run(seed, canned(seed, {METRIC: x, **exact}))
+            h = parse_run(seed, canned(seed, {METRIC: y, **(head_exact or exact)}))
             out.append((b, h))
         return out
 
     base = [0.126, 0.124, 0.128, 0.125, 0.127, 0.126, 0.129, 0.123, 0.126, 0.125]
     cases = []
     # Ten of ten lower by ~9 %: holds.
-    cases.append(("clear gain", "cpu_s_per_ktx", base, [v * 0.91 for v in base], "lower", True, 10))
+    cases.append(("clear gain", base, [v * 0.91 for v in base], True, 10))
     # Eight of ten: too few wins, whatever the medians say.
     eight = [v * 0.9 for v in base[:8]] + [v * 1.1 for v in base[8:]]
-    cases.append(("eight wins", "cpu_s_per_ktx", base, eight, "lower", False, 8))
+    cases.append(("eight wins", base, eight, False, 8))
     # Ten wins by less than the base's spread: the medians are too close.
-    cases.append(("within the IQR", "cpu_s_per_ktx", base, [v - 0.0005 for v in base], "lower", False, 10))
-    # A higher-is-better metric: a rise wins, a fall loses.
-    tps = [12500.0 + 40 * i for i in range(10)]
-    cases.append(("higher wins", "committed_tx_per_s", tps, [v * 1.09 for v in tps], "higher", True, 10))
-    cases.append(("higher loses", "committed_tx_per_s", tps, [v * 0.91 for v in tps], "higher", False, 0))
+    cases.append(("within the IQR", base, [v - 0.0005 for v in base], False, 10))
+    # Ten of ten higher: a loss.
+    cases.append(("higher loses", base, [v * 1.09 for v in base], False, 0))
     broken = 0
-    for name, metric, base_values, head_values, better, holds, wins in cases:
-        summary = summarise(pairs_of(base_values, head_values, metric), metric, better)
+    for name, base_values, head_values, holds, wins in cases:
+        summary = summarise(pairs_of(base_values, head_values))
         if (summary.holds, summary.wins) != (holds, wins) or summary.exact_differences:
             print(f"self-test FAILED: {name}: {summary}", file=sys.stderr)
             broken += 1
@@ -293,13 +291,21 @@ def self_test() -> int:
     if quartiles([float(v) for v in range(10, 0, -1)]) != (3.25, 5.5, 7.75):
         print("self-test FAILED: quartiles", file=sys.stderr)
         broken += 1
-    # An exact metric that moved on one seed is reported; one allocation in
-    # 100 rounds is not.
-    for head_exact, reported in ((dict(exact, allocs_per_round=1.01), [(1, "allocs_per_round")]),
-                                 (dict(exact, allocs_per_round=1.00001), [])):
-        summary = summarise(pairs_of(base, base, "cpu_s_per_ktx", head_exact), "cpu_s_per_ktx", "lower")
-        if [(d[0], d[1]) for d in summary.exact_differences][:1] != reported:
-            print(f"self-test FAILED: exact differences {summary.exact_differences}", file=sys.stderr)
+    # An exact metric that moved on one seed is reported however little it
+    # moved; an allocation metric is reported when it moved by more than
+    # one allocation in 100 rounds.
+    moved = (
+        (dict(exact, confirmed_share=99.95), "confirmed_share"),
+        (dict(exact, msgs_per_committed_tx=exact["msgs_per_committed_tx"] * 1.0001), "msgs_per_committed_tx"),
+        (dict(exact, confirm_vt_delta_p99=exact["confirm_vt_delta_p99"] + 1e-6), "confirm_vt_delta_p99"),
+        (dict(exact, allocs_per_round=exact["allocs_per_round"] * 1.01), "allocs_per_round"),
+        (dict(exact, allocs_per_round=exact["allocs_per_round"] * 1.00001), None),
+    )
+    for head_exact, reported in moved:
+        summary = summarise(pairs_of(base, base, head_exact))
+        names = sorted({d[1] for d in summary.exact_differences})
+        if names != ([reported] if reported else []):
+            print(f"self-test FAILED: per-seed differences {summary.exact_differences}", file=sys.stderr)
             broken += 1
     # Output without its JSON line, or a run that reports itself incorrect,
     # is an error, not a value.
@@ -325,9 +331,7 @@ def main() -> int:
     parser.add_argument("head", help="the revision under test, or a checkout directory")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
-    parser.add_argument("--metric", default="cpu_s_per_ktx")
     parser.add_argument("--scratch", default=os.path.join(tempfile.gettempdir(), "cycledger-ab"))
     return compare(parser.parse_args())
 

@@ -1,9 +1,10 @@
 //! Emits one column of `BENCH_crypto.json`: nanoseconds per operation for the
 //! secp256k1 kernel layer by layer (field, point, scalar multiplication), for
-//! the primitives built on it (Schnorr, VRF, PVSS), for SHA-256 over 1 KiB, a
-//! one-shot HMAC-DRBG draw, the network's per-envelope latency draw and one
-//! whole Algorithm 3 instance at c = 16. It is the one harness timing these
-//! primitives; rounds per second are `gen_bench_round`'s.
+//! the primitives built on it (Schnorr, VRF, PVSS), for SHA-256 over 1 KiB
+//! and over batches of short messages, a one-shot HMAC-DRBG draw, the
+//! network's per-envelope latency draw and one whole Algorithm 3 instance at
+//! c = 16. It is the one harness timing these primitives; rounds per second
+//! are `gen_bench_round`'s.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_crypto`;
 //! the JSON is printed to stdout so it can be pasted into `BENCH_crypto.json`
@@ -22,13 +23,15 @@ use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{
     batch_verify, sign, verify, BatchEntry, Keypair, PreparedKey, Signature,
 };
-use cycledger_crypto::sha256::sha256;
+use cycledger_crypto::sha256::{sha256, sha256_many};
 use cycledger_crypto::vrf;
 use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
 use cycledger_net::topology::NodeId;
 
-/// Elements in `fe_add_sub`'s ring of operands.
-const FE_RING: usize = 1024;
+/// Operands in each ring a row walks: on fixed operands the branch
+/// predictor learns every data-dependent branch, which random data never
+/// lets it do.
+const RING: usize = 1024;
 
 /// Times `f` repeatedly until at least `min_secs` have elapsed and returns
 /// iterations per second.
@@ -77,47 +80,70 @@ fn main() {
     rows.push(("fe_square", ns_per_op(|| black_box(&x).square())));
     rows.push(("fe_invert", ns_per_op(|| black_box(&x).invert())));
     // One subtraction and one addition, their operands walked through a
-    // ring of random elements: on fixed operands the branch predictor
-    // learns whether a sum reaches p, which random data never lets it do.
+    // ring of random elements, as every row below that has data-dependent
+    // branches: whether a sum reaches p, which window digits are zero.
     let mut drbg = HmacDrbg::from_parts("bench/fe-ring", &[]);
-    let ring: Vec<Fe> = (0..FE_RING)
+    let ring: Vec<Fe> = (0..RING)
         .map(|_| Fe::from_be_bytes(&drbg.next_bytes32()))
         .collect();
     let mut at = 0;
     rows.push((
         "fe_add_sub",
         ns_per_op(|| {
-            at = (at + 1) % FE_RING;
-            let (a, b, c) = (
-                &ring[at],
-                &ring[(at + 1) % FE_RING],
-                &ring[(at + 2) % FE_RING],
-            );
+            at = (at + 1) % RING;
+            let (a, b, c) = (&ring[at], &ring[(at + 1) % RING], &ring[(at + 2) % RING]);
             black_box(a).sub(b).add(c)
         }),
     ));
 
-    // Jacobian operands with Z != 1, as inside a multiplication.
-    let p = kp.public.point().to_point().double();
-    let q = Point::generator().double().add(&Point::generator());
-    let q_affine = q.to_affine().expect("3G is not infinity");
-    rows.push(("point_double", ns_per_op(|| black_box(&p).double())));
-    rows.push(("point_add", ns_per_op(|| black_box(&p).add(black_box(&q)))));
+    // Random scalars, and Jacobian points with Z != 1 (doubled), as inside
+    // a multiplication.
+    let mut drbg = HmacDrbg::from_parts("bench/point-ring", &[]);
+    let scalars: Vec<Scalar> = (0..RING)
+        .map(|_| Scalar::from_be_bytes(&drbg.next_bytes32()))
+        .collect();
+    let points: Vec<Point> = scalars
+        .iter()
+        .map(|k| Point::mul_generator(k).double())
+        .collect();
+    let affine: Vec<_> = points
+        .iter()
+        .map(|p| p.to_affine().expect("a random multiple is not infinity"))
+        .collect();
+    let mut at = 0;
+    let mut next = || {
+        at = (at + 1) % RING;
+        (at, (at + 1) % RING)
+    };
+    rows.push((
+        "point_double",
+        ns_per_op(|| black_box(&points[next().0]).double()),
+    ));
+    rows.push((
+        "point_add",
+        ns_per_op(|| {
+            let (i, j) = next();
+            black_box(&points[i]).add(&points[j])
+        }),
+    ));
     rows.push((
         "point_add_affine",
-        ns_per_op(|| black_box(&p).add_affine(black_box(&q_affine))),
+        ns_per_op(|| {
+            let (i, j) = next();
+            black_box(&points[i]).add_affine(&affine[j])
+        }),
     ));
-
-    let k1 = Scalar::from_hash("bench-scalar", &[b"1"]);
-    let k2 = Scalar::from_hash("bench-scalar", &[b"2"]);
-    let g = Point::generator();
     rows.push((
         "mul_generator",
-        ns_per_op(|| Point::mul_generator(black_box(&k1))),
+        ns_per_op(|| Point::mul_generator(black_box(&scalars[next().0]))),
     ));
+    let g = Point::generator();
     rows.push((
         "mul_double",
-        ns_per_op(|| Point::mul_double(black_box(&k1), &g, black_box(&k2), &p)),
+        ns_per_op(|| {
+            let (i, j) = next();
+            Point::mul_double(black_box(&scalars[i]), &g, &scalars[j], &points[i])
+        }),
     ));
 
     rows.push(("keypair_sign", ns_per_op(|| kp.sign(msg))));
@@ -186,6 +212,24 @@ fn main() {
 
     let data = [0xabu8; 1024];
     rows.push(("sha256_1k", ns_per_op(|| sha256(black_box(&data)))));
+    // A batch of distinct one-block (an SMT value preimage) and two-block
+    // (a Merkle node) messages, per message.
+    let mut drbg = HmacDrbg::from_parts("bench/sha256-ring", &[]);
+    let mut digests = Vec::with_capacity(RING);
+    for (name, len) in [("sha256_many_33b", 33), ("sha256_many_65b", 65)] {
+        let messages: Vec<Vec<u8>> = (0..RING)
+            .map(|_| {
+                let mut m = vec![0u8; len];
+                drbg.fill_bytes(&mut m);
+                m
+            })
+            .collect();
+        let ns = ns_per_call(|| {
+            digests.clear();
+            sha256_many(black_box(&messages), &mut digests);
+        });
+        rows.push((name, ns / RING as f64));
+    }
     // A generator made, drawn from once and dropped, and the network's
     // latency draw: one keyed compression per envelope.
     let seed = [0xabu8; 32];

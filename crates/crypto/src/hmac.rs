@@ -13,7 +13,7 @@ use std::sync::OnceLock;
 
 use crate::opcount::{count, Op};
 use crate::sha256::{
-    compress, compress_multi, sha256, state_bytes, Digest, Sha256, BLOCK_LEN, DIGEST_LEN, H0,
+    compress, compress_pair, sha256, state_bytes, Digest, Sha256, BLOCK_LEN, DIGEST_LEN, H0,
 };
 
 /// Computes HMAC-SHA256 over `data` with `key`.
@@ -50,7 +50,7 @@ impl HmacKey {
         // The two pad blocks are independent: one interleaved SHA-NI pair.
         let pads = [block.map(|b| b ^ 0x36), block.map(|b| b ^ 0x5c)];
         let mut states = [H0; 2];
-        compress_multi(&mut states, &pads);
+        compress_pair(&mut states, &pads);
         HmacKey {
             inner: states[0],
             outer: states[1],

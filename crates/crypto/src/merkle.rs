@@ -4,6 +4,9 @@
 //! reputation table into a block; Merkle roots give committees a compact way to
 //! commit to these lists and let light verifiers check membership of a single
 //! transaction or UTXO without the whole list.
+//!
+//! A build stages leaf and node pre-images two at a time and hashes each
+//! pair through [`sha256_many`], which decides how they are compressed.
 
 use crate::sha256::{hash_parts, sha256_many, Digest};
 
@@ -15,9 +18,6 @@ const NODE_DOMAIN: &[u8] = b"cycledger/merkle-node";
 /// Byte length of an interior node's pre-image under the [`hash_parts`]
 /// framing: `le64(|tag|) ++ tag ++ le64(32) ++ left ++ le64(32) ++ right`.
 const NODE_MSG_LEN: usize = 8 + NODE_DOMAIN.len() + 8 + 32 + 8 + 32;
-
-/// Lane width for batched tree hashing (matches [`crate::sha256::sha256_x8`]).
-const LANES: usize = 8;
 
 /// Appends one length-prefixed part in the exact [`hash_parts`] framing.
 fn frame_part(buf: &mut Vec<u8>, part: &[u8]) {
@@ -49,9 +49,10 @@ pub struct MerkleTree {
     nodes: Vec<Digest>,
     level_offsets: Vec<usize>,
     leaf_count: usize,
-    /// Leaf pre-image staging, one buffer per hashing lane; kept so a tree
-    /// rebuilt in place ([`MerkleTree::rebuild_from_slices`]) reuses it.
-    lanes: [Vec<u8>; LANES],
+    /// Leaf pre-image staging, one pair of buffers for [`sha256_many`];
+    /// kept so a tree rebuilt in place ([`MerkleTree::rebuild_from_slices`])
+    /// reuses it.
+    staged: [Vec<u8>; 2],
 }
 
 /// A Merkle membership proof: the sibling hashes from leaf to root.
@@ -110,7 +111,7 @@ impl MerkleTree {
 
     /// Rebuilds this tree over leaves that write their payloads rather than
     /// lend them: `write(leaf, buf)` appends the leaf's payload to `buf`, the
-    /// reusable lane buffer its pre-image is staged in. A leaf whose bytes
+    /// reusable buffer its pre-image is staged in. A leaf whose bytes
     /// are a function of its fields (a transaction's canonical encoding)
     /// costs one copy, as a borrowed slice does, and no allocation of its own.
     pub fn rebuild_with<I, F>(&mut self, leaves: I, mut write: F)
@@ -140,12 +141,12 @@ impl MerkleTree {
             width = width.div_ceil(2);
         }
         nodes.reserve(total);
-        // Leaf level, hashed in interleaved lanes: each lane's message is the
-        // leaf pre-image under the `hash_parts` framing, staged into the
-        // tree's ring of reusable lane buffers so full groups go through the
-        // 8-wide compression. Byte-identical to `iter.map(leaf_hash)`.
+        // Leaf level, hashed in pairs: each message is the leaf pre-image
+        // under the `hash_parts` framing, staged into the tree's pair of
+        // reusable buffers so a full pair goes through `sha256_many` at once.
+        // Byte-identical to `iter.map(leaf_hash)`.
         {
-            let scratch = &mut self.lanes;
+            let scratch = &mut self.staged;
             let mut pending = 0usize;
             for leaf in iter {
                 let buf = &mut scratch[pending];
@@ -159,32 +160,29 @@ impl MerkleTree {
                 let len = (buf.len() - at - 8) as u64;
                 buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
                 pending += 1;
-                if pending == LANES {
-                    let msgs: [&[u8]; LANES] = std::array::from_fn(|j| scratch[j].as_slice());
-                    sha256_many(&msgs, nodes);
+                if pending == scratch.len() {
+                    sha256_many(scratch, nodes);
                     pending = 0;
                 }
             }
-            let msgs: [&[u8]; LANES] = std::array::from_fn(|j| scratch[j].as_slice());
-            sha256_many(&msgs[..pending], nodes);
+            sha256_many(&scratch[..pending], nodes);
         }
         let mut start = 0usize;
         let mut len = leaf_count;
-        // Interior levels: node pre-images are fixed-size, so groups of up to
-        // eight pairs are serialized into stack scratch blocks and hashed in
-        // lanes; a trailing odd node is promoted unchanged, as before.
-        let mut bufs = [[0u8; NODE_MSG_LEN]; LANES];
+        // Interior levels: node pre-images are fixed-size, so two sibling
+        // pairs at a time are serialized into stack scratch blocks and hashed
+        // as one pair; a trailing odd node is promoted unchanged, as before.
+        let mut bufs = [[0u8; NODE_MSG_LEN]; 2];
         while len > 1 {
             let pairs = len / 2;
             let mut p = 0usize;
             while p < pairs {
-                let k = LANES.min(pairs - p);
+                let k = bufs.len().min(pairs - p);
                 for (j, buf) in bufs[..k].iter_mut().enumerate() {
                     let i = start + 2 * (p + j);
                     node_msg(&nodes[i], &nodes[i + 1], buf);
                 }
-                let msgs: [&[u8]; LANES] = std::array::from_fn(|j| bufs[j].as_slice());
-                sha256_many(&msgs[..k], nodes);
+                sha256_many(&bufs[..k], nodes);
                 p += k;
             }
             if len % 2 == 1 {
@@ -329,7 +327,7 @@ mod tests {
 
     #[test]
     fn written_leaves_hash_as_borrowed_ones() {
-        // Payloads of every length class around the lane width and the
+        // Payloads of every length class around the pair width and the
         // 64-byte block, written in two pieces.
         let data: Vec<Vec<u8>> = (0..19).map(|n| vec![n as u8; n * 7]).collect();
         let mut written = MerkleTree::default();
@@ -377,9 +375,9 @@ mod tests {
 
     #[test]
     fn lane_build_matches_sequential_reference() {
-        // The lane-batched build must reproduce, byte for byte, the tree the
+        // The pair-batched build must reproduce, byte for byte, the tree the
         // one-hash-at-a-time reference construction yields (sizes chosen to
-        // hit full groups, partial groups and odd-node promotion).
+        // hit full pairs, a lone last message and odd-node promotion).
         for n in [1usize, 2, 3, 5, 7, 8, 9, 15, 16, 17, 23, 31, 32, 33, 64, 65] {
             let data = leaves(n);
             let tree = MerkleTree::build(&data);

@@ -5,6 +5,8 @@
 //! lotteries, PoW puzzles) is keyed off this primitive.  The implementation is a
 //! straightforward, allocation-free compression-function loop with an incremental
 //! [`Sha256`] hasher plus convenience one-shot helpers.
+//! Compression runs on SHA-NI where the CPU has it, bit-identically; a batch
+//! of independent messages ([`sha256_many`]) is hashed in pairs, nothing wider.
 
 use crate::opcount::{count, Op};
 
@@ -250,45 +252,27 @@ pub(crate) fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     compress_scalar(state, block);
 }
 
-/// Compresses `L` independent 64-byte blocks into `L` independent states.
+/// Compresses two independent blocks into two independent states,
+/// bit-identical to two [`compress`] calls.
 ///
-/// This is the multi-lane counterpart of [`compress`], dispatching through
-/// the same one-time CPU-feature check. On SHA-NI hardware the lanes run as
-/// interleaved **pairs**: one `sha256rnds2` chain has more latency than
-/// throughput, so two independent chains fill the pipeline bubble, while
-/// deeper hardware interleave would only spill registers (each lane holds six
-/// live `xmm` values). Without SHA-NI the portable multi-lane compression
-/// keeps all `L` message schedules and working states in lane-indexed arrays,
-/// which the auto-vectorizer turns into 4-wide (SSE2) or wider SIMD.
-///
-/// Lane order is preserved and every lane is bit-identical to running
-/// [`compress`] on it alone — the single-lane path is the differential oracle
-/// for this one.
-pub(crate) fn compress_multi<const L: usize>(
-    states: &mut [[u32; 8]; L],
-    blocks: &[[u8; BLOCK_LEN]; L],
-) {
-    for _ in 0..L {
-        count(Op::Sha256Block);
-    }
+/// On SHA-NI hardware the two run as one interleaved pair: a lone
+/// `sha256rnds2` chain has more latency than throughput, so a second chain
+/// fills the pipeline bubble, while a deeper interleave would only spill
+/// registers (each lane holds six live `xmm` values).
+pub(crate) fn compress_pair(states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_LEN]; 2]) {
+    count(Op::Sha256Block);
+    count(Op::Sha256Block);
+    let [state_a, state_b] = states;
     #[cfg(target_arch = "x86_64")]
     {
         if shani::available() {
-            let mut l = 0;
-            while l + 2 <= L {
-                let (head, tail) = states.split_at_mut(l + 1);
-                // SAFETY: `available()` verified the sha/ssse3/sse4.1 features.
-                unsafe { shani::compress2(&mut head[l], &mut tail[0], &blocks[l], &blocks[l + 1]) };
-                l += 2;
-            }
-            if l < L {
-                // SAFETY: as above.
-                unsafe { shani::compress(&mut states[l], &blocks[l]) };
-            }
+            // SAFETY: `available()` verified the sha/ssse3/sse4.1 features.
+            unsafe { shani::compress2(state_a, state_b, &blocks[0], &blocks[1]) };
             return;
         }
     }
-    compress_scalar_multi(states, blocks);
+    compress_scalar(state_a, &blocks[0]);
+    compress_scalar(state_b, &blocks[1]);
 }
 
 /// Hardware SHA-256 (x86-64 SHA New Instructions), the standard ABEF/CDGH
@@ -526,9 +510,8 @@ mod shani {
     /// `sha256rnds2` has several cycles of latency but near-single-cycle
     /// throughput, so a lone chain leaves the SHA unit mostly idle between
     /// dependent rounds. Interleaving two independent chains (12 live `xmm`
-    /// values, within the 16-register budget) fills those bubbles; the
-    /// multi-lane entry point builds 4- and 8-lane batches out of these
-    /// pairs. Lane results are bit-identical to two [`compress`] calls.
+    /// values, within the 16-register budget) fills those bubbles.
+    /// Lane results are bit-identical to two [`compress`] calls.
     ///
     /// # Safety
     /// Caller must ensure the `sha`, `ssse3` and `sse4.1` CPU features are
@@ -893,85 +876,7 @@ fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
     state[7] = state[7].wrapping_add(h);
 }
 
-/// Portable multi-lane compression: `L` schedules and working states kept in
-/// lane-indexed arrays.
-///
-/// The per-round formulas are exactly those of [`compress_scalar`], applied
-/// to all lanes before moving to the next round. Laying the data out
-/// lane-major turns every round into `L` independent identical operations on
-/// adjacent words — the shape LLVM's auto-vectorizer folds into 4-wide SSE2
-/// (or wider) integer SIMD, and failing that, the interleave still overlaps
-/// the lanes' dependency chains in the scalar pipeline.
-#[allow(clippy::needless_range_loop)] // `l` addresses the same lane across several rows of `w`
-fn compress_scalar_multi<const L: usize>(
-    states: &mut [[u32; 8]; L],
-    blocks: &[[u8; BLOCK_LEN]; L],
-) {
-    // Message schedules, lane-major: w[round][lane].
-    let mut w = [[0u32; L]; 64];
-    for l in 0..L {
-        for i in 0..16 {
-            w[i][l] = u32::from_be_bytes(blocks[l][4 * i..4 * i + 4].try_into().expect("word"));
-        }
-    }
-    for i in 16..64 {
-        for l in 0..L {
-            let s0 =
-                w[i - 15][l].rotate_right(7) ^ w[i - 15][l].rotate_right(18) ^ (w[i - 15][l] >> 3);
-            let s1 =
-                w[i - 2][l].rotate_right(17) ^ w[i - 2][l].rotate_right(19) ^ (w[i - 2][l] >> 10);
-            w[i][l] = w[i - 16][l]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7][l])
-                .wrapping_add(s1);
-        }
-    }
-    let mut a = [0u32; L];
-    let mut b = [0u32; L];
-    let mut c = [0u32; L];
-    let mut d = [0u32; L];
-    let mut e = [0u32; L];
-    let mut f = [0u32; L];
-    let mut g = [0u32; L];
-    let mut h = [0u32; L];
-    for l in 0..L {
-        [a[l], b[l], c[l], d[l], e[l], f[l], g[l], h[l]] = states[l];
-    }
-    for i in 0..64 {
-        for l in 0..L {
-            let s1 = e[l].rotate_right(6) ^ e[l].rotate_right(11) ^ e[l].rotate_right(25);
-            let ch = (e[l] & f[l]) ^ ((!e[l]) & g[l]);
-            let t1 = h[l]
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i][l]);
-            let s0 = a[l].rotate_right(2) ^ a[l].rotate_right(13) ^ a[l].rotate_right(22);
-            let maj = (a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]);
-            let t2 = s0.wrapping_add(maj);
-            h[l] = g[l];
-            g[l] = f[l];
-            f[l] = e[l];
-            e[l] = d[l].wrapping_add(t1);
-            d[l] = c[l];
-            c[l] = b[l];
-            b[l] = a[l];
-            a[l] = t1.wrapping_add(t2);
-        }
-    }
-    for l in 0..L {
-        states[l][0] = states[l][0].wrapping_add(a[l]);
-        states[l][1] = states[l][1].wrapping_add(b[l]);
-        states[l][2] = states[l][2].wrapping_add(c[l]);
-        states[l][3] = states[l][3].wrapping_add(d[l]);
-        states[l][4] = states[l][4].wrapping_add(e[l]);
-        states[l][5] = states[l][5].wrapping_add(f[l]);
-        states[l][6] = states[l][6].wrapping_add(g[l]);
-        states[l][7] = states[l][7].wrapping_add(h[l]);
-    }
-}
-
-/// One lane of a multi-lane hash: a message plus its padded block count.
+/// One message of a hashed pair, with its padded block count.
 struct Lane<'a> {
     data: &'a [u8],
     /// Number of 64-byte blocks after FIPS 180-4 padding.
@@ -1017,69 +922,42 @@ impl<'a> Lane<'a> {
     }
 }
 
-/// One-shot SHA-256 of `L` messages hashed in interleaved lanes.
+/// SHA-256 of many independent messages, hashed in pairs.
 ///
-/// Byte-identical to `L` independent [`sha256`] calls — multi-lane execution
-/// is purely a throughput optimization (see `compress_multi`). Lanes
-/// proceed in lockstep while every lane still has padded blocks left; once
-/// the shortest message is exhausted the stragglers finish on the single-lane
-/// path. Peak benefit therefore comes from similarly-sized messages (Merkle
-/// nodes, batched transaction encodings), but any mix is correct.
-pub fn sha256_lanes<const L: usize>(messages: [&[u8]; L]) -> [Digest; L] {
-    let lanes: [Lane<'_>; L] = messages.map(Lane::new);
-    let mut states = [H0; L];
-    let lockstep = lanes.iter().map(|l| l.blocks).min().unwrap_or(0);
-    let mut blocks = [[0u8; BLOCK_LEN]; L];
-    for j in 0..lockstep {
-        for (lane, block) in lanes.iter().zip(blocks.iter_mut()) {
-            lane.block_into(j, block);
-        }
-        compress_multi(&mut states, &blocks);
-    }
-    let mut out = [Digest::ZERO; L];
-    for l in 0..L {
-        for j in lockstep..lanes[l].blocks {
-            lanes[l].block_into(j, &mut blocks[l]);
-            compress(&mut states[l], &blocks[l]);
-        }
-        for (i, word) in states[l].iter().enumerate() {
-            out[l].0[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
-        }
-    }
-    out
-}
-
-/// Four-lane one-shot SHA-256 (see [`sha256_lanes`]).
-pub fn sha256_x4(messages: [&[u8]; 4]) -> [Digest; 4] {
-    sha256_lanes(messages)
-}
-
-/// Eight-lane one-shot SHA-256 (see [`sha256_lanes`]).
-pub fn sha256_x8(messages: [&[u8]; 8]) -> [Digest; 8] {
-    sha256_lanes(messages)
-}
-
-/// SHA-256 of many independent messages, filling 8-wide then 4-wide lanes.
-///
-/// Equivalent to mapping [`sha256`] over `messages`; the lane width is chosen
-/// per chunk (8, then 4, then single) so every message is hashed exactly
-/// once with the widest batch that still fills. Messages may be slices or
-/// fixed-size arrays, so a caller with a buffer of equal-length preimages
-/// needs no second buffer of references to them.
+/// Equivalent to mapping [`sha256`] over `messages`: each pair goes through
+/// `sha256_pair`, and an odd last message through [`sha256`]. Messages may
+/// be slices or fixed-size arrays, so a caller with a buffer of equal-length
+/// preimages needs no second buffer of references to them.
 pub fn sha256_many<M: AsRef<[u8]>>(messages: &[M], out: &mut Vec<Digest>) {
     out.reserve(messages.len());
-    let mut rest = messages;
-    while rest.len() >= 8 {
-        let (chunk, tail) = rest.split_at(8);
-        out.extend(sha256_x8(std::array::from_fn(|i| chunk[i].as_ref())));
-        rest = tail;
+    let mut pairs = messages.chunks_exact(2);
+    for pair in &mut pairs {
+        sha256_pair(pair[0].as_ref(), pair[1].as_ref(), out);
     }
-    if rest.len() >= 4 {
-        let (chunk, tail) = rest.split_at(4);
-        out.extend(sha256_x4(std::array::from_fn(|i| chunk[i].as_ref())));
-        rest = tail;
+    out.extend(pairs.remainder().iter().map(|m| sha256(m.as_ref())));
+}
+
+/// Appends the SHA-256 of two messages to `out`: in lockstep through
+/// [`compress_pair`] over the shorter one's padded blocks, then the longer
+/// one alone. Not generic, so the block layout and the pair inline here, not
+/// as out-of-line calls from each crate that calls [`sha256_many`].
+fn sha256_pair(a: &[u8], b: &[u8], out: &mut Vec<Digest>) {
+    let lanes = [Lane::new(a), Lane::new(b)];
+    let lockstep = lanes[0].blocks.min(lanes[1].blocks);
+    let mut states = [H0; 2];
+    let mut blocks = [[0u8; BLOCK_LEN]; 2];
+    for j in 0..lockstep {
+        lanes[0].block_into(j, &mut blocks[0]);
+        lanes[1].block_into(j, &mut blocks[1]);
+        compress_pair(&mut states, &blocks);
     }
-    out.extend(rest.iter().map(|m| sha256(m.as_ref())));
+    for ((lane, state), block) in lanes.iter().zip(&mut states).zip(&mut blocks) {
+        for j in lockstep..lane.blocks {
+            lane.block_into(j, block);
+            compress(state, block);
+        }
+    }
+    out.extend(states.iter().map(|state| Digest(state_bytes(state))));
 }
 
 /// One-shot SHA-256 of a byte slice.
@@ -1246,66 +1124,72 @@ mod tests {
     }
 
     #[test]
-    fn multi_lane_compress_matches_single_lane() {
-        // `compress_multi` (SHA-NI interleaved pairs or the scalar interleave)
-        // must be bit-identical to running `compress` on each lane alone, for
-        // both supported widths and across distinct per-lane states/blocks.
-        fn check<const L: usize>() {
-            let mut states = [[0u32; 8]; L];
-            let mut blocks = [[0u8; BLOCK_LEN]; L];
-            for l in 0..L {
-                for (i, w) in states[l].iter_mut().enumerate() {
-                    *w = H0[i] ^ (l as u32).wrapping_mul(0x9E37_79B9);
-                }
-                for (i, b) in blocks[l].iter_mut().enumerate() {
-                    *b = ((i * 17 + l * 89) % 251) as u8;
-                }
+    fn compress_pair_matches_two_compress_calls() {
+        // Distinct states and blocks per lane, chained over several blocks so
+        // a swap of the lanes' states or blocks anywhere in the pair shows.
+        let mut pair = [H0, H0.map(|w| w ^ 0x9E37_79B9)];
+        let mut single = pair;
+        for round in 0..16usize {
+            let blocks: [[u8; BLOCK_LEN]; 2] = std::array::from_fn(|l| {
+                std::array::from_fn(|i| ((i * 17 + l * 89 + round * 7) % 251) as u8)
+            });
+            compress_pair(&mut pair, &blocks);
+            for (state, block) in single.iter_mut().zip(&blocks) {
+                compress(state, block);
             }
-            let mut expected = states;
-            for l in 0..L {
-                compress(&mut expected[l], &blocks[l]);
-            }
-            compress_multi(&mut states, &blocks);
-            assert_eq!(states, expected, "lane width {L}");
+            assert_eq!(pair, single, "block {round}");
         }
-        check::<4>();
-        check::<8>();
-        // Odd width exercises the SHA-NI pair loop's single-lane remainder.
-        check::<5>();
+    }
+
+    /// `len` bytes of a pattern that differs with `seed`.
+    fn message(len: usize, seed: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| ((i * 31 + seed * 7) % 251) as u8)
+            .collect()
     }
 
     #[test]
-    fn lanes_match_single_lane_at_block_boundaries() {
+    fn sha256_many_matches_map() {
+        // 0 and 1 messages are no pair; 2 is one; 3 and 13 end in a message
+        // hashed alone.
+        for count in [0usize, 1, 2, 3, 13] {
+            let data: Vec<Vec<u8>> = (0..count).map(|i| message(i * 23, i)).collect();
+            let mut got = vec![Digest::ZERO];
+            sha256_many(&data, &mut got);
+            let expected: Vec<Digest> = std::iter::once(Digest::ZERO)
+                .chain(data.iter().map(|m| sha256(m)))
+                .collect();
+            assert_eq!(got, expected, "{count} messages");
+        }
+    }
+
+    #[test]
+    fn pairs_match_single_hashes_at_block_boundaries() {
         // Lengths straddling the one- and two-block padding boundaries, plus
-        // the sparse-Merkle store's own value (33) and key (53) preimages; the
-        // lanes deliberately have *different* lengths so the lockstep prefix
-        // and the straggler tail are both exercised.
-        let boundary: Vec<Vec<u8>> = [
-            0usize, 1, 33, 53, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 200,
-        ]
-        .iter()
-        .map(|&len| (0..len).map(|i| (i * 31 % 251) as u8).collect())
-        .collect();
-        for window in boundary.windows(4) {
-            let msgs: [&[u8]; 4] = [&window[0], &window[1], &window[2], &window[3]];
-            let got = sha256_x4(msgs);
-            for (l, m) in msgs.iter().enumerate() {
-                assert_eq!(got[l], sha256(m), "x4 lane {l} len {}", m.len());
-            }
-        }
-        for window in boundary.windows(8) {
-            let msgs: [&[u8]; 8] = std::array::from_fn(|i| window[i].as_slice());
-            let got = sha256_x8(msgs);
-            for (l, m) in msgs.iter().enumerate() {
-                assert_eq!(got[l], sha256(m), "x8 lane {l} len {}", m.len());
+        // the sparse-Merkle store's own value (33) and key (53) preimages.
+        // Every pair in both orders, so the lockstep prefix and the longer
+        // message finishing alone are exercised in either lane.
+        const LENS: [usize; 15] = [
+            0, 1, 33, 53, 55, 56, 63, 64, 65, 119, 120, 127, 128, 129, 200,
+        ];
+        for (i, &len_a) in LENS.iter().enumerate() {
+            for (j, &len_b) in LENS.iter().enumerate() {
+                let msgs = [message(len_a, i), message(len_b, j + LENS.len())];
+                let mut got = Vec::new();
+                sha256_many(&msgs, &mut got);
+                assert_eq!(
+                    got,
+                    [sha256(&msgs[0]), sha256(&msgs[1])],
+                    "lens {len_a}, {len_b}"
+                );
             }
         }
     }
 
     #[test]
-    fn nist_vectors_in_every_lane_position() {
-        // Each NIST vector must come out right regardless of which lane it
-        // occupies and what its neighbours are.
+    fn nist_vectors_in_both_lanes() {
+        // Each NIST vector must come out right in either lane of a pair,
+        // whatever its neighbour.
         let vectors: [(&[u8], &str); 3] = [
             (
                 b"",
@@ -1320,27 +1204,15 @@ mod tests {
                 "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
             ),
         ];
-        for pos in 0..8 {
+        for pos in 0..2 {
             for (data, hex) in vectors {
-                let mut msgs: [&[u8]; 8] = [b"filler-lane-content"; 8];
+                let mut msgs: [&[u8]; 2] = [b"filler-lane-content"; 2];
                 msgs[pos] = data;
-                let got = sha256_x8(msgs);
+                let mut got = Vec::new();
+                sha256_many(&msgs, &mut got);
                 assert_eq!(got[pos].to_hex(), hex, "lane {pos}");
             }
         }
-    }
-
-    #[test]
-    fn sha256_many_matches_map() {
-        // 13 messages: one full x8 chunk, one x4 chunk, one single straggler.
-        let data: Vec<Vec<u8>> = (0..13usize)
-            .map(|i| (0..i * 23).map(|j| (j % 251) as u8).collect())
-            .collect();
-        let msgs: Vec<&[u8]> = data.iter().map(|d| d.as_slice()).collect();
-        let mut got = Vec::new();
-        sha256_many(&msgs, &mut got);
-        let expected: Vec<Digest> = msgs.iter().map(|m| sha256(m)).collect();
-        assert_eq!(got, expected);
     }
 
     #[test]
@@ -1380,29 +1252,31 @@ mod tests {
         }
 
         #[test]
-        fn prop_x4_lanes_match_oneshot(
+        fn prop_many_matches_oneshot(
             data in proptest::collection::vec(any::<u8>(), 0..600),
-            lens in proptest::collection::vec(0usize..150, 4..5),
+            lens in proptest::collection::vec(0usize..300, 0..9),
         ) {
-            let msgs: [&[u8]; 4] =
-                std::array::from_fn(|i| &data[..lens[i].min(data.len())]);
-            let got = sha256_x4(msgs);
+            let msgs: Vec<&[u8]> = lens.iter().map(|&len| &data[..len.min(data.len())]).collect();
+            let mut got = Vec::new();
+            sha256_many(&msgs, &mut got);
+            prop_assert_eq!(got.len(), msgs.len());
             for (l, m) in msgs.iter().enumerate() {
-                prop_assert_eq!(got[l], sha256(m), "lane {}", l);
+                prop_assert_eq!(got[l], sha256(m), "message {}", l);
             }
         }
 
         #[test]
-        fn prop_x8_lanes_match_oneshot(
+        fn prop_pair_matches_oneshot(
             data in proptest::collection::vec(any::<u8>(), 0..600),
-            lens in proptest::collection::vec(0usize..300, 8..9),
+            len_a in 0usize..300,
+            len_b in 0usize..300,
         ) {
-            let msgs: [&[u8]; 8] =
-                std::array::from_fn(|i| &data[..lens[i].min(data.len())]);
-            let got = sha256_x8(msgs);
-            for (l, m) in msgs.iter().enumerate() {
-                prop_assert_eq!(got[l], sha256(m), "lane {}", l);
-            }
+            // One pair of distinct messages: lockstep over the shorter one's
+            // blocks, then the longer one alone, in whichever lane it is.
+            let (a, b) = (&data[..len_a.min(data.len())], &data[data.len() - len_b.min(data.len())..]);
+            let mut got = Vec::new();
+            sha256_many(&[a, b], &mut got);
+            prop_assert_eq!(got, vec![sha256(a), sha256(b)]);
         }
 
         #[test]

@@ -43,14 +43,14 @@ pub fn internal_hash(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// Writes the 65-byte internal-node preimage into `buf` (exposed so the tree
-/// can lane-batch internal hashing with `sha256_many`).
+/// can batch internal hashing with `sha256_many`).
 pub fn fill_internal_preimage(buf: &mut [u8; 65], left: &Digest, right: &Digest) {
     buf[0] = INTERNAL_PREFIX;
     buf[1..33].copy_from_slice(left.as_bytes());
     buf[33..65].copy_from_slice(right.as_bytes());
 }
 
-/// Writes the 65-byte leaf preimage into `buf` (exposed for lane batching).
+/// Writes the 65-byte leaf preimage into `buf` (exposed for batched hashing).
 pub fn fill_leaf_preimage(buf: &mut [u8; 65], key: &Digest, value_hash: &Digest) {
     buf[0] = LEAF_PREFIX;
     buf[1..33].copy_from_slice(key.as_bytes());

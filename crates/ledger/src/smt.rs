@@ -21,7 +21,7 @@
 //! [`SmtStore::commit`] seals one round's buffered deltas in a single
 //! batch-sorted fold:
 //!
-//! 1. key, value and leaf digests of the whole batch are lane-batched
+//! 1. key, value and leaf digests of the whole batch are hashed in pairs
 //!    through [`sha256_many`];
 //! 2. a structural pass merges the key-sorted batch into the tree in
 //!    place — every internal node on a written path has its child
@@ -613,7 +613,7 @@ impl SmtStore {
     }
 
     /// Hashes the fold's dirty internal nodes level by level, deepest first,
-    /// lane-batched through [`sha256_many`] in `bufs` and `hashes`. Children
+    /// hashed in pairs through [`sha256_many`] in `bufs` and `hashes`. Children
     /// are final before their parents: leaves were hashed before the fold,
     /// deeper internals in an earlier iteration, untouched subtrees in an
     /// earlier commit.

@@ -21,8 +21,9 @@
 //! [`SmtStore::commit`] seals one round's buffered deltas in a single
 //! batch-sorted fold:
 //!
-//! 1. key, value and leaf digests of the whole batch are hashed in pairs
-//!    through [`sha256_many`];
+//! 1. key, value and leaf digests of the batch are hashed in pairs through
+//!    [`sha256_many`], a few thousand deltas at a time, so the buffers of
+//!    that pass stay small however large the batch;
 //! 2. a structural pass merges the key-sorted batch into the tree in
 //!    place — every internal node on a written path has its child
 //!    references overwritten and is recorded per depth, new nodes take a
@@ -34,6 +35,10 @@
 //! Committing once per round instead of once per transaction is what keeps
 //! the authenticated backend within a small factor of the flat map: a
 //! round's writes to one path share the O(log n) hashes.
+//!
+//! Genesis is the same fold run once, by [`SmtStore::genesis`], over a
+//! shard's genesis outputs handed straight to the batch: no write is
+//! buffered, and the fold records no round, so round 0's root builds on it.
 //!
 //! ## Memory
 //!
@@ -65,6 +70,12 @@ const LEAF_TAG: u32 = 0x8000_0000;
 fn is_leaf(node: u32) -> bool {
     node != EMPTY_REF && node & LEAF_TAG != 0
 }
+
+/// Deltas hashed per staging pass of a fold. Bounds the per-delta buffers
+/// (preimages and digests) whatever the batch: a genesis fold of 10^5
+/// entries stages them this many at a time, and only its items grow to the
+/// whole batch.
+const STAGE: usize = 4096;
 
 /// Domain prefix of the outpoint-to-key digest.
 const KEY_DOMAIN: &[u8; 17] = b"cycledger/smt-key";
@@ -165,10 +176,10 @@ impl Dirty {
 
 /// The buffers of one fold, kept for the next: once the commits have warmed
 /// them up, a round's fold allocates nothing. A bulk fold — more deltas than
-/// half the live set, such as genesis — drops them afterwards, as `pending`
-/// sheds its genesis-sized table.
+/// half the live set, such as genesis — drops them afterwards.
 #[derive(Default)]
 struct Scratch {
+    /// The deltas of one staging pass, at most [`STAGE`].
     ops: Vec<(OutPoint, Option<TxOutput>)>,
     key_preimages: Vec<[u8; 53]>,
     keys: Vec<Digest>,
@@ -180,6 +191,7 @@ struct Scratch {
     preimages: Vec<[u8; 65]>,
     /// Leaf hashes, then each dirty level's internal-node hashes.
     hashes: Vec<Digest>,
+    /// The whole batch, one item a delta.
     items: Vec<Item>,
     dirty: Dirty,
 }
@@ -278,12 +290,27 @@ impl SmtStore {
         (self.internals.len(), self.leaves.len())
     }
 
-    /// Folds the buffered deltas into the tree without recording a round
-    /// version — used once at genesis so round 0's root already includes the
-    /// genesis UTXOs as its base.
-    pub fn commit_genesis(&mut self) -> Digest {
-        self.fold_pending();
-        self.state_root()
+    /// A store holding `entries` (distinct outpoints), its live map pre-sized
+    /// for `capacity` and filled in the order given, and the tree built from
+    /// them in one bulk fold that records no round version — genesis, so
+    /// round 0's root already has the genesis UTXOs as its base. The entries
+    /// go straight into the fold's batch: nothing is buffered, and `pending`
+    /// starts as empty as it ends every commit.
+    pub fn genesis(
+        capacity: usize,
+        entries: impl IntoIterator<Item = (OutPoint, TxOutput)>,
+    ) -> SmtStore {
+        let mut store = SmtStore::default();
+        // Beside the store while the fold borrows it.
+        let mut live = FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default());
+        let deltas = entries.into_iter().map(|(outpoint, output)| {
+            let old = live.insert(outpoint, output);
+            assert!(old.is_none(), "genesis outpoints are distinct");
+            (outpoint, Some(output))
+        });
+        store.fold_batch(&mut Scratch::default(), deltas);
+        store.live = live;
+        store
     }
 
     /// Seals the writes since the previous commit into the tree and records
@@ -360,17 +387,67 @@ impl SmtStore {
         }
     }
 
-    /// Drains `pending` into a key-sorted item batch with all leaf hashes
-    /// precomputed (three `sha256_many` passes: keys, values, leaves), then
-    /// runs the structural fold and the level-ordered hash pass, all in the
-    /// buffers of `scratch`.
+    /// Drains `pending` into one fold, in the buffers of `scratch`.
     fn fold_pending(&mut self) {
         if self.pending.is_empty() {
             return;
         }
         let batch = self.pending.len();
-        // Out of `self` for the fold, which borrows the arenas mutably.
+        // Both out of `self` for the fold, which borrows the arenas mutably.
         let mut scratch = self.scratch.take().unwrap_or_default();
+        let mut pending = std::mem::take(&mut self.pending);
+        self.fold_batch(&mut scratch, pending.drain());
+        // Draining keeps the bucket array — deliberately, so steady-state
+        // rounds reuse it allocation-free — but one huge batch (a 10^6-entry
+        // seeding commit) must not leave every later round walking a
+        // million-slot empty table just to collect its ~1k deltas.
+        if pending.capacity() > 4 * batch.max(1024) {
+            pending.shrink_to(batch.max(1024));
+        }
+        self.pending = pending;
+        if 2 * batch <= self.live.len() {
+            self.scratch = Some(scratch);
+        }
+    }
+
+    /// Folds `deltas` (distinct outpoints; `None` deletes) into the tree:
+    /// staged [`STAGE`] at a time into leaves and key-sorted items, then
+    /// merged into the tree in one structural pass and rehashed level by
+    /// level.
+    fn fold_batch(
+        &mut self,
+        scratch: &mut Scratch,
+        mut deltas: impl Iterator<Item = (OutPoint, Option<TxOutput>)>,
+    ) {
+        scratch.items.clear();
+        scratch.items.reserve(deltas.size_hint().0);
+        loop {
+            scratch.ops.clear();
+            scratch.ops.extend(deltas.by_ref().take(STAGE));
+            if scratch.ops.is_empty() {
+                break;
+            }
+            self.stage(scratch);
+        }
+        let Scratch {
+            preimages,
+            hashes,
+            items,
+            dirty,
+            ..
+        } = scratch;
+        // Key-sorted: lexicographic byte order equals path order, so every
+        // sub-slice of the fold is contiguous.
+        items.sort_unstable_by_key(|a| a.key);
+        dirty.marks.clear();
+        (self.root, _) = self.fold(self.root, 0, items, dirty);
+        self.rehash_dirty(dirty, preimages, hashes);
+    }
+
+    /// Hashes the deltas in `scratch.ops` — three `sha256_many` passes:
+    /// keys, values, leaves — allocates their leaves, and appends their
+    /// items to `scratch.items`.
+    fn stage(&mut self, scratch: &mut Scratch) {
         let Scratch {
             ops,
             key_preimages,
@@ -381,17 +458,8 @@ impl SmtStore {
             preimages,
             hashes,
             items,
-            dirty,
-        } = &mut *scratch;
-        ops.clear();
-        ops.extend(self.pending.drain());
-        // Draining keeps the bucket array — deliberately, so steady-state
-        // rounds reuse it allocation-free — but one huge batch (genesis at
-        // 10^6+ entries) must not leave every later round walking a
-        // million-slot empty table just to collect its ~1k deltas.
-        if self.pending.capacity() > 4 * batch.max(1024) {
-            self.pending.shrink_to(batch.max(1024));
-        }
+            ..
+        } = scratch;
 
         // Pass 1: keys.
         key_preimages.clear();
@@ -424,8 +492,7 @@ impl SmtStore {
         hashes.clear();
         sha256_many(preimages, hashes);
 
-        // Allocate the new leaves and assemble the batch.
-        items.clear();
+        // Allocate the new leaves and append the items.
         let mut upsert_no = 0usize;
         for (i, (_, op)) in ops.iter().enumerate() {
             let leaf = if op.is_some() {
@@ -440,16 +507,6 @@ impl SmtStore {
                 EMPTY_REF
             };
             items.push(Item { key: keys[i], leaf });
-        }
-        // Key-sorted: lexicographic byte order equals path order, so every
-        // sub-slice of the fold is contiguous.
-        items.sort_unstable_by_key(|a| a.key);
-
-        dirty.marks.clear();
-        (self.root, _) = self.fold(self.root, 0, items, dirty);
-        self.rehash_dirty(dirty, preimages, hashes);
-        if 2 * batch <= self.live.len() {
-            self.scratch = Some(scratch);
         }
     }
 
@@ -833,15 +890,53 @@ mod tests {
 
     #[test]
     fn genesis_commit_records_no_version() {
-        let mut store = SmtStore::default();
-        store.insert(op(1), out(1));
-        let genesis_root = store.commit_genesis();
-        assert_ne!(genesis_root, EMPTY_ROOT);
-        assert_eq!(store.root_at_round(0), None, "genesis is not a round");
-        assert_eq!(store.state_root(), genesis_root);
-        // An empty round commit re-publishes the same root.
-        assert_eq!(store.commit(0), genesis_root);
-        assert_eq!(store.root_at_round(0), Some(genesis_root));
+        for count in [0u64, 1, 2, 64, 2 * STAGE as u64 + 3] {
+            let entries: Vec<(OutPoint, TxOutput)> = (0..count).map(|n| (op(n), out(n))).collect();
+            let mut store = SmtStore::genesis(4 * count as usize, entries.iter().copied());
+            let genesis_root = store.state_root();
+            let model: FxHashMap<OutPoint, TxOutput> = entries.iter().copied().collect();
+            assert_eq!(genesis_root, reference_root_of(&model), "{count} entries");
+            assert_eq!(store.live().len(), entries.len());
+            assert_eq!(store.pending_len(), 0, "genesis buffers no write");
+            assert_eq!(store.root_at_round(0), None, "genesis is not a round");
+            // An empty round commit re-publishes the same root.
+            assert_eq!(store.commit(0), genesis_root);
+            assert_eq!(store.root_at_round(0), Some(genesis_root));
+            // The same entries written and committed as one round: same root,
+            // same arena.
+            let mut written = SmtStore::with_capacity(4 * count as usize);
+            for &(outpoint, output) in &entries {
+                written.insert(outpoint, output);
+            }
+            assert_eq!(written.commit(0), genesis_root);
+            assert_eq!(written.allocated_nodes(), store.allocated_nodes());
+        }
+    }
+
+    #[test]
+    fn a_commit_of_several_stages_is_the_canonical_tree() {
+        // Deletes and upserts spread over three stages of one commit.
+        let count = 3 * STAGE as u64;
+        let mut store = SmtStore::genesis(0, (0..count).map(|n| (op(n), out(n))));
+        let mut model: FxHashMap<OutPoint, TxOutput> = store.live().clone();
+        for n in (0..count).step_by(3) {
+            store.remove(&op(n));
+            model.remove(&op(n));
+        }
+        for n in count..count + STAGE as u64 + 5 {
+            store.insert(op(n), out(n));
+            model.insert(op(n), out(n));
+        }
+        store.insert(op(1), out(999));
+        model.insert(op(1), out(999));
+        assert!(store.pending_len() > 2 * STAGE);
+        assert_eq!(store.commit(0), reference_root_of(&model));
+    }
+
+    #[test]
+    #[should_panic(expected = "genesis outpoints are distinct")]
+    fn genesis_rejects_a_repeated_outpoint() {
+        SmtStore::genesis(2, [(op(1), out(1)), (op(1), out(2))]);
     }
 
     #[test]
@@ -877,11 +972,7 @@ mod tests {
     #[test]
     fn arena_tracks_live_state() {
         let (mut oldest, mut next) = (0u64, 10_000u64);
-        let mut store = SmtStore::with_capacity(next as usize);
-        for n in 0..next {
-            store.insert(op(n), out(n));
-        }
-        store.commit_genesis();
+        let mut store = SmtStore::genesis(next as usize, (0..next).map(|n| (op(n), out(n))));
         let mut slots_after_10 = 0usize;
         for round in 1..=200u64 {
             churn_round(&mut store, round, &mut oldest, &mut next, 512);
@@ -906,11 +997,7 @@ mod tests {
     #[test]
     fn recorded_roots_and_old_proofs_outlive_their_nodes() {
         let (mut oldest, mut next) = (0u64, 256u64);
-        let mut store = SmtStore::default();
-        for n in 0..next {
-            store.insert(op(n), out(n));
-        }
-        store.commit_genesis();
+        let mut store = SmtStore::genesis(0, (0..next).map(|n| (op(n), out(n))));
         // Ten recorded rounds, each with a proof of a key the later churn
         // spends, then fifty more that recycle every node those versions had.
         let mut recorded: Vec<(u64, Digest, OutPoint, StateProof)> = Vec::new();

@@ -84,6 +84,25 @@ impl Store {
         }
     }
 
+    /// A store of the given backend holding `entries` (distinct outpoints),
+    /// its live map pre-sized for `capacity` and filled in the order given;
+    /// on the tree it is also the genesis fold ([`SmtStore::genesis`]).
+    pub fn genesis(
+        backend: StateBackend,
+        capacity: usize,
+        entries: impl IntoIterator<Item = (OutPoint, TxOutput)>,
+    ) -> Store {
+        match backend {
+            StateBackend::Map => {
+                let mut map =
+                    FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default());
+                map.extend(entries);
+                Store::Map(map)
+            }
+            StateBackend::Smt => Store::Smt(SmtStore::genesis(capacity, entries)),
+        }
+    }
+
     /// The live entries (committed and pending alike).
     #[inline]
     pub fn live(&self) -> &FxHashMap<OutPoint, TxOutput> {
@@ -147,12 +166,6 @@ impl Store {
         self.smt_mut().map(|smt| smt.commit(round))
     }
 
-    /// Folds the writes so far into the tree without recording a round —
-    /// genesis, so round 0's root already has the genesis UTXOs as its base.
-    pub fn commit_genesis(&mut self) -> Option<Digest> {
-        self.smt_mut().map(SmtStore::commit_genesis)
-    }
-
     /// The most recently committed state root.
     pub fn state_root(&self) -> Option<Digest> {
         self.smt().map(SmtStore::state_root)
@@ -212,12 +225,42 @@ mod tests {
         assert_eq!(store.insert(op(1), out(1, 20)), Some(out(1, 10)));
         assert_eq!(store.len(), 1);
         assert_eq!(store.commit(0), None);
-        assert_eq!(store.commit_genesis(), None);
+        assert_eq!(
+            Store::genesis(StateBackend::Map, 4, [(op(2), out(2, 5))]).state_root(),
+            None
+        );
         assert_eq!(store.state_root(), None);
         assert_eq!(store.root_at_round(0), None);
         assert!(store.prove(&op(1)).is_none());
         assert_eq!(store.remove(&op(1)), Some(out(1, 20)));
         assert!(store.is_empty());
+    }
+
+    #[test]
+    fn genesis_fills_the_live_map_in_the_order_given() {
+        let entries: Vec<(OutPoint, TxOutput)> = (0..40).map(|n| (op(n), out(n, n + 1))).collect();
+        for backend in [StateBackend::Map, StateBackend::Smt] {
+            let built = Store::genesis(backend, 160, entries.iter().copied());
+            let mut written = Store::with_capacity(backend, 160);
+            for &(outpoint, output) in &entries {
+                written.insert(outpoint, output);
+            }
+            written.commit(0);
+            let order = |store: &Store| {
+                store
+                    .live()
+                    .iter()
+                    .map(|(k, v)| (*k, *v))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(order(&built), order(&written), "{backend:?}");
+            assert_eq!(built.state_root(), written.state_root(), "{backend:?}");
+            assert_eq!(
+                built.root_at_round(0),
+                None,
+                "{backend:?}: genesis is not a round"
+            );
+        }
     }
 
     #[test]

@@ -101,6 +101,42 @@ impl UtxoSet {
         }
     }
 
+    /// Shard `shard`'s genesis set on the chosen backend: the outputs of
+    /// `genesis`, every one owned by an account of this shard, credited in
+    /// output order. The live map is pre-sized for four times as many
+    /// entries — the genesis UTXOs plus the change/payment churn of a few
+    /// rounds in flight — and on the authenticated backend the outputs are
+    /// folded into the tree in one pass that records no round, so round 0's
+    /// root builds on genesis state.
+    pub fn genesis(
+        shard: usize,
+        num_shards: usize,
+        backend: StateBackend,
+        genesis: &Transaction,
+    ) -> Self {
+        assert!(num_shards > 0 && shard < num_shards);
+        let id = genesis.id();
+        let outputs = genesis.outputs();
+        let entries = outputs.iter().enumerate().map(|(index, &output)| {
+            // Debug builds only: routing an account hashes it, on a worker
+            // thread whose routing memo is cold, and `Workload::new` mints
+            // each shard's genesis for that shard's accounts by construction.
+            debug_assert_eq!(output.owner.shard(num_shards), shard, "minted elsewhere");
+            let outpoint = OutPoint {
+                tx_id: id,
+                index: index as u32,
+            };
+            (outpoint, output)
+        });
+        UtxoSet {
+            shard,
+            num_shards,
+            store: Store::genesis(backend, 4 * outputs.len(), entries),
+            total: outputs.iter().map(|o| o.amount).sum(),
+            sorted_queries: AtomicU64::new(0),
+        }
+    }
+
     /// The shard index this set serves.
     pub fn shard(&self) -> usize {
         self.shard
@@ -150,12 +186,6 @@ impl UtxoSet {
     /// backends, `None` on the flat map.
     pub fn commit_round(&mut self, round: u64) -> Option<Digest> {
         self.store.commit(round)
-    }
-
-    /// Folds genesis credits into the authenticated tree without recording a
-    /// round version (no-op on the flat map).
-    pub fn commit_genesis(&mut self) -> Option<Digest> {
-        self.store.commit_genesis()
     }
 
     /// The most recently committed state root, if the backend has one.
@@ -401,6 +431,7 @@ pub fn validate_across_shards(tx: &Transaction, shards: &[UtxoSet]) -> Result<()
 mod tests {
     use super::*;
     use crate::transaction::{AccountId, TxInput};
+    use crate::workload::{Workload, WorkloadConfig};
 
     /// Builds `m` shard UTXO sets seeded with one 100-value UTXO per account 0..n.
     fn setup(m: usize, accounts: u64) -> (Vec<UtxoSet>, Vec<(OutPoint, TxOutput)>) {
@@ -874,5 +905,102 @@ mod tests {
         assert!(!overlay.is_empty());
         overlay.clear();
         assert!(overlay.is_empty());
+    }
+
+    /// The genesis build before [`UtxoSet::genesis`], kept as its oracle:
+    /// every shard's set, sized for four times its accounts, applies every
+    /// genesis transaction, then folds the credits (through a round commit,
+    /// whose root is the bulk fold's).
+    fn apply_then_fold(workload: &Workload, backend: StateBackend) -> Vec<UtxoSet> {
+        let config = workload.config();
+        let m = config.num_shards;
+        let capacity = config.accounts_per_shard * 4;
+        let mut sets: Vec<UtxoSet> = (0..m)
+            .map(|s| UtxoSet::with_backend(s, m, capacity, backend))
+            .collect();
+        for tx in workload.genesis_transactions() {
+            for set in sets.iter_mut() {
+                set.apply(tx);
+            }
+        }
+        for set in sets.iter_mut() {
+            set.commit_round(0);
+        }
+        sets
+    }
+
+    /// Every shard's [`UtxoSet::genesis`] set equals the oracle's: state
+    /// root, size, total, sorted outpoints, and the live map entry for entry
+    /// in its iteration order (same inserts, same order, same capacity).
+    fn assert_genesis_matches_the_oracle(m: usize, n: usize) {
+        let workload = Workload::new(WorkloadConfig {
+            num_shards: m,
+            accounts_per_shard: n,
+            genesis_amount: 1_000,
+            cross_shard_ratio: 0.0,
+            invalid_ratio: 0.0,
+            seed: (m * 1_000 + n) as u64,
+        });
+        assert_eq!(workload.genesis_transactions().len(), m);
+        for backend in [StateBackend::Map, StateBackend::Smt] {
+            let oracle = apply_then_fold(&workload, backend);
+            let built = workload.build_genesis_utxo_sets_with(backend);
+            assert_eq!(built.len(), m);
+            for (shard, (want, got)) in oracle.iter().zip(&built).enumerate() {
+                let at = format!("(m, n) = ({m}, {n}), {backend:?}, shard {shard}");
+                assert_eq!(got.shard(), shard, "{at}");
+                assert_eq!(got.state_root(), want.state_root(), "{at}");
+                assert_eq!(got.root_at_round(0), None, "{at}: genesis is not a round");
+                assert_eq!(got.len(), n, "{at}");
+                assert_eq!(got.len(), want.len(), "{at}");
+                assert_eq!(got.total_value(), want.total_value(), "{at}");
+                assert_eq!(got.sorted_outpoints(), want.sorted_outpoints(), "{at}");
+                let entries = |set: &UtxoSet| -> Vec<(OutPoint, TxOutput)> {
+                    set.store.live().iter().map(|(k, v)| (*k, *v)).collect()
+                };
+                assert_eq!(entries(got), entries(want), "{at}: live map order");
+                assert_eq!(
+                    got.store.live().capacity(),
+                    want.store.live().capacity(),
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn genesis_sets_equal_the_apply_then_fold_oracle() {
+        for (m, n) in [(1, 2), (2, 1000), (3, 777), (8, 96)] {
+            assert_genesis_matches_the_oracle(m, n);
+        }
+    }
+
+    #[test]
+    fn genesis_commits_nothing_pending() {
+        let workload = Workload::new(WorkloadConfig {
+            num_shards: 2,
+            accounts_per_shard: 64,
+            ..WorkloadConfig::default()
+        });
+        let mut sets = workload.build_genesis_utxo_sets_with(StateBackend::Smt);
+        let genesis_root = sets[0].state_root().expect("the tree has a root");
+        assert_ne!(genesis_root, cycledger_crypto::smt::EMPTY_ROOT);
+        // An empty round commit re-publishes the genesis root.
+        assert_eq!(sets[0].commit_round(0), Some(genesis_root));
+        assert_eq!(sets[0].root_at_round(0), Some(genesis_root));
+    }
+
+    mod genesis_shapes {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn prop_genesis_sets_equal_the_oracle(m in 1usize..9, n in 2usize..300) {
+                assert_genesis_matches_the_oracle(m, n);
+            }
+        }
     }
 }

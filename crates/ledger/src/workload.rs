@@ -335,27 +335,21 @@ impl Workload {
         self.build_genesis_utxo_sets_with(StateBackend::Map)
     }
 
-    /// Builds fresh per-shard UTXO sets on the chosen state backend, seeded
-    /// with the genesis outputs. On the authenticated backend the genesis
-    /// credits are folded into the tree immediately (as a base version, not
-    /// a round commit), so round 0's root builds on genesis state.
+    /// Builds fresh per-shard UTXO sets on the chosen state backend, one
+    /// [`UtxoSet::genesis`] a shard, in shard order, on the calling thread.
+    /// The simulation builds the same sets as one executor task a shard.
     pub fn build_genesis_utxo_sets_with(&self, backend: StateBackend) -> Vec<UtxoSet> {
         let m = self.config.num_shards;
-        // Pre-size for the steady-state working set: the genesis UTXOs plus
-        // the change/payment churn of a few rounds in flight.
-        let capacity = self.config.accounts_per_shard * 4;
-        let mut sets: Vec<UtxoSet> = (0..m)
-            .map(|s| UtxoSet::with_backend(s, m, capacity, backend))
-            .collect();
-        for tx in &self.genesis {
-            for set in sets.iter_mut() {
-                set.apply(tx);
-            }
-        }
-        for set in sets.iter_mut() {
-            set.commit_genesis();
-        }
-        sets
+        let genesis = self.genesis_transactions().iter().enumerate();
+        genesis
+            .map(|(shard, tx)| UtxoSet::genesis(shard, m, backend, tx))
+            .collect()
+    }
+
+    /// The genesis transactions, one per shard in shard order: shard `s`'s
+    /// mints one output per account of `s` and nothing for another shard.
+    pub fn genesis_transactions(&self) -> &[Transaction] {
+        &self.genesis
     }
 
     fn next_nonce(&mut self) -> u64 {

@@ -31,11 +31,7 @@ fn a_churn_commit_after_one_warm_up_makes_no_fresh_allocation() {
     assert!(alloccount::counting_enabled());
     const LIVE: u64 = 20_000;
     const CHURN: u64 = 2_000;
-    let mut store = SmtStore::with_capacity(LIVE as usize);
-    for n in 0..LIVE {
-        store.insert(op(n), out(n));
-    }
-    store.commit_genesis();
+    let mut store = SmtStore::genesis(LIVE as usize, (0..LIVE).map(|n| (op(n), out(n))));
     // Spends the `CHURN` oldest entries and credits as many fresh ones.
     let (mut oldest, mut next) = (0, LIVE);
     let mut churn = |store: &mut SmtStore| {

@@ -13,7 +13,9 @@
 //! * **block application** — one task per shard, the SMT commit included.
 //!
 //! Cross-shard traffic adds the inter phase's batch, one task per source
-//! committee. Every batch returns its results in index order.
+//! committee. Construction runs two batches before the first round: the
+//! genesis draw's proof groups and the genesis UTXO sets, one task per
+//! shard. Every batch returns its results in index order.
 //!
 //! # Determinism
 //!

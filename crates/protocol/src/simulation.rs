@@ -109,7 +109,16 @@ impl Simulation {
             invalid_ratio: config.invalid_ratio,
             seed: config.seed,
         });
-        let utxo_sets = workload.build_genesis_utxo_sets_with(config.state_backend);
+        // One executor batch, one task a shard: each builds its genesis set
+        // from its own genesis transaction (the workload itself stays here —
+        // its draw-ahead stream is not `Sync`).
+        let (m, backend) = (config.committees, config.state_backend);
+        let genesis = workload.genesis_transactions().iter().enumerate();
+        let utxo_sets = executor.execute(
+            genesis
+                .map(|(shard, tx)| move || UtxoSet::genesis(shard, m, backend, tx))
+                .collect(),
+        );
         Ok(Simulation {
             config,
             registry,
@@ -1223,6 +1232,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Set-up builds the genesis UTXO sets in one executor batch, and what
+    /// it builds does not depend on the worker count: the registry, the
+    /// genesis assignment and state, and the first round's report are the
+    /// same at 1, 2 and 4 workers, on both backends.
+    #[test]
+    fn set_up_is_the_same_at_every_worker_count() {
+        use cycledger_ledger::StateBackend;
+        for state_backend in [StateBackend::Map, StateBackend::Smt] {
+            let set_up = |worker_threads| {
+                let config = ProtocolConfig {
+                    state_backend,
+                    worker_threads,
+                    ..small_config()
+                };
+                let mut sim = Simulation::new(config).unwrap();
+                let batches = sim.executor().batches_executed();
+                let registry = format!("{:?}", sim.registry());
+                let assignment = format!("{:?}", sim.assignment());
+                let genesis: Vec<_> = sim
+                    .utxo_sets()
+                    .iter()
+                    .map(|set| {
+                        let outpoints = set.sorted_outpoints();
+                        (set.shard(), set.state_root(), set.total_value(), outpoints)
+                    })
+                    .collect();
+                let first_round = sim.run(1).canonical_digest();
+                (batches, registry, assignment, genesis, first_round)
+            };
+            let one = set_up(1);
+            assert_eq!(one.3.len(), 2);
+            assert_eq!(one.3[1].0, 1);
+            assert_eq!(one.3[0].1.is_some(), state_backend == StateBackend::Smt);
+            for workers in [2, 4] {
+                assert_eq!(set_up(workers), one, "{state_backend:?}, {workers} workers");
+            }
+        }
+    }
+
+    /// At two workers the two genesis sets are built off the driver thread:
+    /// `Simulation::new` hashes exactly as much there on the tree backend
+    /// as on the flat map, so no genesis fold runs on the driver. (A first
+    /// set-up warms the driver's shard-routing memo, which the workload's
+    /// account walk fills and the later ones read.)
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn the_genesis_fold_runs_off_the_driver_thread() {
+        use cycledger_ledger::StateBackend;
+        let compressions = |state_backend| {
+            let config = ProtocolConfig {
+                state_backend,
+                worker_threads: 2,
+                ..small_config()
+            };
+            cycledger_crypto::opcount::scope(|| Simulation::new(config).unwrap()).sha256_blocks
+        };
+        compressions(StateBackend::Map);
+        let map = compressions(StateBackend::Map);
+        assert!(map > 0);
+        assert_eq!(compressions(StateBackend::Smt), map);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 """Alternating A/B pairs of the end-to-end benchmark (``benchmark/``).
 
     scripts/ab.py <base> <head> --workload local-8x16 --pairs 10
+    scripts/ab.py <base> <head> --workload state-smt-2x8 --claim setup_s
     scripts/ab.py --self-test
 
 ``base`` and ``head`` are git revisions of this repository, or directories
@@ -21,13 +22,17 @@ line (``--workload w --seed s --seconds t --trace 0``, ``t`` being the
 base's ``BENCHMARK.json`` ``run_seconds``) in a run directory of its side;
 its last stdout line is the JSON the benchmark prints.
 
-The script prints, for ``cpu_s_per_ktx`` (lower is better): every pair's
-two values, both medians, the base's interquartile range and the head's
+The claim is made on ``--claim`` (an end-to-end metric, by default
+``cpu_s_per_ktx``), whose direction — lower or higher is better — comes
+from the base's ``BENCHMARK.json``. The script prints every pair's two
+values of it, both medians, the base's interquartile range and the head's
 wins. The claim holds when the head wins at least nine in ten pairs and its
-median is lower than the base's by more than the base's IQR; the script
-exits 1 when it does not. It also lists every metric that should repeat
-per seed (``EXACT``, ``ALLOCATION``) and differs, and the medians of the
-other end-to-end metrics.
+median is better than the base's by more than the base's IQR. It also lists
+every metric that should repeat per seed (``EXACT``, ``ALLOCATION``) and
+differs, and both medians of every other metric, marking an end-to-end one
+whose head median is worse than the base's by more than that metric's
+``bound`` (a fraction of the base's median). The script exits 1 when the
+claim does not hold or a bound is breached.
 
 ``--self-test`` runs no benchmark: it feeds canned benchmark outputs
 through the same parsing and summary and checks the verdicts.
@@ -49,8 +54,8 @@ from typing import NamedTuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# The metric a claim is made on; lower is better.
-METRIC = "cpu_s_per_ktx"
+# The metric a claim is made on unless --claim names another.
+DEFAULT_CLAIM = "cpu_s_per_ktx"
 
 # End-to-end metrics that repeat to the digit per seed when a change moves
 # no byte on the wire and no virtual time.
@@ -71,6 +76,33 @@ ALLOCATION_TOLERANCE = 1e-3
 
 # The share of pairs the head must win.
 WIN_SHARE = 0.9
+
+
+class Metric(NamedTuple):
+    """An end-to-end metric of ``BENCHMARK.json``: its direction and bound."""
+
+    name: str
+    lower_is_better: bool
+    bound: float
+
+
+def end_to_end(benchmark: dict) -> dict:
+    """The end-to-end metrics of a parsed ``BENCHMARK.json``, by name."""
+    return {
+        m["name"]: Metric(m["name"], m["better"] == "lower", m["bound"]) for m in benchmark["end_to_end"]
+    }
+
+
+def better(metric: Metric, base: float, head: float) -> bool:
+    """True when ``head`` is better than ``base`` on ``metric``."""
+    return head < base if metric.lower_is_better else head > base
+
+
+def beyond_bound(metric: Metric, base: float, head: float) -> bool:
+    """True when ``head`` is worse than ``base`` by more than the bound."""
+    if metric.lower_is_better:
+        return head > base * (1.0 + metric.bound)
+    return head < base * (1.0 - metric.bound)
 
 
 class Run(NamedTuple):
@@ -100,8 +132,9 @@ def quartiles(values: list) -> tuple:
 
 
 class Summary(NamedTuple):
-    """The verdict of a series of pairs on one metric."""
+    """The verdict of a series of pairs on one claimed metric."""
 
+    claim: Metric
     base_median: float
     head_median: float
     base_iqr: float
@@ -112,6 +145,19 @@ class Summary(NamedTuple):
     # differs between the two sides of a pair, and every allocation metric
     # that differs by more than ALLOCATION_TOLERANCE.
     exact_differences: list
+    # (metric name, base median, head median, beyond its bound) for every
+    # other metric of the runs; only end-to-end metrics carry a bound.
+    medians: list
+
+    @property
+    def breaches(self) -> list:
+        """The metrics whose head median is beyond their bound."""
+        return [name for name, _, _, breached in self.medians if breached]
+
+    @property
+    def passes(self) -> bool:
+        """The claim holds and no other metric breaches its bound."""
+        return self.holds and not self.breaches
 
 
 def same(name: str, x: float, y: float | None) -> bool:
@@ -122,32 +168,43 @@ def same(name: str, x: float, y: float | None) -> bool:
     return x == y
 
 
-def summarise(pairs: list) -> Summary:
-    """`pairs` is a list of (base Run, head Run) on one seed each."""
-    base = [b.metrics[METRIC] for b, _ in pairs]
-    head = [h.metrics[METRIC] for _, h in pairs]
-    wins = sum(h < b for b, h in zip(base, head))
+def summarise(pairs: list, claim: str, metrics: dict) -> Summary:
+    """`pairs` is a list of (base Run, head Run) on one seed each; `claim`
+    names the claimed metric among `metrics` (``end_to_end``'s map)."""
+    metric = metrics[claim]
+    base = [b.metrics[claim] for b, _ in pairs]
+    head = [h.metrics[claim] for _, h in pairs]
+    wins = sum(better(metric, b, h) for b, h in zip(base, head))
     q1, base_median, q3 = quartiles(base)
     head_median = statistics.median(head)
-    holds = wins >= math.ceil(WIN_SHARE * len(pairs)) and base_median - head_median > q3 - q1
+    gain = base_median - head_median if metric.lower_is_better else head_median - base_median
+    holds = wins >= math.ceil(WIN_SHARE * len(pairs)) and gain > q3 - q1
     differences = [
         (b.seed, name, b.metrics[name], h.metrics[name])
         for b, h in pairs
         for name in EXACT + ALLOCATION
         if name in b.metrics and not same(name, b.metrics[name], h.metrics.get(name))
     ]
-    return Summary(base_median, head_median, q3 - q1, wins, len(pairs), holds, differences)
+    medians = []
+    for name in pairs[0][0].metrics:
+        if name == claim:
+            continue
+        x = statistics.median(b.metrics[name] for b, _ in pairs)
+        y = statistics.median(h.metrics[name] for _, h in pairs)
+        medians.append((name, x, y, name in metrics and beyond_bound(metrics[name], x, y)))
+    return Summary(metric, base_median, head_median, q3 - q1, wins, len(pairs), holds, differences, medians)
 
 
-def report(pairs: list, order: list) -> Summary:
+def report(pairs: list, order: list, claim: str, metrics: dict) -> Summary:
     """Prints the pairs and the verdict, and returns the summary."""
-    summary = summarise(pairs)
-    print(f"{METRIC} (lower is better)")
+    summary = summarise(pairs, claim, metrics)
+    direction = "lower" if summary.claim.lower_is_better else "higher"
+    print(f"{claim} ({direction} is better)")
     print(f"{'pair':>4} {'seed':>6} {'first':>5} {'base':>14} {'head':>14} {'head/base':>9}")
     for i, ((b, h), first) in enumerate(zip(pairs, order)):
-        x, y = b.metrics[METRIC], h.metrics[METRIC]
+        x, y = b.metrics[claim], h.metrics[claim]
         ratio = f"{y / x:9.3f}" if x else f"{'-':>9}"
-        won = "  win" if y < x else ""
+        won = "  win" if better(summary.claim, x, y) else ""
         print(f"{i + 1:>4} {b.seed:>6} {first:>5} {x:>14.6g} {y:>14.6g} {ratio}{won}")
     change = (summary.head_median / summary.base_median - 1.0) if summary.base_median else 0.0
     print(
@@ -158,7 +215,7 @@ def report(pairs: list, order: list) -> Summary:
     needed = math.ceil(WIN_SHARE * summary.pairs)
     print(
         f"claim {'holds' if summary.holds else 'does not hold'}: needs >= {needed} wins "
-        f"and a median lower by more than the base IQR"
+        f"and a median {direction} by more than the base IQR"
     )
     if summary.exact_differences:
         print(f"per-seed metrics that differ (allocations: by more than {ALLOCATION_TOLERANCE:.1%}):")
@@ -167,11 +224,11 @@ def report(pairs: list, order: list) -> Summary:
     else:
         print(f"equal per seed: {', '.join(EXACT)}")
         print(f"equal per seed within {ALLOCATION_TOLERANCE:.1%}: {', '.join(ALLOCATION)}")
-    others = [name for name in pairs[0][0].metrics if name != METRIC and name not in EXACT + ALLOCATION]
-    for name in others:
-        x = statistics.median(b.metrics[name] for b, _ in pairs)
-        y = statistics.median(h.metrics[name] for _, h in pairs)
-        print(f"  median {name}: base {x:.6g}, head {y:.6g}")
+    for name, x, y, breached in summary.medians:
+        bound = f"  BEYOND ITS BOUND {metrics[name].bound:.0%}" if breached else ""
+        print(f"  median {name}: base {x:.6g}, head {y:.6g}{bound}")
+    if summary.breaches:
+        print(f"bounds breached: {', '.join(summary.breaches)}")
     return summary
 
 
@@ -227,7 +284,10 @@ def compare(args: argparse.Namespace) -> int:
     for label, side in (("base", args.base), ("head", args.head)):
         source, target = checkout(side, scratch)
         if label == "base":
-            seconds = json.loads((source / "BENCHMARK.json").read_text())["run_seconds"]
+            benchmark = json.loads((source / "BENCHMARK.json").read_text())
+            seconds, metrics = benchmark["run_seconds"], end_to_end(benchmark)
+            if args.claim not in metrics:
+                raise SystemExit(f"--claim {args.claim}: not an end-to-end metric of the base")
         sides[label] = (build(source, target), scratch / f"run-{label}")
     pairs, order = [], []
     for i in range(args.pairs):
@@ -239,11 +299,11 @@ def compare(args: argparse.Namespace) -> int:
             runs[label] = run(binary, workdir, args.workload, seed, seconds)
         pairs.append((runs["base"], runs["head"]))
         order.append(first)
-        b, h = runs["base"].metrics[METRIC], runs["head"].metrics[METRIC]
+        b, h = runs["base"].metrics[args.claim], runs["head"].metrics[args.claim]
         print(f"pair {i + 1}/{args.pairs} seed {seed}: base {b:.6g} head {h:.6g}", flush=True)
     print(f"\nab: {args.workload}, {args.pairs} pairs, --seconds {seconds}, base {args.base}, head {args.head}")
-    summary = report(pairs, order)
-    return 0 if summary.holds else 1
+    summary = report(pairs, order, args.claim, metrics)
+    return 0 if summary.passes else 1
 
 
 def canned(seed: int, metrics: dict, correct: bool = True) -> str:
@@ -258,34 +318,61 @@ def canned(seed: int, metrics: dict, correct: bool = True) -> str:
 
 
 def self_test() -> int:
+    metrics = end_to_end(json.loads((REPO_ROOT / "BENCHMARK.json").read_text()))
     exact = {name: 1.0 + i for i, name in enumerate(EXACT + ALLOCATION)}
     exact["confirmed_share"] = 100.0
 
-    def pairs_of(base: list, head: list, head_exact=None) -> list:
+    def pairs_of(base: list, head: list, claim=DEFAULT_CLAIM, head_exact=None, base_more=None, head_more=None):
         out = []
         for i, (x, y) in enumerate(zip(base, head)):
             seed = i + 1
-            b = parse_run(seed, canned(seed, {METRIC: x, **exact}))
-            h = parse_run(seed, canned(seed, {METRIC: y, **(head_exact or exact)}))
+            b = parse_run(seed, canned(seed, {claim: x, **exact, **(base_more or {})}))
+            h = parse_run(seed, canned(seed, {claim: y, **(head_exact or exact), **(head_more or {})}))
             out.append((b, h))
         return out
 
     base = [0.126, 0.124, 0.128, 0.125, 0.127, 0.126, 0.129, 0.123, 0.126, 0.125]
+    setup = [0.652, 0.641, 0.668, 0.635, 0.659, 0.682, 0.647, 0.655, 0.661, 0.644]
+    rate = [402.0, 398.5, 405.1, 399.9, 401.2, 397.3, 403.8, 400.4, 396.6, 404.0]
     cases = []
     # Ten of ten lower by ~9 %: holds.
-    cases.append(("clear gain", base, [v * 0.91 for v in base], True, 10))
+    cases.append(("clear gain", DEFAULT_CLAIM, base, [v * 0.91 for v in base], True, 10))
     # Eight of ten: too few wins, whatever the medians say.
     eight = [v * 0.9 for v in base[:8]] + [v * 1.1 for v in base[8:]]
-    cases.append(("eight wins", base, eight, False, 8))
+    cases.append(("eight wins", DEFAULT_CLAIM, base, eight, False, 8))
     # Ten wins by less than the base's spread: the medians are too close.
-    cases.append(("within the IQR", base, [v - 0.0005 for v in base], False, 10))
+    cases.append(("within the IQR", DEFAULT_CLAIM, base, [v - 0.0005 for v in base], False, 10))
     # Ten of ten higher: a loss.
-    cases.append(("higher loses", base, [v * 1.09 for v in base], False, 0))
+    cases.append(("higher loses", DEFAULT_CLAIM, base, [v * 1.09 for v in base], False, 0))
+    # A claim on set-up time, lower by ~30 %: holds.
+    cases.append(("setup_s gain", "setup_s", setup, [v * 0.7 for v in setup], True, 10))
+    # A higher-is-better claim: higher wins, lower loses.
+    cases.append(("higher is better", "committed_tx_per_s", rate, [v * 1.05 for v in rate], True, 10))
+    cases.append(("lower rate loses", "committed_tx_per_s", rate, [v * 0.95 for v in rate], False, 0))
     broken = 0
-    for name, base_values, head_values, holds, wins in cases:
-        summary = summarise(pairs_of(base_values, head_values))
-        if (summary.holds, summary.wins) != (holds, wins) or summary.exact_differences:
+    for name, claim, base_values, head_values, holds, wins in cases:
+        summary = summarise(pairs_of(base_values, head_values, claim), claim, metrics)
+        got = (summary.holds, summary.wins, summary.exact_differences, summary.breaches)
+        if got != (holds, wins, [], []):
             print(f"self-test FAILED: {name}: {summary}", file=sys.stderr)
+            broken += 1
+    # A gain on the claim with another end-to-end metric worse by more than
+    # its bound (peak_rss_mib 10 %, committed_tx_per_s 25 %) does not pass;
+    # worse within the bound, or better, it does.
+    gain = [v * 0.91 for v in base]
+    for more, breaches in (
+        ({"peak_rss_mib": 111.0}, ["peak_rss_mib"]),
+        ({"peak_rss_mib": 109.0}, []),
+        ({"committed_tx_per_s": 74.0}, ["committed_tx_per_s"]),
+        ({"committed_tx_per_s": 76.0}, []),
+        ({"setup_s": 0.5}, []),
+    ):
+        name = next(iter(more))
+        reference = {name: 100.0 if name != "setup_s" else 0.64}
+        summary = summarise(pairs_of(base, gain, base_more=reference, head_more=more), DEFAULT_CLAIM, metrics)
+        medians = [m for m in summary.medians if m[0] == name]
+        if summary.breaches != breaches or summary.passes != (not breaches) or len(medians) != 1:
+            print(f"self-test FAILED: bound of {more}: {summary}", file=sys.stderr)
             broken += 1
     # Quartiles of 1..10 by interpolation: 3.25 and 7.75.
     if quartiles([float(v) for v in range(10, 0, -1)]) != (3.25, 5.5, 7.75):
@@ -302,7 +389,7 @@ def self_test() -> int:
         (dict(exact, allocs_per_round=exact["allocs_per_round"] * 1.00001), None),
     )
     for head_exact, reported in moved:
-        summary = summarise(pairs_of(base, base, head_exact))
+        summary = summarise(pairs_of(base, base, head_exact=head_exact), DEFAULT_CLAIM, metrics)
         names = sorted({d[1] for d in summary.exact_differences})
         if names != ([reported] if reported else []):
             print(f"self-test FAILED: per-seed differences {summary.exact_differences}", file=sys.stderr)
@@ -332,6 +419,7 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
+    parser.add_argument("--claim", default=DEFAULT_CLAIM, help="the end-to-end metric the claim is made on")
     parser.add_argument("--scratch", default=os.path.join(tempfile.gettempdir(), "cycledger-ab"))
     return compare(parser.parse_args())
 

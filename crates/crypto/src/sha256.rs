@@ -924,54 +924,17 @@ impl<'a> Lane<'a> {
 
 /// SHA-256 of many independent messages, hashed in pairs.
 ///
-/// Equivalent to mapping [`sha256`] over `messages`: each four go through
-/// `sha256_two_pairs`, a last pair through `sha256_pair`, and an odd last
-/// message through [`sha256`]. Messages may be slices or fixed-size arrays,
-/// so a caller with a buffer of equal-length preimages needs no second
-/// buffer of references to them.
+/// Equivalent to mapping [`sha256`] over `messages`: each pair goes through
+/// `sha256_pair`, and an odd last message through [`sha256`]. Messages may
+/// be slices or fixed-size arrays, so a caller with a buffer of equal-length
+/// preimages needs no second buffer of references to them.
 pub fn sha256_many<M: AsRef<[u8]>>(messages: &[M], out: &mut Vec<Digest>) {
     out.reserve(messages.len());
-    let mut fours = messages.chunks_exact(4);
-    for four in &mut fours {
-        sha256_two_pairs([0, 1, 2, 3].map(|i| four[i].as_ref()), out);
-    }
-    let mut pairs = fours.remainder().chunks_exact(2);
+    let mut pairs = messages.chunks_exact(2);
     for pair in &mut pairs {
         sha256_pair(pair[0].as_ref(), pair[1].as_ref(), out);
     }
     out.extend(pairs.remainder().iter().map(|m| sha256(m.as_ref())));
-}
-
-/// Appends the SHA-256 of four messages to `out`. When all four pad to the
-/// same number of blocks — an SMT key, value or node batch always does —
-/// each step lays out the four blocks first and then makes two
-/// [`compress_pair`] calls back to back, which out-of-order execution
-/// overlaps; otherwise the two pairs go through `sha256_pair` one after the
-/// other.
-fn sha256_two_pairs(messages: [&[u8]; 4], out: &mut Vec<Digest>) {
-    let lanes = messages.map(Lane::new);
-    let blocks = lanes[0].blocks;
-    if lanes.iter().any(|lane| lane.blocks != blocks) {
-        sha256_pair(messages[0], messages[1], out);
-        sha256_pair(messages[2], messages[3], out);
-        return;
-    }
-    let mut states = [[H0; 2]; 2];
-    let mut buf = [[[0u8; BLOCK_LEN]; 2]; 2];
-    for j in 0..blocks {
-        for (lane, block) in lanes.iter().zip(buf.as_flattened_mut()) {
-            lane.block_into(j, block);
-        }
-        let [first, second] = &mut states;
-        compress_pair(first, &buf[0]);
-        compress_pair(second, &buf[1]);
-    }
-    out.extend(
-        states
-            .as_flattened()
-            .iter()
-            .map(|state| Digest(state_bytes(state))),
-    );
 }
 
 /// Appends the SHA-256 of two messages to `out`: in lockstep through
@@ -1188,8 +1151,8 @@ mod tests {
     #[test]
     fn sha256_many_matches_map() {
         // 0 and 1 messages are no pair; 2 is one; 3 and 13 end in a message
-        // hashed alone; from 4 on, fours of mixed lengths fall back to pairs.
-        for count in [0usize, 1, 2, 3, 4, 5, 6, 7, 13] {
+        // hashed alone.
+        for count in [0usize, 1, 2, 3, 13] {
             let data: Vec<Vec<u8>> = (0..count).map(|i| message(i * 23, i)).collect();
             let mut got = vec![Digest::ZERO];
             sha256_many(&data, &mut got);
@@ -1197,25 +1160,6 @@ mod tests {
                 .chain(data.iter().map(|m| sha256(m)))
                 .collect();
             assert_eq!(got, expected, "{count} messages");
-        }
-    }
-
-    #[test]
-    fn two_pairs_match_single_hashes_at_equal_lengths() {
-        // Equal lengths take the two-pair step at every padded block count;
-        // four to nine messages end in a pair, a single, both or neither.
-        // Distinct contents per message, so a swap of lanes or pairs shows.
-        for (i, &len) in [0usize, 33, 53, 55, 56, 64, 65, 128, 200]
-            .iter()
-            .enumerate()
-        {
-            for count in 4..=9 {
-                let data: Vec<Vec<u8>> = (0..count).map(|k| message(len, 9 * i + k)).collect();
-                let mut got = Vec::new();
-                sha256_many(&data, &mut got);
-                let expected: Vec<Digest> = data.iter().map(|m| sha256(m)).collect();
-                assert_eq!(got, expected, "{count} messages of {len} bytes");
-            }
         }
     }
 

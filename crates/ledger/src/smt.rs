@@ -36,9 +36,10 @@
 //! the authenticated backend within a small factor of the flat map: a
 //! round's writes to one path share the O(log n) hashes.
 //!
-//! Genesis is the same fold run once, by [`SmtStore::genesis`], over a
-//! shard's genesis outputs handed straight to the batch: no write is
-//! buffered, and the fold records no round, so round 0's root builds on it.
+//! Genesis is the same fold run once, by [`SmtStore::genesis`], over the
+//! live map of a shard's genesis outputs handed straight to the batch: no
+//! write is buffered, and the fold records no round, so round 0's root
+//! builds on it.
 //!
 //! ## Memory
 //!
@@ -290,24 +291,16 @@ impl SmtStore {
         (self.internals.len(), self.leaves.len())
     }
 
-    /// A store holding `entries` (distinct outpoints), its live map pre-sized
-    /// for `capacity` and filled in the order given, and the tree built from
-    /// them in one bulk fold that records no round version — genesis, so
-    /// round 0's root already has the genesis UTXOs as its base. The entries
-    /// go straight into the fold's batch: nothing is buffered, and `pending`
+    /// A store whose live map is `live` and whose tree is built from it in
+    /// one bulk fold that records no round version — genesis, so round 0's
+    /// root already has the genesis UTXOs as its base. The entries go
+    /// straight into the fold's batch: nothing is buffered, and `pending`
     /// starts as empty as it ends every commit.
-    pub fn genesis(
-        capacity: usize,
-        entries: impl IntoIterator<Item = (OutPoint, TxOutput)>,
-    ) -> SmtStore {
+    pub fn genesis(live: FxHashMap<OutPoint, TxOutput>) -> SmtStore {
         let mut store = SmtStore::default();
-        // Beside the store while the fold borrows it.
-        let mut live = FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default());
-        let deltas = entries.into_iter().map(|(outpoint, output)| {
-            let old = live.insert(outpoint, output);
-            assert!(old.is_none(), "genesis outpoints are distinct");
-            (outpoint, Some(output))
-        });
+        let deltas = live
+            .iter()
+            .map(|(&outpoint, &output)| (outpoint, Some(output)));
         store.fold_batch(&mut Scratch::default(), deltas);
         store.live = live;
         store
@@ -892,9 +885,9 @@ mod tests {
     fn genesis_commit_records_no_version() {
         for count in [0u64, 1, 2, 64, 2 * STAGE as u64 + 3] {
             let entries: Vec<(OutPoint, TxOutput)> = (0..count).map(|n| (op(n), out(n))).collect();
-            let mut store = SmtStore::genesis(4 * count as usize, entries.iter().copied());
-            let genesis_root = store.state_root();
             let model: FxHashMap<OutPoint, TxOutput> = entries.iter().copied().collect();
+            let mut store = SmtStore::genesis(model.clone());
+            let genesis_root = store.state_root();
             assert_eq!(genesis_root, reference_root_of(&model), "{count} entries");
             assert_eq!(store.live().len(), entries.len());
             assert_eq!(store.pending_len(), 0, "genesis buffers no write");
@@ -917,7 +910,7 @@ mod tests {
     fn a_commit_of_several_stages_is_the_canonical_tree() {
         // Deletes and upserts spread over three stages of one commit.
         let count = 3 * STAGE as u64;
-        let mut store = SmtStore::genesis(0, (0..count).map(|n| (op(n), out(n))));
+        let mut store = SmtStore::genesis((0..count).map(|n| (op(n), out(n))).collect());
         let mut model: FxHashMap<OutPoint, TxOutput> = store.live().clone();
         for n in (0..count).step_by(3) {
             store.remove(&op(n));
@@ -931,12 +924,6 @@ mod tests {
         model.insert(op(1), out(999));
         assert!(store.pending_len() > 2 * STAGE);
         assert_eq!(store.commit(0), reference_root_of(&model));
-    }
-
-    #[test]
-    #[should_panic(expected = "genesis outpoints are distinct")]
-    fn genesis_rejects_a_repeated_outpoint() {
-        SmtStore::genesis(2, [(op(1), out(1)), (op(1), out(2))]);
     }
 
     #[test]
@@ -972,7 +959,7 @@ mod tests {
     #[test]
     fn arena_tracks_live_state() {
         let (mut oldest, mut next) = (0u64, 10_000u64);
-        let mut store = SmtStore::genesis(next as usize, (0..next).map(|n| (op(n), out(n))));
+        let mut store = SmtStore::genesis((0..next).map(|n| (op(n), out(n))).collect());
         let mut slots_after_10 = 0usize;
         for round in 1..=200u64 {
             churn_round(&mut store, round, &mut oldest, &mut next, 512);
@@ -997,7 +984,7 @@ mod tests {
     #[test]
     fn recorded_roots_and_old_proofs_outlive_their_nodes() {
         let (mut oldest, mut next) = (0u64, 256u64);
-        let mut store = SmtStore::genesis(0, (0..next).map(|n| (op(n), out(n))));
+        let mut store = SmtStore::genesis((0..next).map(|n| (op(n), out(n))).collect());
         // Ten recorded rounds, each with a proof of a key the later churn
         // spends, then fifty more that recycle every node those versions had.
         let mut recorded: Vec<(u64, Digest, OutPoint, StateProof)> = Vec::new();

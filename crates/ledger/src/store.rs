@@ -85,21 +85,22 @@ impl Store {
     }
 
     /// A store of the given backend holding `entries` (distinct outpoints),
-    /// its live map pre-sized for `capacity` and filled in the order given;
-    /// on the tree it is also the genesis fold ([`SmtStore::genesis`]).
+    /// its live map pre-sized for `capacity` and filled in the order given —
+    /// the one fill for both backends; on the tree the map then goes to the
+    /// genesis fold ([`SmtStore::genesis`]).
     pub fn genesis(
         backend: StateBackend,
         capacity: usize,
         entries: impl IntoIterator<Item = (OutPoint, TxOutput)>,
     ) -> Store {
+        let mut live = FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default());
+        for (outpoint, output) in entries {
+            let old = live.insert(outpoint, output);
+            assert!(old.is_none(), "genesis outpoints are distinct");
+        }
         match backend {
-            StateBackend::Map => {
-                let mut map =
-                    FxHashMap::with_capacity_and_hasher(capacity, FxBuildHasher::default());
-                map.extend(entries);
-                Store::Map(map)
-            }
-            StateBackend::Smt => Store::Smt(SmtStore::genesis(capacity, entries)),
+            StateBackend::Map => Store::Map(live),
+            StateBackend::Smt => Store::Smt(SmtStore::genesis(live)),
         }
     }
 
@@ -261,6 +262,16 @@ mod tests {
                 "{backend:?}: genesis is not a round"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "genesis outpoints are distinct")]
+    fn genesis_rejects_a_repeated_outpoint() {
+        Store::genesis(
+            StateBackend::Smt,
+            2,
+            [(op(1), out(1, 1)), (op(1), out(1, 2))],
+        );
     }
 
     #[test]

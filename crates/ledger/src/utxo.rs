@@ -944,9 +944,9 @@ mod tests {
         assert_eq!(workload.genesis_transactions().len(), m);
         for backend in [StateBackend::Map, StateBackend::Smt] {
             let oracle = apply_then_fold(&workload, backend);
-            let built = workload.build_genesis_utxo_sets_with(backend);
+            let mut built = workload.build_genesis_utxo_sets_with(backend);
             assert_eq!(built.len(), m);
-            for (shard, (want, got)) in oracle.iter().zip(&built).enumerate() {
+            for (shard, (want, got)) in oracle.iter().zip(&mut built).enumerate() {
                 let at = format!("(m, n) = ({m}, {n}), {backend:?}, shard {shard}");
                 assert_eq!(got.shard(), shard, "{at}");
                 assert_eq!(got.state_root(), want.state_root(), "{at}");
@@ -964,6 +964,10 @@ mod tests {
                     want.store.live().capacity(),
                     "{at}"
                 );
+                // An empty round commit re-publishes the genesis root.
+                let genesis_root = got.state_root();
+                assert_eq!(got.commit_round(0), genesis_root, "{at}");
+                assert_eq!(got.root_at_round(0), genesis_root, "{at}");
             }
         }
     }
@@ -973,21 +977,6 @@ mod tests {
         for (m, n) in [(1, 2), (2, 1000), (3, 777), (8, 96)] {
             assert_genesis_matches_the_oracle(m, n);
         }
-    }
-
-    #[test]
-    fn genesis_commits_nothing_pending() {
-        let workload = Workload::new(WorkloadConfig {
-            num_shards: 2,
-            accounts_per_shard: 64,
-            ..WorkloadConfig::default()
-        });
-        let mut sets = workload.build_genesis_utxo_sets_with(StateBackend::Smt);
-        let genesis_root = sets[0].state_root().expect("the tree has a root");
-        assert_ne!(genesis_root, cycledger_crypto::smt::EMPTY_ROOT);
-        // An empty round commit re-publishes the genesis root.
-        assert_eq!(sets[0].commit_round(0), Some(genesis_root));
-        assert_eq!(sets[0].root_at_round(0), Some(genesis_root));
     }
 
     mod genesis_shapes {

@@ -335,15 +335,27 @@ impl Workload {
         self.build_genesis_utxo_sets_with(StateBackend::Map)
     }
 
-    /// Builds fresh per-shard UTXO sets on the chosen state backend, one
-    /// [`UtxoSet::genesis`] a shard, in shard order, on the calling thread.
-    /// The simulation builds the same sets as one executor task a shard.
+    /// Builds fresh per-shard UTXO sets on the chosen state backend: the
+    /// [`Workload::genesis_builders`] run in shard order on the calling
+    /// thread.
     pub fn build_genesis_utxo_sets_with(&self, backend: StateBackend) -> Vec<UtxoSet> {
+        self.genesis_builders(backend)
+            .map(|build| build())
+            .collect()
+    }
+
+    /// One builder a shard, in shard order: each makes that shard's
+    /// [`UtxoSet::genesis`] from its own genesis transaction and reads
+    /// nothing else of the workload, so the simulation runs them as one
+    /// executor task a shard (the workload itself is not `Sync`: its
+    /// draw-ahead stream holds a `Receiver`).
+    pub fn genesis_builders(
+        &self,
+        backend: StateBackend,
+    ) -> impl Iterator<Item = impl FnOnce() -> UtxoSet + Send + '_> + '_ {
         let m = self.config.num_shards;
         let genesis = self.genesis_transactions().iter().enumerate();
-        genesis
-            .map(|(shard, tx)| UtxoSet::genesis(shard, m, backend, tx))
-            .collect()
+        genesis.map(move |(shard, tx)| move || UtxoSet::genesis(shard, m, backend, tx))
     }
 
     /// The genesis transactions, one per shard in shard order: shard `s`'s

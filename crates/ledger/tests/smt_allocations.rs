@@ -31,7 +31,7 @@ fn a_churn_commit_after_one_warm_up_makes_no_fresh_allocation() {
     assert!(alloccount::counting_enabled());
     const LIVE: u64 = 20_000;
     const CHURN: u64 = 2_000;
-    let mut store = SmtStore::genesis(LIVE as usize, (0..LIVE).map(|n| (op(n), out(n))));
+    let mut store = SmtStore::genesis((0..LIVE).map(|n| (op(n), out(n))).collect());
     // Spends the `CHURN` oldest entries and credits as many fresh ones.
     let (mut oldest, mut next) = (0, LIVE);
     let mut churn = |store: &mut SmtStore| {

@@ -109,16 +109,8 @@ impl Simulation {
             invalid_ratio: config.invalid_ratio,
             seed: config.seed,
         });
-        // One executor batch, one task a shard: each builds its genesis set
-        // from its own genesis transaction (the workload itself stays here —
-        // its draw-ahead stream is not `Sync`).
-        let (m, backend) = (config.committees, config.state_backend);
-        let genesis = workload.genesis_transactions().iter().enumerate();
-        let utxo_sets = executor.execute(
-            genesis
-                .map(|(shard, tx)| move || UtxoSet::genesis(shard, m, backend, tx))
-                .collect(),
-        );
+        // One executor batch, one task a shard.
+        let utxo_sets = executor.execute(workload.genesis_builders(config.state_backend).collect());
         Ok(Simulation {
             config,
             registry,

@@ -49,7 +49,7 @@ pub enum Op {
     /// One VRF evaluation (a proof made, on a `vrf::Prover` table or not).
     VrfEvaluate,
     /// One VRF proof checked, by `vrf::verify` or inside a
-    /// `vrf::verify_batch` group.
+    /// `vrf::Prover::verify_batch` group.
     VrfProofChecked,
 }
 

@@ -27,8 +27,7 @@
 //! acceptable"); the naive double-and-add ladder is retained under
 //! `#[cfg(test)]` as a differential oracle.
 
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::fe::{Fe, BETA};
 use crate::opcount::{count, Op};
@@ -936,11 +935,6 @@ impl AffinePoint {
     }
 }
 
-/// Upper bound on the number of memoized `hash_to_curve` base points; beyond
-/// this the cache is cleared (the working set per simulation round is a
-/// handful of domain-separated inputs, so eviction is essentially never hit).
-const H2C_CACHE_CAP: usize = 256;
-
 /// Hashes arbitrary bytes to a curve point via try-and-increment.
 ///
 /// This is the `H2C` primitive the DLEQ-based VRF needs: for counter values
@@ -949,32 +943,10 @@ const H2C_CACHE_CAP: usize = 256;
 /// for determinism). Roughly half of all x values are valid, so the expected
 /// number of iterations is 2.
 ///
-/// The derived base points are memoized process-wide (keyed by a digest of
-/// `domain ‖ data`): every prover/verifier in a round hashes the same few
-/// domain-separated inputs, so the square roots are paid once, not per node.
+/// A pure function: every call pays its hashes and square roots. A round's
+/// sortition hashes its input once, in its `vrf::Prover`, whose base every
+/// evaluation and batch check of the round reuses.
 pub fn hash_to_curve(domain: &str, data: &[u8]) -> AffinePoint {
-    static CACHE: OnceLock<Mutex<HashMap<[u8; 32], AffinePoint>>> = OnceLock::new();
-    let key = *crate::sha256::hash_parts(&[
-        b"h2c-cache-key",
-        &(domain.len() as u64).to_be_bytes(),
-        domain.as_bytes(),
-        data,
-    ])
-    .as_bytes();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    if let Some(p) = cache.lock().expect("h2c cache lock").get(&key) {
-        return *p;
-    }
-    let p = hash_to_curve_uncached(domain, data);
-    let mut cache = cache.lock().expect("h2c cache lock");
-    if cache.len() >= H2C_CACHE_CAP {
-        cache.clear();
-    }
-    cache.insert(key, p);
-    p
-}
-
-fn hash_to_curve_uncached(domain: &str, data: &[u8]) -> AffinePoint {
     for ctr in 0u64..=u64::MAX {
         let digest = crate::sha256::hash_parts(&[domain.as_bytes(), data, &ctr.to_be_bytes()]);
         let x = Fe::from_be_bytes(digest.as_bytes());
@@ -1068,6 +1040,35 @@ mod tests {
         assert!(a.is_on_curve());
         assert!(c.is_on_curve());
         assert!(!a.y.is_odd(), "even-y root is chosen deterministically");
+    }
+
+    /// The base is the first try-and-increment candidate on the curve, with
+    /// its even root, spelled out here; some of the inputs need a second try.
+    #[test]
+    fn hash_to_curve_takes_the_first_candidate_on_the_curve() {
+        let mut retried = 0;
+        for byte in 0..16u8 {
+            let data = [byte; 3];
+            let candidate = |ctr: u64| {
+                let digest = crate::sha256::hash_parts(&[b"h2c-spec", &data, &ctr.to_be_bytes()]);
+                let x = Fe::from_be_bytes(digest.as_bytes());
+                x.square()
+                    .mul(&x)
+                    .add(&Fe::curve_b())
+                    .sqrt()
+                    .map(|y| (x, y))
+            };
+            let ctr = (0u64..).find(|&ctr| candidate(ctr).is_some()).unwrap();
+            let (x, y) = candidate(ctr).unwrap();
+            let y = if y.is_odd() { y.neg() } else { y };
+            assert_eq!(
+                hash_to_curve("h2c-spec", &data),
+                AffinePoint { x, y },
+                "{byte}"
+            );
+            retried += usize::from(ctr > 0);
+        }
+        assert!(retried > 0, "every input hit on its first try");
     }
 
     fn arb_scalar() -> impl Strategy<Value = Scalar> {
@@ -1422,14 +1423,6 @@ mod tests {
         // The stack form, on the first eight (two of them infinity).
         let eight: [Point; 8] = points[..8].try_into().unwrap();
         assert_eq!(Point::batch_to_affine_array(&eight)[..], batched[..8]);
-    }
-
-    #[test]
-    fn hash_to_curve_cache_is_transparent() {
-        // Cached and uncached derivations agree (the cache only memoizes).
-        let a = hash_to_curve("cache-check", b"payload");
-        let b = hash_to_curve_uncached("cache-check", b"payload");
-        assert_eq!(a, b);
     }
 
     proptest! {

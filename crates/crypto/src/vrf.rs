@@ -17,7 +17,7 @@
 //! assignments for the same round (the property Elastico lacked, §II-A).
 //!
 //! Carrying `U` and `V` is what lets the sortition draw check a group of
-//! proofs as one random linear combination ([`verify_batch`]; the ECVRF
+//! proofs as one random linear combination ([`Prover::verify_batch`]; the ECVRF
 //! variant of Badertscher, Gaži, Querejeta-Azurmendi and Russell, 2022). The
 //! `(Γ, c, s)` proof is [`VrfProof::challenge`] away, and `Γ`, `s` and the
 //! output are the same either way. A round's provers all share one `H`, so a
@@ -160,6 +160,40 @@ impl Prover {
     pub fn evaluate(&self, sk: &SecretKey, pk: &PublicKey) -> VrfOutput {
         prove(sk, pk, &self.input, &self.h, |k| self.table.mul(k))
     }
+
+    /// Verifies a group of proofs on this prover's input and `H`:
+    /// `verdicts[i]` is `verify(entries[i].0, input, entries[i].1)` (an
+    /// invalid proof survives a group with probability about `2^−128`).
+    /// Each well-formed proof's two equations, scaled by independent 128-bit
+    /// coefficients `z_i`, `w_i` (one stream seeded with a hash of the whole
+    /// group, every `s_i` included), are summed as
+    /// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i) = ∞`:
+    /// one `4n + 2`-term [`Point::multi_mul`] over one doubling chain, where
+    /// [`verify`] pays two a proof (DESIGN-notes.md, "Groups"). If the sum is
+    /// not `∞`, each proof is checked alone, so the verdicts are [`verify`]'s
+    /// and a forgery costs its group one second pass. Up to eight proofs keep
+    /// their coefficients and terms on the stack.
+    pub fn verify_batch<K: VerifyingKey>(&self, entries: &[(&K, &VrfOutput)]) -> Vec<bool> {
+        entries.iter().for_each(|_| count(Op::VrfProofChecked));
+        let h = &self.h;
+        let mut verdicts: Vec<bool> = entries
+            .iter()
+            .map(|(pk, output)| well_formed(pk.public_key(), output))
+            .collect();
+        let seed = batch_seed(h, entries);
+        let cancels = Scalar::rlc_coefficients(
+            BATCH_COEFFICIENT,
+            seed.as_bytes(),
+            2 * entries.len(),
+            |coefficients| weighted_sum(h, entries, &verdicts, coefficients).is_infinity(),
+        );
+        if !cancels {
+            for (verdict, (pk, output)) in verdicts.iter_mut().zip(entries) {
+                *verdict = *verdict && dleq_holds(*pk, h, &output.proof);
+            }
+        }
+        verdicts
+    }
 }
 
 /// The proof of `sk` on `input`, whose base is `h`; `mul_h(k)` is `k·H`.
@@ -225,47 +259,6 @@ fn dleq_holds<K: VerifyingKey>(pk: &K, h: &AffinePoint, proof: &VrfProof) -> boo
         .equals(&proof.u.to_point())
         && Point::mul_double(&proof.s, &h.to_point(), &c, &proof.gamma.to_point())
             .equals(&proof.v.to_point())
-}
-
-/// Verifies a group of proofs on one `input`: `verdicts[i]` is
-/// `verify(entries[i].0, input, entries[i].1)` (an invalid proof survives a
-/// group only if its equations cancel under the coefficients, a chance of
-/// about `2^−128`).
-///
-/// Each well-formed proof's two equations are scaled by independent 128-bit
-/// coefficients `z_i`, `w_i` and summed,
-///
-/// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i) = ∞`,
-///
-/// as one `4n + 2`-term [`Point::multi_mul`] — `G`'s and `H`'s scalars are
-/// summed over the group, and each `PK_i` is a key term — over one shared
-/// doubling chain, where [`verify`] pays two chains a proof. The
-/// coefficients are one stream seeded with a hash of the whole group, every
-/// `s_i` included, for the reason `schnorr::batch_verify` gives. If the sum
-/// is not `∞`, every proof of the group is checked on its own, so the
-/// verdicts are [`verify`]'s and a forgery costs its group one second pass.
-/// A group of up to eight proofs keeps its coefficients and terms on the
-/// stack.
-pub fn verify_batch<K: VerifyingKey>(input: &[u8], entries: &[(&K, &VrfOutput)]) -> Vec<bool> {
-    entries.iter().for_each(|_| count(Op::VrfProofChecked));
-    let h = hash_to_curve(H2C_DOMAIN, input);
-    let mut verdicts: Vec<bool> = entries
-        .iter()
-        .map(|(pk, output)| well_formed(pk.public_key(), output))
-        .collect();
-    let seed = batch_seed(&h, entries);
-    let cancels = Scalar::rlc_coefficients(
-        BATCH_COEFFICIENT,
-        seed.as_bytes(),
-        2 * entries.len(),
-        |coefficients| weighted_sum(&h, entries, &verdicts, coefficients).is_infinity(),
-    );
-    if !cancels {
-        for (verdict, (pk, output)) in verdicts.iter_mut().zip(entries) {
-            *verdict = *verdict && dleq_holds(*pk, &h, &output.proof);
-        }
-    }
-    verdicts
 }
 
 const BATCH_COEFFICIENT: &str = "cycledger/vrf-batch-coefficient";
@@ -495,9 +488,10 @@ mod tests {
             .map(|(pk, output)| verify(*pk, GROUP_INPUT, output))
             .collect();
         assert_eq!(keyed_single, single, "prepared keys, one at a time");
-        let batched = verify_batch(GROUP_INPUT, &entries);
+        let prover = Prover::new(GROUP_INPUT);
+        let batched = prover.verify_batch(&entries);
         assert_eq!(
-            verify_batch(GROUP_INPUT, &keyed),
+            prover.verify_batch(&keyed),
             batched,
             "prepared keys, batched"
         );
@@ -516,7 +510,9 @@ mod tests {
         let (verdicts, single) = batch_and_single(&keys, &honest);
         assert_eq!(verdicts, vec![true; 8]);
         assert_eq!(verdicts, single);
-        assert!(verify_batch::<PublicKey>(GROUP_INPUT, &[]).is_empty());
+        assert!(Prover::new(GROUP_INPUT)
+            .verify_batch::<PublicKey>(&[])
+            .is_empty());
         assert!(!OFF_CURVE.is_on_curve());
 
         let other = evaluate(

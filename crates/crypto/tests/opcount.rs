@@ -14,20 +14,27 @@
 //! eight-bit ones (commit e69df41), `shared Z` with VRF proofs that carry
 //! their commitments `(Γ, U, V, s)` and every fixed-base table a `FixedBase`
 //! comb whose entries share one `Z` (one multiplication more per `k·G`), and
-//! `now` with the divstep inversion (no field multiplication) and every
-//! verifier's key prepared, its `KeyTable` built outside the scope:
+//! `divstep` with the divstep inversion (no field multiplication) and every
+//! verifier's key prepared, its `KeyTable` built outside the scope, and
+//! `now` with `hash_to_curve` a pure function: `vrf::evaluate`, `vrf::verify`
+//! and `Prover::new` each hash this input's base to the curve, which a
+//! process-wide memo used to return — one square root (255 squarings, 14
+//! multiplications) and, under the debug assertions of the test profile
+//! these counts are taken in, an on-curve check (2 squarings, 1
+//! multiplication; a release build skips it) — while `Prover::verify_batch`
+//! takes the base the prover holds:
 //!
-//! | operation                | wNAF   | 4-bit  | 8-bit  | shared Z | now    |
-//! |--------------------------|--------|--------|--------|----------|--------|
-//! | `Keypair::sign`          |   1451 |    934 |    615 |      616 |    346 |
-//! | `KeyTable::new`          |        |        |        |          |   1024 |
-//! | `schnorr::verify`        |   3255 |   1798 |   1798 |     1798 |   1430 |
-//! | `batch_verify` ×16       |  28328 |  17268 |  17268 |    17268 |  13053 |
-//! | `vrf::evaluate`          |   8121 |   4846 |   4230 |     4232 |   3692 |
-//! | `vrf::verify`            |   7202 |   4116 |   4116 |     3854 |   3531 |
-//! | `vrf::Prover::new`       |        |        |        |    12660 |  12660 |
-//! | `Prover::evaluate`       |        |        |        |     1735 |   1465 |
-//! | `verify_batch` ×8, /8    |        |        |        |     2248 |   1980 |
+//! | operation                | wNAF   | 4-bit  | 8-bit  | shared Z | divstep | now    |
+//! |--------------------------|--------|--------|--------|----------|---------|--------|
+//! | `Keypair::sign`          |   1451 |    934 |    615 |      616 |     346 |    346 |
+//! | `KeyTable::new`          |        |        |        |          |    1024 |   1024 |
+//! | `schnorr::verify`        |   3255 |   1798 |   1798 |     1798 |    1430 |   1430 |
+//! | `batch_verify` ×16       |  28328 |  17268 |  17268 |    17268 |   13053 |  13053 |
+//! | `vrf::evaluate`          |   8121 |   4846 |   4230 |     4232 |    3692 |   3964 |
+//! | `vrf::verify`            |   7202 |   4116 |   4116 |     3854 |    3531 |   3803 |
+//! | `vrf::Prover::new`       |        |        |        |    12660 |   12660 |  12932 |
+//! | `Prover::evaluate`       |        |        |        |     1735 |    1465 |   1465 |
+//! | `verify_batch` ×8, /8    |        |        |        |     2248 |    1980 |   1980 |
 //!
 //! Point operations, wNAF → now: sign 59 additions → 31 mixed (signed
 //! eight-bit fixed-base windows; four-bit ones made it 60); verify 255
@@ -37,14 +44,18 @@
 //! inversion less); a table evaluation is 131 mixed additions and no
 //! doubling where `evaluate_with_public` walks 255 doublings; a group of
 //! eight walks one chain of 128 doublings where single checks walk sixteen.
-//! Ten evaluations cost 33 566 without a table and 27 123 with a fresh one.
+//! Ten evaluations cost 36 286 without a table and 27 395 with a fresh one
+//! (33 566 and 27 123 while the base came from the memo).
 //!
 //! SHA-256 compressions per operation — `naive` is the HMAC-DRBG of commit
 //! b85479e (both pad blocks hashed on every HMAC, the closing state update
 //! made even when the generator is dropped), `own` the one that keeps its
 //! key schedule and owes that update, with every nonce, Fiat–Shamir
 //! challenge and batch coefficient one draw from a generator of its own,
-//! `now` with a batch's coefficients drawn from one stream:
+//! `now` with a batch's coefficients drawn from one stream. `vrf::evaluate`
+//! and `vrf::verify` hash this input to the curve in one two-block try
+//! where the memo hashed its two-block key, so they keep their counts; a
+//! group no longer hashes that key (272 → 270):
 //!
 //! | operation          | naive | own | now | generators |
 //! |--------------------|-------|-----|-----|------------|
@@ -54,7 +65,7 @@
 //! | `vrf::evaluate`    |    73 |  45 |  45 | 2          |
 //! | `vrf::verify`      |    41 |  27 |  27 | 1          |
 //! | `Prover::evaluate` |       |  43 |  43 | 2          |
-//! | `verify_batch` ×8  |       | 528 | 272 | 24 → 9     |
+//! | `verify_batch` ×8  |       | 528 | 270 | 24 → 9     |
 //!
 //! The tally also counts signatures verified (one at a time, in batches),
 //! verification-memo lookups and the simulated network's envelopes and
@@ -85,9 +96,8 @@ fn field_muls(t: &Tally) -> u64 {
 #[test]
 fn kernel_operation_counts_are_pinned() {
     let kp = Keypair::from_seed(b"opcount-key");
-    // Warm the lazily built tables and the hash-to-curve memo outside the
-    // scopes; every key is prepared outside them too, as the node registry
-    // prepares it once.
+    // Warm the lazily built tables outside the scopes; every key is
+    // prepared outside them too, as the node registry prepares it once.
     let key = PreparedKey::new(kp.public);
     let sig = kp.sign(MESSAGE);
     let out = vrf::evaluate(&kp.secret, VRF_INPUT);
@@ -193,8 +203,8 @@ fn kernel_operation_counts_are_pinned() {
     assert_eq!(
         evaluated,
         Tally {
-            fe_mul: 2176,
-            fe_square: 1516,
+            fe_mul: 2191,
+            fe_square: 1773,
             fe_invert: 2,
             point_double: 254,
             point_add: 0,
@@ -208,8 +218,8 @@ fn kernel_operation_counts_are_pinned() {
     assert_eq!(
         vrf_verified,
         Tally {
-            fe_mul: 2054,
-            fe_square: 1477,
+            fe_mul: 2069,
+            fe_square: 1734,
             fe_invert: 0,
             point_double: 256,
             point_add: 0,
@@ -232,7 +242,7 @@ fn kernel_operation_counts_are_pinned() {
 #[test]
 fn vrf_table_and_group_counts_are_pinned() {
     let keys: Vec<Keypair> = (0..10u8).map(|i| Keypair::from_seed(&[b'v', i])).collect();
-    // Warm the static tables and the hash-to-curve memo outside the scopes.
+    // Warm the static tables outside the scopes.
     let warm = vrf::Prover::new(VRF_INPUT);
     let outputs: Vec<vrf::VrfOutput> = keys
         .iter()
@@ -243,7 +253,7 @@ fn vrf_table_and_group_counts_are_pinned() {
         prepared.iter().zip(&outputs).take(8).collect();
     let kp = &keys[0];
     vrf::evaluate_with_public(&kp.secret, &kp.public, VRF_INPUT);
-    vrf::verify_batch(VRF_INPUT, &group);
+    warm.verify_batch(&group);
 
     let mut prover = None;
     let build = scope(|| prover = Some(vrf::Prover::new(VRF_INPUT)));
@@ -251,7 +261,7 @@ fn vrf_table_and_group_counts_are_pinned() {
     let on_table = scope(|| prover.evaluate(&kp.secret, &kp.public));
     let direct = scope(|| vrf::evaluate_with_public(&kp.secret, &kp.public, VRF_INPUT));
     let single = scope(|| assert!(vrf::verify(&prepared[0], VRF_INPUT, &outputs[0])));
-    let grouped = scope(|| assert_eq!(vrf::verify_batch(VRF_INPUT, &group), vec![true; 8]));
+    let grouped = scope(|| assert_eq!(prover.verify_batch(&group), vec![true; 8]));
     let ten_on_table = scope(|| {
         let prover = vrf::Prover::new(VRF_INPUT);
         for k in &keys {
@@ -268,14 +278,16 @@ fn vrf_table_and_group_counts_are_pinned() {
     println!("vrf verify {single:?}\nverify_batch x8 {grouped:?}");
     println!("ten on table {ten_on_table:?}\nten direct {ten_direct:?}");
 
-    // 51 windows of 16 multiples and a last one of 2: one doubling and 14
-    // mixed additions a window, a doubling to the next, five
-    // multiplications an entry to share one Z.
+    // The base: one two-block try, its square root and on-curve check.
+    // Then 51 windows of
+    // 16 multiples and a last one of 2: one doubling and 14 mixed additions
+    // a window, a doubling to the next, five multiplications an entry to
+    // share one Z.
     assert_eq!(
         build,
         Tally {
-            fe_mul: 9289,
-            fe_square: 3371,
+            fe_mul: 9304,
+            fe_square: 3628,
             point_double: 103,
             point_add_affine: 714,
             sha256_blocks: 2,
@@ -300,8 +312,8 @@ fn vrf_table_and_group_counts_are_pinned() {
     assert_eq!(
         direct,
         Tally {
-            fe_mul: 1927,
-            fe_square: 1426,
+            fe_mul: 1942,
+            fe_square: 1683,
             fe_invert: 1,
             point_double: 255,
             point_add_affine: 129,
@@ -322,13 +334,13 @@ fn vrf_table_and_group_counts_are_pinned() {
             fe_square: 4424,
             point_double: 153,
             point_add_affine: 1166,
-            sha256_blocks: 272,
+            sha256_blocks: 270,
             drbg_instantiations: 9,
             vrf_proofs_checked: 8,
             ..Tally::default()
         }
     );
-    assert_eq!(field_muls(&single), 3602);
+    assert_eq!(field_muls(&single), 3874);
     assert_eq!(
         (single.vrf_proofs_checked, ten_on_table.vrf_evaluations),
         (1, 10)
@@ -339,7 +351,7 @@ fn vrf_table_and_group_counts_are_pinned() {
     // operations than ten evaluations without one.
     assert_eq!(
         (field_muls(&ten_on_table), field_muls(&ten_direct)),
-        (27123, 33566)
+        (27395, 36286)
     );
     assert!(field_muls(&ten_on_table) < field_muls(&ten_direct));
 }

@@ -30,7 +30,7 @@ use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::merkle::{MerkleProof, MerkleTree};
 use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 
-use crate::transaction::{Transaction, TxId};
+use crate::transaction::{Routing, Transaction, TxId};
 
 /// One seat of a next-round committee: a node and its updated reputation
 /// (fixed-point, 1e6 = 1.0).
@@ -397,12 +397,19 @@ impl Block {
 
     /// Verifies internal consistency: the header commits to exactly this
     /// body — every slice, in its order — and every transaction is in a
-    /// slice.
+    /// slice. Routes each account by the hash.
     pub fn verify_structure(&self) -> bool {
+        self.verify_structure_on(self.shards)
+    }
+
+    /// [`Block::verify_structure`] with the accounts routed by `routing`,
+    /// which must route to this block's shards.
+    pub fn verify_structure_on(&self, routing: impl Routing) -> bool {
         let mut slices = Vec::new();
-        index_slices(&self.transactions, self.shards, &mut slices);
+        index_slices(&self.transactions, routing, &mut slices);
         let in_a_slice = |t: &Transaction| !t.inputs().is_empty() || !t.outputs().is_empty();
-        (self.shards > 0 || self.transactions.is_empty())
+        (routing.shard_count() == self.shards)
+            && (self.shards > 0 || self.transactions.is_empty())
             && self.transactions.iter().all(in_a_slice)
             && (self.header.body_root, self.header.config_root)
                 == Self::roots(&self.transactions, &slices, &self.next_round)
@@ -425,11 +432,13 @@ impl Block {
     }
 }
 
-/// Indexes `transactions` by touched shard into `slices`: entry `k` lists, in
-/// block order, the positions of the transactions with an input or an output
-/// in shard `k` of `m` — slice `k` of a block's body. One pass and one shard
-/// lookup per input and output; `slices` keeps its buffers across calls.
-pub fn index_slices(transactions: &[Transaction], m: usize, slices: &mut Vec<Vec<usize>>) {
+/// Indexes `txs` by touched shard into `slices`: entry `k` lists, in block
+/// order, the positions of the transactions with an input or an output in
+/// shard `k` of the `m` that `routing` routes to — slice `k` of a block's
+/// body. One pass and one shard lookup per input and output; `slices` keeps
+/// its buffers across calls.
+pub fn index_slices(txs: &[Transaction], routing: impl Routing, slices: &mut Vec<Vec<usize>>) {
+    let m = routing.shard_count();
     slices.resize_with(m, Vec::new);
     for positions in slices.iter_mut() {
         positions.clear();
@@ -437,14 +446,14 @@ pub fn index_slices(transactions: &[Transaction], m: usize, slices: &mut Vec<Vec
     if m == 0 {
         return;
     }
-    for (position, tx) in transactions.iter().enumerate() {
+    for (position, tx) in txs.iter().enumerate() {
         let owners = tx
             .inputs()
             .iter()
             .map(|input| input.owner)
             .chain(tx.outputs().iter().map(|output| output.owner));
         for owner in owners {
-            let positions = &mut slices[owner.shard(m)];
+            let positions = &mut slices[routing.shard_of(owner)];
             if positions.last() != Some(&position) {
                 positions.push(position);
             }
@@ -625,15 +634,16 @@ impl Chain {
         self.blocks.len()
     }
 
-    /// Appends a block after checking it extends the tip and is well formed.
-    pub fn append(&mut self, block: Block) -> Result<(), ChainError> {
+    /// Appends a block after checking it extends the tip and is well formed,
+    /// its accounts routed by `routing`.
+    pub fn append(&mut self, block: Block, routing: impl Routing) -> Result<(), ChainError> {
         if block.header.prev_hash != self.tip_hash {
             return Err(ChainError::WrongParent);
         }
         if block.header.round != self.blocks.len() as u64 {
             return Err(ChainError::WrongRound);
         }
-        if !block.verify_structure() {
+        if !block.verify_structure_on(routing) {
             return Err(ChainError::BadStructure);
         }
         self.tip_hash = block.header_hash();
@@ -840,7 +850,7 @@ mod tests {
         let mut chain = Chain::new();
         assert_eq!(chain.tip_hash(), Digest::ZERO);
         let expected = block.header.hash();
-        chain.append(block).unwrap();
+        chain.append(block, M).unwrap();
         assert_eq!(
             chain.tip_hash(),
             expected,
@@ -866,9 +876,9 @@ mod tests {
     fn chain_append_happy_path() {
         let mut chain = Chain::new();
         let b0 = sample_block(0, chain.tip_hash());
-        chain.append(b0).unwrap();
+        chain.append(b0, M).unwrap();
         let b1 = sample_block(1, chain.tip_hash());
-        chain.append(b1).unwrap();
+        chain.append(b1, M).unwrap();
         assert_eq!(chain.height(), 2);
         assert!(chain.block(0).is_some());
         assert!(chain.block(5).is_none());
@@ -878,17 +888,17 @@ mod tests {
     fn chain_rejects_wrong_parent_round_and_structure() {
         let mut chain = Chain::new();
         let b0 = sample_block(0, chain.tip_hash());
-        chain.append(b0).unwrap();
+        chain.append(b0, M).unwrap();
 
         let wrong_parent = sample_block(1, Digest::ZERO);
-        assert_eq!(chain.append(wrong_parent), Err(ChainError::WrongParent));
+        assert_eq!(chain.append(wrong_parent, M), Err(ChainError::WrongParent));
 
         let wrong_round = sample_block(5, chain.tip_hash());
-        assert_eq!(chain.append(wrong_round), Err(ChainError::WrongRound));
+        assert_eq!(chain.append(wrong_round, M), Err(ChainError::WrongRound));
 
         let mut bad = sample_block(1, chain.tip_hash());
         bad.transactions.clear();
-        assert_eq!(chain.append(bad), Err(ChainError::BadStructure));
+        assert_eq!(chain.append(bad, M), Err(ChainError::BadStructure));
         assert_eq!(chain.height(), 1);
     }
 
@@ -910,7 +920,7 @@ mod tests {
         let mut chain = Chain::new();
         for round in 0..5 {
             let block = sample_block(round, chain.tip_hash());
-            chain.append(block).unwrap();
+            chain.append(block, M).unwrap();
         }
         // Chunked fetch: two summaries starting at round 2.
         let chunk = chain.header_summaries(2, 2);
@@ -931,7 +941,7 @@ mod tests {
         let mut chain = Chain::new();
         for round in 0..4 {
             let block = sample_block(round, chain.tip_hash());
-            chain.append(block).unwrap();
+            chain.append(block, M).unwrap();
         }
         let good = chain.header_summaries(0, usize::MAX);
         // A gap in the round sequence.
@@ -1017,7 +1027,7 @@ mod tests {
     fn a_dropped_added_or_reordered_transaction_in_any_slice_is_bad_structure() {
         let block = assemble(0, Digest::ZERO, payments(0), M);
         let extra = pay(40, 41, 999);
-        let appends = |tampered: Block| Chain::new().append(tampered);
+        let appends = |tampered: Block| Chain::new().append(tampered, M);
         assert_eq!(appends(block.clone()), Ok(()));
         let mut slices = Vec::new();
         index_slices(&block.transactions, M, &mut slices);
@@ -1071,7 +1081,7 @@ mod tests {
                 let slice = block.slice(k).unwrap();
                 assert!(slice.transactions.is_empty() && slice.verify(&block.header));
             }
-            assert_eq!(Chain::new().append(block), Ok(()));
+            assert_eq!(Chain::new().append(block, m), Ok(()));
         }
         let none = assemble(0, Digest::ZERO, Vec::new(), 0);
         assert_eq!(none.header.body_root, Digest::ZERO);

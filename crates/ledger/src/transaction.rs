@@ -32,10 +32,8 @@
 //! there is no way to change inputs, outputs or nonce without building a new
 //! transaction, so the digest can never go stale.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
-use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 
 /// A user account identifier.
@@ -43,36 +41,54 @@ use cycledger_crypto::sha256::{hash_parts, Digest, Sha256};
 pub struct AccountId(pub u64);
 
 impl AccountId {
-    /// The shard (committee index) responsible for this account.
+    /// The shard (committee index) responsible for this account: the first 8
+    /// bytes of `H("cycledger/account-shard" || account)` mod `m`. Pure, one
+    /// SHA-256 compression a call; a run reads its [`ShardTable`] instead.
     pub fn shard(&self, m: usize) -> usize {
         assert!(m > 0, "at least one shard");
-        (self.shard_key() % m as u64) as usize
+        let key = hash_parts(&[b"cycledger/account-shard", &self.0.to_be_bytes()]).prefix_u64();
+        (key % m as u64) as usize
+    }
+}
+
+/// A map from accounts to shards: a shard count `m`, which hashes each
+/// account ([`AccountId::shard`]), or a run's [`ShardTable`].
+pub trait Routing: Copy {
+    /// The number of shards `m`.
+    fn shard_count(self) -> usize;
+    /// The shard of `account`, below `m`.
+    fn shard_of(self, account: AccountId) -> usize;
+}
+
+impl Routing for usize {
+    fn shard_count(self) -> usize {
+        self
     }
 
-    /// The account's shard-routing key: the first 8 bytes of
-    /// `H("cycledger/account-shard" || account)`, independent of the shard
-    /// count. Memoized per thread — shard routing is consulted for every
-    /// input and output of every transaction on the round hot path, and the
-    /// active account set is small and stable, so the SHA-256 evaluation
-    /// happens once per account per worker thread instead of per lookup.
-    fn shard_key(&self) -> u64 {
-        thread_local! {
-            static SHARD_KEYS: RefCell<FxHashMap<u64, u64>> = RefCell::new(FxHashMap::default());
+    fn shard_of(self, account: AccountId) -> usize {
+        account.shard(self)
+    }
+}
+
+/// Every account's shard among `m` for the ids a `Workload`'s genesis walk
+/// hashed (entry `id` is `AccountId(id).shard(m)`); an id past the table
+/// routes by the hash. Cloning shares the table.
+#[derive(Clone, Debug)]
+pub struct ShardTable {
+    pub(crate) m: usize,
+    pub(crate) shards: Arc<[u16]>,
+}
+
+impl Routing for &ShardTable {
+    fn shard_count(self) -> usize {
+        self.m
+    }
+
+    fn shard_of(self, account: AccountId) -> usize {
+        match usize::try_from(account.0).map(|id| self.shards.get(id)) {
+            Ok(Some(&shard)) => usize::from(shard),
+            _ => account.shard(self.m),
         }
-        SHARD_KEYS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            // Bound the memo so pathological workloads (unbounded fresh
-            // accounts) cannot grow it without limit. 2^18 entries hold the
-            // largest tracked working set (2 x 10^5 accounts); at the bound
-            // the table has 2^19 buckets of 16 bytes plus a control byte,
-            // so a routing thread keeps at most ≈ 8.5 MiB here.
-            if cache.len() > (1 << 18) {
-                cache.clear();
-            }
-            *cache.entry(self.0).or_insert_with(|| {
-                hash_parts(&[b"cycledger/account-shard", &self.0.to_be_bytes()]).prefix_u64()
-            })
-        })
     }
 }
 
@@ -298,7 +314,7 @@ impl Transaction {
             .collect()
     }
 
-    fn input_owners(&self) -> impl Iterator<Item = AccountId> + Clone + '_ {
+    pub(crate) fn input_owners(&self) -> impl Iterator<Item = AccountId> + Clone + '_ {
         self.inputs().iter().map(|i| i.owner)
     }
 
@@ -306,58 +322,53 @@ impl Transaction {
         self.outputs().iter().map(|o| o.owner)
     }
 
-    /// The distinct shards holding an *input*, ascending, without
-    /// allocating — the order in which `V`'s per-shard checks run.
-    pub(crate) fn input_shard_iter(&self, m: usize) -> impl Iterator<Item = usize> + '_ {
-        ascending_shards(self.input_owners(), m)
-    }
-
-    /// Shards that hold an *input* of this transaction (they must validate it).
-    pub fn input_shards(&self, m: usize) -> Vec<usize> {
-        self.input_shard_iter(m).collect()
+    /// Shards that hold an *input* of this transaction (they must validate
+    /// it), ascending: the order in which `V`'s per-shard checks run.
+    pub fn input_shards(&self, routing: impl Routing) -> Vec<usize> {
+        ascending_shards(self.input_owners(), routing).collect()
     }
 
     /// Shards that receive an *output* of this transaction.
-    pub fn output_shards(&self, m: usize) -> Vec<usize> {
-        ascending_shards(self.output_owners(), m).collect()
+    pub fn output_shards(&self, routing: impl Routing) -> Vec<usize> {
+        ascending_shards(self.output_owners(), routing).collect()
     }
 
     /// All shards touched by this transaction.
-    pub fn touched_shards(&self, m: usize) -> Vec<usize> {
-        ascending_shards(self.input_owners().chain(self.output_owners()), m).collect()
+    pub fn touched_shards(&self, routing: impl Routing) -> Vec<usize> {
+        ascending_shards(self.input_owners().chain(self.output_owners()), routing).collect()
     }
 
     /// The one shard every input and output lives in, or `None` for a
     /// cross-shard transaction; a transaction that touches no shard at all
     /// is homed at shard 0. Allocates nothing.
-    pub fn home_shard(&self, m: usize) -> Option<usize> {
+    pub fn home_shard(&self, routing: impl Routing) -> Option<usize> {
         let mut owners = self.input_owners().chain(self.output_owners());
         let Some(first) = owners.next() else {
             return Some(0);
         };
-        let home = first.shard(m);
-        owners.all(|a| a.shard(m) == home).then_some(home)
+        let home = routing.shard_of(first);
+        owners.all(|a| routing.shard_of(a) == home).then_some(home)
     }
 
     /// True if all inputs and outputs live in a single shard (an intra-shard
     /// transaction, handled by Algorithm 5 alone).
-    pub fn is_intra_shard(&self, m: usize) -> bool {
-        self.home_shard(m).is_some()
+    pub fn is_intra_shard(&self, routing: impl Routing) -> bool {
+        self.home_shard(routing).is_some()
     }
 }
 
 /// The distinct shards of `owners` in ascending order, without allocating:
 /// each step is the least shard above the one before. A transaction has a
 /// handful of owners, so the rescans cost less than a sorted `Vec`.
-fn ascending_shards(
+pub(crate) fn ascending_shards(
     owners: impl Iterator<Item = AccountId> + Clone,
-    m: usize,
+    routing: impl Routing,
 ) -> impl Iterator<Item = usize> {
     let mut above: Option<usize> = None;
     std::iter::from_fn(move || {
         let next = owners
             .clone()
-            .map(|a| a.shard(m))
+            .map(|a| routing.shard_of(a))
             .filter(|&s| above.is_none_or(|last| s > last))
             .min()?;
         above = Some(next);
@@ -507,18 +518,6 @@ mod tests {
                 let s = AccountId(account).shard(m);
                 assert!(s < m);
                 assert_eq!(s, AccountId(account).shard(m));
-            }
-        }
-    }
-
-    #[test]
-    fn shard_key_memo_matches_direct_hash() {
-        // The thread-local memo must return exactly the uncached digest prefix.
-        for account in [0u64, 1, 42, u64::MAX] {
-            let direct =
-                hash_parts(&[b"cycledger/account-shard", &account.to_be_bytes()]).prefix_u64();
-            for m in [1usize, 3, 7] {
-                assert_eq!(AccountId(account).shard(m), (direct % m as u64) as usize);
             }
         }
     }

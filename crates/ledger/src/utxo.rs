@@ -19,7 +19,9 @@ use cycledger_crypto::sha256::Digest;
 use cycledger_crypto::smt::StateProof;
 
 use crate::store::{StateBackend, Store};
-use crate::transaction::{OutPoint, Transaction, TxOutput};
+use crate::transaction::{
+    ascending_shards, AccountId, OutPoint, Routing, ShardTable, Transaction, TxOutput,
+};
 
 /// Why a transaction failed validation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -43,12 +45,12 @@ pub enum ValidationError {
 /// authenticated sparse-Merkle backend when the simulation asks for state
 /// roots. Nothing protocol-visible iterates the store unordered —
 /// [`UtxoSet::sorted_outpoints`] sorts first.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct UtxoSet {
     /// Which shard this set belongs to.
     shard: usize,
-    /// Number of shards in the system (for ownership routing).
-    num_shards: usize,
+    /// The run's account routing: which outputs and inputs are this shard's.
+    routes: ShardTable,
     store: Store,
     /// Maintained Σ amount over the held entries; `total_value` is called at
     /// report time, where a full-map scan would be a 10^7-entry walk at
@@ -64,7 +66,7 @@ impl Clone for UtxoSet {
     fn clone(&self) -> Self {
         UtxoSet {
             shard: self.shard,
-            num_shards: self.num_shards,
+            routes: self.routes.clone(),
             store: self.store.clone(),
             total: self.total,
             sorted_queries: AtomicU64::new(self.sorted_queries.load(Ordering::Relaxed)),
@@ -73,28 +75,19 @@ impl Clone for UtxoSet {
 }
 
 impl UtxoSet {
-    /// Creates an empty UTXO set for `shard` out of `num_shards`.
-    pub fn new(shard: usize, num_shards: usize) -> Self {
-        Self::with_capacity(shard, num_shards, 0)
-    }
-
-    /// Creates an empty UTXO set pre-sized for `capacity` outpoints, so the
-    /// steady-state working set never pays rehash-and-move churn.
-    pub fn with_capacity(shard: usize, num_shards: usize, capacity: usize) -> Self {
-        Self::with_backend(shard, num_shards, capacity, StateBackend::Map)
-    }
-
-    /// Creates an empty UTXO set on the chosen state backend.
+    /// Creates an empty UTXO set for `shard` of the shards `routes` routes
+    /// accounts to, on the chosen state backend and pre-sized for
+    /// `capacity` outpoints.
     pub fn with_backend(
         shard: usize,
-        num_shards: usize,
+        routes: ShardTable,
         capacity: usize,
         backend: StateBackend,
     ) -> Self {
-        assert!(num_shards > 0 && shard < num_shards);
+        assert!(shard < routes.shard_count());
         UtxoSet {
             shard,
-            num_shards,
+            routes,
             store: Store::with_capacity(backend, capacity),
             total: 0,
             sorted_queries: AtomicU64::new(0),
@@ -110,28 +103,26 @@ impl UtxoSet {
     /// root builds on genesis state.
     pub fn genesis(
         shard: usize,
-        num_shards: usize,
+        routes: ShardTable,
         backend: StateBackend,
         genesis: &Transaction,
     ) -> Self {
-        assert!(num_shards > 0 && shard < num_shards);
+        assert!(shard < routes.shard_count());
         let id = genesis.id();
         let outputs = genesis.outputs();
         let entries = outputs.iter().enumerate().map(|(index, &output)| {
-            // Debug builds only: routing an account hashes it, on a worker
-            // thread whose routing memo is cold, and `Workload::new` mints
-            // each shard's genesis for that shard's accounts by construction.
-            debug_assert_eq!(output.owner.shard(num_shards), shard, "minted elsewhere");
+            debug_assert_eq!(routes.shard_of(output.owner), shard, "minted elsewhere");
             let outpoint = OutPoint {
                 tx_id: id,
                 index: index as u32,
             };
             (outpoint, output)
         });
+        let store = Store::genesis(backend, 4 * outputs.len(), entries);
         UtxoSet {
             shard,
-            num_shards,
-            store: Store::genesis(backend, 4 * outputs.len(), entries),
+            routes,
+            store,
             total: outputs.iter().map(|o| o.amount).sum(),
             sorted_queries: AtomicU64::new(0),
         }
@@ -140,6 +131,15 @@ impl UtxoSet {
     /// The shard index this set serves.
     pub fn shard(&self) -> usize {
         self.shard
+    }
+
+    /// The account routing the set was built with.
+    pub fn routes(&self) -> &ShardTable {
+        &self.routes
+    }
+
+    fn holds(&self, account: AccountId) -> bool {
+        self.routes.shard_of(account) == self.shard
     }
 
     /// Number of UTXOs held.
@@ -171,7 +171,7 @@ impl UtxoSet {
     /// Inserts an output if its owner belongs to this shard; returns whether it
     /// was inserted. Used both at genesis and when applying a block.
     pub fn credit(&mut self, outpoint: OutPoint, output: TxOutput) -> bool {
-        if output.owner.shard(self.num_shards) != self.shard {
+        if !self.holds(output.owner) {
             return false;
         }
         if let Some(old) = self.store.insert(outpoint, output) {
@@ -211,7 +211,7 @@ impl UtxoSet {
     /// Structural checks (double-spend-within-tx, value conservation, non-empty
     /// outputs) are performed by every shard since they need no state.
     pub fn validate(&self, tx: &Transaction) -> Result<(), ValidationError> {
-        validate_for_shard(tx, self.num_shards, self.shard, |outpoint| {
+        validate_for_shard(tx, &self.routes, self.shard, |outpoint| {
             self.store.get(outpoint)
         })
     }
@@ -225,7 +225,7 @@ impl UtxoSet {
     pub fn apply(&mut self, tx: &Transaction) -> usize {
         let mut touched = 0;
         for input in tx.inputs() {
-            if input.owner.shard(self.num_shards) != self.shard {
+            if !self.holds(input.owner) {
                 continue;
             }
             if let Some(spent) = self.store.remove(&input.outpoint) {
@@ -268,7 +268,7 @@ impl UtxoSet {
     }
 }
 
-/// The authentication function `V` as shard `shard` of `num_shards` runs it,
+/// The authentication function `V` as shard `shard` of `routes` runs it,
 /// with `lookup` resolving an outpoint in that shard's state: the state-free
 /// checks (non-empty outputs, no duplicate inputs, conservation of value),
 /// then every input the shard owns must resolve to exactly the output it
@@ -276,7 +276,7 @@ impl UtxoSet {
 /// validation used during block assembly; only the lookup differs.
 fn validate_for_shard<'a>(
     tx: &Transaction,
-    num_shards: usize,
+    routes: &ShardTable,
     shard: usize,
     lookup: impl Fn(&OutPoint) -> Option<&'a TxOutput>,
 ) -> Result<(), ValidationError> {
@@ -297,7 +297,7 @@ fn validate_for_shard<'a>(
         return Err(ValidationError::ValueCreated);
     }
     for input in inputs {
-        if input.owner.shard(num_shards) != shard {
+        if routes.shard_of(input.owner) != shard {
             continue;
         }
         match lookup(&input.outpoint) {
@@ -356,10 +356,7 @@ impl UtxoOverlay {
         if let Some(created) = self.created.get(outpoint) {
             // Created outputs are routed to their owner's shard, mirroring
             // `UtxoSet::credit`'s refusal to hold foreign outputs.
-            if created.owner.shard(base.len()) == shard {
-                return Some(created);
-            }
-            return None;
+            return base[shard].holds(created.owner).then_some(created);
         }
         base[shard].get(outpoint)
     }
@@ -372,15 +369,16 @@ impl UtxoOverlay {
         tx: &Transaction,
         base: &[UtxoSet],
     ) -> Result<(), ValidationError> {
-        let m = base.len();
-        let check = |shard| validate_for_shard(tx, m, shard, |op| self.lookup(base, shard, op));
-        for shard in tx.input_shard_iter(m) {
+        let routes = base[0].routes();
+        let check =
+            |shard| validate_for_shard(tx, routes, shard, |op| self.lookup(base, shard, op));
+        for shard in ascending_shards(tx.input_owners(), routes) {
             check(shard)?;
         }
         if !tx.is_genesis() && tx.inputs().is_empty() {
             return Err(ValidationError::Empty);
         }
-        if tx.inputs().is_empty() && !base.is_empty() {
+        if tx.inputs().is_empty() {
             // Covers genesis transactions: run the structural checks once,
             // exactly as `validate_across_shards` does via the first shard.
             check(base[0].shard())?;
@@ -410,7 +408,8 @@ impl UtxoOverlay {
 /// Validates a transaction against every involved shard's UTXO set, as the
 /// referee committee conceptually does when it combines committee verdicts.
 pub fn validate_across_shards(tx: &Transaction, shards: &[UtxoSet]) -> Result<(), ValidationError> {
-    for shard_idx in tx.input_shard_iter(shards.len()) {
+    let first = &shards[0];
+    for shard_idx in ascending_shards(tx.input_owners(), first.routes()) {
         shards[shard_idx].validate(tx)?;
     }
     // A transaction with no inputs in any shard (non-genesis) cannot be valid.
@@ -420,9 +419,7 @@ pub fn validate_across_shards(tx: &Transaction, shards: &[UtxoSet]) -> Result<()
     // Still run the structural checks at least once even if it has no inputs in
     // range (covers genesis and fully-foreign transactions).
     if tx.inputs().is_empty() {
-        if let Some(first) = shards.first() {
-            first.validate(tx)?;
-        }
+        first.validate(tx)?;
     }
     Ok(())
 }
@@ -433,9 +430,23 @@ mod tests {
     use crate::transaction::{AccountId, TxInput};
     use crate::workload::{Workload, WorkloadConfig};
 
+    /// An empty map-backed set for shard `shard` of `m`, routing by the
+    /// hash alone.
+    fn empty(shard: usize, m: usize) -> UtxoSet {
+        UtxoSet::with_backend(shard, hashed(m), 0, StateBackend::Map)
+    }
+
+    /// Routing by the hash alone: a table of no accounts.
+    fn hashed(m: usize) -> ShardTable {
+        ShardTable {
+            m,
+            shards: Vec::new().into(),
+        }
+    }
+
     /// Builds `m` shard UTXO sets seeded with one 100-value UTXO per account 0..n.
     fn setup(m: usize, accounts: u64) -> (Vec<UtxoSet>, Vec<(OutPoint, TxOutput)>) {
-        let mut shards: Vec<UtxoSet> = (0..m).map(|s| UtxoSet::new(s, m)).collect();
+        let mut shards: Vec<UtxoSet> = (0..m).map(|s| empty(s, m)).collect();
         let genesis = Transaction::genesis(
             (0..accounts)
                 .map(|a| TxOutput {
@@ -484,7 +495,7 @@ mod tests {
             assert_eq!(shards[s].get(outpoint), Some(output));
         }
         // Crediting to the wrong shard is refused.
-        let mut wrong = UtxoSet::new((created[0].1.owner.shard(4) + 1) % 4, 4);
+        let mut wrong = empty((created[0].1.owner.shard(4) + 1) % 4, 4);
         assert!(!wrong.credit(created[0].0, created[0].1));
     }
 
@@ -700,9 +711,9 @@ mod tests {
             ) {
                 let m = 2usize;
                 let mut map_sets: Vec<UtxoSet> =
-                    (0..m).map(|s| UtxoSet::new(s, m)).collect();
+                    (0..m).map(|s| empty(s, m)).collect();
                 let mut smt_sets: Vec<UtxoSet> = (0..m)
-                    .map(|s| UtxoSet::with_backend(s, m, 0, StateBackend::Smt))
+                    .map(|s| UtxoSet::with_backend(s, hashed(m), 0, StateBackend::Smt))
                     .collect();
                 let mut live: Vec<(OutPoint, TxOutput)> = Vec::new();
                 let mut nonce = 0u64;
@@ -916,7 +927,7 @@ mod tests {
         let m = config.num_shards;
         let capacity = config.accounts_per_shard * 4;
         let mut sets: Vec<UtxoSet> = (0..m)
-            .map(|s| UtxoSet::with_backend(s, m, capacity, backend))
+            .map(|s| UtxoSet::with_backend(s, hashed(m), capacity, backend))
             .collect();
         for tx in workload.genesis_transactions() {
             for set in sets.iter_mut() {

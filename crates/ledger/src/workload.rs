@@ -20,7 +20,9 @@ use std::thread::JoinHandle;
 use cycledger_crypto::hmac::{below, HmacDrbg};
 
 use crate::store::StateBackend;
-use crate::transaction::{AccountId, OutPoint, Transaction, TxId, TxInput, TxOutput};
+use crate::transaction::{
+    AccountId, OutPoint, Routing, ShardTable, Transaction, TxId, TxInput, TxOutput,
+};
 use crate::utxo::UtxoSet;
 
 /// Workload configuration.
@@ -213,6 +215,8 @@ pub struct Workload {
     pending: Vec<Transaction>,
     /// Accounts grouped by shard.
     accounts_by_shard: Vec<Vec<AccountId>>,
+    /// The shard of every account id the genesis walk hashed.
+    routes: ShardTable,
     stream: DrawAhead,
     nonce: u64,
     genesis: Vec<Transaction>,
@@ -221,7 +225,8 @@ pub struct Workload {
 impl Workload {
     /// Builds a workload: mints genesis UTXOs and groups accounts by shard.
     pub fn new(config: WorkloadConfig) -> Workload {
-        assert!(config.num_shards > 0);
+        // Up to 2^16 shards: the routing table keeps a `u16` an account.
+        assert!(config.num_shards > 0 && config.num_shards <= 1 << 16);
         assert!(
             config.accounts_per_shard > 1,
             "need at least two accounts per shard"
@@ -231,19 +236,22 @@ impl Workload {
         let m = config.num_shards;
         let mut accounts_by_shard: Vec<Vec<AccountId>> = vec![Vec::new(); m];
         // Walk account ids until every shard has its quota; the hash-based shard
-        // assignment means ids are spread roughly uniformly.
-        let mut next_id = 0u64;
+        // assignment means ids are spread roughly uniformly. Each id's shard
+        // is kept: the run routes by the table.
+        let mut shards = Vec::new();
         while accounts_by_shard
             .iter()
             .any(|s| s.len() < config.accounts_per_shard)
         {
-            let account = AccountId(next_id);
-            next_id += 1;
+            let account = AccountId(shards.len() as u64);
             let shard = account.shard(m);
+            shards.push(shard as u16);
             if accounts_by_shard[shard].len() < config.accounts_per_shard {
                 accounts_by_shard[shard].push(account);
             }
         }
+        let shards = shards.into();
+        let routes = ShardTable { m, shards };
         let mut pools: Vec<Vec<(OutPoint, TxOutput)>> = vec![Vec::new(); m];
         let mut genesis = Vec::new();
         for shard_accounts in &accounts_by_shard {
@@ -256,7 +264,7 @@ impl Workload {
                 .collect();
             let tx = Transaction::genesis(outputs, genesis.len() as u64);
             for (outpoint, output) in tx.created_utxos() {
-                pools[output.owner.shard(m)].push((outpoint, output));
+                pools[routes.shard_of(output.owner)].push((outpoint, output));
             }
             genesis.push(tx);
         }
@@ -269,6 +277,7 @@ impl Workload {
             pools,
             pending: Vec::new(),
             accounts_by_shard,
+            routes,
             nonce: 0,
             genesis,
         }
@@ -298,7 +307,7 @@ impl Workload {
     /// with the chain when partitions or timeouts keep transactions out of
     /// blocks.
     pub fn confirm_packed(&mut self, packed: impl Fn(&TxId) -> bool) {
-        let m = self.config.num_shards;
+        let routes = &self.routes;
         for tx in self.pending.drain(..) {
             let id = tx.id();
             if packed(&id) {
@@ -307,7 +316,7 @@ impl Workload {
                         tx_id: id,
                         index: index as u32,
                     };
-                    self.pools[output.owner.shard(m)].push((outpoint, output));
+                    self.pools[routes.shard_of(output.owner)].push((outpoint, output));
                 }
             } else {
                 let input = tx.inputs()[0];
@@ -315,7 +324,7 @@ impl Workload {
                     owner: input.owner,
                     amount: input.amount,
                 };
-                self.pools[input.owner.shard(m)].push((input.outpoint, output));
+                self.pools[routes.shard_of(input.owner)].push((input.outpoint, output));
             }
         }
     }
@@ -353,9 +362,8 @@ impl Workload {
         &self,
         backend: StateBackend,
     ) -> impl Iterator<Item = impl FnOnce() -> UtxoSet + Send + '_> + '_ {
-        let m = self.config.num_shards;
-        let genesis = self.genesis_transactions().iter().enumerate();
-        genesis.map(move |(shard, tx)| move || UtxoSet::genesis(shard, m, backend, tx))
+        let (genesis, routes) = (self.genesis_transactions().iter().enumerate(), &self.routes);
+        genesis.map(move |(shard, tx)| move || UtxoSet::genesis(shard, routes.clone(), backend, tx))
     }
 
     /// The genesis transactions, one per shard in shard order: shard `s`'s
@@ -505,7 +513,7 @@ impl Workload {
         };
         // The input and the change come from `src_shard`'s pool, the payee
         // from `dst_shard`'s accounts: the kind holds by construction.
-        debug_assert_eq!(kind == TxKind::IntraShard, tx.is_intra_shard(m));
+        debug_assert_eq!(kind == TxKind::IntraShard, tx.is_intra_shard(&self.routes));
         Some(GeneratedTx { tx, kind })
     }
 
@@ -535,6 +543,35 @@ mod tests {
             cross_shard_ratio: cross,
             invalid_ratio: invalid,
             seed: 7,
+        }
+    }
+
+    /// The table a workload routes by is the hash: for every id its genesis
+    /// walk reached, and for an id past it, which routes by the hash itself.
+    #[test]
+    fn the_shard_table_is_the_hash_of_every_id() {
+        for (m, accounts_per_shard) in [(1, 2), (2, 1_000), (3, 77), (8, 96), (16, 5)] {
+            let wl = Workload::new(WorkloadConfig {
+                num_shards: m,
+                accounts_per_shard,
+                ..config(0.2, 0.0)
+            });
+            let (routes, len) = (&wl.routes, wl.routes.shards.len());
+            assert!(
+                len >= m * accounts_per_shard,
+                "(m, n) = ({m}, {accounts_per_shard})"
+            );
+            assert_eq!(routes.shard_count(), m);
+            for id in 0..len as u64 + 64 {
+                let account = AccountId(id);
+                assert_eq!(
+                    routes.shard_of(account),
+                    account.shard(m),
+                    "m = {m}, id {id}"
+                );
+            }
+            let last = AccountId(u64::MAX);
+            assert_eq!(routes.shard_of(last), last.shard(m));
         }
     }
 

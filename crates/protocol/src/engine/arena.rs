@@ -9,7 +9,6 @@
 //! steady-state round performs no allocations for any of this scratch.
 
 use cycledger_crypto::fxhash::FxHashSet;
-use cycledger_ledger::block::index_slices;
 use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::utxo::UtxoOverlay;
 
@@ -38,11 +37,14 @@ pub struct RoundArena {
     /// replaces the seed's per-round clone of every `UtxoSet`.
     pub overlay: UtxoOverlay,
     /// Per shard, the block positions of the transactions that touch it:
-    /// the block's slices.
-    touched: Vec<Vec<usize>>,
+    /// the block's slices (`ledger::block::index_slices`). Built once a
+    /// round, before assembly: the slice roots, propagation and each
+    /// shard's apply task all read it, so each shard visits its own
+    /// transactions instead of all m tasks walking the whole block.
+    pub(crate) touched: Vec<Vec<usize>>,
     /// The columns of one committee's certified `V List`, which block
     /// propagation names a slice's held bodies by.
-    columns: FxHashSet<TxId>,
+    pub(crate) columns: FxHashSet<TxId>,
 }
 
 impl RoundArena {
@@ -67,28 +69,6 @@ impl RoundArena {
             self.shard.resize_with(m, ShardScratch::default);
         }
         &mut self.shard[..m]
-    }
-
-    /// Indexes a block by touched shard ([`index_slices`]): entry `k`
-    /// lists, in block order, the positions of the transactions with an input
-    /// or an output in shard `k` of `m` — slice `k` of the block's body. Built
-    /// once a round, before assembly: the slice roots, propagation and each
-    /// shard's apply task all read it, so each shard visits its own
-    /// transactions instead of all m tasks walking the whole block.
-    pub fn index_by_touched_shard(&mut self, block: &[Transaction], m: usize) -> &[Vec<usize>] {
-        index_slices(block, m, &mut self.touched);
-        &self.touched
-    }
-
-    /// The index the last [`RoundArena::index_by_touched_shard`] built.
-    pub fn touched(&self) -> &[Vec<usize>] {
-        &self.touched
-    }
-
-    /// That index, beside the scratch set block propagation gathers a
-    /// committee's `V List` columns in.
-    pub fn slices_and_columns(&mut self) -> (&[Vec<usize>], &mut FxHashSet<TxId>) {
-        (&self.touched, &mut self.columns)
     }
 }
 
@@ -117,6 +97,7 @@ mod tests {
 
     #[test]
     fn block_index_lists_each_touched_shard_once_in_block_order() {
+        use cycledger_ledger::block::index_slices;
         use cycledger_ledger::transaction::{AccountId, TxInput, TxOutput};
 
         let m = 4;
@@ -153,8 +134,9 @@ mod tests {
 
         let mut arena = RoundArena::new();
         // A stale index from a larger, earlier block must not leak through.
-        arena.index_by_touched_shard(&block, m);
-        let index = arena.index_by_touched_shard(&block[..12], m).to_vec();
+        index_slices(&block, m, &mut arena.touched);
+        index_slices(&block[..12], m, &mut arena.touched);
+        let index = &arena.touched;
         assert_eq!(index.len(), m);
         for (shard, positions) in index.iter().enumerate() {
             let expected: Vec<usize> = (0..12)

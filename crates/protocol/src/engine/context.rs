@@ -3,7 +3,7 @@
 use cycledger_crypto::fxhash::FxHashSet;
 use cycledger_crypto::sha256::Digest;
 use cycledger_ledger::block::{Block, Chain};
-use cycledger_ledger::transaction::TxId;
+use cycledger_ledger::transaction::{ShardTable, TxId};
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_ledger::workload::{GeneratedTx, TxKind};
 use cycledger_net::metrics::{MetricsSink, Phase};
@@ -58,6 +58,8 @@ pub struct RoundContext<'a> {
 
     /// Mutable shard UTXO sets (simulation state).
     pub utxo_sets: &'a mut [UtxoSet],
+    /// The run's account routing, shared with the UTXO sets.
+    pub routes: ShardTable,
     /// Mutable global reputation table (simulation state).
     pub reputation: &'a mut ReputationTable,
 
@@ -138,6 +140,7 @@ impl<'a> RoundContext<'a> {
             round: env.round,
             chain,
             phase: Phase::CommitteeConfiguration,
+            routes: utxo_sets[0].routes().clone(),
             utxo_sets,
             reputation,
             committees,
@@ -166,7 +169,6 @@ impl<'a> RoundContext<'a> {
     /// Takes the transactions external users offered this round and splits
     /// them into per-shard intra lists and cross-shard transactions.
     pub fn offer(&mut self, offered: Vec<GeneratedTx>) {
-        let committee_count = self.committee_count();
         self.offered_total += offered.len();
         self.offered_valid += offered.iter().filter(|g| g.kind.is_valid()).count();
         self.offered_cross += offered
@@ -174,7 +176,7 @@ impl<'a> RoundContext<'a> {
             .filter(|g| g.kind == TxKind::CrossShard)
             .count();
         for gen in offered {
-            match gen.tx.home_shard(committee_count) {
+            match gen.tx.home_shard(&self.routes) {
                 Some(shard) => self.intra_per_shard[shard].push(gen),
                 None => self.cross_shard.push(gen),
             }
@@ -318,29 +320,5 @@ impl<'a> RoundContext<'a> {
 
         let next_assignment = self.selection.and_then(|s| s.next_assignment);
         (block_outcome.block, next_assignment, report)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    /// `offer` routes every input and output of the round through
-    /// `AccountId::shard`, whose per-thread memo must hold the largest
-    /// tracked working set: `state-smt-2x8`'s 2 x 10^5 accounts, routed a
-    /// second time, hash nothing.
-    #[cfg(feature = "opcount")]
-    #[test]
-    fn a_second_pass_over_two_hundred_thousand_accounts_hashes_nothing() {
-        use cycledger_crypto::opcount::scope;
-        use cycledger_ledger::transaction::AccountId;
-
-        let route = || {
-            for account in 0..200_000u64 {
-                std::hint::black_box(AccountId(account).shard(2));
-            }
-        };
-        let first = scope(route);
-        let second = scope(route);
-        assert!(first.sha256_blocks > 0, "{first:?}");
-        assert_eq!(second.sha256_blocks, 0, "{second:?}");
     }
 }

@@ -114,7 +114,7 @@ pub fn intra_recovery(ctx: &mut RoundContext<'_>) {
     for k in 0..m {
         let outcome = &ctx.intra_outcomes[k];
         // Work is offered transactions or outbound lists.
-        let source = |g: &GeneratedTx| xshard::pair_of(&g.tx, m).0 == k;
+        let source = |g: &GeneratedTx| xshard::pair_of(&g.tx, &ctx.routes).0 == k;
         let work_offered = !ctx.intra_per_shard[k].is_empty() || ctx.cross_shard.iter().any(source);
         if !needs_recovery(
             outcome.leader_silent,
@@ -162,7 +162,7 @@ fn run_intra_batch(ctx: &mut RoundContext<'_>, retry: Option<&[usize]>) -> Vec<I
     let committees = &ctx.committees;
     let utxo_sets: &[_] = ctx.utxo_sets;
     let intra_per_shard = &ctx.intra_per_shard;
-    let outbound = xshard::group_outbound(&ctx.cross_shard, m);
+    let outbound = xshard::group_outbound(&ctx.cross_shard, &ctx.routes);
 
     // Each task owns its committee's arena scratch slot exclusively for the
     // batch's lifetime — reusable validity tables without locks. (A retry
@@ -278,6 +278,7 @@ pub fn inter_consensus(ctx: &mut RoundContext<'_>) {
         &ctx.env,
         &ctx.committees,
         &ctx.cross_shard,
+        &ctx.routes,
         &ctx.intra_outcomes,
         ctx.executor,
         &mut ctx.books,
@@ -378,7 +379,7 @@ pub fn block_generation(ctx: &mut RoundContext<'_>) {
     let block = block_outcome.block.as_ref();
     if block.is_some() || smt {
         let touched = match block {
-            Some(_) => ctx.arena.touched(),
+            Some(_) => &ctx.arena.touched[..],
             None => &[],
         };
         let tasks: Vec<_> = ctx

@@ -18,7 +18,8 @@ use cycledger_consensus::messages::Alg3Message;
 use cycledger_consensus::votes::{Vote, VoteVector};
 use cycledger_crypto::sha256::Digest;
 use cycledger_ledger::block::{
-    Block, BlockHeader, Chain, CommitteeRow, CompactSlice, NextRoundConfig, Seat, SharedConfig,
+    index_slices, Block, BlockHeader, Chain, CommitteeRow, CompactSlice, NextRoundConfig, Seat,
+    SharedConfig,
 };
 use cycledger_ledger::utxo::UtxoSet;
 use cycledger_net::metrics::Phase;
@@ -62,7 +63,7 @@ struct Due {
 /// both. The round's `committees` receive their shards' slices, compact to
 /// the members the `intra` outcome the referee admitted shows voting.
 ///
-/// The block's slice index is left in `arena` ([`RoundArena::touched`]) for
+/// The block's slice index is left in `arena.touched` for
 /// the per-shard apply.
 ///
 /// The returned block is **not** applied to `utxo_sets`: application is
@@ -133,7 +134,8 @@ pub fn run_block_generation(
     });
     let (tip, commitments) = (chain.tip_hash(), Block::commitments_hash(recorded));
     let m = utxo_sets.len();
-    let slices = arena.index_by_touched_shard(&accepted, m);
+    let slices = &mut arena.touched;
+    index_slices(&accepted, utxo_sets[0].routes(), slices);
     let block = Block::assemble(height, tip, accepted, slices, next_round, commitments);
 
     // 3. The referee committee agrees on the block via Algorithm 3.
@@ -176,7 +178,7 @@ pub fn run_block_generation(
         config: config.share_bytes(None),
     };
     let mut due = vec![outside; all_nodes.len()];
-    let (slices, columns) = arena.slices_and_columns();
+    let (slices, columns) = (&arena.touched, &mut arena.columns);
     for committee in committees {
         let k = committee.index;
         let admitted = intra

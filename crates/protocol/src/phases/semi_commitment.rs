@@ -142,6 +142,7 @@ mod tests {
     use crate::sortition::{assign_round, AssignmentParams};
     use cycledger_crypto::sha256::sha256;
     use cycledger_ledger::block::{Block, Chain};
+    use cycledger_ledger::workload::{Workload, WorkloadConfig};
     use cycledger_net::faults::FaultPlan;
     use cycledger_reputation::ReputationTable;
 
@@ -170,7 +171,7 @@ mod tests {
     }
 
     /// The exchange at `round` then block generation on an empty chain with
-    /// no candidate, both under configuration seed `seed`: the exchange's
+    /// no candidate over genesis shards, both under configuration seed `seed`: the exchange's
     /// outcome, the block (if the referee certified one) and the books of
     /// both.
     fn exchange(
@@ -194,12 +195,17 @@ mod tests {
         let mut books = Books::default();
         let outcome = run_semi_commitment_exchange(&env, committees, &mut books.metrics);
         let reputation = ReputationTable::with_members(registry.ids());
+        let utxo_sets = Workload::new(WorkloadConfig {
+            num_shards: committees.len(),
+            ..WorkloadConfig::default()
+        })
+        .build_genesis_utxo_sets();
         let block = run_block_generation(
             &env,
             &Chain::new(),
             (None, &outcome.recorded_commitments, &[], &[]),
             &mut RoundArena::new(),
-            &[],
+            &utxo_sets,
             &reputation,
             &mut books,
         );

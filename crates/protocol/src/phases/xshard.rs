@@ -30,7 +30,7 @@ use cycledger_consensus::quorum::QuorumCertificate;
 use cycledger_consensus::transition;
 use cycledger_crypto::merkle::MerkleTree;
 use cycledger_crypto::sha256::Sha256;
-use cycledger_ledger::transaction::{Transaction, TxId};
+use cycledger_ledger::transaction::{Routing, ShardTable, Transaction, TxId};
 use cycledger_ledger::workload::GeneratedTx;
 use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::network::{NetEvent, SimNetwork};
@@ -104,10 +104,11 @@ impl PairList<'_> {
 /// The `(source, dest)` pair a cross-shard transaction travels: its least
 /// input shard, and its least output shard other than that one (its least
 /// output shard if there is none). Allocates nothing.
-pub fn pair_of(tx: &Transaction, m: usize) -> (usize, usize) {
-    let i = tx.inputs().iter().map(|input| input.owner.shard(m)).min();
+pub fn pair_of(tx: &Transaction, routes: impl Routing) -> (usize, usize) {
+    let shard = |owner| routes.shard_of(owner);
+    let i = tx.inputs().iter().map(|input| shard(input.owner)).min();
     let i = i.unwrap_or(0);
-    let outputs = || tx.outputs().iter().map(|output| output.owner.shard(m));
+    let outputs = || tx.outputs().iter().map(|output| shard(output.owner));
     let j = outputs()
         .filter(|&s| s != i)
         .min()
@@ -117,10 +118,14 @@ pub fn pair_of(tx: &Transaction, m: usize) -> (usize, usize) {
 
 /// Groups cross-shard transactions into outbound vectors by source, each in
 /// ascending destination order.
-pub fn group_outbound(txs: &[GeneratedTx], m: usize) -> BTreeMap<usize, Vec<PairList<'_>>> {
+pub fn group_outbound(
+    txs: &[GeneratedTx],
+    routes: impl Routing,
+) -> BTreeMap<usize, Vec<PairList<'_>>> {
     let mut by_pair: BTreeMap<(usize, usize), Vec<&GeneratedTx>> = BTreeMap::new();
     for gen in txs {
-        by_pair.entry(pair_of(&gen.tx, m)).or_default().push(gen);
+        let pair = pair_of(&gen.tx, routes);
+        by_pair.entry(pair).or_default().push(gen);
     }
     let mut outbound: BTreeMap<usize, Vec<PairList<'_>>> = BTreeMap::new();
     for ((source, dest), txs) in by_pair {
@@ -366,6 +371,7 @@ pub fn run_phase(
     env: &RoundEnv<'_>,
     committees: &[Committee],
     cross_shard: &[GeneratedTx],
+    routes: &ShardTable,
     intra: &[IntraOutcome],
     executor: &ShardExecutor,
     books: &mut Books,
@@ -374,7 +380,7 @@ pub fn run_phase(
     let mut outcome = InterOutcome::default();
     outcome.accepted.resize(m, Vec::new());
 
-    let outbound = group_outbound(cross_shard, m).into_iter();
+    let outbound = group_outbound(cross_shard, routes).into_iter();
     let certified = outbound.filter_map(|(i, lists)| {
         let overhead = forward_overhead(&intra[i])?;
         let decision = intra[i].outbound_decision();
@@ -554,8 +560,11 @@ mod tests {
             let env = RoundEnv { plan, ..self.env() };
             let (executor, mut books) = (ShardExecutor::new(workers), Books::default());
             let intra = self.intra();
-            let committees = &self.committees;
-            let outcome = run_phase(&env, committees, &self.cross, &intra, &executor, &mut books);
+            let (committees, routes) = (&self.committees, self.utxo_sets[0].routes());
+            let cross = &self.cross;
+            let outcome = run_phase(
+                &env, committees, cross, routes, &intra, &executor, &mut books,
+            );
             (outcome, books)
         }
 

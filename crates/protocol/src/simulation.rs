@@ -250,7 +250,7 @@ impl Simulation {
         if let Some(block) = block {
             packed.extend(block.transactions.iter().map(|t| t.id()));
             self.chain
-                .append(block)
+                .append(block, self.utxo_sets[0].routes())
                 .expect("round driver produced a block that does not extend the chain");
         }
         // The block is applied: the outputs of the transactions *in it* are
@@ -1265,15 +1265,23 @@ mod tests {
         }
     }
 
+    /// Builds the process's constant tables (`G`'s, the zero HMAC key), so
+    /// that a count taken after it holds a simulation's own work alone.
+    #[cfg(feature = "opcount")]
+    fn build_constant_tables() {
+        use cycledger_crypto::schnorr::{verify, Keypair};
+        let keypair = Keypair::from_seed(b"constant tables");
+        assert!(verify(&keypair.public, b"", &keypair.sign(b"")));
+    }
+
     /// At two workers the two genesis sets are built off the driver thread:
     /// `Simulation::new` hashes exactly as much there on the tree backend
-    /// as on the flat map, so no genesis fold runs on the driver. (A first
-    /// set-up warms the driver's shard-routing memo, which the workload's
-    /// account walk fills and the later ones read.)
+    /// as on the flat map, so no genesis fold runs on the driver.
     #[cfg(feature = "opcount")]
     #[test]
     fn the_genesis_fold_runs_off_the_driver_thread() {
         use cycledger_ledger::StateBackend;
+        build_constant_tables();
         let compressions = |state_backend| {
             let config = ProtocolConfig {
                 state_backend,
@@ -1282,10 +1290,39 @@ mod tests {
             };
             cycledger_crypto::opcount::scope(|| Simulation::new(config).unwrap()).sha256_blocks
         };
-        compressions(StateBackend::Map);
         let map = compressions(StateBackend::Map);
         assert!(map > 0);
         assert_eq!(compressions(StateBackend::Smt), map);
+    }
+
+    /// A simulation leaves no work done for the next one on its thread: two
+    /// set-ups of one configuration, back to back, count the same
+    /// operations, and so do their first rounds. One worker, so every task
+    /// runs on this thread and is counted.
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn a_second_simulation_on_a_thread_does_the_same_work() {
+        use cycledger_crypto::opcount::scope;
+        build_constant_tables();
+        let run = || {
+            let config = ProtocolConfig {
+                worker_threads: 1,
+                ..small_config()
+            };
+            let mut sim = None;
+            let set_up = scope(|| sim = Some(Simulation::new(config).unwrap()));
+            let mut sim = sim.unwrap();
+            let round = scope(|| {
+                sim.run_round();
+            });
+            (set_up, round)
+        };
+        let first = run();
+        assert!(
+            first.0.sha256_blocks > 0 && first.1.vrf_proofs_checked > 0,
+            "{first:?}"
+        );
+        assert_eq!(run(), first);
     }
 
     #[test]

@@ -129,7 +129,7 @@ fn lottery_value(round: u64, randomness: &Digest, node: NodeId, role: &str) -> u
     .prefix_u64()
 }
 
-/// Sortition proofs checked as one `vrf::verify_batch` group, one executor
+/// Sortition proofs checked as one `vrf::Prover::verify_batch` group, one executor
 /// task each. Groups are cut by proof index, so where a forged proof sends
 /// its group down the per-proof path is the same at every worker count.
 pub(crate) const PROOFS_PER_GROUP: usize = 8;
@@ -217,7 +217,8 @@ impl SortitionBase {
     /// reputation table. The common members' VRF sortition (step 4) is one
     /// `executor` batch: each task evaluates the proofs of a group of
     /// `PROOFS_PER_GROUP` participants, as they submit them, and checks the
-    /// group with `vrf::verify_batch`. A participant whose proof fails is
+    /// group with the base's `vrf::Prover::verify_batch`, on the `H` the
+    /// evaluations used. A participant whose proof fails is
     /// seated nowhere. The assignment is identical at any worker count:
     /// verdicts come back in proof order and the committees are filled
     /// serially from them.
@@ -318,7 +319,6 @@ impl SortitionBase {
             .chain(&syncing)
             .copied()
             .collect();
-        let input = &RoundAssignment::sortition_input(round, &randomness);
         let groups = sortitioned.chunks(PROOFS_PER_GROUP).map(|group| {
             move || {
                 let proofs: Vec<_> = group
@@ -330,7 +330,7 @@ impl SortitionBase {
                     .zip(&proofs)
                     .map(|(&id, output)| (&registry.node(id).verifying_key, output))
                     .collect();
-                let valid = vrf::verify_batch(input, &entries);
+                let valid = self.prover.verify_batch(&entries);
                 (proofs, valid)
             }
         });
@@ -442,16 +442,17 @@ mod tests {
     /// nodes, 8 committees). Each lottery value is a two-block hash and each
     /// sort computes it once per node: 128 for the referee lottery, 113 for
     /// the partial-set lottery and 113 more for its committee draw are 708
-    /// compressions; all but 5 of the next 3 812 are the 81 common members'
-    /// VRF evaluations, 47 each. At commit ee421ab the two sorts hashed both
-    /// sides of every comparison and this assignment cost 13 264; until every
-    /// evaluation went through one `vrf::Prover`, each also looked the round's
-    /// `hash_to_curve` base up in its memo (3 compressions), for 4 760. The
-    /// other 2 783 are the draw checking the 81 proofs, one
-    /// `vrf::verify_batch` a group: ten groups of eight at 272 each (the
-    /// crypto crate pins that group) and a last group of one at 63 — 5 361
-    /// while every coefficient came from a generator of its own. Before the
-    /// draw checked its proofs this assignment cost 4 520.
+    /// compressions. The round's `vrf::Prover` hashes its input to the
+    /// curve in two tries of two blocks (4), and the 81 common members'
+    /// VRF evaluations on it cost 3 805. The other 2 750 are the draw
+    /// checking the 81 proofs, one `Prover::verify_batch` a group: ten
+    /// groups of eight at 270 each and a last group of one at 50 (5 361
+    /// while every coefficient came from a generator of its own). Until the
+    /// checks took the prover's base, the prover and each group also looked
+    /// it up in a process-wide `hash_to_curve` memo under a three-block
+    /// key: 12 × 3 more, 7 303. At commit ee421ab the two sorts hashed both
+    /// sides of every comparison and this assignment cost 13 264; before
+    /// the draw checked its proofs it cost 4 520.
     #[cfg(feature = "opcount")]
     #[test]
     fn the_lottery_sorts_hash_once_per_node() {
@@ -469,7 +470,7 @@ mod tests {
         let mut assignment = None;
         let tally = scope(|| assignment = Some(assign(1)));
         let sortitioned = proof_order(&assignment.unwrap(), &registry).len();
-        assert_eq!((sortitioned, tally.sha256_blocks), (81, 7303));
+        assert_eq!((sortitioned, tally.sha256_blocks), (81, 7267));
     }
 
     /// An all-honest population loses no seat to the proof check: the draw's
@@ -499,7 +500,7 @@ mod tests {
             .zip(&proofs)
             .map(|(&id, output)| (&registry.node(id).keypair.public, output))
             .collect();
-        let valid = vrf::verify_batch(&input, &entries);
+        let valid = prover.verify_batch(&entries);
         assert_eq!(valid.len(), 60 - 7 - 4 * (1 + 3));
         assert!(valid.iter().all(|&v| v), "no honest proof is rejected");
     }

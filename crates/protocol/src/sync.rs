@@ -258,7 +258,7 @@ mod tests {
                 NextRoundConfig::default(),
                 Block::commitments_hash(&[]),
             );
-            chain.append(block).expect("test chain links");
+            chain.append(block, 0).expect("test chain links");
         }
         chain
     }

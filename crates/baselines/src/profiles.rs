@@ -100,12 +100,16 @@ fn clique_channels(nodes: u64) -> u64 {
 }
 
 /// Channels CycLedger's topology needs: per-committee cliques, the key-member
-/// mesh, key-member↔referee links and the referee clique (§III-B).
+/// mesh less the pairs a committee's clique already holds, key-member↔referee
+/// links and the referee clique (§III-B). The same count as
+/// `RoundAssignment::channel_count` in the protocol crate: a committee's key
+/// members are its leader and partial set, at most all `c` of it.
 pub fn cycledger_channels(params: &ComparisonParams, referee_size: u64) -> u64 {
-    let key_members_per_committee = params.lambda as u64 + 1;
+    let key_members_per_committee = (params.lambda as u64 + 1).min(params.c);
     let key_members = params.m * key_members_per_committee;
     let per_committee = clique_channels(params.c);
-    let key_mesh = clique_channels(key_members);
+    let key_mesh =
+        clique_channels(key_members) - params.m * clique_channels(key_members_per_committee);
     let to_referee = key_members * referee_size;
     let referee_clique = clique_channels(referee_size);
     params.m * per_committee + key_mesh + to_referee + referee_clique
@@ -237,6 +241,55 @@ mod tests {
             "CycLedger {} vs clique {}",
             cyc.connection_channels,
             rapid.connection_channels
+        );
+    }
+
+    #[test]
+    fn cycledger_channels_count_each_pair_once() {
+        // Brute force: lay the committees and the referee committee out as
+        // disjoint node ranges, add every pair the topology links to one
+        // set, and count what is left distinct.
+        for (m, c, lambda, referee) in [(2u64, 4u64, 1u32, 3u64), (3, 5, 2, 4), (2, 3, 4, 2)] {
+            let key_per = (lambda as u64 + 1).min(c);
+            let committee = |k: u64| k * c..(k + 1) * c;
+            let keys: Vec<u64> = (0..m)
+                .flat_map(|k| committee(k).take(key_per as usize))
+                .collect();
+            let referees: Vec<u64> = (m * c..m * c + referee).collect();
+            let mut pairs = std::collections::BTreeSet::new();
+            let mut link = |a: u64, b: u64| {
+                if a != b {
+                    pairs.insert((a.min(b), a.max(b)));
+                }
+            };
+            for k in 0..m {
+                for a in committee(k) {
+                    committee(k).for_each(|b| link(a, b));
+                }
+            }
+            for &a in &keys {
+                keys.iter().for_each(|&b| link(a, b));
+                referees.iter().for_each(|&r| link(a, r));
+            }
+            for &a in &referees {
+                referees.iter().for_each(|&b| link(a, b));
+            }
+            let params = ComparisonParams {
+                n: m * c,
+                m,
+                c,
+                lambda,
+            };
+            assert_eq!(
+                cycledger_channels(&params, referee),
+                pairs.len() as u64,
+                "m {m}, c {c}, lambda {lambda}, referee {referee}"
+            );
+        }
+        // Table I's geometry: the key mesh less m·C(41, 2) = 8 200 pairs.
+        assert_eq!(
+            cycledger_channels(&ComparisonParams::paper_default(), 200),
+            376_545
         );
     }
 

@@ -7,6 +7,10 @@
 //! [`Sha256`] hasher plus convenience one-shot helpers.
 //! Compression runs on SHA-NI where the CPU has it, bit-identically; a batch
 //! of independent messages ([`sha256_many`]) is hashed in pairs, nothing wider.
+//! One SHA-NI kernel body expands for one lane and for two, its round
+//! constants taken from the scalar table `K` at compile time
+//! (`crates/crypto/DESIGN-notes.md`, "Hardware dispatch", says how its
+//! machine code was checked).
 
 use crate::opcount::{count, Op};
 
@@ -276,10 +280,12 @@ pub(crate) fn compress_pair(states: &mut [[u32; 8]; 2], blocks: &[[u8; BLOCK_LEN
 }
 
 /// Hardware SHA-256 (x86-64 SHA New Instructions), the standard ABEF/CDGH
-/// two-lane formulation.
+/// formulation (Gulley et al., "Intel SHA Extensions", 2013): one kernel
+/// body, `kernel!`, expanded for one lane (`compress`) and for two
+/// (`compress2`).
 #[cfg(target_arch = "x86_64")]
 mod shani {
-    use super::BLOCK_LEN;
+    use super::{BLOCK_LEN, K};
     use core::arch::x86_64::*;
 
     /// True when the CPU exposes the SHA extensions (checked once).
@@ -292,233 +298,132 @@ mod shani {
         })
     }
 
+    /// Round group `g`'s constants `K[4g..4g+4]` as the `(hi, lo)` halves
+    /// `_mm_set_epi64x` takes: `K[4g+3]:K[4g+2]` and `K[4g+1]:K[4g]`.
+    const fn k4(g: usize) -> (i64, i64) {
+        let k = [
+            K[4 * g] as u64,
+            K[4 * g + 1] as u64,
+            K[4 * g + 2] as u64,
+            K[4 * g + 3] as u64,
+        ];
+        ((k[3] << 32 | k[2]) as i64, (k[1] << 32 | k[0]) as i64)
+    }
+
+    /// The SHA-NI compression of one or two lanes. A lane is
+    /// `(state, block; s0, s1, abef, cdgh, m0, m1, m2, m3, w, t)`: its state
+    /// and block, then the names of its registers — the ABEF / CDGH state
+    /// halves and their saved copies, the four message vectors, and two
+    /// temporaries. Every statement is issued lane by lane, so two lanes'
+    /// dependency chains alternate in the pipeline: `sha256rnds2` has several
+    /// cycles of latency but near-single-cycle throughput, and a lone chain
+    /// leaves the SHA unit mostly idle between dependent rounds.
+    ///
+    /// The 64 rounds are 16 groups of four: three on the raw message words,
+    /// twelve steady groups whose message vectors rotate with period four,
+    /// and a last one with nothing left to schedule.
+    macro_rules! kernel {
+        ($(($state:ident, $block:ident;
+            $s0:ident, $s1:ident, $abef:ident, $cdgh:ident,
+            $m0:ident, $m1:ident, $m2:ident, $m3:ident, $w:ident, $t:ident)),+) => {{
+            // The last steady groups still run their `msg1` half-steps to
+            // keep the groups uniform; those results are never read.
+            #![allow(unused_assignments)]
+            // Byte-swap mask: the message words are big-endian in the block.
+            let mask = _mm_set_epi64x(
+                0x0c0d_0e0f_0809_0a0bu64 as i64,
+                0x0405_0607_0001_0203u64 as i64,
+            );
+            $(
+                // Load state (a..h) and shuffle into the ABEF / CDGH lane
+                // order the SHA instructions expect.
+                let $t = _mm_loadu_si128($state.as_ptr().cast::<__m128i>());
+                let mut $s1 = _mm_loadu_si128($state.as_ptr().add(4).cast::<__m128i>());
+                let $t = _mm_shuffle_epi32($t, 0xB1); // CDAB
+                $s1 = _mm_shuffle_epi32($s1, 0x1B); // EFGH
+                let mut $s0 = _mm_alignr_epi8($t, $s1, 8); // ABEF
+                $s1 = _mm_blend_epi16($s1, $t, 0xF0); // CDGH
+                let $abef = $s0;
+                let $cdgh = $s1;
+                let p = $block.as_ptr().cast::<__m128i>();
+                let mut $m0 = _mm_shuffle_epi8(_mm_loadu_si128(p), mask);
+                let mut $m1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask);
+                let mut $m2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask);
+                let mut $m3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask);
+            )+
+
+            // Rounds 0-11: raw message words, with the first msg1 steps.
+            kernel!(@group 0; $(($s0, $s1, $m0, $w)),+);
+            kernel!(@group 1; $(($s0, $s1, $m1, $w)),+);
+            $($m0 = _mm_sha256msg1_epu32($m0, $m1);)+
+            kernel!(@group 2; $(($s0, $s1, $m2, $w)),+);
+            $($m1 = _mm_sha256msg1_epu32($m1, $m2);)+
+
+            // Rounds 12-59: steady state, (current, next, previous) vectors.
+            kernel!(@group 3; $(($s0, $s1, $m3, $w; $m0, $m2, $t)),+);
+            kernel!(@group 4; $(($s0, $s1, $m0, $w; $m1, $m3, $t)),+);
+            kernel!(@group 5; $(($s0, $s1, $m1, $w; $m2, $m0, $t)),+);
+            kernel!(@group 6; $(($s0, $s1, $m2, $w; $m3, $m1, $t)),+);
+            kernel!(@group 7; $(($s0, $s1, $m3, $w; $m0, $m2, $t)),+);
+            kernel!(@group 8; $(($s0, $s1, $m0, $w; $m1, $m3, $t)),+);
+            kernel!(@group 9; $(($s0, $s1, $m1, $w; $m2, $m0, $t)),+);
+            kernel!(@group 10; $(($s0, $s1, $m2, $w; $m3, $m1, $t)),+);
+            kernel!(@group 11; $(($s0, $s1, $m3, $w; $m0, $m2, $t)),+);
+            kernel!(@group 12; $(($s0, $s1, $m0, $w; $m1, $m3, $t)),+);
+            kernel!(@group 13; $(($s0, $s1, $m1, $w; $m2, $m0, $t)),+);
+            kernel!(@group 14; $(($s0, $s1, $m2, $w; $m3, $m1, $t)),+);
+
+            // Rounds 60-63: last group, nothing left to schedule.
+            kernel!(@group 15; $(($s0, $s1, $m3, $w)),+);
+
+            $(
+                // Add the saved state back and restore the a..h word order.
+                $s0 = _mm_add_epi32($s0, $abef);
+                $s1 = _mm_add_epi32($s1, $cdgh);
+                let $t = _mm_shuffle_epi32($s0, 0x1B); // FEBA
+                $s1 = _mm_shuffle_epi32($s1, 0xB1); // DCHG
+                $s0 = _mm_blend_epi16($t, $s1, 0xF0); // DCBA
+                $s1 = _mm_alignr_epi8($s1, $t, 8); // HGFE
+                _mm_storeu_si128($state.as_mut_ptr().cast::<__m128i>(), $s0);
+                _mm_storeu_si128($state.as_mut_ptr().add(4).cast::<__m128i>(), $s1);
+            )+
+        }};
+        // Rounds 4g..4g+3 on `$cur` = w[4g..4g+3], two per sha256rnds2. A
+        // steady group also finishes the schedule of `$next` (w[4g+4..4g+7])
+        // from `$cur` and `$prev` (w[4g-4..4g-1]) and runs the first
+        // sha256msg1 step of `$prev`'s successor.
+        (@group $g:literal;
+         $(($s0:ident, $s1:ident, $cur:ident, $w:ident $(; $next:ident, $prev:ident, $t:ident)?)),+) => {{
+            let (k_hi, k_lo) = const { k4($g) };
+            let k = _mm_set_epi64x(k_hi, k_lo);
+            $(let mut $w = _mm_add_epi32($cur, k);)+
+            $($s1 = _mm_sha256rnds2_epu32($s1, $s0, $w);)+
+            $($(let $t = _mm_alignr_epi8($cur, $prev, 4);)?)+
+            $($($next = _mm_add_epi32($next, $t);)?)+
+            $($($next = _mm_sha256msg2_epu32($next, $cur);)?)+
+            $($w = _mm_shuffle_epi32($w, 0x0E);)+
+            $($s0 = _mm_sha256rnds2_epu32($s0, $s1, $w);)+
+            $($($prev = _mm_sha256msg1_epu32($prev, $cur);)?)+
+        }};
+    }
+
+    /// One compression.
+    ///
     /// # Safety
     /// Caller must ensure the `sha`, `ssse3` and `sse4.1` CPU features are
     /// present (see [`available`]).
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub unsafe fn compress(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
-        // Four rounds per _mm_sha256rnds2_epu32 pair; K constants packed
-        // little-endian into 128-bit lanes (K[i+1]:K[i] per 64-bit half).
-        macro_rules! rounds4 {
-            ($state0:ident, $state1:ident, $msg_vec:expr, $k_hi:expr, $k_lo:expr) => {{
-                let mut msg = _mm_add_epi32($msg_vec, _mm_set_epi64x($k_hi, $k_lo));
-                $state1 = _mm_sha256rnds2_epu32($state1, $state0, msg);
-                msg = _mm_shuffle_epi32(msg, 0x0E);
-                $state0 = _mm_sha256rnds2_epu32($state0, $state1, msg);
-            }};
-        }
-
-        // Load state (a..h) and shuffle into the ABEF / CDGH lane order the
-        // SHA instructions expect.
-        let tmp = _mm_loadu_si128(state.as_ptr().cast::<__m128i>());
-        let mut state1 = _mm_loadu_si128(state.as_ptr().add(4).cast::<__m128i>());
-        let tmp = _mm_shuffle_epi32(tmp, 0xB1); // CDAB
-        state1 = _mm_shuffle_epi32(state1, 0x1B); // EFGH
-        let mut state0 = _mm_alignr_epi8(tmp, state1, 8); // ABEF
-        state1 = _mm_blend_epi16(state1, tmp, 0xF0); // CDGH
-        let abef_save = state0;
-        let cdgh_save = state1;
-
-        // Byte-swap mask: the message words are big-endian in the block.
-        let mask = _mm_set_epi64x(
-            0x0c0d_0e0f_0809_0a0bu64 as i64,
-            0x0405_0607_0001_0203u64 as i64,
-        );
-        let p = block.as_ptr().cast::<__m128i>();
-        let mut msg0 = _mm_shuffle_epi8(_mm_loadu_si128(p), mask);
-        let mut msg1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), mask);
-        let mut msg2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), mask);
-        let mut msg3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), mask);
-
-        // A steady-state group of four rounds t..t+3: `$cur` already holds
-        // w[t..t+3]. The group consumes it, finishes the schedule of `$next`
-        // (w[t+4..t+7]) from `$cur` and `$prev` (w[t-4..t-1]), and runs the
-        // first sha256msg1 step of `$prev`'s successor.
-        macro_rules! schedule4 {
-            ($state0:ident, $state1:ident,
-             $cur:ident, $next:ident, $prev:ident,
-             $k_hi:expr, $k_lo:expr) => {{
-                let mut msg = _mm_add_epi32($cur, _mm_set_epi64x($k_hi, $k_lo));
-                $state1 = _mm_sha256rnds2_epu32($state1, $state0, msg);
-                let tmp = _mm_alignr_epi8($cur, $prev, 4);
-                $next = _mm_add_epi32($next, tmp);
-                $next = _mm_sha256msg2_epu32($next, $cur);
-                msg = _mm_shuffle_epi32(msg, 0x0E);
-                $state0 = _mm_sha256rnds2_epu32($state0, $state1, msg);
-                $prev = _mm_sha256msg1_epu32($prev, $cur);
-                let _ = $prev; // the last groups schedule nothing further
-            }};
-        }
-
-        // Rounds 0-11: raw message words, with the first msg1 steps.
-        rounds4!(
-            state0,
-            state1,
-            msg0,
-            0xE9B5DBA5B5C0FBCFu64 as i64,
-            0x71374491428A2F98u64 as i64
-        );
-        rounds4!(
-            state0,
-            state1,
-            msg1,
-            0xAB1C5ED5923F82A4u64 as i64,
-            0x59F111F13956C25Bu64 as i64
-        );
-        msg0 = _mm_sha256msg1_epu32(msg0, msg1);
-        rounds4!(
-            state0,
-            state1,
-            msg2,
-            0x550C7DC3243185BEu64 as i64,
-            0x12835B01D807AA98u64 as i64
-        );
-        msg1 = _mm_sha256msg1_epu32(msg1, msg2);
-
-        // Rounds 12-59: steady-state schedule, one vector per group.
-        schedule4!(
-            state0,
-            state1,
-            msg3,
-            msg0,
-            msg2,
-            0xC19BF1749BDC06A7u64 as i64,
-            0x80DEB1FE72BE5D74u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg0,
-            msg1,
-            msg3,
-            0x240CA1CC0FC19DC6u64 as i64,
-            0xEFBE4786E49B69C1u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg1,
-            msg2,
-            msg0,
-            0x76F988DA5CB0A9DCu64 as i64,
-            0x4A7484AA2DE92C6Fu64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg2,
-            msg3,
-            msg1,
-            0xBF597FC7B00327C8u64 as i64,
-            0xA831C66D983E5152u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg3,
-            msg0,
-            msg2,
-            0x1429296706CA6351u64 as i64,
-            0xD5A79147C6E00BF3u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg0,
-            msg1,
-            msg3,
-            0x53380D134D2C6DFCu64 as i64,
-            0x2E1B213827B70A85u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg1,
-            msg2,
-            msg0,
-            0x92722C8581C2C92Eu64 as i64,
-            0x766A0ABB650A7354u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg2,
-            msg3,
-            msg1,
-            0xC76C51A3C24B8B70u64 as i64,
-            0xA81A664BA2BFE8A1u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg3,
-            msg0,
-            msg2,
-            0x106AA070F40E3585u64 as i64,
-            0xD6990624D192E819u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg0,
-            msg1,
-            msg3,
-            0x34B0BCB52748774Cu64 as i64,
-            0x1E376C0819A4C116u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg1,
-            msg2,
-            msg0,
-            0x682E6FF35B9CCA4Fu64 as i64,
-            0x4ED8AA4A391C0CB3u64 as i64
-        );
-        schedule4!(
-            state0,
-            state1,
-            msg2,
-            msg3,
-            msg1,
-            0x8CC7020884C87814u64 as i64,
-            0x78A5636F748F82EEu64 as i64
-        );
-
-        // Rounds 60-63: last group, nothing left to schedule.
-        rounds4!(
-            state0,
-            state1,
-            msg3,
-            0xC67178F2BEF9A3F7u64 as i64,
-            0xA4506CEB90BEFFFAu64 as i64
-        );
-
-        // Add the saved state back and restore the a..h word order.
-        state0 = _mm_add_epi32(state0, abef_save);
-        state1 = _mm_add_epi32(state1, cdgh_save);
-        let tmp = _mm_shuffle_epi32(state0, 0x1B); // FEBA
-        state1 = _mm_shuffle_epi32(state1, 0xB1); // DCHG
-        state0 = _mm_blend_epi16(tmp, state1, 0xF0); // DCBA
-        state1 = _mm_alignr_epi8(state1, tmp, 8); // HGFE
-        _mm_storeu_si128(state.as_mut_ptr().cast::<__m128i>(), state0);
-        _mm_storeu_si128(state.as_mut_ptr().add(4).cast::<__m128i>(), state1);
+        kernel!((state, block; s0, s1, abef, cdgh, m0, m1, m2, m3, w, t));
     }
 
-    /// Two independent compressions, round-interleaved.
-    ///
-    /// `sha256rnds2` has several cycles of latency but near-single-cycle
-    /// throughput, so a lone chain leaves the SHA unit mostly idle between
-    /// dependent rounds. Interleaving two independent chains (12 live `xmm`
-    /// values, within the 16-register budget) fills those bubbles.
-    /// Lane results are bit-identical to two [`compress`] calls.
+    /// Two independent compressions, round-interleaved, each lane
+    /// bit-identical to a [`compress`] call (12 live `xmm` values, within
+    /// the 16-register budget).
     ///
     /// # Safety
     /// Caller must ensure the `sha`, `ssse3` and `sse4.1` CPU features are
     /// present (see [`available`]).
-    // The last message-schedule groups still run their `msg1` half-steps to
-    // keep the macro uniform; those final results are intentionally unread.
-    #[allow(unused_assignments)]
     #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
     pub unsafe fn compress2(
         state_a: &mut [u32; 8],
@@ -526,308 +431,10 @@ mod shani {
         block_a: &[u8; BLOCK_LEN],
         block_b: &[u8; BLOCK_LEN],
     ) {
-        // Both lanes advance in lockstep through the same round groups as
-        // `compress`; every hardware instruction is issued for lane A then
-        // lane B so the two dependency chains alternate in the pipeline.
-        macro_rules! rounds4x2 {
-            ($s0a:ident, $s1a:ident, $ma:expr, $s0b:ident, $s1b:ident, $mb:expr,
-             $k_hi:expr, $k_lo:expr) => {{
-                let k = _mm_set_epi64x($k_hi, $k_lo);
-                let mut msg_a = _mm_add_epi32($ma, k);
-                let mut msg_b = _mm_add_epi32($mb, k);
-                $s1a = _mm_sha256rnds2_epu32($s1a, $s0a, msg_a);
-                $s1b = _mm_sha256rnds2_epu32($s1b, $s0b, msg_b);
-                msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-                msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-                $s0a = _mm_sha256rnds2_epu32($s0a, $s1a, msg_a);
-                $s0b = _mm_sha256rnds2_epu32($s0b, $s1b, msg_b);
-            }};
-        }
-
-        macro_rules! schedule4x2 {
-            ($s0a:ident, $s1a:ident, $cura:ident, $nexta:ident, $preva:ident,
-             $s0b:ident, $s1b:ident, $curb:ident, $nextb:ident, $prevb:ident,
-             $k_hi:expr, $k_lo:expr) => {{
-                let k = _mm_set_epi64x($k_hi, $k_lo);
-                let mut msg_a = _mm_add_epi32($cura, k);
-                let mut msg_b = _mm_add_epi32($curb, k);
-                $s1a = _mm_sha256rnds2_epu32($s1a, $s0a, msg_a);
-                $s1b = _mm_sha256rnds2_epu32($s1b, $s0b, msg_b);
-                let tmp_a = _mm_alignr_epi8($cura, $preva, 4);
-                let tmp_b = _mm_alignr_epi8($curb, $prevb, 4);
-                $nexta = _mm_add_epi32($nexta, tmp_a);
-                $nextb = _mm_add_epi32($nextb, tmp_b);
-                $nexta = _mm_sha256msg2_epu32($nexta, $cura);
-                $nextb = _mm_sha256msg2_epu32($nextb, $curb);
-                msg_a = _mm_shuffle_epi32(msg_a, 0x0E);
-                msg_b = _mm_shuffle_epi32(msg_b, 0x0E);
-                $s0a = _mm_sha256rnds2_epu32($s0a, $s1a, msg_a);
-                $s0b = _mm_sha256rnds2_epu32($s0b, $s1b, msg_b);
-                $preva = _mm_sha256msg1_epu32($preva, $cura);
-                $prevb = _mm_sha256msg1_epu32($prevb, $curb);
-            }};
-        }
-
-        macro_rules! load_lane {
-            ($state:ident, $block:ident,
-             $s0:ident, $s1:ident, $abef:ident, $cdgh:ident,
-             $m0:ident, $m1:ident, $m2:ident, $m3:ident, $mask:ident) => {
-                let tmp = _mm_loadu_si128($state.as_ptr().cast::<__m128i>());
-                let mut $s1 = _mm_loadu_si128($state.as_ptr().add(4).cast::<__m128i>());
-                let tmp = _mm_shuffle_epi32(tmp, 0xB1); // CDAB
-                $s1 = _mm_shuffle_epi32($s1, 0x1B); // EFGH
-                let mut $s0 = _mm_alignr_epi8(tmp, $s1, 8); // ABEF
-                $s1 = _mm_blend_epi16($s1, tmp, 0xF0); // CDGH
-                let $abef = $s0;
-                let $cdgh = $s1;
-                let p = $block.as_ptr().cast::<__m128i>();
-                let mut $m0 = _mm_shuffle_epi8(_mm_loadu_si128(p), $mask);
-                let mut $m1 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(1)), $mask);
-                let mut $m2 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(2)), $mask);
-                let mut $m3 = _mm_shuffle_epi8(_mm_loadu_si128(p.add(3)), $mask);
-            };
-        }
-
-        macro_rules! store_lane {
-            ($state:ident, $s0:ident, $s1:ident, $abef:ident, $cdgh:ident) => {
-                $s0 = _mm_add_epi32($s0, $abef);
-                $s1 = _mm_add_epi32($s1, $cdgh);
-                let tmp = _mm_shuffle_epi32($s0, 0x1B); // FEBA
-                $s1 = _mm_shuffle_epi32($s1, 0xB1); // DCHG
-                $s0 = _mm_blend_epi16(tmp, $s1, 0xF0); // DCBA
-                $s1 = _mm_alignr_epi8($s1, tmp, 8); // HGFE
-                _mm_storeu_si128($state.as_mut_ptr().cast::<__m128i>(), $s0);
-                _mm_storeu_si128($state.as_mut_ptr().add(4).cast::<__m128i>(), $s1);
-            };
-        }
-
-        let mask = _mm_set_epi64x(
-            0x0c0d_0e0f_0809_0a0bu64 as i64,
-            0x0405_0607_0001_0203u64 as i64,
+        kernel!(
+            (state_a, block_a; s0a, s1a, abef_a, cdgh_a, m0a, m1a, m2a, m3a, wa, ta),
+            (state_b, block_b; s0b, s1b, abef_b, cdgh_b, m0b, m1b, m2b, m3b, wb, tb)
         );
-        load_lane!(state_a, block_a, s0a, s1a, abef_a, cdgh_a, m0a, m1a, m2a, m3a, mask);
-        load_lane!(state_b, block_b, s0b, s1b, abef_b, cdgh_b, m0b, m1b, m2b, m3b, mask);
-
-        // Rounds 0-11: raw message words, with the first msg1 steps.
-        rounds4x2!(
-            s0a,
-            s1a,
-            m0a,
-            s0b,
-            s1b,
-            m0b,
-            0xE9B5DBA5B5C0FBCFu64 as i64,
-            0x71374491428A2F98u64 as i64
-        );
-        rounds4x2!(
-            s0a,
-            s1a,
-            m1a,
-            s0b,
-            s1b,
-            m1b,
-            0xAB1C5ED5923F82A4u64 as i64,
-            0x59F111F13956C25Bu64 as i64
-        );
-        m0a = _mm_sha256msg1_epu32(m0a, m1a);
-        m0b = _mm_sha256msg1_epu32(m0b, m1b);
-        rounds4x2!(
-            s0a,
-            s1a,
-            m2a,
-            s0b,
-            s1b,
-            m2b,
-            0x550C7DC3243185BEu64 as i64,
-            0x12835B01D807AA98u64 as i64
-        );
-        m1a = _mm_sha256msg1_epu32(m1a, m2a);
-        m1b = _mm_sha256msg1_epu32(m1b, m2b);
-
-        // Rounds 12-59: steady-state schedule (same rotation as `compress`).
-        schedule4x2!(
-            s0a,
-            s1a,
-            m3a,
-            m0a,
-            m2a,
-            s0b,
-            s1b,
-            m3b,
-            m0b,
-            m2b,
-            0xC19BF1749BDC06A7u64 as i64,
-            0x80DEB1FE72BE5D74u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m0a,
-            m1a,
-            m3a,
-            s0b,
-            s1b,
-            m0b,
-            m1b,
-            m3b,
-            0x240CA1CC0FC19DC6u64 as i64,
-            0xEFBE4786E49B69C1u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m1a,
-            m2a,
-            m0a,
-            s0b,
-            s1b,
-            m1b,
-            m2b,
-            m0b,
-            0x76F988DA5CB0A9DCu64 as i64,
-            0x4A7484AA2DE92C6Fu64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m2a,
-            m3a,
-            m1a,
-            s0b,
-            s1b,
-            m2b,
-            m3b,
-            m1b,
-            0xBF597FC7B00327C8u64 as i64,
-            0xA831C66D983E5152u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m3a,
-            m0a,
-            m2a,
-            s0b,
-            s1b,
-            m3b,
-            m0b,
-            m2b,
-            0x1429296706CA6351u64 as i64,
-            0xD5A79147C6E00BF3u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m0a,
-            m1a,
-            m3a,
-            s0b,
-            s1b,
-            m0b,
-            m1b,
-            m3b,
-            0x53380D134D2C6DFCu64 as i64,
-            0x2E1B213827B70A85u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m1a,
-            m2a,
-            m0a,
-            s0b,
-            s1b,
-            m1b,
-            m2b,
-            m0b,
-            0x92722C8581C2C92Eu64 as i64,
-            0x766A0ABB650A7354u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m2a,
-            m3a,
-            m1a,
-            s0b,
-            s1b,
-            m2b,
-            m3b,
-            m1b,
-            0xC76C51A3C24B8B70u64 as i64,
-            0xA81A664BA2BFE8A1u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m3a,
-            m0a,
-            m2a,
-            s0b,
-            s1b,
-            m3b,
-            m0b,
-            m2b,
-            0x106AA070F40E3585u64 as i64,
-            0xD6990624D192E819u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m0a,
-            m1a,
-            m3a,
-            s0b,
-            s1b,
-            m0b,
-            m1b,
-            m3b,
-            0x34B0BCB52748774Cu64 as i64,
-            0x1E376C0819A4C116u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m1a,
-            m2a,
-            m0a,
-            s0b,
-            s1b,
-            m1b,
-            m2b,
-            m0b,
-            0x682E6FF35B9CCA4Fu64 as i64,
-            0x4ED8AA4A391C0CB3u64 as i64
-        );
-        schedule4x2!(
-            s0a,
-            s1a,
-            m2a,
-            m3a,
-            m1a,
-            s0b,
-            s1b,
-            m2b,
-            m3b,
-            m1b,
-            0x8CC7020884C87814u64 as i64,
-            0x78A5636F748F82EEu64 as i64
-        );
-
-        // Rounds 60-63: last group, nothing left to schedule.
-        rounds4x2!(
-            s0a,
-            s1a,
-            m3a,
-            s0b,
-            s1b,
-            m3b,
-            0xC67178F2BEF9A3F7u64 as i64,
-            0xA4506CEB90BEFFFAu64 as i64
-        );
-
-        store_lane!(state_a, s0a, s1a, abef_a, cdgh_a);
-        store_lane!(state_b, s0b, s1b, abef_b, cdgh_b);
     }
 }
 
@@ -1125,19 +732,28 @@ mod tests {
 
     #[test]
     fn compress_pair_matches_two_compress_calls() {
-        // Distinct states and blocks per lane, chained over several blocks so
-        // a swap of the lanes' states or blocks anywhere in the pair shows.
-        let mut pair = [H0, H0.map(|w| w ^ 0x9E37_79B9)];
-        let mut single = pair;
-        for round in 0..16usize {
+        // Each lane starts from its own state, neither of them the IV, and
+        // chains through 24 distinct blocks, so a swap of the lanes' states
+        // or blocks anywhere in the pair shows. `compress` expands from the
+        // same kernel body as the pair, so the lanes are also checked against
+        // `compress_scalar` itself: only that catches a round group reading
+        // the wrong constants or a lane naming its neighbour's register.
+        let mut pair = [
+            std::array::from_fn(|i| 0x0123_4567u32.wrapping_mul(i as u32 + 3)),
+            std::array::from_fn(|i| 0x89AB_CDEFu32.rotate_left(5 * i as u32) ^ 0x5A5A_5A5A),
+        ];
+        let (mut single, mut oracle) = (pair, pair);
+        for round in 0..24usize {
             let blocks: [[u8; BLOCK_LEN]; 2] = std::array::from_fn(|l| {
-                std::array::from_fn(|i| ((i * 17 + l * 89 + round * 7) % 251) as u8)
+                std::array::from_fn(|i| ((i * 29 + l * 131 + round * 53) % 256) as u8)
             });
             compress_pair(&mut pair, &blocks);
-            for (state, block) in single.iter_mut().zip(&blocks) {
-                compress(state, block);
+            for l in 0..2 {
+                compress(&mut single[l], &blocks[l]);
+                compress_scalar(&mut oracle[l], &blocks[l]);
             }
             assert_eq!(pair, single, "block {round}");
+            assert_eq!(pair, oracle, "block {round}, against the oracle");
         }
     }
 

@@ -68,7 +68,10 @@ per live UTXO after the write rounds, because the tree must follow the
 live set and not the number of rounds committed. The per-round commit
 ratio and allocation count are gated against ``BENCH_state.json``: a Merkle
 commit pays O(log n) hashes per written key where a hashmap pays one probe,
-so no small absolute cap is physically achievable there.
+so no small absolute cap is physically achievable there. The ratios are
+each the median of seven samples that alternate Map and SMT windows, so
+the host drifting between the two backends' measurements does not land in
+them whole.
 
 ``--self-test`` (alone for the round gate, or after ``--latency`` /
 ``--counts`` / ``--state``) runs no benchmark: for every row of the gate it feeds the moves

@@ -25,8 +25,7 @@
 //! [`SAMPLES`] lookup windows on each, then [`SAMPLES`] churn windows on
 //! each, the backend that goes first swapping every sample. Each `*_over_*`
 //! ratio is the median of its per-sample ratios, so a host that slows down
-//! for a while slows both sides of most samples alike; measured one backend
-//! after the other, such drift landed in the ratio whole.
+//! for a while slows both sides of most samples alike.
 //!
 //! Flags:
 //!
@@ -260,9 +259,15 @@ impl<'a> Tier<'a> {
             store,
             seeds,
             fresh,
+            seed_secs,
+            lookup_ns,
+            lookups,
+            apply_ns,
+            commit_ns,
+            allocations,
             spent,
             minted,
-            ..
+            rounds,
         } = self;
         let n = seeds.len();
         let proof = (backend == StateBackend::Smt).then(|| {
@@ -336,12 +341,12 @@ impl<'a> Tier<'a> {
         });
 
         StateSeries {
-            seed_secs: self.seed_secs,
-            lookup_ns: self.lookup_ns as f64 / self.lookups as f64,
-            apply_us_per_round: self.apply_ns as f64 / 1000.0 / self.rounds as f64,
-            commit_us_per_round: self.commit_ns as f64 / 1000.0 / self.rounds as f64,
-            allocations_per_round: self.allocations as f64 / self.rounds as f64,
-            rounds_measured: self.rounds,
+            seed_secs,
+            lookup_ns: lookup_ns as f64 / lookups as f64,
+            apply_us_per_round: apply_ns as f64 / 1000.0 / rounds as f64,
+            commit_us_per_round: commit_ns as f64 / 1000.0 / rounds as f64,
+            allocations_per_round: allocations as f64 / rounds as f64,
+            rounds_measured: rounds,
             proof,
         }
     }

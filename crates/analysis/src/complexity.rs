@@ -1,4 +1,4 @@
-//! Asymptotic complexity predictions (Table I row 2–3, Table II).
+//! Asymptotic complexity predictions (Table II).
 //!
 //! Table II gives, for every protocol phase and every role, the expected
 //! communication/computation and storage complexity as a function of `n` (total
@@ -122,32 +122,10 @@ pub fn table2_prediction(phase: Phase, role: RoleClass, size: SystemSize) -> Pre
     }
 }
 
-/// Table I storage row: per-node storage of each protocol.
-pub fn table1_storage(n: u64, m: u64, c: u64) -> [(&'static str, f64); 4] {
-    let (n, m, c) = (n as f64, m as f64, c as f64);
-    [
-        ("Elastico", n),
-        ("OmniLedger", c + m.log2().max(0.0)),
-        ("RapidChain", c),
-        ("CycLedger", m * m / n + c),
-    ]
-}
-
-/// Table I complexity row: per-transaction communication complexity of each
-/// protocol (all are linear in `n`; Elastico's is a lower bound Ω(n)).
-pub fn table1_complexity(n: u64) -> [(&'static str, f64); 4] {
-    let n = n as f64;
-    [
-        ("Elastico", n),
-        ("OmniLedger", n),
-        ("RapidChain", n),
-        ("CycLedger", n),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiles::{build_table1, ComparisonParams, Protocol};
 
     #[test]
     fn system_size_from_committees() {
@@ -251,13 +229,20 @@ mod tests {
     fn table1_storage_shapes() {
         // CycLedger's per-node storage O(m²/n + c) is far below Elastico's O(n)
         // and close to RapidChain's O(c) for realistic parameters.
-        let rows = table1_storage(2000, 10, 200);
-        let get = |name: &str| rows.iter().find(|(p, _)| *p == name).unwrap().1;
-        assert!(get("CycLedger") < get("Elastico") / 2.0);
-        assert!(get("CycLedger") < 2.0 * get("RapidChain"));
-        assert!(get("OmniLedger") >= get("RapidChain"));
+        let rows = build_table1(&ComparisonParams {
+            n: 2000,
+            m: 10,
+            c: 200,
+            lambda: 40,
+        });
+        let get = |p: Protocol| rows.iter().find(|r| r.protocol == p).unwrap();
+        let storage = |p: Protocol| get(p).storage_items;
+        assert!(storage(Protocol::CycLedger) < storage(Protocol::Elastico) / 2.0);
+        assert!(storage(Protocol::CycLedger) < 2.0 * storage(Protocol::RapidChain));
+        assert!(storage(Protocol::OmniLedger) >= storage(Protocol::RapidChain));
         // All protocols have Θ(n) communication complexity.
-        let comm = table1_complexity(2000);
-        assert!(comm.iter().all(|(_, v)| (*v - 2000.0).abs() < 1e-9));
+        assert!(Protocol::ALL
+            .iter()
+            .all(|&p| get(p).complexity_units_of_n == 1.0));
     }
 }

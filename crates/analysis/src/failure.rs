@@ -53,41 +53,10 @@ pub fn quarter_resilient_round_failure(m: u64, c: u64) -> f64 {
     union_bound(m, (-(c as f64) / 40.0).exp())
 }
 
-/// One row of the failure-probability comparison used by the Table I bench.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FailureComparison {
-    /// Committee size used for every protocol.
-    pub committee_size: u64,
-    /// Number of committees.
-    pub committees: u64,
-    /// Partial-set size λ.
-    pub lambda: u32,
-    /// Elastico (lower bound shape).
-    pub elastico: f64,
-    /// OmniLedger (upper bound shape, same exponent).
-    pub omniledger: f64,
-    /// RapidChain.
-    pub rapidchain: f64,
-    /// CycLedger.
-    pub cycledger: f64,
-}
-
-/// Builds the failure comparison for one `(m, c, λ)` configuration.
-pub fn compare_protocols(m: u64, c: u64, lambda: u32) -> FailureComparison {
-    FailureComparison {
-        committee_size: c,
-        committees: m,
-        lambda,
-        elastico: quarter_resilient_round_failure(m, c),
-        omniledger: quarter_resilient_round_failure(m, c),
-        rapidchain: rapidchain_round_failure(m, c),
-        cycledger: cycledger_round_failure(m, c, lambda),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profiles::{build_table1, ComparisonParams, Protocol};
 
     #[test]
     fn partial_set_paper_spot_values() {
@@ -144,14 +113,23 @@ mod tests {
         // At equal committee size, the 1/4-resilient protocols have a weaker
         // exponent, so their failure probability is higher than RapidChain's and
         // CycLedger's for moderate c.
-        let cmp = compare_protocols(16, 200, 40);
-        assert!(cmp.elastico > cmp.rapidchain);
-        assert!(cmp.elastico > cmp.cycledger);
-        assert_eq!(cmp.elastico, cmp.omniledger);
+        let failure_at = |c: u64| {
+            let rows = build_table1(&ComparisonParams {
+                n: 16 * c,
+                m: 16,
+                c,
+                lambda: 40,
+            });
+            move |p: Protocol| rows.iter().find(|r| r.protocol == p).unwrap().round_failure
+        };
+        let cmp = failure_at(200);
+        assert!(cmp(Protocol::Elastico) > cmp(Protocol::RapidChain));
+        assert!(cmp(Protocol::Elastico) > cmp(Protocol::CycLedger));
+        assert_eq!(cmp(Protocol::Elastico), cmp(Protocol::OmniLedger));
         // CycLedger ≈ RapidChain without RapidChain's (1/2)^27 floor: for large
         // c, RapidChain's floor dominates and CycLedger is strictly better.
-        let cmp_large = compare_protocols(16, 1200, 40);
-        assert!(cmp_large.cycledger < cmp_large.rapidchain);
+        let cmp_large = failure_at(1200);
+        assert!(cmp_large(Protocol::CycLedger) < cmp_large(Protocol::RapidChain));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   leader is installed, and the committee still contributes (at the cost of
 //!   one extra intra-committee consensus and a `2Γ` delay).
 //!
-//! This analytic model is cross-checked against the full simulator by the
-//! `recovery_overhead` bench and the adversarial-leaders example.
+//! `BENCH_paper.json`'s `recovery` block prints this model beside what the
+//! simulator packs with k dishonest first-round leaders, recovery on.
 
 /// Expected fraction of per-round throughput retained when a fraction
 /// `malicious_leader_fraction` of committees has a faulty leader.
@@ -34,33 +34,8 @@ pub fn expected_throughput_fraction(
     }
 }
 
-/// Expected fraction of *cross-shard* transactions that complete in a round.
-///
-/// A cross-shard transaction needs both its input and output committee leader
-/// to function. Without recovery both must be honest; with recovery the
-/// transaction completes regardless (the partial set forwards), discounted by
-/// the timeout penalty on each faulty side.
-pub fn cross_shard_completion_fraction(
-    malicious_leader_fraction: f64,
-    recovery: bool,
-    recovery_discount: f64,
-) -> f64 {
-    let p = malicious_leader_fraction;
-    let honest_both = (1.0 - p) * (1.0 - p);
-    if !recovery {
-        return honest_both;
-    }
-    // With recovery every pair completes, but each faulty endpoint costs the
-    // discount once.
-    let one_faulty = 2.0 * p * (1.0 - p);
-    let both_faulty = p * p;
-    honest_both
-        + one_faulty * (1.0 - recovery_discount)
-        + both_faulty * (1.0 - recovery_discount).powi(2)
-}
-
 /// Sweeps leader-corruption fractions and returns `(fraction, without, with)`
-/// triples, i.e. the series behind the recovery-overhead experiment.
+/// triples: the `model_series` of `BENCH_paper.json`'s `recovery` block.
 pub fn recovery_comparison_series(
     points: usize,
     max_fraction: f64,
@@ -87,22 +62,16 @@ mod tests {
     fn honest_leaders_lose_nothing() {
         assert_eq!(expected_throughput_fraction(0.0, false, 0.1), 1.0);
         assert_eq!(expected_throughput_fraction(0.0, true, 0.1), 1.0);
-        assert_eq!(cross_shard_completion_fraction(0.0, false, 0.1), 1.0);
     }
 
     #[test]
     fn one_third_malicious_leaders_matches_paper_motivation() {
-        // Without recovery, a third of the committees stall: ~67% throughput and
-        // only ~44% of cross-shard transactions complete.
+        // Without recovery, a third of the committees stall: ~67% throughput.
         let without = expected_throughput_fraction(1.0 / 3.0, false, 0.1);
         assert!((without - 2.0 / 3.0).abs() < 1e-9);
-        let cross_without = cross_shard_completion_fraction(1.0 / 3.0, false, 0.1);
-        assert!((cross_without - 4.0 / 9.0).abs() < 1e-9);
         // With recovery, CycLedger retains >95% throughput at a 10% discount.
         let with = expected_throughput_fraction(1.0 / 3.0, true, 0.1);
         assert!(with > 0.95);
-        let cross_with = cross_shard_completion_fraction(1.0 / 3.0, true, 0.1);
-        assert!(cross_with > 0.9);
     }
 
     #[test]
@@ -113,10 +82,6 @@ mod tests {
                 assert!(
                     expected_throughput_fraction(f, true, d)
                         >= expected_throughput_fraction(f, false, d) - 1e-12
-                );
-                assert!(
-                    cross_shard_completion_fraction(f, true, d)
-                        >= cross_shard_completion_fraction(f, false, d) - 1e-12
                 );
             }
         }

@@ -4,11 +4,13 @@
 //! CycLedger itself, this module produces the row of Table I: resiliency,
 //! communication complexity, per-node storage, per-round failure probability,
 //! decentralization assumption, dishonest-leader efficiency, incentives, and
-//! connection burden. The failure probabilities come from
-//! [`cycledger_analysis::failure`]; storage and channel counts use the closed
-//! forms the respective papers report.
+//! connection burden. The failure probabilities come from [`crate::failure`];
+//! storage uses the closed forms the respective papers report, and the channel
+//! counts are [`RoundTopology`]'s.
 
-use cycledger_analysis::failure;
+use cycledger_net::topology::RoundTopology;
+
+use crate::failure;
 
 /// The protocols compared in Table I.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -95,30 +97,10 @@ pub struct ProtocolProfile {
     pub connection_burden: &'static str,
 }
 
-fn clique_channels(nodes: u64) -> u64 {
-    nodes * nodes.saturating_sub(1) / 2
-}
-
-/// Channels CycLedger's topology needs: per-committee cliques, the key-member
-/// mesh less the pairs a committee's clique already holds, key-member↔referee
-/// links and the referee clique (§III-B). The same count as
-/// `RoundAssignment::channel_count` in the protocol crate: a committee's key
-/// members are its leader and partial set, at most all `c` of it.
-pub fn cycledger_channels(params: &ComparisonParams, referee_size: u64) -> u64 {
-    let key_members_per_committee = (params.lambda as u64 + 1).min(params.c);
-    let key_members = params.m * key_members_per_committee;
-    let per_committee = clique_channels(params.c);
-    let key_mesh =
-        clique_channels(key_members) - params.m * clique_channels(key_members_per_committee);
-    let to_referee = key_members * referee_size;
-    let referee_clique = clique_channels(referee_size);
-    params.m * per_committee + key_mesh + to_referee + referee_clique
-}
-
 /// Builds one protocol's Table I row.
 pub fn profile(protocol: Protocol, params: &ComparisonParams) -> ProtocolProfile {
     let ComparisonParams { n, m, c, lambda } = *params;
-    let referee_size = c;
+    let full_clique = RoundTopology::full_clique_channels(n as usize) as u64;
     match protocol {
         Protocol::Elastico => ProtocolProfile {
             protocol,
@@ -129,7 +111,7 @@ pub fn profile(protocol: Protocol, params: &ComparisonParams) -> ProtocolProfile
             decentralization: "no always-honest party",
             efficient_with_dishonest_leaders: false,
             incentives: false,
-            connection_channels: clique_channels(n),
+            connection_channels: full_clique,
             connection_burden: "heavy",
         },
         Protocol::OmniLedger => ProtocolProfile {
@@ -141,7 +123,7 @@ pub fn profile(protocol: Protocol, params: &ComparisonParams) -> ProtocolProfile
             decentralization: "an honest client",
             efficient_with_dishonest_leaders: false,
             incentives: false,
-            connection_channels: clique_channels(n),
+            connection_channels: full_clique,
             connection_burden: "heavy",
         },
         Protocol::RapidChain => ProtocolProfile {
@@ -153,7 +135,7 @@ pub fn profile(protocol: Protocol, params: &ComparisonParams) -> ProtocolProfile
             decentralization: "an honest reference committee",
             efficient_with_dishonest_leaders: false,
             incentives: false,
-            connection_channels: clique_channels(n),
+            connection_channels: full_clique,
             connection_burden: "heavy",
         },
         Protocol::CycLedger => ProtocolProfile {
@@ -165,7 +147,12 @@ pub fn profile(protocol: Protocol, params: &ComparisonParams) -> ProtocolProfile
             decentralization: "no always-honest party",
             efficient_with_dishonest_leaders: true,
             incentives: true,
-            connection_channels: cycledger_channels(params, referee_size),
+            // m committees of c, and a referee committee of c.
+            connection_channels: RoundTopology::cycledger_channels(
+                std::iter::repeat_n(c as usize, m as usize),
+                lambda as usize,
+                c as usize,
+            ) as u64,
             connection_burden: "light",
         },
     }
@@ -179,6 +166,8 @@ pub fn build_table1(params: &ComparisonParams) -> Vec<ProtocolProfile> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cycledger_net::topology::NodeId;
+    use cycledger_protocol::{CommitteeAssignment, RoundAssignment};
 
     #[test]
     fn table_rows_match_paper_qualitative_claims() {
@@ -244,53 +233,84 @@ mod tests {
         );
     }
 
+    /// A round laid out by hand: the referee committee first, then each
+    /// committee as a disjoint id range, leader first and the partial set
+    /// next.
+    fn assignment(sizes: &[usize], partial: usize, referee: usize) -> RoundAssignment {
+        let mut next = referee as u32;
+        let committees = sizes
+            .iter()
+            .enumerate()
+            .map(|(index, &size)| {
+                let members: Vec<NodeId> = (next..next + size as u32).map(NodeId).collect();
+                next += size as u32;
+                CommitteeAssignment {
+                    index,
+                    leader: members[0],
+                    partial_set: members[1..size.min(1 + partial)].to_vec(),
+                    members,
+                }
+            })
+            .collect();
+        RoundAssignment {
+            round: 1,
+            randomness: Default::default(),
+            referee: (0..referee as u32).map(NodeId).collect(),
+            committees,
+        }
+    }
+
+    fn cycledger_row(m: usize, c: usize, lambda: usize) -> u64 {
+        let params = ComparisonParams {
+            n: (m * c) as u64,
+            m: m as u64,
+            c: c as u64,
+            lambda: lambda as u32,
+        };
+        profile(Protocol::CycLedger, &params).connection_channels
+    }
+
     #[test]
     fn cycledger_channels_count_each_pair_once() {
-        // Brute force: lay the committees and the referee committee out as
-        // disjoint node ranges, add every pair the topology links to one
-        // set, and count what is left distinct.
-        for (m, c, lambda, referee) in [(2u64, 4u64, 1u32, 3u64), (3, 5, 2, 4), (2, 3, 4, 2)] {
-            let key_per = (lambda as u64 + 1).min(c);
-            let committee = |k: u64| k * c..(k + 1) * c;
-            let keys: Vec<u64> = (0..m)
-                .flat_map(|k| committee(k).take(key_per as usize))
-                .collect();
-            let referees: Vec<u64> = (m * c..m * c + referee).collect();
-            let mut pairs = std::collections::BTreeSet::new();
-            let mut link = |a: u64, b: u64| {
-                if a != b {
-                    pairs.insert((a.min(b), a.max(b)));
-                }
-            };
-            for k in 0..m {
-                for a in committee(k) {
-                    committee(k).for_each(|b| link(a, b));
-                }
-            }
-            for &a in &keys {
-                keys.iter().for_each(|&b| link(a, b));
-                referees.iter().for_each(|&r| link(a, r));
-            }
-            for &a in &referees {
-                referees.iter().for_each(|&b| link(a, b));
-            }
-            let params = ComparisonParams {
-                n: m * c,
-                m,
-                c,
-                lambda,
-            };
+        // The row against the topology the round would build, which links
+        // every pair into one set: m committees of c and a referee committee
+        // of c, a partial set smaller than, equal to and larger than c − 1.
+        for (m, c, lambda) in [(2, 4, 1), (3, 5, 2), (2, 3, 4), (4, 6, 5), (1, 7, 3)] {
+            let round = assignment(&vec![c; m], lambda, c);
+            let built = round.topology(c + m * c).channels.channel_count();
             assert_eq!(
-                cycledger_channels(&params, referee),
-                pairs.len() as u64,
-                "m {m}, c {c}, lambda {lambda}, referee {referee}"
+                cycledger_row(m, c, lambda),
+                built as u64,
+                "m {m}, c {c}, λ {lambda}"
             );
         }
         // Table I's geometry: the key mesh less m·C(41, 2) = 8 200 pairs.
-        assert_eq!(
-            cycledger_channels(&ComparisonParams::paper_default(), 200),
-            376_545
-        );
+        assert_eq!(cycledger_row(10, 200, 40), 376_545);
+    }
+
+    #[test]
+    fn one_channel_count_for_the_round_the_topology_and_table1() {
+        // A round's reported count equals the topology it would build, at
+        // uniform and at uneven committee sizes, and at uniform sizes equals
+        // Table I's row too (whose referee committee is one of c).
+        for (sizes, partial, referee) in [
+            (vec![5, 5, 5], 2, 5),
+            (vec![5, 5, 5], 2, 4),
+            (vec![7, 2, 4, 1], 2, 4),
+            (vec![6, 3, 9], 3, 2),
+        ] {
+            let round = assignment(&sizes, partial, referee);
+            let nodes = referee + sizes.iter().sum::<usize>();
+            let built = round.topology(nodes).channels.channel_count();
+            assert_eq!(
+                round.channel_count(),
+                built,
+                "{sizes:?}, λ {partial}, referee {referee}"
+            );
+            if sizes.iter().all(|&size| size == referee) {
+                assert_eq!(cycledger_row(sizes.len(), referee, partial), built as u64);
+            }
+        }
     }
 
     #[test]

@@ -21,11 +21,13 @@
 //!   root, checked with the crypto-crate verifier a light client would run
 //!   (SMT only).
 //!
-//! Both backends are seeded first and then measured in alternating windows:
-//! [`SAMPLES`] lookup windows on each, then [`SAMPLES`] churn windows on
-//! each, the backend that goes first swapping every sample. Each `*_over_*`
-//! ratio is the median of its per-sample ratios, so a host that slows down
-//! for a while slows both sides of most samples alike.
+//! Both backends are seeded first and then run through one loop: lookups in
+//! chunks of [`LOOKUP_CHUNK`], one chunk on each backend in turn, then churn
+//! rounds in pairs, a map round and an SMT round (apply, then commit), the
+//! backend that goes first swapping every chunk and every round. So neither
+//! store runs more than two rounds in a row or stays cache-warm through
+//! hundreds of its own, and a host that slows down for a while slows both
+//! sides alike. Each `*_over_*` ratio is taken over the whole loop.
 //!
 //! Flags:
 //!
@@ -33,14 +35,14 @@
 //!   `scripts/perf_gate.py --state` compares the emitted `tracked.*` ratios
 //!   and allocation count against the committed `BENCH_state.json`, fails
 //!   the job on >20% regression, and additionally enforces the hard caps:
-//!   3.0 on the lookup ratio, 4.0 on the apply ratio, and 3.0 arena slots
+//!   3.0 on the lookup ratio, 2.2 on the apply ratio, and 3.0 arena slots
 //!   per live UTXO after the write rounds (the tree's resident size must
 //!   follow the live set, not the number of rounds committed).
 //!
 //! The binary installs [`alloccount::CountingAllocator`] so per-round
 //! allocation counts are exact and machine-independent; all harness
 //! bookkeeping (outpoint minting, sample tables) is pre-allocated outside
-//! the measured windows.
+//! the measured loop.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_state`;
 //! the JSON is printed to stdout so it can be folded into `BENCH_state.json`
@@ -68,12 +70,12 @@ const MAX_ROUNDS: u64 = 4096;
 /// Odd and coprime to every power-of-ten tier size, so striding by it
 /// visits lookup targets in a cache-hostile pseudo-random order.
 const STRIDE: usize = 0x9E37_79B1;
-/// Alternated Map / SMT samples a tier takes; odd, so each ratio's median
-/// is one sample's.
-const SAMPLES: usize = 7;
+/// Lookups a backend runs before the other takes its turn.
+const LOOKUP_CHUNK: usize = 10_000;
 
-/// Measurement effort: full sweep vs the CI smoke sample. `lookups`,
-/// `min_secs` and `min_rounds` are per backend over all samples.
+/// Measurement effort: full sweep vs the CI smoke sample. `lookups` is per
+/// backend; `min_secs` and `min_rounds` bound the churn loop, both backends'
+/// rounds together.
 struct Effort {
     lookups: usize,
     proofs: usize,
@@ -136,7 +138,7 @@ fn output_for(n: u64) -> TxOutput {
 }
 
 /// One backend's store at one tier, with its place in the churn sequence
-/// and what its windows have measured so far.
+/// and what its rounds and lookups have measured so far.
 struct Tier<'a> {
     backend: StateBackend,
     store: Store,
@@ -155,7 +157,7 @@ struct Tier<'a> {
 
 impl<'a> Tier<'a> {
     /// Seeds the store with `seeds` and commits it. `seeds`/`fresh` are
-    /// pre-minted outside every measured window and shared by both backends
+    /// pre-minted outside every measured loop and shared by both backends
     /// so they see the identical operation sequence.
     fn seed(backend: StateBackend, seeds: &'a [OutPoint], fresh: &'a [OutPoint]) -> Self {
         let n = seeds.len();
@@ -184,10 +186,10 @@ impl<'a> Tier<'a> {
         }
     }
 
-    /// `k` lookups, ns per lookup. The walk continues the previous
-    /// window's: stride order defeats both the prefetcher and any
-    /// accidental correlation between insertion and probe order.
-    fn lookups(&mut self, k: usize) -> f64 {
+    /// `k` lookups. The walk continues the previous chunk's: stride order
+    /// defeats both the prefetcher and any accidental correlation between
+    /// insertion and probe order.
+    fn lookups(&mut self, k: usize) {
         let n = self.seeds.len();
         let mut idx = self.lookups * STRIDE % n;
         let mut held = 0u64;
@@ -202,54 +204,35 @@ impl<'a> Tier<'a> {
         assert!(black_box(held) > 0);
         self.lookup_ns += ns;
         self.lookups += k;
-        ns as f64 / k as f64
     }
 
-    /// Churn rounds for at least `min_secs` and `min_rounds`, and at most
-    /// `max_rounds`: spend the oldest live entries, credit fresh ones, seal
-    /// the batch. The set size stays exactly `n` throughout. Returns µs per
-    /// round of apply and of commit.
-    fn churn(&mut self, min_secs: f64, min_rounds: u64, max_rounds: u64) -> (f64, f64) {
+    /// One churn round: spend the oldest live entries, credit fresh ones,
+    /// seal the batch. The set size stays exactly `n` throughout.
+    fn round(&mut self) {
         let n = self.seeds.len();
-        let (mut apply_ns, mut commit_ns, mut rounds) = (0u128, 0u128, 0u64);
         let start_alloc = alloccount::snapshot();
-        let window_start = Instant::now();
-        loop {
-            let t = Instant::now();
-            for _ in 0..ROUND_SPENDS {
-                let victim = if self.spent < n {
-                    &self.seeds[self.spent]
-                } else {
-                    &self.fresh[self.spent - n]
-                };
-                self.store.remove(victim);
-                self.store.insert(
-                    self.fresh[self.minted],
-                    output_for((n + self.minted) as u64),
-                );
-                self.spent += 1;
-                self.minted += 1;
-            }
-            apply_ns += t.elapsed().as_nanos();
-            let t = Instant::now();
-            self.store.commit(1 + self.rounds + rounds);
-            commit_ns += t.elapsed().as_nanos();
-            rounds += 1;
-            let enough = window_start.elapsed().as_secs_f64() >= min_secs;
-            if (enough && rounds >= min_rounds)
-                || rounds >= max_rounds
-                || self.minted + ROUND_SPENDS > self.fresh.len()
-            {
-                break;
-            }
+        let t = Instant::now();
+        for _ in 0..ROUND_SPENDS {
+            let victim = if self.spent < n {
+                &self.seeds[self.spent]
+            } else {
+                &self.fresh[self.spent - n]
+            };
+            self.store.remove(victim);
+            self.store.insert(
+                self.fresh[self.minted],
+                output_for((n + self.minted) as u64),
+            );
+            self.spent += 1;
+            self.minted += 1;
         }
+        self.apply_ns += t.elapsed().as_nanos();
+        let t = Instant::now();
+        self.rounds += 1;
+        self.store.commit(self.rounds);
+        self.commit_ns += t.elapsed().as_nanos();
         self.allocations += alloccount::snapshot().since(&start_alloc).allocations;
         assert_eq!(self.store.len(), n, "churn must keep the set size constant");
-        self.apply_ns += apply_ns;
-        self.commit_ns += commit_ns;
-        self.rounds += rounds;
-        let per_round_us = |ns: u128| ns as f64 / 1000.0 / rounds as f64;
-        (per_round_us(apply_ns), per_round_us(commit_ns))
     }
 
     /// Inclusion and exclusion proofs (SMT only), then the series.
@@ -381,18 +364,28 @@ impl StateSeries {
     }
 }
 
-/// One tier: both backends' series and the median of each per-sample
-/// SMT-over-map ratio.
+/// One tier: both backends' series.
 struct Both {
     map: StateSeries,
     smt: StateSeries,
-    lookup_ratio: f64,
-    apply_ratio: f64,
-    commit_ratio: f64,
 }
 
-/// Runs both backends at one tier over a shared operation sequence, in
-/// [`SAMPLES`] alternated lookup and churn windows.
+impl Both {
+    fn lookup_ratio(&self) -> f64 {
+        self.smt.lookup_ns / self.map.lookup_ns
+    }
+
+    fn apply_ratio(&self) -> f64 {
+        self.smt.apply_us_per_round / self.map.apply_us_per_round
+    }
+
+    fn commit_ratio(&self) -> f64 {
+        self.smt.commit_us_per_round / self.map.apply_us_per_round
+    }
+}
+
+/// Runs both backends at one tier over a shared operation sequence, in one
+/// loop that alternates them chunk by chunk and round by round.
 fn run_both(utxos: usize, effort: &Effort) -> Both {
     let seeds = outpoint_range(0, utxos);
     let fresh = outpoint_range(utxos as u64, MAX_ROUNDS as usize * ROUND_SPENDS);
@@ -402,43 +395,30 @@ fn run_both(utxos: usize, effort: &Effort) -> Both {
     let smt = Tier::seed(StateBackend::Smt, &seeds, &fresh);
     let map = Tier::seed(StateBackend::Map, &seeds, &fresh);
     let mut tiers = [map, smt];
-    let samples = SAMPLES as u64;
-    let lookups = effort.lookups.min(utxos) / SAMPLES;
-    let (window_secs, window_rounds) = (
-        effort.min_secs / SAMPLES as f64,
-        effort.min_rounds.div_ceil(samples),
-    );
-    // Per sample, SMT over map; the backend that goes first swaps every
-    // sample. Every lookup window runs before the first churn round, which
-    // spends seeds.
-    let order = |sample: usize| [sample % 2, 1 - sample % 2];
-    let lookup: [f64; SAMPLES] = std::array::from_fn(|sample| {
-        let mut ns = [0.0; 2];
-        for i in order(sample) {
-            ns[i] = tiers[i].lookups(lookups);
+    // The backend that goes first swaps every chunk and every round. Every
+    // lookup runs before the first churn round, which spends seeds.
+    let order = |turn: usize| [turn % 2, 1 - turn % 2];
+    for chunk in 0..effort.lookups.min(utxos) / LOOKUP_CHUNK {
+        for i in order(chunk) {
+            tiers[i].lookups(LOOKUP_CHUNK);
         }
-        ns[1] / ns[0]
-    });
-    let churn: [[f64; 2]; SAMPLES] = std::array::from_fn(|sample| {
-        let mut us = [(0.0, 0.0); 2];
-        for i in order(sample) {
-            us[i] = tiers[i].churn(window_secs, window_rounds, MAX_ROUNDS / samples);
-        }
-        let [(map_apply, _), (smt_apply, smt_commit)] = us;
-        [smt_apply / map_apply, smt_commit / map_apply]
-    });
-    let median = |mut ratios: [f64; SAMPLES]| {
-        ratios.sort_by(f64::total_cmp);
-        ratios[SAMPLES / 2]
-    };
-    let [map, smt] = tiers.map(|tier| tier.finish(&absent, effort));
-    Both {
-        map,
-        smt,
-        lookup_ratio: median(lookup),
-        apply_ratio: median(churn.map(|[apply, _]| apply)),
-        commit_ratio: median(churn.map(|[_, commit]| commit)),
     }
+    let start = Instant::now();
+    for round in 0.. {
+        for i in order(round) {
+            tiers[i].round();
+        }
+        let enough = start.elapsed().as_secs_f64() >= effort.min_secs;
+        let rounds = tiers[0].rounds;
+        if (enough && rounds >= effort.min_rounds)
+            || rounds >= MAX_ROUNDS
+            || tiers[0].minted + ROUND_SPENDS > fresh.len()
+        {
+            break;
+        }
+    }
+    let [map, smt] = tiers.map(|tier| tier.finish(&absent, effort));
+    Both { map, smt }
 }
 
 fn tracked(utxos: usize, both: &Both) -> Json {
@@ -453,7 +433,7 @@ fn tracked(utxos: usize, both: &Both) -> Json {
         ("smt_lookup_ns", Json::Num(smt.lookup_ns, 1)),
         (
             "smt_lookup_over_map_lookup",
-            Json::Num(both.lookup_ratio, 3),
+            Json::Num(both.lookup_ratio(), 3),
         ),
         (
             "map_apply_us_per_round",
@@ -463,12 +443,15 @@ fn tracked(utxos: usize, both: &Both) -> Json {
             "smt_apply_us_per_round",
             Json::Num(smt.apply_us_per_round, 1),
         ),
-        ("smt_apply_over_map_apply", Json::Num(both.apply_ratio, 3)),
+        ("smt_apply_over_map_apply", Json::Num(both.apply_ratio(), 3)),
         (
             "smt_commit_us_per_round",
             Json::Num(smt.commit_us_per_round, 1),
         ),
-        ("smt_commit_over_map_apply", Json::Num(both.commit_ratio, 3)),
+        (
+            "smt_commit_over_map_apply",
+            Json::Num(both.commit_ratio(), 3),
+        ),
         (
             "smt_allocations_per_round",
             Json::Num(smt.allocations_per_round, 0),
@@ -481,11 +464,12 @@ fn bench_config(effort: &Effort) -> String {
     format!(
         "single-shard Store sweep; {} writes/round ({ROUND_SPENDS} spends + \
          {ROUND_SPENDS} credits), commit once per round; {} stride-ordered \
-         lookups; lookup and churn windows alternated between the backends \
-         {SAMPLES} times, ratios the median sample's; {} inclusion + {} \
-         exclusion proofs; outpoints minted in the cycledger/bench-state domain",
+         lookups a backend in chunks of {LOOKUP_CHUNK} and churn rounds \
+         alternated between the backends one by one, ratios over the whole \
+         loop; {} inclusion + {} exclusion proofs; outpoints minted in the \
+         cycledger/bench-state domain",
         2 * ROUND_SPENDS,
-        effort.lookups / SAMPLES * SAMPLES,
+        effort.lookups,
         effort.proofs,
         effort.proofs
     )
@@ -518,7 +502,10 @@ fn main() {
             ("utxos", Json::Int(utxos as u64)),
             ("map", both.map.json()),
             ("smt", both.smt.json()),
-            ("smt_commit_over_map_apply", Json::Num(both.commit_ratio, 3)),
+            (
+                "smt_commit_over_map_apply",
+                Json::Num(both.commit_ratio(), 3),
+            ),
         ]));
         if utxos == 1_000_000 {
             tracked_tier = Some(tracked(utxos, &both));

@@ -9,11 +9,9 @@
 use std::collections::BTreeMap;
 
 use cycledger_analysis::{
-    committee_failure_probability, kl_bound, monte_carlo_failure, partial_set_failure_probability,
-    simplified_bound, table2_prediction, union_bound, RoleClass, SystemSize,
-};
-use cycledger_baselines::{
-    build_table1, expected_throughput_fraction, recovery_comparison_series, ComparisonParams,
+    build_table1, committee_failure_probability, expected_throughput_fraction, kl_bound,
+    monte_carlo_failure, partial_set_failure_probability, recovery_comparison_series,
+    simplified_bound, table2_prediction, union_bound, ComparisonParams, RoleClass, SystemSize,
 };
 use cycledger_net::metrics::Phase;
 use cycledger_net::topology::NodeId;

@@ -163,6 +163,29 @@ impl RoundTopology {
         total_nodes * total_nodes.saturating_sub(1) / 2
     }
 
+    /// How many channels [`Self::build`] establishes, counted instead of
+    /// built: a clique per committee, the key-member mesh less the pairs a
+    /// committee's clique already holds, every key member to every referee,
+    /// the referee clique — the "light" connection burden of Table I. A
+    /// committee's key members are its leader and `partial_size` partial-set
+    /// members, at most all of it. Exact when the committees and the referee
+    /// committee are pairwise disjoint, as sortition seats them.
+    pub fn cycledger_channels(
+        committee_sizes: impl IntoIterator<Item = usize>,
+        partial_size: usize,
+        referee_size: usize,
+    ) -> usize {
+        let pairs = Self::full_clique_channels;
+        let (mut cliques, mut keys, mut held) = (0, 0, 0);
+        for size in committee_sizes {
+            let key_members = size.min(1 + partial_size);
+            cliques += pairs(size);
+            keys += key_members;
+            held += pairs(key_members);
+        }
+        cliques + pairs(keys) - held + keys * referee_size + pairs(referee_size)
+    }
+
     /// Nodes with a given role.
     pub fn nodes_with_role(&self, role: Role) -> Vec<NodeId> {
         self.roles
@@ -254,6 +277,34 @@ mod tests {
             topo.channels.channel_count(),
             clique
         );
+    }
+
+    #[test]
+    fn counted_channels_match_the_built_topology() {
+        // Uneven committees, one smaller than its key set, an empty
+        // referee committee, no committees at all.
+        for (sizes, partial, referee) in [
+            (vec![6, 2, 9, 1], 3, 4),
+            (vec![5, 5], 0, 3),
+            (vec![4, 7], 2, 0),
+            (vec![], 2, 5),
+        ] {
+            let mut next = referee as u32;
+            let committees: Vec<Vec<NodeId>> = sizes
+                .iter()
+                .map(|&size| {
+                    next += size as u32;
+                    (next - size as u32..next).map(NodeId).collect()
+                })
+                .collect();
+            let referees: Vec<NodeId> = (0..referee as u32).map(NodeId).collect();
+            let topo = RoundTopology::build(next as usize, &committees, partial, &referees);
+            assert_eq!(
+                RoundTopology::cycledger_channels(sizes.iter().copied(), partial, referee),
+                topo.channels.channel_count(),
+                "{sizes:?}, partial {partial}, referee {referee}"
+            );
+        }
     }
 
     #[test]

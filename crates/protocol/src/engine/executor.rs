@@ -30,6 +30,21 @@
 //! which the determinism tests in `simulation.rs` assert for 1/2/8 workers —
 //! and, through a test-only mode that runs every batch's tasks in a seeded
 //! permuted order, for any order the tasks happen to run in.
+//!
+//! # Why the pool persists
+//!
+//! The workers are spawned once, with the executor, and park between
+//! batches; the `unsafe` lifetime erasure of the scoped jobs is what that
+//! costs. An executor without it was measured against this one: it spawned
+//! `std::thread::scope` threads for each batch, the caller waited on the
+//! scope, tasks were handed out in index order and a task's panic was
+//! resumed on the caller. Over 10 alternated pairs of `benchmark/` runs a
+//! workload (seeds 1–10, 2-vCPU container) its `round_wall_ms_p50` read
+//! 18.37 → 21.36 ms on `local-8x16`, 20.79 → 23.57 ms on `xshard-8x16` and
+//! 19.79 → 22.46 ms on `faulty-driven-8x16`, slower in 9, 9 and 10 of the
+//! pairs, with `allocs_per_round` −0.1 %: a round runs three or four
+//! batches, and spawning and joining the threads of each costs more than
+//! waking parked ones.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};

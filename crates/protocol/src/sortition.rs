@@ -76,23 +76,16 @@ impl RoundAssignment {
         all
     }
 
-    /// How many channels [`Self::topology`] holds, counted instead of
-    /// built: a clique per committee, the key-member mesh less the pairs a
-    /// committee's clique already holds, every key member to every referee,
-    /// the referee clique. Exact because sortition seats a node once: the
-    /// committees and the referee committee are pairwise disjoint.
+    /// How many channels [`Self::topology`] holds, counted instead of built
+    /// ([`RoundTopology::cycledger_channels`] over the real committee sizes).
+    /// Exact because sortition seats a node once.
     pub fn channel_count(&self) -> usize {
-        let pairs = |n: usize| n * n.saturating_sub(1) / 2;
         let partial = self.committees.first().map_or(0, |c| c.partial_set.len());
-        let (mut cliques, mut keys, mut held) = (0, 0, 0);
-        for committee in &self.committees {
-            let key_members = committee.size().min(1 + partial);
-            cliques += pairs(committee.size());
-            keys += key_members;
-            held += pairs(key_members);
-        }
-        let referee = self.referee.len();
-        cliques + pairs(keys) - held + keys * referee + pairs(referee)
+        RoundTopology::cycledger_channels(
+            self.committees.iter().map(CommitteeAssignment::size),
+            partial,
+            self.referee.len(),
+        )
     }
 
     /// Builds the network topology (channel graph) implied by this

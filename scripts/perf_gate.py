@@ -61,17 +61,20 @@ its baseline re-recorded.
 
 ``--state`` gates ``gen_bench_state --smoke`` (flat map vs sparse Merkle
 store over a 10^6-entry UTXO set). The per-transaction hot paths carry
-hard caps -- lookup within 3x and apply within 4x of the flat map --
+hard caps -- lookup within 3x and apply within 2.2x of the flat map --
 because those bounds make the authenticated backend deployable on the
 transaction path, and so does the resident tree: at most 3.0 arena slots
 per live UTXO after the write rounds, because the tree must follow the
 live set and not the number of rounds committed. The per-round commit
 ratio and allocation count are gated against ``BENCH_state.json``: a Merkle
 commit pays O(log n) hashes per written key where a hashmap pays one probe,
-so no small absolute cap is physically achievable there. The ratios are
-each the median of seven samples that alternate Map and SMT windows, so
-the host drifting between the two backends' measurements does not land in
-them whole.
+so no small absolute cap is physically achievable there. Both backends run
+through one loop -- lookups in alternating chunks, then a map round and an
+SMT round (apply, then commit) at a time, the one that goes first swapping
+every round -- and each ratio is taken over the whole loop: neither store
+runs more than two rounds in a row, so neither stays cache-warm through
+hundreds of its own, and the host drifting during the run slows both
+sides alike.
 
 ``--self-test`` (alone for the round gate, or after ``--latency`` /
 ``--counts`` / ``--state``) runs no benchmark: for every row of the gate it feeds the moves
@@ -227,7 +230,9 @@ GATES = {
     ),
     # The caps hold on any machine: the sparse-Merkle backend answers
     # lookups from its O(1) mirror (~1x measured) and an apply is two
-    # hashmap writes plus a delta-buffer insert (~3x measured). The arena
+    # hashmap writes plus a delta-buffer insert (~1.8x measured; the 2.2
+    # cap keeps the ~1.2x headroom the earlier 4.0 cap had over the 3.3 an
+    # earlier loop, whose map applied cache-warm, read). The arena
     # cap bounds resident tree size by the live set: a leaf-collapsed binary
     # trie over uniform keys holds 1 / ln 2 = 1.44 internal nodes per leaf,
     # plus the leaf, plus one round of churn waiting on the free lists. A
@@ -241,7 +246,7 @@ GATES = {
         "BENCH_state.json",
         (
             state_row("smt_lookup_over_map_lookup", 3.0),
-            state_row("smt_apply_over_map_apply", 4.0),
+            state_row("smt_apply_over_map_apply", 2.2),
             state_row("smt_arena_slots_per_live_utxo", 3.0),
             state_row("smt_commit_over_map_apply"),
             state_row("smt_allocations_per_round", 0.0),
@@ -286,7 +291,7 @@ SELF_TEST = {
     "tracked.p99_us": (UP, DOWN),
     "sweep.saturated_tps": (DOWN, UP),
     "tracked.smt_lookup_over_map_lookup": (3.1, 1.1),
-    "tracked.smt_apply_over_map_apply": (4.1, 3.5),
+    "tracked.smt_apply_over_map_apply": (2.3, 1.8),
     "tracked.smt_arena_slots_per_live_utxo": (3.05, 2.44),
     "tracked.smt_commit_over_map_apply": (UP, DOWN),
     "tracked.smt_allocations_per_round": (1.0, 0.0),

@@ -12,8 +12,8 @@
 //! * [`consensus`] — Algorithm 3, quorum certificates, votes, witnesses.
 //! * [`reputation`] — cosine scoring, the reward mapping `g(x)`, leader choice.
 //! * [`protocol`] — the full round/simulation driver (the paper's contribution).
-//! * [`analysis`] — failure-probability and complexity analysis (Fig. 5, Tables I–II).
-//! * [`baselines`] — Elastico / OmniLedger / RapidChain comparison models.
+//! * [`analysis`] — failure-probability and complexity analysis (Fig. 5,
+//!   Tables I–II) and the Elastico / OmniLedger / RapidChain comparison rows.
 //! * [`scenarios`] — declarative, invariant-gated scenario matrix (the
 //!   `scenario-runner` CLI and the golden-report regression gate).
 //! * [`checker`] — enumerating scheduler over the consensus machines the
@@ -37,7 +37,6 @@
 //! ```
 
 pub use cycledger_analysis as analysis;
-pub use cycledger_baselines as baselines;
 pub use cycledger_checker as checker;
 pub use cycledger_consensus as consensus;
 pub use cycledger_crypto as crypto;

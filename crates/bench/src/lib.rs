@@ -232,8 +232,22 @@ impl Json {
     }
 }
 
+/// A JSON string literal: `"` and `\` escaped, a newline, tab or carriage
+/// return as `\n`, `\t`, `\r`, any other control character as `\u00XX`.
 fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
+    write!(f, "\"")?;
+    for c in s.chars() {
+        match c {
+            '"' => write!(f, "\\\"")?,
+            '\\' => write!(f, "\\\\")?,
+            '\n' => write!(f, "\\n")?,
+            '\t' => write!(f, "\\t")?,
+            '\r' => write!(f, "\\r")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    write!(f, "\"")
 }
 
 impl fmt::Display for Json {
@@ -299,5 +313,12 @@ mod tests {
   "tail": 8.225e-20
 }"#;
         assert_eq!(doc.to_string(), expected);
+
+        // Control characters print as escapes, never raw.
+        let controls = Json::Str("line\nbreak\ttab\rreturn\u{1}\u{1f}".into());
+        assert_eq!(
+            controls.to_string(),
+            r#""line\nbreak\ttab\rreturn\u0001\u001f""#
+        );
     }
 }

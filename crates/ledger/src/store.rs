@@ -34,6 +34,9 @@ pub enum StateBackend {
 }
 
 impl StateBackend {
+    /// Every backend.
+    const ALL: [StateBackend; 2] = [StateBackend::Map, StateBackend::Smt];
+
     /// The spec/TOML name of this backend.
     pub fn name(self) -> &'static str {
         match self {
@@ -44,11 +47,7 @@ impl StateBackend {
 
     /// Parses a spec/TOML name.
     pub fn from_name(name: &str) -> Option<StateBackend> {
-        match name {
-            "map" => Some(StateBackend::Map),
-            "smt" => Some(StateBackend::Smt),
-            _ => None,
-        }
+        StateBackend::ALL.into_iter().find(|b| b.name() == name)
     }
 }
 

@@ -45,6 +45,19 @@ pub enum Behavior {
 }
 
 impl Behavior {
+    /// Every behaviour: [`Behavior::Honest`], then the malicious ones a
+    /// [`BehaviorMix::Uniform`] adversary draws from.
+    pub const ALL: [Behavior; 8] = [
+        Behavior::Honest,
+        Behavior::SilentLeader,
+        Behavior::EquivocatingLeader,
+        Behavior::MismatchedCommitment,
+        Behavior::CensoringLeader,
+        Behavior::WrongVoter,
+        Behavior::LazyVoter,
+        Behavior::FalseAccuser,
+    ];
+
     /// True for any behaviour other than [`Behavior::Honest`].
     pub fn is_malicious(self) -> bool {
         self != Behavior::Honest
@@ -182,19 +195,11 @@ impl AdversaryConfig {
             let j = i + drbg.next_below((total - i) as u64) as usize;
             indices.swap(i, j);
         }
-        const MALICIOUS: [Behavior; 7] = [
-            Behavior::SilentLeader,
-            Behavior::EquivocatingLeader,
-            Behavior::MismatchedCommitment,
-            Behavior::CensoringLeader,
-            Behavior::WrongVoter,
-            Behavior::LazyVoter,
-            Behavior::FalseAccuser,
-        ];
+        let malicious = &Behavior::ALL[1..];
         for &idx in indices.iter().take(malicious_count) {
             behaviors[idx] = match self.mix {
                 BehaviorMix::Fixed(b) => b,
-                BehaviorMix::Uniform => MALICIOUS[drbg.next_below(MALICIOUS.len() as u64) as usize],
+                BehaviorMix::Uniform => malicious[drbg.next_below(malicious.len() as u64) as usize],
             };
         }
         behaviors

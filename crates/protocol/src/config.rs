@@ -37,8 +37,6 @@ pub struct ProtocolConfig {
     /// Spread of compute capacity across nodes (capacity is sampled uniformly
     /// in `[base, base + spread]`).
     pub compute_capacity_spread: u32,
-    /// Extra reputation granted to a leader that completes its round (§VII-A).
-    pub leader_bonus: f64,
     /// Network latency model.
     pub latency: LatencyConfig,
     /// Adversary configuration.
@@ -123,7 +121,6 @@ impl Default for ProtocolConfig {
             pow_difficulty: 4,
             base_compute_capacity: 200,
             compute_capacity_spread: 100,
-            leader_bonus: 0.1,
             latency: LatencyConfig::default(),
             adversary: AdversaryConfig::default(),
             verify_signatures: true,

@@ -308,7 +308,6 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
             (o.committee, &o.vote_list, offered, admitted)
         }),
         &ctx.committees,
-        ctx.env.config.leader_bonus,
         ctx.reputation,
     );
 }

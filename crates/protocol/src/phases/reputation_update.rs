@@ -37,17 +37,19 @@ pub fn score_committee(vote_list: &VoteList, decision: &[i8]) -> Vec<(NodeId, f6
         .collect()
 }
 
+/// Extra reputation granted to a leader that completes its round (§VII-A).
+const LEADER_BONUS: f64 = 0.1;
+
 /// Applies the round's scores to `reputation`: for each committee
 /// `(k, V List, decision, admitted)` in the order given whose certificate the
 /// referee admitted, every member's score over the columns `decision` covers
 /// (the offered ones: a `V List`'s outbound columns are certified but not
-/// scored), then `leader_bonus` to `committees[k].leader` — the leader as it
-/// stands after the inter-committee phase. A committee offered nothing
+/// scored), then `LEADER_BONUS` to `committees[k].leader` — the leader as
+/// it stands after the inter-committee phase. A committee offered nothing
 /// scores nobody.
 pub fn run_reputation_update<'a>(
     inputs: impl IntoIterator<Item = (usize, &'a VoteList, &'a [i8], bool)>,
     committees: &[Committee],
-    leader_bonus: f64,
     reputation: &mut ReputationTable,
 ) {
     for (k, vote_list, decision, admitted) in inputs {
@@ -57,7 +59,7 @@ pub fn run_reputation_update<'a>(
         for (node, score) in score_committee(vote_list, decision) {
             reputation.add_score(node, score);
         }
-        reputation.grant_leader_bonus(committees[k].leader, leader_bonus);
+        reputation.grant_leader_bonus(committees[k].leader, LEADER_BONUS);
     }
 }
 
@@ -103,11 +105,11 @@ mod tests {
         }
     }
 
-    /// The phase over a fresh reputation table with a leader bonus of 0.1.
+    /// The phase over a fresh reputation table.
     fn update(fx: &Fixture, inputs: &[(usize, &VoteList, &[i8], bool)]) -> ReputationTable {
         let mut reputation = ReputationTable::with_members(fx.registry.ids());
         let inputs = inputs.iter().copied();
-        run_reputation_update(inputs, &fx.committees, 0.1, &mut reputation);
+        run_reputation_update(inputs, &fx.committees, &mut reputation);
         reputation
     }
 

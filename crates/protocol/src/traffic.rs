@@ -44,6 +44,9 @@ pub enum ArrivalShape {
 }
 
 impl ArrivalShape {
+    /// Every shape.
+    const ALL: [ArrivalShape; 2] = [ArrivalShape::Constant, ArrivalShape::Poisson];
+
     /// Stable lowercase name (TOML/report vocabulary).
     pub fn name(self) -> &'static str {
         match self {
@@ -54,11 +57,7 @@ impl ArrivalShape {
 
     /// Parses [`ArrivalShape::name`] output.
     pub fn from_name(name: &str) -> Option<ArrivalShape> {
-        match name {
-            "constant" => Some(ArrivalShape::Constant),
-            "poisson" => Some(ArrivalShape::Poisson),
-            _ => None,
-        }
+        ArrivalShape::ALL.into_iter().find(|a| a.name() == name)
     }
 }
 

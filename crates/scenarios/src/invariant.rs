@@ -1,8 +1,6 @@
 //! Machine-checkable invariants: each maps one of the paper's claims onto a
 //! predicate over a [`ScenarioOutcome`].
 
-use std::str::FromStr;
-
 use cycledger_analysis::failure::cycledger_round_failure_exact;
 use cycledger_net::metrics::Phase;
 use cycledger_protocol::adversary::AdversaryConfig;
@@ -73,7 +71,7 @@ pub enum Invariant {
     /// scenario's `(n, t, m, c, λ)` stays below the bound (Table I row 4
     /// cross-check).
     FailureProbabilityBelow(f64),
-    /// Every round executed the eight standard phases in protocol order
+    /// Every round executed the seven standard phases in protocol order
     /// (checked through the engine's observer hooks).
     PipelineComplete,
     /// Message-driven mode: at least this many quorum-timeout fallbacks
@@ -146,110 +144,42 @@ pub struct InvariantResult {
     pub detail: String,
 }
 
+spec_heads!(Invariant, "invariant",
+    "digest-matches-across-worker-counts" => DigestMatchesAcrossWorkerCounts,
+    "digest-stable-across-runs" => DigestStableAcrossRuns,
+    "no-honest-node-punished" => NoHonestNodePunished,
+    "all-injected-leader-faults-recovered" => AllInjectedLeaderFaultsRecovered,
+    "censored-cross-shard-txs-eventually-apply" => CensoredCrossShardTxsEventuallyApply,
+    "blocks-every-round" => BlocksEveryRound,
+    "min-blocks" => MinBlocksProduced(n),
+    "min-acceptance" => MinMeanAcceptanceRate(rate),
+    "no-evictions" => NoEvictions,
+    "min-evictions" => MinEvictions(n),
+    "min-censorship-reports" => MinCensorshipAccusations(n),
+    "min-witnesses" => MinWitnesses(n),
+    "packed-within-offered-valid" => PackedWithinOfferedValid,
+    "malicious-never-outearn-honest" => MaliciousNeverOutearnHonest,
+    "adversary-bound-respected" => AdversaryBoundRespected,
+    "failure-probability-below" => FailureProbabilityBelow(p),
+    "pipeline-complete" => PipelineComplete,
+    "min-quorum-timeouts" => MinQuorumTimeouts(n),
+    "no-quorum-timeouts" => NoQuorumTimeouts,
+    "min-net-dropped" => MinNetDroppedMessages(n),
+    "blocks-from-round" => BlocksFromRound(round),
+    "min-acceptance-from" => MinAcceptanceFromRound(round, rate),
+    "no-double-commit" => NoDoubleCommit,
+    "min-epoch-transitions" => MinEpochTransitions(n),
+    "no-syncing-votes" => NoSyncingVotes,
+    "min-synced" => MinSynced(n),
+    "min-sync-timeouts" => MinSyncTimeouts(n),
+    "max-p99-latency" => MaxP99Latency(delta),
+    "min-sustained-tps" => MinSustainedTps(tps),
+    "confirmed-equals-packed" => ConfirmedEqualsPacked,
+    "state-root" => StateRootsEveryRound,
+    "light-client-proof" => LightClientProofsVerify(n),
+);
+
 impl Invariant {
-    /// Canonical spec string (TOML schema + reports).
-    pub fn to_spec(self) -> String {
-        match self {
-            Invariant::DigestMatchesAcrossWorkerCounts => {
-                "digest-matches-across-worker-counts".into()
-            }
-            Invariant::DigestStableAcrossRuns => "digest-stable-across-runs".into(),
-            Invariant::NoHonestNodePunished => "no-honest-node-punished".into(),
-            Invariant::AllInjectedLeaderFaultsRecovered => {
-                "all-injected-leader-faults-recovered".into()
-            }
-            Invariant::CensoredCrossShardTxsEventuallyApply => {
-                "censored-cross-shard-txs-eventually-apply".into()
-            }
-            Invariant::BlocksEveryRound => "blocks-every-round".into(),
-            Invariant::MinBlocksProduced(n) => format!("min-blocks:{n}"),
-            Invariant::MinMeanAcceptanceRate(r) => format!("min-acceptance:{r:?}"),
-            Invariant::NoEvictions => "no-evictions".into(),
-            Invariant::MinEvictions(n) => format!("min-evictions:{n}"),
-            Invariant::MinCensorshipAccusations(n) => format!("min-censorship-reports:{n}"),
-            Invariant::MinWitnesses(n) => format!("min-witnesses:{n}"),
-            Invariant::PackedWithinOfferedValid => "packed-within-offered-valid".into(),
-            Invariant::MaliciousNeverOutearnHonest => "malicious-never-outearn-honest".into(),
-            Invariant::AdversaryBoundRespected => "adversary-bound-respected".into(),
-            Invariant::FailureProbabilityBelow(p) => format!("failure-probability-below:{p:?}"),
-            Invariant::PipelineComplete => "pipeline-complete".into(),
-            Invariant::MinQuorumTimeouts(n) => format!("min-quorum-timeouts:{n}"),
-            Invariant::NoQuorumTimeouts => "no-quorum-timeouts".into(),
-            Invariant::MinNetDroppedMessages(n) => format!("min-net-dropped:{n}"),
-            Invariant::BlocksFromRound(r) => format!("blocks-from-round:{r}"),
-            Invariant::MinAcceptanceFromRound(r, rate) => {
-                format!("min-acceptance-from:{r}:{rate:?}")
-            }
-            Invariant::NoDoubleCommit => "no-double-commit".into(),
-            Invariant::MinEpochTransitions(n) => format!("min-epoch-transitions:{n}"),
-            Invariant::NoSyncingVotes => "no-syncing-votes".into(),
-            Invariant::MinSynced(n) => format!("min-synced:{n}"),
-            Invariant::MinSyncTimeouts(n) => format!("min-sync-timeouts:{n}"),
-            Invariant::MaxP99Latency(d) => format!("max-p99-latency:{d:?}"),
-            Invariant::MinSustainedTps(t) => format!("min-sustained-tps:{t:?}"),
-            Invariant::ConfirmedEqualsPacked => "confirmed-equals-packed".into(),
-            Invariant::StateRootsEveryRound => "state-root".into(),
-            Invariant::LightClientProofsVerify(n) => format!("light-client-proof:{n}"),
-        }
-    }
-
-    /// Parses a canonical spec string.
-    pub fn from_spec(s: &str) -> Result<Invariant, String> {
-        let (head, param) = match s.split_once(':') {
-            Some((h, p)) => (h, Some(p)),
-            None => (s, None),
-        };
-        /// Parses one numeric parameter of the spec `s`.
-        fn number<T: FromStr>(s: &str, param: Option<&str>) -> Result<T, String> {
-            param
-                .ok_or_else(|| format!("invariant {s:?} needs a numeric parameter"))?
-                .parse()
-                .map_err(|_| format!("bad numeric parameter in invariant {s:?}"))
-        }
-        Ok(match head {
-            "digest-matches-across-worker-counts" => Invariant::DigestMatchesAcrossWorkerCounts,
-            "digest-stable-across-runs" => Invariant::DigestStableAcrossRuns,
-            "no-honest-node-punished" => Invariant::NoHonestNodePunished,
-            "all-injected-leader-faults-recovered" => Invariant::AllInjectedLeaderFaultsRecovered,
-            "censored-cross-shard-txs-eventually-apply" => {
-                Invariant::CensoredCrossShardTxsEventuallyApply
-            }
-            "blocks-every-round" => Invariant::BlocksEveryRound,
-            "min-blocks" => Invariant::MinBlocksProduced(number(s, param)?),
-            "min-acceptance" => Invariant::MinMeanAcceptanceRate(number(s, param)?),
-            "no-evictions" => Invariant::NoEvictions,
-            "min-evictions" => Invariant::MinEvictions(number(s, param)?),
-            "min-censorship-reports" => Invariant::MinCensorshipAccusations(number(s, param)?),
-            "min-witnesses" => Invariant::MinWitnesses(number(s, param)?),
-            "packed-within-offered-valid" => Invariant::PackedWithinOfferedValid,
-            "malicious-never-outearn-honest" => Invariant::MaliciousNeverOutearnHonest,
-            "adversary-bound-respected" => Invariant::AdversaryBoundRespected,
-            "failure-probability-below" => Invariant::FailureProbabilityBelow(number(s, param)?),
-            "pipeline-complete" => Invariant::PipelineComplete,
-            "min-quorum-timeouts" => Invariant::MinQuorumTimeouts(number(s, param)?),
-            "no-quorum-timeouts" => Invariant::NoQuorumTimeouts,
-            "min-net-dropped" => Invariant::MinNetDroppedMessages(number(s, param)?),
-            "blocks-from-round" => Invariant::BlocksFromRound(number(s, param)?),
-            "min-acceptance-from" => {
-                let (round, rate) = param
-                    .and_then(|p| p.split_once(':'))
-                    .ok_or_else(|| format!("invariant {s:?} needs round:rate parameters"))?;
-                Invariant::MinAcceptanceFromRound(number(s, Some(round))?, number(s, Some(rate))?)
-            }
-            "no-double-commit" => Invariant::NoDoubleCommit,
-            "min-epoch-transitions" => Invariant::MinEpochTransitions(number(s, param)?),
-            "no-syncing-votes" => Invariant::NoSyncingVotes,
-            "min-synced" => Invariant::MinSynced(number(s, param)?),
-            "min-sync-timeouts" => Invariant::MinSyncTimeouts(number(s, param)?),
-            "max-p99-latency" => Invariant::MaxP99Latency(number(s, param)?),
-            "min-sustained-tps" => Invariant::MinSustainedTps(number(s, param)?),
-            "confirmed-equals-packed" => Invariant::ConfirmedEqualsPacked,
-            "state-root" => Invariant::StateRootsEveryRound,
-            "light-client-proof" => Invariant::LightClientProofsVerify(number(s, param)?),
-            other => return Err(format!("unknown invariant {other:?}")),
-        })
-    }
-
     /// Checks the invariant against a finished run.
     pub fn check(self, outcome: &ScenarioOutcome) -> InvariantResult {
         let (passed, detail) = self.evaluate(outcome);
@@ -349,13 +279,7 @@ impl Invariant {
                     format!("{produced} blocks over {} rounds", summary.num_rounds()),
                 )
             }
-            Invariant::MinBlocksProduced(min) => {
-                let produced = summary.blocks_produced();
-                (
-                    produced >= min,
-                    format!("{produced} blocks (need >= {min})"),
-                )
-            }
+            Invariant::MinBlocksProduced(min) => at_least(summary.blocks_produced(), min, "blocks"),
             Invariant::MinMeanAcceptanceRate(min) => {
                 let rate = summary.mean_acceptance_rate();
                 (
@@ -367,27 +291,13 @@ impl Invariant {
                 let evictions = summary.total_evictions();
                 (evictions == 0, format!("{evictions} evictions"))
             }
-            Invariant::MinEvictions(min) => {
-                let evictions = summary.total_evictions();
-                (
-                    evictions >= min,
-                    format!("{evictions} evictions (need >= {min})"),
-                )
-            }
-            Invariant::MinCensorshipAccusations(min) => {
-                let reports = summary.total_censorship_reports();
-                (
-                    reports >= min,
-                    format!("{reports} censorship reports (need >= {min})"),
-                )
-            }
-            Invariant::MinWitnesses(min) => {
-                let witnesses = summary.total_witnesses();
-                (
-                    witnesses >= min,
-                    format!("{witnesses} witnesses (need >= {min})"),
-                )
-            }
+            Invariant::MinEvictions(min) => at_least(summary.total_evictions(), min, "evictions"),
+            Invariant::MinCensorshipAccusations(min) => at_least(
+                summary.total_censorship_reports(),
+                min,
+                "censorship reports",
+            ),
+            Invariant::MinWitnesses(min) => at_least(summary.total_witnesses(), min, "witnesses"),
             Invariant::PackedWithinOfferedValid => {
                 let violating: Vec<u64> = summary
                     .rounds
@@ -434,24 +344,20 @@ impl Invariant {
                     format!("exact per-round failure probability {p:.3e} (need <= {bound:.3e})"),
                 )
             }
-            Invariant::MinQuorumTimeouts(min) => {
-                let fired = summary.total_quorum_timeouts();
-                (
-                    fired >= min,
-                    format!("{fired} quorum timeout(s) fired (need >= {min})"),
-                )
-            }
+            Invariant::MinQuorumTimeouts(min) => at_least(
+                summary.total_quorum_timeouts(),
+                min,
+                "quorum timeout(s) fired",
+            ),
             Invariant::NoQuorumTimeouts => {
                 let fired = summary.total_quorum_timeouts();
                 (fired == 0, format!("{fired} quorum timeout(s) fired"))
             }
-            Invariant::MinNetDroppedMessages(min) => {
-                let dropped = summary.total_net_dropped_messages();
-                (
-                    dropped >= min,
-                    format!("{dropped} envelope(s) dropped by the fault plan (need >= {min})"),
-                )
-            }
+            Invariant::MinNetDroppedMessages(min) => at_least(
+                summary.total_net_dropped_messages(),
+                min,
+                "envelope(s) dropped by the fault plan",
+            ),
             Invariant::BlocksFromRound(from) => {
                 let missing: Vec<u64> = summary
                     .rounds
@@ -488,13 +394,11 @@ impl Invariant {
                     format!("{dupes} transaction(s) committed more than once"),
                 )
             }
-            Invariant::MinEpochTransitions(min) => {
-                let transitions = summary.total_epoch_transitions();
-                (
-                    transitions >= min,
-                    format!("{transitions} epoch transition(s) (need >= {min})"),
-                )
-            }
+            Invariant::MinEpochTransitions(min) => at_least(
+                summary.total_epoch_transitions(),
+                min,
+                "epoch transition(s)",
+            ),
             Invariant::NoSyncingVotes => {
                 let votes = summary.total_syncing_votes();
                 let abstentions = summary.total_syncing_abstentions();
@@ -503,19 +407,13 @@ impl Invariant {
                     format!("{votes} vote(s) received from Syncing members ({abstentions} abstention(s))"),
                 )
             }
-            Invariant::MinSynced(min) => {
-                let synced = summary.total_synced();
-                (
-                    synced >= min,
-                    format!("{synced} member(s) completed state sync (need >= {min})"),
-                )
-            }
+            Invariant::MinSynced(min) => at_least(
+                summary.total_synced(),
+                min,
+                "member(s) completed state sync",
+            ),
             Invariant::MinSyncTimeouts(min) => {
-                let timeouts = summary.total_sync_timeouts();
-                (
-                    timeouts >= min,
-                    format!("{timeouts} state-sync timeout(s) (need >= {min})"),
-                )
+                at_least(summary.total_sync_timeouts(), min, "state-sync timeout(s)")
             }
             Invariant::MaxP99Latency(max_delta) => match &outcome.traffic {
                 None => (false, "scenario has no open-loop traffic".into()),
@@ -624,6 +522,12 @@ impl Invariant {
             }
         }
     }
+}
+
+/// A count gate: `value >= min`, with the evidence "`value` `what` (need >=
+/// `min`)".
+fn at_least<T: PartialOrd + std::fmt::Display>(value: T, min: T, what: &str) -> (bool, String) {
+    (value >= min, format!("{value} {what} (need >= {min})"))
 }
 
 #[cfg(test)]

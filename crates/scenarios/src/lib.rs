@@ -31,6 +31,48 @@
 
 #![warn(missing_docs)]
 
+/// Implements `to_spec` and `from_spec` on the enum `$t` from one list of its
+/// spec heads, the one place each head is spelled: a variant's spec string is
+/// its head, then `:` and each parameter in the order listed (floats in their
+/// shortest exact form). A string whose head is unknown, or whose parameters
+/// are missing, malformed or one too many, is an error naming `$what`.
+macro_rules! spec_heads {
+    ($t:ident, $what:literal,
+     $($head:literal => $variant:ident $(($($arg:ident),+))? $({ $($field:ident),+ })?,)+) => {
+        impl $t {
+            /// Canonical spec string (TOML schema + reports).
+            pub fn to_spec(self) -> String {
+                let (head, params): (&str, &[&dyn std::fmt::Debug]) = match &self {
+                    $($t::$variant $(($($arg),+))? $({ $($field),+ })? =>
+                        ($head, &[$($($arg),+)? $($($field),+)?]),)+
+                };
+                params.iter().fold(head.to_string(), |spec, p| format!("{spec}:{p:?}"))
+            }
+
+            /// Parses a canonical spec string.
+            pub fn from_spec(s: &str) -> Result<$t, String> {
+                let mut params = s.split(':');
+                let head = params.next().unwrap_or_default();
+                let mut next = || params.next()
+                    .ok_or_else(|| format!(concat!($what, " {:?} needs a numeric parameter"), s));
+                let bad = || format!(concat!("bad numeric parameter in ", $what, " {:?}"), s);
+                let parsed = match head {
+                    $($head => {
+                        $($(let $arg = next()?.parse().map_err(|_| bad())?;)+)?
+                        $($(let $field = next()?.parse().map_err(|_| bad())?;)+)?
+                        $t::$variant $(($($arg),+))? $({ $($field),+ })?
+                    })+
+                    _ => return Err(format!(concat!("unknown ", $what, " {:?}"), s)),
+                };
+                match params.next() {
+                    None => Ok(parsed),
+                    Some(_) => Err(format!(concat!($what, " {:?} has a parameter too many"), s)),
+                }
+            }
+        }
+    };
+}
+
 pub mod invariant;
 pub mod outcome;
 pub mod registry;

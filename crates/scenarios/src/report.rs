@@ -11,7 +11,8 @@ use cycledger_ledger::StateBackend;
 use cycledger_protocol::adversary::AdversaryConfig;
 
 use crate::runner::ScenarioRun;
-use crate::spec::{behavior_name, mix_name, NetFaultKind};
+use crate::spec::{behavior_name, mix_name, NetFaultInjection};
+use crate::toml_cfg::{entries, Value, NET_FAULT_KEYS};
 
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -67,6 +68,18 @@ fn inline(entries: &[String]) -> String {
     format!("{{ {} }}", entries.join(", "))
 }
 
+/// A scheduled network fault on one line, its keys and values as its
+/// `[[scenario.net_faults]]` section writes them.
+fn net_fault(fault: &NetFaultInjection) -> String {
+    let fields: Vec<String> = entries(&NET_FAULT_KEYS, fault)
+        .map(|(key, value)| match value {
+            Value::Str(s) => entry(key, string(&s)),
+            number => entry(key, number),
+        })
+        .collect();
+    inline(&fields)
+}
+
 /// Renders the canonical JSON report for one scenario run.
 pub fn render_report(run: &ScenarioRun) -> String {
     let outcome = &run.outcome;
@@ -91,7 +104,7 @@ pub fn render_report(run: &ScenarioRun) -> String {
             "malicious_fraction",
             format!("{:?}", cfg.adversary.malicious_fraction),
         ),
-        entry("mix", string(&mix_name(cfg.adversary.mix))),
+        entry("mix", string(mix_name(cfg.adversary.mix))),
     ];
     if epochs_on {
         config.extend([
@@ -156,37 +169,7 @@ pub fn render_report(run: &ScenarioRun) -> String {
 
     // Scheduled network faults (omitted when the scenario schedules none).
     if !scenario.net_faults.is_empty() {
-        let net_faults: Vec<String> = scenario
-            .net_faults
-            .iter()
-            .map(|fault| {
-                let mut fields = vec![
-                    entry("from_round", fault.from_round),
-                    entry("until_round", fault.until_round),
-                    entry("kind", string(fault.kind.name())),
-                ];
-                match fault.kind {
-                    NetFaultKind::IsolateLeader { committee } => {
-                        fields.push(entry("committee", committee));
-                    }
-                    NetFaultKind::IsolateCommons { committee, count } => {
-                        fields.extend([entry("committee", committee), entry("count", count)]);
-                    }
-                    NetFaultKind::Delay { target, micros } => {
-                        fields.extend([
-                            entry("target", string(&target.to_spec())),
-                            entry("delay_us", micros),
-                        ]);
-                    }
-                    NetFaultKind::Loss { ppm } => fields.push(entry("loss_ppm", ppm)),
-                    NetFaultKind::CrashStop { target } => {
-                        fields.push(entry("target", string(&target.to_spec())));
-                    }
-                    NetFaultKind::IsolateJoiners => {}
-                }
-                inline(&fields)
-            })
-            .collect();
+        let net_faults: Vec<String> = scenario.net_faults.iter().map(net_fault).collect();
         report.push(entry("net_faults", array(&net_faults)));
     }
 
@@ -333,6 +316,64 @@ pub fn render_report(run: &ScenarioRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{FaultTarget, NetFaultKind, Scenario};
+    use crate::toml_cfg::scenarios_to_toml;
+    use cycledger_protocol::config::ProtocolConfig;
+
+    /// Every kind's `net_faults` entry carries the keys and values of its
+    /// `[[scenario.net_faults]]` section, in the same order.
+    #[test]
+    fn a_net_fault_reports_its_toml_section() {
+        let kinds = [
+            NetFaultKind::IsolateLeader { committee: 1 },
+            NetFaultKind::IsolateCommons {
+                committee: 1,
+                count: 2,
+            },
+            NetFaultKind::Delay {
+                target: FaultTarget::PartialSetMember {
+                    committee: 1,
+                    index: 0,
+                },
+                micros: 600_000,
+            },
+            NetFaultKind::Loss { ppm: 2_500 },
+            NetFaultKind::CrashStop {
+                target: FaultTarget::Node(7),
+            },
+            NetFaultKind::IsolateJoiners,
+        ];
+        assert_eq!(
+            kinds.map(|k| k.name()),
+            NetFaultKind::BLANK.map(|k| k.name()),
+            "one case per kind"
+        );
+        for kind in kinds {
+            let fault = NetFaultInjection {
+                from_round: 1,
+                until_round: 3,
+                kind,
+            };
+            let mut scenario = Scenario::new("x", ProtocolConfig::default());
+            scenario.net_faults.push(fault);
+            let toml = scenarios_to_toml(&[scenario]);
+            let section = toml.split("[[scenario.net_faults]]\n").nth(1).unwrap();
+            let toml: Vec<(&str, &str)> = section
+                .lines()
+                .filter_map(|line| line.split_once(" = "))
+                .collect();
+            let json = net_fault(&fault);
+            let json: Vec<(&str, &str)> = json
+                .strip_prefix("{ ")
+                .and_then(|j| j.strip_suffix(" }"))
+                .unwrap()
+                .split(", ")
+                .map(|e| e.split_once(": ").unwrap())
+                .map(|(key, value)| (key.trim_matches('"'), value))
+                .collect();
+            assert_eq!(json, toml, "{}", kind.name());
+        }
+    }
 
     #[test]
     fn json_escaping() {

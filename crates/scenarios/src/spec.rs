@@ -38,48 +38,15 @@ pub enum FaultTarget {
     AllReferees,
 }
 
+spec_heads!(FaultTarget, "fault target",
+    "leader" => Leader(committee),
+    "partial" => PartialSetMember { committee, index },
+    "node" => Node(id),
+    "all-leaders" => AllLeaders,
+    "all-referees" => AllReferees,
+);
+
 impl FaultTarget {
-    /// Canonical string form (`leader:0`, `partial:1:0`, `node:12`,
-    /// `all-leaders`, `all-referees`) used by the TOML schema.
-    pub fn to_spec(self) -> String {
-        match self {
-            FaultTarget::Leader(k) => format!("leader:{k}"),
-            FaultTarget::PartialSetMember { committee, index } => {
-                format!("partial:{committee}:{index}")
-            }
-            FaultTarget::Node(id) => format!("node:{id}"),
-            FaultTarget::AllLeaders => "all-leaders".into(),
-            FaultTarget::AllReferees => "all-referees".into(),
-        }
-    }
-
-    /// Parses the canonical string form.
-    pub fn from_spec(s: &str) -> Result<FaultTarget, String> {
-        let parts: Vec<&str> = s.split(':').collect();
-        match parts.as_slice() {
-            ["all-leaders"] => Ok(FaultTarget::AllLeaders),
-            ["all-referees"] => Ok(FaultTarget::AllReferees),
-            ["leader", k] => k
-                .parse()
-                .map(FaultTarget::Leader)
-                .map_err(|_| format!("bad committee index in target {s:?}")),
-            ["node", id] => id
-                .parse()
-                .map(FaultTarget::Node)
-                .map_err(|_| format!("bad node id in target {s:?}")),
-            ["partial", k, i] => {
-                let committee = k
-                    .parse()
-                    .map_err(|_| format!("bad committee index in target {s:?}"))?;
-                let index = i
-                    .parse()
-                    .map_err(|_| format!("bad partial-set index in target {s:?}"))?;
-                Ok(FaultTarget::PartialSetMember { committee, index })
-            }
-            _ => Err(format!("unknown fault target {s:?}")),
-        }
-    }
-
     /// Checks that a positional target names a committee and a partial-set
     /// slot the configuration has (node ids are checked against the live
     /// registry when the target is resolved).
@@ -160,6 +127,25 @@ pub enum NetFaultKind {
 }
 
 impl NetFaultKind {
+    /// Every kind with its fields zero: a `kind` key reads as the entry its
+    /// name picks, and the keys the kind carries fill it in.
+    pub(crate) const BLANK: [NetFaultKind; 6] = [
+        NetFaultKind::IsolateLeader { committee: 0 },
+        NetFaultKind::IsolateCommons {
+            committee: 0,
+            count: 0,
+        },
+        NetFaultKind::Delay {
+            target: FaultTarget::AllLeaders,
+            micros: 0,
+        },
+        NetFaultKind::Loss { ppm: 0 },
+        NetFaultKind::CrashStop {
+            target: FaultTarget::AllLeaders,
+        },
+        NetFaultKind::IsolateJoiners,
+    ];
+
     /// Canonical kebab-case kind name (TOML schema + reports).
     pub fn name(&self) -> &'static str {
         match self {
@@ -212,26 +198,18 @@ pub fn behavior_name(behavior: Behavior) -> &'static str {
 
 /// Parses a kebab-case behaviour name.
 pub fn behavior_from_name(name: &str) -> Result<Behavior, String> {
-    Ok(match name {
-        "honest" => Behavior::Honest,
-        "silent-leader" => Behavior::SilentLeader,
-        "equivocating-leader" => Behavior::EquivocatingLeader,
-        "mismatched-commitment" => Behavior::MismatchedCommitment,
-        "censoring-leader" => Behavior::CensoringLeader,
-        "wrong-voter" => Behavior::WrongVoter,
-        "lazy-voter" => Behavior::LazyVoter,
-        "false-accuser" => Behavior::FalseAccuser,
-        other => return Err(format!("unknown behaviour {other:?}")),
-    })
+    Behavior::ALL
+        .into_iter()
+        .find(|&b| behavior_name(b) == name)
+        .ok_or_else(|| format!("unknown behaviour {name:?}"))
 }
 
-/// Canonical string form of a behaviour mix (`honest`, `uniform`, or a
-/// behaviour name for a fixed mix).
-pub fn mix_name(mix: BehaviorMix) -> String {
+/// Canonical string form of a behaviour mix (`uniform`, or a behaviour name
+/// for a fixed mix).
+pub fn mix_name(mix: BehaviorMix) -> &'static str {
     match mix {
-        BehaviorMix::Uniform => "uniform".into(),
-        BehaviorMix::Fixed(Behavior::Honest) => "honest".into(),
-        BehaviorMix::Fixed(b) => behavior_name(b).into(),
+        BehaviorMix::Uniform => "uniform",
+        BehaviorMix::Fixed(b) => behavior_name(b),
     }
 }
 
@@ -495,7 +473,7 @@ mod tests {
         assert!(behavior_from_name("sleepy-leader").is_err());
         assert_eq!(mix_from_name("uniform"), Ok(BehaviorMix::Uniform));
         assert_eq!(
-            mix_from_name(&mix_name(BehaviorMix::Fixed(Behavior::LazyVoter))),
+            mix_from_name(mix_name(BehaviorMix::Fixed(Behavior::LazyVoter))),
             Ok(BehaviorMix::Fixed(Behavior::LazyVoter))
         );
     }

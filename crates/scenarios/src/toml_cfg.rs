@@ -8,12 +8,15 @@
 //! rejected — a typo in a scenario file should fail loudly, not silently fall
 //! back to a default.
 //!
-//! `SCENARIO_KEYS` below is the one list of `[[scenario]]` keys (and
-//! `TRAFFIC_KEYS` of `[scenario.traffic]` keys): each row names a key, reads
-//! its value off a scenario and writes a parsed value back, so the parser and
-//! the serializer cannot disagree. The serializer writes every row in table
-//! order, and `parse(serialize(s))` reproduces `s` exactly — pinned by the
-//! round-trip property in this module's tests.
+//! Each section has one key table, the one list of its keys: `SCENARIO_KEYS`
+//! for `[[scenario]]`, `TRAFFIC_KEYS` for `[scenario.traffic]`, `FAULT_KEYS`
+//! for `[[scenario.faults]]` and `NET_FAULT_KEYS` for
+//! `[[scenario.net_faults]]`. Each row names a key, reads its value off a
+//! record and writes a parsed value back, so the parser and the serializer
+//! (and the report's `net_faults` block, which reads `NET_FAULT_KEYS` too)
+//! cannot disagree. The serializer writes every row that carries a value in
+//! table order, and `parse(serialize(s))` reproduces `s` exactly — pinned by
+//! the round-trip property in this module's tests.
 
 use std::fmt;
 
@@ -115,7 +118,7 @@ field!(FaultTarget, "a target spec", |t| Value::Str(t.to_spec()),
     Value::Str(s) => FaultTarget::from_spec(s));
 field!(Behavior, "a behaviour name", |b| Value::Str(behavior_name(*b).into()),
     Value::Str(s) => behavior_from_name(s));
-field!(BehaviorMix, "a mix name", |m| Value::Str(mix_name(*m)),
+field!(BehaviorMix, "a mix name", |m| Value::Str(mix_name(*m).into()),
     Value::Str(s) => mix_from_name(s));
 field!(StateBackend, "a backend name", |b| Value::Str(b.name().into()),
     Value::Str(s) => StateBackend::from_name(s)
@@ -123,6 +126,10 @@ field!(StateBackend, "a backend name", |b| Value::Str(b.name().into()),
 field!(ArrivalShape, "a shape name", |a| Value::Str(a.name().into()),
     Value::Str(s) => ArrivalShape::from_name(s)
         .ok_or_else(|| format!("unknown arrival shape {s:?}")));
+// A kind reads as its blank; the keys it carries fill it in.
+field!(NetFaultKind, "a kind name", |k| Value::Str(k.name().into()),
+    Value::Str(s) => NetFaultKind::BLANK.into_iter().find(|k| k.name() == s.as_str())
+        .ok_or_else(|| format!("unknown net-fault kind {s:?}")));
 
 impl<T: Field> Field for Vec<T> {
     fn to_value(&self) -> Value {
@@ -137,22 +144,41 @@ impl<T: Field> Field for Vec<T> {
 }
 
 /// One `key = value` line of a table: the key, how its value is read off a
-/// `T`, and how a parsed value is written back.
-struct Key<T> {
+/// `T` (`None` where that `T` does not carry the key), and how a parsed value
+/// is written back.
+pub(crate) struct Key<T> {
     name: &'static str,
-    read: fn(&T) -> Value,
+    read: fn(&T) -> Option<Value>,
     write: fn(&mut T, &Value) -> Result<(), String>,
 }
 
-/// The row of a key stored in one field of `T`.
+/// The row of a key stored in one field of `T` or, given `$kinds`, in the
+/// field `$field` of the net-fault kinds matching `$kinds` (a fault of any
+/// other kind neither reads nor writes it).
 macro_rules! key {
-    ($name:literal, $($field:ident).+) => {
+    ($name:expr, $($field:ident).+) => {
         Key {
             name: $name,
-            read: |t| t.$($field).+.to_value(),
+            read: |t| Some(t.$($field).+.to_value()),
             write: |t, value| {
                 t.$($field).+ = Field::from_value(value)?;
                 Ok(())
+            },
+        }
+    };
+    ($name:expr, $field:ident, $kinds:pat) => {
+        Key {
+            name: $name,
+            read: |fault: &NetFaultInjection| match fault.kind {
+                $kinds => Some($field.to_value()),
+                _ => None,
+            },
+            write: |fault, value| match &mut fault.kind {
+                $kinds => {
+                    *$field = Field::from_value(value)?;
+                    Ok(())
+                }
+                kind => Err(format!("kind {:?} does not carry this key", kind.name())),
             },
         }
     };
@@ -161,7 +187,7 @@ macro_rules! key {
 /// Every `[[scenario]]` key, in the order `scenarios_to_toml` writes them: the
 /// one list of keys a scenario file may use. A key left out of a file keeps
 /// its default ([`Scenario::new`] over [`ProtocolConfig::default`]).
-static SCENARIO_KEYS: [Key<Scenario>; 29] = [
+static SCENARIO_KEYS: [Key<Scenario>; 28] = [
     key!("name", name),
     key!("description", description),
     key!("paper_claim", paper_claim),
@@ -180,7 +206,6 @@ static SCENARIO_KEYS: [Key<Scenario>; 29] = [
     key!("pow_difficulty", config.pow_difficulty),
     key!("base_compute_capacity", config.base_compute_capacity),
     key!("compute_capacity_spread", config.compute_capacity_spread),
-    key!("leader_bonus", config.leader_bonus),
     key!("latency_delta_us", config.latency.delta),
     key!("latency_gamma_us", config.latency.gamma),
     key!("latency_partial_us", config.latency.partial_bound),
@@ -193,39 +218,117 @@ static SCENARIO_KEYS: [Key<Scenario>; 29] = [
     key!("invariants", invariants),
 ];
 
-/// Every `[scenario.traffic]` key (`rate_tps` is required).
+/// Every `[scenario.traffic]` key (the first, `rate_tps`, is required).
 static TRAFFIC_KEYS: [Key<TrafficConfig>; 3] = [
     key!("rate_tps", rate_tps),
     key!("shape", shape),
     key!("warmup_rounds", warmup_rounds),
 ];
 
-/// Writes a table's entries into `target` through its key table.
-fn apply_keys<T>(
+/// A key of both fault tables.
+const TARGET: &str = "target";
+
+/// Every `[[scenario.faults]]` key (all are required).
+static FAULT_KEYS: [Key<FaultInjection>; 3] = [
+    key!("round", round),
+    key!(TARGET, target),
+    key!("behavior", behavior),
+];
+
+/// The fault a section is read onto.
+const NO_FAULT: FaultInjection = FaultInjection {
+    round: 0,
+    target: FaultTarget::AllLeaders,
+    behavior: Behavior::Honest,
+};
+
+/// The net fault a section is read onto (its `kind` key replaces the kind).
+const NO_NET_FAULT: NetFaultInjection = NetFaultInjection {
+    from_round: 0,
+    until_round: 0,
+    kind: NetFaultKind::IsolateJoiners,
+};
+
+/// Every `[[scenario.net_faults]]` key: first the window and the kind, which
+/// every fault carries, then the keys some kinds carry. Every key a fault
+/// carries is required.
+pub(crate) static NET_FAULT_KEYS: [Key<NetFaultInjection>; 8] = [
+    key!("from_round", from_round),
+    key!("until_round", until_round),
+    key!("kind", kind),
+    key!(
+        "committee",
+        committee,
+        NetFaultKind::IsolateLeader { committee } | NetFaultKind::IsolateCommons { committee, .. }
+    ),
+    key!("count", count, NetFaultKind::IsolateCommons { count, .. }),
+    key!(
+        TARGET,
+        target,
+        NetFaultKind::Delay { target, .. } | NetFaultKind::CrashStop { target }
+    ),
+    key!("delay_us", micros, NetFaultKind::Delay { micros, .. }),
+    key!("loss_ppm", ppm, NetFaultKind::Loss { ppm }),
+];
+
+/// Reads a section's entries onto `record` through its key table, key by key
+/// in table order (so a net fault's kind is set before the keys it carries).
+/// Fails on an unknown key, and on any of the first `required` rows that
+/// `record` carries but the section leaves out.
+fn read<T>(
     keys: &[Key<T>],
     table: &str,
-    target: &mut T,
+    required: usize,
+    mut record: T,
+    entries: &[(String, Value)],
+) -> Result<T, String> {
+    if let Some((name, _)) = entries
+        .iter()
+        .find(|(name, _)| keys.iter().all(|key| key.name != name))
+    {
+        return Err(format!("unknown {table} key {name:?}"));
+    }
+    for key in keys {
+        for (_, value) in entries.iter().filter(|(name, _)| name == key.name) {
+            (key.write)(&mut record, value).map_err(|e| format!("{}: {e}", key.name))?;
+        }
+    }
+    require(&keys[..required], table, &record, entries)?;
+    Ok(record)
+}
+
+/// Fails on the first of `keys` that `record` carries but `entries` leaves
+/// out: "`what` needs" a thing (`a target`), or a quantity bare (`delay_us`).
+fn require<T>(
+    keys: &[Key<T>],
+    what: &str,
+    record: &T,
     entries: &[(String, Value)],
 ) -> Result<(), String> {
-    for (name, value) in entries {
-        let key = keys
-            .iter()
-            .find(|key| key.name == name)
-            .ok_or_else(|| format!("unknown {table} key {name:?}"))?;
-        (key.write)(target, value).map_err(|e| format!("{name}: {e}"))?;
+    for key in keys.iter().filter(|key| (key.read)(record).is_some()) {
+        if !entries.iter().any(|(name, _)| name == key.name) {
+            let a = if key.name.contains('_') { "" } else { "a " };
+            return Err(format!("{what} needs {a}{}", key.name));
+        }
     }
     Ok(())
 }
 
-/// Writes one `key = value` line per row of `keys`, read off `source`.
-fn write_keys<T>(out: &mut String, keys: &[Key<T>], source: &T) {
-    for key in keys {
-        push_line(out, key.name, (key.read)(source));
-    }
+/// The `(key, value)` pairs of `record` in table order, one for each row
+/// that carries a value.
+pub(crate) fn entries<'a, T>(
+    keys: &'a [Key<T>],
+    record: &'a T,
+) -> impl Iterator<Item = (&'static str, Value)> + 'a {
+    keys.iter()
+        .filter_map(move |key| Some((key.name, (key.read)(record)?)))
 }
 
-fn push_line(out: &mut String, key: &str, value: Value) {
-    out.push_str(&format!("{key} = {value}\n"));
+/// Writes one `key = value` line per row of `keys` that `record` carries.
+fn write_keys<T>(out: &mut String, keys: &[Key<T>], record: &T) {
+    for (name, value) in entries(keys, record) {
+        out.push_str(&format!("{name} = {value}\n"));
+    }
 }
 
 /// The section headers of the scenario schema.
@@ -428,82 +531,6 @@ fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
     Ok(sections)
 }
 
-fn fault_from_section(section: &Section) -> Result<FaultInjection, String> {
-    let (mut round, mut target, mut behavior) = (None, None, None);
-    for (key, value) in &section.entries {
-        match key.as_str() {
-            "round" => round = Some(Field::from_value(value)?),
-            "target" => target = Some(Field::from_value(value)?),
-            "behavior" => behavior = Some(Field::from_value(value)?),
-            other => return Err(format!("unknown fault key {other:?}")),
-        }
-    }
-    Ok(FaultInjection {
-        round: round.ok_or("fault needs a round")?,
-        target: target.ok_or("fault needs a target")?,
-        behavior: behavior.ok_or("fault needs a behavior")?,
-    })
-}
-
-fn net_fault_from_section(section: &Section) -> Result<NetFaultInjection, String> {
-    let mut from_round: Option<u64> = None;
-    let mut until_round: Option<u64> = None;
-    let mut kind: Option<String> = None;
-    let mut committee: Option<usize> = None;
-    let mut count: Option<usize> = None;
-    let mut target: Option<FaultTarget> = None;
-    let mut delay_us: Option<u64> = None;
-    let mut loss_ppm: Option<u32> = None;
-    for (key, value) in &section.entries {
-        match key.as_str() {
-            "from_round" => from_round = Some(Field::from_value(value)?),
-            "until_round" => until_round = Some(Field::from_value(value)?),
-            "kind" => kind = Some(Field::from_value(value)?),
-            "committee" => committee = Some(Field::from_value(value)?),
-            "count" => count = Some(Field::from_value(value)?),
-            "target" => target = Some(Field::from_value(value)?),
-            "delay_us" => delay_us = Some(Field::from_value(value)?),
-            "loss_ppm" => loss_ppm = Some(Field::from_value(value)?),
-            other => return Err(format!("unknown net-fault key {other:?}")),
-        }
-    }
-    let kind = match kind.as_deref().ok_or("net fault needs a kind")? {
-        "isolate-leader" => NetFaultKind::IsolateLeader {
-            committee: committee.ok_or("isolate-leader needs a committee")?,
-        },
-        "isolate-commons" => NetFaultKind::IsolateCommons {
-            committee: committee.ok_or("isolate-commons needs a committee")?,
-            count: count.ok_or("isolate-commons needs a count")?,
-        },
-        "delay" => NetFaultKind::Delay {
-            target: target.ok_or("delay needs a target")?,
-            micros: delay_us.ok_or("delay needs delay_us")?,
-        },
-        "loss" => NetFaultKind::Loss {
-            ppm: loss_ppm.ok_or("loss needs loss_ppm")?,
-        },
-        "crash-stop" => NetFaultKind::CrashStop {
-            target: target.ok_or("crash-stop needs a target")?,
-        },
-        "isolate-joiners" => NetFaultKind::IsolateJoiners,
-        other => return Err(format!("unknown net-fault kind {other:?}")),
-    };
-    Ok(NetFaultInjection {
-        from_round: from_round.ok_or("net fault needs from_round")?,
-        until_round: until_round.ok_or("net fault needs until_round")?,
-        kind,
-    })
-}
-
-fn traffic_from_section(section: &Section) -> Result<TrafficConfig, String> {
-    let mut traffic = TrafficConfig::default();
-    apply_keys(&TRAFFIC_KEYS, "traffic", &mut traffic, &section.entries)?;
-    if !section.entries.iter().any(|(key, _)| key == "rate_tps") {
-        return Err("traffic needs rate_tps".into());
-    }
-    Ok(traffic)
-}
-
 /// Parses scenarios from a TOML document. Every `[[scenario]]` starts from
 /// the library defaults ([`ProtocolConfig::default`] with an empty fault and
 /// invariant list), so a file only states what differs.
@@ -511,11 +538,11 @@ pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
     let mut scenarios: Vec<Scenario> = Vec::new();
     for section in &parse_sections(text)? {
         let (line, header) = (section.line, section.header.as_str());
+        let entries = &section.entries;
         if header == "[[scenario]]" {
-            let mut scenario = Scenario::new("", ProtocolConfig::default());
-            apply_keys(&SCENARIO_KEYS, "scenario", &mut scenario, &section.entries)
-                .map_err(|e| format!("line {line}: {e}"))?;
-            scenarios.push(scenario);
+            let defaults = Scenario::new("", ProtocolConfig::default());
+            let scenario = read(&SCENARIO_KEYS, "scenario", 0, defaults, entries);
+            scenarios.push(scenario.map_err(|e| format!("line {line}: {e}"))?);
             continue;
         }
         // A sub-table belongs to the last `[[scenario]]`; an error names its
@@ -526,18 +553,23 @@ pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
         let (index, attached) = match header {
             "[[scenario.faults]]" => (
                 scenario.faults.len(),
-                fault_from_section(section).map(|f| scenario.faults.push(f)),
+                read(&FAULT_KEYS, "fault", FAULT_KEYS.len(), NO_FAULT, entries)
+                    .map(|f| scenario.faults.push(f)),
             ),
+            // The window and the kind are every fault's, the rest its kind's.
             "[[scenario.net_faults]]" => (
                 scenario.net_faults.len(),
-                net_fault_from_section(section).map(|f| scenario.net_faults.push(f)),
+                read(&NET_FAULT_KEYS, "net-fault", 3, NO_NET_FAULT, entries)
+                    .and_then(|f| require(&NET_FAULT_KEYS, f.kind.name(), &f, entries).map(|()| f))
+                    .map(|f| scenario.net_faults.push(f)),
             ),
             // `[scenario.traffic]`, the one other header `parse_sections` admits.
             _ => match scenario.config.traffic {
                 Some(_) => (1, Err("a scenario takes one [scenario.traffic]".into())),
                 None => (
                     0,
-                    traffic_from_section(section).map(|t| scenario.config.traffic = Some(t)),
+                    read(&TRAFFIC_KEYS, "traffic", 1, Default::default(), entries)
+                        .map(|t| scenario.config.traffic = Some(t)),
                 ),
             },
         };
@@ -567,33 +599,11 @@ pub fn scenarios_to_toml(scenarios: &[Scenario]) -> String {
         }
         for fault in &scenario.faults {
             out.push_str("\n[[scenario.faults]]\n");
-            push_line(&mut out, "round", fault.round.to_value());
-            push_line(&mut out, "target", fault.target.to_value());
-            push_line(&mut out, "behavior", fault.behavior.to_value());
+            write_keys(&mut out, &FAULT_KEYS, fault);
         }
         for fault in &scenario.net_faults {
             out.push_str("\n[[scenario.net_faults]]\n");
-            push_line(&mut out, "from_round", fault.from_round.to_value());
-            push_line(&mut out, "until_round", fault.until_round.to_value());
-            push_line(&mut out, "kind", Value::Str(fault.kind.name().into()));
-            match fault.kind {
-                NetFaultKind::IsolateLeader { committee } => {
-                    push_line(&mut out, "committee", committee.to_value());
-                }
-                NetFaultKind::IsolateCommons { committee, count } => {
-                    push_line(&mut out, "committee", committee.to_value());
-                    push_line(&mut out, "count", count.to_value());
-                }
-                NetFaultKind::Delay { target, micros } => {
-                    push_line(&mut out, "target", target.to_value());
-                    push_line(&mut out, "delay_us", micros.to_value());
-                }
-                NetFaultKind::Loss { ppm } => push_line(&mut out, "loss_ppm", ppm.to_value()),
-                NetFaultKind::CrashStop { target } => {
-                    push_line(&mut out, "target", target.to_value());
-                }
-                NetFaultKind::IsolateJoiners => {}
-            }
+            write_keys(&mut out, &NET_FAULT_KEYS, fault);
         }
         out.push('\n');
     }
@@ -711,7 +721,7 @@ behavior = "silent-leader"
         assert_eq!(s.faults[0].target, FaultTarget::Leader(1));
         assert_eq!(s.invariants.len(), 2);
         // Unstated keys keep the library defaults.
-        assert_eq!(s.config.leader_bonus, 0.1);
+        assert_eq!(s.config.base_compute_capacity, 200);
     }
 
     #[test]
@@ -782,6 +792,40 @@ delay_us = 600000
             err.contains("\"driven\"") && err.contains("\"leader:9\""),
             "{err}"
         );
+    }
+
+    /// A key some kinds carry, stated under a kind that does not, fails the
+    /// load with an error that names it (it used to be read and dropped).
+    #[test]
+    fn a_key_foreign_to_the_kind_is_rejected() {
+        let value = |key: &str| match key {
+            TARGET => "\"leader:0\"",
+            "committee" => "0",
+            _ => "5",
+        };
+        let carried = &NET_FAULT_KEYS[3..];
+        for kind in NetFaultKind::BLANK {
+            let fault = NetFaultInjection {
+                from_round: 0,
+                until_round: 1,
+                kind,
+            };
+            let own: String = entries(carried, &fault)
+                .map(|(key, _)| format!("{key} = {}\n", value(key)))
+                .collect();
+            let text = format!(
+                "[[scenario]]\nname = \"x\"\nworkers = [1]\nepoch_length = 2\n\
+                 joins_per_epoch = 1\ninvariants = [\"no-double-commit\"]\n\
+                 [[scenario.net_faults]]\nfrom_round = 0\nuntil_round = 1\nkind = {:?}\n{own}",
+                kind.name()
+            );
+            assert!(scenarios_from_toml(&text).is_ok(), "{text}");
+            for key in carried.iter().filter(|key| (key.read)(&fault).is_none()) {
+                let foreign = format!("{text}{} = {}\n", key.name, value(key.name));
+                let err = scenarios_from_toml(&foreign).unwrap_err();
+                assert!(err.contains(&format!("{}: ", key.name)), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -1129,7 +1173,7 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
                     let (written, read) = ((key.read)(a), (key.read)(b));
                     prop_assert!(
                         written == read,
-                        "{}: {} = {written} read back as {read}",
+                        "{}: {} = {written:?} read back as {read:?}",
                         a.name,
                         key.name
                     );

@@ -61,26 +61,6 @@ impl Default for LatencyConfig {
 }
 
 impl LatencyConfig {
-    /// A tight datacenter profile: Δ = 5 ms, Γ = 20 ms, 100 ms for
-    /// partially synchronous links.
-    pub fn lan() -> Self {
-        LatencyConfig {
-            delta: SimDuration::from_millis(5),
-            gamma: SimDuration::from_millis(20),
-            partial_bound: SimDuration::from_millis(100),
-        }
-    }
-
-    /// A stretched wide-area profile: Δ = 150 ms, Γ = 600 ms, 3 s for
-    /// partially synchronous links.
-    pub fn wan() -> Self {
-        LatencyConfig {
-            delta: SimDuration::from_millis(150),
-            gamma: SimDuration::from_millis(600),
-            partial_bound: SimDuration::from_millis(3_000),
-        }
-    }
-
     /// Upper bound for a link class.
     pub fn bound(&self, class: LinkClass) -> SimDuration {
         match class {
@@ -182,15 +162,9 @@ mod tests {
 
     #[test]
     fn default_ordering_of_bounds() {
-        for cfg in [
-            LatencyConfig::default(),
-            LatencyConfig::lan(),
-            LatencyConfig::wan(),
-        ] {
-            assert!(cfg.delta < cfg.gamma);
-            assert!(cfg.gamma < cfg.partial_bound);
-        }
         let cfg = LatencyConfig::default();
+        assert!(cfg.delta < cfg.gamma);
+        assert!(cfg.gamma < cfg.partial_bound);
         assert_eq!(cfg.bound(LinkClass::IntraCommittee), cfg.delta);
         assert_eq!(cfg.bound(LinkClass::KeyMemberMesh), cfg.gamma);
         assert_eq!(

@@ -9,9 +9,10 @@
 //! across worker counts, no honest node punished, censored cross-shard
 //! transactions eventually apply, recovery fires for every injected leader
 //! fault, the analysis crate's failure bound holds, …). The built-in
-//! [`registry`] covers each adversarial behaviour of §III-C plus
-//! mixed-adversary and scaling sweeps; TOML files add or override scenarios
-//! without recompiling ([`toml_cfg`]).
+//! [`registry`], `scenarios/builtin.toml`, covers each adversarial behaviour
+//! of §III-C plus mixed-adversary and scaling sweeps; it is read by the same
+//! loader ([`toml_cfg`]) as the TOML files that add or override scenarios
+//! without recompiling.
 //!
 //! The [`runner`] executes a scenario across its whole worker matrix
 //! (checking the engine's determinism contract as it goes), evaluates the
@@ -21,10 +22,10 @@
 //!
 //! * [`spec`] — the `Scenario` data model and fault-injection targets.
 //! * [`invariant`] — the invariant vocabulary and its checkers.
-//! * [`registry`] — the built-in scenario matrix.
+//! * [`registry`] — the built-in scenario matrix (`scenarios/builtin.toml`).
 //! * [`runner`] — single-scenario execution and the parallel matrix runner.
 //! * [`report`] — canonical JSON report rendering.
-//! * [`toml_cfg`] — the TOML schema (load + save, dependency-free).
+//! * [`toml_cfg`] — the TOML schema and its one loader (dependency-free).
 //!
 //! [`Scenario`]: spec::Scenario
 //! [`Invariant`]: invariant::Invariant

@@ -69,7 +69,7 @@ fn inline(entries: &[String]) -> String {
 }
 
 /// A scheduled network fault on one line, its keys and values as its
-/// `[[scenario.net_faults]]` section writes them.
+/// `[[scenario.net_faults]]` section states them.
 fn net_fault(fault: &NetFaultInjection) -> String {
     let fields: Vec<String> = entries(&NET_FAULT_KEYS, fault)
         .map(|(key, value)| match value {
@@ -316,48 +316,30 @@ pub fn render_report(run: &ScenarioRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{FaultTarget, NetFaultKind, Scenario};
-    use crate::toml_cfg::scenarios_to_toml;
-    use cycledger_protocol::config::ProtocolConfig;
+    use crate::spec::NetFaultKind;
+    use crate::toml_cfg::scenarios_from_toml;
 
-    /// Every kind's `net_faults` entry carries the keys and values of its
-    /// `[[scenario.net_faults]]` section, in the same order.
+    /// Every kind's `net_faults` entry carries the keys and values its
+    /// `[[scenario.net_faults]]` section states, in the same order.
     #[test]
     fn a_net_fault_reports_its_toml_section() {
-        let kinds = [
-            NetFaultKind::IsolateLeader { committee: 1 },
-            NetFaultKind::IsolateCommons {
-                committee: 1,
-                count: 2,
-            },
-            NetFaultKind::Delay {
-                target: FaultTarget::PartialSetMember {
-                    committee: 1,
-                    index: 0,
-                },
-                micros: 600_000,
-            },
-            NetFaultKind::Loss { ppm: 2_500 },
-            NetFaultKind::CrashStop {
-                target: FaultTarget::Node(7),
-            },
-            NetFaultKind::IsolateJoiners,
+        let sections = [
+            "kind = \"isolate-leader\"\ncommittee = 1",
+            "kind = \"isolate-commons\"\ncommittee = 1\ncount = 2",
+            "kind = \"delay\"\ntarget = \"partial:1:0\"\ndelay_us = 600000",
+            "kind = \"loss\"\nloss_ppm = 2500",
+            "kind = \"crash-stop\"\ntarget = \"node:7\"",
+            "kind = \"isolate-joiners\"",
         ];
-        assert_eq!(
-            kinds.map(|k| k.name()),
-            NetFaultKind::BLANK.map(|k| k.name()),
-            "one case per kind"
-        );
-        for kind in kinds {
-            let fault = NetFaultInjection {
-                from_round: 1,
-                until_round: 3,
-                kind,
-            };
-            let mut scenario = Scenario::new("x", ProtocolConfig::default());
-            scenario.net_faults.push(fault);
-            let toml = scenarios_to_toml(&[scenario]);
-            let section = toml.split("[[scenario.net_faults]]\n").nth(1).unwrap();
+        let mut kinds = Vec::new();
+        for kind_keys in sections {
+            let section = format!("from_round = 1\nuntil_round = 3\n{kind_keys}");
+            let text = format!(
+                "[[scenario]]\nname = \"x\"\nepoch_length = 2\njoins_per_epoch = 1\n\
+                 invariants = [\"no-double-commit\"]\n[[scenario.net_faults]]\n{section}\n"
+            );
+            let fault = scenarios_from_toml(&text).unwrap()[0].net_faults[0];
+            kinds.push(fault.kind.name());
             let toml: Vec<(&str, &str)> = section
                 .lines()
                 .filter_map(|line| line.split_once(" = "))
@@ -371,8 +353,13 @@ mod tests {
                 .map(|e| e.split_once(": ").unwrap())
                 .map(|(key, value)| (key.trim_matches('"'), value))
                 .collect();
-            assert_eq!(json, toml, "{}", kind.name());
+            assert_eq!(json, toml, "{}", fault.kind.name());
         }
+        assert_eq!(
+            kinds,
+            NetFaultKind::BLANK.map(|k| k.name()),
+            "one case per kind"
+        );
     }
 
     #[test]

@@ -3,14 +3,13 @@
 //! A scenario names one complete simulation setup — protocol parameters,
 //! adversary mix, latency profile, workload shape, targeted fault
 //! injections — plus the list of machine-checkable [`Invariant`]s the run
-//! must satisfy. Scenarios are plain data: they can be built in code (the
-//! [`crate::registry`] builtins), loaded from TOML files
-//! ([`crate::toml_cfg`]), and executed by the [`crate::runner`].
+//! must satisfy. Scenarios are plain data: every one, the
+//! [`crate::registry`] builtins included, is loaded from TOML
+//! ([`crate::toml_cfg`]) and executed by the [`crate::runner`].
 //!
 //! [`Invariant`]: crate::invariant::Invariant
 
 use cycledger_ledger::StateBackend;
-use cycledger_net::latency::LatencyConfig;
 use cycledger_protocol::adversary::{Behavior, BehaviorMix};
 use cycledger_protocol::config::ProtocolConfig;
 
@@ -221,6 +220,9 @@ pub fn mix_from_name(name: &str) -> Result<BehaviorMix, String> {
     behavior_from_name(name).map(BehaviorMix::Fixed)
 }
 
+/// The most executor workers a scenario may ask for: each is an OS thread.
+pub(crate) const MAX_WORKERS: usize = 64;
+
 /// One named, reproducible, invariant-gated simulation configuration.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -289,6 +291,12 @@ impl Scenario {
         if self.workers.is_empty() {
             return Err(format!(
                 "scenario {:?} needs at least one worker count",
+                self.name
+            ));
+        }
+        if let Some(workers) = self.workers.iter().find(|&&w| w > MAX_WORKERS) {
+            return Err(format!(
+                "scenario {:?} asks for {workers} workers, over the limit of {MAX_WORKERS}",
                 self.name
             ));
         }
@@ -380,7 +388,7 @@ impl Scenario {
                 ) {
                     return Err(format!(
                         "scenario {:?} asserts the traffic invariant {} but has no \
-                         [scenario.traffic] block (a closed-loop run tracks no \
+                         traffic section (a closed-loop run tracks no \
                          confirmations to gate)",
                         self.name,
                         inv.to_spec()
@@ -407,29 +415,6 @@ impl Scenario {
         self.config
             .validate()
             .map_err(|e| format!("scenario {:?}: {e}", self.name))
-    }
-}
-
-/// A named latency profile for the TOML schema and the builtins; custom
-/// `latency_*_us` keys override the profile field-by-field.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LatencyProfile {
-    /// The default Δ=50ms / Γ=200ms / 1s profile.
-    Default,
-    /// A tight datacenter profile (Δ=5ms / Γ=20ms / 100ms).
-    Lan,
-    /// A stretched wide-area profile (Δ=150ms / Γ=600ms / 3s).
-    Wan,
-}
-
-impl LatencyProfile {
-    /// The concrete latency configuration of the profile.
-    pub fn config(self) -> LatencyConfig {
-        match self {
-            LatencyProfile::Default => LatencyConfig::default(),
-            LatencyProfile::Lan => LatencyConfig::lan(),
-            LatencyProfile::Wan => LatencyConfig::wan(),
-        }
     }
 }
 
@@ -648,18 +633,5 @@ mod tests {
         assert!(nf.active_at(2));
         assert!(!nf.active_at(3), "the heal round runs clean");
         assert_eq!(nf.kind.name(), "isolate-commons");
-    }
-
-    #[test]
-    fn latency_profiles_are_ordered() {
-        for profile in [
-            LatencyProfile::Lan,
-            LatencyProfile::Default,
-            LatencyProfile::Wan,
-        ] {
-            let cfg = profile.config();
-            assert!(cfg.delta < cfg.gamma);
-            assert!(cfg.gamma < cfg.partial_bound);
-        }
     }
 }

@@ -1,22 +1,20 @@
-//! Loading and saving scenarios as TOML, with no external dependencies.
+//! Loading scenarios from TOML, with no external dependencies. Every
+//! scenario goes through this loader: the built-in matrix
+//! (`scenarios/builtin.toml`, [`crate::registry`]) and each
+//! `--scenario-dir` file alike.
 //!
 //! The workspace is fully offline, so this module implements the small TOML
-//! subset the scenario schema needs: `[[scenario]]` array-of-table headers
-//! (plus the `[[scenario.faults]]`, `[[scenario.net_faults]]` and
-//! `[scenario.traffic]` sub-tables), `key = value` pairs with strings,
-//! integers, floats, booleans and arrays, and `#` comments. Unknown keys are
-//! rejected — a typo in a scenario file should fail loudly, not silently fall
-//! back to a default.
+//! subset the scenario schema needs: four section headers (a `[[scenario]]`
+//! array of tables and its three sub-tables), `key = value` pairs with
+//! strings, integers, floats, booleans and arrays, and `#` comments.
+//! Unknown keys are rejected — a typo in a scenario file should fail loudly,
+//! not silently fall back to a default.
 //!
-//! Each section has one key table, the one list of its keys: `SCENARIO_KEYS`
-//! for `[[scenario]]`, `TRAFFIC_KEYS` for `[scenario.traffic]`, `FAULT_KEYS`
-//! for `[[scenario.faults]]` and `NET_FAULT_KEYS` for
-//! `[[scenario.net_faults]]`. Each row names a key, reads its value off a
-//! record and writes a parsed value back, so the parser and the serializer
-//! (and the report's `net_faults` block, which reads `NET_FAULT_KEYS` too)
-//! cannot disagree. The serializer writes every row that carries a value in
-//! table order, and `parse(serialize(s))` reproduces `s` exactly — pinned by
-//! the round-trip property in this module's tests.
+//! Each section has one key table, the one list of its keys: `SCENARIO_KEYS`,
+//! `TRAFFIC_KEYS`, `FAULT_KEYS` and `NET_FAULT_KEYS`. Each row names a key,
+//! reads its value off a record and writes a parsed value back, so the parser
+//! and the report's `net_faults` block, which reads `NET_FAULT_KEYS` too,
+//! cannot disagree.
 
 use std::fmt;
 
@@ -184,9 +182,9 @@ macro_rules! key {
     };
 }
 
-/// Every `[[scenario]]` key, in the order `scenarios_to_toml` writes them: the
-/// one list of keys a scenario file may use. A key left out of a file keeps
-/// its default ([`Scenario::new`] over [`ProtocolConfig::default`]).
+/// Every `[[scenario]]` key: the one list of keys a scenario file may use. A
+/// key left out of a file keeps its default ([`Scenario::new`] over
+/// [`ProtocolConfig::default`]).
 static SCENARIO_KEYS: [Key<Scenario>; 28] = [
     key!("name", name),
     key!("description", description),
@@ -324,26 +322,18 @@ pub(crate) fn entries<'a, T>(
         .filter_map(move |key| Some((key.name, (key.read)(record)?)))
 }
 
-/// Writes one `key = value` line per row of `keys` that `record` carries.
-fn write_keys<T>(out: &mut String, keys: &[Key<T>], record: &T) {
-    for (name, value) in entries(keys, record) {
-        out.push_str(&format!("{name} = {value}\n"));
-    }
-}
-
-/// The section headers of the scenario schema.
-const HEADERS: [&str; 4] = [
-    "[[scenario]]",
-    "[[scenario.faults]]",
-    "[[scenario.net_faults]]",
-    "[scenario.traffic]",
-];
+/// The section headers, each spelled once: a scenario and its sub-tables.
+const SCENARIO: &str = "[[scenario]]";
+const FAULT: &str = "[[scenario.faults]]";
+const NET_FAULT: &str = "[[scenario.net_faults]]";
+const TRAFFIC: &str = "[scenario.traffic]";
+const HEADERS: [&str; 4] = [SCENARIO, FAULT, NET_FAULT, TRAFFIC];
 
 /// One `[header]` / `[[header]]` section with its key/value pairs.
 #[derive(Clone, Debug)]
 struct Section {
     /// One of [`HEADERS`].
-    header: String,
+    header: &'static str,
     entries: Vec<(String, Value)>,
     line: usize,
 }
@@ -504,13 +494,13 @@ fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
                     .and_then(|h| h.strip_suffix(']'))
                     .map(|h| format!("[{}]", h.trim()))
             });
-        if let Some(header) = header {
-            if !HEADERS.contains(&header.as_str()) {
-                return Err(format!(
-                    "line {lineno}: unknown section {header} (expected {})",
+        if let Some(text) = header {
+            let header = HEADERS.into_iter().find(|&h| h == text).ok_or_else(|| {
+                format!(
+                    "line {lineno}: unknown section {text} (expected {})",
                     HEADERS.join(", ")
-                ));
-            }
+                )
+            })?;
             sections.push(Section {
                 header,
                 entries: Vec::new(),
@@ -523,7 +513,7 @@ fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
             .ok_or_else(|| format!("line {lineno}: expected `key = value`, got {line:?}"))?;
         let section = sections
             .last_mut()
-            .ok_or_else(|| format!("line {lineno}: key outside any [[scenario]] section"))?;
+            .ok_or_else(|| format!("line {lineno}: key outside any {SCENARIO} section"))?;
         let value =
             parse_value(value).map_err(|e| format!("line {lineno} ({}): {e}", key.trim()))?;
         section.entries.push((key.trim().to_string(), value));
@@ -537,9 +527,8 @@ fn parse_sections(text: &str) -> Result<Vec<Section>, String> {
 pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
     let mut scenarios: Vec<Scenario> = Vec::new();
     for section in &parse_sections(text)? {
-        let (line, header) = (section.line, section.header.as_str());
-        let entries = &section.entries;
-        if header == "[[scenario]]" {
+        let (line, header, entries) = (section.line, section.header, &section.entries);
+        if header == SCENARIO {
             let defaults = Scenario::new("", ProtocolConfig::default());
             let scenario = read(&SCENARIO_KEYS, "scenario", 0, defaults, entries);
             scenarios.push(scenario.map_err(|e| format!("line {line}: {e}"))?);
@@ -548,24 +537,24 @@ pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
         // A sub-table belongs to the last `[[scenario]]`; an error names its
         // index among that scenario's tables of the same header.
         let Some(scenario) = scenarios.last_mut() else {
-            return Err(format!("line {line}: {header} before any [[scenario]]"));
+            return Err(format!("line {line}: {header} before any {SCENARIO}"));
         };
         let (index, attached) = match header {
-            "[[scenario.faults]]" => (
+            FAULT => (
                 scenario.faults.len(),
                 read(&FAULT_KEYS, "fault", FAULT_KEYS.len(), NO_FAULT, entries)
                     .map(|f| scenario.faults.push(f)),
             ),
             // The window and the kind are every fault's, the rest its kind's.
-            "[[scenario.net_faults]]" => (
+            NET_FAULT => (
                 scenario.net_faults.len(),
                 read(&NET_FAULT_KEYS, "net-fault", 3, NO_NET_FAULT, entries)
                     .and_then(|f| require(&NET_FAULT_KEYS, f.kind.name(), &f, entries).map(|()| f))
                     .map(|f| scenario.net_faults.push(f)),
             ),
-            // `[scenario.traffic]`, the one other header `parse_sections` admits.
+            // `TRAFFIC`, the one other header `parse_sections` admits.
             _ => match scenario.config.traffic {
-                Some(_) => (1, Err("a scenario takes one [scenario.traffic]".into())),
+                Some(_) => (1, Err(format!("a scenario takes one {TRAFFIC}"))),
                 None => (
                     0,
                     read(&TRAFFIC_KEYS, "traffic", 1, Default::default(), entries)
@@ -584,30 +573,6 @@ pub fn scenarios_from_toml(text: &str) -> Result<Vec<Scenario>, String> {
         scenario.validate()?;
     }
     Ok(scenarios)
-}
-
-/// Serializes scenarios to the canonical TOML form (every key, table order;
-/// `parse(serialize(s))` reproduces `s` exactly).
-pub fn scenarios_to_toml(scenarios: &[Scenario]) -> String {
-    let mut out = String::new();
-    for scenario in scenarios {
-        out.push_str("[[scenario]]\n");
-        write_keys(&mut out, &SCENARIO_KEYS, scenario);
-        if let Some(traffic) = &scenario.config.traffic {
-            out.push_str("\n[scenario.traffic]\n");
-            write_keys(&mut out, &TRAFFIC_KEYS, traffic);
-        }
-        for fault in &scenario.faults {
-            out.push_str("\n[[scenario.faults]]\n");
-            write_keys(&mut out, &FAULT_KEYS, fault);
-        }
-        for fault in &scenario.net_faults {
-            out.push_str("\n[[scenario.net_faults]]\n");
-            write_keys(&mut out, &NET_FAULT_KEYS, fault);
-        }
-        out.push('\n');
-    }
-    out
 }
 
 /// Loads every `*.toml` file in a directory (sorted by file name for
@@ -632,7 +597,7 @@ pub fn load_dir(dir: &std::path::Path) -> Result<Vec<Scenario>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::registry::builtin_scenarios;
+    use crate::spec::MAX_WORKERS;
     use proptest::prelude::*;
 
     #[test]
@@ -874,6 +839,23 @@ target = "leader:0"
         );
     }
 
+    /// The `key = value` lines the key table reads off `record`.
+    fn lines<T>(keys: &[Key<T>], record: &T) -> Vec<String> {
+        entries(keys, record)
+            .map(|(key, value)| format!("{key} = {value}"))
+            .collect()
+    }
+
+    /// The `key = value` lines a section of literal text states.
+    fn stated(section: &str) -> Vec<String> {
+        let section = section.split("\n[").next().unwrap_or_default();
+        section
+            .lines()
+            .filter(|line| line.contains(" = "))
+            .map(str::to_string)
+            .collect()
+    }
+
     #[test]
     fn epoch_keys_and_new_net_fault_kinds_round_trip() {
         let text = r#"
@@ -909,11 +891,13 @@ target = "node:3"
                 target: FaultTarget::Node(3)
             }
         );
-        let serialized = scenarios_to_toml(&scenarios);
-        let reparsed = scenarios_from_toml(&serialized).expect("round-trips");
-        assert_eq!(reparsed[0].net_faults, s.net_faults);
-        assert_eq!(reparsed[0].config.epoch_length, 2);
-        assert_eq!(serialized, scenarios_to_toml(&reparsed));
+        // Each record reads back as the lines its section states.
+        let sections: Vec<&str> = text.split("[[scenario.net_faults]]").collect();
+        for (fault, section) in s.net_faults.iter().zip(&sections[1..]) {
+            assert_eq!(lines(&NET_FAULT_KEYS, fault), stated(section));
+        }
+        let lines = lines(&SCENARIO_KEYS, s);
+        assert!(stated(sections[0]).iter().all(|line| lines.contains(line)));
     }
 
     #[test]
@@ -949,10 +933,10 @@ warmup_rounds = 1
             "SLO invariants parse from the array"
         );
         assert_eq!(s.invariants[2], Invariant::MinSustainedTps(15.0));
-        let serialized = scenarios_to_toml(&scenarios);
-        let reparsed = scenarios_from_toml(&serialized).expect("round-trips");
-        assert_eq!(reparsed[0].config.traffic, s.config.traffic);
-        assert_eq!(serialized, scenarios_to_toml(&reparsed));
+        let (scenario, section) = text.split_once("[scenario.traffic]").unwrap();
+        assert_eq!(lines(&TRAFFIC_KEYS, &traffic), stated(section));
+        let lines = lines(&SCENARIO_KEYS, s);
+        assert!(stated(scenario).iter().all(|line| lines.contains(line)));
 
         // Typos and structural mistakes fail loudly.
         assert!(scenarios_from_toml(
@@ -973,6 +957,11 @@ warmup_rounds = 1
         assert!(scenarios_from_toml("[scenario.traffic]\nrate_tps = 5.0\n")
             .unwrap_err()
             .contains("before any"));
+        assert!(scenarios_from_toml(
+            "[[scenario]]\nname = \"x\"\n[scenario.traffic]\nrate_tps = 5.0\n[scenario.traffic]\nrate_tps = 6.0\n"
+        )
+        .unwrap_err()
+        .contains("takes one [scenario.traffic]"));
     }
 
     #[test]
@@ -995,14 +984,9 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         assert_eq!(s.config.state_backend, cycledger_ledger::StateBackend::Smt);
         assert_eq!(s.invariants[1], Invariant::StateRootsEveryRound);
         assert_eq!(s.invariants[2], Invariant::LightClientProofsVerify(8));
-        let serialized = scenarios_to_toml(&scenarios);
-        assert!(serialized.contains("state_backend = \"smt\"\n"));
-        let reparsed = scenarios_from_toml(&serialized).expect("round-trips");
-        assert_eq!(
-            reparsed[0].config.state_backend,
-            cycledger_ledger::StateBackend::Smt
-        );
-        assert_eq!(serialized, scenarios_to_toml(&reparsed));
+        let lines = lines(&SCENARIO_KEYS, s);
+        assert!(lines.contains(&"state_backend = \"smt\"".to_string()));
+        assert!(stated(text).iter().all(|line| lines.contains(line)));
 
         // Unknown backends fail loudly; proof invariants without the smt
         // backend are rejected by validation.
@@ -1034,18 +1018,40 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
             .contains("before any"));
     }
 
+    /// A worker count past [`MAX_WORKERS`] fails the load (each worker is an
+    /// OS thread, so the run would spawn that many).
+    #[test]
+    fn worker_counts_past_the_limit_are_rejected() {
+        let text = |workers: &str| {
+            format!(
+                "[[scenario]]\nname = \"x\"\nworkers = {workers}\n\
+                 invariants = [\"no-double-commit\"]\n"
+            )
+        };
+        assert!(scenarios_from_toml(&text(&format!("[1, {MAX_WORKERS}]"))).is_ok());
+        for workers in [
+            format!("[{}]", MAX_WORKERS + 1),
+            format!("[1, 2, {}]", u64::MAX),
+        ] {
+            let err = scenarios_from_toml(&text(&workers)).unwrap_err();
+            assert!(
+                err.contains(&format!("over the limit of {MAX_WORKERS}")),
+                "{workers}: {err}"
+            );
+        }
+    }
+
     #[test]
     fn u64_keys_round_trip_over_the_full_range() {
-        let mut scenario = builtin_scenarios().remove(0);
-        scenario.config.seed = u64::MAX;
-        scenario.config.latency.delta = SimDuration::from_micros(1 << 63);
-        scenario.config.epoch_length = u64::MAX;
-        let text = scenarios_to_toml(&[scenario]);
-        assert!(text.contains("\nseed = 18446744073709551615\n"), "{text}");
-        let parsed = &scenarios_from_toml(&text).expect("round-trips")[0];
+        let text = "[[scenario]]\nname = \"extremes\"\nworkers = [1]\n\
+             invariants = [\"no-double-commit\"]\nseed = 18446744073709551615\n\
+             latency_delta_us = 9223372036854775808\nepoch_length = 18446744073709551615\n";
+        let parsed = &scenarios_from_toml(text).expect("parses")[0];
         assert_eq!(parsed.config.seed, u64::MAX);
         assert_eq!(parsed.config.latency.delta.as_micros(), 1 << 63);
         assert_eq!(parsed.config.epoch_length, u64::MAX);
+        let lines = lines(&SCENARIO_KEYS, parsed);
+        assert!(stated(text).iter().all(|line| lines.contains(line)));
 
         // Unsigned keys still reject negatives, and values past their range.
         for line in [
@@ -1059,15 +1065,111 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         }
     }
 
-    /// Every integer key of every builtin (sub-tables included; an integer
-    /// array becomes one element) at 0, 1, 2^63, `u64::MAX` and
-    /// `usize::MAX`: the loader answers `Ok` or `Err` and never panics.
+    /// The built-in matrix, the loader's largest input.
+    const BUILTIN: &str = include_str!("../../../scenarios/builtin.toml");
+
+    /// A scenario stating every key of every table: the `[[scenario]]` keys
+    /// with the values given, one traffic block, one behaviour fault and one
+    /// network fault of each kind.
+    fn every_key(seed: u64, delta: u64, epoch_length: u64, ratios: [f64; 4]) -> String {
+        let [cross, invalid, malicious, rate] = ratios;
+        let (gamma, partial) = (delta.rotate_left(17), !delta);
+        format!(
+            r#"[[scenario]]
+name = "every-key"
+description = "a \"quoted\" \\ line"
+paper_claim = "§I"
+rounds = 4
+smoke = true
+workers = [1, 2]
+seed = {seed}
+committees = 2
+committee_size = 8
+partial_set_size = 2
+referee_size = 5
+txs_per_round = 40
+cross_shard_ratio = {cross:?}
+invalid_ratio = {invalid:?}
+accounts_per_shard = 32
+pow_difficulty = 2
+base_compute_capacity = 150
+compute_capacity_spread = 50
+latency_delta_us = {delta}
+latency_gamma_us = {gamma}
+latency_partial_us = {partial}
+state_backend = "smt"
+epoch_length = {epoch_length}
+joins_per_epoch = 2
+leaves_per_epoch = 1
+malicious_fraction = {malicious:?}
+mix = "uniform"
+invariants = ["no-double-commit", "max-p99-latency:26.0", "state-root"]
+
+[scenario.traffic]
+rate_tps = {rate:?}
+shape = "poisson"
+warmup_rounds = 1
+
+[[scenario.faults]]
+round = 3
+target = "partial:1:1"
+behavior = "false-accuser"
+
+[[scenario.net_faults]]
+from_round = 0
+until_round = 1
+kind = "isolate-leader"
+committee = 1
+
+[[scenario.net_faults]]
+from_round = 1
+until_round = 2
+kind = "isolate-commons"
+committee = 0
+count = 3
+
+[[scenario.net_faults]]
+from_round = 2
+until_round = 3
+kind = "delay"
+target = "leader:1"
+delay_us = 600000
+
+[[scenario.net_faults]]
+from_round = 0
+until_round = 4
+kind = "loss"
+loss_ppm = 150000
+
+[[scenario.net_faults]]
+from_round = 3
+until_round = 4
+kind = "crash-stop"
+target = "node:5"
+
+[[scenario.net_faults]]
+from_round = 1
+until_round = 3
+kind = "isolate-joiners"
+"#
+        )
+    }
+
+    /// Every integer key (an integer array becomes one element) of every
+    /// builtin, and of a scenario stating every key, at 0, 1, 2^63,
+    /// `u64::MAX` and `usize::MAX`: the loader answers `Ok` or `Err` and
+    /// never panics, and what it loads never asks for more than
+    /// [`MAX_WORKERS`] workers.
     #[test]
     fn extreme_integers_never_panic_the_loader() {
         let extremes = [0, 1, 1 << 63, u64::MAX as u128, usize::MAX as u128];
         let mut keys = std::collections::BTreeSet::new();
-        for scenario in builtin_scenarios() {
-            let text = scenarios_to_toml(&[scenario]);
+        let documents = BUILTIN
+            .split("\n[[scenario]]\n")
+            .skip(1)
+            .map(|body| format!("[[scenario]]\n{body}"))
+            .chain([every_key(1, 1, 1, [0.5; 4])]);
+        for text in documents {
             let lines: Vec<&str> = text.lines().collect();
             for (at, line) in lines.iter().enumerate() {
                 let Some((key, value)) = line.split_once(" = ") else {
@@ -1092,8 +1194,13 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
                     let replaced = format!("{key} = {value}");
                     mutated[at] = &replaced;
                     let mutated = mutated.join("\n");
-                    let loaded = std::panic::catch_unwind(|| scenarios_from_toml(&mutated).is_ok());
-                    assert!(loaded.is_ok(), "{key} = {value} panicked the loader");
+                    let loaded = std::panic::catch_unwind(|| scenarios_from_toml(&mutated));
+                    let Ok(loaded) = loaded else {
+                        panic!("{key} = {value} panicked the loader");
+                    };
+                    for scenario in loaded.iter().flatten() {
+                        assert!(scenario.workers.iter().all(|&w| w <= MAX_WORKERS));
+                    }
                 }
             }
         }
@@ -1128,19 +1235,14 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         assert_eq!(keys.into_iter().collect::<Vec<_>>(), expected);
     }
 
-    /// The whole builtin registry in its canonical TOML form.
-    fn registry_toml() -> &'static str {
-        static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
-        TEXT.get_or_init(|| scenarios_to_toml(&builtin_scenarios()))
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// Every builtin, moved across the full range of its `u64` keys and
-        /// its ratios, reads back row for row.
+        /// A scenario stating every key of every table, across the full range
+        /// of its `u64` keys and its ratios, reads back as the lines it
+        /// states, section for section.
         #[test]
-        fn every_builtin_round_trips_through_the_key_table(
+        fn every_key_round_trips_through_literal_text(
             seed in any::<u64>(),
             delta in any::<u64>(),
             epoch_length in 1u64..=u64::MAX,
@@ -1149,40 +1251,26 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
             malicious in 0.0f64..0.5,
             rate in 0.5f64..1e6,
         ) {
-            let mut scenarios = builtin_scenarios();
-            for s in &mut scenarios {
-                s.config.seed = seed;
-                s.config.latency.delta = SimDuration::from_micros(delta);
-                s.config.latency.gamma = SimDuration::from_micros(delta.rotate_left(17));
-                s.config.latency.partial_bound = SimDuration::from_micros(!delta);
-                if s.config.epoch_length > 0 {
-                    s.config.epoch_length = epoch_length;
-                }
-                s.config.cross_shard_ratio = cross;
-                s.config.invalid_ratio = invalid;
-                s.config.adversary.malicious_fraction = malicious;
-                if let Some(traffic) = &mut s.config.traffic {
-                    traffic.rate_tps = rate;
-                }
+            let text = every_key(seed, delta, epoch_length, [cross, invalid, malicious, rate]);
+            let s = scenarios_from_toml(&text)?.remove(0);
+            let sections: Vec<&str> = text.split("\n[").collect();
+            let mut read = vec![lines(&SCENARIO_KEYS, &s)];
+            read.extend(s.config.traffic.iter().map(|t| lines(&TRAFFIC_KEYS, t)));
+            read.extend(s.faults.iter().map(|f| lines(&FAULT_KEYS, f)));
+            read.extend(s.net_faults.iter().map(|f| lines(&NET_FAULT_KEYS, f)));
+            prop_assert_eq!(read.len(), sections.len());
+            for (read, section) in read.iter().zip(&sections) {
+                prop_assert_eq!(read, &stated(section));
             }
-            let text = scenarios_to_toml(&scenarios);
-            let parsed = scenarios_from_toml(&text)?;
-            prop_assert_eq!(parsed.len(), scenarios.len());
-            for (a, b) in scenarios.iter().zip(&parsed) {
-                for key in &SCENARIO_KEYS {
-                    let (written, read) = ((key.read)(a), (key.read)(b));
-                    prop_assert!(
-                        written == read,
-                        "{}: {} = {written:?} read back as {read:?}",
-                        a.name,
-                        key.name
-                    );
-                }
-                prop_assert_eq!(a.config.traffic, b.config.traffic);
-                prop_assert_eq!(&a.faults, &b.faults);
-                prop_assert_eq!(&a.net_faults, &b.net_faults);
+            // Every key of every table is stated.
+            let names = SCENARIO_KEYS.iter().map(|k| k.name)
+                .chain(TRAFFIC_KEYS.iter().map(|k| k.name))
+                .chain(FAULT_KEYS.iter().map(|k| k.name))
+                .chain(NET_FAULT_KEYS.iter().map(|k| k.name));
+            for name in names {
+                let line = format!("\n{name} = ");
+                prop_assert!(text.contains(&line), "{} is not stated", name);
             }
-            prop_assert_eq!(scenarios_to_toml(&parsed), text);
         }
     }
 
@@ -1190,21 +1278,20 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
         /// The loader answers `Ok` or `Err`, and never panics, on a bit flip,
-        /// a truncation or a duplicated line of the serialized registry.
+        /// a truncation or a duplicated line of `scenarios/builtin.toml`.
         #[test]
         fn a_mutated_registry_never_panics_the_loader(
             mutation in 0u8..3,
             at in any::<u64>(),
             bit in 0u8..8,
         ) {
-            let text = registry_toml();
-            let mut bytes = text.as_bytes().to_vec();
+            let mut bytes = BUILTIN.as_bytes().to_vec();
             let at = (at % bytes.len() as u64) as usize;
             match mutation {
                 0 => bytes[at] ^= 1 << bit,
                 1 => bytes.truncate(at),
                 _ => {
-                    let mut lines: Vec<&str> = text.split_inclusive('\n').collect();
+                    let mut lines: Vec<&str> = BUILTIN.split_inclusive('\n').collect();
                     let line = at % lines.len();
                     lines.insert(line, lines[line]);
                     bytes = lines.concat().into_bytes();

@@ -5,14 +5,14 @@
 //! * every built-in scenario passes all of its declared invariants,
 //! * the rendered JSON reports match the golden files committed under
 //!   `scenarios/golden/`,
-//! * the TOML schema round-trips the whole registry losslessly.
+//! * retired keys fail to load, and the shipped example loads.
 
 use std::path::PathBuf;
 
 use cycledger_scenarios::registry::builtin_scenarios;
 use cycledger_scenarios::report::render_report;
 use cycledger_scenarios::runner::run_matrix;
-use cycledger_scenarios::toml_cfg::{scenarios_from_toml, scenarios_to_toml};
+use cycledger_scenarios::toml_cfg::scenarios_from_toml;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/golden")
@@ -106,22 +106,12 @@ fn no_stale_golden_files() {
 }
 
 #[test]
-fn toml_round_trips_the_whole_registry() {
-    let scenarios = builtin_scenarios();
-    let serialized = scenarios_to_toml(&scenarios);
-    let parsed = scenarios_from_toml(&serialized).expect("serialized registry parses");
-    assert_eq!(parsed.len(), scenarios.len());
-    let reserialized = scenarios_to_toml(&parsed);
-    assert_eq!(
-        serialized, reserialized,
-        "TOML round-trip must be lossless over the whole registry"
-    );
-    // Field-by-field fidelity is `toml_cfg`'s key-table property, which
-    // compares every row of every builtin under random seeds and ratios.
-    // The retired keys are never written and, read, are typos like any
+fn retired_keys_fail_and_the_example_loads() {
+    // The retired keys are in no scenario file and, read, are typos like any
     // other; the shipped example never named them and still loads.
+    let builtin = include_str!("../../../scenarios/builtin.toml");
     for (retired, value) in [("verify_signatures", false), ("message_driven", true)] {
-        assert!(!serialized.contains(retired));
+        assert!(!builtin.contains(retired));
         let error =
             scenarios_from_toml(&format!("[[scenario]]\n{retired} = {value}\n")).unwrap_err();
         assert!(

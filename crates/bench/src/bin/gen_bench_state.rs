@@ -1,9 +1,9 @@
-//! Emits `BENCH_state.json`-shaped numbers for the pluggable state-store
+//! Emits `BENCH_state.json`'s `tracked` block for the pluggable state-store
 //! layer: the flat-map and sparse-Merkle backends measured head to head over
-//! pre-seeded UTXO sets of 10^5 / 10^6 / 10^7 entries.
+//! one pre-seeded UTXO set of 10^6 entries.
 //!
-//! Per tier and backend the sweep measures the operations the protocol
-//! actually issues, at the store layer (`cycledger_ledger::Store`, the same
+//! Per backend the run measures the operations the protocol actually
+//! issues, at the store layer (`cycledger_ledger::Store`, the same
 //! statically-dispatched enum `UtxoSet` runs on):
 //!
 //! * **lookup** — random-order point `get`s over the live set, the per-input
@@ -15,11 +15,12 @@
 //!   (a no-op on the map backend). Each committed write pays O(log n)
 //!   hashes where a map write pays one probe, so the commit-to-map-apply
 //!   ratio is regression-gated against its committed value rather than
-//!   capped: the 3x hard cap applies to the per-transaction hot paths
-//!   (lookup and apply), which is where a cap is physically meaningful;
-//! * **prove / verify** — inclusion and exclusion proofs against the latest
-//!   root, checked with the crypto-crate verifier a light client would run
-//!   (SMT only).
+//!   capped: the hard caps apply to the per-transaction hot paths (lookup
+//!   and apply), which is where a cap is physically meaningful;
+//! * **arena** — the tree's node slots, free ones included, after the write
+//!   rounds (SMT only), once sampled inclusion and exclusion proofs have
+//!   been checked against the latest root with the crypto-crate verifier a
+//!   light client would run.
 //!
 //! Both backends are seeded first and then run through one loop: lookups in
 //! chunks of [`LOOKUP_CHUNK`], one chunk on each backend in turn, then churn
@@ -29,15 +30,13 @@
 //! hundreds of its own, and a host that slows down for a while slows both
 //! sides alike. Each `*_over_*` ratio is taken over the whole loop.
 //!
-//! Flags:
-//!
-//! * `--smoke` — CI perf-gate mode: the 10^6 tier only, short measured runs.
-//!   `scripts/perf_gate.py --state` compares the emitted `tracked.*` ratios
-//!   and allocation count against the committed `BENCH_state.json`, fails
-//!   the job on >20% regression, and additionally enforces the hard caps:
-//!   3.0 on the lookup ratio, 2.2 on the apply ratio, and 3.0 arena slots
-//!   per live UTXO after the write rounds (the tree's resident size must
-//!   follow the live set, not the number of rounds committed).
+//! `scripts/perf_gate.py --state` runs it with `--smoke`, the flag every
+//! generator it gates takes (this one has no other run), and checks the
+//! emitted `tracked.*` fields: the commit ratio against the committed
+//! `BENCH_state.json` (>20% regression fails), and hard caps of 3.0 on the
+//! lookup ratio, 2.2 on the apply ratio, 3.0 arena slots per live UTXO
+//! after the write rounds (the tree's resident size must follow the live
+//! set, not the number of rounds committed) and zero allocations a round.
 //!
 //! The binary installs [`alloccount::CountingAllocator`] so per-round
 //! allocation counts are exact and machine-independent; all harness
@@ -46,14 +45,15 @@
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_state`;
 //! the JSON is printed to stdout so it can be folded into `BENCH_state.json`
-//! at the repository root.
+//! at the repository root (`tracked` there holds the median of each field
+//! over many runs).
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use cycledger_bench::{Args, Flag, Json};
-use cycledger_crypto::sha256::{hash_parts, Digest};
-use cycledger_crypto::{verify_proof, ProofTerminal, StateProof};
+use cycledger_crypto::sha256::hash_parts;
+use cycledger_crypto::{verify_proof, ProofTerminal};
 use cycledger_ledger::smt::key_digest;
 use cycledger_ledger::{AccountId, OutPoint, StateBackend, Store, TxOutput};
 
@@ -67,54 +67,28 @@ const ROUND_SPENDS: usize = 512;
 /// Churn rounds stop here even if the time floor is not reached (bounds the
 /// pre-minted fresh-outpoint table).
 const MAX_ROUNDS: u64 = 4096;
-/// Odd and coprime to every power-of-ten tier size, so striding by it
-/// visits lookup targets in a cache-hostile pseudo-random order.
+/// Live UTXOs in each store.
+const UTXOS: usize = 1_000_000;
+/// Odd and coprime to [`UTXOS`], so striding by it visits lookup targets in
+/// a cache-hostile pseudo-random order.
 const STRIDE: usize = 0x9E37_79B1;
-/// Lookups a backend runs before the other takes its turn.
+/// Lookups a backend runs, in total and before the other takes its turn.
+const LOOKUPS: usize = 200_000;
 const LOOKUP_CHUNK: usize = 10_000;
+/// Inclusion proofs, and as many exclusion proofs, checked on the SMT.
+const PROOFS: usize = 256;
+/// The churn loop runs at least this long and this many rounds a backend.
+const MIN_SECS: f64 = 1.0;
+const MIN_ROUNDS: u64 = 8;
 
-/// Measurement effort: full sweep vs the CI smoke sample. `lookups` is per
-/// backend; `min_secs` and `min_rounds` bound the churn loop, both backends'
-/// rounds together.
-struct Effort {
-    lookups: usize,
-    proofs: usize,
-    min_secs: f64,
-    min_rounds: u64,
-}
-
-const FULL: Effort = Effort {
-    lookups: 1_000_000,
-    proofs: 1024,
-    min_secs: 2.0,
-    min_rounds: 32,
-};
-
-const SMOKE: Effort = Effort {
-    lookups: 200_000,
-    proofs: 256,
-    min_secs: 1.0,
-    min_rounds: 8,
-};
-
-/// Proof-path numbers, present only on the authenticated backend.
-struct ProofSeries {
-    prove_us: f64,
-    verify_us: f64,
-    mean_siblings: f64,
-    internal_nodes: usize,
-    leaf_nodes: usize,
-}
-
-/// One backend's measurements at one tier.
+/// One backend's measurements.
 struct StateSeries {
-    seed_secs: f64,
     lookup_ns: f64,
     apply_us_per_round: f64,
     commit_us_per_round: f64,
     allocations_per_round: f64,
-    rounds_measured: u64,
-    proof: Option<ProofSeries>,
+    /// Internal plus leaf arena slots (SMT only; 0 on the map).
+    arena_slots: usize,
 }
 
 /// Deterministic bench outpoint `n` (domain-separated from every digest the
@@ -137,14 +111,12 @@ fn output_for(n: u64) -> TxOutput {
     }
 }
 
-/// One backend's store at one tier, with its place in the churn sequence
-/// and what its rounds and lookups have measured so far.
-struct Tier<'a> {
-    backend: StateBackend,
+/// One backend's store, with its place in the churn sequence and what its
+/// rounds and lookups have measured so far.
+struct Side<'a> {
     store: Store,
     seeds: &'a [OutPoint],
     fresh: &'a [OutPoint],
-    seed_secs: f64,
     lookup_ns: u128,
     lookups: usize,
     apply_ns: u128,
@@ -155,26 +127,22 @@ struct Tier<'a> {
     rounds: u64,
 }
 
-impl<'a> Tier<'a> {
+impl<'a> Side<'a> {
     /// Seeds the store with `seeds` and commits it. `seeds`/`fresh` are
     /// pre-minted outside every measured loop and shared by both backends
     /// so they see the identical operation sequence.
     fn seed(backend: StateBackend, seeds: &'a [OutPoint], fresh: &'a [OutPoint]) -> Self {
         let n = seeds.len();
         let mut store = Store::with_capacity(backend, n);
-        let t = Instant::now();
         for (i, op) in seeds.iter().enumerate() {
             store.insert(*op, output_for(i as u64));
         }
         store.commit(0);
-        let seed_secs = t.elapsed().as_secs_f64();
         assert_eq!(store.len(), n);
-        Tier {
-            backend,
+        Side {
             store,
             seeds,
             fresh,
-            seed_secs,
             lookup_ns: 0,
             lookups: 0,
             apply_ns: 0,
@@ -235,14 +203,13 @@ impl<'a> Tier<'a> {
         assert_eq!(self.store.len(), n, "churn must keep the set size constant");
     }
 
-    /// Inclusion and exclusion proofs (SMT only), then the series.
-    fn finish(self, absent: &[OutPoint], effort: &Effort) -> StateSeries {
-        let Tier {
-            backend,
+    /// Inclusion and exclusion proofs and the arena (SMT only), then the
+    /// series.
+    fn finish(self, absent: &[OutPoint]) -> StateSeries {
+        let Side {
             store,
             seeds,
             fresh,
-            seed_secs,
             lookup_ns,
             lookups,
             apply_ns,
@@ -253,118 +220,50 @@ impl<'a> Tier<'a> {
             rounds,
         } = self;
         let n = seeds.len();
-        let proof = (backend == StateBackend::Smt).then(|| {
-            // Present samples come from the still-live window (everything at
-            // or beyond the spend cursor), exclusion samples from a disjoint
-            // outpoint range; key digests are precomputed so the timed verify
-            // loop is the pure proof check a light client pays per proof.
-            let window: &[OutPoint] = if spent < n {
-                &seeds[spent..]
-            } else {
-                &fresh[spent - n..minted]
-            };
-            let step = (window.len() / effort.proofs).max(1);
-            let present: Vec<OutPoint> = window
-                .iter()
-                .step_by(step)
-                .take(effort.proofs)
-                .copied()
-                .collect();
-            let samples: Vec<OutPoint> = present
-                .iter()
-                .chain(absent.iter().take(effort.proofs))
-                .copied()
-                .collect();
-            let keys: Vec<Digest> = samples.iter().map(key_digest).collect();
-
-            let mut proofs: Vec<StateProof> = Vec::with_capacity(samples.len());
-            let t = Instant::now();
-            for op in &samples {
-                proofs.push(store.prove(op).expect("smt backend always proves"));
+        let arena_slots = match &store {
+            Store::Map(_) => 0,
+            Store::Smt(smt) => {
+                // Present samples come from the still-live window
+                // (everything at or beyond the spend cursor), exclusion
+                // samples from a disjoint outpoint range.
+                let window: &[OutPoint] = if spent < n {
+                    &seeds[spent..]
+                } else {
+                    &fresh[spent - n..minted]
+                };
+                let step = (window.len() / PROOFS).max(1);
+                let present = window.iter().step_by(step).take(PROOFS);
+                let root = store.state_root().expect("smt backend has a root");
+                for (op, live) in present
+                    .map(|op| (op, true))
+                    .chain(absent.iter().map(|op| (op, false)))
+                {
+                    let proof = store.prove(op).expect("smt backend always proves");
+                    assert!(
+                        verify_proof(&root, &key_digest(op), &proof).is_ok(),
+                        "every sampled proof must verify"
+                    );
+                    let included = matches!(proof.terminal, ProofTerminal::Included { .. });
+                    assert_eq!(
+                        included, live,
+                        "live samples prove inclusion, absent ones exclusion"
+                    );
+                }
+                let (internal_nodes, leaf_nodes) = smt.allocated_nodes();
+                internal_nodes + leaf_nodes
             }
-            let prove_us = t.elapsed().as_micros() as f64 / samples.len() as f64;
-
-            let root = store.state_root().expect("smt backend has a root");
-            let mut verified = 0usize;
-            let t = Instant::now();
-            for (proof, key) in proofs.iter().zip(&keys) {
-                verified += usize::from(verify_proof(&root, key, proof).is_ok());
-            }
-            let verify_us = t.elapsed().as_micros() as f64 / proofs.len() as f64;
-            assert_eq!(verified, proofs.len(), "every sampled proof must verify");
-            let included = proofs
-                .iter()
-                .take(present.len())
-                .filter(|p| matches!(p.terminal, ProofTerminal::Included { .. }))
-                .count();
-            assert_eq!(included, present.len(), "live samples must prove inclusion");
-            let excluded = proofs
-                .iter()
-                .skip(present.len())
-                .filter(|p| !matches!(p.terminal, ProofTerminal::Included { .. }))
-                .count();
-            assert_eq!(
-                excluded,
-                proofs.len() - present.len(),
-                "absent samples must prove exclusion"
-            );
-
-            let siblings: usize = proofs.iter().map(|p| p.siblings.len()).sum();
-            let (internal_nodes, leaf_nodes) = match &store {
-                Store::Smt(smt) => smt.allocated_nodes(),
-                Store::Map(_) => unreachable!("proof series is SMT-only"),
-            };
-            ProofSeries {
-                prove_us,
-                verify_us,
-                mean_siblings: siblings as f64 / proofs.len() as f64,
-                internal_nodes,
-                leaf_nodes,
-            }
-        });
-
+        };
         StateSeries {
-            seed_secs,
             lookup_ns: lookup_ns as f64 / lookups as f64,
             apply_us_per_round: apply_ns as f64 / 1000.0 / rounds as f64,
             commit_us_per_round: commit_ns as f64 / 1000.0 / rounds as f64,
             allocations_per_round: allocations as f64 / rounds as f64,
-            rounds_measured: rounds,
-            proof,
+            arena_slots,
         }
     }
 }
 
-impl StateSeries {
-    fn json(&self) -> Json {
-        let mut entries = vec![
-            ("seed_secs", Json::Num(self.seed_secs, 3)),
-            ("lookup_ns", Json::Num(self.lookup_ns, 1)),
-            ("apply_us_per_round", Json::Num(self.apply_us_per_round, 1)),
-            (
-                "commit_us_per_round",
-                Json::Num(self.commit_us_per_round, 1),
-            ),
-            (
-                "allocations_per_round",
-                Json::Num(self.allocations_per_round, 0),
-            ),
-        ];
-        if let Some(proof) = &self.proof {
-            entries.extend([
-                ("prove_us", Json::Num(proof.prove_us, 2)),
-                ("verify_us", Json::Num(proof.verify_us, 2)),
-                ("mean_proof_siblings", Json::Num(proof.mean_siblings, 1)),
-                ("internal_nodes", Json::Int(proof.internal_nodes as u64)),
-                ("leaf_nodes", Json::Int(proof.leaf_nodes as u64)),
-            ]);
-        }
-        entries.push(("rounds_measured", Json::Int(self.rounds_measured)));
-        Json::obj(entries)
-    }
-}
-
-/// One tier: both backends' series.
+/// Both backends' series.
 struct Both {
     map: StateSeries,
     smt: StateSeries,
@@ -384,51 +283,50 @@ impl Both {
     }
 }
 
-/// Runs both backends at one tier over a shared operation sequence, in one
-/// loop that alternates them chunk by chunk and round by round.
-fn run_both(utxos: usize, effort: &Effort) -> Both {
-    let seeds = outpoint_range(0, utxos);
-    let fresh = outpoint_range(utxos as u64, MAX_ROUNDS as usize * ROUND_SPENDS);
-    let absent = outpoint_range(1 << 40, effort.proofs);
+/// Runs both backends over a shared operation sequence, in one loop that
+/// alternates them chunk by chunk and round by round.
+fn run_both() -> Both {
+    let seeds = outpoint_range(0, UTXOS);
+    let fresh = outpoint_range(UTXOS as u64, MAX_ROUNDS as usize * ROUND_SPENDS);
+    let absent = outpoint_range(1 << 40, PROOFS);
     // The SMT first, so its genesis fold's scratch is freed before the map
     // is built beside it.
-    let smt = Tier::seed(StateBackend::Smt, &seeds, &fresh);
-    let map = Tier::seed(StateBackend::Map, &seeds, &fresh);
-    let mut tiers = [map, smt];
+    let smt = Side::seed(StateBackend::Smt, &seeds, &fresh);
+    let map = Side::seed(StateBackend::Map, &seeds, &fresh);
+    let mut sides = [map, smt];
     // The backend that goes first swaps every chunk and every round. Every
     // lookup runs before the first churn round, which spends seeds.
     let order = |turn: usize| [turn % 2, 1 - turn % 2];
-    for chunk in 0..effort.lookups.min(utxos) / LOOKUP_CHUNK {
+    for chunk in 0..LOOKUPS / LOOKUP_CHUNK {
         for i in order(chunk) {
-            tiers[i].lookups(LOOKUP_CHUNK);
+            sides[i].lookups(LOOKUP_CHUNK);
         }
     }
     let start = Instant::now();
     for round in 0.. {
         for i in order(round) {
-            tiers[i].round();
+            sides[i].round();
         }
-        let enough = start.elapsed().as_secs_f64() >= effort.min_secs;
-        let rounds = tiers[0].rounds;
-        if (enough && rounds >= effort.min_rounds)
+        let enough = start.elapsed().as_secs_f64() >= MIN_SECS;
+        let rounds = sides[0].rounds;
+        if (enough && rounds >= MIN_ROUNDS)
             || rounds >= MAX_ROUNDS
-            || tiers[0].minted + ROUND_SPENDS > fresh.len()
+            || sides[0].minted + ROUND_SPENDS > fresh.len()
         {
             break;
         }
     }
-    let [map, smt] = tiers.map(|tier| tier.finish(&absent, effort));
+    let [map, smt] = sides.map(|side| side.finish(&absent));
     Both { map, smt }
 }
 
-fn tracked(utxos: usize, both: &Both) -> Json {
-    let Both { map, smt, .. } = both;
+fn tracked(both: &Both) -> Json {
+    let Both { map, smt } = both;
     // Arena slots (free ones included) per live entry once the write rounds
     // have run: what the tree keeps resident per UTXO it holds.
-    let proof = smt.proof.as_ref().expect("the SMT series carries one");
-    let arena_slots = (proof.internal_nodes + proof.leaf_nodes) as f64 / utxos as f64;
+    let arena_slots = smt.arena_slots as f64 / UTXOS as f64;
     Json::obj([
-        ("utxos", Json::Int(utxos as u64)),
+        ("utxos", Json::Int(UTXOS as u64)),
         ("map_lookup_ns", Json::Num(map.lookup_ns, 1)),
         ("smt_lookup_ns", Json::Num(smt.lookup_ns, 1)),
         (
@@ -460,18 +358,16 @@ fn tracked(utxos: usize, both: &Both) -> Json {
     ])
 }
 
-fn bench_config(effort: &Effort) -> String {
+fn bench_config() -> String {
     format!(
-        "single-shard Store sweep; {} writes/round ({ROUND_SPENDS} spends + \
-         {ROUND_SPENDS} credits), commit once per round; {} stride-ordered \
-         lookups a backend in chunks of {LOOKUP_CHUNK} and churn rounds \
-         alternated between the backends one by one, ratios over the whole \
-         loop; {} inclusion + {} exclusion proofs; outpoints minted in the \
+        "single-shard Store run over {UTXOS} UTXOs; {} writes/round \
+         ({ROUND_SPENDS} spends + {ROUND_SPENDS} credits), commit once per \
+         round; {LOOKUPS} stride-ordered lookups a backend in chunks of \
+         {LOOKUP_CHUNK} and churn rounds alternated between the backends one \
+         by one, ratios over the whole loop; {PROOFS} inclusion + {PROOFS} \
+         exclusion proofs checked; outpoints minted in the \
          cycledger/bench-state domain",
-        2 * ROUND_SPENDS,
-        effort.lookups,
-        effort.proofs,
-        effort.proofs
+        2 * ROUND_SPENDS
     )
 }
 
@@ -480,44 +376,18 @@ fn main() {
         alloccount::counting_enabled(),
         "bench must be built with the alloccount `count` feature"
     );
-    // The smoke run (CI perf gate) measures the tracked 10^6 tier only;
-    // scripts/perf_gate.py --state compares the tracked ratios and
-    // allocation count against BENCH_state.json and additionally enforces
-    // the hard caps (lookup, apply, arena slots per live UTXO).
-    let smoke = Args::parse("gen_bench_state", &[Flag::Smoke]).smoke;
-    let (effort, tiers): (Effort, &[usize]) = if smoke {
-        (SMOKE, &[1_000_000])
-    } else {
-        (FULL, &[100_000, 1_000_000, 10_000_000])
-    };
-    let mut sweep = Vec::new();
-    let mut tracked_tier = None;
-    for &utxos in tiers {
-        let both = run_both(utxos, &effort);
-        assert!(
-            !smoke || both.smt.allocations_per_round > 0.0,
-            "counting allocator saw no allocations"
-        );
-        sweep.push(Json::obj([
-            ("utxos", Json::Int(utxos as u64)),
-            ("map", both.map.json()),
-            ("smt", both.smt.json()),
-            (
-                "smt_commit_over_map_apply",
-                Json::Num(both.commit_ratio(), 3),
-            ),
-        ]));
-        if utxos == 1_000_000 {
-            tracked_tier = Some(tracked(utxos, &both));
-        }
-    }
-    let mut doc = vec![("bench_config", Json::Str(bench_config(&effort)))];
-    if !smoke {
-        doc.push(("tiers", Json::Arr(sweep)));
-    }
-    doc.push((
-        "tracked",
-        tracked_tier.expect("the 10^6 tier is always swept"),
-    ));
-    println!("{}", Json::obj(doc));
+    // `--smoke` is what scripts/perf_gate.py --state passes; there is one run.
+    Args::parse("gen_bench_state", &[Flag::Smoke]);
+    let both = run_both();
+    assert!(
+        both.smt.allocations_per_round > 0.0,
+        "counting allocator saw no allocations"
+    );
+    println!(
+        "{}",
+        Json::obj([
+            ("bench_config", Json::Str(bench_config())),
+            ("tracked", tracked(&both)),
+        ])
+    );
 }

@@ -7,6 +7,16 @@ use crate::adversary::AdversaryConfig;
 use crate::sortition::AssignmentParams;
 use crate::traffic::TrafficConfig;
 
+/// The most transactions a round may offer: the workload generates this many
+/// every round. 100 times the largest any caller uses (`gen_bench_round`'s
+/// large profile, 10 000).
+pub const MAX_TXS_PER_ROUND: usize = 1_000_000;
+
+/// The most accounts a shard may mint at genesis: each is a UTXO its shard's
+/// set holds from the first round. 10 times the largest any caller uses
+/// (`benchmark/`'s `state-smt-2x8`, 100 000).
+pub const MAX_ACCOUNTS_PER_SHARD: usize = 1_000_000;
+
 /// Configuration of a CycLedger simulation run.
 #[derive(Clone, Copy, Debug)]
 pub struct ProtocolConfig {
@@ -189,8 +199,20 @@ impl ProtocolConfig {
         {
             return Err("ratios must lie in [0, 1]".into());
         }
+        if self.txs_per_round > MAX_TXS_PER_ROUND {
+            return Err(format!(
+                "{} transactions a round, over the limit of {MAX_TXS_PER_ROUND}",
+                self.txs_per_round
+            ));
+        }
         if self.accounts_per_shard < 2 {
             return Err("need at least two accounts per shard".into());
+        }
+        if self.accounts_per_shard > MAX_ACCOUNTS_PER_SHARD {
+            return Err(format!(
+                "{} accounts per shard, over the limit of {MAX_ACCOUNTS_PER_SHARD}",
+                self.accounts_per_shard
+            ));
         }
         if self.epoch_length == 0 && (self.joins_per_epoch > 0 || self.leaves_per_epoch > 0) {
             return Err("validator churn requires epoch_length > 0".into());

@@ -598,6 +598,7 @@ pub fn load_dir(dir: &std::path::Path) -> Result<Vec<Scenario>, String> {
 mod tests {
     use super::*;
     use crate::spec::MAX_WORKERS;
+    use cycledger_protocol::config::{MAX_ACCOUNTS_PER_SHARD, MAX_TXS_PER_ROUND};
     use proptest::prelude::*;
 
     #[test]
@@ -1038,6 +1039,32 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
                 err.contains(&format!("over the limit of {MAX_WORKERS}")),
                 "{workers}: {err}"
             );
+        }
+    }
+
+    /// A workload size past its limit fails the load (the run would generate
+    /// that many transactions a round, or mint that many accounts a shard);
+    /// the limit itself loads.
+    #[test]
+    fn workload_sizes_past_the_limit_are_rejected() {
+        let text = |key: &str, value: u64| {
+            format!(
+                "[[scenario]]\nname = \"x\"\n{key} = {value}\n\
+                 invariants = [\"no-double-commit\"]\n"
+            )
+        };
+        for (key, limit) in [
+            ("txs_per_round", MAX_TXS_PER_ROUND),
+            ("accounts_per_shard", MAX_ACCOUNTS_PER_SHARD),
+        ] {
+            assert!(scenarios_from_toml(&text(key, limit as u64)).is_ok());
+            for value in [limit as u64 + 1, u64::MAX] {
+                let err = scenarios_from_toml(&text(key, value)).unwrap_err();
+                assert!(
+                    err.contains(&format!("over the limit of {limit}")),
+                    "{key} = {value}: {err}"
+                );
+            }
         }
     }
 

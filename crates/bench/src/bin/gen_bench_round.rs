@@ -1,23 +1,19 @@
 //! Emits `BENCH_round.json`-shaped numbers for the round-engine data plane:
 //! rounds/sec, heap allocations/round and envelopes (messages and bytes
-//! sent)/round, at 1 worker and at the machine's parallelism.
+//! sent)/round. After one warm-up round, each series measures
+//! [`ROUNDS`] rounds: the plain config at one worker (`one_worker`),
+//! the epoch-lifecycle variant at one worker (`one_worker_epoch`, a
+//! boundary every second round), and the plain config at the machine's
+//! parallelism (`parallel`, the fastest of three runs, with
+//! `parallel_workers` beside it; left out on a one-core machine).
+//! `scripts/perf_gate.py` runs this binary and gates each series' fields
+//! against the same key under `BENCH_round.json`'s `verified` block, and
+//! `parallel` over `one_worker` against a floor: both come from one run, so
+//! a phase that silently goes serial again fails on a runner of any speed.
 //!
-//! Flags:
-//!
-//! * `--config 8x16|64x32` — committee geometry. `8x16` (default) is the
-//!   standard tracked config (400 txs/round); `64x32` is the large-scale
-//!   profile at 10 000 txs/round.
-//! * `--smoke` — CI perf-gate mode: short measured runs at 1 worker — the
-//!   plain config and the epoch-lifecycle variant (boundary every second
-//!   round) — whose `rounds_per_sec`, `allocations_per_round`,
-//!   `messages_per_round`, `bytes_per_round` and `batches_per_round` are
-//!   compared against the committed `BENCH_round.json` by
-//!   `scripts/perf_gate.py`,
-//!   plus the plain config at the machine's parallelism (`parallel_workers`,
-//!   series `smoke_N_workers`, the fastest of three short runs; left out on
-//!   a one-core machine). The gate
-//!   takes the ratio of the two plain series measured in this one run, so a
-//!   phase that silently goes serial again fails CI on a runner of any speed.
+//! `--config 8x16|64x32` picks the committee geometry: `8x16` (default) is
+//! the tracked config (400 txs/round), `64x32` the large-scale profile at
+//! 10 000 txs/round.
 //!
 //! Built with `--features opcount`, every one-worker series also carries
 //! `opcount`: per-round totals, over the same rounds, of the operations
@@ -28,14 +24,14 @@
 //! checked. At one worker every task runs on the driver
 //! thread, whose tally this is (the workload's draw-ahead thread is not
 //! counted), so the counts repeat exactly; `scripts/perf_gate.py --counts`
-//! gates the plain series' against `BENCH_round.json`.
+//! gates `one_worker`'s against `BENCH_round.json`.
 //!
 //! The binary installs [`alloccount::CountingAllocator`] as the global
 //! allocator (built with counting enabled), so the reported allocation counts
 //! cover every heap allocation the round engine performs — worker threads
-//! included. They are taken over the first [`ALLOC_ROUNDS`] measured rounds
-//! of every series, whatever the wall-clock window went on to hold, so a
-//! one-worker count repeats exactly from run to run and machine to machine.
+//! included. They are taken over the [`ROUNDS`] measured rounds of
+//! every series, so a one-worker count repeats exactly from run to run and
+//! machine to machine.
 //! The envelope counts are summed from the same rounds' reports
 //! (`RoundReport::metrics`, every accounting phase); they are virtual, so
 //! they repeat at any worker count. So does `batches_per_round`, the
@@ -48,7 +44,7 @@
 
 use std::time::Instant;
 
-use cycledger_bench::{Args, Flag, Geometry, Json};
+use cycledger_bench::{bench_config, Json};
 use cycledger_net::metrics::Phase;
 use cycledger_protocol::config::ProtocolConfig;
 use cycledger_protocol::Simulation;
@@ -56,19 +52,28 @@ use cycledger_protocol::Simulation;
 #[global_allocator]
 static ALLOC: alloccount::CountingAllocator = alloccount::CountingAllocator;
 
-/// Rounds every series counts allocations over (and the fewest it measures).
-/// Rounds differ — buffers still grow, every second epoch-variant round
-/// closes an epoch — so a per-round mean only repeats over a fixed span.
-const ALLOC_ROUNDS: u64 = 16;
+/// Rounds every series measures, after its warm-up round. Rounds differ —
+/// buffers still grow, every second epoch-variant round closes an epoch —
+/// so a per-round mean only repeats over a fixed span.
+const ROUNDS: u64 = 16;
 
-/// The tracked config at a geometry: 50 txs per committee, except the
-/// large-scale profile's 10 000 txs/round.
-fn config(geometry: Geometry) -> ProtocolConfig {
-    let mut config = geometry.config();
-    if geometry == Geometry::LARGE {
-        config.txs_per_round = 10_000;
+/// The config `--config` names: `8x16`, the tracked config and the default
+/// (50 txs per committee), or `64x32`, the large-scale profile at 10 000
+/// txs/round; seed 4242. Any other argument prints the usage line and exits
+/// with status 2.
+fn config_from_args() -> ProtocolConfig {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        [] | ["--config", "8x16"] => bench_config(8, 16, 4242),
+        ["--config", "64x32"] => ProtocolConfig {
+            txs_per_round: 10_000,
+            ..bench_config(64, 32, 4242)
+        },
+        _ => {
+            eprintln!("usage: gen_bench_round [--config 8x16|64x32]");
+            std::process::exit(2);
+        }
     }
-    config
 }
 
 /// The epoch-lifecycle variant of a config: an epoch boundary (beacon,
@@ -81,11 +86,11 @@ fn epoch_variant(mut config: ProtocolConfig) -> ProtocolConfig {
     config
 }
 
-/// Runs rounds for at least `min_secs` (at least [`ALLOC_ROUNDS`]) and
-/// returns the rounds per second over all of them, and the series: that
+/// Runs one warm-up round and then [`ROUNDS`] measured ones at
+/// `workers`, and returns their rounds per second and the series: that
 /// throughput plus per-round allocation activity, envelopes sent and
-/// executor batches over the first [`ALLOC_ROUNDS`].
-fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, Json) {
+/// executor batches.
+fn measure(mut config: ProtocolConfig, workers: usize) -> (f64, Json) {
     config.worker_threads = workers;
     let mut sim = Simulation::new(config).expect("valid bench config");
     // Warm-up round: lazy crypto tables, executor spin-up, genesis state.
@@ -96,29 +101,23 @@ fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, J
     let start_ops = cycledger_crypto::opcount::current();
     let start_alloc = alloccount::snapshot();
     let start = Instant::now();
-    for _ in 0..ALLOC_ROUNDS {
+    for _ in 0..ROUNDS {
         sim.run_round();
     }
+    let rounds_per_sec = ROUNDS as f64 / start.elapsed().as_secs_f64();
     let d = alloccount::snapshot().since(&start_alloc);
     #[cfg(feature = "opcount")]
     let ops = op_counts(&start_ops, &cycledger_crypto::opcount::current());
     let batches = (sim.executor().batches_executed() - start_batches) as u64;
     assert!(d.allocations > 0, "counting allocator saw no allocations");
-    let counted = &sim.reports()[1..=ALLOC_ROUNDS as usize];
-    let sent = counted.iter().flat_map(|report| {
+    let sent = sim.reports()[1..].iter().flat_map(|report| {
         let metrics = &report.metrics;
         Phase::ALL.map(|phase| metrics.phase_total(phase))
     });
     let (messages, bytes) = sent.fold((0, 0), |(messages, bytes), total| {
         (messages + total.msgs_sent, bytes + total.bytes_sent)
     });
-    let mut rounds = ALLOC_ROUNDS;
-    while start.elapsed().as_secs_f64() < min_secs {
-        sim.run_round();
-        rounds += 1;
-    }
-    let rounds_per_sec = rounds as f64 / start.elapsed().as_secs_f64();
-    let per_round = |count: u64| count as f64 / ALLOC_ROUNDS as f64;
+    let per_round = |count: u64| count as f64 / ROUNDS as f64;
     let series = Json::obj([
         ("rounds_per_sec", Json::Num(rounds_per_sec, 3)),
         (
@@ -136,7 +135,6 @@ fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, J
         ("messages_per_round", Json::Num(per_round(messages), 1)),
         ("bytes_per_round", Json::Num(per_round(bytes), 0)),
         ("batches_per_round", Json::Num(per_round(batches), 2)),
-        ("rounds_measured", Json::Int(rounds)),
     ]);
     #[cfg(feature = "opcount")]
     let series = match series {
@@ -150,17 +148,14 @@ fn measure(mut config: ProtocolConfig, workers: usize, min_secs: f64) -> (f64, J
 }
 
 /// The operations the driver thread tallied between two readings, per
-/// round over [`ALLOC_ROUNDS`] rounds.
+/// round over [`ROUNDS`] rounds.
 #[cfg(feature = "opcount")]
 fn op_counts(
     before: &cycledger_crypto::opcount::Tally,
     after: &cycledger_crypto::opcount::Tally,
 ) -> Json {
     let per_round = |count: fn(&cycledger_crypto::opcount::Tally) -> u64| {
-        Json::Num(
-            (count(after) - count(before)) as f64 / ALLOC_ROUNDS as f64,
-            1,
-        )
+        Json::Num((count(after) - count(before)) as f64 / ROUNDS as f64, 1)
     };
     Json::obj([
         (
@@ -194,7 +189,7 @@ fn op_counts(
     ])
 }
 
-/// Describes the epoch-lifecycle variant measured by `*_epoch` series.
+/// Describes the epoch-lifecycle variant measured by `one_worker_epoch`.
 const EPOCH_VARIANT: &str =
     "same geometry with epoch_length 2, joins_per_epoch 2, leaves_per_epoch 1 \
      (every second round closes an epoch: beacon, churn, state sync, reshuffle)";
@@ -204,58 +199,32 @@ fn main() {
         alloccount::counting_enabled(),
         "bench must be built with the alloccount `count` feature"
     );
-    let args = Args::parse("gen_bench_round", &[Flag::Smoke, Flag::Config]);
-    let plain = config(args.geometry);
+    let plain = config_from_args();
     let epoch = epoch_variant(plain);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (_, one_worker) = measure(plain, 1);
     let mut doc = vec![
         (
-            "bench_config".to_string(),
+            "bench_config",
             Json::Str(format!(
                 "{} committees x {} members, {} txs/round, seed 4242, pow_difficulty 2",
                 plain.committees, plain.committee_size, plain.txs_per_round
             )),
         ),
-        ("epoch_bench_config".into(), Json::Str(EPOCH_VARIANT.into())),
+        ("epoch_bench_config", Json::Str(EPOCH_VARIANT.into())),
+        ("parallel_workers", Json::Int(cores as u64)),
+        ("one_worker", one_worker),
     ];
-
-    if args.smoke {
-        // CI perf gate: a short measured run of the tracked config at one
-        // worker, plus the epoch-lifecycle variant (boundary every second
-        // round, so half the measured rounds pay beacon + churn + state
-        // sync + reshuffle). scripts/perf_gate.py compares rounds_per_sec,
-        // allocations_per_round, messages_per_round, bytes_per_round and
-        // batches_per_round of both series against the committed
-        // BENCH_round.json and fails the job on a >20% regression of the
-        // first, a >1% regression of a count or a count >5% below the
-        // committed one (a baseline nobody re-recorded). The plain config is
-        // measured once more at the machine's parallelism; the gate wants
-        // that series >= 1.25x the one-worker one.
-        let (_, s) = measure(plain, 1, 0.0);
-        let (_, e) = measure(epoch, 1, 0.0);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        doc.push(("parallel_workers".into(), Json::Int(cores as u64)));
-        doc.push(("smoke_1_worker".into(), s));
-        if cores > 1 {
-            // Fastest of three short runs: a busy neighbour, or a scheduler
-            // that leaves a fresh pool on the driver's CPU for a second, only
-            // ever adds time, while a phase gone serial is slow in all three.
-            let (_, p) = (0..3)
-                .map(|_| measure(plain, cores, 0.0))
-                .max_by(|a, b| a.0.total_cmp(&b.0))
-                .expect("three runs");
-            doc.push((format!("smoke_{cores}_workers"), p));
-        }
-        doc.push(("smoke_epoch_1_worker".into(), e));
-    } else {
-        let parallel_workers = std::thread::available_parallelism()
-            .map(|n| n.get().max(4))
-            .unwrap_or(4);
-        let (_, one) = measure(plain, 1, 3.0);
-        let (_, many) = measure(plain, parallel_workers, 3.0);
-        let (_, one_epoch) = measure(epoch, 1, 3.0);
-        doc.push(("one_worker".into(), one));
-        doc.push((format!("{parallel_workers}_workers"), many));
-        doc.push(("one_worker_epoch".into(), one_epoch));
+    if cores > 1 {
+        // Fastest of three runs: a busy neighbour, or a scheduler that
+        // leaves a fresh pool on the driver's CPU for a second, only ever
+        // adds time, while a phase gone serial is slow in all three.
+        let (_, parallel) = (0..3)
+            .map(|_| measure(plain, cores))
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("three runs");
+        doc.push(("parallel", parallel));
     }
-    println!("{}", Json::Obj(doc));
+    doc.push(("one_worker_epoch", measure(epoch, 1).1));
+    println!("{}", Json::obj(doc));
 }

@@ -1,18 +1,17 @@
 //! # cycledger-bench
 //!
 //! The benchmark and experiment harness: [`paper`] builds the paper's
-//! evaluation (Tables I–II, Figs. 4–5, scalability, recovery, incentives)
-//! as one document, and one generator binary per committed `BENCH_*.json`
-//! baseline measures the rest. `docs/benchmarks.md` indexes the committed
-//! files and what regenerates each. The binaries print through [`Json`]
-//! and the `gen_bench_*` ones read their flags with [`Args`].
+//! evaluation (Tables I–II, Figs. 4–5, scalability, recovery, incentives,
+//! the open-loop latency sweep) as one document, and one generator binary
+//! per committed `BENCH_*.json` baseline measures the rest.
+//! `docs/benchmarks.md` indexes the committed files and what regenerates
+//! each. The binaries print through [`Json`].
 //!
 //! Binaries (run with `cargo run --release -p cycledger-bench --bin <name>`):
 //!
 //! * `gen_paper` — [`paper::document`], committed as `BENCH_paper.json`.
-//! * `gen_bench_crypto`, `gen_bench_latency`, `gen_bench_round`,
-//!   `gen_bench_state` — the `BENCH_crypto`, `_latency`, `_round` and
-//!   `_state` baselines.
+//! * `gen_bench_crypto`, `gen_bench_round`, `gen_bench_state` — the
+//!   `BENCH_crypto`, `_round` and `_state` baselines, one run each.
 
 #![warn(missing_docs)]
 
@@ -29,9 +28,9 @@ use cycledger_protocol::{
 pub mod paper;
 
 /// Builds a simulation configuration sized for benchmarking: small PoW
-/// difficulty, fifty transactions per committee. The paper document, the
-/// virtual-time latency sweep and the tracked wall-clock series
-/// (`gen_bench_round`) all run it with every signature made and
+/// difficulty, fifty transactions per committee. The paper document (its
+/// virtual-time latency sweep included) and the tracked wall-clock series
+/// (`gen_bench_round`) both run it with every signature made and
 /// verified — there is no other way to run a round.
 pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> ProtocolConfig {
     ProtocolConfig {
@@ -86,88 +85,6 @@ pub fn alg3_instance(
         );
         assert!(outcome.certificate.is_some(), "honest instance certifies");
         outcome
-    }
-}
-
-/// A committee geometry of the tracked generators, as `--config` names it.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub struct Geometry {
-    /// Number of committees.
-    pub committees: usize,
-    /// Members per committee.
-    pub committee_size: usize,
-}
-
-impl Geometry {
-    /// `8x16`, the tracked configuration and the default.
-    pub const TRACKED: Geometry = Geometry {
-        committees: 8,
-        committee_size: 16,
-    };
-    /// `64x32`, the large-scale profile.
-    pub const LARGE: Geometry = Geometry {
-        committees: 64,
-        committee_size: 32,
-    };
-
-    /// [`bench_config`] at this geometry, seed 4242.
-    pub fn config(self) -> ProtocolConfig {
-        bench_config(self.committees, self.committee_size, 4242)
-    }
-}
-
-/// A flag a generator binary may take.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub enum Flag {
-    /// `--smoke`: the short run `scripts/perf_gate.py` gates.
-    Smoke,
-    /// `--config 8x16|64x32`: the committee geometry.
-    Config,
-}
-
-/// What a generator binary was asked to run.
-pub struct Args {
-    /// `--smoke` was given.
-    pub smoke: bool,
-    /// `--config`'s geometry, [`Geometry::TRACKED`] without it.
-    pub geometry: Geometry,
-}
-
-impl Args {
-    /// Reads the process arguments of `binary`, which takes the flags in
-    /// `takes`. Any other argument, or a `--config` naming no geometry,
-    /// prints the binary's usage line and exits with status 2.
-    pub fn parse(binary: &str, takes: &[Flag]) -> Args {
-        let usage = || -> ! {
-            let flags: Vec<&str> = takes
-                .iter()
-                .map(|flag| match flag {
-                    Flag::Smoke => "[--smoke]",
-                    Flag::Config => "[--config 8x16|64x32]",
-                })
-                .collect();
-            eprintln!("usage: {binary} {}", flags.join(" "));
-            std::process::exit(2);
-        };
-        let mut args = Args {
-            smoke: false,
-            geometry: Geometry::TRACKED,
-        };
-        let mut argv = std::env::args().skip(1);
-        while let Some(arg) = argv.next() {
-            match arg.as_str() {
-                "--smoke" if takes.contains(&Flag::Smoke) => args.smoke = true,
-                "--config" if takes.contains(&Flag::Config) => {
-                    args.geometry = match argv.next().as_deref() {
-                        Some("8x16") => Geometry::TRACKED,
-                        Some("64x32") => Geometry::LARGE,
-                        _ => usage(),
-                    }
-                }
-                _ => usage(),
-            }
-        }
-        args
     }
 }
 

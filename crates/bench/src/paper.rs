@@ -1,6 +1,7 @@
 //! The paper's evaluation (§VI–§VII) as one document: Tables I–II, Figs. 4–5,
-//! the scalability sweep, the dishonest-leader recovery rows and the
-//! incentive split. Every value is a count, a virtual-time quantity or a
+//! the scalability sweep, the dishonest-leader recovery rows, the
+//! incentive split and the open-loop latency sweep. Every value is a count,
+//! a virtual-time quantity or a
 //! deterministic `f64`, so the document is the same on every machine and at
 //! every worker count. `gen_paper` prints [`document`]; the committed copy is
 //! `BENCH_paper.json` at the repository root, and a test of this module fails
@@ -15,6 +16,7 @@ use cycledger_analysis::{
 };
 use cycledger_net::metrics::Phase;
 use cycledger_net::topology::NodeId;
+use cycledger_protocol::traffic::{capacity_tps, ArrivalShape, TrafficConfig, TrafficSnapshot};
 use cycledger_protocol::{
     AdversaryConfig, Behavior, BehaviorMix, ProtocolConfig, RoundReport, Simulation,
     SimulationSummary,
@@ -33,6 +35,7 @@ pub fn document() -> Json {
         ("scalability", scalability()),
         ("recovery", recovery()),
         ("incentive", incentive()),
+        ("latency", latency()),
     ])
 }
 
@@ -486,6 +489,128 @@ fn incentive() -> Json {
     ])
 }
 
+/// One rate of the latency sweep: what was offered, and what the traffic
+/// counters read after the run.
+struct SweepPoint {
+    offered_tps: f64,
+    snapshot: TrafficSnapshot,
+}
+
+impl SweepPoint {
+    /// Twenty open-loop rounds of `config` (two of them warm-up) under
+    /// constant arrivals at `rate_tps`. Virtual time makes one pass enough.
+    fn measure(mut config: ProtocolConfig, rate_tps: f64) -> SweepPoint {
+        config.traffic = Some(TrafficConfig {
+            rate_tps,
+            shape: ArrivalShape::Constant,
+            warmup_rounds: 2,
+        });
+        let mut sim = simulation(config);
+        for _ in 0..20 {
+            sim.run_round();
+        }
+        SweepPoint {
+            offered_tps: rate_tps,
+            snapshot: sim
+                .traffic()
+                .expect("an open-loop run has a traffic snapshot"),
+        }
+    }
+
+    /// The point keeps up when confirmed throughput is within 10 % of the
+    /// offered rate: the 5 % deliberately invalid share ([`bench_config`])
+    /// plus round-boundary effects.
+    fn keeps_up(&self) -> bool {
+        self.snapshot.sustained_tps() >= 0.9 * self.offered_tps
+    }
+
+    fn json(&self) -> Json {
+        let s = &self.snapshot;
+        Json::obj([
+            ("offered_tps", Json::Num(self.offered_tps, 3)),
+            ("sustained_tps", Json::Num(s.sustained_tps(), 3)),
+            ("backlog", Json::Int(s.backlog)),
+            ("p50_us", Json::Int(s.p50_us)),
+            ("p99_us", Json::Int(s.p99_us)),
+            ("p999_us", Json::Int(s.p999_us)),
+            ("p99_delta", Json::Num(s.p99_delta(), 3)),
+            ("samples", Json::Int(s.samples)),
+        ])
+    }
+}
+
+/// The knee of a sweep in ascending rate order: the last rate the pipeline
+/// keeps up with, or the first point when it keeps up with none. Past it
+/// the backlog grows without bound and waiting time diverges, while
+/// confirmed throughput plateaus at the saturated rate.
+fn knee(points: &[SweepPoint]) -> &SweepPoint {
+    points
+        .iter()
+        .rev()
+        .find(|p| p.keeps_up())
+        .unwrap_or(&points[0])
+}
+
+/// The tracked point of a sweep in ascending rate order: the highest rate
+/// at or below 0.95× `capacity` (0.9× in the committed sweep).
+fn tracked(points: &[SweepPoint], capacity: f64) -> &SweepPoint {
+    points
+        .iter()
+        .rfind(|p| p.offered_tps <= 0.95 * capacity)
+        .expect("the sweep includes an under-capacity point")
+}
+
+/// The saturated rate: the largest throughput the sweep sustained.
+fn saturated_tps(points: &[SweepPoint]) -> f64 {
+    points
+        .iter()
+        .map(|p| p.snapshot.sustained_tps())
+        .fold(0.0, f64::max)
+}
+
+/// §III-B's confirm latency under open-loop load: the 8×16 configuration,
+/// seed 4242, swept across offered rates from 0.25× to 1.5× its analytic
+/// round capacity (`txs_per_round / (8Δ + 4Γ)`), with the tracked point,
+/// the knee and the saturated rate. Arrivals and confirmations are stamped
+/// on the simulated clock, so a drift means the protocol changed (packing,
+/// round pacing, recovery stalls), never the machine.
+fn latency() -> Json {
+    let config = bench_config(8, 16, 4242);
+    let capacity = capacity_tps(config.txs_per_round, &config.latency);
+    let points: Vec<SweepPoint> = [0.25, 0.5, 0.75, 0.9, 1.1, 1.5]
+        .map(|fraction| SweepPoint::measure(config, fraction * capacity))
+        .into();
+    let tracked = tracked(&points, capacity);
+    let s = &tracked.snapshot;
+    Json::obj([
+        (
+            "bench_config",
+            Json::Str(format!(
+                "{} committees x {} members, {} txs/round, seed 4242, constant arrivals, \
+                 warmup 2 rounds, capacity {capacity:.1} tps",
+                config.committees, config.committee_size, config.txs_per_round
+            )),
+        ),
+        ("capacity_tps", Json::Num(capacity, 3)),
+        (
+            "sweep",
+            Json::Arr(points.iter().map(SweepPoint::json).collect()),
+        ),
+        (
+            "tracked",
+            Json::obj([
+                ("offered_tps", Json::Num(tracked.offered_tps, 3)),
+                ("p50_us", Json::Int(s.p50_us)),
+                ("p99_us", Json::Int(s.p99_us)),
+                ("p999_us", Json::Int(s.p999_us)),
+                ("p99_delta", Json::Num(s.p99_delta(), 3)),
+            ]),
+        ),
+        ("knee_offered_tps", Json::Num(knee(&points).offered_tps, 3)),
+        ("saturated_tps", Json::Num(saturated_tps(&points), 3)),
+    ])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -558,6 +683,61 @@ mod tests {
                 assert!(summary.total_evictions() > 0, "{behavior:?} with k = {k}");
             }
         }
+    }
+
+    /// A sweep point offered `offered_tps` that confirmed `sustained_tps`
+    /// over one second of virtual time.
+    fn point(offered_tps: f64, sustained_tps: u64) -> SweepPoint {
+        SweepPoint {
+            offered_tps,
+            snapshot: TrafficSnapshot {
+                injected: offered_tps as u64,
+                rejected_invalid: 0,
+                confirmed: sustained_tps,
+                censored: 0,
+                backlog: 0,
+                virtual_elapsed_us: 1_000_000,
+                delta_us: 50_000,
+                p50_us: 0,
+                p99_us: 0,
+                p999_us: 0,
+                max_us: 0,
+                mean_us: 0.0,
+                samples: sustained_tps,
+            },
+        }
+    }
+
+    #[test]
+    fn the_sweep_selects_its_knee_tracked_point_and_saturated_rate() {
+        // 0.9 × offered keeps up, less does not; the knee is the last point
+        // that keeps up, past one that fell behind.
+        let sweep = [
+            point(100.0, 90),
+            point(200.0, 170),
+            point(300.0, 290),
+            point(400.0, 340),
+        ];
+        assert_eq!(knee(&sweep).offered_tps, 300.0);
+        assert_eq!(knee(&sweep[..2]).offered_tps, 100.0);
+        // Keeping up with none falls back to the first point.
+        assert_eq!(knee(&sweep[1..2]).offered_tps, 200.0);
+        assert_eq!(
+            knee(&[point(100.0, 89), point(200.0, 170)]).offered_tps,
+            100.0
+        );
+
+        // The tracked point is the highest rate at or below 0.95× capacity.
+        assert_eq!(tracked(&sweep, 400.0).offered_tps, 300.0);
+        assert_eq!(tracked(&sweep, 300.0).offered_tps, 200.0);
+        assert_eq!(tracked(&sweep, 1000.0).offered_tps, 400.0);
+
+        // The saturated rate is the largest sustained rate, wherever it is.
+        assert_eq!(saturated_tps(&sweep), 340.0);
+        assert_eq!(
+            saturated_tps(&[point(400.0, 320), point(500.0, 310)]),
+            320.0
+        );
     }
 
     #[test]

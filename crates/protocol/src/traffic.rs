@@ -14,8 +14,9 @@
 //! Everything here is a pure function of the configuration and the round
 //! reports: no wall clock, no thread-dependent state. Latency distributions
 //! are therefore byte-identical across worker counts and machines, which is
-//! what lets `BENCH_latency.json` be gated exactly and the traffic scenarios
-//! be golden-gated like every other scenario.
+//! what lets the open-loop latency sweep (the `latency` block of
+//! `BENCH_paper.json`) be gated exactly and the traffic scenarios be
+//! golden-gated like every other scenario.
 //!
 //! The virtual clock: a round nominally spans [`nominal_round_duration`]
 //! (derived from the latency profile, see there), and any extra simulated

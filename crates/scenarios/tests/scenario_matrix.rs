@@ -22,7 +22,7 @@ fn golden_dir() -> PathBuf {
 /// count in the scenario's matrix plus a fresh rerun of the baseline, so a
 /// single matrix run yields all the digests the differential claims need.
 /// Long-running scenarios (the 10k-round soak) are exempt from the
-/// debug-mode matrix; the release-mode CI latency gate runs them via
+/// debug-mode matrix; CI's release-mode traffic matrix runs them via
 /// `scenario-runner --scenario NAME` against the same golden files.
 fn debug_matrix() -> Vec<cycledger_scenarios::spec::Scenario> {
     builtin_scenarios()

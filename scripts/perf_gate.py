@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""CI perf gates for the round-engine data plane, the latency harness, and
-the authenticated state layer.
+"""CI perf gates for the round-engine data plane and the authenticated
+state layer.
 
-Each gate runs one ``gen_bench_* --smoke`` binary and checks the rows of
-its table in ``GATES`` against the smoke report. A row names one measured
-value and its bound, which is one of two kinds:
+Each gate runs one ``gen_bench_*`` binary -- the same run that is committed
+-- and checks the rows of its table in ``GATES`` against the report. A row
+names one key path, read from the report and, for a row gated against its
+committed value, from the same path under the gate's block of its
+``BENCH_*.json``. Its bound is one of two kinds:
 
-* a committed value, read from the gate's ``BENCH_*.json``. The row fails
-  on a regression of more than its tolerance -- ``PERF_GATE_TOLERANCE``
-  (default 20%) unless the row carries its own: a higher-is-better value
-  fails when measured < committed * (1 - tol), and a lower-is-better value
-  fails when measured > committed * (1 + tol);
+* the committed value. The row fails on a regression of more than its
+  tolerance -- ``PERF_GATE_TOLERANCE`` (default 20%) unless the row carries
+  its own: a higher-is-better value fails when measured < committed *
+  (1 - tol), and a lower-is-better value fails when measured > committed *
+  (1 + tol);
 * a fixed cap or floor that holds on any machine, whatever the baseline
   says.
 
@@ -24,31 +26,24 @@ cannot hide in the gap. Improvements never fail any other committed row. Re-bles
 the numbers on purpose (see the ``regeneration`` field in each JSON for the
 full recipe).
 
-Default mode (no arguments) gates wall-clock round throughput on
-``gen_bench_round --smoke`` (the tracked configuration: 8x16, one worker):
+Default mode (no arguments) gates ``gen_bench_round`` (the tracked
+configuration: 8x16, one warm-up round, then 16 measured rounds a series):
 ``rounds_per_sec``, ``allocations_per_round``, ``messages_per_round``,
-``bytes_per_round`` and ``batches_per_round`` of ``smoke_1_worker``
-(plain rounds) and ``smoke_epoch_1_worker`` (``epoch_length=2``, so every
-second round pays the full boundary: beacon, churn, state sync,
-reshuffle) against ``BENCH_round.json``'s ``verified`` series. The same run
-gates machine parallelism: ``smoke_N_workers`` (the plain config at the
-runner's ``parallel_workers``, fastest of three short runs) over
-``smoke_1_worker`` must reach the 1.25 floor. Both sides come from one run
-on one machine, so runner speed cancels; the ratio drops towards 1.0 when a
-phase that should be an executor batch runs on the driver thread again. A
-one-core runner emits no parallel series and the row is skipped with a
-notice.
+``bytes_per_round`` and ``batches_per_round`` of ``one_worker`` (plain
+rounds) and ``one_worker_epoch`` (``epoch_length=2``, so every second round
+pays the full boundary: beacon, churn, state sync, reshuffle) against
+``BENCH_round.json``'s ``verified`` block. The same run gates machine
+parallelism: ``parallel`` (the plain config at the runner's
+``parallel_workers``, fastest of three runs) over ``one_worker`` must reach
+the 1.25 floor. Both sides come from one run on one machine, so runner speed
+cancels; the ratio drops towards 1.0 when a phase that should be an executor
+batch runs on the driver thread again. A one-core runner emits no parallel
+series and the row is skipped with a notice.
 
-``--latency`` gates ``gen_bench_latency --smoke``: the tracked p99 confirm
-latency (at 0.9x capacity) and the saturated throughput against
-``BENCH_latency.json``. Both are virtual-time numbers, so a drift means the
-protocol changed, never the runner; the tolerance stays because the smoke
-sweep measures fewer rounds than the committed full sweep.
-
-``--counts`` gates ``gen_bench_round --smoke`` built with ``--features
-opcount``: the operation counts of the tracked configuration's one-worker
-series (``smoke_1_worker.opcount``, per round over the same first 16 measured
-rounds) -- field multiplications and squarings, inversions, doublings, mixed
+``--counts`` gates ``gen_bench_round`` built with ``--features opcount``:
+the operation counts of the tracked configuration's one-worker series
+(``one_worker.opcount``, per round over the same 16 measured rounds) --
+field multiplications and squarings, inversions, doublings, mixed
 additions, SHA-256 compressions, DRBG instantiations, signatures verified
 singly and in batches, memo lookups, envelopes, latency draws, VRF
 evaluations and VRF proofs checked -- against
@@ -59,14 +54,16 @@ table, a phase that verifies a signature twice, or an envelope that comes
 back moves one past its 1%, and a count that falls by more than 5% wants
 its baseline re-recorded.
 
-``--state`` gates ``gen_bench_state --smoke`` (flat map vs sparse Merkle
-store over a 10^6-entry UTXO set). The per-transaction hot paths carry
-hard caps -- lookup within 3x and apply within 2.2x of the flat map --
-because those bounds make the authenticated backend deployable on the
-transaction path, and so does the resident tree: at most 3.0 arena slots
-per live UTXO after the write rounds, because the tree must follow the
-live set and not the number of rounds committed. The per-round commit
-ratio and allocation count are gated against ``BENCH_state.json``: a Merkle
+``--state`` gates ``gen_bench_state`` (flat map vs sparse Merkle store over
+a 10^6-entry UTXO set). The per-transaction hot paths carry hard caps --
+lookup within 3x and apply within 2.2x of the flat map -- because those
+bounds make the authenticated backend deployable on the transaction path,
+and so does the resident tree: at most 3.0 arena slots per live UTXO after
+the write rounds, because the tree must follow the live set and not the
+number of rounds committed. A churn round's commit allocates nothing once
+the fold's buffers are sized: the SMT's allocations over the 100 churn
+rounds after its first are capped at zero, so one allocation there fails.
+The per-round commit ratio is gated against ``BENCH_state.json``: a Merkle
 commit pays O(log n) hashes per written key where a hashmap pays one probe,
 so no small absolute cap is physically achievable there. Both backends run
 through one loop -- lookups in alternating chunks, then a map round and an
@@ -76,8 +73,12 @@ runs more than two rounds in a row, so neither stays cache-warm through
 hundreds of its own, and the host drifting during the run slows both
 sides alike.
 
-``--self-test`` (alone for the round gate, or after ``--latency`` /
-``--counts`` / ``--state``) runs no benchmark: for every row of the gate it feeds the moves
+The open-loop latency sweep is not gated here: it is virtual time, so it
+is the ``latency`` block of ``BENCH_paper.json``, which tier-1 compares
+with the document the code builds, value for value.
+
+``--self-test`` (alone for the round gate, or after ``--counts`` /
+``--state``) runs no benchmark: for every row of the gate it feeds the moves
 of ``SELF_TEST`` -- one that must fail, one that must pass and, for an
 exact row, a stale baseline that must fail too -- through the same check
 the real gate runs. The moves are written from what each metric
@@ -113,36 +114,33 @@ STALE = 0.05
 class Row(NamedTuple):
     """One gated number."""
 
-    # The log label, `<series>.<metric>`.
-    name: str
-    # Where the value is read in the smoke report: a key path, or a function
-    # of the report that returns None when this runner cannot measure it.
-    measured: tuple | Callable[[dict], float | None]
-    # A key path into the committed BENCH_*.json (gated within the row's
-    # tolerance), or a fixed cap (better lower) or floor (better higher).
-    bound: tuple | float
+    # The key path of the value, dot-separated: read from the run's report
+    # and, for a row gated against its committed value, from the gate's block
+    # of the committed BENCH_*.json. A derived row names its value here.
+    path: str
     # "higher" or "lower".
     better: str
+    # A fixed cap (better lower) or floor (better higher); None gates against
+    # the committed value.
+    limit: float | None = None
     # The tolerance of an exact count, which is also gated against a stale
     # baseline; None gates within TOLERANCE.
     tolerance: float | None = None
+    # A value the report holds under no key: a function of the report that
+    # returns None when this runner cannot measure it.
+    derive: Callable[[dict], float | None] | None = None
 
 
 def parallel_speedup(report: dict) -> float | None:
-    """smoke_N_workers / smoke_1_worker rounds/s, both from one run."""
-    workers = int(report["parallel_workers"])
-    if workers < 2:
+    """parallel / one_worker rounds/s, both from one run."""
+    if int(report["parallel_workers"]) < 2:
         return None
-    many = report[f"smoke_{workers}_workers"]["rounds_per_sec"]
-    return many / report["smoke_1_worker"]["rounds_per_sec"]
+    return report["parallel"]["rounds_per_sec"] / report["one_worker"]["rounds_per_sec"]
 
 
-def state_row(metric: str, bound: float | None = None) -> Row:
-    """A tracked state-layer ratio: capped at `bound`, or gated against
-    its committed value."""
-    tracked = ("tracked", metric)
-    return Row(f"tracked.{metric}", tracked, tracked if bound is None else bound, "lower")
-
+# The one-worker series of the round gate, and their exact per-round counts.
+SERIES = ("one_worker", "one_worker_epoch")
+EXACT_COUNTS = ("allocations_per_round", "messages_per_round", "bytes_per_round", "batches_per_round")
 
 # The counts of ``--counts``: one exact row each.
 OP_COUNTS = (
@@ -162,71 +160,36 @@ OP_COUNTS = (
 )
 
 
-def count_row(metric: str) -> Row:
-    """An exact per-round operation count of the plain one-worker series."""
-    return Row(
-        f"counts.{metric}",
-        ("smoke_1_worker", "opcount", metric),
-        ("verified", "one_worker", "opcount", metric),
-        "lower",
-        0.01,
-    )
+class Gate(NamedTuple):
+    """A gated binary and the committed block its rows read."""
+
+    binary: str
+    # The cargo features the binary is built with.
+    features: tuple
+    committed: str
+    # The key path of the block of `committed` that the run's report mirrors.
+    block: tuple
+    rows: tuple
 
 
-def exact_row(series: str, metric: str) -> Row:
-    """An exact per-round count of the plain or epoch one-worker series,
-    gated within 1% (and against a stale baseline)."""
-    smoke, committed = {
-        "plain": ("smoke_1_worker", "one_worker"),
-        "epoch": ("smoke_epoch_1_worker", "one_worker_epoch"),
-    }[series]
-    return Row(f"{series}.{metric}", (smoke, metric), ("verified", committed, metric), "lower", 0.01)
-
-
-# gate: (smoke binary, committed baseline, rows); FEATURES names the cargo
-# features a gate's binary is built with.
 GATES = {
-    "round": (
+    "round": Gate(
         "gen_bench_round",
+        (),
         "BENCH_round.json",
+        ("verified",),
         (
-            Row(
-                "plain.rounds_per_sec",
-                ("smoke_1_worker", "rounds_per_sec"),
-                ("verified", "one_worker", "rounds_per_sec"),
-                "higher",
-            ),
-            Row(
-                "epoch.rounds_per_sec",
-                ("smoke_epoch_1_worker", "rounds_per_sec"),
-                ("verified", "one_worker_epoch", "rounds_per_sec"),
-                "higher",
-            ),
-            *(
-                exact_row(series, metric)
-                for series in ("plain", "epoch")
-                for metric in (
-                    "allocations_per_round",
-                    "messages_per_round",
-                    "bytes_per_round",
-                    "batches_per_round",
-                )
-            ),
-            Row("parallel.speedup", parallel_speedup, 1.25, "higher"),
+            *(Row(f"{series}.rounds_per_sec", "higher") for series in SERIES),
+            *(Row(f"{series}.{metric}", "lower", tolerance=0.01) for series in SERIES for metric in EXACT_COUNTS),
+            Row("parallel.speedup", "higher", 1.25, derive=parallel_speedup),
         ),
     ),
-    "counts": (
+    "counts": Gate(
         "gen_bench_round",
+        ("opcount",),
         "BENCH_round.json",
-        tuple(count_row(metric) for metric in OP_COUNTS),
-    ),
-    "latency": (
-        "gen_bench_latency",
-        "BENCH_latency.json",
-        (
-            Row("tracked.p99_us", ("tracked", "p99_us"), ("tracked", "p99_us"), "lower"),
-            Row("sweep.saturated_tps", ("saturated_tps",), ("saturated_tps",), "higher"),
-        ),
+        ("verified",),
+        tuple(Row(f"one_worker.opcount.{metric}", "lower", tolerance=0.01) for metric in OP_COUNTS),
     ),
     # The caps hold on any machine: the sparse-Merkle backend answers
     # lookups from its O(1) mirror (~1x measured) and an apply is two
@@ -237,24 +200,25 @@ GATES = {
     # trie over uniform keys holds 1 / ln 2 = 1.44 internal nodes per leaf,
     # plus the leaf, plus one round of churn waiting on the free lists. A
     # store that keeps what a commit supersedes adds ~11 slots per write at
-    # this tier and is past 3.0 after some 50 rounds (the smoke run commits
-    # a few hundred). A churn round's commit allocates nothing once the
-    # fold's scratch is sized (two smoke runs: 0 and 0), so its count is
-    # capped at zero rather than gated relative to a zero baseline.
-    "state": (
+    # this tier and is past 3.0 after some 50 rounds (the run commits a few
+    # hundred). A churn round's commit allocates nothing once the fold's
+    # buffers are sized: the run counts the SMT's allocations over the 100
+    # rounds after its first and prints them per round to two places, so the
+    # zero cap fails on a single allocation (0.01).
+    "state": Gate(
         "gen_bench_state",
+        (),
         "BENCH_state.json",
+        (),
         (
-            state_row("smt_lookup_over_map_lookup", 3.0),
-            state_row("smt_apply_over_map_apply", 2.2),
-            state_row("smt_arena_slots_per_live_utxo", 3.0),
-            state_row("smt_commit_over_map_apply"),
-            state_row("smt_allocations_per_round", 0.0),
+            Row("tracked.smt_lookup_over_map_lookup", "lower", 3.0),
+            Row("tracked.smt_apply_over_map_apply", "lower", 2.2),
+            Row("tracked.smt_arena_slots_per_live_utxo", "lower", 3.0),
+            Row("tracked.smt_commit_over_map_apply", "lower"),
+            Row("tracked.smt_allocations_per_round", "lower", 0.0),
         ),
     ),
 }
-
-FEATURES = {"counts": ("opcount",)}
 
 # A move past the tolerance, applied to a row's committed value.
 UP, DOWN = "up", "down"
@@ -276,38 +240,30 @@ class By(NamedTuple):
 # loosened cap or a loosened exact tolerance fails.
 EXACT = (By(1.02), By(0.995), By(0.94))
 SELF_TEST = {
-    "plain.rounds_per_sec": (DOWN, UP),
-    "plain.allocations_per_round": EXACT,
-    "epoch.rounds_per_sec": (DOWN, UP),
-    "epoch.allocations_per_round": EXACT,
-    "plain.messages_per_round": EXACT,
-    "plain.bytes_per_round": EXACT,
-    "epoch.messages_per_round": EXACT,
-    "epoch.bytes_per_round": EXACT,
-    "plain.batches_per_round": EXACT,
-    "epoch.batches_per_round": EXACT,
+    **{f"{series}.rounds_per_sec": (DOWN, UP) for series in SERIES},
+    **{f"{series}.{metric}": EXACT for series in SERIES for metric in EXACT_COUNTS},
     "parallel.speedup": (1.2, 1.6),
-    **{f"counts.{metric}": EXACT for metric in OP_COUNTS},
-    "tracked.p99_us": (UP, DOWN),
-    "sweep.saturated_tps": (DOWN, UP),
+    **{f"one_worker.opcount.{metric}": EXACT for metric in OP_COUNTS},
     "tracked.smt_lookup_over_map_lookup": (3.1, 1.1),
     "tracked.smt_apply_over_map_apply": (2.3, 1.8),
     "tracked.smt_arena_slots_per_live_utxo": (3.05, 2.44),
     "tracked.smt_commit_over_map_apply": (UP, DOWN),
-    "tracked.smt_allocations_per_round": (1.0, 0.0),
+    # One allocation in the 100 counted churn rounds.
+    "tracked.smt_allocations_per_round": (0.01, 0.0),
 }
 
 
-def dig(document: dict, path: tuple) -> float:
-    return float(functools.reduce(lambda node, key: node[key], path, document))
+def dig(document: dict, path: str) -> float:
+    return float(functools.reduce(lambda node, key: node[key], path.split("."), document))
 
 
-def check(row: Row, measured: float, baseline: dict, failures: list, committed: str) -> None:
-    """Prints the row's verdict line; appends the row's name on failure."""
+def check(row: Row, measured: float, committed: dict, failures: list, file: str) -> None:
+    """Prints the row's verdict line; appends the row's name on failure.
+    `committed` is the gate's block of `file`."""
     higher = row.better == "higher"
     stale = None
-    if isinstance(row.bound, tuple):
-        value = dig(baseline, row.bound)
+    if row.limit is None:
+        value = dig(committed, row.path)
         tolerance = TOLERANCE if row.tolerance is None else row.tolerance
         limit = value * (1.0 - tolerance if higher else 1.0 + tolerance)
         against = f"committed {value:.3f} (gate {'>=' if higher else '<='} {limit:.3f})"
@@ -315,22 +271,21 @@ def check(row: Row, measured: float, baseline: dict, failures: list, committed: 
         if row.tolerance is not None:
             stale = value * (1.0 + STALE if higher else 1.0 - STALE)
     else:
-        limit = row.bound
+        limit = row.limit
         against = f"hard {'floor' if higher else 'cap'} {limit:.3f}"
         failed = "BELOW FLOOR" if higher else "CAP EXCEEDED"
     ok = measured >= limit if higher else measured <= limit
     if ok and stale is not None and (measured > stale if higher else measured < stale):
-        ok, failed = False, f"STALE BASELINE: better by more than {STALE:.0%}, re-record {committed}"
-    print(f"{row.name}: measured {measured:.3f} vs {against} ... {'ok' if ok else failed}")
+        ok, failed = False, f"STALE BASELINE: better by more than {STALE:.0%}, re-record {file}"
+    print(f"{row.path}: measured {measured:.3f} vs {against} ... {'ok' if ok else failed}")
     if not ok:
-        failures.append(row.name)
+        failures.append(row.path)
 
 
-def run_bench(binary: str, features: tuple = ()) -> dict | None:
+def run_bench(binary: str, features: tuple) -> dict | None:
     cmd = ["cargo", "run", "-q", "--release", "-p", "cycledger-bench", "--bin", binary]
     if features:
         cmd += ["--features", ",".join(features)]
-    cmd += ["--", "--smoke"]
     print("+", " ".join(cmd), flush=True)
     out = subprocess.run(cmd, cwd=REPO_ROOT, capture_output=True, text=True)
     print(out.stdout)
@@ -341,11 +296,11 @@ def run_bench(binary: str, features: tuple = ()) -> dict | None:
     return json.loads(out.stdout)
 
 
-def self_test(rows: tuple, baseline: dict, committed: str) -> int:
+def self_test(gate: Gate, committed: dict) -> int:
     broken = 0
-    for row in rows:
-        for move, must_fail in zip(SELF_TEST.get(row.name, ()), (True, False, True)):
-            reference = dig(baseline, row.bound) if isinstance(row.bound, tuple) else row.bound
+    for row in gate.rows:
+        for move, must_fail in zip(SELF_TEST.get(row.path, ()), (True, False, True)):
+            reference = dig(committed, row.path) if row.limit is None else row.limit
             if isinstance(move, By):
                 measured, what = reference * move.factor, f"by {move.factor - 1.0:+.1%}"
             elif isinstance(move, str):
@@ -354,17 +309,17 @@ def self_test(rows: tuple, baseline: dict, committed: str) -> int:
                 what = f"{move} {step:.0%}"
             else:
                 measured, what = move, f"at {move}"
-            print(f"self-test: {row.name} {what} must {'fail' if must_fail else 'pass'}")
+            print(f"self-test: {row.path} {what} must {'fail' if must_fail else 'pass'}")
             failures = []
-            check(row, measured, baseline, failures, committed)
+            check(row, measured, committed, failures, gate.committed)
             if bool(failures) != must_fail:
-                print(f"self-test FAILED: {row.name} {what}", file=sys.stderr)
+                print(f"self-test FAILED: {row.path} {what}", file=sys.stderr)
                 broken += 1
-        moves = len(SELF_TEST.get(row.name, ()))
+        moves = len(SELF_TEST.get(row.path, ()))
         if moves != (2 if row.tolerance is None else 3):
-            print(f"self-test FAILED: {row.name} has {moves} moves", file=sys.stderr)
+            print(f"self-test FAILED: {row.path} has {moves} moves", file=sys.stderr)
             broken += 1
-    for name in SELF_TEST.keys() - {row.name for gate in GATES.values() for row in gate[2]}:
+    for name in SELF_TEST.keys() - {row.path for gate in GATES.values() for row in gate.rows}:
         print(f"self-test FAILED: {name} has moves but no row", file=sys.stderr)
         broken += 1
     if broken:
@@ -374,24 +329,25 @@ def self_test(rows: tuple, baseline: dict, committed: str) -> int:
     return 0
 
 
-def gate(name: str, run_self_test: bool) -> int:
-    binary, committed, rows = GATES[name]
-    baseline = json.loads((REPO_ROOT / committed).read_text())
+def run_gate(name: str, run_self_test: bool) -> int:
+    gate = GATES[name]
+    baseline = json.loads((REPO_ROOT / gate.committed).read_text())
+    committed = functools.reduce(lambda node, key: node[key], gate.block, baseline)
     if run_self_test:
-        return self_test(rows, baseline, committed)
+        return self_test(gate, committed)
 
-    report = run_bench(binary, FEATURES.get(name, ()))
+    report = run_bench(gate.binary, gate.features)
     if report is None:
         return 1
     failures = []
-    for row in rows:
-        measured = row.measured(report) if callable(row.measured) else dig(report, row.measured)
+    for row in gate.rows:
+        measured = row.derive(report) if row.derive else dig(report, row.path)
         if measured is None:
-            print(f"{row.name}: not measured on this runner (one core) ... skipped")
+            print(f"{row.path}: not measured on this runner (one core) ... skipped")
         else:
-            check(row, measured, baseline, failures, committed)
+            check(row, measured, committed, failures, gate.committed)
     if failures:
-        print(f"perf gate FAILED ({', '.join(failures)} vs {committed}; see above)", file=sys.stderr)
+        print(f"perf gate FAILED ({', '.join(failures)} vs {gate.committed}; see above)", file=sys.stderr)
         return 1
     print(f"perf gate passed (tolerance {TOLERANCE:.0%}, exact rows their own)")
     return 0
@@ -399,12 +355,12 @@ def gate(name: str, run_self_test: bool) -> int:
 
 def main() -> int:
     args = sys.argv[1:]
-    modes = [a for a in args if a in ("--latency", "--counts", "--state")]
-    unknown = [a for a in args if a not in ("--latency", "--counts", "--state", "--self-test")]
+    modes = [a for a in args if a in ("--counts", "--state")]
+    unknown = [a for a in args if a not in ("--counts", "--state", "--self-test")]
     if unknown or len(modes) > 1:
-        print("usage: perf_gate.py [--latency | --counts | --state] [--self-test]", file=sys.stderr)
+        print("usage: perf_gate.py [--counts | --state] [--self-test]", file=sys.stderr)
         return 2
-    return gate(modes[0][2:] if modes else "round", "--self-test" in args)
+    return run_gate(modes[0][2:] if modes else "round", "--self-test" in args)
 
 
 if __name__ == "__main__":

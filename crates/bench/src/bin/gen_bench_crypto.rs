@@ -17,7 +17,7 @@ use std::time::Instant;
 use cycledger_bench::{alg3_instance, Json};
 use cycledger_crypto::fe::Fe;
 use cycledger_crypto::hmac::HmacDrbg;
-use cycledger_crypto::point::{KeyTable, Point};
+use cycledger_crypto::point::{KeyTable, Point, WindowTask};
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{
@@ -32,6 +32,9 @@ use cycledger_net::topology::NodeId;
 /// predictor learns every data-dependent branch, which random data never
 /// lets it do.
 const RING: usize = 1024;
+
+/// Provers of the sortition draw at the tracked 8x16 geometry.
+const DRAW: usize = 88;
 
 /// Times `f` repeatedly until at least `min_secs` have elapsed and returns
 /// iterations per second.
@@ -199,15 +202,34 @@ fn main() {
     ));
     let out = vrf::evaluate(&kp.secret, input);
     rows.push(("vrf_verify", ns_per_op(|| vrf::verify(&key, input, &out))));
-    // The sortition draw's path: groups of eight proofs, per proof.
-    let outputs: Vec<vrf::VrfOutput> = keys[..8]
-        .iter()
-        .map(|k| prover.evaluate(&k.secret, &k.public))
+    // The sortition draw's path at 8x16, 88 provers: their evaluations in
+    // four lockstep chunks of 22, per prover, and one check of all their proofs,
+    // per proof, its window tasks run here one after the other.
+    let draw: Vec<Keypair> = (0..DRAW as u32)
+        .map(|i| Keypair::from_seed(&[b"draw".as_slice(), &i.to_be_bytes()].concat()))
         .collect();
-    let proofs: Vec<_> = prepared.iter().zip(&outputs).collect();
+    let draw_keys: Vec<PreparedKey> = draw.iter().map(|k| PreparedKey::new(k.public)).collect();
+    let pairs: Vec<_> = draw.iter().map(|k| (&k.secret, &k.public)).collect();
+    let mut scratch = vrf::DrawScratch::default();
+    let mut evaluate = || -> Vec<vrf::VrfOutput> {
+        let tasks = prover.evaluation_tasks(&pairs, &mut scratch);
+        tasks
+            .into_iter()
+            .flat_map(vrf::EvalTask::run)
+            .copied()
+            .collect()
+    };
+    let outputs = evaluate();
     rows.push((
-        "vrf_verify_batch_8_per_proof",
-        ns_per_op(|| prover.verify_batch(&proofs)) / 8.0,
+        "vrf_draw_evaluate_88_per_prover",
+        ns_per_call(&mut evaluate) / DRAW as f64,
+    ));
+    let proofs: Vec<_> = draw_keys.iter().zip(&outputs).collect();
+    let mut scratch = vrf::DrawScratch::default();
+    let run = |tasks: Vec<WindowTask<'_>>| tasks.into_iter().map(WindowTask::run).collect();
+    rows.push((
+        "vrf_draw_check_88_per_proof",
+        ns_per_call(|| prover.verify_batch_on(&proofs, &mut scratch, run)) / DRAW as f64,
     ));
 
     let data = [0xabu8; 1024];

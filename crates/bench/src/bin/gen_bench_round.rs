@@ -4,12 +4,17 @@
 //! [`ROUNDS`] rounds: the plain config at one worker (`one_worker`),
 //! the epoch-lifecycle variant at one worker (`one_worker_epoch`, a
 //! boundary every second round), and the plain config at the machine's
-//! parallelism (`parallel`, the fastest of three runs, with
-//! `parallel_workers` beside it; left out on a one-core machine).
+//! parallelism (`parallel`, with `parallel_workers` beside it; left out on
+//! a one-core machine). The plain config runs three one-worker and three
+//! parallel series, alternated, and `parallel_speedup` is the median of the
+//! three pairs' parallel-over-one-worker ratios, each pair taken back to
+//! back so that the host's speed is about the same on both sides of it;
+//! `one_worker` and `parallel` are the runs of median rounds/sec (their
+//! counts repeat from run to run).
 //! `scripts/perf_gate.py` runs this binary and gates each series' fields
 //! against the same key under `BENCH_round.json`'s `verified` block, and
-//! `parallel` over `one_worker` against a floor: both come from one run, so
-//! a phase that silently goes serial again fails on a runner of any speed.
+//! `parallel_speedup` against a floor: a ratio within one run, so a phase
+//! that silently goes serial again fails on a runner of any speed.
 //!
 //! `--config 8x16|64x32` picks the committee geometry: `8x16` (default) is
 //! the tracked config (400 txs/round), `64x32` the large-scale profile at
@@ -18,7 +23,8 @@
 //! Built with `--features opcount`, every one-worker series also carries
 //! `opcount`: per-round totals, over the same rounds, of the operations
 //! `cycledger_crypto::opcount` tallies — field multiplications and
-//! squarings, inversions, doublings, mixed additions, SHA-256 compressions,
+//! squarings, inversions, doublings, mixed additions, batched affine
+//! additions, SHA-256 compressions,
 //! DRBG instantiations, signatures verified singly and in batches, memo
 //! lookups, envelopes, latency draws, VRF evaluations and VRF proofs
 //! checked. At one worker every task runs on the driver
@@ -168,6 +174,10 @@ fn op_counts(
             "mixed_additions_per_round",
             per_round(|t| t.point_add_affine),
         ),
+        (
+            "batched_additions_per_round",
+            per_round(|t| t.point_add_batched),
+        ),
         ("sha256_blocks_per_round", per_round(|t| t.sha256_blocks)),
         (
             "drbg_instantiations_per_round",
@@ -189,6 +199,21 @@ fn op_counts(
     ])
 }
 
+/// One-worker and parallel series of the plain config, alternated.
+const PAIRS: usize = 3;
+
+/// The median of `values`, an odd number of them.
+fn median(values: &mut [f64]) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
+/// The series of the run of median rounds/sec among `runs`.
+fn median_run(mut runs: Vec<(f64, Json)>) -> Json {
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    runs.swap_remove(runs.len() / 2).1
+}
+
 /// Describes the epoch-lifecycle variant measured by `one_worker_epoch`.
 const EPOCH_VARIANT: &str =
     "same geometry with epoch_length 2, joins_per_epoch 2, leaves_per_epoch 1 \
@@ -202,7 +227,19 @@ fn main() {
     let plain = config_from_args();
     let epoch = epoch_variant(plain);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (_, one_worker) = measure(plain, 1);
+    // Three pairs, each a one-worker series and then a parallel one (only
+    // the first on a one-core machine): a pair's two sides run within a
+    // second of each other, so a ratio compares like with like, where the
+    // fastest of several parallel runs against one one-worker run read
+    // 1.07 on an unchanged tree when the host slowed between them.
+    let mut one_worker = Vec::new();
+    let mut parallel = Vec::new();
+    for _ in 0..PAIRS {
+        one_worker.push(measure(plain, 1));
+        if cores > 1 {
+            parallel.push(measure(plain, cores));
+        }
+    }
     let mut doc = vec![
         (
             "bench_config",
@@ -213,17 +250,18 @@ fn main() {
         ),
         ("epoch_bench_config", Json::Str(EPOCH_VARIANT.into())),
         ("parallel_workers", Json::Int(cores as u64)),
-        ("one_worker", one_worker),
     ];
     if cores > 1 {
-        // Fastest of three runs: a busy neighbour, or a scheduler that
-        // leaves a fresh pool on the driver's CPU for a second, only ever
-        // adds time, while a phase gone serial is slow in all three.
-        let (_, parallel) = (0..3)
-            .map(|_| measure(plain, cores))
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("three runs");
-        doc.push(("parallel", parallel));
+        let mut ratios: Vec<f64> = one_worker
+            .iter()
+            .zip(&parallel)
+            .map(|(one, wide)| wide.0 / one.0)
+            .collect();
+        doc.push(("parallel_speedup", Json::Num(median(&mut ratios), 3)));
+    }
+    doc.push(("one_worker", median_run(one_worker)));
+    if cores > 1 {
+        doc.push(("parallel", median_run(parallel)));
     }
     doc.push(("one_worker_epoch", measure(epoch, 1).1));
     println!("{}", Json::obj(doc));

@@ -298,7 +298,7 @@ impl Fe {
     }
 
     /// The batch inversion, `prefix` (as long as `elements`) its scratch.
-    fn batch_invert_in(elements: &mut [Fe], prefix: &mut [Fe]) {
+    pub(crate) fn batch_invert_in(elements: &mut [Fe], prefix: &mut [Fe]) {
         let mut acc = Fe::one();
         for (e, pre) in elements.iter().zip(prefix.iter_mut()) {
             *pre = acc;

@@ -4,7 +4,8 @@
 //! With the `opcount` cargo feature on, every field multiplication, squaring
 //! and inversion, every point doubling, addition and mixed addition, every
 //! SHA-256 compression, every HMAC-DRBG instantiated, every signature
-//! verified (alone or in a batch), every VRF evaluation and proof checked,
+//! verified (alone or in a batch), every VRF evaluation, proof checked and
+//! batch sub-check,
 //! every verification-memo lookup and every envelope, latency draw and
 //! fault draw of `cycledger-net` bumps one
 //! thread-local `Tally`;
@@ -30,6 +31,8 @@ pub enum Op {
     Add,
     /// Jacobian + affine addition.
     AddAffine,
+    /// Affine + affine addition whose slope's inverse a batch shared.
+    AddBatched,
     /// One SHA-256 compression (one 64-byte block of one message).
     Sha256Block,
     /// One `HmacDrbg` instantiated (`new` / `from_parts`).
@@ -49,8 +52,12 @@ pub enum Op {
     /// One VRF evaluation (a proof made, on a `vrf::Prover` table or not).
     VrfEvaluate,
     /// One VRF proof checked, by `vrf::verify` or inside a
-    /// `vrf::Prover::verify_batch` group.
+    /// `vrf::Prover::verify_batch_on` call.
     VrfProofChecked,
+    /// One check inside `vrf::Prover::verify_batch_on`: the combination of
+    /// all its proofs, one half a failed check bisects into, or a lone
+    /// proof's own equations.
+    VrfSubCheck,
 }
 
 /// Records one operation on the calling thread's tally.
@@ -66,6 +73,7 @@ pub fn count(op: Op) {
             Op::Double => t.point_double += 1,
             Op::Add => t.point_add += 1,
             Op::AddAffine => t.point_add_affine += 1,
+            Op::AddBatched => t.point_add_batched += 1,
             Op::Sha256Block => t.sha256_blocks += 1,
             Op::DrbgInstantiate => t.drbg_instantiations += 1,
             Op::SigVerify => t.sigs_single += 1,
@@ -79,6 +87,7 @@ pub fn count(op: Op) {
             Op::FaultDraw => t.fault_draws += 1,
             Op::VrfEvaluate => t.vrf_evaluations += 1,
             Op::VrfProofChecked => t.vrf_proofs_checked += 1,
+            Op::VrfSubCheck => t.vrf_sub_checks += 1,
         }
         tally.set(t);
     });
@@ -107,6 +116,9 @@ pub struct Tally {
     pub point_add: u64,
     /// Jacobian + affine (mixed) additions that did the arithmetic.
     pub point_add_affine: u64,
+    /// Affine additions (doublings included) whose slope's inverse came
+    /// from a batch inversion shared with others.
+    pub point_add_batched: u64,
     /// SHA-256 compressions, whichever implementation ran them.
     pub sha256_blocks: u64,
     /// `HmacDrbg` generators instantiated.
@@ -127,8 +139,11 @@ pub struct Tally {
     pub fault_draws: u64,
     /// VRF evaluations.
     pub vrf_evaluations: u64,
-    /// VRF proofs checked, singly or in groups.
+    /// VRF proofs checked, singly or in batches.
     pub vrf_proofs_checked: u64,
+    /// Checks a VRF batch ran: one when every proof holds, more when a
+    /// failed check bisects.
+    pub vrf_sub_checks: u64,
 }
 
 #[cfg(feature = "opcount")]
@@ -150,24 +165,51 @@ pub fn current() -> Tally {
 pub fn scope<R>(f: impl FnOnce() -> R) -> Tally {
     let before = current();
     std::hint::black_box(f());
-    let after = current();
-    Tally {
-        fe_mul: after.fe_mul - before.fe_mul,
-        fe_square: after.fe_square - before.fe_square,
-        fe_invert: after.fe_invert - before.fe_invert,
-        point_double: after.point_double - before.point_double,
-        point_add: after.point_add - before.point_add,
-        point_add_affine: after.point_add_affine - before.point_add_affine,
-        sha256_blocks: after.sha256_blocks - before.sha256_blocks,
-        drbg_instantiations: after.drbg_instantiations - before.drbg_instantiations,
-        sigs_single: after.sigs_single - before.sigs_single,
-        sigs_batched: after.sigs_batched - before.sigs_batched,
-        sig_batches: after.sig_batches - before.sig_batches,
-        memo_lookups: after.memo_lookups - before.memo_lookups,
-        envelopes_sent: after.envelopes_sent - before.envelopes_sent,
-        latency_draws: after.latency_draws - before.latency_draws,
-        fault_draws: after.fault_draws - before.fault_draws,
-        vrf_evaluations: after.vrf_evaluations - before.vrf_evaluations,
-        vrf_proofs_checked: after.vrf_proofs_checked - before.vrf_proofs_checked,
-    }
+    current() - before
 }
+
+/// The difference of two readings and the sum of tallies taken on several
+/// threads, field by field.
+#[cfg(feature = "opcount")]
+macro_rules! fieldwise {
+    ($($field:ident),*) => {
+        impl std::ops::Sub for Tally {
+            type Output = Tally;
+
+            fn sub(self, other: Tally) -> Tally {
+                Tally { $($field: self.$field - other.$field),* }
+            }
+        }
+
+        impl std::ops::Add for Tally {
+            type Output = Tally;
+
+            fn add(self, other: Tally) -> Tally {
+                Tally { $($field: self.$field + other.$field),* }
+            }
+        }
+    };
+}
+
+#[cfg(feature = "opcount")]
+fieldwise!(
+    fe_mul,
+    fe_square,
+    fe_invert,
+    point_double,
+    point_add,
+    point_add_affine,
+    point_add_batched,
+    sha256_blocks,
+    drbg_instantiations,
+    sigs_single,
+    sigs_batched,
+    sig_batches,
+    memo_lookups,
+    envelopes_sent,
+    latency_draws,
+    fault_draws,
+    vrf_evaluations,
+    vrf_proofs_checked,
+    vrf_sub_checks
+);

@@ -17,7 +17,12 @@
 //!   ([`Point::add_affine`]);
 //! * a fixed-base comb of signed windows (`FixedBase`: no doublings) — a
 //!   lazily built eight-bit one for [`Point::mul_generator`] (at most 33
-//!   mixed additions), and a five-bit one per round for the VRF's base;
+//!   mixed additions), and a five-bit one per round for the VRF's base —
+//!   which many scalars can also walk in lockstep (`mul_lockstep`), their
+//!   sums affine and each window's additions sharing one inversion;
+//! * a bucket multi-scalar multiplication ([`BucketMsm`]) for sums of
+//!   hundreds of terms, its buckets reduced by the same batched affine
+//!   additions, its window ranges tasks a caller may run in parallel;
 //! * Montgomery batch inversion ([`Point::batch_to_affine`], and
 //!   [`Point::batch_to_affine_array`] with its scratch on the stack) when
 //!   many points are normalized at once.
@@ -27,6 +32,7 @@
 //! acceptable"); the naive double-and-add ladder is retained under
 //! `#[cfg(test)]` as a differential oracle.
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::fe::{Fe, BETA};
@@ -266,13 +272,7 @@ impl Point {
     /// `d ∈ [−128, 128]`, so evaluation is at most 33 mixed additions and
     /// zero doublings.
     pub fn mul_generator(k: &Scalar) -> Point {
-        static TABLE: OnceLock<FixedBase> = OnceLock::new();
-        TABLE
-            .get_or_init(|| {
-                let g = Point::generator().to_affine().expect("G is not infinity");
-                FixedBase::new(&g, FB_WIDTH)
-            })
-            .mul(k)
+        generator_comb().mul(k)
     }
 
     /// Strauss–Shamir double multiplication `k1·P1 + k2·P2` over one shared
@@ -296,14 +296,16 @@ impl Point {
     ///
     /// This is what makes random-linear-combination batch verification
     /// actually cheaper than repeated [`Point::mul_double`]: an `n`-signature
-    /// batch reduces to one `2n+1`-term combination evaluated here. At
-    /// committee-scale batch sizes (tens to a few thousand terms) the shared
-    /// chain beats Pippenger bucketing, whose per-window bucket-collapse
-    /// overhead dominates until `n` reaches several hundred per window.
+    /// batch reduces to one `2n+1`-term combination evaluated here. Past
+    /// about a hundred terms a [`BucketMsm`] is cheaper: over VRF checks
+    /// (four terms a proof, two of them 128-bit) its batched-affine buckets
+    /// cost fewer field operations from eight proofs on and less time from
+    /// 20–28 (34 against 46 µs a proof at 88, on a shared 2-vCPU box), so
+    /// `vrf::Prover::verify_batch_on` switches at 22 proofs, 90 terms.
     ///
     /// The scratch of up to `STACK_TERMS` (34) terms lives on the stack, so the
-    /// quorum batches of a committee and a configuration group of eight VRF
-    /// proofs allocate nothing here; certificate batches across committees
+    /// quorum batches of a committee and a VRF check of up to eight proofs
+    /// allocate nothing here; certificate batches across committees
     /// take one pair of `Vec`s. A two-term call (a single verification)
     /// initialises two slots, not 45 KiB of them.
     pub fn multi_mul(terms: &[(Scalar, Base<'_>)]) -> Point {
@@ -397,6 +399,22 @@ impl Point {
 /// additions (DESIGN-notes.md has the measurements).
 const FB_WIDTH: usize = 8;
 
+/// `G`, affine.
+pub(crate) fn generator_affine() -> AffinePoint {
+    let g = Point::generator();
+    AffinePoint { x: g.x, y: g.y }
+}
+
+/// The eight-bit comb of `G` behind [`Point::mul_generator`], built on first
+/// use.
+pub(crate) fn generator_comb() -> &'static FixedBase {
+    static TABLE: OnceLock<FixedBase> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let g = Point::generator().to_affine().expect("G is not infinity");
+        FixedBase::new(&g, FB_WIDTH)
+    })
+}
+
 /// A fixed-base comb for one base point `B`: `k·B` is at most
 /// `256/width + 1` mixed additions and no doublings.
 ///
@@ -489,24 +507,428 @@ impl FixedBase {
 
     /// `k·B`: one mixed addition per nonzero signed digit of `k`.
     pub(crate) fn mul(&self, k: &Scalar) -> Point {
-        let half = 1usize << (self.width - 1);
-        let full = half << 1;
         let limbs = &k.as_u256().limbs;
         let mut acc = Point::infinity();
         let mut carry = 0;
-        for (window, entries) in self.table.chunks(half).enumerate() {
-            let bits = window_bits(limbs, window * self.width, self.width) + carry;
-            let negative = bits > half;
-            carry = usize::from(negative);
-            let magnitude = if negative { full - bits } else { bits };
-            if magnitude == 0 {
-                continue;
+        for window in 0..self.windows() {
+            if let Some(entry) = self.entry(limbs, window, &mut carry) {
+                acc = acc.add_affine(&entry);
             }
-            let entry = entries[magnitude - 1];
-            acc = acc.add_affine(&if negative { entry.neg() } else { entry });
         }
         // Back from the curve scaled by ζ.
         acc.z = acc.z.mul(&self.zeta);
+        acc
+    }
+
+    /// Windows of the comb: `256/width + 1`.
+    fn windows(&self) -> usize {
+        self.table.len().div_ceil(1 << (self.width - 1))
+    }
+
+    /// The signed entry of the scalar `limbs` in `window` (on the `ζ`
+    /// curve), `None` for a zero digit; `carry` is the borrow from the
+    /// window below and becomes this one's.
+    #[inline]
+    fn entry(&self, limbs: &[u64; 4], window: usize, carry: &mut usize) -> Option<AffinePoint> {
+        let half = 1usize << (self.width - 1);
+        let bits = window_bits(limbs, window * self.width, self.width) + *carry;
+        let negative = bits > half;
+        *carry = usize::from(negative);
+        let magnitude = if negative { 2 * half - bits } else { bits };
+        if magnitude == 0 {
+            return None;
+        }
+        let entry = self.table[window * half + magnitude - 1];
+        Some(if negative { entry.neg() } else { entry })
+    }
+}
+
+/// The denominator of the slope of the affine sum `a + b`: `x_b − x_a`, or
+/// `2·y_a` for the tangent when `b = a`, or zero when `b = −a` and the sum
+/// is the identity. A batch inversion passes zero through as zero.
+#[inline]
+fn slope_denominator(a: &AffinePoint, b: &AffinePoint) -> Fe {
+    if a.x != b.x {
+        b.x.sub(&a.x)
+    } else if a.y == b.y {
+        a.y.add(&a.y)
+    } else {
+        Fe::zero()
+    }
+}
+
+/// The affine sum `a + b`, given `inv`, the inverse of its nonzero
+/// [`slope_denominator`]: one multiplication for the slope and three for
+/// the point, where a mixed addition takes eleven. The formulas hold on
+/// every curve `y² = x³ + b`, so on the scaled ones of `strauss` too.
+#[inline]
+fn add_with_inverse(a: &AffinePoint, b: &AffinePoint, inv: &Fe) -> AffinePoint {
+    count(Op::AddBatched);
+    let numerator = if a.x != b.x {
+        b.y.sub(&a.y)
+    } else {
+        let x2 = a.x.square();
+        x2.add(&x2).add(&x2)
+    };
+    let lambda = numerator.mul(inv);
+    let x = lambda.square().sub(&a.x).sub(&b.x);
+    let y = lambda.mul(&a.x.sub(&x)).sub(&a.y);
+    AffinePoint { x, y }
+}
+
+/// Scratch of `mul_lockstep`, kept by its caller across calls.
+#[derive(Debug, Default)]
+pub struct Lockstep {
+    lanes: Vec<Lane>,
+    /// Lanes adding an entry this window, with the entry.
+    pending: Vec<(usize, AffinePoint)>,
+    denominators: Vec<Fe>,
+    prefix: Vec<Fe>,
+}
+
+/// One multiplication of [`mul_lockstep`]: its comb, its scalar's limbs and
+/// borrow, and its sum so far (affine on the comb's `ζ` curve; `None` is
+/// the identity).
+#[derive(Clone, Copy, Debug)]
+struct Lane {
+    comb: usize,
+    limbs: [u64; 4],
+    carry: usize,
+    acc: Option<AffinePoint>,
+}
+
+/// `kᵢ·Bᵢ` for every lane `(cᵢ, kᵢ)`, `Bᵢ` the base of `combs[cᵢ]`, walked
+/// window by window in lockstep: each window adds every lane's entry to its
+/// affine sum with [`add_with_inverse`], all the window's slopes sharing
+/// one inversion, so a lane pays about six field multiplications a window
+/// where [`FixedBase::mul`] pays a mixed addition's eleven, and comes out
+/// affine with no inversion of its own. Results are in lane order, affine on
+/// the plain curve (`None` for a zero scalar); each comb's `ζ` is undone
+/// with one inversion for all of them. Bit for bit what `FixedBase::mul`
+/// and a normalisation give: an affine point has one form.
+pub(crate) fn mul_lockstep<'s>(
+    combs: &[&FixedBase],
+    lanes: impl IntoIterator<Item = (usize, Scalar)>,
+    scratch: &'s mut Lockstep,
+) -> impl ExactSizeIterator<Item = Option<AffinePoint>> + 's {
+    let Lockstep {
+        lanes: state,
+        pending,
+        denominators,
+        prefix,
+    } = scratch;
+    state.clear();
+    state.extend(lanes.into_iter().map(|(comb, k)| Lane {
+        comb,
+        limbs: k.as_u256().limbs,
+        carry: 0,
+        acc: None,
+    }));
+    let steps = combs.iter().map(|comb| comb.windows()).max().unwrap_or(0);
+    for window in 0..steps {
+        pending.clear();
+        denominators.clear();
+        for (i, lane) in state.iter_mut().enumerate() {
+            let comb = combs[lane.comb];
+            if window >= comb.windows() {
+                continue;
+            }
+            let Some(entry) = comb.entry(&lane.limbs, window, &mut lane.carry) else {
+                continue;
+            };
+            match &lane.acc {
+                None => lane.acc = Some(entry),
+                Some(acc) => {
+                    denominators.push(slope_denominator(acc, &entry));
+                    pending.push((i, entry));
+                }
+            }
+        }
+        if pending.is_empty() {
+            continue;
+        }
+        prefix.resize(denominators.len(), Fe::zero());
+        Fe::batch_invert_in(denominators, prefix);
+        for ((i, entry), inv) in pending.iter().zip(denominators.iter()) {
+            let lane = &mut state[*i];
+            let acc = lane.acc.expect("a pending lane has a sum");
+            lane.acc = (!inv.is_zero()).then(|| add_with_inverse(&acc, entry, inv));
+        }
+    }
+    // Off each comb's ζ curve: (x, y) there is (x/ζ², y/ζ³) here.
+    denominators.clear();
+    denominators.extend(combs.iter().map(|comb| comb.zeta));
+    prefix.resize(denominators.len(), Fe::zero());
+    Fe::batch_invert_in(denominators, prefix);
+    let unscale = &*denominators;
+    state.iter().map(move |lane| {
+        lane.acc.map(|acc| {
+            let inv = &unscale[lane.comb];
+            let inv2 = inv.square();
+            AffinePoint {
+                x: acc.x.mul(&inv2),
+                y: acc.y.mul(&inv2).mul(inv),
+            }
+        })
+    })
+}
+
+/// A bucket (Pippenger) multi-scalar multiplication `Σ kᵢ·Pᵢ` over affine
+/// points, for sums too long for [`Point::multi_mul`]'s shared chain: a
+/// round's sortition proofs, checked as one combination.
+///
+/// Every scalar is split with the endomorphism into 128-bit halves (a
+/// 128-bit one stays whole), each half's sign folded into its point, and
+/// each half is recoded into signed `c`-bit digits `d ∈ [−2^(c−1), 2^(c−1)]`
+/// (`c` from the term count). In each window a term's point goes into the
+/// bucket of `|d|`, negated for a negative digit. The buckets of a range of
+/// windows are reduced together, pairwise, by affine additions whose slopes
+/// share one inversion a level (`add_with_inverse`: a pair of equal
+/// points takes the tangent, a cancelling pair drops out), until each holds
+/// at most one point; then each window sums `Σ d·B_d` with a running sum in
+/// Jacobian coordinates, and the windows are joined by doublings.
+///
+/// The window ranges are independent [`WindowTask`]s, whose split is a
+/// function of the term count only, so the work (and every count) is the
+/// same however many threads run them; [`BucketMsm::combine`] joins their
+/// sums. Everything is kept across calls: [`clear`](Self::clear) empties it.
+#[derive(Debug, Default)]
+pub struct BucketMsm {
+    /// One term per nonzero half: its magnitude and its point, the half's
+    /// sign folded in.
+    halves: Vec<(u128, AffinePoint)>,
+    /// `digits[j·n + t]`: term `t`'s signed digit in window `j`.
+    digits: Vec<i16>,
+    width: usize,
+    windows: usize,
+}
+
+/// The buckets one [`WindowTask`] fills and reduces, kept across calls.
+/// Its hot loops push onto these vectors, so each task's vector headers sit
+/// on cache lines of their own, where the next task's worker does not keep
+/// invalidating them.
+#[derive(Debug, Default)]
+#[repr(align(128))]
+pub struct Buckets {
+    /// Every bucket's points, bucket after bucket.
+    points: Vec<AffinePoint>,
+    /// Where each bucket's points start, and how many it holds.
+    starts: Vec<usize>,
+    lens: Vec<usize>,
+    denominators: Vec<Fe>,
+    prefix: Vec<Fe>,
+}
+
+/// The windows `range` of a [`BucketMsm`], one executor task's share:
+/// [`run`](Self::run) returns `Σ_{j ∈ range} 2^(c·(j − start))·W_j`.
+pub struct WindowTask<'a> {
+    msm: &'a BucketMsm,
+    range: Range<usize>,
+    buckets: &'a mut Buckets,
+}
+
+/// Terms a [`WindowTask`] is given at least: a sum of `n` terms splits into
+/// the largest power of two of tasks not above `n / 64`, at most one a
+/// window — eight at a round's 88 proofs, which two, four or eight workers
+/// share evenly.
+const TERMS_PER_TASK: usize = 64;
+
+impl BucketMsm {
+    /// Empties the sum, keeping its buffers.
+    pub fn clear(&mut self) {
+        self.halves.clear();
+        self.digits.clear();
+    }
+
+    /// Adds the term `k·p`.
+    pub fn push(&mut self, k: &Scalar, p: &AffinePoint) {
+        let (k1, k2) = k.split_lambda();
+        for (half, point) in [(k1, *p), (k2, p.endomorphism())] {
+            if half.magnitude != 0 {
+                let point = if half.negative { point.neg() } else { point };
+                self.halves.push((half.magnitude, point));
+            }
+        }
+    }
+
+    /// Recodes every term and hands out the window ranges, each with its
+    /// own `buckets` (grown to one per task); run them all, in any order
+    /// and on any threads, and [`combine`](Self::combine) their sums.
+    pub fn tasks<'a>(&'a mut self, buckets: &'a mut Vec<Buckets>) -> Vec<WindowTask<'a>> {
+        let n = self.halves.len();
+        // ⌊log₂ n⌋ − 3 bits: about where a window's n additions and its
+        // 2^c bucket sums cost the same (DESIGN-notes.md, "The bucket sum").
+        self.width = (n.max(1).ilog2() as usize).saturating_sub(3).clamp(4, 12);
+        self.windows = 129usize.div_ceil(self.width);
+        let (half, full) = (1i32 << (self.width - 1), 1i32 << self.width);
+        let mask = (1u128 << self.width) - 1;
+        self.digits.clear();
+        self.digits.resize(self.windows * n, 0);
+        for (t, &(magnitude, _)) in self.halves.iter().enumerate() {
+            let mut carry = 0;
+            for j in 0..self.windows {
+                let shift = j * self.width;
+                let window = if shift < 128 {
+                    (magnitude >> shift) & mask
+                } else {
+                    0
+                };
+                let bits = window as i32 + carry;
+                let digit = if bits > half { bits - full } else { bits };
+                carry = i32::from(bits > half);
+                self.digits[j * n + t] = digit as i16;
+            }
+            debug_assert_eq!(carry, 0, "129 bits hold a signed 128-bit recoding");
+        }
+        let ranges: Vec<Range<usize>> = self.ranges().collect();
+        if buckets.len() < ranges.len() {
+            buckets.resize_with(ranges.len(), Buckets::default);
+        }
+        let msm = &*self;
+        ranges
+            .into_iter()
+            .zip(buckets.iter_mut())
+            .map(|(range, buckets)| WindowTask {
+                msm,
+                range,
+                buckets,
+            })
+            .collect()
+    }
+
+    /// The window ranges of the tasks, ascending: a function of the term
+    /// count alone.
+    fn ranges(&self) -> impl DoubleEndedIterator<Item = Range<usize>> + ExactSizeIterator {
+        let n = self.halves.len();
+        let tasks = if n == 0 {
+            0
+        } else {
+            let share = (n / TERMS_PER_TASK).max(1);
+            (1usize << share.ilog2()).min(self.windows)
+        };
+        let windows = self.windows;
+        (0..tasks).map(move |i| i * windows / tasks..(i + 1) * windows / tasks)
+    }
+
+    /// `Σ kᵢ·Pᵢ` from the sums of the [`tasks`](Self::tasks), in task
+    /// order.
+    pub fn combine(&self, parts: &[Point]) -> Point {
+        let mut acc = Point::infinity();
+        let mut above = None;
+        for (range, part) in self.ranges().zip(parts).rev() {
+            if let Some(start) = above {
+                for _ in 0..self.width * (start - range.start) {
+                    acc = acc.double();
+                }
+            }
+            acc = acc.add(part);
+            above = Some(range.start);
+        }
+        acc
+    }
+}
+
+impl WindowTask<'_> {
+    /// Fills the buckets of the task's windows, reduces them and sums the
+    /// windows.
+    pub fn run(self) -> Point {
+        let WindowTask {
+            msm,
+            range,
+            buckets,
+        } = self;
+        let Buckets {
+            points,
+            starts,
+            lens,
+            denominators,
+            prefix,
+        } = buckets;
+        let n = msm.halves.len();
+        let half = 1usize << (msm.width - 1);
+        let bucket = |window: usize, digit: i16| window * half + digit.unsigned_abs() as usize - 1;
+        let windows = || {
+            range
+                .clone()
+                .enumerate()
+                .map(|(jj, j)| (jj, &msm.digits[j * n..(j + 1) * n]))
+        };
+
+        // Count each bucket's points, lay the buckets out one after the
+        // other, and place every point in its bucket.
+        lens.clear();
+        lens.resize(range.len() * half, 0);
+        for (jj, digits) in windows() {
+            for &d in digits.iter().filter(|&&d| d != 0) {
+                lens[bucket(jj, d)] += 1;
+            }
+        }
+        starts.clear();
+        let mut at = 0;
+        for len in lens.iter_mut() {
+            starts.push(at);
+            at += std::mem::take(len);
+        }
+        points.clear();
+        points.resize(at, AffinePoint::ZERO);
+        for (jj, digits) in windows() {
+            for (&d, (_, p)) in digits.iter().zip(&msm.halves).filter(|(&d, _)| d != 0) {
+                let b = bucket(jj, d);
+                points[starts[b] + lens[b]] = if d < 0 { p.neg() } else { *p };
+                lens[b] += 1;
+            }
+        }
+
+        // Halve every bucket at once, a level at a time: each pair's sum
+        // replaces it at the front of its bucket, all the level's slopes
+        // inverted together.
+        loop {
+            denominators.clear();
+            for (&start, &len) in starts.iter().zip(lens.iter()) {
+                for pair in points[start..start + len].chunks_exact(2) {
+                    denominators.push(slope_denominator(&pair[0], &pair[1]));
+                }
+            }
+            if denominators.is_empty() {
+                break;
+            }
+            prefix.resize(denominators.len(), Fe::zero());
+            Fe::batch_invert_in(denominators, prefix);
+            let mut inverses = denominators.iter();
+            for (&start, len) in starts.iter().zip(lens.iter_mut()) {
+                let mut kept = 0;
+                for i in 0..*len / 2 {
+                    let (a, b) = (points[start + 2 * i], points[start + 2 * i + 1]);
+                    let inv = inverses.next().expect("one inverse a pair");
+                    if !inv.is_zero() {
+                        points[start + kept] = add_with_inverse(&a, &b, inv);
+                        kept += 1;
+                    }
+                }
+                if *len % 2 == 1 {
+                    points[start + kept] = points[start + *len - 1];
+                    kept += 1;
+                }
+                *len = kept;
+            }
+        }
+
+        // Each window's Σ d·B_d by a running sum from the top bucket down,
+        // and the windows joined from the top by c doublings each.
+        let mut acc = Point::infinity();
+        for jj in (0..range.len()).rev() {
+            for _ in 0..msm.width {
+                acc = acc.double();
+            }
+            let (mut running, mut window) = (Point::infinity(), Point::infinity());
+            for b in (jj * half..(jj + 1) * half).rev() {
+                if lens[b] == 1 {
+                    running = running.add_affine(&points[starts[b]]);
+                }
+                window = window.add(&running);
+            }
+            acc = acc.add(&window);
+        }
         acc
     }
 }
@@ -627,7 +1049,8 @@ pub enum Base<'k> {
 }
 
 /// Terms whose scratch [`Point::multi_mul`] keeps on the stack (45 KiB): a
-/// group of eight VRF proofs (`4·8 + 2`), or a batch of sixteen signatures.
+/// batch of sixteen signatures (`2·16 + 1`), or a check of eight VRF proofs
+/// (`4·8 + 2`).
 const STACK_TERMS: usize = 34;
 
 /// Signed wNAF digits of one scalar half, least significant first, in a
@@ -1361,6 +1784,124 @@ mod tests {
                 Point::multi_mul(&bases(&terms)).equals(&ladder_sum(&terms)),
                 "k = {k:?}"
             );
+        }
+    }
+
+    /// `terms` through a [`BucketMsm`], its window tasks run last to
+    /// first.
+    fn bucket_sum(terms: &[(Scalar, AffinePoint)]) -> Point {
+        let mut msm = BucketMsm::default();
+        for (k, p) in terms {
+            msm.push(k, p);
+        }
+        let mut buckets = Vec::new();
+        let tasks = msm.tasks(&mut buckets);
+        let mut parts: Vec<Point> = tasks.into_iter().rev().map(WindowTask::run).collect();
+        parts.reverse();
+        msm.combine(&parts)
+    }
+
+    #[test]
+    fn bucket_msm_matches_multi_mul() {
+        let g = Point::generator();
+        let points: Vec<AffinePoint> = (0..600u64)
+            .map(|i| g.mul_ladder(&Scalar::from_u64(3 * i + 1)))
+            .collect::<Vec<_>>()
+            .iter()
+            .map(|p| p.to_affine().unwrap())
+            .collect();
+        let short = |i: u64| {
+            let k = Scalar::from_hash("bucket-short", &[&i.to_be_bytes()]);
+            Scalar::from_u256(U256::from_u128(
+                k.as_u256().limbs[0] as u128 | (k.as_u256().limbs[1] as u128) << 64,
+            ))
+        };
+        let long = |i: u64| Scalar::from_hash("bucket-long", &[&i.to_be_bytes()]);
+        let mut edges = edge_scalars().into_iter().cycle();
+        for n in [
+            0usize, 1, 2, 3, 17, 64, 127, 128, 129, 255, 256, 300, 511, 600,
+        ] {
+            // 128- and 256-bit scalars, every seventh zero and every
+            // eleventh an edge scalar; and from n = 8 on, one point three
+            // times with one scalar (equal points in one bucket: the
+            // tangent) and one beside its negation (a pair that cancels).
+            let mut terms: Vec<(Scalar, AffinePoint)> = (0..n)
+                .map(|i| {
+                    let k = match i % 11 {
+                        _ if i % 7 == 3 => Scalar::zero(),
+                        0 => edges.next().unwrap(),
+                        r if r % 2 == 0 => short(i as u64),
+                        _ => long(i as u64),
+                    };
+                    (k, points[i])
+                })
+                .collect();
+            if n >= 8 {
+                let (k, p) = (long(9999), points[1]);
+                terms[1] = (k, p);
+                terms[2] = (k, p);
+                terms[3] = (k, p);
+                terms[5] = (k, p.neg());
+                terms[6] = (short(7777), points[0]);
+                terms[7] = (short(7777), points[0].neg());
+            }
+            let expected = Point::multi_mul(&bases(
+                &terms
+                    .iter()
+                    .map(|&(k, p)| (k, p.to_point()))
+                    .collect::<Vec<_>>(),
+            ));
+            assert!(bucket_sum(&terms).equals(&expected), "n = {n}");
+        }
+        // Sums that are the identity.
+        let p = points[0];
+        let k = long(1);
+        assert!(bucket_sum(&[]).is_infinity());
+        assert!(bucket_sum(&[(Scalar::zero(), p)]).is_infinity());
+        assert!(bucket_sum(&[(k, p), (k, p.neg())]).is_infinity());
+        assert!(bucket_sum(&[(k, p), (k.neg(), p)]).is_infinity());
+    }
+
+    /// Two equal points share every bucket and pair up at the first level:
+    /// the sum takes the tangent; a point and its negation cancel.
+    #[test]
+    fn bucket_pairs_double_and_cancel() {
+        let g = Point::generator();
+        let p = g.mul_ladder(&Scalar::from_u64(0xabc)).to_affine().unwrap();
+        for k in [
+            Scalar::one(),
+            Scalar::from_u64(0x1234_5678),
+            Scalar::from_hash("pair", &[]),
+        ] {
+            let expected = p.to_point().mul_ladder(&k).double();
+            assert!(bucket_sum(&[(k, p), (k, p)]).equals(&expected), "k = {k:?}");
+            assert!(bucket_sum(&[(k, p), (k, p.neg())]).is_infinity());
+            // Three: a pair's tangent, and one point left over.
+            let three = p.to_point().mul_ladder(&k.mul(&Scalar::from_u64(3)));
+            assert!(bucket_sum(&[(k, p), (k, p), (k, p)]).equals(&three));
+        }
+    }
+
+    #[test]
+    fn lockstep_matches_fixed_base_on_edge_scalars() {
+        let h = hash_to_curve("lockstep", b"base");
+        let combs = [&FixedBase::new(&h, 5), generator_comb()];
+        let mut scalars = edge_scalars();
+        scalars.extend((0..40u64).map(|i| Scalar::from_hash("lockstep", &[&i.to_be_bytes()])));
+        let lanes: Vec<(usize, Scalar)> = scalars
+            .iter()
+            .enumerate()
+            .map(|(i, k)| (i % 2, *k))
+            .collect();
+        let mut scratch = Lockstep::default();
+        // Twice on one scratch: the second call starts from a clean one.
+        for _ in 0..2 {
+            let results: Vec<Option<AffinePoint>> =
+                mul_lockstep(&combs, lanes.iter().copied(), &mut scratch).collect();
+            assert_eq!(results.len(), lanes.len());
+            for ((comb, k), result) in lanes.iter().zip(&results) {
+                assert_eq!(*result, combs[*comb].mul(k).to_affine(), "k = {k:?}");
+            }
         }
     }
 

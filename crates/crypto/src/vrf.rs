@@ -16,17 +16,25 @@
 //! exactly one output — a malicious node cannot grind multiple committee
 //! assignments for the same round (the property Elastico lacked, §II-A).
 //!
-//! Carrying `U` and `V` is what lets the sortition draw check a group of
-//! proofs as one random linear combination ([`Prover::verify_batch`]; the ECVRF
-//! variant of Badertscher, Gaži, Querejeta-Azurmendi and Russell, 2022). The
+//! Carrying `U` and `V` is what lets the sortition draw check all of a
+//! round's proofs as one random linear combination ([`Prover::verify_batch_on`],
+//! a bucket multi-scalar multiplication from 22 proofs; the ECVRF variant of
+//! Badertscher, Gaži, Querejeta-Azurmendi and Russell, 2022). The
 //! `(Γ, c, s)` proof is [`VrfProof::challenge`] away, and `Γ`, `s` and the
 //! output are the same either way. A round's provers all share one `H`, so a
 //! [`Prover`] builds a fixed-base table for it once and every `sk·H` and
-//! `k·H` after that is additions only.
+//! `k·H` after that is additions only — a chunk of provers walked in
+//! lockstep, each window's additions sharing one inversion
+//! ([`Prover::evaluation_tasks`]).
+
+use std::ops::Range;
 
 use crate::hmac::HmacDrbg;
 use crate::opcount::{count, Op};
-use crate::point::{hash_to_curve, AffinePoint, Base, FixedBase, Point};
+use crate::point::{
+    generator_affine, generator_comb, hash_to_curve, mul_lockstep, AffinePoint, Base, BucketMsm,
+    Buckets, FixedBase, Lockstep, Point, WindowTask,
+};
 use crate::scalar::Scalar;
 use crate::schnorr::{PublicKey, SecretKey, VerifyingKey};
 use crate::sha256::{hash_parts, Digest, Sha256};
@@ -63,6 +71,19 @@ const H2C_DOMAIN: &str = "cycledger/vrf-h2c";
 /// ten evaluations costs fewer field operations than ten evaluations without
 /// it (`tests/opcount.rs` pins both sides; DESIGN-notes.md has the widths).
 const PROVER_WIDTH: usize = 5;
+
+/// Provers an [`EvalTask`] evaluates at most: a draw of `n` is cut into a
+/// power of two of index chunks, `⌈n/32⌉` rounded up, whose sizes differ by
+/// one at most — 16 to 32 provers each from 16 on, and a count that divides
+/// over two, four or eight workers (DESIGN-notes.md, "The splits are
+/// functions of the proof count").
+const CHUNK_PROVERS: usize = 32;
+
+/// Live proofs from which [`Prover::verify_batch_on`] sums a check with a
+/// [`BucketMsm`]; fewer go through [`Point::multi_mul`]'s shared chain, the
+/// cheaper below this measured crossover (DESIGN-notes.md, "The bucket
+/// sum").
+const BUCKET_PROOFS: usize = 22;
 
 impl VrfProof {
     /// Serializes as 224 bytes: `Γ`, `U`, `V` (64 bytes each, `x ‖ y`) and
@@ -137,11 +158,44 @@ pub fn evaluate_with_public(sk: &SecretKey, pk: &PublicKey, input: &[u8]) -> Vrf
 /// a fixed-base table of `H = hash_to_curve(input)`, built once: `Γ = sk·H`
 /// and `V = k·H` cost at most 52 mixed additions each and no doubling.
 /// [`Prover::evaluate`] returns what [`evaluate_with_public`] does, bit for
-/// bit; the table repays its build after seven evaluations.
+/// bit; the table repays its build after seven evaluations. A round's draw
+/// evaluates its provers through [`Prover::evaluation_tasks`] and checks
+/// their proofs with [`Prover::verify_batch_on`].
 pub struct Prover {
     input: Vec<u8>,
     h: AffinePoint,
     table: FixedBase,
+}
+
+/// The buffers of a round's draw — the lockstep lanes of its evaluation
+/// tasks and the bucket sum of its check — kept by their owner across
+/// rounds, so a steady draw allocates them once.
+#[derive(Debug, Default)]
+pub struct DrawScratch {
+    /// One an evaluation task.
+    lanes: Vec<Lanes>,
+    coefficients: Vec<Scalar>,
+    challenges: Vec<Scalar>,
+    msm: BucketMsm,
+    /// One a window task.
+    buckets: Vec<Buckets>,
+}
+
+/// One evaluation task's buffers, its outputs among them, on cache lines
+/// of their own (see [`Buckets`]).
+#[derive(Debug, Default)]
+#[repr(align(128))]
+struct Lanes {
+    nonces: Vec<Scalar>,
+    lockstep: Lockstep,
+    outputs: Vec<VrfOutput>,
+}
+
+/// One index chunk of a draw's provers ([`Prover::evaluation_tasks`]).
+pub struct EvalTask<'a> {
+    prover: &'a Prover,
+    keys: &'a [(&'a SecretKey, &'a PublicKey)],
+    lanes: &'a mut Lanes,
 }
 
 impl Prover {
@@ -161,39 +215,149 @@ impl Prover {
         prove(sk, pk, &self.input, &self.h, |k| self.table.mul(k))
     }
 
-    /// Verifies a group of proofs on this prover's input and `H`:
-    /// `verdicts[i]` is `verify(entries[i].0, input, entries[i].1)` (an
-    /// invalid proof survives a group with probability about `2^−128`).
-    /// Each well-formed proof's two equations, scaled by independent 128-bit
-    /// coefficients `z_i`, `w_i` (one stream seeded with a hash of the whole
-    /// group, every `s_i` included), are summed as
+    /// The evaluation of every `(sk, pk)` of `keys`, cut into index chunks
+    /// of at most 32 of equal size, a power of two of them — a function of
+    /// `keys.len()` alone — one task each; the tasks' outputs, concatenated
+    /// in task order, are [`evaluate`](Self::evaluate) of each key, bit for
+    /// bit.
+    pub fn evaluation_tasks<'a>(
+        &'a self,
+        keys: &'a [(&'a SecretKey, &'a PublicKey)],
+        scratch: &'a mut DrawScratch,
+    ) -> Vec<EvalTask<'a>> {
+        if keys.is_empty() {
+            return Vec::new();
+        }
+        let chunks = keys.len().div_ceil(CHUNK_PROVERS).next_power_of_two();
+        if scratch.lanes.len() < chunks {
+            scratch.lanes.resize_with(chunks, Lanes::default);
+        }
+        let n = keys.len();
+        (0..chunks)
+            .zip(scratch.lanes.iter_mut())
+            .map(|(i, lanes)| EvalTask {
+                prover: self,
+                keys: &keys[i * n / chunks..(i + 1) * n / chunks],
+                lanes,
+            })
+            .collect()
+    }
+
+    /// Verifies a batch of proofs on this prover's input and `H`, in the
+    /// draw's buffers: `verdicts[i]` is `verify(entries[i].0, input,
+    /// entries[i].1)` (an invalid proof survives a passing check with
+    /// probability about `2^−128`). `run` runs the window tasks of one
+    /// bucket sum (an executor batch, in a round's draw) and returns their
+    /// sums in task order.
+    ///
+    /// Each well-formed proof's two equations, scaled by independent
+    /// 128-bit coefficients `z_i`, `w_i` (one stream seeded with a hash of
+    /// all the entries, every `s_i` included), are summed as
     /// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i) = ∞`:
-    /// one `4n + 2`-term [`Point::multi_mul`] over one doubling chain, where
-    /// [`verify`] pays two a proof (DESIGN-notes.md, "Groups"). If the sum is
-    /// not `∞`, each proof is checked alone, so the verdicts are [`verify`]'s
-    /// and a forgery costs its group one second pass. Up to eight proofs keep
-    /// their coefficients and terms on the stack.
-    pub fn verify_batch<K: VerifyingKey>(&self, entries: &[(&K, &VrfOutput)]) -> Vec<bool> {
+    /// from 22 live proofs one [`BucketMsm`] over `4n + 2` terms, below
+    /// that one [`Point::multi_mul`] (`run` is not called), where [`verify`]
+    /// pays two double multiplications a proof. If the sum is not `∞`, the
+    /// entries are bisected by index halves: the first half's sum is
+    /// computed (through `run` too, from 22 live proofs) and the second's is
+    /// the difference, a half whose sum is `∞` passes whole, and a lone
+    /// proof is checked by its own equations — so the verdicts are
+    /// [`verify`]'s and one forgery costs at most `2·⌈log₂ n⌉` sub-checks
+    /// (Bernstein, Doumen, Lange and Oosterwijk, "Faster batch forgery
+    /// identification", 2012).
+    pub fn verify_batch_on<K: VerifyingKey>(
+        &self,
+        entries: &[(&K, &VrfOutput)],
+        scratch: &mut DrawScratch,
+        run: impl Fn(Vec<WindowTask<'_>>) -> Vec<Point>,
+    ) -> Vec<bool> {
         entries.iter().for_each(|_| count(Op::VrfProofChecked));
-        let h = &self.h;
         let mut verdicts: Vec<bool> = entries
             .iter()
             .map(|(pk, output)| well_formed(pk.public_key(), output))
             .collect();
-        let seed = batch_seed(h, entries);
-        let cancels = Scalar::rlc_coefficients(
+        let DrawScratch {
+            coefficients,
+            challenges,
+            msm,
+            buckets,
+            ..
+        } = scratch;
+        let seed = batch_seed(&self.h, entries);
+        Scalar::rlc_coefficients(
             BATCH_COEFFICIENT,
             seed.as_bytes(),
             2 * entries.len(),
-            |coefficients| weighted_sum(h, entries, &verdicts, coefficients).is_infinity(),
+            |drawn| {
+                coefficients.clear();
+                coefficients.extend_from_slice(drawn);
+            },
         );
-        if !cancels {
-            for (verdict, (pk, output)) in verdicts.iter_mut().zip(entries) {
-                *verdict = *verdict && dleq_holds(*pk, h, &output.proof);
+        challenges.clear();
+        challenges.extend(entries.iter().zip(&verdicts).map(|((pk, output), &live)| {
+            if live {
+                dleq_challenge(pk.public_key(), &self.h, &output.proof)
+            } else {
+                Scalar::zero()
             }
+        }));
+        let check = Check {
+            h: &self.h,
+            entries,
+            live: &verdicts,
+            coefficients,
+            challenges,
+        };
+        let all = 0..entries.len();
+        let sum = check.sum(all.clone(), msm, buckets, &run);
+        let mut forged = Vec::new();
+        check.bisect(all, sum, msm, buckets, &run, &mut forged);
+        for i in forged {
+            verdicts[i] = false;
         }
         verdicts
     }
+}
+
+impl<'a> EvalTask<'a> {
+    /// The chunk's outputs, in key order, in the task's buffer. The chunk
+    /// walks `H`'s comb (for `Γ` and `V`) and `G`'s (for `U`) in lockstep,
+    /// `point::mul_lockstep`: one batched inversion a window and no
+    /// normalisation after.
+    pub fn run(self) -> &'a [VrfOutput] {
+        let EvalTask {
+            prover,
+            keys,
+            lanes,
+        } = self;
+        let Lanes {
+            nonces,
+            lockstep,
+            outputs,
+        } = lanes;
+        outputs.clear();
+        nonces.clear();
+        nonces.extend(keys.iter().map(|(sk, _)| nonce(sk, &prover.input)));
+        let combs = [&prover.table, generator_comb()];
+        let lanes = keys.iter().zip(nonces.iter());
+        let lanes = lanes.flat_map(|((sk, _), k)| [(0, *sk.scalar()), (1, *k), (0, *k)]);
+        let mut points = mul_lockstep(&combs, lanes, lockstep);
+        let mut next = || {
+            let point = points.next().flatten();
+            point.expect("sk and k are nonzero and H is not the identity")
+        };
+        outputs.extend(keys.iter().zip(nonces.iter()).map(|((sk, pk), k)| {
+            let (gamma, u, v) = (next(), next(), next());
+            finish(sk, pk, &prover.h, k, gamma, u, v)
+        }));
+        outputs
+    }
+}
+
+/// The deterministic DLEQ nonce of `sk` on `input`.
+fn nonce(sk: &SecretKey, input: &[u8]) -> Scalar {
+    let mut drbg =
+        HmacDrbg::from_parts("cycledger/vrf-nonce", &[&sk.scalar().to_be_bytes(), input]);
+    Scalar::nonzero_from_drbg(&mut drbg)
 }
 
 /// The proof of `sk` on `input`, whose base is `h`; `mul_h(k)` is `k·H`.
@@ -204,11 +368,7 @@ fn prove(
     h: &AffinePoint,
     mul_h: impl Fn(&Scalar) -> Point,
 ) -> VrfOutput {
-    count(Op::VrfEvaluate);
-    // Deterministic DLEQ nonce bound to the key and input.
-    let mut drbg =
-        HmacDrbg::from_parts("cycledger/vrf-nonce", &[&sk.scalar().to_be_bytes(), input]);
-    let k = Scalar::nonzero_from_drbg(&mut drbg);
+    let k = nonce(sk, input);
     // Γ, U and V share one field inversion (Montgomery's trick), on the
     // stack.
     let affine =
@@ -216,6 +376,21 @@ fn prove(
     let [Some(gamma), Some(u), Some(v)] = affine else {
         unreachable!("sk and k are nonzero and H is not the identity")
     };
+    finish(sk, pk, h, &k, gamma, u, v)
+}
+
+/// The output of `sk` under the nonce `k`, given `Γ = sk·H`, `U = k·G` and
+/// `V = k·H`.
+fn finish(
+    sk: &SecretKey,
+    pk: &PublicKey,
+    h: &AffinePoint,
+    k: &Scalar,
+    gamma: AffinePoint,
+    u: AffinePoint,
+    v: AffinePoint,
+) -> VrfOutput {
+    count(Op::VrfEvaluate);
     let mut proof = VrfProof {
         gamma,
         u,
@@ -263,11 +438,7 @@ fn dleq_holds<K: VerifyingKey>(pk: &K, h: &AffinePoint, proof: &VrfProof) -> boo
 
 const BATCH_COEFFICIENT: &str = "cycledger/vrf-batch-coefficient";
 
-/// Groups of at most this many proofs keep their `4n + 2` terms on the
-/// stack: the sortition draw's group of eight.
-const STACK_PROOFS: usize = 8;
-
-/// The seed of a group's coefficients: `H` and every entry's key and whole
+/// The seed of a batch's coefficients: `H` and every entry's key and whole
 /// proof. Were the `s_i` left out, responses could be shifted in tandem so
 /// that both weighted sums of `s` stay put.
 fn batch_seed<K: VerifyingKey>(h: &AffinePoint, entries: &[(&K, &VrfOutput)]) -> Digest {
@@ -281,45 +452,105 @@ fn batch_seed<K: VerifyingKey>(h: &AffinePoint, entries: &[(&K, &VrfOutput)]) ->
     transcript.finalize()
 }
 
-/// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i)` over the
-/// entries `live` marks, with `z_i = coefficients[2i]` and
-/// `w_i = coefficients[2i + 1]`.
-fn weighted_sum<K: VerifyingKey>(
-    h: &AffinePoint,
-    entries: &[(&K, &VrfOutput)],
-    live: &[bool],
-    coefficients: &[Scalar],
-) -> Point {
-    let placeholder = (Scalar::zero(), Base::Point(Point::infinity()));
-    let mut stack = [placeholder; 4 * STACK_PROOFS + 2];
-    let mut heap = Vec::new();
-    let terms = if entries.len() <= STACK_PROOFS {
-        &mut stack[..]
-    } else {
-        heap.resize(4 * entries.len() + 2, placeholder);
-        &mut heap[..]
-    };
-    let (mut on_g, mut on_h) = (Scalar::zero(), Scalar::zero());
-    let mut len = 0;
-    for (i, (pk, output)) in entries.iter().enumerate() {
-        if !live[i] {
-            continue;
+/// A batch of proofs under its coefficients `z_i = coefficients[2i]`,
+/// `w_i = coefficients[2i + 1]` and challenges, the entries `live` marks
+/// (well-formed) taking part.
+struct Check<'c, 'e, K> {
+    h: &'c AffinePoint,
+    entries: &'c [(&'e K, &'e VrfOutput)],
+    live: &'c [bool],
+    coefficients: &'c [Scalar],
+    challenges: &'c [Scalar],
+}
+
+impl<K: VerifyingKey> Check<'_, '_, K> {
+    /// `Σ z_i·(s_i·G + c_i·PK_i − U_i) + w_i·(s_i·H + c_i·Γ_i − V_i)` over
+    /// the live entries of `range`: one sub-check.
+    fn sum(
+        &self,
+        range: Range<usize>,
+        msm: &mut BucketMsm,
+        buckets: &mut Vec<Buckets>,
+        run: &impl Fn(Vec<WindowTask<'_>>) -> Vec<Point>,
+    ) -> Point {
+        count(Op::VrfSubCheck);
+        let live = || range.clone().filter(|&i| self.live[i]);
+        let bucket = live().count() >= BUCKET_PROOFS;
+        let mut terms = Vec::new();
+        msm.clear();
+        let (mut on_g, mut on_h) = (Scalar::zero(), Scalar::zero());
+        for i in live() {
+            let (pk, output) = self.entries[i];
+            let proof = &output.proof;
+            let (z, w, c) = self.scalars(i);
+            on_g = on_g.add(&z.mul(&proof.s));
+            on_h = on_h.add(&w.mul(&proof.s));
+            // `−U` and `−V` under the 128-bit coefficients: one stream each.
+            let [key, rest @ ..] = [
+                (z.mul(c), *pk.public_key().point()),
+                (*z, proof.u.neg()),
+                (w.mul(c), proof.gamma),
+                (*w, proof.v.neg()),
+            ];
+            if bucket {
+                for (k, p) in [key].iter().chain(&rest) {
+                    msm.push(k, p);
+                }
+            } else {
+                // The key term walks the key's own table.
+                terms.push((key.0, pk.base()));
+                terms.extend(rest.iter().map(|(k, p)| (*k, Base::Point(p.to_point()))));
+            }
         }
-        let proof = &output.proof;
-        let (z, w) = (coefficients[2 * i], coefficients[2 * i + 1]);
-        let c = dleq_challenge(pk.public_key(), h, proof);
-        on_g = on_g.add(&z.mul(&proof.s));
-        on_h = on_h.add(&w.mul(&proof.s));
-        // `−U` and `−V` under the 128-bit coefficients: one stream each.
-        terms[len] = (z.mul(&c), pk.base());
-        terms[len + 1] = (z, Base::Point(proof.u.neg().to_point()));
-        terms[len + 2] = (w.mul(&c), Base::Point(proof.gamma.to_point()));
-        terms[len + 3] = (w, Base::Point(proof.v.neg().to_point()));
-        len += 4;
+        if !bucket {
+            terms.push((on_g, Base::Point(Point::generator())));
+            terms.push((on_h, Base::Point(self.h.to_point())));
+            return Point::multi_mul(&terms);
+        }
+        msm.push(&on_g, &generator_affine());
+        msm.push(&on_h, self.h);
+        let parts = run(msm.tasks(buckets));
+        msm.combine(&parts)
     }
-    terms[len] = (on_g, Base::Point(Point::generator()));
-    terms[len + 1] = (on_h, Base::Point(h.to_point()));
-    Point::multi_mul(&terms[..len + 2])
+
+    /// Entry `i`'s `z_i`, `w_i` and challenge.
+    fn scalars(&self, i: usize) -> (&Scalar, &Scalar, &Scalar) {
+        let pair = &self.coefficients[2 * i..2 * i + 2];
+        (&pair[0], &pair[1], &self.challenges[i])
+    }
+
+    /// Pushes onto `forged` every live entry of `range` whose proof fails,
+    /// `sum` being the range's [`sum`](Self::sum): nothing if it is `∞`,
+    /// the lone live entry's own verdict, or else each index half's, the
+    /// first half's sum computed (its window tasks through `run`) and the
+    /// second's the difference.
+    fn bisect(
+        &self,
+        range: Range<usize>,
+        sum: Point,
+        msm: &mut BucketMsm,
+        buckets: &mut Vec<Buckets>,
+        run: &impl Fn(Vec<WindowTask<'_>>) -> Vec<Point>,
+        forged: &mut Vec<usize>,
+    ) {
+        if sum.is_infinity() {
+            return;
+        }
+        let mut live = range.clone().filter(|&i| self.live[i]);
+        if let (Some(i), None) = (live.next(), live.next()) {
+            count(Op::VrfSubCheck);
+            let (pk, output) = self.entries[i];
+            if !dleq_holds(pk, self.h, &output.proof) {
+                forged.push(i);
+            }
+            return;
+        }
+        let middle = range.start + range.len() / 2;
+        let first = self.sum(range.start..middle, msm, buckets, run);
+        self.bisect(range.start..middle, first, msm, buckets, run, forged);
+        let second = sum.add(&first.neg());
+        self.bisect(middle..range.end, second, msm, buckets, run, forged);
+    }
 }
 
 /// Interprets a VRF output as a committee index in `[0, m)` — the
@@ -459,6 +690,17 @@ mod tests {
 
     const GROUP_INPUT: &[u8] = b"COMMON_MEMBER|group";
 
+    /// Window tasks run here, in order.
+    fn inline(tasks: Vec<WindowTask<'_>>) -> Vec<Point> {
+        tasks.into_iter().map(WindowTask::run).collect()
+    }
+
+    /// [`Prover::verify_batch_on`] with fresh buffers, its window tasks run
+    /// here.
+    fn verify_batch<K: VerifyingKey>(prover: &Prover, entries: &[(&K, &VrfOutput)]) -> Vec<bool> {
+        prover.verify_batch_on(entries, &mut DrawScratch::default(), inline)
+    }
+
     fn group(n: usize) -> (Vec<Keypair>, Vec<VrfOutput>) {
         let keys: Vec<Keypair> = (0..n)
             .map(|i| Keypair::from_seed(format!("vrf-group-{i}").as_bytes()))
@@ -489,9 +731,9 @@ mod tests {
             .collect();
         assert_eq!(keyed_single, single, "prepared keys, one at a time");
         let prover = Prover::new(GROUP_INPUT);
-        let batched = prover.verify_batch(&entries);
+        let batched = verify_batch(&prover, &entries);
         assert_eq!(
-            prover.verify_batch(&keyed),
+            verify_batch(&prover, &keyed),
             batched,
             "prepared keys, batched"
         );
@@ -510,9 +752,7 @@ mod tests {
         let (verdicts, single) = batch_and_single(&keys, &honest);
         assert_eq!(verdicts, vec![true; 8]);
         assert_eq!(verdicts, single);
-        assert!(Prover::new(GROUP_INPUT)
-            .verify_batch::<PublicKey>(&[])
-            .is_empty());
+        assert!(verify_batch::<PublicKey>(&Prover::new(GROUP_INPUT), &[]).is_empty());
         assert!(!OFF_CURVE.is_on_curve());
 
         let other = evaluate(
@@ -587,7 +827,21 @@ mod tests {
         }
         let shifted: Vec<(&PublicKey, &VrfOutput)> =
             keys.iter().map(|kp| &kp.public).zip(&three).collect();
-        assert!(weighted_sum(&h, &shifted, &[true; 3], &coefficients).is_infinity());
+        let challenges: Vec<Scalar> = shifted
+            .iter()
+            .map(|(pk, output)| dleq_challenge(pk, &h, &output.proof))
+            .collect();
+        let check = Check {
+            h: &h,
+            entries: &shifted,
+            live: &[true; 3],
+            coefficients: &coefficients,
+            challenges: &challenges,
+        };
+        let sum = check.sum(0..3, &mut BucketMsm::default(), &mut Vec::new(), &|_| {
+            unreachable!("three proofs take the shared chain")
+        });
+        assert!(sum.is_infinity());
 
         for (outputs, forged) in [(two, 2), (three, 3)] {
             let (verdicts, single) = batch_and_single(&keys, &outputs);
@@ -595,6 +849,196 @@ mod tests {
             expected.resize(3, true);
             assert_eq!(single, expected);
             assert_eq!(verdicts, single);
+        }
+    }
+
+    /// A round's worth of proofs: 88, as the 8×16 draw checks.
+    const ROUND: usize = 88;
+
+    /// The verdicts of `outputs` through the round-wide check, with its
+    /// window tasks run in reverse order, against `dleq_holds` one proof at
+    /// a time; and the check's sub-checks.
+    fn round_and_single(keys: &[Keypair], outputs: &[VrfOutput]) -> (Vec<bool>, Vec<bool>) {
+        let prover = Prover::new(GROUP_INPUT);
+        let entries: Vec<(&PublicKey, &VrfOutput)> =
+            keys.iter().map(|kp| &kp.public).zip(outputs).collect();
+        let run = |tasks: Vec<WindowTask<'_>>| {
+            let mut parts: Vec<Point> = tasks.into_iter().rev().map(WindowTask::run).collect();
+            parts.reverse();
+            parts
+        };
+        let round = prover.verify_batch_on(&entries, &mut DrawScratch::default(), run);
+        let single = entries
+            .iter()
+            .map(|(pk, output)| {
+                well_formed(pk, output) && dleq_holds(*pk, &prover.h, &output.proof)
+            })
+            .collect();
+        (round, single)
+    }
+
+    #[test]
+    fn the_round_wide_check_equals_per_proof_checks() {
+        let (keys, honest) = group(ROUND);
+        let (verdicts, single) = round_and_single(&keys, &honest);
+        assert_eq!(verdicts, vec![true; ROUND]);
+        assert_eq!(verdicts, single);
+        let tamper = |outputs: &mut [VrfOutput], at: usize| {
+            outputs[at].proof.s = outputs[at].proof.s.add(&Scalar::one());
+        };
+        // One forgery first, in the middle, last and on either side of the
+        // first bisection's halves; two forgeries, in one half and across
+        // the halves; and one proof with U and V swapped.
+        let half = ROUND / 2;
+        let mut cases: Vec<Vec<usize>> = [0, half - 1, half, ROUND / 4, ROUND - 1]
+            .iter()
+            .map(|&at| vec![at])
+            .collect();
+        cases.extend([vec![3, 9], vec![5, ROUND - 2]]);
+        for forged in &cases {
+            let mut outputs = honest.clone();
+            for &at in forged {
+                tamper(&mut outputs, at);
+            }
+            let (verdicts, single) = round_and_single(&keys, &outputs);
+            assert_eq!(verdicts, single, "{forged:?}");
+            assert_eq!(verdicts.iter().filter(|&&v| !v).count(), forged.len());
+        }
+        let mut swapped = honest.clone();
+        let proof = &mut swapped[ROUND / 3].proof;
+        std::mem::swap(&mut proof.u, &mut proof.v);
+        let (verdicts, single) = round_and_single(&keys, &swapped);
+        assert_eq!(verdicts, single);
+        assert!(!verdicts[ROUND / 3]);
+        // Responses shifted in tandem along the honest coefficients (see
+        // below) draw coefficients of their own here too.
+        let h = hash_to_curve(H2C_DOMAIN, GROUP_INPUT);
+        let entries: Vec<(&PublicKey, &VrfOutput)> =
+            keys.iter().map(|kp| &kp.public).zip(&honest).collect();
+        let seed = batch_seed(&h, &entries);
+        let coefficients =
+            Scalar::rlc_coefficients(BATCH_COEFFICIENT, seed.as_bytes(), 6, <[_]>::to_vec);
+        let (z, w): (Vec<Scalar>, Vec<Scalar>) = coefficients
+            .chunks(2)
+            .map(|pair| (pair[0], pair[1]))
+            .unzip();
+        let cross = |a: usize, b: usize| z[a].mul(&w[b]).sub(&z[b].mul(&w[a]));
+        let mut three = honest.clone();
+        for (i, delta) in [cross(1, 2), cross(2, 0), cross(0, 1)].iter().enumerate() {
+            three[i].proof.s = three[i].proof.s.add(delta);
+        }
+        let (verdicts, single) = round_and_single(&keys, &three);
+        assert_eq!(verdicts, single);
+        assert_eq!(verdicts[..4], [false, false, false, true]);
+    }
+
+    /// One forged proof among a round's costs its check at most
+    /// `2·⌈log₂ 88⌉` sub-checks more than the honest round's one.
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn one_forgery_costs_at_most_two_sub_checks_a_bisection_level() {
+        use crate::opcount::scope;
+        let (keys, honest) = group(ROUND);
+        round_and_single(&keys, &honest);
+        let sub_checks = |outputs: &[VrfOutput]| {
+            let prover = Prover::new(GROUP_INPUT);
+            let entries: Vec<(&PublicKey, &VrfOutput)> =
+                keys.iter().map(|kp| &kp.public).zip(outputs).collect();
+            scope(|| verify_batch(&prover, &entries)).vrf_sub_checks
+        };
+        assert_eq!(sub_checks(&honest), 1);
+        let bound = 2 * ROUND.next_power_of_two().ilog2() as u64;
+        for at in [0, ROUND / 2 - 1, ROUND / 2, ROUND - 1] {
+            let mut outputs = honest.clone();
+            outputs[at].proof.s = outputs[at].proof.s.add(&Scalar::one());
+            let spent = sub_checks(&outputs) - 1;
+            assert!(spent <= bound, "forgery at {at}: {spent} sub-checks");
+        }
+    }
+
+    /// Many forgeries — 8 and 44 of a round's 88, every eleventh and every
+    /// second proof — bisect with every sub-sum of 22 live proofs or more
+    /// handed to `run` (an executor batch, in a draw), and the verdicts are
+    /// per-proof verification's. Either way four sums go through `run`: the
+    /// round's, and those of `0..44`, `0..22` and `44..66`, the first halves
+    /// of the ranges of 88 and 44 (the second halves' sums are
+    /// differences); the halves of 11 and fewer take the shared chain. With
+    /// `opcount` the sub-checks are pinned too, 40 and 132, within two a
+    /// forgery a bisection level.
+    #[test]
+    fn many_forgeries_bisect_with_their_long_sums_through_run() {
+        let (keys, honest) = group(ROUND);
+        let prover = Prover::new(GROUP_INPUT);
+        for (stride, runs, sub_checks) in [(11, 4, 40), (2, 4, 132)] {
+            let mut outputs = honest.clone();
+            for output in outputs.iter_mut().step_by(stride) {
+                output.proof.s = output.proof.s.add(&Scalar::one());
+            }
+            let entries: Vec<(&PublicKey, &VrfOutput)> =
+                keys.iter().map(|kp| &kp.public).zip(&outputs).collect();
+            let calls = std::cell::Cell::new(0);
+            let run = |tasks: Vec<WindowTask<'_>>| {
+                calls.set(calls.get() + 1);
+                inline(tasks)
+            };
+            let check = || prover.verify_batch_on(&entries, &mut DrawScratch::default(), run);
+            #[cfg(feature = "opcount")]
+            let verdicts = {
+                let mut verdicts = Vec::new();
+                let spent = crate::opcount::scope(|| verdicts = check());
+                let forged = ROUND.div_ceil(stride) as u64;
+                let bound = 1 + 2 * forged * ROUND.next_power_of_two().ilog2() as u64;
+                assert_eq!(spent.vrf_sub_checks, sub_checks, "every {stride}th forged");
+                assert!(sub_checks <= bound);
+                verdicts
+            };
+            #[cfg(not(feature = "opcount"))]
+            let verdicts = {
+                let _ = sub_checks;
+                check()
+            };
+            let single: Vec<bool> = entries
+                .iter()
+                .map(|(pk, output)| verify(*pk, GROUP_INPUT, output))
+                .collect();
+            assert_eq!(verdicts, single, "every {stride}th forged");
+            assert_eq!(
+                single.iter().filter(|&&v| !v).count(),
+                ROUND.div_ceil(stride)
+            );
+            assert_eq!(calls.get(), runs, "every {stride}th forged");
+        }
+    }
+
+    #[test]
+    fn evaluation_tasks_match_prover_evaluate_at_every_chunking() {
+        let prover = Prover::new(GROUP_INPUT);
+        let keys: Vec<Keypair> = (0..130u32)
+            .map(|i| Keypair::from_seed(&[b"vrf-lockstep".as_slice(), &i.to_be_bytes()].concat()))
+            .collect();
+        let mut scratch = DrawScratch::default();
+        // One chunk of one prover, of 15 and of 16, four chunks of 16 and
+        // 17, and eight of 16 and 17.
+        for n in [1, 15, 16, 65, 130] {
+            let pairs: Vec<(&SecretKey, &PublicKey)> = keys[..n]
+                .iter()
+                .map(|kp| (&kp.secret, &kp.public))
+                .collect();
+            let tasks = prover.evaluation_tasks(&pairs, &mut scratch);
+            let sizes: Vec<usize> = tasks.iter().map(|task| task.keys.len()).collect();
+            assert_eq!(sizes.iter().sum::<usize>(), n);
+            assert!(sizes
+                .iter()
+                .all(|&size| size <= CHUNK_PROVERS && size.abs_diff(sizes[0]) <= 1));
+            let outputs: Vec<VrfOutput> =
+                tasks.into_iter().flat_map(EvalTask::run).copied().collect();
+            for (kp, output) in keys.iter().zip(&outputs) {
+                assert_eq!(
+                    *output,
+                    prover.evaluate(&kp.secret, &kp.public),
+                    "{n} provers"
+                );
+            }
         }
     }
 

@@ -21,7 +21,7 @@
 //! process-wide memo used to return — one square root (255 squarings, 14
 //! multiplications) and, under the debug assertions of the test profile
 //! these counts are taken in, an on-curve check (2 squarings, 1
-//! multiplication; a release build skips it) — while `Prover::verify_batch`
+//! multiplication; a release build skips it) — while `Prover::verify_batch_on`
 //! takes the base the prover holds:
 //!
 //! | operation                | wNAF   | 4-bit  | 8-bit  | shared Z | divstep | now    |
@@ -46,6 +46,13 @@
 //! eight walks one chain of 128 doublings where single checks walk sixteen.
 //! Ten evaluations cost 36 286 without a table and 27 395 with a fresh one
 //! (33 566 and 27 123 while the base came from the memo).
+//!
+//! A round's draw at 8×16, 88 provers (`round_draw_counts_are_pinned`):
+//! evaluated in four lockstep chunks of 22, 793 field multiplications a
+//! prover and 208 inversions in all (1 455 and 88 one at a time), the
+//! same 11 445 additions batched affine instead of mixed; checked as one
+//! bucket sum, 968 a proof and 43 inversions (1 976 and none in the eleven
+//! groups of eight the draw checked before).
 //!
 //! SHA-256 compressions per operation — `naive` is the HMAC-DRBG of commit
 //! b85479e (both pad blocks hashed on every HMAC, the closing state update
@@ -74,16 +81,23 @@
 #![cfg(feature = "opcount")]
 
 use cycledger_crypto::opcount::{scope, Tally};
-use cycledger_crypto::point::KeyTable;
+use cycledger_crypto::point::{KeyTable, WindowTask};
 use cycledger_crypto::pvss;
 use cycledger_crypto::scalar::Scalar;
 use cycledger_crypto::schnorr::{
-    batch_verify, verify, BatchEntry, Keypair, PreparedKey, Signature,
+    batch_verify, verify, BatchEntry, Keypair, PreparedKey, PublicKey, SecretKey, Signature,
 };
 use cycledger_crypto::vrf;
 
 const MESSAGE: &[u8] = b"a consensus message of typical size padded to sixty-four bytes!";
 const VRF_INPUT: &[u8] = b"COMMON_MEMBER|7|seed";
+
+/// `Prover::verify_batch_on` with fresh buffers, its window tasks run here
+/// in order.
+fn verify_batch(prover: &vrf::Prover, entries: &[(&PreparedKey, &vrf::VrfOutput)]) -> Vec<bool> {
+    let run = |tasks: Vec<WindowTask<'_>>| tasks.into_iter().map(WindowTask::run).collect();
+    prover.verify_batch_on(entries, &mut vrf::DrawScratch::default(), run)
+}
 
 /// `fe_mul + fe_square` of the same operation with the wNAF kernel.
 const WNAF_SIGN: u64 = 1451;
@@ -253,7 +267,7 @@ fn vrf_table_and_group_counts_are_pinned() {
         prepared.iter().zip(&outputs).take(8).collect();
     let kp = &keys[0];
     vrf::evaluate_with_public(&kp.secret, &kp.public, VRF_INPUT);
-    warm.verify_batch(&group);
+    verify_batch(&warm, &group);
 
     let mut prover = None;
     let build = scope(|| prover = Some(vrf::Prover::new(VRF_INPUT)));
@@ -261,7 +275,7 @@ fn vrf_table_and_group_counts_are_pinned() {
     let on_table = scope(|| prover.evaluate(&kp.secret, &kp.public));
     let direct = scope(|| vrf::evaluate_with_public(&kp.secret, &kp.public, VRF_INPUT));
     let single = scope(|| assert!(vrf::verify(&prepared[0], VRF_INPUT, &outputs[0])));
-    let grouped = scope(|| assert_eq!(prover.verify_batch(&group), vec![true; 8]));
+    let grouped = scope(|| assert_eq!(verify_batch(&prover, &group), vec![true; 8]));
     let ten_on_table = scope(|| {
         let prover = vrf::Prover::new(VRF_INPUT);
         for k in &keys {
@@ -337,6 +351,7 @@ fn vrf_table_and_group_counts_are_pinned() {
             sha256_blocks: 270,
             drbg_instantiations: 9,
             vrf_proofs_checked: 8,
+            vrf_sub_checks: 1,
             ..Tally::default()
         }
     );
@@ -354,6 +369,111 @@ fn vrf_table_and_group_counts_are_pinned() {
         (27395, 36286)
     );
     assert!(field_muls(&ten_on_table) < field_muls(&ten_direct));
+}
+
+/// A round's draw at the tracked 8×16 geometry: 88 provers.
+const DRAW: usize = 88;
+
+#[test]
+fn round_draw_counts_are_pinned() {
+    let keys: Vec<Keypair> = (0..DRAW as u32)
+        .map(|i| Keypair::from_seed(&[b"draw".as_slice(), &i.to_be_bytes()].concat()))
+        .collect();
+    let prepared: Vec<PreparedKey> = keys.iter().map(|k| PreparedKey::new(k.public)).collect();
+    let pairs: Vec<(&SecretKey, &PublicKey)> =
+        keys.iter().map(|k| (&k.secret, &k.public)).collect();
+    let prover = vrf::Prover::new(VRF_INPUT);
+    let mut scratch = vrf::DrawScratch::default();
+    let evaluate = |scratch: &mut vrf::DrawScratch| -> Vec<vrf::VrfOutput> {
+        let tasks = prover.evaluation_tasks(&pairs, scratch);
+        tasks
+            .into_iter()
+            .flat_map(vrf::EvalTask::run)
+            .copied()
+            .collect()
+    };
+    // Warm the static tables and the scratch outside the scopes.
+    let outputs = evaluate(&mut scratch);
+    let entries: Vec<(&PreparedKey, &vrf::VrfOutput)> = prepared.iter().zip(&outputs).collect();
+    verify_batch(&prover, &entries);
+    verify_batch(&prover, &entries[..8]);
+
+    let lockstep = scope(|| evaluate(&mut scratch));
+    let single = scope(|| {
+        for (sk, pk) in &pairs {
+            prover.evaluate(sk, pk);
+        }
+    });
+    let round = scope(|| assert_eq!(verify_batch(&prover, &entries), vec![true; DRAW]));
+    let groups = scope(|| {
+        for group in entries.chunks(8) {
+            assert!(verify_batch(&prover, group).iter().all(|&v| v));
+        }
+    });
+    // Shown when an assertion below fails, for re-pinning at once.
+    println!("lockstep x{DRAW} {lockstep:?}\nsingle x{DRAW} {single:?}");
+    println!("round check x{DRAW} {round:?}\ngroups of 8 x{DRAW} {groups:?}");
+
+    // Four chunks of 22 walk H's 52 windows and G's 33 in lockstep: one
+    // inversion a window past the first (where every sum is one entry) and
+    // one for the combs' ζ, a chunk; 88 evaluations on their own pay a
+    // mixed addition a digit and an inversion each.
+    // The same 11 445 additions either way, batched affine (six field
+    // operations) where alone they are mixed (eleven).
+    assert_eq!(
+        lockstep,
+        Tally {
+            fe_mul: 58041,
+            fe_square: 11709,
+            fe_invert: 208,
+            point_add_batched: 11445,
+            sha256_blocks: 3784,
+            drbg_instantiations: 176,
+            vrf_evaluations: 88,
+            ..Tally::default()
+        }
+    );
+    assert_eq!(
+        (
+            field_muls(&single),
+            single.fe_invert,
+            single.point_add_affine
+        ),
+        (128007, 88, 11445)
+    );
+    // One bucket sum of 530 half-scalar terms in six-bit windows, eight
+    // window tasks of two or three windows: 10 729 batched additions in 43
+    // levels, each window summed by a running sum (654 mixed and 675
+    // Jacobian additions), 198 doublings to join the windows and the
+    // tasks. The eleven groups of eight the draw checked before walked
+    // eleven chains of 128 doublings, ~11 mixed additions a term.
+    assert_eq!(
+        round,
+        Tally {
+            fe_mul: 68271,
+            fe_square: 16885,
+            fe_invert: 43,
+            point_double: 198,
+            point_add: 675,
+            point_add_affine: 654,
+            point_add_batched: 10729,
+            sha256_blocks: 2790,
+            drbg_instantiations: 89,
+            vrf_proofs_checked: 88,
+            vrf_sub_checks: 1,
+            ..Tally::default()
+        }
+    );
+    assert_eq!(
+        (
+            field_muls(&groups),
+            groups.point_double,
+            groups.vrf_sub_checks
+        ),
+        (173848, 1682, 11)
+    );
+    assert!(field_muls(&round) * 100 <= field_muls(&groups) * 50);
+    assert!(field_muls(&lockstep) * 100 <= field_muls(&single) * 55);
 }
 
 #[test]

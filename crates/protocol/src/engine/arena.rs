@@ -9,6 +9,7 @@
 //! steady-state round performs no allocations for any of this scratch.
 
 use cycledger_crypto::fxhash::FxHashSet;
+use cycledger_crypto::vrf::DrawScratch;
 use cycledger_ledger::transaction::{Transaction, TxId};
 use cycledger_ledger::utxo::UtxoOverlay;
 
@@ -45,6 +46,9 @@ pub struct RoundArena {
     /// The columns of one committee's certified `V List`, which block
     /// propagation names a slice's held bodies by.
     pub(crate) columns: FxHashSet<TxId>,
+    /// The sortition draw's lockstep lanes and bucket sums
+    /// (`SortitionBase::assign`), one set a task, filled afresh each draw.
+    pub(crate) draw: DrawScratch,
 }
 
 impl RoundArena {

@@ -2,20 +2,23 @@
 //!
 //! [`ShardExecutor`] is created once per
 //! [`crate::simulation::Simulation`] and reused for every parallel stage of
-//! every round. A fault-free round without cross-shard traffic runs three
+//! every round. A fault-free round without cross-shard traffic runs four
 //! batches:
 //!
 //! * **intra consensus** — one task per committee, led by the next round's
 //!   beacon, PoW admissions and VRF table (a recovery adds a retry batch of
 //!   the committees it re-led);
-//! * **selection** — the next round's VRF sortition, one task per group of
-//!   eight proofs, each evaluated and the group checked as one batch;
+//! * **selection** — the next round's VRF sortition, two batches: the
+//!   evaluations, one task per index chunk of at most 32 proofs, and the
+//!   check of all of them as one bucket sum, one task per range of its
+//!   windows (below 22 proofs the check is one sum on the driver, and
+//!   selection one batch: three a round);
 //! * **block application** — one task per shard, the SMT commit included.
 //!
 //! Cross-shard traffic adds the inter phase's batch, one task per source
-//! committee. Construction runs two batches before the first round: the
-//! genesis draw's proof groups and the genesis UTXO sets, one task per
-//! shard. Every batch returns its results in index order.
+//! committee. Construction runs the genesis draw's batches and then the
+//! genesis UTXO sets', one task per shard, before the first round. Every
+//! batch returns its results in index order.
 //!
 //! # Determinism
 //!
@@ -42,7 +45,7 @@
 //! workload (seeds 1–10, 2-vCPU container) its `round_wall_ms_p50` read
 //! 18.37 → 21.36 ms on `local-8x16`, 20.79 → 23.57 ms on `xshard-8x16` and
 //! 19.79 → 22.46 ms on `faulty-driven-8x16`, slower in 9, 9 and 10 of the
-//! pairs, with `allocs_per_round` −0.1 %: a round runs three or four
+//! pairs, with `allocs_per_round` −0.1 %: a round ran three or four
 //! batches, and spawning and joining the threads of each costs more than
 //! waking parked ones.
 
@@ -97,6 +100,10 @@ pub struct ShardExecutor {
     /// order). Test-only: see [`ShardExecutor::permute_batches`].
     #[cfg(test)]
     permutation: Option<u64>,
+    /// The operations of every task a worker ran, summed (test-only: see
+    /// [`ShardExecutor::worker_tally`]).
+    #[cfg(all(test, feature = "opcount"))]
+    worker_tally: Mutex<cycledger_crypto::opcount::Tally>,
 }
 
 impl ShardExecutor {
@@ -119,6 +126,8 @@ impl ShardExecutor {
                 batches_executed: AtomicUsize::new(0),
                 #[cfg(test)]
                 permutation: None,
+                #[cfg(all(test, feature = "opcount"))]
+                worker_tally: Mutex::default(),
             };
         }
         let (sender, receiver) = channel::<Job>();
@@ -149,6 +158,8 @@ impl ShardExecutor {
             batches_executed: AtomicUsize::new(0),
             #[cfg(test)]
             permutation: None,
+            #[cfg(all(test, feature = "opcount"))]
+            worker_tally: Mutex::default(),
         }
     }
 
@@ -170,6 +181,14 @@ impl ShardExecutor {
     #[cfg(test)]
     pub(crate) fn permute_batches(&mut self, seed: u64) {
         self.permutation = Some(seed);
+    }
+
+    /// What the tasks run on the pool's workers so far tallied: the
+    /// caller's own tally holds what ran inline. Test-only, for pins that
+    /// a batch's work does not depend on the worker count.
+    #[cfg(all(test, feature = "opcount"))]
+    pub(crate) fn worker_tally(&self) -> cycledger_crypto::opcount::Tally {
+        *self.worker_tally.lock().expect("tally poisoned")
     }
 
     /// Runs a batch of tasks, returning their results in submission order.
@@ -274,6 +293,17 @@ impl ShardExecutor {
             let slots = &slots;
             let latch = &latch;
             for (index, task) in tasks.into_iter().enumerate() {
+                #[cfg(all(test, feature = "opcount"))]
+                let task = {
+                    let tally = &self.worker_tally;
+                    move || {
+                        let mut result = None;
+                        let spent = cycledger_crypto::opcount::scope(|| result = Some(task()));
+                        let mut total = tally.lock().expect("tally poisoned");
+                        *total = *total + spent;
+                        result.expect("the task ran")
+                    }
+                };
                 let job = Box::new(move || {
                     let result = catch_unwind(AssertUnwindSafe(task));
                     *slots[index].lock().expect("result slot poisoned") = Some(result);

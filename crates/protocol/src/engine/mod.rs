@@ -22,10 +22,10 @@
 //!   per [`crate::simulation::Simulation`] and reused across rounds. Every
 //!   per-committee or per-node cryptographic loop of a round is an executor
 //!   batch: the intra-consensus fan-out, the post-recovery consensus
-//!   retries, the inter phase's sources, the next round's VRF sortition with
-//!   every proof checked in groups of eight (selection, and the genesis and
-//!   epoch-boundary assignments) and the per-shard block application and
-//!   commit. Work that waits on nothing a batch produces rides in one as its
+//!   retries, the inter phase's sources, the next round's VRF sortition —
+//!   its evaluations in index chunks, then one bucket sum of every proof
+//!   split by window ranges (selection, and the genesis and epoch-boundary
+//!   assignments) — and the per-shard block application and commit. Work that waits on nothing a batch produces rides in one as its
 //!   lead task: the next round's PVSS beacon, PoW admissions and VRF table in
 //!   the intra-consensus batch. What stays on the
 //!   driver thread is either one instance of something that waits on the

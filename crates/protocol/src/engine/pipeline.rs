@@ -320,8 +320,15 @@ pub fn reputation_update(ctx: &mut RoundContext<'_>) {
 pub fn selection(ctx: &mut RoundContext<'_>) {
     let prepared = ctx.prepared_selection.take();
     let prepared = prepared.expect("the intra-consensus batch prepares the selection");
-    let metrics = &mut ctx.books.metrics;
-    let outcome = run_selection(&ctx.env, ctx.executor, ctx.reputation, prepared, metrics);
+    let (metrics, draw) = (&mut ctx.books.metrics, &mut ctx.arena.draw);
+    let outcome = run_selection(
+        &ctx.env,
+        ctx.executor,
+        draw,
+        ctx.reputation,
+        prepared,
+        metrics,
+    );
     ctx.selection = Some(outcome);
 }
 

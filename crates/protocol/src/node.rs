@@ -2,6 +2,7 @@
 
 use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_crypto::schnorr::{Keypair, PreparedKey};
+#[cfg(test)]
 use cycledger_crypto::vrf::{self, VrfOutput};
 use cycledger_net::topology::NodeId;
 
@@ -144,19 +145,31 @@ impl NodeRegistry {
     }
 
     /// The sortition proof node `id` submits with its PoW solution: its VRF
-    /// evaluation on `prover`'s input under its registered key pair.
+    /// evaluation on `prover`'s input under its registered key pair (what
+    /// the draw's evaluation tasks compute for it).
+    #[cfg(test)]
     pub(crate) fn sortition_proof(&self, id: NodeId, prover: &vrf::Prover) -> VrfOutput {
         let keypair = &self.node(id).keypair;
         let output = prover.evaluate(&keypair.secret, &keypair.public);
-        #[cfg(test)]
-        if self.forgers.contains(&id) {
-            // The output the node drew, under a response no key answers.
-            let mut forged = output;
-            let one = cycledger_crypto::scalar::Scalar::from_u64(1);
-            forged.proof.s = forged.proof.s.add(&one);
-            return forged;
+        self.forge_submitted(&[id], vec![output])[0]
+    }
+
+    /// `outputs` (`outputs[i]` the evaluation of `ids[i]`) as submitted:
+    /// a forger's replaced by its forgery, the output it drew under a
+    /// response no key answers.
+    #[cfg(test)]
+    pub(crate) fn forge_submitted(
+        &self,
+        ids: &[NodeId],
+        mut outputs: Vec<VrfOutput>,
+    ) -> Vec<VrfOutput> {
+        let one = cycledger_crypto::scalar::Scalar::from_u64(1);
+        for (id, output) in ids.iter().zip(&mut outputs) {
+            if self.forgers.contains(id) {
+                output.proof.s = output.proof.s.add(&one);
+            }
         }
-        output
+        outputs
     }
 
     /// Makes node `id` submit a sortition proof that fails verification

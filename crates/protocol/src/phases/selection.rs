@@ -17,7 +17,7 @@
 use cycledger_crypto::pow::Puzzle;
 use cycledger_crypto::pvss;
 use cycledger_crypto::sha256::Digest;
-use cycledger_crypto::vrf;
+use cycledger_crypto::vrf::{self, DrawScratch};
 use cycledger_net::metrics::{point_set_wire_bytes, MetricsSink, Phase};
 use cycledger_net::topology::NodeId;
 use cycledger_reputation::ReputationTable;
@@ -117,11 +117,13 @@ pub fn prepare_selection(env: &RoundEnv<'_>, current_randomness: Digest) -> Prep
 
 /// Runs the selection phase on its `prepared` round-start part: charges the
 /// beacon's and the submissions' traffic and derives the next round's
-/// configuration, the VRF sortition — the bulk of the phase — as one
-/// `executor` batch that checks every proof (see [`SortitionBase::assign`]).
+/// configuration, the VRF sortition — the bulk of the phase — as two
+/// `executor` batches, the evaluations and one check of every proof, on
+/// the draw buffers `scratch` (see [`SortitionBase::assign`]).
 pub fn run_selection(
     env: &RoundEnv<'_>,
     executor: &ShardExecutor,
+    scratch: &mut DrawScratch,
     reputation: &ReputationTable,
     prepared: PreparedSelection,
     metrics: &mut MetricsSink,
@@ -154,9 +156,16 @@ pub fn run_selection(
 
     // 3. Derive the next round's configuration.
     let params = env.config.assignment_params();
-    let next_assignment = next
-        .as_ref()
-        .map(|base| base.assign(executor, registry, &participants, params, reputation));
+    let next_assignment = next.as_ref().map(|base| {
+        base.assign(
+            executor,
+            scratch,
+            registry,
+            &participants,
+            params,
+            reputation,
+        )
+    });
 
     SelectionOutcome {
         next_randomness: next.as_ref().map(SortitionBase::randomness),
@@ -202,7 +211,15 @@ mod tests {
         let mut metrics = MetricsSink::new();
         let prepared = prepare_selection(&env, sha256(randomness));
         let executor = ShardExecutor::new(1);
-        let outcome = run_selection(&env, &executor, &reputation, prepared, &mut metrics);
+        let scratch = &mut DrawScratch::default();
+        let outcome = run_selection(
+            &env,
+            &executor,
+            scratch,
+            &reputation,
+            prepared,
+            &mut metrics,
+        );
         (outcome, metrics)
     }
 

@@ -28,7 +28,7 @@ use crate::engine::{
 use crate::epoch::{self, EpochSchedule};
 use crate::node::{MembershipState, NodeRegistry};
 use crate::report::{EpochTransitionReport, RoundReport, SimulationSummary};
-use crate::sortition::{assign_round_on, RoundAssignment};
+use crate::sortition::{RoundAssignment, SortitionBase};
 use crate::sync::{run_state_sync, SyncConfig};
 use crate::traffic::{OpenLoopDriver, TrafficSnapshot};
 
@@ -92,13 +92,13 @@ impl Simulation {
         // determinism contract: worker count never changes results) — and
         // first, so the genesis sortition already runs on it.
         let executor = ShardExecutor::new(config.worker_threads);
-        let assignment = assign_round_on(
+        let mut arena = RoundArena::new();
+        let assignment = SortitionBase::new(0, genesis_randomness).assign(
             &executor,
+            &mut arena.draw,
             &registry,
             &registry.ids(),
             config.assignment_params(),
-            0,
-            genesis_randomness,
             &reputation,
         );
         let workload = Workload::new(WorkloadConfig {
@@ -121,7 +121,7 @@ impl Simulation {
             assignment,
             reports: Vec::new(),
             executor,
-            arena: RoundArena::new(),
+            arena,
             fault_plan: cycledger_net::faults::FaultPlan::default(),
             sync_carry: SyncTotals::default(),
             traffic: config
@@ -358,13 +358,12 @@ impl Simulation {
         // Reshuffle the committees over the surviving population under the
         // epoch randomness. Reputation carry-over means long-standing honest
         // nodes keep their leader eligibility across the boundary.
-        let reshuffled = assign_round_on(
+        let reshuffled = SortitionBase::new(self.assignment.round, randomness).assign(
             &self.executor,
+            &mut self.arena.draw,
             &self.registry,
             &self.registry.participating_ids(),
             params,
-            self.assignment.round,
-            randomness,
             &self.reputation,
         );
         let reshuffled_seats = epoch::seat_changes(&self.assignment, &reshuffled);
@@ -406,6 +405,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::adversary::{AdversaryConfig, Behavior};
+    use crate::sortition::assign_round_on;
     use crate::traffic::TrafficConfig;
     use cycledger_ledger::block::CommitteeRow;
     use cycledger_net::metrics::Phase;
@@ -876,8 +876,9 @@ mod tests {
         assert_eq!(sim.assignment.committees, genesis.committees);
     }
 
-    /// A config whose draw checks more than two groups of proofs.
-    fn three_group_config() -> ProtocolConfig {
+    /// A config whose draw checks its 27 proofs as one bucket sum (from 22
+    /// proofs; `vrf::Prover::verify_batch_on`), in a batch of its own.
+    fn bucket_draw_config() -> ProtocolConfig {
         ProtocolConfig {
             committees: 3,
             committee_size: 12,
@@ -885,13 +886,13 @@ mod tests {
         }
     }
 
-    /// One round of [`three_group_config`] at `workers`, with `forger`
+    /// One round of [`bucket_draw_config`] at `workers`, with `forger`
     /// submitting a sortition proof that fails: the rows its block certifies
     /// for the next round, and the round's metrics bytes.
     fn forged_round(forger: Option<NodeId>, workers: usize) -> (Vec<CommitteeRow>, Vec<u8>) {
         let config = ProtocolConfig {
             worker_threads: workers,
-            ..three_group_config()
+            ..bucket_draw_config()
         };
         let mut sim = Simulation::new(config).unwrap();
         if let Some(forger) = forger {
@@ -905,23 +906,17 @@ mod tests {
 
     #[test]
     fn a_forged_sortition_proof_sits_in_no_certified_row_at_any_width() {
-        use crate::sortition::{proof_order, PROOFS_PER_GROUP};
+        use crate::sortition::proof_order;
 
-        let mut honest = Simulation::new(three_group_config()).unwrap();
+        let mut honest = Simulation::new(bucket_draw_config()).unwrap();
         honest.run_round();
         let order = proof_order(honest.assignment(), honest.registry());
         let (honest_rows, _) = forged_round(None, 1);
         let total = order.len();
-        // First, last and a middle position, and either side of the first
-        // group boundary.
-        assert!(total > 2 * PROOFS_PER_GROUP);
-        for k in [
-            0,
-            PROOFS_PER_GROUP - 1,
-            PROOFS_PER_GROUP,
-            total / 2,
-            total - 1,
-        ] {
+        // First, last, either side of the failed check's first bisection
+        // and inside its first half's halves.
+        assert_eq!(total, 27);
+        for k in [0, total / 4, total / 2 - 1, total / 2, total - 1] {
             let forger = order[k];
             let (rows, bytes) = forged_round(Some(forger), 1);
             assert_eq!(rows.len(), honest_rows.len());
@@ -1222,6 +1217,28 @@ mod tests {
                          {workers} workers"
                     );
                 }
+            }
+        }
+    }
+
+    /// A draw of 22 proofs or more checks them as a bucket sum whose window
+    /// tasks are an executor batch of their own: one more a round, at any
+    /// worker count.
+    #[test]
+    fn a_bucket_checked_draw_adds_one_batch() {
+        for workers in [1, 2] {
+            let config = ProtocolConfig {
+                cross_shard_ratio: 0.0,
+                worker_threads: workers,
+                ..bucket_draw_config()
+            };
+            let mut sim = Simulation::new(config).unwrap();
+            for round in 0..2 {
+                let before = sim.executor().batches_executed();
+                let report = sim.run_round();
+                assert!(report.block_produced && report.recovery_log.is_empty());
+                let batches = sim.executor().batches_executed() - before;
+                assert_eq!(batches, 4, "round {round}, {workers} workers");
             }
         }
     }

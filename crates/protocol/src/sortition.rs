@@ -19,8 +19,10 @@
 //!   configuration the block certifies (a departure from Algorithm 2, where
 //!   the key members check the claims; see ARCHITECTURE.md).
 
+use cycledger_crypto::point::WindowTask;
+use cycledger_crypto::schnorr::{PublicKey, SecretKey};
 use cycledger_crypto::sha256::{hash_parts, Digest};
-use cycledger_crypto::vrf;
+use cycledger_crypto::vrf::{self, DrawScratch, VrfOutput};
 use cycledger_net::topology::{NodeId, RoundTopology};
 use cycledger_reputation::ReputationTable;
 
@@ -122,11 +124,6 @@ fn lottery_value(round: u64, randomness: &Digest, node: NodeId, role: &str) -> u
     .prefix_u64()
 }
 
-/// Sortition proofs checked as one `vrf::Prover::verify_batch` group, one executor
-/// task each. Groups are cut by proof index, so where a forged proof sends
-/// its group down the per-proof path is the same at every worker count.
-pub(crate) const PROOFS_PER_GROUP: usize = 8;
-
 /// Parameters for building a round assignment.
 #[derive(Clone, Copy, Debug)]
 pub struct AssignmentParams {
@@ -141,10 +138,11 @@ pub struct AssignmentParams {
 /// Builds the assignment for `round` from the participant set, the round
 /// randomness and the current reputation table, on the caller thread.
 ///
-/// [`assign_round_on`] with an inline executor. Kept only because
-/// `benchmark/src/probes.rs` calls this six-argument form and `benchmark/`
-/// is frozen against the parent commit; fold it into `assign_round_on` (and
-/// move the fixtures over) the next time that package may change.
+/// [`SortitionBase::assign`] on a base built here, with an inline executor
+/// and buffers of its own (a simulation's draws keep theirs in its
+/// `RoundArena`). Kept only because `benchmark/src/probes.rs` calls this
+/// six-argument form and `benchmark/` is frozen against the parent commit;
+/// the tests' `assign_round_on` takes an executor.
 pub fn assign_round(
     registry: &NodeRegistry,
     participants: &[NodeId],
@@ -165,8 +163,8 @@ pub fn assign_round(
 }
 
 /// [`assign_round`] with the common members' VRF proofs evaluated and
-/// checked on `executor`: [`SortitionBase::assign`] on a base built here.
-pub fn assign_round_on(
+/// checked on `executor`.
+pub(crate) fn assign_round_on(
     executor: &ShardExecutor,
     registry: &NodeRegistry,
     participants: &[NodeId],
@@ -176,7 +174,15 @@ pub fn assign_round_on(
     reputation: &ReputationTable,
 ) -> RoundAssignment {
     let base = SortitionBase::new(round, randomness);
-    base.assign(executor, registry, participants, params, reputation)
+    let scratch = &mut DrawScratch::default();
+    base.assign(
+        executor,
+        scratch,
+        registry,
+        participants,
+        params,
+        reputation,
+    )
 }
 
 /// The part of a round's sortition fixed by its round number and randomness
@@ -207,17 +213,22 @@ impl SortitionBase {
     }
 
     /// Builds the assignment from the participant set and the current
-    /// reputation table. The common members' VRF sortition (step 4) is one
-    /// `executor` batch: each task evaluates the proofs of a group of
-    /// `PROOFS_PER_GROUP` participants, as they submit them, and checks the
-    /// group with the base's `vrf::Prover::verify_batch`, on the `H` the
-    /// evaluations used. A participant whose proof fails is
-    /// seated nowhere. The assignment is identical at any worker count:
-    /// verdicts come back in proof order and the committees are filled
-    /// serially from them.
+    /// reputation table. The common members' VRF sortition (step 4) is two
+    /// `executor` batches: the participants' proofs, evaluated as they
+    /// submit them in index chunks (`vrf::Prover::evaluation_tasks`), and
+    /// then one check of all of them on the `H` the evaluations used
+    /// (`vrf::Prover::verify_batch_on`), its bucket sum's window ranges the
+    /// second batch — below the bucket crossover the check runs here and
+    /// the draw is one batch. A failed check bisects to the proofs that
+    /// fail, and a participant whose proof fails is seated nowhere. Both
+    /// splits are functions of the proof count, so the work is the same at
+    /// any worker count, and so is the assignment: verdicts come back in
+    /// proof order and the committees are filled serially from them.
+    /// `scratch` holds the draw's buffers from one call to the next.
     pub fn assign(
         &self,
         executor: &ShardExecutor,
+        scratch: &mut DrawScratch,
         registry: &NodeRegistry,
         participants: &[NodeId],
         params: AssignmentParams,
@@ -312,25 +323,29 @@ impl SortitionBase {
             .chain(&syncing)
             .copied()
             .collect();
-        let groups = sortitioned.chunks(PROOFS_PER_GROUP).map(|group| {
-            move || {
-                let proofs: Vec<_> = group
-                    .iter()
-                    .map(|&id| registry.sortition_proof(id, &self.prover))
-                    .collect();
-                let entries: Vec<_> = group
-                    .iter()
-                    .zip(&proofs)
-                    .map(|(&id, output)| (&registry.node(id).verifying_key, output))
-                    .collect();
-                let valid = self.prover.verify_batch(&entries);
-                (proofs, valid)
-            }
-        });
-        let drawn = executor.execute(groups.collect());
-        let drawn = drawn
+        let keys: Vec<(&SecretKey, &PublicKey)> = sortitioned
             .iter()
-            .flat_map(|(proofs, valid)| proofs.iter().zip(valid));
+            .map(|&id| {
+                let keypair = &registry.node(id).keypair;
+                (&keypair.secret, &keypair.public)
+            })
+            .collect();
+        let tasks = self.prover.evaluation_tasks(&keys, scratch);
+        let evaluated =
+            executor.execute(tasks.into_iter().map(|task| move || task.run()).collect());
+        let outputs: Vec<VrfOutput> = evaluated.concat();
+        #[cfg(test)]
+        let outputs = registry.forge_submitted(&sortitioned, outputs);
+        let entries: Vec<_> = sortitioned
+            .iter()
+            .zip(&outputs)
+            .map(|(&id, output)| (&registry.node(id).verifying_key, output))
+            .collect();
+        let run = |tasks: Vec<WindowTask<'_>>| {
+            executor.execute(tasks.into_iter().map(|task| move || task.run()).collect())
+        };
+        let valid = self.prover.verify_batch_on(&entries, scratch, run);
+        let drawn = outputs.iter().zip(&valid);
         let mut commons: Vec<Vec<NodeId>> = vec![Vec::new(); params.committees];
         for (&id, (output, &valid)) in sortitioned.iter().zip(drawn) {
             if valid {
@@ -437,15 +452,17 @@ mod tests {
     /// the partial-set lottery and 113 more for its committee draw are 708
     /// compressions. The round's `vrf::Prover` hashes its input to the
     /// curve in two tries of two blocks (4), and the 81 common members'
-    /// VRF evaluations on it cost 3 805. The other 2 750 are the draw
-    /// checking the 81 proofs, one `Prover::verify_batch` a group: ten
-    /// groups of eight at 270 each and a last group of one at 50 (5 361
-    /// while every coefficient came from a generator of its own). Until the
-    /// checks took the prover's base, the prover and each group also looked
-    /// it up in a process-wide `hash_to_curve` memo under a three-block
-    /// key: 12 × 3 more, 7 303. At commit ee421ab the two sorts hashed both
-    /// sides of every comparison and this assignment cost 13 264; before
-    /// the draw checked its proofs it cost 4 520.
+    /// VRF evaluations on it cost 3 805, in lockstep or not. The other
+    /// 2 570 are the draw checking the 81 proofs as one batch: one
+    /// transcript of all 81 entries, one stream of 162 coefficients and a
+    /// challenge a proof. While it checked ten groups of eight and a last
+    /// group of one, 270 each and 50, they were 2 750 and the assignment
+    /// 7 267 (5 361 while every coefficient came from a generator of its
+    /// own). Until the checks took the prover's base, the prover and each
+    /// group also looked it up in a process-wide `hash_to_curve` memo under
+    /// a three-block key: 12 × 3 more, 7 303. At commit ee421ab the two
+    /// sorts hashed both sides of every comparison and this assignment cost
+    /// 13 264; before the draw checked its proofs it cost 4 520.
     #[cfg(feature = "opcount")]
     #[test]
     fn the_lottery_sorts_hash_once_per_node() {
@@ -463,7 +480,52 @@ mod tests {
         let mut assignment = None;
         let tally = scope(|| assignment = Some(assign(1)));
         let sortitioned = proof_order(&assignment.unwrap(), &registry).len();
-        assert_eq!((sortitioned, tally.sha256_blocks), (81, 7267));
+        assert_eq!((sortitioned, tally.sha256_blocks), (81, 7087));
+    }
+
+    /// The draw's work is a function of its proof count: the operations of
+    /// one assignment at the tracked geometry, on the driver and on the
+    /// workers together, are the same at 1, 2 and 8 workers — four chunks
+    /// of 22 evaluations and a bucket check of eight window tasks.
+    #[cfg(feature = "opcount")]
+    #[test]
+    fn the_draw_tallies_the_same_at_every_worker_count() {
+        use cycledger_crypto::opcount::scope;
+        let (registry, reputation) = setup(135);
+        let params = AssignmentParams {
+            committees: 8,
+            partial_set_size: 4,
+            referee_size: 7,
+        };
+        let ids = registry.ids();
+        let randomness = sha256(b"seed-workers");
+        let tally = |workers: usize| {
+            let executor = ShardExecutor::new(workers);
+            let assign = || {
+                assign_round_on(
+                    &executor,
+                    &registry,
+                    &ids,
+                    params,
+                    1,
+                    randomness,
+                    &reputation,
+                )
+            };
+            assign(); // builds the static tables
+            let before = executor.worker_tally();
+            let mut assignment = None;
+            let driver = scope(|| assignment = Some(assign()));
+            let order = proof_order(&assignment.unwrap(), &registry);
+            (order.len(), driver + (executor.worker_tally() - before))
+        };
+        let one = tally(1);
+        assert_eq!(one.0, 88);
+        assert_eq!((one.1.vrf_evaluations, one.1.vrf_sub_checks), (88, 1));
+        assert!(one.1.point_add_batched > 0, "{one:?}");
+        for workers in [2, 8] {
+            assert_eq!(tally(workers), one, "{workers} workers");
+        }
     }
 
     /// An all-honest population loses no seat to the proof check: the draw's
@@ -493,7 +555,8 @@ mod tests {
             .zip(&proofs)
             .map(|(&id, output)| (&registry.node(id).keypair.public, output))
             .collect();
-        let valid = prover.verify_batch(&entries);
+        let run = |tasks: Vec<WindowTask<'_>>| tasks.into_iter().map(WindowTask::run).collect();
+        let valid = prover.verify_batch_on(&entries, &mut DrawScratch::default(), run);
         assert_eq!(valid.len(), 60 - 7 - 4 * (1 + 3));
         assert!(valid.iter().all(|&v| v), "no honest proof is rejected");
     }

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Alternating A/B pairs of the end-to-end benchmark (``benchmark/``).
+"""Alternating A/B pairs of the end-to-end benchmark (``benchmark/``), and
+the exact counts of both sides.
 
     scripts/ab.py <base> <head> --workload local-8x16 --pairs 10
     scripts/ab.py <base> <head> --workload state-smt-2x8 --claim setup_s
+    scripts/ab.py <base> <head> --counts
     scripts/ab.py --self-test
 
 ``base`` and ``head`` are git revisions of this repository, or directories
@@ -34,8 +36,21 @@ whose head median is worse than the base's by more than that metric's
 ``bound`` (a fraction of the base's median). The script exits 1 when the
 claim does not hold or a bound is breached.
 
+``--counts`` runs no pair: it builds ``gen_bench_round`` with ``--features
+opcount`` on each side (``crates/bench``, one export and one target
+directory a side, as above), runs each once, and prints every row of the
+one-worker series' ``opcount`` block -- field multiplications, inversions,
+SHA-256 compressions, VRF checks and the rest, exact per round -- and its
+``messages_per_round``, ``bytes_per_round`` and ``batches_per_round``
+(and the epoch series' too) that differ between the sides, with both
+values and head / base; a row one side lacks prints as missing. The counts
+repeat to the digit, so one run a side is the whole measurement, in
+seconds where a series of pairs takes minutes; a perf change's claim names
+the count that moved, and its pairs confirm the milliseconds. It exits 0.
+
 ``--self-test`` runs no benchmark: it feeds canned benchmark outputs
-through the same parsing and summary and checks the verdicts.
+through the same parsing and summary and checks the verdicts, and canned
+``gen_bench_round`` reports through the count comparison.
 """
 
 import argparse
@@ -306,6 +321,62 @@ def compare(args: argparse.Namespace) -> int:
     return 0 if summary.passes else 1
 
 
+# The series of a ``gen_bench_round`` report whose exact rows --counts
+# compares, and those rows besides the ``opcount`` block.
+COUNT_SERIES = ("one_worker", "one_worker_epoch")
+COUNT_ROWS = ("messages_per_round", "bytes_per_round", "batches_per_round")
+
+
+def count_rows(report: dict) -> dict:
+    """Every exact count of a ``gen_bench_round`` report, by its key path."""
+    rows = {}
+    for series in COUNT_SERIES:
+        block = report.get(series, {})
+        for name in COUNT_ROWS:
+            if name in block:
+                rows[f"{series}.{name}"] = float(block[name])
+        for name, value in block.get("opcount", {}).items():
+            rows[f"{series}.opcount.{name}"] = float(value)
+    return rows
+
+
+def moved_counts(base: dict, head: dict) -> list:
+    """(path, base value or None, head value or None) for every count that
+    differs between two reports, in the base's row order."""
+    x, y = count_rows(base), count_rows(head)
+    paths = list(x) + [path for path in y if path not in x]
+    return [(path, x.get(path), y.get(path)) for path in paths if x.get(path) != y.get(path)]
+
+
+def print_moved(moved: list) -> None:
+    if not moved:
+        print("no count moved")
+        return
+    print(f"{'row':<52} {'base':>14} {'head':>14} {'head/base':>9}")
+    for path, x, y in moved:
+        ratio = f"{y / x:9.4f}" if x and y is not None else f"{'-':>9}"
+        show = lambda v: f"{v:>14.1f}" if v is not None else f"{'missing':>14}"
+        print(f"{path:<52} {show(x)} {show(y)} {ratio}")
+
+
+def counts(args: argparse.Namespace) -> int:
+    scratch = pathlib.Path(args.scratch).resolve()
+    scratch.mkdir(parents=True, exist_ok=True)
+    reports = {}
+    for label, side in (("base", args.base), ("head", args.head)):
+        source, target = checkout(side, scratch)
+        manifest = source / "Cargo.toml"
+        command = ["--release", "--quiet", "--manifest-path", str(manifest), "-p", "cycledger-bench"]
+        command += ["--bin", "gen_bench_round", "--features", "opcount"]
+        print(f"+ cargo run {' '.join(command)}", flush=True)
+        env = dict(os.environ, CARGO_TARGET_DIR=str(target) + "-opcount")
+        out = subprocess.run(["cargo", "run", *command], env=env, capture_output=True, text=True, check=True)
+        reports[label] = json.loads(out.stdout)
+    print(f"\nab --counts: base {args.base}, head {args.head}")
+    print_moved(moved_counts(reports["base"], reports["head"]))
+    return 0
+
+
 def canned(seed: int, metrics: dict, correct: bool = True) -> str:
     """A benchmark's stdout: prose lines, then the JSON line."""
     document = {
@@ -403,6 +474,32 @@ def self_test() -> int:
             continue
         print(f"self-test FAILED: parsed {text!r}", file=sys.stderr)
         broken += 1
+    # --counts: one count planted one higher on the head is the one row
+    # reported, with both values; equal reports move nothing, and a row
+    # only the head has is reported as missing on the base.
+    report = {
+        "one_worker": {
+            "messages_per_round": 3588.8,
+            "bytes_per_round": 2554713,
+            "batches_per_round": 4.0,
+            "rounds_per_sec": 23.8,
+            "opcount": {"field_muls_per_round": 687105.7, "inversions_per_round": 390.0},
+        },
+        "one_worker_epoch": {"messages_per_round": 3779.5, "batches_per_round": 4.5},
+    }
+    planted = json.loads(json.dumps(report))
+    planted["one_worker"]["opcount"]["inversions_per_round"] = 391.0
+    planted["one_worker"]["rounds_per_sec"] = 30.1
+    added = json.loads(json.dumps(report))
+    added["one_worker"]["opcount"]["batched_additions_per_round"] = 21.0
+    for head, expected in (
+        (report, []),
+        (planted, [("one_worker.opcount.inversions_per_round", 390.0, 391.0)]),
+        (added, [("one_worker.opcount.batched_additions_per_round", None, 21.0)]),
+    ):
+        if moved_counts(report, head) != expected:
+            print(f"self-test FAILED: --counts moved {moved_counts(report, head)}", file=sys.stderr)
+            broken += 1
     if broken:
         print(f"ab.py self-test FAILED ({broken} case(s))", file=sys.stderr)
         return 1
@@ -416,12 +513,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the reference revision, or a checkout directory")
     parser.add_argument("head", help="the revision under test, or a checkout directory")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--counts", action="store_true", help="compare the exact counts of one run a side")
+    parser.add_argument("--workload")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
     parser.add_argument("--claim", default=DEFAULT_CLAIM, help="the end-to-end metric the claim is made on")
     parser.add_argument("--scratch", default=os.path.join(tempfile.gettempdir(), "cycledger-ab"))
-    return compare(parser.parse_args())
+    args = parser.parse_args()
+    if args.counts:
+        return counts(args)
+    if args.workload is None:
+        parser.error("--workload is required without --counts")
+    return compare(args)
 
 
 if __name__ == "__main__":

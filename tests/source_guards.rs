@@ -394,11 +394,11 @@ const STATIC_MUTEXES: Guard = Guard {
 };
 
 /// A round's VRF evaluations share one `vrf::Prover` (a fixed-base table of
-/// the round's base, built once) and the draw checks the proofs as
-/// `Prover::verify_batch` groups on its base: no library code in the
+/// the round's base, built once) and the draw checks the proofs as one
+/// `Prover::verify_batch_on` batch on its base: no library code in the
 /// protocol crate evaluates or verifies one proof at a time.
 const SORTITION: Guard = Guard {
-    name: "sortition proves through one table, the draw verifies in groups",
+    name: "sortition proves through one table, the draw verifies in one batch",
     scope: Scope::Library(&["crates/protocol/src"]),
     needles: Needles::These(&["vrf::verify(", "vrf::evaluate_with_public("]),
     plant: (

@@ -1,8 +1,8 @@
 //! Emits `BENCH_round.json`-shaped numbers for the round-engine data plane:
-//! rounds/sec, heap allocations/round and envelopes (messages and bytes
-//! sent)/round. After one warm-up round, each series measures
-//! [`ROUNDS`] rounds: the plain config at one worker (`one_worker`),
-//! the epoch-lifecycle variant at one worker (`one_worker_epoch`, a
+//! rounds/sec and heap allocations/round (its envelopes and executor
+//! batches are the paper document's `tracked_round` block). After one
+//! warm-up round, each series measures [`TRACKED_ROUNDS`] rounds: the plain
+//! config at one worker (`one_worker`), the epoch-lifecycle variant at one worker (`one_worker_epoch`, a
 //! boundary every second round), and the plain config at the machine's
 //! parallelism (`parallel`, with `parallel_workers` beside it; left out on
 //! a one-core machine). The plain config runs three one-worker and three
@@ -11,10 +11,10 @@
 //! back so that the host's speed is about the same on both sides of it;
 //! `one_worker` and `parallel` are the runs of median rounds/sec (their
 //! counts repeat from run to run).
-//! `scripts/perf_gate.py` runs this binary and gates each series' fields
-//! against the same key under `BENCH_round.json`'s `verified` block, and
-//! `parallel_speedup` against a floor: a ratio within one run, so a phase
-//! that silently goes serial again fails on a runner of any speed.
+//! `scripts/perf_gate.py` runs this binary and gates the one-worker series'
+//! fields against the same key under `BENCH_round.json`'s `verified` block,
+//! and `parallel_speedup` against a floor: a ratio within one run, so a
+//! phase that silently goes serial again fails on a runner of any speed.
 //!
 //! `--config 8x16|64x32` picks the committee geometry: `8x16` (default) is
 //! the tracked config (400 txs/round), `64x32` the large-scale profile at
@@ -30,19 +30,15 @@
 //! checked. At one worker every task runs on the driver
 //! thread, whose tally this is (the workload's draw-ahead thread is not
 //! counted), so the counts repeat exactly; `scripts/perf_gate.py --counts`
-//! gates `one_worker`'s against `BENCH_round.json`.
+//! compares `one_worker`'s with `BENCH_round.json`'s by `==` (a dev-profile
+//! build reads three more field operations a round: a debug assertion).
 //!
 //! The binary installs [`alloccount::CountingAllocator`] as the global
 //! allocator (built with counting enabled), so the reported allocation counts
 //! cover every heap allocation the round engine performs — worker threads
-//! included. They are taken over the [`ROUNDS`] measured rounds of
+//! included. They are taken over the [`TRACKED_ROUNDS`] measured rounds of
 //! every series, so a one-worker count repeats exactly from run to run and
 //! machine to machine.
-//! The envelope counts are summed from the same rounds' reports
-//! (`RoundReport::metrics`, every accounting phase); they are virtual, so
-//! they repeat at any worker count. So does `batches_per_round`, the
-//! executor barriers of the same rounds: the executor counts a batch it
-//! runs inline like one it hands to its workers.
 //!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_round`;
 //! the JSON is printed to stdout so it can be redirected into the relevant
@@ -50,18 +46,14 @@
 
 use std::time::Instant;
 
-use cycledger_bench::{bench_config, Json};
-use cycledger_net::metrics::Phase;
+use cycledger_bench::{bench_config, epoch_variant, Json, EPOCH_VARIANT, TRACKED_ROUNDS};
+#[cfg(feature = "opcount")]
+use cycledger_crypto::opcount::Tally;
 use cycledger_protocol::config::ProtocolConfig;
 use cycledger_protocol::Simulation;
 
 #[global_allocator]
 static ALLOC: alloccount::CountingAllocator = alloccount::CountingAllocator;
-
-/// Rounds every series measures, after its warm-up round. Rounds differ —
-/// buffers still grow, every second epoch-variant round closes an epoch —
-/// so a per-round mean only repeats over a fixed span.
-const ROUNDS: u64 = 16;
 
 /// The config `--config` names: `8x16`, the tracked config and the default
 /// (50 txs per committee), or `64x32`, the large-scale profile at 10 000
@@ -82,48 +74,28 @@ fn config_from_args() -> ProtocolConfig {
     }
 }
 
-/// The epoch-lifecycle variant of a config: an epoch boundary (beacon,
-/// churn, state sync, reshuffle) every second round, so half the measured
-/// rounds pay the full handover cost.
-fn epoch_variant(mut config: ProtocolConfig) -> ProtocolConfig {
-    config.epoch_length = 2;
-    config.joins_per_epoch = 2;
-    config.leaves_per_epoch = 1;
-    config
-}
-
-/// Runs one warm-up round and then [`ROUNDS`] measured ones at
+/// Runs one warm-up round and then [`TRACKED_ROUNDS`] measured ones at
 /// `workers`, and returns their rounds per second and the series: that
-/// throughput plus per-round allocation activity, envelopes sent and
-/// executor batches.
+/// throughput plus per-round allocation activity.
 fn measure(mut config: ProtocolConfig, workers: usize) -> (f64, Json) {
     config.worker_threads = workers;
     let mut sim = Simulation::new(config).expect("valid bench config");
     // Warm-up round: lazy crypto tables, executor spin-up, genesis state.
     sim.run_round();
 
-    let start_batches = sim.executor().batches_executed();
     #[cfg(feature = "opcount")]
     let start_ops = cycledger_crypto::opcount::current();
     let start_alloc = alloccount::snapshot();
     let start = Instant::now();
-    for _ in 0..ROUNDS {
+    for _ in 0..TRACKED_ROUNDS {
         sim.run_round();
     }
-    let rounds_per_sec = ROUNDS as f64 / start.elapsed().as_secs_f64();
+    let rounds_per_sec = TRACKED_ROUNDS as f64 / start.elapsed().as_secs_f64();
     let d = alloccount::snapshot().since(&start_alloc);
     #[cfg(feature = "opcount")]
     let ops = op_counts(&start_ops, &cycledger_crypto::opcount::current());
-    let batches = (sim.executor().batches_executed() - start_batches) as u64;
     assert!(d.allocations > 0, "counting allocator saw no allocations");
-    let sent = sim.reports()[1..].iter().flat_map(|report| {
-        let metrics = &report.metrics;
-        Phase::ALL.map(|phase| metrics.phase_total(phase))
-    });
-    let (messages, bytes) = sent.fold((0, 0), |(messages, bytes), total| {
-        (messages + total.msgs_sent, bytes + total.bytes_sent)
-    });
-    let per_round = |count: u64| count as f64 / ROUNDS as f64;
+    let per_round = |count: u64| count as f64 / TRACKED_ROUNDS as f64;
     let series = Json::obj([
         ("rounds_per_sec", Json::Num(rounds_per_sec, 3)),
         (
@@ -138,9 +110,6 @@ fn measure(mut config: ProtocolConfig, workers: usize) -> (f64, Json) {
             "reallocations_per_round",
             Json::Num(per_round(d.reallocations), 0),
         ),
-        ("messages_per_round", Json::Num(per_round(messages), 1)),
-        ("bytes_per_round", Json::Num(per_round(bytes), 0)),
-        ("batches_per_round", Json::Num(per_round(batches), 2)),
     ]);
     #[cfg(feature = "opcount")]
     let series = match series {
@@ -154,49 +123,30 @@ fn measure(mut config: ProtocolConfig, workers: usize) -> (f64, Json) {
 }
 
 /// The operations the driver thread tallied between two readings, per
-/// round over [`ROUNDS`] rounds.
+/// round over [`TRACKED_ROUNDS`] rounds.
 #[cfg(feature = "opcount")]
-fn op_counts(
-    before: &cycledger_crypto::opcount::Tally,
-    after: &cycledger_crypto::opcount::Tally,
-) -> Json {
-    let per_round = |count: fn(&cycledger_crypto::opcount::Tally) -> u64| {
-        Json::Num((count(after) - count(before)) as f64 / ROUNDS as f64, 1)
-    };
-    Json::obj([
-        (
-            "field_muls_per_round",
-            per_round(|t| t.fe_mul + t.fe_square),
-        ),
-        ("inversions_per_round", per_round(|t| t.fe_invert)),
-        ("doublings_per_round", per_round(|t| t.point_double)),
-        (
-            "mixed_additions_per_round",
-            per_round(|t| t.point_add_affine),
-        ),
-        (
-            "batched_additions_per_round",
-            per_round(|t| t.point_add_batched),
-        ),
-        ("sha256_blocks_per_round", per_round(|t| t.sha256_blocks)),
-        (
-            "drbg_instantiations_per_round",
-            per_round(|t| t.drbg_instantiations),
-        ),
-        ("sigs_single_per_round", per_round(|t| t.sigs_single)),
-        ("sigs_batched_per_round", per_round(|t| t.sigs_batched)),
-        ("memo_lookups_per_round", per_round(|t| t.memo_lookups)),
-        ("envelopes_per_round", per_round(|t| t.envelopes_sent)),
-        ("latency_draws_per_round", per_round(|t| t.latency_draws)),
-        (
-            "vrf_evaluations_per_round",
-            per_round(|t| t.vrf_evaluations),
-        ),
-        (
-            "vrf_proofs_checked_per_round",
-            per_round(|t| t.vrf_proofs_checked),
-        ),
-    ])
+fn op_counts(before: &Tally, after: &Tally) -> Json {
+    type Count = fn(&Tally) -> u64;
+    let rows: [(&str, Count); 14] = [
+        ("field_muls_per_round", |t| t.fe_mul + t.fe_square),
+        ("inversions_per_round", |t| t.fe_invert),
+        ("doublings_per_round", |t| t.point_double),
+        ("mixed_additions_per_round", |t| t.point_add_affine),
+        ("batched_additions_per_round", |t| t.point_add_batched),
+        ("sha256_blocks_per_round", |t| t.sha256_blocks),
+        ("drbg_instantiations_per_round", |t| t.drbg_instantiations),
+        ("sigs_single_per_round", |t| t.sigs_single),
+        ("sigs_batched_per_round", |t| t.sigs_batched),
+        ("memo_lookups_per_round", |t| t.memo_lookups),
+        ("envelopes_per_round", |t| t.envelopes_sent),
+        ("latency_draws_per_round", |t| t.latency_draws),
+        ("vrf_evaluations_per_round", |t| t.vrf_evaluations),
+        ("vrf_proofs_checked_per_round", |t| t.vrf_proofs_checked),
+    ];
+    Json::obj(rows.map(|(name, count)| {
+        let per_round = (count(after) - count(before)) as f64 / TRACKED_ROUNDS as f64;
+        (name, Json::Num(per_round, 1))
+    }))
 }
 
 /// One-worker and parallel series of the plain config, alternated.
@@ -213,11 +163,6 @@ fn median_run(mut runs: Vec<(f64, Json)>) -> Json {
     runs.sort_by(|a, b| a.0.total_cmp(&b.0));
     runs.swap_remove(runs.len() / 2).1
 }
-
-/// Describes the epoch-lifecycle variant measured by `one_worker_epoch`.
-const EPOCH_VARIANT: &str =
-    "same geometry with epoch_length 2, joins_per_epoch 2, leaves_per_epoch 1 \
-     (every second round closes an epoch: beacon, churn, state sync, reshuffle)";
 
 fn main() {
     assert!(

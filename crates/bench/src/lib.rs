@@ -1,8 +1,9 @@
 //! # cycledger-bench
 //!
 //! The benchmark and experiment harness: [`paper`] builds the paper's
-//! evaluation (Tables I–II, Figs. 4–5, scalability, recovery, incentives,
-//! the open-loop latency sweep) as one document, and one generator binary
+//! evaluation (Tables I–II, the tracked round's envelopes and executor
+//! batches, Figs. 4–5, scalability, recovery, incentives, the open-loop
+//! latency sweep) as one document, and one generator binary
 //! per committed `BENCH_*.json` baseline measures the rest.
 //! `docs/benchmarks.md` indexes the committed files and what regenerates
 //! each. The binaries print through [`Json`].
@@ -47,6 +48,29 @@ pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> Prot
         ..ProtocolConfig::default()
     }
 }
+
+/// Rounds a tracked series measures, after its warm-up round: the
+/// `gen_bench_round` series and the paper document's `tracked_round` block.
+/// Rounds differ — buffers still grow, every second epoch-variant round
+/// closes an epoch — so a per-round mean only repeats over a fixed span.
+pub const TRACKED_ROUNDS: u64 = 16;
+
+/// The epoch-lifecycle variant of a config: an epoch boundary (beacon,
+/// churn, state sync, reshuffle) every second round, so half the measured
+/// rounds pay the full handover cost.
+pub fn epoch_variant(config: ProtocolConfig) -> ProtocolConfig {
+    ProtocolConfig {
+        epoch_length: 2,
+        joins_per_epoch: 2,
+        leaves_per_epoch: 1,
+        ..config
+    }
+}
+
+/// Describes [`epoch_variant`].
+pub const EPOCH_VARIANT: &str =
+    "same geometry with epoch_length 2, joins_per_epoch 2, leaves_per_epoch 1 \
+     (every second round closes an epoch: beacon, churn, state sync, reshuffle)";
 
 /// One Algorithm 3 instance to time — the unit of work every phase of a
 /// round repeats: an all-honest committee of `committee_size` certifies a

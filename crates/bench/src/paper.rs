@@ -1,6 +1,7 @@
-//! The paper's evaluation (§VI–§VII) as one document: Tables I–II, Figs. 4–5,
-//! the scalability sweep, the dishonest-leader recovery rows, the
-//! incentive split and the open-loop latency sweep. Every value is a count,
+//! The paper's evaluation (§VI–§VII) as one document: Tables I–II, the
+//! tracked round's envelopes and executor batches, Figs. 4–5, the
+//! scalability sweep, the dishonest-leader recovery rows, the incentive
+//! split and the open-loop latency sweep. Every value is a count,
 //! a virtual-time quantity or a
 //! deterministic `f64`, so the document is the same on every machine and at
 //! every worker count. `gen_paper` prints [`document`]; the committed copy is
@@ -23,13 +24,14 @@ use cycledger_protocol::{
 };
 use cycledger_reputation::{leader_punishment, reward_mapping, reward_mapping_series};
 
-use crate::{bench_config, Json};
+use crate::{bench_config, epoch_variant, Json, EPOCH_VARIANT, TRACKED_ROUNDS};
 
 /// The whole evaluation, one block per table or figure.
 pub fn document() -> Json {
     Json::obj([
         ("table1", table1()),
         ("table2", table2()),
+        ("tracked_round", tracked_round()),
         ("fig4", fig4()),
         ("fig5", fig5()),
         ("scalability", scalability()),
@@ -227,6 +229,58 @@ fn comm_bytes(report: &RoundReport, role: RoleClass, phase: Phase) -> f64 {
     report
         .role_phase_mean(role_nodes(report, role), phase)
         .comm_bytes() as f64
+}
+
+/// Envelopes sent (every accounting phase), their bytes and the executor
+/// batches that ran a task, over [`TRACKED_ROUNDS`] rounds of `config`
+/// after one warm-up round.
+fn round_counts(config: ProtocolConfig) -> [u64; 3] {
+    let mut sim = simulation(config);
+    sim.run_round();
+    let start = sim.executor().batches_executed();
+    for _ in 0..TRACKED_ROUNDS {
+        sim.run_round();
+    }
+    let reports = &sim.reports()[1..];
+    let sent = reports
+        .iter()
+        .flat_map(|r| Phase::ALL.map(|p| r.metrics.phase_total(p)));
+    let (messages, bytes) = sent.fold((0, 0), |(m, b), t| (m + t.msgs_sent, b + t.bytes_sent));
+    let batches = (sim.executor().batches_executed() - start) as u64;
+    [messages, bytes, batches]
+}
+
+/// The `tracked_round` block of `config` from the [`round_counts`] of its
+/// two series.
+fn tracked_round_block(config: &ProtocolConfig, plain: [u64; 3], epoch: [u64; 3]) -> Json {
+    let series = |[messages, bytes, batches]: [u64; 3]| {
+        let per_round = |count: u64| count as f64 / TRACKED_ROUNDS as f64;
+        Json::obj([
+            ("messages_per_round", Json::Num(per_round(messages), 1)),
+            ("bytes_per_round", Json::Num(per_round(bytes), 0)),
+            ("batches_per_round", Json::Num(per_round(batches), 1)),
+        ])
+    };
+    let description = format!(
+        "{} committees x {} members, {} txs/round, seed {}, one warm-up round, then {} rounds",
+        config.committees, config.committee_size, config.txs_per_round, config.seed, TRACKED_ROUNDS
+    );
+    Json::obj([
+        ("bench_config", Json::Str(description)),
+        ("epoch_bench_config", Json::Str(EPOCH_VARIANT.into())),
+        ("plain", series(plain)),
+        ("epoch", series(epoch)),
+    ])
+}
+
+/// What a round of the tracked 8×16 configuration (`gen_bench_round`'s)
+/// sends and how many executor barriers it runs, plain and in its epoch
+/// variant. Envelopes are virtual and a batch run inline counts like one on
+/// the workers, so both repeat at any worker count.
+fn tracked_round() -> Json {
+    let plain = bench_config(8, 16, 4242);
+    let epoch = round_counts(epoch_variant(plain));
+    tracked_round_block(&plain, round_counts(plain), epoch)
 }
 
 /// Fig. 4: the reward mapping g(x) of Eq. 2, and the cube-root punishment of
@@ -766,5 +820,22 @@ mod tests {
         );
         assert!(report.contains("committed: \"storage\": 3\n  built:     \"storage\": 4"));
         assert!(report.contains("--bin gen_paper > BENCH_paper.json"));
+
+        // One byte a round more in the tracked round's epoch series: sixteen
+        // over its sixteen rounds.
+        let round = |epoch_bytes| {
+            let config = bench_config(8, 16, 4242);
+            let plain = [57_421, 40_875_408, 80];
+            let block = tracked_round_block(&config, plain, [60_472, epoch_bytes, 96]);
+            Json::obj([("tracked_round", block)]).to_string()
+        };
+        let report = first_difference(&round(42_398_544), &round(42_398_560)).expect("moved");
+        assert!(
+            report.contains("(tracked_round.epoch.bytes_per_round)"),
+            "{report}"
+        );
+        assert!(report.contains(
+            "committed: \"bytes_per_round\": 2649909,\n  built:     \"bytes_per_round\": 2649910,"
+        ));
     }
 }

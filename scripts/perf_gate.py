@@ -6,30 +6,30 @@ Each gate runs one ``gen_bench_*`` binary -- the same run that is committed
 -- and checks the rows of its table in ``GATES`` against the report. A row
 names one key path, read from the report and, for a row gated against its
 committed value, from the same path under the gate's block of its
-``BENCH_*.json``. Its bound is one of two kinds:
+``BENCH_*.json``. Its bound is one of three kinds:
 
-* the committed value. The row fails on a regression of more than its
-  tolerance -- ``PERF_GATE_TOLERANCE`` (default 20%) unless the row carries
-  its own: a higher-is-better value fails when measured < committed *
-  (1 - tol), and a lower-is-better value fails when measured > committed *
-  (1 + tol);
+* the committed value itself, for an exact count (``better="equal"``):
+  allocations and operation counts repeat to the digit from run to run, so
+  the row fails unless the measured value equals the committed one (``==``
+  on the printed digits). A count that rises is a regression; one that
+  falls is a baseline nobody re-recorded, and the next regression could
+  hide in the gap;
+* the committed value within a tolerance, for a wall-clock row:
+  ``PERF_GATE_TOLERANCE`` (default 20%). A higher-is-better value fails
+  when measured < committed * (1 - tol), a lower-is-better one when
+  measured > committed * (1 + tol); an improvement never fails;
 * a fixed cap or floor that holds on any machine, whatever the baseline
   says.
 
-A row with a tolerance of its own is an exact count (allocations and
-envelopes repeat to the digit from run to run). It is gated both ways: a
-regression past its tolerance fails, and so does an improvement of more
-than ``STALE`` (5%), with "re-record <BENCH file>" -- a change that makes
-the count fall lands its new count as the baseline, so the next regression
-cannot hide in the gap. Improvements never fail any other committed row. Re-bless the
-``BENCH_*.json`` with the matching ``gen_bench_*`` binary when a PR moves
-the numbers on purpose (see the ``regeneration`` field in each JSON for the
-full recipe).
+A failed run lists every exact row that moved, with its committed value,
+its measured value and their ratio. Re-record the ``BENCH_*.json`` with the
+matching ``gen_bench_*`` binary when a PR moves the numbers on purpose (see
+the ``regeneration`` field in each JSON for the full recipe), and say why
+in CHANGES.md.
 
 Default mode (no arguments) gates ``gen_bench_round`` (the tracked
 configuration: 8x16, one warm-up round, then 16 measured rounds a series):
-``rounds_per_sec``, ``allocations_per_round``, ``messages_per_round``,
-``bytes_per_round`` and ``batches_per_round`` of ``one_worker`` (plain
+``rounds_per_sec`` and ``allocations_per_round`` of ``one_worker`` (plain
 rounds) and ``one_worker_epoch`` (``epoch_length=2``, so every second round
 pays the full boundary: beacon, churn, state sync, reshuffle) against
 ``BENCH_round.json``'s ``verified`` block. The same run gates machine
@@ -54,10 +54,11 @@ singly and in batches, memo lookups, envelopes, latency draws, VRF
 evaluations and VRF proofs checked -- against
 ``BENCH_round.json``'s ``verified.one_worker.opcount``. They are counted on
 the driver thread, where a one-worker round runs every task, so they repeat
-to the digit on any machine and are all exact rows: a kernel that loses a
-table, a phase that verifies a signature twice, or an envelope that comes
-back moves one past its 1%, and a count that falls by more than 5% wants
-its baseline re-recorded.
+to the digit on any machine and are all exact rows; run at a change, the
+list of moved rows is what the change did to the counts. They are the
+release build's: in a dev-profile build ``hash_to_curve``'s
+``debug_assert!(p.is_on_curve())`` adds three field operations a round, so
+the ``==`` belongs to this release run, not to a debug opcount test.
 
 ``--state`` gates ``gen_bench_state`` (flat map vs sparse Merkle store over
 a 10^6-entry UTXO set). The per-transaction hot paths carry hard caps --
@@ -78,31 +79,28 @@ runs more than two rounds in a row, so neither stays cache-warm through
 hundreds of its own, and the host drifting during the run slows both
 sides alike.
 
-The open-loop latency sweep is not gated here: it is virtual time, so it
-is the ``latency`` block of ``BENCH_paper.json``, which tier-1 compares
-with the document the code builds, value for value.
+What needs no measuring build is not gated here. The open-loop latency
+sweep is virtual time, and the tracked round's envelopes, bytes and
+executor batches are the same at any worker count: they are the
+``latency`` and ``tracked_round`` blocks of ``BENCH_paper.json``, which
+tier-1 compares with the document the code builds, value for value.
 
 ``--self-test`` (alone for the round gate, or after ``--counts`` /
 ``--state``) runs no benchmark: for every row of the gate it feeds the moves
-of ``SELF_TEST`` -- one that must fail, one that must pass and, for an
-exact row, a stale baseline that must fail too -- through the same check
-the real gate runs. The moves are written from what each metric
-means, not from the row's direction, so a row whose direction is flipped
-or whose cap is loosened fails here. CI runs it before each gate.
-
-Allocation counts come from the counting global allocator, envelope counts
-from the rounds' reports and batch counts from the executor (which counts a
-batch it runs inline too); all are exact, so the round gate's
-``allocations_per_round``, ``messages_per_round``, ``bytes_per_round`` and
-``batches_per_round`` rows carry a 1% tolerance. An envelope a phase stops
-sending (or starts sending again) moves the middle two by thousands; a phase
-that falls back onto an executor barrier of its own moves the last by one.
-Rounds/sec is wall clock, so the default tolerance absorbs runner noise.
-Override it with ``PERF_GATE_TOLERANCE=0.35`` etc. if a shared runner proves
-noisier; the exact rows keep theirs.
+of ``SELF_TEST`` through the same check the real gate runs -- for an exact
+row one unit of its last printed digit up and down, which must both fail,
+and the committed value, which must pass; for any other row one move that
+must fail and one that must pass. The moves are written from what each
+metric means, not from the row's direction, so a row whose direction is
+flipped, whose cap is loosened or that gains a band fails here. CI runs it
+before each gate. ``PERF_GATE_TOLERANCE=0.35`` etc. widens the wall-clock
+tolerance if a shared runner proves noisier; the exact rows stay exact.
 """
 
+import contextlib
+import decimal
 import functools
+import io
 import json
 import os
 import pathlib
@@ -112,8 +110,6 @@ from typing import Callable, NamedTuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOLERANCE = float(os.environ.get("PERF_GATE_TOLERANCE", "0.20"))
-# An exact row fails when it is better than committed by more than this.
-STALE = 0.05
 
 
 class Row(NamedTuple):
@@ -123,14 +119,12 @@ class Row(NamedTuple):
     # and, for a row gated against its committed value, from the gate's block
     # of the committed BENCH_*.json. A derived row names its value here.
     path: str
-    # "higher" or "lower".
+    # "higher" or "lower", or "equal" for an exact count, which must equal
+    # its committed value.
     better: str
     # A fixed cap (better lower) or floor (better higher); None gates against
     # the committed value.
     limit: float | None = None
-    # The tolerance of an exact count, which is also gated against a stale
-    # baseline; None gates within TOLERANCE.
-    tolerance: float | None = None
     # A value the report holds under no key: a function of the report that
     # returns None when this runner cannot measure it.
     derive: Callable[[dict], float | None] | None = None
@@ -142,9 +136,8 @@ def parallel_speedup(report: dict) -> float | None:
     return report.get("parallel_speedup")
 
 
-# The one-worker series of the round gate, and their exact per-round counts.
+# The one-worker series of the round gate.
 SERIES = ("one_worker", "one_worker_epoch")
-EXACT_COUNTS = ("allocations_per_round", "messages_per_round", "bytes_per_round", "batches_per_round")
 
 # The counts of ``--counts``: one exact row each.
 OP_COUNTS = (
@@ -185,7 +178,7 @@ GATES = {
         ("verified",),
         (
             *(Row(f"{series}.rounds_per_sec", "higher") for series in SERIES),
-            *(Row(f"{series}.{metric}", "lower", tolerance=0.01) for series in SERIES for metric in EXACT_COUNTS),
+            *(Row(f"{series}.allocations_per_round", "equal") for series in SERIES),
             Row("parallel_speedup", "higher", 1.25, derive=parallel_speedup),
         ),
     ),
@@ -194,7 +187,7 @@ GATES = {
         ("opcount",),
         "BENCH_round.json",
         ("verified",),
-        tuple(Row(f"one_worker.opcount.{metric}", "lower", tolerance=0.01) for metric in OP_COUNTS),
+        tuple(Row(f"one_worker.opcount.{metric}", "equal") for metric in OP_COUNTS),
     ),
     # The caps hold on any machine: the sparse-Merkle backend answers
     # lookups from its O(1) mirror (~1x measured) and an apply is two
@@ -229,24 +222,25 @@ GATES = {
 UP, DOWN = "up", "down"
 
 
-class By(NamedTuple):
-    """A move of the committed value by a fixed factor."""
+class Digits(NamedTuple):
+    """A move of the committed value by whole units of its last printed
+    digit; zero units is the committed value itself."""
 
-    factor: float
+    units: int
 
 
 # Per row: (a move that must fail, a move that must pass) and, for an exact
-# row, a third that must fail too: a baseline gone stale. UP / DOWN scale
-# the committed value past the tolerance, By scales it by a fixed factor; a
-# number is the measured value itself. Written from what each metric means
-# -- fewer rounds/s is worse, more allocations are worse, 6% fewer exact
-# allocations mean a count nobody re-recorded, a 1.2x speed-up is a phase
-# gone serial -- and never derived from the row, so a flipped direction, a
-# loosened cap or a loosened exact tolerance fails.
-EXACT = (By(1.02), By(0.995), By(0.94))
+# row, a third that must fail too. UP / DOWN scale the committed value past
+# the tolerance, Digits moves it in its last printed digit; a number is the
+# measured value itself. Written from what each metric means -- fewer
+# rounds/s is worse, an exact count that moves by one either way is a count
+# that changed, a 1.2x speed-up is a phase gone serial -- and never derived
+# from the row, so a flipped direction, a loosened cap or a band on an exact
+# row fails.
+EXACT = (Digits(1), Digits(0), Digits(-1))
 SELF_TEST = {
     **{f"{series}.rounds_per_sec": (DOWN, UP) for series in SERIES},
-    **{f"{series}.{metric}": EXACT for series in SERIES for metric in EXACT_COUNTS},
+    **{f"{series}.allocations_per_round": EXACT for series in SERIES},
     "parallel_speedup": (1.2, 1.6),
     **{f"one_worker.opcount.{metric}": EXACT for metric in OP_COUNTS},
     "tracked.smt_lookup_over_map_lookup": (3.1, 1.1),
@@ -258,33 +252,53 @@ SELF_TEST = {
 }
 
 
+def node(document: dict, path: str):
+    return functools.reduce(lambda node, key: node[key], path.split("."), document)
+
+
 def dig(document: dict, path: str) -> float:
-    return float(functools.reduce(lambda node, key: node[key], path.split("."), document))
+    return float(node(document, path))
 
 
-def check(row: Row, measured: float, committed: dict, failures: list, file: str) -> None:
-    """Prints the row's verdict line; appends the row's name on failure.
-    `committed` is the gate's block of `file`."""
+def moved_digits(document: dict, path: str, units: int) -> float:
+    """The value at `path` moved by `units` of its last printed digit."""
+    value = decimal.Decimal(node(document, path))
+    return float(value + decimal.Decimal(units).scaleb(value.as_tuple().exponent))
+
+
+def check(row: Row, measured: float, committed: dict, failures: list) -> None:
+    """Prints the row's verdict line; appends (row, measured) on failure.
+    `committed` is the gate's block of its file."""
     higher = row.better == "higher"
-    stale = None
-    if row.limit is None:
+    if row.better == "equal":
         value = dig(committed, row.path)
-        tolerance = TOLERANCE if row.tolerance is None else row.tolerance
-        limit = value * (1.0 - tolerance if higher else 1.0 + tolerance)
+        against, ok, failed = f"committed {value!r} (gate ==)", measured == value, "MOVED"
+    elif row.limit is None:
+        value = dig(committed, row.path)
+        limit = value * (1.0 - TOLERANCE if higher else 1.0 + TOLERANCE)
         against = f"committed {value:.3f} (gate {'>=' if higher else '<='} {limit:.3f})"
-        failed = "REGRESSION"
-        if row.tolerance is not None:
-            stale = value * (1.0 + STALE if higher else 1.0 - STALE)
+        ok, failed = (measured >= limit if higher else measured <= limit), "REGRESSION"
     else:
-        limit = row.limit
-        against = f"hard {'floor' if higher else 'cap'} {limit:.3f}"
+        against = f"hard {'floor' if higher else 'cap'} {row.limit:.3f}"
+        ok = measured >= row.limit if higher else measured <= row.limit
         failed = "BELOW FLOOR" if higher else "CAP EXCEEDED"
-    ok = measured >= limit if higher else measured <= limit
-    if ok and stale is not None and (measured > stale if higher else measured < stale):
-        ok, failed = False, f"STALE BASELINE: better by more than {STALE:.0%}, re-record {file}"
-    print(f"{row.path}: measured {measured:.3f} vs {against} ... {'ok' if ok else failed}")
+    shown = f"{measured!r}" if row.better == "equal" else f"{measured:.3f}"
+    print(f"{row.path}: measured {shown} vs {against} ... {'ok' if ok else failed}")
     if not ok:
-        failures.append(row.path)
+        failures.append((row, measured))
+
+
+def print_moved(failures: list, committed: dict, file: str) -> None:
+    """Lists every exact row among `failures` with both values and their
+    ratio."""
+    moved = [(row.path, dig(committed, row.path), measured) for row, measured in failures if row.better == "equal"]
+    if not moved:
+        return
+    print(f"{'moved row':<48} {'committed':>14} {'measured':>14} {'ratio':>9}")
+    for path, value, measured in moved:
+        ratio = f"{measured / value:9.4f}" if value else f"{'-':>9}"
+        print(f"{path:<48} {value:>14.1f} {measured:>14.1f} {ratio}")
+    print(f"if the move is meant, re-record {file} (its 'regeneration' field) and say why in CHANGES.md")
 
 
 def run_bench(binary: str, features: tuple) -> dict | None:
@@ -305,10 +319,11 @@ def self_test(gate: Gate, committed: dict) -> int:
     broken = 0
     for row in gate.rows:
         for move, must_fail in zip(SELF_TEST.get(row.path, ()), (True, False, True)):
-            reference = dig(committed, row.path) if row.limit is None else row.limit
-            if isinstance(move, By):
-                measured, what = reference * move.factor, f"by {move.factor - 1.0:+.1%}"
+            if isinstance(move, Digits):
+                measured = moved_digits(committed, row.path, move.units)
+                what = f"{move.units:+d} in its last digit"
             elif isinstance(move, str):
+                reference = dig(committed, row.path) if row.limit is None else row.limit
                 step = TOLERANCE + 0.10
                 measured = reference * (1.0 + step if move == UP else 1.0 - step)
                 what = f"{move} {step:.0%}"
@@ -316,14 +331,23 @@ def self_test(gate: Gate, committed: dict) -> int:
                 measured, what = move, f"at {move}"
             print(f"self-test: {row.path} {what} must {'fail' if must_fail else 'pass'}")
             failures = []
-            check(row, measured, committed, failures, gate.committed)
+            check(row, measured, committed, failures)
             if bool(failures) != must_fail:
                 print(f"self-test FAILED: {row.path} {what}", file=sys.stderr)
                 broken += 1
         moves = len(SELF_TEST.get(row.path, ()))
-        if moves != (2 if row.tolerance is None else 3):
+        if moves != (3 if row.better == "equal" else 2):
             print(f"self-test FAILED: {row.path} has {moves} moves", file=sys.stderr)
             broken += 1
+    # Every exact row moved at once is listed, one line each, in row order.
+    planted = [(row, moved_digits(committed, row.path, 1)) for row in gate.rows if row.better == "equal"]
+    listing = io.StringIO()
+    with contextlib.redirect_stdout(listing):
+        print_moved(planted, committed, gate.committed)
+    listed = [line.split()[0] for line in listing.getvalue().splitlines()[1:-1]]
+    if listed != [row.path for row, _ in planted]:
+        print(f"self-test FAILED: moved rows listed as {listed}", file=sys.stderr)
+        broken += 1
     for name in SELF_TEST.keys() - {row.path for gate in GATES.values() for row in gate.rows}:
         print(f"self-test FAILED: {name} has moves but no row", file=sys.stderr)
         broken += 1
@@ -336,7 +360,8 @@ def self_test(gate: Gate, committed: dict) -> int:
 
 def run_gate(name: str, run_self_test: bool) -> int:
     gate = GATES[name]
-    baseline = json.loads((REPO_ROOT / gate.committed).read_text())
+    # Fractions keep their printed digits, which the exact rows' moves read.
+    baseline = json.loads((REPO_ROOT / gate.committed).read_text(), parse_float=decimal.Decimal)
     committed = functools.reduce(lambda node, key: node[key], gate.block, baseline)
     if run_self_test:
         return self_test(gate, committed)
@@ -350,11 +375,13 @@ def run_gate(name: str, run_self_test: bool) -> int:
         if measured is None:
             print(f"{row.path}: not measured on this runner (one core) ... skipped")
         else:
-            check(row, measured, committed, failures, gate.committed)
+            check(row, measured, committed, failures)
     if failures:
-        print(f"perf gate FAILED ({', '.join(failures)} vs {gate.committed}; see above)", file=sys.stderr)
+        print_moved(failures, committed, gate.committed)
+        names = ", ".join(row.path for row, _ in failures)
+        print(f"perf gate FAILED ({names} vs {gate.committed}; see above)", file=sys.stderr)
         return 1
-    print(f"perf gate passed (tolerance {TOLERANCE:.0%}, exact rows their own)")
+    print(f"perf gate passed (tolerance {TOLERANCE:.0%}, exact rows ==)")
     return 0
 
 

@@ -40,13 +40,19 @@
 //! every series, so a one-worker count repeats exactly from run to run and
 //! machine to machine.
 //!
+//! The counts the gate compares by `==` — `allocations_per_round` and every
+//! `opcount` row — print to four places ([`exact_per_round`]): one more
+//! allocation or operation in one of the 16 rounds moves the printed value.
+//!
 //! Run with `cargo run --release -p cycledger-bench --bin gen_bench_round`;
 //! the JSON is printed to stdout so it can be redirected into the relevant
 //! block of `BENCH_round.json` at the repository root.
 
 use std::time::Instant;
 
-use cycledger_bench::{bench_config, epoch_variant, Json, EPOCH_VARIANT, TRACKED_ROUNDS};
+use cycledger_bench::{
+    bench_config, epoch_variant, exact_per_round, Json, EPOCH_VARIANT, TRACKED_ROUNDS,
+};
 #[cfg(feature = "opcount")]
 use cycledger_crypto::opcount::Tally;
 use cycledger_protocol::config::ProtocolConfig;
@@ -98,10 +104,7 @@ fn measure(mut config: ProtocolConfig, workers: usize) -> (f64, Json) {
     let per_round = |count: u64| count as f64 / TRACKED_ROUNDS as f64;
     let series = Json::obj([
         ("rounds_per_sec", Json::Num(rounds_per_sec, 3)),
-        (
-            "allocations_per_round",
-            Json::Num(per_round(d.allocations), 0),
-        ),
+        ("allocations_per_round", exact_per_round(d.allocations)),
         (
             "alloc_mib_per_round",
             Json::Num(per_round(d.allocated_bytes) / (1024.0 * 1024.0), 2),
@@ -143,10 +146,7 @@ fn op_counts(before: &Tally, after: &Tally) -> Json {
         ("vrf_evaluations_per_round", |t| t.vrf_evaluations),
         ("vrf_proofs_checked_per_round", |t| t.vrf_proofs_checked),
     ];
-    Json::obj(rows.map(|(name, count)| {
-        let per_round = (count(after) - count(before)) as f64 / TRACKED_ROUNDS as f64;
-        (name, Json::Num(per_round, 1))
-    }))
+    Json::obj(rows.map(|(name, count)| (name, exact_per_round(count(after) - count(before)))))
 }
 
 /// One-worker and parallel series of the plain config, alternated.

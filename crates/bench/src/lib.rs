@@ -55,6 +55,14 @@ pub fn bench_config(committees: usize, committee_size: usize, seed: u64) -> Prot
 /// closes an epoch — so a per-round mean only repeats over a fixed span.
 pub const TRACKED_ROUNDS: u64 = 16;
 
+/// A count over a series' [`TRACKED_ROUNDS`] rounds as its per-round mean to
+/// four places, the form of every row a gate compares by `==`: a mean over
+/// 16 rounds is a multiple of 1/16 = 0.0625, so four places print it
+/// exactly, and one more in a single round moves the printed value.
+pub fn exact_per_round(count: u64) -> Json {
+    Json::Num(count as f64 / TRACKED_ROUNDS as f64, 4)
+}
+
 /// The epoch-lifecycle variant of a config: an epoch boundary (beacon,
 /// churn, state sync, reshuffle) every second round, so half the measured
 /// rounds pay the full handover cost.

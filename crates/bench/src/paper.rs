@@ -24,7 +24,7 @@ use cycledger_protocol::{
 };
 use cycledger_reputation::{leader_punishment, reward_mapping, reward_mapping_series};
 
-use crate::{bench_config, epoch_variant, Json, EPOCH_VARIANT, TRACKED_ROUNDS};
+use crate::{bench_config, epoch_variant, exact_per_round, Json, EPOCH_VARIANT, TRACKED_ROUNDS};
 
 /// The whole evaluation, one block per table or figure.
 pub fn document() -> Json {
@@ -254,11 +254,10 @@ fn round_counts(config: ProtocolConfig) -> [u64; 3] {
 /// two series.
 fn tracked_round_block(config: &ProtocolConfig, plain: [u64; 3], epoch: [u64; 3]) -> Json {
     let series = |[messages, bytes, batches]: [u64; 3]| {
-        let per_round = |count: u64| count as f64 / TRACKED_ROUNDS as f64;
         Json::obj([
-            ("messages_per_round", Json::Num(per_round(messages), 1)),
-            ("bytes_per_round", Json::Num(per_round(bytes), 0)),
-            ("batches_per_round", Json::Num(per_round(batches), 1)),
+            ("messages_per_round", exact_per_round(messages)),
+            ("bytes_per_round", exact_per_round(bytes)),
+            ("batches_per_round", exact_per_round(batches)),
         ])
     };
     let description = format!(
@@ -821,21 +820,21 @@ mod tests {
         assert!(report.contains("committed: \"storage\": 3\n  built:     \"storage\": 4"));
         assert!(report.contains("--bin gen_paper > BENCH_paper.json"));
 
-        // One byte a round more in the tracked round's epoch series: sixteen
-        // over its sixteen rounds.
+        // One byte more in one of the tracked round's sixteen epoch-series
+        // rounds.
         let round = |epoch_bytes| {
             let config = bench_config(8, 16, 4242);
             let plain = [57_421, 40_875_408, 80];
             let block = tracked_round_block(&config, plain, [60_472, epoch_bytes, 96]);
             Json::obj([("tracked_round", block)]).to_string()
         };
-        let report = first_difference(&round(42_398_544), &round(42_398_560)).expect("moved");
+        let report = first_difference(&round(42_398_544), &round(42_398_545)).expect("moved");
         assert!(
             report.contains("(tracked_round.epoch.bytes_per_round)"),
             "{report}"
         );
         assert!(report.contains(
-            "committed: \"bytes_per_round\": 2649909,\n  built:     \"bytes_per_round\": 2649910,"
+            "committed: \"bytes_per_round\": 2649909.0000,\n  built:     \"bytes_per_round\": 2649909.0625,"
         ));
     }
 }

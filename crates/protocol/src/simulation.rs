@@ -190,7 +190,8 @@ impl Simulation {
     /// counters plus the confirm-latency percentiles), or `None` when the
     /// run is closed-loop.
     pub fn traffic(&self) -> Option<TrafficSnapshot> {
-        self.traffic.as_ref().map(|driver| driver.snapshot())
+        let rounds = self.reports.iter().filter_map(|r| r.traffic.as_ref());
+        self.traffic.as_ref().map(|driver| driver.snapshot(rounds))
     }
 
     /// Runs one round and returns its report.

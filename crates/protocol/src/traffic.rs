@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 
-use cycledger_crypto::fxhash::FxHashMap;
 use cycledger_crypto::hmac::HmacDrbg;
 use cycledger_ledger::transaction::TxId;
 use cycledger_ledger::workload::GeneratedTx;
@@ -332,8 +331,10 @@ impl TrafficSnapshot {
 }
 
 /// The open-loop driver: owns the arrival process, the backlog and the
-/// in-flight tracking table, and converts round completions into latency
-/// samples. One per [`crate::Simulation`] when `config.traffic` is set.
+/// round's in-flight transactions, and converts round completions into
+/// latency samples. One per [`crate::Simulation`] when `config.traffic` is
+/// set; the run's counts are the sums of its [`TrafficRoundReport`]s, which
+/// the simulation keeps.
 pub struct OpenLoopDriver {
     config: TrafficConfig,
     nominal: SimDuration,
@@ -347,16 +348,15 @@ pub struct OpenLoopDriver {
     arrivals: u64,
     /// Arrival timestamps waiting to be injected, oldest first.
     backlog: VecDeque<SimTime>,
-    /// Injected (valid) transactions awaiting confirmation, by id.
-    in_flight: FxHashMap<TxId, SimTime>,
+    /// This round's injected (valid) transactions with their arrivals, in
+    /// registration order. Every one resolves when the round completes, and
+    /// arrivals strictly increase (every interval is at least 1 µs), so this
+    /// is also (arrival, id) order.
+    in_flight: Vec<(TxId, SimTime)>,
     histogram: LatencyHistogram,
     rounds_completed: u64,
     round_injected: usize,
     round_rejected_invalid: usize,
-    total_injected: u64,
-    total_rejected_invalid: u64,
-    total_confirmed: u64,
-    total_censored: u64,
 }
 
 impl OpenLoopDriver {
@@ -373,15 +373,11 @@ impl OpenLoopDriver {
             next_arrival: SimTime::ZERO,
             arrivals: 0,
             backlog: VecDeque::new(),
-            in_flight: FxHashMap::default(),
+            in_flight: Vec::new(),
             histogram: LatencyHistogram::default(),
             rounds_completed: 0,
             round_injected: 0,
             round_rejected_invalid: 0,
-            total_injected: 0,
-            total_rejected_invalid: 0,
-            total_confirmed: 0,
-            total_censored: 0,
         };
         driver.next_arrival = SimTime::ZERO.after(driver.next_interval());
         driver
@@ -428,22 +424,19 @@ impl OpenLoopDriver {
     }
 
     /// Registers the generated transactions against the oldest queued
-    /// arrivals (FIFO). Valid transactions enter the in-flight table keyed
-    /// by id; invalid submissions are rejected at admission and only
-    /// counted. Must be called with exactly the batch whose size
-    /// [`Self::begin_round`] returned.
+    /// arrivals (FIFO). Valid transactions go in flight; invalid submissions
+    /// are rejected at admission and only counted. Must be called with
+    /// exactly the batch whose size [`Self::begin_round`] returned.
     pub fn register_batch(&mut self, batch: &[GeneratedTx]) {
         for generated in batch {
             let arrival = self
                 .backlog
                 .pop_front()
                 .expect("register_batch called with more txs than begin_round offered");
-            self.total_injected += 1;
             self.round_injected += 1;
             if generated.kind.is_valid() {
-                self.in_flight.insert(generated.tx.id(), arrival);
+                self.in_flight.push((generated.tx.id(), arrival));
             } else {
-                self.total_rejected_invalid += 1;
                 self.round_rejected_invalid += 1;
             }
         }
@@ -473,24 +466,17 @@ impl OpenLoopDriver {
             max_latency_us: 0,
         };
 
-        // Resolve every in-flight transaction in deterministic (arrival,
-        // id) order: iteration order of the map must never leak into the
-        // latency sums.
-        let mut resolved: Vec<(TxId, SimTime)> = self.in_flight.drain().collect();
-        resolved.sort_unstable_by_key(|(id, arrival)| (*arrival, *id));
-        for (id, arrival) in resolved {
+        for (id, arrival) in self.in_flight.drain(..) {
             if packed(&id) {
                 let latency = end.0.saturating_sub(arrival.0);
                 report.confirmed += 1;
                 report.latency_sum_us += latency;
                 report.max_latency_us = report.max_latency_us.max(latency);
-                self.total_confirmed += 1;
                 if !in_warmup {
                     self.histogram.record(latency);
                 }
             } else {
                 report.censored += 1;
-                self.total_censored += 1;
             }
         }
 
@@ -500,13 +486,30 @@ impl OpenLoopDriver {
         report
     }
 
-    /// Aggregate snapshot over every completed round.
-    pub fn snapshot(&self) -> TrafficSnapshot {
+    /// Aggregate snapshot over every completed round: `rounds` are their
+    /// reports, whose counts it sums.
+    pub fn snapshot<'a>(
+        &self,
+        rounds: impl IntoIterator<Item = &'a TrafficRoundReport>,
+    ) -> TrafficSnapshot {
+        let mut totals = [0u64; 4];
+        for round in rounds {
+            let counts = [
+                round.injected,
+                round.rejected_invalid,
+                round.confirmed,
+                round.censored,
+            ];
+            for (total, count) in totals.iter_mut().zip(counts) {
+                *total += count as u64;
+            }
+        }
+        let [injected, rejected_invalid, confirmed, censored] = totals;
         TrafficSnapshot {
-            injected: self.total_injected,
-            rejected_invalid: self.total_rejected_invalid,
-            confirmed: self.total_confirmed,
-            censored: self.total_censored,
+            injected,
+            rejected_invalid,
+            confirmed,
+            censored,
             backlog: self.backlog.len() as u64,
             virtual_elapsed_us: self.now.0,
             delta_us: self.delta_us,

@@ -2,37 +2,42 @@
 //! reports, and gates them against committed golden files.
 //!
 //! ```text
-//! scenario-runner [--matrix smoke|full] [--scenario NAME ...] [--list]
-//!                 [--scenario-dir DIR] [--out DIR] [--golden DIR]
-//!                 [--bless] [--jobs N] [--state-backend map|smt]
+//! scenario-runner [--scenario NAME ...] [--list] [--scenario-dir DIR]
+//!                 [--out DIR] [--golden DIR] [--bless] [--jobs N]
+//!                 [--state-backend map|smt]
 //! ```
 //!
-//! Exit status is non-zero when any invariant is violated, any report
-//! drifts from its golden file, or a golden file is missing (run with
-//! `--bless` to write the current reports as the new goldens).
+//! Without `--scenario` it runs the matrix: every scenario that
+//! [`registry::in_matrix`] admits — each built-in but the 10 000-round soak,
+//! which runs only when named, plus what `--scenario-dir` adds — the same
+//! set the `scenario_matrix` test runs in a debug build. Exit status is
+//! non-zero when any invariant is violated, any report drifts from its
+//! golden file, or a golden file is missing (run with `--bless` to write the
+//! current reports as the new goldens).
 //!
-//! `--state-backend` overrides every selected scenario's UTXO store (the CI
-//! state-matrix job runs the smoke matrix under `smt`). Because the smt
-//! backend extends each report with per-round state roots, an overridden
-//! run is gated on its invariants only — golden comparison is skipped, as
-//! the committed goldens pin the scenarios' *declared* backends.
+//! `--state-backend` overrides every selected scenario's UTXO store (CI runs
+//! the matrix a second time under `smt`). Because the smt backend extends
+//! each report with per-round state roots, an overridden run is gated on its
+//! invariants only — golden comparison is skipped, as the committed goldens
+//! pin the scenarios' *declared* backends.
 //!
 //! The last line of standard output is the process's peak resident set
 //! (`VmHWM` of `/proc/self/status`, where the platform has one), for the
 //! CI soak step's memory ceiling. It never reaches a report or a golden.
+//!
+//! [`registry::in_matrix`]: cycledger_scenarios::registry::in_matrix
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use cycledger_ledger::StateBackend;
-use cycledger_scenarios::registry::builtin_scenarios;
+use cycledger_scenarios::registry::{builtin_scenarios, in_matrix};
 use cycledger_scenarios::report::render_report;
 use cycledger_scenarios::runner::run_matrix;
 use cycledger_scenarios::spec::Scenario;
 use cycledger_scenarios::toml_cfg;
 
 struct Options {
-    matrix: String,
     names: Vec<String>,
     list: bool,
     scenario_dir: Option<PathBuf>,
@@ -46,7 +51,6 @@ struct Options {
 impl Options {
     fn parse() -> Result<Options, String> {
         let mut options = Options {
-            matrix: "full".into(),
             names: Vec::new(),
             list: false,
             scenario_dir: None,
@@ -61,15 +65,6 @@ impl Options {
             let mut value_of =
                 |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
             match arg.as_str() {
-                "--matrix" => {
-                    options.matrix = value_of("--matrix")?;
-                    if options.matrix != "smoke" && options.matrix != "full" {
-                        return Err(format!(
-                            "--matrix must be `smoke` or `full`, got {:?}",
-                            options.matrix
-                        ));
-                    }
-                }
                 "--scenario" => options.names.push(value_of("--scenario")?),
                 "--list" => options.list = true,
                 "--scenario-dir" => {
@@ -92,9 +87,9 @@ impl Options {
                 }
                 "--help" | "-h" => {
                     println!(
-                        "usage: scenario-runner [--matrix smoke|full] [--scenario NAME ...] \
-                         [--list] [--scenario-dir DIR] [--out DIR] [--golden DIR] [--bless] \
-                         [--jobs N] [--state-backend map|smt]"
+                        "usage: scenario-runner [--scenario NAME ...] [--list] \
+                         [--scenario-dir DIR] [--out DIR] [--golden DIR] [--bless] [--jobs N] \
+                         [--state-backend map|smt]"
                     );
                     std::process::exit(0);
                 }
@@ -106,7 +101,8 @@ impl Options {
 }
 
 /// Builtins plus TOML-loaded scenarios; a loaded scenario with a builtin's
-/// name replaces the builtin (override), new names append.
+/// name replaces the builtin (override), new names append. The `--scenario`
+/// names pick from them, in the order given.
 fn assemble_scenarios(options: &Options) -> Result<Vec<Scenario>, String> {
     let mut scenarios = builtin_scenarios();
     if let Some(dir) = &options.scenario_dir {
@@ -127,9 +123,6 @@ fn assemble_scenarios(options: &Options) -> Result<Vec<Scenario>, String> {
             picked.push(found.clone());
         }
         return Ok(picked);
-    }
-    if options.matrix == "smoke" {
-        scenarios.retain(|s| s.smoke);
     }
     Ok(scenarios)
 }
@@ -166,14 +159,13 @@ fn execute() -> Result<bool, String> {
 
     if options.list {
         println!(
-            "{:<24} {:<6} {:<28} {:>6} {:>8} {:>11}",
-            "scenario", "smoke", "paper claim", "rounds", "faults", "invariants"
+            "{:<24} {:<28} {:>6} {:>8} {:>11}",
+            "scenario", "paper claim", "rounds", "faults", "invariants"
         );
         for s in &scenarios {
             println!(
-                "{:<24} {:<6} {:<28} {:>6} {:>8} {:>11}",
+                "{:<24} {:<28} {:>6} {:>8} {:>11}",
                 s.name,
-                s.smoke,
                 s.paper_claim,
                 s.rounds,
                 s.faults.len(),
@@ -183,6 +175,9 @@ fn execute() -> Result<bool, String> {
         return Ok(true);
     }
 
+    if options.names.is_empty() {
+        scenarios.retain(in_matrix);
+    }
     if scenarios.is_empty() {
         return Err("nothing to run".into());
     }

@@ -3,7 +3,8 @@
 //! workload, scaling, network-fault, epoch, traffic and authenticated-state
 //! families. It is read by the loader every `--scenario-dir` file goes
 //! through ([`crate::toml_cfg`]). `scenario-runner --list` prints the matrix;
-//! the README maps each entry to its paper claim.
+//! the README maps each entry to its paper claim. [`in_matrix`] is the one
+//! rule for which scenarios run without being named.
 
 use crate::spec::Scenario;
 use crate::toml_cfg::scenarios_from_toml;
@@ -12,6 +13,13 @@ use crate::toml_cfg::scenarios_from_toml;
 pub fn builtin_scenarios() -> Vec<Scenario> {
     scenarios_from_toml(include_str!("../../../scenarios/builtin.toml"))
         .expect("scenarios/builtin.toml loads")
+}
+
+/// Whether `scenario` runs in every matrix — the `scenario_matrix` test's and
+/// `scenario-runner`'s default — rather than by name only: a scenario of more
+/// than 1000 rounds (the 10 000-round soak) runs only when named.
+pub fn in_matrix(scenario: &Scenario) -> bool {
+    scenario.rounds <= 1000
 }
 
 #[cfg(test)]
@@ -114,11 +122,9 @@ mod tests {
                 );
             }
         }
-        // The soak is the only long scenario, and it opts out of the debug
-        // matrix via the `rounds > 1000` exemption plus a single-worker list.
+        // A scenario the matrix leaves out (the soak) runs one worker.
         for s in &scenarios {
-            if s.rounds > 1000 {
-                assert!(!s.smoke, "{}: long scenarios cannot be smoke", s.name);
+            if !in_matrix(s) {
                 assert_eq!(
                     s.workers,
                     vec![1],
@@ -129,13 +135,28 @@ mod tests {
         }
     }
 
+    /// CI runs the matrix by default and names only what it leaves out:
+    /// every built-in that a `--scenario NAME` in `ci.yml` names is outside
+    /// the matrix, and every built-in outside it is named there once.
     #[test]
-    fn smoke_subset_is_marked() {
-        let smoke = builtin_scenarios().into_iter().filter(|s| s.smoke);
-        let smoke: Vec<String> = smoke.map(|s| s.name).collect();
-        assert!(smoke.len() >= 8, "smoke matrix too thin: {smoke:?}");
-        assert!(smoke.contains(&"honest-baseline".to_string()));
-        assert!(smoke.contains(&"mixed-adversary".to_string()));
+    fn ci_names_exactly_the_builtins_outside_the_matrix() {
+        let ci = include_str!("../../../.github/workflows/ci.yml");
+        let words: Vec<&str> = ci.split_whitespace().collect();
+        let named: Vec<&str> = words
+            .windows(2)
+            .filter(|pair| pair[0] == "--scenario")
+            .map(|pair| pair[1])
+            .collect();
+        let builtins = builtin_scenarios();
+        for name in &named {
+            if let Some(s) = builtins.iter().find(|s| s.name == *name) {
+                assert!(!in_matrix(s), "ci.yml names {name}, which the matrix runs");
+            }
+        }
+        for s in builtins.iter().filter(|s| !in_matrix(s)) {
+            let times = named.iter().filter(|name| **name == s.name).count();
+            assert_eq!(times, 1, "ci.yml runs {} by name {times} times", s.name);
+        }
     }
 
     /// The README's "Built-in matrix → paper claims" table names every

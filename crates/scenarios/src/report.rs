@@ -149,7 +149,6 @@ pub fn render_report(run: &ScenarioRun) -> String {
         entry("description", string(&scenario.description)),
         entry("seed", cfg.seed),
         entry("rounds", scenario.rounds),
-        entry("smoke", scenario.smoke),
         entry("config", object(&config)),
         entry("digest", string(&outcome.digest)),
         entry("worker_digests", array(&worker_digests)),

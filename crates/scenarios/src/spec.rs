@@ -234,8 +234,6 @@ pub struct Scenario {
     pub paper_claim: String,
     /// Rounds to simulate.
     pub rounds: usize,
-    /// Whether the scenario is part of the fast `smoke` matrix CI runs.
-    pub smoke: bool,
     /// Worker counts the runner cross-checks digests over (first entry is the
     /// baseline whose summary feeds the report).
     pub workers: Vec<usize>,
@@ -258,7 +256,6 @@ impl Scenario {
             description: String::new(),
             paper_claim: String::new(),
             rounds: 3,
-            smoke: false,
             workers: vec![1, 2, 8],
             config,
             faults: Vec::new(),

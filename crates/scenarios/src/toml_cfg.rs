@@ -101,7 +101,6 @@ fn unsigned<T: TryFrom<i128>>(i: i128) -> Result<T, String> {
 }
 
 field!(String, "a string", |s| Value::Str(s.clone()), Value::Str(s) => Ok(s.clone()));
-field!(bool, "a boolean", |b| Value::Bool(*b), Value::Bool(b) => Ok(*b));
 field!(f64, "a number", |x| Value::Float(*x),
     Value::Float(x) => Ok(*x), Value::Int(i) => Ok(*i as f64));
 field!(u32, "a non-negative integer", |n| Value::Int(*n as i128), Value::Int(i) => unsigned(*i));
@@ -185,12 +184,11 @@ macro_rules! key {
 /// Every `[[scenario]]` key: the one list of keys a scenario file may use. A
 /// key left out of a file keeps its default ([`Scenario::new`] over
 /// [`ProtocolConfig::default`]).
-static SCENARIO_KEYS: [Key<Scenario>; 28] = [
+static SCENARIO_KEYS: [Key<Scenario>; 27] = [
     key!("name", name),
     key!("description", description),
     key!("paper_claim", paper_claim),
     key!("rounds", rounds),
-    key!("smoke", smoke),
     key!("workers", workers),
     key!("seed", config.seed),
     key!("committees", config.committees),
@@ -660,7 +658,6 @@ name = "custom"
 description = "hand-written"
 paper_claim = "Claim 3"
 rounds = 2
-smoke = true
 workers = [1, 2]
 seed = 7
 committees = 2
@@ -1107,7 +1104,6 @@ name = "every-key"
 description = "a \"quoted\" \\ line"
 paper_claim = "§I"
 rounds = 4
-smoke = true
 workers = [1, 2]
 seed = {seed}
 committees = 2

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use cycledger_scenarios::registry::builtin_scenarios;
+use cycledger_scenarios::registry::{builtin_scenarios, in_matrix};
 use cycledger_scenarios::report::render_report;
 use cycledger_scenarios::runner::run_matrix;
 use cycledger_scenarios::toml_cfg::scenarios_from_toml;
@@ -18,22 +18,14 @@ fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../scenarios/golden")
 }
 
-/// One pass over the whole registry: run_scenario executes every worker
-/// count in the scenario's matrix plus a fresh rerun of the baseline, so a
-/// single matrix run yields all the digests the differential claims need.
-/// Long-running scenarios (the 10k-round soak) are exempt from the
-/// debug-mode matrix; CI's release-mode traffic matrix runs them via
-/// `scenario-runner --scenario NAME` against the same golden files.
-fn debug_matrix() -> Vec<cycledger_scenarios::spec::Scenario> {
-    builtin_scenarios()
-        .into_iter()
-        .filter(|s| s.rounds <= 1000)
-        .collect()
-}
-
+/// One pass over the matrix ([`in_matrix`]: every built-in but the
+/// 10k-round soak, which CI runs in release by name against the same golden
+/// file): run_scenario executes every worker count in the scenario's matrix
+/// plus a fresh rerun of the baseline, so a single matrix run yields all the
+/// digests the differential claims need.
 #[test]
 fn builtins_are_deterministic_invariant_clean_and_match_goldens() {
-    let scenarios = debug_matrix();
+    let scenarios: Vec<_> = builtin_scenarios().into_iter().filter(in_matrix).collect();
     let results = run_matrix(&scenarios, 0);
     for (scenario, result) in scenarios.iter().zip(results) {
         let run = result.unwrap_or_else(|e| panic!("{} failed to run: {e}", scenario.name));
@@ -108,9 +100,13 @@ fn no_stale_golden_files() {
 #[test]
 fn retired_keys_fail_and_the_example_loads() {
     // The retired keys are in no scenario file and, read, are typos like any
-    // other; the shipped example never named them and still loads.
+    // other; the shipped example names none of them and loads.
     let builtin = include_str!("../../../scenarios/builtin.toml");
-    for (retired, value) in [("verify_signatures", false), ("message_driven", true)] {
+    for (retired, value) in [
+        ("verify_signatures", false),
+        ("message_driven", true),
+        ("smoke", true),
+    ] {
         assert!(!builtin.contains(retired));
         let error =
             scenarios_from_toml(&format!("[[scenario]]\n{retired} = {value}\n")).unwrap_err();

@@ -10,11 +10,12 @@ no non-empty ``net_faults`` list -- the diff must be confined to:
 * the ``network`` counter block,
 * ``metrics.witnesses`` and ``metrics.censorship_reports``,
 * the free-text ``detail`` of each invariant (which quotes the above),
-* a retired config echo (``message_driven``, ``verify_signatures``) that the
-  base has and the working tree no longer writes.
+* a retired config echo (``message_driven``, ``verify_signatures``) or a
+  retired top-level key (``smoke``) that the base has and the working tree
+  no longer writes.
 
 Everything else must be equal: the scenario's seed and configuration (a
-retired echo that changes value or appears is a change), the injected
+retired key that changes value or appears is a change), the injected
 faults, every other metric (``blocks_produced``, ``chain_height``,
 ``total_packed``, ``total_cross_shard_packed``, ``mean_acceptance_rate``,
 ``evictions``, ``skipped_recoveries``, ``punished_honest``), the traffic and
@@ -32,21 +33,25 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "scenarios" / "golden"
 MAY_MOVE_TOP = {"digest", "worker_digests", "rerun_digest", "network"}
 MAY_MOVE_METRICS = {"witnesses", "censorship_reports"}
+RETIRED_TOP = {"smoke"}
 RETIRED_CONFIG = {"message_driven", "verify_signatures"}
 
 
-def frozen(report, new_config):
+def frozen(report, new):
     """The part of a report a re-bless without network faults may not touch.
 
-    A retired config echo counts only where ``new_config`` (the working
-    tree's config) still writes it: dropping one is allowed, changing or
-    adding one is not.
+    A retired key counts only where ``new`` (the working tree's report)
+    still writes it: dropping one is allowed, changing or adding one is not.
     """
-    kept = {k: v for k, v in report.items() if k not in MAY_MOVE_TOP}
+    kept = {
+        k: v
+        for k, v in report.items()
+        if k not in MAY_MOVE_TOP and (k not in RETIRED_TOP or k in new)
+    }
     kept["config"] = {
         k: v
         for k, v in report["config"].items()
-        if k not in RETIRED_CONFIG or k in new_config
+        if k not in RETIRED_CONFIG or k in new["config"]
     }
     kept["metrics"] = {
         k: v for k, v in report["metrics"].items() if k not in MAY_MOVE_METRICS
@@ -82,7 +87,7 @@ def main():
         moved = ", ".join(changed_keys(old, new)) or "nothing"
         if new.get("net_faults"):
             print(f"{path.stem}: network faults, not gated; moved: {moved}")
-        elif frozen(old, new["config"]) == frozen(new, new["config"]):
+        elif frozen(old, new) == frozen(new, new):
             print(f"{path.stem}: ok; moved: {moved}")
         else:
             failures += 1

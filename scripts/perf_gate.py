@@ -11,9 +11,10 @@ committed value, from the same path under the gate's block of its
 * the committed value itself, for an exact count (``better="equal"``):
   allocations and operation counts repeat to the digit from run to run, so
   the row fails unless the measured value equals the committed one (``==``
-  on the printed digits). A count that rises is a regression; one that
-  falls is a baseline nobody re-recorded, and the next regression could
-  hide in the gap;
+  on the printed digits). Each prints as its 16-round mean to four places,
+  which a mean over 16 fills exactly, so one more in a single round moves
+  it. A count that rises is a regression; one that falls is a baseline
+  nobody re-recorded, and the next regression could hide in the gap;
 * the committed value within a tolerance, for a wall-clock row:
   ``PERF_GATE_TOLERANCE`` (default 20%). A higher-is-better value fails
   when measured < committed * (1 - tol), a lower-is-better one when
@@ -297,7 +298,7 @@ def print_moved(failures: list, committed: dict, file: str) -> None:
     print(f"{'moved row':<48} {'committed':>14} {'measured':>14} {'ratio':>9}")
     for path, value, measured in moved:
         ratio = f"{measured / value:9.4f}" if value else f"{'-':>9}"
-        print(f"{path:<48} {value:>14.1f} {measured:>14.1f} {ratio}")
+        print(f"{path:<48} {value:>14.4f} {measured:>14.4f} {ratio}")
     print(f"if the move is meant, re-record {file} (its 'regeneration' field) and say why in CHANGES.md")
 
 

@@ -176,7 +176,6 @@ fn scheduler_and_driver(leader: Behavior) -> (Fixture, NodeRegistry, IntraOutcom
     let unit = LatencyConfig {
         delta: SimDuration::from_micros(1),
         gamma: SimDuration::from_micros(2),
-        partial_bound: SimDuration::from_micros(3),
     };
     let config = ProtocolConfig {
         latency: unit,

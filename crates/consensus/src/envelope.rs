@@ -1,12 +1,11 @@
-//! Typed committee-traffic envelopes for the message-driven data plane.
+//! Typed committee-traffic envelopes.
 //!
-//! The synchronous simulation computes votes and list forwards directly and
-//! only *accounts* their traffic; the message-driven mode instead routes every
-//! committee interaction — `TXList` announcements, vote replies, the whole
-//! Algorithm 3 exchange, certified-list forwarding, recovery accusations and
-//! impeachment votes — through the discrete-event network as
-//! [`CommitteeMessage`] envelopes, so partitions, targeted delay, loss and
-//! reordering can actually perturb consensus.
+//! Every committee interaction — `TXList` announcements, vote replies, the
+//! whole Algorithm 3 exchange, certified-list forwarding, recovery
+//! accusations and impeachment votes — travels through the discrete-event
+//! network as a [`CommitteeMessage`] envelope, so crash-stops, partitions,
+//! loss and targeted delay (which also reorders) actually perturb
+//! consensus.
 //!
 //! [`CarriesAlg3`] is the small adapter that lets the network-driven
 //! Algorithm 3 executor run over any envelope type that can embed its
@@ -42,11 +41,12 @@ impl CarriesAlg3 for Alg3Message {
     }
 }
 
-/// Every kind of committee traffic the message-driven phases exchange.
+/// Every kind of committee traffic the round's phases exchange.
 ///
 /// Envelopes carry the data that influences receiver control flow; wire
-/// sizes are charged separately at send time (exactly as the accounting-only
-/// path did), so byte metrics stay comparable between the two modes.
+/// sizes are charged separately at send time, as the message would weigh on
+/// the wire (a `TxList` announcement carries only its count here, but is
+/// charged for the whole list).
 #[derive(Clone, Debug)]
 // Alg3 traffic dominates every committee exchange (one PROPOSE/ECHO/CONFIRM
 // per member per instance); boxing it to shrink the rare small variants

@@ -3,9 +3,9 @@
 //! The intra-committee consensus machinery of CycLedger:
 //!
 //! * [`messages`] — signed PROPOSE / ECHO / CONFIRM messages of Algorithm 3.
-//! * [`envelope`] — typed committee-traffic envelopes ([`CommitteeMessage`])
-//!   for the message-driven data plane, where votes, list forwards and
-//!   recovery accusations travel through the discrete-event network.
+//! * [`envelope`] — typed committee-traffic envelopes ([`CommitteeMessage`]),
+//!   in which votes, list forwards and recovery accusations travel through
+//!   the discrete-event network.
 //! * [`alg3`] — per-node state machines for Algorithm 3, including equivocation
 //!   detection from conflicting leader-signed proposals, and
 //!   [`alg3::Instance`], one committee's worth of them composed: the unit a

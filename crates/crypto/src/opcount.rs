@@ -47,7 +47,7 @@ pub enum Op {
     EnvelopeSent,
     /// One latency drawn by the net crate's `LatencySampler::sample`.
     LatencyDraw,
-    /// One loss or jitter decision drawn by the net crate's `FaultPlan`.
+    /// One loss decision drawn by the net crate's `FaultPlan`.
     FaultDraw,
     /// One VRF evaluation (a proof made, on a `vrf::Prover` table or not).
     VrfEvaluate,
@@ -135,7 +135,7 @@ pub struct Tally {
     pub envelopes_sent: u64,
     /// Link latencies drawn (one per envelope admitted).
     pub latency_draws: u64,
-    /// Loss and jitter decisions drawn under a fault plan.
+    /// Loss decisions drawn under a fault plan.
     pub fault_draws: u64,
     /// VRF evaluations.
     pub vrf_evaluations: u64,

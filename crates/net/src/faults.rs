@@ -6,24 +6,23 @@
 //! sequence number, virtual time)`, so a faulted run is exactly as
 //! reproducible as a clean one: same seed ⇒ same drops, same delays, same
 //! delivery order, independent of worker threads or wall-clock. The seed
-//! enters through [`FaultDraws`]: the network keys its loss and jitter draws
-//! once, when it is built, and each sampled decision costs one SHA-256
-//! compression.
+//! enters through the network's loss draw, keyed once when it is built; each
+//! sampled loss decision costs one SHA-256 compression.
 //!
 //! The model extends the two knobs the network already had:
 //!
 //! * [`LatencyConfig`](crate::latency::LatencyConfig) bounds honest delay per
-//!   link class; the plan layers *extra* delay on top — uniform reorder
-//!   jitter and per-node targeted delay (a delay attack pushes a victim's
-//!   traffic past protocol deadlines without dropping a byte);
+//!   link class; the plan layers per-node targeted delay on top (a delay
+//!   attack pushes a victim's traffic past protocol deadlines without
+//!   dropping a byte);
 //! * a [`Partition`] severs a group from the rest of the world for a
 //!   virtual-time window, healing automatically at `until`.
 //!
-//! Faults act at *send* time: a message crossing an active partition
-//! boundary, or sampled into a loss event, is never enqueued and never
-//! charged to the metrics sink. The network
+//! Faults act at *send* time: a message to or from a crash-stopped node,
+//! crossing an active partition boundary, or sampled into a loss event, is
+//! never enqueued and never charged to the metrics sink. The network
 //! counts each category separately so tests can reconcile books exactly
-//! (see `dropped_by_partition` & friends on the network).
+//! (see [`SimNetwork::drop_counts`](crate::network::SimNetwork::drop_counts)).
 
 use cycledger_crypto::opcount::{count, Op};
 
@@ -75,19 +74,6 @@ pub struct TargetedDelay {
     pub extra: SimDuration,
 }
 
-/// A window of elevated uniform loss (e.g. a congested backbone): every
-/// message sent in `[from, until)` is dropped with probability
-/// `drop_ppm / 1e6`, sampled deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LossBurst {
-    /// Start of the burst (inclusive).
-    pub from: SimTime,
-    /// End of the burst (exclusive).
-    pub until: SimTime,
-    /// Drop probability inside the window, in parts per million.
-    pub drop_ppm: u32,
-}
-
 /// A crash-stop fault: `member` is down from `at` (inclusive) until
 /// `restart_at` (exclusive); `restart_at = None` means the node never comes
 /// back within this network's life.
@@ -113,24 +99,6 @@ impl CrashStop {
     }
 }
 
-/// The keyed draws behind a network's sampled faults: one `LinkDraws` for
-/// loss and one for jitter, both keyed by the network seed.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultDraws {
-    loss: LinkDraws,
-    jitter: LinkDraws,
-}
-
-impl FaultDraws {
-    /// The loss and jitter draws of a network built with `seed`.
-    pub fn new(seed: u64) -> FaultDraws {
-        FaultDraws {
-            loss: LinkDraws::new("cycledger/net-loss", seed),
-            jitter: LinkDraws::new("cycledger/net-jitter", seed),
-        }
-    }
-}
-
 /// The full fault model for one simulated network.
 ///
 /// The default plan is empty — a network built with it behaves exactly like
@@ -141,14 +109,9 @@ pub struct FaultPlan {
     pub partitions: Vec<Partition>,
     /// Per-node targeted extra delays.
     pub delays: Vec<TargetedDelay>,
-    /// Baseline uniform loss applied to every message, in parts per million.
+    /// Uniform loss applied to every message, in parts per million (a rate
+    /// of [`PPM`] or more drops everything).
     pub drop_ppm: u32,
-    /// Reorder jitter: every message gets an extra deterministic delay drawn
-    /// uniformly from `[0, jitter]`, which perturbs delivery order relative
-    /// to send order without violating `bound + jitter`.
-    pub jitter: SimDuration,
-    /// Windows of elevated loss.
-    pub bursts: Vec<LossBurst>,
     /// Crash-stop schedule entries.
     pub crashes: Vec<CrashStop>,
 }
@@ -160,8 +123,6 @@ impl FaultPlan {
         self.partitions.is_empty()
             && self.delays.is_empty()
             && self.drop_ppm == 0
-            && self.jitter == SimDuration::ZERO
-            && self.bursts.is_empty()
             && self.crashes.is_empty()
     }
 
@@ -233,57 +194,20 @@ impl FaultPlan {
             .fold(SimDuration::ZERO, |acc, d| acc.plus(d.extra))
     }
 
-    /// The effective loss probability (ppm, saturating) for a message sent at
-    /// `now`: the baseline rate plus any active burst.
-    pub fn drop_ppm_at(&self, now: SimTime) -> u32 {
-        let burst: u32 = self
-            .bursts
-            .iter()
-            .filter(|b| now >= b.from && now < b.until)
-            .map(|b| b.drop_ppm)
-            .fold(0, u32::saturating_add);
-        self.drop_ppm.saturating_add(burst).min(PPM)
-    }
-
     /// Deterministically decides whether send attempt number `attempt` from
-    /// `from` to `to` at `now` is lost: Bernoulli(`drop_ppm_at(now)` / 10^6),
-    /// pure in `(draws, from, to, attempt, now)`. The caller must advance
-    /// `attempt` for *every* send attempt — including dropped ones — or the
-    /// first sampled drop on a link would repeat forever.
-    pub fn drops(
-        &self,
-        draws: &FaultDraws,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        attempt: u64,
-    ) -> bool {
-        let ppm = self.drop_ppm_at(now);
-        if ppm == 0 {
+    /// `from` to `to` is lost: Bernoulli(`drop_ppm` / 10^6), pure in
+    /// `(draws, from, to, attempt)`. The caller must advance `attempt` for
+    /// *every* send attempt — including dropped ones — or the first sampled
+    /// drop on a link would repeat forever.
+    pub(crate) fn drops(&self, draws: &LinkDraws, from: NodeId, to: NodeId, attempt: u64) -> bool {
+        if self.drop_ppm == 0 {
             return false;
         }
-        if ppm >= PPM {
+        if self.drop_ppm >= PPM {
             return true;
         }
         count(Op::FaultDraw);
-        draws.loss.below(from, to, attempt, PPM as u64) < ppm as u64
-    }
-
-    /// Deterministic reorder jitter for send attempt `attempt` from `from`
-    /// to `to`: uniform in `[0, jitter]`.
-    pub fn jitter_for(
-        &self,
-        draws: &FaultDraws,
-        from: NodeId,
-        to: NodeId,
-        attempt: u64,
-    ) -> SimDuration {
-        if self.jitter == SimDuration::ZERO {
-            return SimDuration::ZERO;
-        }
-        count(Op::FaultDraw);
-        let bound = self.jitter.as_micros() + 1;
-        SimDuration::from_micros(draws.jitter.below(from, to, attempt, bound))
+        draws.below(from, to, attempt, PPM as u64) < self.drop_ppm as u64
     }
 }
 
@@ -297,13 +221,8 @@ mod tests {
         assert!(plan.is_empty());
         assert!(!plan.severed(SimTime(0), NodeId(0), NodeId(1)));
         assert_eq!(plan.extra_delay(NodeId(0), NodeId(1)), SimDuration::ZERO);
-        assert_eq!(plan.drop_ppm_at(SimTime(0)), 0);
-        let draws = FaultDraws::new(1);
-        assert!(!plan.drops(&draws, SimTime(0), NodeId(0), NodeId(1), 0));
-        assert_eq!(
-            plan.jitter_for(&draws, NodeId(0), NodeId(1), 0),
-            SimDuration::ZERO
-        );
+        let draws = LinkDraws::new("cycledger/net-loss", 1);
+        assert!(!plan.drops(&draws, NodeId(0), NodeId(1), 0));
     }
 
     #[test]
@@ -354,20 +273,16 @@ mod tests {
 
     #[test]
     fn loss_rates_compose_and_saturate() {
-        let plan = FaultPlan {
-            drop_ppm: 100_000,
-            bursts: vec![LossBurst {
-                from: SimTime(10),
-                until: SimTime(20),
-                drop_ppm: PPM,
-            }],
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.drop_ppm_at(SimTime(0)), 100_000);
-        assert_eq!(plan.drop_ppm_at(SimTime(10)), PPM);
-        assert_eq!(plan.drop_ppm_at(SimTime(20)), 100_000);
-        // Inside a total-loss burst everything drops, deterministically.
-        assert!(plan.drops(&FaultDraws::new(42), SimTime(15), NodeId(0), NodeId(1), 7));
+        // Loss injections add their rates; at or past `PPM` every message
+        // drops, deterministically.
+        let draws = LinkDraws::new("cycledger/net-loss", 42);
+        for drop_ppm in [PPM, 600_000 + 600_000] {
+            let plan = FaultPlan {
+                drop_ppm,
+                ..FaultPlan::default()
+            };
+            assert!((0..64).all(|n| plan.drops(&draws, NodeId(0), NodeId(1), n)));
+        }
     }
 
     #[test]
@@ -377,9 +292,9 @@ mod tests {
             ..FaultPlan::default()
         };
         let pattern = |seed: u64| -> Vec<bool> {
-            let draws = FaultDraws::new(seed);
+            let draws = LinkDraws::new("cycledger/net-loss", seed);
             (0..64)
-                .map(|seq| plan.drops(&draws, SimTime(0), NodeId(1), NodeId(2), seq))
+                .map(|seq| plan.drops(&draws, NodeId(1), NodeId(2), seq))
                 .collect()
         };
         assert_eq!(pattern(5), pattern(5));
@@ -411,50 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn loss_burst_boundaries_sit_exactly_on_round_edges() {
-        // A scenario round spans [0, ROUND) in the per-round network's
-        // virtual time. Pin the half-open burst window against bursts that
-        // start or end exactly on those edges: a burst ending at the round
-        // start never fires, one starting at the edge fires from its first
-        // microsecond, and the `until` edge itself is already healed.
-        const ROUND_EDGE: u64 = 1_000;
-        let plan = FaultPlan {
-            bursts: vec![
-                // Ends exactly at the round edge: active strictly before it.
-                LossBurst {
-                    from: SimTime(0),
-                    until: SimTime(ROUND_EDGE),
-                    drop_ppm: PPM,
-                },
-                // Starts exactly at the round edge.
-                LossBurst {
-                    from: SimTime(ROUND_EDGE * 2),
-                    until: SimTime(ROUND_EDGE * 3),
-                    drop_ppm: PPM,
-                },
-            ],
-            ..FaultPlan::default()
-        };
-        assert_eq!(plan.drop_ppm_at(SimTime(0)), PPM, "from is inclusive");
-        assert_eq!(plan.drop_ppm_at(SimTime(ROUND_EDGE - 1)), PPM);
-        assert_eq!(
-            plan.drop_ppm_at(SimTime(ROUND_EDGE)),
-            0,
-            "until is exclusive: the edge itself is healed"
-        );
-        assert_eq!(
-            plan.drop_ppm_at(SimTime(ROUND_EDGE * 2)),
-            PPM,
-            "a burst starting exactly on the edge fires immediately"
-        );
-        assert_eq!(plan.drop_ppm_at(SimTime(ROUND_EDGE * 3)), 0);
-        // Determinism of the sampled decision at the edges.
-        let draws = FaultDraws::new(7);
-        assert!(plan.drops(&draws, SimTime(ROUND_EDGE - 1), NodeId(0), NodeId(1), 0));
-        assert!(!plan.drops(&draws, SimTime(ROUND_EDGE), NodeId(0), NodeId(1), 0));
-    }
-
-    #[test]
     fn crash_stop_overlapping_a_partition_span() {
         // Node 1 sits inside a partition [100, 300) and also crashes during
         // [200, 400): the link is unusable for the union of both windows,
@@ -474,39 +345,5 @@ mod tests {
         // Both over.
         assert!(!plan.crashed(SimTime(400), NodeId(1)));
         assert!(!plan.severed(SimTime(400), NodeId(1), NodeId(2)));
-    }
-
-    #[test]
-    fn jitter_is_bounded_and_varies() {
-        let plan = FaultPlan {
-            jitter: SimDuration::from_millis(2),
-            ..FaultPlan::default()
-        };
-        let draws = FaultDraws::new(9);
-        let mut distinct = std::collections::HashSet::new();
-        for seq in 0..50 {
-            let j = plan.jitter_for(&draws, NodeId(0), NodeId(1), seq);
-            assert!(j <= SimDuration::from_millis(2));
-            distinct.insert(j);
-        }
-        assert!(distinct.len() > 10, "jitter should not be constant");
-    }
-
-    #[test]
-    fn jitter_spans_exactly_zero_to_its_bound() {
-        // A 100 µs bound: 101 values, so 10^5 draws reach both ends.
-        let plan = FaultPlan {
-            jitter: SimDuration::from_micros(100),
-            ..FaultPlan::default()
-        };
-        let draws = FaultDraws::new(4242);
-        let (mut lowest, mut highest) = (u64::MAX, 0);
-        for seq in 0..100_000u64 {
-            let (from, to) = (NodeId((seq % 16) as u32), NodeId((seq / 16 % 16) as u32));
-            let j = plan.jitter_for(&draws, from, to, seq).as_micros();
-            lowest = lowest.min(j);
-            highest = highest.max(j);
-        }
-        assert_eq!((lowest, highest), (0, 100));
     }
 }

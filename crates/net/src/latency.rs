@@ -8,12 +8,15 @@
 //! * everything else (e.g. block propagation to the whole network) — only
 //!   partially synchronous.
 //!
+//! The simulator sends on the first two alone: block propagation is charged
+//! to the metrics sink, not sent, so no message travels the third.
+//!
 //! Latencies are sampled deterministically from a seed so simulation runs are
 //! reproducible; the adversary is allowed to push any honest message to the full
 //! bound of its class (worst-case reordering of classical BFT models).
 //!
 //! Every decision the network makes about one message — its latency here, a
-//! loss or a jitter under a [`FaultPlan`](crate::faults::FaultPlan) — is a
+//! loss under a [`FaultPlan`](crate::faults::FaultPlan) — is a
 //! `LinkDraws`: a SHA-256 keyed once, when the network is built, by the
 //! decision's domain and the network seed, then one compression per message.
 
@@ -32,9 +35,6 @@ pub enum LinkClass {
     /// Between key members (leaders / partial sets) and to the referee
     /// committee: delay in `(0, Γ]`.
     KeyMemberMesh,
-    /// Partially synchronous links (block propagation to all nodes): delay in
-    /// `(0, partial_bound]`, where the bound is unknown to the protocol.
-    PartiallySynchronous,
 }
 
 /// Latency configuration for a simulation.
@@ -44,18 +44,15 @@ pub struct LatencyConfig {
     pub delta: SimDuration,
     /// Synchronous key-member mesh bound `Γ`.
     pub gamma: SimDuration,
-    /// Bound used for partially synchronous links.
-    pub partial_bound: SimDuration,
 }
 
 impl Default for LatencyConfig {
     fn default() -> Self {
         // Δ = 50 ms within a committee (a few hundred nearby nodes),
-        // Γ = 200 ms across the key-member mesh, 1 s for the rest of the world.
+        // Γ = 200 ms across the key-member mesh.
         LatencyConfig {
             delta: SimDuration::from_millis(50),
             gamma: SimDuration::from_millis(200),
-            partial_bound: SimDuration::from_millis(1_000),
         }
     }
 }
@@ -66,7 +63,6 @@ impl LatencyConfig {
         match class {
             LinkClass::IntraCommittee => self.delta,
             LinkClass::KeyMemberMesh => self.gamma,
-            LinkClass::PartiallySynchronous => self.partial_bound,
         }
     }
 }
@@ -102,7 +98,7 @@ impl LatencySampler {
 }
 
 /// One kind of decision about the messages of a network's links — a
-/// latency, a loss, a jitter — keyed by the network seed.
+/// latency or a loss — keyed by the network seed.
 ///
 /// The key block, `len(domain) ‖ domain ‖ seed` (an 8-byte little-endian
 /// length, the seed big-endian, zeros to 64 bytes), is absorbed once when
@@ -164,24 +160,15 @@ mod tests {
     fn default_ordering_of_bounds() {
         let cfg = LatencyConfig::default();
         assert!(cfg.delta < cfg.gamma);
-        assert!(cfg.gamma < cfg.partial_bound);
         assert_eq!(cfg.bound(LinkClass::IntraCommittee), cfg.delta);
         assert_eq!(cfg.bound(LinkClass::KeyMemberMesh), cfg.gamma);
-        assert_eq!(
-            cfg.bound(LinkClass::PartiallySynchronous),
-            cfg.partial_bound
-        );
     }
 
     #[test]
     fn samples_respect_bounds() {
         let sampler = LatencySampler::new(LatencyConfig::default(), 42);
         for seq in 0..200 {
-            for class in [
-                LinkClass::IntraCommittee,
-                LinkClass::KeyMemberMesh,
-                LinkClass::PartiallySynchronous,
-            ] {
+            for class in [LinkClass::IntraCommittee, LinkClass::KeyMemberMesh] {
                 let d = sampler.sample(class, NodeId(1), NodeId(2), seq);
                 let bound = LatencyConfig::default().bound(class);
                 assert!(d <= bound, "{class:?}: {d:?} > {bound:?}");
@@ -217,7 +204,6 @@ mod tests {
         let cfg = LatencyConfig {
             delta: SimDuration::from_micros(1),
             gamma: SimDuration::from_micros(2),
-            partial_bound: SimDuration::from_micros(3),
         };
         let sampler = LatencySampler::new(cfg, 0);
         let d = sampler.sample(LinkClass::IntraCommittee, NodeId(0), NodeId(1), 0);
@@ -229,11 +215,7 @@ mod tests {
         const DRAWS: u64 = 100_000;
         let config = LatencyConfig::default();
         let sampler = LatencySampler::new(config, 4242);
-        for class in [
-            LinkClass::IntraCommittee,
-            LinkClass::KeyMemberMesh,
-            LinkClass::PartiallySynchronous,
-        ] {
+        for class in [LinkClass::IntraCommittee, LinkClass::KeyMemberMesh] {
             let bound = config.bound(class).as_micros();
             let floor = bound / 4;
             let span = bound - floor + 1;

@@ -8,13 +8,13 @@
 //! * [`topology`] — node identities, roles, and the connection-channel graph
 //!   behind Table I's "Burden on Connection" row.
 //! * [`latency`] — per-link-class delay models (§III-B network model).
-//! * [`faults`] — deterministic network faults: partition/heal schedules,
-//!   targeted delay attacks, loss rates and bursts, reorder jitter.
+//! * [`faults`] — deterministic network faults: crash-stop, partition/heal
+//!   schedules, uniform loss rates, targeted delay attacks.
 //! * [`metrics`] — per-node, per-phase message/byte/storage accounting behind
 //!   Table II.
 //! * [`network`] — the event-queue network itself, with support for fault
 //!   plans, virtual-time timers and a drain-until-quiescent event loop for
-//!   message-driven protocol phases.
+//!   protocol phases that wait on deadlines.
 
 #![warn(missing_docs)]
 
@@ -25,7 +25,7 @@ pub mod network;
 pub mod time;
 pub mod topology;
 
-pub use faults::{FaultPlan, LossBurst, Partition, TargetedDelay};
+pub use faults::{FaultPlan, Partition, TargetedDelay};
 pub use latency::{LatencyConfig, LatencySampler, LinkClass};
 pub use metrics::{Counters, MetricsSink, Phase};
 pub use network::{DropCounts, Envelope, NetEvent, SimNetwork};

@@ -33,7 +33,7 @@
 //! }
 //! ```
 //!
-//! # Message-driven drivers: timeouts and the drain loop
+//! # Timeouts and the drain loop
 //!
 //! Drivers whose control flow depends on *when* messages arrive (quorum
 //! collection under partitions, the `2Γ` forwarding timeout) use the event
@@ -46,8 +46,8 @@
 //! the loop terminates because every event either delivers or fires exactly
 //! once and sends only schedule future events while the clock advances.
 //!
-//! Network faults (partitions with heal times, targeted delay, loss — see
-//! [`crate::faults::FaultPlan`]) are applied at send time by
+//! Network faults (crash-stop, partitions with heal times, loss, targeted
+//! delay — see [`crate::faults::FaultPlan`]) are applied at send time by
 //! [`SimNetwork::with_faults`] networks; dropped traffic is counted per
 //! category ([`SimNetwork::drop_counts`]) and never charged to the metrics
 //! sink.
@@ -57,8 +57,8 @@ use std::collections::BinaryHeap;
 
 use cycledger_crypto::opcount::{count, Op};
 
-use crate::faults::{FaultDraws, FaultPlan};
-use crate::latency::{LatencyConfig, LatencySampler, LinkClass};
+use crate::faults::FaultPlan;
+use crate::latency::{LatencyConfig, LatencySampler, LinkClass, LinkDraws};
 use crate::metrics::{MetricsSink, Phase};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::NodeId;
@@ -141,7 +141,7 @@ pub struct DropCounts {
     pub crashed: u64,
     /// An active partition severed the link at send time.
     pub partitioned: u64,
-    /// Deterministic loss (baseline rate or an active burst).
+    /// Deterministic loss at the plan's rate.
     pub lossy: u64,
 }
 
@@ -167,10 +167,11 @@ pub struct SimNetwork<M> {
     metrics: MetricsSink,
     phase: Phase,
     plan: FaultPlan,
-    fault_draws: FaultDraws,
+    /// The loss draw of [`FaultPlan::drop_ppm`], keyed by the network seed.
+    loss: LinkDraws,
     drops: DropCounts,
     /// Send *attempts*, advanced whether or not the message is admitted.
-    /// Drop/jitter sampling keys on this — keying on the admitted-send
+    /// Loss sampling keys on this — keying on the admitted-send
     /// counter would freeze the sample after a drop, turning a loss *rate*
     /// into a permanently failed link (regression-tested).
     attempts: u64,
@@ -191,7 +192,7 @@ impl<M> SimNetwork<M> {
     /// built with [`FaultPlan::default`] behaves exactly like one from
     /// [`SimNetwork::new`].
     ///
-    /// `seed` keys the latency, loss and jitter draws here, one SHA-256
+    /// `seed` keys the latency and loss draws here, one SHA-256
     /// compression each; every later decision about a message is one more.
     pub fn with_faults(config: LatencyConfig, seed: u64, plan: FaultPlan) -> Self {
         SimNetwork {
@@ -204,7 +205,7 @@ impl<M> SimNetwork<M> {
             metrics: MetricsSink::new(),
             phase: Phase::CommitteeConfiguration,
             plan,
-            fault_draws: FaultDraws::new(seed),
+            loss: LinkDraws::new("cycledger/net-loss", seed),
             drops: DropCounts::default(),
             attempts: 0,
             timers: BinaryHeap::new(),
@@ -260,15 +261,11 @@ impl<M> SimNetwork<M> {
             self.drops.partitioned += 1;
             return None;
         }
-        if self
-            .plan
-            .drops(&self.fault_draws, self.now, from, to, attempt)
-        {
+        if self.plan.drops(&self.loss, from, to, attempt) {
             self.drops.lossy += 1;
             return None;
         }
-        let jitter = self.plan.jitter_for(&self.fault_draws, from, to, attempt);
-        Some(self.plan.extra_delay(from, to).plus(jitter))
+        Some(self.plan.extra_delay(from, to))
     }
 
     /// Sends a message; its delivery time is drawn from the latency model
@@ -650,7 +647,6 @@ mod tests {
             LatencyConfig {
                 delta: SimDuration::from_micros(1),
                 gamma: SimDuration::from_micros(2),
-                partial_bound: SimDuration::from_micros(3),
             },
             1,
         );
@@ -771,18 +767,12 @@ mod tests {
     fn dropped_messages_and_metrics_reconcile_exactly() {
         // The metrics-audit contract: sends = deliveries + drops, the sink
         // sees only delivered traffic, and per-category drop counters add up.
-        use crate::faults::LossBurst;
         let plan = FaultPlan {
             drop_ppm: 300_000,
             partitions: vec![crate::faults::Partition {
                 group: vec![NodeId(9)],
                 from: SimTime::ZERO,
                 until: None,
-            }],
-            bursts: vec![LossBurst {
-                from: SimTime::ZERO,
-                until: SimTime(1),
-                drop_ppm: 0,
             }],
             ..FaultPlan::default()
         }
@@ -893,16 +883,16 @@ mod tests {
     }
 
     #[test]
-    fn jitter_reorders_but_preserves_the_message_set() {
-        let run = |jitter_ms: u64| -> Vec<u32> {
-            let plan = FaultPlan {
-                jitter: SimDuration::from_millis(jitter_ms),
-                ..FaultPlan::default()
-            };
+    fn targeted_delay_reorders_but_preserves_the_message_set() {
+        // Node 0 alternates sends to nodes 1 and 2; holding node 2's links
+        // 40 ms back lets later messages to node 1 overtake earlier ones to
+        // node 2.
+        let run = |plan: FaultPlan| -> Vec<u32> {
             let mut net: SimNetwork<u32> =
                 SimNetwork::with_faults(LatencyConfig::default(), 11, plan);
             for i in 0..32u32 {
-                net.send(NodeId(0), NodeId(1), LinkClass::IntraCommittee, i, 8);
+                let to = NodeId(1 + i % 2);
+                net.send(NodeId(0), to, LinkClass::IntraCommittee, i, 8);
             }
             let mut order = Vec::new();
             while let Some(env) = net.deliver_next() {
@@ -910,16 +900,19 @@ mod tests {
             }
             order
         };
-        let clean = run(0);
-        let jittered = run(400);
-        assert_ne!(clean, jittered, "jitter must be able to reorder delivery");
+        let clean = run(FaultPlan::default());
+        let delayed = run(FaultPlan::default().with_delay(NodeId(2), SimDuration::from_millis(40)));
+        assert_ne!(
+            clean, delayed,
+            "a targeted delay must be able to reorder delivery"
+        );
         let sorted = |mut v: Vec<u32>| {
             v.sort_unstable();
             v
         };
         assert_eq!(
             sorted(clean),
-            sorted(jittered),
+            sorted(delayed),
             "no message lost or duplicated"
         );
     }

@@ -2,8 +2,8 @@
 //!
 //! The paper's network model (§III-B) is parameterised by two delay bounds:
 //! `Δ` for synchronous intra-committee links and `Γ` for the synchronous mesh
-//! between leaders and partial-set members, plus partially-synchronous links for
-//! everything else. A deterministic discrete-event clock lets us reason about
+//! between leaders and partial-set members; the simulator sends on no other
+//! kind of link. A deterministic discrete-event clock lets us reason about
 //! recommended phase offsets ("the recommended delay is 8Δ") and the 2Γ framing
 //! timeout of Lemma 7 exactly.
 

@@ -4,7 +4,7 @@
 //! plans keep both properties (drops are part of the deterministic function,
 //! not noise).
 
-use cycledger_net::faults::{FaultPlan, Partition};
+use cycledger_net::faults::{FaultPlan, Partition, TargetedDelay};
 use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::network::SimNetwork;
 use cycledger_net::time::{SimDuration, SimTime};
@@ -26,10 +26,9 @@ fn run_script(
         if from == to {
             continue;
         }
-        let class = match i % 3 {
+        let class = match i % 2 {
             0 => LinkClass::IntraCommittee,
-            1 => LinkClass::KeyMemberMesh,
-            _ => LinkClass::PartiallySynchronous,
+            _ => LinkClass::KeyMemberMesh,
         };
         net.send(from, to, class, i, 8 + (i % 5) as u64);
     }
@@ -69,7 +68,10 @@ proptest! {
     fn faulted_runs_are_equally_deterministic(seed in any::<u64>(), sends in 32usize..96) {
         let plan = FaultPlan {
             drop_ppm: 120_000,
-            jitter: SimDuration::from_millis(80),
+            delays: vec![TargetedDelay {
+                node: NodeId(3),
+                extra: SimDuration::from_millis(80),
+            }],
             partitions: vec![Partition {
                 group: vec![NodeId(2)],
                 from: SimTime::ZERO,

@@ -6,7 +6,7 @@
 //! equal, and end with the same drop counts, queue lengths and metrics bytes,
 //! under every kind of fault.
 
-use cycledger_net::faults::{FaultPlan, LossBurst};
+use cycledger_net::faults::FaultPlan;
 use cycledger_net::latency::{LatencyConfig, LinkClass};
 use cycledger_net::metrics::Phase;
 use cycledger_net::network::{DropCounts, NetEvent, SimNetwork};
@@ -46,7 +46,7 @@ struct Run {
 }
 
 /// A plan with each fault kind the bits of `word` switch on: loss, a
-/// partition, a crash-stop, a targeted delay, jitter and a loss burst.
+/// partition, a crash-stop and a targeted delay.
 fn plan(word: u64) -> FaultPlan {
     let on = |bit: u32| word >> bit & 1 == 1;
     let mut plan = FaultPlan::default();
@@ -62,16 +62,6 @@ fn plan(word: u64) -> FaultPlan {
     }
     if on(3) {
         plan = plan.with_delay(NodeId(4), SimDuration::from_millis(120));
-    }
-    if on(4) {
-        plan.jitter = SimDuration::from_millis(60);
-    }
-    if on(5) {
-        plan.bursts.push(LossBurst {
-            from: SimTime(20_000),
-            until: SimTime(400_000),
-            drop_ppm: 500_000,
-        });
     }
     plan
 }
@@ -104,11 +94,8 @@ fn run(seed: u64, plan_word: u64, ops: &[u64], multicast: bool) -> Run {
                 let from = NodeId(((word >> 3) % NODES) as u32);
                 let k = (word >> 8) % 7;
                 let recipients = (0..k).map(|i| NodeId(((word >> (12 + 4 * i)) % NODES) as u32));
-                let class = [
-                    LinkClass::IntraCommittee,
-                    LinkClass::KeyMemberMesh,
-                    LinkClass::PartiallySynchronous,
-                ][(word >> 38) as usize % 3];
+                let class = [LinkClass::IntraCommittee, LinkClass::KeyMemberMesh]
+                    [(word >> 38) as usize % 2];
                 net.set_phase(Phase::ALL[(word >> 40) as usize % Phase::ALL.len()]);
                 let (payload, bytes) = (vec![step as u64, word], (word >> 48) % 512);
                 if multicast {
@@ -153,7 +140,7 @@ proptest! {
     #[test]
     fn a_multicast_is_a_loop_of_sends(
         seed in any::<u64>(),
-        plan_word in 0u64..64,
+        plan_word in 0u64..16,
         ops in prop::collection::vec(any::<u64>(), 8..64),
     ) {
         let looped = run(seed, plan_word, &ops, false);
@@ -168,7 +155,7 @@ fn the_script_exercises_drops_timers_and_fan_out() {
     // fires a timer or never fans out: one fixed run shows all three.
     let mut rng = proptest::test_runner::TestRng::from_seed(4242);
     let ops: Vec<u64> = (0..64).map(|_| rng.next_u64()).collect();
-    let run = run(4242, 0b11_1111, &ops, true);
+    let run = run(4242, 0b1111, &ops, true);
     let messages = run
         .events
         .iter()

@@ -1,10 +1,10 @@
 //! Exact costs of the message plane's per-envelope draws, gated at zero
 //! tolerance. Run with `cargo test -p cycledger-net --features opcount`.
 //!
-//! A network keys one `LinkDraws` per kind of decision — latency, loss,
-//! jitter — when it is built; every envelope then draws its latency with one
-//! SHA-256 compression, and a lossy or jittered network pays one more per
-//! decision. SHA-256 compressions — `naive` is the HMAC-DRBG per decision of
+//! A network keys one `LinkDraws` per kind of decision — latency and loss —
+//! when it is built; every envelope then draws its latency with one SHA-256
+//! compression, and a lossy network pays one more for its loss decision.
+//! SHA-256 compressions — `naive` is the HMAC-DRBG per decision of
 //! commit b85479e, `drbg` the one that kept its key schedule and owed its
 //! closing update (commit 46d96b8), `now` the keyed one-block hash
 //! (`cycledger_crypto::sha256::KeyedHash`); no generator is made any more:
@@ -13,8 +13,8 @@
 //! |--------------------------------------|-------|------|-----|------------|
 //! | `LatencySampler::sample`             |    32 |   18 |   1 | 1 → 0      |
 //! | `send` on a clean network            |    32 |   18 |   1 | 1 → 0      |
-//! | `send` under loss + jitter, admitted |    96 |   54 |   3 | 3 → 0      |
-//! | building a `SimNetwork`              |     0 |    0 |   3 | 0          |
+//! | `send` under loss, admitted          |    64 |   36 |   2 | 2 → 0      |
+//! | building a `SimNetwork`              |     0 |    0 |   2 | 0          |
 //!
 //! A multicast keeps its payload once but pays per recipient: k envelopes
 //! and k latency draws for k recipients, as k `send`s would.
@@ -24,7 +24,6 @@ use cycledger_crypto::opcount::{scope, Tally};
 use cycledger_net::faults::FaultPlan;
 use cycledger_net::latency::{LatencyConfig, LatencySampler, LinkClass};
 use cycledger_net::network::SimNetwork;
-use cycledger_net::time::SimDuration;
 use cycledger_net::topology::NodeId;
 
 /// With this seed no draw in these tests has all four words of its block
@@ -46,12 +45,12 @@ fn one_latency_draw_is_one_compression_and_no_generator() {
 }
 
 #[test]
-fn a_network_keys_its_three_draws_once() {
+fn a_network_keys_its_two_draws_once() {
     let built = scope(|| SimNetwork::<u64>::new(LatencyConfig::default(), SEED));
     assert_eq!(
         built,
         Tally {
-            sha256_blocks: 3,
+            sha256_blocks: 2,
             ..Tally::default()
         }
     );
@@ -75,7 +74,6 @@ fn an_envelope_costs_its_draws() {
 
     let plan = FaultPlan {
         drop_ppm: 1,
-        jitter: SimDuration::from_millis(2),
         ..FaultPlan::default()
     };
     let mut faulty: SimNetwork<u64> = SimNetwork::with_faults(LatencyConfig::default(), SEED, plan);
@@ -86,10 +84,10 @@ fn an_envelope_costs_its_draws() {
     assert_eq!(
         sent,
         Tally {
-            sha256_blocks: 3,
+            sha256_blocks: 2,
             envelopes_sent: 1,
             latency_draws: 1,
-            fault_draws: 2,
+            fault_draws: 1,
             ..Tally::default()
         }
     );

@@ -269,7 +269,7 @@ mod tests {
     /// 8×16, and the one `consensus.probe.alg3_msgs` reports: 14 PROPOSEs,
     /// 15 × 14 ECHOes and 15 CONFIRMs are 239 envelopes, each with one
     /// latency draw of one SHA-256 compression, and building the network
-    /// keys its three draws with three more — 242 of the 2 985. The 90
+    /// keys its two draws with two more — 241 of the 2 984. The 90
     /// generators are nonces, challenges and one coefficient stream a quorum
     /// batch (105 and 3 243 while every coefficient had a generator of its
     /// own). While a latency draw was an HMAC-DRBG of its own (commit
@@ -312,7 +312,7 @@ mod tests {
             (tally.envelopes_sent, tally.latency_draws, tally.fault_draws),
             (239, 239, 0)
         );
-        assert_eq!((tally.drbg_instantiations, tally.sha256_blocks), (90, 2985));
+        assert_eq!((tally.drbg_instantiations, tally.sha256_blocks), (90, 2984));
     }
 
     /// An honest instance of `committee` under `id`: its certificate and the

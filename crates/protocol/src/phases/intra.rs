@@ -536,7 +536,6 @@ mod tests {
         LatencyConfig {
             delta: SimDuration::from_micros(1),
             gamma: SimDuration::from_micros(2),
-            partial_bound: SimDuration::from_micros(3),
         }
     }
 

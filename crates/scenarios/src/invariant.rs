@@ -74,15 +74,15 @@ pub enum Invariant {
     /// Every round executed the seven standard phases in protocol order
     /// (checked through the engine's observer hooks).
     PipelineComplete,
-    /// Message-driven mode: at least this many quorum-timeout fallbacks
-    /// fired across the run (a fault scenario must actually perturb the
-    /// vote collection, or it proves nothing).
+    /// At least this many quorum-timeout fallbacks fired across the run (a
+    /// fault scenario must actually perturb the vote collection, or it
+    /// proves nothing).
     MinQuorumTimeouts(usize),
-    /// Message-driven mode: no quorum timeout ever fired (a clean or
-    /// merely-jittered run stays on the fast path).
+    /// No quorum timeout ever fired (a fault-free run, on any latency
+    /// profile, stays on the fast path).
     NoQuorumTimeouts,
-    /// Message-driven mode: the network dropped at least this many
-    /// envelopes (the partition/loss schedule really cut traffic).
+    /// The network dropped at least this many envelopes (the partition/loss
+    /// schedule really cut traffic).
     MinNetDroppedMessages(u64),
     /// Liveness resumes after a heal: every round from `r` on produced a
     /// block.

@@ -184,7 +184,7 @@ macro_rules! key {
 /// Every `[[scenario]]` key: the one list of keys a scenario file may use. A
 /// key left out of a file keeps its default ([`Scenario::new`] over
 /// [`ProtocolConfig::default`]).
-static SCENARIO_KEYS: [Key<Scenario>; 27] = [
+static SCENARIO_KEYS: [Key<Scenario>; 26] = [
     key!("name", name),
     key!("description", description),
     key!("paper_claim", paper_claim),
@@ -204,7 +204,6 @@ static SCENARIO_KEYS: [Key<Scenario>; 27] = [
     key!("compute_capacity_spread", config.compute_capacity_spread),
     key!("latency_delta_us", config.latency.delta),
     key!("latency_gamma_us", config.latency.gamma),
-    key!("latency_partial_us", config.latency.partial_bound),
     key!("state_backend", config.state_backend),
     key!("epoch_length", config.epoch_length),
     key!("joins_per_epoch", config.joins_per_epoch),
@@ -1097,7 +1096,7 @@ invariants = ["blocks-every-round", "state-root", "light-client-proof:8"]
     /// network fault of each kind.
     fn every_key(seed: u64, delta: u64, epoch_length: u64, ratios: [f64; 4]) -> String {
         let [cross, invalid, malicious, rate] = ratios;
-        let (gamma, partial) = (delta.rotate_left(17), !delta);
+        let gamma = delta.rotate_left(17);
         format!(
             r#"[[scenario]]
 name = "every-key"
@@ -1119,7 +1118,6 @@ base_compute_capacity = 150
 compute_capacity_spread = 50
 latency_delta_us = {delta}
 latency_gamma_us = {gamma}
-latency_partial_us = {partial}
 state_backend = "smt"
 epoch_length = {epoch_length}
 joins_per_epoch = 2
@@ -1241,7 +1239,6 @@ kind = "isolate-joiners"
             "joins_per_epoch",
             "latency_delta_us",
             "latency_gamma_us",
-            "latency_partial_us",
             "leaves_per_epoch",
             "loss_ppm",
             "partial_set_size",

@@ -103,9 +103,10 @@ fn retired_keys_fail_and_the_example_loads() {
     // other; the shipped example names none of them and loads.
     let builtin = include_str!("../../../scenarios/builtin.toml");
     for (retired, value) in [
-        ("verify_signatures", false),
-        ("message_driven", true),
-        ("smoke", true),
+        ("verify_signatures", "false"),
+        ("message_driven", "true"),
+        ("smoke", "true"),
+        ("latency_partial_us", "3000000"),
     ] {
         assert!(!builtin.contains(retired));
         let error =

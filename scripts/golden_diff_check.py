@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Shows that a golden re-bless moved only what it was allowed to move.
 
+    scripts/golden_diff_check.py [<base>]
+    scripts/golden_diff_check.py --self-test
+
 Compares every ``scenarios/golden/*.json`` in the working tree against the
 same file at a base commit (default ``HEAD~1``; pass another revision as the
 first argument). For scenarios that schedule no network fault -- those with
@@ -21,9 +24,14 @@ faults, every other metric (``blocks_produced``, ``chain_height``,
 ``evictions``, ``skipped_recoveries``, ``punished_honest``), the traffic and
 epoch blocks, and each invariant's name and status. Scenarios with network
 faults are listed with what changed but not gated: their network really
-behaves differently. Exits non-zero on the first violation.
+behaves differently. Exits non-zero when any golden moved a frozen field.
+
+``--self-test`` reads no golden: it feeds canned base and working reports
+through the same verdict and checks each line and outcome.
 """
 
+import copy
+import functools
 import json
 import pathlib
 import subprocess
@@ -72,7 +80,91 @@ def changed_keys(old, new):
     return keys
 
 
+def verdict(old, new):
+    """`(line, ok)` for one golden: its base report `old` against the
+    working tree's `new`."""
+    moved = ", ".join(changed_keys(old, new)) or "nothing"
+    if new.get("net_faults"):
+        return f"network faults, not gated; moved: {moved}", True
+    if frozen(old, new) == frozen(new, new):
+        return f"ok; moved: {moved}", True
+    return f"FROZEN FIELD MOVED; moved: {moved}", False
+
+
+# A removed key, in `edited`.
+DROP = object()
+
+
+def edited(report, *changes):
+    """A copy of `report` with each `(dotted path, value)` of `changes` set,
+    or removed where the value is DROP; a list index is a path segment."""
+    report = copy.deepcopy(report)
+    for path, value in changes:
+        *parents, leaf = path.split(".")
+        step = lambda node, key: node[int(key)] if isinstance(node, list) else node[key]
+        parent = functools.reduce(step, parents, report)
+        leaf = int(leaf) if isinstance(parent, list) else leaf
+        if value is DROP:
+            del parent[leaf]
+        else:
+            parent[leaf] = value
+    return report
+
+
+# A base report in the shape the scenario runner writes, cut to one key of
+# each kind the verdict treats apart.
+CANNED = {
+    "name": "canned",
+    "seed": 7,
+    "smoke": True,
+    "config": {"committees": 2, "message_driven": True},
+    "digest": "aa",
+    "worker_digests": [{"workers": 1, "digest": "aa"}],
+    "rerun_digest": "aa",
+    "injected_faults": [],
+    "metrics": {"total_packed": 76, "witnesses": 0},
+    "network": {"envelopes": 10},
+    "invariants": [{"invariant": "no-double-commit", "status": "pass", "detail": "digest aa"}],
+}
+NO_SMOKE = edited(CANNED, ("smoke", DROP))
+NET_FAULTS = edited(CANNED, ("net_faults", [{"kind": "loss"}]))
+DIGESTS = (("digest", "bb"), ("worker_digests.0.digest", "bb"), ("rerun_digest", "bb"))
+
+# (case, base report, working report, the verdict line it must print).
+SELF_TEST = (
+    ("a move in digests only", CANNED, edited(CANNED, *DIGESTS),
+     "ok; moved: digest, rerun_digest, worker_digests"),
+    ("a moved total_packed", CANNED, edited(CANNED, ("metrics.total_packed", 75)),
+     "FROZEN FIELD MOVED; moved: metrics.total_packed"),
+    ("a flipped invariant status", CANNED, edited(CANNED, ("invariants.0.status", "fail")),
+     "FROZEN FIELD MOVED; moved: invariants"),
+    ("a dropped retired config key", CANNED, edited(CANNED, ("config.message_driven", DROP)),
+     "ok; moved: config"),
+    ("a changed retired config key", CANNED, edited(CANNED, ("config.message_driven", False)),
+     "FROZEN FIELD MOVED; moved: config"),
+    ("a dropped smoke", CANNED, NO_SMOKE, "ok; moved: smoke"),
+    ("an added smoke", NO_SMOKE, CANNED, "FROZEN FIELD MOVED; moved: smoke"),
+    ("a net-fault scenario", NET_FAULTS, edited(NET_FAULTS, ("metrics.total_packed", 75)),
+     "network faults, not gated; moved: metrics.total_packed"),
+)
+
+
+def self_test():
+    broken = 0
+    for case, old, new, expected in SELF_TEST:
+        line, ok = verdict(old, new)
+        print(f"self-test: {case}: {line}")
+        if (line, ok) != (expected, not expected.startswith("FROZEN")):
+            print(f"self-test FAILED: {case}: expected {expected!r}", file=sys.stderr)
+            broken += 1
+    if broken:
+        sys.exit(f"golden diff check self-test FAILED ({broken} case(s))")
+    print("golden diff check self-test passed")
+
+
 def main():
+    if sys.argv[1:] == ["--self-test"]:
+        return self_test()
     base = sys.argv[1] if len(sys.argv) > 1 else "HEAD~1"
     failures = 0
     for path in sorted(GOLDEN.glob("*.json")):
@@ -83,15 +175,9 @@ def main():
         if shown.returncode != 0:
             print(f"{path.stem}: new since {base}")
             continue
-        old, new = json.loads(shown.stdout), json.loads(path.read_text())
-        moved = ", ".join(changed_keys(old, new)) or "nothing"
-        if new.get("net_faults"):
-            print(f"{path.stem}: network faults, not gated; moved: {moved}")
-        elif frozen(old, new) == frozen(new, new):
-            print(f"{path.stem}: ok; moved: {moved}")
-        else:
-            failures += 1
-            print(f"{path.stem}: FROZEN FIELD MOVED; moved: {moved}")
+        line, ok = verdict(json.loads(shown.stdout), json.loads(path.read_text()))
+        print(f"{path.stem}: {line}")
+        failures += not ok
     if failures:
         sys.exit(f"{failures} fault-free golden(s) moved a frozen field")
 

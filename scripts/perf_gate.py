@@ -46,20 +46,24 @@ one-core runner emits no parallel series and the row is skipped with a
 notice.
 
 ``--counts`` gates ``gen_bench_round`` built with ``--features opcount``:
-the operation counts of the tracked configuration's one-worker series
-(``one_worker.opcount``, per round over the same 16 measured rounds) --
-field multiplications and squarings, inversions, doublings, mixed
-additions, batched affine additions, SHA-256 compressions, DRBG
-instantiations, signatures verified
+the operation counts of the tracked configuration's two one-worker series
+(``one_worker.opcount`` and ``one_worker_epoch.opcount``, per round over
+the same 16 measured rounds; the epoch series' carry the beacon, churn,
+state sync and the boundary's second draw) -- field multiplications and
+squarings, inversions, doublings, mixed additions, batched affine
+additions, SHA-256 compressions, DRBG instantiations, signatures verified
 singly and in batches, memo lookups, envelopes, latency draws, VRF
-evaluations and VRF proofs checked -- against
-``BENCH_round.json``'s ``verified.one_worker.opcount``. They are counted on
-the driver thread, where a one-worker round runs every task, so they repeat
-to the digit on any machine and are all exact rows; run at a change, the
-list of moved rows is what the change did to the counts. They are the
-release build's: in a dev-profile build ``hash_to_curve``'s
-``debug_assert!(p.is_on_curve())`` adds three field operations a round, so
-the ``==`` belongs to this release run, not to a debug opcount test.
+evaluations and VRF proofs checked -- against the same keys under
+``BENCH_round.json``'s ``verified``. They are counted on the driver thread,
+where a one-worker round runs every task, so they repeat to the digit on
+any machine and are all exact rows; run at a change, the list of moved rows
+is what the change did to the counts. Before any row, the gate compares the
+report's set of ``*.opcount.*`` keys with the committed set and fails on a
+key either side lacks: a count the binary stopped emitting, or one it
+emits that nobody recorded. They are the release build's: in a
+dev-profile build ``hash_to_curve``'s ``debug_assert!(p.is_on_curve())``
+adds three field operations a round, so the ``==`` belongs to this release
+run, not to a debug opcount test.
 
 ``--state`` gates ``gen_bench_state`` (flat map vs sparse Merkle store over
 a 10^6-entry UTXO set). The per-transaction hot paths carry hard caps --
@@ -93,12 +97,16 @@ row one unit of its last printed digit up and down, which must both fail,
 and the committed value, which must pass; for any other row one move that
 must fail and one that must pass. The moves are written from what each
 metric means, not from the row's direction, so a row whose direction is
-flipped, whose cap is loosened or that gains a band fails here. CI runs it
-before each gate. ``PERF_GATE_TOLERANCE=0.35`` etc. widens the wall-clock
+flipped, whose cap is loosened or that gains a band fails here. For
+``--counts`` it also plants one extra and one missing ``*.opcount.*`` key
+in a copy of the committed block, each of which the shape check must fail,
+and checks that every committed count has a row. CI runs it before each
+gate. ``PERF_GATE_TOLERANCE=0.35`` etc. widens the wall-clock
 tolerance if a shared runner proves noisier; the exact rows stay exact.
 """
 
 import contextlib
+import copy
 import decimal
 import functools
 import io
@@ -171,6 +179,17 @@ class Gate(NamedTuple):
     rows: tuple
 
 
+def opcount_keys(block: dict) -> set:
+    """Every ``<series>.opcount.<count>`` path of a round report or of the
+    committed block it mirrors."""
+    return {
+        f"{series}.opcount.{metric}"
+        for series, value in block.items()
+        if isinstance(value, dict)
+        for metric in value.get("opcount", {})
+    }
+
+
 GATES = {
     "round": Gate(
         "gen_bench_round",
@@ -188,7 +207,11 @@ GATES = {
         ("opcount",),
         "BENCH_round.json",
         ("verified",),
-        tuple(Row(f"one_worker.opcount.{metric}", "equal") for metric in OP_COUNTS),
+        tuple(
+            Row(f"{series}.opcount.{metric}", "equal")
+            for series in SERIES
+            for metric in OP_COUNTS
+        ),
     ),
     # The caps hold on any machine: the sparse-Merkle backend answers
     # lookups from its O(1) mirror (~1x measured) and an apply is two
@@ -243,7 +266,7 @@ SELF_TEST = {
     **{f"{series}.rounds_per_sec": (DOWN, UP) for series in SERIES},
     **{f"{series}.allocations_per_round": EXACT for series in SERIES},
     "parallel_speedup": (1.2, 1.6),
-    **{f"one_worker.opcount.{metric}": EXACT for metric in OP_COUNTS},
+    **{f"{series}.opcount.{metric}": EXACT for series in SERIES for metric in OP_COUNTS},
     "tracked.smt_lookup_over_map_lookup": (3.1, 1.1),
     "tracked.smt_apply_over_map_apply": (2.3, 1.8),
     "tracked.smt_arena_slots_per_live_utxo": (3.05, 2.44),
@@ -302,6 +325,30 @@ def print_moved(failures: list, committed: dict, file: str) -> None:
     print(f"if the move is meant, re-record {file} (its 'regeneration' field) and say why in CHANGES.md")
 
 
+def shape_errors(gate: Gate, report: dict, committed: dict) -> list:
+    """One line per ``*.opcount.*`` key that the report and the committed
+    block do not share, for the gate whose build counts (the others' reports
+    carry no counts)."""
+    if "opcount" not in gate.features:
+        return []
+    measured, recorded = opcount_keys(report), opcount_keys(committed)
+    return [f"{key}: in the report, not committed" for key in sorted(measured - recorded)] + [
+        f"{key}: committed, not in the report" for key in sorted(recorded - measured)
+    ]
+
+
+def with_key(document: dict, path: str, value) -> dict:
+    """A copy of `document` with `path` set to `value`, or removed when
+    `value` is None."""
+    document = copy.deepcopy(document)
+    parent, leaf = path.rsplit(".", 1)
+    if value is None:
+        del node(document, parent)[leaf]
+    else:
+        node(document, parent)[leaf] = value
+    return document
+
+
 def run_bench(binary: str, features: tuple) -> dict | None:
     cmd = ["cargo", "run", "-q", "--release", "-p", "cycledger-bench", "--bin", binary]
     if features:
@@ -349,6 +396,26 @@ def self_test(gate: Gate, committed: dict) -> int:
     if listed != [row.path for row, _ in planted]:
         print(f"self-test FAILED: moved rows listed as {listed}", file=sys.stderr)
         broken += 1
+    if "opcount" in gate.features:
+        recorded = opcount_keys(committed)
+        unrowed = sorted(recorded ^ {row.path for row in gate.rows})
+        if unrowed:
+            print(f"self-test FAILED: committed without a row or a row not committed: {unrowed}", file=sys.stderr)
+            broken += 1
+        first = min(recorded)
+        extra = first.rsplit(".", 1)[0] + ".planted_per_round"
+        for report, what, must_fail in (
+            (committed, "the committed keys", False),
+            (with_key(committed, extra, 0), f"an extra {extra}", True),
+            (with_key(committed, first, None), f"no {first}", True),
+        ):
+            print(f"self-test: a report with {what} must {'fail' if must_fail else 'pass'}")
+            errors = shape_errors(gate, report, committed)
+            for line in errors:
+                print(line)
+            if bool(errors) != must_fail:
+                print(f"self-test FAILED: a report with {what}", file=sys.stderr)
+                broken += 1
     for name in SELF_TEST.keys() - {row.path for gate in GATES.values() for row in gate.rows}:
         print(f"self-test FAILED: {name} has moves but no row", file=sys.stderr)
         broken += 1
@@ -369,6 +436,12 @@ def run_gate(name: str, run_self_test: bool) -> int:
 
     report = run_bench(gate.binary, gate.features)
     if report is None:
+        return 1
+    shape = shape_errors(gate, report, committed)
+    for line in shape:
+        print(line)
+    if shape:
+        print(f"perf gate FAILED (the report's keys differ from {gate.committed}'s; see above)", file=sys.stderr)
         return 1
     failures = []
     for row in gate.rows:

@@ -290,9 +290,10 @@ const ONE_STATE_STORE: Guard = Guard {
     ..ROW
 };
 
-/// Every decision the network makes about a message (latency, loss,
-/// jitter) is a keyed one-block hash (`net::latency::LinkDraws`): no
-/// generator comes back into `cycledger-net`.
+/// Every decision the network makes about a message (its latency, and its
+/// loss under a fault plan) is a keyed one-block hash
+/// (`net::latency::LinkDraws`): no generator comes back into
+/// `cycledger-net`.
 const ONE_LINK_DRAW: Guard = Guard {
     name: "one link draw",
     scope: Scope::Tree(&["crates/net/src"]),
